@@ -18,6 +18,9 @@ type entity struct {
 	vec     []float64
 	err     *stats.EMA
 	updates int
+	// dirty: listed in the model's dirtyList since the last publish
+	// (table.go). Guarded like the rest of the entity.
+	dirty bool
 }
 
 // Model is the AMF predictor. It is not safe for concurrent use; wrap it
@@ -31,13 +34,13 @@ type Model struct {
 	services *entityTable
 	updates  int64
 
-	// dirtyUsers/dirtyServices record entities touched since the last
-	// published view so RefreshView can reclone only the affected shards.
+	// dirtyUsers/dirtyServices list entities touched since the last
+	// published view so RefreshView can copy only the affected pages.
 	// Sharded like the entity tables (see table.go) so the parallel
 	// trainer's workers can mark dirt without coordination. nil until
 	// EnableViewTracking (or the first BuildView); see view.go.
-	dirtyUsers    *dirtySet
-	dirtyServices *dirtySet
+	dirtyUsers    *dirtyList
+	dirtyServices *dirtyList
 
 	// arenaF32 makes BuildView/RefreshView freeze factor arenas as
 	// float32 (see SetArenaFloat32). Training state stays float64.
@@ -134,7 +137,8 @@ func (m *Model) Observe(s stream.Sample) {
 	v := m.service(s.Service)
 	m.pool.Add(s)
 	m.update(u, v, s.Value)
-	m.markDirty(s.User, s.Service)
+	m.dirtyUsers.mark(s.User, u)
+	m.dirtyServices.mark(s.Service, v)
 }
 
 // ObserveAll ingests samples in order.
@@ -158,7 +162,8 @@ func (m *Model) ReplayStep() bool {
 	v, okV := m.services.get(s.Service)
 	if okU && okV {
 		m.update(u, v, s.Value)
-		m.markDirty(s.User, s.Service)
+		m.dirtyUsers.mark(s.User, u)
+		m.dirtyServices.mark(s.Service, v)
 	}
 	return true
 }
@@ -173,7 +178,7 @@ func (m *Model) Now() time.Duration { return m.pool.Now() }
 // PoolLen returns the number of retained (possibly stale) replay samples.
 func (m *Model) PoolLen() int { return m.pool.Len() }
 
-// CompactPool eagerly evicts expired and superseded replay samples.
+// CompactPool eagerly evicts expired replay samples.
 func (m *Model) CompactPool() { m.pool.Compact() }
 
 // update is OnlineUpdate(tij, ui, sj, Rij) from Algorithm 1:
@@ -353,17 +358,13 @@ func (m *Model) ServiceIDs() []int { return m.services.ids() }
 // prediction state is gone; they are also superseded in the pool over time.
 func (m *Model) RemoveUser(id int) {
 	m.users.remove(id)
-	if m.dirtyUsers != nil {
-		m.dirtyUsers.mark(id)
-	}
+	m.dirtyUsers.add(id)
 }
 
 // RemoveService forgets a service entirely.
 func (m *Model) RemoveService(id int) {
 	m.services.remove(id)
-	if m.dirtyServices != nil {
-		m.dirtyServices.mark(id)
-	}
+	m.dirtyServices.add(id)
 }
 
 // SetLearnRate changes the SGD step size η for subsequent updates. It

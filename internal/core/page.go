@@ -1,0 +1,229 @@
+package core
+
+import "slices"
+
+// viewPageRows is the height of one factor page. A refresh copies one
+// page per touched row, so shorter pages publish cheaper — but copied
+// pages land wherever the allocator has room, and a full-catalog scan
+// over many small scattered blocks pays a cache and TLB miss per block
+// that one contiguous block per shard never did. Measured at rank 10 on
+// a 20k-service view after 4000 64-sample refreshes (so every page has
+// been copied many times): the scan takes 142 µs at 16 rows, 137 µs at
+// 32 and 123 µs at 64, against 121 µs contiguous; end to end the
+// full-catalog rank is 25%, 14% and 3% slower. A 64-sample publish costs
+// ~50 µs / 0.1 MB at 16 rows and ~100 µs / 0.27–0.38 MB at 64
+// (BenchmarkRefreshView). 64 rows keeps the read path level with a
+// contiguous layout.
+const (
+	viewPageShift = 6
+	viewPageRows  = 1 << viewPageShift
+)
+
+// pageOf splits a shard row number into its page and the row's offset
+// within that page.
+func pageOf(r int) (pi, o int) { return r >> viewPageShift, r & (viewPageRows - 1) }
+
+// shardIndex is the membership of one view shard: which entities it
+// holds and which row each one occupies. It is immutable once built and
+// shared by pointer between consecutive views for as long as the shard's
+// membership is unchanged — steady-state SGD updates change factors, not
+// membership, so a refresh normally copies no index at all.
+type shardIndex struct {
+	ids []int       // entity IDs, ascending: row r holds ids[r]
+	row map[int]int // id → r
+}
+
+// emptyIndex is the index of every shard that holds nothing, so that no
+// reader has to test a shard's index for nil.
+var emptyIndex = &shardIndex{}
+
+// pageIDs returns the ids of the rows held by the shard's page pi.
+func (x *shardIndex) pageIDs(pi int) []int {
+	lo := pi << viewPageShift
+	return x.ids[lo:min(lo+viewPageRows, len(x.ids))]
+}
+
+// viewPage is the frozen SoA image of up to viewPageRows consecutive
+// rows of one shard: their latent factor vectors packed into one
+// contiguous row-major block, plus the error trackers and update counts
+// frozen at publish time. Block and meta reachable from a published view
+// are never written again; a refresh that must change a row copies both
+// first (copy-on-write) and shares every other page with the previous
+// view by pointer.
+//
+// The block is what makes candidate ranking a streaming problem instead
+// of a pointer chase: a full-catalog scan feeds each page's block to the
+// DotBatch kernel, and point lookups (Predict) return subslices of the
+// same storage. A viewPage itself is just the two references, held by
+// value in the shard's page slice so the scan finds each block without
+// dereferencing a header.
+//
+// Exactly one of vecs/vecs32 is non-nil, per the view's precision
+// (Model.SetArenaFloat32): float64 is the default; float32 halves the
+// bytes per row the rank scan streams, at a one-time rounding of the
+// published factors.
+type viewPage struct {
+	vecs   []float64 // rows×rank; row o is vecs[o*rank:(o+1)*rank]
+	vecs32 []float32 // float32 twin; set instead of vecs in f32 views
+	meta   *pageMeta
+}
+
+// pageMeta is the per-row state of a page the rank scan never reads.
+type pageMeta struct {
+	errs    [viewPageRows]float64
+	updates [viewPageRows]int
+}
+
+func newViewPage(rows, rank int, f32 bool) viewPage {
+	p := viewPage{meta: new(pageMeta)}
+	if f32 {
+		p.vecs32 = make([]float32, rows*rank)
+	} else {
+		p.vecs = make([]float64, rows*rank)
+	}
+	return p
+}
+
+// clone returns a private, writable copy of p for copy-on-write.
+func (p viewPage) clone() viewPage {
+	meta := *p.meta
+	return viewPage{vecs: slices.Clone(p.vecs), vecs32: slices.Clone(p.vecs32), meta: &meta}
+}
+
+// freeze writes the live entity's state into row o (rounding the factors
+// in f32 pages) and marks the entity clean: what the page now holds is
+// what the model holds.
+func (p viewPage) freeze(o int, e *entity) {
+	k := len(e.vec)
+	if p.vecs32 != nil {
+		row := p.vecs32[o*k : (o+1)*k]
+		for j, x := range e.vec {
+			row[j] = float32(x)
+		}
+	} else {
+		copy(p.vecs[o*k:(o+1)*k], e.vec)
+	}
+	p.meta.errs[o] = e.err.Value()
+	p.meta.updates[o] = e.updates
+	e.dirty = false
+}
+
+// copyRow copies row fo of from into row o.
+func (p viewPage) copyRow(o int, from viewPage, fo, rank int) {
+	if p.vecs32 != nil {
+		copy(p.vecs32[o*rank:(o+1)*rank], from.vecs32[fo*rank:(fo+1)*rank])
+	} else {
+		copy(p.vecs[o*rank:(o+1)*rank], from.vecs[fo*rank:(fo+1)*rank])
+	}
+	p.meta.errs[o] = from.meta.errs[fo]
+	p.meta.updates[o] = from.meta.updates[fo]
+}
+
+// entity returns row o as a viewEntity aliasing the page's block.
+func (p viewPage) entity(o, rank int) viewEntity {
+	e := viewEntity{meta: p.meta, o: o}
+	lo, hi := o*rank, (o+1)*rank
+	if p.vecs32 != nil {
+		e.vec32 = p.vecs32[lo:hi:hi]
+	} else {
+		e.vec = p.vecs[lo:hi:hi]
+	}
+	return e
+}
+
+// viewShard is one hash shard of a viewTable: the index plus the pages
+// holding its rows, row r at pageOf(r). Every page is full except
+// possibly the last.
+type viewShard struct {
+	idx   *shardIndex
+	pages []viewPage
+}
+
+// refresh brings the shard up to date with the live model shard given
+// the ids touched since the shard was frozen (duplicates allowed),
+// returning the change in its entity count. Only the touched entities are
+// read from the model. While membership is unchanged the index is kept
+// and only the pages holding a touched row are copied and rewritten —
+// O(touched rows), independent of the shard's size. An added or removed
+// entity shifts rows, so that shard alone is reshaped, O(shard size).
+// Building a view is the same thing from an empty shard with every id
+// touched.
+func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int, f32 bool) int {
+	var added, removed []int
+	for _, id := range touched {
+		_, inModel := src[id]
+		_, inView := sh.idx.row[id]
+		switch {
+		case inModel && !inView:
+			added = append(added, id)
+		case inView && !inModel:
+			removed = append(removed, id)
+		}
+	}
+	before := len(sh.idx.ids)
+	shared := sh.pages // pages still aliasing the previous view's
+	if len(added)+len(removed) > 0 {
+		sh.reshape(sortedSet(added), sortedSet(removed), rank, f32)
+		shared = nil
+	} else {
+		sh.pages = slices.Clone(shared)
+	}
+	for _, id := range touched {
+		e, ok := src[id]
+		if !ok {
+			continue // removed
+		}
+		pi, o := pageOf(sh.idx.row[id])
+		if shared != nil && sh.pages[pi].meta == shared[pi].meta {
+			sh.pages[pi] = shared[pi].clone()
+		}
+		sh.pages[pi].freeze(o, e)
+	}
+	return len(sh.idx.ids) - before
+}
+
+func sortedSet(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// reshape replaces the shard's index and pages for a changed membership;
+// added and removed are ascending and duplicate-free. Every page is new,
+// since rows shift, but the surviving rows are copied over from the old
+// pages in order without consulting the model; rows of added entities
+// are left for the caller to fill.
+func (sh *viewShard) reshape(added, removed []int, rank int, f32 bool) {
+	old := *sh
+	n := len(old.idx.ids) + len(added) - len(removed)
+	if n == 0 {
+		*sh = viewShard{idx: emptyIndex}
+		return
+	}
+	idx := &shardIndex{ids: make([]int, 0, n), row: make(map[int]int, n)}
+	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
+	for pi := range pages {
+		pages[pi] = newViewPage(min(viewPageRows, n-pi<<viewPageShift), rank, f32)
+	}
+	place := func(id int) (viewPage, int) {
+		pi, o := pageOf(len(idx.ids))
+		idx.row[id] = len(idx.ids)
+		idx.ids = append(idx.ids, id)
+		return pages[pi], o
+	}
+	for r, id := range old.idx.ids {
+		for ; len(added) > 0 && added[0] < id; added = added[1:] {
+			place(added[0])
+		}
+		if len(removed) > 0 && removed[0] == id {
+			removed = removed[1:]
+			continue
+		}
+		p, o := place(id)
+		fpi, fo := pageOf(r)
+		p.copyRow(o, old.pages[fpi], fo, rank)
+	}
+	for _, id := range added {
+		place(id)
+	}
+	*sh = viewShard{idx: idx, pages: pages}
+}

@@ -57,8 +57,8 @@ func TestFloat32ArenaRankingParity(t *testing.T) {
 
 // TestFloat32RefreshKeepsMode drives the incremental republish path in
 // f32 mode: after more observes, RefreshView must produce an f32 view
-// whose arena scans still agree exactly with its candidate path (the
-// rebuildArena f32 path), and flipping the mode must force a full
+// whose page scans still agree exactly with its candidate path (the
+// copy-on-write f32 path), and flipping the mode must force a full
 // rebuild in the new precision.
 func TestFloat32RefreshKeepsMode(t *testing.T) {
 	m, v1 := f32TestView(t, 300)

@@ -1,7 +1,7 @@
 package core
 
 // This file holds the sharded entity storage behind Model.users and
-// Model.services, and the matching sharded dirty sets behind incremental
+// Model.services, and the matching sharded dirty lists behind incremental
 // view publication.
 //
 // Why sharded maps instead of two flat map[int]*entity: the parallel
@@ -84,37 +84,41 @@ func (t *entityTable) ids() []int {
 	return out
 }
 
-// dirtySet records entities touched since the last published view,
+// dirtyList records entities touched since the last published view,
 // sharded exactly like entityTable so that the parallel trainer's workers
-// can mark dirt without coordination: a worker only writes the dirty
-// shards it owns (user side), or marks under the stripe lock that already
-// guards the entity shard (service side). nil maps mean tracking is off.
-type dirtySet struct {
-	shards [tableShards]map[int]struct{}
+// can mark dirt without coordination: a worker only appends to the shards
+// it owns (user side), or marks under the stripe lock that already guards
+// the entity shard (service side). The entity's own dirty flag keeps an id
+// from being listed twice between publishes, so an applied sample costs a
+// flag test, not a map write; freezing the entity into a view clears it
+// (page.go). A nil *dirtyList means tracking is off.
+type dirtyList struct {
+	shards [tableShards][]int
 }
 
-func newDirtySet() *dirtySet {
-	d := &dirtySet{}
-	for i := range d.shards {
-		d.shards[i] = make(map[int]struct{})
+// mark lists a live entity as touched, once.
+func (d *dirtyList) mark(id int, e *entity) {
+	if !e.dirty && d != nil {
+		e.dirty = true
+		d.add(id)
 	}
-	return d
 }
 
-func (d *dirtySet) mark(id int) {
-	d.shards[shardOf(id)][id] = struct{}{}
+// add lists an id unconditionally — what a removal does, its entity and
+// flag being gone.
+func (d *dirtyList) add(id int) {
+	if d != nil {
+		d.shards[shardOf(id)] = append(d.shards[shardOf(id)], id)
+	}
 }
 
-func (d *dirtySet) count() int {
+func (d *dirtyList) count() int {
+	if d == nil {
+		return 0
+	}
 	n := 0
 	for i := range d.shards {
 		n += len(d.shards[i])
 	}
 	return n
-}
-
-func (d *dirtySet) clear() {
-	for i := range d.shards {
-		clear(d.shards[i])
-	}
 }

@@ -13,7 +13,7 @@ var nan = math.NaN()
 
 // This file is the vectorized candidate-ranking fast path (ISSUE 3): the
 // paper's runtime-adaptation query "rank these n candidate services for
-// user u, best k first" served from a PredictView's frozen factor arenas
+// user u, best k first" served from a PredictView's frozen factor pages
 // in O(n + k log k) with zero steady-state allocations.
 //
 // Ordering is defined on the raw latent inner product Ui·Sj (the "key"),
@@ -47,12 +47,13 @@ func betterScored(a, b scored, lowerIsBetter bool) bool {
 }
 
 // rankScratch is the pooled per-ranking working set: the bounded top-k
-// heap and a values buffer for arena-scan batches. Pooled via pointer so
-// the steady-state rank path performs zero allocations after warmup.
+// heap and one page's worth of scores for the page scan. Pooled via
+// pointer so the steady-state rank path performs zero allocations after
+// warmup.
 type rankScratch struct {
 	heap   []scored
-	vals   []float64
-	vals32 []float32
+	vals   [viewPageRows]float64
+	vals32 [viewPageRows]float32
 	// qs/dst are the packed query and score buffers of the multi-query
 	// batch scan (topk_batch.go); idle otherwise.
 	qs    []float64
@@ -271,7 +272,7 @@ func (v *PredictView) PredictBatch(user int, services []int, dst []float64) erro
 }
 
 // ---------------------------------------------------------------------------
-// Parallel arena scans.
+// Parallel scans.
 
 // TopKParallel is TopK with the candidate scan fanned out across up to
 // `workers` goroutines, each selecting a local top-k over a contiguous
@@ -388,9 +389,9 @@ func (v *PredictView) collectUnknown(candidates []int, n int) []int {
 
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
-// query. It never touches the shard maps: each shard's SoA arena is
-// scanned with the GEMV-style DotBatch kernel (one contiguous stream of
-// nServices×rank floats), and only the k survivors are transformed.
+// query. It never touches the id index maps: each shard's factor pages
+// are scanned with the GEMV-style DotBatch kernel (contiguous blocks of
+// viewPageRows×rank floats), and only the k survivors are transformed.
 // workers > 1 fans the shard scans across that many goroutines with a
 // final merge; workers <= 1 scans serially. Returns nil when the user is
 // unknown or k <= 0.
@@ -411,8 +412,8 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 	if workers <= 1 || v.services.count < 2*minParallelChunk {
 		sc := rankScratchPool.Get().(*rankScratch)
 		h := sc.heap[:0]
-		for si := range v.services.arenas {
-			h = scanArenaTopK(v.services.arenas[si], u, h, sc, k, lowerIsBetter)
+		for si := range v.services.shards {
+			h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
 		}
 		out := drainInto(make([]Ranked, 0, len(h)), h, lowerIsBetter, v.tr)
 		sc.heap = h[:0]
@@ -429,7 +430,7 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 			sc := rankScratchPool.Get().(*rankScratch)
 			h := sc.heap[:0]
 			for si := w; si < viewShardCount; si += workers {
-				h = scanArenaTopK(v.services.arenas[si], u, h, sc, k, lowerIsBetter)
+				h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
 			}
 			top := make([]scored, len(h))
 			heapDrain(h, top, lowerIsBetter)
@@ -460,36 +461,30 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 	return finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
 }
 
-// scanArenaTopK streams one shard arena through the batch kernel of the
-// view's precision and pushes every row into the bounded heap. The
-// scratch's vals buffers are grown in place; the (possibly grown) heap
-// is returned for pooling. Keys from the float32 kernel widen exactly
-// to float64, so heap ordering logic is precision-independent — and
-// because a single-row DotBatch is bit-identical to Dot (kernels.go),
-// the arena path agrees exactly with the candidate path in both modes.
-func scanArenaTopK(a *shardArena, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	if a == nil || len(a.ids) == 0 {
-		return h
-	}
-	n := len(a.ids)
-	if a.vecs32 != nil {
-		if cap(sc.vals32) < n {
-			sc.vals32 = make([]float32, n)
+// scanShardTopK streams one shard's pages through the batch kernel of
+// the view's precision and pushes every row into the bounded heap,
+// returning the (possibly grown) heap for pooling. Keys from the float32
+// kernel widen exactly to float64, so heap ordering logic is
+// precision-independent — and because a single-row DotBatch is
+// bit-identical to Dot and per-row results do not depend on how rows are
+// split across calls (kernels.go), the page scan agrees exactly with the
+// candidate path in both modes.
+func scanShardTopK(sh *viewShard, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
+	for pi, p := range sh.pages {
+		ids := sh.idx.pageIDs(pi)
+		if p.vecs32 != nil {
+			vals := sc.vals32[:len(ids)]
+			matrix.DotBatch32(vals, p.vecs32, u.vec32)
+			for i, key := range vals {
+				h = heapPush(h, scored{service: ids[i], key: float64(key)}, k, lowerIsBetter)
+			}
+			continue
 		}
-		vals := sc.vals32[:n]
-		matrix.DotBatch32(vals, a.vecs32, u.vec32)
+		vals := sc.vals[:len(ids)]
+		matrix.DotBatch(vals, p.vecs, u.vec)
 		for i, key := range vals {
-			h = heapPush(h, scored{service: a.ids[i], key: float64(key)}, k, lowerIsBetter)
+			h = heapPush(h, scored{service: ids[i], key: key}, k, lowerIsBetter)
 		}
-		return h
-	}
-	if cap(sc.vals) < n {
-		sc.vals = make([]float64, n)
-	}
-	vals := sc.vals[:n]
-	matrix.DotBatch(vals, a.vecs, u.vec)
-	for i, key := range vals {
-		h = heapPush(h, scored{service: a.ids[i], key: key}, k, lowerIsBetter)
 	}
 	return h
 }

@@ -13,18 +13,14 @@ type RankQuery struct {
 	LowerIsBetter bool
 }
 
-// batchScanRows is the arena block height of the multi-query scan:
-// 1024 rows × rank 10 is ~80 KiB of float64 factors (~40 KiB at f32),
-// small enough to stay cache-resident while every query's products
-// stream over it. That residency is the entire point of coalescing —
-// arena bytes come from DRAM once per batch instead of once per
-// request. (BenchmarkMulBatch in internal/matrix measures exactly this
-// blocked-vs-independent traversal.)
-const batchScanRows = 1024
-
 // TopKAllBatch executes several full-catalog rankings in one blocked
-// pass over the service arenas — the GEMM-shaped kernel behind
-// request-coalesced /rank (ISSUE 8). out[i] is bit-identical to what
+// pass over the service pages — the GEMM-shaped kernel behind
+// request-coalesced /rank (ISSUE 8). The page is the scan block: a few
+// KiB of factors that stay cache-resident while every query's products
+// stream over them, so page bytes come from DRAM once per batch instead
+// of once per request — the entire point of coalescing.
+// (BenchmarkMulBatch in internal/matrix measures exactly this
+// blocked-vs-independent traversal.) out[i] is bit-identical to what
 // TopKAll(q.User, q.K, q.LowerIsBetter, 1) returns for queries[i] (nil
 // for unknown users or K <= 0): every row's key comes from the same
 // batch kernel — whose per-row results are invariant to block splits
@@ -64,7 +60,7 @@ func (v *PredictView) TopKAllBatch(queries []RankQuery) [][]Ranked {
 	}
 	nq := len(live)
 
-	// Pack the query vectors contiguously and size the per-block score
+	// Pack the query vectors contiguously and size the per-page score
 	// matrix, in the view's precision. The batch scratch holds both so
 	// a warmed pool serves steady-state batches with zero allocations.
 	batch := rankScratchPool.Get().(*rankScratch)
@@ -73,8 +69,8 @@ func (v *PredictView) TopKAllBatch(queries []RankQuery) [][]Ranked {
 		if cap(batch.qs32) < nq*rank {
 			batch.qs32 = make([]float32, nq*rank)
 		}
-		if cap(batch.dst32) < nq*batchScanRows {
-			batch.dst32 = make([]float32, nq*batchScanRows)
+		if cap(batch.dst32) < nq*viewPageRows {
+			batch.dst32 = make([]float32, nq*viewPageRows)
 		}
 		for li, u := range packed {
 			copy(batch.qs32[li*rank:(li+1)*rank], u.vec32)
@@ -83,41 +79,35 @@ func (v *PredictView) TopKAllBatch(queries []RankQuery) [][]Ranked {
 		if cap(batch.qs) < nq*rank {
 			batch.qs = make([]float64, nq*rank)
 		}
-		if cap(batch.dst) < nq*batchScanRows {
-			batch.dst = make([]float64, nq*batchScanRows)
+		if cap(batch.dst) < nq*viewPageRows {
+			batch.dst = make([]float64, nq*viewPageRows)
 		}
 		for li, u := range packed {
 			copy(batch.qs[li*rank:(li+1)*rank], u.vec)
 		}
 	}
 
-	for si := range v.services.arenas {
-		a := v.services.arenas[si]
-		if a == nil || len(a.ids) == 0 {
-			continue
-		}
-		for lo := 0; lo < len(a.ids); lo += batchScanRows {
-			hi := lo + batchScanRows
-			if hi > len(a.ids) {
-				hi = len(a.ids)
-			}
-			n := hi - lo
+	for si := range v.services.shards {
+		sh := &v.services.shards[si]
+		for pi, p := range sh.pages {
+			ids := sh.idx.pageIDs(pi)
+			n := len(ids)
 			if f32 {
-				dst := batch.dst32[:cap(batch.dst32)][:nq*n]
-				matrix.MulBatch32(dst, a.vecs32[lo*rank:hi*rank], batch.qs32[:nq*rank], rank)
+				dst := batch.dst32[:nq*n]
+				matrix.MulBatch32(dst, p.vecs32, batch.qs32[:nq*rank], rank)
 				for li := range live {
 					lq := &live[li]
 					for i, key := range dst[li*n : (li+1)*n] {
-						lq.h = heapPush(lq.h, scored{service: a.ids[lo+i], key: float64(key)}, lq.k, lq.lower)
+						lq.h = heapPush(lq.h, scored{service: ids[i], key: float64(key)}, lq.k, lq.lower)
 					}
 				}
 			} else {
-				dst := batch.dst[:cap(batch.dst)][:nq*n]
-				matrix.MulBatch(dst, a.vecs[lo*rank:hi*rank], batch.qs[:nq*rank], rank)
+				dst := batch.dst[:nq*n]
+				matrix.MulBatch(dst, p.vecs, batch.qs[:nq*rank], rank)
 				for li := range live {
 					lq := &live[li]
 					for i, key := range dst[li*n : (li+1)*n] {
-						lq.h = heapPush(lq.h, scored{service: a.ids[lo+i], key: key}, lq.k, lq.lower)
+						lq.h = heapPush(lq.h, scored{service: ids[i], key: key}, lq.k, lq.lower)
 					}
 				}
 			}

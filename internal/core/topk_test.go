@@ -306,61 +306,71 @@ func TestAppendTopKZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestArenaAliasesViewEntities verifies the SoA arena invariant: every
-// shard map entry's vector aliases its arena row (same backing array), on
-// both fresh builds and incremental refreshes.
-func TestArenaAliasesViewEntities(t *testing.T) {
+// TestPagesBackViewEntities verifies the paged-layout invariants: every
+// shard's index and pages agree in shape, every point lookup aliases its
+// page row (same backing array), and the counts add up — on fresh builds
+// and on incremental refreshes, including one that removes an entity.
+func TestPagesBackViewEntities(t *testing.T) {
 	m := topkTestModel(t, 100)
 	v := m.BuildView()
-	checkAlias := func(v *PredictView, when string) {
+	rank := m.Config().Rank
+	check := func(v *PredictView, when string) {
 		t.Helper()
 		total := 0
-		for si, a := range v.services.arenas {
-			if a == nil {
-				if len(v.services.shards[si]) != 0 {
-					t.Fatalf("%s: shard %d has %d entries but nil arena", when, si, len(v.services.shards[si]))
-				}
+		for si := range v.services.shards {
+			sh := &v.services.shards[si]
+			n := len(sh.idx.ids)
+			if want := (n + viewPageRows - 1) / viewPageRows; len(sh.pages) != want {
+				t.Fatalf("%s: shard %d holds %d rows in %d pages, want %d", when, si, n, len(sh.pages), want)
+			}
+			if n == 0 {
 				continue
 			}
-			if len(a.vecs) != len(a.ids)*a.rank || len(a.errs) != len(a.ids) {
-				t.Fatalf("%s: shard %d arena shape ids=%d vecs=%d errs=%d rank=%d",
-					when, si, len(a.ids), len(a.vecs), len(a.errs), a.rank)
+			if len(sh.idx.row) != n {
+				t.Fatalf("%s: shard %d index has %d ids but %d rows", when, si, n, len(sh.idx.row))
 			}
-			for i, id := range a.ids {
-				e, ok := v.services.shards[si][id]
+			for r, id := range sh.idx.ids {
+				if r > 0 && sh.idx.ids[r-1] >= id {
+					t.Fatalf("%s: shard %d ids not ascending at row %d", when, si, r)
+				}
+				if shardOf(id) != si || sh.idx.row[id] != r {
+					t.Fatalf("%s: service %d indexed at shard %d row %d, found at shard %d row %d", when, id, shardOf(id), sh.idx.row[id], si, r)
+				}
+				p := sh.pages[r/viewPageRows]
+				if want := min(viewPageRows, n-r/viewPageRows*viewPageRows) * rank; len(p.vecs) != want {
+					t.Fatalf("%s: shard %d page %d block len %d, want %d", when, si, r/viewPageRows, len(p.vecs), want)
+				}
+				e, ok := v.services.get(id)
 				if !ok {
-					t.Fatalf("%s: arena id %d missing from shard map %d", when, id, si)
+					t.Fatalf("%s: indexed service %d not found by get", when, id)
 				}
-				row := a.row(i)
-				if &e.vec[0] != &row[0] {
-					t.Fatalf("%s: service %d vec does not alias its arena row", when, id)
-				}
-				if e.err != a.errs[i] {
-					t.Fatalf("%s: service %d err %g, arena %g", when, id, e.err, a.errs[i])
+				if o := r % viewPageRows; &e.vec[0] != &p.vecs[o*rank] || len(e.vec) != rank || e.meta != p.meta || e.o != o {
+					t.Fatalf("%s: service %d does not alias its page row", when, id)
 				}
 			}
-			total += len(a.ids)
+			total += n
 		}
 		if total != v.services.count {
-			t.Fatalf("%s: arenas hold %d services, view %d", when, total, v.services.count)
+			t.Fatalf("%s: pages hold %d services, view %d", when, total, v.services.count)
 		}
 	}
-	checkAlias(v, "fresh build")
+	check(v, "fresh build")
 
-	// Dirty a few services and one removal, then refresh: rebuilt shards
-	// must re-establish the invariant; clean shards share the old arena.
+	// Dirty a few services and one removal, then refresh: the touched
+	// shards must re-establish the invariants; clean shards share both
+	// index and pages with the previous view.
 	m.Observe(stream.Sample{User: 0, Service: 3, Value: 2})
 	m.RemoveService(7)
 	v2 := m.RefreshView(v)
-	checkAlias(v2, "after refresh")
-	cleanShard := -1
-	for si := range v.services.arenas {
-		if v.services.arenas[si] != nil && v.services.arenas[si] == v2.services.arenas[si] {
-			cleanShard = si
-			break
-		}
+	check(v2, "after refresh")
+	if v2.KnowsService(7) || v2.NumServices() != v.NumServices()-1 {
+		t.Fatalf("removal not published: knows=%v count %d -> %d", v2.KnowsService(7), v.NumServices(), v2.NumServices())
 	}
-	if cleanShard < 0 {
-		t.Fatal("no clean shard shares its arena across the refresh")
+	for si := range v.services.shards {
+		a, b := &v.services.shards[si], &v2.services.shards[si]
+		shared := a.idx == b.idx && (len(a.pages) == 0 || &a.pages[0] == &b.pages[0])
+		if touched := si == shardOf(3) || si == shardOf(7); shared == touched {
+			t.Fatalf("shard %d: touched=%v but shared=%v", si, touched, shared)
+		}
 	}
 }

@@ -324,9 +324,7 @@ func (tr *Trainer) applySample(w int, s stream.Sample, register bool) bool {
 		v = newEntityWith(tr.rngs[w], &m.cfg)
 		ssh[s.Service] = v
 	}
-	if m.dirtyServices != nil {
-		m.dirtyServices.shards[ssi][s.Service] = struct{}{}
-	}
+	m.dirtyServices.mark(s.Service, v)
 	if tr.unsync {
 		// Hogwild: registration and dirty marking stay locked (map
 		// structure cannot tolerate races), the float math runs free.
@@ -336,9 +334,7 @@ func (tr *Trainer) applySample(w int, s stream.Sample, register bool) bool {
 		m.updateEntities(u, v, s.Value)
 		st.Unlock()
 	}
-	if m.dirtyUsers != nil {
-		m.dirtyUsers.shards[usi][s.User] = struct{}{} // worker-owned shard
-	}
+	m.dirtyUsers.mark(s.User, u) // worker-owned shard
 	return true
 }
 

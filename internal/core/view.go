@@ -12,31 +12,38 @@ import (
 
 // viewShardCount is the number of hash shards a PredictView's entity
 // tables are split into. It must be a power of two (IDs are mapped to
-// shards by masking). Sharding is what makes incremental republication
-// cheap: a refresh reclones only the shards containing entities that
-// changed since the previous view, and shares the untouched shards with
-// the previous view by pointer.
+// shards by masking). A shard is the unit of membership: each one carries
+// its own id index, rebuilt only when an entity joins or leaves that
+// shard. Factor updates are published at a finer grain still — the
+// fixed-height pages of page.go — so a refresh copies the pages holding a
+// changed row and shares everything else with the previous view by
+// pointer: its cost follows the number of entities touched since the last
+// publish, not the size of the catalog.
 const viewShardCount = 64
 
-// viewEntity is the immutable published state of one user or service:
-// a private copy of the latent factor vector plus the tracked error and
-// update count frozen at publish time. Once a viewEntity is reachable
-// from a published PredictView it is never written again.
+// viewEntity is the published state of one user or service as handed to
+// the read paths: the latent factor vector (aliasing the entity's row in
+// its immutable page), plus where to find the tracked error and update
+// count frozen at publish time — by reference, so the ranking paths,
+// which need only the vector, never touch that memory.
 //
-// Exactly one of vec/vec32 is set, matching the view's arena precision
+// Exactly one of vec/vec32 is set, matching the view's precision
 // (Model.SetArenaFloat32): vec32 carries the factors rounded to float32
 // in f32 views, and every read-side prediction dispatches on which one
 // is present (veDot).
 type viewEntity struct {
-	vec     []float64
-	vec32   []float32
-	err     float64
-	updates int
+	vec   []float64
+	vec32 []float32
+	meta  *pageMeta
+	o     int // the entity's row within its page
 }
 
+func (e viewEntity) err() float64 { return e.meta.errs[e.o] }
+func (e viewEntity) updates() int { return e.meta.updates[e.o] }
+
 // veDot is the precision-dispatching inner product between two frozen
-// entities of the same view: the float64 kernel over default arenas,
-// the float32 kernel when the view was published with float32 arenas.
+// entities of the same view: the float64 kernel over default pages,
+// the float32 kernel when the view was published with float32 pages.
 // Both entities always carry the same precision — they come from the
 // same view, and a view's precision is uniform.
 func veDot(u, s viewEntity) float64 {
@@ -47,44 +54,37 @@ func veDot(u, s viewEntity) float64 {
 }
 
 // viewTable is one side (users or services) of a PredictView: a fixed
-// array of hash shards plus one frozen SoA factor arena per shard (see
-// arena.go). The arrays themselves are copied per refresh (64 pointers
-// each); individual shard maps and arenas are shared between consecutive
-// views unless dirty. Each shard map's viewEntity.vec aliases a row of
-// the shard's arena, so point lookups and contiguous scans read the same
-// immutable storage.
+// array of hash shards (page.go), each an id index plus the factor pages
+// holding its rows. The array is copied by value per refresh; indexes and
+// pages are shared between consecutive views unless changed, so point
+// lookups and page scans of every view read immutable storage.
 type viewTable struct {
-	shards [viewShardCount]map[int]viewEntity
-	arenas [viewShardCount]*shardArena
+	shards [viewShardCount]viewShard
+	rank   int
 	count  int
 }
 
 func shardOf(id int) int { return id & (viewShardCount - 1) }
 
 func (t *viewTable) get(id int) (viewEntity, bool) {
-	sh := t.shards[shardOf(id)]
-	if sh == nil {
+	sh := &t.shards[shardOf(id)]
+	r, ok := sh.idx.row[id]
+	if !ok {
 		return viewEntity{}, false
 	}
-	e, ok := sh[id]
-	return e, ok
+	pi, o := pageOf(r)
+	return sh.pages[pi].entity(o, t.rank), true
 }
 
+// each visits every entity, shard by shard in ascending id order.
 func (t *viewTable) each(f func(id int, e viewEntity)) {
-	for _, sh := range t.shards {
-		for id, e := range sh {
-			f(id, e)
+	for si := range t.shards {
+		sh := &t.shards[si]
+		for r, id := range sh.idx.ids {
+			pi, o := pageOf(r)
+			f(id, sh.pages[pi].entity(o, t.rank))
 		}
 	}
-}
-
-// recount recomputes the cached entity count after shard surgery.
-func (t *viewTable) recount() {
-	n := 0
-	for _, sh := range t.shards {
-		n += len(sh)
-	}
-	t.count = n
 }
 
 // PredictView is an immutable, shareable snapshot of a Model's learned
@@ -104,7 +104,7 @@ type PredictView struct {
 	services viewTable
 	updates  int64
 	version  uint64
-	// f32 records the arena precision this view was frozen with; a
+	// f32 records the page precision this view was frozen with; a
 	// refresh across a mode flip falls back to a full rebuild.
 	f32 bool
 	// owner identifies the model this view was built from, so that
@@ -122,33 +122,15 @@ func (v *PredictView) ArenaFloat32() bool { return v.f32 }
 // republish views incrementally. BuildView enables it implicitly.
 func (m *Model) EnableViewTracking() {
 	if m.dirtyUsers == nil {
-		m.dirtyUsers = newDirtySet()
-		m.dirtyServices = newDirtySet()
+		m.dirtyUsers = new(dirtyList)
+		m.dirtyServices = new(dirtyList)
 	}
-}
-
-// markDirty records a touched (user, service) pair for incremental view
-// refresh. A no-op until EnableViewTracking.
-func (m *Model) markDirty(user, service int) {
-	if m.dirtyUsers == nil {
-		return
-	}
-	m.dirtyUsers.mark(user)
-	m.dirtyServices.mark(service)
-}
-
-func (m *Model) clearDirty() {
-	m.dirtyUsers.clear()
-	m.dirtyServices.clear()
 }
 
 // DirtyCount returns the number of users and services touched since the
-// last BuildView/RefreshView (0, 0 when tracking is disabled). The
-// serving engine uses it to decide whether a republish is pending.
+// last BuildView/RefreshView (0, 0 when tracking is disabled). An id
+// removed and touched again in between counts once per removal.
 func (m *Model) DirtyCount() (users, services int) {
-	if m.dirtyUsers == nil {
-		return 0, 0
-	}
 	return m.dirtyUsers.count(), m.dirtyServices.count()
 }
 
@@ -158,7 +140,6 @@ func (m *Model) DirtyCount() (users, services int) {
 // SGD updates cannot tear a published view.
 func (m *Model) BuildView() *PredictView {
 	m.EnableViewTracking()
-	m.clearDirty()
 	v := &PredictView{
 		cfg:     m.cfg,
 		tr:      m.tr,
@@ -167,60 +148,42 @@ func (m *Model) BuildView() *PredictView {
 		f32:     m.arenaF32,
 		owner:   m,
 	}
-	buildTable(&v.users, m.users, m.cfg.Rank, m.arenaF32)
-	buildTable(&v.services, m.services, m.cfg.Rank, m.arenaF32)
+	buildTable(&v.users, m.users, m.dirtyUsers, m.cfg.Rank, m.arenaF32)
+	buildTable(&v.services, m.services, m.dirtyServices, m.cfg.Rank, m.arenaF32)
 	return v
 }
 
-func buildTable(dst *viewTable, src *entityTable, rank int, f32 bool) {
-	// Model table shards and view shards share the same hash (see
-	// table.go), so each model shard freezes into its view shard directly.
-	total := 0
-	for si := range src.shards {
-		sh := src.shards[si]
-		if len(sh) == 0 {
-			continue
-		}
-		ids := make([]int, 0, len(sh))
-		for id := range sh {
+// buildTable freezes every model shard into its view shard — the two
+// share one hash (see table.go) — as a refresh of an empty shard with
+// every id touched, which also leaves every entity clean.
+func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int, f32 bool) {
+	dst.rank = rank
+	for si, entities := range src.shards {
+		ids := make([]int, 0, len(entities))
+		for id := range entities {
 			ids = append(ids, id)
 		}
-		dst.shards[si], dst.arenas[si] = freezeShardFromModel(sh, ids, rank, f32)
-		total += len(ids)
+		dst.shards[si] = viewShard{idx: emptyIndex}
+		dst.count += dst.shards[si].refresh(entities, ids, rank, f32)
+		dirty.shards[si] = dirty.shards[si][:0]
 	}
-	dst.count = total
 }
 
-// freezeEntity makes a private, view-precision copy of a live model
-// entity. The copy is temporary — rebuildArena repacks it into the
-// shard's fresh arena right after the map surgery.
-func freezeEntity(e *entity, f32 bool) viewEntity {
-	if f32 {
-		vec := make([]float32, len(e.vec))
-		for i, x := range e.vec {
-			vec[i] = float32(x)
-		}
-		return viewEntity{vec32: vec, err: e.err.Value(), updates: e.updates}
-	}
-	vec := make([]float64, len(e.vec))
-	copy(vec, e.vec)
-	return viewEntity{vec: vec, err: e.err.Value(), updates: e.updates}
-}
-
-// RefreshView publishes a new view derived from prev, recloning only the
-// shards that contain entities touched since prev was built. Untouched
-// shards are shared with prev by pointer, so the refresh cost scales with
-// the write rate between publishes, not with the total number of
-// entities. If prev is nil, was built from a different model (Restore
-// swapped it), or dirty tracking is off, it falls back to a full
-// BuildView while keeping the version sequence monotonic.
+// RefreshView publishes a new view derived from prev, copying only the
+// pages that hold an entity touched since prev was built (and rebuilding
+// only the shards an entity joined or left). Everything else — indexes,
+// untouched pages — is shared with prev by pointer, so the refresh costs
+// O(entities touched) in time and bytes whatever the size of the catalog.
+// If prev is nil, was built from a different model (Restore swapped it),
+// or dirty tracking is off, it falls back to a full BuildView while
+// keeping the version sequence monotonic.
 func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev == nil {
 		return m.BuildView()
 	}
 	if prev.owner != m || m.dirtyUsers == nil || prev.f32 != m.arenaF32 {
-		// Model swap, tracking off, or an arena-precision flip: shards
-		// can't be shared across any of these, so rebuild from scratch.
+		// Model swap, tracking off, or a precision flip: nothing can be
+		// shared across any of these, so rebuild from scratch.
 		v := m.BuildView()
 		v.version = prev.version + 1
 		return v
@@ -228,51 +191,30 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	v := &PredictView{
 		cfg:      m.cfg,
 		tr:       m.tr,
-		users:    prev.users,    // shares shard maps; dirty ones replaced below
+		users:    prev.users,    // shares indexes and pages; touched ones replaced below
 		services: prev.services, // ditto
 		updates:  m.updates,
 		version:  prev.version + 1,
 		f32:      m.arenaF32,
 		owner:    m,
 	}
-	refreshTable(&v.users, m.users, m.dirtyUsers, m.cfg.Rank, m.arenaF32)
-	refreshTable(&v.services, m.services, m.dirtyServices, m.cfg.Rank, m.arenaF32)
-	m.clearDirty()
+	refreshTable(&v.users, m.users, m.dirtyUsers, m.arenaF32)
+	refreshTable(&v.services, m.services, m.dirtyServices, m.arenaF32)
 	return v
 }
 
-// refreshTable replaces the dirty shards of dst (currently aliasing the
-// previous view's shards) with fresh clones reflecting src, then repacks
-// each cloned shard's factor vectors into a fresh contiguous arena.
-// Untouched shards keep sharing both map and arena with the previous
-// view. Dirty sets are sharded with the same hash as both tables, so the
-// walk is per-shard: clone once, patch every dirty id, rebuild the arena.
-func refreshTable(dst *viewTable, src *entityTable, dirty *dirtySet, rank int, f32 bool) {
-	changed := false
+// refreshTable brings the touched shards of dst (currently aliasing the
+// previous view's) up to date with src and empties the dirty lists. Dirty
+// lists are sharded with the same hash as both tables, so the walk is per
+// shard.
+func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, f32 bool) {
 	for si := range dirty.shards {
-		ids := dirty.shards[si]
-		if len(ids) == 0 {
+		touched := dirty.shards[si]
+		if len(touched) == 0 {
 			continue
 		}
-		old := dst.shards[si]
-		sh := make(map[int]viewEntity, len(old)+len(ids))
-		for k, e := range old {
-			sh[k] = e
-		}
-		modelShard := src.shards[si]
-		for id := range ids {
-			if e, ok := modelShard[id]; ok {
-				sh[id] = freezeEntity(e, f32)
-			} else {
-				delete(sh, id) // removed entity (churn departure)
-			}
-		}
-		dst.shards[si] = sh
-		rebuildArena(dst, si, rank, f32)
-		changed = true
-	}
-	if changed {
-		dst.recount()
+		dst.count += dst.shards[si].refresh(src.shards[si], touched, dst.rank, f32)
+		dirty.shards[si] = touched[:0]
 	}
 }
 
@@ -330,7 +272,7 @@ func (v *PredictView) PredictWithConfidence(user, service int) (value, confidenc
 		return 0, 0, ErrUnknownService
 	}
 	g := transform.Sigmoid(veDot(u, s))
-	confidence = 1 / (1 + u.err + s.err)
+	confidence = 1 / (1 + u.err() + s.err())
 	return v.tr.Backward(g), confidence, nil
 }
 
@@ -349,17 +291,21 @@ func (v *PredictView) PredictNormalized(user, service int) (float64, error) {
 
 // UserError returns the user's frozen tracked error e_ui.
 func (v *PredictView) UserError(id int) (float64, bool) {
-	e, ok := v.users.get(id)
-	return e.err, ok
+	if e, ok := v.users.get(id); ok {
+		return e.err(), true
+	}
+	return 0, false
 }
 
 // ServiceError returns the service's frozen tracked error e_sj.
 func (v *PredictView) ServiceError(id int) (float64, bool) {
-	e, ok := v.services.get(id)
-	return e.err, ok
+	if e, ok := v.services.get(id); ok {
+		return e.err(), true
+	}
+	return 0, false
 }
 
-// RankServices, Best, TopK, PredictBatch and the parallel arena scans
+// RankServices, Best, TopK, PredictBatch and the parallel page scans
 // live in topk.go (the vectorized candidate-ranking fast path).
 
 // HighErrorUsers returns users whose frozen tracked error is at or above
@@ -376,8 +322,8 @@ func (v *PredictView) HighErrorServices(threshold float64) []Flagged {
 func (t *viewTable) flagged(threshold float64) []Flagged {
 	var out []Flagged
 	t.each(func(id int, e viewEntity) {
-		if e.err >= threshold {
-			out = append(out, Flagged{ID: id, Error: e.err})
+		if err := e.err(); err >= threshold {
+			out = append(out, Flagged{ID: id, Error: err})
 		}
 	})
 	sort.Slice(out, func(i, j int) bool {
@@ -411,7 +357,7 @@ func (t *viewTable) snapshots() []entitySnapshot {
 		// The view's vectors are immutable and the snapshot is a value
 		// copy, so sharing the slice here would still be safe — but gob
 		// encoding aliases are cheap enough that we keep the copy for
-		// symmetry with entitiesToSnapshots. Float32 arenas widen back
+		// symmetry with entitiesToSnapshots. Float32 pages widen back
 		// to float64 exactly (every float32 is representable), so the
 		// snapshot format is precision-independent; what a round trip
 		// through an f32 view loses is the rounding at publish time,
@@ -426,7 +372,7 @@ func (t *viewTable) snapshots() []entitySnapshot {
 			vec = make([]float64, len(e.vec))
 			copy(vec, e.vec)
 		}
-		out = append(out, entitySnapshot{ID: id, Vec: vec, Err: e.err, Updates: e.updates})
+		out = append(out, entitySnapshot{ID: id, Vec: vec, Err: e.err(), Updates: e.updates()})
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

@@ -1,0 +1,105 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+	"unsafe"
+
+	"github.com/qoslab/amf/internal/stream"
+)
+
+// refreshBenchModel is a catalog of nServices services, each observed
+// once, seen by 200 users — the shape of a serving model whose writes are
+// small against its catalog. It returns a generator of observe batches of
+// the serving path's shape: batch samples of one user against uniformly
+// drawn known services, so a refresh after one never changes membership.
+func refreshBenchModel(tb testing.TB, nServices int) (*Model, func(batch int) []stream.Sample) {
+	tb.Helper()
+	const nUsers = 200
+	cfg := DefaultConfig(-0.007, 0, 20)
+	cfg.Expiry = 0
+	m := MustNew(cfg)
+	rng := rand.New(rand.NewSource(int64(nServices)))
+	for s := 0; s < nServices; s++ {
+		m.Observe(stream.Sample{User: s % nUsers, Service: s, Value: 0.1 + 10*rng.Float64()})
+	}
+	var at time.Duration
+	return m, func(batch int) []stream.Sample {
+		at += time.Millisecond
+		ss := make([]stream.Sample, batch)
+		user := rng.Intn(nUsers)
+		for i := range ss {
+			ss[i] = stream.Sample{Time: at, User: user, Service: rng.Intn(nServices), Value: 0.1 + 10*rng.Float64()}
+		}
+		return ss
+	}
+}
+
+// BenchmarkRefreshView times one incremental publish after an observe
+// batch, across catalog sizes and batch sizes. ns/op and B/op should
+// follow the batch and stay flat in the catalog.
+//
+//	go test -run=NONE -bench=BenchmarkRefreshView -benchmem ./internal/core/
+func BenchmarkRefreshView(b *testing.B) {
+	for _, nServices := range []int{5000, 20000} {
+		m, next := refreshBenchModel(b, nServices)
+		v := m.BuildView()
+		for _, batch := range []int{16, 64, 500} {
+			b.Run(fmt.Sprintf("services=%s/batch=%d", sizeLabel(nServices), batch), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					m.ObserveAll(next(batch))
+					b.StartTimer()
+					v = m.RefreshView(v)
+				}
+			})
+		}
+	}
+}
+
+// TestRefreshBytesIndependentOfCatalog pins the scaling claim in
+// RefreshView's contract: what publishing a 64-sample observe allocates is
+// bounded by what the observe touched — at most one page per sample plus
+// the user's, whatever the catalog — and once the catalog is large enough
+// for 64 samples to land on 64 different pages it stops growing at all.
+// (Below that, smaller is cheaper still: at 5k services a shard is one
+// full page and a 14-row one, and samples share pages.)
+func TestRefreshBytesIndependentOfCatalog(t *testing.T) {
+	const batch = 64
+	bytesPerRefresh := func(nServices int) float64 {
+		m, next := refreshBenchModel(t, nServices)
+		v := m.BuildView()
+		const rounds = 50
+		var before, after runtime.MemStats
+		var total uint64
+		for i := 0; i < rounds; i++ {
+			m.ObserveAll(next(batch))
+			runtime.ReadMemStats(&before)
+			v = m.RefreshView(v)
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		return float64(total) / rounds
+	}
+	rank := DefaultConfig(-0.007, 0, 20).Rank
+	pageBytes := float64(viewPageRows*rank*8) + float64(unsafe.Sizeof(pageMeta{}))
+	// 25% for allocator size classes and the copied page slices of the
+	// touched shards, plus the view itself.
+	limit := 1.25*(batch+1)*pageBytes + 2*float64(unsafe.Sizeof(PredictView{}))
+	sizes := []int{5000, 20000, 80000}
+	got := make([]float64, len(sizes))
+	for i, n := range sizes {
+		got[i] = bytesPerRefresh(n)
+		t.Logf("%d-sample refresh at %d services: %.0f B (limit %.0f)", batch, n, got[i], limit)
+		if got[i] > limit {
+			t.Errorf("refresh at %d services allocates %.0f B, more than the %.0f B the batch can touch", n, got[i], limit)
+		}
+	}
+	if got[2] > 1.25*got[1] {
+		t.Errorf("refresh bytes grow with the catalog: %.0f B at 20k services, %.0f B at 80k (%.2fx > 1.25x)", got[1], got[2], got[2]/got[1])
+	}
+}

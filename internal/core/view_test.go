@@ -86,37 +86,64 @@ func TestRefreshViewIncremental(t *testing.T) {
 	if want != got {
 		t.Fatalf("refreshed view predict %g, model %g", got, want)
 	}
-	// Untouched shards are shared with the previous view by pointer.
-	dirtyShard := shardOf(1)
-	for i := range v2.users.shards {
-		if i == dirtyShard || v1.users.shards[i] == nil {
-			continue
-		}
-		if !mapsIdentical(v1.users.shards[i], v2.users.shards[i]) {
-			t.Fatalf("clean user shard %d was recloned", i)
-		}
-	}
-	if mapsIdentical(v1.users.shards[dirtyShard], v2.users.shards[dirtyShard]) {
-		t.Fatalf("dirty user shard %d was shared", dirtyShard)
-	}
 	// And the old view still serves the old state.
 	old, _ := v1.Predict(1, 2)
 	if old == got {
 		t.Fatalf("previous view mutated by refresh")
 	}
+	// Sharing contract: membership did not change, so every index is
+	// shared, and exactly the one page holding user 1 and the one holding
+	// service 2 were copied.
+	if n := diffPages(t, &v1.users, &v2.users, -1); n != 1 {
+		t.Fatalf("%d user pages copied for one touched user, want 1", n)
+	}
+	if n := diffPages(t, &v1.services, &v2.services, -1); n != 1 {
+		t.Fatalf("%d service pages copied for one touched service, want 1", n)
+	}
+	if r := v2.users.shards[shardOf(1)].idx.row[1]; v1.users.shards[shardOf(1)].pages[r/viewPageRows].meta == v2.users.shards[shardOf(1)].pages[r/viewPageRows].meta {
+		t.Fatal("the page holding the touched user was shared")
+	}
+
+	// A new entity changes membership: only its shard's index differs.
+	const newcomer = 1000 + 5 // shard 45: no test user lives there
+	m.Observe(stream.Sample{User: newcomer, Service: 2, Value: 1.1})
+	v3 := m.RefreshView(v2)
+	if !v3.KnowsUser(newcomer) || v3.NumUsers() != v2.NumUsers()+1 {
+		t.Fatalf("newcomer not published: knows=%v users %d -> %d", v3.KnowsUser(newcomer), v2.NumUsers(), v3.NumUsers())
+	}
+	diffPages(t, &v2.users, &v3.users, shardOf(newcomer))
+	if n := diffPages(t, &v2.services, &v3.services, -1); n != 1 {
+		t.Fatalf("%d service pages copied for one touched service, want 1", n)
+	}
 }
 
-// mapsIdentical reports whether two maps are the same map object:
-// inserting a sentinel into one must be visible through the other.
-func mapsIdentical(a, b map[int]viewEntity) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
+// diffPages checks the index-sharing contract between a view's table and
+// its successor's — every shard's index is shared by pointer except shard
+// rebuilt (-1: none), whose index must differ — and returns the number of
+// pages of the index-sharing shards that differ by pointer.
+func diffPages(t *testing.T, prev, next *viewTable, rebuilt int) int {
+	t.Helper()
+	copied := 0
+	for si := range prev.shards {
+		a, b := &prev.shards[si], &next.shards[si]
+		if si == rebuilt {
+			if a.idx == b.idx {
+				t.Fatalf("shard %d changed membership but shares its index", si)
+			}
+			continue
+		}
+		if a.idx != b.idx {
+			t.Fatalf("shard %d kept its membership but its index was rebuilt", si)
+		}
+		for pi := range a.pages {
+			if shared := a.pages[pi].meta == b.pages[pi].meta; !shared {
+				copied++
+			} else if &a.pages[pi].vecs[0] != &b.pages[pi].vecs[0] {
+				t.Fatalf("shard %d page %d shares its meta but not its block", si, pi)
+			}
+		}
 	}
-	const sentinel = -1 << 40 // cannot collide with real IDs
-	a[sentinel] = viewEntity{}
-	_, ok := b[sentinel]
-	delete(a, sentinel)
-	return ok
+	return copied
 }
 
 func TestRefreshViewRemoval(t *testing.T) {

@@ -22,8 +22,9 @@
 //     applies them to the model, interleaves ReplayStep work
 //     (Algorithm 1 lines 11-15), and republishes a fresh view every
 //     PublishEvery updates or PublishInterval, whichever comes first.
-//     Republication is incremental: only the view shards touched since
-//     the last publish are recloned (see core.Model.RefreshView).
+//     Republication is incremental: only the factor pages holding an
+//     entity touched since the last publish are copied (see
+//     core.Model.RefreshView).
 //
 //     With Config.TrainWorkers > 1 the writer goroutine stops applying
 //     updates itself and becomes the coordinator of a core.Trainer:

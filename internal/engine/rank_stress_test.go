@@ -118,7 +118,7 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 	}
 
 	// Writer: firehose + churn + snapshot/restore, forcing republishes and
-	// arena rebuilds of dirty shards underneath the readers.
+	// page copies and shard rebuilds underneath the readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

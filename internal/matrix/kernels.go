@@ -115,9 +115,9 @@ func DotBatch(dst, block, q []float64) {
 // scores land in its own contiguous dst stripe of length rows.
 //
 // Callers chasing memory bandwidth should hand it cache-sized row
-// blocks: the coalesced rank path scans ~1024 rows per call so the
+// blocks: the coalesced rank path scans one factor page per call so the
 // block stays resident while every query's products stream over it —
-// arena bytes are read from DRAM once per batch instead of once per
+// factor bytes are read from DRAM once per batch instead of once per
 // request.
 //
 // Each (query, row) product is computed by the same DotBatch kernel, so

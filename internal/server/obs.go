@@ -117,7 +117,7 @@ func (s *Server) buildMetrics() {
 	r.RegisterHistogram("amf_engine_apply_seconds",
 		"Per-update model apply latency (batch mean attributed to each update).", em.Apply)
 	r.RegisterHistogram("amf_engine_publish_seconds",
-		"View refresh+publish latency (dirty-shard reclone plus pointer swing).", em.Publish)
+		"View refresh+publish latency (dirty-page copy plus pointer swing).", em.Publish)
 
 	// Parallel training path (amf_train_*). The worker-count gauge is
 	// always exported (1 = serial writer) so dashboards can key on it;

@@ -52,7 +52,13 @@ func TestPoolSupersededSampleDies(t *testing.T) {
 	p := NewPool(0, 1)
 	p.Add(Sample{Time: 1, User: 3, Service: 4, Value: 10})
 	p.Add(Sample{Time: 2, User: 3, Service: 4, Value: 20})
-	// Only the newer observation of the pair should ever be picked.
+	p.Add(Sample{Time: 1, User: 3, Service: 4, Value: 30}) // late arrival of an older observation
+	// A re-observed pair takes no second slot: the pool is bounded by the
+	// pairs alive, however often they are observed.
+	if p.Len() != 1 {
+		t.Fatalf("superseded sample still retained, len=%d", p.Len())
+	}
+	// Only the newest observation of the pair is ever picked.
 	for i := 0; i < 20; i++ {
 		s, ok := p.Pick()
 		if !ok {
@@ -61,9 +67,6 @@ func TestPoolSupersededSampleDies(t *testing.T) {
 		if s.Value != 20 {
 			t.Fatalf("picked superseded sample %+v", s)
 		}
-	}
-	if p.Len() != 1 {
-		t.Fatalf("superseded sample should be lazily evicted, len=%d", p.Len())
 	}
 }
 
@@ -93,6 +96,11 @@ func TestPoolCompact(t *testing.T) {
 	s, ok := p.Pick()
 	if !ok || s.User != 99 {
 		t.Fatalf("survivor = %+v, %v", s, ok)
+	}
+	// Eviction moved the survivor; re-observing it must still find its slot.
+	p.Add(Sample{Time: 6 * time.Minute, User: 99, Service: 0, Value: 7})
+	if s, _ := p.Pick(); p.Len() != 1 || s.Value != 7 {
+		t.Fatalf("after re-observe: len=%d pick=%+v", p.Len(), s)
 	}
 }
 
