@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build vet test test-bench race cover bench bench-smoke bench-rank bench-train bench-recovery bench-wal bench-cluster bench-kernels bench-overload test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz ci experiments experiments-paper examples clean
+.PHONY: all build vet test test-bench race cover bench bench-smoke bench-rank bench-train bench-recovery bench-wal bench-cluster bench-kernels bench-overload test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -19,6 +19,7 @@ all: build vet test
 # internals and the observability smoke check.
 ci: build vet test test-bench lint-metrics lint-tunables bench-smoke test-cluster test-overload test-noasm build-arm64
 	$(GO) test -race ./internal/...
+	$(MAKE) fuzz-wire FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -83,8 +84,11 @@ bench:
 # predict path must stay within 5% of the uninstrumented one), quick
 # passes over the ranking fast path's kernels (DotBatch) and top-K
 # selection, the incremental view publish (one 64-sample refresh per
-# catalog size: ns/op and B/op must not follow the catalog), and the
-# durable-state layer's hot rows (engine journaling tax, WAL append).
+# catalog size: ns/op and B/op must not follow the catalog), the
+# durable-state layer's hot rows (engine journaling tax, WAL append),
+# and the gateway hop on the repository benchmark's candidate shapes
+# (rank 200, batch 50: B/op and allocs/op of direct vs gateway must stay
+# flat in the candidate count — the wire codec's contract).
 bench-smoke: vet
 	$(GO) test -race ./internal/obs/
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
@@ -96,6 +100,7 @@ bench-smoke: vet
 	$(GO) test -run=NONE -bench='BenchmarkObserveJournal/journal=(none|interval)' -benchtime=0.2s ./internal/engine/
 	$(GO) test -run=NONE -bench='BenchmarkWALAppend/(off|interval)' -benchtime=0.2s ./internal/store/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
+	$(GO) test -run=NONE -bench='BenchmarkGatewayRank/candidates=200$$|BenchmarkGatewayBatch' -benchmem -benchtime=0.2s ./internal/cluster/
 
 # SIMD kernel comparison (scalar vs AVX2/NEON vs float32, plus the
 # blocked multi-query coalescing traversal), archived as machine-
@@ -166,10 +171,23 @@ bench-cluster:
 bench-overload:
 	$(GO) run ./cmd/amfbench -mode overload -o BENCH_overload.json
 
-fuzz:
-	$(GO) test -run=Fuzz -fuzz=FuzzReadTriplets -fuzztime=30s ./internal/dataset/
-	$(GO) test -run=Fuzz -fuzz=FuzzParseLine -fuzztime=30s ./internal/qosdb/
-	$(GO) test -run=Fuzz -fuzz=FuzzDecodeEntry -fuzztime=30s ./internal/store/
+FUZZTIME ?= 30s
+
+fuzz: fuzz-wire
+	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
+	$(GO) test -run=NONE -fuzz='^FuzzParseLine$$' -fuzztime=$(FUZZTIME) ./internal/qosdb/
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
+
+# The wire codec against encoding/json (internal/server/codec_test.go):
+# decoders agree with json.Unmarshal on accept/reject and on every
+# field, encoders with json.Marshal on every byte. CI runs this leg at
+# FUZZTIME=10s; the seed corpora alone run under plain `go test`.
+fuzz-wire:
+	for target in FuzzDecodeBatch FuzzDecodeRank FuzzDecodeObserve FuzzAppendString FuzzAppendFloat; do \
+		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/server/ || exit 1; \
+	done
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

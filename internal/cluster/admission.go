@@ -7,37 +7,21 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/control"
-	"github.com/qoslab/amf/internal/obs/trace"
 	"github.com/qoslab/amf/internal/server"
 )
 
 // This file is the gateway's slice of the overload control plane: the
-// SLO class header rides through the proxy to the backends, and —
-// when edge shedding is enabled — sheddable-class requests aimed at a
-// shard group that reports saturation are refused at the gateway,
-// before they cost a backend round trip. Saturation is free
+// SLO class header rides through the proxy to the backends (call and
+// stamp in gateway.go), and — when edge shedding is enabled —
+// sheddable-class requests aimed at a shard group that reports
+// saturation are refused at the gateway, before they cost a backend
+// round trip. Saturation is free
 // information: every probe round already fetches each replica's
 // /api/v1/cluster/status, which now carries the server's rolling shed
 // rate, so the edge decision adds no extra traffic.
 
 // edgeShedReason is the X-Amf-Shed-Reason value for gateway refusals.
 const edgeShedReason = "edge_saturation"
-
-// classify stamps the request's SLO class (parsed from the
-// X-Amf-Slo-Class header, default standard) on the context, so every
-// downstream proxy leg and the edge-shed check read it without
-// re-parsing. Called from timed() next to trace-root minting.
-func classify(r *http.Request) *http.Request {
-	return r.WithContext(control.NewContext(r.Context(), control.ClassFromHeader(r.Header)))
-}
-
-// stampClass propagates the context's SLO class onto an outgoing
-// backend request, so a backend running its own admission gate applies
-// the same class the client declared. A header-map assignment, nothing
-// else — the raw pass-through path stays raw.
-func stampClass(req *http.Request, class control.Class) {
-	req.Header[control.ClassHeader] = []string{class.String()}
-}
 
 // shedRate returns the replica's last-probed shed rate.
 func (rep *replica) shedRateValue() float64 {
@@ -78,16 +62,17 @@ func (g *Gateway) edgeShed(w http.ResponseWriter, r *http.Request, grps ...*grou
 	if !g.cfg.EdgeShed {
 		return false
 	}
-	if control.FromContext(r.Context()) != control.Sheddable {
+	c := callFrom(r.Context())
+	if c.class != control.Sheddable {
 		return false
 	}
 	for _, grp := range grps {
 		if grp == nil || !g.saturated(grp) {
 			continue
 		}
-		if sp := trace.FromContext(r.Context()); sp != nil {
-			sp.Annotate("edge_shed", 1)
-			sp.SetError()
+		if c.span != nil {
+			c.span.Annotate("edge_shed", 1)
+			c.span.SetError()
 		}
 		g.edgeSheds.Inc()
 		// One probe interval is the soonest the gateway's view of the

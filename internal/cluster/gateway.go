@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,7 +51,8 @@ type Config struct {
 	// the full group state, so splitting scales scan work with replica
 	// count. <= -1 disables fan-out.
 	FanOutThreshold int
-	// MaxBody bounds proxied request bodies (default 64 MiB).
+	// MaxBody bounds proxied request bodies (default server.MaxBodyBytes,
+	// the bound the backends apply themselves).
 	MaxBody int64
 	// EdgeShed enables edge shedding: sheddable-class requests aimed at
 	// a shard group whose probed shed rate is at or above ShedThreshold
@@ -69,7 +71,12 @@ type Config struct {
 
 // replica is one amfserver the gateway proxies to.
 type replica struct {
-	url        string
+	url string
+	// The hot routes' backend URLs, parsed once: an outgoing request is
+	// built around one of these instead of re-parsing url per request.
+	observeURL, predictURL, rankURL *url.URL
+	span                            string // name of a backend round trip's child span
+
 	fails      atomic.Int32 // consecutive probe failures
 	health     atomic.Int32 // Health
 	role       atomic.Int32 // 1 = leader (as of the last probe)
@@ -82,6 +89,26 @@ type replica struct {
 }
 
 func (rep *replica) Health() Health { return Health(rep.health.Load()) }
+
+func newReplica(base string) (*replica, error) {
+	rep := &replica{url: strings.TrimRight(base, "/")}
+	var err error
+	parse := func(path string) *url.URL {
+		u, perr := url.Parse(rep.url + path)
+		if perr != nil {
+			err = fmt.Errorf("replica URL: %w", perr)
+		}
+		return u
+	}
+	rep.observeURL = parse("/api/v1/observe")
+	rep.predictURL = parse("/api/v1/predict")
+	rep.rankURL = parse("/api/v1/rank")
+	if err != nil {
+		return nil, err
+	}
+	rep.span = "backend " + rep.rankURL.Host
+	return rep, nil
+}
 
 // group is one user shard: a set of replicas over one WAL lineage.
 type group struct {
@@ -144,7 +171,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.FanOutThreshold = 256
 	}
 	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = 64 << 20
+		cfg.MaxBody = server.MaxBodyBytes
 	}
 	if cfg.ShedThreshold <= 0 {
 		cfg.ShedThreshold = 0.5
@@ -180,7 +207,11 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		grp := &group{name: fmt.Sprintf("shard-%d", i)}
 		for _, u := range urls {
-			grp.replicas = append(grp.replicas, &replica{url: strings.TrimRight(u, "/")})
+			rep, err := newReplica(u)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: shard group %d: %w", i, err)
+			}
+			grp.replicas = append(grp.replicas, rep)
 		}
 		grp.member = g.ring.Add(grp.name)
 		g.groups = append(g.groups, grp)
@@ -303,11 +334,33 @@ func (g *Gateway) routes() {
 // direct header-map assignment skips canonicalization).
 const requestIDHeader = "X-Request-Id"
 
+// call is what the gateway knows about one proxied request beyond the
+// request itself: the root span of its trace and its SLO class (parsed
+// once from X-Amf-Slo-Class). It rides the request context as a single
+// value, so every proxy leg and the edge-shed check read both without
+// re-parsing headers, and timed() copies the request once.
+type call struct {
+	span  *trace.Span
+	class control.Class
+}
+
+type callKey struct{}
+
+// callFrom recovers the context's call. Contexts the gateway made
+// itself (probes, failover control calls) carry none: no span, standard
+// class.
+func callFrom(ctx context.Context) call {
+	if c, ok := ctx.Value(callKey{}).(*call); ok {
+		return *c
+	}
+	return call{class: control.Standard}
+}
+
 // timed wraps a proxied route with the gateway's per-route metrics and
 // mints the root span of a new trace: every proxied request gets a fresh
 // 128-bit trace ID, echoed to the client as X-Request-Id and propagated
-// to backends via X-Amf-Trace (see stampTrace), so one identifier names
-// the request at the client, the gateway, and every shard it touched.
+// to backends via X-Amf-Trace (see stamp), so one identifier names the
+// request at the client, the gateway, and every shard it touched.
 func (g *Gateway) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 	counter := g.requests.With(route)
 	hist := g.proxySeconds.With(route)
@@ -316,24 +369,35 @@ func (g *Gateway) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 		counter.Inc()
 		sp := g.traces.Start(trace.NewID(), 0, route)
 		w.Header()[requestIDHeader] = []string{sp.Trace.String()}
-		r = r.WithContext(trace.NewContext(r.Context(), sp))
-		r = classify(r) // SLO class rides the context to every proxy leg
-		h(w, r)
+		c := &call{span: sp, class: control.ClassFromHeader(r.Header)}
+		h(w, r.WithContext(context.WithValue(r.Context(), callKey{}, c)))
 		d := time.Since(start)
 		hist.Observe(d.Seconds())
 		sp.Finish(d)
 	}
 }
 
-// stampTrace propagates the context's span onto an outgoing backend
-// request — the backend adopts the trace ID and records its own spans
-// under it. A header-map assignment and nothing else, so the raw
-// pass-through path stays raw. No-op for untraced contexts (probes,
-// failover control calls).
-func stampTrace(req *http.Request, sp *trace.Span) {
-	if sp != nil {
-		req.Header[trace.Header] = []string{trace.HeaderValue(sp.Trace, sp.ID)}
+// classValues holds each class's header value ready-made; header values
+// are read, never written, once set, so every request shares them.
+var classValues = func() (v [control.NumClasses][]string) {
+	for _, c := range control.Classes() {
+		v[c] = []string{c.String()}
 	}
+	return v
+}()
+
+var jsonContentType = []string{"application/json"}
+
+// stamp propagates the call onto an outgoing backend request: the
+// backend adopts the trace ID and records its own spans under it, and a
+// backend running its own admission gate applies the class the client
+// declared. Header-map assignments and nothing else, so the raw
+// pass-through path stays raw. An untraced call stamps no trace.
+func stamp(req *http.Request, c call) {
+	if c.span != nil {
+		req.Header[trace.Header] = []string{trace.HeaderValue(c.span.Trace, c.span.ID)}
+	}
+	req.Header[control.ClassHeader] = classValues[c.class]
 }
 
 func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -347,8 +411,12 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, a
 }
 
 // groupFor routes a user key through the ring.
-func (g *Gateway) groupFor(user string) *group {
-	m := g.ring.Lookup(user)
+func (g *Gateway) groupFor(user string) *group { return g.groupAt(hash64(user)) }
+
+// groupAt returns the group owning a key hash (hash64 of a user name,
+// held as a string or as a view of a request body).
+func (g *Gateway) groupAt(h uint64) *group {
+	m := g.ring.lookup(h)
 	if m == nil {
 		return nil
 	}
@@ -418,10 +486,9 @@ func (g *Gateway) postJSON(ctx context.Context, url string, body, out any) error
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	sp := trace.FromContext(ctx)
-	stampTrace(req, sp)
-	stampClass(req, control.FromContext(ctx))
-	child := g.traces.StartChild(sp, "backend "+req.URL.Host)
+	c := callFrom(ctx)
+	stamp(req, c)
+	child := g.traces.StartChild(c.span, "backend "+req.URL.Host)
 	resp, err := g.http.Do(req)
 	if err != nil {
 		child.SetError()
@@ -458,24 +525,43 @@ func (g *Gateway) postJSON(ctx context.Context, url string, body, out any) error
 	return json.Unmarshal(rbuf.Bytes(), out)
 }
 
-// forwardRaw proxies a request body verbatim to one backend and streams
-// the response straight through — the fast path for requests that need
-// no splitting or merging. Skipping the gateway-side decode/re-encode of
-// both body and response is what keeps the proxy hop within the issue's
-// 15% overhead budget on large ranking queries.
-func (g *Gateway) forwardRaw(w http.ResponseWriter, r *http.Request, url string, body []byte) {
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+// bytesBody is an outgoing request body over bytes the caller keeps.
+type bytesBody struct{ bytes.Reader }
+
+func (*bytesBody) Close() error { return nil }
+
+func newBytesBody(b []byte) *bytesBody {
+	body := new(bytesBody)
+	body.Reset(b)
+	return body
+}
+
+// forward proxies one request verbatim to one backend — body bytes
+// untouched (nil for a GET) — and streams the response straight through:
+// the fast path for requests that need no splitting or merging.
+// Skipping the gateway-side decode/re-encode of both body and response
+// is what keeps the proxy hop within the 15% overhead budget on large
+// ranking queries. The outgoing request is assembled around the
+// replica's parsed URL; http.NewRequest would parse it again, wrap the
+// body twice and canonicalise headers that are already canonical.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, method string, rep *replica, u *url.URL, body []byte) {
+	req := (&http.Request{
+		Method: method, URL: u, Host: u.Host,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header, 3),
+	}).WithContext(r.Context())
+	if len(body) > 0 {
+		req.Body, req.ContentLength = newBytesBody(body), int64(len(body))
+		// The transport replays the body when it retries on a keep-alive
+		// connection the backend had already closed.
+		req.GetBody = func() (io.ReadCloser, error) { return newBytesBody(body), nil }
+		req.Header["Content-Type"] = jsonContentType
 	}
-	req.Header.Set("Content-Type", "application/json")
-	// Tracing and class propagation on the raw path touch headers only:
-	// the body and response still stream through untouched.
-	sp := trace.FromContext(r.Context())
-	stampTrace(req, sp)
-	stampClass(req, control.FromContext(r.Context()))
-	child := g.traces.StartChild(sp, "backend "+req.URL.Host)
+	// Tracing and class propagation touch headers only: the body and the
+	// response still stream through untouched.
+	c := callFrom(r.Context())
+	stamp(req, c)
+	child := g.traces.StartChild(c.span, rep.span)
 	resp, err := g.http.Do(req)
 	if err != nil {
 		child.SetError()
@@ -493,83 +579,45 @@ func (g *Gateway) forwardRaw(w http.ResponseWriter, r *http.Request, url string,
 	copyResponse(w, resp)
 }
 
+// copyBufPool recycles the buffers copyResponse relays through.
+var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+// writerOnly hides a ResponseWriter's ReadFrom from io.CopyBuffer: a
+// backend response body is nothing the client connection could splice
+// from, and its ReadFrom would fall back to a fresh 32 KB copy buffer
+// for every proxied response.
+type writerOnly struct{ io.Writer }
+
 // copyResponse relays a backend response verbatim. Propagating
 // Content-Length keeps the client leg un-chunked (one frame instead of
 // chunk headers), which matters at the proxy's latency floor.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
-	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-	if resp.ContentLength >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	h := w.Header()
+	if ct := resp.Header["Content-Type"]; len(ct) > 0 {
+		h["Content-Type"] = ct
+	}
+	if cl := resp.Header["Content-Length"]; len(cl) > 0 {
+		h["Content-Length"] = cl
+	} else if resp.ContentLength >= 0 {
+		h["Content-Length"] = []string{strconv.FormatInt(resp.ContentLength, 10)}
 	}
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	buf := copyBufPool.Get().(*[]byte)
+	_, _ = io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
+	copyBufPool.Put(buf)
 }
 
-// userFromJSON extracts the top-level "user" field from a request body
-// without materializing the rest (candidate lists run to thousands of
-// strings). The scan runs to the end of the top-level object on
-// purpose: encoding/json keeps the LAST duplicate key, and both the
-// backend and the gateway's own fan-out path decode the body with
-// encoding/json — stopping at the first "user" would route by a
-// different user than the one the request is served for, silently
-// crossing shard groups. A non-string "user" value returns ok=false;
-// the callers then fall through to a full decode for a precise 400.
-func userFromJSON(raw []byte) (string, bool) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	t, err := dec.Token()
-	if err != nil || t != json.Delim('{') {
-		return "", false
+// readBody reads a proxied request body whole, answering 413 past
+// MaxBody. The bytes are the request's own, not pooled: the transport
+// may still be writing them to a backend that answered early when the
+// handler returns.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	raw, err := server.ReadBody(w, r, g.cfg.MaxBody, nil)
+	if err != nil {
+		g.writeError(w, server.BodyErrorStatus(err), "read body: %v", err)
+		return nil, false
 	}
-	var user string
-	found := false
-	for dec.More() {
-		key, err := dec.Token()
-		if err != nil {
-			return "", false
-		}
-		val, err := dec.Token()
-		if err != nil {
-			return "", false
-		}
-		if key == "user" {
-			s, ok := val.(string)
-			if !ok {
-				return "", false
-			}
-			user, found = s, true
-			continue
-		}
-		if err := finishValue(dec, val); err != nil {
-			return "", false
-		}
-	}
-	return user, found
-}
-
-// finishValue consumes the remainder of one JSON value whose first
-// token is t: scalars are already complete, containers are drained to
-// their closing delimiter.
-func finishValue(dec *json.Decoder, t json.Token) error {
-	d, ok := t.(json.Delim)
-	if !ok || (d != '{' && d != '[') {
-		return nil
-	}
-	depth := 1
-	for depth > 0 {
-		t, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		if dd, ok := t.(json.Delim); ok {
-			switch dd {
-			case '{', '[':
-				depth++
-			case '}', ']':
-				depth--
-			}
-		}
-	}
-	return nil
+	return raw, true
 }
 
 // backendError carries a backend's HTTP status through the merge so the
@@ -618,13 +666,13 @@ type GroupStatus struct {
 
 // ReplicaStatus describes one replica as of the last probe.
 type ReplicaStatus struct {
-	URL        string `json:"url"`
-	Health     string `json:"health"`
-	Role       string `json:"role"`
-	WALSeq     uint64 `json:"wal_seq,omitempty"`
-	AppliedSeq uint64 `json:"applied_seq,omitempty"`
-	Epoch      uint64 `json:"epoch,omitempty"`
-	Fenced     bool   `json:"fenced,omitempty"`
+	URL        string  `json:"url"`
+	Health     string  `json:"health"`
+	Role       string  `json:"role"`
+	WALSeq     uint64  `json:"wal_seq,omitempty"`
+	AppliedSeq uint64  `json:"applied_seq,omitempty"`
+	Epoch      uint64  `json:"epoch,omitempty"`
+	Fenced     bool    `json:"fenced,omitempty"`
 	ShedRate   float64 `json:"shed_rate,omitempty"`
 }
 
@@ -664,9 +712,8 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // double-train the successful buckets on resend, so partial failure is
 // reported as a non-retryable 500.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "read body: %v", err)
+	raw, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 	// Single-group deployments need no bucketing: the whole batch goes to
@@ -675,7 +722,8 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 		if g.edgeShed(w, r, g.groups[0]) {
 			return
 		}
-		g.forwardRaw(w, r, g.groups[0].writeTarget().url+"/api/v1/observe", raw)
+		rep := g.groups[0].writeTarget()
+		g.forward(w, r, http.MethodPost, rep, rep.observeURL, raw)
 		return
 	}
 	var req server.ObserveRequest
@@ -757,7 +805,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 // handlePredict proxies a single prediction to a read replica of the
 // user's group, streaming the response straight through.
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	user := r.URL.Query().Get("user")
+	user := server.QueryParam(r.URL.RawQuery, "user")
 	if user == "" {
 		g.writeError(w, http.StatusBadRequest, "user query parameter is required")
 		return
@@ -770,31 +818,57 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if g.edgeShed(w, r, grp) {
 		return
 	}
-	target := grp.readTarget().url + "/api/v1/predict?" + r.URL.RawQuery
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, target, nil)
+	rep := grp.readTarget()
+	u := *rep.predictURL
+	u.RawQuery = r.URL.RawQuery
+	g.forward(w, r, http.MethodGet, rep, &u, nil)
+}
+
+// route decodes a batch-predict or rank body once — the user to route
+// by, the candidates to count and, past the threshold, to split — and
+// picks the request's shard group. It answers the request itself and
+// returns a nil group when the body is malformed, names no user, or
+// cannot be routed. The Query's views live until d is released.
+func (g *Gateway) route(w http.ResponseWriter, r *http.Request, d *server.Decoder, raw []byte, rank bool) (server.Query, *group) {
+	decode, missing := d.Batch, "user and services are required"
+	if rank {
+		decode, missing = d.Rank, "user is required"
+	}
+	// No list bound here: the backend applies its own, to the whole list
+	// or to its slice of a fan-out.
+	q, err := decode(raw, math.MaxInt)
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, "%v", err)
-		return
+		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+		return q, nil
 	}
-	sp := trace.FromContext(r.Context())
-	stampTrace(req, sp)
-	stampClass(req, control.FromContext(r.Context()))
-	child := g.traces.StartChild(sp, "backend "+req.URL.Host)
-	resp, err := g.http.Do(req)
-	if err != nil {
-		child.SetError()
-		child.FinishNow()
-		g.proxyErrors.Inc()
-		g.writeError(w, http.StatusBadGateway, "predict: %v", err)
-		return
+	if len(q.User) == 0 {
+		g.writeError(w, http.StatusBadRequest, "%s", missing)
+		return q, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		child.SetError()
-		g.proxyErrors.Inc()
+	grp := g.groupAt(hash64(q.User))
+	if grp == nil {
+		g.unavailable(w)
+		return q, nil
 	}
-	child.FinishNow()
-	copyResponse(w, resp)
+	if g.edgeShed(w, r, grp) {
+		return q, nil
+	}
+	return q, grp
+}
+
+// fanOutSet returns the replicas to split a candidate list of n across,
+// or nil when the request goes to one replica verbatim: fan-out off,
+// fewer than two healthy replicas, or a list under the threshold (which
+// includes the full-catalog ranking's empty list — every replica would
+// scan the same catalog).
+func (g *Gateway) fanOutSet(grp *group, n int) []*replica {
+	if g.cfg.FanOutThreshold < 0 || n == 0 || n < g.cfg.FanOutThreshold || len(grp.replicas) < 2 {
+		return nil
+	}
+	if reps := grp.healthyReplicas(); len(reps) >= 2 {
+		return reps
+	}
+	return nil
 }
 
 // handleBatchPredict routes a candidate batch to the user's group. At or
@@ -802,50 +876,26 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // group's healthy replicas (each holds the full group state) and the
 // partial responses are concatenated back in request order.
 func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "read body: %v", err)
+	raw, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	user, userOK := userFromJSON(raw)
-	var req server.BatchPredictRequest
-	if !userOK || user == "" {
-		// Malformed or unroutable: decode fully for a precise 400.
-		if err := json.Unmarshal(raw, &req); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-			return
-		}
-		g.writeError(w, http.StatusBadRequest, "user and services are required")
-		return
-	}
-	grp := g.groupFor(user)
+	d := server.AcquireDecoder()
+	defer d.Release()
+	q, grp := g.route(w, r, d, raw, false)
 	if grp == nil {
-		g.unavailable(w)
 		return
 	}
-	if g.edgeShed(w, r, grp) {
-		return
-	}
-	reps := grp.healthyReplicas()
-	if g.cfg.FanOutThreshold < 0 || len(reps) < 2 {
-		g.forwardRaw(w, r, grp.readTarget().url+"/api/v1/predict", raw)
-		return
-	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if len(req.Services) == 0 {
-		g.writeError(w, http.StatusBadRequest, "user and services are required")
-		return
-	}
-	if len(req.Services) < g.cfg.FanOutThreshold {
-		g.forwardRaw(w, r, grp.readTarget().url+"/api/v1/predict", raw)
+	reps := g.fanOutSet(grp, len(q.Services))
+	if reps == nil {
+		rep := grp.readTarget()
+		g.forward(w, r, http.MethodPost, rep, rep.predictURL, raw)
 		return
 	}
 
 	g.fanouts.Inc()
-	chunks := splitStrings(req.Services, len(reps))
+	user := string(q.User)
+	chunks := splitNames(q.Services, len(reps))
 	parts := make([]server.BatchPredictResponse, len(chunks))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
@@ -854,11 +904,11 @@ func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		go func(i int, chunk []string) {
 			defer wg.Done()
 			errs[i] = g.postJSON(r.Context(), reps[i].url+"/api/v1/predict",
-				server.BatchPredictRequest{User: req.User, Services: chunk}, &parts[i])
+				server.BatchPredictRequest{User: user, Services: chunk}, &parts[i])
 		}(i, chunk)
 	}
 	wg.Wait()
-	merged := server.BatchPredictResponse{User: req.User, Predictions: make([]server.BatchPrediction, 0, len(req.Services))}
+	merged := server.BatchPredictResponse{User: user, Predictions: make([]server.BatchPrediction, 0, len(q.Services))}
 	for i, err := range errs {
 		if err != nil {
 			g.writeError(w, relayStatus(err), "batch predict (replica %s): %v", reps[i].url, err)
@@ -876,48 +926,27 @@ func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 // candidate list) go to one replica — they cannot be split, every
 // replica would scan the same catalog.
 func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBody))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "read body: %v", err)
+	raw, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
-	user, userOK := userFromJSON(raw)
-	var req server.RankRequest
-	if !userOK || user == "" {
-		if err := json.Unmarshal(raw, &req); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-			return
-		}
-		g.writeError(w, http.StatusBadRequest, "user is required")
-		return
-	}
-	grp := g.groupFor(user)
+	d := server.AcquireDecoder()
+	defer d.Release()
+	q, grp := g.route(w, r, d, raw, true)
 	if grp == nil {
-		g.unavailable(w)
 		return
 	}
-	if g.edgeShed(w, r, grp) {
-		return
-	}
-	reps := grp.healthyReplicas()
-	if g.cfg.FanOutThreshold < 0 || len(reps) < 2 {
-		g.forwardRaw(w, r, grp.readTarget().url+"/api/v1/rank", raw)
-		return
-	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	// Full-catalog rankings (no candidate list) cannot be split — every
-	// replica would scan the same catalog — so they go to one replica.
-	if len(req.Services) == 0 || len(req.Services) < g.cfg.FanOutThreshold {
-		g.forwardRaw(w, r, grp.readTarget().url+"/api/v1/rank", raw)
+	reps := g.fanOutSet(grp, len(q.Services))
+	if reps == nil {
+		rep := grp.readTarget()
+		g.forward(w, r, http.MethodPost, rep, rep.rankURL, raw)
 		return
 	}
 
 	g.fanouts.Inc()
-	lowerIsBetter := req.Metric != "tp" && req.Metric != "throughput"
-	chunks := splitStrings(req.Services, len(reps))
+	sub := server.RankRequest{User: string(q.User), TopK: q.TopK, Metric: string(q.Metric)}
+	lowerIsBetter := sub.Metric != "tp" && sub.Metric != "throughput"
+	chunks := splitNames(q.Services, len(reps))
 	parts := make([]server.RankResponse, len(chunks))
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
@@ -925,13 +954,13 @@ func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, chunk []string) {
 			defer wg.Done()
-			sub := req
+			sub := sub
 			sub.Services = chunk
 			errs[i] = g.postJSON(r.Context(), reps[i].url+"/api/v1/rank", sub, &parts[i])
 		}(i, chunk)
 	}
 	wg.Wait()
-	merged := server.RankResponse{User: req.User}
+	merged := server.RankResponse{User: sub.User}
 	var all []server.RankedService
 	for i, err := range errs {
 		if err != nil {
@@ -948,20 +977,25 @@ func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request) {
 			merged.ViewVersion = parts[i].ViewVersion
 		}
 	}
-	merged.Ranked = mergeRanked(all, req.TopK, lowerIsBetter)
+	merged.Ranked = mergeRanked(all, q.TopK, lowerIsBetter)
 	g.writeJSON(w, http.StatusOK, merged)
 }
 
-// splitStrings cuts ss into n contiguous chunks (sizes differing by at
-// most one, no empty chunks unless len(ss) < n).
-func splitStrings(ss []string, n int) [][]string {
-	if n > len(ss) {
-		n = len(ss)
+// splitNames cuts the decoded names into n contiguous chunks (sizes
+// differing by at most one, no empty chunks unless len(names) < n),
+// copied out of the decoder's views into strings a sub-request can own.
+func splitNames(names [][]byte, n int) [][]string {
+	if n > len(names) {
+		n = len(names)
+	}
+	all := make([]string, len(names))
+	for i, name := range names {
+		all[i] = string(name)
 	}
 	out := make([][]string, 0, n)
 	for i := 0; i < n; i++ {
-		lo, hi := i*len(ss)/n, (i+1)*len(ss)/n
-		out = append(out, ss[lo:hi])
+		lo, hi := i*len(all)/n, (i+1)*len(all)/n
+		out = append(out, all[lo:hi])
 	}
 	return out
 }

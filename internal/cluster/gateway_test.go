@@ -448,40 +448,6 @@ func followerHas(t *testing.T, url, user, service string) (float64, bool) {
 	return pr.Value, true
 }
 
-// TestUserFromJSONDuplicateKeys pins the routing scan to encoding/json
-// semantics: the LAST duplicate "user" key wins, because that is the
-// user the backend (and the gateway's own fan-out path) will decode and
-// serve.
-func TestUserFromJSONDuplicateKeys(t *testing.T) {
-	cases := []struct {
-		raw  string
-		want string
-		ok   bool
-	}{
-		{`{"user":"a","services":["x","y"]}`, "a", true},
-		{`{"services":["x"],"user":"late"}`, "late", true},
-		{`{"user":"a","user":"b"}`, "b", true},
-		{`{"user":"a","nested":{"user":"inner"},"user":"c","tail":[1,2]}`, "c", true},
-		{`{"user":5}`, "", false},
-		{`{"user":"a","user":5}`, "", false},
-		{`{"services":["x"]}`, "", false},
-		{`["user","a"]`, "", false},
-	}
-	for _, tc := range cases {
-		got, ok := userFromJSON([]byte(tc.raw))
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("userFromJSON(%s) = (%q, %v), want (%q, %v)", tc.raw, got, ok, tc.want, tc.ok)
-		}
-		// Whenever the scan routes, it must agree with a full decode.
-		if ok {
-			var req server.BatchPredictRequest
-			if err := json.Unmarshal([]byte(tc.raw), &req); err == nil && req.User != got {
-				t.Errorf("scan routes %s by %q but encoding/json decodes user %q", tc.raw, got, req.User)
-			}
-		}
-	}
-}
-
 // TestGatewayObservePartialFailure: once any bucket of a sharded batch
 // has been applied, the gateway must NOT relay a retryable status — a
 // client resending the whole batch would re-train the groups that
@@ -643,20 +609,24 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSplitStrings(t *testing.T) {
+func TestSplitNames(t *testing.T) {
 	ss := []string{"a", "b", "c", "d", "e"}
-	chunks := splitStrings(ss, 2)
+	names := make([][]byte, len(ss))
+	for i, s := range ss {
+		names[i] = []byte(s)
+	}
+	chunks := splitNames(names, 2)
 	if len(chunks) != 2 || len(chunks[0])+len(chunks[1]) != 5 {
 		t.Fatalf("chunks = %v", chunks)
 	}
 	// More chunks than items: one item each, no empties.
-	chunks = splitStrings(ss[:2], 5)
+	chunks = splitNames(names[:2], 5)
 	if len(chunks) != 2 || len(chunks[0]) != 1 || len(chunks[1]) != 1 {
 		t.Fatalf("over-split chunks = %v", chunks)
 	}
 	// Order is preserved across the concatenation.
 	var flat []string
-	for _, c := range splitStrings(ss, 3) {
+	for _, c := range splitNames(names, 3) {
 		flat = append(flat, c...)
 	}
 	for i, s := range flat {

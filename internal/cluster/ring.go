@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -175,13 +174,15 @@ func (r *Ring) Len() int {
 // (and being stranded in) a different member's store, or reads
 // answering from a member that never saw the key. Returns nil only for
 // an empty ring.
-func (r *Ring) Lookup(key string) *Member {
+func (r *Ring) Lookup(key string) *Member { return r.lookup(hash64(key)) }
+
+// lookup is Lookup for a key already hashed.
+func (r *Ring) lookup(h uint64) *Member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.hashes) == 0 {
 		return nil
 	}
-	h := hash64(key)
 	// First vnode clockwise of h (wrapping at the top).
 	start := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if start == len(r.hashes) {
@@ -190,11 +191,14 @@ func (r *Ring) Lookup(key string) *Member {
 	return r.owners[start]
 }
 
-// hash64 is FNV-1a, the stdlib's stable non-cryptographic hash — the
-// placement only needs uniformity, and stability across processes so
-// every gateway agrees on ownership.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
+// hash64 is 64-bit FNV-1a (hash/fnv's New64a, written out so a key held
+// as bytes hashes without becoming a string and neither form allocates)
+// — the placement only needs uniformity, and stability across processes
+// so every gateway agrees on ownership.
+func hash64[S ~string | ~[]byte](s S) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
 }

@@ -21,7 +21,6 @@
 package control
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -84,25 +83,6 @@ func ParseClass(s string) (Class, bool) {
 func ClassFromHeader(h http.Header) Class {
 	c, _ := ParseClass(h.Get(ClassHeader))
 	return c
-}
-
-// classKey is an unexported context key for the request's SLO class.
-type classKey struct{}
-
-// NewContext stamps the SLO class on a context so downstream proxy
-// hops (the gateway's fan-out helpers) can recover it without
-// re-parsing headers.
-func NewContext(ctx context.Context, c Class) context.Context {
-	return context.WithValue(ctx, classKey{}, c)
-}
-
-// FromContext recovers the class stamped by NewContext, defaulting to
-// Standard.
-func FromContext(ctx context.Context) Class {
-	if c, ok := ctx.Value(classKey{}).(Class); ok {
-		return c
-	}
-	return Standard
 }
 
 // Source records where a tunable's current value came from.

@@ -1,7 +1,6 @@
 package control
 
 import (
-	"context"
 	"net/http"
 	"testing"
 	"time"
@@ -39,17 +38,6 @@ func TestParseClass(t *testing.T) {
 		if !ok || rt != c {
 			t.Errorf("round trip %v failed: %v %v", c, rt, ok)
 		}
-	}
-}
-
-func TestClassContext(t *testing.T) {
-	ctx := context.Background()
-	if got := FromContext(ctx); got != Standard {
-		t.Fatalf("empty context: got %v", got)
-	}
-	ctx = NewContext(ctx, Critical)
-	if got := FromContext(ctx); got != Critical {
-		t.Fatalf("stamped context: got %v", got)
 	}
 }
 

@@ -61,11 +61,28 @@ func (r *Registry) Register(name string) (id int, created bool) {
 	if info, ok := r.byName[name]; ok {
 		return info.ID, false
 	}
+	return r.addLocked(name), true
+}
+
+// RegisterBytes is Register for a name held as bytes (a view into a
+// request body): a known name costs a map probe and no allocation, and
+// only a joining one is copied into a string.
+func (r *Registry) RegisterBytes(name []byte) (id int, created bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if info, ok := r.byName[string(name)]; ok {
+		return info.ID, false
+	}
+	return r.addLocked(string(name)), true
+}
+
+// addLocked registers a new name under the next ID; callers hold mu.
+func (r *Registry) addLocked(name string) int {
 	info := &Info{ID: r.nextID, Name: name, Joined: r.now()}
 	r.nextID++
 	r.byName[name] = info
 	r.byID[info.ID] = info
-	return info.ID, true
+	return info.ID
 }
 
 // RegisterID registers a name under a specific ID — the WAL-replay path,
@@ -109,21 +126,36 @@ func (r *Registry) Lookup(name string) (int, bool) {
 	return info.ID, true
 }
 
+// LookupBytes is Lookup for a name held as bytes; it does not allocate.
+func (r *Registry) LookupBytes(name []byte) (int, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	info, ok := r.byName[string(name)]
+	if !ok {
+		return 0, false
+	}
+	return info.ID, true
+}
+
 // ResolveAll looks up many names under a single lock acquisition,
 // returning parallel id/known slices (ids[i] is meaningful only when
 // known[i]). Batch endpoints (batch predict, candidate ranking) use it
-// instead of per-name Lookup calls so a 10k-candidate request costs one
-// RLock, not 10k.
-func (r *Registry) ResolveAll(names []string) (ids []int, known []bool) {
-	ids = make([]int, len(names))
-	known = make([]bool, len(names))
+// instead of per-name lookups so a 10k-candidate request costs one
+// RLock, not 10k. The names are bytes — views into the request body —
+// and the results are appended to ids[:0] and known[:0], so a caller
+// that keeps its slices allocates nothing here.
+func (r *Registry) ResolveAll(names [][]byte, ids []int, known []bool) ([]int, []bool) {
+	ids, known = ids[:0], known[:0]
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for i, name := range names {
-		if info, ok := r.byName[name]; ok {
-			ids[i] = info.ID
-			known[i] = true
+	for _, name := range names {
+		info, ok := r.byName[string(name)]
+		if ok {
+			ids = append(ids, info.ID)
+		} else {
+			ids = append(ids, 0)
 		}
+		known = append(known, ok)
 	}
 	return ids, known
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"runtime"
 	"time"
@@ -40,48 +39,52 @@ func (s *Server) rankWorkers(n int) int {
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req RankRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.countError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	b, ok := s.readHot(w, r)
+	if !ok {
 		return
 	}
-	if req.User == "" {
+	defer b.release()
+	q, err := b.dec.Rank(b.raw, s.MaxBatch)
+	if err != nil {
+		s.decodeError(w, err, "candidate set")
+		return
+	}
+	if len(q.User) == 0 {
 		s.countError(w, http.StatusBadRequest, "user is required")
 		return
 	}
 	lowerIsBetter := true
-	metric := req.Metric
-	switch metric {
+	var metric string
+	switch string(q.Metric) {
 	case "", "rt", "responseTime":
 		metric = "rt"
 	case "tp", "throughput":
 		metric = "tp"
 		lowerIsBetter = false
 	default:
-		s.countError(w, http.StatusBadRequest, "unknown metric %q (want rt or tp)", req.Metric)
+		s.countError(w, http.StatusBadRequest, "unknown metric %q (want rt or tp)", q.Metric)
 		return
 	}
-	if len(req.Services) > s.MaxBatch {
-		s.countError(w, http.StatusRequestEntityTooLarge, "candidate set of %d exceeds limit %d", len(req.Services), s.MaxBatch)
-		return
-	}
-	if len(req.Services) == 0 && req.TopK <= 0 {
+	if len(q.Services) == 0 && q.TopK <= 0 {
 		s.countError(w, http.StatusBadRequest, "topk is required when ranking all services")
 		return
 	}
 
-	uid, ok := s.users.Lookup(req.User)
+	uid, ok := s.users.LookupBytes(q.User)
 	if !ok {
-		s.countError(w, http.StatusNotFound, "unknown user %q", req.User)
+		s.countError(w, http.StatusNotFound, "unknown user %q", q.User)
 		return
 	}
 
 	start := time.Now()
 	view := s.eng.View() // one consistent snapshot for the whole ranking
-	resp := RankResponse{User: req.User, Metric: metric, ViewVersion: view.Version()}
-
-	var mode string
-	if len(req.Services) == 0 {
+	var (
+		mode       string
+		candidates int
+		ranked     []core.Ranked
+		unknown    = b.unknown[:0]
+	)
+	if len(q.Services) == 0 {
 		if w := s.RankCoalesceWindow; w > 0 {
 			// Coalesced full scan: park this request on the batch window
 			// and serve it from one multi-query arena pass shared with
@@ -93,11 +96,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			if max <= 0 {
 				max = 16
 			}
-			res := s.coalescer.submit(uid, req.TopK, lowerIsBetter, w, max)
-			view = res.view
-			resp.ViewVersion = view.Version()
-			resp.Candidates = view.NumServices()
-			resp.Ranked = s.rankedNames(res.ranked)
+			res := s.coalescer.submit(uid, q.TopK, lowerIsBetter, w, max)
+			view, ranked = res.view, res.ranked
 			if s.instrument {
 				s.metrics.rankCoalesced.Inc()
 				s.rankCoalesceSize.Observe(float64(res.batch))
@@ -109,73 +109,68 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			if workers > 1 {
 				mode = "full_scan_parallel"
 			}
-			resp.Candidates = view.NumServices()
-			ranked := view.TopKAll(uid, req.TopK, lowerIsBetter, workers)
-			resp.Ranked = s.rankedNames(ranked)
+			ranked = view.TopKAll(uid, q.TopK, lowerIsBetter, workers)
 		}
+		candidates = view.NumServices()
 	} else {
 		// Resolve every candidate name in one registry pass.
-		ids, known := s.services.ResolveAll(req.Services)
-		candidates := make([]int, 0, len(ids))
-		candNames := make([]string, 0, len(ids))
-		for i, id := range ids {
-			if !known[i] {
-				resp.Unknown = append(resp.Unknown, req.Services[i])
+		b.ids, b.known = s.services.ResolveAll(q.Services, b.ids, b.known)
+		cands, candAt := b.cands[:0], b.candAt[:0]
+		for i, id := range b.ids {
+			if !b.known[i] {
+				unknown = append(unknown, q.Services[i])
 				continue
 			}
-			candidates = append(candidates, id)
-			candNames = append(candNames, req.Services[i])
+			cands = append(cands, id)
+			candAt = append(candAt, i)
 		}
-		resp.Candidates = len(candidates)
-		k := req.TopK
-		if k <= 0 || k > len(candidates) {
-			k = len(candidates)
+		b.cands, b.candAt = cands, candAt
+		candidates = len(cands)
+		k := q.TopK
+		if k <= 0 || k > len(cands) {
+			k = len(cands)
 		}
-		workers := s.rankWorkers(len(candidates))
-		var ranked []core.Ranked
 		var unknownIDs []int
-		if workers > 1 {
+		if workers := s.rankWorkers(len(cands)); workers > 1 {
 			mode = "parallel"
-			ranked, unknownIDs = view.TopKParallel(uid, candidates, k, lowerIsBetter, workers)
+			ranked, unknownIDs = view.TopKParallel(uid, cands, k, lowerIsBetter, workers)
 		} else {
 			mode = "serial"
-			ranked, unknownIDs = view.TopK(uid, candidates, k, lowerIsBetter)
+			ranked, unknownIDs = view.TopK(uid, cands, k, lowerIsBetter)
 		}
-		resp.Ranked = s.rankedNames(ranked)
 		// Candidates registered but absent from the view (e.g. purged by
 		// churn): map the returned IDs back to names. Both unknownIDs and
-		// candidates preserve candidate order, so a two-pointer walk
-		// recovers the names without building an id->name map.
-		if len(unknownIDs) > 0 {
-			ui := 0
-			for i, id := range candidates {
-				if ui < len(unknownIDs) && unknownIDs[ui] == id {
-					resp.Unknown = append(resp.Unknown, candNames[i])
-					ui++
-				}
+		// cands preserve candidate order, so a two-pointer walk recovers
+		// the names without building an id->name map.
+		for i, ui := 0, 0; i < len(cands) && ui < len(unknownIDs); i++ {
+			if unknownIDs[ui] == cands[i] {
+				unknown = append(unknown, q.Services[candAt[i]])
+				ui++
 			}
 		}
 	}
+	b.unknown = unknown
+	b.ranked = s.appendRankedNames(b.ranked[:0], ranked)
 
 	if s.instrument {
 		s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
 		s.metrics.rankRequests.Inc()
-		s.metrics.rankCandidates.Add(int64(resp.Candidates))
+		s.metrics.rankCandidates.Add(int64(candidates))
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, view.Version())
+	s.writeHot(w, b.out, err)
 }
 
-// rankedNames maps ranked model IDs back to registered service names.
-// Entries whose registration vanished mid-flight (deregistered between
-// the view load and now) keep a stable synthetic name.
-func (s *Server) rankedNames(ranked []core.Ranked) []RankedService {
-	out := make([]RankedService, len(ranked))
-	for i, r := range ranked {
+// appendRankedNames maps ranked model IDs back to registered service
+// names. Entries whose registration vanished mid-flight (deregistered
+// between the view load and now) keep a stable synthetic name.
+func (s *Server) appendRankedNames(dst []RankedService, ranked []core.Ranked) []RankedService {
+	for _, r := range ranked {
 		name, ok := s.services.NameOf(r.Service)
 		if !ok {
 			name = "#departed"
 		}
-		out[i] = RankedService{Service: name, Value: r.Value}
+		dst = append(dst, RankedService{Service: name, Value: r.Value})
 	}
-	return out
+	return dst
 }

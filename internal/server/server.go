@@ -3,9 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,18 +96,18 @@ type Server struct {
 	// until EnableAdmission, ctrl nil until StartAdaptation. The
 	// admission metric families are always registered (zero while
 	// disabled) so dashboards and the docs lint see a stable surface.
-	gate       atomic.Pointer[admissionGate]
-	ctrl       atomic.Pointer[control.Controller]
-	admReq     [control.NumClasses]*obs.Counter
-	admShed    [control.NumClasses]atomic.Int64
-	admReasons map[string]*obs.Counter
-	admWaitEst *obs.Histogram
-	log              *slog.Logger
-	logDebug         bool // cached log.Enabled(debug); refreshed by SetLogger
-	slowThreshold    time.Duration
-	instrument       bool
-	reqSeq           atomic.Uint64
-	closed           atomic.Bool
+	gate          atomic.Pointer[admissionGate]
+	ctrl          atomic.Pointer[control.Controller]
+	admReq        [control.NumClasses]*obs.Counter
+	admShed       [control.NumClasses]atomic.Int64
+	admReasons    map[string]*obs.Counter
+	admWaitEst    *obs.Histogram
+	log           *slog.Logger
+	logDebug      bool // cached log.Enabled(debug); refreshed by SetLogger
+	slowThreshold time.Duration
+	instrument    bool
+	reqSeq        atomic.Uint64
+	closed        atomic.Bool
 
 	// Cluster role (see replication.go): follower marks a replica that
 	// tails a leader's WAL and rejects direct writes; repl is its tailer.
@@ -338,27 +340,103 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// hotBuf is the per-request scratch of the four hot routes: the body as
+// read, the decoder whose views point into it, the registry and model
+// scratch sized by the request's list, and the encoded response. Pooled
+// whole, so a request's allocation count does not follow its candidates
+// or samples.
+type hotBuf struct {
+	dec     Decoder
+	raw     []byte
+	out     []byte
+	ids     []int
+	known   []bool
+	cands   []int // IDs of the known candidates, in request order
+	candAt  []int // cands[i] is the request's service candAt[i]
+	unknown [][]byte
+	rows    []batchRow
+	ranked  []RankedService
+	samples []stream.Sample
+}
+
+var hotBufPool = sync.Pool{New: func() any { return new(hotBuf) }}
+
+func (b *hotBuf) release() {
+	if cap(b.raw) > maxPooledBytes || cap(b.out) > maxPooledBytes || b.dec.oversized() {
+		return
+	}
+	hotBufPool.Put(b)
+}
+
+// readHot reads a hot request body into pooled scratch, answering 413
+// past MaxBodyBytes. ok is false when the response has been written;
+// otherwise the caller releases b.
+func (s *Server) readHot(w http.ResponseWriter, r *http.Request) (b *hotBuf, ok bool) {
+	b = hotBufPool.Get().(*hotBuf)
+	var err error
+	if b.raw, err = ReadBody(w, r, MaxBodyBytes, b.raw); err != nil {
+		b.release()
+		s.countError(w, BodyErrorStatus(err), "read body: %v", err)
+		return nil, false
+	}
+	return b, true
+}
+
+// decodeError answers a codec error: 413 for a list past MaxBatch (what
+// names the list in the message), 400 for anything else.
+func (s *Server) decodeError(w http.ResponseWriter, err error, what string) {
+	var limit *LimitError
+	if errors.As(err, &limit) {
+		s.countError(w, http.StatusRequestEntityTooLarge, "%s of at least %d exceeds limit %d", what, limit.Limit+1, limit.Limit)
+		return
+	}
+	s.countError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+}
+
+// jsonContentType is shared by every hot response: header values are
+// read, never written, once set.
+var jsonContentType = []string{"application/json"}
+
+// writeHot writes a response the codec encoded, with its length, so the
+// connection carries one frame instead of chunks. An encoding error
+// (a NaN the model should never produce) becomes a 500.
+func (s *Server) writeHot(w http.ResponseWriter, body []byte, err error) {
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
+	}
+	s.countStatus(http.StatusOK)
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowerWrite(w) {
 		return
 	}
-	var req ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.countError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	b, ok := s.readHot(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Observations) == 0 {
+	defer b.release()
+	obs, err := b.dec.Observe(b.raw, s.MaxBatch)
+	if err != nil {
+		s.decodeError(w, err, "batch")
+		return
+	}
+	if len(obs) == 0 {
 		s.countError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	if len(req.Observations) > s.MaxBatch {
-		s.countError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(req.Observations), s.MaxBatch)
-		return
-	}
 	var resp ObserveResponse
-	samples := make([]stream.Sample, 0, len(req.Observations))
-	for i, o := range req.Observations {
-		if o.User == "" || o.Service == "" {
+	now := s.now().Sub(s.base)
+	samples := b.samples[:0]
+	for i := range obs {
+		o := &obs[i]
+		if len(o.User) == 0 || len(o.Service) == 0 {
 			s.countError(w, http.StatusBadRequest, "observation %d: user and service are required", i)
 			return
 		}
@@ -366,24 +444,24 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			s.countError(w, http.StatusBadRequest, "observation %d: negative QoS value %g", i, o.Value)
 			return
 		}
-		uid, newU := s.users.Register(o.User)
-		sid, newS := s.services.Register(o.Service)
+		uid, newU := s.users.RegisterBytes(o.User)
+		sid, newS := s.services.RegisterBytes(o.Service)
 		if newU {
 			resp.NewUsers++
 			// Journal the name⇄ID binding before the samples that use the
 			// new ID; without it a recovered model would hold factors for
 			// an ID no name resolves to.
 			if s.durable != nil {
-				s.journalRegistration(s.durable.WAL().AppendRegisterUser, uid, o.User)
+				s.journalRegistration(s.durable.WAL().AppendRegisterUser, uid, string(o.User))
 			}
 		}
 		if newS {
 			resp.NewServices++
 			if s.durable != nil {
-				s.journalRegistration(s.durable.WAL().AppendRegisterService, sid, o.Service)
+				s.journalRegistration(s.durable.WAL().AppendRegisterService, sid, string(o.Service))
 			}
 		}
-		t := s.now().Sub(s.base)
+		t := now
 		if o.TimestampMs > 0 {
 			t = time.UnixMilli(o.TimestampMs).Sub(s.base)
 			if t < 0 {
@@ -392,6 +470,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		}
 		samples = append(samples, stream.Sample{Time: t, User: uid, Service: sid, Value: o.Value})
 	}
+	b.samples = samples
 	if s.store != nil {
 		// One WAL record (one CRC, one fsync under SyncAlways) for the
 		// whole request instead of a record per sample.
@@ -419,7 +498,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Accepted = len(samples)
 	s.metrics.observations.Add(int64(resp.Accepted))
-	s.writeJSON(w, http.StatusOK, resp)
+	b.out = appendObserveResponse(b.out[:0], resp)
+	s.writeHot(w, b.out, nil)
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.
@@ -436,8 +516,8 @@ func (s *Server) resolve(user, service string) (uid, sid int, err error) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	user := r.URL.Query().Get("user")
-	service := r.URL.Query().Get("service")
+	user := QueryParam(r.URL.RawQuery, "user")
+	service := QueryParam(r.URL.RawQuery, "service")
 	if user == "" || service == "" {
 		s.countError(w, http.StatusBadRequest, "user and service query parameters are required")
 		return
@@ -455,45 +535,46 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.predictions.Add(1)
-	s.writeJSON(w, http.StatusOK, PredictResponse{User: user, Service: service, Value: v, Confidence: conf})
+	b := hotBufPool.Get().(*hotBuf)
+	defer b.release()
+	b.out, err = appendPredictResponse(b.out[:0], user, service, v, conf)
+	s.writeHot(w, b.out, err)
 }
 
 func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
-	var req BatchPredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.countError(w, http.StatusBadRequest, "invalid JSON: %v", err)
+	b, ok := s.readHot(w, r)
+	if !ok {
 		return
 	}
-	if req.User == "" || len(req.Services) == 0 {
+	defer b.release()
+	q, err := b.dec.Batch(b.raw, s.MaxBatch)
+	if err != nil {
+		s.decodeError(w, err, "batch")
+		return
+	}
+	if len(q.User) == 0 || len(q.Services) == 0 {
 		s.countError(w, http.StatusBadRequest, "user and services are required")
 		return
 	}
-	if len(req.Services) > s.MaxBatch {
-		s.countError(w, http.StatusRequestEntityTooLarge, "batch of %d exceeds limit %d", len(req.Services), s.MaxBatch)
-		return
-	}
-	uid, userKnown := s.users.Lookup(req.User)
-	resp := BatchPredictResponse{
-		User:        req.User,
-		Predictions: make([]BatchPrediction, 0, len(req.Services)),
-	}
+	uid, userKnown := s.users.LookupBytes(q.User)
 	view := s.eng.View() // one consistent snapshot for the whole batch
 	// One registry pass for the whole candidate list (single RLock), then
 	// lock-free view reads per resolved service.
-	sids, known := s.services.ResolveAll(req.Services)
-	for i, name := range req.Services {
-		p := BatchPrediction{Service: name}
-		if userKnown && known[i] {
-			if v, conf, err := view.PredictWithConfidence(uid, sids[i]); err == nil {
-				p.Value = v
-				p.Confidence = conf
-				p.OK = true
+	b.ids, b.known = s.services.ResolveAll(q.Services, b.ids, b.known)
+	rows := b.rows[:0]
+	for i, name := range q.Services {
+		row := batchRow{Service: name}
+		if userKnown && b.known[i] {
+			if v, conf, err := view.PredictWithConfidence(uid, b.ids[i]); err == nil {
+				row.Value, row.Confidence, row.OK = v, conf, true
 			}
 		}
-		resp.Predictions = append(resp.Predictions, p)
+		rows = append(rows, row)
 	}
-	s.metrics.batchPredictions.Add(int64(len(resp.Predictions)))
-	s.writeJSON(w, http.StatusOK, resp)
+	b.rows = rows
+	s.metrics.batchPredictions.Add(int64(len(rows)))
+	b.out, err = appendBatchResponse(b.out[:0], q.User, rows)
+	s.writeHot(w, b.out, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
