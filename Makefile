@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build vet test test-bench race cover bench bench-smoke bench-rank bench-train bench-recovery bench-wal bench-cluster bench-kernels bench-overload test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire ci experiments experiments-paper examples clean
+.PHONY: all build vet test test-bench race cover bench bench-smoke bench-rank bench-train bench-recovery bench-wal bench-cluster bench-kernels bench-overload test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -19,7 +19,7 @@ all: build vet test
 # internals and the observability smoke check.
 ci: build vet test test-bench lint-metrics lint-tunables bench-smoke test-cluster test-overload test-noasm build-arm64
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -83,7 +83,9 @@ bench:
 # race detector, the instrumentation-overhead benchmark (instrumented
 # predict path must stay within 5% of the uninstrumented one), quick
 # passes over the ranking fast path's kernels (DotBatch) and top-K
-# selection, the incremental view publish (one 64-sample refresh per
+# selection (scan-speedup-x: the fused scan against the push-every-row
+# reference; coalesce-speedup-x: four queries in one pass against four
+# passes — both must stay above 1), the incremental view publish (one 64-sample refresh per
 # catalog size: ns/op and B/op must not follow the catalog), the
 # durable-state layer's hot rows (engine journaling tax, WAL append),
 # and the gateway hop on the repository benchmark's candidate shapes
@@ -94,7 +96,7 @@ bench-smoke: vet
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench=BenchmarkAdmissionGate -benchtime=0.2s ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkDotBatch/paired/rows=1000$$' -benchtime=0.2s ./internal/matrix/
-	$(GO) test -run=NONE -bench='BenchmarkTopK/10k' -benchmem -benchtime=0.2s ./internal/core/
+	$(GO) test -run=NONE -bench='BenchmarkTopK/10k|BenchmarkTopKAllBatch/q4' -benchmem -benchtime=0.2s ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=(5k|20k)/batch=64$$' -benchmem -benchtime=0.2s ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkTrainThroughput/workers=(1|4)$$' -benchtime=0.2s ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkObserveJournal/journal=(none|interval)' -benchtime=0.2s ./internal/engine/
@@ -108,7 +110,7 @@ bench-smoke: vet
 # interleaved — arms share one timing loop — so the *-speedup-x extras
 # are immune to CPU frequency drift between runs.
 bench-kernels:
-	$(GO) test -run=NONE -bench='BenchmarkDot$$|BenchmarkDotBatch|BenchmarkMulBatch' -benchmem -benchtime=0.5s ./internal/matrix/ \
+	$(GO) test -run=NONE -bench='BenchmarkDot$$|BenchmarkDotBatch|BenchmarkBlockedScan' -benchmem -benchtime=0.5s ./internal/matrix/ \
 		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_kernels.json
 
 # Full ranking fast-path benchmark, archived as machine-readable JSON
@@ -173,7 +175,7 @@ bench-overload:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire
+fuzz: fuzz-wire fuzz-select
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzParseLine$$' -fuzztime=$(FUZZTIME) ./internal/qosdb/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
@@ -188,6 +190,13 @@ fuzz-wire:
 	for target in FuzzDecodeBatch FuzzDecodeRank FuzzDecodeObserve FuzzAppendString FuzzAppendFloat; do \
 		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/server/ || exit 1; \
 	done
+
+# Fused top-k selection against the push-every-row reference
+# (internal/core/select_test.go): fuzzer-chosen keys — ties, ±0, ±Inf,
+# NaN — must rank identically through every selection entry point. CI
+# runs this leg at FUZZTIME=10s.
+fuzz-select:
+	$(GO) test -run=NONE -fuzz='^FuzzSelect$$' -fuzztime=$(FUZZTIME) ./internal/core/
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

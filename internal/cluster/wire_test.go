@@ -103,6 +103,34 @@ func TestGatewayBodyBound(t *testing.T) {
 	}
 }
 
+// TestGatewayFullScanTopKBound: a full-scan rank asking for more results
+// than the shard's MaxBatch is refused by the shard, and the gateway hands
+// the refusal — 413 and the shard's error body — through on both its
+// paths, as it does for an oversized candidate list.
+func TestGatewayFullScanTopKBound(t *testing.T) {
+	svc, ts := backend(t)
+	ts2 := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts2.Close)
+	single := newGateway(t, [][]string{{ts.URL}}, nil)
+	fanout := newGateway(t, [][]string{{ts.URL, ts2.URL}}, func(c *Config) { c.FanOutThreshold = 1 })
+	seed := gwReq(t, single, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{
+		{User: "u1", Service: "s1", Value: 1}, {User: "u1", Service: "s2", Value: 2},
+	}})
+	if seed.Code != http.StatusOK {
+		t.Fatalf("seed: HTTP %d %s", seed.Code, seed.Body.String())
+	}
+	for name, g := range map[string]*Gateway{"single": single, "fan-out": fanout} {
+		over := gwReq(t, g, http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 1_000_000_000})
+		var e struct{ Error string }
+		if err := json.Unmarshal(over.Body.Bytes(), &e); over.Code != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(e.Error, "exceeds limit") {
+			t.Errorf("%s gateway, topk past MaxBatch: HTTP %d %s, want the shard's 413", name, over.Code, over.Body)
+		}
+		if at := gwReq(t, g, http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: svc.MaxBatch}); at.Code != http.StatusOK {
+			t.Errorf("%s gateway, topk at MaxBatch: HTTP %d %s, want 200", name, at.Code, at.Body)
+		}
+	}
+}
+
 // TestHash64IsFNV1a: placement must not move — the written-out hash is
 // hash/fnv's, for a string and for the same bytes.
 func TestHash64IsFNV1a(t *testing.T) {

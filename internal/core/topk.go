@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/qoslab/amf/internal/matrix"
@@ -14,7 +16,12 @@ var nan = math.NaN()
 // This file is the vectorized candidate-ranking fast path (ISSUE 3): the
 // paper's runtime-adaptation query "rank these n candidate services for
 // user u, best k first" served from a PredictView's frozen factor pages
-// in O(n + k log k) with zero steady-state allocations.
+// with zero steady-state allocations. The cost is n inner products plus
+// a vector compare of each block of keys against the current k-th best
+// (selectRows); only a candidate that survives the compare pays O(log k)
+// heap work — about k·(1+ln(n/k)) of them when keys arrive in no
+// particular order, all n in the worst case (keys arriving best-last) —
+// and draining the k survivors costs O(k log k).
 //
 // Ordering is defined on the raw latent inner product Ui·Sj (the "key"),
 // not the final transformed value: Sigmoid and Transformer.Backward are
@@ -47,22 +54,32 @@ func betterScored(a, b scored, lowerIsBetter bool) bool {
 }
 
 // rankScratch is the pooled per-ranking working set: the bounded top-k
-// heap and one page's worth of scores for the page scan. Pooled via
-// pointer so the steady-state rank path performs zero allocations after
-// warmup.
+// heap and one block's worth of scores (and, on the candidate path,
+// their ids) for selectRows. Pooled via pointer so the steady-state rank
+// path performs zero allocations after warmup.
 type rankScratch struct {
 	heap   []scored
+	ids    [viewPageRows]int
 	vals   [viewPageRows]float64
 	vals32 [viewPageRows]float32
-	// qs/dst are the packed query and score buffers of the multi-query
-	// batch scan (topk_batch.go); idle otherwise.
-	qs    []float64
-	dst   []float64
-	qs32  []float32
-	dst32 []float32
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
+// maxPooledHeap bounds the heap a pooled scratch may keep: a k = n
+// ranking (RankServices) grows it to 16 B × n, which the k = 10 requests
+// that reuse the scratch would pin for nothing.
+const maxPooledHeap = 4096
+
+// release returns sc to the pool with h, the heap it lent out, emptied —
+// or without it when h outgrew maxPooledHeap.
+func (sc *rankScratch) release(h []scored) {
+	if cap(h) > maxPooledHeap {
+		h = nil
+	}
+	sc.heap = h[:0]
+	rankScratchPool.Put(sc)
+}
 
 // heapPush inserts c into the bounded worst-at-root heap h (cap k): h's
 // root is the worst element kept so far, so a push on a full heap
@@ -124,6 +141,49 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 	}
 }
 
+// selectRows offers one block of scored rows — ids[i] with key keys[i],
+// at most viewPageRows of them — to the bounded heap h (cap k >= 1) and
+// returns the updated heap. It is the only caller of heapPush: every
+// selection loop (page scan, coalesced batch scan, candidate list,
+// parallel chunk) feeds it blocks, in both view precisions; float32 keys
+// widen to float64 exactly, so heap order does not depend on precision.
+//
+// Once the heap is full its root holds the k-th best key seen so far,
+// and a row whose key is strictly worse than that can never be admitted.
+// matrix.Survivors marks those rows for the whole block in a few vector
+// compares and the loop visits only the others: better keys, ties (the
+// id tie-break is heapPush's to decide), and anything compared with a
+// NaN, which is never "strictly worse". Each push tightens the bound, so
+// a row the mask let through is compared again with the current root.
+// Both filters drop only rows heapPush would have dropped, which is why
+// the ranking is the one pushing every row would give.
+func selectRows[F float32 | float64](h []scored, ids []int, keys []F, k int, lowerIsBetter bool) []scored {
+	keys = keys[:len(ids)]
+	m := ^uint64(0) >> (64 - len(ids)) // every row, while the heap fills
+	if len(h) == k {
+		m = matrix.Survivors(keys, h[0].key, lowerIsBetter)
+	}
+	for ; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		c := scored{service: ids[i], key: float64(keys[i])}
+		if len(h) == k {
+			if worst := h[0].key; c.key > worst && lowerIsBetter || c.key < worst && !lowerIsBetter {
+				continue
+			}
+		}
+		if testHookPush != nil {
+			testHookPush()
+		}
+		h = heapPush(h, c, k, lowerIsBetter)
+	}
+	return h
+}
+
+// testHookPush, when a test sets it, is called for every row selectRows
+// hands to heapPush: how many that is, not how long it takes, is what
+// TestSelectionPushBound holds the filter to.
+var testHookPush func()
+
 // finish converts best-first scored entries into Ranked values by
 // applying the monotone Sigmoid+Backward transform — paid only for the
 // k survivors, never for the full candidate set.
@@ -132,6 +192,36 @@ func finishRanked(dst []Ranked, sc []scored, tr *transform.Transformer) []Ranked
 		dst = append(dst, Ranked{Service: s.service, Value: tr.Backward(transform.Sigmoid(s.key))})
 	}
 	return dst
+}
+
+// selectCandidates scores the candidates the view knows against u and
+// offers them to the bounded heap h (k <= 0 scores nothing). Candidates
+// absent from the view are counted, and appended to *unknown in
+// candidate order when unknown is non-nil.
+func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) (_ []scored, missing int) {
+	n := 0
+	for _, c := range candidates {
+		s, ok := v.services.get(c)
+		if !ok {
+			missing++
+			if unknown != nil {
+				*unknown = append(*unknown, c)
+			}
+			continue
+		}
+		if k <= 0 {
+			continue
+		}
+		sc.ids[n], sc.vals[n] = c, veDot(u, s)
+		if n++; n == len(sc.ids) {
+			h = selectRows(h, sc.ids[:], sc.vals[:], k, lowerIsBetter)
+			n = 0
+		}
+	}
+	if n > 0 {
+		h = selectRows(h, sc.ids[:n], sc.vals[:n], k, lowerIsBetter)
+	}
+	return h, missing
 }
 
 // AppendTopK appends the user's top k candidates (best first) to dst and
@@ -146,33 +236,20 @@ func (v *PredictView) AppendTopK(dst []Ranked, user int, candidates []int, k int
 	if !ok {
 		return dst, len(candidates)
 	}
+	return v.appendTopK(dst, u, candidates, k, lowerIsBetter, nil)
+}
+
+// appendTopK is AppendTopK for a user already looked up, listing the
+// unscorable candidates in *unknown when it is non-nil.
+func (v *PredictView) appendTopK(dst []Ranked, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) ([]Ranked, int) {
 	if k > len(candidates) {
 		k = len(candidates)
 	}
-	if k <= 0 {
-		unknown := 0
-		for _, c := range candidates {
-			if _, ok := v.services.get(c); !ok {
-				unknown++
-			}
-		}
-		return dst, unknown
-	}
 	sc := rankScratchPool.Get().(*rankScratch)
-	h := sc.heap[:0]
-	unknown := 0
-	for _, c := range candidates {
-		s, ok := v.services.get(c)
-		if !ok {
-			unknown++
-			continue
-		}
-		h = heapPush(h, scored{service: c, key: veDot(u, s)}, k, lowerIsBetter)
-	}
+	h, missing := v.selectCandidates(sc.heap[:0], sc, u, candidates, k, lowerIsBetter, unknown)
 	dst = drainInto(dst, h, lowerIsBetter, v.tr)
-	sc.heap = h[:0]
-	rankScratchPool.Put(sc)
-	return dst, unknown
+	sc.release(h)
+	return dst, missing
 }
 
 // drainInto sorts heap h best-first in place and appends the transformed
@@ -183,7 +260,7 @@ func drainInto(dst []Ranked, h []scored, lowerIsBetter bool, tr *transform.Trans
 	}
 	// Drain the heap into its own backing array (safe: see heapDrain).
 	heapDrain(h, h, lowerIsBetter)
-	return finishRanked(dst, h, tr)
+	return finishRanked(slices.Grow(dst, len(h)), h, tr)
 }
 
 // TopK returns the user's best k candidates in rank order plus the list
@@ -193,18 +270,11 @@ func drainInto(dst []Ranked, h []scored, lowerIsBetter bool, tr *transform.Trans
 // an O(n log n) full sort, with the value transform paid only for the k
 // survivors.
 func (v *PredictView) TopK(user int, candidates []int, k int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
-	if _, ok := v.users.get(user); !ok {
+	u, ok := v.users.get(user)
+	if !ok {
 		return nil, append(unknown, candidates...)
 	}
-	ranked, nUnknown := v.AppendTopK(nil, user, candidates, k, lowerIsBetter)
-	if nUnknown > 0 {
-		unknown = make([]int, 0, nUnknown)
-		for _, c := range candidates {
-			if _, ok := v.services.get(c); !ok {
-				unknown = append(unknown, c)
-			}
-		}
-	}
+	ranked, _ = v.appendTopK(nil, u, candidates, k, lowerIsBetter, &unknown)
 	return ranked, unknown
 }
 
@@ -285,7 +355,7 @@ func (v *PredictView) TopKParallel(user int, candidates []int, k int, lowerIsBet
 	if workers > len(candidates)/minParallelChunk {
 		workers = len(candidates) / minParallelChunk
 	}
-	if workers <= 1 {
+	if workers <= 1 || k <= 0 {
 		return v.TopK(user, candidates, k, lowerIsBetter)
 	}
 	u, ok := v.users.get(user)
@@ -295,27 +365,14 @@ func (v *PredictView) TopKParallel(user int, candidates []int, k int, lowerIsBet
 	if k > len(candidates) {
 		k = len(candidates)
 	}
-	if k <= 0 {
-		_, n := v.AppendTopK(nil, user, candidates, 0, lowerIsBetter)
-		if n > 0 {
-			unknown = v.collectUnknown(candidates, n)
-		}
-		return nil, unknown
-	}
 
-	type partial struct {
-		top     []scored // best-first local selection
-		unknown []int    // in candidate order within the chunk
-	}
-	parts := make([]partial, workers)
+	tops := make([][]scored, workers)  // best-first local selections
+	unknowns := make([][]int, workers) // in candidate order within the chunk
 	chunk := (len(candidates) + workers - 1) / workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
+		hi := min(lo+chunk, len(candidates))
 		if lo >= hi {
 			continue
 		}
@@ -323,69 +380,48 @@ func (v *PredictView) TopKParallel(user int, candidates []int, k int, lowerIsBet
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			sc := rankScratchPool.Get().(*rankScratch)
-			h := sc.heap[:0]
-			var unk []int
-			for _, c := range candidates[lo:hi] {
-				s, ok := v.services.get(c)
-				if !ok {
-					unk = append(unk, c)
-					continue
-				}
-				h = heapPush(h, scored{service: c, key: veDot(u, s)}, k, lowerIsBetter)
-			}
-			top := make([]scored, len(h))
-			heapDrain(h, top, lowerIsBetter)
-			parts[w] = partial{top: top, unknown: unk}
-			sc.heap = h[:0]
-			rankScratchPool.Put(sc)
+			h, _ := v.selectCandidates(sc.heap[:0], sc, u, candidates[lo:hi], k, lowerIsBetter, &unknowns[w])
+			tops[w] = make([]scored, len(h))
+			heapDrain(h, tops[w], lowerIsBetter)
+			sc.release(h)
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	for _, unk := range unknowns {
+		unknown = append(unknown, unk...)
+	}
+	return v.mergeTops(tops, k, lowerIsBetter), unknown
+}
 
-	// k-way merge of the workers' best-first lists: repeatedly take the
-	// best head. k and workers are both small, so the O(k·workers)
-	// selection beats a heap's bookkeeping.
-	heads := make([]int, workers)
+// mergeTops is the k-way merge of the workers' best-first lists:
+// repeatedly take the best head. k and workers are both small, so the
+// O(k·workers) selection beats a heap's bookkeeping.
+func (v *PredictView) mergeTops(tops [][]scored, k int, lowerIsBetter bool) []Ranked {
+	heads := make([]int, len(tops))
 	merged := make([]scored, 0, k)
 	for len(merged) < k {
 		bestW := -1
-		for w := 0; w < workers; w++ {
-			if heads[w] >= len(parts[w].top) {
+		for w, top := range tops {
+			if heads[w] >= len(top) {
 				continue
 			}
-			if bestW < 0 || betterScored(parts[w].top[heads[w]], parts[bestW].top[heads[bestW]], lowerIsBetter) {
+			if bestW < 0 || betterScored(top[heads[w]], tops[bestW][heads[bestW]], lowerIsBetter) {
 				bestW = w
 			}
 		}
 		if bestW < 0 {
 			break
 		}
-		merged = append(merged, parts[bestW].top[heads[bestW]])
+		merged = append(merged, tops[bestW][heads[bestW]])
 		heads[bestW]++
 	}
-	ranked = finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
-	for w := range parts {
-		unknown = append(unknown, parts[w].unknown...)
-	}
-	return ranked, unknown
+	return finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
 }
 
 // minParallelChunk is the minimum number of candidates per worker that
 // justifies a goroutine: below this the spawn+merge overhead dominates
 // the dot products it parallelizes.
 const minParallelChunk = 256
-
-// collectUnknown re-walks candidates collecting the ones absent from the
-// view, preallocated to the known count n.
-func (v *PredictView) collectUnknown(candidates []int, n int) []int {
-	unknown := make([]int, 0, n)
-	for _, c := range candidates {
-		if _, ok := v.services.get(c); !ok {
-			unknown = append(unknown, c)
-		}
-	}
-	return unknown
-}
 
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
@@ -397,13 +433,7 @@ func (v *PredictView) collectUnknown(candidates []int, n int) []int {
 // unknown or k <= 0.
 func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) []Ranked {
 	u, ok := v.users.get(user)
-	if !ok || k <= 0 {
-		return nil
-	}
-	if k > v.services.count {
-		k = v.services.count
-	}
-	if k == 0 {
+	if k = min(k, v.services.count); !ok || k <= 0 {
 		return nil
 	}
 	if workers > viewShardCount {
@@ -415,9 +445,8 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 		for si := range v.services.shards {
 			h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
 		}
-		out := drainInto(make([]Ranked, 0, len(h)), h, lowerIsBetter, v.tr)
-		sc.heap = h[:0]
-		rankScratchPool.Put(sc)
+		out := drainInto(nil, h, lowerIsBetter, v.tr)
+		sc.release(h)
 		return out
 	}
 
@@ -432,59 +461,38 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 			for si := w; si < viewShardCount; si += workers {
 				h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
 			}
-			top := make([]scored, len(h))
-			heapDrain(h, top, lowerIsBetter)
-			tops[w] = top
-			sc.heap = h[:0]
-			rankScratchPool.Put(sc)
+			tops[w] = make([]scored, len(h))
+			heapDrain(h, tops[w], lowerIsBetter)
+			sc.release(h)
 		}(w)
 	}
 	wg.Wait()
-	heads := make([]int, workers)
-	merged := make([]scored, 0, k)
-	for len(merged) < k {
-		bestW := -1
-		for w := 0; w < workers; w++ {
-			if heads[w] >= len(tops[w]) {
-				continue
-			}
-			if bestW < 0 || betterScored(tops[w][heads[w]], tops[bestW][heads[bestW]], lowerIsBetter) {
-				bestW = w
-			}
-		}
-		if bestW < 0 {
-			break
-		}
-		merged = append(merged, tops[bestW][heads[bestW]])
-		heads[bestW]++
-	}
-	return finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
+	return v.mergeTops(tops, k, lowerIsBetter)
 }
 
-// scanShardTopK streams one shard's pages through the batch kernel of
-// the view's precision and pushes every row into the bounded heap,
+// scanShardTopK scans one shard's pages in order; see scanPage.
+func scanShardTopK(sh *viewShard, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
+	for pi, p := range sh.pages {
+		h = scanPage(p, sh.idx.pageIDs(pi), u, h, sc, k, lowerIsBetter)
+	}
+	return h
+}
+
+// scanPage scores one page — rows ids — through the batch kernel of the
+// view's precision and offers the surviving rows to the bounded heap,
 // returning the (possibly grown) heap for pooling. Keys from the float32
 // kernel widen exactly to float64, so heap ordering logic is
 // precision-independent — and because a single-row DotBatch is
 // bit-identical to Dot and per-row results do not depend on how rows are
 // split across calls (kernels.go), the page scan agrees exactly with the
 // candidate path in both modes.
-func scanShardTopK(sh *viewShard, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	for pi, p := range sh.pages {
-		ids := sh.idx.pageIDs(pi)
-		if p.vecs32 != nil {
-			vals := sc.vals32[:len(ids)]
-			matrix.DotBatch32(vals, p.vecs32, u.vec32)
-			for i, key := range vals {
-				h = heapPush(h, scored{service: ids[i], key: float64(key)}, k, lowerIsBetter)
-			}
-			continue
-		}
-		vals := sc.vals[:len(ids)]
-		matrix.DotBatch(vals, p.vecs, u.vec)
-		for i, key := range vals {
-			h = heapPush(h, scored{service: ids[i], key: key}, k, lowerIsBetter)
-		}
+func scanPage(p viewPage, ids []int, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
+	if p.vecs32 != nil {
+		vals := sc.vals32[:len(ids)]
+		matrix.DotBatch32(vals, p.vecs32, u.vec32)
+		return selectRows(h, ids, vals, k, lowerIsBetter)
 	}
-	return h
+	vals := sc.vals[:len(ids)]
+	matrix.DotBatch(vals, p.vecs, u.vec)
+	return selectRows(h, ids, vals, k, lowerIsBetter)
 }

@@ -21,8 +21,11 @@ import (
 // candidate map lookup, naive (non-unrolled) dot product, Sigmoid+
 // Backward transform on EVERY candidate, full O(n log n) sort.Slice,
 // then truncate to k. The "heap" arm is the shipped candidate path
-// (AppendTopK), "scan" is the full-catalog arena path (TopKAll), and
-// "parallel" is TopKParallel with 4 workers.
+// (AppendTopK), "scan" is the full-catalog arena path (TopKAll),
+// "scan-ref" is the same scan with every row pushed through the heap
+// (refScan, the oracle of select_test.go — the selection TopKAll had
+// before ISSUE 16 fused it into the scan; scan-speedup-x is ref/scan),
+// and "parallel" is TopKParallel with 4 workers.
 //
 //	go test -run=NONE -bench=BenchmarkTopK -benchmem ./internal/core/
 
@@ -94,10 +97,11 @@ func BenchmarkTopK(b *testing.B) {
 			legacyDst := make([]Ranked, 0, n)
 			heapDst := make([]Ranked, 0, k)
 			heapDst, _ = v.AppendTopK(heapDst[:0], 0, candidates, k, true) // warm pool
-			v.TopKAll(0, k, true, 1)                                      // warm pool
+			v.TopKAll(0, k, true, 1)                                       // warm pool
 			legacyNs := make([]time.Duration, 0, b.N)
 			heapNs := make([]time.Duration, 0, b.N)
 			scanNs := make([]time.Duration, 0, b.N)
+			refNs := make([]time.Duration, 0, b.N)
 			parNs := make([]time.Duration, 0, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -111,25 +115,30 @@ func BenchmarkTopK(b *testing.B) {
 				t3 := time.Now()
 				v.TopKParallel(0, candidates, k, true, 4)
 				t4 := time.Now()
+				refScan(v, 0, k, true)
+				t5 := time.Now()
 				legacyNs = append(legacyNs, t1.Sub(t0))
 				heapNs = append(heapNs, t2.Sub(t1))
 				scanNs = append(scanNs, t3.Sub(t2))
 				parNs = append(parNs, t4.Sub(t3))
+				refNs = append(refNs, t5.Sub(t4))
 			}
 			b.StopTimer()
 			legacyP50 := p50Dur(legacyNs)
 			heapP50 := p50Dur(heapNs)
 			scanP50 := p50Dur(scanNs)
 			parP50 := p50Dur(parNs)
+			refP50 := p50Dur(refNs)
 			b.ReportMetric(float64(legacyP50.Nanoseconds()), "legacy-p50-ns/op")
 			b.ReportMetric(float64(heapP50.Nanoseconds()), "heap-p50-ns/op")
 			b.ReportMetric(float64(scanP50.Nanoseconds()), "scan-p50-ns/op")
+			b.ReportMetric(float64(refP50.Nanoseconds()), "scan-ref-p50-ns/op")
 			b.ReportMetric(float64(parP50.Nanoseconds()), "parallel-p50-ns/op")
 			if heapP50 > 0 {
 				b.ReportMetric(float64(legacyP50)/float64(heapP50), "heap-speedup-x")
 			}
 			if scanP50 > 0 {
-				b.ReportMetric(float64(legacyP50)/float64(scanP50), "scan-speedup-x")
+				b.ReportMetric(float64(refP50)/float64(scanP50), "scan-speedup-x")
 			}
 		})
 	}

@@ -51,6 +51,11 @@ var (
 	dotBatchArch   func(dst, block, q []float64)
 	dot32Arch      func(a, b []float32) float32
 	dotBatch32Arch func(dst, block, q []float32)
+	// survivors{,32}Arch compare whole vectors of keys for Survivors:
+	// len(keys) is a multiple of 4 (8 for float32), flip zero or the
+	// sign bit. Nil wherever the portable loop serves.
+	survivorsArch   func(keys []float64, worst float64, flip uint64) uint64
+	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
 )
 
 // SIMD reports the vector instruction set the kernels dispatched to at
@@ -106,42 +111,6 @@ func DotBatch(dst, block, q []float64) {
 		dst[i] = dot4(block[off:off+k], q)
 		off += k
 	}
-}
-
-// MulBatch computes the GEMM-shaped product behind request-coalesced
-// ranking: dst[qi*rows+i] = block[i*k : (i+1)*k] · qs[qi*k : (qi+1)*k]
-// for every query qi and block row i, where rows = len(block)/k. The
-// caller passes Q query vectors packed contiguously in qs; each query's
-// scores land in its own contiguous dst stripe of length rows.
-//
-// Callers chasing memory bandwidth should hand it cache-sized row
-// blocks: the coalesced rank path scans one factor page per call so the
-// block stays resident while every query's products stream over it —
-// factor bytes are read from DRAM once per batch instead of once per
-// request.
-//
-// Each (query, row) product is computed by the same DotBatch kernel, so
-// results are bit-identical to Q independent DotBatch passes. Panics
-// when k <= 0 or any length disagrees with the k-derived shape.
-func MulBatch(dst, block, qs []float64, k int) {
-	rows, nq := mulBatchShape(len(dst), len(block), len(qs), k)
-	for qi := 0; qi < nq; qi++ {
-		DotBatch(dst[qi*rows:(qi+1)*rows], block, qs[qi*k:(qi+1)*k])
-	}
-}
-
-// mulBatchShape validates the packed MulBatch/MulBatch32 geometry and
-// returns (rows, queries).
-func mulBatchShape(lenDst, lenBlock, lenQs, k int) (rows, nq int) {
-	if k <= 0 {
-		panic(fmt.Sprintf("matrix: MulBatch rank %d must be positive", k))
-	}
-	rows = lenBlock / k
-	nq = lenQs / k
-	if lenBlock != rows*k || lenQs != nq*k || lenDst != nq*rows {
-		panic(fmt.Sprintf("matrix: MulBatch shape mismatch dst=%d block=%d qs=%d rank=%d", lenDst, lenBlock, lenQs, k))
-	}
-	return rows, nq
 }
 
 // MulVecTo computes dst = m · q (one inner product per row) without

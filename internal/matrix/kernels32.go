@@ -73,14 +73,3 @@ func DotBatch32(dst, block, q []float32) {
 		off += k
 	}
 }
-
-// MulBatch32 is MulBatch over float32 data: Q packed query vectors
-// against one row-major block, each (query, row) product bit-identical
-// to the corresponding DotBatch32 call. Panics when k <= 0 or any
-// length disagrees with the k-derived shape.
-func MulBatch32(dst, block, qs []float32, k int) {
-	rows, nq := mulBatchShape(len(dst), len(block), len(qs), k)
-	for qi := 0; qi < nq; qi++ {
-		DotBatch32(dst[qi*rows:(qi+1)*rows], block, qs[qi*k:(qi+1)*k])
-	}
-}

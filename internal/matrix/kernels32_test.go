@@ -194,55 +194,6 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 	}
 }
 
-// TestMulBatchMatchesDotBatch pins MulBatch's contract: bit-identical
-// to Q independent DotBatch passes, for both precisions.
-func TestMulBatchMatchesDotBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, shape := range []struct{ rows, k, nq int }{{1, 1, 1}, {7, 10, 3}, {64, 10, 8}, {23, 6, 5}, {5, 16, 2}} {
-		block := randVec(rng, shape.rows*shape.k)
-		qs := randVec(rng, shape.nq*shape.k)
-		dst := make([]float64, shape.nq*shape.rows)
-		MulBatch(dst, block, qs, shape.k)
-		want := make([]float64, shape.rows)
-		block32 := randVec32(rng, shape.rows*shape.k)
-		qs32 := randVec32(rng, shape.nq*shape.k)
-		dst32 := make([]float32, shape.nq*shape.rows)
-		MulBatch32(dst32, block32, qs32, shape.k)
-		want32 := make([]float32, shape.rows)
-		for qi := 0; qi < shape.nq; qi++ {
-			DotBatch(want, block, qs[qi*shape.k:(qi+1)*shape.k])
-			DotBatch32(want32, block32, qs32[qi*shape.k:(qi+1)*shape.k])
-			for i := 0; i < shape.rows; i++ {
-				if dst[qi*shape.rows+i] != want[i] {
-					t.Fatalf("rows=%d k=%d q=%d row=%d: MulBatch %v != DotBatch %v", shape.rows, shape.k, qi, i, dst[qi*shape.rows+i], want[i])
-				}
-				if dst32[qi*shape.rows+i] != want32[i] {
-					t.Fatalf("rows=%d k=%d q=%d row=%d: MulBatch32 %v != DotBatch32 %v", shape.rows, shape.k, qi, i, dst32[qi*shape.rows+i], want32[i])
-				}
-			}
-		}
-	}
-}
-
-func TestMulBatchPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"zero-rank":   func() { MulBatch(nil, nil, nil, 0) },
-		"block-shape": func() { MulBatch(make([]float64, 2), make([]float64, 5), make([]float64, 2), 2) },
-		"qs-shape":    func() { MulBatch(make([]float64, 2), make([]float64, 4), make([]float64, 3), 2) },
-		"dst-shape":   func() { MulBatch(make([]float64, 3), make([]float64, 4), make([]float64, 2), 2) },
-		"shape-32":    func() { MulBatch32(make([]float32, 3), make([]float32, 4), make([]float32, 2), 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Paired-interleaved kernel benchmarks (ISSUE 8 satellite): scalar,
 // SIMD float64, and SIMD float32 are sampled in ONE timing loop so
@@ -309,14 +260,14 @@ func BenchmarkDotBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkMulBatch measures the kernel-level coalescing win the rank
+// BenchmarkBlockedScan measures the kernel-level coalescing win the rank
 // coalescer banks on: Q queries over cache-sized row blocks (each block
 // pulled from DRAM once, reused hot for the remaining queries — the
-// TopKAllBatch traversal) vs Q independent full passes (the whole block
-// streamed from DRAM once per query), paired in one loop. A full-block
-// MulBatch call would NOT show this — its memory traffic is identical
-// to the independent passes; the win is in the blocked traversal.
-func BenchmarkMulBatch(b *testing.B) {
+// TopKAllBatch traversal, one DotBatch per query per block) vs Q
+// independent full passes (the whole arena streamed from DRAM once per
+// query), paired in one loop. The kernel calls are the same on both
+// sides; the win is in the order they visit memory.
+func BenchmarkBlockedScan(b *testing.B) {
 	const rank = 10
 	const rows = 100000 // 8 MB of arena at f64 — too big for L2, the case coalescing exists for
 	const blockRows = 1024
@@ -325,7 +276,7 @@ func BenchmarkMulBatch(b *testing.B) {
 		block := randVec(rng, rows*rank)
 		qs := randVec(rng, nq*rank)
 		dst := make([]float64, nq*rows)
-		bdst := make([]float64, nq*blockRows)
+		bdst := make([]float64, blockRows)
 		b.Run("paired/q="+itoa(nq), func(b *testing.B) {
 			b.ReportAllocs()
 			cl := make([]time.Duration, b.N)
@@ -334,12 +285,10 @@ func BenchmarkMulBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
 				for lo := 0; lo < rows; lo += blockRows {
-					hi := lo + blockRows
-					if hi > rows {
-						hi = rows
+					hi := min(lo+blockRows, rows)
+					for qi := 0; qi < nq; qi++ {
+						DotBatch(bdst[:hi-lo], block[lo*rank:hi*rank], qs[qi*rank:(qi+1)*rank])
 					}
-					n := hi - lo
-					MulBatch(bdst[:nq*n], block[lo*rank:hi*rank], qs, rank)
 				}
 				t1 := time.Now()
 				for qi := 0; qi < nq; qi++ {

@@ -221,7 +221,7 @@ func FuzzDotKernels(f *testing.F) {
 // Benchmarks: the dispatched kernel must be no slower than the naive
 // loop at the configured AMF ranks (8/10/16). The batch kernels'
 // scalar-vs-SIMD-vs-float32 comparisons live in kernels32_test.go as
-// paired-interleaved benches (BenchmarkDotBatch, BenchmarkMulBatch).
+// paired-interleaved benches (BenchmarkDotBatch, BenchmarkBlockedScan).
 
 var sinkF float64
 

@@ -69,6 +69,12 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusBadRequest, "topk is required when ranking all services")
 		return
 	}
+	// A full scan sorts and serialises topk results, so topk is as much
+	// the size of the request as a candidate list is.
+	if len(q.Services) == 0 && q.TopK > s.MaxBatch {
+		s.countError(w, http.StatusRequestEntityTooLarge, "topk %d exceeds limit %d", q.TopK, s.MaxBatch)
+		return
+	}
 
 	uid, ok := s.users.LookupBytes(q.User)
 	if !ok {

@@ -158,6 +158,16 @@ func TestRankErrors(t *testing.T) {
 		RankRequest{User: "u0", Services: []string{"s0", "s1", "s2", "s3"}}).Code; got != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized: status %d, want 413", got)
 	}
+	// A full scan is bounded the same way, by its topk: a 30-byte body
+	// must not make the server sort and serialise the whole catalog.
+	over := doReq(t, s, http.MethodPost, "/api/v1/rank", RankRequest{User: "u0", TopK: 1_000_000_000})
+	var e struct{ Error string }
+	if err := json.Unmarshal(over.Body.Bytes(), &e); over.Code != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(e.Error, "exceeds limit 3") {
+		t.Errorf("full scan past MaxBatch: status %d body %s, want 413 and an error naming the limit", over.Code, over.Body)
+	}
+	if got := doReq(t, s, http.MethodPost, "/api/v1/rank", RankRequest{User: "u0", TopK: 3}).Code; got != http.StatusOK {
+		t.Errorf("full scan at MaxBatch: status %d, want 200", got)
+	}
 }
 
 // TestRankParallelThresholdPath forces the parallel fan-out by dropping
