@@ -14,7 +14,6 @@ import (
 
 	"github.com/qoslab/amf/internal/adapt"
 	"github.com/qoslab/amf/internal/baseline"
-	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
 	"github.com/qoslab/amf/internal/eval"
 	"github.com/qoslab/amf/internal/matrix"
@@ -305,62 +304,11 @@ func BenchmarkAblationTransform(b *testing.B) {
 	}
 }
 
-// --- Micro-benchmarks: the online path ---
-
-// BenchmarkObserve measures the cost of one online SGD update, the unit
-// of AMF's streaming pipeline.
-func BenchmarkObserve(b *testing.B) {
-	rmin, rmax := dataset.ResponseTime.Range()
-	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
-	cfg.Expiry = 0
-	m := core.MustNew(cfg)
-	gen := dataset.MustNew(benchDataset())
-	ds := benchDataset()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := i % ds.Users
-		s := (i * 7) % ds.Services
-		m.Observe(stream.Sample{Time: time.Duration(i), User: u, Service: s,
-			Value: gen.Value(dataset.ResponseTime, u, s, i%ds.Slices)})
-	}
-}
-
-// BenchmarkReplayStep measures the replay-pool update path.
-func BenchmarkReplayStep(b *testing.B) {
-	rmin, rmax := dataset.ResponseTime.Range()
-	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
-	cfg.Expiry = 0
-	m := core.MustNew(cfg)
-	gen := dataset.MustNew(benchDataset())
-	for i := 0; i < 5000; i++ {
-		m.Observe(stream.Sample{Time: time.Duration(i), User: i % 40, Service: i % 250,
-			Value: gen.Value(dataset.ResponseTime, i%40, i%250, 0)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !m.ReplayStep() {
-			b.Fatal("pool went empty")
-		}
-	}
-}
-
-// BenchmarkPredict measures a single prediction (inner product + sigmoid
-// + inverse transform).
-func BenchmarkPredict(b *testing.B) {
-	rmin, rmax := dataset.ResponseTime.Range()
-	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
-	cfg.Expiry = 0
-	m := core.MustNew(cfg)
-	for i := 0; i < 1000; i++ {
-		m.Observe(stream.Sample{Time: time.Duration(i), User: i % 20, Service: i % 50, Value: 1})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(i%20, i%50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Offline retraining cost ---
+//
+// The online path's unit costs (one SGD update, one prediction) are the
+// repository benchmark's core.observe_ns_per_sample and core.predict_ns
+// probes (bench/).
 
 // BenchmarkPMFTrain measures the offline baseline's full retraining cost,
 // the quantity AMF's online updating amortizes away (Fig. 13's point).

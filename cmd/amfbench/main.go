@@ -7,11 +7,6 @@
 //
 // Experiments: stats fig2 fig7 fig8 fig9 table1 fig10 fig11 fig12 fig13
 // fig14 weights params slices prequential floor adaptation.
-//
-// A second mode measures the parallel training path instead of
-// reproducing the paper's figures:
-//
-//	amfbench -mode train -scale small  # samples/sec at 1/2/4/8 workers
 package main
 
 import (
@@ -43,15 +38,12 @@ var allExperiments = []string{
 func run(args []string) error {
 	fs := flag.NewFlagSet("amfbench", flag.ContinueOnError)
 	var (
-		mode      = fs.String("mode", "exp", "exp (paper experiments), train (parallel-training throughput scaling curve), or overload (open-loop overload ramp against the SLO admission gate)")
 		expFlag   = fs.String("exp", "all", "comma-separated experiments, or 'all'")
 		scaleFlag = fs.String("scale", "small", "dataset scale: tiny, small, or paper")
 		attrFlag  = fs.String("attr", "both", "QoS attribute: RT, TP, or both")
 		rounds    = fs.Int("rounds", 3, "rounds per configuration (paper uses 20)")
 		seed      = fs.Int64("seed", 2014, "master random seed")
 		csvDir    = fs.String("csv", "", "directory to also write machine-readable CSV results into")
-		outFlag   = fs.String("o", "BENCH_overload.json", "output path for -mode overload's JSON report")
-		stageDur  = fs.Duration("stage-duration", 2*time.Second, "duration of each -mode overload ramp stage")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -69,16 +61,6 @@ func run(args []string) error {
 	attrs, err := parseAttrs(*attrFlag)
 	if err != nil {
 		return err
-	}
-	switch *mode {
-	case "exp":
-		// fall through to the experiment loop below
-	case "train":
-		return runTrainScaling(ds, attrs[0], *seed)
-	case "overload":
-		return runOverload(*seed, *stageDur, *outFlag)
-	default:
-		return fmt.Errorf("unknown mode %q (want exp, train, or overload)", *mode)
 	}
 	exps := strings.Split(*expFlag, ",")
 	if *expFlag == "all" {

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -26,20 +27,21 @@ import (
 	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/obs"
-	"github.com/qoslab/amf/internal/qosdb"
 	"github.com/qoslab/amf/internal/server"
 	"github.com/qoslab/amf/internal/store"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "amfserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until SIGINT/SIGTERM; logs and flag errors go to stderr.
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("amfserver", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		addr     = fs.String("addr", ":8080", "listen address")
 		attrFlag = fs.String("attr", "RT", "QoS attribute served: RT or TP")
@@ -47,11 +49,9 @@ func run(args []string) error {
 		replay   = fs.Duration("replay-interval", 100*time.Millisecond, "background replay tick")
 		batch    = fs.Int("replay-batch", 500, "replay updates per tick")
 		seed     = fs.Int64("seed", 1, "model seed")
-		state    = fs.String("state", "", "legacy state file: restored at startup if present, saved on shutdown (prefer -data-dir)")
-		wal      = fs.String("wal", "", "QoS database directory; observations are appended and replayed at startup (a legacy text WAL file is converted in place)")
 		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations")
 
-		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery (mutually exclusive with -state)")
+		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
 		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: always (acked = durable, one fsync per observe), group (acked = durable, concurrent observes share one fsync), interval (bounded loss), or off")
 		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
 		walSegBytes = fs.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB default)")
@@ -78,16 +78,15 @@ func run(args []string) error {
 		sloHeadroom  = fs.Float64("slo-headroom", 1.0, "multiplier on class budgets: admit while predicted wait <= budget*headroom (with -slo-admission)")
 		adaptEpoch   = fs.Duration("adapt-epoch", 0, "epoch-controller period: each epoch adapts engine tunables to the observed rejection rate and queue wait (0 disables adaptation)")
 
-		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, or error")
-		logFormat  = fs.String("log-format", "text", "log format: text or json")
-		pprofFlag  = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		metrCompat = fs.Bool("metrics-compat", false, "also expose deprecated metric names (amf_uptime_ms) on /metrics")
+		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
+		logFormat = fs.String("log-format", "text", "log format: text or json")
+		pprofFlag = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -128,7 +127,6 @@ func run(args []string) error {
 	})
 	svc := server.NewWithEngine(eng, server.WithLogger(logger))
 	defer svc.Close()
-	svc.MetricsCompat = *metrCompat
 	svc.RankParallelThreshold = *rankPar
 	svc.RankCoalesceWindow = *coalesceWin
 	svc.RankCoalesceMax = *coalesceMax
@@ -144,9 +142,6 @@ func run(args []string) error {
 	}
 	if *adaptEpoch > 0 {
 		svc.StartAdaptation(server.AdaptationConfig{Epoch: *adaptEpoch})
-	}
-	if *dataDir != "" && *state != "" {
-		return errors.New("-data-dir and -state are mutually exclusive (the data directory subsumes the state file)")
 	}
 	follower := false
 	switch *role {
@@ -193,36 +188,6 @@ func run(args []string) error {
 		logger.Info("durable state ready", "dir", *dataDir,
 			"fsync", sync.String(), "snapshot_interval", *snapIvl,
 			"recovered_samples", rs.Samples, "checkpoint_seq", rs.CheckpointSeq)
-	}
-	if *state != "" {
-		if data, err := os.ReadFile(*state); err == nil {
-			if err := svc.LoadState(data); err != nil {
-				return fmt.Errorf("restore state from %s: %w", *state, err)
-			}
-			logger.Info("restored state", "path", *state)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("read state file: %w", err)
-		}
-	}
-	if *wal != "" {
-		db, err := qosdb.OpenWithOptions(*wal, qosdb.Options{
-			Sync:         sync,
-			SegmentBytes: *walSegBytes,
-			Logger:       logger,
-		})
-		if err != nil {
-			return err
-		}
-		defer db.Close()
-		svc.SetStore(db)
-		// With -data-dir the engine recovers from its own journal; feeding
-		// the QoS database's history in again would double-train replayed
-		// samples.
-		if mgr == nil {
-			if n := svc.ReplayStore(-1); n > 0 {
-				logger.Info("replayed observations from WAL", "count", n, "path", *wal)
-			}
-		}
 	}
 	if follower {
 		// Bootstrap from the leader's snapshot, then tail its WAL. The
@@ -297,16 +262,15 @@ func run(args []string) error {
 		"slo_budget_sheddable", *sloBudgetShd, "slo_headroom", *sloHeadroom,
 		"adapt_epoch", *adaptEpoch,
 		"role", *role, "leader", *leaderURL, "leader_data", *leaderData,
-		"wal", *wal, "state", *state, "data_dir", *dataDir,
-		"fsync", sync.String(), "snapshot_interval", *snapIvl, "wal_segment_bytes", *walSegBytes,
-		"pprof", *pprofFlag, "metrics_compat", *metrCompat,
-		"log_level", *logLevel, "log_format", *logFormat)
+		"data_dir", *dataDir, "fsync", sync.String(),
+		"snapshot_interval", *snapIvl, "wal_segment_bytes", *walSegBytes,
+		"pprof", *pprofFlag, "log_level", *logLevel, "log_format", *logFormat)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// Drain the ingest queue before snapshotting so late stream
-	// observations make it into the saved state (Close is idempotent;
-	// the deferred call becomes a no-op).
+	// Drain the ingest queue before the final checkpoint so late stream
+	// observations make it in (Close is idempotent; the deferred call
+	// becomes a no-op).
 	svc.Close()
 	// Let in-flight replication streams finish shipping before the final
 	// checkpoint truncates the WAL out from under them: followers see a
@@ -331,16 +295,6 @@ func run(args []string) error {
 				logger.Warn("close durable state", "err", err)
 			}
 		}
-	}
-	if *state != "" {
-		data, err := svc.SaveState()
-		if err != nil {
-			return fmt.Errorf("snapshot state: %w", err)
-		}
-		if err := os.WriteFile(*state, data, 0o644); err != nil {
-			return fmt.Errorf("write state file: %w", err)
-		}
-		logger.Info("saved state", "path", *state)
 	}
 	return nil
 }

@@ -1,29 +1,147 @@
 package main
 
 import (
+	"context"
+	"io"
+	"net"
 	"os"
-	"path/filepath"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"github.com/qoslab/amf/internal/client"
+	"github.com/qoslab/amf/internal/server"
 )
 
 func TestRunRejectsBadAttr(t *testing.T) {
-	if err := run([]string{"-attr", "XX"}); err == nil {
+	if err := run([]string{"-attr", "XX"}, io.Discard); err == nil {
 		t.Fatal("bad attribute should error")
 	}
 }
 
-func TestRunRejectsCorruptStateFile(t *testing.T) {
-	state := filepath.Join(t.TempDir(), "state.bin")
-	if err := os.WriteFile(state, []byte("not a state file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-state", state, "-addr", "127.0.0.1:0"}); err == nil {
-		t.Fatal("corrupt state should abort startup")
+func TestRunRejectsBadFlag(t *testing.T) {
+	if err := run([]string{"-definitely-not-a-flag"}, io.Discard); err == nil {
+		t.Fatal("unknown flag should error")
 	}
 }
 
-func TestRunRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
-		t.Fatal("unknown flag should error")
+// syncBuffer collects run's log output; the logger and the test's
+// failure paths may touch it from different goroutines.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// serve starts run with -data-dir on dir and returns a client once the
+// server answers. Background replay is parked (1h tick) so the model
+// changes only when the test observes. stop takes run's own shutdown
+// path — SIGTERM to this process, which run's signal context catches —
+// and returns its log.
+func serve(t *testing.T, dir string) (c *client.Client, stop func() string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	var logs syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-addr", addr, "-data-dir", dir, "-fsync", "always", "-replay-interval", "1h"}, &logs)
+	}()
+	c = client.New("http://"+addr, nil)
+	for deadline := time.Now().Add(10 * time.Second); c.Health(context.Background()) != nil; {
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before serving: %v\n%s", err, logs.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server on %s not healthy within 10s\n%s", addr, logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return c, func() string {
+		t.Helper()
+		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run: %v\n%s", err, logs.String())
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("run did not return after SIGTERM\n%s", logs.String())
+		}
+		return logs.String()
+	}
+}
+
+// TestRestartThroughDataDir drives main.go's own wiring of the one
+// persistence path: observe, stop gracefully, start again on the same
+// directory, and the model, the name directories and the update count
+// are all still there — restored from the final checkpoint, with nothing
+// left to replay — and the restarted server keeps learning.
+func TestRestartThroughDataDir(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	obs := []server.Observation{
+		{User: "u1", Service: "s1", Value: 1.4},
+		{User: "u1", Service: "s2", Value: 0.7},
+		{User: "u2", Service: "s1", Value: 0.4},
+	}
+
+	c, stop := serve(t, dir)
+	if _, err := c.Observe(ctx, obs); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := c.Predict(ctx, "u1", "s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log := stop(); !strings.Contains(log, "final checkpoint written") {
+		t.Fatalf("graceful stop logged no final checkpoint:\n%s", log)
+	}
+
+	c, stop = serve(t, dir)
+	after, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Users != 2 || after.Services != 2 || after.Updates != before.Updates {
+		t.Fatalf("stats after restart = %+v, want 2 users, 2 services, %d updates", after, before.Updates)
+	}
+	if got, err := c.Predict(ctx, "u1", "s2"); err != nil || got != want {
+		t.Fatalf("predict (u1, s2) after restart = %g, %v; want %g", got, err, want)
+	}
+	if _, err := c.Observe(ctx, obs[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := c.Stats(ctx); err != nil || again.Updates <= after.Updates {
+		t.Fatalf("updates did not advance after restart: %+v, %v (was %d)", again, err, after.Updates)
+	}
+	if log := stop(); !strings.Contains(log, "recovered_samples=0") {
+		t.Fatalf("restart after a graceful stop replayed WAL samples:\n%s", log)
 	}
 }

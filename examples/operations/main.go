@@ -128,7 +128,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstate snapshot: %d bytes (restore with POST /api/v1/snapshot or amfserver -state)\n", len(data))
+	fmt.Printf("\nstate snapshot: %d bytes (restore with POST /api/v1/snapshot)\n", len(data))
 }
 
 // obs2 perturbs the seed fleet's values slightly: a realistic second

@@ -152,10 +152,10 @@ func BenchmarkGatewayPredict(b *testing.B) {
 // BenchmarkGatewayRank prices the proxy hop on a realistic adaptation
 // query — ranking a candidate set — where the gateway decodes the body
 // once to route it and forwards the bytes verbatim. candidates=200 is the
-// repository benchmark's adapt_cycle shape (and the row `make
-// bench-smoke` prints, with B/op and allocs/op, in every CI log);
-// candidates=2000 is the large set, whose fanout arm splits the same
-// candidates across three replicas.
+// repository benchmark's adapt_cycle shape (bench/ gates its
+// allocations as cluster.allocs_per_op.rank_cand); candidates=2000 is
+// the large set, whose fanout arm splits the same candidates across
+// three replicas.
 func BenchmarkGatewayRank(b *testing.B) {
 	svc, ts := benchBackend(b, 8, 2000)
 	gw := benchGateway(b, []string{ts.URL}, -1) // pure proxy, no fan-out
@@ -223,7 +223,7 @@ func candidateRequest(b *testing.B, n, topk int) []byte {
 // a paired comparison is the only way to measure the overhead rather
 // than the weather. ns/op therefore covers one direct + one gateway
 // request; the per-path percentiles and the headline overhead-pct ride
-// along as custom metrics (archived by benchjson under "extra").
+// along as custom metrics.
 func BenchmarkGatewayRankAll(b *testing.B) {
 	svc, ts := benchBackend(b, 4, 96000)
 	// Serial scan on the backend: a loaded server has no idle cores to

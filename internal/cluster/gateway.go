@@ -469,7 +469,7 @@ func (grp *group) healthyReplicas() []*replica {
 // under postJSON. The predict proxy path runs one of each per
 // sub-request; pooling them (plus Unmarshal over a pooled read instead
 // of a fresh json.Decoder) is what pulled the direct→gateway allocation
-// overhead down — see BENCH_cluster.json.
+// overhead down (bench/: cluster.allocs_per_op.*).
 var proxyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // postJSON sends one JSON sub-request and decodes the 200 response into

@@ -21,8 +21,9 @@ import (
 // a server with all optional subsystems attached (durable store,
 // parallel training, follower replication), the gateway, and the
 // federation-derived gauges — and fails if any amf_* family name is
-// missing from README.md's metrics tables. Adding a metric without
-// documenting it breaks `make ci`.
+// missing from README.md's metrics tables, or if a table row names a
+// family none of them exports. Adding a metric without documenting it,
+// or deleting one and leaving its row, breaks `make ci`.
 func TestMetricsDocumented(t *testing.T) {
 	runtime := map[string]bool{}
 	collect := func(r *obs.Registry) {
@@ -106,17 +107,28 @@ func TestMetricsDocumented(t *testing.T) {
 		t.Fatal("found no amf_* names in README.md table rows — metrics tables missing?")
 	}
 
-	var missing []string
-	for name := range runtime {
-		// Histogram families expose _bucket/_sum/_count series under the
-		// family name; the table documents the family.
-		if !documented[name] {
-			missing = append(missing, name)
-		}
-	}
-	sort.Strings(missing)
-	if len(missing) > 0 {
+	// Histogram families expose _bucket/_sum/_count series under the
+	// family name; the table documents the family.
+	if missing := namesNotIn(runtime, documented); len(missing) > 0 {
 		t.Errorf("metric families missing from README.md's metrics tables (add a row per name):\n  %s",
 			strings.Join(missing, "\n  "))
 	}
+	// The reverse: a table row naming a family no registry exports is
+	// what deleting a metric leaves behind.
+	if stale := namesNotIn(documented, runtime); len(stale) > 0 {
+		t.Errorf("README.md table rows name metric families no registry exports (delete or fix the row):\n  %s",
+			strings.Join(stale, "\n  "))
+	}
+}
+
+// namesNotIn returns, sorted, the names that in lacks.
+func namesNotIn(names, in map[string]bool) []string {
+	var out []string
+	for name := range names {
+		if !in[name] {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

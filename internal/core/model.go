@@ -23,8 +23,9 @@ type entity struct {
 	dirty bool
 }
 
-// Model is the AMF predictor. It is not safe for concurrent use; wrap it
-// in Concurrent for multi-goroutine access (e.g. the prediction service).
+// Model is the AMF predictor. It is not safe for concurrent use; the
+// prediction service serves it through internal/engine (one writer,
+// lock-free readers on a published PredictView).
 type Model struct {
 	cfg      Config
 	tr       *transform.Transformer

@@ -15,7 +15,7 @@ import (
 // two separately-run benchmarks can't fake (or hide) a speedup. The
 // headline ns/op of each benchmark is the sum of all its arms and is
 // not meaningful on its own; read the *-p50-ns/op and *-speedup-x
-// metrics instead (cmd/benchjson archives them under "extra").
+// metrics instead.
 //
 // The "legacy" arm reproduces the pre-change serving path — per-
 // candidate map lookup, naive (non-unrolled) dot product, Sigmoid+

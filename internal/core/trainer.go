@@ -35,12 +35,6 @@ import (
 //     numeric update, and the dirty mark. Stripe acquisitions that had
 //     to wait are counted in Metrics().StripeContention.
 //
-//   - TrainerConfig.Unsynchronized drops the stripe lock around the
-//     numeric update (registration stays locked — Go maps cannot race).
-//     This is Hogwild-style training: racy-but-benign float updates for
-//     benchmarking the cost of the stripes. It is NOT race-detector
-//     clean by design; never enable it outside benchmarks.
-//
 // Every fan-out is fork-join: the coordinator (whoever calls Apply /
 // ReplaySteps / Fit) dispatches per-worker batches and waits for all
 // workers to finish before returning. Between fan-outs the workers are
@@ -55,7 +49,6 @@ import (
 type Trainer struct {
 	m       *Model
 	workers int
-	unsync  bool
 
 	stripes []stripeMutex // len tableShards; stripes[si] guards services shard si
 	rngs    []*rand.Rand  // per-worker entity-init / shuffle randomness
@@ -81,10 +74,6 @@ type TrainerConfig struct {
 	// count, so worker ownership aligns with table shards). 0 means
 	// GOMAXPROCS rounded down to a power of two.
 	Workers int
-	// Unsynchronized enables Hogwild-style service updates: the numeric
-	// part of each update runs outside the stripe lock. Benchmarking
-	// only — see the type comment.
-	Unsynchronized bool
 	// Metrics optionally supplies an existing instrumentation set to
 	// record into instead of allocating a fresh one — the serving engine
 	// uses this so a trainer rebuilt on Restore keeps the same series
@@ -155,7 +144,6 @@ func NewTrainer(m *Model, cfg TrainerConfig) *Trainer {
 	tr := &Trainer{
 		m:       m,
 		workers: w,
-		unsync:  cfg.Unsynchronized,
 		stripes: make([]stripeMutex, tableShards),
 		rngs:    make([]*rand.Rand, w),
 		pools:   make([]*stream.Pool, w),
@@ -183,9 +171,6 @@ func NewTrainer(m *Model, cfg TrainerConfig) *Trainer {
 
 // Workers returns the effective worker count (after rounding/clamping).
 func (tr *Trainer) Workers() int { return tr.workers }
-
-// Unsynchronized reports whether Hogwild mode is enabled.
-func (tr *Trainer) Unsynchronized() bool { return tr.unsync }
 
 // Metrics returns the trainer's instrumentation.
 func (tr *Trainer) Metrics() *TrainerMetrics { return tr.metrics }
@@ -325,15 +310,8 @@ func (tr *Trainer) applySample(w int, s stream.Sample, register bool) bool {
 		ssh[s.Service] = v
 	}
 	m.dirtyServices.mark(s.Service, v)
-	if tr.unsync {
-		// Hogwild: registration and dirty marking stay locked (map
-		// structure cannot tolerate races), the float math runs free.
-		st.Unlock()
-		m.updateEntities(u, v, s.Value)
-	} else {
-		m.updateEntities(u, v, s.Value)
-		st.Unlock()
-	}
+	m.updateEntities(u, v, s.Value)
+	st.Unlock()
 	m.dirtyUsers.mark(s.User, u) // worker-owned shard
 	return true
 }

@@ -9,17 +9,15 @@ import (
 )
 
 // BenchmarkTrainThroughput measures online-update throughput (samples/s)
-// through the parallel trainer at increasing worker counts, plus the
-// Hogwild (unsynchronized) variant at the widest width. workers=1 is the
-// exact serial baseline (Trainer delegates to Model.ObserveAll), so the
-// sub-benchmark ratios are the parallel speedup directly.
+// through the parallel trainer at increasing worker counts. workers=1 is
+// the exact serial baseline (Trainer delegates to Model.ObserveAll), so
+// the sub-benchmark ratios are the parallel speedup directly.
 //
 // The benchmark is designed to expose scaling on multicore hosts: the
 // user side is embarrassingly parallel (worker-owned shards), and with
 // 512 users × 256 services the service-stripe collision rate is low. On
 // a single-core host all widths serialize and the fan-out overhead is
-// what's being measured. Run via `make bench-train` (archived as
-// BENCH_train.json).
+// what's being measured. `make bench-smoke` runs workers=1 and 4.
 func BenchmarkTrainThroughput(b *testing.B) {
 	const (
 		users    = 512
@@ -36,11 +34,11 @@ func BenchmarkTrainThroughput(b *testing.B) {
 		return ss
 	}
 
-	run := func(b *testing.B, workers int, unsync bool) {
+	run := func(b *testing.B, workers int) {
 		cfg := rtConfig()
 		cfg.Expiry = 2 * time.Second // bound replay-pool growth across iterations
 		m := MustNew(cfg)
-		tr := NewTrainer(m, TrainerConfig{Workers: workers, Unsynchronized: unsync})
+		tr := NewTrainer(m, TrainerConfig{Workers: workers})
 		defer tr.Close()
 		ss := mkSamples()
 		b.ResetTimer()
@@ -58,14 +56,8 @@ func BenchmarkTrainThroughput(b *testing.B) {
 	}
 
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w, false) })
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { run(b, w) })
 	}
-	b.Run("workers=8-unsync", func(b *testing.B) {
-		if raceEnabled {
-			b.Skip("Hogwild mode is not race-detector clean by design")
-		}
-		run(b, 8, true)
-	})
 
 	// Replay throughput: Algorithm 1's inner loop fanned across the
 	// worker-partitioned pools.

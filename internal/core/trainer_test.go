@@ -237,30 +237,6 @@ func TestTrainerViewTracking(t *testing.T) {
 	}
 }
 
-// TestTrainerUnsynchronized exercises Hogwild mode. The float races it
-// contains are benign by design but NOT race-detector clean, so the test
-// only runs without -race (see race_off_test.go).
-func TestTrainerUnsynchronized(t *testing.T) {
-	if raceEnabled {
-		t.Skip("Hogwild mode is not race-detector clean by design")
-	}
-	obs, _ := synthSamples(24, 32)
-	m := MustNew(rtConfig())
-	tr := NewTrainer(m, TrainerConfig{Workers: 4, Unsynchronized: true})
-	defer tr.Close()
-	if !tr.Unsynchronized() {
-		t.Fatal("Unsynchronized() should report true")
-	}
-	tr.Apply(obs)
-	res := tr.Fit(FitOptions{MaxEpochs: 120, Tol: 1e-5, MinEpochs: 5})
-	if res.Steps == 0 {
-		t.Fatal("hogwild fit performed no steps")
-	}
-	if res.FinalError > 0.1 {
-		t.Fatalf("hogwild final error %.4f too high — racy updates should still converge", res.FinalError)
-	}
-}
-
 // TestTrainerStress hammers the full coordinator surface — Apply,
 // ReplaySteps, parallel Fit epochs, view publishes between fan-outs —
 // with the maximum worker count. Its real assertion is the race

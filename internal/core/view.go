@@ -337,9 +337,7 @@ func (t *viewTable) flagged(threshold float64) []Flagged {
 
 // Snapshot serializes the view in the same format as Model.Snapshot, so
 // the bytes are interchangeable with core.Restore. Because the view is
-// immutable, serialization requires no lock and cannot stall the writer —
-// this is the serving engine's replacement for Concurrent.Snapshot, which
-// holds the read lock (blocking all writers) for the full serialization.
+// immutable, serialization requires no lock and cannot stall the writer.
 func (v *PredictView) Snapshot() ([]byte, error) {
 	snap := snapshot{Config: v.cfg, Updates: v.updates}
 	snap.Users = v.users.snapshots()

@@ -8,15 +8,14 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// BenchmarkEngineVsConcurrent measures parallel prediction throughput
-// while a background writer continuously folds in observations — the
-// serving workload of the paper's Sec. III framework. The old path
-// funnels every predict and observe through core.Concurrent's global
-// RWMutex; the engine serves predictions wait-free from the published
-// view while the writer batches updates through the ingest queue.
+// BenchmarkEnginePredictUnderWrites measures parallel prediction
+// throughput while a background writer continuously folds in
+// observations — the serving workload of the paper's Sec. III framework:
+// predictions are served wait-free from the published view while the
+// writer batches updates through the ingest queue.
 //
-//	go test -bench=BenchmarkEngineVsConcurrent -benchmem ./internal/engine/
-func BenchmarkEngineVsConcurrent(b *testing.B) {
+//	go test -bench=BenchmarkEnginePredictUnderWrites -benchmem ./internal/engine/
+func BenchmarkEnginePredictUnderWrites(b *testing.B) {
 	const (
 		users    = 128
 		services = 512
@@ -30,16 +29,13 @@ func BenchmarkEngineVsConcurrent(b *testing.B) {
 		// obsBatch is the size of one uploaded observation batch.
 		obsBatch = 64
 	)
-	seed := func() []stream.Sample {
-		var ss []stream.Sample
-		for u := 0; u < users; u++ {
-			for s := 0; s < services; s++ {
-				if (u+s)%5 == 0 {
-					ss = append(ss, stream.Sample{User: u, Service: s, Value: 1 + float64((u*s)%9)})
-				}
+	var seed []stream.Sample
+	for u := 0; u < users; u++ {
+		for s := 0; s < services; s++ {
+			if (u+s)%5 == 0 {
+				seed = append(seed, stream.Sample{User: u, Service: s, Value: 1 + float64((u*s)%9)})
 			}
 		}
-		return ss
 	}
 	// The HTTP observe API is batch-oriented (clients upload what they
 	// measured); model the stream as arriving batches.
@@ -52,73 +48,38 @@ func BenchmarkEngineVsConcurrent(b *testing.B) {
 		return out
 	}
 
-	b.Run("GlobalRWMutex", func(b *testing.B) {
-		c := core.NewConcurrent(testModel(b))
-		c.ObserveAll(seed())
-		stop := make(chan struct{})
-		go func() { // the online-update stream + background replay (RunReplay)
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i++
-				c.ObserveAll(batch(i)) // write lock held for the whole batch
-				if i%8 == 0 {
-					c.ReplaySteps(replayBatch) // ditto
-				}
+	e := New(testModel(b), Config{})
+	e.ObserveAll(seed)
+	stop := make(chan struct{})
+	go func() { // the online-update stream + background replay (RunReplay)
+		i := 0
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}()
-		b.Cleanup(func() { close(stop) })
-		b.SetParallelism(benchClients)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := c.Predict(i%users, (i*7)%services); err != nil {
-					b.Fatal(err)
-				}
+			i++
+			e.EnqueueAll(batch(i)) // readers never block on the apply
+			if i%8 == 0 {
+				e.ReplaySteps(replayBatch)
 			}
-		})
+		}
+	}()
+	b.Cleanup(func() {
+		close(stop)
+		e.Close()
 	})
-
-	b.Run("Engine", func(b *testing.B) {
-		e := New(testModel(b), Config{})
-		e.ObserveAll(seed())
-		stop := make(chan struct{})
-		go func() { // identical write-side work, through the ingest queue
-			i := 0
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				i++
-				e.EnqueueAll(batch(i)) // readers never block on the apply
-				if i%8 == 0 {
-					e.ReplaySteps(replayBatch)
-				}
+	b.SetParallelism(benchClients)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			i++
+			if _, err := e.Predict(i%users, (i*7)%services); err != nil {
+				b.Fatal(err)
 			}
-		}()
-		b.Cleanup(func() {
-			close(stop)
-			e.Close()
-		})
-		b.SetParallelism(benchClients)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				i++
-				if _, err := e.Predict(i%users, (i*7)%services); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		}
 	})
 }
 

@@ -161,6 +161,37 @@ func TestDurableAckFailureReleases(t *testing.T) {
 	}
 }
 
+// TestDurableAckRemoval: a churn departure is acked like an observe —
+// RemoveUser/RemoveService return only once the removal record's
+// covering fsync has landed, and a WaitDurable rejection releases the
+// caller and is counted.
+func TestDurableAckRemoval(t *testing.T) {
+	e := New(testModel(t), Config{})
+	defer e.Close()
+	j := newFakeDurableJournal()
+	e.SetJournal(j)
+
+	for i, remove := range []func(int){e.RemoveUser, e.RemoveService} {
+		seq := uint64(i + 1)
+		done := make(chan struct{})
+		go func() { remove(0); close(done) }()
+		waitCond(t, func() bool { return j.LastSeq() >= seq })
+		select {
+		case <-done:
+			t.Fatalf("removal %d returned before its record was durable", seq)
+		case <-time.After(20 * time.Millisecond):
+		}
+		j.advance(seq)
+		waitClosed(t, done, "removal after commit")
+	}
+
+	j.failAll(errors.New("fenced"))
+	e.RemoveUser(1) // must not hang
+	if got := e.Stats().JournalErrors; got != 1 {
+		t.Fatalf("JournalErrors = %d after a rejected removal ack, want 1", got)
+	}
+}
+
 // TestDurableAckCloseCompletes: Close with in-flight durable acks must
 // complete every taken batch (the completer drains before e.wg
 // releases), not leak parked callers.

@@ -91,10 +91,6 @@ type Config struct {
 	// also raise IngestShards to at least W so the shard→worker mapping
 	// stays exact.
 	TrainWorkers int
-	// TrainUnsync enables Hogwild-style unsynchronized service updates
-	// in the parallel trainer (benchmarking only — see
-	// core.TrainerConfig.Unsynchronized). Ignored when TrainWorkers <= 1.
-	TrainUnsync bool
 	// Control, when non-nil, is the runtime-tunable registry the engine
 	// declares its adaptive knobs on (publish interval/quantum, ingest
 	// batch cap, replay per batch, per-class admission watermarks). The
@@ -339,10 +335,7 @@ func New(model *core.Model, cfg Config) *Engine {
 		e.shards[i] = make(chan queued, cfg.QueueSize)
 	}
 	if cfg.TrainWorkers > 1 {
-		e.trainer = core.NewTrainer(model, core.TrainerConfig{
-			Workers:        cfg.TrainWorkers,
-			Unsynchronized: cfg.TrainUnsync,
-		})
+		e.trainer = core.NewTrainer(model, core.TrainerConfig{Workers: cfg.TrainWorkers})
 		e.parts = make([][]stream.Sample, e.trainer.Workers())
 		e.trainMetrics = e.trainer.Metrics()
 	}
@@ -641,6 +634,15 @@ func (e *Engine) applyInline(ss []stream.Sample, t *ObserveTiming) {
 	e.timing = nil
 	dj := e.durJournal
 	e.mu.Unlock()
+	e.awaitDurable(dj, seq)
+}
+
+// awaitDurable parks the caller until record seq is on stable storage
+// under a group-commit journal (dj nil otherwise; seq 0 when nothing was
+// journaled). Called without mu, so the writer is never stalled behind
+// the fsync. A rejection is counted, not returned: the engine keeps
+// serving and the store's fail-fast makes the gap visible.
+func (e *Engine) awaitDurable(dj DurableJournal, seq uint64) {
 	if dj != nil && seq > 0 {
 		if err := dj.WaitDurable(seq); err != nil {
 			e.journalErrs.Add(1)
@@ -689,30 +691,33 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 }
 
 // RemoveUser forgets a user (churn departure) and republishes so the
-// departure is immediately visible to readers.
+// departure is immediately visible to readers. Like ObserveAll it
+// returns only once the removal is as durable as the journal's policy
+// promises: acked ⇒ durable holds for departures too.
 func (e *Engine) RemoveUser(id int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.journal != nil { // journal the departure before purging it
-		if _, err := e.journal.AppendRemoveUser(id); err != nil {
-			e.journalErrs.Add(1)
-		}
-	}
-	e.model.RemoveUser(id)
-	e.publishLocked()
+	e.remove(id, Journal.AppendRemoveUser, (*core.Model).RemoveUser)
 }
 
-// RemoveService forgets a service and republishes.
+// RemoveService forgets a service and republishes (see RemoveUser).
 func (e *Engine) RemoveService(id int) {
+	e.remove(id, Journal.AppendRemoveService, (*core.Model).RemoveService)
+}
+
+func (e *Engine) remove(id int, journal func(Journal, int) (uint64, error), purge func(*core.Model, int)) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.journal != nil {
-		if _, err := e.journal.AppendRemoveService(id); err != nil {
+	var seq uint64
+	if e.journal != nil { // journal the departure before purging it
+		if s, err := journal(e.journal, id); err != nil {
 			e.journalErrs.Add(1)
+		} else {
+			seq = s
 		}
 	}
-	e.model.RemoveService(id)
+	purge(e.model, id)
 	e.publishLocked()
+	dj := e.durJournal
+	e.mu.Unlock()
+	e.awaitDurable(dj, seq)
 }
 
 // SetLearnRate changes the SGD step size for subsequent updates.
@@ -723,8 +728,7 @@ func (e *Engine) SetLearnRate(eta float64) {
 }
 
 // Snapshot serializes the current published view. It takes no lock and
-// never stalls the writer — unlike core.Concurrent.Snapshot, which holds
-// the read lock across the full serialization.
+// never stalls the writer.
 func (e *Engine) Snapshot() ([]byte, error) { return e.View().Snapshot() }
 
 // Restore atomically replaces the model with one reconstructed from a
@@ -741,12 +745,11 @@ func (e *Engine) Restore(data []byte) error {
 	e.model = m
 	if e.trainer != nil {
 		// The trainer is bound to the replaced model: rebuild it against
-		// the restored one (same worker count and mode).
+		// the restored one (same worker count).
 		e.trainer.Close()
 		e.trainer = core.NewTrainer(m, core.TrainerConfig{
-			Workers:        e.cfg.TrainWorkers,
-			Unsynchronized: e.cfg.TrainUnsync,
-			Metrics:        e.trainMetrics, // keep /metrics series continuity
+			Workers: e.cfg.TrainWorkers,
+			Metrics: e.trainMetrics, // keep /metrics series continuity
 		})
 	}
 	e.publishLocked() // RefreshView detects the swap and fully rebuilds

@@ -200,7 +200,7 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 // single-core CI drift cannot fake a speedup — the same discipline as
 // PR 6's gateway benches. ns/op covers one scalar + one dispatched f64
 // + one f32 pass; the per-arm p50s and the headline speedups ride along
-// as custom metrics (archived by benchjson into BENCH_kernels.json).
+// as custom metrics.
 
 var sink32 float32
 

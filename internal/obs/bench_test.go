@@ -6,8 +6,9 @@ import (
 )
 
 // The package's contract is that a hot-path record costs a few atomic
-// adds. These benchmarks put numbers on that (see bench_small_output.txt);
-// the end-to-end <5% predict-path overhead proof lives in
+// adds. These benchmarks put numbers on that (the repository benchmark's
+// obs.histogram_observe_ns probe tracks the histogram one); the
+// end-to-end <5% predict-path overhead proof lives in
 // internal/server's BenchmarkPredictPath.
 
 func BenchmarkCounterInc(b *testing.B) {

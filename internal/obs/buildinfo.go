@@ -21,8 +21,7 @@ func BuildCommit() string { return buildCommit }
 
 // RegisterBuildInfo adds the amf_build_info const gauge (value 1; the
 // payload is the labels) to a registry. Every binary's registry gets
-// one — amfserver's covers the embedded qosdb too, since the QoS
-// database has no process of its own.
+// one.
 func RegisterBuildInfo(r *Registry) {
 	r.ConstGauge("amf_build_info",
 		"Build identification; constant 1, labeled with version, commit, and Go toolchain.",

@@ -201,6 +201,38 @@ func TestDurableDoubleAttach(t *testing.T) {
 	}
 }
 
+// TestObserveRejectedBatchLeavesNoTrace: a batch that fails validation at
+// any element answers 400 without registering the names of the elements
+// before it — not in the registries, not in the model, not in the WAL
+// (where a registration record would survive recovery).
+func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
+	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	defer svc.Close()
+	observeSome(t, svc)
+
+	state := func() string {
+		return doReq(t, svc, http.MethodGet, "/api/v1/users", nil).Body.String() +
+			doReq(t, svc, http.MethodGet, "/api/v1/services", nil).Body.String() +
+			fmt.Sprint(svc.users.Len(), svc.services.Len(), svc.eng.Updates(), mgr.WAL().LastSeq())
+	}
+	before := state()
+	for name, bad := range map[string]Observation{
+		"negative value": {User: "u2", Service: "s2", Value: -1},
+		"empty user":     {Service: "s2", Value: 1},
+		"empty service":  {User: "u2", Value: 1},
+	} {
+		w := doReq(t, svc, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+			{User: "ghost", Service: "phantom", Value: 1}, bad,
+		}})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, w.Code)
+		}
+		if after := state(); after != before {
+			t.Errorf("%s: rejected batch left side effects:\nbefore %s\nafter  %s", name, before, after)
+		}
+	}
+}
+
 // TestCheckpointEndpointWithoutStore pins the 501 contract.
 func TestCheckpointEndpointWithoutStore(t *testing.T) {
 	svc := testServer(t)

@@ -47,11 +47,6 @@ func (s *Server) Ingest(user, service string, value float64, timestampMs int64) 
 		}
 	}
 	sample := stream.Sample{Time: t, User: uid, Service: sid, Value: value}
-	if s.store != nil {
-		if err := s.store.Append(sample); err != nil {
-			return err
-		}
-	}
 	// Live accuracy: one lock-free view read scores the sample against
 	// the model's prior prediction before it trains on it.
 	s.scoreSample(sample)

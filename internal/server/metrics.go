@@ -1,9 +1,6 @@
 package server
 
-import (
-	"fmt"
-	"net/http"
-)
+import "net/http"
 
 // metricsRoutes registers the /metrics endpoint; called from routes().
 // The families themselves are built in buildMetrics (obs.go).
@@ -20,11 +17,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.countStatus(http.StatusOK)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
-	if s.MetricsCompat {
-		// One release of grace for dashboards still reading the old
-		// names (renamed to amf_uptime_seconds; see CHANGES.md).
-		fmt.Fprintf(w, "# HELP amf_uptime_ms DEPRECATED: use amf_uptime_seconds.\n")
-		fmt.Fprintf(w, "# TYPE amf_uptime_ms gauge\n")
-		fmt.Fprintf(w, "amf_uptime_ms %d\n", s.now().Sub(s.base).Milliseconds())
-	}
 }

@@ -69,8 +69,7 @@ func (s *Server) buildMetrics() {
 	r.RegisterHistogram("amf_rank_coalesce_batch_size",
 		"Full-scan rank requests served per coalesced flush.", s.rankCoalesceSize)
 
-	// Build identification (ldflags-stamped; covers the embedded qosdb,
-	// which has no process of its own).
+	// Build identification (ldflags-stamped).
 	obs.RegisterBuildInfo(r)
 
 	// Model gauges.
@@ -79,13 +78,6 @@ func (s *Server) buildMetrics() {
 	r.CounterFunc("amf_model_updates_total", "SGD updates applied to the model.", s.eng.Updates)
 	r.GaugeFunc("amf_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return s.now().Sub(s.base).Seconds() })
-	r.GaugeFunc("amf_qosdb_observations", "Observations retained in the QoS database (0 without -wal).",
-		func() float64 {
-			if s.store == nil {
-				return 0
-			}
-			return float64(s.store.Len())
-		})
 
 	// Serving-engine health: queue pressure, shed load, publish cadence,
 	// and the latency histograms the engine maintains internally.

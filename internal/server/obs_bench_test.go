@@ -55,7 +55,7 @@ func benchServer(b *testing.B, opts ...Option) *Server {
 
 // BenchmarkPredictPath proves the acceptance criterion that the
 // observability middleware keeps the instrumented lock-free predict path
-// within 5% of the uninstrumented one (results in bench_small_output.txt).
+// within 5% of the uninstrumented one (`make bench-smoke` runs it).
 func BenchmarkPredictPath(b *testing.B) {
 	for _, bc := range []struct {
 		name string

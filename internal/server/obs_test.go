@@ -109,27 +109,9 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 	if v, _ := tm.Value("amf_observations_total", nil); v != 20 {
 		t.Errorf("amf_observations_total = %g, want 20", v)
 	}
-	// The ms-suffixed uptime gauge is gone by default.
+	// The ms-suffixed uptime gauge is gone.
 	if strings.Contains(w.Body.String(), "amf_uptime_ms") {
-		t.Error("amf_uptime_ms still exposed without MetricsCompat")
-	}
-}
-
-func TestMetricsCompatFlag(t *testing.T) {
-	s := testServer(t)
-	s.MetricsCompat = true
-	w := doReq(t, s, http.MethodGet, "/metrics", nil)
-	body := w.Body.String()
-	if !strings.Contains(body, "amf_uptime_ms") {
-		t.Fatalf("compat mode missing amf_uptime_ms:\n%s", body)
-	}
-	// Compat lines are still grammatical (HELP/TYPE'd).
-	tm, err := obs.ParseMetrics(strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.Validate(); err != nil {
-		t.Fatal(err)
+		t.Error("amf_uptime_ms still exposed")
 	}
 }
 

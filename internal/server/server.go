@@ -17,7 +17,6 @@ import (
 	"github.com/qoslab/amf/internal/engine"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
-	"github.com/qoslab/amf/internal/qosdb"
 	"github.com/qoslab/amf/internal/registry"
 	"github.com/qoslab/amf/internal/store"
 	"github.com/qoslab/amf/internal/stream"
@@ -63,17 +62,10 @@ type Server struct {
 	// when <= 0.
 	RankCoalesceMax int
 
-	// MetricsCompat additionally exposes the pre-rename metric names
-	// (amf_uptime_ms) on /metrics for one release; see CHANGES.md.
-	MetricsCompat bool
-
 	// coalescer batches concurrent full-scan rankings when
 	// RankCoalesceWindow > 0 (see coalesce.go). Always constructed;
 	// consulted per request.
 	coalescer *rankCoalescer
-
-	// store is the optional QoS database (see SetStore).
-	store *qosdb.Store
 
 	// durable is the optional durable-state manager (see AttachDurable):
 	// WAL journaling, background checkpoints, crash recovery.
@@ -259,7 +251,6 @@ func (s *Server) routes() {
 	s.stateRoutes()
 	s.durableRoutes()
 	s.replicationRoutes()
-	s.historyRoutes()
 	s.metricsRoutes()
 	s.flaggedRoutes()
 	// Outside the middleware, like pprof: a debug scrape should not
@@ -431,9 +422,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	var resp ObserveResponse
-	now := s.now().Sub(s.base)
-	samples := b.samples[:0]
+	// Validate the whole batch before the first registration: a rejected
+	// request must leave no names behind in the registries or the WAL.
 	for i := range obs {
 		o := &obs[i]
 		if len(o.User) == 0 || len(o.Service) == 0 {
@@ -444,6 +434,12 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			s.countError(w, http.StatusBadRequest, "observation %d: negative QoS value %g", i, o.Value)
 			return
 		}
+	}
+	var resp ObserveResponse
+	now := s.now().Sub(s.base)
+	samples := b.samples[:0]
+	for i := range obs {
+		o := &obs[i]
 		uid, newU := s.users.RegisterBytes(o.User)
 		sid, newS := s.services.RegisterBytes(o.Service)
 		if newU {
@@ -471,14 +467,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		samples = append(samples, stream.Sample{Time: t, User: uid, Service: sid, Value: o.Value})
 	}
 	b.samples = samples
-	if s.store != nil {
-		// One WAL record (one CRC, one fsync under SyncAlways) for the
-		// whole request instead of a record per sample.
-		if err := s.store.AppendAll(samples); err != nil {
-			s.countError(w, http.StatusInternalServerError, "qos database: %v", err)
-			return
-		}
-	}
 	// Live accuracy: score each incoming value against the model's prior
 	// prediction before the sample trains it (see obs.AccuracyTracker).
 	s.scoreSamples(samples)
@@ -634,6 +622,5 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, reg *regis
 
 // Snapshot exposes model snapshotting for operational persistence. It
 // serializes the engine's published view, so it never stalls the writer
-// or blocks observations (unlike core.Concurrent.Snapshot, which holds
-// the model read lock for the full serialization).
+// or blocks observations.
 func (s *Server) Snapshot() ([]byte, error) { return s.eng.Snapshot() }

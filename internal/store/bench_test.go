@@ -12,11 +12,12 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// Benchmarks for the durable-state layer. `make bench-recovery` archives
-// these as BENCH_recovery.json: the WAL append cost under each fsync
-// policy is the per-observe durability tax, the replay and recovery rows
-// are the restart-time budget (the paper's online setting has no offline
-// retraining window, so recovery time is serving downtime).
+// Benchmarks for the durable-state layer: the WAL append cost under each
+// fsync policy is the per-observe durability tax, the replay and recovery
+// rows are the restart-time budget (the paper's online setting has no
+// offline retraining window, so recovery time is serving downtime). The
+// repository benchmark tracks the same costs as store.append_p50_us,
+// store.recovery_s and store.checkpoint_s.
 
 func benchSamples(n int) []stream.Sample {
 	ss := make([]stream.Sample, n)
@@ -45,7 +46,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 			defer w.Close()
 			batch := benchSamples(16)
-			b.SetBytes(int64(len(EncodeSamples(batch))))
+			b.SetBytes(int64(len(encodeSamples(batch))))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := w.AppendSamples(batch); err != nil {

@@ -27,9 +27,9 @@ const (
 	ckptPrefix = "checkpoint-"
 	ckptSuffix = ".ckpt"
 
-	// DefaultRetain is how many checkpoints PruneCheckpoints keeps by
+	// defaultRetain is how many checkpoints pruneCheckpoints keeps by
 	// default: the newest plus two fallbacks against corruption.
-	DefaultRetain = 3
+	defaultRetain = 3
 
 	// MaxCheckpointBytes bounds a checkpoint blob (1 GiB): enough for
 	// millions of rank-64 user/service vectors, small enough to reject
@@ -41,11 +41,11 @@ func checkpointName(seq uint64) string {
 	return fmt.Sprintf("%s%020d%s", ckptPrefix, seq, ckptSuffix)
 }
 
-// WriteCheckpoint atomically persists a state blob covering all WAL
+// writeCheckpoint atomically persists a state blob covering all WAL
 // records with sequence numbers <= seq. A crash at any point leaves
 // either the previous checkpoint set or the new file complete — never a
 // half-written checkpoint under the final name.
-func WriteCheckpoint(dir string, seq uint64, data []byte) error {
+func writeCheckpoint(dir string, seq uint64, data []byte) error {
 	final := filepath.Join(dir, checkpointName(seq))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
@@ -113,8 +113,8 @@ func listCheckpoints(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// PruneCheckpoints removes all but the newest retain checkpoints.
-func PruneCheckpoints(dir string, retain int) error {
+// pruneCheckpoints removes all but the newest retain checkpoints.
+func pruneCheckpoints(dir string, retain int) error {
 	if retain < 1 {
 		retain = 1
 	}
@@ -165,13 +165,13 @@ func readCheckpoint(path string) (seq uint64, data []byte, err error) {
 	return seq, data, nil
 }
 
-// LoadNewestCheckpoint returns the newest valid checkpoint in dir,
+// loadNewestCheckpoint returns the newest valid checkpoint in dir,
 // falling back to older ones when a file fails validation (each fallback
 // is logged — it means a checkpoint was corrupted on disk). ok is false
 // when the directory holds no checkpoints at all; an error is returned
 // when checkpoints exist but none validates, because silently starting
 // empty would masquerade as data loss.
-func LoadNewestCheckpoint(dir string, log *slog.Logger) (seq uint64, data []byte, ok bool, err error) {
+func loadNewestCheckpoint(dir string, log *slog.Logger) (seq uint64, data []byte, ok bool, err error) {
 	if log == nil {
 		log = slog.Default()
 	}

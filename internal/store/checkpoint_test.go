@@ -9,13 +9,13 @@ import (
 
 func TestCheckpointWriteLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpoint(dir, 41, []byte("state-41")); err != nil {
+	if err := writeCheckpoint(dir, 41, []byte("state-41")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(dir, 99, []byte("state-99")); err != nil {
+	if err := writeCheckpoint(dir, 99, []byte("state-99")); err != nil {
 		t.Fatal(err)
 	}
-	seq, data, ok, err := LoadNewestCheckpoint(dir, quietLogger())
+	seq, data, ok, err := loadNewestCheckpoint(dir, quietLogger())
 	if err != nil || !ok {
 		t.Fatalf("load: ok=%v err=%v", ok, err)
 	}
@@ -25,12 +25,12 @@ func TestCheckpointWriteLoadRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointEmptyDir(t *testing.T) {
-	_, _, ok, err := LoadNewestCheckpoint(t.TempDir(), quietLogger())
+	_, _, ok, err := loadNewestCheckpoint(t.TempDir(), quietLogger())
 	if err != nil || ok {
 		t.Fatalf("empty dir: ok=%v err=%v", ok, err)
 	}
 	// A directory that does not exist at all is also "no checkpoint".
-	_, _, ok, err = LoadNewestCheckpoint(filepath.Join(t.TempDir(), "nope"), quietLogger())
+	_, _, ok, err = loadNewestCheckpoint(filepath.Join(t.TempDir(), "nope"), quietLogger())
 	if err != nil || ok {
 		t.Fatalf("missing dir: ok=%v err=%v", ok, err)
 	}
@@ -38,10 +38,10 @@ func TestCheckpointEmptyDir(t *testing.T) {
 
 func TestCheckpointFallsBackPastCorruption(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpoint(dir, 10, []byte("good-old")); err != nil {
+	if err := writeCheckpoint(dir, 10, []byte("good-old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCheckpoint(dir, 20, []byte("doomed")); err != nil {
+	if err := writeCheckpoint(dir, 20, []byte("doomed")); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the newest file's body.
@@ -54,7 +54,7 @@ func TestCheckpointFallsBackPastCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	seq, body, ok, err := LoadNewestCheckpoint(dir, quietLogger())
+	seq, body, ok, err := loadNewestCheckpoint(dir, quietLogger())
 	if err != nil || !ok {
 		t.Fatalf("fallback load: ok=%v err=%v", ok, err)
 	}
@@ -65,14 +65,14 @@ func TestCheckpointFallsBackPastCorruption(t *testing.T) {
 
 func TestCheckpointAllCorruptIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteCheckpoint(dir, 5, []byte("only")); err != nil {
+	if err := writeCheckpoint(dir, 5, []byte("only")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, checkpointName(5))
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := LoadNewestCheckpoint(dir, quietLogger()); err == nil {
+	if _, _, _, err := loadNewestCheckpoint(dir, quietLogger()); err == nil {
 		t.Fatal("all-corrupt checkpoint set must error, not silently start empty")
 	}
 }
@@ -80,10 +80,10 @@ func TestCheckpointAllCorruptIsAnError(t *testing.T) {
 func TestCheckpointRetention(t *testing.T) {
 	dir := t.TempDir()
 	for seq := uint64(1); seq <= 6; seq++ {
-		if err := WriteCheckpoint(dir, seq*10, []byte{byte(seq)}); err != nil {
+		if err := writeCheckpoint(dir, seq*10, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := PruneCheckpoints(dir, 3); err != nil {
+		if err := pruneCheckpoints(dir, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestCheckpointTempFilesIgnoredAndCleaned(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, ok, err := LoadNewestCheckpoint(dir, quietLogger())
+	_, _, ok, err := loadNewestCheckpoint(dir, quietLogger())
 	if err != nil || ok {
 		t.Fatalf("tmp leftovers must be invisible: ok=%v err=%v", ok, err)
 	}

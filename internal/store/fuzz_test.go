@@ -12,8 +12,8 @@ import (
 // decode back to the same entry (the decoder is the first thing touching
 // attacker-controllable on-disk bytes during recovery).
 func FuzzDecodeEntry(f *testing.F) {
-	f.Add(EncodeSamples(sampleBatch(0, 3)))
-	f.Add(EncodeSamples(nil))
+	f.Add(encodeSamples(sampleBatch(0, 3)))
+	f.Add(encodeSamples(nil))
 	f.Add(encodeRemove(EntryRemoveUser, 42))
 	f.Add(encodeRemove(EntryRemoveService, -1))
 	f.Add(encodeRegister(EntryRegisterUser, 7, "alice"))
@@ -30,7 +30,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		var again []byte
 		switch e.Kind {
 		case EntrySamples:
-			again = EncodeSamples(e.Samples)
+			again = encodeSamples(e.Samples)
 		case EntryRemoveUser, EntryRemoveService:
 			again = encodeRemove(e.Kind, e.ID)
 		case EntryRegisterUser, EntryRegisterService:

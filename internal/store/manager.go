@@ -46,7 +46,7 @@ func (o Options) withDefaults() Options {
 		o.FenceCheckInterval = DefaultFenceCheckInterval
 	}
 	if o.Retain <= 0 {
-		o.Retain = DefaultRetain
+		o.Retain = defaultRetain
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -178,7 +178,7 @@ func (m *Manager) Dir() string { return m.dir }
 // re-journaled.
 func (m *Manager) Recover(restore func(data []byte) error, replay func(Entry) error) (RecoveryStats, error) {
 	var rs RecoveryStats
-	seq, data, ok, err := LoadNewestCheckpoint(m.ckptDir, m.log)
+	seq, data, ok, err := loadNewestCheckpoint(m.ckptDir, m.log)
 	if err != nil {
 		return rs, err
 	}
@@ -302,10 +302,10 @@ func (m *Manager) Checkpoint() error {
 	if m.checkFence() {
 		return ErrFenced
 	}
-	if err := WriteCheckpoint(m.ckptDir, seq, data); err != nil {
+	if err := writeCheckpoint(m.ckptDir, seq, data); err != nil {
 		return err
 	}
-	if err := PruneCheckpoints(m.ckptDir, m.opts.Retain); err != nil {
+	if err := pruneCheckpoints(m.ckptDir, m.opts.Retain); err != nil {
 		return err
 	}
 	if err := m.wal.TruncateThrough(seq); err != nil {

@@ -38,7 +38,7 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 		state = append(state, sampleBatch(i*10, 2)...)
 	}
 	m.SetCaptureForTest(func() (uint64, []byte, error) {
-		return m.WAL().LastSeq(), EncodeSamples(state), nil
+		return m.WAL().LastSeq(), encodeSamples(state), nil
 	})
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 	var tail []stream.Sample
 	rs, err := m2.Recover(
 		func(data []byte) error {
-			ss, err := DecodeSamples(data)
+			ss, err := decodeSamplesInto(nil, data)
 			restored = ss
 			return err
 		},
@@ -201,7 +201,7 @@ func TestRecoverCheckpointBeyondWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A checkpoint whose covering WAL tail is gone: claims seq 10.
-	if err := WriteCheckpoint(filepath.Join(dir, "checkpoints"), 10, []byte("state@10")); err != nil {
+	if err := writeCheckpoint(filepath.Join(dir, "checkpoints"), 10, []byte("state@10")); err != nil {
 		t.Fatal(err)
 	}
 	var blob []byte

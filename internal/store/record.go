@@ -70,17 +70,16 @@ type Entry struct {
 const sampleWire = 32 // i64 time, i64 user, i64 service, f64 value
 
 // maxSamplesPerRecord is the largest observation count whose
-// EncodeSamples payload still fits in MaxRecordBytes (5 header bytes +
+// encodeSamples payload still fits in MaxRecordBytes (5 header bytes +
 // sampleWire per sample). WAL.AppendSamples splits bigger batches across
 // several records, so a legitimate batch of any size can be journaled —
 // an oversized batch must never be acked-but-rejected (a silent
 // durability hole even under fsync=always).
 const maxSamplesPerRecord = (MaxRecordBytes - 5) / sampleWire
 
-// EncodeSamples renders a batch of observations as an EntrySamples
-// payload: kind byte, u32 count, then 32 fixed bytes per sample. The
-// same encoding doubles as the qosdb checkpoint body.
-func EncodeSamples(ss []stream.Sample) []byte {
+// encodeSamples renders a batch of observations as an EntrySamples
+// payload: kind byte, u32 count, then 32 fixed bytes per sample.
+func encodeSamples(ss []stream.Sample) []byte {
 	buf := make([]byte, 5+sampleWire*len(ss))
 	buf[0] = byte(EntrySamples)
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ss)))
@@ -95,21 +94,15 @@ func EncodeSamples(ss []stream.Sample) []byte {
 	return buf
 }
 
-// DecodeSamples decodes an EntrySamples payload. It is strict: the
+// decodeSamplesInto decodes an EntrySamples payload. It is strict: the
 // count must match the payload length exactly and every value must be
-// finite (mirroring the old text parser's rejection of NaN/Inf), so a
-// corrupted-but-CRC-colliding record cannot poison the model.
-func DecodeSamples(p []byte) ([]stream.Sample, error) {
-	return DecodeSamplesInto(nil, p)
-}
-
-// DecodeSamplesInto is DecodeSamples decoding into scratch's backing
-// array when it is large enough (scratch is resliced, never grown in
-// place past its capacity). Replay-heavy paths pass a reused buffer so
-// a million-record replay costs a handful of allocations instead of one
-// slice per record; the returned slice is only valid until scratch is
-// reused.
-func DecodeSamplesInto(scratch []stream.Sample, p []byte) ([]stream.Sample, error) {
+// finite, so a corrupted-but-CRC-colliding record cannot poison the
+// model. It decodes into scratch's backing array when that is large
+// enough (scratch is resliced, never grown in place past its capacity).
+// Replay-heavy paths pass a reused buffer so a million-record replay
+// costs a handful of allocations instead of one slice per record; the
+// returned slice is only valid until scratch is reused.
+func decodeSamplesInto(scratch []stream.Sample, p []byte) ([]stream.Sample, error) {
 	if len(p) < 5 || EntryKind(p[0]) != EntrySamples {
 		return nil, fmt.Errorf("store: not a samples payload")
 	}
@@ -163,7 +156,7 @@ func DecodeEntry(seq uint64, p []byte) (Entry, error) {
 }
 
 // decodeEntryInto is DecodeEntry with a reusable sample scratch buffer
-// (see DecodeSamplesInto): the returned Entry's Samples alias scratch's
+// (see decodeSamplesInto): the returned Entry's Samples alias scratch's
 // backing array when it is large enough, so the Entry is only valid
 // until the scratch is reused.
 func decodeEntryInto(scratch []stream.Sample, seq uint64, p []byte) (Entry, error) {
@@ -172,7 +165,7 @@ func decodeEntryInto(scratch []stream.Sample, seq uint64, p []byte) (Entry, erro
 	}
 	switch EntryKind(p[0]) {
 	case EntrySamples:
-		ss, err := DecodeSamplesInto(scratch, p)
+		ss, err := decodeSamplesInto(scratch, p)
 		if err != nil {
 			return Entry{}, err
 		}

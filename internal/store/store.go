@@ -38,10 +38,8 @@
 // acceptable — and what the continuity check catches — is a *gap*:
 // acked records that vanished.
 //
-// The engine journals through this package (engine.Config/SetJournal),
-// the server's state endpoints and the checkpoint loop ride Manager, and
-// internal/qosdb reuses the same segment writer and checkpoint files for
-// its observation database.
+// The engine journals through this package (engine.Config/SetJournal);
+// the server's state endpoints and the checkpoint loop ride Manager.
 package store
 
 import (

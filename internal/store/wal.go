@@ -434,7 +434,7 @@ func (w *WAL) AppendSamples(ss []stream.Sample) (uint64, error) {
 // materializing half-gigabyte batches.
 func (w *WAL) appendSamplesChunked(ss []stream.Sample, maxPerRecord int) (uint64, error) {
 	if len(ss) <= maxPerRecord {
-		return w.Append(EncodeSamples(ss))
+		return w.Append(encodeSamples(ss))
 	}
 	var seq uint64
 	for len(ss) > 0 {
@@ -442,7 +442,7 @@ func (w *WAL) appendSamplesChunked(ss []stream.Sample, maxPerRecord int) (uint64
 		if n > maxPerRecord {
 			n = maxPerRecord
 		}
-		s, err := w.Append(EncodeSamples(ss[:n]))
+		s, err := w.Append(encodeSamples(ss[:n]))
 		if err != nil {
 			return seq, err
 		}
@@ -873,18 +873,6 @@ func (w *WAL) flushLoop() {
 			w.mu.Unlock()
 		}
 	}
-}
-
-// Rotate forces a fresh segment (the previous one is flushed, fsynced,
-// and closed). Mostly useful before TruncateThrough, so the records just
-// covered by a checkpoint stop sharing a file with new appends.
-func (w *WAL) Rotate() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("store: rotate on closed wal")
-	}
-	return w.rotateLocked()
 }
 
 func (w *WAL) rotateLocked() error {
