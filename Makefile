@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select ci experiments experiments-paper examples clean
+.PHONY: all build vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -20,7 +20,7 @@ all: build vet test
 # test-overload select (those targets stay as developer shortcuts).
 ci: build vet test test-bench bench-smoke test-noasm build-arm64
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -105,11 +105,10 @@ test-cluster:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select
+fuzz: fuzz-wire fuzz-select fuzz-kernels
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 
 # The wire codec against encoding/json (internal/server/codec_test.go):
 # decoders agree with json.Unmarshal on accept/reject and on every
@@ -126,6 +125,13 @@ fuzz-wire:
 # runs this leg at FUZZTIME=10s.
 fuzz-select:
 	$(GO) test -run=NONE -fuzz='^FuzzSelect$$' -fuzztime=$(FUZZTIME) ./internal/core/
+
+# The dot kernels every served prediction runs on
+# (internal/matrix/kernels_test.go): assembly against the portable loop
+# against the naive sum, both widths, and a single-row DotBatch32 against
+# Dot32 bit for bit. CI runs this leg at FUZZTIME=10s.
+fuzz-kernels:
+	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

@@ -68,7 +68,6 @@ func run(args []string, stderr io.Writer) error {
 		rankPar      = fs.Int("rank-parallel-threshold", 4096, "candidate-set size at which /api/v1/rank fans out across cores (<=0 disables)")
 		publishIvl   = fs.Duration("publish-interval", 0, "max staleness of the published read view (0 = engine default)")
 		publishEach  = fs.Int("publish-every", 0, "republish the read view after this many model updates (0 = engine default)")
-		arenaPrec    = fs.String("arena-precision", "f64", "published view factor-arena precision: f64, or f32 (half the rank-scan memory traffic, ~1e-7 relative rounding at publish)")
 		coalesceWin  = fs.Duration("rank-coalesce-window", 0, "batch concurrent full-scan /api/v1/rank requests arriving within this window into one arena pass (0 disables)")
 		coalesceMax  = fs.Int("rank-coalesce-max", 16, "max full-scan rank requests per coalesced batch (a full batch flushes before the window expires)")
 
@@ -109,21 +108,11 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	var arenaF32 bool
-	switch *arenaPrec {
-	case "f64":
-	case "f32":
-		arenaF32 = true
-	default:
-		return fmt.Errorf("unknown arena precision %q (want f64 or f32)", *arenaPrec)
-	}
-
 	eng := engine.New(model, engine.Config{
 		QueueSize:       *queue,
 		PublishInterval: *publishIvl,
 		PublishEvery:    *publishEach,
 		TrainWorkers:    *trainWorkers,
-		ArenaFloat32:    arenaF32,
 	})
 	svc := server.NewWithEngine(eng, server.WithLogger(logger))
 	defer svc.Close()
@@ -256,7 +245,6 @@ func run(args []string, stderr io.Writer) error {
 		"queue", *queue, "train_workers", eng.TrainWorkers(),
 		"publish_interval", *publishIvl, "publish_every", *publishEach,
 		"rank_parallel_threshold", *rankPar, "simd", matrix.SIMD(),
-		"arena_precision", *arenaPrec,
 		"rank_coalesce_window", *coalesceWin, "rank_coalesce_max", *coalesceMax,
 		"slo_admission", *sloAdmit, "slo_budget_standard", *sloBudgetStd,
 		"slo_budget_sheddable", *sloBudgetShd, "slo_headroom", *sloHeadroom,

@@ -42,10 +42,6 @@ type Model struct {
 	// EnableViewTracking (or the first BuildView); see view.go.
 	dirtyUsers    *dirtyList
 	dirtyServices *dirtyList
-
-	// arenaF32 makes BuildView/RefreshView freeze factor arenas as
-	// float32 (see SetArenaFloat32). Training state stays float64.
-	arenaF32 bool
 }
 
 // New constructs an empty AMF model.
@@ -79,21 +75,6 @@ func MustNew(cfg Config) *Model {
 
 // Config returns the model's configuration (with defaults applied).
 func (m *Model) Config() Config { return m.cfg }
-
-// SetArenaFloat32 selects the precision of the factor arenas frozen
-// into published views (`-arena-precision f32`): when on, views store
-// each entity's latent vector as float32, halving the bytes the
-// full-scan rank path streams per row, and every view-side prediction
-// and ranking runs the float32 kernels. Training, the live model, and
-// the SGD math all stay float64 — the rounding happens once per
-// publish, on read-only data, and its accuracy cost is measured (not
-// assumed) by the precision tests. Takes effect at the next
-// BuildView/RefreshView; a mode change forces that refresh to be a full
-// rebuild.
-func (m *Model) SetArenaFloat32(on bool) { m.arenaF32 = on }
-
-// ArenaFloat32 reports the arena precision mode set by SetArenaFloat32.
-func (m *Model) ArenaFloat32() bool { return m.arenaF32 }
 
 // newEntity randomly initializes a latent vector (Algorithm 1 line 6) and
 // seeds the error tracker at 1 (line 7): a brand-new entity is maximally

@@ -8,12 +8,14 @@ import "slices"
 // over many small scattered blocks pays a cache and TLB miss per block
 // that one contiguous block per shard never did. Measured at rank 10 on
 // a 20k-service view after 4000 64-sample refreshes (so every page has
-// been copied many times): the scan takes 142 µs at 16 rows, 137 µs at
-// 32 and 123 µs at 64, against 121 µs contiguous; end to end the
-// full-catalog rank is 25%, 14% and 3% slower. A 64-sample publish costs
-// ~50 µs / 0.1 MB at 16 rows and ~100 µs / 0.27–0.38 MB at 64
-// (BenchmarkRefreshView). 64 rows keeps the read path level with a
-// contiguous layout.
+// been copied many times), when blocks were float64: the scan takes
+// 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
+// contiguous; end to end the full-catalog rank is 25%, 14% and 3%
+// slower. 64 rows keeps the read path level with a contiguous layout.
+// At rank 10 a page is now a 2.5 KB float32 block plus 1 KB of meta, and
+// a 64-sample publish over 20k services copies 65 of them: ~125 µs,
+// 0.22 MB, 160 allocations (BenchmarkRefreshView; 170 µs and 0.38 MB
+// when the block was 5 KB).
 const (
 	viewPageShift = 6
 	viewPageRows  = 1 << viewPageShift
@@ -53,19 +55,20 @@ func (x *shardIndex) pageIDs(pi int) []int {
 //
 // The block is what makes candidate ranking a streaming problem instead
 // of a pointer chase: a full-catalog scan feeds each page's block to the
-// DotBatch kernel, and point lookups (Predict) return subslices of the
+// DotBatch32 kernel, and point lookups (Predict) return subslices of the
 // same storage. A viewPage itself is just the two references, held by
 // value in the shard's page slice so the scan finds each block without
 // dereferencing a header.
 //
-// Exactly one of vecs/vecs32 is non-nil, per the view's precision
-// (Model.SetArenaFloat32): float64 is the default; float32 halves the
-// bytes per row the rank scan streams, at a one-time rounding of the
-// published factors.
+// The block is float32, the one precision a view is served in: freeze
+// rounds the model's float64 factors once, at publish time, and every
+// read path — point lookup, candidate list, page scan — computes on the
+// rounded values with the float32 kernels, so they agree bit for bit.
+// Training never sees the rounding (core.Model stays float64); DESIGN.md
+// "Float32 pages" has the measured cost.
 type viewPage struct {
-	vecs   []float64 // rows×rank; row o is vecs[o*rank:(o+1)*rank]
-	vecs32 []float32 // float32 twin; set instead of vecs in f32 views
-	meta   *pageMeta
+	vecs []float32 // rows×rank; row o is vecs[o*rank:(o+1)*rank]
+	meta *pageMeta
 }
 
 // pageMeta is the per-row state of a page the rank scan never reads.
@@ -74,34 +77,24 @@ type pageMeta struct {
 	updates [viewPageRows]int
 }
 
-func newViewPage(rows, rank int, f32 bool) viewPage {
-	p := viewPage{meta: new(pageMeta)}
-	if f32 {
-		p.vecs32 = make([]float32, rows*rank)
-	} else {
-		p.vecs = make([]float64, rows*rank)
-	}
-	return p
+func newViewPage(rows, rank int) viewPage {
+	return viewPage{vecs: make([]float32, rows*rank), meta: new(pageMeta)}
 }
 
 // clone returns a private, writable copy of p for copy-on-write.
 func (p viewPage) clone() viewPage {
 	meta := *p.meta
-	return viewPage{vecs: slices.Clone(p.vecs), vecs32: slices.Clone(p.vecs32), meta: &meta}
+	return viewPage{vecs: slices.Clone(p.vecs), meta: &meta}
 }
 
-// freeze writes the live entity's state into row o (rounding the factors
-// in f32 pages) and marks the entity clean: what the page now holds is
-// what the model holds.
+// freeze writes the live entity's state into row o, rounding its factors
+// to float32, and marks the entity clean: what the page now holds is what
+// the model holds, to float32.
 func (p viewPage) freeze(o int, e *entity) {
 	k := len(e.vec)
-	if p.vecs32 != nil {
-		row := p.vecs32[o*k : (o+1)*k]
-		for j, x := range e.vec {
-			row[j] = float32(x)
-		}
-	} else {
-		copy(p.vecs[o*k:(o+1)*k], e.vec)
+	row := p.vecs[o*k : (o+1)*k]
+	for j, x := range e.vec {
+		row[j] = float32(x)
 	}
 	p.meta.errs[o] = e.err.Value()
 	p.meta.updates[o] = e.updates
@@ -110,25 +103,15 @@ func (p viewPage) freeze(o int, e *entity) {
 
 // copyRow copies row fo of from into row o.
 func (p viewPage) copyRow(o int, from viewPage, fo, rank int) {
-	if p.vecs32 != nil {
-		copy(p.vecs32[o*rank:(o+1)*rank], from.vecs32[fo*rank:(fo+1)*rank])
-	} else {
-		copy(p.vecs[o*rank:(o+1)*rank], from.vecs[fo*rank:(fo+1)*rank])
-	}
+	copy(p.vecs[o*rank:(o+1)*rank], from.vecs[fo*rank:(fo+1)*rank])
 	p.meta.errs[o] = from.meta.errs[fo]
 	p.meta.updates[o] = from.meta.updates[fo]
 }
 
 // entity returns row o as a viewEntity aliasing the page's block.
 func (p viewPage) entity(o, rank int) viewEntity {
-	e := viewEntity{meta: p.meta, o: o}
 	lo, hi := o*rank, (o+1)*rank
-	if p.vecs32 != nil {
-		e.vec32 = p.vecs32[lo:hi:hi]
-	} else {
-		e.vec = p.vecs[lo:hi:hi]
-	}
-	return e
+	return viewEntity{vec: p.vecs[lo:hi:hi], meta: p.meta, o: o}
 }
 
 // viewShard is one hash shard of a viewTable: the index plus the pages
@@ -148,7 +131,7 @@ type viewShard struct {
 // entity shifts rows, so that shard alone is reshaped, O(shard size).
 // Building a view is the same thing from an empty shard with every id
 // touched.
-func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int, f32 bool) int {
+func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int) int {
 	var added, removed []int
 	for _, id := range touched {
 		_, inModel := src[id]
@@ -163,7 +146,7 @@ func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int, f32 b
 	before := len(sh.idx.ids)
 	shared := sh.pages // pages still aliasing the previous view's
 	if len(added)+len(removed) > 0 {
-		sh.reshape(sortedSet(added), sortedSet(removed), rank, f32)
+		sh.reshape(sortedSet(added), sortedSet(removed), rank)
 		shared = nil
 	} else {
 		sh.pages = slices.Clone(shared)
@@ -192,7 +175,7 @@ func sortedSet(ids []int) []int {
 // since rows shift, but the surviving rows are copied over from the old
 // pages in order without consulting the model; rows of added entities
 // are left for the caller to fill.
-func (sh *viewShard) reshape(added, removed []int, rank int, f32 bool) {
+func (sh *viewShard) reshape(added, removed []int, rank int) {
 	old := *sh
 	n := len(old.idx.ids) + len(added) - len(removed)
 	if n == 0 {
@@ -202,7 +185,7 @@ func (sh *viewShard) reshape(added, removed []int, rank int, f32 bool) {
 	idx := &shardIndex{ids: make([]int, 0, n), row: make(map[int]int, n)}
 	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
 	for pi := range pages {
-		pages[pi] = newViewPage(min(viewPageRows, n-pi<<viewPageShift), rank, f32)
+		pages[pi] = newViewPage(min(viewPageRows, n-pi<<viewPageShift), rank)
 	}
 	place := func(id int) (viewPage, int) {
 		pi, o := pageOf(len(idx.ids))

@@ -21,9 +21,10 @@ type Ranked struct {
 // unknown user) are omitted; the second result lists them.
 //
 // Ordering is defined on the raw latent score Ui·Sj with ties broken by
-// ascending service ID — the same deterministic order PredictView's
-// ranking fast path uses (see topk.go), so the locked and lock-free
-// paths agree element for element.
+// ascending service ID — the same deterministic rule PredictView's
+// ranking fast path applies to its float32 keys (see topk.go), so the
+// two agree except between services whose float64 scores are closer
+// than float32 resolves.
 func (m *Model) RankServices(user int, candidates []int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
 	u, ok := m.users.get(user)
 	if !ok {

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"github.com/qoslab/amf/internal/stats"
@@ -52,7 +55,10 @@ func entitiesToSnapshots(t *entityTable) []entitySnapshot {
 }
 
 // Restore reconstructs a model from a Snapshot. The restored model has an
-// empty replay pool and the snapshot's configuration.
+// empty replay pool and the snapshot's configuration. The bytes may come
+// from outside the process (POST /api/v1/snapshot, a checkpoint file, a
+// leader's bootstrap), so every entity is checked before it can be
+// served; on error no model is returned.
 func Restore(data []byte) (*Model, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
@@ -62,20 +68,57 @@ func Restore(data []byte) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot has invalid config: %w", err)
 	}
-	restoreEntities(m, m.users, snap.Users)
-	restoreEntities(m, m.services, snap.Services)
+	if snap.Updates < 0 {
+		return nil, fmt.Errorf("core: snapshot has negative update count %d", snap.Updates)
+	}
+	if err := restoreEntities(m, m.users, "user", snap.Users); err != nil {
+		return nil, err
+	}
+	if err := restoreEntities(m, m.services, "service", snap.Services); err != nil {
+		return nil, err
+	}
 	m.updates = snap.Updates
 	return m, nil
 }
 
-func restoreEntities(m *Model, dst *entityTable, src []entitySnapshot) {
+// restoreEntities fills dst from src, refusing an id listed twice and
+// any entity that fails check.
+func restoreEntities(m *Model, dst *entityTable, kind string, src []entitySnapshot) error {
 	for _, es := range src {
-		vec := make([]float64, m.cfg.Rank)
-		copy(vec, es.Vec)
+		err := es.check(m.cfg.Rank)
+		if _, dup := dst.get(es.ID); dup {
+			err = errors.New("listed twice")
+		}
+		if err != nil {
+			return fmt.Errorf("core: snapshot %s %d: %w", kind, es.ID, err)
+		}
 		dst.put(es.ID, &entity{
-			vec:     vec,
+			vec:     slices.Clone(es.Vec),
 			err:     stats.NewEMAInit(m.cfg.Beta, es.Err),
 			updates: es.Updates,
 		})
 	}
+	return nil
+}
+
+// check refuses what gob accepts but the model cannot serve: a vector of
+// the wrong length, a factor that is not finite or that a float32 page
+// would publish as ±Inf, a tracked error that is not a finite
+// non-negative number, a negative count.
+func (es *entitySnapshot) check(rank int) error {
+	if len(es.Vec) != rank {
+		return fmt.Errorf("%d factors, rank is %d", len(es.Vec), rank)
+	}
+	for j, x := range es.Vec {
+		if !(math.Abs(x) <= math.MaxFloat32) { // NaN and ±Inf included
+			return fmt.Errorf("factor %d is %v", j, x)
+		}
+	}
+	if !(es.Err >= 0) || math.IsInf(es.Err, 1) {
+		return fmt.Errorf("tracked error is %v", es.Err)
+	}
+	if es.Updates < 0 {
+		return fmt.Errorf("negative update count %d", es.Updates)
+	}
+	return nil
 }

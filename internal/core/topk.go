@@ -29,9 +29,13 @@ var nan = math.NaN()
 // value — and the key is strictly finer (Backward's range clamps can
 // collapse distinct keys to equal values). Ties on the key break by
 // ascending service ID, making every ranking deterministic regardless of
-// candidate order. Model.RankServices uses the same key ordering, so the
-// locked and lock-free paths agree element for element. Only the
-// surviving k results pay the Sigmoid+Backward transform.
+// candidate order. Model.RankServices applies the same rule to its own
+// float64 keys; a view's keys are float32 products of float32-rounded
+// factors, so the two rankings agree on every exact tie and wherever the
+// model's keys are further apart than that rounding (~1e-5 relative;
+// rankedNearModel in precision_test.go is the exact statement), not
+// element for element. Only the surviving k results pay the
+// Sigmoid+Backward transform.
 
 // scored is one candidate during selection: service ID and raw inner
 // product key.
@@ -58,10 +62,9 @@ func betterScored(a, b scored, lowerIsBetter bool) bool {
 // their ids) for selectRows. Pooled via pointer so the steady-state rank
 // path performs zero allocations after warmup.
 type rankScratch struct {
-	heap   []scored
-	ids    [viewPageRows]int
-	vals   [viewPageRows]float64
-	vals32 [viewPageRows]float32
+	heap []scored
+	ids  [viewPageRows]int
+	vals [viewPageRows]float32
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -145,8 +148,9 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 // at most viewPageRows of them — to the bounded heap h (cap k >= 1) and
 // returns the updated heap. It is the only caller of heapPush: every
 // selection loop (page scan, coalesced batch scan, candidate list,
-// parallel chunk) feeds it blocks, in both view precisions; float32 keys
-// widen to float64 exactly, so heap order does not depend on precision.
+// parallel chunk) feeds it blocks. Keys are the float32 the dot kernels
+// produce; the heap holds them widened, which is exact, so its k-th key
+// narrows back to the float32 bound Survivors compares against.
 //
 // Once the heap is full its root holds the k-th best key seen so far,
 // and a row whose key is strictly worse than that can never be admitted.
@@ -157,11 +161,11 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 // a row the mask let through is compared again with the current root.
 // Both filters drop only rows heapPush would have dropped, which is why
 // the ranking is the one pushing every row would give.
-func selectRows[F float32 | float64](h []scored, ids []int, keys []F, k int, lowerIsBetter bool) []scored {
+func selectRows(h []scored, ids []int, keys []float32, k int, lowerIsBetter bool) []scored {
 	keys = keys[:len(ids)]
 	m := ^uint64(0) >> (64 - len(ids)) // every row, while the heap fills
 	if len(h) == k {
-		m = matrix.Survivors(keys, h[0].key, lowerIsBetter)
+		m = matrix.Survivors(keys, float32(h[0].key), lowerIsBetter)
 	}
 	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
@@ -212,7 +216,7 @@ func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity
 		if k <= 0 {
 			continue
 		}
-		sc.ids[n], sc.vals[n] = c, veDot(u, s)
+		sc.ids[n], sc.vals[n] = c, matrix.Dot32(u.vec, s.vec)
 		if n++; n == len(sc.ids) {
 			h = selectRows(h, sc.ids[:], sc.vals[:], k, lowerIsBetter)
 			n = 0
@@ -283,7 +287,8 @@ func (v *PredictView) TopK(user int, candidates []int, k int, lowerIsBetter bool
 // prediction reads the same immutable view, a ranking is internally
 // consistent — no mid-ranking model update can reorder it. Ties on the
 // latent score break by ascending service ID (see the file comment), so
-// rankings are deterministic and agree with the Model path.
+// rankings are deterministic, and agree with the Model path to within
+// the view's float32 rounding.
 func (v *PredictView) RankServices(user int, candidates []int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
 	return v.TopK(user, candidates, len(candidates), lowerIsBetter)
 }
@@ -426,8 +431,8 @@ const minParallelChunk = 256
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
 // query. It never touches the id index maps: each shard's factor pages
-// are scanned with the GEMV-style DotBatch kernel (contiguous blocks of
-// viewPageRows×rank floats), and only the k survivors are transformed.
+// are scanned with the GEMV-style DotBatch32 kernel (contiguous blocks
+// of viewPageRows×rank floats), and only the k survivors are transformed.
 // workers > 1 fans the shard scans across that many goroutines with a
 // final merge; workers <= 1 scans serially. Returns nil when the user is
 // unknown or k <= 0.
@@ -478,21 +483,14 @@ func scanShardTopK(sh *viewShard, u viewEntity, h []scored, sc *rankScratch, k i
 	return h
 }
 
-// scanPage scores one page — rows ids — through the batch kernel of the
-// view's precision and offers the surviving rows to the bounded heap,
-// returning the (possibly grown) heap for pooling. Keys from the float32
-// kernel widen exactly to float64, so heap ordering logic is
-// precision-independent — and because a single-row DotBatch is
-// bit-identical to Dot and per-row results do not depend on how rows are
-// split across calls (kernels.go), the page scan agrees exactly with the
-// candidate path in both modes.
+// scanPage scores one page — rows ids — through the batch kernel and
+// offers the surviving rows to the bounded heap, returning the (possibly
+// grown) heap for pooling. A single-row DotBatch32 is bit-identical to
+// Dot32 and per-row results do not depend on how rows are split across
+// calls (kernels32.go), so the page scan agrees exactly with the
+// candidate path.
 func scanPage(p viewPage, ids []int, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	if p.vecs32 != nil {
-		vals := sc.vals32[:len(ids)]
-		matrix.DotBatch32(vals, p.vecs32, u.vec32)
-		return selectRows(h, ids, vals, k, lowerIsBetter)
-	}
 	vals := sc.vals[:len(ids)]
-	matrix.DotBatch(vals, p.vecs, u.vec)
+	matrix.DotBatch32(vals, p.vecs, u.vec)
 	return selectRows(h, ids, vals, k, lowerIsBetter)
 }

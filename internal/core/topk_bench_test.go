@@ -40,10 +40,10 @@ func benchView(b *testing.B, nServices int) (*PredictView, []int) {
 }
 
 // legacyDot is the straight-line dot product the pre-change path used.
-func legacyDot(a, bb []float64) float64 {
+func legacyDot(a, bb []float32) float64 {
 	var s float64
 	for i := range a {
-		s += a[i] * bb[i]
+		s += float64(a[i]) * float64(bb[i])
 	}
 	return s
 }

@@ -27,31 +27,22 @@ const viewShardCount = 64
 // count frozen at publish time — by reference, so the ranking paths,
 // which need only the vector, never touch that memory.
 //
-// Exactly one of vec/vec32 is set, matching the view's precision
-// (Model.SetArenaFloat32): vec32 carries the factors rounded to float32
-// in f32 views, and every read-side prediction dispatches on which one
-// is present (veDot).
+// vec is float32, like the page it aliases (page.go): every view-side
+// prediction is veDot over two such vectors.
 type viewEntity struct {
-	vec   []float64
-	vec32 []float32
-	meta  *pageMeta
-	o     int // the entity's row within its page
+	vec  []float32
+	meta *pageMeta
+	o    int // the entity's row within its page
 }
 
 func (e viewEntity) err() float64 { return e.meta.errs[e.o] }
 func (e viewEntity) updates() int { return e.meta.updates[e.o] }
 
-// veDot is the precision-dispatching inner product between two frozen
-// entities of the same view: the float64 kernel over default pages,
-// the float32 kernel when the view was published with float32 pages.
-// Both entities always carry the same precision — they come from the
-// same view, and a view's precision is uniform.
-func veDot(u, s viewEntity) float64 {
-	if u.vec32 != nil {
-		return float64(matrix.Dot32(u.vec32, s.vec32))
-	}
-	return matrix.Dot(u.vec, s.vec)
-}
+// veDot is the inner product of two frozen entities, widened to the
+// float64 the heap and the value transform work in. A float32 widens
+// exactly, so it is the same key a page scan stores for the row
+// (DotBatch32 of one row is Dot32, kernels32.go).
+func veDot(u, s viewEntity) float64 { return float64(matrix.Dot32(u.vec, s.vec)) }
 
 // viewTable is one side (users or services) of a PredictView: a fixed
 // array of hash shards (page.go), each an id index plus the factor pages
@@ -104,18 +95,11 @@ type PredictView struct {
 	services viewTable
 	updates  int64
 	version  uint64
-	// f32 records the page precision this view was frozen with; a
-	// refresh across a mode flip falls back to a full rebuild.
-	f32 bool
 	// owner identifies the model this view was built from, so that
 	// RefreshView can detect a model swap (Restore) and fall back to a
 	// full rebuild. Readers never touch it.
 	owner *Model
 }
-
-// ArenaFloat32 reports whether this view's factor arenas were frozen as
-// float32 (Model.SetArenaFloat32).
-func (v *PredictView) ArenaFloat32() bool { return v.f32 }
 
 // EnableViewTracking turns on recording of entities touched by updates
 // (Observe, ReplayStep, RemoveUser/RemoveService) so that RefreshView can
@@ -145,18 +129,17 @@ func (m *Model) BuildView() *PredictView {
 		tr:      m.tr,
 		updates: m.updates,
 		version: 1,
-		f32:     m.arenaF32,
 		owner:   m,
 	}
-	buildTable(&v.users, m.users, m.dirtyUsers, m.cfg.Rank, m.arenaF32)
-	buildTable(&v.services, m.services, m.dirtyServices, m.cfg.Rank, m.arenaF32)
+	buildTable(&v.users, m.users, m.dirtyUsers, m.cfg.Rank)
+	buildTable(&v.services, m.services, m.dirtyServices, m.cfg.Rank)
 	return v
 }
 
 // buildTable freezes every model shard into its view shard — the two
 // share one hash (see table.go) — as a refresh of an empty shard with
 // every id touched, which also leaves every entity clean.
-func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int, f32 bool) {
+func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int) {
 	dst.rank = rank
 	for si, entities := range src.shards {
 		ids := make([]int, 0, len(entities))
@@ -164,7 +147,7 @@ func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int, f3
 			ids = append(ids, id)
 		}
 		dst.shards[si] = viewShard{idx: emptyIndex}
-		dst.count += dst.shards[si].refresh(entities, ids, rank, f32)
+		dst.count += dst.shards[si].refresh(entities, ids, rank)
 		dirty.shards[si] = dirty.shards[si][:0]
 	}
 }
@@ -181,9 +164,9 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev == nil {
 		return m.BuildView()
 	}
-	if prev.owner != m || m.dirtyUsers == nil || prev.f32 != m.arenaF32 {
-		// Model swap, tracking off, or a precision flip: nothing can be
-		// shared across any of these, so rebuild from scratch.
+	if prev.owner != m || m.dirtyUsers == nil {
+		// Model swap or tracking off: nothing can be shared across
+		// either, so rebuild from scratch.
 		v := m.BuildView()
 		v.version = prev.version + 1
 		return v
@@ -195,11 +178,10 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 		services: prev.services, // ditto
 		updates:  m.updates,
 		version:  prev.version + 1,
-		f32:      m.arenaF32,
 		owner:    m,
 	}
-	refreshTable(&v.users, m.users, m.dirtyUsers, m.arenaF32)
-	refreshTable(&v.services, m.services, m.dirtyServices, m.arenaF32)
+	refreshTable(&v.users, m.users, m.dirtyUsers)
+	refreshTable(&v.services, m.services, m.dirtyServices)
 	return v
 }
 
@@ -207,13 +189,13 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 // previous view's) up to date with src and empties the dirty lists. Dirty
 // lists are sharded with the same hash as both tables, so the walk is per
 // shard.
-func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, f32 bool) {
+func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList) {
 	for si := range dirty.shards {
 		touched := dirty.shards[si]
 		if len(touched) == 0 {
 			continue
 		}
-		dst.count += dst.shards[si].refresh(src.shards[si], touched, dst.rank, f32)
+		dst.count += dst.shards[si].refresh(src.shards[si], touched, dst.rank)
 		dirty.shards[si] = touched[:0]
 	}
 }
@@ -244,8 +226,9 @@ func (v *PredictView) KnowsUser(id int) bool { _, ok := v.users.get(id); return 
 // KnowsService reports whether the service is present in the view.
 func (v *PredictView) KnowsService(id int) bool { _, ok := v.services.get(id); return ok }
 
-// Predict estimates the QoS value between a user and a service, exactly
-// as Model.Predict but against the frozen factors — wait-free.
+// Predict estimates the QoS value between a user and a service as
+// Model.Predict does, but wait-free and from the frozen float32 factors:
+// the two agree to ~6e-7 relative (TestViewPrecision), not to the bit.
 func (v *PredictView) Predict(user, service int) (float64, error) {
 	u, ok := v.users.get(user)
 	if !ok {
@@ -352,23 +335,13 @@ func (v *PredictView) Snapshot() ([]byte, error) {
 func (t *viewTable) snapshots() []entitySnapshot {
 	out := make([]entitySnapshot, 0, t.count)
 	t.each(func(id int, e viewEntity) {
-		// The view's vectors are immutable and the snapshot is a value
-		// copy, so sharing the slice here would still be safe — but gob
-		// encoding aliases are cheap enough that we keep the copy for
-		// symmetry with entitiesToSnapshots. Float32 pages widen back
-		// to float64 exactly (every float32 is representable), so the
-		// snapshot format is precision-independent; what a round trip
-		// through an f32 view loses is the rounding at publish time,
-		// documented in DESIGN.md's ranking-fast-path section.
-		var vec []float64
-		if e.vec32 != nil {
-			vec = make([]float64, len(e.vec32))
-			for i, x := range e.vec32 {
-				vec[i] = float64(x)
-			}
-		} else {
-			vec = make([]float64, len(e.vec))
-			copy(vec, e.vec)
+		// Every float32 widens to float64 exactly, so the snapshot format
+		// does not know the view's precision and Restore + BuildView of
+		// these bytes reproduces this view bit for bit
+		// (TestSnapshotRoundTripIdempotent).
+		vec := make([]float64, len(e.vec))
+		for i, x := range e.vec {
+			vec[i] = float64(x)
 		}
 		out = append(out, entitySnapshot{ID: id, Vec: vec, Err: e.err(), Updates: e.updates()})
 	})

@@ -86,7 +86,7 @@ func TestRefreshBytesIndependentOfCatalog(t *testing.T) {
 		return float64(total) / rounds
 	}
 	rank := DefaultConfig(-0.007, 0, 20).Rank
-	pageBytes := float64(viewPageRows*rank*8) + float64(unsafe.Sizeof(pageMeta{}))
+	pageBytes := float64(viewPageRows*rank*4) + float64(unsafe.Sizeof(pageMeta{}))
 	// 25% for allocator size classes and the copied page slices of the
 	// touched shards, plus the view itself.
 	limit := 1.25*(batch+1)*pageBytes + 2*float64(unsafe.Sizeof(PredictView{}))

@@ -20,27 +20,30 @@ import (
 // correctness property: after any seeded sequence of observes (known and
 // new entities), removals and replay steps, with a RefreshView every few
 // ops, the refreshed view answers every read exactly as a fresh BuildView
-// of the same model does — in both page precisions, and (make test-noasm)
-// over the portable kernels.
+// of the same model does — on a model that has only ever trained ("f64":
+// every factor a float64 for the page to round) and on one that went
+// through a restart after its base population ("f32": restartedModel, so
+// float32-valued factors, an empty pool and a new owner for RefreshView
+// to notice, then trained on), and (make test-noasm) over the portable
+// kernels.
 func TestRefreshedViewEqualsFreshBuild(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		f32  bool
+		name    string
+		restart bool
 	}{{"f64", false}, {"f32", true}} {
 		t.Run(mode.name, func(t *testing.T) {
-			checkRefreshEqualsBuild(t, 1, mode.f32)
+			checkRefreshEqualsBuild(t, 1, mode.restart)
 		})
 	}
 }
 
-func checkRefreshEqualsBuild(t *testing.T, seed int64, f32 bool) {
+func checkRefreshEqualsBuild(t *testing.T, seed int64, restart bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig(-0.007, 0, 20)
 	cfg.Expiry = 0
 	cfg.Seed = seed
 	m := MustNew(cfg)
-	m.SetArenaFloat32(f32)
 
 	// IDs are confined to one user shard and two service shards so that
 	// shards grow past one page and single-page refreshes, multi-page
@@ -59,6 +62,10 @@ func checkRefreshEqualsBuild(t *testing.T, seed int64, f32 bool) {
 	}
 
 	v := m.BuildView()
+	if restart {
+		m = restartedModel(t, v)
+		v = m.RefreshView(v)
+	}
 	for op := 0; op < 300; op++ {
 		switch k := rng.Intn(10); {
 		case k < 4: // known pair

@@ -100,14 +100,6 @@ type Config struct {
 	// runtime. Nil gets a private registry — the engine then behaves
 	// exactly like the frozen-Config engine it replaced.
 	Control *control.Registry
-	// ArenaFloat32 publishes read views with float32 factor arenas:
-	// half the bytes per row on the rank scan's memory stream, at a
-	// one-time rounding of the published factors (training stays
-	// float64 — see core.Model.SetArenaFloat32). Measured accuracy cost
-	// on the seed dataset: |MRE delta| ≈ 5e-9 (internal/core
-	// TestFloat32ArenaPrecision). Applies to every view the engine
-	// publishes, including after Restore.
-	ArenaFloat32 bool
 }
 
 func (c Config) withDefaults() Config {
@@ -320,7 +312,6 @@ type Engine struct {
 func New(model *core.Model, cfg Config) *Engine {
 	raw := cfg // pre-default values: distinguishes flag-set from defaulted baselines
 	cfg = cfg.withDefaults()
-	model.SetArenaFloat32(cfg.ArenaFloat32)
 	e := &Engine{
 		cfg:     cfg,
 		model:   model,
@@ -739,7 +730,6 @@ func (e *Engine) Restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	m.SetArenaFloat32(e.cfg.ArenaFloat32) // restored model keeps the engine's arena precision
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = m

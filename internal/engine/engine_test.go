@@ -285,41 +285,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("queue cap %d", st.QueueCap)
 	}
 }
-
-// TestArenaFloat32Config: the engine's ArenaFloat32 config must hold
-// through every view it publishes — the initial build, incremental
-// republishes after observes, and the full rebuild after Restore (the
-// restored model must inherit the engine's precision, not reset to
-// float64).
-func TestArenaFloat32Config(t *testing.T) {
-	e := New(testModel(t), Config{ArenaFloat32: true})
-	defer e.Close()
-	if !e.View().ArenaFloat32() {
-		t.Fatal("initial view is not float32")
-	}
-	e.ObserveAll(seedSamples(4, 5))
-	if !e.View().ArenaFloat32() {
-		t.Fatal("republished view dropped float32 mode")
-	}
-	snap, err := e.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if !e.View().ArenaFloat32() {
-		t.Fatal("restored view dropped float32 mode")
-	}
-	// Predictions must survive the rounded round trip for trained pairs.
-	if _, err := e.Predict(0, 0); err != nil {
-		t.Fatalf("predict after f32 restore: %v", err)
-	}
-
-	// The default stays float64.
-	e64 := New(testModel(t), Config{})
-	defer e64.Close()
-	if e64.View().ArenaFloat32() {
-		t.Fatal("default engine published a float32 view")
-	}
-}

@@ -28,14 +28,9 @@ func dotBatchAVX2(dst, block, q []float64)
 //go:noescape
 func dotBatch32AVX2(dst, block, q []float32)
 
-// survivorsAVX2 is the compare kernel behind Survivors: bit i of the
+// survivors32AVX2 is the compare kernel behind Survivors: bit i of the
 // result is clear when keys[i]^flip > worst^flip. len(keys) must be a
-// multiple of 4.
-//
-//go:noescape
-func survivorsAVX2(keys []float64, worst float64, flip uint64) uint64
-
-// survivors32AVX2 is the float32 twin: multiples of 8.
+// multiple of 8.
 //
 //go:noescape
 func survivors32AVX2(keys []float32, worst float32, flip uint32) uint64
@@ -70,7 +65,6 @@ func init() {
 	simdName = "avx2"
 	dotBatchArch = dotBatchAVX2
 	dotBatch32Arch = dotBatch32AVX2
-	survivorsArch = survivorsAVX2
 	survivors32Arch = survivors32AVX2
 	// Dot as a one-row batch call: the bit-identity invariant in
 	// kernels.go holds by construction.

@@ -14,8 +14,9 @@ import "fmt"
 //     the loop-carried dependence on a single sum so the FP adds pipeline
 //     (the naive loop serializes on one accumulator, one FMA latency per
 //     element).
-//   - DotBatch / MulVecTo stream a contiguous row-major block of factor
-//     rows past one query vector that stays resident in registers/L1:
+//   - DotBatch32 (kernels32.go; DotBatch / MulVecTo in float64) stream
+//     a contiguous row-major block of factor rows past one query vector
+//     that stays resident in registers/L1:
 //     the hardware prefetcher sees a single sequential stream instead of
 //     the pointer-chase of per-entity heap slices.
 //   - On amd64 with AVX2+FMA and on arm64 (NEON is baseline) the batch
@@ -31,9 +32,9 @@ import "fmt"
 //
 // Bit-identity invariant: within one build, Dot(a, b) is exactly
 // DotBatch of a single row, for both precisions. The ranking layer
-// depends on this — the candidate path scores with Dot while the
-// full-scan path scores with DotBatch over the arena, and
-// core.TopKAll's tests compare the two paths with exact equality. The
+// depends on the float32 half of this — the candidate path scores with
+// Dot32 while the full-scan path scores with DotBatch32 over the pages,
+// and core.TopKAll's tests compare the two paths with exact equality. The
 // assembly enforces it by construction: Dot is dispatched as a
 // one-row DotBatch call, and the multi-row-blocked assembly paths use
 // the same per-row association as the one-row path (each row owns one
@@ -51,10 +52,9 @@ var (
 	dotBatchArch   func(dst, block, q []float64)
 	dot32Arch      func(a, b []float32) float32
 	dotBatch32Arch func(dst, block, q []float32)
-	// survivors{,32}Arch compare whole vectors of keys for Survivors:
-	// len(keys) is a multiple of 4 (8 for float32), flip zero or the
-	// sign bit. Nil wherever the portable loop serves.
-	survivorsArch   func(keys []float64, worst float64, flip uint64) uint64
+	// survivors32Arch compares whole vectors of keys for Survivors:
+	// len(keys) is a multiple of 8, flip zero or the sign bit. Nil
+	// wherever the portable loop serves.
 	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
 )
 
@@ -86,9 +86,10 @@ func dot4(a, b []float64) float64 {
 
 // DotBatch computes dst[i] = block[i*k : (i+1)*k] · q for every i, where
 // k = len(q): many inner products of one query vector against a
-// contiguous row-major block of len(dst) rows. This is the GEMV-style
-// kernel the ranking fast path runs over a PredictView's frozen factor
-// arena — the block streams through the cache once while q stays hot.
+// contiguous row-major block of len(dst) rows — the block streams
+// through the cache once while q stays hot. The ranking fast path runs
+// its float32 twin, DotBatch32; this one is kept for MulVecTo and for
+// bench/probes.go, which reports it as matrix.dotbatch_ns_per_row.
 //
 // It panics if len(block) != len(dst)*len(q). A zero-length q zeroes dst.
 func DotBatch(dst, block, q []float64) {

@@ -2,22 +2,22 @@ package matrix
 
 import "fmt"
 
-// Float32 twins of the ranking kernels, backing the `-arena-precision
-// f32` mode (ISSUE 8): a PredictView can freeze its factor arenas as
-// float32, halving the bytes the full-scan rank path streams per row.
-// At rank time the model is read-only, so the precision loss is a
-// one-time rounding of the published factors — measured honestly by
-// core's TestFloat32ArenaPrecision rather than assumed.
+// The float32 kernels every PredictView read runs on: a view freezes its
+// factor pages as float32 (core/page.go), halving the bytes the
+// full-scan rank path streams per row. At rank time the model is
+// read-only, so the precision loss is a one-time rounding of the
+// published factors — measured by core's TestViewPrecision rather than
+// assumed.
 //
 // The same bit-identity invariant as the float64 kernels holds: Dot32
 // of two vectors equals a single-row DotBatch32, and blocked assembly
 // paths match the one-row path per row, so ranking's candidate and
-// arena paths agree exactly within one build.
+// page-scan paths agree exactly within one build.
 
 // dot4_32 is the portable unrolled float32 kernel shared by Dot32 and
-// DotBatch32. Accumulation is in float32 — that is the point of the
-// mode: the arithmetic matches what the SIMD lanes do, and the error it
-// introduces is what the precision tests measure.
+// DotBatch32. Accumulation is in float32: the arithmetic matches what
+// the SIMD lanes do, and the error it introduces is what the precision
+// tests measure.
 func dot4_32(a, b []float32) float32 {
 	n := len(a)
 	b = b[:n] // one bounds check here, none in the loops below

@@ -271,37 +271,12 @@ done32:
 	VZEROUPPER
 	RET
 
-// Survivor-mask kernels (survivors.go): one vector compare per 4 (8)
-// keys, last vector first, so that each one's bits shift in below those
-// of the vectors after it. Predicate 0x1A is NGT_UQ, "not greater than,
+// Survivor-mask kernel (survivors.go): one vector compare per 8 keys,
+// last vector first, so that each one's bits shift in below those of
+// the vectors after it. Predicate 0x1A is NGT_UQ, "not greater than,
 // or unordered": a lane's bit is clear only when key > worst, so a NaN
 // on either side survives. flip is zero or the sign bit; XORed into key
 // and worst alike it makes the same predicate test key < worst.
-
-// func survivorsAVX2(keys []float64, worst float64, flip uint64) uint64
-TEXT ·survivorsAVX2(SB), NOSPLIT, $0-48
-	MOVQ keys_base+0(FP), SI
-	MOVQ keys_len+8(FP), CX
-	VBROADCASTSD flip+32(FP), Y2
-	VBROADCASTSD worst+24(FP), Y1
-	VXORPD Y2, Y1, Y1
-	XORQ AX, AX
-	SHLQ $3, CX               // byte offset past the last vector
-	JE   maskdone64
-
-mask64:
-	VXORPD -32(SI)(CX*1), Y2, Y0
-	VCMPPD $0x1A, Y1, Y0, Y0
-	VMOVMSKPD Y0, DX
-	SHLQ $4, AX
-	ORQ  DX, AX
-	SUBQ $32, CX
-	JNE  mask64
-
-maskdone64:
-	MOVQ AX, ret+40(FP)
-	VZEROUPPER
-	RET
 
 // func survivors32AVX2(keys []float32, worst float32, flip uint32) uint64
 TEXT ·survivors32AVX2(SB), NOSPLIT, $0-40

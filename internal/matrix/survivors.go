@@ -15,47 +15,33 @@ package matrix
 // and under the noasm tag, survivorsGo does all of it. The two agree bit
 // for bit — a compare has no rounding — which TestSurvivors holds them
 // to for every row count.
-func Survivors[F float32 | float64](keys []F, worst float64, lowerIsBetter bool) uint64 {
+func Survivors(keys []float32, worst float32, lowerIsBetter bool) uint64 {
 	if len(keys) > 64 {
 		panic("matrix: Survivors takes at most 64 keys")
 	}
 	var mask uint64
 	done := 0
-	switch ks := any(keys).(type) {
-	case []float64:
-		if survivorsArch != nil {
-			done = len(ks) &^ 3
-			mask = survivorsArch(ks[:done], worst, signBit(lowerIsBetter, 63))
+	if survivors32Arch != nil {
+		// The assembly XORs flip into key and bound alike so that its
+		// one compare, key > worst, decides key < worst instead:
+		// flipping both signs reverses the order exactly.
+		var flip uint32
+		if !lowerIsBetter {
+			flip = 1 << 31
 		}
-	case []float32:
-		// The float32 lanes need worst as a float32; one that would
-		// round — no float32 key ever produced it — or is NaN is left
-		// to the portable compare, which is in float64.
-		if w := float32(worst); survivors32Arch != nil && float64(w) == worst {
-			done = len(ks) &^ 7
-			mask = survivors32Arch(ks[:done], w, uint32(signBit(lowerIsBetter, 31)))
-		}
+		done = len(keys) &^ 7
+		mask = survivors32Arch(keys[:done], worst, flip)
 	}
 	return mask | survivorsGo(keys[done:], worst, lowerIsBetter)<<done
 }
 
-// signBit is what the assembly XORs into key and bound alike so that its
-// one compare, key > worst, decides key < worst instead: flipping both
-// signs reverses the order exactly.
-func signBit(lowerIsBetter bool, bit uint) uint64 {
-	if lowerIsBetter {
-		return 0
-	}
-	return 1 << bit
-}
-
 // survivorsGo is the portable Survivors, and the reference the assembly
 // is tested against.
-func survivorsGo[F float32 | float64](keys []F, worst float64, lowerIsBetter bool) (mask uint64) {
+func survivorsGo(keys []float32, worst float32, lowerIsBetter bool) (mask uint64) {
 	for i, key := range keys {
-		worse := float64(key) > worst
+		worse := key > worst
 		if !lowerIsBetter {
-			worse = float64(key) < worst
+			worse = key < worst
 		}
 		if !worse {
 			mask |= 1 << i

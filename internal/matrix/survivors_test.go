@@ -8,51 +8,40 @@ import (
 
 // TestSurvivors holds the dispatched Survivors (assembly on amd64/AVX2;
 // the portable loop under -tags noasm and elsewhere) to survivorsGo for
-// every row count 0–64, both precisions and both directions, on keys a
-// batch kernel stored. Rows and bounds include what a compare can get
-// wrong: a key equal to the bound, ±0, ±Inf, NaN as key and as bound,
-// and for float32 a bound no float32 holds.
+// every row count 0–64 and both directions, on keys the batch kernel
+// stored. Rows and bounds include what a compare can get wrong: a key
+// equal to the bound, ±0, ±Inf, NaN as key and as bound.
 func TestSurvivors(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	inf := math.Inf(1)
+	inf := float32(math.Inf(1))
 	const rank = 10
-	block, block32 := make([]float64, 64*rank), make([]float32, 64*rank)
-	q, q32 := make([]float64, rank), make([]float32, rank)
+	block, q := make([]float32, 64*rank), make([]float32, rank)
 	for i := range block {
-		block[i] = rng.NormFloat64()
+		block[i] = float32(rng.NormFloat64())
 	}
 	for i := range q {
-		q[i] = 1 + rng.Float64()
+		q[i] = 1 + rng.Float32()
 	}
 	for r := 0; r < 64; r += 5 { // every fifth row scores 0, ±Inf or NaN
 		row := block[r*rank : (r+1)*rank]
 		clear(row)
-		row[0] = []float64{0, inf, -inf}[r/5%3]
+		row[0] = []float32{0, inf, -inf}[r/5%3]
 		if r%2 == 1 {
 			row[0], row[rank-1] = inf, -inf // Inf − Inf
 		}
 	}
-	for i, x := range block {
-		block32[i] = float32(x)
+	keys := make([]float32, 64)
+	DotBatch32(keys, block, q)
+	if keys[5] == keys[5] || keys[10] != -inf || keys[0] != 0 || keys[20] != inf {
+		t.Fatalf("special rows scored %v %v %v %v, want NaN -Inf 0 +Inf", keys[5], keys[10], keys[0], keys[20])
 	}
-	for i, x := range q {
-		q32[i] = float32(x)
-	}
-	keys, keys32 := make([]float64, 64), make([]float32, 64)
-	DotBatch(keys, block, q)
-	DotBatch32(keys32, block32, q32)
-	if !math.IsNaN(keys[5]) || keys[10] != -inf || keys[0] != 0 || keys32[20] != float32(inf) {
-		t.Fatalf("special rows scored %v %v %v %v, want NaN -Inf 0 +Inf", keys[5], keys[10], keys[0], keys32[20])
-	}
-	bounds := []float64{0, math.Copysign(0, -1), inf, -inf, math.NaN(), 0.1, keys[2], keys[7], float64(keys32[2]), float64(keys32[7])}
+	negZero := float32(math.Copysign(0, -1))
+	bounds := []float32{0, negZero, inf, -inf, float32(math.NaN()), 0.1, keys[2], keys[7]}
 	for n := 0; n <= 64; n++ {
 		for _, lower := range []bool{true, false} {
 			for _, worst := range bounds {
 				if got, want := Survivors(keys[:n], worst, lower), survivorsGo(keys[:n], worst, lower); got != want {
-					t.Fatalf("f64 n=%d lower=%v worst=%v:\n mask     %064b\n portable %064b", n, lower, worst, got, want)
-				}
-				if got, want := Survivors(keys32[:n], worst, lower), survivorsGo(keys32[:n], worst, lower); got != want {
-					t.Fatalf("f32 n=%d lower=%v worst=%v:\n mask     %064b\n portable %064b", n, lower, worst, got, want)
+					t.Fatalf("n=%d lower=%v worst=%v:\n mask     %064b\n portable %064b", n, lower, worst, got, want)
 				}
 			}
 		}
@@ -74,5 +63,5 @@ func TestSurvivors(t *testing.T) {
 			t.Fatal("no panic on 65 keys")
 		}
 	}()
-	Survivors(make([]float64, 65), 0, true)
+	Survivors(make([]float32, 65), 0, true)
 }

@@ -2,9 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/qoslab/amf/internal/core"
@@ -99,6 +102,75 @@ func TestSnapshotHTTPRejectsGarbage(t *testing.T) {
 	s.Handler().ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("garbage restore: %d", w.Code)
+	}
+}
+
+// TestSnapshotHTTPRejectsPoisonedModel: an upload that decodes but
+// carries a model no view could serve (one NaN factor) is a 400, and the
+// model and registries that were serving keep serving, unchanged.
+func TestSnapshotHTTPRejectsPoisonedModel(t *testing.T) {
+	s := testServer(t)
+	observeSome(t, s)
+	const predict = "/api/v1/predict?user=u1&service=s2"
+	before := doReq(t, s, http.MethodGet, predict, nil)
+	if before.Code != http.StatusOK {
+		t.Fatalf("predict before upload: %d", before.Code)
+	}
+
+	// gob matches structs by field name, so these mirror core's
+	// unexported snapshot types.
+	type entityImage struct {
+		ID      int
+		Vec     []float64
+		Err     float64
+		Updates int
+	}
+	type modelImage struct {
+		Config   core.Config
+		Users    []entityImage
+		Services []entityImage
+		Updates  int64
+	}
+	data, err := s.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st persistedState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	var model modelImage
+	if err := gob.NewDecoder(bytes.NewReader(st.Model)).Decode(&model); err != nil {
+		t.Fatal(err)
+	}
+	model.Services[0].Vec[0] = math.NaN()
+	st.Users = st.Users[:1] // the registries must not be swapped in either
+	var mbuf, sbuf bytes.Buffer
+	if err := gob.NewEncoder(&mbuf).Encode(model); err != nil {
+		t.Fatal(err)
+	}
+	st.Model = mbuf.Bytes()
+	if err := gob.NewEncoder(&sbuf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/snapshot", &sbuf)
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "service") {
+		t.Fatalf("poisoned restore: %d %s, want 400 naming the service", w.Code, w.Body.String())
+	}
+	after := doReq(t, s, http.MethodGet, predict, nil)
+	if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {
+		t.Fatalf("predict after rejected upload: %d %s, before %s", after.Code, after.Body.String(), before.Body.String())
+	}
+	// u3 left the uploaded registry; it is still known here, and a
+	// full-catalog rank still touches every service without a NaN.
+	if got := doReq(t, s, http.MethodGet, "/api/v1/predict?user=u3&service=s0", nil); got.Code != http.StatusOK {
+		t.Fatalf("predict u3 after rejected upload: %d %s", got.Code, got.Body.String())
+	}
+	if got := doReq(t, s, http.MethodPost, "/api/v1/rank", RankRequest{User: "u2", TopK: 3}); got.Code != http.StatusOK {
+		t.Fatalf("rank after rejected upload: %d %s", got.Code, got.Body.String())
 	}
 }
 
