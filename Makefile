@@ -83,16 +83,11 @@ bench:
 
 # Smoke benchmarks for what the repository benchmark (bench/) has no
 # probe for: instrumentation overhead (the instrumented predict path must
-# stay within 5% of the uninstrumented one), request-coalesced ranking
-# (coalesce-speedup-x: four queries in one pass against four passes —
-# must stay above 1), the parallel-training curve's serial and 4-worker
-# rows, and concurrent durable writers under group commit
-# (group-speedup-x). Every other hot row is a bench/ metric under its own
-# name.
+# stay within 5% of the uninstrumented one) and concurrent durable writers
+# under group commit (group-speedup-x). Every other hot row is a bench/
+# metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
-	$(GO) test -run=NONE -bench='BenchmarkTopKAllBatch/q4' -benchmem -benchtime=0.2s ./internal/core/
-	$(GO) test -run=NONE -bench='BenchmarkTrainThroughput/workers=(1|4)$$' -benchtime=0.2s ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
 
 # Cluster integration gate: the ring/gateway suites (including the

@@ -63,13 +63,9 @@ func run(args []string, stderr io.Writer) error {
 		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage; lets promotion recover to the exact durable tail (follower role, optional)")
 		replWait   = fs.Duration("repl-wait", 5*time.Second, "follower long-poll hold time per WAL fetch")
 
-		queue        = fs.Int("queue", 0, "ingest queue slots per shard (0 = engine default)")
-		trainWorkers = fs.Int("train-workers", 1, "parallel SGD training workers (rounded down to a power of two, max 64); 1 keeps the serial deterministic writer")
-		rankPar      = fs.Int("rank-parallel-threshold", 4096, "candidate-set size at which /api/v1/rank fans out across cores (<=0 disables)")
-		publishIvl   = fs.Duration("publish-interval", 0, "max staleness of the published read view (0 = engine default)")
-		publishEach  = fs.Int("publish-every", 0, "republish the read view after this many model updates (0 = engine default)")
-		coalesceWin  = fs.Duration("rank-coalesce-window", 0, "batch concurrent full-scan /api/v1/rank requests arriving within this window into one arena pass (0 disables)")
-		coalesceMax  = fs.Int("rank-coalesce-max", 16, "max full-scan rank requests per coalesced batch (a full batch flushes before the window expires)")
+		queue       = fs.Int("queue", 0, "ingest queue slots per shard (0 = engine default)")
+		publishIvl  = fs.Duration("publish-interval", 0, "max staleness of the published read view (0 = engine default)")
+		publishEach = fs.Int("publish-every", 0, "republish the read view after this many model updates (0 = engine default)")
 
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")
@@ -112,13 +108,9 @@ func run(args []string, stderr io.Writer) error {
 		QueueSize:       *queue,
 		PublishInterval: *publishIvl,
 		PublishEvery:    *publishEach,
-		TrainWorkers:    *trainWorkers,
 	})
 	svc := server.NewWithEngine(eng, server.WithLogger(logger))
 	defer svc.Close()
-	svc.RankParallelThreshold = *rankPar
-	svc.RankCoalesceWindow = *coalesceWin
-	svc.RankCoalesceMax = *coalesceMax
 	if *pprofFlag {
 		svc.EnablePprof()
 	}
@@ -242,10 +234,9 @@ func run(args []string, stderr io.Writer) error {
 		"addr", *addr, "attr", attr.String(),
 		"rank", cfg.Rank, "eta", cfg.LearnRate, "beta", cfg.Beta, "alpha", cfg.Alpha,
 		"expiry", *expiry, "replay_interval", *replay, "replay_batch", *batch,
-		"queue", *queue, "train_workers", eng.TrainWorkers(),
+		"queue", *queue,
 		"publish_interval", *publishIvl, "publish_every", *publishEach,
-		"rank_parallel_threshold", *rankPar, "simd", matrix.SIMD(),
-		"rank_coalesce_window", *coalesceWin, "rank_coalesce_max", *coalesceMax,
+		"simd", matrix.SIMD(),
 		"slo_admission", *sloAdmit, "slo_budget_standard", *sloBudgetStd,
 		"slo_budget_sheddable", *sloBudgetShd, "slo_headroom", *sloHeadroom,
 		"adapt_epoch", *adaptEpoch,

@@ -225,12 +225,7 @@ func candidateRequest(b *testing.B, n, topk int) []byte {
 // request; the per-path percentiles and the headline overhead-pct ride
 // along as custom metrics.
 func BenchmarkGatewayRankAll(b *testing.B) {
-	svc, ts := benchBackend(b, 4, 96000)
-	// Serial scan on the backend: a loaded server has no idle cores to
-	// fan a single query across, and a backend that saturates every core
-	// per request would charge the proxy hop for scheduling delay it
-	// didn't cause.
-	svc.RankParallelThreshold = -1
+	_, ts := benchBackend(b, 4, 96000)
 	gw := benchGateway(b, []string{ts.URL}, -1)
 	body := []byte(`{"user":"bu1","topk":10}`)
 	client := &http.Client{}

@@ -32,9 +32,9 @@ func TestMetricsDocumented(t *testing.T) {
 		}
 	}
 
-	// Server with every optional subsystem lit: parallel training
-	// (amf_train_*), a durable store (amf_wal_*, amf_checkpoint*,
-	// amf_recovery_*, amf_journal_errors_total).
+	// Server with every optional subsystem lit: a durable store
+	// (amf_wal_*, amf_checkpoint*, amf_recovery_*,
+	// amf_journal_errors_total).
 	dir := t.TempDir()
 	mgr, err := store.Open(dir, store.Options{
 		Sync:               store.SyncAlways,
@@ -48,7 +48,7 @@ func TestMetricsDocumented(t *testing.T) {
 	cfg := core.DefaultConfig(-0.007, 0, 20)
 	cfg.Expiry = 0
 	svc := server.NewWithEngine(
-		engine.New(core.MustNew(cfg), engine.Config{TrainWorkers: 2}),
+		engine.New(core.MustNew(cfg), engine.Config{}),
 		server.WithLogger(quietLogger()))
 	defer svc.Close()
 	if _, err := svc.AttachDurable(mgr); err != nil {

@@ -20,16 +20,7 @@ type FitOptions struct {
 	// MinEpochs prevents premature convergence declarations on the first
 	// flat epoch. Zero means the default of 3.
 	MinEpochs int
-	// Workers > 1 runs the convergence loop in the Trainer's parallel
-	// epoch mode: each epoch's replay pass and error reduction fan out
-	// across Workers user-partitioned workers (see Trainer). 0 or 1
-	// keeps the exact serial legacy behavior.
-	Workers int
 }
-
-// epsTol is the epsilon guarding the relative-improvement division in the
-// convergence check, shared by the serial and parallel fit loops.
-const epsTol = transform.Eps
 
 func (o FitOptions) withDefaults() FitOptions {
 	if o.MaxEpochs == 0 {
@@ -58,11 +49,6 @@ type FitResult struct {
 // Observe/ObserveAll, or again after each batch of new observations.
 func (m *Model) Fit(opts FitOptions) FitResult {
 	opts = opts.withDefaults()
-	if opts.Workers > 1 {
-		tr := NewTrainer(m, TrainerConfig{Workers: opts.Workers})
-		defer tr.Close()
-		return tr.Fit(opts)
-	}
 	var res FitResult
 	prev := math.Inf(1)
 	for epoch := 0; epoch < opts.MaxEpochs; epoch++ {
@@ -98,9 +84,16 @@ func (m *Model) TrainingError() float64 {
 	var sum float64
 	var n int
 	m.forEachLiveSample(func(s stream.Sample) {
-		e, ok := m.sampleError(s)
-		if !ok {
+		u, okU := m.users.get(s.User)
+		v, okV := m.services.get(s.Service)
+		if !okU || !okV {
 			return
+		}
+		r := m.tr.Forward(s.Value)
+		g := transform.Sigmoid(dot(u.vec, v.vec))
+		e := math.Abs(r - g)
+		if m.cfg.RelativeLoss {
+			e /= r
 		}
 		sum += e
 		n++
@@ -109,33 +102,6 @@ func (m *Model) TrainingError() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// sampleError computes one replay sample's training error — relative
-// |r−g|/r under the relative loss, absolute |r−g| otherwise — or ok=false
-// when either entity has departed. It is the shared per-sample kernel
-// behind TrainingError and the Trainer's parallel error reduction.
-func (m *Model) sampleError(s stream.Sample) (float64, bool) {
-	u, okU := m.users.get(s.User)
-	v, okV := m.services.get(s.Service)
-	if !okU || !okV {
-		return 0, false
-	}
-	r := m.tr.Forward(s.Value)
-	g := transform.Sigmoid(dot(u.vec, v.vec))
-	e := math.Abs(r - g)
-	if m.cfg.RelativeLoss {
-		e /= r
-	}
-	return e, true
-}
-
-// liveSamples compacts the replay pool and returns a snapshot slice of
-// every live sample — the per-epoch working set of the parallel fit loop.
-func (m *Model) liveSamples() []stream.Sample {
-	out := make([]stream.Sample, 0, m.pool.Len())
-	m.forEachLiveSample(func(s stream.Sample) { out = append(out, s) })
-	return out
 }
 
 // dot delegates to the unrolled matrix kernel so every prediction path in

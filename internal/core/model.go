@@ -37,8 +37,7 @@ type Model struct {
 
 	// dirtyUsers/dirtyServices list entities touched since the last
 	// published view so RefreshView can copy only the affected pages.
-	// Sharded like the entity tables (see table.go) so the parallel
-	// trainer's workers can mark dirt without coordination. nil until
+	// Sharded like the entity tables (see table.go). nil until
 	// EnableViewTracking (or the first BuildView); see view.go.
 	dirtyUsers    *dirtyList
 	dirtyServices *dirtyList
@@ -79,18 +78,13 @@ func (m *Model) Config() Config { return m.cfg }
 // newEntity randomly initializes a latent vector (Algorithm 1 line 6) and
 // seeds the error tracker at 1 (line 7): a brand-new entity is maximally
 // untrusted, so the adaptive weights route most of each update to it.
-func (m *Model) newEntity() *entity { return newEntityWith(m.rng, &m.cfg) }
-
-// newEntityWith is newEntity against an explicit random source, so the
-// parallel trainer's workers can register entities with their own
-// deterministic per-worker generators instead of racing on m.rng.
-func newEntityWith(rng *rand.Rand, cfg *Config) *entity {
-	v := make([]float64, cfg.Rank)
-	scale := 1 / math.Sqrt(float64(cfg.Rank))
+func (m *Model) newEntity() *entity {
+	v := make([]float64, m.cfg.Rank)
+	scale := 1 / math.Sqrt(float64(m.cfg.Rank))
 	for k := range v {
-		v[k] = rng.Float64() * scale
+		v[k] = m.rng.Float64() * scale
 	}
-	return &entity{vec: v, err: stats.NewEMAInit(cfg.Beta, 1)}
+	return &entity{vec: v, err: stats.NewEMAInit(m.cfg.Beta, 1)}
 }
 
 func (m *Model) user(id int) *entity {
@@ -168,18 +162,6 @@ func (m *Model) CompactPool() { m.pool.Compact() }
 // error, fold it into both error trackers, and take simultaneous weighted
 // gradient steps on the two factor vectors (Eq. 16-17).
 func (m *Model) update(u, v *entity, value float64) {
-	m.updateEntities(u, v, value)
-	m.updates++
-}
-
-// updateEntities is update without the model-level counter bump: the pure
-// per-sample numeric work (transform, adaptive weights, error trackers,
-// gradient steps). It reads only immutable model state (cfg, tr) and
-// writes only the two entities, so the parallel trainer can run it from
-// worker goroutines — the caller must hold exclusive access to u (worker
-// partition ownership) and v (stripe lock), and accumulates the update
-// count separately.
-func (m *Model) updateEntities(u, v *entity, value float64) {
 	cfg := &m.cfg
 	r := m.tr.Forward(value)
 
@@ -234,6 +216,7 @@ func (m *Model) updateEntities(u, v *entity, value float64) {
 	}
 	u.updates++
 	v.updates++
+	m.updates++
 }
 
 // Predict estimates the QoS value between a user and a service the model

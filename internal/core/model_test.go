@@ -255,9 +255,17 @@ func TestRemoveUserAndService(t *testing.T) {
 	if m.KnowsUser(1) {
 		t.Fatal("replay resurrected a removed user")
 	}
+	// Nor a removed service, for a sample whose user is still here.
+	m.Observe(stream.Sample{Time: time.Second, User: 3, Service: 2, Value: 1})
 	m.RemoveService(2)
 	if m.KnowsService(2) {
 		t.Fatal("service should be gone")
+	}
+	for i := 0; i < 20; i++ {
+		m.ReplayStep()
+	}
+	if m.KnowsService(2) {
+		t.Fatal("replay resurrected a removed service")
 	}
 }
 

@@ -141,10 +141,9 @@ func scanOrder(ids []int) {
 
 // checkSelection holds every selection entry point to the reference on
 // one view, for k ∈ {1, 10, n−1, n, > n} and both directions. orderly
-// says no key is NaN: only then do the parallel paths owe the serial
+// says no key is NaN: only then does the multi-worker scan owe the serial
 // answer, because a NaN is neither better nor worse than anything, so
-// how candidates are split between workers changes what a merge keeps —
-// at the parent commit too.
+// how shards are split between workers changes what a merge keeps.
 func checkSelection(t *testing.T, v *PredictView, ids []int, rng *rand.Rand, orderly bool) {
 	t.Helper()
 	n := len(ids)
@@ -152,7 +151,6 @@ func checkSelection(t *testing.T, v *PredictView, ids []int, rng *rand.Rand, ord
 	candidates := append([]int(nil), ids...)
 	rng.Shuffle(n, func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
 	candidates = append(candidates, 1<<20, candidates[0], 1<<20+1) // two unknown ids, one duplicate
-	var batch []RankQuery
 	for _, lower := range []bool{true, false} {
 		for _, k := range ks {
 			for user := 0; user < 2; user++ {
@@ -161,7 +159,6 @@ func checkSelection(t *testing.T, v *PredictView, ids []int, rng *rand.Rand, ord
 				if orderly {
 					sameRanked(t, "TopKAll/4 workers", v.TopKAll(user, k, lower, 4), want)
 				}
-				batch = append(batch, RankQuery{User: user, K: k, LowerIsBetter: lower})
 			}
 			want, wantUnknown := refCandidates(v, 0, candidates, k, lower)
 			got, unknown := v.TopK(0, candidates, k, lower)
@@ -172,20 +169,11 @@ func checkSelection(t *testing.T, v *PredictView, ids []int, rng *rand.Rand, ord
 			if missing != len(wantUnknown) {
 				t.Fatalf("AppendTopK: %d unknown, want %d", missing, len(wantUnknown))
 			}
-			if orderly {
-				got, unknown = v.TopKParallel(0, candidates, k, lower, 4)
-				sameRanked(t, "TopKParallel", got, want)
-				intsEqual(t, "TopKParallel unknown", unknown, wantUnknown)
-			}
 		}
 	}
-	// One coalesced batch of everything above — both directions and all
-	// five k's side by side — plus the queries that rank nothing.
-	batch = append(batch, RankQuery{User: 777, K: 3}, RankQuery{User: 0, K: 0}, RankQuery{User: 1, K: -1})
-	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-	for qi, got := range v.TopKAllBatch(batch) {
-		q := batch[qi]
-		sameRanked(t, "TopKAllBatch", got, refScan(v, q.User, q.K, q.LowerIsBetter))
+	// The queries that rank nothing: unknown user, k <= 0.
+	for _, q := range [][2]int{{777, 3}, {0, 0}, {1, -1}} {
+		sameRanked(t, "TopKAll", v.TopKAll(q[0], q[1], false, 1), refScan(v, q[0], q[1], false))
 	}
 }
 
@@ -244,7 +232,7 @@ func TestSelectionMatchesReference(t *testing.T) {
 // FuzzSelect plants fuzzer-chosen keys — every byte is a key: the low
 // values index specialKeys, the rest are small multiples of 1/4, so ties
 // are common — and holds the serial entry points to the reference; the
-// parallel ones too when no key is NaN.
+// multi-worker scan too when no key is NaN.
 func FuzzSelect(f *testing.F) {
 	f.Add(uint8(0), []byte{40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52})
 	f.Add(uint8(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 200, 100, 100, 3, 4})
@@ -302,10 +290,6 @@ func TestSelectionPushBound(t *testing.T) {
 		if got := countPushes(func() { v.AppendTopK(nil, 0, ids, k, lower) }); got < k || got > limit {
 			t.Errorf("AppendTopK lower=%v: %d rows reached heapPush, want %d..%d", lower, got, k, limit)
 		}
-	}
-	batch := []RankQuery{{User: 0, K: k, LowerIsBetter: true}, {User: 1, K: k, LowerIsBetter: true}, {User: 0, K: k}}
-	if got := countPushes(func() { v.TopKAllBatch(batch) }); got < len(batch)*k || got > len(batch)*limit {
-		t.Errorf("TopKAllBatch: %d rows reached heapPush, want %d..%d", got, len(batch)*k, len(batch)*limit)
 	}
 
 	scanOrder(ids)

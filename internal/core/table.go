@@ -4,31 +4,16 @@ package core
 // Model.services, and the matching sharded dirty lists behind incremental
 // view publication.
 //
-// Why sharded maps instead of two flat map[int]*entity: the parallel
-// training path (trainer.go) partitions users across W workers so that
-// each worker exclusively owns its users' latent vectors. That ownership
-// must extend to *registration* — a worker observing a brand-new user
-// inserts into the table concurrently with its peers — and Go maps do not
-// tolerate concurrent writers even on disjoint keys. Splitting the table
-// into tableShards independent maps, with worker w owning exactly the
-// shards {si : si & (W-1) == w}, makes every map write single-writer by
-// construction: no locks on the user side, ever.
-//
 // tableShards is deliberately the same constant as viewShardCount and
-// uses the same shardOf hash, so three layers line up on one partition:
-//
-//	model table shard  ==  view shard  ==  trainer stripe
-//
-// BuildView groups entities per shard without re-hashing, the trainer's
-// per-service stripe lock also guards its shard map (service registration
-// and vector updates share one lock), and a worker's user shards are the
-// exact shards its ingest queues feed (engine shard si → worker si&(W-1)).
+// uses the same shardOf hash, so a model table shard and the view shard
+// it publishes into hold exactly the same ids: BuildView freezes entities
+// per shard without re-hashing, and RefreshView hands each view shard its
+// own model shard and its own dirty list (view.go).
 const tableShards = viewShardCount
 
 // entityTable is one side (users or services) of the model's learned
-// state: a fixed array of hash shards. The Model itself remains
-// single-goroutine-unsafe; concurrent access discipline is imposed by the
-// Trainer (worker-exclusive user shards, stripe-locked service shards).
+// state: a fixed array of hash shards. Like the Model it belongs to, it
+// is not safe for concurrent use.
 type entityTable struct {
 	shards [tableShards]map[int]*entity
 }
@@ -85,12 +70,10 @@ func (t *entityTable) ids() []int {
 }
 
 // dirtyList records entities touched since the last published view,
-// sharded exactly like entityTable so that the parallel trainer's workers
-// can mark dirt without coordination: a worker only appends to the shards
-// it owns (user side), or marks under the stripe lock that already guards
-// the entity shard (service side). The entity's own dirty flag keeps an id
-// from being listed twice between publishes, so an applied sample costs a
-// flag test, not a map write; freezing the entity into a view clears it
+// sharded exactly like entityTable so a refresh walks one shard's list
+// against that shard's map. The entity's own dirty flag keeps an id from
+// being listed twice between publishes, so an applied sample costs a flag
+// test, not a map write; freezing the entity into a view clears it
 // (page.go). A nil *dirtyList means tracking is off.
 type dirtyList struct {
 	shards [tableShards][]int

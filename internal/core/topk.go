@@ -147,10 +147,10 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 // selectRows offers one block of scored rows — ids[i] with key keys[i],
 // at most viewPageRows of them — to the bounded heap h (cap k >= 1) and
 // returns the updated heap. It is the only caller of heapPush: every
-// selection loop (page scan, coalesced batch scan, candidate list,
-// parallel chunk) feeds it blocks. Keys are the float32 the dot kernels
-// produce; the heap holds them widened, which is exact, so its k-th key
-// narrows back to the float32 bound Survivors compares against.
+// selection loop (page scan, candidate list) feeds it blocks. Keys are
+// the float32 the dot kernels produce; the heap holds them widened, which
+// is exact, so its k-th key narrows back to the float32 bound Survivors
+// compares against.
 //
 // Once the heap is full its root holds the k-th best key seen so far,
 // and a row whose key is strictly worse than that can never be admitted.
@@ -347,56 +347,7 @@ func (v *PredictView) PredictBatch(user int, services []int, dst []float64) erro
 }
 
 // ---------------------------------------------------------------------------
-// Parallel scans.
-
-// TopKParallel is TopK with the candidate scan fanned out across up to
-// `workers` goroutines, each selecting a local top-k over a contiguous
-// chunk of the candidate list, followed by a final k-way merge. Use it
-// for large candidate sets (the HTTP rank endpoint switches over at a
-// configurable threshold); for small n the goroutine fan-out costs more
-// than it saves and TopK should be called directly. workers <= 1 (or a
-// small candidate set) degrades to the serial TopK.
-func (v *PredictView) TopKParallel(user int, candidates []int, k int, lowerIsBetter bool, workers int) (ranked []Ranked, unknown []int) {
-	if workers > len(candidates)/minParallelChunk {
-		workers = len(candidates) / minParallelChunk
-	}
-	if workers <= 1 || k <= 0 {
-		return v.TopK(user, candidates, k, lowerIsBetter)
-	}
-	u, ok := v.users.get(user)
-	if !ok {
-		return nil, append(unknown, candidates...)
-	}
-	if k > len(candidates) {
-		k = len(candidates)
-	}
-
-	tops := make([][]scored, workers)  // best-first local selections
-	unknowns := make([][]int, workers) // in candidate order within the chunk
-	chunk := (len(candidates) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(candidates))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sc := rankScratchPool.Get().(*rankScratch)
-			h, _ := v.selectCandidates(sc.heap[:0], sc, u, candidates[lo:hi], k, lowerIsBetter, &unknowns[w])
-			tops[w] = make([]scored, len(h))
-			heapDrain(h, tops[w], lowerIsBetter)
-			sc.release(h)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, unk := range unknowns {
-		unknown = append(unknown, unk...)
-	}
-	return v.mergeTops(tops, k, lowerIsBetter), unknown
-}
+// Full-catalog scans.
 
 // mergeTops is the k-way merge of the workers' best-first lists:
 // repeatedly take the best head. k and workers are both small, so the
@@ -423,7 +374,7 @@ func (v *PredictView) mergeTops(tops [][]scored, k int, lowerIsBetter bool) []Ra
 	return finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
 }
 
-// minParallelChunk is the minimum number of candidates per worker that
+// minParallelChunk is the minimum number of services per worker that
 // justifies a goroutine: below this the spawn+merge overhead dominates
 // the dot products it parallelizes.
 const minParallelChunk = 256
@@ -434,8 +385,11 @@ const minParallelChunk = 256
 // are scanned with the GEMV-style DotBatch32 kernel (contiguous blocks
 // of viewPageRows×rank floats), and only the k survivors are transformed.
 // workers > 1 fans the shard scans across that many goroutines with a
-// final merge; workers <= 1 scans serially. Returns nil when the user is
-// unknown or k <= 0.
+// final merge; workers <= 1 scans serially, which is what every caller in
+// the product passes: on an L2-resident catalog the fan-out measured
+// slower than the scan it splits (DESIGN.md "Ranking fast path"), and the
+// parameter is kept only for bench/probes.go, which compiles against this
+// signature. Returns nil when the user is unknown or k <= 0.
 func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) []Ranked {
 	u, ok := v.users.get(user)
 	if k = min(k, v.services.count); !ok || k <= 0 {

@@ -21,11 +21,10 @@ import (
 // candidate map lookup, naive (non-unrolled) dot product, Sigmoid+
 // Backward transform on EVERY candidate, full O(n log n) sort.Slice,
 // then truncate to k. The "heap" arm is the shipped candidate path
-// (AppendTopK), "scan" is the full-catalog arena path (TopKAll),
+// (AppendTopK), "scan" is the full-catalog arena path (TopKAll), and
 // "scan-ref" is the same scan with every row pushed through the heap
 // (refScan, the oracle of select_test.go — the selection TopKAll had
-// before ISSUE 16 fused it into the scan; scan-speedup-x is ref/scan),
-// and "parallel" is TopKParallel with 4 workers.
+// before ISSUE 16 fused it into the scan; scan-speedup-x is ref/scan).
 //
 //	go test -run=NONE -bench=BenchmarkTopK -benchmem ./internal/core/
 
@@ -102,7 +101,6 @@ func BenchmarkTopK(b *testing.B) {
 			heapNs := make([]time.Duration, 0, b.N)
 			scanNs := make([]time.Duration, 0, b.N)
 			refNs := make([]time.Duration, 0, b.N)
-			parNs := make([]time.Duration, 0, b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,78 +111,27 @@ func BenchmarkTopK(b *testing.B) {
 				t2 := time.Now()
 				v.TopKAll(0, k, true, 1)
 				t3 := time.Now()
-				v.TopKParallel(0, candidates, k, true, 4)
-				t4 := time.Now()
 				refScan(v, 0, k, true)
-				t5 := time.Now()
+				t4 := time.Now()
 				legacyNs = append(legacyNs, t1.Sub(t0))
 				heapNs = append(heapNs, t2.Sub(t1))
 				scanNs = append(scanNs, t3.Sub(t2))
-				parNs = append(parNs, t4.Sub(t3))
-				refNs = append(refNs, t5.Sub(t4))
+				refNs = append(refNs, t4.Sub(t3))
 			}
 			b.StopTimer()
 			legacyP50 := p50Dur(legacyNs)
 			heapP50 := p50Dur(heapNs)
 			scanP50 := p50Dur(scanNs)
-			parP50 := p50Dur(parNs)
 			refP50 := p50Dur(refNs)
 			b.ReportMetric(float64(legacyP50.Nanoseconds()), "legacy-p50-ns/op")
 			b.ReportMetric(float64(heapP50.Nanoseconds()), "heap-p50-ns/op")
 			b.ReportMetric(float64(scanP50.Nanoseconds()), "scan-p50-ns/op")
 			b.ReportMetric(float64(refP50.Nanoseconds()), "scan-ref-p50-ns/op")
-			b.ReportMetric(float64(parP50.Nanoseconds()), "parallel-p50-ns/op")
 			if heapP50 > 0 {
 				b.ReportMetric(float64(legacyP50)/float64(heapP50), "heap-speedup-x")
 			}
 			if scanP50 > 0 {
 				b.ReportMetric(float64(refP50)/float64(scanP50), "scan-speedup-x")
-			}
-		})
-	}
-}
-
-// BenchmarkTopKAllBatch is the coalescing acceptance benchmark: Q
-// concurrent full-catalog rankings served by one TopKAllBatch pass
-// versus the same Q queries as independent serial TopKAll scans, paired
-// in one timing loop. The win is DRAM economics — the batch streams
-// each arena block from memory once for all Q queries — so it grows
-// with Q and with catalog size.
-func BenchmarkTopKAllBatch(b *testing.B) {
-	const n = 100000
-	const k = 10
-	v, _ := benchView(b, n)
-	for _, nq := range []int{4, 8} {
-		queries := make([]RankQuery, nq)
-		for i := range queries {
-			// topkTestModel trains users 0 and 1; the DRAM economics of
-			// the batch don't depend on query-vector diversity.
-			queries[i] = RankQuery{User: i % 2, K: k, LowerIsBetter: i%3 == 0}
-		}
-		b.Run("q"+itoaBench(nq), func(b *testing.B) {
-			v.TopKAllBatch(queries) // warm pool
-			serialNs := make([]time.Duration, 0, b.N)
-			batchNs := make([]time.Duration, 0, b.N)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				for _, q := range queries {
-					v.TopKAll(q.User, q.K, q.LowerIsBetter, 1)
-				}
-				t1 := time.Now()
-				v.TopKAllBatch(queries)
-				t2 := time.Now()
-				serialNs = append(serialNs, t1.Sub(t0))
-				batchNs = append(batchNs, t2.Sub(t1))
-			}
-			b.StopTimer()
-			serialP50 := p50Dur(serialNs)
-			batchP50 := p50Dur(batchNs)
-			b.ReportMetric(float64(serialP50.Nanoseconds()), "serial-p50-ns/op")
-			b.ReportMetric(float64(batchP50.Nanoseconds()), "batch-p50-ns/op")
-			if batchP50 > 0 {
-				b.ReportMetric(float64(serialP50)/float64(batchP50), "coalesce-speedup-x")
 			}
 		})
 	}

@@ -166,37 +166,6 @@ func TestRankingTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-func TestTopKParallelMatchesSerial(t *testing.T) {
-	const n = 2000 // > workers*minParallelChunk so the fan-out engages
-	m := topkTestModel(t, n)
-	v := m.BuildView()
-	candidates := make([]int, 0, n+3)
-	for i := 0; i < n; i++ {
-		candidates = append(candidates, i)
-		if i%500 == 0 {
-			candidates = append(candidates, n+i) // sprinkle unknowns
-		}
-	}
-	for _, lower := range []bool{true, false} {
-		for _, k := range []int{1, 10, 257, len(candidates)} {
-			sr, su := v.TopK(0, candidates, k, lower)
-			pr, pu := v.TopKParallel(0, candidates, k, lower, 4)
-			rankedEqual(t, "parallel vs serial ranked", pr, sr)
-			intsEqual(t, "parallel vs serial unknown", pu, su)
-		}
-	}
-	// Degenerate worker counts fall back to serial.
-	sr, _ := v.TopK(0, candidates, 10, true)
-	for _, w := range []int{0, 1, 10_000} {
-		pr, _ := v.TopKParallel(0, candidates, 10, true, w)
-		rankedEqual(t, "degenerate workers", pr, sr)
-	}
-	// Unknown user through the parallel path.
-	if r, u := v.TopKParallel(777, candidates, 10, true, 4); len(r) != 0 || len(u) != len(candidates) {
-		t.Fatalf("unknown user parallel: %d ranked, %d unknown", len(r), len(u))
-	}
-}
-
 func TestTopKAllMatchesExplicitCandidates(t *testing.T) {
 	const n = 1500
 	m := topkTestModel(t, n)

@@ -288,8 +288,8 @@ func (v *PredictView) ServiceError(id int) (float64, bool) {
 	return 0, false
 }
 
-// RankServices, Best, TopK, PredictBatch and the parallel page scans
-// live in topk.go (the vectorized candidate-ranking fast path).
+// RankServices, Best, TopK, PredictBatch and the page scans live in
+// topk.go (the vectorized candidate-ranking fast path).
 
 // HighErrorUsers returns users whose frozen tracked error is at or above
 // threshold, worst first (see Model.HighErrorUsers).

@@ -24,19 +24,15 @@
 //     PublishEvery updates or PublishInterval, whichever comes first.
 //     Republication is incremental: only the factor pages holding an
 //     entity touched since the last publish are copied (see
-//     core.Model.RefreshView).
+//     core.Model.RefreshView). Training is strictly sequential, as in
+//     Algorithm 1: every sample reaches the model through applyLocked
+//     and every replay update through replayLocked, one at a time under
+//     the writer's mutex, so the trained model is a function of the
+//     seed and the order of samples and replay calls alone
+//     (TestEngineDeterministicGivenSeed).
 //
-//     With Config.TrainWorkers > 1 the writer goroutine stops applying
-//     updates itself and becomes the coordinator of a core.Trainer:
-//     drained batches are partitioned by ingest shard (shard si feeds
-//     worker si&(W−1), so per-user ordering survives) and fanned out
-//     across W user-partitioned SGD workers with striped service-vector
-//     locks. Fan-outs are fork-join, so views still publish only while
-//     the model is quiescent; TrainWorkers=1 (the default) is bit-for-bit
-//     the old serial writer.
-//
-// Two write paths exist on purpose. Enqueue is fire-and-forget with
-// backpressure accounting — the high-frequency stream-ingest path.
+// Two doors into that loop exist on purpose. Enqueue is fire-and-forget
+// with backpressure accounting — the high-frequency stream-ingest path.
 // ObserveAll is synchronous: it hands the batch to the writer and waits
 // until the batch is applied AND a fresh view is published, giving HTTP
 // clients read-your-writes semantics. Control operations (Restore,
@@ -79,18 +75,6 @@ type Config struct {
 	// arrivals without a separate replay loop. Default 0 (replay is
 	// driven externally via ReplaySteps / server.RunReplay).
 	ReplayPerBatch int
-	// TrainWorkers is the number of parallel training workers W. With
-	// the default of 1 the engine keeps the exact single-writer serial
-	// behavior it has always had (bit-for-bit deterministic for a fixed
-	// seed). With W > 1 the writer becomes a coordinator: drained
-	// batches fan out across a core.Trainer's user-partitioned workers
-	// (ingest shard si feeds worker si&(W−1), preserving per-user
-	// ordering), service vectors are guarded by striped locks, and view
-	// publication still happens only between fan-outs. Rounded down to a
-	// power of two and clamped to [1, core.MaxTrainWorkers]; values > 1
-	// also raise IngestShards to at least W so the shard→worker mapping
-	// stays exact.
-	TrainWorkers int
 	// Control, when non-nil, is the runtime-tunable registry the engine
 	// declares its adaptive knobs on (publish interval/quantum, ingest
 	// batch cap, replay per batch, per-class admission watermarks). The
@@ -124,21 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.ReplayPerBatch < 0 {
 		c.ReplayPerBatch = 0
 	}
-	if c.TrainWorkers <= 0 {
-		c.TrainWorkers = 1
-	}
-	// Mirror the trainer's rounding (power of two, ≤ MaxTrainWorkers) so
-	// the shard floor below uses the effective worker count.
-	p := 1
-	for p*2 <= c.TrainWorkers && p*2 <= core.MaxTrainWorkers {
-		p *= 2
-	}
-	c.TrainWorkers = p
-	if c.IngestShards < c.TrainWorkers {
-		// Shard→worker affinity needs at least one shard per worker so
-		// user&(shards−1) determines user&(W−1).
-		c.IngestShards = c.TrainWorkers
-	}
 	return c
 }
 
@@ -157,7 +126,6 @@ type Stats struct {
 	QueueCap      int    // total queue capacity across all shards
 	Version       uint64 // current view version
 	Updates       int64  // current view's model update count
-	TrainWorkers  int    // parallel training workers (1 = serial writer)
 	JournalErrors int64  // WAL appends that failed (model kept learning)
 }
 
@@ -196,10 +164,12 @@ type Metrics struct {
 	// QueueWait is the time samples spent in the ingest queue between
 	// Enqueue and the writer picking them up (seconds).
 	QueueWait *obs.Histogram
-	// Apply is the per-update model apply latency (seconds). Batches are
-	// timed once and the mean is attributed to each update in the batch
-	// (obs.Histogram.ObserveN), so the writer does not pay two clock
-	// reads per SGD update.
+	// Apply is the per-update model apply latency (seconds): the time
+	// inside the model's SGD step and nothing else — not the channel
+	// drain, not the journal append — for observed samples and replay
+	// updates alike. Batches are timed once and the mean is attributed to
+	// each update in the batch (obs.Histogram.ObserveN), so the writer
+	// does not pay two clock reads per SGD update.
 	Apply *obs.Histogram
 	// Publish is the view refresh+publish latency (seconds): the cost of
 	// recloning dirty shards and swinging the RCU pointer.
@@ -228,26 +198,12 @@ type Engine struct {
 	mu    sync.Mutex
 	model *core.Model
 
-	// trainer is the parallel training path (nil when TrainWorkers <= 1
-	// and after Close). All trainer calls happen under mu: the writer
-	// loop is the coordinator that fans batches out to the trainer's
-	// workers and joins them before publishing, so view publication
-	// never overlaps an update. parts is the coordinator's reusable
-	// per-worker partition scratch.
-	trainer *core.Trainer
-	parts   [][]stream.Sample
-	// trainMetrics is the trainer's instrumentation, held separately so
-	// it survives trainer rebuilds (Restore) and stays readable lock-free
-	// after Close. Nil when TrainWorkers <= 1.
-	trainMetrics *core.TrainerMetrics
-
 	// journal is the optional write-ahead log (see Journal, SetJournal),
 	// guarded by mu like all mutation state. drainBuf is the writer
-	// loop's reusable scratch for collecting a drained batch so it can be
-	// journaled as one record before it is applied; unused (and unsized)
-	// when no journal is attached. journalErrs counts appends that
-	// failed — the engine keeps serving, the store's fail-fast makes the
-	// gap visible.
+	// loop's reusable scratch for collecting a drained batch, so that it
+	// is journaled as one record and applied as one batch. journalErrs
+	// counts appends that failed — the engine keeps serving, the store's
+	// fail-fast makes the gap visible.
 	journal     Journal
 	drainBuf    []stream.Sample
 	journalErrs atomic.Int64
@@ -325,11 +281,6 @@ func New(model *core.Model, cfg Config) *Engine {
 	for i := range e.shards {
 		e.shards[i] = make(chan queued, cfg.QueueSize)
 	}
-	if cfg.TrainWorkers > 1 {
-		e.trainer = core.NewTrainer(model, core.TrainerConfig{Workers: cfg.TrainWorkers})
-		e.parts = make([][]stream.Sample, e.trainer.Workers())
-		e.trainMetrics = e.trainer.Metrics()
-	}
 	e.view.Store(model.BuildView())
 	e.lastPublish = time.Now()
 	e.lastPublishNano.Store(e.lastPublish.UnixNano())
@@ -399,21 +350,11 @@ func (e *Engine) Closed() bool { return e.closed.Load() }
 // samples accepted before Close are reflected in the last published view.
 // The engine remains readable after Close; ObserveAll and control
 // operations fall back to applying inline.
-// (Parallel trainers are released too: after Close the inline fallback
-// paths run the exact serial model code, so a closed engine never fans
-// out. Replay samples held by worker-local pools are dropped with the
-// trainer — the model's own pool keeps serving post-Close replay.)
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
 		close(e.stop)
 	}
 	e.wg.Wait()
-	e.mu.Lock()
-	if e.trainer != nil {
-		e.trainer.Close()
-		e.trainer = nil
-	}
-	e.mu.Unlock()
 }
 
 // View returns the current published view. The returned view is immutable
@@ -650,21 +591,8 @@ func (e *Engine) awaitDurable(dj DurableJournal, seq uint64) {
 func (e *Engine) ReplaySteps(n int) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	done := 0
-	if e.trainer != nil {
-		done = e.trainer.ReplaySteps(n)
-	} else {
-		for i := 0; i < n; i++ {
-			if !e.model.ReplayStep() {
-				break
-			}
-			done++
-		}
-	}
+	done := e.replayLocked(n)
 	if done > 0 {
-		e.replayed.Add(int64(done))
-		e.sincePublish += done
-		e.pending.Add(int64(done))
 		e.publishLocked()
 	}
 	return done
@@ -674,10 +602,6 @@ func (e *Engine) ReplaySteps(n int) int {
 func (e *Engine) AdvanceTo(t time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.trainer != nil {
-		e.trainer.AdvanceTo(t) // advances the model clock and every worker pool
-		return
-	}
 	e.model.AdvanceTo(t)
 }
 
@@ -733,15 +657,6 @@ func (e *Engine) Restore(data []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = m
-	if e.trainer != nil {
-		// The trainer is bound to the replaced model: rebuild it against
-		// the restored one (same worker count).
-		e.trainer.Close()
-		e.trainer = core.NewTrainer(m, core.TrainerConfig{
-			Workers: e.cfg.TrainWorkers,
-			Metrics: e.trainMetrics, // keep /metrics series continuity
-		})
-	}
 	e.publishLocked() // RefreshView detects the swap and fully rebuilds
 	return nil
 }
@@ -772,8 +687,8 @@ func (e *Engine) TopK(user int, candidates []int, k int, lowerIsBetter bool) ([]
 	return e.View().TopK(user, candidates, k, lowerIsBetter)
 }
 
-// TopKAll ranks every known service for the user via contiguous arena
-// scans (DotBatch), fanning across workers goroutines when workers > 1.
+// TopKAll ranks every known service for the user via contiguous page
+// scans; workers is core.PredictView.TopKAll's (the product passes 1).
 func (e *Engine) TopKAll(user int, k int, lowerIsBetter bool, workers int) []core.Ranked {
 	return e.View().TopKAll(user, k, lowerIsBetter, workers)
 }
@@ -799,17 +714,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Metrics returns the engine's latency histograms (always maintained;
 // see Metrics). The server registers them on its /metrics registry.
 func (e *Engine) Metrics() *Metrics { return e.metrics }
-
-// TrainWorkers returns the effective parallel-training worker count
-// (1 = the serial single-writer path).
-func (e *Engine) TrainWorkers() int { return e.cfg.TrainWorkers }
-
-// TrainMetrics returns the parallel trainer's instrumentation (per-worker
-// apply latency, stripe contention, fan-out count), or nil when the
-// engine runs the serial path. The returned pointer is stable for the
-// engine's lifetime — trainers rebuilt on Restore record into the same
-// series — so the server can register it once at setup.
-func (e *Engine) TrainMetrics() *core.TrainerMetrics { return e.trainMetrics }
 
 // Staleness reports how far behind the published view is: the age of the
 // last publish while model updates are pending, and 0 when the view is
@@ -849,7 +753,6 @@ func (e *Engine) Stats() Stats {
 		QueueCap:      len(e.shards) * e.cfg.QueueSize,
 		Version:       v.Version(),
 		Updates:       v.Updates(),
-		TrainWorkers:  e.cfg.TrainWorkers,
 		JournalErrors: e.journalErrs.Load(),
 	}
 }
@@ -897,7 +800,7 @@ func (e *Engine) loop() {
 				e.timing = sb.timing
 			}
 			seq := e.applyLocked(sb.samples)
-			e.replayLocked()
+			e.replayLocked(e.tunReplayPerBatch.Load())
 			e.publishLocked() // force: sync callers get read-your-writes
 			e.timing = nil
 			dj, acks := e.durJournal, e.acks
@@ -918,7 +821,7 @@ func (e *Engine) loop() {
 		case <-e.wake:
 			e.mu.Lock()
 			e.drainLocked()
-			e.replayLocked()
+			e.replayLocked(e.tunReplayPerBatch.Load())
 			e.publishIfDueLocked()
 			e.mu.Unlock()
 		case <-ticker.C:
@@ -938,48 +841,20 @@ func (e *Engine) loop() {
 	}
 }
 
-// drainLocked applies queued samples, bounded to the ingest_batch_cap
-// tunable (baseline: one publish quantum K) per call so a firehose
-// cannot monopolize the writer and starve publication; leftovers
-// re-signal the loop, which publishes between drains via
-// publishIfDueLocked. Queue-wait latency is measured against
-// the drain start (a lower bound for samples drained later in the batch),
-// and the batch apply time is attributed to each update as its mean — one
-// pair of clock reads per drain, not per update.
-//
-// With a journal attached, drained samples are first collected into
-// drainBuf and appended to the WAL as ONE record, and only then applied
-// — journal-before-apply, the recovery invariant (see Journal). The
-// journal-free path is untouched: samples apply inline as they drain.
-//
-// With a parallel trainer the drain becomes a two-phase coordinator:
-// phase one pulls queued samples into per-worker partitions (ingest shard
-// si feeds worker si&(W−1) — exact, because IngestShards ≥ W and both are
-// powers of two, so a user's worker is a function of its shard; per-user
-// arrival order is preserved), phase two fans the partitions out across
-// the trainer's workers and joins them. The writer never publishes while
-// workers run — fan-outs are fork-join, so the quiescent windows between
-// drains are the only publish points, same as the serial path.
+// drainLocked collects queued samples into drainBuf — bounded to the
+// ingest_batch_cap tunable (baseline: one publish quantum K) per call so a
+// firehose cannot monopolize the writer and starve publication — and hands
+// them to applyLocked as one batch: one journal record, one timed apply.
+// Leftovers re-signal the loop, which publishes between drains via
+// publishIfDueLocked. Queue-wait latency is measured against the drain
+// start (a lower bound for samples drained later in the batch).
 func (e *Engine) drainLocked() {
 	budget := e.tunBatchCap.Load()
-	start := time.Now()
-	startNano := start.UnixNano()
-	parallel := e.trainer != nil
-	journaling := e.journal != nil
-	var wmask int
-	if parallel {
-		wmask = e.trainer.Workers() - 1
-		for i := range e.parts {
-			e.parts[i] = e.parts[i][:0]
-		}
-	}
-	if journaling {
-		e.drainBuf = e.drainBuf[:0]
-	}
-	drained := 0
+	startNano := time.Now().UnixNano()
+	e.drainBuf = e.drainBuf[:0]
 	for budget > 0 {
 		progress := false
-		for si, ch := range e.shards {
+		for _, ch := range e.shards {
 			for budget > 0 {
 				select {
 				case q := <-ch:
@@ -988,16 +863,7 @@ func (e *Engine) drainLocked() {
 					} else {
 						e.metrics.QueueWait.Observe(0)
 					}
-					if journaling {
-						e.drainBuf = append(e.drainBuf, q.s)
-					}
-					if parallel {
-						w := si & wmask
-						e.parts[w] = append(e.parts[w], q.s)
-					} else if !journaling {
-						e.model.Observe(q.s)
-					}
-					drained++
+					e.drainBuf = append(e.drainBuf, q.s)
 					budget--
 					progress = true
 					continue
@@ -1010,85 +876,62 @@ func (e *Engine) drainLocked() {
 			break
 		}
 	}
-	if drained > 0 {
-		if journaling {
-			// One record for the whole drained batch, BEFORE any of it
-			// touches the model.
-			e.journalSamplesLocked(e.drainBuf)
-		}
-		if parallel {
-			e.trainer.ApplyOwned(e.parts)
-		} else if journaling {
-			for _, s := range e.drainBuf {
-				e.model.Observe(s)
-			}
-		}
-		dur := time.Since(start).Seconds()
-		e.metrics.Apply.ObserveN(dur/float64(drained), int64(drained))
-		e.applied.Add(int64(drained))
-		e.sincePublish += drained
-		e.pending.Add(int64(drained))
-	}
+	e.applyLocked(e.drainBuf)
 	if budget == 0 {
 		// Budget exhausted with samples possibly remaining: come back soon.
 		e.signal()
 	}
 }
 
-// applyLocked journals then applies one sync batch, returning the
-// journal sequence number covering it (0 when nothing was journaled).
+// applyLocked is the one place samples reach the model, whichever door
+// they came through (drained ingest, sync batch, post-Close inline): it
+// journals the batch as one record BEFORE any of it touches the model —
+// journal-before-apply, the recovery invariant (see Journal) — applies it
+// in order, and books it. It returns the journal sequence number covering
+// the batch (0 when nothing was journaled).
 func (e *Engine) applyLocked(ss []stream.Sample) uint64 {
 	if len(ss) == 0 {
 		return 0
 	}
 	jStart := time.Now()
-	seq := e.journalSamplesLocked(ss) // journal-before-apply
+	seq := e.journalSamplesLocked(ss)
 	start := time.Now()
+	e.model.ObserveAll(ss)
+	dur := time.Since(start)
 	if e.timing != nil {
 		e.timing.Journal = start.Sub(jStart)
+		e.timing.Apply = dur
 	}
-	if e.trainer != nil {
-		e.trainer.Apply(ss)
-	} else {
-		for _, s := range ss {
-			e.model.Observe(s)
-		}
-	}
-	dur := time.Since(start).Seconds()
-	if e.timing != nil {
-		e.timing.Apply = time.Duration(dur * float64(time.Second))
-	}
-	e.metrics.Apply.ObserveN(dur/float64(len(ss)), int64(len(ss)))
-	e.applied.Add(int64(len(ss)))
-	e.sincePublish += len(ss)
-	e.pending.Add(int64(len(ss)))
+	e.bookLocked(&e.applied, len(ss), dur)
 	return seq
 }
 
-func (e *Engine) replayLocked() {
-	n := e.tunReplayPerBatch.Load()
+// replayLocked performs up to n replay updates (Algorithm 1's "randomly
+// pick an existing sample") and returns how many it did; it is the one
+// caller of Model.ReplayStep.
+func (e *Engine) replayLocked(n int) int {
 	if n <= 0 {
-		return
+		return 0
 	}
 	start := time.Now()
 	done := 0
-	if e.trainer != nil {
-		done = e.trainer.ReplaySteps(n)
-	} else {
-		for i := 0; i < n; i++ {
-			if !e.model.ReplayStep() {
-				break
-			}
-			done++
-		}
+	for done < n && e.model.ReplayStep() {
+		done++
 	}
 	if done > 0 {
-		dur := time.Since(start).Seconds()
-		e.metrics.Apply.ObserveN(dur/float64(done), int64(done))
-		e.replayed.Add(int64(done))
-		e.sincePublish += done
-		e.pending.Add(int64(done))
+		e.bookLocked(&e.replayed, done, time.Since(start))
 	}
+	return done
+}
+
+// bookLocked accounts for n model updates that took dur together: the
+// batch mean goes to the Apply histogram once per update, and the updates
+// count towards the next publish.
+func (e *Engine) bookLocked(counter *atomic.Int64, n int, dur time.Duration) {
+	e.metrics.Apply.ObserveN(dur.Seconds()/float64(n), int64(n))
+	counter.Add(int64(n))
+	e.sincePublish += n
+	e.pending.Add(int64(n))
 }
 
 // publishIfDueLocked republishes when K updates have accumulated or the

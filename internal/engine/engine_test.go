@@ -1,6 +1,9 @@
 package engine
 
 import (
+	"bytes"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,5 +286,177 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if st := e.Stats(); st.QueueCap != 8*4096 {
 		t.Fatalf("queue cap %d", st.QueueCap)
+	}
+}
+
+// scriptedRun drives a fresh engine over core.New with the given seed
+// through one fixed script of synchronous operations and returns what it
+// ends up serving.
+func scriptedRun(t *testing.T, seed int64) (snapshot []byte, top []core.Ranked) {
+	t.Helper()
+	cfg := core.DefaultConfig(-0.007, 0, 20)
+	cfg.Expiry = 0
+	cfg.Seed = seed
+	m, err := core.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(m, Config{})
+	defer e.Close()
+	ss := seedSamples(12, 40)
+	a, b := len(ss)/3, 2*len(ss)/3
+	e.ObserveAll(ss[:a])
+	if e.ReplaySteps(200) != 200 {
+		t.Fatal("replay on a seeded pool stopped early")
+	}
+	e.RemoveUser(3)
+	e.ObserveAll(ss[a:b])
+	e.ReplaySteps(100)
+	// A restart in the middle: the restored model starts from the
+	// snapshot's factors, the seed's generators and an empty pool.
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	e.RemoveService(6)
+	e.ObserveAll(ss[b:])
+	e.ReplaySteps(150)
+	if snapshot, err = e.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if top = e.TopKAll(0, 10, true, 1); len(top) != 10 {
+		t.Fatalf("TopKAll returned %d results, want 10", len(top))
+	}
+	return snapshot, top
+}
+
+// TestEngineDeterministicGivenSeed: with one apply path and one replay
+// path, both sequential, what an engine serves is a function of the
+// model seed and the order of the operations it was given — the same
+// script twice yields the same bytes, another seed does not.
+func TestEngineDeterministicGivenSeed(t *testing.T) {
+	snapA, topA := scriptedRun(t, 7)
+	snapB, topB := scriptedRun(t, 7)
+	if !bytes.Equal(snapA, snapB) {
+		t.Fatal("same seed, same script: snapshots differ")
+	}
+	if !reflect.DeepEqual(topA, topB) {
+		t.Fatalf("same seed, same script: TopKAll %v vs %v", topA, topB)
+	}
+	snapC, topC := scriptedRun(t, 8)
+	if bytes.Equal(snapA, snapC) || reflect.DeepEqual(topA, topC) {
+		t.Fatal("a different seed served the same model")
+	}
+}
+
+// TestEnqueueAllBatch covers the batched ingest path: per-shard grouping
+// must preserve visibility and return the admitted count, for both the
+// small-batch (direct) and large-batch (bucketed) variants.
+func TestEnqueueAllBatch(t *testing.T) {
+	e := New(testModel(t), Config{})
+	small := seedSamples(4, 5) // 7 samples ≤ 16 → direct path
+	if len(small) > 16 {
+		t.Fatalf("test assumes small batch, got %d", len(small))
+	}
+	if n := e.EnqueueAll(small); n != len(small) {
+		t.Fatalf("small EnqueueAll admitted %d of %d", n, len(small))
+	}
+	large := seedSamples(16, 16) // > 16 → bucketed path
+	if len(large) <= 16 {
+		t.Fatalf("test assumes large batch, got %d", len(large))
+	}
+	if n := e.EnqueueAll(large); n != len(large) {
+		t.Fatalf("large EnqueueAll admitted %d of %d", n, len(large))
+	}
+	e.Flush()
+	for _, s := range large {
+		if _, err := e.Predict(s.User, s.Service); err != nil {
+			t.Fatalf("batched sample (%d,%d) not visible: %v", s.User, s.Service, err)
+		}
+	}
+	if st := e.Stats(); st.Enqueued != int64(len(small)+len(large)) {
+		t.Fatalf("enqueued %d, want %d", st.Enqueued, len(small)+len(large))
+	}
+	e.Close()
+	if n := e.EnqueueAll(small); n != 0 {
+		t.Fatalf("EnqueueAll after Close admitted %d", n)
+	}
+}
+
+// TestDroppedSplitByReason pins the dropped-counter split: evictions of
+// queued samples count as "oldest", shed incoming samples as "new", and
+// the legacy aggregate stays their sum.
+func TestDroppedSplitByReason(t *testing.T) {
+	const q = 8
+	e := New(testModel(t), Config{QueueSize: q, IngestShards: 1})
+	defer e.Close()
+
+	e.mu.Lock() // stall the writer so the queue can only overflow
+	for i := 0; i < 4*q; i++ {
+		e.Enqueue(stream.Sample{User: 0, Service: i, Value: 1})
+	}
+	st := e.Stats()
+	e.mu.Unlock()
+
+	if st.DroppedOldest == 0 {
+		t.Fatalf("overflow produced no oldest-evictions: %+v", st)
+	}
+	if st.Dropped != st.DroppedNew+st.DroppedOldest {
+		t.Fatalf("Dropped %d != DroppedNew %d + DroppedOldest %d", st.Dropped, st.DroppedNew, st.DroppedOldest)
+	}
+	// Single producer, uncontended: the drop-oldest spin always frees a
+	// slot, so nothing should be shed as "new".
+	if st.DroppedNew != 0 {
+		t.Fatalf("uncontended overflow shed %d new samples", st.DroppedNew)
+	}
+}
+
+// TestObserveAllCloseRace is the regression test for the post-Close
+// fallback race: batches handed to the writer just as stop closes must be
+// applied exactly once — either by the writer's final drain or by the
+// caller's inline fallback, never both, never zero times.
+func TestObserveAllCloseRace(t *testing.T) {
+	const rounds = 40
+	for r := 0; r < rounds; r++ {
+		e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
+		const callers = 8
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				<-start
+				// One batch of 2 samples per caller; user/service IDs are
+				// unique per caller so registration counts double-apply too.
+				e.ObserveAll([]stream.Sample{
+					{User: c, Service: c, Value: 1},
+					{User: c, Service: c, Value: 2},
+				})
+			}(c)
+		}
+		closeDone := make(chan struct{})
+		go func() {
+			<-start
+			e.Close()
+			close(closeDone)
+		}()
+		close(start)
+		wg.Wait()
+		<-closeDone
+
+		// Exactly-once: every batch applied, none twice. Each sample is one
+		// SGD update, so the model's update count is the exact apply count.
+		if got, want := e.View().Updates(), int64(2*callers); got != want {
+			t.Fatalf("round %d: %d updates after close race, want exactly %d", r, got, want)
+		}
+		for c := 0; c < callers; c++ {
+			if !e.View().KnowsUser(c) {
+				t.Fatalf("round %d: caller %d's batch lost", r, c)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/qoslab/amf/internal/stream"
 )
@@ -22,9 +23,12 @@ type fakeJournal struct {
 	// sequence number <= i+1 (immutable history once appended).
 	cum  []int
 	fail bool
+	// delay is how long AppendSamples takes — a slow disk.
+	delay time.Duration
 }
 
 func (f *fakeJournal) AppendSamples(ss []stream.Sample) (uint64, error) {
+	time.Sleep(f.delay)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.fail {
@@ -80,16 +84,14 @@ func (f *fakeJournal) sampleCount() int {
 // TestJournalAckImpliesJournaled: when ObserveAll returns, every sample
 // in the batch is in the journal — ack-after-journal.
 func TestJournalAckImpliesJournaled(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		e := New(testModel(t), Config{TrainWorkers: workers})
-		j := &fakeJournal{}
-		e.SetJournal(j)
-		ss := seedSamples(4, 5)
-		e.ObserveAll(ss)
-		if got := j.sampleCount(); got != len(ss) {
-			t.Fatalf("workers=%d: journal holds %d samples after ack, want %d", workers, got, len(ss))
-		}
-		e.Close()
+	e := New(testModel(t), Config{})
+	defer e.Close()
+	j := &fakeJournal{}
+	e.SetJournal(j)
+	ss := seedSamples(4, 5)
+	e.ObserveAll(ss)
+	if got := j.sampleCount(); got != len(ss) {
+		t.Fatalf("journal holds %d samples after ack, want %d", got, len(ss))
 	}
 }
 
@@ -97,24 +99,49 @@ func TestJournalAckImpliesJournaled(t *testing.T) {
 // by the writer's drain before they are applied; after a Flush barrier
 // everything applied is in the journal.
 func TestJournalCoversEnqueuedSamples(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		e := New(testModel(t), Config{TrainWorkers: workers})
-		j := &fakeJournal{}
-		e.SetJournal(j)
-		ss := seedSamples(6, 6)
-		for _, s := range ss {
-			if !e.Enqueue(s) {
-				t.Fatal("enqueue rejected")
-			}
+	e := New(testModel(t), Config{})
+	defer e.Close()
+	j := &fakeJournal{}
+	e.SetJournal(j)
+	ss := seedSamples(6, 6)
+	for _, s := range ss {
+		if !e.Enqueue(s) {
+			t.Fatal("enqueue rejected")
 		}
-		e.Flush()
-		if got := j.sampleCount(); got != len(ss) {
-			t.Fatalf("workers=%d: journal holds %d samples after flush, want %d", workers, got, len(ss))
-		}
-		if applied := e.Stats().Applied; applied != int64(len(ss)) {
-			t.Fatalf("applied %d, want %d", applied, len(ss))
-		}
-		e.Close()
+	}
+	e.Flush()
+	if got := j.sampleCount(); got != len(ss) {
+		t.Fatalf("journal holds %d samples after flush, want %d", got, len(ss))
+	}
+	if applied := e.Stats().Applied; applied != int64(len(ss)) {
+		t.Fatalf("applied %d, want %d", applied, len(ss))
+	}
+}
+
+// TestApplyHistogramIsModelTimeOnly: Metrics.Apply has one definition —
+// time inside the model update, per update — through every door. A slow
+// journal must not show up in it (the drain path used to start its clock
+// before the append, so the admission gate's apply-p50 input depended on
+// whether samples arrived by Enqueue or ObserveAll), and replay steps
+// driven through ReplaySteps are updates like any other.
+func TestApplyHistogramIsModelTimeOnly(t *testing.T) {
+	e := New(testModel(t), Config{})
+	defer e.Close()
+	e.SetJournal(&fakeJournal{delay: 20 * time.Millisecond})
+	apply := e.Metrics().Apply
+	e.Enqueue(stream.Sample{User: 1, Service: 1, Value: 2})
+	e.Enqueue(stream.Sample{User: 2, Service: 1, Value: 3})
+	e.Flush()
+	e.ObserveAll([]stream.Sample{{User: 1, Service: 2, Value: 1}})
+	if got := apply.Count(); got != 3 {
+		t.Fatalf("apply histogram holds %d updates, want 3", got)
+	}
+	if q := apply.Quantile(0.99); q >= 5e-3 {
+		t.Fatalf("apply p99 = %.1f ms behind a 20 ms journal: it is timing the append", q*1e3)
+	}
+	n := e.ReplaySteps(10)
+	if got := apply.Count(); n == 0 || got != int64(3+n) {
+		t.Fatalf("apply histogram holds %d updates after %d replay steps, want %d", got, n, 3+n)
 	}
 }
 

@@ -50,10 +50,8 @@ func TestEngineMetricsPopulate(t *testing.T) {
 
 	// Replay through the control path counts as applied updates too.
 	before = m.Apply.Count()
-	if n := e.ReplaySteps(10); n > 0 && m.Apply.Count() != before {
-		// ReplaySteps records via replayed counter only; Apply covers
-		// ingest/sync batches plus ReplayPerBatch work.
-		t.Log("replay steps are tracked by Stats.Replayed")
+	if n := e.ReplaySteps(10); m.Apply.Count() != before+int64(n) {
+		t.Errorf("%d replay steps not recorded: %d -> %d", n, before, m.Apply.Count())
 	}
 }
 

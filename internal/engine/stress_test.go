@@ -29,21 +29,6 @@ func TestStressConcurrentReadWrite(t *testing.T) {
 	})
 }
 
-// TestStressParallelTrainer is the same torture run against the
-// multi-writer path: the drain fans out across 4 trainer workers while
-// readers, churn, snapshot, and restore race it. Run with -race — the
-// synchronized trainer must be race-detector clean.
-func TestStressParallelTrainer(t *testing.T) {
-	runStressConcurrentReadWrite(t, Config{
-		QueueSize:       256,
-		IngestShards:    8,
-		PublishEvery:    64,
-		PublishInterval: 2 * time.Millisecond,
-		ReplayPerBatch:  16,
-		TrainWorkers:    4,
-	})
-}
-
 func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 	const (
 		users    = 32

@@ -260,55 +260,6 @@ func BenchmarkDotBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockedScan measures the kernel-level coalescing win the rank
-// coalescer banks on: Q queries over cache-sized row blocks (each block
-// pulled from DRAM once, reused hot for the remaining queries — the
-// TopKAllBatch traversal, one DotBatch per query per block) vs Q
-// independent full passes (the whole arena streamed from DRAM once per
-// query), paired in one loop. The kernel calls are the same on both
-// sides; the win is in the order they visit memory.
-func BenchmarkBlockedScan(b *testing.B) {
-	const rank = 10
-	const rows = 100000 // 8 MB of arena at f64 — too big for L2, the case coalescing exists for
-	const blockRows = 1024
-	for _, nq := range []int{4, 8} {
-		rng := rand.New(rand.NewSource(6))
-		block := randVec(rng, rows*rank)
-		qs := randVec(rng, nq*rank)
-		dst := make([]float64, nq*rows)
-		bdst := make([]float64, blockRows)
-		b.Run("paired/q="+itoa(nq), func(b *testing.B) {
-			b.ReportAllocs()
-			cl := make([]time.Duration, b.N)
-			il := make([]time.Duration, b.N)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t0 := time.Now()
-				for lo := 0; lo < rows; lo += blockRows {
-					hi := min(lo+blockRows, rows)
-					for qi := 0; qi < nq; qi++ {
-						DotBatch(bdst[:hi-lo], block[lo*rank:hi*rank], qs[qi*rank:(qi+1)*rank])
-					}
-				}
-				t1 := time.Now()
-				for qi := 0; qi < nq; qi++ {
-					DotBatch(dst[qi*rows:(qi+1)*rows], block, qs[qi*rank:(qi+1)*rank])
-				}
-				cl[i] = t1.Sub(t0)
-				il[i] = time.Since(t1)
-			}
-			b.StopTimer()
-			sinkF = bdst[0]
-			sinkF = dst[0]
-			c50 := medianDur(cl)
-			i50 := medianDur(il)
-			b.ReportMetric(float64(c50), "coalesced-p50-ns/op")
-			b.ReportMetric(float64(i50), "independent-p50-ns/op")
-			b.ReportMetric(float64(i50)/float64(c50), "coalesce-speedup-x")
-		})
-	}
-}
-
 func medianDur(d []time.Duration) time.Duration {
 	s := append([]time.Duration(nil), d...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })

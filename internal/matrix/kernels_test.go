@@ -220,8 +220,8 @@ func FuzzDotKernels(f *testing.F) {
 // ---------------------------------------------------------------------------
 // Benchmarks: the dispatched kernel must be no slower than the naive
 // loop at the configured AMF ranks (8/10/16). The batch kernels'
-// scalar-vs-SIMD-vs-float32 comparisons live in kernels32_test.go as
-// paired-interleaved benches (BenchmarkDotBatch, BenchmarkBlockedScan).
+// scalar-vs-SIMD-vs-float32 comparison lives in kernels32_test.go as a
+// paired-interleaved bench (BenchmarkDotBatch).
 
 var sinkF float64
 

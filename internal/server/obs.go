@@ -28,7 +28,6 @@ type counters struct {
 	churnRemovals    *obs.Counter // users/services deregistered
 	rankRequests     *obs.Counter // candidate rankings served
 	rankCandidates   *obs.Counter // candidates scanned across all rankings
-	rankCoalesced    *obs.Counter // full-scan rankings served through coalesced batches
 }
 
 // buildMetrics constructs the registry and every metric family the server
@@ -47,27 +46,19 @@ func (s *Server) buildMetrics() {
 		churnRemovals:    r.NewCounter("amf_churn_removals_total", "Users/services deregistered (churn departures)."),
 		rankRequests:     r.NewCounter("amf_rank_requests_total", "Candidate rankings served."),
 		rankCandidates:   r.NewCounter("amf_rank_candidates_total", "Candidates scanned across all ranking requests."),
-		rankCoalesced:    r.NewCounter("amf_rank_coalesced_total", "Full-scan rankings served through a coalesced multi-query batch."),
 	}
 
-	// Ranking fast path: latency by execution mode (serial, parallel,
-	// full_scan, full_scan_parallel, full_scan_coalesced). Unsampled —
-	// rankings are orders of magnitude rarer than predicts and each one
-	// is worth timing. The mode children are materialized up front so
-	// /metrics always exposes the full family (and so the exposition
-	// validates before the first ranking arrives).
+	// Ranking fast path: latency by execution mode (serial = a candidate
+	// list, full_scan = the whole catalog). Unsampled — rankings are
+	// orders of magnitude rarer than predicts and each one is worth
+	// timing. The mode children are materialized up front so /metrics
+	// always exposes the full family (and so the exposition validates
+	// before the first ranking arrives).
 	s.rankLatency = r.NewHistogramVec("amf_rank_latency_seconds",
 		"Candidate-ranking latency by execution mode.", "mode", 1e-6, 60, 8)
-	for _, mode := range []string{"serial", "parallel", "full_scan", "full_scan_parallel", "full_scan_coalesced"} {
+	for _, mode := range []string{"serial", "full_scan"} {
 		s.rankLatency.With(mode)
 	}
-
-	// Coalesced-batch size distribution: how many full-scan requests each
-	// flush actually served together (1 = a request whose window expired
-	// alone). Buckets cover 1..RankCoalesceMax-scale sizes.
-	s.rankCoalesceSize = obs.NewHistogram(1, 1024, 4)
-	r.RegisterHistogram("amf_rank_coalesce_batch_size",
-		"Full-scan rank requests served per coalesced flush.", s.rankCoalesceSize)
 
 	// Build identification (ldflags-stamped).
 	obs.RegisterBuildInfo(r)
@@ -107,25 +98,9 @@ func (s *Server) buildMetrics() {
 	r.RegisterHistogram("amf_engine_queue_wait_seconds",
 		"Time samples spent in the ingest queue before the writer drained them.", em.QueueWait)
 	r.RegisterHistogram("amf_engine_apply_seconds",
-		"Per-update model apply latency (batch mean attributed to each update).", em.Apply)
+		"Per-update model apply latency, observes and replay alike: time inside the SGD step only (no queue drain, no journal append), batch mean attributed to each update.", em.Apply)
 	r.RegisterHistogram("amf_engine_publish_seconds",
 		"View refresh+publish latency (dirty-page copy plus pointer swing).", em.Publish)
-
-	// Parallel training path (amf_train_*). The worker-count gauge is
-	// always exported (1 = serial writer) so dashboards can key on it;
-	// the trainer's own series exist only when -train-workers > 1.
-	r.GaugeFunc("amf_train_workers", "Parallel SGD training workers (1 = serial writer).",
-		func() float64 { return float64(eng.TrainWorkers()) })
-	if tm := eng.TrainMetrics(); tm != nil {
-		r.RegisterHistogram("amf_train_apply_seconds",
-			"Per-worker wall time applying one fan-out's slice of a training batch.", tm.Apply)
-		r.CounterFunc("amf_train_stripe_contention_total",
-			"Service-stripe lock acquisitions that found the stripe held by another worker.",
-			tm.StripeContention.Value)
-		r.CounterFunc("amf_train_batches_total",
-			"Training fan-outs coordinated across the worker pool.",
-			tm.Batches.Value)
-	}
 
 	// SLO admission (see admission.go). Families are registered even
 	// while the gate is disabled — they read zero — so the metrics

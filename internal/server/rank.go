@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"runtime"
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
@@ -12,30 +11,14 @@ import (
 // the paper's runtime service adaptation loop (Sec. III), served entirely
 // from one immutable core.PredictView via the bounded-heap arena fast
 // path (internal/core/topk.go). Name resolution is batched (one registry
-// RLock per request), and candidate sets at or above the server's
-// RankParallelThreshold fan the scan across min(GOMAXPROCS, view shards)
-// workers with a final k-way merge.
+// RLock per request) and every ranking is one serial scan on the
+// request's goroutine: on a catalog that stays in L2 a fan-out across
+// cores measured slower than the scan it splits, and a loaded server has
+// no idle cores to lend (DESIGN.md "Ranking fast path").
 
 // rankRoutes registers the ranking endpoint; called from routes().
 func (s *Server) rankRoutes() {
 	s.handle("POST /api/v1/rank", s.gated("POST /api/v1/rank", s.handleRank))
-}
-
-// rankWorkers returns the fan-out width for a candidate set of size n:
-// 1 (serial) below the threshold, min(GOMAXPROCS, 64 view shards) at or
-// above it.
-func (s *Server) rankWorkers(n int) int {
-	if s.RankParallelThreshold <= 0 || n < s.RankParallelThreshold {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 64 {
-		w = 64
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
@@ -91,32 +74,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		unknown    = b.unknown[:0]
 	)
 	if len(q.Services) == 0 {
-		if w := s.RankCoalesceWindow; w > 0 {
-			// Coalesced full scan: park this request on the batch window
-			// and serve it from one multi-query arena pass shared with
-			// every concurrent full-scan request (see coalesce.go). The
-			// batch is served from its own single view load, so the
-			// response reports THAT view, not the one loaded above.
-			mode = "full_scan_coalesced"
-			max := s.RankCoalesceMax
-			if max <= 0 {
-				max = 16
-			}
-			res := s.coalescer.submit(uid, q.TopK, lowerIsBetter, w, max)
-			view, ranked = res.view, res.ranked
-			if s.instrument {
-				s.metrics.rankCoalesced.Inc()
-				s.rankCoalesceSize.Observe(float64(res.batch))
-			}
-		} else {
-			// Rank everything the view knows: pure arena scan, no map walks.
-			mode = "full_scan"
-			workers := s.rankWorkers(view.NumServices())
-			if workers > 1 {
-				mode = "full_scan_parallel"
-			}
-			ranked = view.TopKAll(uid, q.TopK, lowerIsBetter, workers)
-		}
+		// Rank everything the view knows: pure arena scan, no map walks.
+		mode = "full_scan"
+		ranked = view.TopKAll(uid, q.TopK, lowerIsBetter, 1)
 		candidates = view.NumServices()
 	} else {
 		// Resolve every candidate name in one registry pass.
@@ -136,14 +96,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		if k <= 0 || k > len(cands) {
 			k = len(cands)
 		}
+		mode = "serial"
 		var unknownIDs []int
-		if workers := s.rankWorkers(len(cands)); workers > 1 {
-			mode = "parallel"
-			ranked, unknownIDs = view.TopKParallel(uid, cands, k, lowerIsBetter, workers)
-		} else {
-			mode = "serial"
-			ranked, unknownIDs = view.TopK(uid, cands, k, lowerIsBetter)
-		}
+		ranked, unknownIDs = view.TopK(uid, cands, k, lowerIsBetter)
 		// Candidates registered but absent from the view (e.g. purged by
 		// churn): map the returned IDs back to names. Both unknownIDs and
 		// cands preserve candidate order, so a two-pointer walk recovers

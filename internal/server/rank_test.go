@@ -170,38 +170,6 @@ func TestRankErrors(t *testing.T) {
 	}
 }
 
-// TestRankParallelThresholdPath forces the parallel fan-out by dropping
-// the threshold to 1 and checks it returns the same ranking as serial.
-func TestRankParallelThresholdPath(t *testing.T) {
-	s := testServer(t)
-	observeSome(t, s)
-	all := []string{"s0", "s1", "s2", "s3", "s4"}
-	serial := decodeRank(t, doReq(t, s, http.MethodPost, "/api/v1/rank",
-		RankRequest{User: "u1", Services: all}).Body.Bytes())
-	s.RankParallelThreshold = 1
-	parallel := decodeRank(t, doReq(t, s, http.MethodPost, "/api/v1/rank",
-		RankRequest{User: "u1", Services: all}).Body.Bytes())
-	if len(serial.Ranked) != len(parallel.Ranked) {
-		t.Fatalf("parallel ranked %d, serial %d", len(parallel.Ranked), len(serial.Ranked))
-	}
-	for i := range serial.Ranked {
-		if serial.Ranked[i] != parallel.Ranked[i] {
-			t.Fatalf("parallel path disagrees at %d:\n%+v\n%+v", i, serial.Ranked, parallel.Ranked)
-		}
-	}
-	// Full scan through the parallel path too.
-	fsSerial := decodeRank(t, doReq(t, s, http.MethodPost, "/api/v1/rank",
-		RankRequest{User: "u1", TopK: 4}).Body.Bytes())
-	s.RankParallelThreshold = 0 // disabled again
-	fsPar := decodeRank(t, doReq(t, s, http.MethodPost, "/api/v1/rank",
-		RankRequest{User: "u1", TopK: 4}).Body.Bytes())
-	for i := range fsSerial.Ranked {
-		if fsSerial.Ranked[i] != fsPar.Ranked[i] {
-			t.Fatalf("full-scan parallel disagrees:\n%+v\n%+v", fsSerial.Ranked, fsPar.Ranked)
-		}
-	}
-}
-
 // TestRankMetricsExposition checks the amf_rank_* families land on
 // /metrics, survive the strict parser+validator round-trip, and count the
 // requests this test just made.

@@ -43,30 +43,6 @@ type Server struct {
 	// hostile requests). Defaults to 10000.
 	MaxBatch int
 
-	// RankParallelThreshold is the candidate-set size at or above which
-	// POST /api/v1/rank fans the scan across min(GOMAXPROCS, view shards)
-	// workers instead of one serial pass. <= 0 disables the parallel
-	// path. Defaults to 4096 — below that the fan-out overhead (goroutine
-	// wakeups + k-way merge) exceeds the scan itself.
-	RankParallelThreshold int
-
-	// RankCoalesceWindow batches concurrent full-scan rank requests
-	// arriving within this window into one multi-query arena pass (see
-	// coalesce.go). 0 (the default) disables coalescing — a lone request
-	// would only pay the window as added latency. Results are identical
-	// to uncoalesced serving; only DRAM traffic and latency shape change.
-	RankCoalesceWindow time.Duration
-
-	// RankCoalesceMax caps a coalesced batch; reaching it flushes the
-	// batch immediately without waiting out the window. Defaults to 16
-	// when <= 0.
-	RankCoalesceMax int
-
-	// coalescer batches concurrent full-scan rankings when
-	// RankCoalesceWindow > 0 (see coalesce.go). Always constructed;
-	// consulted per request.
-	coalescer *rankCoalescer
-
 	// durable is the optional durable-state manager (see AttachDurable):
 	// WAL journaling, background checkpoints, crash recovery.
 	durable *store.Manager
@@ -74,15 +50,14 @@ type Server struct {
 	// Observability (see obs.go): the metric registry behind /metrics,
 	// request middleware state, the live accuracy tracker, and the
 	// structured logger. reqSeq numbers requests for log correlation.
-	reg              *obs.Registry
-	metrics          counters
-	httpHist         *obs.HistogramVec
-	rankLatency      *obs.HistogramVec
-	rankCoalesceSize *obs.Histogram
-	inflight         *obs.Gauge
-	statusClass      [6]*obs.Counter // 0 unused; 1..5 = 1xx..5xx
-	acc              *obs.AccuracyTracker
-	traces           *trace.Recorder
+	reg         *obs.Registry
+	metrics     counters
+	httpHist    *obs.HistogramVec
+	rankLatency *obs.HistogramVec
+	inflight    *obs.Gauge
+	statusClass [6]*obs.Counter // 0 unused; 1..5 = 1xx..5xx
+	acc         *obs.AccuracyTracker
+	traces      *trace.Recorder
 
 	// SLO admission + control plane (see admission.go): gate is nil
 	// until EnableAdmission, ctrl nil until StartAdaptation. The
@@ -158,21 +133,19 @@ func New(model *core.Model, opts ...Option) *Server {
 // takes ownership: Close shuts the engine down.
 func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{
-		eng:                   eng,
-		users:                 registry.New(),
-		services:              registry.New(),
-		now:                   time.Now,
-		MaxBatch:              10000,
-		RankParallelThreshold: 4096,
-		log:                   slog.Default(),
-		slowThreshold:         time.Second,
-		instrument:            true,
+		eng:           eng,
+		users:         registry.New(),
+		services:      registry.New(),
+		now:           time.Now,
+		MaxBatch:      10000,
+		log:           slog.Default(),
+		slowThreshold: time.Second,
+		instrument:    true,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.logDebug = s.log.Enabled(context.Background(), slog.LevelDebug)
-	s.coalescer = newRankCoalescer(eng.View)
 	// The trace recorder shares the slow-request threshold: a span worth a
 	// slow-log warning is a span worth retaining past ring churn.
 	s.traces = trace.NewRecorder(trace.Config{SlowThreshold: s.slowThreshold})
