@@ -82,10 +82,10 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Smoke benchmarks for what the repository benchmark (bench/) has no
-# probe for: instrumentation overhead (the instrumented predict path must
-# stay within 5% of the uninstrumented one) and concurrent durable writers
-# under group commit (group-speedup-x). Every other hot row is a bench/
-# metric under its own name.
+# probe for: the instrumented predict handler without sockets (the row
+# predict_point's server share is read against) and concurrent durable
+# writers under group commit (group-speedup-x). Every other hot row is a
+# bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/

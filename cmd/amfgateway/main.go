@@ -21,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -64,19 +65,20 @@ func (s *shardList) Set(v string) error {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "amfgateway:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until SIGINT/SIGTERM; logs and flag errors go to stderr.
+func run(args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("amfgateway", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var shards shardList
 	fs.Var(&shards, "shard", "one shard group's replica URLs, comma-separated (repeatable; at least one required)")
 	var (
 		addr      = fs.String("addr", ":8080", "listen address")
-		vnodes    = fs.Int("vnodes", 128, "virtual nodes per shard group on the hash ring")
 		probeIvl  = fs.Duration("probe-interval", 500*time.Millisecond, "replica health-probe cadence")
 		downAfter = fs.Int("down-after", 3, "consecutive probe failures before a replica is marked down")
 		failover  = fs.Bool("failover", false, "promote the most caught-up follower when a group's leader stays down")
@@ -89,7 +91,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
 	}
@@ -99,7 +101,6 @@ func run(args []string) error {
 
 	gw, err := cluster.New(cluster.Config{
 		Groups:          shards,
-		VNodes:          *vnodes,
 		ProbeInterval:   *probeIvl,
 		DownAfter:       *downAfter,
 		Failover:        *failover,
@@ -133,7 +134,7 @@ func run(args []string) error {
 
 	logger.Info("amfgateway starting",
 		"version", obs.BuildVersion(), "commit", obs.BuildCommit(),
-		"addr", *addr, "groups", len(shards), "vnodes", *vnodes,
+		"addr", *addr, "groups", len(shards),
 		"probe_interval", *probeIvl, "down_after", *downAfter,
 		"failover", *failover, "fanout_threshold", *fanout,
 		"slo_edge_shed", *edgeShed, "slo_shed_threshold", *shedThr)

@@ -23,7 +23,6 @@ import (
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
-	"github.com/qoslab/amf/internal/engine"
 	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/obs"
@@ -54,23 +53,14 @@ func run(args []string, stderr io.Writer) error {
 		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
 		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: always (acked = durable, one fsync per observe), group (acked = durable, concurrent observes share one fsync), interval (bounded loss), or off")
 		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
-		walSegBytes = fs.Int64("wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB default)")
-		groupWindow = fs.Duration("fsync-group-window", 0, "-fsync group max-latency bound: a buffered append is fsynced no later than this (0 = 1ms default)")
-		groupBytes  = fs.Int64("fsync-group-bytes", 0, "-fsync group early-fsync trigger: fsync once this many bytes are buffered (0 = 1 MiB default)")
 
 		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (replicates a leader's WAL, read-only until promoted)")
 		leaderURL  = fs.String("leader", "", "leader base URL to replicate from (follower role, required)")
 		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage; lets promotion recover to the exact durable tail (follower role, optional)")
-		replWait   = fs.Duration("repl-wait", 5*time.Second, "follower long-poll hold time per WAL fetch")
-
-		queue       = fs.Int("queue", 0, "ingest queue slots per shard (0 = engine default)")
-		publishIvl  = fs.Duration("publish-interval", 0, "max staleness of the published read view (0 = engine default)")
-		publishEach = fs.Int("publish-every", 0, "republish the read view after this many model updates (0 = engine default)")
 
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")
 		sloBudgetShd = fs.Duration("slo-budget-sheddable", 250*time.Millisecond, "predicted-wait budget for sheddable-class requests (with -slo-admission)")
-		sloHeadroom  = fs.Float64("slo-headroom", 1.0, "multiplier on class budgets: admit while predicted wait <= budget*headroom (with -slo-admission)")
 		adaptEpoch   = fs.Duration("adapt-epoch", 0, "epoch-controller period: each epoch adapts engine tunables to the observed rejection rate and queue wait (0 disables adaptation)")
 
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
@@ -104,12 +94,7 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	eng := engine.New(model, engine.Config{
-		QueueSize:       *queue,
-		PublishInterval: *publishIvl,
-		PublishEvery:    *publishEach,
-	})
-	svc := server.NewWithEngine(eng, server.WithLogger(logger))
+	svc := server.New(model, server.WithLogger(logger))
 	defer svc.Close()
 	if *pprofFlag {
 		svc.EnablePprof()
@@ -118,7 +103,6 @@ func run(args []string, stderr io.Writer) error {
 		svc.EnableAdmission(server.AdmissionConfig{
 			BudgetStandard:  *sloBudgetStd,
 			BudgetSheddable: *sloBudgetShd,
-			Headroom:        *sloHeadroom,
 		})
 	}
 	if *adaptEpoch > 0 {
@@ -148,10 +132,7 @@ func run(args []string, stderr io.Writer) error {
 	var mgr *store.Manager
 	if *dataDir != "" {
 		mgr, err = store.Open(*dataDir, store.Options{
-			SegmentBytes:       *walSegBytes,
 			Sync:               sync,
-			GroupWindow:        *groupWindow,
-			GroupBytes:         *groupBytes,
 			CheckpointInterval: *snapIvl,
 			Logger:             logger,
 		})
@@ -178,14 +159,10 @@ func run(args []string, stderr io.Writer) error {
 			Leader:     *leaderURL,
 			LeaderData: *leaderData,
 			StoreOptions: store.Options{
-				SegmentBytes:       *walSegBytes,
 				Sync:               sync,
-				GroupWindow:        *groupWindow,
-				GroupBytes:         *groupBytes,
 				CheckpointInterval: *snapIvl,
 				Logger:             logger,
 			},
-			WaitMS: int(replWait.Milliseconds()),
 		}); err != nil {
 			return fmt.Errorf("start follower: %w", err)
 		}
@@ -234,15 +211,13 @@ func run(args []string, stderr io.Writer) error {
 		"addr", *addr, "attr", attr.String(),
 		"rank", cfg.Rank, "eta", cfg.LearnRate, "beta", cfg.Beta, "alpha", cfg.Alpha,
 		"expiry", *expiry, "replay_interval", *replay, "replay_batch", *batch,
-		"queue", *queue,
-		"publish_interval", *publishIvl, "publish_every", *publishEach,
 		"simd", matrix.SIMD(),
 		"slo_admission", *sloAdmit, "slo_budget_standard", *sloBudgetStd,
-		"slo_budget_sheddable", *sloBudgetShd, "slo_headroom", *sloHeadroom,
+		"slo_budget_sheddable", *sloBudgetShd,
 		"adapt_epoch", *adaptEpoch,
 		"role", *role, "leader", *leaderURL, "leader_data", *leaderData,
 		"data_dir", *dataDir, "fsync", sync.String(),
-		"snapshot_interval", *snapIvl, "wal_segment_bytes", *walSegBytes,
+		"snapshot_interval", *snapIvl,
 		"pprof", *pprofFlag, "log_level", *logLevel, "log_format", *logFormat)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -21,9 +21,19 @@ func TestRunRejectsBadAttr(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlag: an unknown flag fails start-up, and so does
+// every flag that became a constant — a unit file still carrying one
+// must not start a server that silently ignores it.
 func TestRunRejectsBadFlag(t *testing.T) {
-	if err := run([]string{"-definitely-not-a-flag"}, io.Discard); err == nil {
-		t.Fatal("unknown flag should error")
+	for _, name := range []string{
+		"definitely-not-a-flag",
+		"queue", "publish-interval", "publish-every", "slo-headroom",
+		"wal-segment-bytes", "fsync-group-window", "fsync-group-bytes", "repl-wait",
+	} {
+		err := run([]string{"-" + name, "1"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("-%s: err = %v, want a flag-not-defined error", name, err)
+		}
 	}
 }
 

@@ -311,43 +311,3 @@ func TestMiddlewareBothSLATermsCountOnce(t *testing.T) {
 		t.Fatalf("a task violating both terms should count once: %+v", res)
 	}
 }
-
-// tpTablePredictor predicts throughput from a fixed table.
-type tpTablePredictor map[[2]int]float64
-
-func (t tpTablePredictor) PredictTP(user, service int) (float64, bool) {
-	v, ok := t[[2]int{user, service}]
-	return v, ok
-}
-
-func TestPredictedTPSelectorPicksHighest(t *testing.T) {
-	pred := tpTablePredictor{
-		{0, 1}: 100,
-		{0, 2}: 900,
-		{0, 3}: 400,
-	}
-	s := NewPredictedTPSelector(pred)
-	if s.Name() != "predicted-tp" {
-		t.Fatal("name")
-	}
-	task := Task{Name: "A", Candidates: []int{1, 2, 3}}
-	if got := s.Select(0, task, 1); got != 2 {
-		t.Fatalf("TP selector chose %d, want 2 (highest throughput)", got)
-	}
-}
-
-func TestPredictedTPSelectorColdStays(t *testing.T) {
-	s := NewPredictedTPSelector(tpTablePredictor{})
-	task := Task{Name: "A", Candidates: []int{1, 2}}
-	if got := s.Select(0, task, 1); got != 1 {
-		t.Fatalf("cold TP model should keep current, got %d", got)
-	}
-}
-
-func TestPredictedTPSelectorSkipsUnknown(t *testing.T) {
-	s := NewPredictedTPSelector(tpTablePredictor{{0, 1}: 50})
-	task := Task{Name: "A", Candidates: []int{1, 2}}
-	if got := s.Select(0, task, 1); got != 1 {
-		t.Fatalf("selector moved to unpredictable candidate %d", got)
-	}
-}

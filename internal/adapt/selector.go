@@ -94,46 +94,6 @@ func (p *PredictedSelector) Select(user int, task Task, current int) int {
 	return best
 }
 
-// TPPredictor is the prediction interface for throughput-driven policies.
-type TPPredictor interface {
-	PredictTP(user, service int) (float64, bool)
-}
-
-// PredictedTPSelector picks the candidate with the highest predicted
-// throughput — the dual of PredictedSelector for bandwidth-sensitive
-// tasks (paper Sec. V evaluates both RT and TP attributes).
-type PredictedTPSelector struct {
-	pred TPPredictor
-}
-
-// NewPredictedTPSelector wraps a throughput predictor.
-func NewPredictedTPSelector(pred TPPredictor) *PredictedTPSelector {
-	return &PredictedTPSelector{pred: pred}
-}
-
-// Name implements Selector.
-func (*PredictedTPSelector) Name() string { return "predicted-tp" }
-
-// Select returns the candidate with the largest predicted throughput; the
-// current binding wins ties and unpredictable candidates are skipped.
-func (p *PredictedTPSelector) Select(user int, task Task, current int) int {
-	best := current
-	bestTP, haveBest := p.pred.PredictTP(user, current)
-	for _, c := range task.Candidates {
-		if c == current {
-			continue
-		}
-		tp, ok := p.pred.PredictTP(user, c)
-		if !ok {
-			continue
-		}
-		if !haveBest || tp > bestTP {
-			best, bestTP, haveBest = c, tp, true
-		}
-	}
-	return best
-}
-
 // OracleSelector picks by the environment's true long-run pair quality:
 // an upper bound no predictor can beat, used to normalize experiment
 // results.

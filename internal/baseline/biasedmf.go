@@ -62,7 +62,6 @@ type BiasedMF struct {
 	itemBias []float64
 	users    *matrix.Dense
 	items    *matrix.Dense
-	epochs   int
 	rmse     float64
 }
 
@@ -126,7 +125,6 @@ func TrainBiasedMF(m *matrix.Sparse, cfg BiasedMFConfig) (*BiasedMF, error) {
 				sj[k] = sk - cfg.LearnRate*(diff*uk+cfg.Reg*sk)
 			}
 		}
-		b.epochs = epoch + 1
 		b.rmse = math.Sqrt(sqErr / float64(len(entries)))
 		if prev < math.Inf(1) && prev > 0 && math.Abs(prev-b.rmse)/prev < cfg.Tol {
 			break
@@ -152,9 +150,3 @@ func (b *BiasedMF) Predict(user, service int) (float64, bool) {
 	}
 	return v, true
 }
-
-// Epochs returns the training epochs performed.
-func (b *BiasedMF) Epochs() int { return b.epochs }
-
-// TrainRMSE returns the final training RMSE in normalized units.
-func (b *BiasedMF) TrainRMSE() float64 { return b.rmse }

@@ -84,12 +84,6 @@ func TestUPCCFallbacks(t *testing.T) {
 	if !ok || got != 9 {
 		t.Fatalf("fallback to user mean: got %g, %v; want 9", got, ok)
 	}
-	if mean, ok := u.UserMean(2); !ok || mean != 9 {
-		t.Fatalf("UserMean = %g, %v", mean, ok)
-	}
-	if _, ok := u.UserMean(99); ok {
-		t.Fatal("out-of-range user mean")
-	}
 }
 
 func TestUPCCGlobalFallbackForColdUser(t *testing.T) {
@@ -142,8 +136,8 @@ func TestIPCCFallbackToServiceMean(t *testing.T) {
 	if !ok || got != 3 {
 		t.Fatalf("service-mean fallback: got %g, %v; want 3", got, ok)
 	}
-	if mean, ok := p.ServiceMean(1); !ok || mean != 7 {
-		t.Fatalf("ServiceMean = %g, %v", mean, ok)
+	if !p.hasMean[1] || p.svcMeans[1] != 7 {
+		t.Fatalf("service 1 mean = %g, %v", p.svcMeans[1], p.hasMean[1])
 	}
 }
 
@@ -162,10 +156,6 @@ func TestUIPCCBlendsBothViews(t *testing.T) {
 	if h.Name() != "UIPCC" {
 		t.Fatal("name")
 	}
-	u, i := h.Components()
-	if u == nil || i == nil {
-		t.Fatal("components")
-	}
 }
 
 func TestUIPCCLambdaExtremes(t *testing.T) {
@@ -173,7 +163,7 @@ func TestUIPCCLambdaExtremes(t *testing.T) {
 	m, _ := structuredMatrix(8, 6, hold)
 	onlyU := TrainUIPCC(m, UIPCCConfig{Lambda: 5, User: PCCConfig{TopK: -1}, Item: PCCConfig{TopK: -1}})  // clamps to 1
 	onlyI := TrainUIPCC(m, UIPCCConfig{Lambda: -1, User: PCCConfig{TopK: -1}, Item: PCCConfig{TopK: -1}}) // clamps to 0
-	u, _ := onlyU.Components()
+	u := onlyU.u
 	i2 := TrainIPCC(m, PCCConfig{TopK: -1})
 	uv, _, _ := u.PredictWithConfidence(3, 2)
 	iv, _, _ := i2.PredictWithConfidence(3, 2)
@@ -218,8 +208,8 @@ func TestPMFRecoversStructure(t *testing.T) {
 	if p.Name() != "PMF" {
 		t.Fatal("name")
 	}
-	if p.Epochs() == 0 || p.TrainRMSE() <= 0 {
-		t.Fatalf("training stats: epochs=%d rmse=%g", p.Epochs(), p.TrainRMSE())
+	if p.rmse <= 0 {
+		t.Fatalf("training rmse %g", p.rmse)
 	}
 }
 
@@ -233,8 +223,8 @@ func TestPMFTrainingErrorDecreases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if long.TrainRMSE() >= short.TrainRMSE() {
-		t.Fatalf("more epochs should not increase RMSE: %g vs %g", long.TrainRMSE(), short.TrainRMSE())
+	if long.rmse >= short.rmse {
+		t.Fatalf("more epochs should not increase RMSE: %g vs %g", long.rmse, short.rmse)
 	}
 }
 

@@ -119,11 +119,3 @@ func (p *IPCC) PredictWithConfidence(user, service int) (value, confidence float
 	}
 	return clampMin(p.svcMeans[service] + num/den), confidence, true
 }
-
-// ServiceMean returns the service's observed mean QoS, if any.
-func (p *IPCC) ServiceMean(service int) (float64, bool) {
-	if service < 0 || service >= len(p.svcMeans) || !p.hasMean[service] {
-		return 0, false
-	}
-	return p.svcMeans[service], true
-}

@@ -77,7 +77,6 @@ type NIMF struct {
 	users     *matrix.Dense
 	items     *matrix.Dense
 	neighbors [][]neighbor // normalized, per user
-	epochs    int
 	rmse      float64
 }
 
@@ -171,7 +170,6 @@ func TrainNIMF(m *matrix.Sparse, cfg NIMFConfig) (*NIMF, error) {
 				}
 			}
 		}
-		model.epochs = epoch + 1
 		model.rmse = math.Sqrt(sqErr / float64(len(entries)))
 		if prev < math.Inf(1) && prev > 0 && math.Abs(prev-model.rmse)/prev < cfg.Tol {
 			break
@@ -201,9 +199,3 @@ func (p *NIMF) Predict(user, service int) (float64, bool) {
 	}
 	return v, true
 }
-
-// Epochs returns the training epochs performed.
-func (p *NIMF) Epochs() int { return p.epochs }
-
-// TrainRMSE returns the final training RMSE in normalized units.
-func (p *NIMF) TrainRMSE() float64 { return p.rmse }

@@ -77,11 +77,10 @@ func (c PMFConfig) validate() error {
 // error that the paper argues is the wrong objective for QoS adaptation
 // (Sec. IV-C.1).
 type PMF struct {
-	cfg    PMFConfig
-	users  *matrix.Dense // n x d
-	items  *matrix.Dense // m x d
-	epochs int
-	rmse   float64
+	cfg   PMFConfig
+	users *matrix.Dense // n x d
+	items *matrix.Dense // m x d
+	rmse  float64
 }
 
 // TrainPMF factorizes a frozen sparse QoS matrix.
@@ -128,7 +127,6 @@ func TrainPMF(m *matrix.Sparse, cfg PMFConfig) (*PMF, error) {
 			}
 		}
 
-		p.epochs = epoch + 1
 		p.rmse = math.Sqrt(sqErr / float64(len(entries)))
 		if prevRMSE < math.Inf(1) && prevRMSE > 0 {
 			if math.Abs(prevRMSE-p.rmse)/prevRMSE < cfg.Tol {
@@ -158,9 +156,3 @@ func (p *PMF) Predict(user, service int) (float64, bool) {
 	}
 	return v, true
 }
-
-// Epochs returns the number of training epochs performed.
-func (p *PMF) Epochs() int { return p.epochs }
-
-// TrainRMSE returns the final training RMSE in normalized units.
-func (p *PMF) TrainRMSE() float64 { return p.rmse }

@@ -74,7 +74,3 @@ func (h *UIPCC) Predict(user, service int) (float64, bool) {
 		return h.i.Predict(user, service)
 	}
 }
-
-// Components exposes the trained UPCC and IPCC parts (for experiments
-// that report them separately, as Table I does).
-func (h *UIPCC) Components() (*UPCC, *IPCC) { return h.u, h.i }

@@ -120,11 +120,3 @@ func (u *UPCC) PredictWithConfidence(user, service int) (value, confidence float
 	}
 	return clampMin(u.userMeans[user] + num/den), confidence, true
 }
-
-// UserMean returns the user's observed mean QoS, if any.
-func (u *UPCC) UserMean(user int) (float64, bool) {
-	if user < 0 || user >= len(u.userMeans) || !u.hasMean[user] {
-		return 0, false
-	}
-	return u.userMeans[user], true
-}

@@ -134,50 +134,6 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 	return false, nil
 }
 
-// Snapshot downloads the service's state blob (GET /api/v1/snapshot).
-// etag is the validator returned by a previous call ("" fetches
-// unconditionally): when the server's state hasn't changed it answers
-// 304 and Snapshot returns notModified=true with no data, which is what
-// keeps periodic backups, follower bootstraps, and gateway probes cheap.
-func (c *Client) Snapshot(ctx context.Context, etag string) (data []byte, newETag string, notModified bool, err error) {
-	for attempt := 0; ; attempt++ {
-		data, newETag, notModified, err = c.snapshotOnce(ctx, etag)
-		if err == nil || attempt >= c.Retries {
-			return data, newETag, notModified, err
-		}
-		if werr := c.waitRetry(ctx); werr != nil {
-			return nil, "", false, err
-		}
-	}
-}
-
-func (c *Client) snapshotOnce(ctx context.Context, etag string) ([]byte, string, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/api/v1/snapshot", nil)
-	if err != nil {
-		return nil, "", false, fmt.Errorf("client: build request: %w", err)
-	}
-	if etag != "" {
-		req.Header.Set("If-None-Match", etag)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, "", false, fmt.Errorf("client: GET /api/v1/snapshot: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		return nil, resp.Header.Get("ETag"), true, nil
-	case http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, "", false, fmt.Errorf("client: download snapshot: %w", err)
-		}
-		return data, resp.Header.Get("ETag"), false, nil
-	default:
-		return nil, "", false, fmt.Errorf("client: GET /api/v1/snapshot: HTTP %d", resp.StatusCode)
-	}
-}
-
 // Health checks the /healthz endpoint.
 func (c *Client) Health(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
@@ -235,32 +191,6 @@ func (c *Client) Stats(ctx context.Context) (server.StatsResponse, error) {
 	var resp server.StatsResponse
 	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &resp)
 	return resp, err
-}
-
-// Users lists registered users.
-func (c *Client) Users(ctx context.Context) ([]server.EntityInfo, error) {
-	var resp []server.EntityInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/users", nil, &resp)
-	return resp, err
-}
-
-// Services lists registered services.
-func (c *Client) Services(ctx context.Context) ([]server.EntityInfo, error) {
-	var resp []server.EntityInfo
-	err := c.do(ctx, http.MethodGet, "/api/v1/services", nil, &resp)
-	return resp, err
-}
-
-// RemoveUser deregisters a user (churn departure).
-func (c *Client) RemoveUser(ctx context.Context, name string) error {
-	q := url.Values{"name": {name}}
-	return c.do(ctx, http.MethodDelete, "/api/v1/users?"+q.Encode(), nil, nil)
-}
-
-// RemoveService deregisters a service.
-func (c *Client) RemoveService(ctx context.Context, name string) error {
-	q := url.Values{"name": {name}}
-	return c.do(ctx, http.MethodDelete, "/api/v1/services?"+q.Encode(), nil, nil)
 }
 
 // Flagged lists users and services the model currently predicts poorly

@@ -127,38 +127,6 @@ func TestClientStatsUsersServices(t *testing.T) {
 	if stats.Users != 5 || stats.Services != 6 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	users, err := c.Users(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != 5 {
-		t.Fatalf("users = %+v", users)
-	}
-	svcs, err := c.Services(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(svcs) != 6 {
-		t.Fatalf("services = %+v", svcs)
-	}
-}
-
-func TestClientChurnRemove(t *testing.T) {
-	c := startService(t)
-	seed(t, c)
-	ctx := context.Background()
-	if err := c.RemoveUser(ctx, "app-0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Predict(ctx, "app-0", "ws-0"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("departed user should be unknown, got %v", err)
-	}
-	if err := c.RemoveUser(ctx, "app-0"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double removal should be ErrNotFound, got %v", err)
-	}
-	if err := c.RemoveService(ctx, "ws-0"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestClientOnlineLearningImprovesPrediction(t *testing.T) {
@@ -212,41 +180,6 @@ func TestClientFlagged(t *testing.T) {
 	// Negative threshold uses the server default.
 	if _, err := c.Flagged(context.Background(), -1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClientSnapshotETag(t *testing.T) {
-	c := startService(t)
-	seed(t, c)
-	ctx := context.Background()
-
-	data, etag, notModified, err := c.Snapshot(ctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notModified || len(data) == 0 || etag == "" {
-		t.Fatalf("first fetch: notModified=%v len=%d etag=%q", notModified, len(data), etag)
-	}
-
-	// Unchanged state revalidates for free.
-	data2, etag2, notModified, err := c.Snapshot(ctx, etag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !notModified || data2 != nil || etag2 != etag {
-		t.Fatalf("revalidation: notModified=%v len=%d etag=%q", notModified, len(data2), etag2)
-	}
-
-	// A write invalidates the tag and the next fetch downloads again.
-	if _, err := c.Observe(ctx, []server.Observation{{User: "fresh", Service: "ws-0", Value: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	data3, etag3, notModified, err := c.Snapshot(ctx, etag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if notModified || len(data3) == 0 || etag3 == etag {
-		t.Fatalf("post-write fetch: notModified=%v len=%d etag=%q", notModified, len(data3), etag3)
 	}
 }
 

@@ -43,17 +43,6 @@ var derivedFamilies = []derivedFamily{
 		"1 when a replica lost its durable directory claim and no longer accepts writes."},
 }
 
-// DerivedFederationMetricNames lists the gauge families synthesized by
-// GET /api/v1/cluster/metrics — they exist on no registry, so the
-// metrics-docs lint needs them spelled out.
-func DerivedFederationMetricNames() []string {
-	out := make([]string, len(derivedFamilies))
-	for i, d := range derivedFamilies {
-		out[i] = d.name
-	}
-	return out
-}
-
 // scrapedReplica is one replica's parsed /metrics page (nil on scrape
 // failure) plus its origin labels.
 type scrapedReplica struct {

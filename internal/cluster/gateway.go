@@ -32,6 +32,10 @@ type Config struct {
 	// go to the leader and reads spread across replicas.
 	Groups [][]string
 	// VNodes is the ring's virtual-node count per group (default 128).
+	// amfgateway has no flag for it: two gateways of one cluster with
+	// different values would route the same user to different groups,
+	// so the value must be equal cluster-wide and ships as the default.
+	// The field is how tests and bench/ build their rings.
 	VNodes int
 	// ProbeInterval is the health-probe cadence (default 500ms).
 	ProbeInterval time.Duration
@@ -113,7 +117,6 @@ func newReplica(base string) (*replica, error) {
 // group is one user shard: a set of replicas over one WAL lineage.
 type group struct {
 	name     string
-	member   *Member // ring presence; health mirrors the group's best replica
 	replicas []*replica
 	leader   atomic.Pointer[replica]
 	rr       atomic.Uint64 // read round-robin cursor
@@ -213,7 +216,7 @@ func New(cfg Config) (*Gateway, error) {
 			}
 			grp.replicas = append(grp.replicas, rep)
 		}
-		grp.member = g.ring.Add(grp.name)
+		g.ring.Add(grp.name)
 		g.groups = append(g.groups, grp)
 		g.byName[grp.name] = grp
 	}
@@ -253,15 +256,6 @@ func (g *Gateway) Close() {
 
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// Ring exposes the routing ring (tests, status).
-func (g *Gateway) Ring() *Ring { return g.ring }
-
-// Registry exposes the gateway's metric registry (embedders, federation).
-func (g *Gateway) Registry() *obs.Registry { return g.reg }
-
-// Traces exposes the span recorder behind GET /debug/traces.
-func (g *Gateway) Traces() *trace.Recorder { return g.traces }
 
 func (g *Gateway) buildMetrics() {
 	r := obs.NewRegistry()
@@ -1094,24 +1088,19 @@ func (g *Gateway) probe(rep *replica) {
 }
 
 // settleGroup folds replica states into group-level routing decisions:
-// the leader pointer, the ring member's health, and — when failover is
-// enabled — promotion of the best follower after the leader has been
-// gone DownAfter consecutive rounds. When more than one healthy replica
+// the leader pointer and — when failover is enabled — promotion of the
+// best follower after the leader has been gone DownAfter consecutive
+// rounds. When more than one healthy replica
 // claims leadership (an ex-leader recovered after the gateway promoted
 // around it), the claim epoch breaks the tie — and the losers are
 // actively demoted, not just routed around (see demoteStale).
 func (g *Gateway) settleGroup(grp *group) {
 	var claimants []*replica
-	best := Down
 	for _, rep := range grp.replicas {
-		if h := rep.Health(); h < best {
-			best = h
-		}
 		if rep.role.Load() == 1 && rep.Health() == Healthy {
 			claimants = append(claimants, rep)
 		}
 	}
-	grp.member.SetHealth(best)
 	if len(claimants) > 0 {
 		// Highest epoch claimed the durable directory most recently: by
 		// construction that is the failover winner, and the promoted

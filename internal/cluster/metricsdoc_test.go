@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
@@ -17,17 +18,24 @@ import (
 )
 
 // TestMetricsDocumented is the metrics-docs lint behind `make
-// lint-metrics`: it instantiates every registry the project can build —
-// a server with all optional subsystems attached (durable store,
-// parallel training, follower replication), the gateway, and the
-// federation-derived gauges — and fails if any amf_* family name is
+// lint-metrics`: it scrapes /metrics of every process shape the project
+// can build — a server with all optional subsystems attached (durable
+// store, admission, adaptation), a follower, the gateway — adds the
+// federation-derived gauges, and fails if any amf_* family name is
 // missing from README.md's metrics tables, or if a table row names a
 // family none of them exports. Adding a metric without documenting it,
 // or deleting one and leaving its row, breaks `make ci`.
 func TestMetricsDocumented(t *testing.T) {
 	runtime := map[string]bool{}
-	collect := func(r *obs.Registry) {
-		for _, name := range r.Families() {
+	collect := func(h http.Handler) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		page, err := obs.ParseMetrics(w.Body)
+		if err != nil {
+			t.Fatalf("GET /metrics: HTTP %d: %v", w.Code, err)
+		}
+		for _, name := range page.Order {
 			runtime[name] = true
 		}
 	}
@@ -58,7 +66,7 @@ func TestMetricsDocumented(t *testing.T) {
 	// (amf_control_*); the hour-long epoch keeps the controller idle.
 	svc.EnableAdmission(server.AdmissionConfig{})
 	svc.StartAdaptation(server.AdaptationConfig{Epoch: time.Hour})
-	collect(svc.Registry())
+	collect(svc.Handler())
 
 	// A follower adds the replication families (amf_replication_*); it
 	// needs a durable leader to bootstrap from.
@@ -78,14 +86,14 @@ func TestMetricsDocumented(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("StartFollower: %v", err)
 	}
-	collect(follower.Registry())
+	collect(follower.Handler())
 
 	// The gateway's registry plus the gauges GET /api/v1/cluster/metrics
 	// synthesizes (they live on no registry).
 	g := newGateway(t, [][]string{{tsLeader.URL}}, nil)
-	collect(g.Registry())
-	for _, name := range DerivedFederationMetricNames() {
-		runtime[name] = true
+	collect(g.Handler())
+	for _, d := range derivedFamilies {
+		runtime[d.name] = true
 	}
 
 	// Documented names: every amf_* token inside a README table row.

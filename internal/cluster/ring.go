@@ -11,10 +11,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Health is a ring member's availability state.
+// Health is a replica's availability state, as the gateway's probes see it.
 type Health int32
 
 const (
@@ -24,11 +23,12 @@ const (
 	// down threshold; they still receive traffic (one failed probe is
 	// usually a blip, and draining on it would flap the ring).
 	Suspect
-	// Down members failed DownAfter consecutive probes. Ownership is
-	// NOT affected: members shard authoritative storage, so a key's
-	// owner stays its owner while Down — requests fail loudly instead
-	// of silently landing (and stranding data) on a different member.
-	// Health feeds the gateway's /healthz, status, and failover logic.
+	// Down members failed DownAfter consecutive probes. Ring ownership
+	// is NOT affected: groups shard authoritative storage, so a key's
+	// owner stays its owner while every replica is Down — requests fail
+	// loudly instead of silently landing (and stranding data) on a
+	// different group. Health feeds the gateway's /healthz, status, and
+	// failover logic.
 	Down
 )
 
@@ -44,21 +44,12 @@ func (h Health) String() string {
 }
 
 // Member is one ring participant (a shard group, in the gateway's use).
-// Health is updated concurrently by probes and read by health/status
-// reporting; it does not affect key ownership.
 type Member struct {
-	name   string
-	health atomic.Int32
+	name string
 }
 
-// Name returns the member's identity (stable across health changes).
+// Name returns the member's identity.
 func (m *Member) Name() string { return m.name }
-
-// Health returns the member's current availability state.
-func (m *Member) Health() Health { return Health(m.health.Load()) }
-
-// SetHealth updates the member's availability state.
-func (m *Member) SetHealth(h Health) { m.health.Store(int32(h)) }
 
 // Ring is a consistent-hash ring with virtual nodes. Each member is
 // hashed at vnodes positions; a key belongs to the first member
@@ -102,18 +93,6 @@ func (r *Ring) Add(name string) *Member {
 	return m
 }
 
-// Remove deletes a member; its arcs redistribute to the clockwise
-// successors.
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[name]; !ok {
-		return
-	}
-	delete(r.members, name)
-	r.rebuild()
-}
-
 // rebuild recomputes the sorted vnode index; callers hold mu.
 func (r *Ring) rebuild() {
 	n := len(r.members) * r.vnodes
@@ -136,29 +115,6 @@ func (r *Ring) rebuild() {
 	}
 }
 
-// Members returns the current members in name order.
-func (r *Ring) Members() []*Member {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.members))
-	for name := range r.members {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]*Member, len(names))
-	for i, name := range names {
-		out[i] = r.members[name]
-	}
-	return out
-}
-
-// Member returns the named member, or nil.
-func (r *Ring) Member(name string) *Member {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.members[name]
-}
-
 // Len returns the member count.
 func (r *Ring) Len() int {
 	r.mu.RLock()
@@ -166,17 +122,14 @@ func (r *Ring) Len() int {
 	return len(r.members)
 }
 
-// Lookup returns the member owning key: the first member clockwise from
-// the key's hash, regardless of health. Members shard authoritative
-// storage — only the natural owner holds the key's data — so a Down
-// owner still gets the route and the request fails with an honest
-// error the client can retry, instead of writes silently landing on
-// (and being stranded in) a different member's store, or reads
-// answering from a member that never saw the key. Returns nil only for
-// an empty ring.
-func (r *Ring) Lookup(key string) *Member { return r.lookup(hash64(key)) }
-
-// lookup is Lookup for a key already hashed.
+// lookup returns the member owning the key hashed to h: the first member
+// clockwise from it, whatever the health of the group behind it.
+// Members shard authoritative storage — only the natural owner holds the
+// key's data — so an owner whose replicas are all Down still gets the
+// route and the request fails with an honest error the client can
+// retry, instead of writes silently landing on (and being stranded in)
+// a different member's store, or reads answering from a member that
+// never saw the key. Returns nil only for an empty ring.
 func (r *Ring) lookup(h uint64) *Member {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

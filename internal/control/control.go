@@ -377,15 +377,6 @@ func (r *Registry) List() []Tunable {
 	return out
 }
 
-// FlagSource maps "was this flag explicitly set" to the matching
-// source, for cmds seeding baselines from their flag sets.
-func FlagSource(explicit bool) Source {
-	if explicit {
-		return SourceFlag
-	}
-	return SourceDefault
-}
-
 func clampI(v, min, max int64) int64 {
 	if v < min {
 		return min

@@ -121,9 +121,3 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
-
-func TestFlagSource(t *testing.T) {
-	if FlagSource(true) != SourceFlag || FlagSource(false) != SourceDefault {
-		t.Fatal("FlagSource mapping wrong")
-	}
-}

@@ -108,9 +108,8 @@ type Controller struct {
 
 	epochs      atomic.Int64
 	adjustments map[string]*obs.Counter // by tunable name; nil until Register
-	adjTotal    atomic.Int64
-	lastRate    atomic.Uint64 // float64 bits
-	lastState   atomic.Int32  // 0 steady, 1 overloaded, 2 calm
+	lastRate    atomic.Uint64           // float64 bits
+	lastState   atomic.Int32            // 0 steady, 1 overloaded, 2 calm
 
 	mu      sync.Mutex // guards lastArrived/lastShed and Stop vs RunEpoch
 	stop    chan struct{}
@@ -163,9 +162,6 @@ func (c *Controller) RejectionRate() float64 {
 
 // Epochs reports how many epochs have been evaluated.
 func (c *Controller) Epochs() int64 { return c.epochs.Load() }
-
-// Adjustments reports how many tunable moves the controller has made.
-func (c *Controller) Adjustments() int64 { return c.adjTotal.Load() }
 
 // Start launches the epoch loop. Idempotent; Stop ends it.
 func (c *Controller) Start() {
@@ -338,7 +334,6 @@ func (c *Controller) apply(t Tunable, next float64) int {
 	if after == before {
 		return 0
 	}
-	c.adjTotal.Add(1)
 	if ctr := c.adjustments[t.Name()]; ctr != nil {
 		ctr.Inc()
 	}

@@ -98,9 +98,8 @@ func TestControllerConvergence(t *testing.T) {
 	}
 
 	// Phase 2: steady zone (between thresholds) → hold.
-	adjBefore := c.Adjustments()
 	syn.step(c, 0.05)
-	if c.Adjustments() != adjBefore {
+	if pub.Load() != prevPub || batch.Load() != prevBatch || wm.Load() != prevWM {
 		t.Fatal("steady epoch must not move tunables")
 	}
 	if c.lastState.Load() != stateSteady {
@@ -121,9 +120,8 @@ func TestControllerConvergence(t *testing.T) {
 		t.Fatalf("state after calm epoch: %d", c.lastState.Load())
 	}
 	// Relaxation terminates: one more calm epoch makes no further moves.
-	adjBefore = c.Adjustments()
 	syn.step(c, 0.0)
-	if c.Adjustments() != adjBefore {
+	if pub.Load() != 50*time.Millisecond || batch.Load() != 256 || wm.Load() != 0.9 {
 		t.Fatal("relaxation did not terminate at baseline")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // FitOptions controls Fit's convergence loop.
 type FitOptions struct {
 	// MaxEpochs bounds the number of replay epochs (each epoch performs
-	// PoolLen random replay updates). Zero means the default of 200.
+	// one replay update per pooled sample). Zero means the default of 200.
 	MaxEpochs int
 	// Tol declares convergence when the epoch-over-epoch relative
 	// improvement of the training error drops below it. Zero means the

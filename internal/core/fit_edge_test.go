@@ -19,7 +19,7 @@ func TestFitPoolExpiresMidRun(t *testing.T) {
 		m.Observe(stream.Sample{Time: time.Second, User: i % 4, Service: i % 5, Value: 1 + float64(i%3)})
 	}
 	m.AdvanceTo(time.Minute) // everything expired, pool not yet compacted
-	if m.PoolLen() == 0 {
+	if m.pool.Len() == 0 {
 		t.Skip("pool compacted eagerly; mid-epoch case not reachable")
 	}
 	res := m.Fit(FitOptions{MaxEpochs: 50})
@@ -66,7 +66,7 @@ func TestFitPrevZeroBranch(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		m.Observe(stream.Sample{Time: time.Second, User: i % 4, Service: i % 5, Value: 1 + float64(i%3)})
 	}
-	for _, id := range m.UserIDs() {
+	for id := 0; id < 4; id++ {
 		m.RemoveUser(id)
 	}
 	// Replay picks still succeed (samples are live) but update nothing

@@ -72,9 +72,6 @@ func MustNew(cfg Config) *Model {
 	return m
 }
 
-// Config returns the model's configuration (with defaults applied).
-func (m *Model) Config() Config { return m.cfg }
-
 // newEntity randomly initializes a latent vector (Algorithm 1 line 6) and
 // seeds the error tracker at 1 (line 7): a brand-new entity is maximally
 // untrusted, so the adaptive weights route most of each update to it.
@@ -147,15 +144,6 @@ func (m *Model) ReplayStep() bool {
 // AdvanceTo moves the model clock forward, expiring replay samples older
 // than the configured expiry.
 func (m *Model) AdvanceTo(t time.Duration) { m.pool.AdvanceTo(t) }
-
-// Now returns the model clock (latest sample or advance time).
-func (m *Model) Now() time.Duration { return m.pool.Now() }
-
-// PoolLen returns the number of retained (possibly stale) replay samples.
-func (m *Model) PoolLen() int { return m.pool.Len() }
-
-// CompactPool eagerly evicts expired replay samples.
-func (m *Model) CompactPool() { m.pool.Compact() }
 
 // update is OnlineUpdate(tij, ui, sj, Rij) from Algorithm 1:
 // normalize, compute weights from current errors, measure the relative
@@ -247,6 +235,9 @@ func (m *Model) Predict(user, service int) (float64, error) {
 // toward 1/2 or below. This reuses the adaptive-weight error state, so it
 // costs nothing extra to maintain; adaptation policies can use it to
 // require a minimum confidence before acting on a prediction.
+//
+// The served spelling is PredictView.PredictWithConfidence; this one
+// stays as the float64 reference its tests compare against.
 func (m *Model) PredictWithConfidence(user, service int) (value, confidence float64, err error) {
 	u, ok := m.users.get(user)
 	if !ok {
@@ -260,24 +251,6 @@ func (m *Model) PredictWithConfidence(user, service int) (value, confidence floa
 	confidence = 1 / (1 + u.err.Value() + v.err.Value())
 	return m.tr.Backward(g), confidence, nil
 }
-
-// PredictNormalized returns the raw sigmoid output g(Ui·Sj) in [0,1],
-// the model's estimate of the normalized QoS target.
-func (m *Model) PredictNormalized(user, service int) (float64, error) {
-	u, ok := m.users.get(user)
-	if !ok {
-		return 0, ErrUnknownUser
-	}
-	v, ok := m.services.get(service)
-	if !ok {
-		return 0, ErrUnknownService
-	}
-	return transform.Sigmoid(matrix.Dot(u.vec, v.vec)), nil
-}
-
-// Transformer exposes the model's data transformation, shared with
-// evaluation code that needs to normalize ground-truth values.
-func (m *Model) Transformer() *transform.Transformer { return m.tr }
 
 // KnowsUser reports whether the user has been observed.
 func (m *Model) KnowsUser(id int) bool { _, ok := m.users.get(id); return ok }
@@ -293,30 +266,6 @@ func (m *Model) NumServices() int { return m.services.len() }
 
 // Updates returns the total number of SGD updates performed.
 func (m *Model) Updates() int64 { return m.updates }
-
-// UserError returns the user's tracked average relative error e_ui,
-// or (0, false) if the user is unknown.
-func (m *Model) UserError(id int) (float64, bool) {
-	if e, ok := m.users.get(id); ok {
-		return e.err.Value(), true
-	}
-	return 0, false
-}
-
-// ServiceError returns the service's tracked average relative error e_sj,
-// or (0, false) if the service is unknown.
-func (m *Model) ServiceError(id int) (float64, bool) {
-	if e, ok := m.services.get(id); ok {
-		return e.err.Value(), true
-	}
-	return 0, false
-}
-
-// UserIDs returns the registered user IDs in unspecified order.
-func (m *Model) UserIDs() []int { return m.users.ids() }
-
-// ServiceIDs returns the registered service IDs in unspecified order.
-func (m *Model) ServiceIDs() []int { return m.services.ids() }
 
 // RemoveUser forgets a user entirely (framework Sec. III: users may leave
 // the environment). Replay samples involving the user die lazily because

@@ -47,8 +47,8 @@ func TestModelInvariantsUnderRandomStreams(t *testing.T) {
 					return false
 				}
 			}
-			if e, ok := m.UserError(u); ok {
-				if math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+			if ent, ok := m.users.get(u); ok {
+				if e := ent.err.Value(); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
 					return false
 				}
 			}
@@ -138,9 +138,13 @@ func TestAdaptiveErrorTrackersConvergeProperty(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			m.ReplayStep()
 		}
-		eu, okU := m.UserError(0)
-		es, okS := m.ServiceError(0)
-		return okU && okS && eu < 1 && es < 1 && eu >= 0 && es >= 0
+		u, okU := m.users.get(0)
+		s, okS := m.services.get(0)
+		if !okU || !okS {
+			return false
+		}
+		eu, es := u.err.Value(), s.err.Value()
+		return eu < 1 && es < 1 && eu >= 0 && es >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -162,11 +166,11 @@ func TestConfigWithDefaults(t *testing.T) {
 	cfg := rtConfig()
 	cfg.MaxGradNorm = 0
 	m := MustNew(cfg)
-	if m.Config().MaxGradNorm != 1 {
-		t.Fatalf("MaxGradNorm default = %g, want 1", m.Config().MaxGradNorm)
+	if m.cfg.MaxGradNorm != 1 {
+		t.Fatalf("MaxGradNorm default = %g, want 1", m.cfg.MaxGradNorm)
 	}
 	cfg.MaxGradNorm = 7
-	if MustNew(cfg).Config().MaxGradNorm != 7 {
+	if MustNew(cfg).cfg.MaxGradNorm != 7 {
 		t.Fatal("explicit MaxGradNorm should be kept")
 	}
 }

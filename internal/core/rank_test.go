@@ -71,27 +71,14 @@ func TestRankServicesUnknown(t *testing.T) {
 	}
 }
 
-func TestBest(t *testing.T) {
-	m := rankedModel(t)
-	best, ok := m.Best(0, []int{3, 1, 2}, true)
-	if !ok || best.Service != 1 {
-		t.Fatalf("best = %+v, %v; want service 1", best, ok)
-	}
-	if _, ok := m.Best(99, []int{1}, true); ok {
-		t.Fatal("unknown user should have no best")
-	}
-	if _, ok := m.Best(0, nil, true); ok {
-		t.Fatal("empty candidate list should have no best")
-	}
-}
-
 func TestHighErrorEntitiesFlagNewcomers(t *testing.T) {
 	m := rankedModel(t) // users 0-3 well trained
 	// A brand-new user with a single noisy observation: its tracker is
 	// still near the initialization value 1.
 	m.Observe(stream.Sample{Time: time.Hour, User: 99, Service: 0, Value: 10})
 
-	flagged := m.HighErrorUsers(0.5)
+	v := m.BuildView()
+	flagged := v.HighErrorUsers(0.5)
 	if len(flagged) == 0 {
 		t.Fatal("the newcomer should be flagged")
 	}
@@ -104,12 +91,12 @@ func TestHighErrorEntitiesFlagNewcomers(t *testing.T) {
 		}
 	}
 	// Converged users must not be flagged at a high threshold.
-	for _, f := range m.HighErrorUsers(0.9) {
+	for _, f := range v.HighErrorUsers(0.9) {
 		if f.ID != 99 {
 			t.Fatalf("converged user %d flagged at 0.9", f.ID)
 		}
 	}
-	if got := m.HighErrorServices(10); len(got) != 0 {
+	if got := v.HighErrorServices(10); len(got) != 0 {
 		t.Fatalf("impossible threshold flagged %v", got)
 	}
 }

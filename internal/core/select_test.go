@@ -164,11 +164,6 @@ func checkSelection(t *testing.T, v *PredictView, ids []int, rng *rand.Rand, ord
 			got, unknown := v.TopK(0, candidates, k, lower)
 			sameRanked(t, "TopK", got, want)
 			intsEqual(t, "TopK unknown", unknown, wantUnknown)
-			got, missing := v.AppendTopK(nil, 0, candidates, k, lower)
-			sameRanked(t, "AppendTopK", got, want)
-			if missing != len(wantUnknown) {
-				t.Fatalf("AppendTopK: %d unknown, want %d", missing, len(wantUnknown))
-			}
 		}
 	}
 	// The queries that rank nothing: unknown user, k <= 0.
@@ -226,7 +221,11 @@ func TestSelectionMatchesReference(t *testing.T) {
 	}
 	// Learned factors rather than planted keys: general dot products.
 	m := topkTestModel(t, 900)
-	checkSelection(t, m.BuildView(), m.ServiceIDs(), rng, true)
+	ids := make([]int, 900)
+	for i := range ids {
+		ids[i] = i
+	}
+	checkSelection(t, m.BuildView(), ids, rng, true)
 }
 
 // FuzzSelect plants fuzzer-chosen keys — every byte is a key: the low
@@ -287,8 +286,8 @@ func TestSelectionPushBound(t *testing.T) {
 		if got < k || got > limit {
 			t.Errorf("TopKAll lower=%v: %d rows reached heapPush, want %d..%d", lower, got, k, limit)
 		}
-		if got := countPushes(func() { v.AppendTopK(nil, 0, ids, k, lower) }); got < k || got > limit {
-			t.Errorf("AppendTopK lower=%v: %d rows reached heapPush, want %d..%d", lower, got, k, limit)
+		if got := countPushes(func() { v.TopK(0, ids, k, lower) }); got < k || got > limit {
+			t.Errorf("TopK lower=%v: %d rows reached heapPush, want %d..%d", lower, got, k, limit)
 		}
 	}
 

@@ -51,10 +51,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Error trackers must survive exactly.
 	for u := 0; u < 6; u++ {
-		e1, _ := m.UserError(u)
-		e2, _ := r.UserError(u)
-		if e1 != e2 {
-			t.Fatalf("restored user error differs: %g vs %g", e1, e2)
+		e1, _ := m.users.get(u)
+		e2, _ := r.users.get(u)
+		if e1.err.Value() != e2.err.Value() {
+			t.Fatalf("restored user error differs: %g vs %g", e1.err.Value(), e2.err.Value())
 		}
 	}
 }
@@ -69,8 +69,8 @@ func TestRestoredModelKeepsLearning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.PoolLen() != 0 {
-		t.Fatalf("restored pool should be empty, len=%d", r.PoolLen())
+	if r.pool.Len() != 0 {
+		t.Fatalf("restored pool should be empty, len=%d", r.pool.Len())
 	}
 	before := r.Updates()
 	r.Observe(stream.Sample{Time: time.Hour, User: 0, Service: 0, Value: 2})

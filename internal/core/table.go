@@ -58,17 +58,6 @@ func (t *entityTable) each(f func(id int, e *entity)) {
 	}
 }
 
-// ids returns all entity IDs in unspecified order.
-func (t *entityTable) ids() []int {
-	out := make([]int, 0, t.len())
-	for i := range t.shards {
-		for id := range t.shards[i] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // dirtyList records entities touched since the last published view,
 // sharded exactly like entityTable so a refresh walks one shard's list
 // against that shard's map. The entity's own dirty flag keeps an id from
@@ -93,15 +82,4 @@ func (d *dirtyList) add(id int) {
 	if d != nil {
 		d.shards[shardOf(id)] = append(d.shards[shardOf(id)], id)
 	}
-}
-
-func (d *dirtyList) count() int {
-	if d == nil {
-		return 0
-	}
-	n := 0
-	for i := range d.shards {
-		n += len(d.shards[i])
-	}
-	return n
 }

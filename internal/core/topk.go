@@ -70,8 +70,8 @@ type rankScratch struct {
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 
 // maxPooledHeap bounds the heap a pooled scratch may keep: a k = n
-// ranking (RankServices) grows it to 16 B × n, which the k = 10 requests
-// that reuse the scratch would pin for nothing.
+// ranking (TopK with k = len(candidates)) grows it to 16 B × n, which the
+// k = 10 requests that reuse the scratch would pin for nothing.
 const maxPooledHeap = 4096
 
 // release returns sc to the pool with h, the heap it lent out, emptied —
@@ -200,17 +200,13 @@ func finishRanked(dst []Ranked, sc []scored, tr *transform.Transformer) []Ranked
 
 // selectCandidates scores the candidates the view knows against u and
 // offers them to the bounded heap h (k <= 0 scores nothing). Candidates
-// absent from the view are counted, and appended to *unknown in
-// candidate order when unknown is non-nil.
-func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) (_ []scored, missing int) {
+// absent from the view are appended to *unknown in candidate order.
+func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) []scored {
 	n := 0
 	for _, c := range candidates {
 		s, ok := v.services.get(c)
 		if !ok {
-			missing++
-			if unknown != nil {
-				*unknown = append(*unknown, c)
-			}
+			*unknown = append(*unknown, c)
 			continue
 		}
 		if k <= 0 {
@@ -225,35 +221,24 @@ func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity
 	if n > 0 {
 		h = selectRows(h, sc.ids[:n], sc.vals[:n], k, lowerIsBetter)
 	}
-	return h, missing
+	return h
 }
 
-// AppendTopK appends the user's top k candidates (best first) to dst and
-// returns the extended slice plus the number of candidates it could not
-// score (unknown services, or all of them when the user is unknown). It
-// is the allocation-free core of TopK: with dst capacity >= k and a
-// warmed scratch pool the steady-state cost is one map lookup and one
-// unrolled dot per candidate plus O(log k) heap work per admitted
-// candidate — no allocations.
-func (v *PredictView) AppendTopK(dst []Ranked, user int, candidates []int, k int, lowerIsBetter bool) ([]Ranked, int) {
-	u, ok := v.users.get(user)
-	if !ok {
-		return dst, len(candidates)
-	}
-	return v.appendTopK(dst, u, candidates, k, lowerIsBetter, nil)
-}
-
-// appendTopK is AppendTopK for a user already looked up, listing the
-// unscorable candidates in *unknown when it is non-nil.
-func (v *PredictView) appendTopK(dst []Ranked, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) ([]Ranked, int) {
+// appendTopK appends the top k of candidates for user row u (best first)
+// to dst, listing the candidates it could not score in *unknown. It is
+// the allocation-free core of TopK: with dst capacity >= k and a warmed
+// scratch pool the steady-state cost is one map lookup and one unrolled
+// dot per candidate plus O(log k) heap work per admitted candidate — no
+// allocations while every candidate is known.
+func (v *PredictView) appendTopK(dst []Ranked, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) []Ranked {
 	if k > len(candidates) {
 		k = len(candidates)
 	}
 	sc := rankScratchPool.Get().(*rankScratch)
-	h, missing := v.selectCandidates(sc.heap[:0], sc, u, candidates, k, lowerIsBetter, unknown)
+	h := v.selectCandidates(sc.heap[:0], sc, u, candidates, k, lowerIsBetter, unknown)
 	dst = drainInto(dst, h, lowerIsBetter, v.tr)
 	sc.release(h)
-	return dst, missing
+	return dst
 }
 
 // drainInto sorts heap h best-first in place and appends the transformed
@@ -269,53 +254,20 @@ func drainInto(dst []Ranked, h []scored, lowerIsBetter bool, tr *transform.Trans
 
 // TopK returns the user's best k candidates in rank order plus the list
 // of candidates without a prediction (unknown service — or every
-// candidate, when the user is unknown). It is RankServices for callers
-// that only need the head of the ranking: O(n log k) selection instead of
-// an O(n log n) full sort, with the value transform paid only for the k
-// survivors.
+// candidate, when the user is unknown): O(n log k) selection, with the
+// value transform paid only for the k survivors; k = len(candidates)
+// ranks them all. Because every prediction reads the same immutable
+// view, a ranking is internally consistent — no mid-ranking model update
+// can reorder it. Ties on the latent score break by ascending service ID
+// (see the file comment), so rankings are deterministic, and agree with
+// Model.RankServices to within the view's float32 rounding.
 func (v *PredictView) TopK(user int, candidates []int, k int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
 	u, ok := v.users.get(user)
 	if !ok {
 		return nil, append(unknown, candidates...)
 	}
-	ranked, _ = v.appendTopK(nil, u, candidates, k, lowerIsBetter, &unknown)
+	ranked = v.appendTopK(nil, u, candidates, k, lowerIsBetter, &unknown)
 	return ranked, unknown
-}
-
-// RankServices is Model.RankServices against the frozen view: every
-// candidate ranked (k = n), unknowns listed separately. Because every
-// prediction reads the same immutable view, a ranking is internally
-// consistent — no mid-ranking model update can reorder it. Ties on the
-// latent score break by ascending service ID (see the file comment), so
-// rankings are deterministic, and agree with the Model path to within
-// the view's float32 rounding.
-func (v *PredictView) RankServices(user int, candidates []int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
-	return v.TopK(user, candidates, len(candidates), lowerIsBetter)
-}
-
-// Best returns the top-ranked candidate in a single O(n) scan — no sort,
-// no heap, no allocation — or ok=false when none is predictable.
-func (v *PredictView) Best(user int, candidates []int, lowerIsBetter bool) (Ranked, bool) {
-	u, ok := v.users.get(user)
-	if !ok {
-		return Ranked{}, false
-	}
-	best := scored{}
-	found := false
-	for _, c := range candidates {
-		s, ok := v.services.get(c)
-		if !ok {
-			continue
-		}
-		cand := scored{service: c, key: veDot(u, s)}
-		if !found || betterScored(cand, best, lowerIsBetter) {
-			best, found = cand, true
-		}
-	}
-	if !found {
-		return Ranked{}, false
-	}
-	return Ranked{Service: best.service, Value: v.tr.Backward(transform.Sigmoid(best.key))}, true
 }
 
 // PredictBatch fills dst[i] with the predicted QoS value of (user,

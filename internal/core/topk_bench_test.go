@@ -21,7 +21,7 @@ import (
 // candidate map lookup, naive (non-unrolled) dot product, Sigmoid+
 // Backward transform on EVERY candidate, full O(n log n) sort.Slice,
 // then truncate to k. The "heap" arm is the shipped candidate path
-// (AppendTopK), "scan" is the full-catalog arena path (TopKAll), and
+// (appendTopK), "scan" is the full-catalog arena path (TopKAll), and
 // "scan-ref" is the same scan with every row pushed through the heap
 // (refScan, the oracle of select_test.go — the selection TopKAll had
 // before ISSUE 16 fused it into the scan; scan-speedup-x is ref/scan).
@@ -95,8 +95,10 @@ func BenchmarkTopK(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			legacyDst := make([]Ranked, 0, n)
 			heapDst := make([]Ranked, 0, k)
-			heapDst, _ = v.AppendTopK(heapDst[:0], 0, candidates, k, true) // warm pool
-			v.TopKAll(0, k, true, 1)                                       // warm pool
+			u, _ := v.users.get(0)
+			var unknown []int
+			heapDst = v.appendTopK(heapDst[:0], u, candidates, k, true, &unknown) // warm pool
+			v.TopKAll(0, k, true, 1)                                              // warm pool
 			legacyNs := make([]time.Duration, 0, b.N)
 			heapNs := make([]time.Duration, 0, b.N)
 			scanNs := make([]time.Duration, 0, b.N)
@@ -107,7 +109,7 @@ func BenchmarkTopK(b *testing.B) {
 				t0 := time.Now()
 				legacyDst = legacyRank(v, 0, candidates, k, true, legacyDst)
 				t1 := time.Now()
-				heapDst, _ = v.AppendTopK(heapDst[:0], 0, candidates, k, true)
+				heapDst = v.appendTopK(heapDst[:0], u, candidates, k, true, &unknown)
 				t2 := time.Now()
 				v.TopKAll(0, k, true, 1)
 				t3 := time.Now()

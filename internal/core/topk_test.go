@@ -50,25 +50,21 @@ func intsEqual(t *testing.T, what string, got, want []int) {
 }
 
 // TestViewRankingParity is the locked-vs-lock-free agreement contract:
-// PredictView.RankServices ranks as Model.RankServices does to within the
-// view's float32 rounding (rankedNearModel) with the same unknown list,
-// and PredictView.TopK with k = n is element-for-element identical to
-// PredictView.RankServices, in both metric directions.
+// PredictView.TopK with k = n ranks as Model.RankServices does to within
+// the view's float32 rounding (rankedNearModel) with the same unknown
+// list, in both metric directions.
 func TestViewRankingParity(t *testing.T) {
 	m := topkTestModel(t, 60)
 	v := m.BuildView()
 	candidates := []int{17, 3, 59, 0, 41, 999, 8, 1000, 25}
 	for _, lower := range []bool{true, false} {
 		mr, mu := m.RankServices(0, candidates, lower)
-		vr, vu := v.RankServices(0, candidates, lower)
+		vr, vu := v.TopK(0, candidates, len(candidates), lower)
 		if len(vr) != len(mr) {
 			t.Fatalf("view ranked %d, model %d", len(vr), len(mr))
 		}
 		rankedNearModel(t, "view vs model ranked", m, 0, vr, mr)
 		intsEqual(t, "view vs model unknown", vu, mu)
-		tr, tu := v.TopK(0, candidates, len(candidates), lower)
-		rankedEqual(t, "TopK(n) vs RankServices", tr, vr)
-		intsEqual(t, "TopK(n) unknown", tu, vu)
 	}
 }
 
@@ -82,7 +78,7 @@ func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 		candidates[i] = i
 	}
 	for _, lower := range []bool{true, false} {
-		full, _ := v.RankServices(0, candidates, lower)
+		full, _ := v.TopK(0, candidates, len(candidates), lower)
 		for k := 1; k <= len(candidates); k += 7 {
 			got, _ := v.TopK(0, candidates, k, lower)
 			rankedEqual(t, "TopK prefix", got, full[:k])
@@ -97,7 +93,7 @@ func TestTopKEdgeCases(t *testing.T) {
 
 	// k > n clamps to n.
 	got, _ := v.TopK(0, candidates, 50, true)
-	full, _ := v.RankServices(0, candidates, true)
+	full, _ := v.TopK(0, candidates, len(candidates), true)
 	rankedEqual(t, "k>n", got, full)
 
 	// k <= 0 ranks nothing but still reports unknowns.
@@ -191,30 +187,6 @@ func TestTopKAllMatchesExplicitCandidates(t *testing.T) {
 	}
 }
 
-func TestViewBestMatchesTopK(t *testing.T) {
-	m := topkTestModel(t, 30)
-	v := m.BuildView()
-	candidates := []int{11, 4, 27, 0, 999}
-	for _, lower := range []bool{true, false} {
-		top, _ := v.TopK(0, candidates, 1, lower)
-		best, ok := v.Best(0, candidates, lower)
-		if !ok || best != top[0] {
-			t.Fatalf("Best %+v/%v, TopK[0] %+v", best, ok, top[0])
-		}
-		mr, _ := m.RankServices(0, candidates, lower)
-		if mbest, mok := m.Best(0, candidates, lower); !mok || mbest != mr[0] {
-			t.Fatalf("model Best %+v/%v, RankServices[0] %+v", mbest, mok, mr[0])
-		}
-		rankedNearModel(t, "view Best vs model", m, 0, []Ranked{best}, mr)
-	}
-	if _, ok := v.Best(777, candidates, true); ok {
-		t.Fatal("unknown user has no best")
-	}
-	if _, ok := v.Best(0, []int{999}, true); ok {
-		t.Fatal("all-unknown candidates have no best")
-	}
-}
-
 func TestPredictBatch(t *testing.T) {
 	m := topkTestModel(t, 20)
 	v := m.BuildView()
@@ -268,12 +240,14 @@ func TestAppendTopKZeroAlloc(t *testing.T) {
 	}
 	dst := make([]Ranked, 0, 10)
 	// Warm the pool and dst.
-	dst, _ = v.AppendTopK(dst[:0], 0, candidates, 10, true)
+	u, _ := v.users.get(0)
+	var unknown []int
+	dst = v.appendTopK(dst[:0], u, candidates, 10, true, &unknown)
 	allocs := testing.AllocsPerRun(100, func() {
-		dst, _ = v.AppendTopK(dst[:0], 0, candidates, 10, true)
+		dst = v.appendTopK(dst[:0], u, candidates, 10, true, &unknown)
 	})
 	if allocs != 0 {
-		t.Fatalf("AppendTopK allocates %v per run, want 0", allocs)
+		t.Fatalf("appendTopK allocates %v per run, want 0", allocs)
 	}
 	if len(dst) != 10 {
 		t.Fatalf("ranked %d, want 10", len(dst))
@@ -287,7 +261,7 @@ func TestAppendTopKZeroAlloc(t *testing.T) {
 func TestPagesBackViewEntities(t *testing.T) {
 	m := topkTestModel(t, 100)
 	v := m.BuildView()
-	rank := m.Config().Rank
+	rank := m.cfg.Rank
 	check := func(v *PredictView, when string) {
 		t.Helper()
 		total := 0

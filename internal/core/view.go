@@ -111,13 +111,6 @@ func (m *Model) EnableViewTracking() {
 	}
 }
 
-// DirtyCount returns the number of users and services touched since the
-// last BuildView/RefreshView (0, 0 when tracking is disabled). An id
-// removed and touched again in between counts once per removal.
-func (m *Model) DirtyCount() (users, services int) {
-	return m.dirtyUsers.count(), m.dirtyServices.count()
-}
-
 // BuildView constructs a complete immutable view of the model's current
 // state and enables dirty tracking for subsequent RefreshView calls. Cost
 // is O(entities × rank): every latent vector is copied so later in-place
@@ -211,9 +204,6 @@ func (v *PredictView) Updates() int64 { return v.updates }
 // Config returns the model configuration frozen at publish time.
 func (v *PredictView) Config() Config { return v.cfg }
 
-// Transformer exposes the view's data transformation (immutable).
-func (v *PredictView) Transformer() *transform.Transformer { return v.tr }
-
 // NumUsers returns the number of users in the view.
 func (v *PredictView) NumUsers() int { return v.users.count }
 
@@ -259,45 +249,25 @@ func (v *PredictView) PredictWithConfidence(user, service int) (value, confidenc
 	return v.tr.Backward(g), confidence, nil
 }
 
-// PredictNormalized returns the raw sigmoid output g(Ui·Sj) in [0,1].
-func (v *PredictView) PredictNormalized(user, service int) (float64, error) {
-	u, ok := v.users.get(user)
-	if !ok {
-		return 0, ErrUnknownUser
-	}
-	s, ok := v.services.get(service)
-	if !ok {
-		return 0, ErrUnknownService
-	}
-	return transform.Sigmoid(veDot(u, s)), nil
+// TopK, TopKAll, PredictBatch and the page scans live in topk.go (the
+// vectorized candidate-ranking fast path).
+
+// Flagged is one entity whose tracked relative error exceeds a threshold.
+type Flagged struct {
+	ID    int
+	Error float64
 }
 
-// UserError returns the user's frozen tracked error e_ui.
-func (v *PredictView) UserError(id int) (float64, bool) {
-	if e, ok := v.users.get(id); ok {
-		return e.err(), true
-	}
-	return 0, false
-}
-
-// ServiceError returns the service's frozen tracked error e_sj.
-func (v *PredictView) ServiceError(id int) (float64, bool) {
-	if e, ok := v.services.get(id); ok {
-		return e.err(), true
-	}
-	return 0, false
-}
-
-// RankServices, Best, TopK, PredictBatch and the page scans live in
-// topk.go (the vectorized candidate-ranking fast path).
-
-// HighErrorUsers returns users whose frozen tracked error is at or above
-// threshold, worst first (see Model.HighErrorUsers).
+// HighErrorUsers returns users whose frozen EMA relative error (Eq. 13)
+// is at or above threshold, worst first. Operationally these are the
+// entities the model currently predicts poorly — newcomers still
+// converging, or users whose QoS regime shifted — and the ones
+// adaptation policies should treat with low confidence.
 func (v *PredictView) HighErrorUsers(threshold float64) []Flagged {
 	return v.users.flagged(threshold)
 }
 
-// HighErrorServices is HighErrorUsers for services.
+// HighErrorServices is HighErrorUsers for the service side (Eq. 14).
 func (v *PredictView) HighErrorServices(threshold float64) []Flagged {
 	return v.services.flagged(threshold)
 }

@@ -89,7 +89,7 @@ func checkRefreshEqualsBuild(t *testing.T, seed int64, restart bool) {
 			continue
 		}
 		v = m.RefreshView(v)
-		if u, s := m.DirtyCount(); u != 0 || s != 0 {
+		if u, s := dirtyCount(m); u != 0 || s != 0 {
 			t.Fatalf("seed %d op %d: dirty %d/%d right after refresh", seed, op, u, s)
 		}
 		fresh := m.BuildView()

@@ -218,46 +218,42 @@ func TestViewRankMatchesModel(t *testing.T) {
 	v := m.BuildView()
 	candidates := []int{0, 3, 6, 9, 12, 999}
 	mr, mu := m.RankServices(4, candidates, true)
-	vr, vu := v.RankServices(4, candidates, true)
+	vr, vu := v.TopK(4, candidates, len(candidates), true)
 	if len(mr) != len(vr) || len(mu) != len(vu) {
 		t.Fatalf("rank sizes differ: model %d/%d, view %d/%d", len(mr), len(mu), len(vr), len(vu))
 	}
 	rankedNearModel(t, "rank", m, 4, vr, mr)
 	// Unknown user: every candidate is unknown.
-	if r, u := v.RankServices(12345, candidates, true); len(r) != 0 || len(u) != len(candidates) {
+	if r, u := v.TopK(12345, candidates, len(candidates), true); len(r) != 0 || len(u) != len(candidates) {
 		t.Fatalf("unknown user rank: %v / %v", r, u)
 	}
 }
 
-func TestViewFlaggedMatchesModel(t *testing.T) {
-	m := viewTestModel(t)
-	// Add a raw newcomer whose tracker stays near 1.
-	m.Observe(stream.Sample{User: 99, Service: 0, Value: 15})
-	v := m.BuildView()
-	mf := m.HighErrorUsers(0.5)
-	vf := v.HighErrorUsers(0.5)
-	if len(mf) != len(vf) {
-		t.Fatalf("flagged sizes: model %d, view %d", len(mf), len(vf))
+// dirtyCount returns the number of users and services listed as touched
+// since the last BuildView/RefreshView (0, 0 when tracking is off).
+func dirtyCount(m *Model) (users, services int) {
+	if m.dirtyUsers == nil {
+		return 0, 0
 	}
-	for i := range mf {
-		if mf[i] != vf[i] {
-			t.Fatalf("flagged[%d]: model %+v, view %+v", i, mf[i], vf[i])
-		}
+	for i := range tableShards {
+		users += len(m.dirtyUsers.shards[i])
+		services += len(m.dirtyServices.shards[i])
 	}
+	return users, services
 }
 
 func TestDirtyCount(t *testing.T) {
 	m := viewTestModel(t)
-	if u, s := m.DirtyCount(); u != 0 || s != 0 {
+	if u, s := dirtyCount(m); u != 0 || s != 0 {
 		t.Fatalf("dirty before tracking: %d/%d", u, s)
 	}
 	m.BuildView()
-	if u, s := m.DirtyCount(); u != 0 || s != 0 {
+	if u, s := dirtyCount(m); u != 0 || s != 0 {
 		t.Fatalf("dirty right after build: %d/%d", u, s)
 	}
 	m.Observe(stream.Sample{User: 1, Service: 2, Value: 1})
 	m.Observe(stream.Sample{User: 1, Service: 3, Value: 1})
-	if u, s := m.DirtyCount(); u != 1 || s != 2 {
+	if u, s := dirtyCount(m); u != 1 || s != 2 {
 		t.Fatalf("dirty after 2 observes: %d/%d, want 1/2", u, s)
 	}
 }

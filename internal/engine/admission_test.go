@@ -99,36 +99,6 @@ func TestEnqueueClassWatermarks(t *testing.T) {
 	}
 }
 
-// TestEnqueueAllClass: the batch path refuses per sample at the same
-// watermark, and the ungated EnqueueAll (replication/WAL replay) still
-// admits everything as critical.
-func TestEnqueueAllClass(t *testing.T) {
-	ctl := control.NewRegistry()
-	e := pausedEngine(t, ctl)
-	tun, _ := ctl.Lookup("engine.admit_sheddable_watermark")
-	if err := tun.SetString("0.05", control.SourceOverride); err != nil {
-		t.Fatal(err)
-	}
-
-	batch := make([]stream.Sample, 32)
-	for i := range batch {
-		batch[i] = stream.Sample{User: 0, Service: i % 8, Value: 1}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		fillShard(e, 16)
-		if n := e.EnqueueAllClass(batch, control.Sheddable); n < len(batch) {
-			break
-		}
-	}
-	if e.Stats().ShedSheddable == 0 {
-		t.Fatal("batch sheddable enqueue never refused at a full shard")
-	}
-	if n := e.EnqueueAll(batch); n != len(batch) {
-		t.Fatalf("ungated EnqueueAll admitted %d of %d", n, len(batch))
-	}
-}
-
 // TestTunablesDriveWriter: adapted publish-interval/batch-cap values are
 // picked up by a running writer — the convergence contract the epoch
 // controller relies on.

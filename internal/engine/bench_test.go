@@ -60,7 +60,9 @@ func BenchmarkEnginePredictUnderWrites(b *testing.B) {
 			default:
 			}
 			i++
-			e.EnqueueAll(batch(i)) // readers never block on the apply
+			for _, s := range batch(i) { // readers never block on the apply
+				e.Enqueue(s)
+			}
 			if i%8 == 0 {
 				e.ReplaySteps(replayBatch)
 			}
@@ -76,7 +78,7 @@ func BenchmarkEnginePredictUnderWrites(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			if _, err := e.Predict(i%users, (i*7)%services); err != nil {
+			if _, err := e.View().Predict(i%users, (i*7)%services); err != nil {
 				b.Fatal(err)
 			}
 		}

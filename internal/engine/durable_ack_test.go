@@ -156,7 +156,7 @@ func TestDurableAckFailureReleases(t *testing.T) {
 	j.failAll(errors.New("fenced"))
 	waitClosed(t, done, "caller after WaitDurable rejection")
 	waitCond(t, func() bool { return e.Stats().JournalErrors >= 1 })
-	if _, err := e.Predict(0, 0); err != nil {
+	if _, err := e.View().Predict(0, 0); err != nil {
 		t.Fatalf("predict after rejected ack: %v", err)
 	}
 }

@@ -31,11 +31,13 @@
 //     seed and the order of samples and replay calls alone
 //     (TestEngineDeterministicGivenSeed).
 //
-// Two doors into that loop exist on purpose. Enqueue is fire-and-forget
-// with backpressure accounting — the high-frequency stream-ingest path.
-// ObserveAll is synchronous: it hands the batch to the writer and waits
-// until the batch is applied AND a fresh view is published, giving HTTP
-// clients read-your-writes semantics. Control operations (Restore,
+// Two doors into that loop exist on purpose. EnqueueClass is
+// fire-and-forget with backpressure accounting — the high-frequency
+// stream-ingest path, one sample at a time (the TCP ingest sink is its
+// one product caller). ObserveAll is synchronous: it hands the batch to
+// the writer and waits until the batch is applied AND a fresh view is
+// published, giving HTTP clients read-your-writes semantics; replication
+// apply and WAL replay go through it too. Control operations (Restore,
 // RemoveUser, ReplaySteps, ...) serialize with the writer on a mutex that
 // the read path never touches.
 package engine
@@ -51,7 +53,11 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// Config tunes the serving engine. The zero value gets sensible defaults.
+// Config tunes the serving engine. The zero value gets sensible defaults,
+// and the defaults are what ships: no amfserver flag feeds these fields
+// (the tunables they seed move at runtime through PUT /api/v1/config and
+// the epoch controller). They stay because tests set them to reach the
+// queue-overflow, shard-routing and publish-cadence edges.
 type Config struct {
 	// QueueSize bounds each ingest shard's channel. When a shard is
 	// full, Enqueue drops the oldest queued sample to admit the new one
@@ -266,7 +272,6 @@ type Engine struct {
 // The caller must not use the model directly afterwards. Close releases
 // the writer.
 func New(model *core.Model, cfg Config) *Engine {
-	raw := cfg // pre-default values: distinguishes flag-set from defaulted baselines
 	cfg = cfg.withDefaults()
 	e := &Engine{
 		cfg:     cfg,
@@ -277,7 +282,7 @@ func New(model *core.Model, cfg Config) *Engine {
 		stop:    make(chan struct{}),
 		metrics: newMetrics(),
 	}
-	e.registerTunables(raw)
+	e.registerTunables()
 	for i := range e.shards {
 		e.shards[i] = make(chan queued, cfg.QueueSize)
 	}
@@ -293,9 +298,8 @@ func New(model *core.Model, cfg Config) *Engine {
 // registry (cfg.Control, or a private one). Bounds scale with the
 // operator's baseline — a controller may trade freshness for throughput
 // by up to 64× in either direction, but never invert the operator's
-// intent by orders of magnitude. raw is the pre-default Config, used
-// only to attribute each baseline to a flag or a package default.
-func (e *Engine) registerTunables(raw Config) {
+// intent by orders of magnitude.
+func (e *Engine) registerTunables() {
 	ctl := e.cfg.Control
 	if ctl == nil {
 		ctl = control.NewRegistry()
@@ -304,7 +308,7 @@ func (e *Engine) registerTunables(raw Config) {
 	ivl := e.cfg.PublishInterval
 	e.tunPublishInterval = ctl.Duration("engine.publish_interval",
 		"View republish deadline T; the epoch controller widens it under overload to spend less writer time recloning views.",
-		ivl, ivl/64, ivl*64, control.FlagSource(raw.PublishInterval > 0))
+		ivl, ivl/64, ivl*64, control.SourceDefault)
 	every := e.cfg.PublishEvery
 	minEvery := every / 64
 	if minEvery < 1 {
@@ -312,14 +316,14 @@ func (e *Engine) registerTunables(raw Config) {
 	}
 	e.tunPublishEvery = ctl.Int("engine.publish_every",
 		"View republish quantum K (updates between republishes).",
-		every, minEvery, every*64, control.FlagSource(raw.PublishEvery > 0))
+		every, minEvery, every*64, control.SourceDefault)
 	batch := every
 	if batch < 64 {
 		batch = 64
 	}
 	e.tunBatchCap = ctl.Int("engine.ingest_batch_cap",
 		"Max queued samples drained per writer pass; the epoch controller raises it under overload to amortize per-batch costs.",
-		batch, 64, batch*64, control.FlagSource(raw.PublishEvery > 0))
+		batch, 64, batch*64, control.SourceDefault)
 	replay := e.cfg.ReplayPerBatch
 	maxReplay := replay * 64
 	if maxReplay < 1024 {
@@ -327,7 +331,7 @@ func (e *Engine) registerTunables(raw Config) {
 	}
 	e.tunReplayPerBatch = ctl.Int("engine.replay_per_batch",
 		"Replay updates interleaved after each drained ingest batch; shed first under overload (replay is optional work).",
-		replay, 0, maxReplay, control.FlagSource(raw.ReplayPerBatch > 0))
+		replay, 0, maxReplay, control.SourceDefault)
 	e.tunAdmitStandard = ctl.Float("engine.admit_standard_watermark",
 		"Ingest-shard occupancy above which standard-class enqueues are refused.",
 		0.95, 0.05, 1.0, control.SourceDefault)
@@ -452,58 +456,6 @@ func (e *Engine) enqueueOn(ch chan queued, q queued) bool {
 	}
 }
 
-// EnqueueAll admits a batch and returns how many samples were admitted.
-// Unlike a loop over Enqueue it groups the batch by ingest shard first —
-// one timestamp read, one pass per shard's contiguous run, and a single
-// writer wakeup for the whole batch instead of one per sample — so bulk
-// producers (TCP ingest framing, replayed WALs) do not hammer the wake
-// channel. Per-user ordering is preserved: a user maps to exactly one
-// shard and the per-shard groups keep arrival order.
-func (e *Engine) EnqueueAll(ss []stream.Sample) int {
-	return e.EnqueueAllClass(ss, control.Critical)
-}
-
-// EnqueueAllClass is EnqueueAll with per-class admission (see
-// EnqueueClass). Replication apply and WAL replay go through EnqueueAll
-// — already-acknowledged samples are critical by definition; only new
-// ingest traffic is classed lower.
-func (e *Engine) EnqueueAllClass(ss []stream.Sample, class control.Class) int {
-	if e.closed.Load() || len(ss) == 0 {
-		return 0
-	}
-	now := time.Now().UnixNano()
-	mask := len(e.shards) - 1
-	// Group by shard: small batches just index directly, large ones get
-	// bucketed so each channel is touched in one contiguous run.
-	n := 0
-	if len(ss) <= 16 {
-		for _, s := range ss {
-			ch := e.shards[s.User&mask]
-			if e.admitOn(ch, class) && e.enqueueOn(ch, queued{s: s, enq: now}) {
-				n++
-			}
-		}
-	} else {
-		groups := make([][]stream.Sample, len(e.shards))
-		for _, s := range ss {
-			si := s.User & mask
-			groups[si] = append(groups[si], s)
-		}
-		for si, g := range groups {
-			ch := e.shards[si]
-			for _, s := range g {
-				if e.admitOn(ch, class) && e.enqueueOn(ch, queued{s: s, enq: now}) {
-					n++
-				}
-			}
-		}
-	}
-	if n > 0 {
-		e.signal()
-	}
-	return n
-}
-
 // ObserveAll applies a batch synchronously: it returns after the batch
 // (and everything queued before it) has been applied to the model and a
 // fresh view has been published, so a subsequent View() reflects the
@@ -549,11 +501,6 @@ func (e *Engine) observeAll(ss []stream.Sample, t *ObserveTiming) {
 
 // Observe applies one observation synchronously (see ObserveAll).
 func (e *Engine) Observe(s stream.Sample) { e.ObserveAll([]stream.Sample{s}) }
-
-// Flush blocks until every sample currently in the ingest queue has been
-// applied and a fresh view published — a write barrier, mainly for tests
-// and orderly shutdown.
-func (e *Engine) Flush() { e.ObserveAll(nil) }
 
 // applyInline is the post-Close fallback: the writer is gone, so mutate
 // under mu directly. Durable acks complete inline too — there is no
@@ -635,17 +582,6 @@ func (e *Engine) remove(id int, journal func(Journal, int) (uint64, error), purg
 	e.awaitDurable(dj, seq)
 }
 
-// SetLearnRate changes the SGD step size for subsequent updates.
-func (e *Engine) SetLearnRate(eta float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.model.SetLearnRate(eta)
-}
-
-// Snapshot serializes the current published view. It takes no lock and
-// never stalls the writer.
-func (e *Engine) Snapshot() ([]byte, error) { return e.View().Snapshot() }
-
 // Restore atomically replaces the model with one reconstructed from a
 // Snapshot and publishes a full rebuilt view. Readers see either the old
 // or the new view, never an intermediate state.
@@ -662,54 +598,10 @@ func (e *Engine) Restore(data []byte) error {
 }
 
 // ---------------------------------------------------------------------------
-// Read-side conveniences (all wait-free: one view load + map reads).
-
-// Predict estimates the QoS value from the current view.
-func (e *Engine) Predict(user, service int) (float64, error) {
-	return e.View().Predict(user, service)
-}
-
-// PredictWithConfidence estimates the QoS value and confidence from the
-// current view.
-func (e *Engine) PredictWithConfidence(user, service int) (float64, float64, error) {
-	return e.View().PredictWithConfidence(user, service)
-}
-
-// RankServices ranks candidates against one consistent view.
-func (e *Engine) RankServices(user int, candidates []int, lowerIsBetter bool) ([]core.Ranked, []int) {
-	return e.View().RankServices(user, candidates, lowerIsBetter)
-}
-
-// TopK returns the best k candidates against one consistent view using
-// the bounded-heap arena fast path (O(n log k), zero steady-state
-// allocations — see core.PredictView.TopK).
-func (e *Engine) TopK(user int, candidates []int, k int, lowerIsBetter bool) ([]core.Ranked, []int) {
-	return e.View().TopK(user, candidates, k, lowerIsBetter)
-}
-
-// TopKAll ranks every known service for the user via contiguous page
-// scans; workers is core.PredictView.TopKAll's (the product passes 1).
-func (e *Engine) TopKAll(user int, k int, lowerIsBetter bool, workers int) []core.Ranked {
-	return e.View().TopKAll(user, k, lowerIsBetter, workers)
-}
-
-// Best returns the single top candidate in one O(n) scan of the current
-// view.
-func (e *Engine) Best(user int, candidates []int, lowerIsBetter bool) (core.Ranked, bool) {
-	return e.View().Best(user, candidates, lowerIsBetter)
-}
+// Read side: everything is served from View(); what follows is accounting.
 
 // Updates returns the published view's model update count.
 func (e *Engine) Updates() int64 { return e.View().Updates() }
-
-// NumUsers returns the published view's user count.
-func (e *Engine) NumUsers() int { return e.View().NumUsers() }
-
-// NumServices returns the published view's service count.
-func (e *Engine) NumServices() int { return e.View().NumServices() }
-
-// Config returns the engine configuration (with defaults applied).
-func (e *Engine) Config() Config { return e.cfg }
 
 // Metrics returns the engine's latency histograms (always maintained;
 // see Metrics). The server registers them on its /metrics registry.

@@ -69,7 +69,7 @@ func TestObserveAllTracedTimings(t *testing.T) {
 	if tm.Journal > time.Millisecond {
 		t.Errorf("Journal = %v without a journal attached", tm.Journal)
 	}
-	if _, err := e.Predict(0, 0); err != nil {
+	if _, err := e.View().Predict(0, 0); err != nil {
 		t.Fatalf("traced observe lost read-your-writes: %v", err)
 	}
 
@@ -89,8 +89,8 @@ func TestEnqueueFlushVisibility(t *testing.T) {
 			t.Fatal("enqueue rejected with an empty queue")
 		}
 	}
-	e.Flush()
-	if _, err := e.Predict(0, 0); err != nil {
+	e.ObserveAll(nil)
+	if _, err := e.View().Predict(0, 0); err != nil {
 		t.Fatalf("enqueued observation not visible after Flush: %v", err)
 	}
 	st := e.Stats()
@@ -166,7 +166,7 @@ func TestDropOldestUnderOverload(t *testing.T) {
 	if st.Enqueued+st.Dropped < 3*q {
 		t.Fatalf("accounting leak: enqueued %d + dropped %d < %d", st.Enqueued, st.Dropped, 3*q)
 	}
-	e.Flush()
+	e.ObserveAll(nil)
 	// The freshest sample (highest service id) must have survived.
 	if !e.View().KnowsService(3*q - 1) {
 		t.Fatal("drop-oldest evicted the newest sample")
@@ -209,11 +209,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	e := New(testModel(t), Config{})
 	defer e.Close()
 	e.ObserveAll(seedSamples(6, 9))
-	want, _, err := e.PredictWithConfidence(2, 4)
+	want, _, err := e.View().PredictWithConfidence(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := e.Snapshot()
+	data, err := e.View().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := e2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := e2.PredictWithConfidence(2, 4)
+	got, _, err := e2.View().PredictWithConfidence(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestCloseDrainsQueue(t *testing.T) {
 		e.Enqueue(s)
 	}
 	e.Close()
-	if _, err := e.Predict(0, 0); err != nil {
+	if _, err := e.View().Predict(0, 0); err != nil {
 		t.Fatalf("pre-Close samples lost: %v", err)
 	}
 	// Post-Close writes still work (inline fallback) so shutdown paths
@@ -260,7 +260,7 @@ func TestRankFromView(t *testing.T) {
 	e := New(testModel(t), Config{})
 	defer e.Close()
 	e.ObserveAll(seedSamples(6, 9))
-	ranked, unknown := e.RankServices(3, []int{0, 3, 6, 777}, true)
+	ranked, unknown := e.View().TopK(3, []int{0, 3, 6, 777}, 4, true)
 	if len(unknown) != 1 || unknown[0] != 777 {
 		t.Fatalf("unknown = %v", unknown)
 	}
@@ -277,7 +277,7 @@ func TestRankFromView(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	e := New(testModel(t), Config{IngestShards: 5})
 	defer e.Close()
-	cfg := e.Config()
+	cfg := e.cfg
 	if cfg.IngestShards != 8 {
 		t.Fatalf("shards %d, want next power of two 8", cfg.IngestShards)
 	}
@@ -314,7 +314,7 @@ func scriptedRun(t *testing.T, seed int64) (snapshot []byte, top []core.Ranked) 
 	e.ReplaySteps(100)
 	// A restart in the middle: the restored model starts from the
 	// snapshot's factors, the seed's generators and an empty pool.
-	snap, err := e.Snapshot()
+	snap, err := e.View().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +324,10 @@ func scriptedRun(t *testing.T, seed int64) (snapshot []byte, top []core.Ranked) 
 	e.RemoveService(6)
 	e.ObserveAll(ss[b:])
 	e.ReplaySteps(150)
-	if snapshot, err = e.Snapshot(); err != nil {
+	if snapshot, err = e.View().Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if top = e.TopKAll(0, 10, true, 1); len(top) != 10 {
+	if top = e.View().TopKAll(0, 10, true, 1); len(top) != 10 {
 		t.Fatalf("TopKAll returned %d results, want 10", len(top))
 	}
 	return snapshot, top
@@ -349,40 +349,6 @@ func TestEngineDeterministicGivenSeed(t *testing.T) {
 	snapC, topC := scriptedRun(t, 8)
 	if bytes.Equal(snapA, snapC) || reflect.DeepEqual(topA, topC) {
 		t.Fatal("a different seed served the same model")
-	}
-}
-
-// TestEnqueueAllBatch covers the batched ingest path: per-shard grouping
-// must preserve visibility and return the admitted count, for both the
-// small-batch (direct) and large-batch (bucketed) variants.
-func TestEnqueueAllBatch(t *testing.T) {
-	e := New(testModel(t), Config{})
-	small := seedSamples(4, 5) // 7 samples ≤ 16 → direct path
-	if len(small) > 16 {
-		t.Fatalf("test assumes small batch, got %d", len(small))
-	}
-	if n := e.EnqueueAll(small); n != len(small) {
-		t.Fatalf("small EnqueueAll admitted %d of %d", n, len(small))
-	}
-	large := seedSamples(16, 16) // > 16 → bucketed path
-	if len(large) <= 16 {
-		t.Fatalf("test assumes large batch, got %d", len(large))
-	}
-	if n := e.EnqueueAll(large); n != len(large) {
-		t.Fatalf("large EnqueueAll admitted %d of %d", n, len(large))
-	}
-	e.Flush()
-	for _, s := range large {
-		if _, err := e.Predict(s.User, s.Service); err != nil {
-			t.Fatalf("batched sample (%d,%d) not visible: %v", s.User, s.Service, err)
-		}
-	}
-	if st := e.Stats(); st.Enqueued != int64(len(small)+len(large)) {
-		t.Fatalf("enqueued %d, want %d", st.Enqueued, len(small)+len(large))
-	}
-	e.Close()
-	if n := e.EnqueueAll(small); n != 0 {
-		t.Fatalf("EnqueueAll after Close admitted %d", n)
 	}
 }
 

@@ -169,12 +169,3 @@ func (e *Engine) CheckpointView() (uint64, *core.PredictView) {
 	}
 	return seq, e.view.Load()
 }
-
-// CheckpointSeq is CheckpointView without the view — callers that only
-// need the covered sequence number (tests, status endpoints). Capture
-// paths that go on to serialize state must use CheckpointView so the
-// seq and the snapshot come from the same quiescent instant.
-func (e *Engine) CheckpointSeq() uint64 {
-	seq, _ := e.CheckpointView()
-	return seq
-}

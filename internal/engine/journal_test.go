@@ -109,7 +109,7 @@ func TestJournalCoversEnqueuedSamples(t *testing.T) {
 			t.Fatal("enqueue rejected")
 		}
 	}
-	e.Flush()
+	e.ObserveAll(nil)
 	if got := j.sampleCount(); got != len(ss) {
 		t.Fatalf("journal holds %d samples after flush, want %d", got, len(ss))
 	}
@@ -131,7 +131,7 @@ func TestApplyHistogramIsModelTimeOnly(t *testing.T) {
 	apply := e.Metrics().Apply
 	e.Enqueue(stream.Sample{User: 1, Service: 1, Value: 2})
 	e.Enqueue(stream.Sample{User: 2, Service: 1, Value: 3})
-	e.Flush()
+	e.ObserveAll(nil)
 	e.ObserveAll([]stream.Sample{{User: 1, Service: 2, Value: 1}})
 	if got := apply.Count(); got != 3 {
 		t.Fatalf("apply histogram holds %d updates, want 3", got)
@@ -185,7 +185,7 @@ func TestJournalFailureKeepsServing(t *testing.T) {
 	if st.Applied != int64(len(ss)) {
 		t.Fatalf("applied %d, want %d — journal failure must not block learning", st.Applied, len(ss))
 	}
-	if _, err := e.Predict(0, 0); err != nil {
+	if _, err := e.View().Predict(0, 0); err != nil {
 		t.Fatalf("predict after journal failure: %v", err)
 	}
 }
@@ -196,15 +196,15 @@ func TestJournalFailureKeepsServing(t *testing.T) {
 func TestCheckpointSeq(t *testing.T) {
 	e := New(testModel(t), Config{})
 	defer e.Close()
-	if got := e.CheckpointSeq(); got != 0 {
-		t.Fatalf("no journal: CheckpointSeq=%d, want 0", got)
+	if got, _ := e.CheckpointView(); got != 0 {
+		t.Fatalf("no journal: checkpoint seq=%d, want 0", got)
 	}
 	j := &fakeJournal{}
 	e.SetJournal(j)
 	e.ObserveAll(seedSamples(4, 5))
-	seq := e.CheckpointSeq()
+	seq, _ := e.CheckpointView()
 	if seq == 0 || seq != j.LastSeq() {
-		t.Fatalf("CheckpointSeq=%d, journal LastSeq=%d", seq, j.LastSeq())
+		t.Fatalf("checkpoint seq=%d, journal LastSeq=%d", seq, j.LastSeq())
 	}
 	if e.Stats().Updates == 0 {
 		t.Fatal("published view does not reflect applied updates")

@@ -27,7 +27,7 @@ func TestEngineMetricsPopulate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		e.Enqueue(stream.Sample{User: i % 5, Service: i % 7, Value: 1 + float64(i%3)})
 	}
-	e.Flush()
+	e.ObserveAll(nil)
 	if m.QueueWait.Count() == 0 {
 		t.Error("queue-wait histogram empty after enqueue+flush")
 	}
@@ -90,7 +90,7 @@ func TestEngineStaleness(t *testing.T) {
 	}
 
 	// Flushing publishes and clears it.
-	e.Flush()
+	e.ObserveAll(nil)
 	if s := e.Staleness(); s != 0 {
 		t.Fatalf("staleness after flush = %v, want 0", s)
 	}
@@ -107,7 +107,7 @@ func TestReplayPerBatchFeedsApplyHistogram(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		e.Enqueue(stream.Sample{User: i % 3, Service: i % 2, Value: 1})
 	}
-	e.Flush()
+	e.ObserveAll(nil)
 	st := e.Stats()
 	if st.Replayed == 0 {
 		t.Skip("writer did not interleave replay in time") // timing-dependent; counted elsewhere

@@ -121,7 +121,7 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 				e.ObserveAll([]stream.Sample{{User: i % users, Service: id, Value: 2}})
 			}
 			if i%512 == 0 {
-				if data, err := e.Snapshot(); err == nil {
+				if data, err := e.View().Snapshot(); err == nil {
 					if err := e.Restore(data); err != nil {
 						recordErr("restore: %v", err)
 						return

@@ -101,7 +101,7 @@ func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 					return
 				}
 				if i%64 == 0 {
-					ranked, _ := v.RankServices(u, []int{0, 1, 2, 3, 4, 5}, true)
+					ranked, _ := v.TopK(u, []int{0, 1, 2, 3, 4, 5}, 6, true)
 					for j := 1; j < len(ranked); j++ {
 						if ranked[j-1].Value > ranked[j].Value {
 							recordError("reader %d: inconsistent ranking %v", r, ranked)
@@ -156,7 +156,7 @@ func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 		i := 0
 		for !stop.Load() {
 			i++
-			data, err := e.Snapshot()
+			data, err := e.View().Snapshot()
 			if err != nil {
 				recordError("snapshot: %v", err)
 				return

@@ -29,23 +29,6 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// NewDenseFrom builds a dense matrix from a slice of rows. All rows must
-// have equal length.
-func NewDenseFrom(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewDense(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("matrix: ragged input: row 0 has %d cols, row %d has %d", cols, i, len(r))
-		}
-		copy(m.data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -62,12 +45,6 @@ func (m *Dense) At(i, j int) float64 {
 func (m *Dense) Set(i, j int, v float64) {
 	m.check(i, j)
 	m.data[i*m.cols+j] = v
-}
-
-// Add increments the element at (i, j) by v.
-func (m *Dense) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
 }
 
 func (m *Dense) check(i, j int) {
@@ -95,13 +72,6 @@ func (m *Dense) Clone() *Dense {
 	return c
 }
 
-// Fill sets every element to v.
-func (m *Dense) Fill(v float64) {
-	for i := range m.data {
-		m.data[i] = v
-	}
-}
-
 // Apply replaces every element x with f(x).
 func (m *Dense) Apply(f func(float64) float64) {
 	for i, v := range m.data {
@@ -122,7 +92,9 @@ func (m *Dense) T() *Dense {
 }
 
 // Mul returns the matrix product a*b.
-// It panics if the inner dimensions disagree.
+// It panics if the inner dimensions disagree. Nothing outside tests
+// multiplies general matrices; it stays as the plain triple loop MulT
+// (which feeds Gram and the singular values) is tested against.
 func Mul(a, b *Dense) *Dense {
 	if a.cols != b.rows {
 		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
@@ -201,37 +173,6 @@ func Norm2(v []float64) float64 {
 
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Dense) FrobeniusNorm() float64 { return Norm2(m.data) }
-
-// Equalish reports whether a and b have the same shape and all elements
-// within tol of each other.
-func Equalish(a, b *Dense, tol float64) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i, v := range a.data {
-		if math.Abs(v-b.data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-// Scale multiplies every element by s.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
-// AddDense adds other into m element-wise. Shapes must match.
-func (m *Dense) AddDense(other *Dense) {
-	if m.rows != other.rows || m.cols != other.cols {
-		panic(fmt.Sprintf("matrix: add shape mismatch %dx%d vs %dx%d", m.rows, m.cols, other.rows, other.cols))
-	}
-	for i, v := range other.data {
-		m.data[i] += v
-	}
-}
 
 // String renders the matrix compactly, primarily for debugging and tests.
 func (m *Dense) String() string {

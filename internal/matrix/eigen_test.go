@@ -8,7 +8,8 @@ import (
 )
 
 func TestSymEigenDiagonal(t *testing.T) {
-	m, _ := NewDenseFrom([][]float64{{3, 0, 0}, {0, 1, 0}, {0, 0, 2}})
+	m := NewDense(3, 3)
+	copy(m.Data(), []float64{3, 0, 0, 0, 1, 0, 0, 0, 2})
 	eig, err := SymEigen(m, JacobiOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -23,7 +24,8 @@ func TestSymEigenDiagonal(t *testing.T) {
 
 func TestSymEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
-	m, _ := NewDenseFrom([][]float64{{2, 1}, {1, 2}})
+	m := NewDense(2, 2)
+	copy(m.Data(), []float64{2, 1, 1, 2})
 	eig, err := SymEigen(m, JacobiOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,8 @@ func TestSymEigenRejectsNonSquare(t *testing.T) {
 }
 
 func TestSymEigenRejectsAsymmetric(t *testing.T) {
-	m, _ := NewDenseFrom([][]float64{{1, 2}, {3, 4}})
+	m := NewDense(2, 2)
+	copy(m.Data(), []float64{1, 2, 3, 4})
 	if _, err := SymEigen(m, JacobiOptions{}); err == nil {
 		t.Fatal("expected error for asymmetric input")
 	}
@@ -94,7 +97,8 @@ func TestSymEigenInvariantsProperty(t *testing.T) {
 
 func TestSingularValuesKnown(t *testing.T) {
 	// diag(3, 2) embedded in a 2x3 matrix has singular values {3, 2}.
-	m, _ := NewDenseFrom([][]float64{{3, 0, 0}, {0, 2, 0}})
+	m := NewDense(2, 3)
+	copy(m.Data(), []float64{3, 0, 0, 0, 2, 0})
 	sv, err := SingularValues(m, JacobiOptions{})
 	if err != nil {
 		t.Fatal(err)

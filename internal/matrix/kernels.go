@@ -14,7 +14,7 @@ import "fmt"
 //     the loop-carried dependence on a single sum so the FP adds pipeline
 //     (the naive loop serializes on one accumulator, one FMA latency per
 //     element).
-//   - DotBatch32 (kernels32.go; DotBatch / MulVecTo in float64) stream
+//   - DotBatch32 (kernels32.go; DotBatch in float64) streams
 //     a contiguous row-major block of factor rows past one query vector
 //     that stays resident in registers/L1:
 //     the hardware prefetcher sees a single sequential stream instead of
@@ -88,8 +88,8 @@ func dot4(a, b []float64) float64 {
 // k = len(q): many inner products of one query vector against a
 // contiguous row-major block of len(dst) rows — the block streams
 // through the cache once while q stays hot. The ranking fast path runs
-// its float32 twin, DotBatch32; this one is kept for MulVecTo and for
-// bench/probes.go, which reports it as matrix.dotbatch_ns_per_row.
+// its float32 twin, DotBatch32; this one is kept for bench/probes.go,
+// which reports it as matrix.dotbatch_ns_per_row.
 //
 // It panics if len(block) != len(dst)*len(q). A zero-length q zeroes dst.
 func DotBatch(dst, block, q []float64) {
@@ -112,17 +112,4 @@ func DotBatch(dst, block, q []float64) {
 		dst[i] = dot4(block[off:off+k], q)
 		off += k
 	}
-}
-
-// MulVecTo computes dst = m · q (one inner product per row) without
-// allocating, writing row i's product to dst[i]. It panics when dst or q
-// disagree with the matrix shape.
-func (m *Dense) MulVecTo(dst, q []float64) {
-	if len(q) != m.cols {
-		panic(fmt.Sprintf("matrix: MulVecTo vector length %d != cols %d", len(q), m.cols))
-	}
-	if len(dst) != m.rows {
-		panic(fmt.Sprintf("matrix: MulVecTo dst length %d != rows %d", len(dst), m.rows))
-	}
-	DotBatch(dst, m.data, q)
 }

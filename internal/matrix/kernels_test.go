@@ -114,37 +114,6 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 	DotBatch(make([]float64, 2), make([]float64, 5), make([]float64, 3))
 }
 
-func TestMulVecTo(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewDense(13, 6)
-	for i := range m.data {
-		m.data[i] = rng.NormFloat64()
-	}
-	q := randVec(rng, 6)
-	dst := make([]float64, 13)
-	m.MulVecTo(dst, q)
-	for i := 0; i < m.Rows(); i++ {
-		want := dotNaive(m.Row(i), q)
-		if diff := math.Abs(dst[i] - want); diff > ulpBound(m.Row(i), q) {
-			t.Fatalf("row %d: got %g want %g", i, dst[i], want)
-		}
-	}
-}
-
-func TestMulVecToPanics(t *testing.T) {
-	m := NewDense(2, 3)
-	for _, tc := range []struct{ dst, q int }{{2, 2}, {1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("dst=%d q=%d: expected panic", tc.dst, tc.q)
-				}
-			}()
-			m.MulVecTo(make([]float64, tc.dst), make([]float64, tc.q))
-		}()
-	}
-}
-
 // FuzzDotKernels drives the dispatched kernels (SIMD assembly where the
 // CPU qualifies, portable loops otherwise) against the naive loop AND
 // against the portable unrolled loop with arbitrary bit patterns,

@@ -42,17 +42,6 @@ func (s *Sparse) Rows() int { return s.rows }
 // Cols returns the number of columns.
 func (s *Sparse) Cols() int { return s.cols }
 
-// NNZ returns the number of stored entries.
-func (s *Sparse) NNZ() int { return len(s.entries) }
-
-// Density returns NNZ / (rows*cols), the paper's "matrix density".
-func (s *Sparse) Density() float64 {
-	if s.rows == 0 || s.cols == 0 {
-		return 0
-	}
-	return float64(len(s.entries)) / float64(s.rows*s.cols)
-}
-
 // Append adds an observed entry. Duplicate (row, col) pairs are allowed
 // until Freeze, which keeps the last one. Append unfreezes the matrix.
 func (s *Sparse) Append(row, col int, val float64) {
@@ -187,18 +176,6 @@ func (s *Sparse) ColMean(j int) (float64, bool) {
 		sum += s.values[k]
 	}
 	return sum / float64(n), true
-}
-
-// ToDense materializes the sparse matrix; unobserved cells hold fill.
-func (s *Sparse) ToDense(fill float64) *Dense {
-	d := NewDense(s.rows, s.cols)
-	if fill != 0 {
-		d.Fill(fill)
-	}
-	for _, e := range s.entries {
-		d.Set(e.Row, e.Col, e.Val)
-	}
-	return d
 }
 
 func (s *Sparse) mustFrozen() {

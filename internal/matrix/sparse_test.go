@@ -24,12 +24,8 @@ func TestSparseBasics(t *testing.T) {
 	if s.Rows() != 3 || s.Cols() != 4 {
 		t.Fatalf("shape %dx%d, want 3x4", s.Rows(), s.Cols())
 	}
-	if s.NNZ() != 5 {
-		t.Fatalf("nnz %d, want 5", s.NNZ())
-	}
-	wantDensity := 5.0 / 12.0
-	if d := s.Density(); d != wantDensity {
-		t.Fatalf("density %g, want %g", d, wantDensity)
+	if len(s.Entries()) != 5 {
+		t.Fatalf("nnz %d, want 5", len(s.Entries()))
 	}
 }
 
@@ -70,8 +66,8 @@ func TestSparseDuplicateLastWins(t *testing.T) {
 	s.Append(0, 0, 2)
 	s.Append(0, 0, 3)
 	s.Freeze()
-	if s.NNZ() != 1 {
-		t.Fatalf("nnz %d, want 1 after dedup", s.NNZ())
+	if len(s.Entries()) != 1 {
+		t.Fatalf("nnz %d, want 1 after dedup", len(s.Entries()))
 	}
 	if v, _ := s.At(0, 0); v != 3 {
 		t.Fatalf("got %g, want last write 3", v)
@@ -117,23 +113,12 @@ func TestSparseMeans(t *testing.T) {
 	}
 }
 
-func TestSparseToDense(t *testing.T) {
-	s := buildSparse(t)
-	d := s.ToDense(-1)
-	if d.At(0, 0) != 1.4 {
-		t.Fatalf("dense (0,0) = %g, want 1.4", d.At(0, 0))
-	}
-	if d.At(0, 1) != -1 {
-		t.Fatalf("dense fill = %g, want -1", d.At(0, 1))
-	}
-}
-
 func TestSparseFreezeIdempotent(t *testing.T) {
 	s := buildSparse(t)
 	s.Freeze()
 	s.Freeze()
-	if s.NNZ() != 5 {
-		t.Fatalf("nnz changed after refreeze: %d", s.NNZ())
+	if len(s.Entries()) != 5 {
+		t.Fatalf("nnz changed after refreeze: %d", len(s.Entries()))
 	}
 }
 
@@ -161,7 +146,7 @@ func TestSparseRoundTripProperty(t *testing.T) {
 			want[[2]int{i, j}] = v
 		}
 		s.Freeze()
-		if s.NNZ() != len(want) {
+		if len(s.Entries()) != len(want) {
 			return false
 		}
 		for key, v := range want {

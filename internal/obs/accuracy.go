@@ -89,10 +89,6 @@ func (t *AccuracyTracker) MRE() float64 { return t.relErr.Quantile(0.5) }
 // NPRE returns the live 90th-percentile relative error (paper Eq. 19).
 func (t *AccuracyTracker) NPRE() float64 { return t.relErr.Quantile(0.9) }
 
-// Quantile returns an arbitrary quantile of the relative-error
-// distribution.
-func (t *AccuracyTracker) Quantile(q float64) float64 { return t.relErr.Quantile(q) }
-
 // Samples returns the number of scored observations.
 func (t *AccuracyTracker) Samples() int64 { return t.samples.Load() }
 

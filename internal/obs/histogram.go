@@ -102,9 +102,6 @@ func (h *Histogram) lowerBound(i int) float64 {
 	return h.UpperBound(i - 1)
 }
 
-// NumBuckets returns the number of finite buckets.
-func (h *Histogram) NumBuckets() int { return len(h.buckets) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if i := h.index(v); i >= 0 {

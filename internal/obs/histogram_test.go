@@ -11,14 +11,14 @@ import (
 func TestHistogramBoundsMonotonic(t *testing.T) {
 	h := NewHistogram(1e-9, 60, 8)
 	prev := math.Inf(-1)
-	for i := 0; i < h.NumBuckets(); i++ {
+	for i := 0; i < len(h.buckets); i++ {
 		b := h.UpperBound(i)
 		if b <= prev {
 			t.Fatalf("bucket %d bound %g not above previous %g", i, b, prev)
 		}
 		prev = b
 	}
-	if top := h.UpperBound(h.NumBuckets() - 1); top < 60 {
+	if top := h.UpperBound(len(h.buckets) - 1); top < 60 {
 		t.Fatalf("top bound %g does not cover max 60", top)
 	}
 }
@@ -30,7 +30,7 @@ func TestHistogramIndexBrackets(t *testing.T) {
 		v := math.Exp(rng.Float64()*math.Log(6e10)) * 1e-9 // log-uniform over range
 		idx := h.index(v)
 		if idx < 0 {
-			if v < h.UpperBound(h.NumBuckets()-1) {
+			if v < h.UpperBound(len(h.buckets)-1) {
 				t.Fatalf("value %g overflowed below top bound", v)
 			}
 			continue

@@ -85,8 +85,6 @@ type atomicFloat struct {
 
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
 // Add accumulates v with a CAS loop (wait-free in the uncontended case).
 func (f *atomicFloat) Add(v float64) {
 	for {

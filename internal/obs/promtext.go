@@ -38,18 +38,6 @@ type TextMetrics struct {
 	Order    []string // family names in first-appearance order
 }
 
-// baseName strips histogram sample suffixes to the family name.
-func baseName(name, typ string) string {
-	if typ == "histogram" {
-		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if strings.HasSuffix(name, suf) {
-				return strings.TrimSuffix(name, suf)
-			}
-		}
-	}
-	return name
-}
-
 // ParseMetrics parses a Prometheus text-format page strictly: every
 // sample must belong to a family announced by both a # HELP and a # TYPE
 // line beforehand, names must match the metric grammar, and values must

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -140,14 +139,6 @@ func (r *Registry) ConstGauge(name, help string, value float64, kv ...string) {
 // an external monotonic source (e.g. the engine's accounting atomics).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.addFamily(name, help, KindCounter).add(&series{intFn: fn})
-}
-
-// NewHistogram registers and returns a log-bucketed histogram (see
-// Histogram) under the given family name.
-func (r *Registry) NewHistogram(name, help string, min, max float64, sub int) *Histogram {
-	h := NewHistogram(min, max, sub)
-	r.addFamily(name, help, KindHistogram).add(&series{hist: h})
-	return h
 }
 
 // RegisterHistogram exposes an externally created histogram (e.g. the
@@ -377,17 +368,4 @@ func (s *series) writeHistogram(w *bufio.Writer, name string) {
 	writeSample(w, name+"_bucket", bucketLabels("+Inf"), strconv.FormatInt(total, 10))
 	writeSample(w, name+"_sum", s.labels, formatFloat(h.Sum()))
 	writeSample(w, name+"_count", s.labels, strconv.FormatInt(total, 10))
-}
-
-// Families returns the registered family names in sorted order — used by
-// tests asserting catalog completeness.
-func (r *Registry) Families() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.families))
-	for i, f := range r.families {
-		out[i] = f.name
-	}
-	sort.Strings(out)
-	return out
 }

@@ -13,7 +13,8 @@ func buildTestRegistry() (*Registry, func()) {
 	g := r.NewGauge("test_inflight", "Requests currently in flight.")
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 12.5 })
 	r.CounterFunc("test_applied_total", "Applied updates.", func() int64 { return 99 })
-	h := r.NewHistogram("test_latency_seconds", "Request latency.", 1e-9, 60, 8)
+	h := NewHistogram(1e-9, 60, 8)
+	r.RegisterHistogram("test_latency_seconds", "Request latency.", h)
 	hv := r.NewHistogramVec("test_route_latency_seconds", "Per-route latency.", "route", 1e-9, 60, 8)
 	cv := r.NewCounterVec("test_status_total", "Responses by status class.", "code")
 	traffic := func() {
@@ -76,7 +77,7 @@ func TestRegistryExpositionParsesAndValidates(t *testing.T) {
 
 func TestRegistryEmptyHistogramStillValid(t *testing.T) {
 	r := NewRegistry()
-	r.NewHistogram("test_empty_seconds", "Never observed.", 1e-9, 60, 8)
+	r.RegisterHistogram("test_empty_seconds", "Never observed.", NewHistogram(1e-9, 60, 8))
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -137,7 +138,8 @@ func TestVecReturnsSameChild(t *testing.T) {
 
 func TestHistogramExpositionCountMatchesInf(t *testing.T) {
 	r := NewRegistry()
-	h := r.NewHistogram("test_z_seconds", "h", 1e-9, 60, 8)
+	h := NewHistogram(1e-9, 60, 8)
+	r.RegisterHistogram("test_z_seconds", "h", h)
 	for i := 0; i < 1000; i++ {
 		h.Observe(float64(i%7) * 0.001)
 	}

@@ -14,7 +14,8 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 	r := NewRegistry()
 	c := r.NewCounter("stress_ops_total", "h")
 	g := r.NewGauge("stress_inflight", "h")
-	h := r.NewHistogram("stress_latency_seconds", "h", 1e-9, 60, 8)
+	h := NewHistogram(1e-9, 60, 8)
+	r.RegisterHistogram("stress_latency_seconds", "h", h)
 	hv := r.NewHistogramVec("stress_route_seconds", "h", "route", 1e-9, 60, 8)
 	cv := r.NewCounterVec("stress_status_total", "h", "code")
 	tr := NewAccuracyTracker(0.3)

@@ -88,9 +88,6 @@ func NewRecorder(cfg Config) *Recorder {
 	}
 }
 
-// SlowThreshold returns the retention threshold (for log-line gating).
-func (r *Recorder) SlowThreshold() time.Duration { return r.cfg.SlowThreshold }
-
 // Start creates a span inside an existing trace — the adoption path
 // (parent is the caller's span ID from the propagation header, 0 for a
 // root) — and starts its clock.
@@ -102,12 +99,6 @@ func (r *Recorder) Start(id ID, parent SpanID, name string) *Span {
 		Trace: id, ID: nextSpanID(), Parent: parent,
 		Name: name, Start: time.Now(), rec: r,
 	}
-}
-
-// StartRoot mints a fresh trace ID and starts its root span — the
-// gateway's entry point.
-func (r *Recorder) StartRoot(name string) *Span {
-	return r.Start(NewID(), 0, name)
 }
 
 // StartChild starts a child span of sp in the same trace. A nil parent
@@ -155,10 +146,8 @@ type tracesResponse struct {
 	Finished uint64      `json:"spans_finished"`
 }
 
-// Snapshot returns the recorder's current contents grouped by trace,
+// snapshot returns the recorder's current contents grouped by trace,
 // newest trace first. Spans present in both rings appear once.
-func (r *Recorder) Snapshot() []traceJSON { return r.snapshot() }
-
 func (r *Recorder) snapshot() []traceJSON {
 	r.mu.Lock()
 	spans := r.recent.all()

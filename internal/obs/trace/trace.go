@@ -27,7 +27,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -207,13 +206,4 @@ func NewContext(ctx context.Context, sp *Span) context.Context {
 func FromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(ctxKey{}).(*Span)
 	return sp
-}
-
-// GoString aids test failure messages.
-func (sp *Span) GoString() string {
-	if sp == nil {
-		return "trace.Span(nil)"
-	}
-	return fmt.Sprintf("trace.Span{%s %s name=%q parent=%s dur=%s err=%v}",
-		sp.Trace, sp.ID, sp.Name, sp.Parent, sp.Duration, sp.Err)
 }

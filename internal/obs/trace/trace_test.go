@@ -72,20 +72,20 @@ func TestNilSpanMethodsNoop(t *testing.T) {
 func TestRecorderRetainsSlowAndErrored(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 4, RetainedCapacity: 8, SlowThreshold: 100 * time.Millisecond})
 
-	slow := r.StartRoot("slow")
+	slow := r.Start(NewID(), 0, "slow")
 	slow.Annotate("queue_wait", 40*time.Millisecond)
 	slow.Finish(150 * time.Millisecond)
 
-	failed := r.StartRoot("failed")
+	failed := r.Start(NewID(), 0, "failed")
 	failed.SetError()
 	failed.Finish(time.Millisecond)
 
 	// Churn the recent ring far past its capacity with fast spans.
 	for i := 0; i < 16; i++ {
-		r.StartRoot("fast").Finish(time.Millisecond)
+		r.Start(NewID(), 0, "fast").Finish(time.Millisecond)
 	}
 
-	traces := r.Snapshot()
+	traces := r.snapshot()
 	found := map[string]bool{}
 	for _, tr := range traces {
 		for _, sp := range tr.Spans {
@@ -102,12 +102,12 @@ func TestRecorderRetainsSlowAndErrored(t *testing.T) {
 
 func TestSnapshotDedupsAndGroups(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 8, SlowThreshold: time.Millisecond})
-	root := r.StartRoot("root")
+	root := r.Start(NewID(), 0, "root")
 	child := r.StartChild(root, "child")
 	child.Finish(5 * time.Millisecond) // slow → lands in both rings
 	root.Finish(10 * time.Millisecond)
 
-	traces := r.Snapshot()
+	traces := r.snapshot()
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1 (%v)", len(traces), traces)
 	}
@@ -131,10 +131,10 @@ func TestSnapshotDedupsAndGroups(t *testing.T) {
 
 func TestServeHTTPFiltersByTrace(t *testing.T) {
 	r := NewRecorder(Config{})
-	a := r.StartRoot("a")
+	a := r.Start(NewID(), 0, "a")
 	a.Annotate("journal", 2*time.Millisecond)
 	a.Finish(3 * time.Millisecond)
-	b := r.StartRoot("b")
+	b := r.Start(NewID(), 0, "b")
 	b.Finish(time.Millisecond)
 
 	req := httptest.NewRequest("GET", "/debug/traces?trace="+a.Trace.String(), nil)

@@ -20,8 +20,6 @@ type Info struct {
 	ID     int
 	Name   string
 	Joined time.Time
-	// Meta carries optional annotations (e.g. location, provider).
-	Meta map[string]string
 }
 
 // Registry is a concurrency-safe name⇄ID directory with churn support.
@@ -43,14 +41,6 @@ func New() *Registry {
 		byID:   make(map[int]*Info),
 		now:    time.Now,
 	}
-}
-
-// NewWithClock creates a registry with an injected clock, for tests and
-// simulations.
-func NewWithClock(now func() time.Time) *Registry {
-	r := New()
-	r.now = now
-	return r
 }
 
 // Register returns the ID for name, creating a new registration if the
@@ -181,44 +171,7 @@ func (r *Registry) Get(id int) (Info, bool) {
 	if !ok {
 		return Info{}, false
 	}
-	return r.copyInfo(info), true
-}
-
-// GetByName returns a copy of the Info for a name.
-func (r *Registry) GetByName(name string) (Info, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	info, ok := r.byName[name]
-	if !ok {
-		return Info{}, false
-	}
-	return r.copyInfo(info), true
-}
-
-func (r *Registry) copyInfo(info *Info) Info {
-	out := *info
-	if info.Meta != nil {
-		out.Meta = make(map[string]string, len(info.Meta))
-		for k, v := range info.Meta {
-			out.Meta[k] = v
-		}
-	}
-	return out
-}
-
-// SetMeta attaches a metadata key/value to a registered name.
-func (r *Registry) SetMeta(name, key, value string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	info, ok := r.byName[name]
-	if !ok {
-		return ErrUnknown
-	}
-	if info.Meta == nil {
-		info.Meta = make(map[string]string)
-	}
-	info.Meta[key] = value
-	return nil
+	return *info, true
 }
 
 // Deregister removes a name (the entity leaves the environment). It
@@ -250,7 +203,7 @@ func (r *Registry) Restore(infos []Info) error {
 		if _, dup := byID[in.ID]; dup {
 			return fmt.Errorf("registry: duplicate ID %d in restore", in.ID)
 		}
-		cp := r.copyInfo(&in)
+		cp := in
 		byName[cp.Name] = &cp
 		byID[cp.ID] = &cp
 		if cp.ID >= next {
@@ -278,7 +231,7 @@ func (r *Registry) List() []Info {
 	defer r.mu.RUnlock()
 	out := make([]Info, 0, len(r.byID))
 	for _, info := range r.byID {
-		out = append(out, r.copyInfo(info))
+		out = append(out, *info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

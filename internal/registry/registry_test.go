@@ -58,7 +58,8 @@ func TestDeregister(t *testing.T) {
 
 func TestGetAndClockInjection(t *testing.T) {
 	fixed := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
-	r := NewWithClock(func() time.Time { return fixed })
+	r := New()
+	r.now = func() time.Time { return fixed }
 	id, _ := r.Register("x")
 	info, ok := r.Get(id)
 	if !ok || info.Name != "x" || !info.Joined.Equal(fixed) {
@@ -66,34 +67,6 @@ func TestGetAndClockInjection(t *testing.T) {
 	}
 	if _, ok := r.Get(999); ok {
 		t.Fatal("unknown ID should fail")
-	}
-	byName, ok := r.GetByName("x")
-	if !ok || byName.ID != id {
-		t.Fatalf("GetByName = %+v, %v", byName, ok)
-	}
-	if _, ok := r.GetByName("nope"); ok {
-		t.Fatal("unknown name should fail")
-	}
-}
-
-func TestMeta(t *testing.T) {
-	r := New()
-	r.Register("x")
-	if err := r.SetMeta("x", "country", "DE"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.SetMeta("nope", "k", "v"); err == nil {
-		t.Fatal("SetMeta on unknown name should error")
-	}
-	info, _ := r.GetByName("x")
-	if info.Meta["country"] != "DE" {
-		t.Fatalf("meta = %v", info.Meta)
-	}
-	// Returned Info must be a copy: mutating it must not leak back.
-	info.Meta["country"] = "FR"
-	again, _ := r.GetByName("x")
-	if again.Meta["country"] != "DE" {
-		t.Fatal("Get must return a defensive copy of Meta")
 	}
 }
 

@@ -36,8 +36,7 @@ import (
 //     sheddable admission watermark within declared bounds.
 //
 // With admission disabled (the default) the gate costs one atomic
-// pointer load + nil check per gated route — BenchmarkPredictPath's 5%
-// instrumentation budget still holds.
+// pointer load + nil check per gated route.
 
 // ShedReasonHeader names why a request was refused: "slo_budget"
 // (predicted wait exceeds the class budget), "queue_watermark" (ingest
@@ -66,7 +65,9 @@ type AdmissionConfig struct {
 	// requests. Default 250ms.
 	BudgetSheddable time.Duration
 	// Headroom scales both budgets (admit while estimate ≤
-	// budget×headroom). Default 1.0.
+	// budget×headroom). Default 1.0, which is what amfserver starts
+	// with: it is the baseline of the admission.headroom tunable, moved
+	// at runtime through PUT /api/v1/config; tests set the field.
 	Headroom float64
 }
 
@@ -153,7 +154,7 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 		cfg.BudgetSheddable, cfg.BudgetSheddable/64, cfg.BudgetSheddable*64, control.SourceFlag)
 	g.headroom = ctl.Float("admission.headroom",
 		"Multiplier on class budgets (admit while estimate ≤ budget×headroom).",
-		cfg.Headroom, 0.05, 16, control.SourceFlag)
+		cfg.Headroom, 0.05, 16, control.SourceDefault)
 	if t, ok := ctl.Lookup("engine.admit_standard_watermark"); ok {
 		g.wmStandard, _ = t.(*control.Float)
 	}
@@ -167,9 +168,6 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 		"budget_sheddable", cfg.BudgetSheddable,
 		"headroom", cfg.Headroom)
 }
-
-// AdmissionEnabled reports whether the gate is active.
-func (s *Server) AdmissionEnabled() bool { return s.gate.Load() != nil }
 
 // gated wraps a handler with the admission gate. Registered inside the
 // observability middleware (s.handle(pattern, s.gated(pattern, h))), so
@@ -395,10 +393,6 @@ func (s *Server) StartAdaptation(cfg AdaptationConfig) {
 	s.ctrl.Store(c)
 	s.log.Info("epoch adaptation started", "epoch", c.Epoch(), "rules", len(rules))
 }
-
-// Controller exposes the running epoch controller (nil before
-// StartAdaptation), for amfbench and tests.
-func (s *Server) Controller() *control.Controller { return s.ctrl.Load() }
 
 // ---------------------------------------------------------------------------
 // Config API: live inspection and override of registered tunables.

@@ -113,7 +113,7 @@ func TestAdmissionShedContract(t *testing.T) {
 func TestAdmissionDisabledIsInert(t *testing.T) {
 	s := testServer(t)
 	t.Cleanup(s.Close)
-	if s.AdmissionEnabled() {
+	if s.gate.Load() != nil {
 		t.Fatal("admission enabled on a fresh server")
 	}
 	if w := classedReq(t, s, "sheddable", oneObs("u1")); w.Code != http.StatusOK {
@@ -380,7 +380,7 @@ func TestConfigAPI(t *testing.T) {
 func TestAdaptationMovesTunables(t *testing.T) {
 	s := gatedServer(t, time.Hour)
 	s.StartAdaptation(AdaptationConfig{Epoch: time.Hour}) // ticker idle; epochs driven by hand
-	c := s.Controller()
+	c := s.ctrl.Load()
 	if c == nil {
 		t.Fatal("controller not started")
 	}

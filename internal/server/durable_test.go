@@ -3,9 +3,11 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -213,7 +215,8 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 	state := func() string {
 		return doReq(t, svc, http.MethodGet, "/api/v1/users", nil).Body.String() +
 			doReq(t, svc, http.MethodGet, "/api/v1/services", nil).Body.String() +
-			fmt.Sprint(svc.users.Len(), svc.services.Len(), svc.eng.Updates(), mgr.WAL().LastSeq())
+			fmt.Sprint(svc.users.Len(), svc.services.Len(), svc.eng.Updates(), mgr.WAL().LastSeq(),
+				svc.metrics.observations.Value())
 	}
 	before := state()
 	for name, bad := range map[string]Observation{
@@ -230,6 +233,20 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 		if after := state(); after != before {
 			t.Errorf("%s: rejected batch left side effects:\nbefore %s\nafter  %s", name, before, after)
 		}
+	}
+	// The ingest.Sink door holds values to the same predicate: a NaN or
+	// an infinity that reached the model would poison every prediction
+	// touching its user or service.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if err := svc.Ingest("ghost", "phantom", bad, 0); err == nil {
+			t.Errorf("Ingest(%g) returned nil, want an error", bad)
+		}
+		if after := state(); after != before {
+			t.Errorf("Ingest(%g): rejected sample left side effects:\nbefore %s\nafter  %s", bad, before, after)
+		}
+	}
+	if w := doReq(t, svc, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil); w.Code != http.StatusOK {
+		t.Errorf("predict after rejected values: status %d: %s", w.Code, w.Body.String())
 	}
 }
 
@@ -425,24 +442,71 @@ func runKillRestart(t *testing.T, sync store.SyncPolicy) {
 	}
 
 	// Drive acked observations over real HTTP. Every 200 is a durability
-	// promise under fsync=always.
+	// promise under fsync=always — for a departure as much as for a
+	// sample: a user and a service are observed, then deleted between
+	// other observes, and both acked deletes must survive the kill.
 	client := &http.Client{Timeout: 5 * time.Second}
+	observe := func(u, s string, v float64) bool {
+		t.Helper()
+		body := fmt.Sprintf(`{"observations":[{"user":%q,"service":%q,"value":%g}]}`, u, s, v)
+		resp, err := client.Post("http://"+addr+"/api/v1/observe", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("observe (%s,%s): %v", u, s, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
+	// idOf asks the child which model id a name is bound to.
+	idOf := func(kind, name string) int {
+		t.Helper()
+		resp, err := client.Get("http://" + addr + "/api/v1/" + kind)
+		if err != nil {
+			t.Fatalf("list %s: %v", kind, err)
+		}
+		defer resp.Body.Close()
+		var infos []EntityInfo
+		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+			t.Fatalf("list %s: %v", kind, err)
+		}
+		for _, in := range infos {
+			if in.Name == name {
+				return in.ID
+			}
+		}
+		t.Fatalf("%s %q not listed by the child", kind, name)
+		return 0
+	}
+	remove := func(kind, name string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodDelete, "http://"+addr+"/api/v1/"+kind+"?name="+name, nil)
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("delete %s %s: %v", kind, name, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s %s: status %d", kind, name, resp.StatusCode)
+		}
+	}
+	if !observe("gone-u", "ks0", 1) || !observe("ku0", "gone-s", 1) {
+		t.Fatal("seeding the entities to delete was not acked")
+	}
+	goneUser, goneService := idOf("users", "gone-u"), idOf("services", "gone-s")
 	type pair struct{ user, service string }
 	var acked []pair
 	for i := 0; i < 25; i++ {
 		u := fmt.Sprintf("ku%d", i%5)
 		s := fmt.Sprintf("ks%d", i%7)
-		body := fmt.Sprintf(`{"observations":[{"user":%q,"service":%q,"value":%g}]}`,
-			u, s, 0.5+float64(i%4))
-		resp, err := client.Post("http://"+addr+"/api/v1/observe", "application/json",
-			strings.NewReader(body))
-		if err != nil {
-			t.Fatalf("observe %d: %v", i, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
+		if observe(u, s, 0.5+float64(i%4)) {
 			acked = append(acked, pair{u, s})
+		}
+		switch i {
+		case 8:
+			remove("users", "gone-u")
+		case 16:
+			remove("services", "gone-s")
 		}
 	}
 	if len(acked) == 0 {
@@ -468,5 +532,17 @@ func runKillRestart(t *testing.T, sync store.SyncPolicy) {
 			t.Errorf("acked pair (%s,%s) lost after SIGKILL: predict status %d: %s",
 				p.user, p.service, w.Code, w.Body.String())
 		}
+	}
+	// Zero acked loss covers departures: neither name is registered,
+	// neither id is in the served view.
+	if _, ok := svc.users.Lookup("gone-u"); ok {
+		t.Error("acked DELETE of user gone-u lost after SIGKILL: the name is registered")
+	}
+	if _, ok := svc.services.Lookup("gone-s"); ok {
+		t.Error("acked DELETE of service gone-s lost after SIGKILL: the name is registered")
+	}
+	if v := svc.eng.View(); v.KnowsUser(goneUser) || v.KnowsService(goneService) {
+		t.Errorf("acked DELETEs lost after SIGKILL: view knows user %d: %v, service %d: %v",
+			goneUser, v.KnowsUser(goneUser), goneService, v.KnowsService(goneService))
 	}
 }

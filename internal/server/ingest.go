@@ -2,11 +2,18 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/stream"
 )
+
+// validQoS is the one predicate every write door holds an observed value
+// to: finite and non-negative. A NaN or ±Inf that reached the model would
+// turn its user's and service's factors NaN after one SGD step, and every
+// prediction touching either into a 500.
+func validQoS(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Ingest implements ingest.Sink: the TCP stream-input path feeds
 // observations through the same registration and storage pipeline as
@@ -22,8 +29,8 @@ func (s *Server) Ingest(user, service string, value float64, timestampMs int64) 
 	if user == "" || service == "" {
 		return fmt.Errorf("server: user and service are required")
 	}
-	if value < 0 {
-		return fmt.Errorf("server: negative QoS value %g", value)
+	if !validQoS(value) {
+		return fmt.Errorf("server: invalid QoS value %g", value)
 	}
 	uid, newU := s.users.Register(user)
 	sid, newS := s.services.Register(service)

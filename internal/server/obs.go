@@ -157,21 +157,10 @@ func (s *Server) buildMetrics() {
 	s.acc.Register(r, "amf_accuracy")
 }
 
-// Registry exposes the metric registry for embedders that want to add
-// their own families or scrape without HTTP.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// Accuracy exposes the live accuracy tracker (MRE/NPRE/EMA of the
-// relative prediction error).
-func (s *Server) Accuracy() *obs.AccuracyTracker { return s.acc }
-
 // scoreSample compares one incoming observation against the model's prior
 // prediction (one lock-free view read) and folds the relative error into
 // the live accuracy tracker.
 func (s *Server) scoreSample(sample stream.Sample) {
-	if !s.instrument {
-		return
-	}
 	if v, err := s.eng.View().Predict(sample.User, sample.Service); err == nil {
 		s.acc.Record(v, sample.Value)
 	} else {
@@ -181,9 +170,6 @@ func (s *Server) scoreSample(sample stream.Sample) {
 
 // scoreSamples scores a batch against one consistent view.
 func (s *Server) scoreSamples(samples []stream.Sample) {
-	if !s.instrument {
-		return
-	}
 	view := s.eng.View()
 	for _, sample := range samples {
 		if v, err := view.Predict(sample.User, sample.Service); err == nil {
@@ -240,10 +226,6 @@ const latencySampleMask = 7
 //     perturb the latency histograms: the 1-in-8 sampling counter
 //     still decides which requests are recorded, traced or not.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	if !s.instrument {
-		s.mux.HandleFunc(pattern, h)
-		return
-	}
 	hist := s.httpHist.With(pattern)
 	tick := new(atomic.Uint64) // per-route sampling counter
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {

@@ -118,25 +118,25 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 func TestLiveAccuracyTracksObservations(t *testing.T) {
 	s := testServer(t)
 	observeSome(t, s) // first sightings: all unscored
-	if s.Accuracy().Samples() != 0 {
-		t.Fatalf("first sightings were scored: %d", s.Accuracy().Samples())
+	if s.acc.Samples() != 0 {
+		t.Fatalf("first sightings were scored: %d", s.acc.Samples())
 	}
-	if s.Accuracy().Misses() != 20 {
-		t.Fatalf("misses = %d, want 20", s.Accuracy().Misses())
+	if s.acc.Misses() != 20 {
+		t.Fatalf("misses = %d, want 20", s.acc.Misses())
 	}
 	observeSome(t, s) // repeats: every pair now has a prior prediction
-	if s.Accuracy().Samples() != 20 {
-		t.Fatalf("samples = %d, want 20", s.Accuracy().Samples())
+	if s.acc.Samples() != 20 {
+		t.Fatalf("samples = %d, want 20", s.acc.Samples())
 	}
-	if mre := s.Accuracy().MRE(); mre <= 0 {
+	if mre := s.acc.MRE(); mre <= 0 {
 		t.Fatalf("live MRE = %g after scored samples", mre)
 	}
 	// The TCP-ingest path scores too.
 	if err := s.Ingest("u0", "s0", 1.0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if s.Accuracy().Samples() != 21 {
-		t.Fatalf("ingest sample not scored: %d", s.Accuracy().Samples())
+	if s.acc.Samples() != 21 {
+		t.Fatalf("ingest sample not scored: %d", s.acc.Samples())
 	}
 }
 
@@ -214,26 +214,5 @@ func TestPprofEndpoints(t *testing.T) {
 	}
 	if w := doReq(t, s, http.MethodGet, "/debug/pprof/cmdline", nil); w.Code != http.StatusOK {
 		t.Fatalf("pprof cmdline = %d", w.Code)
-	}
-}
-
-func TestWithoutInstrumentation(t *testing.T) {
-	cfg := testConfig()
-	s := New(mustModel(cfg), WithoutInstrumentation())
-	observeSome(t, s)
-	w := doReq(t, s, http.MethodGet, "/metrics", nil)
-	tm, err := obs.ParseMetrics(bytes.NewReader(w.Body.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Service counters still work; middleware series stay empty.
-	if v, _ := tm.Value("amf_observations_total", nil); v != 20 {
-		t.Fatalf("observations = %g", v)
-	}
-	if v, _ := tm.Value("amf_http_request_duration_seconds_count", map[string]string{"route": "POST /api/v1/observe"}); v != 0 {
-		t.Fatalf("uninstrumented server recorded latency: %g", v)
-	}
-	if s.Accuracy().Samples() != 0 || s.Accuracy().Misses() != 0 {
-		t.Fatal("uninstrumented server scored accuracy")
 	}
 }

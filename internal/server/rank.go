@@ -113,11 +113,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	b.unknown = unknown
 	b.ranked = s.appendRankedNames(b.ranked[:0], ranked)
 
-	if s.instrument {
-		s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
-		s.metrics.rankRequests.Inc()
-		s.metrics.rankCandidates.Add(int64(candidates))
-	}
+	s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
+	s.metrics.rankRequests.Inc()
+	s.metrics.rankCandidates.Add(int64(candidates))
 	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, view.Version())
 	s.writeHot(w, b.out, err)
 }

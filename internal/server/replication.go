@@ -298,7 +298,8 @@ type FollowerConfig struct {
 	LeaderData string
 	// StoreOptions tunes the store opened from LeaderData at promotion.
 	StoreOptions store.Options
-	// WaitMS is the long-poll window the follower requests (default 5000).
+	// WaitMS is the long-poll window the follower requests (default
+	// 5000, which is what amfserver runs with; tests shorten it).
 	WaitMS int
 	// MaxBytes bounds one replication response (default 4 MiB).
 	MaxBytes int64

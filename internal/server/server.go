@@ -70,9 +70,8 @@ type Server struct {
 	admReasons    map[string]*obs.Counter
 	admWaitEst    *obs.Histogram
 	log           *slog.Logger
-	logDebug      bool // cached log.Enabled(debug); refreshed by SetLogger
+	logDebug      bool // cached log.Enabled(debug), see NewWithEngine
 	slowThreshold time.Duration
-	instrument    bool
 	reqSeq        atomic.Uint64
 	closed        atomic.Bool
 
@@ -114,14 +113,6 @@ func WithSlowRequestThreshold(d time.Duration) Option {
 	}
 }
 
-// WithoutInstrumentation disables the HTTP middleware (latency
-// histograms, in-flight gauge, status counters, accuracy tracking).
-// It exists for the overhead benchmark that proves the middleware is
-// within the <5% budget — production servers should not use it.
-func WithoutInstrumentation() Option {
-	return func(s *Server) { s.instrument = false }
-}
-
 // New creates a prediction service around an AMF model with default
 // engine settings.
 func New(model *core.Model, opts ...Option) *Server {
@@ -140,11 +131,13 @@ func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 		MaxBatch:      10000,
 		log:           slog.Default(),
 		slowThreshold: time.Second,
-		instrument:    true,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	// Per-request debug logging (and with it request-ID minting) is
+	// decided once per server, not per request, so the untraced fast path
+	// stays free of slog calls.
 	s.logDebug = s.log.Enabled(context.Background(), slog.LevelDebug)
 	// The trace recorder shares the slow-request threshold: a span worth a
 	// slow-log warning is a span worth retaining past ring churn.
@@ -162,17 +155,6 @@ func NewWithClock(model *core.Model, now func() time.Time) *Server {
 	s.now = now
 	s.base = now()
 	return s
-}
-
-// SetLogger replaces the structured logger (nil is ignored). The
-// debug-enabled check is cached here: per-request debug logging (and
-// with it request-ID minting) is decided once per logger, not per
-// request, so the untraced fast path stays free of slog calls.
-func (s *Server) SetLogger(l *slog.Logger) {
-	if l != nil {
-		s.log = l
-		s.logDebug = l.Enabled(context.Background(), slog.LevelDebug)
-	}
 }
 
 // Close drains the engine's ingest queue and stops its writer. The HTTP
@@ -199,10 +181,6 @@ func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the HTTP handler for the service.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// Traces exposes the span recorder behind GET /debug/traces for
-// embedders and tests.
-func (s *Server) Traces() *trace.Recorder { return s.traces }
 
 func (s *Server) routes() {
 	s.handle("GET /healthz", s.handleHealth)
@@ -267,9 +245,6 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 
 // countStatus tallies a response in the status-class counters.
 func (s *Server) countStatus(status int) {
-	if !s.instrument {
-		return
-	}
 	if class := status / 100; class >= 1 && class <= 5 {
 		s.statusClass[class].Inc()
 	}
@@ -403,8 +378,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			s.countError(w, http.StatusBadRequest, "observation %d: user and service are required", i)
 			return
 		}
-		if o.Value < 0 {
-			s.countError(w, http.StatusBadRequest, "observation %d: negative QoS value %g", i, o.Value)
+		if !validQoS(o.Value) {
+			s.countError(w, http.StatusBadRequest, "observation %d: invalid QoS value %g", i, o.Value)
 			return
 		}
 	}
@@ -592,8 +567,3 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, reg *regis
 	s.metrics.churnRemovals.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
-
-// Snapshot exposes model snapshotting for operational persistence. It
-// serializes the engine's published view, so it never stalls the writer
-// or blocks observations.
-func (s *Server) Snapshot() ([]byte, error) { return s.eng.Snapshot() }

@@ -268,7 +268,7 @@ func TestObserveCustomTimestamp(t *testing.T) {
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := testServer(t)
 	observeSome(t, s)
-	data, err := s.Snapshot()
+	data, err := s.eng.View().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,32 +21,17 @@ type persistedState struct {
 	Services []registry.Info
 }
 
-// SaveState serializes the full service state for persistence across
+// encodeStateView streams the full service state for persistence across
 // restarts (model factors + registries; the replay pool is transient and
-// deliberately excluded). The model bytes come from the engine's
-// published view, so saving state never blocks the update path.
-func (s *Server) SaveState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.encodeState(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// encodeState streams the persisted state to w without materializing the
-// gob image in memory first (the model snapshot itself is one buffer; the
-// gob framing and registry lists stream). It serializes whatever view is
-// current; callers that pair the blob with a WAL sequence number must
-// use encodeStateView with the view returned by engine.CheckpointView.
-func (s *Server) encodeState(w io.Writer) error {
-	return s.encodeStateView(w, s.eng.View())
-}
-
-// encodeStateView streams the persisted state serialized from a specific
-// (immutable) published view. Passing the view explicitly is what lets a
-// checkpoint capture the model state and its covered sequence number
-// atomically: the view cannot gain post-capture samples, no matter how
-// long serialization takes or what the writer drains meanwhile.
+// deliberately excluded) to w without materializing the gob image in
+// memory first (the model snapshot itself is one buffer; the gob framing
+// and registry lists stream). The model bytes come from a specific
+// (immutable) published view, so saving state never blocks the update
+// path, and passing the view explicitly is what lets a checkpoint capture
+// the model state and its covered sequence number atomically (pair it
+// with engine.CheckpointView): the view cannot gain post-capture samples,
+// no matter how long serialization takes or what the writer drains
+// meanwhile.
 func (s *Server) encodeStateView(w io.Writer, v *core.PredictView) error {
 	model, err := v.Snapshot()
 	if err != nil {
@@ -64,7 +49,7 @@ func (s *Server) encodeStateView(w io.Writer, v *core.PredictView) error {
 }
 
 // LoadState replaces the service's model and registries with a state
-// produced by SaveState. On error the service is left unchanged (the
+// produced by encodeStateView (a checkpoint, or GET /api/v1/snapshot). On error the service is left unchanged (the
 // registries are restored only after the model decodes).
 func (s *Server) LoadState(data []byte) error {
 	var st persistedState

@@ -13,6 +13,17 @@ import (
 	"github.com/qoslab/amf/internal/core"
 )
 
+// getSnapshot downloads the persisted state the way a backup client
+// does: GET /api/v1/snapshot.
+func getSnapshot(t *testing.T, s *Server) []byte {
+	t.Helper()
+	w := doReq(t, s, http.MethodGet, "/api/v1/snapshot", nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET snapshot: %d: %s", w.Code, w.Body.String())
+	}
+	return w.Body.Bytes()
+}
+
 func TestSaveLoadStateRoundTrip(t *testing.T) {
 	s1 := testServer(t)
 	observeSome(t, s1)
@@ -25,10 +36,7 @@ func TestSaveLoadStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	data, err := s1.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := getSnapshot(t, s1)
 
 	// A fresh server restored from the state must give the same answers,
 	// including the name-to-ID mapping.
@@ -95,6 +103,41 @@ func TestSnapshotHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestSnapshotETagRevalidates: the snapshot's ETag lets a backup client
+// skip the download while the state is unchanged, and a write
+// invalidates it.
+func TestSnapshotETagRevalidates(t *testing.T) {
+	s := testServer(t)
+	observeSome(t, s)
+	fetch := func(etag string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/snapshot", nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		return w
+	}
+	first := fetch("")
+	etag := first.Header().Get("ETag")
+	if first.Code != http.StatusOK || first.Body.Len() == 0 || etag == "" {
+		t.Fatalf("first fetch: %d, %d bytes, etag %q", first.Code, first.Body.Len(), etag)
+	}
+	// Unchanged state revalidates for free.
+	if w := fetch(etag); w.Code != http.StatusNotModified || w.Body.Len() != 0 || w.Header().Get("ETag") != etag {
+		t.Fatalf("revalidation: %d, %d bytes, etag %q", w.Code, w.Body.Len(), w.Header().Get("ETag"))
+	}
+	// A write invalidates the tag and the next fetch downloads again.
+	if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: "fresh", Service: "s0", Value: 1},
+	}}); w.Code != http.StatusOK {
+		t.Fatalf("observe: %d", w.Code)
+	}
+	if w := fetch(etag); w.Code != http.StatusOK || w.Body.Len() == 0 || w.Header().Get("ETag") == etag {
+		t.Fatalf("post-write fetch: %d, %d bytes, etag %q", w.Code, w.Body.Len(), w.Header().Get("ETag"))
+	}
+}
+
 func TestSnapshotHTTPRejectsGarbage(t *testing.T) {
 	s := testServer(t)
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/snapshot", bytes.NewReader([]byte("nope")))
@@ -131,10 +174,7 @@ func TestSnapshotHTTPRejectsPoisonedModel(t *testing.T) {
 		Services []entityImage
 		Updates  int64
 	}
-	data, err := s.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := getSnapshot(t, s)
 	var st persistedState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		t.Fatal(err)
@@ -180,7 +220,7 @@ func TestEngineRestoreSwapsModel(t *testing.T) {
 	trained := core.MustNew(cfg)
 	s := New(trained)
 	observeSome(t, s)
-	snap, err := s.eng.Snapshot()
+	snap, err := s.eng.View().Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +230,7 @@ func TestEngineRestoreSwapsModel(t *testing.T) {
 	if err := s.eng.Restore([]byte("bad")); err == nil {
 		t.Fatal("bad restore should fail and keep the old model")
 	}
-	if s.eng.NumUsers() != 4 {
-		t.Fatalf("model lost state after failed restore: %d users", s.eng.NumUsers())
+	if s.eng.View().NumUsers() != 4 {
+		t.Fatalf("model lost state after failed restore: %d users", s.eng.View().NumUsers())
 	}
 }

@@ -2,12 +2,13 @@ package stats
 
 import "fmt"
 
-// EMA is an exponential moving average with a fixed smoothing factor:
+// EMA is an exponential moving average with smoothing factor β:
 //
 //	value ← β·x + (1−β)·value
 //
 // AMF's adaptive weights use a *variant* of this with a per-update
-// effective factor β·w (paper Eq. 13-14); that variant is UpdateWeighted.
+// effective factor β·w (paper Eq. 13-14); that variant is UpdateWeighted,
+// and w = 1 gives the plain form.
 type EMA struct {
 	beta  float64
 	value float64
@@ -32,22 +33,13 @@ func NewEMAInit(beta, initial float64) *EMA {
 	return e
 }
 
-// Update folds x in with the fixed factor beta. The first update of an
-// unseeded EMA adopts x directly.
-func (e *EMA) Update(x float64) {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return
-	}
-	e.value = e.beta*x + (1-e.beta)*e.value
-}
-
 // UpdateWeighted folds x in with an effective factor beta*w, exactly the
 // form of the paper's Eq. 13-14 where w is the adaptive weight of the user
 // or service for the current sample:
 //
 //	e ← (β·w)·x + (1 − β·w)·e
+//
+// The first update of an unseeded EMA adopts x directly.
 func (e *EMA) UpdateWeighted(w, x float64) {
 	if !e.init {
 		e.value = x
@@ -60,6 +52,3 @@ func (e *EMA) UpdateWeighted(w, x float64) {
 
 // Value returns the current average (0 before any update or seed).
 func (e *EMA) Value() float64 { return e.value }
-
-// Initialized reports whether the EMA has been seeded or updated.
-func (e *EMA) Initialized() bool { return e.init }

@@ -9,21 +9,21 @@ import (
 
 func TestEMAFirstUpdateAdopts(t *testing.T) {
 	e := NewEMA(0.3)
-	if e.Initialized() {
+	if e.init {
 		t.Fatal("fresh EMA should be uninitialized")
 	}
-	e.Update(5)
+	e.UpdateWeighted(1, 5)
 	if e.Value() != 5 {
 		t.Fatalf("first update = %g, want 5", e.Value())
 	}
-	if !e.Initialized() {
+	if !e.init {
 		t.Fatal("EMA should report initialized after update")
 	}
 }
 
 func TestEMAUpdateFormula(t *testing.T) {
 	e := NewEMAInit(0.3, 1)
-	e.Update(0)
+	e.UpdateWeighted(1, 0)
 	if got, want := e.Value(), 0.7; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("value = %g, want %g", got, want)
 	}
@@ -48,7 +48,7 @@ func TestEMAWeightedFirstUpdateAdopts(t *testing.T) {
 
 func TestEMAInitSeed(t *testing.T) {
 	e := NewEMAInit(0.2, 1)
-	if !e.Initialized() || e.Value() != 1 {
+	if !e.init || e.Value() != 1 {
 		t.Fatal("seeded EMA should start at its seed")
 	}
 }
@@ -69,7 +69,7 @@ func TestEMAPanicsOnBadBeta(t *testing.T) {
 func TestEMABetaOneTracksExactly(t *testing.T) {
 	e := NewEMA(1)
 	for _, x := range []float64{3, 7, 2} {
-		e.Update(x)
+		e.UpdateWeighted(1, x)
 		if e.Value() != x {
 			t.Fatalf("beta=1 EMA should track input exactly, got %g want %g", e.Value(), x)
 		}
@@ -79,7 +79,7 @@ func TestEMABetaOneTracksExactly(t *testing.T) {
 func TestEMAConvergesToConstant(t *testing.T) {
 	e := NewEMAInit(0.3, 10)
 	for i := 0; i < 200; i++ {
-		e.Update(2)
+		e.UpdateWeighted(1, 2)
 	}
 	if math.Abs(e.Value()-2) > 1e-9 {
 		t.Fatalf("EMA should converge to the constant input, got %g", e.Value())
@@ -103,7 +103,7 @@ func TestEMABoundedProperty(t *testing.T) {
 				hi = x
 			}
 			if rng.Intn(2) == 0 {
-				e.Update(x)
+				e.UpdateWeighted(1, x)
 			} else {
 				e.UpdateWeighted(rng.Float64(), x)
 			}

@@ -78,17 +78,6 @@ func (h *Histogram) Density() []float64 {
 	return d
 }
 
-// Mode returns the index of the fullest bin (first on ties).
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Render draws a textual bar chart with the given maximum bar width,
 // used by the experiment CLI to display the distribution figures.
 func (h *Histogram) Render(width int) string {

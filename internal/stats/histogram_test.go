@@ -64,14 +64,6 @@ func TestHistogramBinGeometry(t *testing.T) {
 	}
 }
 
-func TestHistogramMode(t *testing.T) {
-	h := NewHistogram(0, 3, 3)
-	h.ObserveAll([]float64{0.5, 1.5, 1.5, 2.5})
-	if h.Mode() != 1 {
-		t.Fatalf("mode = %d, want 1", h.Mode())
-	}
-}
-
 func TestHistogramPanicsOnBadArgs(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero bins":  func() { NewHistogram(0, 1, 0) },

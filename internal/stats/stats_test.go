@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,16 +88,6 @@ func TestPercentileSortedMatchesPercentile(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty Min/Max should return infinities")
-	}
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %g/%g", Min(xs), Max(xs))
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.Count != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.Median != 3 {
@@ -141,7 +132,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			if v < prev-1e-12 {
 				return false
 			}
-			if v < Min(xs)-1e-12 || v > Max(xs)+1e-12 {
+			if v < slices.Min(xs)-1e-12 || v > slices.Max(xs)+1e-12 {
 				return false
 			}
 			prev = v
@@ -163,7 +154,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			xs[i] = rng.Float64()*200 - 100
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-9 && m <= Max(xs)+1e-9
+		return m >= slices.Min(xs)-1e-9 && m <= slices.Max(xs)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

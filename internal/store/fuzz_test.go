@@ -23,7 +23,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add([]byte{9, 9, 9})
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		e, err := DecodeEntry(7, payload)
+		e, err := decodeEntryInto(nil, 7, payload)
 		if err != nil {
 			return
 		}
@@ -41,7 +41,7 @@ func FuzzDecodeEntry(f *testing.F) {
 		if !bytes.Equal(again, payload) {
 			t.Fatalf("round-trip changed payload: %x vs %x", again, payload)
 		}
-		e2, err := DecodeEntry(7, again)
+		e2, err := decodeEntryInto(nil, 7, again)
 		if err != nil {
 			t.Fatalf("re-decode of accepted payload failed: %v", err)
 		}

@@ -40,7 +40,7 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if got := w.DurableSeq(); got != 16 {
 		t.Fatalf("DurableSeq = %d, want 16", got)
 	}
-	if w.Metrics().GroupCommits.Load() == 0 {
+	if w.met.GroupCommits.Load() == 0 {
 		t.Fatal("no group commits recorded")
 	}
 	if err := w.Close(); err != nil {

@@ -11,7 +11,10 @@ import (
 	"time"
 )
 
-// Options tunes a Manager. The zero value gets defaults.
+// Options tunes a Manager. The zero value gets defaults. amfserver sets
+// only Sync, CheckpointInterval and Logger from its flags; SegmentBytes,
+// GroupWindow and GroupBytes ship at their defaults and stay as fields
+// because tests set them to reach the rotation and group-commit edges.
 type Options struct {
 	// SegmentBytes is the WAL rotation threshold (default 64 MiB).
 	SegmentBytes int64

@@ -150,15 +150,10 @@ func encodeRegister(kind EntryKind, id int, name string) []byte {
 	return buf
 }
 
-// DecodeEntry decodes a record payload into a typed Entry.
-func DecodeEntry(seq uint64, p []byte) (Entry, error) {
-	return decodeEntryInto(nil, seq, p)
-}
-
-// decodeEntryInto is DecodeEntry with a reusable sample scratch buffer
-// (see decodeSamplesInto): the returned Entry's Samples alias scratch's
-// backing array when it is large enough, so the Entry is only valid
-// until the scratch is reused.
+// decodeEntryInto decodes a record payload into a typed Entry, with a
+// reusable sample scratch buffer (see decodeSamplesInto): the returned
+// Entry's Samples alias scratch's backing array when it is large enough,
+// so the Entry is only valid until the scratch is reused.
 func decodeEntryInto(scratch []stream.Sample, seq uint64, p []byte) (Entry, error) {
 	if len(p) == 0 {
 		return Entry{}, fmt.Errorf("store: empty record payload")

@@ -983,12 +983,6 @@ func (w *WAL) SegmentCount() int {
 	return len(w.segments)
 }
 
-// Dir returns the segment directory.
-func (w *WAL) Dir() string { return w.dir }
-
-// Metrics returns the WAL's metric sink.
-func (w *WAL) Metrics() *Metrics { return w.met }
-
 // Close flushes, fsyncs, and closes the log. Idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()

@@ -327,7 +327,7 @@ func TestWALSyncPolicies(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w := testWAL(t, dir, WALOptions{Sync: pol, SyncInterval: 5 * time.Millisecond})
-			met := w.Metrics()
+			met := w.met
 			for i := 0; i < 4; i++ {
 				if _, err := w.AppendSamples(sampleBatch(i, 1)); err != nil {
 					t.Fatal(err)

@@ -52,9 +52,6 @@ func (p *Pool) AdvanceTo(t time.Duration) {
 	}
 }
 
-// Now returns the pool clock: the latest sample or advance time seen.
-func (p *Pool) Now() time.Duration { return p.now }
-
 // Len returns the number of retained samples, including any expired ones
 // not yet evicted.
 func (p *Pool) Len() int { return len(p.samples) }

@@ -106,15 +106,6 @@ func SubsetSplit(g *dataset.Generator, attr dataset.Attribute, slice int, users,
 	return sp, nil
 }
 
-// Shuffle returns a copy of samples in a seeded random order.
-func Shuffle(samples []Sample, seed int64) []Sample {
-	out := make([]Sample, len(samples))
-	copy(out, samples)
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
-	return out
-}
-
 // TripletsToSamples converts serialized dataset triplets into stream
 // samples, stamping each with the start time of its slice.
 func TripletsToSamples(ts []dataset.Triplet, interval time.Duration) []Sample {
@@ -125,21 +116,6 @@ func TripletsToSamples(ts []dataset.Triplet, interval time.Duration) []Sample {
 			User:    t.User,
 			Service: t.Service,
 			Value:   t.Value,
-		}
-	}
-	return out
-}
-
-// SamplesToTriplets converts samples back to dataset triplets by
-// truncating each timestamp to its slice index.
-func SamplesToTriplets(samples []Sample, interval time.Duration) []dataset.Triplet {
-	out := make([]dataset.Triplet, len(samples))
-	for i, s := range samples {
-		out[i] = dataset.Triplet{
-			User:    s.User,
-			Service: s.Service,
-			Slice:   int(s.Time / interval),
-			Value:   s.Value,
 		}
 	}
 	return out

@@ -146,29 +146,6 @@ func TestSubsetSplitErrors(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	in := []Sample{{User: 1}, {User: 2}, {User: 3}, {User: 4}, {User: 5}}
-	out := Shuffle(in, 7)
-	if len(out) != len(in) {
-		t.Fatal("length changed")
-	}
-	count := map[int]int{}
-	for _, s := range out {
-		count[s.User]++
-	}
-	for _, s := range in {
-		if count[s.User] != 1 {
-			t.Fatalf("shuffle lost or duplicated %d", s.User)
-		}
-	}
-	// Input untouched.
-	for i, s := range in {
-		if s.User != i+1 {
-			t.Fatal("Shuffle mutated its input")
-		}
-	}
-}
-
 func TestTripletSampleConversion(t *testing.T) {
 	interval := 15 * time.Minute
 	ts := []dataset.Triplet{
@@ -179,10 +156,9 @@ func TestTripletSampleConversion(t *testing.T) {
 	if samples[1].Time != 5*interval {
 		t.Fatalf("sample time %v, want %v", samples[1].Time, 5*interval)
 	}
-	back := SamplesToTriplets(samples, interval)
-	for i := range ts {
-		if back[i] != ts[i] {
-			t.Fatalf("roundtrip %d: %+v != %+v", i, back[i], ts[i])
+	for i, tr := range ts {
+		if s := samples[i]; s.User != tr.User || s.Service != tr.Service || s.Value != tr.Value {
+			t.Fatalf("sample %d: %+v from %+v", i, s, tr)
 		}
 	}
 }

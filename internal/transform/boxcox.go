@@ -128,15 +128,6 @@ func (t *Transformer) Backward(r float64) float64 {
 	return t.Clamp(x)
 }
 
-// ForwardAll applies Forward element-wise, returning a new slice.
-func (t *Transformer) ForwardAll(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = t.Forward(x)
-	}
-	return out
-}
-
 // Sigmoid is the logistic link g(x) = 1/(1+e^{-x}) mapping latent inner
 // products into [0, 1] (paper Sec. IV-C.1).
 func Sigmoid(x float64) float64 {
@@ -153,16 +144,4 @@ func Sigmoid(x float64) float64 {
 func SigmoidPrime(x float64) float64 {
 	g := Sigmoid(x)
 	return g * (1 - g)
-}
-
-// Logit inverts Sigmoid: logit(p) = log(p/(1−p)), with p clamped into
-// (Eps, 1−Eps) to stay finite.
-func Logit(p float64) float64 {
-	if p < Eps {
-		p = Eps
-	}
-	if p > 1-Eps {
-		p = 1 - Eps
-	}
-	return math.Log(p / (1 - p))
 }

@@ -25,8 +25,15 @@ func ExampleTrace() {
 		fmt.Println(err)
 		return
 	}
-	quiet := workload.CountInWindow(events, 0, 10*time.Minute)
-	surge := workload.CountInWindow(events, 20*time.Minute, 30*time.Minute)
+	var quiet, surge int
+	for _, e := range events {
+		switch {
+		case e.Time < 10*time.Minute:
+			quiet++
+		case e.Time >= 20*time.Minute && e.Time < 30*time.Minute:
+			surge++
+		}
+	}
 	fmt.Printf("events are time-ordered: %v\n", sorted(events))
 	fmt.Printf("flash window busier than a quiet window: %v\n", surge > 2*quiet)
 	// Output:

@@ -130,14 +130,3 @@ func Trace(opts TraceOptions) ([]Event, error) {
 	})
 	return out, nil
 }
-
-// CountInWindow returns how many events fall in [from, to).
-func CountInWindow(events []Event, from, to time.Duration) int {
-	n := 0
-	for _, e := range events {
-		if e.Time >= from && e.Time < to {
-			n++
-		}
-	}
-	return n
-}

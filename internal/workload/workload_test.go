@@ -146,14 +146,21 @@ func TestTraceFlashCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quietWindow := CountInWindow(quiet, 20*time.Minute, 30*time.Minute)
-	surgeWindow := CountInWindow(surged, 20*time.Minute, 30*time.Minute)
+	inFlash := func(events []Event) (n int) {
+		for _, e := range events {
+			if e.Time >= flash.FlashStart && e.Time < flash.FlashEnd {
+				n++
+			}
+		}
+		return n
+	}
+	quietWindow, surgeWindow := inFlash(quiet), inFlash(surged)
 	if surgeWindow < 2*quietWindow {
 		t.Fatalf("flash crowd too weak: %d vs %d baseline", surgeWindow, quietWindow)
 	}
 	// Outside the window the two traces should have similar volume.
 	quietOut := len(quiet) - quietWindow
-	surgeOut := CountInWindow(surged, 0, 20*time.Minute) + CountInWindow(surged, 30*time.Minute, time.Hour)
+	surgeOut := len(surged) - surgeWindow
 	if surgeOut < quietOut/2 || surgeOut > quietOut*2 {
 		t.Fatalf("off-window volume distorted: %d vs %d", surgeOut, quietOut)
 	}
