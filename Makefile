@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -18,7 +18,7 @@ all: build vet test
 # test runs once per mode: `test` includes the docs lints, and the race
 # pass over ./internal/... includes everything test-cluster and
 # test-overload select (those targets stay as developer shortcuts).
-ci: build vet test test-bench bench-smoke test-noasm build-arm64
+ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64
 	$(GO) test -race ./internal/...
 	$(MAKE) fuzz-wire fuzz-select fuzz-kernels FUZZTIME=10s
 
@@ -57,6 +57,10 @@ test-overload:
 	$(GO) test -race ./internal/control/
 	$(GO) test -race -run 'TestAdmission|TestShedAccountingFold|TestConfigAPI|TestAdaptation' ./internal/server/
 	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable' ./internal/cluster/
+
+# Formatting leg: the walk covers bench/ too; any printed name fails.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

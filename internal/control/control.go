@@ -144,153 +144,149 @@ type Tunable interface {
 	SetFloat(v float64, src Source) float64
 }
 
-// meta is the shared identity + source tracking for all tunable kinds.
-type meta struct {
-	name string
-	help string
-	src  atomic.Int32
+// kind is everything that differs between an integer, a duration and a
+// float tunable: what the config API calls it, and how the one 64-bit
+// word a tunable stores converts to a string, to the controller's
+// float64 and back, and compares.
+type kind struct {
+	name  string // Kind()
+	noun  string // "not <noun>" in SetString's parse error
+	parse func(string) (uint64, error)
+	str   func(uint64) string
+	float func(uint64) float64 // durations in seconds
+	word  func(float64) uint64 // inverse of float, rounding as the kind does
+	less  func(a, b uint64) bool
 }
 
-func (m *meta) Name() string   { return m.name }
-func (m *meta) Help() string   { return m.help }
-func (m *meta) Source() Source { return Source(m.src.Load()) }
+func signedLess(a, b uint64) bool { return int64(a) < int64(b) }
+
+var (
+	intKind = &kind{
+		name: "int", noun: "an integer",
+		parse: func(s string) (uint64, error) {
+			n, err := strconv.ParseInt(s, 10, 64)
+			return uint64(n), err
+		},
+		str:   func(w uint64) string { return strconv.FormatInt(int64(w), 10) },
+		float: func(w uint64) float64 { return float64(int64(w)) },
+		word:  func(f float64) uint64 { return uint64(int64(math.Round(f))) },
+		less:  signedLess,
+	}
+	durationKind = &kind{
+		name: "duration", noun: "a duration",
+		parse: func(s string) (uint64, error) {
+			d, err := time.ParseDuration(s)
+			return uint64(d), err
+		},
+		str:   func(w uint64) string { return time.Duration(w).String() },
+		float: func(w uint64) float64 { return time.Duration(w).Seconds() },
+		word:  func(f float64) uint64 { return uint64(time.Duration(f * float64(time.Second))) },
+		less:  signedLess,
+	}
+	floatKind = &kind{
+		name: "float", noun: "a float",
+		parse: func(s string) (uint64, error) {
+			f, err := strconv.ParseFloat(s, 64)
+			return math.Float64bits(f), err
+		},
+		str:   func(w uint64) string { return strconv.FormatFloat(math.Float64frombits(w), 'g', -1, 64) },
+		float: math.Float64frombits,
+		word:  math.Float64bits,
+		less:  func(a, b uint64) bool { return math.Float64frombits(a) < math.Float64frombits(b) },
+	}
+)
+
+// tunable is the one implementation of Tunable: a value, its baseline and
+// its bounds as words of one kind. Int, Duration and Float wrap it with
+// the typed Load their hot paths call.
+type tunable struct {
+	name, help         string
+	k                  *kind
+	v                  atomic.Uint64
+	src                atomic.Int32
+	baseline, min, max uint64
+}
+
+// init seeds a tunable at registration; a baseline outside its own bounds
+// is a programmer error.
+func (t *tunable) init(k *kind, name, help string, baseline, min, max uint64, src Source) {
+	t.name, t.help, t.k = name, help, k
+	t.baseline, t.min, t.max = baseline, min, max
+	if t.outOfBounds(baseline) {
+		panic(fmt.Sprintf("control: tunable %s baseline %s outside [%s, %s]", name, k.str(baseline), k.str(min), k.str(max)))
+	}
+	t.v.Store(baseline)
+	t.src.Store(int32(src))
+}
+
+func (t *tunable) Name() string      { return t.name }
+func (t *tunable) Help() string      { return t.help }
+func (t *tunable) Kind() string      { return t.k.name }
+func (t *tunable) Source() Source    { return Source(t.src.Load()) }
+func (t *tunable) Value() string     { return t.k.str(t.v.Load()) }
+func (t *tunable) Baseline() string  { return t.k.str(t.baseline) }
+func (t *tunable) MinString() string { return t.k.str(t.min) }
+func (t *tunable) MaxString() string { return t.k.str(t.max) }
+
+func (t *tunable) Float() float64         { return t.k.float(t.v.Load()) }
+func (t *tunable) BaselineFloat() float64 { return t.k.float(t.baseline) }
+func (t *tunable) Bounds() (float64, float64) {
+	return t.k.float(t.min), t.k.float(t.max)
+}
+
+// outOfBounds reports a word below min, above max, or not a number.
+func (t *tunable) outOfBounds(w uint64) bool {
+	return t.k.less(w, t.min) || t.k.less(t.max, w) || math.IsNaN(t.k.float(w))
+}
+
+// set clamps w to bounds (a NaN to min), stores it, and returns the
+// stored word.
+func (t *tunable) set(w uint64, src Source) uint64 {
+	switch {
+	case t.k.less(t.max, w):
+		w = t.max
+	case t.outOfBounds(w):
+		w = t.min
+	}
+	t.v.Store(w)
+	t.src.Store(int32(src))
+	return w
+}
+
+func (t *tunable) SetFloat(v float64, src Source) float64 {
+	return t.k.float(t.set(t.k.word(v), src))
+}
+
+func (t *tunable) SetString(v string, src Source) error {
+	w, err := t.k.parse(v)
+	if err != nil {
+		return fmt.Errorf("%s: not %s: %q", t.name, t.k.noun, v)
+	}
+	if t.outOfBounds(w) {
+		return fmt.Errorf("%s: %s out of bounds [%s, %s]", t.name, t.k.str(w), t.MinString(), t.MaxString())
+	}
+	t.v.Store(w)
+	t.src.Store(int32(src))
+	return nil
+}
 
 // Int is an integer tunable. Load is one atomic load.
-type Int struct {
-	meta
-	v        atomic.Int64
-	baseline int64
-	min, max int64
-}
+type Int struct{ tunable }
 
-func (t *Int) Load() int    { return int(t.v.Load()) }
-func (t *Int) Kind() string { return "int" }
-func (t *Int) Value() string {
-	return strconv.FormatInt(t.v.Load(), 10)
-}
-func (t *Int) Baseline() string  { return strconv.FormatInt(t.baseline, 10) }
-func (t *Int) MinString() string { return strconv.FormatInt(t.min, 10) }
-func (t *Int) MaxString() string { return strconv.FormatInt(t.max, 10) }
+func (t *Int) Load() int { return int(t.v.Load()) }
 
 // Set clamps v to bounds, stores it, and returns the stored value.
-func (t *Int) Set(v int, src Source) int {
-	c := clampI(int64(v), t.min, t.max)
-	t.v.Store(c)
-	t.src.Store(int32(src))
-	return int(c)
-}
-
-func (t *Int) SetString(v string, src Source) error {
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return fmt.Errorf("%s: not an integer: %q", t.name, v)
-	}
-	if n < t.min || n > t.max {
-		return fmt.Errorf("%s: %d out of bounds [%d, %d]", t.name, n, t.min, t.max)
-	}
-	t.v.Store(n)
-	t.src.Store(int32(src))
-	return nil
-}
-
-func (t *Int) Float() float64         { return float64(t.v.Load()) }
-func (t *Int) BaselineFloat() float64 { return float64(t.baseline) }
-func (t *Int) Bounds() (float64, float64) {
-	return float64(t.min), float64(t.max)
-}
-func (t *Int) SetFloat(v float64, src Source) float64 {
-	return float64(t.Set(int(math.Round(v)), src))
-}
+func (t *Int) Set(v int, src Source) int { return int(t.set(uint64(v), src)) }
 
 // Duration is a time.Duration tunable stored as nanoseconds.
-type Duration struct {
-	meta
-	v        atomic.Int64
-	baseline time.Duration
-	min, max time.Duration
-}
+type Duration struct{ tunable }
 
 func (t *Duration) Load() time.Duration { return time.Duration(t.v.Load()) }
-func (t *Duration) Kind() string        { return "duration" }
-func (t *Duration) Value() string       { return time.Duration(t.v.Load()).String() }
-func (t *Duration) Baseline() string    { return t.baseline.String() }
-func (t *Duration) MinString() string   { return t.min.String() }
-func (t *Duration) MaxString() string   { return t.max.String() }
-
-func (t *Duration) Set(v time.Duration, src Source) time.Duration {
-	c := time.Duration(clampI(int64(v), int64(t.min), int64(t.max)))
-	t.v.Store(int64(c))
-	t.src.Store(int32(src))
-	return c
-}
-
-func (t *Duration) SetString(v string, src Source) error {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return fmt.Errorf("%s: not a duration: %q", t.name, v)
-	}
-	if d < t.min || d > t.max {
-		return fmt.Errorf("%s: %s out of bounds [%s, %s]", t.name, d, t.min, t.max)
-	}
-	t.v.Store(int64(d))
-	t.src.Store(int32(src))
-	return nil
-}
-
-func (t *Duration) Float() float64         { return time.Duration(t.v.Load()).Seconds() }
-func (t *Duration) BaselineFloat() float64 { return t.baseline.Seconds() }
-func (t *Duration) Bounds() (float64, float64) {
-	return t.min.Seconds(), t.max.Seconds()
-}
-func (t *Duration) SetFloat(v float64, src Source) float64 {
-	return t.Set(time.Duration(v*float64(time.Second)), src).Seconds()
-}
 
 // Float is a float64 tunable stored as IEEE-754 bits.
-type Float struct {
-	meta
-	bits     atomic.Uint64
-	baseline float64
-	min, max float64
-}
+type Float struct{ tunable }
 
-func (t *Float) Load() float64 { return math.Float64frombits(t.bits.Load()) }
-func (t *Float) Kind() string  { return "float" }
-func (t *Float) Value() string {
-	return strconv.FormatFloat(t.Load(), 'g', -1, 64)
-}
-func (t *Float) Baseline() string {
-	return strconv.FormatFloat(t.baseline, 'g', -1, 64)
-}
-func (t *Float) MinString() string { return strconv.FormatFloat(t.min, 'g', -1, 64) }
-func (t *Float) MaxString() string { return strconv.FormatFloat(t.max, 'g', -1, 64) }
-
-func (t *Float) Set(v float64, src Source) float64 {
-	c := clampF(v, t.min, t.max)
-	t.bits.Store(math.Float64bits(c))
-	t.src.Store(int32(src))
-	return c
-}
-
-func (t *Float) SetString(v string, src Source) error {
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return fmt.Errorf("%s: not a float: %q", t.name, v)
-	}
-	if f < t.min || f > t.max {
-		return fmt.Errorf("%s: %g out of bounds [%g, %g]", t.name, f, t.min, t.max)
-	}
-	t.bits.Store(math.Float64bits(f))
-	t.src.Store(int32(src))
-	return nil
-}
-
-func (t *Float) Float() float64             { return t.Load() }
-func (t *Float) BaselineFloat() float64     { return t.baseline }
-func (t *Float) Bounds() (float64, float64) { return t.min, t.max }
-func (t *Float) SetFloat(v float64, src Source) float64 {
-	return t.Set(v, src)
-}
+func (t *Float) Load() float64 { return math.Float64frombits(t.v.Load()) }
 
 // Registry holds every tunable a process has declared. Registration
 // happens at construction time (engine.New, Server.EnableAdmission);
@@ -312,39 +308,24 @@ func NewRegistry() *Registry {
 // duplicate names or a baseline outside [min, max]: both are programmer
 // errors caught by any test that constructs the component.
 func (r *Registry) Int(name, help string, baseline, min, max int, src Source) *Int {
-	if baseline < min || baseline > max {
-		panic(fmt.Sprintf("control: tunable %s baseline %d outside [%d, %d]", name, baseline, min, max))
-	}
-	t := &Int{baseline: int64(baseline), min: int64(min), max: int64(max)}
-	t.name, t.help = name, help
-	t.v.Store(int64(baseline))
-	t.src.Store(int32(src))
+	t := &Int{}
+	t.init(intKind, name, help, uint64(baseline), uint64(min), uint64(max), src)
 	r.add(t)
 	return t
 }
 
 // Duration registers a duration tunable (see Int for semantics).
 func (r *Registry) Duration(name, help string, baseline, min, max time.Duration, src Source) *Duration {
-	if baseline < min || baseline > max {
-		panic(fmt.Sprintf("control: tunable %s baseline %s outside [%s, %s]", name, baseline, min, max))
-	}
-	t := &Duration{baseline: baseline, min: min, max: max}
-	t.name, t.help = name, help
-	t.v.Store(int64(baseline))
-	t.src.Store(int32(src))
+	t := &Duration{}
+	t.init(durationKind, name, help, uint64(baseline), uint64(min), uint64(max), src)
 	r.add(t)
 	return t
 }
 
 // Float registers a float tunable (see Int for semantics).
 func (r *Registry) Float(name, help string, baseline, min, max float64, src Source) *Float {
-	if baseline < min || baseline > max || min > max {
-		panic(fmt.Sprintf("control: tunable %s baseline %g outside [%g, %g]", name, baseline, min, max))
-	}
-	t := &Float{baseline: baseline, min: min, max: max}
-	t.name, t.help = name, help
-	t.bits.Store(math.Float64bits(baseline))
-	t.src.Store(int32(src))
+	t := &Float{}
+	t.init(floatKind, name, help, math.Float64bits(baseline), math.Float64bits(min), math.Float64bits(max), src)
 	r.add(t)
 	return t
 }
@@ -375,24 +356,4 @@ func (r *Registry) List() []Tunable {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
-}
-
-func clampI(v, min, max int64) int64 {
-	if v < min {
-		return min
-	}
-	if v > max {
-		return max
-	}
-	return v
-}
-
-func clampF(v, min, max float64) float64 {
-	if v < min || math.IsNaN(v) {
-		return min
-	}
-	if v > max {
-		return max
-	}
-	return v
 }

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"math"
 	"net/http"
 	"testing"
 	"time"
@@ -103,6 +104,21 @@ func TestTunableBoundsAndSources(t *testing.T) {
 			t.Fatal("List not sorted by name")
 		}
 	}
+}
+
+// TestTunableRefusesNaN: strconv parses "NaN", and NaN compares false with
+// both bounds — the strict door must refuse it all the same, and the
+// clamping one lands on min.
+func TestTunableRefusesNaN(t *testing.T) {
+	r := NewRegistry()
+	tf := r.Float("t.float", "help", 0.9, 0.05, 1.0, SourceDefault)
+	if err := tf.SetString("NaN", SourceOverride); err == nil || tf.Load() != 0.9 {
+		t.Fatalf("SetString(NaN) = %v, value %g; want an error and 0.9", err, tf.Load())
+	}
+	if got := tf.SetFloat(math.NaN(), SourceAdapted); got != 0.05 {
+		t.Fatalf("SetFloat(NaN) stored %g, want min 0.05", got)
+	}
+	mustPanic(t, "NaN baseline", func() { r.Float("nan", "h", math.NaN(), 0, 1, SourceDefault) })
 }
 
 func TestRegistryPanics(t *testing.T) {

@@ -146,3 +146,33 @@ func TestTunablesDriveWriter(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoveOrderedAfterBacklog: a removal is journaled and applied after
+// every sample accepted before it, however deep the backlog — here several
+// writer passes' worth, spread over every shard. A sample that outlived
+// the purge would re-create the service in the model and land behind the
+// removal record in the journal, where recovery would re-create it again.
+func TestRemoveOrderedAfterBacklog(t *testing.T) {
+	e := New(admissionModel(t), Config{})
+	defer e.Close()
+	j := &fakeJournal{}
+	e.SetJournal(j)
+	backlog := 8 * e.tunBatchCap.Load()
+	e.mu.Lock() // stall the writer while the backlog builds
+	for i := 0; i < backlog; i++ {
+		if !e.Enqueue(stream.Sample{User: i % 64, Service: 7, Value: 1}) {
+			t.Fatal("enqueue rejected")
+		}
+	}
+	e.mu.Unlock()
+	e.RemoveService(7)
+	if got := j.sampleCount(); got != backlog {
+		t.Fatalf("the removal was journaled with %d of %d earlier samples ahead of it", got, backlog)
+	}
+	if st := e.Stats(); st.QueueLen != 0 || st.Applied != int64(backlog) {
+		t.Fatalf("after the removal: %d samples still queued, %d of %d applied", st.QueueLen, st.Applied, backlog)
+	}
+	if e.View().KnowsService(7) {
+		t.Fatal("the removed service is back in the view")
+	}
+}

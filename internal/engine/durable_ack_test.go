@@ -193,8 +193,8 @@ func TestDurableAckRemoval(t *testing.T) {
 }
 
 // TestDurableAckCloseCompletes: Close with in-flight durable acks must
-// complete every taken batch (the completer drains before e.wg
-// releases), not leak parked callers.
+// complete every taken batch, not leak parked callers — and a write that
+// arrives after Close is held to what the loop path is held to.
 func TestDurableAckCloseCompletes(t *testing.T) {
 	e := New(testModel(t), Config{})
 	j := newFakeDurableJournal()
@@ -206,6 +206,23 @@ func TestDurableAckCloseCompletes(t *testing.T) {
 	go func() { time.Sleep(5 * time.Millisecond); j.advance(1) }()
 	e.Close()
 	waitClosed(t, done, "caller across Close")
+
+	// The post-Close inline path: same stages reported, same promise —
+	// no return before the covering fsync lands.
+	var tm ObserveTiming
+	done = make(chan struct{})
+	go func() { tm = e.ObserveAllTraced(seedSamples(4, 4)); close(done) }()
+	waitCond(t, func() bool { return j.LastSeq() >= 2 })
+	select {
+	case <-done:
+		t.Fatal("post-Close ObserveAllTraced returned before its commit was durable")
+	case <-time.After(20 * time.Millisecond):
+	}
+	j.advance(2)
+	waitClosed(t, done, "post-Close caller after commit")
+	if tm.Apply <= 0 || tm.Publish <= 0 {
+		t.Fatalf("post-Close timings = %+v, want non-zero apply and publish", tm)
+	}
 }
 
 // TestDurableAckNonGroupInline: a DurableJournal that does NOT group-

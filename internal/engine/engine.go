@@ -40,9 +40,17 @@
 // apply and WAL replay go through it too. Control operations (Restore,
 // RemoveUser, ReplaySteps, ...) serialize with the writer on a mutex that
 // the read path never touches.
+//
+// Every synchronous write has one shape: under the mutex, drain what was
+// accepted earlier → journal → mutate → publish (commitLocked for a
+// batch, remove for a departure); then the mutex is released and the
+// caller — never the writer — waits for the fsync that covers its record
+// (awaitDurable). The engine owns exactly one goroutine, whatever
+// journal is attached.
 package engine
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,23 +143,30 @@ type Stats struct {
 	JournalErrors int64  // WAL appends that failed (model kept learning)
 }
 
+// syncBatch is one synchronous observe on its way through the writer. It
+// travels by pointer: the caller fills samples and enq, commitLocked
+// fills the rest, and the caller reads it back once done is closed.
 type syncBatch struct {
 	samples []stream.Sample
+	enq     time.Time // when the caller handed it over
 	done    chan struct{}
-	// timing, when non-nil, receives the per-stage breakdown of this
-	// batch (traced observes only); enq is its enqueue time.
-	timing *ObserveTiming
-	enq    time.Time
+
+	timing ObserveTiming
+	// seq is the journal record covering the batch (0 when nothing was
+	// journaled) and dj the group-commit journal it went to (nil
+	// otherwise): what the caller passes to awaitDurable.
+	seq uint64
+	dj  DurableJournal
 }
 
 // ObserveTiming is the per-stage breakdown of one synchronous observe
-// batch, filled by ObserveAllTraced for trace annotation.
+// batch, returned by ObserveAllTraced for trace annotation.
 type ObserveTiming struct {
 	QueueWait  time.Duration // enqueue → writer starts applying the batch
 	Journal    time.Duration // WAL append (zero without a journal)
 	Apply      time.Duration // model update
 	Publish    time.Duration // view rebuild + RCU publish
-	CommitWait time.Duration // group-commit fsync wait (zero unless pipelined)
+	CommitWait time.Duration // caller's wait for the covering fsync (zero unless group commit)
 }
 
 // queued is one ingest-queue entry: the sample plus its enqueue time
@@ -215,26 +230,16 @@ type Engine struct {
 	journalErrs atomic.Int64
 
 	// durJournal is non-nil when the attached journal group-commits
-	// (see DurableJournal): the writer then hands each journaled sync
-	// batch to the ack completer instead of closing done inline, so it
-	// keeps draining/applying while the covering fsync is in flight.
-	// acks is the completer's queue; both are guarded by mu (the writer
-	// reads them under mu per batch).
+	// (see DurableJournal): whoever asked for a write then waits, after
+	// mu is released, for the fsync covering its record. Guarded by mu.
 	durJournal DurableJournal
-	acks       chan ackEntry
-
-	// timing, when non-nil, receives per-stage durations for the sync
-	// batch currently being applied. Guarded by mu: set only inside the
-	// traced sync-batch critical section, nil everywhere else, so the
-	// untraced paths pay a single nil check.
-	timing *ObserveTiming
 
 	// publish bookkeeping, guarded by mu.
 	sincePublish int       // model updates since the last publish
 	lastPublish  time.Time // wall time of the last publish
 
 	shards []chan queued
-	syncCh chan syncBatch
+	syncCh chan *syncBatch
 	wake   chan struct{}
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -277,7 +282,7 @@ func New(model *core.Model, cfg Config) *Engine {
 		cfg:     cfg,
 		model:   model,
 		shards:  make([]chan queued, cfg.IngestShards),
-		syncCh:  make(chan syncBatch),
+		syncCh:  make(chan *syncBatch),
 		wake:    make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		metrics: newMetrics(),
@@ -346,7 +351,7 @@ func (e *Engine) registerTunables() {
 func (e *Engine) Control() *control.Registry { return e.ctl }
 
 // Closed reports whether Close has begun. Ingest producers use it to
-// distinguish "engine shutting down" (fall back to inline Observe) from
+// distinguish "engine shutting down" (fall back to ObserveAll) from
 // "admission refused" (shed the sample).
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
@@ -457,70 +462,63 @@ func (e *Engine) enqueueOn(ch chan queued, q queued) bool {
 }
 
 // ObserveAll applies a batch synchronously: it returns after the batch
-// (and everything queued before it) has been applied to the model and a
-// fresh view has been published, so a subsequent View() reflects the
-// observations — read-your-writes for the HTTP observe endpoint. The
-// batch is applied by the writer goroutine; callers only wait.
-func (e *Engine) ObserveAll(ss []stream.Sample) { e.observeAll(ss, nil) }
+// (and what was queued before it) has been applied to the model, a fresh
+// view has been published and — under a group-commit journal — the batch
+// is on stable storage, so a subsequent View() reflects the observations:
+// read-your-writes for the HTTP observe endpoint. The batch is applied by
+// the writer goroutine; callers only wait.
+func (e *Engine) ObserveAll(ss []stream.Sample) { e.ObserveAllTraced(ss) }
 
-// ObserveAllTraced is ObserveAll plus a per-stage timing breakdown for
-// distributed tracing: how long the batch waited for the writer, then
-// the journal append, model apply, and view publish durations. The
-// plain ObserveAll path pays nothing for this — timings are recorded
-// only when a destination struct is attached to the batch.
+// ObserveAllTraced is ObserveAll returning the per-stage breakdown of the
+// call for distributed tracing: how long the batch waited for the writer,
+// the journal append, model apply and view publish durations, and the
+// caller's own wait for the covering fsync.
 func (e *Engine) ObserveAllTraced(ss []stream.Sample) ObserveTiming {
-	var t ObserveTiming
-	e.observeAll(ss, &t)
-	return t
-}
-
-func (e *Engine) observeAll(ss []stream.Sample, t *ObserveTiming) {
-	sb := syncBatch{samples: ss, done: make(chan struct{}), timing: t}
-	if t != nil {
-		sb.enq = time.Now()
-	}
+	sb := &syncBatch{samples: ss, enq: time.Now(), done: make(chan struct{})}
 	select {
 	case e.syncCh <- sb:
-		select {
-		case <-sb.done:
-		case <-e.stop:
-			// Writer is shutting down; it may or may not have taken our
-			// batch. Wait for it to exit, then apply inline if needed.
-			e.wg.Wait()
-			select {
-			case <-sb.done:
-			default:
-				e.applyInline(ss, t)
-			}
-		}
+		// The channel is unbuffered, so the writer has the batch, and it
+		// finishes what it has taken before it looks at stop again.
+		<-sb.done
 	case <-e.stop:
+		// Post-Close fallback: the writer is gone, so commit under mu
+		// directly once it has exited.
 		e.wg.Wait()
-		e.applyInline(ss, t)
+		e.mu.Lock()
+		e.commitLocked(sb)
+		e.mu.Unlock()
 	}
+	start := time.Now()
+	e.awaitDurable(sb.dj, sb.seq)
+	sb.timing.CommitWait = time.Since(start)
+	return sb.timing
 }
 
-// Observe applies one observation synchronously (see ObserveAll).
-func (e *Engine) Observe(s stream.Sample) { e.ObserveAll([]stream.Sample{s}) }
-
-// applyInline is the post-Close fallback: the writer is gone, so mutate
-// under mu directly. Durable acks complete inline too — there is no
-// completer anymore, but acked⇒durable must survive shutdown races.
-func (e *Engine) applyInline(ss []stream.Sample, t *ObserveTiming) {
-	e.mu.Lock()
-	e.timing = t
-	seq := e.applyLocked(ss)
-	e.publishLocked()
-	e.timing = nil
-	dj := e.durJournal
-	e.mu.Unlock()
-	e.awaitDurable(dj, seq)
+// commitLocked takes one synchronous batch through every stage of a write
+// that runs under mu — drain what was accepted before it, journal, apply,
+// replay, publish — timing each, and leaves on the batch what its caller
+// needs to wait for durability after the unlock. The force-publish is
+// what gives sync callers read-your-writes.
+func (e *Engine) commitLocked(sb *syncBatch) {
+	e.drainLocked(e.tunBatchCap.Load()) // queue order: async samples first
+	t := &sb.timing
+	// Queue wait = hand-over until the writer turns to the batch, the
+	// async backlog drained ahead of it included.
+	t.QueueWait = time.Since(sb.enq)
+	sb.seq, t.Journal, t.Apply = e.applyLocked(sb.samples)
+	e.replayLocked(e.tunReplayPerBatch.Load())
+	t.Publish = e.publishLocked()
+	sb.dj = e.durJournal
 }
 
 // awaitDurable parks the caller until record seq is on stable storage
 // under a group-commit journal (dj nil otherwise; seq 0 when nothing was
-// journaled). Called without mu, so the writer is never stalled behind
-// the fsync. A rejection is counted, not returned: the engine keeps
-// serving and the store's fail-fast makes the gap visible.
+// journaled). It is the one place the engine waits for an fsync, and it
+// is called without mu by whoever asked for the write — an observer, a
+// remover — so the writer is never stalled behind the disk and N
+// concurrent callers share one group fsync. A rejection (fence, WAL
+// failure, close) is counted, not returned: the engine keeps serving and
+// the store's fail-fast makes the gap visible.
 func (e *Engine) awaitDurable(dj DurableJournal, seq uint64) {
 	if dj != nil && seq > 0 {
 		if err := dj.WaitDurable(seq); err != nil {
@@ -567,6 +565,10 @@ func (e *Engine) RemoveService(id int) {
 
 func (e *Engine) remove(id int, journal func(Journal, int) (uint64, error), purge func(*core.Model, int)) {
 	e.mu.Lock()
+	// Everything accepted before the departure goes first, whatever the
+	// backlog: a queued sample applied after the purge would re-create the
+	// entity under an id nothing resolves to, in the model and in the WAL.
+	e.drainLocked(math.MaxInt)
 	var seq uint64
 	if e.journal != nil { // journal the departure before purging it
 		if s, err := journal(e.journal, id); err != nil {
@@ -669,50 +671,20 @@ func (e *Engine) loop() {
 		case <-e.stop:
 			// Final drain so accepted samples make the last view.
 			e.mu.Lock()
-			e.drainLocked()
+			e.drainLocked(e.tunBatchCap.Load())
 			e.publishLocked()
-			acks := e.acks
-			e.acks = nil
 			e.mu.Unlock()
-			if acks != nil {
-				// The completer drains what's queued, then exits; its
-				// e.wg membership keeps the shutdown fallback honest.
-				close(acks)
-			}
 			return
 		case sb := <-e.syncCh:
 			e.mu.Lock()
-			e.drainLocked() // queue order: async samples first
-			if sb.timing != nil {
-				// Queue wait for a sync batch = enqueue until the writer
-				// turns to it (includes draining the async backlog ahead
-				// of it). Safe to write here: the caller reads only after
-				// done closes, which happens after the unlock below.
-				sb.timing.QueueWait = time.Since(sb.enq)
-				e.timing = sb.timing
-			}
-			seq := e.applyLocked(sb.samples)
-			e.replayLocked(e.tunReplayPerBatch.Load())
-			e.publishLocked() // force: sync callers get read-your-writes
-			e.timing = nil
-			dj, acks := e.durJournal, e.acks
+			e.commitLocked(sb)
 			e.mu.Unlock()
-			if dj != nil && acks != nil && seq > 0 {
-				// Pipelined ack: the completer releases the caller once
-				// the covering group fsync lands; this loop moves straight
-				// on to the next batch while that fsync is in flight.
-				a := ackEntry{seq: seq, sb: sb, j: dj}
-				select {
-				case acks <- a:
-				default:
-					e.completeAck(a) // queue full: backpressure inline
-				}
-			} else {
-				close(sb.done)
-			}
+			// Released before the covering fsync lands: the caller waits
+			// for that itself, this loop moves straight on to the next batch.
+			close(sb.done)
 		case <-e.wake:
 			e.mu.Lock()
-			e.drainLocked()
+			e.drainLocked(e.tunBatchCap.Load())
 			e.replayLocked(e.tunReplayPerBatch.Load())
 			e.publishIfDueLocked()
 			e.mu.Unlock()
@@ -726,50 +698,42 @@ func (e *Engine) loop() {
 				ticker.Reset(ivl)
 			}
 			e.mu.Lock()
-			e.drainLocked()
+			e.drainLocked(e.tunBatchCap.Load())
 			e.publishIfDueLocked()
 			e.mu.Unlock()
 		}
 	}
 }
 
-// drainLocked collects queued samples into drainBuf — bounded to the
-// ingest_batch_cap tunable (baseline: one publish quantum K) per call so a
-// firehose cannot monopolize the writer and starve publication — and hands
+// drainLocked collects up to budget queued samples into drainBuf and hands
 // them to applyLocked as one batch: one journal record, one timed apply.
-// Leftovers re-signal the loop, which publishes between drains via
-// publishIfDueLocked. Queue-wait latency is measured against the drain
-// start (a lower bound for samples drained later in the batch).
-func (e *Engine) drainLocked() {
-	budget := e.tunBatchCap.Load()
+// The writer's passes spend the ingest_batch_cap tunable (baseline: one
+// publish quantum K) so a firehose cannot monopolize the writer and starve
+// publication; leftovers re-signal the loop, which publishes between
+// drains via publishIfDueLocked. Each shard gives up what it holds as the
+// sweep reaches it and no more — everything accepted before the drain
+// began, and a bound no producer can move, which is what lets a removal
+// drain without a budget. Queue-wait latency is measured against the
+// drain start (a lower bound for samples drained later in the batch).
+func (e *Engine) drainLocked(budget int) {
 	startNano := time.Now().UnixNano()
 	e.drainBuf = e.drainBuf[:0]
-	for budget > 0 {
-		progress := false
-		for _, ch := range e.shards {
-			for budget > 0 {
-				select {
-				case q := <-ch:
-					if wait := startNano - q.enq; wait > 0 {
-						e.metrics.QueueWait.Observe(float64(wait) / 1e9)
-					} else {
-						e.metrics.QueueWait.Observe(0)
-					}
-					e.drainBuf = append(e.drainBuf, q.s)
-					budget--
-					progress = true
-					continue
-				default:
+	for _, ch := range e.shards {
+		for n := min(len(ch), budget-len(e.drainBuf)); n > 0; n-- {
+			select {
+			case q := <-ch:
+				if wait := startNano - q.enq; wait > 0 {
+					e.metrics.QueueWait.Observe(float64(wait) / 1e9)
+				} else {
+					e.metrics.QueueWait.Observe(0)
 				}
-				break
+				e.drainBuf = append(e.drainBuf, q.s)
+			default: // a drop-oldest producer evicted it first
 			}
-		}
-		if !progress {
-			break
 		}
 	}
 	e.applyLocked(e.drainBuf)
-	if budget == 0 {
+	if len(e.drainBuf) >= budget {
 		// Budget exhausted with samples possibly remaining: come back soon.
 		e.signal()
 	}
@@ -780,22 +744,19 @@ func (e *Engine) drainLocked() {
 // journals the batch as one record BEFORE any of it touches the model —
 // journal-before-apply, the recovery invariant (see Journal) — applies it
 // in order, and books it. It returns the journal sequence number covering
-// the batch (0 when nothing was journaled).
-func (e *Engine) applyLocked(ss []stream.Sample) uint64 {
+// the batch (0 when nothing was journaled) and how long the append and
+// the model update took.
+func (e *Engine) applyLocked(ss []stream.Sample) (seq uint64, journal, apply time.Duration) {
 	if len(ss) == 0 {
-		return 0
+		return 0, 0, 0
 	}
 	jStart := time.Now()
-	seq := e.journalSamplesLocked(ss)
+	seq = e.journalSamplesLocked(ss)
 	start := time.Now()
 	e.model.ObserveAll(ss)
-	dur := time.Since(start)
-	if e.timing != nil {
-		e.timing.Journal = start.Sub(jStart)
-		e.timing.Apply = dur
-	}
-	e.bookLocked(&e.applied, len(ss), dur)
-	return seq
+	apply = time.Since(start)
+	e.bookLocked(&e.applied, len(ss), apply)
+	return seq, start.Sub(jStart), apply
 }
 
 // replayLocked performs up to n replay updates (Algorithm 1's "randomly
@@ -838,18 +799,18 @@ func (e *Engine) publishIfDueLocked() {
 }
 
 // publishLocked builds the next view incrementally from the current one
-// and swings the atomic pointer — the RCU publish.
-func (e *Engine) publishLocked() {
+// and swings the atomic pointer — the RCU publish. It returns how long
+// that took.
+func (e *Engine) publishLocked() time.Duration {
 	start := time.Now()
 	v := e.model.RefreshView(e.view.Load())
 	e.view.Store(v)
 	e.published.Add(1)
 	e.sincePublish = 0
 	e.lastPublish = time.Now()
-	e.metrics.Publish.Observe(e.lastPublish.Sub(start).Seconds())
-	if e.timing != nil {
-		e.timing.Publish = e.lastPublish.Sub(start)
-	}
+	dur := e.lastPublish.Sub(start)
+	e.metrics.Publish.Observe(dur.Seconds())
 	e.pending.Store(0)
 	e.lastPublishNano.Store(e.lastPublish.UnixNano())
+	return dur
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -51,33 +52,80 @@ func TestObserveAllReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestObserveAllTracedTimings: the breakdown means the same thing whatever
+// journal is attached and on both sides of Close. The stages are disjoint
+// intervals of the call, so none is negative and together they fit inside
+// its wall time; CommitWait is the caller's wait for the covering fsync,
+// so it spans the journal's hold under group commit and is nothing
+// otherwise.
 func TestObserveAllTracedTimings(t *testing.T) {
-	e := New(testModel(t), Config{})
-	defer e.Close()
-	ss := seedSamples(4, 5)
-	tm := e.ObserveAllTraced(ss)
-	if tm.QueueWait <= 0 {
-		t.Errorf("QueueWait = %v, want > 0", tm.QueueWait)
-	}
-	if tm.Apply <= 0 {
-		t.Errorf("Apply = %v, want > 0", tm.Apply)
-	}
-	if tm.Publish <= 0 {
-		t.Errorf("Publish = %v, want > 0", tm.Publish)
-	}
-	// No journal attached: the append stage must report (near) zero.
-	if tm.Journal > time.Millisecond {
-		t.Errorf("Journal = %v without a journal attached", tm.Journal)
-	}
-	if _, err := e.View().Predict(0, 0); err != nil {
-		t.Fatalf("traced observe lost read-your-writes: %v", err)
-	}
-
-	// The traced path must keep working after Close (inline fallback).
-	e.Close()
-	tm = e.ObserveAllTraced(seedSamples(5, 6))
-	if tm.Apply <= 0 || tm.Publish <= 0 {
-		t.Errorf("post-Close traced observe timings = %+v, want non-zero apply/publish", tm)
+	const hold = 20 * time.Millisecond
+	for _, journal := range []string{"none", "plain", "group-commit"} {
+		t.Run(journal, func(t *testing.T) {
+			e := New(testModel(t), Config{})
+			defer e.Close()
+			group := journal == "group-commit"
+			if journal == "plain" {
+				e.SetJournal(&fakeJournal{})
+			}
+			if group {
+				// Every record becomes durable one hold after it is appended.
+				j := newFakeDurableJournal()
+				e.SetJournal(j)
+				stop := make(chan struct{})
+				defer close(stop)
+				go func() {
+					for seq := uint64(1); ; seq++ {
+						for j.LastSeq() < seq {
+							select {
+							case <-stop:
+								return
+							case <-time.After(time.Millisecond):
+							}
+						}
+						time.Sleep(hold)
+						j.advance(seq)
+					}
+				}()
+			}
+			check := func(when string, ss []stream.Sample) {
+				start := time.Now()
+				tm := e.ObserveAllTraced(ss)
+				wall := time.Since(start)
+				if tm.QueueWait <= 0 {
+					t.Errorf("%s: QueueWait = %v, want > 0", when, tm.QueueWait)
+				}
+				if tm.Apply <= 0 {
+					t.Errorf("%s: Apply = %v, want > 0", when, tm.Apply)
+				}
+				if tm.Publish <= 0 {
+					t.Errorf("%s: Publish = %v, want > 0", when, tm.Publish)
+				}
+				if tm.Journal < 0 || tm.CommitWait < 0 {
+					t.Errorf("%s: negative stage in %+v", when, tm)
+				}
+				if sum := tm.QueueWait + tm.Journal + tm.Apply + tm.Publish + tm.CommitWait; sum > wall {
+					t.Errorf("%s: stages sum to %v, more than the call's %v: %+v", when, sum, wall, tm)
+				}
+				// No journal attached: the append stage must report (near) zero.
+				if journal == "none" && tm.Journal > time.Millisecond {
+					t.Errorf("%s: Journal = %v without a journal attached", when, tm.Journal)
+				}
+				if group && tm.CommitWait < hold/2 {
+					t.Errorf("%s: CommitWait = %v under a journal that holds each commit for %v", when, tm.CommitWait, hold)
+				}
+				if !group && tm.CommitWait >= time.Millisecond {
+					t.Errorf("%s: CommitWait = %v with no group commit to wait for", when, tm.CommitWait)
+				}
+			}
+			check("loop", seedSamples(4, 5))
+			if _, err := e.View().Predict(0, 0); err != nil {
+				t.Fatalf("traced observe lost read-your-writes: %v", err)
+			}
+			// The traced path must keep working after Close (inline fallback).
+			e.Close()
+			check("post-Close", seedSamples(5, 6))
+		})
 	}
 }
 
@@ -425,4 +473,30 @@ func TestObserveAllCloseRace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEngineOwnsOneGoroutine: the writer is the engine's only goroutine,
+// whatever journal is attached — whoever asks for a write waits for its
+// own fsync, so there is no completer to start, feed or shut down.
+func TestEngineOwnsOneGoroutine(t *testing.T) {
+	e := New(testModel(t), Config{})
+	defer e.Close()
+	before := runtime.NumGoroutine()
+	j := newFakeDurableJournal()
+	e.SetJournal(j)
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("SetJournal(group-commit journal) took the process from %d to %d goroutines", before, got)
+	}
+	const callers = 100
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); e.ObserveAll(seedSamples(2, 2)) }()
+	}
+	waitCond(t, func() bool { return j.LastSeq() >= callers })
+	j.advance(callers)
+	wg.Wait()
+	// wg.Done runs just before a caller's goroutine exits; give the last
+	// ones the moment they need.
+	waitCond(t, func() bool { return runtime.NumGoroutine() <= before })
 }

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/stream"
 )
@@ -17,9 +15,11 @@ import (
 // number while the model is quiescent covers exactly the records it
 // claims to (see CheckpointView).
 //
-// With the journal's fsync policy set to always, ObserveAll's ack
-// additionally implies the batch is on stable storage: read-your-writes
-// becomes durable-your-writes.
+// With the journal's fsync policy set to always or to group, an ack —
+// ObserveAll's or a removal's — additionally implies the record is on
+// stable storage: read-your-writes becomes durable-your-writes. Under
+// always the append itself fsyncs; under group the caller waits for the
+// covering fsync after the writer has let go of it (see DurableJournal).
 //
 // The engine keeps serving when a journal append fails (availability
 // over durability — the model still learns); failures are counted in
@@ -43,13 +43,13 @@ type Journal interface {
 
 // DurableJournal is the optional group-commit extension of Journal,
 // satisfied by *store.WAL. When the attached journal implements it AND
-// reports GroupCommit(), the engine pipelines synchronous acks: the
-// writer loop journals a batch, applies it, and moves on to the next
-// batch while the covering fsync is in flight; a separate completer
-// parks on WaitDurable and releases each ObserveAll caller only once
-// its records are on stable storage. Acked still implies durable — N
-// concurrent observers just share one fsync instead of queueing one
-// each under the writer lock.
+// reports GroupCommit(), acks are pipelined: the writer loop journals a
+// batch, applies it, publishes and moves on to the next batch while the
+// covering fsync is in flight; each caller — observer or remover — parks
+// on WaitDurable itself (Engine.awaitDurable) and returns only once its
+// record is on stable storage. Acked still implies durable — N
+// concurrent callers just share one fsync instead of queueing one each
+// under the writer lock.
 type DurableJournal interface {
 	Journal
 	// GroupCommit reports whether appends are covered by a batched
@@ -68,7 +68,8 @@ type DurableJournal interface {
 // not race Close — the same before-serving rule covers that.)
 //
 // A journal that implements DurableJournal with group commit enabled
-// switches the engine to pipelined acks (see DurableJournal).
+// makes every acked write wait for its covering fsync (see
+// DurableJournal); nothing else about the engine changes.
 func (e *Engine) SetJournal(j Journal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -76,11 +77,6 @@ func (e *Engine) SetJournal(j Journal) {
 	e.durJournal = nil
 	if dj, ok := j.(DurableJournal); ok && dj.GroupCommit() {
 		e.durJournal = dj
-		if e.acks == nil && !e.closed.Load() {
-			e.acks = make(chan ackEntry, ackQueueDepth)
-			e.wg.Add(1)
-			go e.ackLoop(e.acks)
-		}
 	}
 }
 
@@ -98,50 +94,6 @@ func (e *Engine) journalSamplesLocked(ss []stream.Sample) uint64 {
 		return 0
 	}
 	return seq
-}
-
-// ackQueueDepth bounds the completer's queue of in-flight synchronous
-// batches. When it fills (more concurrent observers than slots), the
-// writer completes the batch inline — backpressure, not loss.
-const ackQueueDepth = 1024
-
-// ackEntry is one synchronous batch whose caller is waiting for the
-// covering group fsync.
-type ackEntry struct {
-	seq uint64
-	sb  syncBatch
-	j   DurableJournal
-}
-
-// ackLoop is the pipelined-ack completer: it parks on the durable
-// commit index for each journaled sync batch, in writer order, and
-// releases the ObserveAll caller once the batch is on stable storage.
-// The writer closes the channel at exit after its final drain, so every
-// taken batch's done channel is guaranteed closed once e.wg drains —
-// the invariant observeAll's shutdown fallback relies on.
-func (e *Engine) ackLoop(acks chan ackEntry) {
-	defer e.wg.Done()
-	for a := range acks {
-		e.completeAck(a)
-	}
-}
-
-// completeAck waits out the covering fsync and releases the caller. A
-// WaitDurable rejection (fence, WAL failure, close) is counted like any
-// other journal error — the engine keeps serving; the store's fail-fast
-// makes the durability gap visible.
-func (e *Engine) completeAck(a ackEntry) {
-	var start time.Time
-	if a.sb.timing != nil {
-		start = time.Now()
-	}
-	if err := a.j.WaitDurable(a.seq); err != nil {
-		e.journalErrs.Add(1)
-	}
-	if a.sb.timing != nil {
-		a.sb.timing.CommitWait = time.Since(start)
-	}
-	close(a.sb.done)
 }
 
 // CheckpointView publishes any pending model updates and returns, from

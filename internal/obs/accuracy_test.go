@@ -62,10 +62,10 @@ func TestAccuracyTrackerEMAConverges(t *testing.T) {
 
 func TestAccuracyTrackerSkipsUnscorable(t *testing.T) {
 	tr := NewAccuracyTracker(0)
-	tr.Record(1, 0)            // non-positive ground truth
-	tr.Record(1, -3)           // negative ground truth
-	tr.Record(math.NaN(), 1)   // no usable prediction
-	tr.RecordMiss()            // explicitly unscored
+	tr.Record(1, 0)          // non-positive ground truth
+	tr.Record(1, -3)         // negative ground truth
+	tr.Record(math.NaN(), 1) // no usable prediction
+	tr.RecordMiss()          // explicitly unscored
 	if tr.Samples() != 0 {
 		t.Fatalf("unscorable pairs were scored: %d", tr.Samples())
 	}

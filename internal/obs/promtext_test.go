@@ -35,17 +35,17 @@ amf_lat_seconds_count 6
 func TestParserRejectsMalformedPages(t *testing.T) {
 	cases := map[string]string{
 		"sample without HELP/TYPE": "amf_orphan_total 1\n",
-		"TYPE before HELP": "# TYPE amf_x_total counter\n# HELP amf_x_total h\namf_x_total 1\n",
-		"bad TYPE": "# HELP amf_x_total h\n# TYPE amf_x_total zigzag\namf_x_total 1\n",
-		"bad value": "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total banana\n",
-		"unterminated labels": "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"b\" 1\n",
-		"duplicate label": "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"1\",a=\"2\"} 1\n",
-		"counter not _total": "# HELP amf_x h\n# TYPE amf_x counter\namf_x 1\n",
-		"negative counter": "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total -1\n",
-		"histogram missing +Inf": "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"1\"} 1\namf_l_seconds_sum 1\namf_l_seconds_count 1\n",
+		"TYPE before HELP":         "# TYPE amf_x_total counter\n# HELP amf_x_total h\namf_x_total 1\n",
+		"bad TYPE":                 "# HELP amf_x_total h\n# TYPE amf_x_total zigzag\namf_x_total 1\n",
+		"bad value":                "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total banana\n",
+		"unterminated labels":      "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"b\" 1\n",
+		"duplicate label":          "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"1\",a=\"2\"} 1\n",
+		"counter not _total":       "# HELP amf_x h\n# TYPE amf_x counter\namf_x 1\n",
+		"negative counter":         "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total -1\n",
+		"histogram missing +Inf":   "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"1\"} 1\namf_l_seconds_sum 1\namf_l_seconds_count 1\n",
 		"histogram count mismatch": "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"+Inf\"} 3\namf_l_seconds_sum 1\namf_l_seconds_count 2\n",
-		"histogram non-monotonic": "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"1\"} 5\namf_l_seconds_bucket{le=\"2\"} 3\namf_l_seconds_bucket{le=\"+Inf\"} 5\namf_l_seconds_sum 1\namf_l_seconds_count 5\n",
-		"histogram missing sum": "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"+Inf\"} 0\namf_l_seconds_count 0\n",
+		"histogram non-monotonic":  "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"1\"} 5\namf_l_seconds_bucket{le=\"2\"} 3\namf_l_seconds_bucket{le=\"+Inf\"} 5\namf_l_seconds_sum 1\namf_l_seconds_count 5\n",
+		"histogram missing sum":    "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"+Inf\"} 0\namf_l_seconds_count 0\n",
 	}
 	for name, page := range cases {
 		if err := parseAndValidate(page); err == nil {

@@ -97,11 +97,11 @@ func TestRegistryEmptyHistogramStillValid(t *testing.T) {
 
 func TestRegistryNamingEnforcement(t *testing.T) {
 	cases := []func(*Registry){
-		func(r *Registry) { r.NewCounter("bad_counter", "h") },            // counter without _total
-		func(r *Registry) { r.NewGauge("bad_gauge_total", "h") },          // gauge with _total
-		func(r *Registry) { r.NewCounter("1bad_total", "h") },             // invalid name
+		func(r *Registry) { r.NewCounter("bad_counter", "h") },                               // counter without _total
+		func(r *Registry) { r.NewGauge("bad_gauge_total", "h") },                             // gauge with _total
+		func(r *Registry) { r.NewCounter("1bad_total", "h") },                                // invalid name
 		func(r *Registry) { r.NewCounter("dup_total", "h"); r.NewCounter("dup_total", "h") }, // duplicate
-		func(r *Registry) { r.NewGauge("no_help", "") },                   // missing help
+		func(r *Registry) { r.NewGauge("no_help", "") },                                      // missing help
 	}
 	for i, fn := range cases {
 		func() {

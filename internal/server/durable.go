@@ -147,11 +147,11 @@ func (s *Server) captureState() (uint64, []byte, error) {
 // request — same availability-over-durability stance as the engine's
 // journal (and once the WAL has poisoned itself, the batch append right
 // after this will surface the failure too).
-func (s *Server) journalRegistration(appendFn func(int, string) (uint64, error), id int, name string) {
+func (s *Server) journalRegistration(appendFn func(*store.WAL, int, string) (uint64, error), id int, name string) {
 	if s.durable == nil {
 		return
 	}
-	if _, err := appendFn(id, name); err != nil {
+	if _, err := appendFn(s.durable.WAL(), id, name); err != nil {
 		s.log.Warn("journal registration failed", "name", name, "id", id, "err", err)
 	}
 }

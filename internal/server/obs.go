@@ -157,18 +157,9 @@ func (s *Server) buildMetrics() {
 	s.acc.Register(r, "amf_accuracy")
 }
 
-// scoreSample compares one incoming observation against the model's prior
-// prediction (one lock-free view read) and folds the relative error into
-// the live accuracy tracker.
-func (s *Server) scoreSample(sample stream.Sample) {
-	if v, err := s.eng.View().Predict(sample.User, sample.Service); err == nil {
-		s.acc.Record(v, sample.Value)
-	} else {
-		s.acc.RecordMiss()
-	}
-}
-
-// scoreSamples scores a batch against one consistent view.
+// scoreSamples compares incoming observations against the model's prior
+// predictions — one consistent, lock-free view for the batch — and folds
+// each relative error into the live accuracy tracker.
 func (s *Server) scoreSamples(samples []stream.Sample) {
 	view := s.eng.View()
 	for _, sample := range samples {

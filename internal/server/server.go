@@ -39,6 +39,13 @@ type Server struct {
 	now      func() time.Time
 	mux      *http.ServeMux
 
+	// churn orders departures against the two write doors: handleObserve
+	// and Ingest hold it shared from resolving a name until the engine has
+	// the sample, handleDelete exclusively, so a name is never deregistered
+	// and purged between an observation's registration and its hand-off.
+	// No read route touches it.
+	churn sync.RWMutex
+
 	// MaxBatch bounds observe/predict batch sizes (guards memory against
 	// hostile requests). Defaults to 10000.
 	MaxBatch int
@@ -386,33 +393,17 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var resp ObserveResponse
 	now := s.now().Sub(s.base)
 	samples := b.samples[:0]
+	s.churn.RLock()
 	for i := range obs {
 		o := &obs[i]
-		uid, newU := s.users.RegisterBytes(o.User)
-		sid, newS := s.services.RegisterBytes(o.Service)
+		sm, newU, newS := s.sample(o.User, o.Service, o.Value, o.TimestampMs, now)
 		if newU {
 			resp.NewUsers++
-			// Journal the name⇄ID binding before the samples that use the
-			// new ID; without it a recovered model would hold factors for
-			// an ID no name resolves to.
-			if s.durable != nil {
-				s.journalRegistration(s.durable.WAL().AppendRegisterUser, uid, string(o.User))
-			}
 		}
 		if newS {
 			resp.NewServices++
-			if s.durable != nil {
-				s.journalRegistration(s.durable.WAL().AppendRegisterService, sid, string(o.Service))
-			}
 		}
-		t := now
-		if o.TimestampMs > 0 {
-			t = time.UnixMilli(o.TimestampMs).Sub(s.base)
-			if t < 0 {
-				t = 0
-			}
-		}
-		samples = append(samples, stream.Sample{Time: t, User: uid, Service: sid, Value: o.Value})
+		samples = append(samples, sm)
 	}
 	b.samples = samples
 	// Live accuracy: score each incoming value against the model's prior
@@ -420,22 +411,47 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.scoreSamples(samples)
 	// Synchronous apply + republish: the HTTP observe API promises
 	// read-your-writes (a client that uploads a measurement sees it
-	// reflected in the next predict call). Traced requests additionally
-	// get the engine's per-stage breakdown as span annotations.
-	if sp := trace.FromContext(r.Context()); sp != nil {
-		tm := s.eng.ObserveAllTraced(samples)
-		sp.Annotate("engine_queue_wait", tm.QueueWait)
-		sp.Annotate("engine_journal", tm.Journal)
-		sp.Annotate("engine_apply", tm.Apply)
-		sp.Annotate("engine_publish", tm.Publish)
-		sp.Annotate("engine_commit_wait", tm.CommitWait)
-	} else {
-		s.eng.ObserveAll(samples)
-	}
+	// reflected in the next predict call). The engine's per-stage
+	// breakdown becomes span annotations on a traced request (a nil span
+	// takes none).
+	tm := s.eng.ObserveAllTraced(samples)
+	s.churn.RUnlock()
+	sp := trace.FromContext(r.Context())
+	sp.Annotate("engine_queue_wait", tm.QueueWait)
+	sp.Annotate("engine_journal", tm.Journal)
+	sp.Annotate("engine_apply", tm.Apply)
+	sp.Annotate("engine_publish", tm.Publish)
+	sp.Annotate("engine_commit_wait", tm.CommitWait)
 	resp.Accepted = len(samples)
 	s.metrics.observations.Add(int64(resp.Accepted))
 	b.out = appendObserveResponse(b.out[:0], resp)
 	s.writeHot(w, b.out, nil)
+}
+
+// sample turns one validated wire observation into a model sample, for
+// both write doors (handleObserve, Ingest): the two names registered, a
+// joining one journaled before any sample that uses its new ID (without
+// the binding a recovered model would hold factors for an ID no name
+// resolves to — the engine journals the sample strictly later), and the
+// timestamp defaulted to now and clamped to the server's epoch. The
+// caller holds s.churn shared until the sample is in the engine's hands.
+func (s *Server) sample(user, service []byte, value float64, timestampMs int64, now time.Duration) (sm stream.Sample, newUser, newService bool) {
+	uid, newUser := s.users.RegisterBytes(user)
+	sid, newService := s.services.RegisterBytes(service)
+	if newUser {
+		s.journalRegistration((*store.WAL).AppendRegisterUser, uid, string(user))
+	}
+	if newService {
+		s.journalRegistration((*store.WAL).AppendRegisterService, sid, string(service))
+	}
+	t := now
+	if timestampMs > 0 {
+		t = time.UnixMilli(timestampMs).Sub(s.base)
+		if t < 0 {
+			t = 0
+		}
+	}
+	return stream.Sample{Time: t, User: uid, Service: sid, Value: value}, newUser, newService
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.
@@ -558,12 +574,20 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, reg *regis
 		s.countError(w, http.StatusBadRequest, "name query parameter is required")
 		return
 	}
+	// Exclusive against the write doors: an observation that resolved the
+	// name before this point is already in the engine, whose removal runs
+	// after everything it accepted earlier; one that resolves it after
+	// registers a new ID.
+	s.churn.Lock()
 	id, ok := reg.Deregister(name)
+	if ok {
+		purge(id)
+	}
+	s.churn.Unlock()
 	if !ok {
 		s.countError(w, http.StatusNotFound, "unknown entity %q", name)
 		return
 	}
-	purge(id)
 	s.metrics.churnRemovals.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]string{"removed": name})
 }
