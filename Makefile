@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -20,7 +20,7 @@ all: build vet test
 # test-overload select (those targets stay as developer shortcuts).
 ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select fuzz-kernels FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -87,12 +87,16 @@ bench:
 
 # Smoke benchmarks for what the repository benchmark (bench/) has no
 # probe for: the instrumented predict handler without sockets (the row
-# predict_point's server share is read against) and concurrent durable
-# writers under group commit (group-speedup-x). Every other hot row is a
-# bench/ metric under its own name.
+# predict_point's server share is read against), concurrent durable
+# writers under group commit (group-speedup-x), and the model apply of one
+# 64-sample observe at the served shape with the writer's scoring in it
+# (ns/sample, one P as in bench/; bench/'s core.observe_ns_per_sample
+# times a cold preload).
+# Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
+	$(GO) test -run=NONE -bench=BenchmarkObserveApply -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,
@@ -104,7 +108,7 @@ test-cluster:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select fuzz-kernels
+fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
@@ -131,6 +135,15 @@ fuzz-select:
 # Dot32 bit for bit. CI runs this leg at FUZZTIME=10s.
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
+
+# The id table under the replay pool, the model and the view index
+# (internal/idtab/idtab_test.go) against map[int]int32: fuzzer-chosen
+# put / overwrite / remove / get scripts over ids that include the free-slot
+# marker, ±1<<40 and runs that wrap the slot array; contents agree after
+# every step and slot memory follows the entry count. CI runs this leg at
+# FUZZTIME=10s.
+fuzz-idtab:
+	$(GO) test -run=NONE -fuzz='^FuzzTable$$' -fuzztime=$(FUZZTIME) ./internal/idtab/
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

@@ -65,7 +65,7 @@ func (m *Model) Fit(opts FitOptions) FitResult {
 		res.Epochs++
 		cur := m.TrainingError()
 		if epoch+1 >= opts.MinEpochs && prev < math.Inf(1) {
-			if prev == 0 || math.Abs(prev-cur)/math.Max(prev, transform.Eps) < opts.Tol {
+			if math.Abs(prev-cur)/math.Max(prev, transform.Eps) < opts.Tol {
 				res.FinalError = cur
 				res.Converged = true
 				return res
@@ -84,8 +84,8 @@ func (m *Model) TrainingError() float64 {
 	var sum float64
 	var n int
 	m.forEachLiveSample(func(s stream.Sample) {
-		u, okU := m.users.get(s.User)
-		v, okV := m.services.get(s.Service)
+		u, okU := m.users.Get(s.User)
+		v, okV := m.services.Get(s.Service)
 		if !okU || !okV {
 			return
 		}

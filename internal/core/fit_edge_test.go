@@ -57,31 +57,43 @@ func TestFitConvergesExactlyAtMinEpochs(t *testing.T) {
 	}
 }
 
-// TestFitPrevZeroBranch drives the training error to exactly zero (every
-// pooled sample's entities removed → no scorable samples) and checks the
-// prev == 0 guard declares convergence instead of dividing by zero or
-// looping to MaxEpochs.
-func TestFitPrevZeroBranch(t *testing.T) {
-	m := MustNew(rtConfig())
-	for i := 0; i < 20; i++ {
-		m.Observe(stream.Sample{Time: time.Second, User: i % 4, Service: i % 5, Value: 1 + float64(i%3)})
+// TestFitOnDepartedPairs: a pool whose every pair has lost its user or
+// its service holds nothing to train on. A departed user's samples leave
+// with it; a departed service's are dropped by the first replay pick that
+// meets them. Either way Fit counts no step it did not take and stops
+// instead of spinning to MaxEpochs on picks that update nothing.
+func TestFitOnDepartedPairs(t *testing.T) {
+	seeded := func() *Model {
+		m := MustNew(rtConfig())
+		for i := 0; i < 20; i++ {
+			m.Observe(stream.Sample{Time: time.Second, User: i % 4, Service: i % 5, Value: 1 + float64(i%3)})
+		}
+		return m
 	}
+	m := seeded()
 	for id := 0; id < 4; id++ {
 		m.RemoveUser(id)
 	}
-	// Replay picks still succeed (samples are live) but update nothing
-	// and score nothing: TrainingError is exactly 0 from epoch one.
+	if m.pool.Len() != 0 {
+		t.Fatalf("pool holds %d samples of departed users, want 0", m.pool.Len())
+	}
+	if res := m.Fit(FitOptions{MaxEpochs: 50, MinEpochs: 2}); res.Epochs != 0 || res.Steps != 0 {
+		t.Fatalf("fit on an empty pool: %+v, want no epoch and no step", res)
+	}
+
+	m = seeded()
+	before := m.Updates()
+	for id := 0; id < 5; id++ {
+		m.RemoveService(id)
+	}
+	if m.pool.Len() != 20 {
+		t.Fatalf("pool holds %d samples, want the 20 not yet picked", m.pool.Len())
+	}
 	res := m.Fit(FitOptions{MaxEpochs: 50, MinEpochs: 2})
-	if !res.Converged {
-		t.Fatalf("prev==0 path did not converge: %+v", res)
+	if res.Epochs != 1 || res.Steps != 0 || res.FinalError != 0 {
+		t.Fatalf("fit over departed services: %+v, want one epoch that finds nothing", res)
 	}
-	if res.FinalError != 0 {
-		t.Fatalf("final error %g, want exactly 0", res.FinalError)
-	}
-	if res.Epochs != 2 {
-		t.Fatalf("converged after %d epochs, want 2 (first flat zero at MinEpochs)", res.Epochs)
-	}
-	if res.Steps == 0 {
-		t.Fatal("expected replay picks to be consumed even without updates")
+	if m.pool.Len() != 0 || m.Updates() != before {
+		t.Fatalf("after fit: pool %d, %d updates ran; want 0 and 0", m.pool.Len(), m.Updates()-before)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/qoslab/amf/internal/idtab"
 	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/stats"
 	"github.com/qoslab/amf/internal/stream"
@@ -21,6 +22,9 @@ type entity struct {
 	// dirty: listed in the model's dirtyList since the last publish
 	// (table.go). Guarded like the rest of the entity.
 	dirty bool
+	// unserved: created by Observe and not yet frozen into a view, so no
+	// reader has been served a prediction for it (ObservePrior).
+	unserved bool
 }
 
 // Model is the AMF predictor. It is not safe for concurrent use; the
@@ -58,8 +62,8 @@ func New(cfg Config) (*Model, error) {
 		tr:       tr,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		pool:     stream.NewPool(cfg.Expiry, cfg.Seed+1),
-		users:    newEntityTable(),
-		services: newEntityTable(),
+		users:    idtab.New[*entity](0),
+		services: idtab.New[*entity](0),
 	}, nil
 }
 
@@ -81,23 +85,15 @@ func (m *Model) newEntity() *entity {
 	for k := range v {
 		v[k] = m.rng.Float64() * scale
 	}
-	return &entity{vec: v, err: stats.NewEMAInit(m.cfg.Beta, 1)}
+	return &entity{vec: v, err: stats.NewEMAInit(m.cfg.Beta, 1), unserved: true}
 }
 
-func (m *Model) user(id int) *entity {
-	e, ok := m.users.get(id)
+// entity returns id's entity in t, registering a new one on first sight.
+func (m *Model) entity(t *entityTable, id int) *entity {
+	e, ok := t.Get(id)
 	if !ok {
 		e = m.newEntity()
-		m.users.put(id, e)
-	}
-	return e
-}
-
-func (m *Model) service(id int) *entity {
-	e, ok := m.services.get(id)
-	if !ok {
-		e = m.newEntity()
-		m.services.put(id, e)
+		t.Put(id, e)
 	}
 	return e
 }
@@ -105,13 +101,34 @@ func (m *Model) service(id int) *entity {
 // Observe ingests a newly observed QoS sample: it registers any new user
 // or service, stores the sample in the replay pool, and performs one
 // online SGD update (Algorithm 1 lines 3-9).
-func (m *Model) Observe(s stream.Sample) {
-	u := m.user(s.User)
-	v := m.service(s.Service)
+func (m *Model) Observe(s stream.Sample) { m.observe(s) }
+
+// ObservePrior is Observe for a caller that scores the model live: it
+// also returns what the model predicted for the pair just before this
+// sample trained it, from the float64 factors the SGD step computes on —
+// every earlier sample, the same batch's included, already applied. ok is
+// false on a first sighting: the user or the service is not in any view
+// yet (this sample or one since the last BuildView/RefreshView created
+// it), so no reader could have been served a prediction to score.
+func (m *Model) ObservePrior(s stream.Sample) (prior float64, ok bool) {
+	g, ok := m.observe(s)
+	if !ok {
+		return 0, false
+	}
+	return m.tr.Backward(g), true
+}
+
+// observe is Observe returning the sigmoid-space prediction the update
+// started from and whether both entities had been published before.
+func (m *Model) observe(s stream.Sample) (g float64, served bool) {
+	u := m.entity(m.users, s.User)
+	v := m.entity(m.services, s.Service)
+	served = !u.unserved && !v.unserved
 	m.pool.Add(s)
-	m.update(u, v, s.Value)
+	g = m.update(u, v, s.Value)
 	m.dirtyUsers.mark(s.User, u)
 	m.dirtyServices.mark(s.Service, v)
+	return g, served
 }
 
 // ObserveAll ingests samples in order.
@@ -123,22 +140,29 @@ func (m *Model) ObserveAll(ss []stream.Sample) {
 
 // ReplayStep performs one online update on a randomly picked existing
 // sample (Algorithm 1 lines 11-15). It reports false when no live sample
-// remains, i.e. the model should wait for new data.
+// remains, i.e. the model should wait for new data; true means exactly
+// one update ran.
 func (m *Model) ReplayStep() bool {
-	s, ok := m.pool.Pick()
-	if !ok {
-		return false
+	for {
+		s, ok := m.pool.Pick()
+		if !ok {
+			return false
+		}
+		u, okU := m.users.Get(s.User)
+		v, okV := m.services.Get(s.Service)
+		if okU && okV {
+			m.update(u, v, s.Value)
+			m.dirtyUsers.mark(s.User, u)
+			m.dirtyServices.mark(s.Service, v)
+			return true
+		}
+		// A replayed sample must not resurrect a departed user or
+		// service; only Observe (new data) registers entities. A departed
+		// service's samples are found here, one pick at a time (a
+		// departed user's went with RemoveUser): drop it and pick again,
+		// each round leaving the pool one shorter.
+		m.pool.Remove(s.User, s.Service)
 	}
-	// A replayed sample must not resurrect a departed user or service;
-	// only Observe (new data) registers entities.
-	u, okU := m.users.get(s.User)
-	v, okV := m.services.get(s.Service)
-	if okU && okV {
-		m.update(u, v, s.Value)
-		m.dirtyUsers.mark(s.User, u)
-		m.dirtyServices.mark(s.Service, v)
-	}
-	return true
 }
 
 // AdvanceTo moves the model clock forward, expiring replay samples older
@@ -148,8 +172,9 @@ func (m *Model) AdvanceTo(t time.Duration) { m.pool.AdvanceTo(t) }
 // update is OnlineUpdate(tij, ui, sj, Rij) from Algorithm 1:
 // normalize, compute weights from current errors, measure the relative
 // error, fold it into both error trackers, and take simultaneous weighted
-// gradient steps on the two factor vectors (Eq. 16-17).
-func (m *Model) update(u, v *entity, value float64) {
+// gradient steps on the two factor vectors (Eq. 16-17). It returns g, the
+// sigmoid-space prediction the step started from.
+func (m *Model) update(u, v *entity, value float64) float64 {
 	cfg := &m.cfg
 	r := m.tr.Forward(value)
 
@@ -205,6 +230,7 @@ func (m *Model) update(u, v *entity, value float64) {
 	u.updates++
 	v.updates++
 	m.updates++
+	return g
 }
 
 // Predict estimates the QoS value between a user and a service the model
@@ -212,11 +238,11 @@ func (m *Model) update(u, v *entity, value float64) {
 // product is squashed by the sigmoid link and mapped back through the
 // inverse data transformation.
 func (m *Model) Predict(user, service int) (float64, error) {
-	u, ok := m.users.get(user)
+	u, ok := m.users.Get(user)
 	if !ok {
 		return 0, ErrUnknownUser
 	}
-	v, ok := m.services.get(service)
+	v, ok := m.services.Get(service)
 	if !ok {
 		return 0, ErrUnknownService
 	}
@@ -239,11 +265,11 @@ func (m *Model) Predict(user, service int) (float64, error) {
 // The served spelling is PredictView.PredictWithConfidence; this one
 // stays as the float64 reference its tests compare against.
 func (m *Model) PredictWithConfidence(user, service int) (value, confidence float64, err error) {
-	u, ok := m.users.get(user)
+	u, ok := m.users.Get(user)
 	if !ok {
 		return 0, 0, ErrUnknownUser
 	}
-	v, ok := m.services.get(service)
+	v, ok := m.services.Get(service)
 	if !ok {
 		return 0, 0, ErrUnknownService
 	}
@@ -253,31 +279,34 @@ func (m *Model) PredictWithConfidence(user, service int) (value, confidence floa
 }
 
 // KnowsUser reports whether the user has been observed.
-func (m *Model) KnowsUser(id int) bool { _, ok := m.users.get(id); return ok }
+func (m *Model) KnowsUser(id int) bool { _, ok := m.users.Get(id); return ok }
 
 // KnowsService reports whether the service has been observed.
-func (m *Model) KnowsService(id int) bool { _, ok := m.services.get(id); return ok }
+func (m *Model) KnowsService(id int) bool { _, ok := m.services.Get(id); return ok }
 
 // NumUsers returns the number of registered users.
-func (m *Model) NumUsers() int { return m.users.len() }
+func (m *Model) NumUsers() int { return m.users.Len() }
 
 // NumServices returns the number of registered services.
-func (m *Model) NumServices() int { return m.services.len() }
+func (m *Model) NumServices() int { return m.services.Len() }
 
 // Updates returns the total number of SGD updates performed.
 func (m *Model) Updates() int64 { return m.updates }
 
 // RemoveUser forgets a user entirely (framework Sec. III: users may leave
-// the environment). Replay samples involving the user die lazily because
-// prediction state is gone; they are also superseded in the pool over time.
+// the environment), replay samples included: the pool indexes them by
+// user.
 func (m *Model) RemoveUser(id int) {
-	m.users.remove(id)
+	m.users.Remove(id)
+	m.pool.RemoveUser(id)
 	m.dirtyUsers.add(id)
 }
 
-// RemoveService forgets a service entirely.
+// RemoveService forgets a service entirely. Its replay samples are spread
+// over every user's row, so they go lazily: ReplayStep drops each one the
+// first time it is picked, and expiry takes the rest.
 func (m *Model) RemoveService(id int) {
-	m.services.remove(id)
+	m.services.Remove(id)
 	m.dirtyServices.add(id)
 }
 

@@ -73,7 +73,7 @@ func TestNewEntityErrorSeededAtOne(t *testing.T) {
 	// update the EMA moves off 1 but stays within (0, 1].
 	m := MustNew(rtConfig())
 	m.Observe(stream.Sample{User: 0, Service: 0, Value: 1.0})
-	u, ok := m.users.get(0)
+	u, ok := m.users.Get(0)
 	if !ok {
 		t.Fatal("user should exist")
 	}
@@ -208,7 +208,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 func TestErrorTrackerDecreasesWithTraining(t *testing.T) {
 	m := MustNew(rtConfig())
 	m.Observe(stream.Sample{Time: time.Second, User: 0, Service: 0, Value: 3})
-	u, _ := m.users.get(0)
+	u, _ := m.users.Get(0)
 	before := u.err.Value()
 	for i := 0; i < 300; i++ {
 		m.ReplayStep()
@@ -258,6 +258,93 @@ func TestRemoveUserAndService(t *testing.T) {
 	}
 	if m.KnowsService(2) {
 		t.Fatal("replay resurrected a removed service")
+	}
+}
+
+// TestReplayCountsOnlyUpdates: after a user and a service depart, every
+// ReplayStep that reports a step ran exactly one update, the departed
+// user's samples are gone from the pool at once, and the departed
+// service's leave it as picks meet them — none is picked twice.
+func TestReplayCountsOnlyUpdates(t *testing.T) {
+	m := MustNew(rtConfig())
+	const users, services = 10, 12
+	for u := 0; u < users; u++ {
+		for s := 0; s < services; s++ {
+			m.Observe(stream.Sample{Time: time.Second, User: u, Service: s, Value: 1 + float64((u+s)%5)})
+		}
+	}
+	m.RemoveUser(3)
+	if got, want := m.pool.Len(), (users-1)*services; got != want {
+		t.Fatalf("pool holds %d samples after the user left, want %d", got, want)
+	}
+	m.RemoveService(7)
+	before, steps := m.Updates(), 0
+	for i := 0; i < 2000; i++ {
+		if m.ReplayStep() {
+			steps++
+		}
+	}
+	if delta := m.Updates() - before; int64(steps) != delta {
+		t.Fatalf("%d replay steps reported, %d updates ran", steps, delta)
+	}
+	if steps != 2000 {
+		t.Fatalf("%d of 2000 replay calls found a live pair", steps)
+	}
+	if got, want := m.pool.Len(), (users-1)*(services-1); got != want {
+		t.Fatalf("pool holds %d samples after replay, want the %d live pairs", got, want)
+	}
+	if m.KnowsUser(3) || m.KnowsService(7) {
+		t.Fatal("replay resurrected a departed entity")
+	}
+	// With every remaining service gone the pool drains and replay waits.
+	for s := 0; s < services; s++ {
+		m.RemoveService(s)
+	}
+	if m.ReplayStep() || m.pool.Len() != 0 {
+		t.Fatalf("replay over departed pairs only: pool still holds %d", m.pool.Len())
+	}
+}
+
+// TestObservePrior: the prior is the float64 model's own prediction just
+// before the sample trains it, and a pair is scorable only once both its
+// entities have been frozen into a view.
+func TestObservePrior(t *testing.T) {
+	m := MustNew(rtConfig())
+	view := m.BuildView()
+	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 2, Value: 1.5}); ok {
+		t.Fatal("first sighting of both entities reported a prior")
+	}
+	// Same user, same batch: the user exists in the model by now, but no
+	// reader has seen it.
+	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 3, Value: 2}); ok {
+		t.Fatal("a user created since the last publish is still a first sighting")
+	}
+	view = m.RefreshView(view)
+	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 4, Value: 2}); ok {
+		t.Fatal("a new service under a published user reported a prior")
+	}
+	want, err := m.Predict(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := m.ObservePrior(stream.Sample{Time: 2 * time.Second, User: 1, Service: 2, Value: 1.4})
+	if !ok || got != want {
+		t.Fatalf("prior for a published pair = %g, %v; the model predicted %g", got, ok, want)
+	}
+	if after, _ := m.Predict(1, 2); after == want {
+		t.Fatal("the sample did not train the model")
+	}
+	// A restored model's entities come from a published state.
+	blob, err := m.RefreshView(view).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.ObservePrior(stream.Sample{Time: 3 * time.Second, User: 1, Service: 3, Value: 2}); !ok {
+		t.Fatal("a restored pair reported no prior")
 	}
 }
 

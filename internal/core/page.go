@@ -1,6 +1,10 @@
 package core
 
-import "slices"
+import (
+	"slices"
+
+	"github.com/qoslab/amf/internal/idtab"
+)
 
 // viewPageRows is the height of one factor page. A refresh copies one
 // page per touched row, so shorter pages publish cheaper — but copied
@@ -13,9 +17,11 @@ import "slices"
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
 // At rank 10 a page is now a 2.5 KB float32 block plus 1 KB of meta, and
-// a 64-sample publish over 20k services copies 65 of them: ~125 µs,
-// 0.22 MB, 160 allocations (BenchmarkRefreshView; 170 µs and 0.38 MB
-// when the block was 5 KB).
+// a 64-sample publish over 20k services copies 65 of them: ~85 µs,
+// 0.22 MB, 160 allocations (BenchmarkRefreshView, the same before and
+// after the id index became an idtab table: the time is clearing and
+// filling freshly allocated pages, not finding them; it was 0.38 MB when
+// the block was 5 KB).
 const (
 	viewPageShift = 6
 	viewPageRows  = 1 << viewPageShift
@@ -31,13 +37,19 @@ func pageOf(r int) (pi, o int) { return r >> viewPageShift, r & (viewPageRows - 
 // membership is unchanged — steady-state SGD updates change factors, not
 // membership, so a refresh normally copies no index at all.
 type shardIndex struct {
-	ids []int       // entity IDs, ascending: row r holds ids[r]
-	row map[int]int // id → r
+	ids  []int               // entity IDs, ascending: row r holds ids[r]
+	rows *idtab.Table[int32] // id → r
 }
 
 // emptyIndex is the index of every shard that holds nothing, so that no
 // reader has to test a shard's index for nil.
-var emptyIndex = &shardIndex{}
+var emptyIndex = &shardIndex{rows: idtab.New[int32](0)}
+
+// row returns the row id occupies in the shard.
+func (x *shardIndex) row(id int) (int, bool) {
+	r, ok := x.rows.Get(id)
+	return int(r), ok
+}
 
 // pageIDs returns the ids of the rows held by the shard's page pi.
 func (x *shardIndex) pageIDs(pi int) []int {
@@ -88,8 +100,8 @@ func (p viewPage) clone() viewPage {
 }
 
 // freeze writes the live entity's state into row o, rounding its factors
-// to float32, and marks the entity clean: what the page now holds is what
-// the model holds, to float32.
+// to float32, and marks the entity clean and served: what the page now
+// holds is what the model holds, to float32, and readers can see it.
 func (p viewPage) freeze(o int, e *entity) {
 	k := len(e.vec)
 	row := p.vecs[o*k : (o+1)*k]
@@ -98,7 +110,7 @@ func (p viewPage) freeze(o int, e *entity) {
 	}
 	p.meta.errs[o] = e.err.Value()
 	p.meta.updates[o] = e.updates
-	e.dirty = false
+	e.dirty, e.unserved = false, false
 }
 
 // copyRow copies row fo of from into row o.
@@ -131,11 +143,11 @@ type viewShard struct {
 // entity shifts rows, so that shard alone is reshaped, O(shard size).
 // Building a view is the same thing from an empty shard with every id
 // touched.
-func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int) int {
+func (sh *viewShard) refresh(src *entityTable, touched []int, rank int) int {
 	var added, removed []int
 	for _, id := range touched {
-		_, inModel := src[id]
-		_, inView := sh.idx.row[id]
+		_, inModel := src.Get(id)
+		_, inView := sh.idx.row(id)
 		switch {
 		case inModel && !inView:
 			added = append(added, id)
@@ -152,11 +164,12 @@ func (sh *viewShard) refresh(src map[int]*entity, touched []int, rank int) int {
 		sh.pages = slices.Clone(shared)
 	}
 	for _, id := range touched {
-		e, ok := src[id]
+		e, ok := src.Get(id)
 		if !ok {
 			continue // removed
 		}
-		pi, o := pageOf(sh.idx.row[id])
+		r, _ := sh.idx.row(id)
+		pi, o := pageOf(r)
 		if shared != nil && sh.pages[pi].meta == shared[pi].meta {
 			sh.pages[pi] = shared[pi].clone()
 		}
@@ -182,14 +195,14 @@ func (sh *viewShard) reshape(added, removed []int, rank int) {
 		*sh = viewShard{idx: emptyIndex}
 		return
 	}
-	idx := &shardIndex{ids: make([]int, 0, n), row: make(map[int]int, n)}
+	idx := &shardIndex{ids: make([]int, 0, n), rows: idtab.New[int32](n)}
 	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
 	for pi := range pages {
 		pages[pi] = newViewPage(min(viewPageRows, n-pi<<viewPageShift), rank)
 	}
 	place := func(id int) (viewPage, int) {
 		pi, o := pageOf(len(idx.ids))
-		idx.row[id] = len(idx.ids)
+		idx.rows.Put(id, int32(len(idx.ids)))
 		idx.ids = append(idx.ids, id)
 		return pages[pi], o
 	}

@@ -54,12 +54,12 @@ func rankedNearModel(t *testing.T, what string, m *Model, user int, got, want []
 	if len(got) > len(want) {
 		t.Fatalf("%s: view ranked %d, model %d", what, len(got), len(want))
 	}
-	u, ok := m.users.get(user)
+	u, ok := m.users.Get(user)
 	if !ok {
 		t.Fatalf("%s: model does not know user %d", what, user)
 	}
 	key := func(r Ranked) float64 {
-		s, _ := m.services.get(r.Service)
+		s, _ := m.services.Get(r.Service)
 		return matrix.Dot(u.vec, s.vec)
 	}
 	for lo := 0; lo < len(got); {
@@ -229,8 +229,8 @@ func TestSnapshotRoundTripIdempotent(t *testing.T) {
 	// The stated loss: each factor rounded to float32 once, trackers and
 	// counts untouched.
 	for _, side := range []struct{ live, back *entityTable }{{m.users, restored.users}, {m.services, restored.services}} {
-		side.live.each(func(id int, e *entity) {
-			b, ok := side.back.get(id)
+		side.live.Each(func(id int, e *entity) {
+			b, ok := side.back.Get(id)
 			if !ok {
 				t.Fatalf("entity %d lost in the round trip", id)
 			}

@@ -47,7 +47,7 @@ func TestModelInvariantsUnderRandomStreams(t *testing.T) {
 					return false
 				}
 			}
-			if ent, ok := m.users.get(u); ok {
+			if ent, ok := m.users.Get(u); ok {
 				if e := ent.err.Value(); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
 					return false
 				}
@@ -138,8 +138,8 @@ func TestAdaptiveErrorTrackersConvergeProperty(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			m.ReplayStep()
 		}
-		u, okU := m.users.get(0)
-		s, okS := m.services.get(0)
+		u, okU := m.users.Get(0)
+		s, okS := m.services.Get(0)
 		if !okU || !okS {
 			return false
 		}

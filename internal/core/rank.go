@@ -29,13 +29,13 @@ type Ranked struct {
 // It stays, in non-test code, as the float64 full-sort reference those
 // fast paths are tested against.
 func (m *Model) RankServices(user int, candidates []int, lowerIsBetter bool) (ranked []Ranked, unknown []int) {
-	u, ok := m.users.get(user)
+	u, ok := m.users.Get(user)
 	if !ok {
 		return nil, append(unknown, candidates...)
 	}
 	keys := make([]scored, 0, len(candidates))
 	for _, c := range candidates {
-		s, ok := m.services.get(c)
+		s, ok := m.services.Get(c)
 		if !ok {
 			unknown = append(unknown, c)
 			continue

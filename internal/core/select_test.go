@@ -85,12 +85,12 @@ func keyedModel(ids []int, keys []float64) *Model {
 	cfg.Expiry = 0
 	m := MustNew(cfg)
 	for uid, x := range []float64{1, -1} {
-		u := m.user(uid)
+		u := m.entity(m.users, uid)
 		clear(u.vec)
 		u.vec[0] = x
 	}
 	for i, id := range ids {
-		s := m.service(id)
+		s := m.entity(m.services, id)
 		clear(s.vec)
 		s.vec[0] = keys[i]
 	}

@@ -44,8 +44,8 @@ func (m *Model) Snapshot() ([]byte, error) {
 }
 
 func entitiesToSnapshots(t *entityTable) []entitySnapshot {
-	out := make([]entitySnapshot, 0, t.len())
-	t.each(func(id int, e *entity) {
+	out := make([]entitySnapshot, 0, t.Len())
+	t.Each(func(id int, e *entity) {
 		vec := make([]float64, len(e.vec))
 		copy(vec, e.vec)
 		out = append(out, entitySnapshot{ID: id, Vec: vec, Err: e.err.Value(), Updates: e.updates})
@@ -86,13 +86,13 @@ func Restore(data []byte) (*Model, error) {
 func restoreEntities(m *Model, dst *entityTable, kind string, src []entitySnapshot) error {
 	for _, es := range src {
 		err := es.check(m.cfg.Rank)
-		if _, dup := dst.get(es.ID); dup {
+		if _, dup := dst.Get(es.ID); dup {
 			err = errors.New("listed twice")
 		}
 		if err != nil {
 			return fmt.Errorf("core: snapshot %s %d: %w", kind, es.ID, err)
 		}
-		dst.put(es.ID, &entity{
+		dst.Put(es.ID, &entity{
 			vec:     slices.Clone(es.Vec),
 			err:     stats.NewEMAInit(m.cfg.Beta, es.Err),
 			updates: es.Updates,

@@ -51,8 +51,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// Error trackers must survive exactly.
 	for u := 0; u < 6; u++ {
-		e1, _ := m.users.get(u)
-		e2, _ := r.users.get(u)
+		e1, _ := m.users.Get(u)
+		e2, _ := r.users.Get(u)
 		if e1.err.Value() != e2.err.Value() {
 			t.Fatalf("restored user error differs: %g vs %g", e1.err.Value(), e2.err.Value())
 		}

@@ -140,7 +140,7 @@ func TestRankingTieBreakDeterministic(t *testing.T) {
 	m := topkTestModel(t, 12)
 	// Make services 2, 5, 9 latent-identical: exact dot-product ties.
 	svc := func(id int) *entity {
-		e, ok := m.services.get(id)
+		e, ok := m.services.Get(id)
 		if !ok {
 			t.Fatalf("service %d missing", id)
 		}
@@ -274,15 +274,15 @@ func TestPagesBackViewEntities(t *testing.T) {
 			if n == 0 {
 				continue
 			}
-			if len(sh.idx.row) != n {
-				t.Fatalf("%s: shard %d index has %d ids but %d rows", when, si, n, len(sh.idx.row))
+			if sh.idx.rows.Len() != n {
+				t.Fatalf("%s: shard %d index has %d ids but %d rows", when, si, n, sh.idx.rows.Len())
 			}
 			for r, id := range sh.idx.ids {
 				if r > 0 && sh.idx.ids[r-1] >= id {
 					t.Fatalf("%s: shard %d ids not ascending at row %d", when, si, r)
 				}
-				if shardOf(id) != si || sh.idx.row[id] != r {
-					t.Fatalf("%s: service %d indexed at shard %d row %d, found at shard %d row %d", when, id, shardOf(id), sh.idx.row[id], si, r)
+				if at, ok := sh.idx.row(id); shardOf(id) != si || !ok || at != r {
+					t.Fatalf("%s: service %d indexed at shard %d row %d (%v), found at shard %d row %d", when, id, shardOf(id), at, ok, si, r)
 				}
 				p := sh.pages[r/viewPageRows]
 				if want := min(viewPageRows, n-r/viewPageRows*viewPageRows) * rank; len(p.vecs) != want {

@@ -59,7 +59,7 @@ func shardOf(id int) int { return id & (viewShardCount - 1) }
 
 func (t *viewTable) get(id int) (viewEntity, bool) {
 	sh := &t.shards[shardOf(id)]
-	r, ok := sh.idx.row[id]
+	r, ok := sh.idx.row(id)
 	if !ok {
 		return viewEntity{}, false
 	}
@@ -129,18 +129,18 @@ func (m *Model) BuildView() *PredictView {
 	return v
 }
 
-// buildTable freezes every model shard into its view shard — the two
-// share one hash (see table.go) — as a refresh of an empty shard with
-// every id touched, which also leaves every entity clean.
+// buildTable freezes every model entity into its view shard as a refresh
+// of an empty shard with every id of the shard's touched, which also
+// leaves every entity clean.
 func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int) {
 	dst.rank = rank
-	for si, entities := range src.shards {
-		ids := make([]int, 0, len(entities))
-		for id := range entities {
-			ids = append(ids, id)
-		}
+	var ids [viewShardCount][]int
+	src.Each(func(id int, _ *entity) {
+		ids[shardOf(id)] = append(ids[shardOf(id)], id)
+	})
+	for si := range dst.shards {
 		dst.shards[si] = viewShard{idx: emptyIndex}
-		dst.count += dst.shards[si].refresh(entities, ids, rank)
+		dst.count += dst.shards[si].refresh(src, ids[si], rank)
 		dirty.shards[si] = dirty.shards[si][:0]
 	}
 }
@@ -180,15 +180,14 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 
 // refreshTable brings the touched shards of dst (currently aliasing the
 // previous view's) up to date with src and empties the dirty lists. Dirty
-// lists are sharded with the same hash as both tables, so the walk is per
-// shard.
+// lists are sharded with the view's hash, so the walk is per shard.
 func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList) {
 	for si := range dirty.shards {
 		touched := dirty.shards[si]
 		if len(touched) == 0 {
 			continue
 		}
-		dst.count += dst.shards[si].refresh(src.shards[si], touched, dst.rank)
+		dst.count += dst.shards[si].refresh(src, touched, dst.rank)
 		dirty.shards[si] = touched[:0]
 	}
 }

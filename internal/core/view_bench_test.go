@@ -103,3 +103,49 @@ func TestRefreshBytesIndependentOfCatalog(t *testing.T) {
 		t.Errorf("refresh bytes grow with the catalog: %.0f B at 20k services, %.0f B at 80k (%.2fx > 1.25x)", got[1], got[2], got[2]/got[1])
 	}
 }
+
+// BenchmarkObserveApply is the apply cost at the served shape: a model of
+// 1,000 users × 5,000 services preloaded at 5% density takes 64-sample
+// batches of one user against uniformly drawn services — what the
+// engine's applyLocked does for one HTTP observe, scoring included
+// (ObservePrior), publishing excluded. ns/sample is what
+// engine.apply_ns_per_sample reads in bench/; steady-state allocations
+// are the replay pool's growth for pairs not seen before.
+//
+//	go test -run=NONE -bench=BenchmarkObserveApply -benchmem -cpu=1 ./internal/core/
+//
+// (-cpu=1 as in bench/: with a second P the collector marks the untimed
+// refresh's garbage during the timed loop and the reading doubles.)
+func BenchmarkObserveApply(b *testing.B) {
+	const nUsers, nServices, batch = 1000, 5000, 64
+	cfg := DefaultConfig(-0.007, 0, 20)
+	m := MustNew(cfg)
+	rng := rand.New(rand.NewSource(1))
+	value := func() float64 { return 0.1 + 10*rng.Float64()*rng.Float64() }
+	for u := 0; u < nUsers; u++ {
+		for s := 0; s < nServices; s++ {
+			if rng.Float64() < 0.05 {
+				m.Observe(stream.Sample{User: u, Service: s, Value: value()})
+			}
+		}
+	}
+	view := m.BuildView()
+	ss := make([]stream.Sample, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		user, at := rng.Intn(nUsers), time.Duration(i+1)*time.Millisecond
+		for j := range ss {
+			ss[j] = stream.Sample{Time: at, User: user, Service: rng.Intn(nServices), Value: value()}
+		}
+		view = m.RefreshView(view) // the engine publishes after every observe: every entity starts clean
+		b.StartTimer()
+		for _, s := range ss {
+			priorSink, _ = m.ObservePrior(s)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
+}
+
+var priorSink float64

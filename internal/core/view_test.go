@@ -99,7 +99,7 @@ func TestRefreshViewIncremental(t *testing.T) {
 	if n := diffPages(t, &v1.services, &v2.services, -1); n != 1 {
 		t.Fatalf("%d service pages copied for one touched service, want 1", n)
 	}
-	if r := v2.users.shards[shardOf(1)].idx.row[1]; v1.users.shards[shardOf(1)].pages[r/viewPageRows].meta == v2.users.shards[shardOf(1)].pages[r/viewPageRows].meta {
+	if r, ok := v2.users.shards[shardOf(1)].idx.row(1); !ok || v1.users.shards[shardOf(1)].pages[r/viewPageRows].meta == v2.users.shards[shardOf(1)].pages[r/viewPageRows].meta {
 		t.Fatal("the page holding the touched user was shared")
 	}
 
@@ -235,7 +235,7 @@ func dirtyCount(m *Model) (users, services int) {
 	if m.dirtyUsers == nil {
 		return 0, 0
 	}
-	for i := range tableShards {
+	for i := range viewShardCount {
 		users += len(m.dirtyUsers.shards[i])
 		services += len(m.dirtyServices.shards[i])
 	}

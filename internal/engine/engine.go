@@ -37,9 +37,12 @@
 // one product caller). ObserveAll is synchronous: it hands the batch to
 // the writer and waits until the batch is applied AND a fresh view is
 // published, giving HTTP clients read-your-writes semantics; replication
-// apply and WAL replay go through it too. Control operations (Restore,
-// RemoveUser, ReplaySteps, ...) serialize with the writer on a mutex that
-// the read path never touches.
+// apply and WAL replay take the same commit under the name ApplyLog,
+// which differs only in leaving the live accuracy tracker alone (the
+// writer scores what clients measured, not a log being replayed —
+// SetAccuracy). Control operations (Restore, RemoveUser, ReplaySteps,
+// ...) serialize with the writer on a mutex that the read path never
+// touches.
 //
 // Every synchronous write has one shape: under the mutex, drain what was
 // accepted earlier → journal → mutate → publish (commitLocked for a
@@ -144,10 +147,12 @@ type Stats struct {
 }
 
 // syncBatch is one synchronous observe on its way through the writer. It
-// travels by pointer: the caller fills samples and enq, commitLocked
-// fills the rest, and the caller reads it back once done is closed.
+// travels by pointer: the caller fills samples, scored and enq,
+// commitLocked fills the rest, and the caller reads it back once done is
+// closed.
 type syncBatch struct {
 	samples []stream.Sample
+	scored  bool      // a client measured these: score them live (SetAccuracy)
 	enq     time.Time // when the caller handed it over
 	done    chan struct{}
 
@@ -233,6 +238,10 @@ type Engine struct {
 	// (see DurableJournal): whoever asked for a write then waits, after
 	// mu is released, for the fsync covering its record. Guarded by mu.
 	durJournal DurableJournal
+
+	// acc is the optional live accuracy tracker (see SetAccuracy),
+	// guarded by mu; the tracker itself is lock-free.
+	acc *obs.AccuracyTracker
 
 	// publish bookkeeping, guarded by mu.
 	sincePublish int       // model updates since the last publish
@@ -343,6 +352,18 @@ func (e *Engine) registerTunables() {
 	e.tunAdmitSheddable = ctl.Float("engine.admit_sheddable_watermark",
 		"Ingest-shard occupancy above which sheddable-class enqueues are refused; the epoch controller lowers it to widen shedding.",
 		0.90, 0.05, 1.0, control.SourceDefault)
+}
+
+// SetAccuracy attaches the live accuracy tracker: from then on the writer
+// hands it, for every sample that arrives through ObserveAll or the
+// ingest queue, the model's prediction from just before the sample was
+// applied and the observed value — or a miss when the user or the service
+// is in no published view yet. Call it before serving traffic, like
+// SetJournal.
+func (e *Engine) SetAccuracy(t *obs.AccuracyTracker) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.acc = t
 }
 
 // Control returns the engine's runtime-tunable registry (the one passed
@@ -474,7 +495,18 @@ func (e *Engine) ObserveAll(ss []stream.Sample) { e.ObserveAllTraced(ss) }
 // the journal append, model apply and view publish durations, and the
 // caller's own wait for the covering fsync.
 func (e *Engine) ObserveAllTraced(ss []stream.Sample) ObserveTiming {
-	sb := &syncBatch{samples: ss, enq: time.Now(), done: make(chan struct{})}
+	return e.observe(ss, true)
+}
+
+// ApplyLog is ObserveAll for samples that are someone's log being
+// replayed into this engine — WAL recovery, a leader's replication stream
+// — rather than measurements a client just made: the same commit, except
+// that the live accuracy tracker does not score them (the process that
+// first accepted them did).
+func (e *Engine) ApplyLog(ss []stream.Sample) { e.observe(ss, false) }
+
+func (e *Engine) observe(ss []stream.Sample, scored bool) ObserveTiming {
+	sb := &syncBatch{samples: ss, scored: scored, enq: time.Now(), done: make(chan struct{})}
 	select {
 	case e.syncCh <- sb:
 		// The channel is unbuffered, so the writer has the batch, and it
@@ -505,7 +537,7 @@ func (e *Engine) commitLocked(sb *syncBatch) {
 	// Queue wait = hand-over until the writer turns to the batch, the
 	// async backlog drained ahead of it included.
 	t.QueueWait = time.Since(sb.enq)
-	sb.seq, t.Journal, t.Apply = e.applyLocked(sb.samples)
+	sb.seq, t.Journal, t.Apply = e.applyLocked(sb.samples, sb.scored)
 	e.replayLocked(e.tunReplayPerBatch.Load())
 	t.Publish = e.publishLocked()
 	sb.dj = e.durJournal
@@ -732,7 +764,7 @@ func (e *Engine) drainLocked(budget int) {
 			}
 		}
 	}
-	e.applyLocked(e.drainBuf)
+	e.applyLocked(e.drainBuf, true) // the async door is a client door
 	if len(e.drainBuf) >= budget {
 		// Budget exhausted with samples possibly remaining: come back soon.
 		e.signal()
@@ -743,17 +775,31 @@ func (e *Engine) drainLocked(budget int) {
 // they came through (drained ingest, sync batch, post-Close inline): it
 // journals the batch as one record BEFORE any of it touches the model —
 // journal-before-apply, the recovery invariant (see Journal) — applies it
-// in order, and books it. It returns the journal sequence number covering
-// the batch (0 when nothing was journaled) and how long the append and
-// the model update took.
-func (e *Engine) applyLocked(ss []stream.Sample) (seq uint64, journal, apply time.Duration) {
+// in order, and books it. A scored batch (every door but ApplyLog) also
+// feeds the live accuracy tracker, here rather than on the request's way
+// in because the SGD step starts from the very prediction the tracker
+// wants: each observed value is held against what the model predicted for
+// the pair just before the sample trained it. It returns the journal
+// sequence number covering the batch (0 when nothing was journaled) and
+// how long the append and the model update took.
+func (e *Engine) applyLocked(ss []stream.Sample, scored bool) (seq uint64, journal, apply time.Duration) {
 	if len(ss) == 0 {
 		return 0, 0, 0
 	}
 	jStart := time.Now()
 	seq = e.journalSamplesLocked(ss)
 	start := time.Now()
-	e.model.ObserveAll(ss)
+	if acc := e.acc; scored && acc != nil {
+		for _, s := range ss {
+			if prior, ok := e.model.ObservePrior(s); ok {
+				acc.Record(prior, s.Value)
+			} else {
+				acc.RecordMiss()
+			}
+		}
+	} else {
+		e.model.ObserveAll(ss)
+	}
 	apply = time.Since(start)
 	e.bookLocked(&e.applied, len(ss), apply)
 	return seq, start.Sub(jStart), apply

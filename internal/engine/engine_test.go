@@ -253,6 +253,38 @@ func TestRemoveForcesPublish(t *testing.T) {
 	}
 }
 
+// TestReplayedCountsUpdatesUnderChurn: after a user and a service depart,
+// a replay budget is spent on updates only. Stats.Replayed and the Apply
+// histogram move by exactly what the model's update count moves by, and a
+// budget larger than the pool is still met in full — a pick that lands on
+// a departed pair is dropped from the pool and replaced, not counted.
+func TestReplayedCountsUpdatesUnderChurn(t *testing.T) {
+	e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
+	defer e.Close()
+	e.ObserveAll(seedSamples(12, 15))
+	e.RemoveUser(3)
+	e.RemoveService(6)
+	e.RemoveService(9)
+	before, applied := e.Updates(), e.Metrics().Apply.Count()
+	const budget = 500
+	n := e.ReplaySteps(budget)
+	if n != budget {
+		t.Fatalf("%d of %d replay steps performed with live pairs in the pool", n, budget)
+	}
+	if got := e.Stats().Replayed; got != budget {
+		t.Fatalf("Stats.Replayed = %d, want %d", got, budget)
+	}
+	if delta := e.Updates() - before; delta != budget {
+		t.Fatalf("%d updates ran for %d replay steps counted", delta, budget)
+	}
+	if delta := e.Metrics().Apply.Count() - applied; delta != budget {
+		t.Fatalf("apply histogram took %d observations for %d updates", delta, budget)
+	}
+	if v := e.View(); v.KnowsUser(3) || v.KnowsService(6) || v.KnowsService(9) {
+		t.Fatal("replay resurrected a departed entity")
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	e := New(testModel(t), Config{})
 	defer e.Close()

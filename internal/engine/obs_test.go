@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
+	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/stream"
 )
 
@@ -115,5 +117,81 @@ func TestReplayPerBatchFeedsApplyHistogram(t *testing.T) {
 	if e.Metrics().Apply.Count() < st.Applied {
 		t.Errorf("apply histogram (%d) missing replay/ingest updates (applied=%d)",
 			e.Metrics().Apply.Count(), st.Applied)
+	}
+}
+
+// TestWriterScoresClientDoors: with a tracker attached, every sample that
+// arrives through ObserveAll or the ingest queue is handed to it exactly
+// once by the writer — scored against the model's own prior, or counted
+// as a first sighting — while producers on both doors and a scraper run
+// at once; ApplyLog trains the same model and leaves the tracker alone.
+func TestWriterScoresClientDoors(t *testing.T) {
+	e := New(obsModel(t), Config{})
+	defer e.Close()
+	acc := obs.NewAccuracyTracker(0)
+	e.SetAccuracy(acc)
+
+	const producers, rounds, batch = 4, 50, 8
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, _, _ = acc.MRE(), acc.NPRE(), acc.EMA()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				ss := make([]stream.Sample, batch)
+				for i := range ss {
+					ss[i] = stream.Sample{User: p, Service: (r + i) % 11, Value: 1 + float64((p+i)%4)}
+				}
+				if r%2 == 0 {
+					e.ObserveAll(ss)
+					continue
+				}
+				for _, s := range ss {
+					if !e.Enqueue(s) {
+						t.Error("critical-class enqueue refused on a queue that never fills")
+					}
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	e.ObserveAll(nil) // barrier: commits behind everything enqueued
+	close(stop)
+	<-scraped
+
+	st := e.Stats()
+	delivered := st.Applied
+	if st.Dropped != 0 || delivered != producers*rounds*batch {
+		t.Fatalf("applied %d (dropped %d), want %d", delivered, st.Dropped, producers*rounds*batch)
+	}
+	if got := acc.Samples() + acc.Misses(); got != delivered {
+		t.Fatalf("tracker saw %d samples (%d scored, %d first sightings) of %d applied", got, acc.Samples(), acc.Misses(), delivered)
+	}
+	// Each producer is one user over 11 services: first sightings are at
+	// most one batch per user plus one per pair met before a publish.
+	if acc.Samples() < delivered/2 {
+		t.Fatalf("only %d of %d samples had a prior", acc.Samples(), delivered)
+	}
+
+	scoredBefore, missesBefore, updates := acc.Samples(), acc.Misses(), e.Updates()
+	e.ApplyLog([]stream.Sample{{User: 0, Service: 0, Value: 2}, {User: 99, Service: 0, Value: 2}})
+	if e.Updates() != updates+2 {
+		t.Fatalf("ApplyLog trained %d samples, want 2", e.Updates()-updates)
+	}
+	if acc.Samples() != scoredBefore || acc.Misses() != missesBefore {
+		t.Fatalf("ApplyLog was scored: %d → %d samples, %d → %d misses", scoredBefore, acc.Samples(), missesBefore, acc.Misses())
 	}
 }

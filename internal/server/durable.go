@@ -17,7 +17,7 @@ import (
 
 // replayChunk bounds how many replayed samples are batched into one
 // synchronous engine apply during recovery. Chunking keeps memory flat
-// on long WAL tails while amortizing the engine's publish-per-ObserveAll
+// on long WAL tails while amortizing the engine's publish-per-ApplyLog
 // over thousands of samples.
 const replayChunk = 8192
 
@@ -74,7 +74,7 @@ func (s *Server) AttachDurable(m *store.Manager) (store.RecoveryStats, error) {
 // the normal serving pipeline: registrations rebuild the name⇄ID
 // directories, sample batches re-train the model (chunked, so memory
 // stays flat on long tails while amortizing the engine's
-// publish-per-ObserveAll), removals purge churned entities. It is the
+// publish-per-ApplyLog), removals purge churned entities. It is the
 // shared apply path under crash recovery (AttachDurable) and follower
 // replication (Replicator.tail) — both are "replay someone's log into
 // this server", they just differ in where the records come from.
@@ -84,7 +84,7 @@ func (s *Server) walApplier() (apply func(store.Entry) error, flush func()) {
 	var buf []stream.Sample
 	flush = func() {
 		if len(buf) > 0 {
-			s.eng.ObserveAll(buf)
+			s.eng.ApplyLog(buf)
 			buf = buf[:0]
 		}
 	}

@@ -10,12 +10,11 @@ import (
 	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
-	"github.com/qoslab/amf/internal/stream"
 )
 
 // This file wires the observability layer (internal/obs) through the HTTP
 // service: the metric registry behind /metrics, the per-route middleware,
-// the live accuracy hook on the observe paths, and optional pprof.
+// the live accuracy tracker the engine feeds, and optional pprof.
 
 // counters holds the service's operational counters, registered on the
 // obs registry at construction.
@@ -152,23 +151,12 @@ func (s *Server) buildMetrics() {
 		s.statusClass[class] = statusVec.With(strconv.Itoa(class) + "xx")
 	}
 
-	// Live accuracy: the paper's §V metrics as runtime gauges.
+	// Live accuracy: the paper's §V metrics as runtime gauges, fed by the
+	// engine's writer as it applies what clients observe (both write
+	// doors; a replayed WAL or replication stream is not scored).
 	s.acc = obs.NewAccuracyTracker(s.eng.View().Config().Beta)
 	s.acc.Register(r, "amf_accuracy")
-}
-
-// scoreSamples compares incoming observations against the model's prior
-// predictions — one consistent, lock-free view for the batch — and folds
-// each relative error into the live accuracy tracker.
-func (s *Server) scoreSamples(samples []stream.Sample) {
-	view := s.eng.View()
-	for _, sample := range samples {
-		if v, err := view.Predict(sample.User, sample.Service); err == nil {
-			s.acc.Record(v, sample.Value)
-		} else {
-			s.acc.RecordMiss()
-		}
-	}
+	s.eng.SetAccuracy(s.acc)
 }
 
 // requestIDHeader is spelled in canonical MIME form so Header.Get and

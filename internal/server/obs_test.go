@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
+	"github.com/qoslab/amf/internal/store"
 )
 
 func testConfig() core.Config {
@@ -115,14 +117,32 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 	}
 }
 
+// TestLiveAccuracyTracksObservations: the engine's writer scores what
+// clients observe, through both write doors, against the model's own
+// prediction from just before each sample trained it — and scores nothing
+// that is a log being replayed (WAL recovery, replication apply).
 func TestLiveAccuracyTracksObservations(t *testing.T) {
-	s := testServer(t)
+	dir := t.TempDir()
+	s, _, ts := leaderServer(t, dir, store.SyncAlways)
 	observeSome(t, s) // first sightings: all unscored
 	if s.acc.Samples() != 0 {
 		t.Fatalf("first sightings were scored: %d", s.acc.Samples())
 	}
 	if s.acc.Misses() != 20 {
 		t.Fatalf("misses = %d, want 20", s.acc.Misses())
+	}
+	// A user that joins in a batch is a first sighting for the whole
+	// batch: by its second sample the writer's model knows it, but no
+	// reader could have been served a prediction for it.
+	var joining []Observation
+	for j := 0; j < 5; j++ {
+		joining = append(joining, Observation{User: "joiner", Service: fmt.Sprintf("s%d", j), Value: 1.5})
+	}
+	if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: joining}); w.Code != http.StatusOK {
+		t.Fatalf("observe status %d: %s", w.Code, w.Body.String())
+	}
+	if s.acc.Samples() != 0 || s.acc.Misses() != 25 {
+		t.Fatalf("a user joining mid-batch: %d scored, %d misses; want 0 and 25", s.acc.Samples(), s.acc.Misses())
 	}
 	observeSome(t, s) // repeats: every pair now has a prior prediction
 	if s.acc.Samples() != 20 {
@@ -131,12 +151,48 @@ func TestLiveAccuracyTracksObservations(t *testing.T) {
 	if mre := s.acc.MRE(); mre <= 0 {
 		t.Fatalf("live MRE = %g after scored samples", mre)
 	}
-	// The TCP-ingest path scores too.
+	// The TCP-ingest path is scored by the writer too, when it drains the
+	// queue; an empty synchronous batch is the barrier (it commits behind
+	// everything accepted before it).
 	if err := s.Ingest("u0", "s0", 1.0, 0); err != nil {
 		t.Fatal(err)
 	}
+	s.Engine().ObserveAll(nil)
 	if s.acc.Samples() != 21 {
 		t.Fatalf("ingest sample not scored: %d", s.acc.Samples())
+	}
+
+	// Replication apply: the follower trains on the leader's stream, pairs
+	// it has published included, and scores none of it.
+	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	waitFor(t, 5*time.Second, "bootstrap state", func() bool {
+		return f.Engine().View().Updates() == s.Engine().View().Updates()
+	})
+	observeSome(t, s)
+	if s.acc.Samples() != 41 {
+		t.Fatalf("samples = %d on the leader, want 41", s.acc.Samples())
+	}
+	waitFor(t, 5*time.Second, "tailed observations", func() bool {
+		return f.Engine().View().Updates() == s.Engine().View().Updates()
+	})
+	if f.acc.Samples() != 0 || f.acc.Misses() != 0 {
+		t.Fatalf("replication apply was scored: %d samples, %d misses", f.acc.Samples(), f.acc.Misses())
+	}
+
+	// WAL recovery: a second server on the same directory (the first
+	// abandoned as a crash would) replays every sample and scores none.
+	s2, _, rs := durableServer(t, dir, store.SyncAlways)
+	defer s2.Close()
+	if rs.Samples != 66 {
+		t.Fatalf("recovery replayed %d samples, want 66", rs.Samples)
+	}
+	if s2.acc.Samples() != 0 || s2.acc.Misses() != 0 {
+		t.Fatalf("WAL recovery was scored: %d samples, %d misses", s2.acc.Samples(), s2.acc.Misses())
+	}
+	// The recovered server scores again from its first client write.
+	observeSome(t, s2)
+	if s2.acc.Samples() != 20 {
+		t.Fatalf("samples = %d after recovery and one repeat batch, want 20", s2.acc.Samples())
 	}
 }
 

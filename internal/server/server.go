@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -394,26 +395,35 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	now := s.now().Sub(s.base)
 	samples := b.samples[:0]
 	s.churn.RLock()
+	// A batch is usually one user's measurements: the registry is asked
+	// again only when the name differs from the previous observation's
+	// (names are not empty, so the first one always asks).
+	var (
+		user []byte
+		uid  int
+	)
 	for i := range obs {
 		o := &obs[i]
-		sm, newU, newS := s.sample(o.User, o.Service, o.Value, o.TimestampMs, now)
-		if newU {
-			resp.NewUsers++
+		if !bytes.Equal(o.User, user) {
+			var newU bool
+			if uid, newU = s.user(o.User); newU {
+				resp.NewUsers++
+			}
+			user = o.User
 		}
+		sm, newS := s.sample(uid, o.Service, o.Value, o.TimestampMs, now)
 		if newS {
 			resp.NewServices++
 		}
 		samples = append(samples, sm)
 	}
 	b.samples = samples
-	// Live accuracy: score each incoming value against the model's prior
-	// prediction before the sample trains it (see obs.AccuracyTracker).
-	s.scoreSamples(samples)
 	// Synchronous apply + republish: the HTTP observe API promises
 	// read-your-writes (a client that uploads a measurement sees it
-	// reflected in the next predict call). The engine's per-stage
-	// breakdown becomes span annotations on a traced request (a nil span
-	// takes none).
+	// reflected in the next predict call). The writer also scores each
+	// value against the model's prior prediction on its way in
+	// (engine.SetAccuracy). The engine's per-stage breakdown becomes span
+	// annotations on a traced request (a nil span takes none).
 	tm := s.eng.ObserveAllTraced(samples)
 	s.churn.RUnlock()
 	sp := trace.FromContext(r.Context())
@@ -428,19 +438,26 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	s.writeHot(w, b.out, nil)
 }
 
-// sample turns one validated wire observation into a model sample, for
-// both write doors (handleObserve, Ingest): the two names registered, a
-// joining one journaled before any sample that uses its new ID (without
-// the binding a recovered model would hold factors for an ID no name
-// resolves to — the engine journals the sample strictly later), and the
-// timestamp defaulted to now and clamped to the server's epoch. The
-// caller holds s.churn shared until the sample is in the engine's hands.
-func (s *Server) sample(user, service []byte, value float64, timestampMs int64, now time.Duration) (sm stream.Sample, newUser, newService bool) {
-	uid, newUser := s.users.RegisterBytes(user)
-	sid, newService := s.services.RegisterBytes(service)
-	if newUser {
-		s.journalRegistration((*store.WAL).AppendRegisterUser, uid, string(user))
+// user resolves an observation's user name to its ID for both write doors
+// (handleObserve, Ingest), registering a joining one and journaling the
+// binding before any sample that uses the new ID: without it a recovered
+// model would hold factors for an ID no name resolves to (the engine
+// journals the sample strictly later). The caller holds s.churn shared
+// until the sample is in the engine's hands.
+func (s *Server) user(name []byte) (uid int, joined bool) {
+	uid, joined = s.users.RegisterBytes(name)
+	if joined {
+		s.journalRegistration((*store.WAL).AppendRegisterUser, uid, string(name))
 	}
+	return uid, joined
+}
+
+// sample turns one validated wire observation of an already resolved user
+// into a model sample, for both write doors: the service registered and
+// journaled as user does, and the timestamp defaulted to now and clamped
+// to the server's epoch.
+func (s *Server) sample(uid int, service []byte, value float64, timestampMs int64, now time.Duration) (sm stream.Sample, newService bool) {
+	sid, newService := s.services.RegisterBytes(service)
 	if newService {
 		s.journalRegistration((*store.WAL).AppendRegisterService, sid, string(service))
 	}
@@ -451,7 +468,7 @@ func (s *Server) sample(user, service []byte, value float64, timestampMs int64, 
 			t = 0
 		}
 	}
-	return stream.Sample{Time: t, User: uid, Service: sid, Value: value}, newUser, newService
+	return stream.Sample{Time: t, User: uid, Service: sid, Value: value}, newService
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.

@@ -1,8 +1,12 @@
 package stream
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"time"
+
+	"github.com/qoslab/amf/internal/idtab"
 )
 
 // Pool is the replay buffer behind Algorithm 1's "randomly pick an
@@ -12,12 +16,24 @@ import (
 // configurable interval (the paper expires at the 15-minute slice
 // interval). A re-observed pair overwrites its slot, so the pool's size
 // follows the number of distinct pairs alive, not the arrival count.
+//
+// The pair index is one row per user, service → index of the pair's
+// sample in samples: an observe batch is one user's samples, so its
+// lookups all land in one row (the last one used is remembered) — a few
+// KB for a user with a few hundred pairs — instead of across one
+// pool-wide table, and a departing user's samples are found without a
+// scan. The index is 32 bits wide, which keeps a slot at 12 bytes and
+// bounds the pool at 2³¹−1 samples; a pair arriving beyond that trains
+// the model but is not retained for replay.
 type Pool struct {
 	expiry  time.Duration
 	rng     *rand.Rand
 	samples []Sample
-	slot    map[[2]int]int // pair → index of its sample in samples
-	now     time.Duration
+	rows    *idtab.Table[*idtab.Table[int32]]
+	// lastUser/lastRow remember the row Add used last (nil: none).
+	lastUser int
+	lastRow  *idtab.Table[int32]
+	now      time.Duration
 }
 
 // NewPool creates a replay pool. expiry <= 0 disables expiration.
@@ -25,7 +41,7 @@ func NewPool(expiry time.Duration, seed int64) *Pool {
 	return &Pool{
 		expiry: expiry,
 		rng:    rand.New(rand.NewSource(seed)),
-		slot:   make(map[[2]int]int),
+		rows:   idtab.New[*idtab.Table[int32]](0),
 	}
 }
 
@@ -33,10 +49,20 @@ func NewPool(expiry time.Duration, seed int64) *Pool {
 // the same pair (an arrival older than what the pool holds is dropped),
 // and advances the pool clock to the sample's time if it is newer.
 func (p *Pool) Add(s Sample) {
-	key := [2]int{s.User, s.Service}
-	if i, ok := p.slot[key]; !ok {
-		p.slot[key] = len(p.samples)
-		p.samples = append(p.samples, s)
+	row := p.lastRow
+	if row == nil || p.lastUser != s.User {
+		var ok bool
+		if row, ok = p.rows.Get(s.User); !ok {
+			row = idtab.New[int32](0)
+			p.rows.Put(s.User, row)
+		}
+		p.lastUser, p.lastRow = s.User, row
+	}
+	if i, ok := row.Get(s.Service); !ok {
+		if len(p.samples) < math.MaxInt32 {
+			row.Put(s.Service, int32(len(p.samples)))
+			p.samples = append(p.samples, s)
+		}
 	} else if s.Time >= p.samples[i].Time {
 		p.samples[i] = s
 	}
@@ -77,17 +103,65 @@ func (p *Pool) expired(s Sample) bool {
 	return p.expiry > 0 && p.now-s.Time >= p.expiry
 }
 
-// evict swap-removes the sample at index i.
+// evict swap-removes the sample at index i and its index entry, dropping
+// the user's row with its last entry.
 func (p *Pool) evict(i int) {
 	s := p.samples[i]
-	delete(p.slot, [2]int{s.User, s.Service})
+	row, _ := p.rows.Get(s.User)
+	row.Remove(s.Service)
+	if row.Len() == 0 {
+		p.dropRow(s.User)
+	}
+	p.unlist(i)
+}
+
+// unlist swap-removes the sample at index i from samples alone, pointing
+// the index entry of the sample that takes its place at i.
+func (p *Pool) unlist(i int) {
 	last := len(p.samples) - 1
 	if i != last {
 		moved := p.samples[last]
 		p.samples[i] = moved
-		p.slot[[2]int{moved.User, moved.Service}] = i
+		row, _ := p.rows.Get(moved.User)
+		row.Put(moved.Service, int32(i))
 	}
 	p.samples = p.samples[:last]
+}
+
+func (p *Pool) dropRow(user int) {
+	p.rows.Remove(user)
+	if p.lastUser == user {
+		p.lastRow = nil
+	}
+}
+
+// Remove drops the pair's sample, if the pool holds one: what replay does
+// with a pick whose user or service has left.
+func (p *Pool) Remove(user, service int) {
+	if row, ok := p.rows.Get(user); ok {
+		if i, ok := row.Get(service); ok {
+			p.evict(int(i))
+		}
+	}
+}
+
+// RemoveUser drops every sample of a departed user, in time proportional
+// to how many there are.
+func (p *Pool) RemoveUser(user int) {
+	row, ok := p.rows.Get(user)
+	if !ok {
+		return
+	}
+	at := make([]int, 0, row.Len())
+	row.Each(func(_ int, i int32) { at = append(at, int(i)) })
+	// Highest index first: the sample swapped into each hole is then never
+	// one of the user's own, and the order the rest of the pool ends up in
+	// does not depend on the row's iteration order.
+	slices.Sort(at)
+	p.dropRow(user)
+	for j := len(at) - 1; j >= 0; j-- {
+		p.unlist(at[j])
+	}
 }
 
 // Each calls f for every retained sample. Call Compact first to restrict
