@@ -51,7 +51,7 @@ func run(args []string, stderr io.Writer) error {
 		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations")
 
 		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
-		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: always (acked = durable, one fsync per observe), group (acked = durable, concurrent observes share one fsync), interval (bounded loss), or off")
+		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync), interval (bounded loss: fsync every 100ms), or off")
 		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
 
 		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (replicates a leader's WAL, read-only until promoted)")
@@ -61,7 +61,7 @@ func run(args []string, stderr io.Writer) error {
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")
 		sloBudgetShd = fs.Duration("slo-budget-sheddable", 250*time.Millisecond, "predicted-wait budget for sheddable-class requests (with -slo-admission)")
-		adaptEpoch   = fs.Duration("adapt-epoch", 0, "epoch-controller period: each epoch adapts engine tunables to the observed rejection rate and queue wait (0 disables adaptation)")
+		adaptEpoch   = fs.Duration("adapt-epoch", 0, "epoch-controller period: each epoch adapts the -ingest path's engine tunables to the observed rejection rate and queue wait (0 disables adaptation)")
 
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
 		logFormat = fs.String("log-format", "text", "log format: text or json")

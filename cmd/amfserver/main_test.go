@@ -37,6 +37,15 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFsyncAlways: the retired policy value fails start-up
+// instead of quietly mapping to one that remains.
+func TestRunRejectsFsyncAlways(t *testing.T) {
+	err := run([]string{"-data-dir", t.TempDir(), "-fsync", "always"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown fsync policy "always"`) {
+		t.Fatalf("-fsync always: err = %v, want an unknown-policy error", err)
+	}
+}
+
 // syncBuffer collects run's log output; the logger and the test's
 // failure paths may touch it from different goroutines.
 type syncBuffer struct {
@@ -73,7 +82,7 @@ func serve(t *testing.T, dir string) (c *client.Client, stop func() string) {
 	var logs syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-data-dir", dir, "-fsync", "always", "-replay-interval", "1h"}, &logs)
+		done <- run([]string{"-addr", addr, "-data-dir", dir, "-fsync", "group", "-replay-interval", "1h"}, &logs)
 	}()
 	c = client.New("http://"+addr, nil)
 	for deadline := time.Now().Add(10 * time.Second); c.Health(context.Background()) != nil; {

@@ -21,14 +21,14 @@ import (
 
 // TestFailoverChildHelper is not a test: it is the leader half of the
 // SIGKILL failover test below. Re-invoked via os.Args[0] with
-// AMF_FAILOVER_CHILD=1, it runs a durable fsync=always amfserver on a
+// AMF_FAILOVER_CHILD=1, it runs a durable fsync=group amfserver on a
 // real TCP socket until the parent kills it.
 func TestFailoverChildHelper(t *testing.T) {
 	if os.Getenv("AMF_FAILOVER_CHILD") != "1" {
 		t.Skip("failover-test child helper; run via TestClusterFailoverKillLeader")
 	}
 	mgr, err := store.Open(os.Getenv("AMF_FAILOVER_DIR"), store.Options{
-		Sync:               store.SyncAlways,
+		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -54,13 +54,13 @@ func TestFailoverChildHelper(t *testing.T) {
 
 // TestClusterFailoverKillLeader is the issue's acceptance scenario: a
 // gateway fronts one shard group of three replicas — a leader child
-// process on shared storage with fsync=always and two in-process
+// process on shared storage with fsync=group and two in-process
 // followers tailing its WAL. The leader is SIGKILLed under an active
 // observe stream; the gateway's probe loop must promote the most
 // caught-up follower (which recovers the leader's durable directory to
 // its exact tail), re-point the survivor, and resume serving — with
 // every observation the dead leader acked still predictable. Zero acked
-// loss is the fsync=always contract; failover must not weaken it.
+// loss is the fsync=group contract; failover must not weaken it.
 func TestClusterFailoverKillLeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
@@ -95,7 +95,7 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 			Leader:     leaderURL,
 			LeaderData: dir,
 			StoreOptions: store.Options{
-				Sync:               store.SyncAlways,
+				Sync:               store.SyncGroup,
 				CheckpointInterval: time.Hour,
 				Logger:             quietLogger(),
 			},

@@ -36,7 +36,7 @@ func replicatedGroup(t *testing.T) (string, string) {
 	if _, err := follower.StartFollower(server.FollowerConfig{
 		Leader:        tsLeader.URL,
 		LeaderData:    dir,
-		StoreOptions:  store.Options{Sync: store.SyncAlways, CheckpointInterval: time.Hour, Logger: quietLogger()},
+		StoreOptions:  store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
 		WaitMS:        100,
 		RetryInterval: 20 * time.Millisecond,
 	}); err != nil {

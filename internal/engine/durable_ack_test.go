@@ -22,8 +22,6 @@ func newFakeDurableJournal() *fakeDurableJournal {
 	return &fakeDurableJournal{waiters: make(map[uint64][]chan error)}
 }
 
-func (f *fakeDurableJournal) GroupCommit() bool { return true }
-
 func (f *fakeDurableJournal) WaitDurable(seq uint64) error {
 	f.cmu.Lock()
 	if f.failErr != nil {
@@ -71,7 +69,7 @@ func (f *fakeDurableJournal) failAll(err error) {
 	}
 }
 
-// TestDurableAckPipelined: with a group-commit journal attached, the
+// TestDurableAckPipelined: with a durable journal attached, the
 // writer loop must journal and apply batch N+1 while batch N's covering
 // fsync is still in flight — the callers stay parked until their commit
 // lands, but the writer does not.
@@ -223,27 +221,6 @@ func TestDurableAckCloseCompletes(t *testing.T) {
 	if tm.Apply <= 0 || tm.Publish <= 0 {
 		t.Fatalf("post-Close timings = %+v, want non-zero apply and publish", tm)
 	}
-}
-
-// TestDurableAckNonGroupInline: a DurableJournal that does NOT group-
-// commit keeps the classic inline ack path (no completer involved).
-func TestDurableAckNonGroupInline(t *testing.T) {
-	e := New(testModel(t), Config{})
-	defer e.Close()
-	j := &nonGroupDurable{}
-	e.SetJournal(j)
-	ss := seedSamples(3, 3)
-	e.ObserveAll(ss) // must not park on WaitDurable (which would hang)
-	if got := j.sampleCount(); got != len(ss) {
-		t.Fatalf("journal holds %d samples, want %d", got, len(ss))
-	}
-}
-
-type nonGroupDurable struct{ fakeJournal }
-
-func (n *nonGroupDurable) GroupCommit() bool { return false }
-func (n *nonGroupDurable) WaitDurable(seq uint64) error {
-	select {} // must never be called when GroupCommit() is false
 }
 
 func waitCond(t *testing.T, cond func() bool) {

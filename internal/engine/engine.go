@@ -158,8 +158,8 @@ type syncBatch struct {
 
 	timing ObserveTiming
 	// seq is the journal record covering the batch (0 when nothing was
-	// journaled) and dj the group-commit journal it went to (nil
-	// otherwise): what the caller passes to awaitDurable.
+	// journaled) and dj the durable journal it went to (nil otherwise):
+	// what the caller passes to awaitDurable.
 	seq uint64
 	dj  DurableJournal
 }
@@ -171,7 +171,7 @@ type ObserveTiming struct {
 	Journal    time.Duration // WAL append (zero without a journal)
 	Apply      time.Duration // model update
 	Publish    time.Duration // view rebuild + RCU publish
-	CommitWait time.Duration // caller's wait for the covering fsync (zero unless group commit)
+	CommitWait time.Duration // caller's wait for the covering fsync (zero unless fsync=group)
 }
 
 // queued is one ingest-queue entry: the sample plus its enqueue time
@@ -234,9 +234,9 @@ type Engine struct {
 	drainBuf    []stream.Sample
 	journalErrs atomic.Int64
 
-	// durJournal is non-nil when the attached journal group-commits
-	// (see DurableJournal): whoever asked for a write then waits, after
-	// mu is released, for the fsync covering its record. Guarded by mu.
+	// durJournal is non-nil when the attached journal implements
+	// DurableJournal: whoever asked for a write then waits, after mu is
+	// released, for the fsync covering its record. Guarded by mu.
 	durJournal DurableJournal
 
 	// acc is the optional live accuracy tracker (see SetAccuracy),
@@ -484,7 +484,7 @@ func (e *Engine) enqueueOn(ch chan queued, q queued) bool {
 
 // ObserveAll applies a batch synchronously: it returns after the batch
 // (and what was queued before it) has been applied to the model, a fresh
-// view has been published and — under a group-commit journal — the batch
+// view has been published and — under a durable journal — the batch
 // is on stable storage, so a subsequent View() reflects the observations:
 // read-your-writes for the HTTP observe endpoint. The batch is applied by
 // the writer goroutine; callers only wait.
@@ -543,14 +543,15 @@ func (e *Engine) commitLocked(sb *syncBatch) {
 	sb.dj = e.durJournal
 }
 
-// awaitDurable parks the caller until record seq is on stable storage
-// under a group-commit journal (dj nil otherwise; seq 0 when nothing was
-// journaled). It is the one place the engine waits for an fsync, and it
-// is called without mu by whoever asked for the write — an observer, a
-// remover — so the writer is never stalled behind the disk and N
-// concurrent callers share one group fsync. A rejection (fence, WAL
-// failure, close) is counted, not returned: the engine keeps serving and
-// the store's fail-fast makes the gap visible.
+// awaitDurable returns once record seq is as durable as the journal's
+// policy promises (dj nil without a durable journal; seq 0 when nothing
+// was journaled). It is the one place the engine waits for an fsync, and
+// it is called without mu by whoever asked for the write — an observer, a
+// remover — so the writer is never stalled behind the disk, and under
+// fsync=group the caller runs (or shares) the covering fsync itself, on
+// its own goroutine. A rejection (fence, WAL failure, close) is counted,
+// not returned: the engine keeps serving and the store's fail-fast makes
+// the gap visible.
 func (e *Engine) awaitDurable(dj DurableJournal, seq uint64) {
 	if dj != nil && seq > 0 {
 		if err := dj.WaitDurable(seq); err != nil {

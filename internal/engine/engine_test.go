@@ -517,7 +517,7 @@ func TestEngineOwnsOneGoroutine(t *testing.T) {
 	j := newFakeDurableJournal()
 	e.SetJournal(j)
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("SetJournal(group-commit journal) took the process from %d to %d goroutines", before, got)
+		t.Fatalf("SetJournal(durable journal) took the process from %d to %d goroutines", before, got)
 	}
 	const callers = 100
 	var wg sync.WaitGroup

@@ -15,11 +15,11 @@ import (
 // number while the model is quiescent covers exactly the records it
 // claims to (see CheckpointView).
 //
-// With the journal's fsync policy set to always or to group, an ack —
-// ObserveAll's or a removal's — additionally implies the record is on
-// stable storage: read-your-writes becomes durable-your-writes. Under
-// always the append itself fsyncs; under group the caller waits for the
-// covering fsync after the writer has let go of it (see DurableJournal).
+// With a DurableJournal whose policy promises durability (store.WAL
+// under fsync=group), an ack — ObserveAll's or a removal's — additionally
+// implies the record is on stable storage: read-your-writes becomes
+// durable-your-writes. The caller waits for the covering fsync after the
+// writer has let go of it (see DurableJournal).
 //
 // The engine keeps serving when a journal append fails (availability
 // over durability — the model still learns); failures are counted in
@@ -41,23 +41,20 @@ type Journal interface {
 	LastSeq() uint64
 }
 
-// DurableJournal is the optional group-commit extension of Journal,
-// satisfied by *store.WAL. When the attached journal implements it AND
-// reports GroupCommit(), acks are pipelined: the writer loop journals a
-// batch, applies it, publishes and moves on to the next batch while the
-// covering fsync is in flight; each caller — observer or remover — parks
-// on WaitDurable itself (Engine.awaitDurable) and returns only once its
-// record is on stable storage. Acked still implies durable — N
-// concurrent callers just share one fsync instead of queueing one each
-// under the writer lock.
+// DurableJournal is the optional durability extension of Journal,
+// satisfied by *store.WAL. When the attached journal implements it, acks
+// are pipelined: the writer loop journals a batch, applies it, publishes
+// and moves on to the next batch; each caller — observer or remover —
+// then calls WaitDurable itself (Engine.awaitDurable) and returns only
+// once its record is as durable as the journal's policy promises. The
+// engine does not know the policy: store.WAL runs (or shares) the
+// covering fsync under fsync=group and returns at once under interval
+// and off.
 type DurableJournal interface {
 	Journal
-	// GroupCommit reports whether appends are covered by a batched
-	// fsync whose completion must be awaited via WaitDurable.
-	GroupCommit() bool
 	// WaitDurable blocks until the record with the given sequence
-	// number is on stable storage (or the log is fenced/failed/closed,
-	// in which case it returns the rejection).
+	// number is durable by the journal's policy (or the log is
+	// fenced/failed/closed, in which case it returns the rejection).
 	WaitDurable(seq uint64) error
 }
 
@@ -67,17 +64,14 @@ type DurableJournal interface {
 // the recovery sequence is replay first, attach second. (It must also
 // not race Close — the same before-serving rule covers that.)
 //
-// A journal that implements DurableJournal with group commit enabled
-// makes every acked write wait for its covering fsync (see
-// DurableJournal); nothing else about the engine changes.
+// A journal that implements DurableJournal makes every acked write wait
+// in its WaitDurable (see DurableJournal); nothing else about the engine
+// changes.
 func (e *Engine) SetJournal(j Journal) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.journal = j
-	e.durJournal = nil
-	if dj, ok := j.(DurableJournal); ok && dj.GroupCommit() {
-		e.durJournal = dj
-	}
+	e.durJournal, _ = j.(DurableJournal)
 }
 
 // journalSamplesLocked appends one batch to the journal, counting (and

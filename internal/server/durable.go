@@ -173,11 +173,8 @@ func (s *Server) registerDurableMetrics(m *store.Manager) {
 		met.TornTruncations.Load)
 	r.GaugeFunc("amf_wal_segments", "Live WAL segment files.",
 		func() float64 { return float64(met.Segments.Load()) })
-	r.CounterFunc("amf_wal_group_commit_syncs_total",
-		"Group-commit fsyncs (each covers one batch of concurrent appends; fsync=group only).",
-		met.GroupCommits.Load)
 	r.RegisterHistogram("amf_wal_group_commit_records",
-		"Records covered per group-commit fsync — the batching factor concurrent writers achieved.",
+		"Records made durable per covering fsync — the batching factor concurrent writers achieved (_count is the fsync count).",
 		met.GroupBatch)
 	r.RegisterHistogram("amf_checkpoint_seconds",
 		"End-to-end checkpoint latency (capture + atomic write + WAL truncation).", met.Checkpoint)

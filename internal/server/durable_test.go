@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,14 +60,14 @@ func durableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *s
 // directory with a fresh server, and assert that every acked observation
 // is reflected — each surviving (user, service) pair predicts, each
 // deleted entity stays deleted, and the recovered registries match the
-// pre-crash directories exactly. Under -fsync=always every acked write is
+// pre-crash directories exactly. Under -fsync=group every acked write is
 // on stable storage, so nothing may be lost.
 func TestDurableCrashRecoveryProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			svc, _, _ := durableServer(t, dir, store.SyncAlways)
+			svc, _, _ := durableServer(t, dir, store.SyncGroup)
 
 			rng := rand.New(rand.NewSource(seed))
 			type pair struct{ user, service string }
@@ -122,8 +123,8 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 			wantServices := svc.services.List()
 
 			// Crash: no engine close, no final checkpoint, no manager
-			// close. SyncAlways means everything acked is already on disk.
-			svc2, _, rs := durableServer(t, dir, store.SyncAlways)
+			// close. SyncGroup means everything acked is already on disk.
+			svc2, _, rs := durableServer(t, dir, store.SyncGroup)
 			defer svc2.Close()
 
 			gotUsers := svc2.users.List()
@@ -266,10 +267,10 @@ func TestCheckpointEndpointWithoutStore(t *testing.T) {
 // amf_recovery_* families through the strict in-repo parser.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
-	svc, _, _ := durableServer(t, dir, store.SyncAlways)
+	svc, _, _ := durableServer(t, dir, store.SyncGroup)
 	observeSome(t, svc)
 	// Crash (abandon) and recover so amf_recovery_replayed_total > 0.
-	svc2, _, rs := durableServer(t, dir, store.SyncAlways)
+	svc2, _, rs := durableServer(t, dir, store.SyncGroup)
 	defer svc2.Close()
 	if rs.Samples == 0 {
 		t.Fatal("recovery replayed no samples")
@@ -309,7 +310,6 @@ func TestDurableMetrics(t *testing.T) {
 		"amf_wal_errors_total",
 		"amf_wal_torn_truncations_total",
 		"amf_wal_segments",
-		"amf_wal_group_commit_syncs_total",
 		"amf_wal_group_commit_records",
 		"amf_checkpoint_seconds",
 		"amf_checkpoints_total",
@@ -338,17 +338,8 @@ func TestCrashChildHelper(t *testing.T) {
 	if os.Getenv("AMF_CRASH_CHILD") != "1" {
 		t.Skip("crash-test child helper; run via TestDurableKillRestart")
 	}
-	dir := os.Getenv("AMF_CRASH_DIR")
-	sync := store.SyncAlways
-	if p := os.Getenv("AMF_CRASH_FSYNC"); p != "" {
-		var err error
-		if sync, err = store.ParseSyncPolicy(p); err != nil {
-			fmt.Printf("CHILD_ERR=%v\n", err)
-			os.Exit(1)
-		}
-	}
-	mgr, err := store.Open(dir, store.Options{
-		Sync:               sync,
+	mgr, err := store.Open(os.Getenv("AMF_CRASH_DIR"), store.Options{
+		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -374,88 +365,32 @@ func TestCrashChildHelper(t *testing.T) {
 
 // TestDurableKillRestart is the end-to-end crash test from the issue: a
 // real child process serving HTTP on a durable data directory with
-// fsync=always is killed with SIGKILL (no shutdown protocol of any kind),
+// fsync=group is killed with SIGKILL (no shutdown protocol of any kind),
 // and the parent then recovers the directory in-process and verifies that
-// every observation the child acked with a 200 is reflected in the
-// recovered model. Zero acked loss is the always-policy contract.
+// every observation and delete the child acked with a 200 is reflected in
+// the recovered model. An ack is sent only after the caller's covering
+// fsync landed — the one it ran or the one it shared — so zero acked loss
+// is the contract, kills between a buffered append and its fsync
+// included.
 func TestDurableKillRestart(t *testing.T) {
-	runKillRestart(t, store.SyncAlways)
-}
-
-// TestDurableKillRestartGroupCommit is the same SIGKILL crash test under
-// fsync=group: an observe acked mid-window is only acked AFTER its
-// covering group fsync landed, so zero acked loss must hold exactly as
-// under fsync=always — batching the fsync must never weaken the
-// contract.
-func TestDurableKillRestartGroupCommit(t *testing.T) {
-	runKillRestart(t, store.SyncGroup)
-}
-
-func runKillRestart(t *testing.T, sync store.SyncPolicy) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
 	}
 	dir := t.TempDir()
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashChildHelper$", "-test.v")
-	cmd.Env = append(os.Environ(), "AMF_CRASH_CHILD=1", "AMF_CRASH_DIR="+dir,
-		"AMF_CRASH_FSYNC="+sync.String())
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start child: %v", err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
-	}()
-
-	// Wait for the child to report its listen address.
-	var addr string
-	scanner := bufio.NewScanner(stdout)
-	deadline := time.After(30 * time.Second)
-	addrCh := make(chan string, 1)
-	go func() {
-		for scanner.Scan() {
-			line := scanner.Text()
-			if a, ok := strings.CutPrefix(line, "CHILD_ADDR="); ok {
-				addrCh <- a
-				return
-			}
-			if e, ok := strings.CutPrefix(line, "CHILD_ERR="); ok {
-				addrCh <- "ERR:" + e
-				return
-			}
-		}
-		addrCh <- "ERR:child exited without address"
-	}()
-	select {
-	case a := <-addrCh:
-		if strings.HasPrefix(a, "ERR:") {
-			t.Fatalf("child failed: %s", a)
-		}
-		addr = a
-	case <-deadline:
-		t.Fatal("timed out waiting for child address")
-	}
+	cmd, addr := startCrashChild(t, dir)
 
 	// Drive acked observations over real HTTP. Every 200 is a durability
-	// promise under fsync=always — for a departure as much as for a
+	// promise under fsync=group — for a departure as much as for a
 	// sample: a user and a service are observed, then deleted between
 	// other observes, and both acked deletes must survive the kill.
 	client := &http.Client{Timeout: 5 * time.Second}
 	observe := func(u, s string, v float64) bool {
 		t.Helper()
-		body := fmt.Sprintf(`{"observations":[{"user":%q,"service":%q,"value":%g}]}`, u, s, v)
-		resp, err := client.Post("http://"+addr+"/api/v1/observe", "application/json", strings.NewReader(body))
+		ok, err := postObserve(client, addr, u, s, v)
 		if err != nil {
 			t.Fatalf("observe (%s,%s): %v", u, s, err)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
+		return ok
 	}
 	// idOf asks the child which model id a name is bound to.
 	idOf := func(kind, name string) int {
@@ -520,7 +455,7 @@ func runKillRestart(t *testing.T, sync store.SyncPolicy) {
 	_, _ = cmd.Process.Wait()
 
 	// Recover the directory in-process and verify zero acked loss.
-	svc, _, rs := durableServer(t, dir, sync)
+	svc, _, rs := durableServer(t, dir, store.SyncGroup)
 	defer svc.Close()
 	if rs.Samples < len(acked) {
 		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
@@ -544,5 +479,146 @@ func runKillRestart(t *testing.T, sync store.SyncPolicy) {
 	if v := svc.eng.View(); v.KnowsUser(goneUser) || v.KnowsService(goneService) {
 		t.Errorf("acked DELETEs lost after SIGKILL: view knows user %d: %v, service %d: %v",
 			goneUser, v.KnowsUser(goneUser), goneService, v.KnowsService(goneService))
+	}
+}
+
+// startCrashChild re-invokes the test binary as TestCrashChildHelper on
+// dir and returns the running child and the address it serves on. The
+// child is killed when the test ends if the test has not killed it.
+func startCrashChild(t *testing.T, dir string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashChildHelper$", "-test.v")
+	cmd.Env = append(os.Environ(), "AMF_CRASH_CHILD=1", "AMF_CRASH_DIR="+dir)
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.Stderr = io.Discard
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("start child: %v", err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_, _ = cmd.Process.Wait()
+	})
+
+	// Wait for the child to report its listen address.
+	var addr string
+	scanner := bufio.NewScanner(stdout)
+	deadline := time.After(30 * time.Second)
+	addrCh := make(chan string, 1)
+	go func() {
+		for scanner.Scan() {
+			line := scanner.Text()
+			if a, ok := strings.CutPrefix(line, "CHILD_ADDR="); ok {
+				addrCh <- a
+				return
+			}
+			if e, ok := strings.CutPrefix(line, "CHILD_ERR="); ok {
+				addrCh <- "ERR:" + e
+				return
+			}
+		}
+		addrCh <- "ERR:child exited without address"
+	}()
+	select {
+	case a := <-addrCh:
+		if strings.HasPrefix(a, "ERR:") {
+			t.Fatalf("child failed: %s", a)
+		}
+		addr = a
+	case <-deadline:
+		t.Fatal("timed out waiting for child address")
+	}
+	return cmd, addr
+}
+
+// postObserve sends one single-sample observe to the child and reports
+// whether it was acked with a 200.
+func postObserve(client *http.Client, addr, u, s string, v float64) (bool, error) {
+	body := fmt.Sprintf(`{"observations":[{"user":%q,"service":%q,"value":%g}]}`, u, s, v)
+	resp, err := client.Post("http://"+addr+"/api/v1/observe", "application/json", strings.NewReader(body))
+	if err != nil {
+		return false, err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode == http.StatusOK, nil
+}
+
+// TestDurableKillRestartGroupCommit is the SIGKILL crash test with
+// concurrent writers: several clients observe at once, so most acks come
+// from a waiter that found another caller's fsync in flight and waited on
+// it rather than running its own. The child is killed while requests are
+// still in flight — some appended but not yet covered by an fsync — and
+// every observe acked before the kill must still be recovered: sharing
+// the fsync must never weaken the zero-acked-loss contract.
+func TestDurableKillRestartGroupCommit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	dir := t.TempDir()
+	cmd, addr := startCrashChild(t, dir)
+
+	type pair struct{ user, service string }
+	const clients, killAfter = 4, 80
+	var (
+		mu     sync.Mutex
+		acked  []pair
+		wg     sync.WaitGroup
+		enough = make(chan struct{})
+		once   sync.Once
+	)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client := &http.Client{Timeout: 5 * time.Second}
+			for i := 0; ; i++ {
+				p := pair{fmt.Sprintf("gu%d", c), fmt.Sprintf("gs%d", i)}
+				ok, err := postObserve(client, addr, p.user, p.service, 0.5+float64(i%4))
+				if err != nil {
+					return // the child is gone: nothing after this was acked
+				}
+				if !ok {
+					continue
+				}
+				mu.Lock()
+				acked = append(acked, p)
+				if len(acked) >= killAfter {
+					once.Do(func() { close(enough) })
+				}
+				mu.Unlock()
+			}
+		}(c)
+	}
+	select {
+	case <-enough:
+	case <-time.After(30 * time.Second):
+		t.Error("timed out waiting for acked observations")
+	}
+
+	// SIGKILL with the writers still posting.
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill child: %v", err)
+	}
+	_, _ = cmd.Process.Wait()
+	wg.Wait()
+	if len(acked) == 0 {
+		t.Fatal("no observations were acked")
+	}
+
+	svc, _, rs := durableServer(t, dir, store.SyncGroup)
+	defer svc.Close()
+	if rs.Samples < len(acked) {
+		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
+	}
+	for _, p := range acked {
+		w := doReq(t, svc, http.MethodGet,
+			"/api/v1/predict?user="+p.user+"&service="+p.service, nil)
+		if w.Code != http.StatusOK {
+			t.Errorf("acked pair (%s,%s) lost after SIGKILL: predict status %d: %s",
+				p.user, p.service, w.Code, w.Body.String())
+		}
 	}
 }

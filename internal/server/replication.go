@@ -33,7 +33,7 @@ import (
 // LeaderData directory is promoted (POST /api/v1/promote) by opening the
 // dead leader's durable directory and running the full recovery protocol
 // — checkpoint restore plus WAL replay to tail. Every sample the old
-// leader acked under -fsync always is in that log, so promotion loses
+// leader acked under -fsync group is in that log, so promotion loses
 // nothing acked. Without LeaderData promotion still works but serves the
 // tailed in-memory state (the shipping delay becomes a loss window).
 
@@ -173,7 +173,7 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 
 	wal := s.durable.WAL()
 	// shipTail is the newest sequence number this poll may ship: the
-	// durable commit index under fsync=group/always (shipping records
+	// durable commit index under fsync=group (shipping records
 	// whose covering fsync has not landed would let a follower get ahead
 	// of a crashed leader), the appended tail under the lossy policies.
 	shipTail := wal.DurableSeq

@@ -239,7 +239,7 @@ func TestApplyStreamGap(t *testing.T) {
 // SIGKILL-under-load variant lives in the cluster failover suite.
 func TestPromoteSharedStorage(t *testing.T) {
 	dir := t.TempDir()
-	leader, mgr, ts := leaderServer(t, dir, store.SyncAlways)
+	leader, mgr, ts := leaderServer(t, dir, store.SyncGroup)
 	observeSome(t, leader)
 
 	f := startFollower(t, FollowerConfig{

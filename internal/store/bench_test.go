@@ -12,10 +12,11 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// Benchmarks for the durable-state layer: the WAL append cost under each
-// fsync policy is the per-observe durability tax, the replay and recovery
-// rows are the restart-time budget (the paper's online setting has no
-// offline retraining window, so recovery time is serving downtime). The
+// Benchmarks for the durable-state layer: the WAL append + WaitDurable
+// cost under each fsync policy is the per-observe durability tax, the
+// replay and recovery rows are the restart-time budget (the paper's
+// online setting has no offline retraining window, so recovery time is
+// serving downtime). The
 // repository benchmark tracks the same costs as store.append_p50_us,
 // store.recovery_s and store.checkpoint_s.
 
@@ -35,10 +36,12 @@ func benchSamples(n int) []stream.Sample {
 func quietLog() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
 
 // BenchmarkWALAppend measures one batched observe journal append (16
-// samples per record, the common HTTP batch shape) under each fsync
-// policy. The always row is a real fsync per op — expect disk, not CPU.
+// samples per record, the common HTTP batch shape) plus the caller's
+// WaitDurable under each fsync policy — the durable-ack cost of one lone
+// writer. The group row is a real fsync per op — expect disk, not CPU;
+// interval and off return from WaitDurable at once.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, pol := range []SyncPolicy{SyncOff, SyncInterval, SyncAlways} {
+	for _, pol := range []SyncPolicy{SyncOff, SyncInterval, SyncGroup} {
 		b.Run(pol.String(), func(b *testing.B) {
 			w, err := OpenWAL(b.TempDir(), WALOptions{Sync: pol, Logger: quietLog()})
 			if err != nil {
@@ -49,7 +52,11 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.SetBytes(int64(len(encodeSamples(batch))))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.AppendSamples(batch); err != nil {
+				seq, err := w.AppendSamples(batch)
+				if err == nil {
+					err = w.WaitDurable(seq)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,45 +81,44 @@ func medianNs(ds []time.Duration) float64 {
 }
 
 // BenchmarkWALGroupCommit measures the durable-ack cost per append when P
-// concurrent writers contend for the log, pairing the three policies
-// inside one iteration so they see identical filesystem state:
+// concurrent writers contend for the log, pairing three arms inside one
+// iteration so they see identical filesystem state:
 //
-//   - always: AppendSamples alone — the record is durable when Append
-//     returns (one fsync per record, serialized under the WAL mutex).
-//   - group: AppendSamples + WaitDurable — the same durability guarantee,
-//     but concurrent writers share one covering fsync per window.
-//   - interval: AppendSamples alone — the bounded-loss baseline (no
-//     fsync on the append path at all), the floor group commit chases.
+//   - group: P writers, each AppendSamples + WaitDurable — concurrent
+//     waiters share the fsync whichever of them runs it.
+//   - serial: the same P·4 append + WaitDurable pairs from one writer —
+//     one fsync per record, nobody to share it with.
+//   - interval: P writers, AppendSamples alone — the bounded-loss
+//     baseline (no fsync on the append path at all), the floor group
+//     commit chases.
 //
-// Writers each issue a few back-to-back appends so the group window sees
+// Writers each issue a few back-to-back appends so the commit sees
 // sustained concurrency rather than a single synchronized burst. The
-// group-speedup-x extra is the acceptance metric: durable acks per
-// second under group vs always at the same writer count.
+// group-speedup-x extra is the acceptance metric: durable acks per second
+// from P concurrent writers vs one writer doing the same appends.
 func BenchmarkWALGroupCommit(b *testing.B) {
 	const opsPerWriter = 4
 	batch := benchSamples(16)
 	for _, p := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			wAlways := openBenchWAL(b, SyncAlways)
 			wGroup := openBenchWAL(b, SyncGroup)
+			wSerial := openBenchWAL(b, SyncGroup)
 			wInterval := openBenchWAL(b, SyncInterval)
-			arm := func(w *WAL, waitDurable bool) time.Duration {
+			arm := func(w *WAL, writers, ops int) time.Duration {
 				var wg sync.WaitGroup
 				start := time.Now()
-				for g := 0; g < p; g++ {
+				for g := 0; g < writers; g++ {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						for k := 0; k < opsPerWriter; k++ {
+						for k := 0; k < ops; k++ {
 							seq, err := w.AppendSamples(batch)
+							if err == nil {
+								err = w.WaitDurable(seq)
+							}
 							if err != nil {
 								b.Error(err)
 								return
-							}
-							if waitDurable {
-								if err := w.WaitDurable(seq); err != nil {
-									b.Error(err)
-								}
 							}
 						}
 					}()
@@ -120,22 +126,22 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 				wg.Wait()
 				return time.Since(start)
 			}
-			al := make([]time.Duration, b.N)
 			gl := make([]time.Duration, b.N)
+			sl := make([]time.Duration, b.N)
 			il := make([]time.Duration, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				al[i] = arm(wAlways, false)
-				gl[i] = arm(wGroup, true)
-				il[i] = arm(wInterval, false)
+				gl[i] = arm(wGroup, p, opsPerWriter)
+				sl[i] = arm(wSerial, 1, p*opsPerWriter)
+				il[i] = arm(wInterval, p, opsPerWriter)
 			}
 			b.StopTimer()
 			ops := float64(p * opsPerWriter)
-			a50, g50, i50 := medianNs(al), medianNs(gl), medianNs(il)
-			b.ReportMetric(a50/ops, "always-p50-ns/append")
+			g50, s50, i50 := medianNs(gl), medianNs(sl), medianNs(il)
 			b.ReportMetric(g50/ops, "group-p50-ns/append")
+			b.ReportMetric(s50/ops, "serial-p50-ns/append")
 			b.ReportMetric(i50/ops, "interval-p50-ns/append")
-			b.ReportMetric(a50/g50, "group-speedup-x")
+			b.ReportMetric(s50/g50, "group-speedup-x")
 		})
 	}
 }

@@ -12,7 +12,7 @@ import (
 func openForFenceTest(t *testing.T, dir string, check time.Duration) *Manager {
 	t.Helper()
 	m, err := Open(dir, Options{
-		Sync:               SyncAlways,
+		Sync:               SyncGroup,
 		CheckpointInterval: time.Hour,
 		FenceCheckInterval: check,
 		Logger:             quietLogger(),

@@ -13,9 +13,6 @@ import (
 func TestGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
-	if !w.GroupCommit() {
-		t.Fatal("GroupCommit() = false under SyncGroup")
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -40,8 +37,11 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if got := w.DurableSeq(); got != 16 {
 		t.Fatalf("DurableSeq = %d, want 16", got)
 	}
-	if w.met.GroupCommits.Load() == 0 {
-		t.Fatal("no group commits recorded")
+	if n := w.met.GroupBatch.Count(); n == 0 || n > 16 {
+		t.Fatalf("%d commit-index advances recorded for 16 records, want 1..16", n)
+	}
+	if got := w.met.GroupBatch.Sum(); got != 16 {
+		t.Fatalf("commit-index advances covered %v records, want 16", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -53,11 +53,11 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindowBound: with no waiter parked, a buffered append
-// is still fsynced within (a generous multiple of) the configured
-// window — the async latency bound.
+// TestGroupCommitWindowBound: a record nobody waits on (the async ingest
+// door's) is still fsynced by the background flusher within its interval
+// under group — the flusher, not a commit window, bounds it.
 func TestGroupCommitWindowBound(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, GroupWindow: time.Millisecond})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: 5 * time.Millisecond})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
@@ -66,14 +66,35 @@ func TestGroupCommitWindowBound(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for w.DurableSeq() < seq {
 		if time.Now().After(deadline) {
-			t.Fatalf("append not durable within 2s (window 1ms); DurableSeq=%d", w.DurableSeq())
+			t.Fatalf("append not durable within 2s (flush interval 5ms); DurableSeq=%d", w.DurableSeq())
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if w.met.Fsync.Count() == 0 {
+		t.Fatal("durable without an fsync")
+	}
+}
+
+// waitDurableWithin runs WaitDurable on its own goroutine and fails the
+// test if it has not returned within 5s — a hung waiter is the bug these
+// tests exist to catch, and it must fail, not stall the suite.
+func waitDurableWithin(t *testing.T, w *WAL, seq uint64) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.WaitDurable(seq) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("WaitDurable(%d) still parked after 5s", seq)
+		return nil
 	}
 }
 
 // TestGroupCommitWaitDurablePast: waiting on an already-durable (or
-// never-assigned) low sequence number returns immediately.
+// never-assigned) low sequence number returns immediately, and waiting on
+// one past the tail — no append has assigned it — is an error, not a spin
+// or a park that nothing will ever release.
 func TestGroupCommitWaitDurablePast(t *testing.T) {
 	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
@@ -91,63 +112,39 @@ func TestGroupCommitWaitDurablePast(t *testing.T) {
 	if err := w.WaitDurable(seq); err != nil {
 		t.Fatal(err)
 	}
+	if err := waitDurableWithin(t, w, seq+1); err == nil {
+		t.Fatalf("WaitDurable(%d) past the tail %d returned nil", seq+1, seq)
+	}
+	if got := w.DurableSeq(); got != seq {
+		t.Fatalf("DurableSeq = %d after a wait past the tail, want %d", got, seq)
+	}
 }
 
-// TestGroupCommitFenceDropsPendingWindow: fencing mid-window must (a)
-// reject every parked waiter with ErrFenced and (b) DROP the buffered
-// bytes — flushing them would overwrite the new owner's log tail. The
-// window/byte triggers are set far out of reach so the records are
-// guaranteed still buffered when the fence lands.
+// TestGroupCommitFenceDropsPendingWindow: records buffered with no waiter
+// (the flusher parked for an hour) when the fence lands are (a) rejected
+// to every later WaitDurable with ErrFenced — their covering fsync will
+// never happen here — and (b) DROPPED: flushing them would overwrite the
+// new owner's log tail, so a reopen replays none of them.
 func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{
-		Sync:        SyncGroup,
-		GroupWindow: time.Hour,
-		GroupBytes:  1 << 40,
-	})
-	const writers = 8
-	var appended sync.WaitGroup
-	var parked sync.WaitGroup
-	waitErrs := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		appended.Add(1)
-		parked.Add(1)
-		go func(i int) {
-			defer parked.Done()
-			seq, err := w.AppendSamples(sampleBatch(i, 2))
-			appended.Done()
-			if err != nil {
-				waitErrs <- err
-				return
-			}
-			waitErrs <- w.WaitDurable(seq)
-		}(i)
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	const records = 8
+	var seqs []uint64
+	for i := 0; i < records; i++ {
+		seq, err := w.AppendSamples(sampleBatch(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
 	}
-	appended.Wait()
-	// The waiters signal the coordinator, which would normally fsync
-	// immediately — but each goroutine may not have parked yet. Fencing
-	// races WaitDurable here by design: a waiter either parks and is
-	// rejected, or checks the fenced flag first. Both paths must error.
 	w.Fence()
-	parked.Wait()
-	close(waitErrs)
-	rejected := 0
-	for err := range waitErrs {
-		if err == nil {
-			// The coordinator may have fsynced a prefix before the fence
-			// landed; those waiters were durably acked — legal. But the
-			// test forces an un-syncable window, so any nil beyond what
-			// the first immediate fsync could cover is suspicious. Track
-			// only hard failures here; the reopen below is the real check.
-			continue
+	for _, seq := range seqs {
+		if err := waitDurableWithin(t, w, seq); !errors.Is(err, ErrFenced) {
+			t.Fatalf("WaitDurable(%d) after fence: %v, want ErrFenced", seq, err)
 		}
-		if !errors.Is(err, ErrFenced) {
-			t.Fatalf("parked waiter got %v, want ErrFenced", err)
-		}
-		rejected++
 	}
-	if rejected == 0 {
-		t.Fatal("no waiter was rejected with ErrFenced")
+	if got := w.DurableSeq(); got != 0 {
+		t.Fatalf("DurableSeq = %d after a fence with nothing fsynced, want 0", got)
 	}
 	// Appends after the fence fail outright.
 	if _, err := w.AppendSamples(sampleBatch(99, 1)); !errors.Is(err, ErrFenced) {
@@ -156,47 +153,93 @@ func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The dropped window must NOT be on disk: a reopen sees only the
-	// records the (at most one) pre-fence fsync covered.
 	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	defer w2.Close()
-	if got, durable := uint64(len(replayAll(t, w2, 0))), w2.LastSeq(); got != durable {
-		t.Fatalf("reopen: %d replayable records vs LastSeq %d", got, durable)
-	}
-	if w2.LastSeq() == writers {
-		t.Fatalf("all %d buffered records reached disk despite the fence dropping the window", writers)
+	if got := replayAll(t, w2, 0); len(got) != 0 || w2.LastSeq() != 0 {
+		t.Fatalf("reopen after fence: %d replayable records, LastSeq %d; want none of the dropped %d",
+			len(got), w2.LastSeq(), records)
 	}
 }
 
-// TestGroupCommitFailRejectsWaiters: an fsync failure (segment file
-// closed underneath the coordinator) poisons the log and rejects parked
-// waiters with ErrWALFailed instead of hanging them forever.
-func TestGroupCommitFailRejectsWaiters(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{
-		Sync:        SyncGroup,
-		GroupWindow: 5 * time.Millisecond,
-	})
+// TestGroupCommitFenceWakesParkedWaiter: a waiter parked behind an
+// in-flight fsync returns ErrFenced as soon as the fence lands, without
+// waiting for that fsync — and the commit index does not move. The fsync
+// is simulated by holding the in-flight flag, so the fence always wins.
+func TestGroupCommitFenceWakesParkedWaiter(t *testing.T) {
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the fsync: close the segment file out from under the
-	// coordinator before its window expires.
+	w.mu.Lock()
+	w.syncing = true // an fsync that never lands
+	w.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- w.WaitDurable(seq) }()
+	select {
+	case err := <-done:
+		t.Fatalf("WaitDurable returned %v with an fsync in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	w.Fence()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrFenced) {
+			t.Fatalf("parked waiter got %v, want ErrFenced", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fence did not release the parked waiter")
+	}
+	w.mu.Lock()
+	w.syncing = false
+	w.syncDone.Broadcast()
+	w.mu.Unlock()
+	if got := w.DurableSeq(); got != 0 {
+		t.Fatalf("DurableSeq = %d after the fence, want 0", got)
+	}
+}
+
+// TestGroupCommitFailRejectsWaiters: N waiters parked behind a sabotaged
+// segment file (closed underneath the log) all get ErrWALFailed — the
+// first to run the covering fsync poisons the log, the rest see it — and
+// none hangs.
+func TestGroupCommitFailRejectsWaiters(t *testing.T) {
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	defer w.Close()
+	const waiters = 8
+	var seqs []uint64
+	for i := 0; i < waiters; i++ {
+		seq, err := w.AppendSamples(sampleBatch(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+	}
 	w.mu.Lock()
 	w.f.Close()
 	w.mu.Unlock()
-	err = w.WaitDurable(seq)
-	if err == nil {
-		// The fsync may have squeaked in before the sabotage landed;
-		// force another append through the poisoned/closed file.
-		seq2, aerr := w.AppendSamples(sampleBatch(1, 2))
-		if aerr != nil {
-			return // append already surfaced the failure — also fine
-		}
-		err = w.WaitDurable(seq2)
+	start := make(chan struct{})
+	errs := make(chan error, waiters)
+	for _, seq := range seqs {
+		go func(seq uint64) {
+			<-start
+			errs <- w.WaitDurable(seq)
+		}(seq)
 	}
-	if err == nil || errors.Is(err, ErrFenced) {
-		t.Fatalf("WaitDurable after sabotaged fsync: %v, want ErrWALFailed", err)
+	close(start)
+	for i := 0; i < waiters; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, ErrWALFailed) {
+				t.Fatalf("waiter %d got %v, want ErrWALFailed", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d waiters still parked after 5s", waiters-i, waiters)
+		}
+	}
+	if got := w.DurableSeq(); got != 0 {
+		t.Fatalf("DurableSeq = %d after a failed commit, want 0", got)
 	}
 }
 
@@ -205,7 +248,7 @@ func TestGroupCommitFailRejectsWaiters(t *testing.T) {
 // appended tail is durable, so the checkpoint's claimed seq can never
 // exceed the durable log.
 func TestGroupCommitCheckpointBarrier(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, GroupWindow: time.Hour, GroupBytes: 1 << 40})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 3))
 	if err != nil {
@@ -220,9 +263,9 @@ func TestGroupCommitCheckpointBarrier(t *testing.T) {
 }
 
 // TestGroupCommitSubscribe: a commit subscriber wakes when the commit
-// index advances, and cancel unregisters it.
+// index advances — here by the background flusher, nobody waiting.
 func TestGroupCommitSubscribe(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: 5 * time.Millisecond})
 	defer w.Close()
 	ch, cancel := w.SubscribeCommits()
 	defer cancel()
@@ -252,7 +295,7 @@ func TestGroupCommitSubscribe(t *testing.T) {
 // replication stream is bounded at the durable commit index — records
 // whose covering fsync has not landed are not shipped.
 func TestGroupCommitStreamSinceShipsOnlyDurable(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, GroupWindow: time.Hour, GroupBytes: 1 << 40})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
 	defer w.Close()
 	// First batch: force durability via the barrier.
 	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
@@ -262,7 +305,7 @@ func TestGroupCommitStreamSinceShipsOnlyDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := w.DurableSeq()
-	// Second batch: left buffered (hour-long window, no waiter).
+	// Second batch: left buffered (flusher parked for an hour, no waiter).
 	if _, err := w.AppendSamples(sampleBatch(10, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +329,7 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); retur
 
 // TestGroupCommitConcurrentWithRotation: tiny segments force rotations
 // while concurrent writers append+wait — the rotation's inline sync must
-// coordinate with in-flight group fsyncs instead of racing the file.
+// wait out a caller-run fsync instead of closing the file under it.
 func TestGroupCommitConcurrentWithRotation(t *testing.T) {
 	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SegmentBytes: 512})
 	defer w.Close()

@@ -12,22 +12,19 @@ import (
 )
 
 // Options tunes a Manager. The zero value gets defaults. amfserver sets
-// only Sync, CheckpointInterval and Logger from its flags; SegmentBytes,
-// GroupWindow and GroupBytes ship at their defaults and stay as fields
-// because tests set them to reach the rotation and group-commit edges.
+// only Sync, CheckpointInterval and Logger from its flags; SegmentBytes
+// and SyncInterval ship at their defaults and stay as fields because
+// tests set them to reach the rotation and background-flush edges.
 type Options struct {
 	// SegmentBytes is the WAL rotation threshold (default 64 MiB).
 	SegmentBytes int64
-	// Sync is the WAL fsync policy (default SyncInterval).
+	// Sync is the WAL fsync policy (default SyncInterval). Under
+	// SyncGroup an acked write is durable: the engine's caller waits in
+	// WAL.WaitDurable, which runs the covering fsync itself.
 	Sync SyncPolicy
-	// SyncInterval is the flush cadence under SyncInterval (default 100ms).
+	// SyncInterval is the background flush cadence under SyncInterval
+	// and SyncGroup (default 100ms).
 	SyncInterval time.Duration
-	// GroupWindow is the max-latency bound under SyncGroup (default
-	// DefaultGroupWindow).
-	GroupWindow time.Duration
-	// GroupBytes is the early-fsync byte trigger under SyncGroup
-	// (default DefaultGroupBytes).
-	GroupBytes int64
 	// CheckpointInterval is the background checkpoint cadence
 	// (default 1 minute).
 	CheckpointInterval time.Duration
@@ -139,8 +136,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		SegmentBytes: opts.SegmentBytes,
 		Sync:         opts.Sync,
 		SyncInterval: opts.SyncInterval,
-		GroupWindow:  opts.GroupWindow,
-		GroupBytes:   opts.GroupBytes,
 		Metrics:      met,
 		Logger:       opts.Logger,
 	})
@@ -288,8 +283,8 @@ func (m *Manager) Checkpoint() error {
 	}
 	// Fsync the WAL before durably publishing the checkpoint. The blob
 	// reflects every record with seq <= the captured sequence number, but
-	// under SyncInterval/SyncOff those records may still sit in the WAL's
-	// buffer: without this barrier a crash could reopen the WAL below
+	// records no caller waited on may still sit in the WAL's buffer:
+	// without this barrier a crash could reopen the WAL below
 	// seq, hand the SAME sequence numbers to fresh acked appends, and the
 	// next recovery (this checkpoint still sorting newest) would silently
 	// skip them in Replay. The invariant is: the WAL's durable tail is

@@ -27,7 +27,7 @@ func openManager(t *testing.T, dir string, opts Options) *Manager {
 // recover = restore + tail replay only.
 func TestManagerCheckpointAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncAlways})
+	m := openManager(t, dir, Options{Sync: SyncGroup})
 
 	// "Apply" = collect samples into state; capture serializes it.
 	var state []stream.Sample
@@ -46,13 +46,17 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 	if m.Metrics().Checkpoints.Load() != 1 {
 		t.Fatal("checkpoint counter not bumped")
 	}
-	// Tail past the checkpoint.
-	if _, err := m.WAL().AppendSamples(sampleBatch(900, 3)); err != nil {
+	// Tail past the checkpoint, acked the way the engine acks it.
+	seq, err := m.WAL().AppendSamples(sampleBatch(900, 3))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Crash: abandon without Close (SyncAlways ⇒ everything acked is on disk).
+	if err := m.WAL().WaitDurable(seq); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: abandon without Close (SyncGroup ⇒ everything acked is on disk).
 
-	m2 := openManager(t, dir, Options{Sync: SyncAlways})
+	m2 := openManager(t, dir, Options{Sync: SyncGroup})
 	var restored []stream.Sample
 	var tail []stream.Sample
 	rs, err := m2.Recover(
@@ -196,7 +200,7 @@ func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 // NEXT recovery would silently skip them.
 func TestRecoverCheckpointBeyondWALTail(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncAlways})
+	m := openManager(t, dir, Options{Sync: SyncGroup})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 2)); err != nil { // seq 1
 		t.Fatal(err)
 	}
@@ -229,7 +233,7 @@ func TestRecoverCheckpointBeyondWALTail(t *testing.T) {
 
 	// The point of the bump: a second recovery replays the post-restart
 	// append instead of skipping it as already-checkpointed.
-	m2 := openManager(t, dir, Options{Sync: SyncAlways})
+	m2 := openManager(t, dir, Options{Sync: SyncGroup})
 	var tail []stream.Sample
 	rs2, err := m2.Recover(func([]byte) error { return nil }, func(e Entry) error {
 		tail = append(tail, e.Samples...)

@@ -19,12 +19,10 @@ type Metrics struct {
 	// Checkpoint is the end-to-end checkpoint latency (state capture +
 	// atomic write + WAL truncation), in seconds.
 	Checkpoint *obs.Histogram
-	// GroupBatch is the number of records covered by each group-commit
-	// fsync — the batching factor concurrent writers actually achieved.
+	// GroupBatch is the number of records each advance of the durable
+	// commit index covered — the batching factor concurrent writers
+	// actually achieved. Its count is the number of covering fsyncs.
 	GroupBatch *obs.Histogram
-
-	// GroupCommits counts group-commit fsyncs (each covers one batch).
-	GroupCommits atomic.Int64
 
 	// Appends counts records appended to the WAL.
 	Appends atomic.Int64

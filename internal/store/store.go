@@ -11,12 +11,14 @@
 //   - WAL. Observation batches (and entity removals) are appended as
 //     length-prefixed, CRC32C-protected records with contiguous sequence
 //     numbers, into size-rotated segment files. Three fsync policies
-//     trade durability for throughput: SyncAlways fsyncs every append
-//     (an acked write is a durable write), SyncInterval fsyncs on a
-//     background tick (loss bounded by the flush window), SyncOff leaves
-//     flushing to the OS. A torn final record — the signature of a crash
-//     mid-write — is truncated away on open; corruption anywhere else is
-//     an error, never silently skipped.
+//     trade durability for throughput: SyncGroup makes an acked write a
+//     durable write — the acking caller waits in WaitDurable, which runs
+//     the covering fsync itself unless one is already in flight, so
+//     concurrent writers share it (group commit); SyncInterval fsyncs on
+//     a background tick (loss bounded by the flush window); SyncOff
+//     leaves flushing to the OS. A torn final record — the signature of a
+//     crash mid-write — is truncated away on open; corruption anywhere
+//     else is an error, never silently skipped.
 //
 //   - Checkpoints. A background checkpointer periodically captures the
 //     full service state (model snapshot + registry directories) through

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bufio"
-	"container/heap"
 	"errors"
 	"fmt"
 	"io"
@@ -26,40 +25,33 @@ const (
 	// SyncInterval (the default) flushes and fsyncs on a background
 	// tick; crash loss is bounded by the flush window.
 	SyncInterval SyncPolicy = iota
-	// SyncAlways fsyncs after every append: an acked write is a durable
-	// write. The slowest and safest policy.
-	SyncAlways
 	// SyncOff never fsyncs explicitly (buffers are still flushed on
 	// rotation and close); the OS decides when data hits disk.
 	SyncOff
-	// SyncGroup batches concurrent appends under one fsync (group
-	// commit): Append returns a sequence number immediately and
-	// WaitDurable(seq) parks until a covering fsync lands. The commit
-	// coordinator fsyncs as soon as a waiter is parked (so a lone writer
-	// pays ~one fsync of latency, never the full window) and otherwise
-	// within GroupWindow or GroupBytes of the first buffered byte.
+	// SyncGroup makes an acked write a durable write: Append returns a
+	// sequence number at once and WaitDurable(seq) returns once an fsync
+	// covers it — running that fsync on the caller's goroutine when none
+	// is in flight, so concurrent waiters share one (group commit). A
+	// record nobody waits on is fsynced by the background flusher within
+	// SyncInterval.
 	SyncGroup
 )
 
 // ParseSyncPolicy maps the -fsync flag values to a policy.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(s) {
-	case "always":
-		return SyncAlways, nil
 	case "interval":
 		return SyncInterval, nil
-	case "off", "none":
+	case "off":
 		return SyncOff, nil
 	case "group":
 		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval, group, or off)", s)
+	return 0, fmt.Errorf("store: unknown fsync policy %q (want group, interval, or off)", s)
 }
 
 func (p SyncPolicy) String() string {
 	switch p {
-	case SyncAlways:
-		return "always"
 	case SyncOff:
 		return "off"
 	case SyncGroup:
@@ -76,16 +68,9 @@ const (
 	// DefaultSegmentBytes is the rotation threshold: ~64 MiB keeps
 	// truncation granular without drowning the directory in files.
 	DefaultSegmentBytes = int64(64 << 20)
-	// DefaultSyncInterval is the SyncInterval flush cadence.
+	// DefaultSyncInterval is the background flusher's cadence under
+	// SyncInterval and SyncGroup.
 	DefaultSyncInterval = 100 * time.Millisecond
-	// DefaultGroupWindow bounds how long a SyncGroup append may sit
-	// buffered before a covering fsync starts. It is a MAXIMUM latency
-	// bound, not a batching delay: a parked WaitDurable triggers an
-	// immediate fsync.
-	DefaultGroupWindow = time.Millisecond
-	// DefaultGroupBytes triggers an early group fsync once this many
-	// bytes are buffered, regardless of the window.
-	DefaultGroupBytes = int64(1 << 20)
 )
 
 // ErrWALFailed is returned by appends after a write error has poisoned
@@ -100,16 +85,9 @@ type WALOptions struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncInterval is the flush cadence under SyncInterval.
+	// SyncInterval is the background flush cadence under SyncInterval
+	// and SyncGroup.
 	SyncInterval time.Duration
-	// GroupWindow is the max-latency bound under SyncGroup: a buffered
-	// append is covered by an fsync no later than this after it was
-	// written (sooner when a WaitDurable caller is parked or GroupBytes
-	// accumulate). Default DefaultGroupWindow.
-	GroupWindow time.Duration
-	// GroupBytes triggers an early group fsync once this many buffered
-	// bytes are pending under SyncGroup. Default DefaultGroupBytes.
-	GroupBytes int64
 	// Metrics is an optional shared sink (fsync latency, bytes,
 	// segment gauge). NewMetrics() is used when nil.
 	Metrics *Metrics
@@ -123,12 +101,6 @@ func (o WALOptions) withDefaults() WALOptions {
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = DefaultSyncInterval
-	}
-	if o.GroupWindow <= 0 {
-		o.GroupWindow = DefaultGroupWindow
-	}
-	if o.GroupBytes <= 0 {
-		o.GroupBytes = DefaultGroupBytes
 	}
 	if o.Metrics == nil {
 		o.Metrics = NewMetrics()
@@ -164,46 +136,19 @@ type WAL struct {
 	fenced   bool // another process claimed the directory; see fence.go
 	closed   bool
 
-	// Group-commit state (see commitLoop). durable is the commit index:
-	// every record with seq <= durable is on stable storage. waiters is
-	// a min-heap ordered by seq so completion is published in seq order;
-	// subs are commit-notification subscribers (replication long-poll,
-	// see SubscribeCommits). syncing marks an fsync in flight outside
-	// the mutex; syncDone is broadcast when it lands.
-	durable      uint64
-	durableAt    atomic.Uint64 // mirror of durable for lock-free reads
-	waiters      durableWaiters
-	subs         []chan struct{}
-	syncing      bool
-	syncDone     *sync.Cond // on mu
-	commitCh     chan struct{}
-	pendingSince time.Time // first buffered group append since last fsync start
-	pendingBytes int64     // buffered group bytes since last fsync start
+	// Commit state (see WaitDurable). durable is the commit index: every
+	// record with seq <= durable is on stable storage. subs are
+	// commit-notification subscribers (replication long-poll, see
+	// SubscribeCommits). syncing marks an fsync in flight outside the
+	// mutex; syncDone is broadcast when it lands (and on fence).
+	durable   uint64
+	durableAt atomic.Uint64 // mirror of durable for lock-free reads
+	subs      []chan struct{}
+	syncing   bool
+	syncDone  *sync.Cond // on mu
 
 	stopFlush chan struct{}
 	flushWG   sync.WaitGroup
-}
-
-// durableWaiter is one parked WaitDurable call.
-type durableWaiter struct {
-	seq uint64
-	ch  chan error // buffered(1); receives nil once durable, or the failure
-}
-
-// durableWaiters is a min-heap by seq (container/heap).
-type durableWaiters []durableWaiter
-
-func (h durableWaiters) Len() int            { return len(h) }
-func (h durableWaiters) Less(i, j int) bool  { return h[i].seq < h[j].seq }
-func (h durableWaiters) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *durableWaiters) Push(x interface{}) { *h = append(*h, x.(durableWaiter)) }
-func (h *durableWaiters) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = durableWaiter{}
-	*h = old[:n-1]
-	return x
 }
 
 // OpenWAL opens (or creates) a segmented log in dir. The final segment's
@@ -275,16 +220,10 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	// Everything intact on disk at open is durable by definition.
 	w.durable = w.seq
 	w.durableAt.Store(w.seq)
-	switch opts.Sync {
-	case SyncInterval:
+	if opts.Sync != SyncOff {
 		w.stopFlush = make(chan struct{})
 		w.flushWG.Add(1)
 		go w.flushLoop()
-	case SyncGroup:
-		w.stopFlush = make(chan struct{})
-		w.commitCh = make(chan struct{}, 1)
-		w.flushWG.Add(1)
-		go w.commitLoop()
 	}
 	return w, nil
 }
@@ -422,9 +361,8 @@ func (w *WAL) createSegmentLocked(first uint64) error {
 // batches are split into maximal chunks so NO batch size is ever
 // rejected — an acked batch must always reach the log. A crash between
 // chunks durably keeps a prefix of the batch, which recovery replays;
-// that matches the at-most-flush-window loss contract of every non-
-// SyncAlways policy, and under SyncAlways every chunk is on stable
-// storage when this returns.
+// under SyncGroup the caller waits on the returned (last) sequence
+// number, so an ack still covers every chunk.
 func (w *WAL) AppendSamples(ss []stream.Sample) (uint64, error) {
 	return w.appendSamplesChunked(ss, maxSamplesPerRecord)
 }
@@ -515,18 +453,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.dirty = true
 	w.met.Appends.Add(1)
 	w.met.Bytes.Add(recSize)
-	switch w.opts.Sync {
-	case SyncAlways:
-		if err := w.syncLocked(); err != nil {
-			return w.seq, err
-		}
-	case SyncGroup:
-		if w.pendingSince.IsZero() {
-			w.pendingSince = time.Now()
-		}
-		w.pendingBytes += recSize
-		w.signalCommit()
-	default:
+	if w.opts.Sync != SyncGroup {
 		// Interval/off: the record is shippable (the replication tail is
 		// LastSeq under lossy policies), so wake commit subscribers now.
 		w.notifySubsLocked()
@@ -534,57 +461,40 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	return w.seq, nil
 }
 
-// signalCommit nudges the group-commit coordinator (non-blocking; no-op
-// for non-group policies).
-func (w *WAL) signalCommit() {
-	if w.commitCh == nil {
-		return
-	}
-	select {
-	case w.commitCh <- struct{}{}:
-	default:
-	}
-}
-
 // WaitDurable blocks until the record with the given sequence number is
-// on stable storage, returning nil once it is. Under SyncAlways the
-// record is durable before Append returns, so this is instant; under
-// SyncOff durability is explicitly waived by policy and this returns nil
-// immediately. A parked waiter is rejected with ErrFenced when the
-// directory is fenced and ErrWALFailed when an append or fsync poisons
-// the log — an error here means the ack MUST NOT be sent.
+// on stable storage under SyncGroup. It is leader/follower group commit
+// with no coordinator: when no fsync is in flight the caller runs the
+// covering one itself (commitLocked); otherwise it waits for the one in
+// flight to land and checks again, so every caller that arrived during
+// an fsync shares the next. Under SyncInterval and SyncOff durability is
+// waived by policy and this returns nil at once. ErrFenced, ErrWALFailed
+// or a closed-log error means the record may never be durable — the ack
+// MUST NOT be sent — and so does a seq past the tail, which no append
+// has assigned yet.
 func (w *WAL) WaitDurable(seq uint64) error {
-	if w.durableAt.Load() >= seq {
+	if w.opts.Sync != SyncGroup || w.durableAt.Load() >= seq {
 		return nil
 	}
 	w.mu.Lock()
-	if seq <= w.durable {
-		w.mu.Unlock()
-		return nil
+	defer w.mu.Unlock()
+	for {
+		switch {
+		case seq <= w.durable:
+			return nil
+		case w.fenced:
+			return ErrFenced
+		case w.failed:
+			return ErrWALFailed
+		case seq > w.seq:
+			return fmt.Errorf("store: wait-durable on seq %d past the tail %d", seq, w.seq)
+		case w.syncing:
+			w.syncDone.Wait()
+		case w.f == nil:
+			return errors.New("store: wait-durable on closed wal")
+		default:
+			w.commitLocked()
+		}
 	}
-	if w.fenced {
-		w.mu.Unlock()
-		return ErrFenced
-	}
-	if w.failed {
-		w.mu.Unlock()
-		return ErrWALFailed
-	}
-	if w.closed {
-		w.mu.Unlock()
-		return errors.New("store: wait-durable on closed wal")
-	}
-	if w.opts.Sync == SyncOff {
-		w.mu.Unlock()
-		return nil
-	}
-	ch := make(chan error, 1)
-	heap.Push(&w.waiters, durableWaiter{seq: seq, ch: ch})
-	w.mu.Unlock()
-	// A parked waiter makes the pending window urgent: fsync now rather
-	// than waiting out the latency bound.
-	w.signalCommit()
-	return <-ch
 }
 
 // DurableSeq returns the durable commit index: the highest sequence
@@ -592,7 +502,7 @@ func (w *WAL) WaitDurable(seq uint64) error {
 // off) durability is not tracked per record and the appended tail is
 // returned — that is the shippable tail those policies promise.
 func (w *WAL) DurableSeq() uint64 {
-	if w.opts.Sync == SyncGroup || w.opts.Sync == SyncAlways {
+	if w.opts.Sync == SyncGroup {
 		return w.durableAt.Load()
 	}
 	w.mu.Lock()
@@ -600,13 +510,9 @@ func (w *WAL) DurableSeq() uint64 {
 	return w.seq
 }
 
-// GroupCommit reports whether this WAL runs the group-commit
-// coordinator (fsync policy "group").
-func (w *WAL) GroupCommit() bool { return w.opts.Sync == SyncGroup }
-
 // SubscribeCommits registers a commit-notification channel: it receives
 // (coalesced, non-blocking) signals whenever the shippable tail advances
-// — a durable-commit-index advance under always/group, any append under
+// — a durable-commit-index advance under group, any append under
 // interval/off — and on fence, failure, or close. The returned cancel
 // func unregisters the channel.
 func (w *WAL) SubscribeCommits() (<-chan struct{}, func()) {
@@ -636,34 +542,29 @@ func (w *WAL) notifySubsLocked() {
 	}
 }
 
-// advanceDurableLocked publishes a new durable commit index, completing
-// parked waiters in seq order and waking commit subscribers.
+// advanceDurableLocked publishes a new durable commit index, records how
+// many records the fsync behind it covered, and wakes commit subscribers.
 func (w *WAL) advanceDurableLocked(seq uint64) {
 	if seq <= w.durable {
 		return
 	}
+	w.met.GroupBatch.Observe(float64(seq - w.durable))
 	w.durable = seq
 	w.durableAt.Store(seq)
-	for len(w.waiters) > 0 && w.waiters[0].seq <= seq {
-		wt := heap.Pop(&w.waiters).(durableWaiter)
-		wt.ch <- nil
-	}
 	w.notifySubsLocked()
 }
 
-// failWaitersLocked rejects every parked waiter with err (fence, write
-// failure, or close — in all three cases the covering fsync will never
-// happen) and wakes subscribers so they observe the terminal state.
-func (w *WAL) failWaitersLocked(err error) {
-	for len(w.waiters) > 0 {
-		wt := heap.Pop(&w.waiters).(durableWaiter)
-		wt.ch <- err
-	}
+// failLocked poisons the log after a lost flush or fsync and wakes
+// subscribers so they observe the terminal state; waiters see the flag
+// on their next check.
+func (w *WAL) failLocked() {
+	w.failed = true
+	w.met.Errors.Add(1)
 	w.notifySubsLocked()
 }
 
-// awaitSyncLocked blocks (releasing the mutex) until no group fsync is
-// in flight. Rotation, Close, AdvanceTo, and inline syncs must not
+// awaitSyncLocked blocks (releasing the mutex) until no caller-run fsync
+// is in flight. Rotation, Close, AdvanceTo, and inline syncs must not
 // flush, close, or reuse the segment file underneath one.
 func (w *WAL) awaitSyncLocked() {
 	for w.syncing {
@@ -671,97 +572,22 @@ func (w *WAL) awaitSyncLocked() {
 	}
 }
 
-// oldestWaiterSeqLocked returns the smallest parked waiter seq, or
-// ^uint64(0) when none is parked.
-func (w *WAL) oldestWaiterSeqLocked() uint64 {
-	if len(w.waiters) == 0 {
-		return ^uint64(0)
-	}
-	return w.waiters[0].seq
-}
-
-// commitLoop is the SyncGroup coordinator. It sleeps until an append or
-// waiter signals it, then fsyncs immediately when the window is urgent —
-// a waiter is parked on an already-appended record, GroupBytes have
-// accumulated, or the window expired — and otherwise dozes out the
-// remainder of the window so independent appends coalesce. Batching
-// under load arises naturally: appends arriving while an fsync is in
-// flight buffer into the next window, so P concurrent durable writers
-// share ~one fsync per device round-trip instead of paying one each.
-func (w *WAL) commitLoop() {
-	defer w.flushWG.Done()
-	for {
-		select {
-		case <-w.stopFlush:
-			return
-		case <-w.commitCh:
-		}
-		for {
-			w.mu.Lock()
-			if w.closed || w.fenced || w.failed {
-				// Close/Fence/the failing sync already settled waiters.
-				w.mu.Unlock()
-				return
-			}
-			if w.durable == w.seq && !w.dirty {
-				w.mu.Unlock()
-				break // drained; park until the next signal
-			}
-			urgent := w.pendingBytes >= w.opts.GroupBytes ||
-				w.oldestWaiterSeqLocked() <= w.seq
-			var wait time.Duration
-			if !urgent {
-				wait = w.opts.GroupWindow - time.Since(w.pendingSince)
-				if wait <= 0 {
-					urgent = true
-				}
-			}
-			if urgent {
-				w.groupSyncLocked() // releases the mutex
-				continue
-			}
-			w.mu.Unlock()
-			t := time.NewTimer(wait)
-			select {
-			case <-w.stopFlush:
-				t.Stop()
-				return
-			case <-w.commitCh:
-				t.Stop()
-			case <-t.C:
-			}
-		}
-	}
-}
-
-// groupSyncLocked runs one group fsync covering everything appended so
-// far. Called with the mutex held; returns with it released. The fsync
-// itself runs OUTSIDE the mutex so appends keep flowing into the next
-// window while the device round-trip is in flight — that overlap is the
-// whole point of group commit.
-func (w *WAL) groupSyncLocked() {
-	defer w.mu.Unlock()
-	w.awaitSyncLocked()
-	if w.closed || w.fenced || w.failed {
-		return
-	}
+// commitLocked runs one covering fsync on the calling goroutine: flush
+// under mu, fsync OUTSIDE it — appends keep landing in the buffer for the
+// next commit while the device round-trip is in flight, which is what
+// lets concurrent waiters share one fsync — then advance the commit index
+// and wake everyone parked on syncDone. Called with mu held and no fsync
+// in flight; returns with mu held.
+func (w *WAL) commitLocked() {
 	target := w.seq
-	if target <= w.durable && !w.dirty {
-		return
-	}
 	if err := w.bw.Flush(); err != nil {
-		w.failed = true
-		w.met.Errors.Add(1)
-		w.failWaitersLocked(ErrWALFailed)
-		w.log.Warn("wal: group flush failed", "err", err)
+		w.failLocked()
+		w.log.Warn("wal: flush failed", "err", err)
 		return
 	}
-	recs := target - w.durable
 	f := w.f
 	w.syncing = true
 	w.dirty = false
-	w.pendingSince = time.Time{}
-	w.pendingBytes = 0
 	w.mu.Unlock()
 
 	start := time.Now()
@@ -771,22 +597,17 @@ func (w *WAL) groupSyncLocked() {
 	w.syncing = false
 	w.syncDone.Broadcast()
 	if err != nil {
-		w.failed = true
-		w.met.Errors.Add(1)
-		w.failWaitersLocked(ErrWALFailed)
-		w.log.Warn("wal: group fsync failed", "err", err)
+		w.failLocked()
+		w.log.Warn("wal: fsync failed", "err", err)
 		return
 	}
 	w.met.Fsync.Observe(time.Since(start).Seconds())
-	w.met.GroupCommits.Add(1)
-	w.met.GroupBatch.Observe(float64(recs))
-	if w.fenced {
-		// The fence raced the fsync: the bytes hit disk, but the waiters
-		// were already rejected and the lineage is abandoned — do not
-		// advance the commit index of a log we no longer own.
-		return
+	// A fence that raced the fsync abandoned this lineage: the bytes
+	// reached disk, but the commit index of a log we no longer own never
+	// advances.
+	if !w.fenced {
+		w.advanceDurableLocked(target)
 	}
-	w.advanceDurableLocked(target)
 }
 
 // Sync flushes buffered appends and fsyncs the current segment.
@@ -807,19 +628,21 @@ func (w *WAL) Sync() error {
 func (w *WAL) Fence() {
 	w.mu.Lock()
 	w.fenced = true
-	// Drop — never flush — the displaced owner's pending window, and
-	// reject every parked WaitDurable: their covering fsync will never
-	// happen here.
+	// Drop — never flush — the displaced owner's buffered records, and
+	// wake every WaitDurable parked behind an in-flight fsync: they return
+	// ErrFenced without waiting for it to land.
 	w.dirty = false
-	w.pendingSince = time.Time{}
-	w.pendingBytes = 0
-	w.failWaitersLocked(ErrFenced)
+	w.syncDone.Broadcast()
+	w.notifySubsLocked()
 	w.mu.Unlock()
 }
 
+// syncLocked flushes and fsyncs with the mutex held throughout: the
+// inline form for rotation, AdvanceTo and Sync, which close or reuse the
+// segment file right after.
 func (w *WAL) syncLocked() error {
-	// Never flush or fsync underneath an in-flight group fsync: the
-	// coordinator owns the file until it lands.
+	// Never flush or fsync underneath an in-flight caller-run fsync: its
+	// caller owns the file until it lands.
 	w.awaitSyncLocked()
 	if w.fenced {
 		return ErrFenced
@@ -835,26 +658,25 @@ func (w *WAL) syncLocked() error {
 		return nil
 	}
 	if err := w.bw.Flush(); err != nil {
-		w.failed = true
-		w.met.Errors.Add(1)
-		w.failWaitersLocked(ErrWALFailed)
+		w.failLocked()
 		return fmt.Errorf("store: flush wal: %w", err)
 	}
 	start := time.Now()
 	if err := w.f.Sync(); err != nil {
-		w.failed = true
-		w.met.Errors.Add(1)
-		w.failWaitersLocked(ErrWALFailed)
+		w.failLocked()
 		return fmt.Errorf("store: fsync wal: %w", err)
 	}
 	w.met.Fsync.Observe(time.Since(start).Seconds())
 	w.dirty = false
-	w.pendingSince = time.Time{}
-	w.pendingBytes = 0
 	w.advanceDurableLocked(w.seq)
 	return nil
 }
 
+// flushLoop is the background flusher under SyncInterval and SyncGroup:
+// every SyncInterval it runs one covering fsync, outside the mutex like a
+// waiter's, when anything is buffered. Under SyncInterval it is the whole
+// durability story; under SyncGroup it bounds how long a record nobody
+// waits on (the async ingest door) stays off disk.
 func (w *WAL) flushLoop() {
 	defer w.flushWG.Done()
 	ticker := time.NewTicker(w.opts.SyncInterval)
@@ -865,10 +687,9 @@ func (w *WAL) flushLoop() {
 			return
 		case <-ticker.C:
 			w.mu.Lock()
-			if !w.closed && !w.fenced && w.f != nil {
-				if err := w.syncLocked(); err != nil {
-					w.log.Warn("wal: background flush failed", "err", err)
-				}
+			w.awaitSyncLocked()
+			if w.dirty && !w.closed && !w.fenced && !w.failed {
+				w.commitLocked()
 			}
 			w.mu.Unlock()
 		}
@@ -1019,8 +840,7 @@ func (w *WAL) Close() error {
 				w.dirty = false
 			}
 			if err == nil && !w.failed {
-				// The close fsync covered the whole tail: complete any
-				// waiters the stopped coordinator left behind.
+				// The close fsync covered the whole tail.
 				w.advanceDurableLocked(w.seq)
 			}
 		}
@@ -1029,7 +849,8 @@ func (w *WAL) Close() error {
 		}
 		w.f = nil
 	}
-	// Whatever is still parked can never become durable now.
-	w.failWaitersLocked(errors.New("store: wal closed with waiters parked"))
+	// Subscribers observe the terminal state; a waiter still checking
+	// finds either its record durable or the file gone.
+	w.notifySubsLocked()
 	return err
 }

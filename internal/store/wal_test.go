@@ -5,6 +5,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -323,20 +324,26 @@ func TestWALGapDetection(t *testing.T) {
 }
 
 func TestWALSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncAlways, SyncInterval, SyncOff} {
+	for _, pol := range []SyncPolicy{SyncGroup, SyncInterval, SyncOff} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			w := testWAL(t, dir, WALOptions{Sync: pol, SyncInterval: 5 * time.Millisecond})
 			met := w.met
 			for i := 0; i < 4; i++ {
-				if _, err := w.AppendSamples(sampleBatch(i, 1)); err != nil {
+				seq, err := w.AppendSamples(sampleBatch(i, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.WaitDurable(seq); err != nil {
 					t.Fatal(err)
 				}
 			}
 			switch pol {
-			case SyncAlways:
-				if met.Fsync.Count() < 4 {
-					t.Fatalf("always: %d fsyncs, want >=4", met.Fsync.Count())
+			case SyncGroup:
+				// Each wait found its record un-fsynced (a lone writer has
+				// nobody to share with) unless the flusher got there first.
+				if met.Fsync.Count() < 1 || w.DurableSeq() != 4 {
+					t.Fatalf("group: %d fsyncs, DurableSeq %d; want >=1 and 4", met.Fsync.Count(), w.DurableSeq())
 				}
 			case SyncInterval:
 				deadline := time.Now().Add(2 * time.Second)
@@ -362,15 +369,22 @@ func TestWALSyncPolicies(t *testing.T) {
 
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
-		"always": SyncAlways, "Interval": SyncInterval, "off": SyncOff, "none": SyncOff,
+		"group": SyncGroup, "Interval": SyncInterval, "off": SyncOff,
 	} {
 		got, err := ParseSyncPolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", in, got, err)
 		}
+		if got.String() != strings.ToLower(in) {
+			t.Fatalf("%v.String() = %q, want %q", got, got.String(), strings.ToLower(in))
+		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy must error")
+	// always is retired (group gives the same receipt) and none was an
+	// undocumented alias: both are start-up errors now.
+	for _, bad := range []string{"always", "none", "sometimes"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Fatalf("ParseSyncPolicy(%q) must error", bad)
+		}
 	}
 }
 
