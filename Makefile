@@ -91,12 +91,15 @@ bench:
 # writers under group commit (group-speedup-x), and the model apply of one
 # 64-sample observe at the served shape with the writer's scoring in it
 # (ns/sample, one P as in bench/; bench/'s core.observe_ns_per_sample
-# times a cold preload).
+# times a cold preload), and the publish of one in both arms: into fresh
+# pages, as bench/'s core.refresh_view_p50_us times it, and into recycled
+# ones, as the engine publishes when no reader pins the replaced view.
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
 	$(GO) test -run=NONE -bench=BenchmarkObserveApply -benchmem -benchtime=2000x -cpu=1 ./internal/core/
+	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=5k/batch=64/' -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,

@@ -45,6 +45,10 @@ type Model struct {
 	// EnableViewTracking (or the first BuildView); see view.go.
 	dirtyUsers    *dirtyList
 	dirtyServices *dirtyList
+
+	// spare holds view pages no reader can reach any more, for the next
+	// refresh to copy into (Recycle; see view.go).
+	spare []viewPage
 }
 
 // New constructs an empty AMF model.

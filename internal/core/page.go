@@ -16,12 +16,15 @@ import (
 // 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
-// At rank 10 a page is now a 2.5 KB float32 block plus 1 KB of meta, and
-// a 64-sample publish over 20k services copies 65 of them: ~85 µs,
-// 0.22 MB, 160 allocations (BenchmarkRefreshView, the same before and
-// after the id index became an idtab table: the time is clearing and
-// filling freshly allocated pages, not finding them; it was 0.38 MB when
-// the block was 5 KB).
+// At rank 10 a page is a 2.5 KB float32 block plus 1 KB of meta, and a
+// 64-sample publish over 20k services copies 65 of them. Into freshly
+// allocated pages that is 85–120 µs, 0.24 MB and 167 allocations
+// (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
+// allocator's — clearing and handing out 3.5 KB blocks — not the copy.
+// Into pages a Recycle handed back (the recycled arm: what the engine does
+// when no reader pins the view they came from) the same publish takes
+// 28–35 µs and allocates 16 KB in 49 objects, the view header and the
+// touched shards' page slices.
 const (
 	viewPageShift = 6
 	viewPageRows  = 1 << viewPageShift
@@ -61,9 +64,11 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // rows of one shard: their latent factor vectors packed into one
 // contiguous row-major block, plus the error trackers and update counts
 // frozen at publish time. Block and meta reachable from a published view
-// are never written again; a refresh that must change a row copies both
-// first (copy-on-write) and shares every other page with the previous
-// view by pointer.
+// are not written while that view can still be read; a refresh that must
+// change a row copies both first (copy-on-write) and shares every other
+// page with the previous view by pointer. The copy goes into a spare page
+// when the model has one (Model.Recycle) and into a fresh allocation
+// otherwise.
 //
 // The block is what makes candidate ranking a streaming problem instead
 // of a pointer chase: a full-catalog scan feeds each page's block to the
@@ -83,20 +88,52 @@ type viewPage struct {
 	meta *pageMeta
 }
 
-// pageMeta is the per-row state of a page the rank scan never reads.
+// pageMeta is the per-row state of a page the rank scan never reads, and
+// the version of the view that first published the page: Recycle keeps a
+// page out of the spare list while a view that escaped its caller's
+// bookkeeping could still reach it.
 type pageMeta struct {
 	errs    [viewPageRows]float64
 	updates [viewPageRows]int
+	born    uint64
 }
 
-func newViewPage(rows, rank int) viewPage {
-	return viewPage{vecs: make([]float32, rows*rank), meta: new(pageMeta)}
+// publish is one BuildView or RefreshView under way: the model whose spare
+// pages it writes into first, and the view it builds, whose version stamps
+// every page handed out and whose replaced list collects the pages of the
+// previous view that a copy took the place of.
+type publish struct {
+	m *Model
+	v *PredictView
 }
 
-// clone returns a private, writable copy of p for copy-on-write.
-func (p viewPage) clone() viewPage {
-	meta := *p.meta
-	return viewPage{vecs: slices.Clone(p.vecs), meta: &meta}
+// page returns a writable page with a block of n floats: the most
+// recently recycled spare if there is one (the warmest memory), a fresh
+// allocation otherwise. Blocks are allocated at full height, so any spare
+// fits any page.
+func (pb publish) page(n int) viewPage {
+	var p viewPage
+	if spare := pb.m.spare; len(spare) > 0 {
+		p = spare[len(spare)-1]
+		spare[len(spare)-1] = viewPage{}
+		pb.m.spare = spare[:len(spare)-1]
+		p.vecs = p.vecs[:n]
+	} else {
+		p = viewPage{vecs: make([]float32, n, viewPageRows*pb.m.cfg.Rank), meta: new(pageMeta)}
+	}
+	p.meta.born = pb.v.version
+	return p
+}
+
+// clone returns a private, writable copy of p for copy-on-write, and
+// records p as replaced.
+func (pb publish) clone(p viewPage) viewPage {
+	c := pb.page(len(p.vecs))
+	copy(c.vecs, p.vecs)
+	*c.meta = *p.meta
+	c.meta.born = pb.v.version
+	pb.v.replaced = append(pb.v.replaced, p)
+	return c
 }
 
 // freeze writes the live entity's state into row o, rounding its factors
@@ -143,7 +180,7 @@ type viewShard struct {
 // entity shifts rows, so that shard alone is reshaped, O(shard size).
 // Building a view is the same thing from an empty shard with every id
 // touched.
-func (sh *viewShard) refresh(src *entityTable, touched []int, rank int) int {
+func (sh *viewShard) refresh(src *entityTable, touched []int, pb publish) int {
 	var added, removed []int
 	for _, id := range touched {
 		_, inModel := src.Get(id)
@@ -158,7 +195,7 @@ func (sh *viewShard) refresh(src *entityTable, touched []int, rank int) int {
 	before := len(sh.idx.ids)
 	shared := sh.pages // pages still aliasing the previous view's
 	if len(added)+len(removed) > 0 {
-		sh.reshape(sortedSet(added), sortedSet(removed), rank)
+		sh.reshape(sortedSet(added), sortedSet(removed), pb)
 		shared = nil
 	} else {
 		sh.pages = slices.Clone(shared)
@@ -171,7 +208,7 @@ func (sh *viewShard) refresh(src *entityTable, touched []int, rank int) int {
 		r, _ := sh.idx.row(id)
 		pi, o := pageOf(r)
 		if shared != nil && sh.pages[pi].meta == shared[pi].meta {
-			sh.pages[pi] = shared[pi].clone()
+			sh.pages[pi] = pb.clone(shared[pi])
 		}
 		sh.pages[pi].freeze(o, e)
 	}
@@ -187,18 +224,20 @@ func sortedSet(ids []int) []int {
 // added and removed are ascending and duplicate-free. Every page is new,
 // since rows shift, but the surviving rows are copied over from the old
 // pages in order without consulting the model; rows of added entities
-// are left for the caller to fill.
-func (sh *viewShard) reshape(added, removed []int, rank int) {
+// are left for the caller to fill. Every old page is recorded as replaced.
+func (sh *viewShard) reshape(added, removed []int, pb publish) {
 	old := *sh
+	pb.v.replaced = append(pb.v.replaced, old.pages...)
 	n := len(old.idx.ids) + len(added) - len(removed)
 	if n == 0 {
 		*sh = viewShard{idx: emptyIndex}
 		return
 	}
+	rank := pb.m.cfg.Rank
 	idx := &shardIndex{ids: make([]int, 0, n), rows: idtab.New[int32](n)}
 	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
 	for pi := range pages {
-		pages[pi] = newViewPage(min(viewPageRows, n-pi<<viewPageShift), rank)
+		pages[pi] = pb.page(min(viewPageRows, n-pi<<viewPageShift) * rank)
 	}
 	place := func(id int) (viewPage, int) {
 		pi, o := pageOf(len(idx.ids))

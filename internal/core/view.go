@@ -81,11 +81,13 @@ func (t *viewTable) each(f func(id int, e viewEntity)) {
 // PredictView is an immutable, shareable snapshot of a Model's learned
 // state, sufficient to serve every read-side query (predictions,
 // confidence, ranking, error reports, serialization) without any lock.
-// A view is safe for unlimited concurrent use; it never changes after
-// construction. The serving engine (internal/engine) publishes views
-// through an atomic pointer, RCU-style: readers load the current view
-// and work on it while the single writer prepares and publishes the next
-// one.
+// A view is safe for unlimited concurrent use, and it does not change for
+// as long as it can be read: only Model.Recycle lets a later refresh write
+// into pages a view shares, and its caller promises that no reader can
+// reach the view any more. The serving engine (internal/engine) publishes
+// views through an atomic pointer, RCU-style: readers pin the current
+// view and work on it while the single writer prepares and publishes the
+// next one, and recycles the pages of views nobody pins.
 //
 // Build one with Model.BuildView, or incrementally with Model.RefreshView.
 type PredictView struct {
@@ -99,6 +101,9 @@ type PredictView struct {
 	// RefreshView can detect a model swap (Restore) and fall back to a
 	// full rebuild. Readers never touch it.
 	owner *Model
+	// replaced lists the pages of the view this one was refreshed from
+	// that this one copied away from, for Recycle. Readers never touch it.
+	replaced []viewPage
 }
 
 // EnableViewTracking turns on recording of entities touched by updates
@@ -115,32 +120,35 @@ func (m *Model) EnableViewTracking() {
 // state and enables dirty tracking for subsequent RefreshView calls. Cost
 // is O(entities × rank): every latent vector is copied so later in-place
 // SGD updates cannot tear a published view.
-func (m *Model) BuildView() *PredictView {
+func (m *Model) BuildView() *PredictView { return m.buildView(1) }
+
+func (m *Model) buildView(version uint64) *PredictView {
 	m.EnableViewTracking()
 	v := &PredictView{
 		cfg:     m.cfg,
 		tr:      m.tr,
 		updates: m.updates,
-		version: 1,
+		version: version,
 		owner:   m,
 	}
-	buildTable(&v.users, m.users, m.dirtyUsers, m.cfg.Rank)
-	buildTable(&v.services, m.services, m.dirtyServices, m.cfg.Rank)
+	pb := publish{m, v}
+	buildTable(&v.users, m.users, m.dirtyUsers, pb)
+	buildTable(&v.services, m.services, m.dirtyServices, pb)
 	return v
 }
 
 // buildTable freezes every model entity into its view shard as a refresh
 // of an empty shard with every id of the shard's touched, which also
 // leaves every entity clean.
-func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int) {
-	dst.rank = rank
+func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) {
+	dst.rank = pb.m.cfg.Rank
 	var ids [viewShardCount][]int
 	src.Each(func(id int, _ *entity) {
 		ids[shardOf(id)] = append(ids[shardOf(id)], id)
 	})
 	for si := range dst.shards {
 		dst.shards[si] = viewShard{idx: emptyIndex}
-		dst.count += dst.shards[si].refresh(src, ids[si], rank)
+		dst.count += dst.shards[si].refresh(src, ids[si], pb)
 		dirty.shards[si] = dirty.shards[si][:0]
 	}
 }
@@ -153,6 +161,10 @@ func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, rank int) {
 // If prev is nil, was built from a different model (Restore swapped it),
 // or dirty tracking is off, it falls back to a full BuildView while
 // keeping the version sequence monotonic.
+//
+// prev is left as it was: the pages the new view copied away from stay
+// prev's until the caller hands them back with Recycle, and without that
+// call they are left to the collector.
 func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev == nil {
 		return m.BuildView()
@@ -160,9 +172,7 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev.owner != m || m.dirtyUsers == nil {
 		// Model swap or tracking off: nothing can be shared across
 		// either, so rebuild from scratch.
-		v := m.BuildView()
-		v.version = prev.version + 1
-		return v
+		return m.buildView(prev.version + 1)
 	}
 	v := &PredictView{
 		cfg:      m.cfg,
@@ -173,23 +183,53 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 		version:  prev.version + 1,
 		owner:    m,
 	}
-	refreshTable(&v.users, m.users, m.dirtyUsers)
-	refreshTable(&v.services, m.services, m.dirtyServices)
+	pb := publish{m, v}
+	refreshTable(&v.users, m.users, m.dirtyUsers, pb)
+	refreshTable(&v.services, m.services, m.dirtyServices, pb)
 	return v
 }
 
 // refreshTable brings the touched shards of dst (currently aliasing the
 // previous view's) up to date with src and empties the dirty lists. Dirty
 // lists are sharded with the view's hash, so the walk is per shard.
-func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList) {
+func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) {
 	for si := range dirty.shards {
 		touched := dirty.shards[si]
 		if len(touched) == 0 {
 			continue
 		}
-		dst.count += dst.shards[si].refresh(src, touched, dst.rank)
+		dst.count += dst.shards[si].refresh(src, touched, pb)
 		dirty.shards[si] = touched[:0]
 	}
+}
+
+// Recycle hands the model the pages v's refresh copied away from — pages
+// of the view v was refreshed from that v no longer holds — so that later
+// refreshes copy into them instead of into fresh allocations. The caller
+// promises that no reader can reach them any more: every view v came
+// after is unreachable, except views that escaped the caller's
+// bookkeeping, whose newest version is escaped; a page first published at
+// or before escaped is left to the collector. So is everything past the
+// spare list's cap, v's own page count. A view Recycle has seen has
+// nothing left to recycle.
+func (m *Model) Recycle(v *PredictView, escaped uint64) {
+	if v.owner == m {
+		limit := v.users.pageCount() + v.services.pageCount()
+		for _, p := range v.replaced {
+			if p.meta.born > escaped && len(m.spare) < limit {
+				m.spare = append(m.spare, p)
+			}
+		}
+	}
+	v.replaced = nil
+}
+
+func (t *viewTable) pageCount() int {
+	n := 0
+	for si := range t.shards {
+		n += len(t.shards[si].pages)
+	}
+	return n
 }
 
 // Version returns the publish sequence number of this view. Versions are

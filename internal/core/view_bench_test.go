@@ -39,24 +39,33 @@ func refreshBenchModel(tb testing.TB, nServices int) (*Model, func(batch int) []
 }
 
 // BenchmarkRefreshView times one incremental publish after an observe
-// batch, across catalog sizes and batch sizes. ns/op and B/op should
-// follow the batch and stay flat in the catalog.
+// batch, across catalog sizes and batch sizes, in two arms: fresh, where
+// every copied page is a new allocation (every RefreshView caller but the
+// engine), and recycled, where each refresh is followed by the Recycle
+// the engine makes when no reader pins the view it replaced, so copies
+// land in the pages the previous refresh copied away from. ns/op and B/op
+// should follow the batch and stay flat in the catalog.
 //
-//	go test -run=NONE -bench=BenchmarkRefreshView -benchmem ./internal/core/
+//	go test -run=NONE -bench=BenchmarkRefreshView -benchmem -cpu=1 ./internal/core/
 func BenchmarkRefreshView(b *testing.B) {
 	for _, nServices := range []int{5000, 20000} {
-		m, next := refreshBenchModel(b, nServices)
-		v := m.BuildView()
-		for _, batch := range []int{16, 64, 500} {
-			b.Run(fmt.Sprintf("services=%s/batch=%d", sizeLabel(nServices), batch), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					m.ObserveAll(next(batch))
-					b.StartTimer()
-					v = m.RefreshView(v)
-				}
-			})
+		for _, arm := range []string{"fresh", "recycled"} {
+			m, next := refreshBenchModel(b, nServices)
+			v := m.BuildView()
+			for _, batch := range []int{16, 64, 500} {
+				b.Run(fmt.Sprintf("services=%s/batch=%d/%s", sizeLabel(nServices), batch, arm), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						m.ObserveAll(next(batch))
+						b.StartTimer()
+						v = m.RefreshView(v)
+						if arm == "recycled" {
+							m.Recycle(v, 0)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -101,6 +110,36 @@ func TestRefreshBytesIndependentOfCatalog(t *testing.T) {
 	}
 	if got[2] > 1.25*got[1] {
 		t.Errorf("refresh bytes grow with the catalog: %.0f B at 20k services, %.0f B at 80k (%.2fx > 1.25x)", got[1], got[2], got[2]/got[1])
+	}
+}
+
+// TestRecycledRefreshAllocations pins what recycling buys: once Recycle
+// has handed back the pages of the view each refresh replaced — what the
+// engine does when no reader pins it — a 64-sample publish over 20k
+// services copies into them and allocates only the view header and the
+// touched shards' page slices, not one block or meta per touched page
+// (without Recycle it is ≈ 240 KB in ≈ 170 objects).
+func TestRecycledRefreshAllocations(t *testing.T) {
+	const batch, rounds = 64, 50
+	m, next := refreshBenchModel(t, 20000)
+	v := m.BuildView()
+	var before, after runtime.MemStats
+	var bytes, objects uint64
+	for i := -10; i < rounds; i++ { // ten rounds to fill the spare list
+		m.ObserveAll(next(batch))
+		runtime.ReadMemStats(&before)
+		v = m.RefreshView(v)
+		m.Recycle(v, 0)
+		runtime.ReadMemStats(&after)
+		if i >= 0 {
+			bytes += after.TotalAlloc - before.TotalAlloc
+			objects += after.Mallocs - before.Mallocs
+		}
+	}
+	perBytes, perObjects := float64(bytes)/rounds, float64(objects)/rounds
+	t.Logf("%d-sample refresh + recycle at 20k services: %.0f B, %.1f objects", batch, perBytes, perObjects)
+	if perBytes > 24<<10 || perObjects > 64 {
+		t.Errorf("recycled refresh allocates %.0f B in %.1f objects, want ≤ %d B and ≤ 64", perBytes, perObjects, 24<<10)
 	}
 }
 

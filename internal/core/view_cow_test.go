@@ -138,6 +138,76 @@ func checkRefreshEqualsBuild(t *testing.T, seed int64, restart bool) {
 	}
 }
 
+// TestRecycledRefreshMatchesFresh holds recycling to the copy-on-write
+// contract: two models fed the same seeded ops — known and new pairs,
+// removals, replay — refresh in lockstep, one handing every replaced page
+// back with Recycle and one never. After every refresh the two views
+// answer alike and snapshot to the same bytes, so a page written again
+// carries nothing of its previous life into its next one, through
+// copy-on-write and membership reshapes alike.
+func TestRecycledRefreshMatchesFresh(t *testing.T) {
+	cfg := DefaultConfig(-0.007, 0, 20)
+	cfg.Expiry = 0
+	cfg.Seed = 3
+	recycled, fresh := MustNew(cfg), MustNew(cfg)
+	rng := rand.New(rand.NewSource(3))
+	// One user shard and two service shards, several pages each, as in
+	// checkRefreshEqualsBuild.
+	userID := func(i int) int { return i*viewShardCount + 3 }
+	serviceID := func(i int) int { return i/2*viewShardCount + i%2 }
+	const maxUsers, maxServices = viewPageRows + 16, 3 * viewPageRows
+	both := func(f func(m *Model)) { f(recycled); f(fresh) }
+	for i := 0; i < 2*maxServices; i++ {
+		s := stream.Sample{Time: time.Duration(i) * time.Millisecond, User: userID(rng.Intn(maxUsers)), Service: serviceID(rng.Intn(maxServices)), Value: 0.05 + 12*rng.Float64()}
+		both(func(m *Model) { m.Observe(s) })
+	}
+	rv, fv := recycled.BuildView(), fresh.BuildView()
+	reused := 0
+	for op := 0; op < 600; op++ {
+		switch k := rng.Intn(10); {
+		case k < 6:
+			s := stream.Sample{Time: time.Duration(1000+op) * time.Millisecond, User: userID(rng.Intn(maxUsers)), Service: serviceID(rng.Intn(maxServices)), Value: 0.05 + 12*rng.Float64()}
+			both(func(m *Model) { m.Observe(s) })
+		case k == 6:
+			id := userID(rng.Intn(maxUsers))
+			both(func(m *Model) { m.RemoveUser(id) })
+		case k == 7:
+			id := serviceID(rng.Intn(maxServices))
+			both(func(m *Model) { m.RemoveService(id) })
+		default:
+			both(func(m *Model) { m.ReplayStep() })
+		}
+		if op%3 != 2 {
+			continue
+		}
+		if len(recycled.spare) > 0 {
+			reused++
+		}
+		rv, fv = recycled.RefreshView(rv), fresh.RefreshView(fv)
+		recycled.Recycle(rv, 0)
+		got, err := rv.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fv.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("op %d: the recycled view's snapshot differs from the unrecycled one's", op)
+		}
+		for u := 0; u < maxUsers; u += 7 {
+			lower := u%2 == 0
+			if got, want := rv.TopKAll(userID(u), 7, lower, 1), fv.TopKAll(userID(u), 7, lower, 1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("op %d: TopKAll(%d) recycled %v, unrecycled %v", op, userID(u), got, want)
+			}
+		}
+	}
+	if reused < 100 {
+		t.Fatalf("only %d of 200 refreshes had a spare page to write into", reused)
+	}
+}
+
 // TestHeldViewsNeverChange is the copy-on-write safety contract under
 // concurrency: readers hold on to views while the writer applies 10k
 // samples and republishes; whatever a held view answered when first seen

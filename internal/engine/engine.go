@@ -11,10 +11,14 @@
 //   - RCU-style published views. The engine holds an immutable
 //     core.PredictView in an atomic pointer. Every read — Predict,
 //     PredictWithConfidence, Rank, Snapshot, error reports — loads the
-//     pointer and works on the frozen view: zero locks, zero contention,
-//     wait-free. Readers holding an old view keep it alive (GC is our
-//     grace period); they simply observe slightly stale factors, bounded
-//     by the publish policy below.
+//     pointer and works on the frozen view: zero locks, zero contention.
+//     A request-scoped reader pins the view it reads (Pin/Unpin: one
+//     atomic add each way); a reader that keeps the view lets it escape
+//     (View). Once a replaced view is unpinned, the pages its successor
+//     copied away from are recycled into the next publish instead of left
+//     to the collector; pages an escaped view can reach never are.
+//     Readers simply observe slightly stale factors, bounded by the
+//     publish policy below.
 //
 //   - A single-coordinator update loop with sharded ingest. Observations
 //     enter bounded per-shard channels (drop-oldest under overload, with
@@ -216,8 +220,16 @@ func newMetrics() *Metrics {
 type Engine struct {
 	cfg Config
 
-	// view is the RCU-published read state. Readers only ever Load.
-	view atomic.Pointer[core.PredictView]
+	// view is the RCU-published read state. Readers only ever Load, and
+	// pin what they loaded while they read its pages (Pin).
+	view atomic.Pointer[Pinned]
+
+	// retired lists, oldest first, the publishes whose replaced pages have
+	// not been recycled yet (recycleLocked); guarded by mu. escaped is the newest version handed out for keeps
+	// (View, CheckpointView): no page first published at or before it is
+	// recycled.
+	retired []retiredView
+	escaped atomic.Uint64
 
 	// mu serializes ALL model mutation: the writer loop's batch applies
 	// and every control operation. The read path never acquires it.
@@ -300,7 +312,7 @@ func New(model *core.Model, cfg Config) *Engine {
 	for i := range e.shards {
 		e.shards[i] = make(chan queued, cfg.QueueSize)
 	}
-	e.view.Store(model.BuildView())
+	e.view.Store(&Pinned{PredictView: model.BuildView()})
 	e.lastPublish = time.Now()
 	e.lastPublishNano.Store(e.lastPublish.UnixNano())
 	e.wg.Add(1)
@@ -387,10 +399,56 @@ func (e *Engine) Close() {
 	e.wg.Wait()
 }
 
-// View returns the current published view. The returned view is immutable
-// and safe to use for any number of reads; load it once per request (or
-// per ranking) for internally consistent results.
-func (e *Engine) View() *core.PredictView { return e.view.Load() }
+// Pinned is a published view as Pin hands it out: the view, whose methods
+// it has, and the count of readers pinning it.
+type Pinned struct {
+	*core.PredictView
+	pins atomic.Int32
+}
+
+// Pin returns the current published view and keeps the pages it can reach
+// from being recycled until the matching Unpin. It is how a request-scoped
+// reader — predict, batch, rank, flagged — reads: pin once per request for
+// internally consistent results, unpin as soon as the answers are out of
+// the view. A pinned view never changes. A reader that keeps the view
+// past that uses View instead.
+func (e *Engine) Pin() *Pinned {
+	for {
+		p := e.view.Load()
+		p.pins.Add(1)
+		// Dekker with the writer, which stores p's successor before
+		// recycleLocked ever reads p's pins: if p is still current here,
+		// that read comes after the add and sees it; if not, the writer
+		// may have read the count before the add, so let go of p and take
+		// its successor.
+		if e.view.Load() == p {
+			return p
+		}
+		p.pins.Add(-1)
+	}
+}
+
+// Unpin releases a Pin; the view must not be read after it.
+func (e *Engine) Unpin(p *Pinned) { p.pins.Add(-1) }
+
+// View returns the current published view for keeps: it is immutable and
+// stays valid however long it is held and however many publishes follow,
+// because the pages it can reach are never recycled (it escapes the pin
+// accounting). A reader done with the view within its request should Pin
+// instead, so that recycling goes on.
+func (e *Engine) View() *core.PredictView {
+	p := e.Pin()
+	e.escape(p.Version())
+	e.Unpin(p)
+	return p.PredictView
+}
+
+// escape raises the escape watermark to version: no page first published
+// by a view at or before it is recycled from now on.
+func (e *Engine) escape(version uint64) {
+	for cur := e.escaped.Load(); cur < version && !e.escaped.CompareAndSwap(cur, version); cur = e.escaped.Load() {
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Ingest (async) and observe (sync) write paths.
@@ -628,15 +686,21 @@ func (e *Engine) Restore(data []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.model = m
+	// The old model's pages are nothing the new one can write into.
+	clear(e.retired)
+	e.retired = e.retired[:0]
 	e.publishLocked() // RefreshView detects the swap and fully rebuilds
 	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Read side: everything is served from View(); what follows is accounting.
+// Read side: everything is served from Pin() or View(); what follows is
+// accounting. It reads the current view's header fields, never its pages,
+// so it neither pins nor escapes: a scraper polling it leaves recycling
+// alone.
 
 // Updates returns the published view's model update count.
-func (e *Engine) Updates() int64 { return e.View().Updates() }
+func (e *Engine) Updates() int64 { return e.view.Load().Updates() }
 
 // Metrics returns the engine's latency histograms (always maintained;
 // see Metrics). The server registers them on its /metrics registry.
@@ -660,7 +724,7 @@ func (e *Engine) Staleness() time.Duration {
 
 // Stats returns accounting counters for the ingest queue and publisher.
 func (e *Engine) Stats() Stats {
-	v := e.View()
+	v := e.view.Load()
 	queued := 0
 	for _, ch := range e.shards {
 		queued += len(ch)
@@ -845,13 +909,18 @@ func (e *Engine) publishIfDueLocked() {
 	}
 }
 
-// publishLocked builds the next view incrementally from the current one
-// and swings the atomic pointer — the RCU publish. It returns how long
-// that took.
+// publishLocked recycles what earlier publishes replaced and no reader
+// holds any more, builds the next view incrementally from the current one
+// — into those pages — swings the atomic pointer (the RCU publish) and
+// queues the view it replaced for a later publish to recycle. It returns
+// how long that took.
 func (e *Engine) publishLocked() time.Duration {
 	start := time.Now()
-	v := e.model.RefreshView(e.view.Load())
-	e.view.Store(v)
+	e.recycleLocked()
+	prev := e.view.Load()
+	v := e.model.RefreshView(prev.PredictView)
+	e.view.Store(&Pinned{PredictView: v})
+	e.retired = append(e.retired, retiredView{prev, v})
 	e.published.Add(1)
 	e.sincePublish = 0
 	e.lastPublish = time.Now()
@@ -860,4 +929,43 @@ func (e *Engine) publishLocked() time.Duration {
 	e.pending.Store(0)
 	e.lastPublishNano.Store(e.lastPublish.UnixNano())
 	return dur
+}
+
+// retireBound is how many replaced views may wait behind a pinned one
+// before recycleLocked stops waiting for it.
+const retireBound = 64
+
+// retiredView is one publish awaiting recycling: the view it replaced and
+// the view that replaced it, which lists the pages of prev it copied away
+// from.
+type retiredView struct {
+	prev *Pinned
+	next *core.PredictView
+}
+
+// recycleLocked walks the retired publishes in publish order and recycles
+// each whose replaced view no reader pins: core.Model.Recycle takes the
+// pages it copied away from, less those an escaped view can reach, for the
+// next publish to write into. It runs at the start of a publish, so the
+// readers of the view the last publish replaced have had a whole publish
+// interval to unpin it. A pinned view stops the walk, since pages the
+// publishes after it replaced can be ones it holds too. Once more than
+// retireBound publishes wait behind it, it is escaped instead — its reader
+// keeps a view that never changes, and only reuse is lost — so a leaked
+// or slow pin costs neither memory nor safety.
+func (e *Engine) recycleLocked() {
+	n := 0
+	for _, r := range e.retired {
+		if r.prev.pins.Load() != 0 {
+			if len(e.retired)-n <= retireBound {
+				break
+			}
+			e.escape(r.prev.Version())
+		}
+		e.model.Recycle(r.next, e.escaped.Load())
+		n++
+	}
+	rest := copy(e.retired, e.retired[n:])
+	clear(e.retired[rest:])
+	e.retired = e.retired[:rest]
 }

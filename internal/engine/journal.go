@@ -102,7 +102,8 @@ func (e *Engine) journalSamplesLocked(ss []stream.Sample) uint64 {
 // train samples with seq > checkpoint-seq into the blob, and recovery
 // would replay those same records into the restored model — double-
 // training. This is the capture hook the store.Manager checkpointer
-// builds on. Seq is 0 when no journal is attached.
+// builds on. Seq is 0 when no journal is attached. The view escapes, as
+// View's does: it stays valid however long serializing it takes.
 func (e *Engine) CheckpointView() (uint64, *core.PredictView) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -113,5 +114,7 @@ func (e *Engine) CheckpointView() (uint64, *core.PredictView) {
 	if e.journal != nil {
 		seq = e.journal.LastSeq()
 	}
-	return seq, e.view.Load()
+	v := e.view.Load()
+	e.escape(v.Version()) // before mu is released: no publish can recycle first
+	return seq, v.PredictView
 }

@@ -41,13 +41,15 @@ func (s *Server) handleFlagged(w http.ResponseWriter, r *http.Request) {
 		Users:     []FlaggedEntity{},
 		Services:  []FlaggedEntity{},
 	}
-	view := s.eng.View() // one consistent snapshot for both lists
-	for _, f := range view.HighErrorUsers(threshold) {
+	view := s.eng.Pin() // one consistent snapshot for both lists
+	users, services := view.HighErrorUsers(threshold), view.HighErrorServices(threshold)
+	s.eng.Unpin(view)
+	for _, f := range users {
 		if info, ok := s.users.Get(f.ID); ok {
 			resp.Users = append(resp.Users, FlaggedEntity{Name: info.Name, Error: f.Error})
 		}
 	}
-	for _, f := range view.HighErrorServices(threshold) {
+	for _, f := range services {
 		if info, ok := s.services.Get(f.ID); ok {
 			resp.Services = append(resp.Services, FlaggedEntity{Name: info.Name, Error: f.Error})
 		}

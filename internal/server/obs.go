@@ -154,7 +154,9 @@ func (s *Server) buildMetrics() {
 	// Live accuracy: the paper's §V metrics as runtime gauges, fed by the
 	// engine's writer as it applies what clients observe (both write
 	// doors; a replayed WAL or replication stream is not scored).
-	s.acc = obs.NewAccuracyTracker(s.eng.View().Config().Beta)
+	view := s.eng.Pin()
+	s.acc = obs.NewAccuracyTracker(view.Config().Beta)
+	s.eng.Unpin(view)
 	s.acc.Register(r, "amf_accuracy")
 	s.eng.SetAccuracy(s.acc)
 }

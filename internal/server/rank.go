@@ -66,7 +66,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	view := s.eng.View() // one consistent snapshot for the whole ranking
+	view := s.eng.Pin() // one consistent snapshot for the whole ranking
 	var (
 		mode       string
 		candidates int
@@ -110,13 +110,15 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	version := view.Version()
+	s.eng.Unpin(view)
 	b.unknown = unknown
 	b.ranked = s.appendRankedNames(b.ranked[:0], ranked)
 
 	s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
 	s.metrics.rankRequests.Inc()
 	s.metrics.rankCandidates.Add(int64(candidates))
-	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, view.Version())
+	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, version)
 	s.writeHot(w, b.out, err)
 }
 

@@ -686,7 +686,9 @@ func (s *Server) Promote() (store.RecoveryStats, error) {
 		// already trained with those very samples. Resetting first makes
 		// promotion exact in both cases: the served state IS the leader's
 		// durable state, nothing more.
-		blank, err := core.MustNew(s.eng.View().Config()).Snapshot()
+		view := s.eng.Pin()
+		blank, err := core.MustNew(view.Config()).Snapshot()
+		s.eng.Unpin(view)
 		if err != nil {
 			m.Close()
 			s.resumeFollower(rp, false)

@@ -283,7 +283,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, map[string]string{
 		"status":       "ready",
-		"view_version": fmt.Sprint(s.eng.View().Version()),
+		"view_version": fmt.Sprint(s.eng.Stats().Version),
 	})
 }
 
@@ -496,7 +496,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.countError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	v, conf, err := s.eng.View().PredictWithConfidence(uid, sid)
+	view := s.eng.Pin()
+	v, conf, err := view.PredictWithConfidence(uid, sid)
+	s.eng.Unpin(view)
 	if err != nil {
 		// Registered but never observed (e.g. deregistered from the
 		// model after churn): treat as not found.
@@ -526,10 +528,10 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	uid, userKnown := s.users.LookupBytes(q.User)
-	view := s.eng.View() // one consistent snapshot for the whole batch
 	// One registry pass for the whole candidate list (single RLock), then
 	// lock-free view reads per resolved service.
 	b.ids, b.known = s.services.ResolveAll(q.Services, b.ids, b.known)
+	view := s.eng.Pin() // one consistent snapshot for the whole batch
 	rows := b.rows[:0]
 	for i, name := range q.Services {
 		row := batchRow{Service: name}
@@ -540,6 +542,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 		}
 		rows = append(rows, row)
 	}
+	s.eng.Unpin(view)
 	b.rows = rows
 	s.metrics.batchPredictions.Add(int64(len(rows)))
 	b.out, err = appendBatchResponse(b.out[:0], q.User, rows)
