@@ -93,13 +93,16 @@ bench:
 # (ns/sample, one P as in bench/; bench/'s core.observe_ns_per_sample
 # times a cold preload), and the publish of one in both arms: into fresh
 # pages, as bench/'s core.refresh_view_p50_us times it, and into recycled
-# ones, as the engine publishes when no reader pins the replaced view.
+# ones, as the engine publishes when no reader pins the replaced view;
+# and the full-catalog scan of a 10k-service view beside the same scan
+# pushing every row (scan-speedup-x) and the candidate path (heap-p50).
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
 	$(GO) test -run=NONE -bench=BenchmarkObserveApply -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=5k/batch=64/' -benchmem -benchtime=2000x -cpu=1 ./internal/core/
+	$(GO) test -run=NONE -bench='BenchmarkTopK/10k' -benchtime=300x -cpu=1 ./internal/core/
 
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,
@@ -132,10 +135,11 @@ fuzz-wire:
 fuzz-select:
 	$(GO) test -run=NONE -fuzz='^FuzzSelect$$' -fuzztime=$(FUZZTIME) ./internal/core/
 
-# The dot kernels every served prediction runs on
-# (internal/matrix/kernels_test.go): assembly against the portable loop
-# against the naive sum, both widths, and a single-row DotBatch32 against
-# Dot32 bit for bit. CI runs this leg at FUZZTIME=10s.
+# The dot kernels (internal/matrix/kernels_test.go): assembly against the
+# portable loop against the naive sum, both widths, a single-row DotBatch
+# against Dot bit for bit, and the page kernel every served prediction
+# runs on against its portable loop bit for bit. CI runs this leg at
+# FUZZTIME=10s.
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"github.com/qoslab/amf/internal/idtab"
+	"github.com/qoslab/amf/internal/matrix"
 )
 
 // viewPageRows is the height of one factor page. A refresh copies one
@@ -16,10 +17,12 @@ import (
 // 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
-// At rank 10 a page is a 2.5 KB float32 block plus 1 KB of meta, and a
-// 64-sample publish over 20k services copies 65 of them. Into freshly
-// allocated pages that is 85–120 µs, 0.24 MB and 167 allocations
-// (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
+// A page is eight dimension-major 8-row groups (viewPage), scored by one
+// matrix.DotPage32 call, so the height must stay a multiple of
+// matrix.GroupRows. At rank 10 a page is a 2.5 KB float32 block plus
+// 1 KB of meta, and a 64-sample publish over 20k services copies 65 of
+// them. Into freshly allocated pages that is 85–120 µs, 0.24 MB and 167
+// allocations (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
 // allocator's — clearing and handing out 3.5 KB blocks — not the copy.
 // Into pages a Recycle handed back (the recycled arm: what the engine does
 // when no reader pins the view they came from) the same publish takes
@@ -62,31 +65,44 @@ func (x *shardIndex) pageIDs(pi int) []int {
 
 // viewPage is the frozen SoA image of up to viewPageRows consecutive
 // rows of one shard: their latent factor vectors packed into one
-// contiguous row-major block, plus the error trackers and update counts
-// frozen at publish time. Block and meta reachable from a published view
-// are not written while that view can still be read; a refresh that must
-// change a row copies both first (copy-on-write) and shares every other
-// page with the previous view by pointer. The copy goes into a spare page
-// when the model has one (Model.Recycle) and into a fresh allocation
-// otherwise.
+// contiguous dimension-major block, plus the error trackers and update
+// counts frozen at publish time. Block and meta reachable from a
+// published view are not written while that view can still be read; a
+// refresh that must change a row copies both first (copy-on-write) and
+// shares every other page with the previous view by pointer. The copy
+// goes into a spare page when the model has one (Model.Recycle) and into
+// a fresh allocation otherwise.
 //
 // The block is what makes candidate ranking a streaming problem instead
-// of a pointer chase: a full-catalog scan feeds each page's block to the
-// DotBatch32 kernel, and point lookups (Predict) return subslices of the
-// same storage. A viewPage itself is just the two references, held by
-// value in the shard's page slice so the scan finds each block without
-// dereferencing a header.
+// of a pointer chase, and its layout is what makes the scan cheap: rows
+// are kept in groups of matrix.GroupRows = 8, and within a group factor
+// j of all eight rows is one run of eight floats, so row o's factor j is
+// vecs[(o>>3)*8*rank + j*8 + (o&7)]. A full-catalog scan hands each
+// block to matrix.DotPage32, which scores eight rows per vector multiply
+// and add with no horizontal reduce and no tail. A row's factors are a strided
+// lane of the block (viewPage.lane); point reads (Predict, the candidate
+// path) walk that lane with a scalar loop in the kernel's association
+// (veDot), so they and the scan agree bit for bit. The cost is paid on
+// random access: a rank-10 row spans five cache lines instead of one.
+// Every block is allocated at full height, viewPageRows×rank, and the
+// lanes past the last row of a shard's partial last page hold zeros.
+// A viewPage itself is just the two references, held by value in the
+// shard's page slice so the scan finds each block without dereferencing
+// a header.
 //
 // The block is float32, the one precision a view is served in: freeze
 // rounds the model's float64 factors once, at publish time, and every
 // read path — point lookup, candidate list, page scan — computes on the
-// rounded values with the float32 kernels, so they agree bit for bit.
-// Training never sees the rounding (core.Model stays float64); DESIGN.md
-// "Float32 pages" has the measured cost.
+// rounded values. Training never sees the rounding (core.Model stays
+// float64); DESIGN.md "Float32 pages" has the measured cost.
 type viewPage struct {
-	vecs []float32 // rows×rank; row o is vecs[o*rank:(o+1)*rank]
+	vecs []float32 // viewPageRows×rank, dimension-major in 8-row groups
 	meta *pageMeta
 }
+
+// viewGroupRows is the height of a dimension-major row group: the lanes
+// of one vector of the page kernel.
+const viewGroupRows = matrix.GroupRows
 
 // pageMeta is the per-row state of a page the rank scan never reads, and
 // the version of the view that first published the page: Recycle keeps a
@@ -107,19 +123,18 @@ type publish struct {
 	v *PredictView
 }
 
-// page returns a writable page with a block of n floats: the most
-// recently recycled spare if there is one (the warmest memory), a fresh
-// allocation otherwise. Blocks are allocated at full height, so any spare
-// fits any page.
-func (pb publish) page(n int) viewPage {
+// page returns a writable page: the most recently recycled spare if
+// there is one (the warmest memory), a fresh allocation otherwise. Blocks
+// are allocated at full height, so any spare fits any page; a spare's
+// block still holds what its last page held.
+func (pb publish) page() viewPage {
 	var p viewPage
 	if spare := pb.m.spare; len(spare) > 0 {
 		p = spare[len(spare)-1]
 		spare[len(spare)-1] = viewPage{}
 		pb.m.spare = spare[:len(spare)-1]
-		p.vecs = p.vecs[:n]
 	} else {
-		p = viewPage{vecs: make([]float32, n, viewPageRows*pb.m.cfg.Rank), meta: new(pageMeta)}
+		p = viewPage{vecs: make([]float32, viewPageRows*pb.m.cfg.Rank), meta: new(pageMeta)}
 	}
 	p.meta.born = pb.v.version
 	return p
@@ -128,7 +143,7 @@ func (pb publish) page(n int) viewPage {
 // clone returns a private, writable copy of p for copy-on-write, and
 // records p as replaced.
 func (pb publish) clone(p viewPage) viewPage {
-	c := pb.page(len(p.vecs))
+	c := pb.page()
 	copy(c.vecs, p.vecs)
 	*c.meta = *p.meta
 	c.meta.born = pb.v.version
@@ -136,14 +151,21 @@ func (pb publish) clone(p viewPage) viewPage {
 	return c
 }
 
+// lane returns row o's factors as a strided slice of the block: factor j
+// is lane[j*viewGroupRows], and the slice ends at the last factor.
+func (p viewPage) lane(o, rank int) []float32 {
+	lo := o/viewGroupRows*viewGroupRows*rank + o%viewGroupRows
+	hi := lo + (rank-1)*viewGroupRows + 1
+	return p.vecs[lo:hi:hi]
+}
+
 // freeze writes the live entity's state into row o, rounding its factors
 // to float32, and marks the entity clean and served: what the page now
 // holds is what the model holds, to float32, and readers can see it.
 func (p viewPage) freeze(o int, e *entity) {
-	k := len(e.vec)
-	row := p.vecs[o*k : (o+1)*k]
+	lane := p.lane(o, len(e.vec))
 	for j, x := range e.vec {
-		row[j] = float32(x)
+		lane[j*viewGroupRows] = float32(x)
 	}
 	p.meta.errs[o] = e.err.Value()
 	p.meta.updates[o] = e.updates
@@ -152,15 +174,31 @@ func (p viewPage) freeze(o int, e *entity) {
 
 // copyRow copies row fo of from into row o.
 func (p viewPage) copyRow(o int, from viewPage, fo, rank int) {
-	copy(p.vecs[o*rank:(o+1)*rank], from.vecs[fo*rank:(fo+1)*rank])
+	dst, src := p.lane(o, rank), from.lane(fo, rank)
+	for j := 0; j < len(src); j += viewGroupRows {
+		dst[j] = src[j]
+	}
 	p.meta.errs[o] = from.meta.errs[fo]
 	p.meta.updates[o] = from.meta.updates[fo]
 }
 
+// clearFrom zeroes the lanes of rows o and after: the pad lanes of a
+// shard's partial last page, which the scan scores and then ignores.
+// Zeros keep a recycled page's block what a fresh one would be, and keep
+// stale values out of the kernel, where a denormal would cost it a
+// microcode assist per multiply.
+func (p viewPage) clearFrom(o, rank int) {
+	for ; o < viewPageRows; o++ {
+		lane := p.lane(o, rank)
+		for j := 0; j < len(lane); j += viewGroupRows {
+			lane[j] = 0
+		}
+	}
+}
+
 // entity returns row o as a viewEntity aliasing the page's block.
 func (p viewPage) entity(o, rank int) viewEntity {
-	lo, hi := o*rank, (o+1)*rank
-	return viewEntity{vec: p.vecs[lo:hi:hi], meta: p.meta, o: o}
+	return viewEntity{lane: p.lane(o, rank), meta: p.meta, o: o}
 }
 
 // viewShard is one hash shard of a viewTable: the index plus the pages
@@ -224,7 +262,8 @@ func sortedSet(ids []int) []int {
 // added and removed are ascending and duplicate-free. Every page is new,
 // since rows shift, but the surviving rows are copied over from the old
 // pages in order without consulting the model; rows of added entities
-// are left for the caller to fill. Every old page is recorded as replaced.
+// are left for the caller to fill, and the pad lanes of a partial last
+// page are cleared. Every old page is recorded as replaced.
 func (sh *viewShard) reshape(added, removed []int, pb publish) {
 	old := *sh
 	pb.v.replaced = append(pb.v.replaced, old.pages...)
@@ -237,7 +276,10 @@ func (sh *viewShard) reshape(added, removed []int, pb publish) {
 	idx := &shardIndex{ids: make([]int, 0, n), rows: idtab.New[int32](n)}
 	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
 	for pi := range pages {
-		pages[pi] = pb.page(min(viewPageRows, n-pi<<viewPageShift) * rank)
+		pages[pi] = pb.page()
+	}
+	if _, o := pageOf(n); o != 0 {
+		pages[len(pages)-1].clearFrom(o, rank)
 	}
 	place := func(id int) (viewPage, int) {
 		pi, o := pageOf(len(idx.ids))

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/qoslab/amf/internal/dataset"
@@ -14,10 +18,10 @@ import (
 // pages, the model trains in float64, and two kinds of claim follow:
 //
 //   - Everything whose reference is inside the view is exact: page scan,
-//     coalesced scan, candidate path and per-row Dot32 agree bit for bit
-//     (select_test.go, topk_test.go, view_cow_test.go), and a view
-//     survives Snapshot → Restore → BuildView unchanged
-//     (TestSnapshotRoundTripIdempotent).
+//     candidate path and point reads agree bit for bit (select_test.go,
+//     topk_test.go, view_cow_test.go), in every build — with the assembly
+//     and without it (TestReadPathDigest) — and a view survives Snapshot
+//     → Restore → BuildView unchanged (TestSnapshotRoundTripIdempotent).
 //   - A view against the float64 model is bounded, not equal: values
 //     within viewValueTol, and the same ranking wherever the model's own
 //     keys are further apart than viewKeyTol (TestViewPrecision,
@@ -299,5 +303,75 @@ func TestFloat32ArenaRankingParity(t *testing.T) {
 				rankedNearModel(t, "page scan vs model", m, user, got, want)
 			}
 		}
+	}
+}
+
+// readPathDigest is what TestReadPathDigest folds a planted view's reads
+// into, per GOARCH: the value transform (math.Exp, math.Pow) is the
+// architecture's. Recorded on an amd64 host with AVX2 and FMA (math.Exp
+// dispatches on FMA itself), with the AVX2 kernels and again under
+// -tags noasm: one constant for both.
+var readPathDigest = map[string]uint64{
+	"amd64": 0x1cf0efc1d325c65f,
+}
+
+// TestReadPathDigest pins what a view serves independently of the
+// kernels the build dispatches to: every view-side key is summed in
+// matrix.DotPage32's association — each product rounded, then added —
+// by the assembly, by the portable loop and by the point reads' lane
+// loop alike, so a page scan's value is the batch prediction's to the
+// bit, `go test` and `make test-noasm` must print the same digest of
+// full-catalog rankings and batch predictions, and a kernel that fused a
+// multiply into an add (an FMA) would change it. The factors are planted,
+// not trained, so that nothing upstream of the view (the float64 SGD
+// kernels, which do differ by build) enters it.
+func TestReadPathDigest(t *testing.T) {
+	want, ok := readPathDigest[runtime.GOARCH]
+	if !ok {
+		t.Skipf("no digest recorded for %s", runtime.GOARCH)
+	}
+	const users, services = 16, 1500
+	m := MustNew(DefaultConfig(-0.007, 0, 20))
+	rng := rand.New(rand.NewSource(27))
+	plant := func(tab *entityTable, id int) {
+		e := m.entity(tab, id)
+		for j := range e.vec {
+			e.vec[j] = rng.NormFloat64() / 2
+		}
+	}
+	ids := make([]int, services+1)
+	for u := 0; u < users; u++ {
+		plant(m.users, u)
+	}
+	for s := 0; s < services; s++ {
+		plant(m.services, s)
+		ids[s] = s
+	}
+	ids[services] = 1 << 20 // unknown: NaN
+	v := m.BuildView()
+
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) { h.Write(binary.LittleEndian.AppendUint64(b[:0], x)) }
+	dst := make([]float64, len(ids))
+	for u := 0; u < users; u++ {
+		if err := v.PredictBatch(u, ids, dst); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range dst {
+			put(math.Float64bits(x))
+		}
+		for _, lower := range []bool{true, false} {
+			for _, r := range v.TopKAll(u, 10, lower, 1) {
+				if math.Float64bits(r.Value) != math.Float64bits(dst[r.Service]) {
+					t.Fatalf("user %d service %d: page scan %v, PredictBatch %v", u, r.Service, r.Value, dst[r.Service])
+				}
+				put(uint64(r.Service))
+				put(math.Float64bits(r.Value))
+			}
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Fatalf("%s: read-path digest %#x, recorded %#x", runtime.GOARCH, got, want)
 	}
 }

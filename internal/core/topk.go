@@ -58,13 +58,15 @@ func betterScored(a, b scored, lowerIsBetter bool) bool {
 }
 
 // rankScratch is the pooled per-ranking working set: the bounded top-k
-// heap and one block's worth of scores (and, on the candidate path,
-// their ids) for selectRows. Pooled via pointer so the steady-state rank
-// path performs zero allocations after warmup.
+// heap, one block's worth of scores (and, on the candidate path, their
+// ids) for selectRows, and the page scan's query — the user's lane
+// gathered into rank consecutive floats. Pooled via pointer so the
+// steady-state rank path performs zero allocations after warmup.
 type rankScratch struct {
 	heap []scored
 	ids  [viewPageRows]int
 	vals [viewPageRows]float32
+	q    []float32
 }
 
 var rankScratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -212,7 +214,7 @@ func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity
 		if k <= 0 {
 			continue
 		}
-		sc.ids[n], sc.vals[n] = c, matrix.Dot32(u.vec, s.vec)
+		sc.ids[n], sc.vals[n] = c, float32(veDot(u, s)) // a widened float32: exact
 		if n++; n == len(sc.ids) {
 			h = selectRows(h, sc.ids[:], sc.vals[:], k, lowerIsBetter)
 			n = 0
@@ -227,7 +229,7 @@ func (v *PredictView) selectCandidates(h []scored, sc *rankScratch, u viewEntity
 // appendTopK appends the top k of candidates for user row u (best first)
 // to dst, listing the candidates it could not score in *unknown. It is
 // the allocation-free core of TopK: with dst capacity >= k and a warmed
-// scratch pool the steady-state cost is one map lookup and one unrolled
+// scratch pool the steady-state cost is one index lookup and one lane
 // dot per candidate plus O(log k) heap work per admitted candidate — no
 // allocations while every candidate is known.
 func (v *PredictView) appendTopK(dst []Ranked, u viewEntity, candidates []int, k int, lowerIsBetter bool, unknown *[]int) []Ranked {
@@ -301,102 +303,41 @@ func (v *PredictView) PredictBatch(user int, services []int, dst []float64) erro
 // ---------------------------------------------------------------------------
 // Full-catalog scans.
 
-// mergeTops is the k-way merge of the workers' best-first lists:
-// repeatedly take the best head. k and workers are both small, so the
-// O(k·workers) selection beats a heap's bookkeeping.
-func (v *PredictView) mergeTops(tops [][]scored, k int, lowerIsBetter bool) []Ranked {
-	heads := make([]int, len(tops))
-	merged := make([]scored, 0, k)
-	for len(merged) < k {
-		bestW := -1
-		for w, top := range tops {
-			if heads[w] >= len(top) {
-				continue
-			}
-			if bestW < 0 || betterScored(top[heads[w]], tops[bestW][heads[bestW]], lowerIsBetter) {
-				bestW = w
-			}
-		}
-		if bestW < 0 {
-			break
-		}
-		merged = append(merged, tops[bestW][heads[bestW]])
-		heads[bestW]++
-	}
-	return finishRanked(make([]Ranked, 0, len(merged)), merged, v.tr)
-}
-
-// minParallelChunk is the minimum number of services per worker that
-// justifies a goroutine: below this the spawn+merge overhead dominates
-// the dot products it parallelizes.
-const minParallelChunk = 256
-
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
-// query. It never touches the id index maps: each shard's factor pages
-// are scanned with the GEMV-style DotBatch32 kernel (contiguous blocks
-// of viewPageRows×rank floats), and only the k survivors are transformed.
-// workers > 1 fans the shard scans across that many goroutines with a
-// final merge; workers <= 1 scans serially, which is what every caller in
-// the product passes: on an L2-resident catalog the fan-out measured
-// slower than the scan it splits (DESIGN.md "Ranking fast path"), and the
-// parameter is kept only for bench/probes.go, which compiles against this
-// signature. Returns nil when the user is unknown or k <= 0.
+// query. It never touches the id index: the user's lane is gathered once
+// into a query, each shard's pages are scored by matrix.DotPage32 (one
+// call per 64-row dimension-major block), and only the k survivors are
+// transformed. Every caller in the product passes workers = 1; the
+// parameter is ignored — the scan is always serial, on the caller's
+// goroutine — and stays only because bench/probes.go compiles against
+// this signature (DESIGN.md "Ranking fast path" has why the fan-out
+// went). Returns nil when the user is unknown or k <= 0.
 func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) []Ranked {
 	u, ok := v.users.get(user)
 	if k = min(k, v.services.count); !ok || k <= 0 {
 		return nil
 	}
-	if workers > viewShardCount {
-		workers = viewShardCount
-	}
-	if workers <= 1 || v.services.count < 2*minParallelChunk {
-		sc := rankScratchPool.Get().(*rankScratch)
-		h := sc.heap[:0]
-		for si := range v.services.shards {
-			h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
+	sc := rankScratchPool.Get().(*rankScratch)
+	sc.q = u.appendFactors(sc.q[:0])
+	h := sc.heap[:0]
+	for si := range v.services.shards {
+		sh := &v.services.shards[si]
+		for pi, p := range sh.pages {
+			h = scanPage(p, sh.idx.pageIDs(pi), h, sc, k, lowerIsBetter)
 		}
-		out := drainInto(nil, h, lowerIsBetter, v.tr)
-		sc.release(h)
-		return out
 	}
-
-	tops := make([][]scored, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := rankScratchPool.Get().(*rankScratch)
-			h := sc.heap[:0]
-			for si := w; si < viewShardCount; si += workers {
-				h = scanShardTopK(&v.services.shards[si], u, h, sc, k, lowerIsBetter)
-			}
-			tops[w] = make([]scored, len(h))
-			heapDrain(h, tops[w], lowerIsBetter)
-			sc.release(h)
-		}(w)
-	}
-	wg.Wait()
-	return v.mergeTops(tops, k, lowerIsBetter)
+	out := drainInto(nil, h, lowerIsBetter, v.tr)
+	sc.release(h)
+	return out
 }
 
-// scanShardTopK scans one shard's pages in order; see scanPage.
-func scanShardTopK(sh *viewShard, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	for pi, p := range sh.pages {
-		h = scanPage(p, sh.idx.pageIDs(pi), u, h, sc, k, lowerIsBetter)
-	}
-	return h
-}
-
-// scanPage scores one page — rows ids — through the batch kernel and
-// offers the surviving rows to the bounded heap, returning the (possibly
-// grown) heap for pooling. A single-row DotBatch32 is bit-identical to
-// Dot32 and per-row results do not depend on how rows are split across
-// calls (kernels32.go), so the page scan agrees exactly with the
-// candidate path.
-func scanPage(p viewPage, ids []int, u viewEntity, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	vals := sc.vals[:len(ids)]
-	matrix.DotBatch32(vals, p.vecs, u.vec)
-	return selectRows(h, ids, vals, k, lowerIsBetter)
+// scanPage scores one page — rows ids, then pad lanes — against the
+// gathered query sc.q and offers the rows to the bounded heap, returning
+// the (possibly grown) heap for pooling. The kernel sums each row in the
+// association veDot uses, so the page scan agrees exactly with the
+// candidate path and with point reads.
+func scanPage(p viewPage, ids []int, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
+	matrix.DotPage32(sc.vals[:], p.vecs, sc.q)
+	return selectRows(h, ids, sc.vals[:len(ids)], k, lowerIsBetter)
 }

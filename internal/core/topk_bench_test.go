@@ -38,10 +38,11 @@ func benchView(b *testing.B, nServices int) (*PredictView, []int) {
 	return m.BuildView(), candidates
 }
 
-// legacyDot is the straight-line dot product the pre-change path used.
+// legacyDot is the straight-line dot product the pre-change path used,
+// over two entities' lanes.
 func legacyDot(a, bb []float32) float64 {
 	var s float64
-	for i := range a {
+	for i := 0; i < len(a); i += viewGroupRows {
 		s += float64(a[i]) * float64(bb[i])
 	}
 	return s
@@ -62,7 +63,7 @@ func legacyRank(v *PredictView, user int, candidates []int, k int, lowerIsBetter
 		}
 		ranked = append(ranked, Ranked{
 			Service: c,
-			Value:   v.tr.Backward(transform.Sigmoid(legacyDot(u.vec, s.vec))),
+			Value:   v.tr.Backward(transform.Sigmoid(legacyDot(u.lane, s.lane))),
 		})
 	}
 	sort.Slice(ranked, func(i, j int) bool {

@@ -173,10 +173,7 @@ func TestTopKAllMatchesExplicitCandidates(t *testing.T) {
 	for _, lower := range []bool{true, false} {
 		for _, k := range []int{1, 10, n} {
 			want, _ := v.TopK(0, all, k, lower)
-			for _, w := range []int{1, 4} {
-				got := v.TopKAll(0, k, lower, w)
-				rankedEqual(t, "TopKAll", got, want)
-			}
+			rankedEqual(t, "TopKAll", v.TopKAll(0, k, lower, 1), want)
 		}
 	}
 	if v.TopKAll(777, 5, true, 1) != nil {
@@ -252,12 +249,21 @@ func TestAppendTopKZeroAlloc(t *testing.T) {
 	if len(dst) != 10 {
 		t.Fatalf("ranked %d, want 10", len(dst))
 	}
+	// The page scan gathers the user's lane into the pooled scratch: its
+	// one allocation is the result it returns.
+	if allocs := testing.AllocsPerRun(100, func() { v.TopKAll(0, 10, true, 1) }); allocs != 1 {
+		t.Fatalf("TopKAll allocates %v per run, want 1 (its result)", allocs)
+	}
 }
 
 // TestPagesBackViewEntities verifies the paged-layout invariants: every
-// shard's index and pages agree in shape, every point lookup aliases its
-// page row (same backing array), and the counts add up — on fresh builds
-// and on incremental refreshes, including one that removes an entity.
+// shard's index and pages agree in shape, every block is full height,
+// every point lookup is its row's lane of the page block (same backing
+// array, factor j at j·8 past the row's first, in the row's 8-row group)
+// holding the model's factors rounded to float32, the pad lanes of a
+// partial last page are zero, and the counts add up — on a fresh build,
+// on an incremental refresh that removes an entity, and on a refresh
+// whose reshapes write into recycled spares a test has poisoned with NaN.
 func TestPagesBackViewEntities(t *testing.T) {
 	m := topkTestModel(t, 100)
 	v := m.BuildView()
@@ -277,6 +283,11 @@ func TestPagesBackViewEntities(t *testing.T) {
 			if sh.idx.rows.Len() != n {
 				t.Fatalf("%s: shard %d index has %d ids but %d rows", when, si, n, sh.idx.rows.Len())
 			}
+			for pi, p := range sh.pages {
+				if len(p.vecs) != viewPageRows*rank {
+					t.Fatalf("%s: shard %d page %d block len %d, want %d", when, si, pi, len(p.vecs), viewPageRows*rank)
+				}
+			}
 			for r, id := range sh.idx.ids {
 				if r > 0 && sh.idx.ids[r-1] >= id {
 					t.Fatalf("%s: shard %d ids not ascending at row %d", when, si, r)
@@ -284,16 +295,29 @@ func TestPagesBackViewEntities(t *testing.T) {
 				if at, ok := sh.idx.row(id); shardOf(id) != si || !ok || at != r {
 					t.Fatalf("%s: service %d indexed at shard %d row %d (%v), found at shard %d row %d", when, id, shardOf(id), at, ok, si, r)
 				}
-				p := sh.pages[r/viewPageRows]
-				if want := min(viewPageRows, n-r/viewPageRows*viewPageRows) * rank; len(p.vecs) != want {
-					t.Fatalf("%s: shard %d page %d block len %d, want %d", when, si, r/viewPageRows, len(p.vecs), want)
-				}
+				pi, o := pageOf(r)
+				p := sh.pages[pi]
 				e, ok := v.services.get(id)
 				if !ok {
 					t.Fatalf("%s: indexed service %d not found by get", when, id)
 				}
-				if o := r % viewPageRows; &e.vec[0] != &p.vecs[o*rank] || len(e.vec) != rank || e.meta != p.meta || e.o != o {
-					t.Fatalf("%s: service %d does not alias its page row", when, id)
+				first := o/8*8*rank + o%8
+				if &e.lane[0] != &p.vecs[first] || len(e.lane) != (rank-1)*8+1 || e.meta != p.meta || e.o != o {
+					t.Fatalf("%s: service %d is not the lane of its page row", when, id)
+				}
+				live, _ := m.services.Get(id)
+				for j, x := range live.vec {
+					if got := p.vecs[first+j*8]; got != float32(x) {
+						t.Fatalf("%s: service %d factor %d: page holds %v, model %v", when, id, j, got, float32(x))
+					}
+				}
+			}
+			last := sh.pages[len(sh.pages)-1]
+			for o := (n-1)%viewPageRows + 1; o < viewPageRows; o++ {
+				for j := 0; j < rank; j++ {
+					if x := last.vecs[o/8*8*rank+j*8+o%8]; math.Float32bits(x) != 0 {
+						t.Fatalf("%s: shard %d pad row %d factor %d holds %v, want +0", when, si, o, j, x)
+					}
 				}
 			}
 			total += n
@@ -320,5 +344,25 @@ func TestPagesBackViewEntities(t *testing.T) {
 		if touched := si == shardOf(3) || si == shardOf(7); shared == touched {
 			t.Fatalf("shard %d: touched=%v but shared=%v", si, touched, shared)
 		}
+	}
+
+	// Recycle what v2 replaced, poison every spare lane, and reshape two
+	// shards into the spares: a newcomer joins shard 5 (rows 5 and 69) and
+	// service 10 leaves shard 10 (rows 10 and 74).
+	m.Recycle(v2, 0)
+	spares := len(m.spare)
+	if spares == 0 {
+		t.Fatal("Recycle left no spare page")
+	}
+	for _, p := range m.spare {
+		for i := range p.vecs {
+			p.vecs[i] = float32(math.NaN())
+		}
+	}
+	m.Observe(stream.Sample{User: 0, Service: 2*viewShardCount + 5, Value: 2})
+	m.RemoveService(10)
+	check(m.RefreshView(v2), "after a reshape into recycled spares")
+	if len(m.spare) >= spares {
+		t.Fatalf("the reshaping refresh left all %d spares unused", spares)
 	}
 }

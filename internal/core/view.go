@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/transform"
 )
 
@@ -22,15 +21,16 @@ import (
 const viewShardCount = 64
 
 // viewEntity is the published state of one user or service as handed to
-// the read paths: the latent factor vector (aliasing the entity's row in
-// its immutable page), plus where to find the tracked error and update
-// count frozen at publish time — by reference, so the ranking paths,
-// which need only the vector, never touch that memory.
+// the read paths: the latent factor vector (the entity's lane in its
+// immutable page), plus where to find the tracked error and update count
+// frozen at publish time — by reference, so the ranking paths, which need
+// only the vector, never touch that memory.
 //
-// vec is float32, like the page it aliases (page.go): every view-side
-// prediction is veDot over two such vectors.
+// lane is float32, like the page it aliases, and strided: factor j is
+// lane[j*viewGroupRows] (page.go). Every view-side point prediction is
+// veDot over two such lanes.
 type viewEntity struct {
-	vec  []float32
+	lane []float32
 	meta *pageMeta
 	o    int // the entity's row within its page
 }
@@ -38,11 +38,30 @@ type viewEntity struct {
 func (e viewEntity) err() float64 { return e.meta.errs[e.o] }
 func (e viewEntity) updates() int { return e.meta.updates[e.o] }
 
+// appendFactors appends the entity's factors to dst in order: its lane
+// gathered into a contiguous vector, the query a page scan runs.
+func (e viewEntity) appendFactors(dst []float32) []float32 {
+	for j := 0; j < len(e.lane); j += viewGroupRows {
+		dst = append(dst, e.lane[j])
+	}
+	return dst
+}
+
 // veDot is the inner product of two frozen entities, widened to the
-// float64 the heap and the value transform work in. A float32 widens
-// exactly, so it is the same key a page scan stores for the row
-// (DotBatch32 of one row is Dot32, kernels32.go).
-func veDot(u, s viewEntity) float64 { return float64(matrix.Dot32(u.vec, s.vec)) }
+// float64 the heap and the value transform work in. It sums in
+// matrix.DotPage32's association — the first product, then each next one
+// rounded to float32 and added, never fused (the conversion forbids it)
+// — so a point read is the key a page scan stores for the row, bit for
+// bit, in every build; a float32 widens exactly.
+func veDot(u, s viewEntity) float64 {
+	a, b := u.lane, s.lane
+	b = b[:len(a)]
+	acc := a[0] * b[0]
+	for j := viewGroupRows; j < len(a); j += viewGroupRows {
+		acc = acc + float32(a[j]*b[j])
+	}
+	return float64(acc)
+}
 
 // viewTable is one side (users or services) of a PredictView: a fixed
 // array of hash shards (page.go), each an id index plus the factor pages
@@ -348,9 +367,9 @@ func (t *viewTable) snapshots() []entitySnapshot {
 		// does not know the view's precision and Restore + BuildView of
 		// these bytes reproduces this view bit for bit
 		// (TestSnapshotRoundTripIdempotent).
-		vec := make([]float64, len(e.vec))
-		for i, x := range e.vec {
-			vec[i] = float64(x)
+		vec := make([]float64, 0, t.rank)
+		for j := 0; j < len(e.lane); j += viewGroupRows {
+			vec = append(vec, float64(e.lane[j]))
 		}
 		out = append(out, entitySnapshot{ID: id, Vec: vec, Err: e.err(), Updates: e.updates()})
 	})

@@ -24,7 +24,7 @@ import (
 func TestStressRankingUnderRepublish(t *testing.T) {
 	const (
 		users    = 8
-		services = 1500 // enough for TopKAll's two-worker split to engage
+		services = 1500 // a partial page in every shard
 		readers  = 4
 		k        = 10
 	)
@@ -90,7 +90,7 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 				// Full-scan arena path: the view may know services the
 				// candidate list doesn't (none here — candidates cover all
 				// IDs ever observed), so TopKAll must agree with TopK.
-				all := v.TopKAll(user, k, lower, 2)
+				all := v.TopKAll(user, k, lower, 1)
 				if len(all) != len(serial) {
 					recordErr("reader %d: TopKAll %d results, TopK %d (view %d)", r, len(all), len(serial), v.Version())
 					return

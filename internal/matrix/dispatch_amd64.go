@@ -28,6 +28,13 @@ func dotBatchAVX2(dst, block, q []float64)
 //go:noescape
 func dotBatch32AVX2(dst, block, q []float32)
 
+// dotPage32AVX2 is DotPage32: eight row groups per pass, one 8-wide
+// accumulator each, multiply then add. len(dst) is a multiple of 8 and
+// len(q) >= 1.
+//
+//go:noescape
+func dotPage32AVX2(dst, block, q []float32)
+
 // survivors32AVX2 is the compare kernel behind Survivors: bit i of the
 // result is clear when keys[i]^flip > worst^flip. len(keys) must be a
 // multiple of 8.
@@ -65,17 +72,13 @@ func init() {
 	simdName = "avx2"
 	dotBatchArch = dotBatchAVX2
 	dotBatch32Arch = dotBatch32AVX2
+	dotPage32Arch = dotPage32AVX2
 	survivors32Arch = survivors32AVX2
 	// Dot as a one-row batch call: the bit-identity invariant in
 	// kernels.go holds by construction.
 	dotArch = func(a, b []float64) float64 {
 		var d [1]float64
 		dotBatchAVX2(d[:1], a, b)
-		return d[0]
-	}
-	dot32Arch = func(a, b []float32) float32 {
-		var d [1]float32
-		dotBatch32AVX2(d[:1], a, b)
 		return d[0]
 	}
 }

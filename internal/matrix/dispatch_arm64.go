@@ -5,7 +5,9 @@ package matrix
 // NEON dispatch for the ranking kernels. Advanced SIMD (NEON) with
 // 64-bit FP lanes is architecturally mandatory on AArch64, so there is
 // no runtime feature probe — the kernels are always eligible unless the
-// noasm tag opts out.
+// noasm tag opts out. DotPage32 runs its portable loop here: it is the
+// kernel every page scan serves from, and CI has no arm64 machine to
+// execute a NEON version of it.
 
 // dotBatchNEON is the float64 batch kernel in kernels_arm64.s.
 //
@@ -26,11 +28,6 @@ func init() {
 	dotArch = func(a, b []float64) float64 {
 		var d [1]float64
 		dotBatchNEON(d[:1], a, b)
-		return d[0]
-	}
-	dot32Arch = func(a, b []float32) float32 {
-		var d [1]float32
-		dotBatch32NEON(d[:1], a, b)
 		return d[0]
 	}
 }

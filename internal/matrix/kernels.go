@@ -7,40 +7,39 @@ import "fmt"
 // runtime-adaptation query — "rank these n candidate services for user
 // u" — reduces to n inner products of one query vector (the user's
 // latent factors) against n service factor rows. At serving scale that
-// is a memory-bandwidth problem, not a FLOP problem, so the kernels are
-// written for the memory system:
+// is an instruction-count problem in cache and a bandwidth problem
+// beyond it, so the kernels are written for both:
 //
 //   - Dot is 4-way unrolled with four independent accumulators, breaking
 //     the loop-carried dependence on a single sum so the FP adds pipeline
 //     (the naive loop serializes on one accumulator, one FMA latency per
-//     element).
-//   - DotBatch32 (kernels32.go; DotBatch in float64) streams
-//     a contiguous row-major block of factor rows past one query vector
-//     that stays resident in registers/L1:
-//     the hardware prefetcher sees a single sequential stream instead of
-//     the pointer-chase of per-entity heap slices.
-//   - On amd64 with AVX2+FMA and on arm64 (NEON is baseline) the batch
-//     kernels are hand-written assembly (kernels_amd64.s /
-//     kernels_arm64.s), selected once at init by the dispatch_*.go
+//     element). It is the float64 product of SGD and Model.Predict.
+//   - DotPage32 (kernels32.go) scores a dimension-major block: factor j
+//     of eight rows is one vector, so a page costs one broadcast and one
+//     multiply and add per factor per eight rows, with no reduce. It is
+//     what every full-catalog scan runs on.
+//   - DotBatch (and DotBatch32 in kernels32.go) streams a contiguous
+//     row-major block past one query vector. Nothing in the product
+//     calls them any more; bench/probes.go times both.
+//   - On amd64 with AVX2+FMA the kernels are hand-written assembly
+//     (kernels_amd64.s), and on arm64 the row-major batch kernels are NEON
+//     (kernels_arm64.s), selected once at init by the dispatch_*.go
 //     files. Build with `-tags noasm` to force the portable Go loops.
 //
 // Unrolling reassociates the summation (s0+s2)+(s1+s3) instead of
-// (((s0+s1)+s2)+s3 element order), so results can differ from the naive
-// loop by a few ULPs; FuzzDotKernels bounds the difference by the
-// standard n·eps condition-number envelope. The assembly kernels use
-// their own (fixed) association, bounded by the same envelope.
+// (((s0+s1)+s2)+s3 element order), so Dot and DotBatch can differ from
+// the naive loop by a few ULPs; FuzzDotKernels bounds the difference by
+// the standard n·eps condition-number envelope. The assembly kernels use
+// their own (fixed) association, bounded by the same envelope — except
+// DotPage32, whose one association every build shares exactly.
 //
 // Bit-identity invariant: within one build, Dot(a, b) is exactly
-// DotBatch of a single row, for both precisions. The ranking layer
-// depends on the float32 half of this — the candidate path scores with
-// Dot32 while the full-scan path scores with DotBatch32 over the pages,
-// and core.TopKAll's tests compare the two paths with exact equality. The
-// assembly enforces it by construction: Dot is dispatched as a
-// one-row DotBatch call, and the multi-row-blocked assembly paths use
-// the same per-row association as the one-row path (each row owns one
-// vector accumulator, chunked and reduced identically), so results are
-// also invariant to how a block is split across calls —
-// TestDotBatchSplitInvariance pins that.
+// DotBatch of a single row, and a row's DotBatch/DotBatch32 result does
+// not depend on which rows share its call. The assembly enforces it by
+// construction: Dot is dispatched as a one-row DotBatch call, and the
+// multi-row-blocked assembly paths use the same per-row association as
+// the one-row path (each row owns one vector accumulator, chunked and
+// reduced identically) — TestDotBatchSplitInvariance pins that.
 
 // Dispatch targets installed by the per-architecture init in
 // dispatch_amd64.go / dispatch_arm64.go when the CPU qualifies. Nil
@@ -50,8 +49,8 @@ var (
 	simdName       string
 	dotArch        func(a, b []float64) float64
 	dotBatchArch   func(dst, block, q []float64)
-	dot32Arch      func(a, b []float32) float32
 	dotBatch32Arch func(dst, block, q []float32)
+	dotPage32Arch  func(dst, block, q []float32)
 	// survivors32Arch compares whole vectors of keys for Survivors:
 	// len(keys) is a multiple of 8, flip zero or the sign bit. Nil
 	// wherever the portable loop serves.
@@ -87,9 +86,9 @@ func dot4(a, b []float64) float64 {
 // DotBatch computes dst[i] = block[i*k : (i+1)*k] · q for every i, where
 // k = len(q): many inner products of one query vector against a
 // contiguous row-major block of len(dst) rows — the block streams
-// through the cache once while q stays hot. The ranking fast path runs
-// its float32 twin, DotBatch32; this one is kept for bench/probes.go,
-// which reports it as matrix.dotbatch_ns_per_row.
+// through the cache once while q stays hot. Nothing in the product calls
+// it; it is kept for bench/probes.go, which reports it as
+// matrix.dotbatch_ns_per_row.
 //
 // It panics if len(block) != len(dst)*len(q). A zero-length q zeroes dst.
 func DotBatch(dst, block, q []float64) {

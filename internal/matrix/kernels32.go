@@ -9,15 +9,14 @@ import "fmt"
 // published factors — measured by core's TestViewPrecision rather than
 // assumed.
 //
-// The same bit-identity invariant as the float64 kernels holds: Dot32
-// of two vectors equals a single-row DotBatch32, and blocked assembly
-// paths match the one-row path per row, so ranking's candidate and
-// page-scan paths agree exactly within one build.
+// DotPage32 is the one that serves: a view stores its pages
+// dimension-major, and a page scan is one DotPage32 call. DotBatch32 is
+// the row-major kernel a view stored its pages for until then; nothing in
+// the product calls it, and bench/probes.go still times it.
 
-// dot4_32 is the portable unrolled float32 kernel shared by Dot32 and
-// DotBatch32. Accumulation is in float32: the arithmetic matches what
-// the SIMD lanes do, and the error it introduces is what the precision
-// tests measure.
+// dot4_32 is the portable unrolled float32 kernel behind DotBatch32.
+// Accumulation is in float32: the arithmetic matches what the SIMD lanes
+// do.
 func dot4_32(a, b []float32) float32 {
 	n := len(a)
 	b = b[:n] // one bounds check here, none in the loops below
@@ -34,19 +33,6 @@ func dot4_32(a, b []float32) float32 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Dot32 returns the float32 inner product of two equal-length vectors.
-// It panics if the lengths differ. Within one build it is exactly a
-// single-row DotBatch32 (see the bit-identity invariant in kernels.go).
-func Dot32(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("matrix: dot32 length mismatch %d vs %d", len(a), len(b)))
-	}
-	if dot32Arch != nil {
-		return dot32Arch(a, b)
-	}
-	return dot4_32(a, b)
 }
 
 // DotBatch32 is DotBatch over float32 data: dst[i] = block[i*k:(i+1)*k]
@@ -71,5 +57,62 @@ func DotBatch32(dst, block, q []float32) {
 	for i := range dst {
 		dst[i] = dot4_32(block[off:off+k], q)
 		off += k
+	}
+}
+
+// GroupRows is the height of one dimension-major row group, the layout
+// DotPage32 reads: one 8-wide vector of a group holds the same factor of
+// all its rows.
+const GroupRows = 8
+
+// DotPage32 scores rows stored dimension-major in groups of GroupRows:
+// with k = len(q), row r's factor j is block[r/8*8*k + j*8 + r%8], and
+// dst[r] is that row's inner product with q. Each group is k consecutive
+// 8-float vectors, factor 0 first, so a group costs one broadcast of q[j]
+// and one multiply and one add per factor, for eight rows at once, with
+// no horizontal reduce and no tail. It panics unless len(dst) is a
+// multiple of GroupRows and len(block) == len(dst)*len(q); a zero-length q
+// zeroes dst.
+//
+// Every row is summed in one association, in every build: s = q[0]·x₀,
+// then s = s + q[j]·xⱼ for j = 1…k−1, each product rounded to float32
+// before it is added — a multiply and an add, never a fused
+// multiply-add. So the AVX2 kernel, the portable loop below and a scalar
+// loop over one row written the same way (core's point reads) agree bit
+// for bit, and so do builds with and without the assembly.
+func DotPage32(dst, block, q []float32) {
+	k := len(q)
+	if len(dst)%GroupRows != 0 || len(block) != len(dst)*k {
+		panic(fmt.Sprintf("matrix: DotPage32 block length %d != rows %d (a multiple of %d) x rank %d", len(block), len(dst), GroupRows, k))
+	}
+	if k == 0 {
+		clear(dst)
+		return
+	}
+	if dotPage32Arch != nil {
+		dotPage32Arch(dst, block, q)
+		return
+	}
+	dotPage32(dst, block, q)
+}
+
+// dotPage32 is the portable DotPage32, and the reference the assembly is
+// tested against. The float32 conversion keeps the compiler from fusing
+// the multiply into the add (it may, on arm64): an explicit conversion
+// rounds.
+func dotPage32(dst, block, q []float32) {
+	k := len(q)
+	for g := 0; g < len(dst); g += GroupRows {
+		d := (*[GroupRows]float32)(dst[g:])
+		x := block[g*k : (g+GroupRows)*k]
+		for l := range d {
+			d[l] = q[0] * x[l]
+		}
+		for j := 1; j < k; j++ {
+			qj, xj := q[j], (*[GroupRows]float32)(x[j*GroupRows:])
+			for l := range d {
+				d[l] = d[l] + float32(qj*xj[l])
+			}
+		}
 	}
 }

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2+FMA batch inner-product kernels (see kernels.go for the
-// dispatch contract). Both kernels process four arena rows per
-// iteration against one resident query chunk, with a one-row remainder
-// loop. Bit-identity rules the structure:
+// AVX2+FMA row-major batch inner-product kernels (see kernels.go for
+// the dispatch contract), then the dimension-major page kernel and the
+// survivor mask. Both batch kernels process four rows per iteration
+// against one resident query chunk, with a one-row remainder loop.
+// Bit-identity rules the structure:
 //
 //   - every row owns a single vector accumulator, fed the same chunk
 //     sequence and reduced by the same instruction sequence in both the
@@ -268,6 +269,114 @@ store1f:
 	JMP  rows1f
 
 done32:
+	VZEROUPPER
+	RET
+
+// Page kernel (DotPage32, kernels32.go): a block is groups of 8 rows
+// stored dimension-major, so one YMM load is factor j of a whole group.
+// A pass takes eight groups (64 rows) in Y0–Y7: per factor, one
+// broadcast of q[j] into Y8, then per group one VMULPS and one VADDPS —
+// no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each product
+// rounded, exactly as the portable loop computes it. Factor 0 is a bare
+// VMULPS, which starts the sum from the first product rather than from
+// +0. Leftover groups (fewer than eight) take the one-accumulator loop
+// with the same association. R10 is one group's stride in bytes; R13
+// walks groups 0–3 and R11 groups 4–7 through the factors.
+
+// func dotPage32AVX2(dst, block, q []float32)
+TEXT ·dotPage32AVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ block_base+24(FP), SI
+	MOVQ q_base+48(FP), DX
+	MOVQ q_len+56(FP), BX
+	MOVQ BX, R10
+	SHLQ $5, R10              // group stride: rank × 8 floats × 4 bytes
+	LEAQ (R10)(R10*2), R12    // 3 × stride
+
+pass8p:
+	CMPQ CX, $64
+	JL   group1p
+	MOVQ SI, R13
+	LEAQ (SI)(R10*4), R11
+	MOVQ DX, R9
+	MOVQ BX, R8
+	VBROADCASTSS (R9), Y8
+	VMULPS (R13), Y8, Y0
+	VMULPS (R13)(R10*1), Y8, Y1
+	VMULPS (R13)(R10*2), Y8, Y2
+	VMULPS (R13)(R12*1), Y8, Y3
+	VMULPS (R11), Y8, Y4
+	VMULPS (R11)(R10*1), Y8, Y5
+	VMULPS (R11)(R10*2), Y8, Y6
+	VMULPS (R11)(R12*1), Y8, Y7
+	JMP  next8p
+
+dim8p:
+	VBROADCASTSS (R9), Y8
+	VMULPS (R13), Y8, Y9
+	VADDPS Y9, Y0, Y0
+	VMULPS (R13)(R10*1), Y8, Y10
+	VADDPS Y10, Y1, Y1
+	VMULPS (R13)(R10*2), Y8, Y11
+	VADDPS Y11, Y2, Y2
+	VMULPS (R13)(R12*1), Y8, Y12
+	VADDPS Y12, Y3, Y3
+	VMULPS (R11), Y8, Y9
+	VADDPS Y9, Y4, Y4
+	VMULPS (R11)(R10*1), Y8, Y10
+	VADDPS Y10, Y5, Y5
+	VMULPS (R11)(R10*2), Y8, Y11
+	VADDPS Y11, Y6, Y6
+	VMULPS (R11)(R12*1), Y8, Y12
+	VADDPS Y12, Y7, Y7
+
+next8p:
+	ADDQ $4, R9
+	ADDQ $32, R13
+	ADDQ $32, R11
+	DECQ R8
+	JNZ  dim8p
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ $256, DI
+	LEAQ (SI)(R10*8), SI
+	SUBQ $64, CX
+	JMP  pass8p
+
+group1p:
+	TESTQ CX, CX
+	JE   donep
+	MOVQ SI, R13
+	MOVQ DX, R9
+	MOVQ BX, R8
+	VBROADCASTSS (R9), Y8
+	VMULPS (R13), Y8, Y0
+	JMP  next1p
+
+dim1p:
+	VBROADCASTSS (R9), Y8
+	VMULPS (R13), Y8, Y9
+	VADDPS Y9, Y0, Y0
+
+next1p:
+	ADDQ $4, R9
+	ADDQ $32, R13
+	DECQ R8
+	JNZ  dim1p
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ R10, SI
+	SUBQ $8, CX
+	JMP  group1p
+
+donep:
 	VZEROUPPER
 	RET
 

@@ -116,13 +116,14 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 
 // FuzzDotKernels drives the dispatched kernels (SIMD assembly where the
 // CPU qualifies, portable loops otherwise) against the naive loop AND
-// against the portable unrolled loop with arbitrary bit patterns,
-// bounding both differences by the reassociation ULP envelope (finite
-// inputs only; NaN/Inf propagate in both and are not comparable). The
-// asm-vs-portable comparison is the fuzz pin for the assembly: on
-// SIMD-capable hardware dot4/dot4_32 take the pure-Go path while
-// Dot/Dot32 take the dispatched one. Single-row DotBatch identity and
-// the float32 twins are checked on the same inputs.
+// against the portable loops with arbitrary bit patterns, bounding both
+// differences by the reassociation ULP envelope (finite inputs only;
+// NaN/Inf propagate in both and are not comparable). The asm-vs-portable
+// comparison is the fuzz pin for the assembly: on SIMD-capable hardware
+// dot4/dot4_32/dotPage32 take the pure-Go path while Dot, DotBatch32 and
+// DotPage32 take the dispatched one. Single-row DotBatch identity is
+// checked on the same inputs, and the page kernel is held to its
+// portable loop bit for bit.
 func FuzzDotKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(make([]byte, 160))
@@ -170,18 +171,33 @@ func FuzzDotKernels(f *testing.F) {
 		if dst[0] != got {
 			t.Fatalf("DotBatch single row %g != Dot %g", dst[0], got)
 		}
-		got32 := Dot32(a32, b32)
-		want32 := dotNaive32Ref(a32, b32)
-		if diff := math.Abs(float64(got32) - want32); diff > ulpBound32(a32, b32) {
-			t.Fatalf("n=%d: Dot32=%g ref=%g diff=%g bound=%g", n, got32, want32, diff, ulpBound32(a32, b32))
-		}
-		if diff := math.Abs(float64(got32) - float64(dot4_32(a32, b32))); diff > ulpBound32(a32, b32) {
-			t.Fatalf("n=%d: dispatched Dot32=%g portable=%g diff=%g", n, got32, dot4_32(a32, b32), diff)
-		}
 		dst32 := make([]float32, 1)
 		DotBatch32(dst32, a32, b32)
-		if dst32[0] != got32 {
-			t.Fatalf("DotBatch32 single row %g != Dot32 %g", dst32[0], got32)
+		got32, want32 := dst32[0], dotNaive32Ref(a32, b32)
+		if diff := math.Abs(float64(got32) - want32); diff > ulpBound32(a32, b32) {
+			t.Fatalf("n=%d: DotBatch32=%g ref=%g diff=%g bound=%g", n, got32, want32, diff, ulpBound32(a32, b32))
+		}
+		if diff := math.Abs(float64(got32) - float64(dot4_32(a32, b32))); diff > ulpBound32(a32, b32) {
+			t.Fatalf("n=%d: dispatched DotBatch32=%g portable=%g diff=%g", n, got32, dot4_32(a32, b32), diff)
+		}
+		// The page kernel on one group whose row l is b32 rotated by l:
+		// dispatched against portable, every bit.
+		page := make([]float32, GroupRows*n)
+		for l := 0; l < GroupRows; l++ {
+			for j := 0; j < n; j++ {
+				page[j*GroupRows+l] = b32[(j+l)%n]
+			}
+		}
+		scores, ref := make([]float32, GroupRows), make([]float32, GroupRows)
+		DotPage32(scores, page, a32)
+		dotPage32(ref, page, a32)
+		for l := range scores {
+			if math.Float32bits(scores[l]) != math.Float32bits(ref[l]) {
+				t.Fatalf("n=%d row %d: dispatched DotPage32=%g portable=%g", n, l, scores[l], ref[l])
+			}
+		}
+		if diff := math.Abs(float64(scores[0]) - want32); diff > ulpBound32(a32, b32) {
+			t.Fatalf("n=%d: DotPage32=%g ref=%g diff=%g bound=%g", n, scores[0], want32, diff, ulpBound32(a32, b32))
 		}
 	})
 }
