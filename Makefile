@@ -95,10 +95,13 @@ bench:
 # pages, as bench/'s core.refresh_view_p50_us times it, and into recycled
 # ones, as the engine publishes when no reader pins the replaced view;
 # and the full-catalog scan of a 10k-service view beside the same scan
-# pushing every row (scan-speedup-x) and the candidate path (heap-p50).
+# pushing every row (scan-speedup-x) and the candidate path (heap-p50);
+# and a predict through a gateway over real loopback sockets beside the
+# same predict direct, with allocs/op (bench/'s hop is in-process).
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
+	$(GO) test -run=NONE -bench=BenchmarkGatewayPredict -benchmem -benchtime=0.3s ./internal/cluster/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
 	$(GO) test -run=NONE -bench=BenchmarkObserveApply -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=5k/batch=64/' -benchmem -benchtime=2000x -cpu=1 ./internal/core/

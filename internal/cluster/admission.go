@@ -58,11 +58,10 @@ func (g *Gateway) saturated(grp *group) bool {
 // sheddable class is ever shed at the edge — standard and critical
 // always reach the backend, whose own gate makes the finer-grained
 // call with live queue state.
-func (g *Gateway) edgeShed(w http.ResponseWriter, r *http.Request, grps ...*group) bool {
+func (g *Gateway) edgeShed(w http.ResponseWriter, c call, grps ...*group) bool {
 	if !g.cfg.EdgeShed {
 		return false
 	}
-	c := callFrom(r.Context())
 	if c.class != control.Sheddable {
 		return false
 	}
@@ -70,10 +69,8 @@ func (g *Gateway) edgeShed(w http.ResponseWriter, r *http.Request, grps ...*grou
 		if grp == nil || !g.saturated(grp) {
 			continue
 		}
-		if c.span != nil {
-			c.span.Annotate("edge_shed", 1)
-			c.span.SetError()
-		}
+		c.span.Annotate("edge_shed", 1)
+		c.span.SetError()
 		g.edgeSheds.Inc()
 		// One probe interval is the soonest the gateway's view of the
 		// group can improve, so that is the honest retry hint (floor 1s).

@@ -69,7 +69,9 @@ type Config struct {
 	// Logger receives lifecycle and failover events (default slog.Default()).
 	Logger *slog.Logger
 	// HTTP is the client for proxying and probing; nil builds one with a
-	// connection pool sized for proxy fan-out.
+	// connection pool sized for proxy fan-out. Proxied requests go to its
+	// Transport directly: a backend's redirect is relayed, never
+	// followed, and a non-zero Timeout bounds each backend hop.
 	HTTP *http.Client
 }
 
@@ -329,42 +331,44 @@ func (g *Gateway) routes() {
 const requestIDHeader = "X-Request-Id"
 
 // call is what the gateway knows about one proxied request beyond the
-// request itself: the root span of its trace and its SLO class (parsed
-// once from X-Amf-Slo-Class). It rides the request context as a single
-// value, so every proxy leg and the edge-shed check read both without
-// re-parsing headers, and timed() copies the request once.
+// request itself: the root span of its trace, the X-Amf-Trace value that
+// names it to backends, and its SLO class (parsed once from
+// X-Amf-Slo-Class). timed() builds it on its stack and passes it down as
+// an argument — to the route handler and from there to route, edgeShed,
+// forward and postJSON — so no leg re-parses a header and the request is
+// never copied to carry it.
 type call struct {
 	span  *trace.Span
+	trace []string // X-Amf-Trace header value; nil on an untraced call
 	class control.Class
 }
 
-type callKey struct{}
+// controlCall is the call of a request the gateway makes on its own
+// (failover and demotion control calls): untraced, standard class.
+var controlCall = call{class: control.Standard}
 
-// callFrom recovers the context's call. Contexts the gateway made
-// itself (probes, failover control calls) carry none: no span, standard
-// class.
-func callFrom(ctx context.Context) call {
-	if c, ok := ctx.Value(callKey{}).(*call); ok {
-		return *c
-	}
-	return call{class: control.Standard}
-}
+// proxyHandler is a proxied route behind timed().
+type proxyHandler func(w http.ResponseWriter, r *http.Request, c call)
 
 // timed wraps a proxied route with the gateway's per-route metrics and
 // mints the root span of a new trace: every proxied request gets a fresh
 // 128-bit trace ID, echoed to the client as X-Request-Id and propagated
 // to backends via X-Amf-Trace (see stamp), so one identifier names the
-// request at the client, the gateway, and every shard it touched.
-func (g *Gateway) timed(route string, h http.HandlerFunc) http.HandlerFunc {
+// request at the client, the gateway, and every shard it touched. The
+// header value is rendered once; X-Request-Id is its trace-ID prefix.
+func (g *Gateway) timed(route string, h proxyHandler) http.HandlerFunc {
 	counter := g.requests.With(route)
 	hist := g.proxySeconds.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		counter.Inc()
 		sp := g.traces.Start(trace.NewID(), 0, route)
-		w.Header()[requestIDHeader] = []string{sp.Trace.String()}
-		c := &call{span: sp, class: control.ClassFromHeader(r.Header)}
-		h(w, r.WithContext(context.WithValue(r.Context(), callKey{}, c)))
+		hv := trace.HeaderValue(sp.Trace, sp.ID)
+		// One backing array for both headers; each slice is capped at its
+		// own element, so an append to either cannot reach the other.
+		ids := []string{hv[:32], hv}
+		w.Header()[requestIDHeader] = ids[:1:1]
+		h(w, r, call{span: sp, trace: ids[1:], class: control.ClassFromHeader(r.Header)})
 		d := time.Since(start)
 		hist.Observe(d.Seconds())
 		sp.Finish(d)
@@ -388,10 +392,53 @@ var jsonContentType = []string{"application/json"}
 // declared. Header-map assignments and nothing else, so the raw
 // pass-through path stays raw. An untraced call stamps no trace.
 func stamp(req *http.Request, c call) {
-	if c.span != nil {
-		req.Header[trace.Header] = []string{trace.HeaderValue(c.span.Trace, c.span.ID)}
+	if c.trace != nil {
+		req.Header[trace.Header] = c.trace
 	}
 	req.Header[control.ClassHeader] = classValues[c.class]
+}
+
+// roundTrip sends one backend request straight through the client's
+// transport (http.DefaultTransport when it has none). http.Client.Do
+// would clone the request's headers and keep redirect bookkeeping on
+// every call for redirects a proxy never follows: a backend's 3xx is
+// relayed to the client like any other status. What the client still
+// contributes is its Timeout, which bounds the hop — body included —
+// through the request context.
+func (g *Gateway) roundTrip(req *http.Request) (*http.Response, error) {
+	rt := g.http.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	var cancel context.CancelFunc
+	if g.http.Timeout > 0 {
+		var ctx context.Context
+		ctx, cancel = context.WithTimeout(req.Context(), g.http.Timeout)
+		req = req.WithContext(ctx)
+	}
+	resp, err := rt.RoundTrip(req)
+	if err != nil {
+		if cancel != nil {
+			cancel()
+		}
+		return nil, &url.Error{Op: req.Method, URL: req.URL.Redacted(), Err: err}
+	}
+	if cancel != nil {
+		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	}
+	return resp, nil
+}
+
+// cancelBody ends a timed round trip's context when its body is closed.
+type cancelBody struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b *cancelBody) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -468,7 +515,7 @@ var proxyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // postJSON sends one JSON sub-request and decodes the 200 response into
 // out. Non-200 answers surface as errors carrying the backend's message.
-func (g *Gateway) postJSON(ctx context.Context, url string, body, out any) error {
+func (g *Gateway) postJSON(ctx context.Context, c call, url string, body, out any) error {
 	buf := proxyBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer proxyBufPool.Put(buf)
@@ -480,10 +527,9 @@ func (g *Gateway) postJSON(ctx context.Context, url string, body, out any) error
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c := callFrom(ctx)
 	stamp(req, c)
 	child := g.traces.StartChild(c.span, "backend "+req.URL.Host)
-	resp, err := g.http.Do(req)
+	resp, err := g.roundTrip(req)
 	if err != nil {
 		child.SetError()
 		child.FinishNow()
@@ -538,7 +584,7 @@ func newBytesBody(b []byte) *bytesBody {
 // ranking queries. The outgoing request is assembled around the
 // replica's parsed URL; http.NewRequest would parse it again, wrap the
 // body twice and canonicalise headers that are already canonical.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, method string, rep *replica, u *url.URL, body []byte) {
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body []byte) {
 	req := (&http.Request{
 		Method: method, URL: u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
@@ -553,10 +599,9 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, method string,
 	}
 	// Tracing and class propagation touch headers only: the body and the
 	// response still stream through untouched.
-	c := callFrom(r.Context())
 	stamp(req, c)
 	child := g.traces.StartChild(c.span, rep.span)
-	resp, err := g.http.Do(req)
+	resp, err := g.roundTrip(req)
 	if err != nil {
 		child.SetError()
 		child.FinishNow()
@@ -576,19 +621,21 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, method string,
 // copyBufPool recycles the buffers copyResponse relays through.
 var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
-// writerOnly hides a ResponseWriter's ReadFrom from io.CopyBuffer: a
-// backend response body is nothing the client connection could splice
-// from, and its ReadFrom would fall back to a fresh 32 KB copy buffer
-// for every proxied response.
-type writerOnly struct{ io.Writer }
-
-// copyResponse relays a backend response verbatim. Propagating
+// copyResponse relays a backend response verbatim: status, the headers
+// a relay needs (a 3xx keeps its Location) and the body. Propagating
 // Content-Length keeps the client leg un-chunked (one frame instead of
-// chunk headers), which matters at the proxy's latency floor.
+// chunk headers), which matters at the proxy's latency floor. The body
+// is copied by a plain read/write loop through a pooled buffer:
+// io.CopyBuffer would take the ResponseWriter's ReadFrom, which falls
+// back to a fresh 32 KB buffer for a source it cannot splice from, and
+// hiding that method behind a wrapper costs an allocation of its own.
 func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	h := w.Header()
 	if ct := resp.Header["Content-Type"]; len(ct) > 0 {
 		h["Content-Type"] = ct
+	}
+	if loc := resp.Header["Location"]; len(loc) > 0 {
+		h["Location"] = loc
 	}
 	if cl := resp.Header["Content-Length"]; len(cl) > 0 {
 		h["Content-Length"] = cl
@@ -597,7 +644,17 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	buf := copyBufPool.Get().(*[]byte)
-	_, _ = io.CopyBuffer(writerOnly{w}, resp.Body, *buf)
+	for {
+		n, err := resp.Body.Read(*buf)
+		if n > 0 {
+			if _, werr := w.Write((*buf)[:n]); werr != nil {
+				break
+			}
+		}
+		if err != nil {
+			break
+		}
+	}
 	copyBufPool.Put(buf)
 }
 
@@ -705,7 +762,7 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // trained), but once ANY bucket succeeded a retryable status would
 // double-train the successful buckets on resend, so partial failure is
 // reported as a non-retryable 500.
-func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) {
 	raw, ok := g.readBody(w, r)
 	if !ok {
 		return
@@ -713,11 +770,11 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// Single-group deployments need no bucketing: the whole batch goes to
 	// the one leader verbatim (the backend still validates it).
 	if len(g.groups) == 1 {
-		if g.edgeShed(w, r, g.groups[0]) {
+		if g.edgeShed(w, c, g.groups[0]) {
 			return
 		}
 		rep := g.groups[0].writeTarget()
-		g.forward(w, r, http.MethodPost, rep, rep.observeURL, raw)
+		g.forward(w, r, c, http.MethodPost, rep, rep.observeURL, raw)
 		return
 	}
 	var req server.ObserveRequest
@@ -747,7 +804,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	for grp := range buckets {
 		targets = append(targets, grp)
 	}
-	if g.edgeShed(w, r, targets...) {
+	if g.edgeShed(w, c, targets...) {
 		return
 	}
 	var (
@@ -759,10 +816,10 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 	)
 	for grp, obsBatch := range buckets {
 		wg.Add(1)
-		go func(grp *group, obsBatch []server.Observation) {
+		go func(grp *group, obsBatch []server.Observation, c call) {
 			defer wg.Done()
 			var resp server.ObserveResponse
-			err := g.postJSON(r.Context(), grp.writeTarget().url+"/api/v1/observe",
+			err := g.postJSON(r.Context(), c, grp.writeTarget().url+"/api/v1/observe",
 				server.ObserveRequest{Observations: obsBatch}, &resp)
 			mu.Lock()
 			defer mu.Unlock()
@@ -776,7 +833,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 			merged.Accepted += resp.Accepted
 			merged.NewUsers += resp.NewUsers
 			merged.NewServices += resp.NewServices
-		}(grp, obsBatch)
+		}(grp, obsBatch, c)
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -798,7 +855,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request) {
 
 // handlePredict proxies a single prediction to a read replica of the
 // user's group, streaming the response straight through.
-func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request, c call) {
 	user := server.QueryParam(r.URL.RawQuery, "user")
 	if user == "" {
 		g.writeError(w, http.StatusBadRequest, "user query parameter is required")
@@ -809,13 +866,13 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.unavailable(w)
 		return
 	}
-	if g.edgeShed(w, r, grp) {
+	if g.edgeShed(w, c, grp) {
 		return
 	}
 	rep := grp.readTarget()
 	u := *rep.predictURL
 	u.RawQuery = r.URL.RawQuery
-	g.forward(w, r, http.MethodGet, rep, &u, nil)
+	g.forward(w, r, c, http.MethodGet, rep, &u, nil)
 }
 
 // route decodes a batch-predict or rank body once — the user to route
@@ -823,7 +880,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // picks the request's shard group. It answers the request itself and
 // returns a nil group when the body is malformed, names no user, or
 // cannot be routed. The Query's views live until d is released.
-func (g *Gateway) route(w http.ResponseWriter, r *http.Request, d *server.Decoder, raw []byte, rank bool) (server.Query, *group) {
+func (g *Gateway) route(w http.ResponseWriter, c call, d *server.Decoder, raw []byte, rank bool) (server.Query, *group) {
 	decode, missing := d.Batch, "user and services are required"
 	if rank {
 		decode, missing = d.Rank, "user is required"
@@ -844,7 +901,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, d *server.Decode
 		g.unavailable(w)
 		return q, nil
 	}
-	if g.edgeShed(w, r, grp) {
+	if g.edgeShed(w, c, grp) {
 		return q, nil
 	}
 	return q, grp
@@ -869,21 +926,21 @@ func (g *Gateway) fanOutSet(grp *group, n int) []*replica {
 // above the fan-out threshold the candidate list is split across the
 // group's healthy replicas (each holds the full group state) and the
 // partial responses are concatenated back in request order.
-func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request, c call) {
 	raw, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
 	d := server.AcquireDecoder()
 	defer d.Release()
-	q, grp := g.route(w, r, d, raw, false)
+	q, grp := g.route(w, c, d, raw, false)
 	if grp == nil {
 		return
 	}
 	reps := g.fanOutSet(grp, len(q.Services))
 	if reps == nil {
 		rep := grp.readTarget()
-		g.forward(w, r, http.MethodPost, rep, rep.predictURL, raw)
+		g.forward(w, r, c, http.MethodPost, rep, rep.predictURL, raw)
 		return
 	}
 
@@ -895,11 +952,11 @@ func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	for i, chunk := range chunks {
 		wg.Add(1)
-		go func(i int, chunk []string) {
+		go func(i int, chunk []string, c call) {
 			defer wg.Done()
-			errs[i] = g.postJSON(r.Context(), reps[i].url+"/api/v1/predict",
+			errs[i] = g.postJSON(r.Context(), c, reps[i].url+"/api/v1/predict",
 				server.BatchPredictRequest{User: user, Services: chunk}, &parts[i])
-		}(i, chunk)
+		}(i, chunk, c)
 	}
 	wg.Wait()
 	merged := server.BatchPredictResponse{User: user, Predictions: make([]server.BatchPrediction, 0, len(q.Services))}
@@ -919,21 +976,21 @@ func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
 // gateway merges the partial rankings. Full-catalog rankings (no
 // candidate list) go to one replica — they cannot be split, every
 // replica would scan the same catalog.
-func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request) {
+func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request, c call) {
 	raw, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
 	d := server.AcquireDecoder()
 	defer d.Release()
-	q, grp := g.route(w, r, d, raw, true)
+	q, grp := g.route(w, c, d, raw, true)
 	if grp == nil {
 		return
 	}
 	reps := g.fanOutSet(grp, len(q.Services))
 	if reps == nil {
 		rep := grp.readTarget()
-		g.forward(w, r, http.MethodPost, rep, rep.rankURL, raw)
+		g.forward(w, r, c, http.MethodPost, rep, rep.rankURL, raw)
 		return
 	}
 
@@ -946,12 +1003,12 @@ func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request) {
 	var wg sync.WaitGroup
 	for i, chunk := range chunks {
 		wg.Add(1)
-		go func(i int, chunk []string) {
+		go func(i int, chunk []string, c call) {
 			defer wg.Done()
 			sub := sub
 			sub.Services = chunk
-			errs[i] = g.postJSON(r.Context(), reps[i].url+"/api/v1/rank", sub, &parts[i])
-		}(i, chunk)
+			errs[i] = g.postJSON(r.Context(), c, reps[i].url+"/api/v1/rank", sub, &parts[i])
+		}(i, chunk, c)
 	}
 	wg.Wait()
 	merged := server.RankResponse{User: sub.User}
@@ -1148,7 +1205,7 @@ func (g *Gateway) demoteStale(grp *group, claimants []*replica, winner *replica)
 		if rep == winner || rep.epoch.Load() >= winner.epoch.Load() {
 			continue
 		}
-		if err := g.postJSON(ctx, rep.url+"/api/v1/demote",
+		if err := g.postJSON(ctx, controlCall, rep.url+"/api/v1/demote",
 			map[string]string{"leader": winner.url}, nil); err != nil {
 			// The stale claimant stays routed-around (the winner holds the
 			// leader pointer); the next probe round retries the demotion.
@@ -1188,7 +1245,7 @@ func (g *Gateway) failover(grp *group) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := g.postJSON(ctx, candidate.url+"/api/v1/promote", struct{}{}, nil); err != nil {
+	if err := g.postJSON(ctx, controlCall, candidate.url+"/api/v1/promote", struct{}{}, nil); err != nil {
 		g.log.Warn("promotion failed", "group", grp.name, "candidate", candidate.url, "err", err)
 		return
 	}
@@ -1201,7 +1258,7 @@ func (g *Gateway) failover(grp *group) {
 		if rep == candidate || rep.Health() == Down {
 			continue
 		}
-		if err := g.postJSON(ctx, rep.url+"/api/v1/cluster/leader",
+		if err := g.postJSON(ctx, controlCall, rep.url+"/api/v1/cluster/leader",
 			map[string]string{"leader": candidate.url}, nil); err != nil {
 			g.log.Warn("re-pointing follower failed", "follower", rep.url, "err", err)
 		}

@@ -184,7 +184,7 @@ func (m *Model) update(u, v *entity, value float64) float64 {
 
 	x := matrix.Dot(u.vec, v.vec)
 	g := transform.Sigmoid(x)
-	gp := transform.SigmoidPrime(x)
+	gp := g * (1 - g) // g'(x), from the g already computed: one exp per sample
 
 	// Adaptive weights (Eq. 12); without them the model degenerates to
 	// the unweighted updates of Eq. 8-9.

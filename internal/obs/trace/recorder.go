@@ -3,8 +3,10 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,17 +37,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// ring is a fixed-capacity overwrite-oldest span buffer.
+// ring is a fixed-capacity overwrite-oldest buffer of finished spans,
+// held by value: push copies a span in, and each slot keeps its notes'
+// backing array across overwrites, so a ring that has filled once
+// records without allocating.
 type ring struct {
-	buf  []*Span
+	buf  []Span
 	next int
 	full bool
 }
 
-func newRing(n int) *ring { return &ring{buf: make([]*Span, n)} }
+func newRing(n int) *ring { return &ring{buf: make([]Span, n)} }
 
+// push copies sp, notes included, over the oldest slot.
 func (r *ring) push(sp *Span) {
-	r.buf[r.next] = sp
+	slot := &r.buf[r.next]
+	notes := append(slot.Notes[:0], sp.Notes...)
+	*slot = *sp
+	slot.Notes = notes
 	r.next++
 	if r.next == len(r.buf) {
 		r.next = 0
@@ -53,15 +62,25 @@ func (r *ring) push(sp *Span) {
 	}
 }
 
-// all returns the ring's spans oldest-first.
-func (r *ring) all() []*Span {
-	if !r.full {
-		return r.buf[:r.next]
+// appendTo appends copies of the ring's spans, oldest first, to dst; the
+// copies own their notes, so they outlive the slots they came from.
+func (r *ring) appendTo(dst []Span) []Span {
+	if r.full {
+		dst = appendCopies(dst, r.buf[r.next:])
 	}
-	out := make([]*Span, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	return append(out, r.buf[:r.next]...)
+	return appendCopies(dst, r.buf[:r.next])
 }
+
+func appendCopies(dst, spans []Span) []Span {
+	for _, sp := range spans {
+		sp.Notes = slices.Clone(sp.Notes)
+		dst = append(dst, sp)
+	}
+	return dst
+}
+
+// spanPool recycles spans between Finish and the next Start.
+var spanPool = sync.Pool{New: func() any { return new(Span) }}
 
 // Recorder collects completed spans into two bounded rings: every
 // finished span enters the recent ring, and slow or failed spans are
@@ -69,12 +88,12 @@ func (r *ring) all() []*Span {
 // ring's churn. It is an http.Handler serving the rings as JSON —
 // mount it at GET /debug/traces.
 type Recorder struct {
-	cfg Config
+	cfg     Config
+	started atomic.Uint64
 
 	mu       sync.Mutex
 	recent   *ring
 	retained *ring
-	started  uint64
 	finished uint64
 }
 
@@ -90,15 +109,14 @@ func NewRecorder(cfg Config) *Recorder {
 
 // Start creates a span inside an existing trace — the adoption path
 // (parent is the caller's span ID from the propagation header, 0 for a
-// root) — and starts its clock.
+// root) — and starts its clock. The span comes from a pool; Finish
+// returns it there.
 func (r *Recorder) Start(id ID, parent SpanID, name string) *Span {
-	r.mu.Lock()
-	r.started++
-	r.mu.Unlock()
-	return &Span{
-		Trace: id, ID: nextSpanID(), Parent: parent,
-		Name: name, Start: time.Now(), rec: r,
-	}
+	r.started.Add(1)
+	sp := spanPool.Get().(*Span)
+	sp.Trace, sp.ID, sp.Parent, sp.Name, sp.rec = id, nextSpanID(), parent, name, r
+	sp.Start = time.Now()
+	return sp
 }
 
 // StartChild starts a child span of sp in the same trace. A nil parent
@@ -111,7 +129,7 @@ func (r *Recorder) StartChild(sp *Span, name string) *Span {
 	return r.Start(sp.Trace, sp.ID, name)
 }
 
-// record files a finished span (called by Span.Finish).
+// record files a copy of a finished span (called by Span.Finish).
 func (r *Recorder) record(sp *Span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -147,21 +165,29 @@ type tracesResponse struct {
 }
 
 // snapshot returns the recorder's current contents grouped by trace,
-// newest trace first. Spans present in both rings appear once.
-func (r *Recorder) snapshot() []traceJSON {
+// newest trace first, with the finished count they reflect. A span
+// present in both rings (two copies of it) appears once.
+func (r *Recorder) snapshot() (traces []traceJSON, finished uint64) {
 	r.mu.Lock()
-	spans := r.recent.all()
-	spans = append(spans, r.retained.all()...)
+	spans := r.recent.appendTo(nil)
+	spans = r.retained.appendTo(spans)
+	finished = r.finished
 	r.mu.Unlock()
 
-	seen := make(map[*Span]bool, len(spans))
+	type spanKey struct {
+		trace ID
+		span  SpanID
+	}
+	seen := make(map[spanKey]bool, len(spans))
 	byTrace := make(map[ID][]*Span)
 	order := make([]ID, 0, 16) // trace IDs by first (oldest) appearance
-	for _, sp := range spans {
-		if seen[sp] {
+	for i := range spans {
+		sp := &spans[i]
+		k := spanKey{sp.Trace, sp.ID}
+		if seen[k] {
 			continue
 		}
-		seen[sp] = true
+		seen[k] = true
 		if _, ok := byTrace[sp.Trace]; !ok {
 			order = append(order, sp.Trace)
 		}
@@ -191,14 +217,17 @@ func (r *Recorder) snapshot() []traceJSON {
 		}
 		out = append(out, tj)
 	}
-	return out
+	return out, finished
 }
 
 // ServeHTTP renders the recorder as JSON. Mounted outside the latency
 // middleware (like pprof): a debug scrape should not pollute the
 // request histograms it exists to explain.
 func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	traces := r.snapshot()
+	traces, finished := r.snapshot()
+	// Read after the rings: every span counted finished was started first,
+	// so the page never shows more finished than started.
+	started := r.started.Load()
 	if id := req.URL.Query().Get("trace"); id != "" {
 		filtered := traces[:0]
 		for _, tj := range traces {
@@ -208,9 +237,7 @@ func (r *Recorder) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		}
 		traces = filtered
 	}
-	r.mu.Lock()
-	resp := tracesResponse{Traces: traces, Started: r.started, Finished: r.finished}
-	r.mu.Unlock()
+	resp := tracesResponse{Traces: traces, Started: started, Finished: finished}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -19,12 +19,14 @@
 //
 // Span recording is kept off the hot path's budget the same way the
 // metrics are: a request that carries no trace header costs one header
-// map index and nothing else; a traced request pays two small
-// allocations and one mutex push at completion.
+// map index and nothing else. A traced request allocates nothing for its
+// spans: Start takes one from a pool with an atomic add, and Finish
+// copies it into the recorder's rings under one mutex and returns it to
+// the pool. What a traced hop does allocate is the header values it
+// stamps.
 package trace
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"strconv"
@@ -141,10 +143,12 @@ type Annotation struct {
 }
 
 // Span is one timed operation inside a trace. Spans are created through
-// a Recorder, annotated and finished by exactly one goroutine, and
-// immutable after Finish (which hands them to the recorder's rings).
-// All methods are nil-receiver safe so call sites on the untraced path
-// need no guards.
+// a Recorder and annotated and finished by exactly one goroutine. A span
+// is dead after Finish: the recorder's rings keep a copy of it, notes
+// included, and the span itself goes back to a pool for a later Start,
+// so nothing may read or write it (or keep a pointer to it) once Finish
+// is called. All methods are nil-receiver safe so call sites on the
+// untraced path need no guards.
 type Span struct {
 	Trace    ID
 	ID       SpanID
@@ -176,13 +180,16 @@ func (sp *Span) SetError() {
 }
 
 // Finish completes the span with the given duration (measured by the
-// caller, which usually already timed the request) and records it.
+// caller, which usually already timed the request), records a copy of it
+// and recycles the span: it must not be touched afterwards.
 func (sp *Span) Finish(d time.Duration) {
 	if sp == nil {
 		return
 	}
 	sp.Duration = d
 	sp.rec.record(sp)
+	*sp = Span{Notes: sp.Notes[:0]}
+	spanPool.Put(sp)
 }
 
 // FinishNow completes the span with the time elapsed since Start, for
@@ -192,18 +199,4 @@ func (sp *Span) FinishNow() {
 		return
 	}
 	sp.Finish(time.Since(sp.Start))
-}
-
-// ctxKey keys the span in a context.
-type ctxKey struct{}
-
-// NewContext returns a context carrying the span.
-func NewContext(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
-// FromContext returns the span carried by ctx, or nil.
-func FromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(ctxKey{}).(*Span)
-	return sp
 }

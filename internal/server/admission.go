@@ -169,31 +169,33 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 		"headroom", cfg.Headroom)
 }
 
-// gated wraps a handler with the admission gate. Registered inside the
-// observability middleware (s.handle(pattern, s.gated(pattern, h))), so
-// shed responses are still counted and timed like any other response.
-// Disabled cost: one atomic load and a nil check.
-func (s *Server) gated(route string, h http.HandlerFunc) http.HandlerFunc {
+// handleGated registers an expensive API route behind the admission
+// gate, inside the observability middleware, so shed responses are still
+// counted and timed like any other response.
+func (s *Server) handleGated(pattern string, h spanHandler) {
+	s.handleSpan(pattern, s.gated(pattern, h))
+}
+
+// gated wraps a handler with the admission gate; a traced request's span
+// carries the gate's estimate and, when shed, the refusal. Disabled
+// cost: one atomic load and a nil check.
+func (s *Server) gated(route string, h spanHandler) spanHandler {
 	rt := &routeGate{hist: s.httpHist.With(route)}
-	return func(w http.ResponseWriter, r *http.Request) {
+	return func(w http.ResponseWriter, r *http.Request, sp *trace.Span) {
 		g := s.gate.Load()
 		if g == nil {
-			h(w, r)
+			h(w, r, sp)
 			return
 		}
 		v := g.decide(rt, r)
-		if sp := trace.FromContext(r.Context()); sp != nil {
-			sp.Annotate("admission_wait_estimate", v.estimate)
-			if !v.admit {
-				sp.Annotate("admission_shed", 1)
-				sp.SetError()
-			}
-		}
+		sp.Annotate("admission_wait_estimate", v.estimate)
 		if !v.admit {
+			sp.Annotate("admission_shed", 1)
+			sp.SetError()
 			g.shed(w, v)
 			return
 		}
-		h(w, r)
+		h(w, r, sp)
 	}
 }
 

@@ -205,31 +205,45 @@ const latencySampleMask = 7
 //     ID as its request ID (so gateway and shard log lines correlate),
 //     and rides the timed path for an exact duration — but does NOT
 //     perturb the latency histograms: the 1-in-8 sampling counter
-//     still decides which requests are recorded, traced or not.
+//     still decides which requests are recorded, traced or not. The
+//     span reaches the route as an argument (see spanHandler), not
+//     through the request's context, so adoption copies no request.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.handleSpan(pattern, func(w http.ResponseWriter, r *http.Request, _ *trace.Span) { h(w, r) })
+}
+
+// spanHandler is a route that reads the span the middleware adopted for
+// its request — nil on an untraced one. The span dies when the route
+// returns: the middleware finishes it, and Finish recycles it.
+type spanHandler func(w http.ResponseWriter, r *http.Request, sp *trace.Span)
+
+// handleSpan registers a spanHandler through the middleware (see handle).
+func (s *Server) handleSpan(pattern string, h spanHandler) {
 	hist := s.httpHist.With(pattern)
 	tick := new(atomic.Uint64) // per-route sampling counter
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		// net/http stores parsed request headers under canonical keys,
 		// so direct map indexes replace Header.Get's canonicalization.
-		var sp *trace.Span
+		var (
+			sp  *trace.Span
+			tid trace.ID // sp's trace ID, which outlives sp for the slow-request log
+			rid string
+		)
 		if vals := r.Header[trace.Header]; len(vals) > 0 {
 			if id, parent, ok := trace.ParseHeader(vals[0]); ok {
-				sp = s.traces.Start(id, parent, pattern)
-				r = r.WithContext(trace.NewContext(r.Context(), sp))
+				sp, tid = s.traces.Start(id, parent, pattern), id
+				// Adopt the gateway's trace ID as the request ID: one
+				// identifier names the request at every hop. It is the
+				// header's own 32-hex prefix, not a second rendering.
+				rid = vals[0][:32]
 			}
 		}
 		sampled := tick.Add(1)&latencySampleMask == 1
 		timed := sampled || s.logDebug || sp != nil
-		var rid string
 		var start time.Time
 		if timed {
 			start = time.Now()
-			if sp != nil {
-				// Adopt the gateway's trace ID as the request ID: one
-				// identifier names the request at every hop.
-				rid = sp.Trace.String()
-			} else if vals := r.Header[requestIDHeader]; len(vals) > 0 {
+			if vals := r.Header[requestIDHeader]; rid == "" && len(vals) > 0 {
 				rid = vals[0]
 			}
 			if rid == "" && s.logDebug {
@@ -240,7 +254,7 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 			}
 		}
 		s.inflight.Add(1)
-		h(w, r)
+		h(w, r, sp)
 		s.inflight.Add(-1)
 		if !timed {
 			return
@@ -249,16 +263,16 @@ func (s *Server) handle(pattern string, h http.HandlerFunc) {
 		if sampled || s.logDebug {
 			hist.ObserveDurationN(d, latencySampleMask+1)
 		}
-		sp.Finish(d)
+		sp.Finish(d) // sp is dead from here on
 		switch {
 		case d >= s.slowThreshold:
 			if rid == "" {
 				rid = s.nextRequestID()
 			}
-			if sp != nil {
+			if !tid.IsZero() {
 				s.log.Warn("slow request", "route", pattern,
 					"request_id", rid, "duration", d,
-					"trace", "/debug/traces?trace="+sp.Trace.String())
+					"trace", "/debug/traces?trace="+tid.String())
 			} else {
 				s.log.Warn("slow request",
 					"route", pattern, "request_id", rid, "duration", d)

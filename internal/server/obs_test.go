@@ -14,6 +14,7 @@ import (
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
+	"github.com/qoslab/amf/internal/obs/trace"
 	"github.com/qoslab/amf/internal/store"
 )
 
@@ -256,6 +257,45 @@ func TestSlowRequestLogged(t *testing.T) {
 	}
 	if rec["route"] != "GET /healthz" || rec["request_id"] == "" {
 		t.Fatalf("slow log missing fields: %v", rec)
+	}
+}
+
+// TestTracedRequestAdoptsHeader: a request carrying X-Amf-Trace echoes
+// the header's trace ID as X-Request-Id, records its span under that
+// trace and parent, and — past the slow threshold, where the span is
+// already finished and recycled — logs the trace's own link.
+func TestTracedRequestAdoptsHeader(t *testing.T) {
+	var buf bytes.Buffer
+	lg := slog.New(slog.NewJSONHandler(&buf, nil))
+	s := New(mustModel(testConfig()), WithLogger(lg), WithSlowRequestThreshold(time.Nanosecond))
+	defer s.Close()
+	id := trace.NewID()
+	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
+	req.Header.Set(trace.Header, trace.HeaderValue(id, 7))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if got := w.Header().Get(requestIDHeader); got != id.String() {
+		t.Fatalf("X-Request-Id = %q, want the trace ID %q", got, id)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["request_id"] != id.String() || rec["trace"] != "/debug/traces?trace="+id.String() {
+		t.Fatalf("slow log names request %v, trace %v; want %s", rec["request_id"], rec["trace"], id)
+	}
+	w = doReq(t, s, http.MethodGet, "/debug/traces?trace="+id.String(), nil)
+	var page struct {
+		Traces []struct {
+			Spans []struct{ Name, Parent string }
+		}
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &page); err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Traces) != 1 || len(page.Traces[0].Spans) != 1 ||
+		page.Traces[0].Spans[0].Name != "GET /healthz" || page.Traces[0].Spans[0].Parent != trace.SpanID(7).String() {
+		t.Fatalf("/debug/traces for %s: %+v, want one GET /healthz span under parent 7", id, page.Traces)
 	}
 }
 

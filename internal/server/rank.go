@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
+	"github.com/qoslab/amf/internal/obs/trace"
 )
 
 // This file implements POST /api/v1/rank — the candidate-ranking query of
@@ -18,10 +19,10 @@ import (
 
 // rankRoutes registers the ranking endpoint; called from routes().
 func (s *Server) rankRoutes() {
-	s.handle("POST /api/v1/rank", s.gated("POST /api/v1/rank", s.handleRank))
+	s.handleGated("POST /api/v1/rank", s.handleRank)
 }
 
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Span) {
 	b, ok := s.readHot(w, r)
 	if !ok {
 		return

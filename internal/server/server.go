@@ -197,9 +197,9 @@ func (s *Server) routes() {
 	// (inert until EnableAdmission — one atomic load while disabled).
 	// Health, metrics, config, and cluster control stay ungated: an
 	// overloaded server must remain observable and steerable.
-	s.handle("POST /api/v1/observe", s.gated("POST /api/v1/observe", s.handleObserve))
-	s.handle("GET /api/v1/predict", s.gated("GET /api/v1/predict", s.handlePredict))
-	s.handle("POST /api/v1/predict", s.gated("POST /api/v1/predict", s.handleBatchPredict))
+	s.handleGated("POST /api/v1/observe", s.handleObserve)
+	s.handleGated("GET /api/v1/predict", s.handlePredict)
+	s.handleGated("POST /api/v1/predict", s.handleBatchPredict)
 	s.rankRoutes()
 	s.handle("GET /api/v1/stats", s.handleStats)
 	s.configRoutes()
@@ -360,7 +360,7 @@ func (s *Server) writeHot(w http.ResponseWriter, body []byte, err error) {
 	_, _ = w.Write(body)
 }
 
-func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace.Span) {
 	if s.rejectFollowerWrite(w) {
 		return
 	}
@@ -426,7 +426,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	// annotations on a traced request (a nil span takes none).
 	tm := s.eng.ObserveAllTraced(samples)
 	s.churn.RUnlock()
-	sp := trace.FromContext(r.Context())
 	sp.Annotate("engine_queue_wait", tm.QueueWait)
 	sp.Annotate("engine_journal", tm.Journal)
 	sp.Annotate("engine_apply", tm.Apply)
@@ -484,7 +483,7 @@ func (s *Server) resolve(user, service string) (uid, sid int, err error) {
 	return uid, sid, nil
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request, _ *trace.Span) {
 	user := QueryParam(r.URL.RawQuery, "user")
 	service := QueryParam(r.URL.RawQuery, "service")
 	if user == "" || service == "" {
@@ -512,7 +511,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.writeHot(w, b.out, err)
 }
 
-func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, _ *trace.Span) {
 	b, ok := s.readHot(w, r)
 	if !ok {
 		return

@@ -129,7 +129,9 @@ func (t *Transformer) Backward(r float64) float64 {
 }
 
 // Sigmoid is the logistic link g(x) = 1/(1+e^{-x}) mapping latent inner
-// products into [0, 1] (paper Sec. IV-C.1).
+// products into [0, 1] (paper Sec. IV-C.1). Its derivative, used in the
+// SGD updates (paper Eq. 8-9), is g'(x) = g(x)(1−g(x)): callers holding
+// g compute it without a second exponential.
 func Sigmoid(x float64) float64 {
 	// Split by sign for numerical stability at large |x|.
 	if x >= 0 {
@@ -137,11 +139,4 @@ func Sigmoid(x float64) float64 {
 	}
 	e := math.Exp(x)
 	return e / (1 + e)
-}
-
-// SigmoidPrime is g'(x) = e^x/(e^x+1)^2 = g(x)(1−g(x)), the derivative
-// used in the SGD updates (paper Eq. 8-9).
-func SigmoidPrime(x float64) float64 {
-	g := Sigmoid(x)
-	return g * (1 - g)
 }
