@@ -1,9 +1,8 @@
 // Command amfgateway fronts a user-sharded cluster of amfserver
 // replicas: it consistent-hashes users across shard groups, proxies the
 // prediction API to the right group (writes to the leader, reads
-// round-robin), fans large ranking queries out across a group's
-// replicas, and — with -failover — promotes a follower when a group's
-// leader dies.
+// round-robin), and — with -failover — promotes a follower when a
+// group's leader dies.
 //
 //	amfgateway -addr :8080 \
 //	  -shard http://s0a:8081,http://s0b:8082 \
@@ -82,7 +81,6 @@ func run(args []string, stderr io.Writer) error {
 		probeIvl  = fs.Duration("probe-interval", 500*time.Millisecond, "replica health-probe cadence")
 		downAfter = fs.Int("down-after", 3, "consecutive probe failures before a replica is marked down")
 		failover  = fs.Bool("failover", false, "promote the most caught-up follower when a group's leader stays down")
-		fanout    = fs.Int("fanout-threshold", 256, "candidate-set size at which rank/batch queries split across a group's replicas (-1 disables)")
 		edgeShed  = fs.Bool("slo-edge-shed", false, "refuse sheddable-class requests at the gateway when the target shard group reports saturation (429 + Retry-After)")
 		shedThr   = fs.Float64("slo-shed-threshold", 0.5, "group shed rate (max over healthy replicas, probed) at which edge shedding kicks in")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
@@ -100,14 +98,13 @@ func run(args []string, stderr io.Writer) error {
 	}
 
 	gw, err := cluster.New(cluster.Config{
-		Groups:          shards,
-		ProbeInterval:   *probeIvl,
-		DownAfter:       *downAfter,
-		Failover:        *failover,
-		FanOutThreshold: *fanout,
-		EdgeShed:        *edgeShed,
-		ShedThreshold:   *shedThr,
-		Logger:          logger,
+		Groups:        shards,
+		ProbeInterval: *probeIvl,
+		DownAfter:     *downAfter,
+		Failover:      *failover,
+		EdgeShed:      *edgeShed,
+		ShedThreshold: *shedThr,
+		Logger:        logger,
 	})
 	if err != nil {
 		return err
@@ -136,7 +133,7 @@ func run(args []string, stderr io.Writer) error {
 		"version", obs.BuildVersion(), "commit", obs.BuildCommit(),
 		"addr", *addr, "groups", len(shards),
 		"probe_interval", *probeIvl, "down_after", *downAfter,
-		"failover", *failover, "fanout_threshold", *fanout,
+		"failover", *failover,
 		"slo_edge_shed", *edgeShed, "slo_shed_threshold", *shedThr)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -70,13 +70,12 @@ func benchPost(b *testing.B, url string, body any) {
 // benchGateway fronts the given replica URLs with one gateway group and
 // serves it over httptest (so both arms of the comparison pay the same
 // real HTTP cost).
-func benchGateway(b *testing.B, replicas []string, fanout int) *httptest.Server {
+func benchGateway(b *testing.B, replicas []string) *httptest.Server {
 	b.Helper()
 	g, err := New(Config{
-		Groups:          [][]string{replicas},
-		FanOutThreshold: fanout,
-		ProbeInterval:   time.Hour, // no background probes during timing
-		Logger:          quietLogger(),
+		Groups:        [][]string{replicas},
+		ProbeInterval: time.Hour, // no background probes during timing
+		Logger:        quietLogger(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +135,7 @@ func benchPostRaw(b *testing.B, client *http.Client, url string, body []byte) {
 // microseconds of work, so the extra hop IS the cost.
 func BenchmarkGatewayPredict(b *testing.B) {
 	_, ts := benchBackend(b, 8, 16)
-	gw := benchGateway(b, []string{ts.URL}, -1)
+	gw := benchGateway(b, []string{ts.URL})
 	client := &http.Client{}
 	path := "/api/v1/predict?user=bu1&service=bs2"
 	for _, arm := range []struct{ name, base string }{
@@ -150,29 +149,19 @@ func BenchmarkGatewayPredict(b *testing.B) {
 }
 
 // BenchmarkGatewayRank prices the proxy hop on a realistic adaptation
-// query — ranking a candidate set — where the gateway decodes the body
-// once to route it and forwards the bytes verbatim. candidates=200 is the
-// repository benchmark's adapt_cycle shape (bench/ gates its
-// allocations as cluster.allocs_per_op.rank_cand); candidates=2000 is
-// the large set, whose fanout arm splits the same candidates across
-// three replicas.
+// query — ranking a candidate set — which a single-group gateway forwards
+// verbatim. candidates=200 is the repository benchmark's adapt_cycle
+// shape (bench/ gates its allocations as cluster.allocs_per_op.rank_cand);
+// candidates=2000 is the large set, where splitting the list across three
+// replicas measured twice the single hop (DESIGN.md "Cluster &
+// replication") before fan-out was removed.
 func BenchmarkGatewayRank(b *testing.B) {
-	svc, ts := benchBackend(b, 8, 2000)
-	gw := benchGateway(b, []string{ts.URL}, -1) // pure proxy, no fan-out
-	ts2 := httptest.NewServer(svc.Handler())
-	b.Cleanup(ts2.Close)
-	ts3 := httptest.NewServer(svc.Handler())
-	b.Cleanup(ts3.Close)
-	gwFan := benchGateway(b, []string{ts.URL, ts2.URL, ts3.URL}, 100)
-
+	_, ts := benchBackend(b, 8, 2000)
+	gw := benchGateway(b, []string{ts.URL})
 	client := &http.Client{}
 	for _, n := range []int{200, 2000} {
 		body := candidateRequest(b, n, 10)
-		arms := []struct{ name, base string }{{"direct", ts.URL}, {"gateway", gw.URL}}
-		if n == 2000 {
-			arms = append(arms, struct{ name, base string }{"gateway_fanout3", gwFan.URL})
-		}
-		for _, arm := range arms {
+		for _, arm := range []struct{ name, base string }{{"direct", ts.URL}, {"gateway", gw.URL}} {
 			b.Run(fmt.Sprintf("candidates=%d/%s", n, arm.name), func(b *testing.B) {
 				url := arm.base + "/api/v1/rank"
 				runTimed(b, func() { benchPostRaw(b, client, url, body) })
@@ -185,7 +174,7 @@ func BenchmarkGatewayRank(b *testing.B) {
 // benchmark's shape: 50 candidates, one replica.
 func BenchmarkGatewayBatch(b *testing.B) {
 	_, ts := benchBackend(b, 8, 50)
-	gw := benchGateway(b, []string{ts.URL}, -1)
+	gw := benchGateway(b, []string{ts.URL})
 	body := candidateRequest(b, 50, 0)
 	client := &http.Client{}
 	for _, arm := range []struct{ name, base string }{{"direct", ts.URL}, {"gateway", gw.URL}} {
@@ -226,7 +215,7 @@ func candidateRequest(b *testing.B, n, topk int) []byte {
 // along as custom metrics.
 func BenchmarkGatewayRankAll(b *testing.B) {
 	_, ts := benchBackend(b, 4, 96000)
-	gw := benchGateway(b, []string{ts.URL}, -1)
+	gw := benchGateway(b, []string{ts.URL})
 	body := []byte(`{"user":"bu1","topk":10}`)
 	client := &http.Client{}
 	direct := ts.URL + "/api/v1/rank"

@@ -11,7 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,11 +49,10 @@ type Config struct {
 	// DownAfter is how many consecutive probe failures mark a replica
 	// Down (default 3; the first failure marks it Suspect).
 	DownAfter int
-	// FanOutThreshold is the candidate-set size at or above which rank
-	// and batch-predict requests are split across a group's healthy
-	// replicas instead of sent to one (default 256). Every replica holds
-	// the full group state, so splitting scales scan work with replica
-	// count. <= -1 disables fan-out.
+	// FanOutThreshold is ignored: a rank or batch-predict request goes to
+	// one replica whatever its candidate count, because splitting it
+	// measured slower than the single hop (DESIGN.md "Cluster &
+	// replication"). The field stays only because bench/ still sets it.
 	FanOutThreshold int
 	// MaxBody bounds proxied request bodies (default server.MaxBodyBytes,
 	// the bound the backends apply themselves).
@@ -69,8 +68,8 @@ type Config struct {
 	// Logger receives lifecycle and failover events (default slog.Default()).
 	Logger *slog.Logger
 	// HTTP is the client for proxying and probing; nil builds one with a
-	// connection pool sized for proxy fan-out. Proxied requests go to its
-	// Transport directly: a backend's redirect is relayed, never
+	// connection pool sized for concurrent proxying. Proxied requests go
+	// to its Transport directly: a backend's redirect is relayed, never
 	// followed, and a non-zero Timeout bounds each backend hop.
 	HTTP *http.Client
 }
@@ -140,7 +139,6 @@ type Gateway struct {
 	requests     *obs.CounterVec
 	proxySeconds *obs.HistogramVec
 	proxyErrors  *obs.Counter
-	fanouts      *obs.Counter
 	edgeSheds    *obs.Counter
 	failovers    *obs.Counter
 	demotions    *obs.Counter
@@ -171,9 +169,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
-	}
-	if cfg.FanOutThreshold == 0 {
-		cfg.FanOutThreshold = 256
 	}
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = server.MaxBodyBytes
@@ -273,8 +268,6 @@ func (g *Gateway) buildMetrics() {
 	}
 	g.proxyErrors = r.NewCounter("amf_cluster_proxy_errors_total",
 		"Backend requests that failed (connection errors or non-2xx).")
-	g.fanouts = r.NewCounter("amf_cluster_fanouts_total",
-		"Rank/batch requests split across a group's replicas.")
 	g.edgeSheds = r.NewCounter("amf_admission_edge_shed_total",
 		"Sheddable-class requests refused at the gateway because the target shard group reported saturation.")
 	g.failovers = r.NewCounter("amf_cluster_failovers_total",
@@ -322,8 +315,8 @@ func (g *Gateway) routes() {
 	g.mux.Handle("GET /debug/traces", g.traces)
 	g.mux.HandleFunc("POST /api/v1/observe", g.timed("observe", g.handleObserve))
 	g.mux.HandleFunc("GET /api/v1/predict", g.timed("predict", g.handlePredict))
-	g.mux.HandleFunc("POST /api/v1/predict", g.timed("batch", g.handleBatchPredict))
-	g.mux.HandleFunc("POST /api/v1/rank", g.timed("rank", g.handleRank))
+	g.mux.HandleFunc("POST /api/v1/predict", g.timed("batch", g.handleCandidates(false)))
+	g.mux.HandleFunc("POST /api/v1/rank", g.timed("rank", g.handleCandidates(true)))
 }
 
 // requestIDHeader mirrors the server's spelling (canonical MIME form, so
@@ -495,22 +488,8 @@ func (grp *group) readTarget() *replica {
 	return grp.replicas[start%n]
 }
 
-// healthyReplicas returns the group's non-Down replicas (fan-out set).
-func (grp *group) healthyReplicas() []*replica {
-	out := make([]*replica, 0, len(grp.replicas))
-	for _, rep := range grp.replicas {
-		if rep.Health() != Down {
-			out = append(out, rep)
-		}
-	}
-	return out
-}
-
 // proxyBufPool recycles the request-marshal and response-read buffers
-// under postJSON. The predict proxy path runs one of each per
-// sub-request; pooling them (plus Unmarshal over a pooled read instead
-// of a fresh json.Decoder) is what pulled the direct→gateway allocation
-// overhead down (bench/: cluster.allocs_per_op.*).
+// under postJSON: one of each per observe bucket or control call.
 var proxyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // postJSON sends one JSON sub-request and decodes the 200 response into
@@ -578,12 +557,12 @@ func newBytesBody(b []byte) *bytesBody {
 
 // forward proxies one request verbatim to one backend — body bytes
 // untouched (nil for a GET) — and streams the response straight through:
-// the fast path for requests that need no splitting or merging.
-// Skipping the gateway-side decode/re-encode of both body and response
-// is what keeps the proxy hop within the 15% overhead budget on large
-// ranking queries. The outgoing request is assembled around the
-// replica's parsed URL; http.NewRequest would parse it again, wrap the
-// body twice and canonicalise headers that are already canonical.
+// the path of every request but a multi-group observe. Skipping the
+// gateway-side decode/re-encode of both body and response is what keeps
+// the proxy hop within the 15% overhead budget on large ranking queries.
+// The outgoing request is assembled around the replica's parsed URL;
+// http.NewRequest would parse it again, wrap the body twice and
+// canonicalise headers that are already canonical.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body []byte) {
 	req := (&http.Request{
 		Method: method, URL: u, Host: u.Host,
@@ -671,7 +650,7 @@ func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	return raw, true
 }
 
-// backendError carries a backend's HTTP status through the merge so the
+// backendError carries a backend's HTTP status out of postJSON so the
 // gateway can relay it instead of flattening everything to 502.
 type backendError struct {
 	status int
@@ -694,7 +673,7 @@ func relayStatus(err error) int {
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	for _, grp := range g.groups {
-		if len(grp.healthyReplicas()) == 0 {
+		if !slices.ContainsFunc(grp.replicas, func(rep *replica) bool { return rep.Health() != Down }) {
 			g.writeJSON(w, http.StatusServiceUnavailable,
 				map[string]string{"status": "degraded", "group": grp.name})
 			return
@@ -875,202 +854,63 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request, c call) 
 	g.forward(w, r, c, http.MethodGet, rep, &u, nil)
 }
 
-// route decodes a batch-predict or rank body once — the user to route
-// by, the candidates to count and, past the threshold, to split — and
-// picks the request's shard group. It answers the request itself and
-// returns a nil group when the body is malformed, names no user, or
-// cannot be routed. The Query's views live until d is released.
-func (g *Gateway) route(w http.ResponseWriter, c call, d *server.Decoder, raw []byte, rank bool) (server.Query, *group) {
+// handleCandidates returns the handler of batch predict (rank false) or
+// rank, which forwards the body verbatim to one read replica of the
+// user's group: every replica holds the whole group state, and splitting
+// a candidate list across several measured slower than the one hop. With
+// one group there is nothing to route, so the body is not decoded at all
+// and the replica alone validates it, as an observe's is (handleObserve);
+// with more, route decodes it once to find the user.
+func (g *Gateway) handleCandidates(rank bool) proxyHandler {
+	return func(w http.ResponseWriter, r *http.Request, c call) {
+		raw, ok := g.readBody(w, r)
+		if !ok {
+			return
+		}
+		grp := g.groups[0]
+		if len(g.groups) > 1 {
+			if grp = g.route(w, raw, rank); grp == nil {
+				return
+			}
+		}
+		if g.edgeShed(w, c, grp) {
+			return
+		}
+		rep := grp.readTarget()
+		u := rep.predictURL
+		if rank {
+			u = rep.rankURL
+		}
+		g.forward(w, r, c, http.MethodPost, rep, u, raw)
+	}
+}
+
+// route decodes a batch-predict or rank body once, for the user to route
+// by (the last of duplicate keys, as the server reads it), and returns the
+// user's shard group. It answers the request itself and returns nil when
+// the body is malformed, names no user, or cannot be routed.
+func (g *Gateway) route(w http.ResponseWriter, raw []byte, rank bool) *group {
+	d := server.AcquireDecoder()
+	defer d.Release()
 	decode, missing := d.Batch, "user and services are required"
 	if rank {
 		decode, missing = d.Rank, "user is required"
 	}
-	// No list bound here: the backend applies its own, to the whole list
-	// or to its slice of a fan-out.
+	// No list bound here: the backend applies its own.
 	q, err := decode(raw, math.MaxInt)
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return q, nil
+		return nil
 	}
 	if len(q.User) == 0 {
 		g.writeError(w, http.StatusBadRequest, "%s", missing)
-		return q, nil
+		return nil
 	}
 	grp := g.groupAt(hash64(q.User))
 	if grp == nil {
 		g.unavailable(w)
-		return q, nil
 	}
-	if g.edgeShed(w, c, grp) {
-		return q, nil
-	}
-	return q, grp
-}
-
-// fanOutSet returns the replicas to split a candidate list of n across,
-// or nil when the request goes to one replica verbatim: fan-out off,
-// fewer than two healthy replicas, or a list under the threshold (which
-// includes the full-catalog ranking's empty list — every replica would
-// scan the same catalog).
-func (g *Gateway) fanOutSet(grp *group, n int) []*replica {
-	if g.cfg.FanOutThreshold < 0 || n == 0 || n < g.cfg.FanOutThreshold || len(grp.replicas) < 2 {
-		return nil
-	}
-	if reps := grp.healthyReplicas(); len(reps) >= 2 {
-		return reps
-	}
-	return nil
-}
-
-// handleBatchPredict routes a candidate batch to the user's group. At or
-// above the fan-out threshold the candidate list is split across the
-// group's healthy replicas (each holds the full group state) and the
-// partial responses are concatenated back in request order.
-func (g *Gateway) handleBatchPredict(w http.ResponseWriter, r *http.Request, c call) {
-	raw, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	d := server.AcquireDecoder()
-	defer d.Release()
-	q, grp := g.route(w, c, d, raw, false)
-	if grp == nil {
-		return
-	}
-	reps := g.fanOutSet(grp, len(q.Services))
-	if reps == nil {
-		rep := grp.readTarget()
-		g.forward(w, r, c, http.MethodPost, rep, rep.predictURL, raw)
-		return
-	}
-
-	g.fanouts.Inc()
-	user := string(q.User)
-	chunks := splitNames(q.Services, len(reps))
-	parts := make([]server.BatchPredictResponse, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		wg.Add(1)
-		go func(i int, chunk []string, c call) {
-			defer wg.Done()
-			errs[i] = g.postJSON(r.Context(), c, reps[i].url+"/api/v1/predict",
-				server.BatchPredictRequest{User: user, Services: chunk}, &parts[i])
-		}(i, chunk, c)
-	}
-	wg.Wait()
-	merged := server.BatchPredictResponse{User: user, Predictions: make([]server.BatchPrediction, 0, len(q.Services))}
-	for i, err := range errs {
-		if err != nil {
-			g.writeError(w, relayStatus(err), "batch predict (replica %s): %v", reps[i].url, err)
-			return
-		}
-		merged.Predictions = append(merged.Predictions, parts[i].Predictions...)
-	}
-	g.writeJSON(w, http.StatusOK, merged)
-}
-
-// handleRank routes a ranking query to the user's group. Candidate sets
-// at or above the fan-out threshold are split across the group's
-// healthy replicas; each replica returns its slice's top-k and the
-// gateway merges the partial rankings. Full-catalog rankings (no
-// candidate list) go to one replica — they cannot be split, every
-// replica would scan the same catalog.
-func (g *Gateway) handleRank(w http.ResponseWriter, r *http.Request, c call) {
-	raw, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	d := server.AcquireDecoder()
-	defer d.Release()
-	q, grp := g.route(w, c, d, raw, true)
-	if grp == nil {
-		return
-	}
-	reps := g.fanOutSet(grp, len(q.Services))
-	if reps == nil {
-		rep := grp.readTarget()
-		g.forward(w, r, c, http.MethodPost, rep, rep.rankURL, raw)
-		return
-	}
-
-	g.fanouts.Inc()
-	sub := server.RankRequest{User: string(q.User), TopK: q.TopK, Metric: string(q.Metric)}
-	lowerIsBetter := sub.Metric != "tp" && sub.Metric != "throughput"
-	chunks := splitNames(q.Services, len(reps))
-	parts := make([]server.RankResponse, len(chunks))
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for i, chunk := range chunks {
-		wg.Add(1)
-		go func(i int, chunk []string, c call) {
-			defer wg.Done()
-			sub := sub
-			sub.Services = chunk
-			errs[i] = g.postJSON(r.Context(), c, reps[i].url+"/api/v1/rank", sub, &parts[i])
-		}(i, chunk, c)
-	}
-	wg.Wait()
-	merged := server.RankResponse{User: sub.User}
-	var all []server.RankedService
-	for i, err := range errs {
-		if err != nil {
-			g.writeError(w, relayStatus(err), "rank (replica %s): %v", reps[i].url, err)
-			return
-		}
-		merged.Metric = parts[i].Metric
-		merged.Candidates += parts[i].Candidates
-		merged.Unknown = append(merged.Unknown, parts[i].Unknown...)
-		all = append(all, parts[i].Ranked...)
-		// Partial rankings come from per-replica views; report the most
-		// advanced one as the ranking's "as of" version.
-		if parts[i].ViewVersion > merged.ViewVersion {
-			merged.ViewVersion = parts[i].ViewVersion
-		}
-	}
-	merged.Ranked = mergeRanked(all, q.TopK, lowerIsBetter)
-	g.writeJSON(w, http.StatusOK, merged)
-}
-
-// splitNames cuts the decoded names into n contiguous chunks (sizes
-// differing by at most one, no empty chunks unless len(names) < n),
-// copied out of the decoder's views into strings a sub-request can own.
-func splitNames(names [][]byte, n int) [][]string {
-	if n > len(names) {
-		n = len(names)
-	}
-	all := make([]string, len(names))
-	for i, name := range names {
-		all[i] = string(name)
-	}
-	out := make([][]string, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(all)/n, (i+1)*len(all)/n
-		out = append(out, all[lo:hi])
-	}
-	return out
-}
-
-// mergeRanked merges per-replica partial rankings into one order, best
-// first, truncated to k (k <= 0 keeps everything). The replicas ranked
-// disjoint candidate slices, so this is a pure k-way merge by value —
-// name tie-break keeps the order deterministic across gateways (the
-// per-ID tie-break core.TopK uses is unavailable here: partial results
-// carry only names).
-func mergeRanked(all []server.RankedService, k int, lowerIsBetter bool) []server.RankedService {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Value != all[j].Value {
-			if lowerIsBetter {
-				return all[i].Value < all[j].Value
-			}
-			return all[i].Value > all[j].Value
-		}
-		return all[i].Service < all[j].Service
-	})
-	if k > 0 && len(all) > k {
-		all = all[:k]
-	}
-	return all
+	return grp
 }
 
 // probeAll probes every replica of every group and updates routing

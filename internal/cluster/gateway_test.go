@@ -146,84 +146,6 @@ func backendStats(t *testing.T, url string) server.StatsResponse {
 	return st
 }
 
-// TestGatewayFanOut verifies split/merge of batch predictions and
-// rankings. Three "replicas" are three listeners over ONE server, so
-// their state is identical by construction — which is exactly the
-// contract fan-out relies on (replicas of a group converge via WAL
-// shipping).
-func TestGatewayFanOut(t *testing.T) {
-	svc, ts := backend(t)
-	ts2 := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts2.Close)
-	ts3 := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts3.Close)
-
-	g := newGateway(t, [][]string{{ts.URL, ts2.URL, ts3.URL}}, func(c *Config) {
-		c.FanOutThreshold = 4 // small candidate sets fan out too
-	})
-
-	var obs []server.Observation
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 8; j++ {
-			obs = append(obs, server.Observation{
-				User:    fmt.Sprintf("u%d", i),
-				Service: fmt.Sprintf("s%d", j),
-				Value:   0.5 + float64((i*3+j)%7),
-			})
-		}
-	}
-	if w := gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: obs}); w.Code != http.StatusOK {
-		t.Fatalf("seed: HTTP %d %s", w.Code, w.Body.String())
-	}
-
-	candidates := []string{"s0", "s1", "s2", "s3", "s4", "ghost", "s6", "s7"}
-
-	// Batch predict: gateway fan-out must match a direct single-server
-	// answer exactly, order included.
-	breq := server.BatchPredictRequest{User: "u1", Services: candidates}
-	direct := postBackend[server.BatchPredictResponse](t, ts.URL+"/api/v1/predict", breq)
-	viaGW := decode[server.BatchPredictResponse](t, gwReq(t, g, http.MethodPost, "/api/v1/predict", breq))
-	if len(viaGW.Predictions) != len(direct.Predictions) {
-		t.Fatalf("fan-out returned %d predictions, direct %d", len(viaGW.Predictions), len(direct.Predictions))
-	}
-	for i := range direct.Predictions {
-		d, gw := direct.Predictions[i], viaGW.Predictions[i]
-		if d.Service != gw.Service || d.OK != gw.OK || d.Value != gw.Value {
-			t.Fatalf("prediction %d differs: direct %+v gateway %+v", i, d, gw)
-		}
-	}
-
-	// Rank: merged top-k must equal the direct top-k.
-	rreq := server.RankRequest{User: "u1", Services: candidates, TopK: 3}
-	directRank := postBackend[server.RankResponse](t, ts.URL+"/api/v1/rank", rreq)
-	gwRank := decode[server.RankResponse](t, gwReq(t, g, http.MethodPost, "/api/v1/rank", rreq))
-	if len(gwRank.Ranked) != 3 || len(directRank.Ranked) != 3 {
-		t.Fatalf("rank sizes: gateway %d direct %d", len(gwRank.Ranked), len(directRank.Ranked))
-	}
-	for i := range directRank.Ranked {
-		if directRank.Ranked[i] != gwRank.Ranked[i] {
-			t.Fatalf("rank %d differs: direct %+v gateway %+v", i, directRank.Ranked[i], gwRank.Ranked[i])
-		}
-	}
-	if gwRank.Candidates != directRank.Candidates || len(gwRank.Unknown) != 1 || gwRank.Unknown[0] != "ghost" {
-		t.Fatalf("merged rank metadata: %+v", gwRank)
-	}
-
-	// Throughput metric merges descending.
-	tpReq := server.RankRequest{User: "u1", Services: candidates, TopK: 4, Metric: "tp"}
-	tpRank := decode[server.RankResponse](t, gwReq(t, g, http.MethodPost, "/api/v1/rank", tpReq))
-	for i := 1; i < len(tpRank.Ranked); i++ {
-		if tpRank.Ranked[i].Value > tpRank.Ranked[i-1].Value {
-			t.Fatalf("tp merge not descending: %+v", tpRank.Ranked)
-		}
-	}
-
-	// The fan-out counter moved (three fanned-out requests above).
-	if v := metricValue(t, g, "amf_cluster_fanouts_total"); v < 3 {
-		t.Errorf("amf_cluster_fanouts_total = %g, want >= 3", v)
-	}
-}
-
 func postBackend[T any](t *testing.T, url string, body any) T {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -606,47 +528,5 @@ func TestGatewayConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Groups: [][]string{{}}}); err == nil {
 		t.Error("empty group should be rejected")
-	}
-}
-
-func TestSplitNames(t *testing.T) {
-	ss := []string{"a", "b", "c", "d", "e"}
-	names := make([][]byte, len(ss))
-	for i, s := range ss {
-		names[i] = []byte(s)
-	}
-	chunks := splitNames(names, 2)
-	if len(chunks) != 2 || len(chunks[0])+len(chunks[1]) != 5 {
-		t.Fatalf("chunks = %v", chunks)
-	}
-	// More chunks than items: one item each, no empties.
-	chunks = splitNames(names[:2], 5)
-	if len(chunks) != 2 || len(chunks[0]) != 1 || len(chunks[1]) != 1 {
-		t.Fatalf("over-split chunks = %v", chunks)
-	}
-	// Order is preserved across the concatenation.
-	var flat []string
-	for _, c := range splitNames(names, 3) {
-		flat = append(flat, c...)
-	}
-	for i, s := range flat {
-		if s != ss[i] {
-			t.Fatalf("order broken: %v", flat)
-		}
-	}
-}
-
-func TestMergeRanked(t *testing.T) {
-	parts := []server.RankedService{
-		{Service: "b", Value: 2}, {Service: "a", Value: 1}, {Service: "c", Value: 3},
-		{Service: "d", Value: 1}, // ties with a; name breaks the tie
-	}
-	got := mergeRanked(append([]server.RankedService(nil), parts...), 3, true)
-	if len(got) != 3 || got[0].Service != "a" || got[1].Service != "d" || got[2].Service != "b" {
-		t.Fatalf("rt merge = %+v", got)
-	}
-	got = mergeRanked(append([]server.RankedService(nil), parts...), 0, false)
-	if len(got) != 4 || got[0].Service != "c" {
-		t.Fatalf("tp merge = %+v", got)
 	}
 }

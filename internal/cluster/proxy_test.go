@@ -192,7 +192,7 @@ func TestGatewayRelaysRedirect(t *testing.T) {
 
 // TestGatewayHopTimeout: a Config.HTTP with a Timeout still bounds a
 // backend hop that hangs, on the pass-through path (forward) and on the
-// fan-out path (postJSON).
+// multi-group observe's per-bucket path (postJSON).
 func TestGatewayHopTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	release := make(chan struct{})
@@ -207,16 +207,21 @@ func TestGatewayHopTimeout(t *testing.T) {
 	}
 	ts1, ts2 := statusBackend(t, hung), statusBackend(t, hung)
 	t.Cleanup(func() { close(release) }) // runs before the servers close
-	g := newGateway(t, [][]string{{ts1.URL, ts2.URL}}, func(c *Config) {
-		c.FanOutThreshold = 1
+	g := newGateway(t, [][]string{{ts1.URL}, {ts2.URL}}, func(c *Config) {
 		c.HTTP = &http.Client{Timeout: timeout}
 	})
+	// Users enough to touch both groups, so the observe is split.
+	var buckets []server.Observation
+	for i := 0; i < 16; i++ {
+		buckets = append(buckets, server.Observation{User: fmt.Sprint("u", i), Service: "s1", Value: 1})
+	}
 	for _, tc := range []struct {
 		name, method, path string
 		body               any
 	}{
 		{"forward", http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil},
-		{"fan-out", http.MethodPost, "/api/v1/predict", server.BatchPredictRequest{User: "u1", Services: []string{"s1", "s2"}}},
+		{"forward", http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 3}},
+		{"postJSON", http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: buckets}},
 	} {
 		start := time.Now()
 		w := gwReq(t, g, tc.method, tc.path, tc.body)

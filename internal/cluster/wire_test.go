@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,19 +18,21 @@ import (
 )
 
 // TestOneStatusOnEveryPath: the same bytes get the same status whether
-// they reach the server directly, through a single-replica gateway
-// (forwarded verbatim) or through the gateway's fan-out path (decoded,
-// split, re-encoded). Before the shared codec the server's json.Decoder
-// stopped at the first value and served bodies with trailing data that
-// the fan-out path's json.Unmarshal refused, and the gateway's routing
-// scan matched "user" by exact case where the server folded it.
+// they reach the server directly, through a single-group gateway (which
+// forwards them without a look) or through a multi-group one (which
+// decodes them with the server's codec to route by user). Before the
+// shared codec the server's json.Decoder stopped at the first value and
+// served bodies with trailing data that the gateway's json.Unmarshal
+// refused, and the gateway's routing scan matched "user" by exact case
+// where the server folded it.
 func TestOneStatusOnEveryPath(t *testing.T) {
 	svc, ts := backend(t)
 	ts2 := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts2.Close)
 	single := newGateway(t, [][]string{{ts.URL}}, nil)
-	// Threshold 1: every candidate list is split across the two replicas.
-	fanout := newGateway(t, [][]string{{ts.URL, ts2.URL}}, func(c *Config) { c.FanOutThreshold = 1 })
+	// Two groups over one server: whichever group a user routes to, the
+	// answer comes from the same state.
+	multi := newGateway(t, [][]string{{ts.URL}, {ts2.URL}}, nil)
 
 	seed := gwReq(t, single, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{
 		{User: "u1", Service: "s1", Value: 1}, {User: "u1", Service: "s2", Value: 2}, {User: "u1", Service: "s3", Value: 3},
@@ -73,17 +76,99 @@ func TestOneStatusOnEveryPath(t *testing.T) {
 			if path == "/api/v1/predict" {
 				want = tc.batch
 			}
-			before := fanout.fanouts.Value()
 			direct := post(svc.Handler(), path, tc.body)
 			viaSingle := post(single.Handler(), path, tc.body)
-			viaFanout := post(fanout.Handler(), path, tc.body)
-			if direct != want || viaSingle != want || viaFanout != want {
-				t.Errorf("%s %s: server %d, gateway %d, gateway fan-out %d; want %d on all three",
-					path, tc.name, direct, viaSingle, viaFanout, want)
+			viaMulti := post(multi.Handler(), path, tc.body)
+			if direct != want || viaSingle != want || viaMulti != want {
+				t.Errorf("%s %s: server %d, gateway %d, multi-group gateway %d; want %d on all three",
+					path, tc.name, direct, viaSingle, viaMulti, want)
 			}
-			if want == 200 && fanout.fanouts.Value() == before {
-				t.Errorf("%s %s: the fan-out gateway did not fan out", path, tc.name)
+		}
+	}
+}
+
+// TestGatewayForwardsCandidatesVerbatim: a batch or rank body reaches one
+// backend byte for byte as the client sent it, and the backend's answer
+// reaches the client the same way. A single-group gateway does not look at
+// the body at all, so even a malformed one is the backend's to refuse; a
+// multi-group one decodes it only to route by user, the last of duplicate
+// "user" keys as the server reads it.
+func TestGatewayForwardsCandidatesVerbatim(t *testing.T) {
+	const answer = `{"from":"backend"}` + "\n"
+	var (
+		mu   sync.Mutex
+		hits = map[string][]string{} // backend URL → "path body" of each request it served
+	)
+	newBackend := func() string {
+		var ts *httptest.Server
+		ts = statusBackend(t, func(w http.ResponseWriter, r *http.Request) {
+			body, _ := io.ReadAll(r.Body)
+			mu.Lock()
+			hits[ts.URL] = append(hits[ts.URL], r.URL.Path+" "+string(body))
+			mu.Unlock()
+			_, _ = io.WriteString(w, answer)
+		})
+		return ts.URL
+	}
+	served := func() map[string][]string {
+		mu.Lock()
+		defer mu.Unlock()
+		got := hits
+		hits = map[string][]string{}
+		return got
+	}
+	post := func(g *Gateway, path, body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		g.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return w
+	}
+	paths := []string{"/api/v1/predict", "/api/v1/rank"}
+
+	only := newBackend()
+	single := newGateway(t, [][]string{{only}}, nil)
+	for _, path := range paths {
+		for _, body := range []string{
+			`{"user":"u1","services":["s1","s2"]}`,
+			"{ \"USER\" : \"u1\",\n\t\"services\" : [\"s\\u0031\"], \"topk\":2 }  ",
+			`{"user":"ghost","user":"u1","services":["s1"],"topk":1}`,
+			`{"user":`,
+		} {
+			w := post(single, path, body)
+			got := served()
+			if w.Code != http.StatusOK || w.Body.String() != answer {
+				t.Errorf("single group, %s %q: HTTP %d %q, want the backend's answer verbatim", path, body, w.Code, w.Body)
 			}
+			if len(got) != 1 || len(got[only]) != 1 || got[only][0] != path+" "+body {
+				t.Errorf("single group, %s %q: backends received %q", path, body, got)
+			}
+		}
+	}
+
+	a, b := newBackend(), newBackend()
+	multi := newGateway(t, [][]string{{a}, {b}}, nil)
+	owner := func(user string) string { return multi.groupAt(hash64(user)).replicas[0].url }
+	first, last := "u0", ""
+	for i := 1; last == ""; i++ {
+		if u := fmt.Sprint("u", i); owner(u) != owner(first) {
+			last = u
+		}
+	}
+	for _, path := range paths {
+		for _, body := range []string{
+			`{"user":"` + first + `","services":["s1"],"user":"` + last + `"}`,
+			`{"user":"` + first + `","user":"` + last + `","services":["s1","s2"],"topk":1}`,
+		} {
+			w := post(multi, path, body)
+			got := served()
+			if w.Code != http.StatusOK || w.Body.String() != answer {
+				t.Errorf("multi-group, %s %q: HTTP %d %q, want the backend's answer verbatim", path, body, w.Code, w.Body)
+			}
+			if len(got) != 1 || len(got[owner(last)]) != 1 || got[owner(last)][0] != path+" "+body {
+				t.Errorf("multi-group, %s %q: backends received %q; want only %s's group (%s) to, verbatim", path, body, got, last, owner(last))
+			}
+		}
+		if w := post(multi, path, `{"user":`); w.Code != http.StatusBadRequest || len(served()) != 0 {
+			t.Errorf("multi-group, %s of a malformed body: HTTP %d, want 400 without a backend call", path, w.Code)
 		}
 	}
 }
@@ -105,21 +190,21 @@ func TestGatewayBodyBound(t *testing.T) {
 
 // TestGatewayFullScanTopKBound: a full-scan rank asking for more results
 // than the shard's MaxBatch is refused by the shard, and the gateway hands
-// the refusal — 413 and the shard's error body — through on both its
-// paths, as it does for an oversized candidate list.
+// the refusal — 413 and the shard's error body — through whether or not
+// it routes, as it does for an oversized candidate list.
 func TestGatewayFullScanTopKBound(t *testing.T) {
 	svc, ts := backend(t)
 	ts2 := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts2.Close)
 	single := newGateway(t, [][]string{{ts.URL}}, nil)
-	fanout := newGateway(t, [][]string{{ts.URL, ts2.URL}}, func(c *Config) { c.FanOutThreshold = 1 })
+	multi := newGateway(t, [][]string{{ts.URL}, {ts2.URL}}, nil)
 	seed := gwReq(t, single, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{
 		{User: "u1", Service: "s1", Value: 1}, {User: "u1", Service: "s2", Value: 2},
 	}})
 	if seed.Code != http.StatusOK {
 		t.Fatalf("seed: HTTP %d %s", seed.Code, seed.Body.String())
 	}
-	for name, g := range map[string]*Gateway{"single": single, "fan-out": fanout} {
+	for name, g := range map[string]*Gateway{"single-group": single, "multi-group": multi} {
 		over := gwReq(t, g, http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 1_000_000_000})
 		var e struct{ Error string }
 		if err := json.Unmarshal(over.Body.Bytes(), &e); over.Code != http.StatusRequestEntityTooLarge || err != nil || !strings.Contains(e.Error, "exceeds limit") {

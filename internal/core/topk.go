@@ -282,20 +282,47 @@ func (v *PredictView) PredictBatch(user int, services []int, dst []float64) erro
 	if len(dst) != len(services) {
 		panic("core: PredictBatch dst length mismatch")
 	}
+	return v.predictBatch(user, services, dst, nil)
+}
+
+// PredictBatchWithConfidence is PredictBatch that also fills conf[i] with
+// the pair's confidence; conf must have len(services) too, and is NaN
+// wherever dst is. Each value and confidence is, bit for bit, what
+// PredictWithConfidence returns for its pair.
+func (v *PredictView) PredictBatchWithConfidence(user int, services []int, dst, conf []float64) error {
+	if len(dst) != len(services) || len(conf) != len(services) {
+		panic("core: PredictBatchWithConfidence dst or conf length mismatch")
+	}
+	return v.predictBatch(user, services, dst, conf)
+}
+
+// predictBatch is PredictBatch, and PredictBatchWithConfidence when conf
+// is not nil.
+func (v *PredictView) predictBatch(user int, services []int, dst, conf []float64) error {
 	u, ok := v.users.get(user)
 	if !ok {
 		for i := range dst {
 			dst[i] = nan
 		}
+		for i := range conf {
+			conf[i] = nan
+		}
 		return ErrUnknownUser
 	}
+	ue := u.err()
 	for i, id := range services {
 		s, ok := v.services.get(id)
 		if !ok {
 			dst[i] = nan
+			if conf != nil {
+				conf[i] = nan
+			}
 			continue
 		}
 		dst[i] = v.tr.Backward(transform.Sigmoid(veDot(u, s)))
+		if conf != nil {
+			conf[i] = 1 / (1 + ue + s.err())
+		}
 	}
 	return nil
 }

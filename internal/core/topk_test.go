@@ -184,33 +184,44 @@ func TestTopKAllMatchesExplicitCandidates(t *testing.T) {
 	}
 }
 
+// TestPredictBatch: every value PredictBatch writes, and every value and
+// confidence PredictBatchWithConfidence writes, is bit for bit the
+// point read's; unknown services and users read NaN.
 func TestPredictBatch(t *testing.T) {
 	m := topkTestModel(t, 20)
 	v := m.BuildView()
-	services := []int{0, 5, 999, 12}
+	services := []int{0, 5, 999, 12, -1, 19}
 	dst := make([]float64, len(services))
 	if err := v.PredictBatch(0, services, dst); err != nil {
 		t.Fatal(err)
 	}
+	vals, conf := make([]float64, len(services)), make([]float64, len(services))
+	if err := v.PredictBatchWithConfidence(0, services, vals, conf); err != nil {
+		t.Fatal(err)
+	}
 	for i, id := range services {
-		want, err := v.Predict(0, id)
+		want, wantConf, err := v.PredictWithConfidence(0, id)
 		if err != nil {
-			if !math.IsNaN(dst[i]) {
-				t.Fatalf("dst[%d]=%g for unknown service %d, want NaN", i, dst[i], id)
+			if !math.IsNaN(dst[i]) || !math.IsNaN(vals[i]) || !math.IsNaN(conf[i]) {
+				t.Fatalf("service %d unknown: value %g / %g, confidence %g; want NaN", id, dst[i], vals[i], conf[i])
 			}
 			continue
 		}
-		if dst[i] != want {
-			t.Fatalf("dst[%d]=%g, Predict=%g", i, dst[i], want)
+		if math.Float64bits(dst[i]) != math.Float64bits(want) || math.Float64bits(vals[i]) != math.Float64bits(want) ||
+			math.Float64bits(conf[i]) != math.Float64bits(wantConf) {
+			t.Fatalf("service %d: value %g / %g, confidence %g; PredictWithConfidence %g, %g", id, dst[i], vals[i], conf[i], want, wantConf)
 		}
 	}
-	// Unknown user: ErrUnknownUser and a fully NaN-filled dst.
+	// Unknown user: ErrUnknownUser and fully NaN-filled outputs.
 	if err := v.PredictBatch(777, services, dst); err != ErrUnknownUser {
 		t.Fatalf("unknown user err = %v", err)
 	}
+	if err := v.PredictBatchWithConfidence(777, services, vals, conf); err != ErrUnknownUser {
+		t.Fatalf("unknown user err = %v", err)
+	}
 	for i := range dst {
-		if !math.IsNaN(dst[i]) {
-			t.Fatalf("dst[%d]=%g after unknown user, want NaN", i, dst[i])
+		if !math.IsNaN(dst[i]) || !math.IsNaN(vals[i]) || !math.IsNaN(conf[i]) {
+			t.Fatalf("row %d after unknown user: %g / %g, %g; want NaN", i, dst[i], vals[i], conf[i])
 		}
 	}
 	// Shape mismatch panics.

@@ -7,6 +7,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"sync"
 	"time"
@@ -26,9 +27,14 @@ type Info struct {
 // IDs are never reused, so a prediction model keyed by ID cannot confuse a
 // departed entity with a later arrival. The zero value is not usable;
 // construct with New.
+//
+// Names resolve through one open-addressed table (names.go) whose entries
+// carry the ID, so the read paths never touch an Info; byID serves the
+// reverse direction and the listings.
 type Registry struct {
 	mu     sync.RWMutex
-	byName map[string]*Info
+	seed   maphash.Seed // per registry, as clients choose the names; fixed, so names hash outside mu
+	names  nameTable
 	byID   map[int]*Info
 	nextID int
 	now    func() time.Time
@@ -37,42 +43,75 @@ type Registry struct {
 // New creates an empty registry.
 func New() *Registry {
 	return &Registry{
-		byName: make(map[string]*Info),
-		byID:   make(map[int]*Info),
-		now:    time.Now,
+		seed:  maphash.MakeSeed(),
+		names: newNameTable(0),
+		byID:  make(map[int]*Info),
+		now:   time.Now,
 	}
+}
+
+// registerLocked returns name's ID, registering it under the next ID when
+// it is unknown; joined is the new registration then, nil otherwise.
+// Callers hold mu.
+func registerLocked[S ~string | ~[]byte](r *Registry, name S, h uint64) (id int, joined *Info) {
+	slot, at := find(&r.names, name, h)
+	if at != 0 {
+		return r.names.id(at), nil
+	}
+	info := &Info{ID: r.nextID, Name: string(name), Joined: r.now()}
+	r.nextID++
+	r.names.insert(slot, h, info.Name, info.ID)
+	r.byID[info.ID] = info
+	return info.ID, info
 }
 
 // Register returns the ID for name, creating a new registration if the
 // name is unknown. created reports whether a new entity joined.
 func (r *Registry) Register(name string) (id int, created bool) {
+	h := maphash.String(r.seed, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if info, ok := r.byName[name]; ok {
-		return info.ID, false
-	}
-	return r.addLocked(name), true
+	id, joined := registerLocked(r, name, h)
+	return id, joined != nil
 }
 
 // RegisterBytes is Register for a name held as bytes (a view into a
-// request body): a known name costs a map probe and no allocation, and
-// only a joining one is copied into a string.
-func (r *Registry) RegisterBytes(name []byte) (id int, created bool) {
+// request body): a known name costs one probe and no allocation, and only
+// a joining one is copied. join, when not nil, is called with a joining
+// name's binding before the registry's lock is released, so no other
+// caller can resolve the name before join has run — the server journals
+// the binding there. join runs under the lock: it must not call back into
+// the registry.
+func (r *Registry) RegisterBytes(name []byte, join func(id int, name string)) (id int, created bool) {
+	h := maphash.Bytes(r.seed, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if info, ok := r.byName[string(name)]; ok {
-		return info.ID, false
+	id, joined := registerLocked(r, name, h)
+	if joined != nil && join != nil {
+		join(id, joined.Name)
 	}
-	return r.addLocked(string(name)), true
+	return id, joined != nil
 }
 
-// addLocked registers a new name under the next ID; callers hold mu.
-func (r *Registry) addLocked(name string) int {
-	info := &Info{ID: r.nextID, Name: name, Joined: r.now()}
-	r.nextID++
-	r.byName[name] = info
-	r.byID[info.ID] = info
-	return info.ID
+// RegisterAll is RegisterBytes for every name of a batch under one lock
+// acquisition: the IDs, in order, are appended to ids[:0], and created
+// counts the names that joined (a name repeated in the batch joins once).
+// join runs for each joining name as RegisterBytes runs it.
+func (r *Registry) RegisterAll(names [][]byte, ids []int, join func(id int, name string)) (_ []int, created int) {
+	ids = ids[:0]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		id, joined := registerLocked(r, name, maphash.Bytes(r.seed, name))
+		if joined != nil {
+			created++
+			if join != nil {
+				join(id, joined.Name)
+			}
+		}
+		ids = append(ids, id)
+	}
+	return ids, created
 }
 
 // RegisterID registers a name under a specific ID — the WAL-replay path,
@@ -85,69 +124,66 @@ func (r *Registry) RegisterID(name string, id int) error {
 	if id < 0 {
 		return fmt.Errorf("registry: negative ID %d for %q", id, name)
 	}
+	h := maphash.String(r.seed, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if info, ok := r.byName[name]; ok {
-		if info.ID == id {
-			return nil // exact duplicate: idempotent replay
+	slot, at := find(&r.names, name, h)
+	if at != 0 {
+		if bound := r.names.id(at); bound != id {
+			return fmt.Errorf("registry: name %q already bound to ID %d, not %d", name, bound, id)
 		}
-		return fmt.Errorf("registry: name %q already bound to ID %d, not %d", name, info.ID, id)
+		return nil // exact duplicate: idempotent replay
 	}
 	if info, ok := r.byID[id]; ok {
 		return fmt.Errorf("registry: ID %d already bound to %q, not %q", id, info.Name, name)
 	}
-	info := &Info{ID: id, Name: name, Joined: r.now()}
-	r.byName[name] = info
-	r.byID[id] = info
+	r.names.insert(slot, h, name, id)
+	r.byID[id] = &Info{ID: id, Name: name, Joined: r.now()}
 	if id >= r.nextID {
 		r.nextID = id + 1
 	}
 	return nil
 }
 
-// Lookup returns the ID for a registered name.
-func (r *Registry) Lookup(name string) (int, bool) {
+// lookup is Lookup and LookupBytes; h is name's hash under r.seed.
+func lookup[S ~string | ~[]byte](r *Registry, name S, h uint64) (int, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	info, ok := r.byName[name]
-	if !ok {
-		return 0, false
+	if _, at := find(&r.names, name, h); at != 0 {
+		return r.names.id(at), true
 	}
-	return info.ID, true
+	return 0, false
+}
+
+// Lookup returns the ID for a registered name.
+func (r *Registry) Lookup(name string) (int, bool) {
+	return lookup(r, name, maphash.String(r.seed, name))
 }
 
 // LookupBytes is Lookup for a name held as bytes; it does not allocate.
 func (r *Registry) LookupBytes(name []byte) (int, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	info, ok := r.byName[string(name)]
-	if !ok {
-		return 0, false
-	}
-	return info.ID, true
+	return lookup(r, name, maphash.Bytes(r.seed, name))
 }
 
-// ResolveAll looks up many names under a single lock acquisition,
-// returning parallel id/known slices (ids[i] is meaningful only when
-// known[i]). Batch endpoints (batch predict, candidate ranking) use it
-// instead of per-name lookups so a 10k-candidate request costs one
-// RLock, not 10k. The names are bytes — views into the request body —
-// and the results are appended to ids[:0] and known[:0], so a caller
-// that keeps its slices allocates nothing here.
-func (r *Registry) ResolveAll(names [][]byte, ids []int, known []bool) ([]int, []bool) {
-	ids, known = ids[:0], known[:0]
+// ResolveAll looks up many names under a single lock acquisition and
+// appends their IDs, in order, to ids[:0]: -1 for a name that is not
+// registered (IDs are never negative). Batch endpoints (batch predict,
+// candidate ranking) use it instead of per-name lookups so a
+// 10k-candidate request costs one RLock, not 10k. The names are bytes —
+// views into the request body — so a caller that keeps its slice
+// allocates nothing here.
+func (r *Registry) ResolveAll(names [][]byte, ids []int) []int {
+	ids = ids[:0]
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	for _, name := range names {
-		info, ok := r.byName[string(name)]
-		if ok {
-			ids = append(ids, info.ID)
-		} else {
-			ids = append(ids, 0)
+		id := -1
+		if _, at := find(&r.names, name, maphash.Bytes(r.seed, name)); at != 0 {
+			id = r.names.id(at)
 		}
-		known = append(known, ok)
+		ids = append(ids, id)
 	}
-	return ids, known
+	return ids
 }
 
 // NameOf returns the registered name for an ID ("" when unknown) — the
@@ -177,34 +213,42 @@ func (r *Registry) Get(id int) (Info, bool) {
 // Deregister removes a name (the entity leaves the environment). It
 // returns the departed ID so callers can purge model state.
 func (r *Registry) Deregister(name string) (int, bool) {
+	h := maphash.String(r.seed, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	info, ok := r.byName[name]
-	if !ok {
+	slot, at := find(&r.names, name, h)
+	if at == 0 {
 		return 0, false
 	}
-	delete(r.byName, name)
-	delete(r.byID, info.ID)
-	return info.ID, true
+	id := r.names.id(at)
+	r.names.remove(slot)
+	delete(r.byID, id)
+	return id, true
 }
 
 // Restore replaces the registry's contents with previously exported
 // Infos (see List), preserving IDs. The ID counter resumes after the
 // largest restored ID so later registrations cannot collide. It fails on
-// duplicate names or IDs, leaving the registry unchanged.
+// duplicate names or IDs and on negative IDs, leaving the registry
+// unchanged.
 func (r *Registry) Restore(infos []Info) error {
-	byName := make(map[string]*Info, len(infos))
+	names := newNameTable(len(infos))
 	byID := make(map[int]*Info, len(infos))
 	next := 0
 	for _, in := range infos {
-		if _, dup := byName[in.Name]; dup {
+		if in.ID < 0 {
+			return fmt.Errorf("registry: negative ID %d for %q in restore", in.ID, in.Name)
+		}
+		h := maphash.String(r.seed, in.Name)
+		slot, at := find(&names, in.Name, h)
+		if at != 0 {
 			return fmt.Errorf("registry: duplicate name %q in restore", in.Name)
 		}
 		if _, dup := byID[in.ID]; dup {
 			return fmt.Errorf("registry: duplicate ID %d in restore", in.ID)
 		}
 		cp := in
-		byName[cp.Name] = &cp
+		names.insert(slot, h, cp.Name, cp.ID)
 		byID[cp.ID] = &cp
 		if cp.ID >= next {
 			next = cp.ID + 1
@@ -212,7 +256,7 @@ func (r *Registry) Restore(infos []Info) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.byName = byName
+	r.names = names
 	r.byID = byID
 	r.nextID = next
 	return nil
@@ -222,7 +266,7 @@ func (r *Registry) Restore(infos []Info) error {
 func (r *Registry) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return len(r.byName)
+	return len(r.byID)
 }
 
 // List returns copies of all registrations, sorted by ID.

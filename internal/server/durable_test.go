@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -248,6 +249,75 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 	}
 	if w := doReq(t, svc, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil); w.Code != http.StatusOK {
 		t.Errorf("predict after rejected values: status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestNameVisibleOnlyAfterJournaled: on both write doors, another request
+// can resolve a joining name only once its binding is in the WAL. If it
+// could resolve it earlier, the engine could journal that request's
+// sample first, and a crash in between would leave factors under an ID no
+// recovered name resolves to.
+func TestNameVisibleOnlyAfterJournaled(t *testing.T) {
+	svc, _, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	defer svc.Close()
+	var (
+		mu      sync.Mutex
+		events  []string
+		readers sync.WaitGroup
+	)
+	record := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	// watch wraps a door's append: before the binding is appended, another
+	// goroutine starts resolving the name, and is given the time to
+	// succeed if the registry lets it.
+	watch := func(appendFn func(int, string), lookup func(string) (int, bool)) func(int, string) {
+		return func(id int, name string) {
+			resolved := make(chan struct{})
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for {
+					if _, ok := lookup(name); ok {
+						record("resolved " + name)
+						close(resolved)
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+			select {
+			case <-resolved:
+			case <-time.After(50 * time.Millisecond):
+			}
+			appendFn(id, name)
+			record("appended " + name)
+		}
+	}
+	svc.joinUser = watch(svc.joinUser, svc.users.Lookup)
+	svc.joinService = watch(svc.joinService, svc.services.Lookup)
+
+	if w := doReq(t, svc, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: "http-u", Service: "http-s1", Value: 1}, {User: "http-u", Service: "http-s2", Value: 2},
+	}}); w.Code != http.StatusOK {
+		t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
+	}
+	if err := svc.Ingest("tcp-u", "tcp-s", 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	readers.Wait()
+	at := map[string]int{}
+	for i, e := range events {
+		at[e] = i
+	}
+	for _, name := range []string{"http-u", "http-s1", "http-s2", "tcp-u", "tcp-s"} {
+		appended, ok1 := at["appended "+name]
+		resolved, ok2 := at["resolved "+name]
+		if !ok1 || !ok2 || resolved < appended {
+			t.Errorf("%s: another goroutine resolved it before its registration was appended (events %q)", name, events)
+		}
 	}
 }
 

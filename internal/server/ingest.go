@@ -16,10 +16,10 @@ func validQoS(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Ingest implements ingest.Sink: the TCP stream-input path feeds
 // observations through the same registration and storage pipeline as
-// the HTTP observe endpoint (Server.user, Server.sample), but hands the
-// model update to the engine's ingest queue fire-and-forget — the
-// high-rate stream never waits on model math, and visibility is bounded
-// by the engine's publish cadence rather than immediate.
+// the HTTP observe endpoint (joinUser, joinService, sampleTime), but
+// hands the model update to the engine's ingest queue fire-and-forget —
+// the high-rate stream never waits on model math, and visibility is
+// bounded by the engine's publish cadence rather than immediate.
 func (s *Server) Ingest(user, service string, value float64, timestampMs int64) error {
 	if s.follower.Load() {
 		return fmt.Errorf("server: follower: writes must go to the leader")
@@ -32,8 +32,9 @@ func (s *Server) Ingest(user, service string, value float64, timestampMs int64) 
 	}
 	s.churn.RLock()
 	defer s.churn.RUnlock()
-	uid, _ := s.user([]byte(user))
-	sm, _ := s.sample(uid, []byte(service), value, timestampMs, s.now().Sub(s.base))
+	uid, _ := s.users.RegisterBytes([]byte(user), s.joinUser)
+	sid, _ := s.services.RegisterBytes([]byte(service), s.joinService)
+	sm := stream.Sample{Time: s.sampleTime(timestampMs, s.now().Sub(s.base)), User: uid, Service: sid, Value: value}
 	// TCP ingest is the fire-and-forget firehose: it enters the engine
 	// queue as sheddable-class work, so under overload the watermark
 	// refuses it (counted in amf_admission_shed_total{class="sheddable"})

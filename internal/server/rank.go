@@ -81,10 +81,10 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Spa
 		candidates = view.NumServices()
 	} else {
 		// Resolve every candidate name in one registry pass.
-		b.ids, b.known = s.services.ResolveAll(q.Services, b.ids, b.known)
+		b.ids = s.services.ResolveAll(q.Services, b.ids)
 		cands, candAt := b.cands[:0], b.candAt[:0]
 		for i, id := range b.ids {
-			if !b.known[i] {
+			if id < 0 {
 				unknown = append(unknown, q.Services[i])
 				continue
 			}

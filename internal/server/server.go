@@ -7,7 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,6 +48,14 @@ type Server struct {
 	// and purged between an observation's registration and its hand-off.
 	// No read route touches it.
 	churn sync.RWMutex
+
+	// joinUser and joinService journal a joining name's binding (see
+	// journalRegistration). The registries call them before releasing
+	// their lock, so no request can resolve a name — and have the engine
+	// journal a sample under its ID — before the binding is in the WAL:
+	// otherwise a crash between the two would leave factors for an ID no
+	// name resolves to.
+	joinUser, joinService func(id int, name string)
 
 	// MaxBatch bounds observe/predict batch sizes (guards memory against
 	// hostile requests). Defaults to 10000.
@@ -139,6 +149,12 @@ func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 		MaxBatch:      10000,
 		log:           slog.Default(),
 		slowThreshold: time.Second,
+	}
+	s.joinUser = func(id int, name string) {
+		s.journalRegistration((*store.WAL).AppendRegisterUser, id, name)
+	}
+	s.joinService = func(id int, name string) {
+		s.journalRegistration((*store.WAL).AppendRegisterService, id, name)
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -293,17 +309,21 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // whole, so a request's allocation count does not follow its candidates
 // or samples.
 type hotBuf struct {
-	dec     Decoder
-	raw     []byte
-	out     []byte
-	ids     []int
-	known   []bool
-	cands   []int // IDs of the known candidates, in request order
-	candAt  []int // cands[i] is the request's service candAt[i]
-	unknown [][]byte
-	rows    []batchRow
-	ranked  []RankedService
-	samples []stream.Sample
+	dec      Decoder
+	raw      []byte
+	out      []byte
+	ids      []int // the request's service IDs, in request order
+	uids     []int // an observe's user IDs, one per run of a user's observations
+	users    [][]byte
+	services [][]byte
+	cands    []int // IDs of the known candidates, in request order
+	candAt   []int // cands[i] is the request's service candAt[i]
+	unknown  [][]byte
+	values   []float64
+	confs    []float64
+	rows     []batchRow
+	ranked   []RankedService
+	samples  []stream.Sample
 }
 
 var hotBufPool = sync.Pool{New: func() any { return new(hotBuf) }}
@@ -391,31 +411,33 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace
 			return
 		}
 	}
+	// A batch is usually one user's measurements: a user name is resolved
+	// once per run of observations that carry it.
+	users, services := b.users[:0], b.services[:0]
+	for i := range obs {
+		if i == 0 || !bytes.Equal(obs[i].User, obs[i-1].User) {
+			users = append(users, obs[i].User)
+		}
+		services = append(services, obs[i].Service)
+	}
+	b.users, b.services = users, services
 	var resp ObserveResponse
 	now := s.now().Sub(s.base)
-	samples := b.samples[:0]
 	s.churn.RLock()
-	// A batch is usually one user's measurements: the registry is asked
-	// again only when the name differs from the previous observation's
-	// (names are not empty, so the first one always asks).
-	var (
-		user []byte
-		uid  int
-	)
+	// One write lock per registry for the whole batch; each joining name's
+	// binding is journaled under it (see joinUser), ahead of the samples.
+	b.uids, resp.NewUsers = s.users.RegisterAll(users, b.uids, s.joinUser)
+	b.ids, resp.NewServices = s.services.RegisterAll(services, b.ids, s.joinService)
+	samples := b.samples[:0]
+	u := -1
 	for i := range obs {
 		o := &obs[i]
-		if !bytes.Equal(o.User, user) {
-			var newU bool
-			if uid, newU = s.user(o.User); newU {
-				resp.NewUsers++
-			}
-			user = o.User
+		if i == 0 || !bytes.Equal(o.User, obs[i-1].User) {
+			u++
 		}
-		sm, newS := s.sample(uid, o.Service, o.Value, o.TimestampMs, now)
-		if newS {
-			resp.NewServices++
-		}
-		samples = append(samples, sm)
+		samples = append(samples, stream.Sample{
+			Time: s.sampleTime(o.TimestampMs, now), User: b.uids[u], Service: b.ids[i], Value: o.Value,
+		})
 	}
 	b.samples = samples
 	// Synchronous apply + republish: the HTTP observe API promises
@@ -437,37 +459,14 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace
 	s.writeHot(w, b.out, nil)
 }
 
-// user resolves an observation's user name to its ID for both write doors
-// (handleObserve, Ingest), registering a joining one and journaling the
-// binding before any sample that uses the new ID: without it a recovered
-// model would hold factors for an ID no name resolves to (the engine
-// journals the sample strictly later). The caller holds s.churn shared
-// until the sample is in the engine's hands.
-func (s *Server) user(name []byte) (uid int, joined bool) {
-	uid, joined = s.users.RegisterBytes(name)
-	if joined {
-		s.journalRegistration((*store.WAL).AppendRegisterUser, uid, string(name))
+// sampleTime is an observation's model time on both write doors: its
+// timestamp relative to the server's epoch, clamped at the epoch, or now
+// when it carries none.
+func (s *Server) sampleTime(timestampMs int64, now time.Duration) time.Duration {
+	if timestampMs <= 0 {
+		return now
 	}
-	return uid, joined
-}
-
-// sample turns one validated wire observation of an already resolved user
-// into a model sample, for both write doors: the service registered and
-// journaled as user does, and the timestamp defaulted to now and clamped
-// to the server's epoch.
-func (s *Server) sample(uid int, service []byte, value float64, timestampMs int64, now time.Duration) (sm stream.Sample, newService bool) {
-	sid, newService := s.services.RegisterBytes(service)
-	if newService {
-		s.journalRegistration((*store.WAL).AppendRegisterService, sid, string(service))
-	}
-	t := now
-	if timestampMs > 0 {
-		t = time.UnixMilli(timestampMs).Sub(s.base)
-		if t < 0 {
-			t = 0
-		}
-	}
-	return stream.Sample{Time: t, User: uid, Service: sid, Value: value}, newService
+	return max(time.UnixMilli(timestampMs).Sub(s.base), 0)
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.
@@ -528,20 +527,27 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, _ *t
 	}
 	uid, userKnown := s.users.LookupBytes(q.User)
 	// One registry pass for the whole candidate list (single RLock), then
-	// lock-free view reads per resolved service.
-	b.ids, b.known = s.services.ResolveAll(q.Services, b.ids, b.known)
-	view := s.eng.Pin() // one consistent snapshot for the whole batch
+	// one view pass that loads the user once; an unregistered name's ID is
+	// -1, which no view holds, so its row reads NaN like an unknown
+	// service's.
+	b.ids = s.services.ResolveAll(q.Services, b.ids)
+	values, confs := slices.Grow(b.values[:0], len(b.ids))[:len(b.ids)], slices.Grow(b.confs[:0], len(b.ids))[:len(b.ids)]
+	b.values, b.confs = values, confs
+	if userKnown {
+		view := s.eng.Pin() // one consistent snapshot for the whole batch
+		// A user the view does not hold (yet, or any more) is no error here:
+		// every row reads NaN, and the response says ok:false for each.
+		_ = view.PredictBatchWithConfidence(uid, b.ids, values, confs)
+		s.eng.Unpin(view)
+	}
 	rows := b.rows[:0]
 	for i, name := range q.Services {
 		row := batchRow{Service: name}
-		if userKnown && b.known[i] {
-			if v, conf, err := view.PredictWithConfidence(uid, b.ids[i]); err == nil {
-				row.Value, row.Confidence, row.OK = v, conf, true
-			}
+		if userKnown && !math.IsNaN(values[i]) {
+			row.Value, row.Confidence, row.OK = values[i], confs[i], true
 		}
 		rows = append(rows, row)
 	}
-	s.eng.Unpin(view)
 	b.rows = rows
 	s.metrics.batchPredictions.Add(int64(len(rows)))
 	b.out, err = appendBatchResponse(b.out[:0], q.User, rows)

@@ -31,20 +31,6 @@ func BoxCox(x, alpha float64) float64 {
 	return (math.Pow(x, alpha) - 1) / alpha
 }
 
-// BoxCoxInverse inverts BoxCox. For α ≠ 0 the inverse is
-// (α·y + 1)^(1/α); arguments that would take the base negative are clamped
-// to Eps so the inverse stays within the transform's valid domain.
-func BoxCoxInverse(y, alpha float64) float64 {
-	if alpha == 0 {
-		return math.Exp(y)
-	}
-	base := alpha*y + 1
-	if base < Eps {
-		base = Eps
-	}
-	return math.Pow(base, 1/alpha)
-}
-
 // ErrBadRange is returned when a Transformer is configured with
 // Rmax <= Rmin.
 var ErrBadRange = errors.New("transform: Rmax must exceed Rmin")
@@ -59,7 +45,8 @@ type Transformer struct {
 	Alpha      float64
 	RMin, RMax float64
 
-	lo, hi float64 // Box-Cox images of the clamped range endpoints
+	lo, hi   float64  // Box-Cox images of the clamped range endpoints
+	fwd, inv exponent // α and 1/α (unused when α = 0)
 }
 
 // New creates a Transformer for QoS values in [rmin, rmax] with Box-Cox
@@ -74,6 +61,9 @@ func New(alpha, rmin, rmax float64) (*Transformer, error) {
 		return nil, fmt.Errorf("%w: [%g, %g]", ErrBadRange, rmin, rmax)
 	}
 	t := &Transformer{Alpha: alpha, RMin: rmin, RMax: rmax}
+	if alpha != 0 {
+		t.fwd, t.inv = newExponent(alpha), newExponent(1/alpha)
+	}
 	t.lo = BoxCox(rmin, alpha)
 	t.hi = BoxCox(rmax, alpha)
 	return t, nil
@@ -103,7 +93,13 @@ func (t *Transformer) Clamp(x float64) float64 {
 // (paper Eq. 3-4). Values outside [RMin, RMax] are clamped first. The lower
 // clamp at Eps keeps the relative-error division r̂/r well defined.
 func (t *Transformer) Forward(x float64) float64 {
-	y := BoxCox(t.Clamp(x), t.Alpha)
+	x = t.Clamp(x)
+	var y float64
+	if t.Alpha == 0 {
+		y = math.Log(x)
+	} else {
+		y = (t.fwd.pow(x) - 1) / t.Alpha // BoxCox, with α split once
+	}
 	r := (y - t.lo) / (t.hi - t.lo)
 	if r < Eps {
 		r = Eps
@@ -123,9 +119,22 @@ func (t *Transformer) Backward(r float64) float64 {
 	if r > 1 {
 		r = 1
 	}
-	y := t.lo + r*(t.hi-t.lo)
-	x := BoxCoxInverse(y, t.Alpha)
-	return t.Clamp(x)
+	return t.Clamp(t.boxCoxInverse(t.lo + r*(t.hi-t.lo)))
+}
+
+// boxCoxInverse inverts BoxCox at the transformer's α. For α ≠ 0 the
+// inverse is (α·y + 1)^(1/α); arguments that would take the base negative
+// are clamped to Eps so the inverse stays within the transform's valid
+// domain.
+func (t *Transformer) boxCoxInverse(y float64) float64 {
+	if t.Alpha == 0 {
+		return math.Exp(y)
+	}
+	base := t.Alpha*y + 1
+	if base < Eps {
+		base = Eps
+	}
+	return t.inv.pow(base)
 }
 
 // Sigmoid is the logistic link g(x) = 1/(1+e^{-x}) mapping latent inner

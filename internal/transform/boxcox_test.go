@@ -38,9 +38,10 @@ func TestBoxCoxContinuityAtAlphaZero(t *testing.T) {
 
 func TestBoxCoxInverseRoundTrip(t *testing.T) {
 	for _, alpha := range []float64{-0.5, -0.05, -0.007, 0, 0.3, 1, 2} {
+		tr := MustNew(alpha, 0, 20)
 		for _, x := range []float64{0.001, 0.5, 1, 3, 19.9} {
 			y := BoxCox(x, alpha)
-			back := BoxCoxInverse(y, alpha)
+			back := tr.boxCoxInverse(y)
 			if math.Abs(back-x) > 1e-8*(1+x) {
 				t.Fatalf("alpha=%g x=%g: roundtrip gave %g", alpha, x, back)
 			}
@@ -50,7 +51,7 @@ func TestBoxCoxInverseRoundTrip(t *testing.T) {
 
 func TestBoxCoxInverseClampsInvalidBase(t *testing.T) {
 	// For α=1, y = −5 would need base −4 < 0; the inverse clamps.
-	got := BoxCoxInverse(-5, 1)
+	got := MustNew(1, 0, 10).boxCoxInverse(-5)
 	if got <= 0 || math.IsNaN(got) {
 		t.Fatalf("clamped inverse should stay positive, got %g", got)
 	}
