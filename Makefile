@@ -51,11 +51,11 @@ lint-tunables:
 	$(GO) test -run TestTunablesDocumented ./internal/cluster/
 
 # Overload-control gate: the class-contract stress tests (critical is
-# never shed while sheddable is), the epoch-controller convergence
-# suite, and the gateway edge-shed tests, all under the race detector.
+# never shed while sheddable is), the tunable registry suite, and the
+# gateway edge-shed tests, all under the race detector.
 test-overload:
 	$(GO) test -race ./internal/control/
-	$(GO) test -race -run 'TestAdmission|TestShedAccountingFold|TestConfigAPI|TestAdaptation' ./internal/server/
+	$(GO) test -race -run 'TestAdmission|TestConfigAPI' ./internal/server/
 	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable' ./internal/cluster/
 
 # Formatting leg: the walk covers bench/ too; any printed name fails.
@@ -100,10 +100,14 @@ bench:
 # loopback sockets beside the same requests direct, with allocs/op
 # (bench/'s hop is in-process); and the registry resolving a rank's 200
 # candidates among 10k names (ns/name, a hot-cache figure: the served
-# path gains by the table's smaller footprint, which a hot loop hides).
+# path gains by the table's smaller footprint, which a hot loop hides);
+# and the TCP stream door over real loopback, 64-line batches each
+# acked by a PONG, timed until every sample is applied (samples/s and
+# process CPU µs per sample; bench/ has no workload on that door).
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
+	$(GO) test -run=NONE -bench=BenchmarkIngestTCP -benchtime=2000x ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkGateway(Predict|Batch)$$' -benchmem -benchtime=0.3s ./internal/cluster/
 	$(GO) test -run=NONE -bench=BenchmarkRegistryResolveAll -benchmem -benchtime=0.3s ./internal/registry/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/

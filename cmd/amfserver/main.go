@@ -48,7 +48,7 @@ func run(args []string, stderr io.Writer) error {
 		replay   = fs.Duration("replay-interval", 100*time.Millisecond, "background replay tick")
 		batch    = fs.Int("replay-batch", 500, "replay updates per tick")
 		seed     = fs.Int64("seed", 1, "model seed")
-		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations")
+		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations; a PONG acks every line sent before its PING as an HTTP observe is acked")
 
 		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
 		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync), interval (bounded loss: fsync every 100ms), or off")
@@ -61,7 +61,6 @@ func run(args []string, stderr io.Writer) error {
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")
 		sloBudgetShd = fs.Duration("slo-budget-sheddable", 250*time.Millisecond, "predicted-wait budget for sheddable-class requests (with -slo-admission)")
-		adaptEpoch   = fs.Duration("adapt-epoch", 0, "epoch-controller period: each epoch adapts the -ingest path's engine tunables to the observed rejection rate and queue wait (0 disables adaptation)")
 
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
 		logFormat = fs.String("log-format", "text", "log format: text or json")
@@ -104,9 +103,6 @@ func run(args []string, stderr io.Writer) error {
 			BudgetStandard:  *sloBudgetStd,
 			BudgetSheddable: *sloBudgetShd,
 		})
-	}
-	if *adaptEpoch > 0 {
-		svc.StartAdaptation(server.AdaptationConfig{Epoch: *adaptEpoch})
 	}
 	follower := false
 	switch *role {
@@ -183,17 +179,26 @@ func run(args []string, stderr io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	// stopIngest closes the ingest listener and its connections and waits
+	// until Serve has returned, and with it every batch being committed.
+	stopIngest := func() {}
 	if *ingestAt != "" {
 		ln, err := ingest.Listen(*ingestAt, svc)
 		if err != nil {
 			return err
 		}
-		defer ln.Close()
+		served := make(chan struct{})
 		go func() {
+			defer close(served)
 			if err := ln.Serve(ctx); err != nil {
 				logger.Error("ingest listener failed", "err", err)
 			}
 		}()
+		stopIngest = func() {
+			ln.Close()
+			<-served
+		}
+		defer stopIngest() // before the deferred svc.Close and mgr.Close
 		logger.Info("stream ingest listening", "addr", ln.Addr().String())
 	}
 	go svc.RunReplay(ctx, *replay, *batch)
@@ -214,7 +219,6 @@ func run(args []string, stderr io.Writer) error {
 		"simd", matrix.SIMD(),
 		"slo_admission", *sloAdmit, "slo_budget_standard", *sloBudgetStd,
 		"slo_budget_sheddable", *sloBudgetShd,
-		"adapt_epoch", *adaptEpoch,
 		"role", *role, "leader", *leaderURL, "leader_data", *leaderData,
 		"data_dir", *dataDir, "fsync", sync.String(),
 		"snapshot_interval", *snapIvl,
@@ -222,9 +226,10 @@ func run(args []string, stderr io.Writer) error {
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// Drain the ingest queue before the final checkpoint so late stream
-	// observations make it in (Close is idempotent; the deferred call
-	// becomes a no-op).
+	// No stream batch may commit after the final checkpoint, or into a
+	// closed manager: join the ingest listener first (stopIngest and Close
+	// are idempotent; the deferred calls become no-ops).
+	stopIngest()
 	svc.Close()
 	// Let in-flight replication streams finish shipping before the final
 	// checkpoint truncates the WAL out from under them: followers see a

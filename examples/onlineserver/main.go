@@ -16,7 +16,6 @@ import (
 	"github.com/qoslab/amf/internal/client"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
-	"github.com/qoslab/amf/internal/engine"
 	"github.com/qoslab/amf/internal/server"
 )
 
@@ -34,18 +33,14 @@ func main() {
 	// The prediction service (normally `amfserver`; in-process here so
 	// the example is self-contained and runs anywhere). The model is
 	// wrapped in a serving engine: predictions read an immutable
-	// published view without locking, while observations and background
-	// replay flow through the engine's single writer, which republishes
-	// the view every 128 updates or 10ms — the staleness bound clients
-	// observe.
+	// published view without locking, while each observe batch and each
+	// background replay tick takes the engine's lock, updates the model
+	// and republishes the view before it returns — an uploaded
+	// measurement is in the very next prediction.
 	rmin, rmax := dataset.ResponseTime.Range()
 	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
 	cfg.Expiry = 0
-	eng := engine.New(core.MustNew(cfg), engine.Config{
-		PublishEvery:    128,
-		PublishInterval: 10 * time.Millisecond,
-	})
-	svc := server.NewWithEngine(eng)
+	svc := server.New(core.MustNew(cfg))
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
@@ -117,10 +112,10 @@ func main() {
 	}
 	fmt.Printf("\nadaptation decision: bind %s (predicted %.3f s)\n", best, val)
 
-	// The serving engine's own accounting: how many samples flowed
-	// through the update loop and how many immutable views were
-	// published for the lock-free read path.
-	st := eng.Stats()
+	// The serving engine's own accounting: how many samples were applied
+	// and how many immutable views were published for the lock-free read
+	// path.
+	st := svc.Engine().Stats()
 	fmt.Printf("\nengine: applied %d samples, replayed %d, published %d views (v%d)\n",
 		st.Applied, st.Replayed, st.Published, st.Version)
 }

@@ -20,7 +20,7 @@ import (
 // TestMetricsDocumented is the metrics-docs lint behind `make
 // lint-metrics`: it scrapes /metrics of every process shape the project
 // can build — a server with all optional subsystems attached (durable
-// store, admission, adaptation), a follower, the gateway — adds the
+// store, admission), a follower, the gateway — adds the
 // federation-derived gauges, and fails if any amf_* family name is
 // missing from README.md's metrics tables, or if a table row names a
 // family none of them exports. Adding a metric without documenting it,
@@ -62,10 +62,8 @@ func TestMetricsDocumented(t *testing.T) {
 	if _, err := svc.AttachDurable(mgr); err != nil {
 		t.Fatalf("AttachDurable: %v", err)
 	}
-	// The SLO admission gate (amf_admission_*) and the epoch controller
-	// (amf_control_*); the hour-long epoch keeps the controller idle.
+	// The SLO admission gate (amf_admission_*).
 	svc.EnableAdmission(server.AdmissionConfig{})
-	svc.StartAdaptation(server.AdaptationConfig{Epoch: time.Hour})
 	collect(svc.Handler())
 
 	// A follower adds the replication families (amf_replication_*); it

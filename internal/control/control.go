@@ -1,18 +1,13 @@
 // Package control is the runtime control plane: typed tunables with
-// declared bounds that hot paths read through a single atomic load, a
+// declared bounds that hot paths read through a single atomic load, and a
 // registry that makes every tunable discoverable (GET /api/v1/config,
-// docs lints), and an epoch controller (controller.go) that adapts
-// registered tunables from free observability signals.
+// docs lints) and settable (PUT /api/v1/config).
 //
-// The design inverts the repo's original configuration flow. Before,
-// every knob (-publish-interval, batch caps, queue watermarks) was
-// frozen into a struct field at construction; changing one meant a
-// restart. Now construction seeds a *baseline* into the registry and
-// the serving layers load the live value on each use. Three writers may
-// move a tunable after construction — operator flags (at startup), the
-// epoch controller (within bounds), and explicit API overrides (which
-// pin the value so the controller leaves it alone) — and every write is
-// clamped to the bounds declared at registration.
+// Construction seeds a *baseline* into the registry and the serving
+// layers load the live value on each use, so a knob moves without a
+// restart. Two writers set a tunable: operator flags (at startup) and
+// explicit API overrides; an override outside the bounds declared at
+// registration is refused.
 //
 // The package also owns the SLO class vocabulary (critical / standard /
 // sheddable) carried end to end in the X-Amf-Slo-Class header, because
@@ -32,10 +27,9 @@ import (
 )
 
 // Class is a request's SLO class. Classes order from most to least
-// important: admission never sheds Critical, Standard is shed only
-// when its latency budget is blown, and Sheddable is the first tier
-// sacrificed under overload (the engine's async ingest queue is
-// treated as sheddable-class work).
+// important: admission never sheds Critical, and Standard and Sheddable
+// are shed when the predicted wait blows their class budget (Sheddable's
+// is the tighter one).
 type Class uint8
 
 const (
@@ -93,11 +87,7 @@ const (
 	SourceDefault Source = iota
 	// SourceFlag: an operator flag supplied the baseline.
 	SourceFlag
-	// SourceAdapted: the epoch controller moved the value.
-	SourceAdapted
-	// SourceOverride: an explicit API override. Overridden tunables
-	// are pinned — the controller skips them until the override is
-	// cleared by another Set.
+	// SourceOverride: an explicit API override.
 	SourceOverride
 )
 
@@ -105,8 +95,6 @@ func (s Source) String() string {
 	switch s {
 	case SourceFlag:
 		return "flag"
-	case SourceAdapted:
-		return "adapted"
 	case SourceOverride:
 		return "override"
 	default:
@@ -115,8 +103,8 @@ func (s Source) String() string {
 }
 
 // Tunable is the uniform view of a registered knob, used by the config
-// API, the docs lint, and the epoch controller. The typed accessors
-// (Int.Load, Duration.Load, Float.Load) are what hot paths call.
+// API and the docs lint. The typed accessors (Int.Load, Duration.Load,
+// Float.Load) are what hot paths call.
 type Tunable interface {
 	Name() string
 	Help() string
@@ -130,32 +118,20 @@ type Tunable interface {
 	MaxString() string
 
 	// SetString parses and applies v with the given source. Values
-	// outside the declared bounds are an error (the API is strict);
-	// the controller's float path clamps instead.
+	// outside the declared bounds are an error.
 	SetString(v string, src Source) error
-
-	// Float view for the controller: current value, baseline, and
-	// bounds mapped to float64 (durations in seconds).
-	Float() float64
-	BaselineFloat() float64
-	Bounds() (min, max float64)
-	// SetFloat clamps v to bounds, applies it, and returns the value
-	// actually stored.
-	SetFloat(v float64, src Source) float64
 }
 
 // kind is everything that differs between an integer, a duration and a
 // float tunable: what the config API calls it, and how the one 64-bit
-// word a tunable stores converts to a string, to the controller's
-// float64 and back, and compares.
+// word a tunable stores converts to a string and compares.
 type kind struct {
 	name  string // Kind()
 	noun  string // "not <noun>" in SetString's parse error
 	parse func(string) (uint64, error)
 	str   func(uint64) string
-	float func(uint64) float64 // durations in seconds
-	word  func(float64) uint64 // inverse of float, rounding as the kind does
 	less  func(a, b uint64) bool
+	nan   func(uint64) bool // a word no bound can admit
 }
 
 func signedLess(a, b uint64) bool { return int64(a) < int64(b) }
@@ -167,10 +143,9 @@ var (
 			n, err := strconv.ParseInt(s, 10, 64)
 			return uint64(n), err
 		},
-		str:   func(w uint64) string { return strconv.FormatInt(int64(w), 10) },
-		float: func(w uint64) float64 { return float64(int64(w)) },
-		word:  func(f float64) uint64 { return uint64(int64(math.Round(f))) },
-		less:  signedLess,
+		str:  func(w uint64) string { return strconv.FormatInt(int64(w), 10) },
+		less: signedLess,
+		nan:  func(uint64) bool { return false },
 	}
 	durationKind = &kind{
 		name: "duration", noun: "a duration",
@@ -178,10 +153,9 @@ var (
 			d, err := time.ParseDuration(s)
 			return uint64(d), err
 		},
-		str:   func(w uint64) string { return time.Duration(w).String() },
-		float: func(w uint64) float64 { return time.Duration(w).Seconds() },
-		word:  func(f float64) uint64 { return uint64(time.Duration(f * float64(time.Second))) },
-		less:  signedLess,
+		str:  func(w uint64) string { return time.Duration(w).String() },
+		less: signedLess,
+		nan:  func(uint64) bool { return false },
 	}
 	floatKind = &kind{
 		name: "float", noun: "a float",
@@ -189,10 +163,9 @@ var (
 			f, err := strconv.ParseFloat(s, 64)
 			return math.Float64bits(f), err
 		},
-		str:   func(w uint64) string { return strconv.FormatFloat(math.Float64frombits(w), 'g', -1, 64) },
-		float: math.Float64frombits,
-		word:  math.Float64bits,
-		less:  func(a, b uint64) bool { return math.Float64frombits(a) < math.Float64frombits(b) },
+		str:  func(w uint64) string { return strconv.FormatFloat(math.Float64frombits(w), 'g', -1, 64) },
+		less: func(a, b uint64) bool { return math.Float64frombits(a) < math.Float64frombits(b) },
+		nan:  func(w uint64) bool { return math.IsNaN(math.Float64frombits(w)) },
 	}
 )
 
@@ -228,33 +201,9 @@ func (t *tunable) Baseline() string  { return t.k.str(t.baseline) }
 func (t *tunable) MinString() string { return t.k.str(t.min) }
 func (t *tunable) MaxString() string { return t.k.str(t.max) }
 
-func (t *tunable) Float() float64         { return t.k.float(t.v.Load()) }
-func (t *tunable) BaselineFloat() float64 { return t.k.float(t.baseline) }
-func (t *tunable) Bounds() (float64, float64) {
-	return t.k.float(t.min), t.k.float(t.max)
-}
-
 // outOfBounds reports a word below min, above max, or not a number.
 func (t *tunable) outOfBounds(w uint64) bool {
-	return t.k.less(w, t.min) || t.k.less(t.max, w) || math.IsNaN(t.k.float(w))
-}
-
-// set clamps w to bounds (a NaN to min), stores it, and returns the
-// stored word.
-func (t *tunable) set(w uint64, src Source) uint64 {
-	switch {
-	case t.k.less(t.max, w):
-		w = t.max
-	case t.outOfBounds(w):
-		w = t.min
-	}
-	t.v.Store(w)
-	t.src.Store(int32(src))
-	return w
-}
-
-func (t *tunable) SetFloat(v float64, src Source) float64 {
-	return t.k.float(t.set(t.k.word(v), src))
+	return t.k.less(w, t.min) || t.k.less(t.max, w) || t.k.nan(w)
 }
 
 func (t *tunable) SetString(v string, src Source) error {
@@ -274,9 +223,6 @@ func (t *tunable) SetString(v string, src Source) error {
 type Int struct{ tunable }
 
 func (t *Int) Load() int { return int(t.v.Load()) }
-
-// Set clamps v to bounds, stores it, and returns the stored value.
-func (t *Int) Set(v int, src Source) int { return int(t.set(uint64(v), src)) }
 
 // Duration is a time.Duration tunable stored as nanoseconds.
 type Duration struct{ tunable }
@@ -303,8 +249,8 @@ func NewRegistry() *Registry {
 }
 
 // Int registers an integer tunable. baseline is the value after flags
-// are applied — it is both the initial value and the target the epoch
-// controller relaxes back to when load subsides. Registration panics on
+// are applied — the initial value, which GET /api/v1/config reports
+// beside the current one. Registration panics on
 // duplicate names or a baseline outside [min, max]: both are programmer
 // errors caught by any test that constructs the component.
 func (r *Registry) Int(name, help string, baseline, min, max int, src Source) *Int {

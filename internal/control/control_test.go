@@ -55,23 +55,11 @@ func TestTunableBoundsAndSources(t *testing.T) {
 		t.Fatalf("flag source lost: %v", td.Source())
 	}
 
-	// Typed Set clamps.
-	if got := ti.Set(5000, SourceAdapted); got != 1000 {
-		t.Fatalf("Set clamp high: got %d", got)
+	if err := td.SetString("5s", SourceOverride); err != nil || td.Load() != 5*time.Second {
+		t.Fatalf("duration SetString at max: %v, %v", err, td.Load())
 	}
-	if got := ti.Set(1, SourceAdapted); got != 10 {
-		t.Fatalf("Set clamp low: got %d", got)
-	}
-	if ti.Source() != SourceAdapted {
-		t.Fatalf("source not updated: %v", ti.Source())
-	}
-
-	// SetFloat clamps too (durations move in seconds).
-	if got := td.SetFloat(100, SourceAdapted); got != 5.0 {
-		t.Fatalf("duration SetFloat clamp: got %g", got)
-	}
-	if td.Load() != 5*time.Second {
-		t.Fatalf("duration store: got %v", td.Load())
+	if err := ti.SetString("5000", SourceOverride); err == nil || ti.Load() != 100 || ti.Source() != SourceDefault {
+		t.Fatalf("out-of-bounds int SetString: %v, value %d (%v)", err, ti.Load(), ti.Source())
 	}
 
 	// SetString is strict: out-of-bounds is an error, value untouched.
@@ -107,16 +95,12 @@ func TestTunableBoundsAndSources(t *testing.T) {
 }
 
 // TestTunableRefusesNaN: strconv parses "NaN", and NaN compares false with
-// both bounds — the strict door must refuse it all the same, and the
-// clamping one lands on min.
+// both bounds — SetString must refuse it all the same.
 func TestTunableRefusesNaN(t *testing.T) {
 	r := NewRegistry()
 	tf := r.Float("t.float", "help", 0.9, 0.05, 1.0, SourceDefault)
 	if err := tf.SetString("NaN", SourceOverride); err == nil || tf.Load() != 0.9 {
 		t.Fatalf("SetString(NaN) = %v, value %g; want an error and 0.9", err, tf.Load())
-	}
-	if got := tf.SetFloat(math.NaN(), SourceAdapted); got != 0.05 {
-		t.Fatalf("SetFloat(NaN) stored %g, want min 0.05", got)
 	}
 	mustPanic(t, "NaN baseline", func() { r.Float("nan", "h", math.NaN(), 0, 1, SourceDefault) })
 }

@@ -36,7 +36,6 @@ func BenchmarkObserveJournal(b *testing.B) {
 
 	b.Run("journal=none", func(b *testing.B) {
 		e := New(testModel(b), Config{})
-		defer e.Close()
 		run(b, e)
 	})
 	for _, pol := range []store.SyncPolicy{store.SyncOff, store.SyncInterval, store.SyncGroup} {
@@ -47,7 +46,6 @@ func BenchmarkObserveJournal(b *testing.B) {
 			}
 			defer w.Close()
 			e := New(testModel(b), Config{})
-			defer e.Close()
 			e.SetJournal(w)
 			run(b, e)
 		})

@@ -11,8 +11,8 @@ import (
 // BenchmarkEnginePredictUnderWrites measures parallel prediction
 // throughput while a background writer continuously folds in
 // observations — the serving workload of the paper's Sec. III framework:
-// predictions are served wait-free from the published view while the
-// writer batches updates through the ingest queue.
+// predictions are served wait-free from the published view while a
+// writer commits observe batches.
 //
 //	go test -bench=BenchmarkEnginePredictUnderWrites -benchmem ./internal/engine/
 func BenchmarkEnginePredictUnderWrites(b *testing.B) {
@@ -60,18 +60,13 @@ func BenchmarkEnginePredictUnderWrites(b *testing.B) {
 			default:
 			}
 			i++
-			for _, s := range batch(i) { // readers never block on the apply
-				e.Enqueue(s)
-			}
+			e.ObserveAll(batch(i)) // readers never block on the apply
 			if i%8 == 0 {
 				e.ReplaySteps(replayBatch)
 			}
 		}
 	}()
-	b.Cleanup(func() {
-		close(stop)
-		e.Close()
-	})
+	b.Cleanup(func() { close(stop) })
 	b.SetParallelism(benchClients)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -110,18 +105,4 @@ func BenchmarkEnginePublish(b *testing.B) {
 		v = m.RefreshView(v)
 		sink.Store(v)
 	}
-}
-
-// BenchmarkEngineEnqueue measures the producer-side cost of the sharded
-// bounded ingest queue.
-func BenchmarkEngineEnqueue(b *testing.B) {
-	e := New(testModel(b), Config{QueueSize: 1 << 16})
-	defer e.Close()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			i++
-			e.Enqueue(stream.Sample{User: i % 1024, Service: i % 4096, Value: 1})
-		}
-	})
 }

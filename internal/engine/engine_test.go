@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/stream"
 )
@@ -37,7 +38,6 @@ func seedSamples(users, services int) []stream.Sample {
 
 func TestObserveAllReadYourWrites(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	ss := seedSamples(4, 5)
 	e.ObserveAll(ss)
 	v := e.View()
@@ -53,7 +53,7 @@ func TestObserveAllReadYourWrites(t *testing.T) {
 }
 
 // TestObserveAllTracedTimings: the breakdown means the same thing whatever
-// journal is attached and on both sides of Close. The stages are disjoint
+// journal is attached. The stages are disjoint
 // intervals of the call, so none is negative and together they fit inside
 // its wall time; CommitWait is the caller's wait for the covering fsync,
 // so it spans the journal's hold under group commit and is nothing
@@ -63,7 +63,6 @@ func TestObserveAllTracedTimings(t *testing.T) {
 	for _, journal := range []string{"none", "plain", "group-commit"} {
 		t.Run(journal, func(t *testing.T) {
 			e := New(testModel(t), Config{})
-			defer e.Close()
 			group := journal == "group-commit"
 			if journal == "plain" {
 				e.SetJournal(&fakeJournal{})
@@ -92,16 +91,13 @@ func TestObserveAllTracedTimings(t *testing.T) {
 				start := time.Now()
 				tm := e.ObserveAllTraced(ss)
 				wall := time.Since(start)
-				if tm.QueueWait <= 0 {
-					t.Errorf("%s: QueueWait = %v, want > 0", when, tm.QueueWait)
-				}
 				if tm.Apply <= 0 {
 					t.Errorf("%s: Apply = %v, want > 0", when, tm.Apply)
 				}
 				if tm.Publish <= 0 {
 					t.Errorf("%s: Publish = %v, want > 0", when, tm.Publish)
 				}
-				if tm.Journal < 0 || tm.CommitWait < 0 {
+				if tm.QueueWait < 0 || tm.Journal < 0 || tm.CommitWait < 0 {
 					t.Errorf("%s: negative stage in %+v", when, tm)
 				}
 				if sum := tm.QueueWait + tm.Journal + tm.Apply + tm.Publish + tm.CommitWait; sum > wall {
@@ -118,112 +114,17 @@ func TestObserveAllTracedTimings(t *testing.T) {
 					t.Errorf("%s: CommitWait = %v with no group commit to wait for", when, tm.CommitWait)
 				}
 			}
-			check("loop", seedSamples(4, 5))
+			check("first", seedSamples(4, 5))
 			if _, err := e.View().Predict(0, 0); err != nil {
 				t.Fatalf("traced observe lost read-your-writes: %v", err)
 			}
-			// The traced path must keep working after Close (inline fallback).
-			e.Close()
-			check("post-Close", seedSamples(5, 6))
+			check("second", seedSamples(5, 6))
 		})
 	}
 }
 
-func TestEnqueueFlushVisibility(t *testing.T) {
-	e := New(testModel(t), Config{})
-	defer e.Close()
-	for _, s := range seedSamples(4, 5) {
-		if !e.Enqueue(s) {
-			t.Fatal("enqueue rejected with an empty queue")
-		}
-	}
-	e.ObserveAll(nil)
-	if _, err := e.View().Predict(0, 0); err != nil {
-		t.Fatalf("enqueued observation not visible after Flush: %v", err)
-	}
-	st := e.Stats()
-	if st.Dropped != 0 || st.QueueLen != 0 {
-		t.Fatalf("stats after flush: %+v", st)
-	}
-	if st.Applied != st.Enqueued {
-		t.Fatalf("applied %d != enqueued %d", st.Applied, st.Enqueued)
-	}
-}
-
-// TestStalenessBoundInterval: a fire-and-forget observation must appear
-// in the published view within ~2x the publish interval even when the
-// update-count threshold K is never reached.
-func TestStalenessBoundInterval(t *testing.T) {
-	e := New(testModel(t), Config{
-		PublishEvery:    1 << 30, // K unreachable: only the T bound can publish
-		PublishInterval: 10 * time.Millisecond,
-	})
-	defer e.Close()
-	e.Enqueue(stream.Sample{User: 7, Service: 9, Value: 1.5})
-	deadline := time.Now().Add(2 * time.Second) // generous CI headroom
-	for time.Now().Before(deadline) {
-		if e.View().KnowsUser(7) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("observation not published within deadline (T=10ms); stats %+v", e.Stats())
-}
-
-// TestStalenessBoundUpdates: with a huge interval, the view must still be
-// republished once K updates accumulate.
-func TestStalenessBoundUpdates(t *testing.T) {
-	const k = 32
-	e := New(testModel(t), Config{
-		PublishEvery:    k,
-		PublishInterval: time.Hour, // T unreachable in test time
-	})
-	defer e.Close()
-	v0 := e.View()
-	for i := 0; i < k+8; i++ {
-		e.Enqueue(stream.Sample{User: i % 4, Service: i % 8, Value: 1 + float64(i%3)})
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if v := e.View(); v.Version() > v0.Version() && v.Updates() >= k {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("no publish after %d updates with K=%d; stats %+v", k+8, k, e.Stats())
-}
-
-// TestDropOldestUnderOverload stalls the writer (by holding its mutex)
-// and overflows one shard: the engine must drop the oldest samples,
-// account for them, and keep the freshest.
-func TestDropOldestUnderOverload(t *testing.T) {
-	const q = 8
-	e := New(testModel(t), Config{QueueSize: q, IngestShards: 1})
-	defer e.Close()
-
-	e.mu.Lock() // stall the writer's apply path
-	for i := 0; i < 3*q; i++ {
-		e.Enqueue(stream.Sample{User: 0, Service: i, Value: float64(i%5) + 1})
-	}
-	st := e.Stats()
-	e.mu.Unlock()
-
-	if st.Dropped == 0 {
-		t.Fatalf("no drops after overflowing a %d-slot shard with %d samples: %+v", q, 3*q, st)
-	}
-	if st.Enqueued+st.Dropped < 3*q {
-		t.Fatalf("accounting leak: enqueued %d + dropped %d < %d", st.Enqueued, st.Dropped, 3*q)
-	}
-	e.ObserveAll(nil)
-	// The freshest sample (highest service id) must have survived.
-	if !e.View().KnowsService(3*q - 1) {
-		t.Fatal("drop-oldest evicted the newest sample")
-	}
-}
-
 func TestReplayStepsPublishes(t *testing.T) {
-	e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-	defer e.Close()
+	e := New(testModel(t), Config{})
 	e.ObserveAll(seedSamples(4, 5))
 	before := e.Updates()
 	n := e.ReplaySteps(100)
@@ -237,8 +138,7 @@ func TestReplayStepsPublishes(t *testing.T) {
 }
 
 func TestRemoveForcesPublish(t *testing.T) {
-	e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-	defer e.Close()
+	e := New(testModel(t), Config{})
 	e.ObserveAll(seedSamples(4, 5))
 	if !e.View().KnowsUser(1) {
 		t.Fatal("user 1 missing")
@@ -259,8 +159,7 @@ func TestRemoveForcesPublish(t *testing.T) {
 // budget larger than the pool is still met in full — a pick that lands on
 // a departed pair is dropped from the pool and replaced, not counted.
 func TestReplayedCountsUpdatesUnderChurn(t *testing.T) {
-	e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-	defer e.Close()
+	e := New(testModel(t), Config{})
 	e.ObserveAll(seedSamples(12, 15))
 	e.RemoveUser(3)
 	e.RemoveService(6)
@@ -287,7 +186,6 @@ func TestReplayedCountsUpdatesUnderChurn(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	e.ObserveAll(seedSamples(6, 9))
 	want, _, err := e.View().PredictWithConfidence(2, 4)
 	if err != nil {
@@ -299,7 +197,6 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	e2 := New(testModel(t), Config{})
-	defer e2.Close()
 	if err := e2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
@@ -315,30 +212,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCloseDrainsQueue(t *testing.T) {
-	e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-	for _, s := range seedSamples(4, 5) {
-		e.Enqueue(s)
-	}
-	e.Close()
-	if _, err := e.View().Predict(0, 0); err != nil {
-		t.Fatalf("pre-Close samples lost: %v", err)
-	}
-	// Post-Close writes still work (inline fallback) so shutdown paths
-	// (e.g. replaying a WAL before a final snapshot) cannot wedge.
-	e.ObserveAll([]stream.Sample{{User: 50, Service: 50, Value: 2}})
-	if !e.View().KnowsUser(50) {
-		t.Fatal("post-Close ObserveAll not applied")
-	}
-	if e.Enqueue(stream.Sample{User: 51, Service: 51, Value: 2}) {
-		t.Fatal("Enqueue after Close must report rejection")
-	}
-	e.Close() // idempotent
-}
-
 func TestRankFromView(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	e.ObserveAll(seedSamples(6, 9))
 	ranked, unknown := e.View().TopK(3, []int{0, 3, 6, 777}, 4, true)
 	if len(unknown) != 1 || unknown[0] != 777 {
@@ -355,17 +230,37 @@ func TestRankFromView(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	e := New(testModel(t), Config{IngestShards: 5})
-	defer e.Close()
-	cfg := e.cfg
-	if cfg.IngestShards != 8 {
-		t.Fatalf("shards %d, want next power of two 8", cfg.IngestShards)
+	e := New(testModel(t), Config{})
+	list := e.Control().List()
+	if len(list) != 1 || list[0].Name() != "engine.replay_per_batch" {
+		t.Fatalf("engine tunables %v, want engine.replay_per_batch alone", list)
 	}
-	if cfg.QueueSize != 4096 || cfg.PublishEvery != 256 || cfg.PublishInterval != 50*time.Millisecond {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	if tun := list[0]; tun.Value() != "0" || tun.Source() != control.SourceDefault {
+		t.Fatalf("engine.replay_per_batch = %s (%v), want 0 (default)", tun.Value(), tun.Source())
 	}
-	if st := e.Stats(); st.QueueCap != 8*4096 {
-		t.Fatalf("queue cap %d", st.QueueCap)
+	e.ObserveAll(seedSamples(4, 5))
+	if st := e.Stats(); st.Replayed != 0 || st.Published != 1 {
+		t.Fatalf("one observe on a default engine: %+v, want no replay and one publish", st)
+	}
+}
+
+// TestTunablesDriveWriter: an override of engine.replay_per_batch through
+// the registry takes effect on the next committed batch, inside the same
+// critical section.
+func TestTunablesDriveWriter(t *testing.T) {
+	e := New(testModel(t), Config{})
+	e.ObserveAll(seedSamples(4, 5))
+	tun, ok := e.Control().Lookup("engine.replay_per_batch")
+	if !ok {
+		t.Fatal("engine.replay_per_batch not registered")
+	}
+	if err := tun.SetString("8", control.SourceOverride); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Updates()
+	e.ObserveAll([]stream.Sample{{User: 1, Service: 1, Value: 2}})
+	if st := e.Stats(); st.Replayed != 8 || e.Updates() != before+9 {
+		t.Fatalf("after the override one observe replayed %d and published %d updates, want 8 and 9", st.Replayed, e.Updates()-before)
 	}
 }
 
@@ -382,7 +277,6 @@ func scriptedRun(t *testing.T, seed int64) (snapshot []byte, top []core.Ranked) 
 		t.Fatal(err)
 	}
 	e := New(m, Config{})
-	defer e.Close()
 	ss := seedSamples(12, 40)
 	a, b := len(ss)/3, 2*len(ss)/3
 	e.ObserveAll(ss[:a])
@@ -432,92 +326,18 @@ func TestEngineDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-// TestDroppedSplitByReason pins the dropped-counter split: evictions of
-// queued samples count as "oldest", shed incoming samples as "new", and
-// the legacy aggregate stays their sum.
-func TestDroppedSplitByReason(t *testing.T) {
-	const q = 8
-	e := New(testModel(t), Config{QueueSize: q, IngestShards: 1})
-	defer e.Close()
-
-	e.mu.Lock() // stall the writer so the queue can only overflow
-	for i := 0; i < 4*q; i++ {
-		e.Enqueue(stream.Sample{User: 0, Service: i, Value: 1})
-	}
-	st := e.Stats()
-	e.mu.Unlock()
-
-	if st.DroppedOldest == 0 {
-		t.Fatalf("overflow produced no oldest-evictions: %+v", st)
-	}
-	if st.Dropped != st.DroppedNew+st.DroppedOldest {
-		t.Fatalf("Dropped %d != DroppedNew %d + DroppedOldest %d", st.Dropped, st.DroppedNew, st.DroppedOldest)
-	}
-	// Single producer, uncontended: the drop-oldest spin always frees a
-	// slot, so nothing should be shed as "new".
-	if st.DroppedNew != 0 {
-		t.Fatalf("uncontended overflow shed %d new samples", st.DroppedNew)
-	}
-}
-
-// TestObserveAllCloseRace is the regression test for the post-Close
-// fallback race: batches handed to the writer just as stop closes must be
-// applied exactly once — either by the writer's final drain or by the
-// caller's inline fallback, never both, never zero times.
-func TestObserveAllCloseRace(t *testing.T) {
-	const rounds = 40
-	for r := 0; r < rounds; r++ {
-		e := New(testModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-		const callers = 8
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for c := 0; c < callers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				<-start
-				// One batch of 2 samples per caller; user/service IDs are
-				// unique per caller so registration counts double-apply too.
-				e.ObserveAll([]stream.Sample{
-					{User: c, Service: c, Value: 1},
-					{User: c, Service: c, Value: 2},
-				})
-			}(c)
-		}
-		closeDone := make(chan struct{})
-		go func() {
-			<-start
-			e.Close()
-			close(closeDone)
-		}()
-		close(start)
-		wg.Wait()
-		<-closeDone
-
-		// Exactly-once: every batch applied, none twice. Each sample is one
-		// SGD update, so the model's update count is the exact apply count.
-		if got, want := e.View().Updates(), int64(2*callers); got != want {
-			t.Fatalf("round %d: %d updates after close race, want exactly %d", r, got, want)
-		}
-		for c := 0; c < callers; c++ {
-			if !e.View().KnowsUser(c) {
-				t.Fatalf("round %d: caller %d's batch lost", r, c)
-			}
-		}
-	}
-}
-
-// TestEngineOwnsOneGoroutine: the writer is the engine's only goroutine,
-// whatever journal is attached — whoever asks for a write waits for its
-// own fsync, so there is no completer to start, feed or shut down.
-func TestEngineOwnsOneGoroutine(t *testing.T) {
-	e := New(testModel(t), Config{})
-	defer e.Close()
+// TestEngineOwnsNoGoroutine: every write runs on its caller's goroutine,
+// whatever journal is attached — there is no writer to hand a batch to
+// and no completer to wait for an fsync, so after New, SetJournal and 100
+// concurrent durable observes the process has as many goroutines as
+// before.
+func TestEngineOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
+	e := New(testModel(t), Config{})
 	j := newFakeDurableJournal()
 	e.SetJournal(j)
-	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("SetJournal(durable journal) took the process from %d to %d goroutines", before, got)
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("New and SetJournal(durable journal) took the process from %d to %d goroutines", before, got)
 	}
 	const callers = 100
 	var wg sync.WaitGroup

@@ -6,20 +6,19 @@ import (
 )
 
 // Journal is the engine's write-ahead log hook, satisfied by
-// *store.WAL. The writer loop journals every drained/synchronous batch
-// BEFORE applying it to the model, and every churn removal before
-// purging it — journal-before-apply, the invariant the recovery path
-// depends on. Because journaling and applying happen under the same
-// writer lock, "applied to the model" always implies "present in the
+// *store.WAL. Every write journals its batch BEFORE applying it to the
+// model, and every churn removal before purging it — journal-before-apply,
+// the invariant the recovery path depends on. Because journaling and
+// applying happen under the same lock, "applied to the model" always implies "present in the
 // journal", so a checkpoint that records the journal's last sequence
 // number while the model is quiescent covers exactly the records it
 // claims to (see CheckpointView).
 //
 // With a DurableJournal whose policy promises durability (store.WAL
-// under fsync=group), an ack — ObserveAll's or a removal's — additionally
+// under fsync=group), an ack — an observe's or a removal's — additionally
 // implies the record is on stable storage: read-your-writes becomes
-// durable-your-writes. The caller waits for the covering fsync after the
-// writer has let go of it (see DurableJournal).
+// durable-your-writes. The caller waits for the covering fsync after it
+// has let go of the engine's lock (see DurableJournal).
 //
 // The engine keeps serving when a journal append fails (availability
 // over durability — the model still learns); failures are counted in
@@ -43,9 +42,9 @@ type Journal interface {
 
 // DurableJournal is the optional durability extension of Journal,
 // satisfied by *store.WAL. When the attached journal implements it, acks
-// are pipelined: the writer loop journals a batch, applies it, publishes
-// and moves on to the next batch; each caller — observer or remover —
-// then calls WaitDurable itself (Engine.awaitDurable) and returns only
+// are pipelined: a write journals its batch, applies it, publishes and
+// unlocks, so the next write can start; each caller — observer or remover
+// — then calls WaitDurable itself (Engine.awaitDurable) and returns only
 // once its record is as durable as the journal's policy promises. The
 // engine does not know the policy: store.WAL runs (or shares) the
 // covering fsync under fsync=group and returns at once under interval
@@ -61,8 +60,7 @@ type DurableJournal interface {
 // SetJournal attaches (or detaches, with nil) the write-ahead log. Call
 // it after recovery replay and before serving traffic: replayed samples
 // go through the normal observe path and must not be re-journaled, so
-// the recovery sequence is replay first, attach second. (It must also
-// not race Close — the same before-serving rule covers that.)
+// the recovery sequence is replay first, attach second.
 //
 // A journal that implements DurableJournal makes every acked write wait
 // in its WaitDurable (see DurableJournal); nothing else about the engine
@@ -90,14 +88,14 @@ func (e *Engine) journalSamplesLocked(ss []stream.Sample) uint64 {
 	return seq
 }
 
-// CheckpointView publishes any pending model updates and returns, from
-// a single critical section, the journal's last sequence number paired
-// with the just-published view. Because the writer journals and applies
-// under the same lock, the returned view reflects every record with
+// CheckpointView returns, from a single critical section, the journal's
+// last sequence number paired with the published view. Because every
+// write journals, applies and publishes under the same lock, the returned
+// view reflects every record with
 // seq <= the returned value and — crucially — no sample or removal
 // record with a greater one. Snapshotting THAT view (not whatever view
 // is current when the caller gets around to serializing) is what makes
-// a checkpoint's (seq, blob) pair consistent: a drain that lands
+// a checkpoint's (seq, blob) pair consistent: a write that lands
 // between reading the sequence number and snapshotting would otherwise
 // train samples with seq > checkpoint-seq into the blob, and recovery
 // would replay those same records into the restored model — double-
@@ -107,9 +105,6 @@ func (e *Engine) journalSamplesLocked(ss []stream.Sample) uint64 {
 func (e *Engine) CheckpointView() (uint64, *core.PredictView) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.sincePublish > 0 {
-		e.publishLocked()
-	}
 	var seq uint64
 	if e.journal != nil {
 		seq = e.journal.LastSeq()

@@ -85,7 +85,6 @@ func (f *fakeJournal) sampleCount() int {
 // in the batch is in the journal — ack-after-journal.
 func TestJournalAckImpliesJournaled(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	j := &fakeJournal{}
 	e.SetJournal(j)
 	ss := seedSamples(4, 5)
@@ -95,44 +94,16 @@ func TestJournalAckImpliesJournaled(t *testing.T) {
 	}
 }
 
-// TestJournalCoversEnqueuedSamples: async-ingested samples are journaled
-// by the writer's drain before they are applied; after a Flush barrier
-// everything applied is in the journal.
-func TestJournalCoversEnqueuedSamples(t *testing.T) {
-	e := New(testModel(t), Config{})
-	defer e.Close()
-	j := &fakeJournal{}
-	e.SetJournal(j)
-	ss := seedSamples(6, 6)
-	for _, s := range ss {
-		if !e.Enqueue(s) {
-			t.Fatal("enqueue rejected")
-		}
-	}
-	e.ObserveAll(nil)
-	if got := j.sampleCount(); got != len(ss) {
-		t.Fatalf("journal holds %d samples after flush, want %d", got, len(ss))
-	}
-	if applied := e.Stats().Applied; applied != int64(len(ss)) {
-		t.Fatalf("applied %d, want %d", applied, len(ss))
-	}
-}
-
 // TestApplyHistogramIsModelTimeOnly: Metrics.Apply has one definition —
-// time inside the model update, per update — through every door. A slow
-// journal must not show up in it (the drain path used to start its clock
-// before the append, so the admission gate's apply-p50 input depended on
-// whether samples arrived by Enqueue or ObserveAll), and replay steps
-// driven through ReplaySteps are updates like any other.
+// time inside the model update, per update — whoever writes. A slow
+// journal must not show up in it, and replay steps driven through
+// ReplaySteps are updates like any other.
 func TestApplyHistogramIsModelTimeOnly(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	e.SetJournal(&fakeJournal{delay: 20 * time.Millisecond})
 	apply := e.Metrics().Apply
-	e.Enqueue(stream.Sample{User: 1, Service: 1, Value: 2})
-	e.Enqueue(stream.Sample{User: 2, Service: 1, Value: 3})
-	e.ObserveAll(nil)
-	e.ObserveAll([]stream.Sample{{User: 1, Service: 2, Value: 1}})
+	e.ObserveAll([]stream.Sample{{User: 1, Service: 1, Value: 2}, {User: 2, Service: 1, Value: 3}})
+	e.ApplyLog([]stream.Sample{{User: 1, Service: 2, Value: 1}})
 	if got := apply.Count(); got != 3 {
 		t.Fatalf("apply histogram holds %d updates, want 3", got)
 	}
@@ -149,7 +120,6 @@ func TestApplyHistogramIsModelTimeOnly(t *testing.T) {
 // forgets them, so recovery does not resurrect deleted entities.
 func TestJournalRemovals(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	j := &fakeJournal{}
 	e.SetJournal(j)
 	e.ObserveAll(seedSamples(3, 3))
@@ -173,7 +143,6 @@ func TestJournalRemovals(t *testing.T) {
 // (availability over durability).
 func TestJournalFailureKeepsServing(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	e.SetJournal(&fakeJournal{fail: true})
 	ss := seedSamples(4, 5)
 	e.ObserveAll(ss)
@@ -195,7 +164,6 @@ func TestJournalFailureKeepsServing(t *testing.T) {
 // reflects every covered record.
 func TestCheckpointSeq(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	if got, _ := e.CheckpointView(); got != 0 {
 		t.Fatalf("no journal: checkpoint seq=%d, want 0", got)
 	}
@@ -216,13 +184,12 @@ func TestCheckpointSeq(t *testing.T) {
 // batches would otherwise slip between reading the sequence number and
 // snapshotting the view, training samples with seq > checkpoint-seq
 // into the captured state — which recovery would then replay again
-// (double-training). With ReplayPerBatch=0 every model update is one
+// (double-training). With replay_per_batch at 0 every model update is one
 // journaled sample, so the captured view's update count must equal
 // EXACTLY the number of samples the journal covers at the captured
 // sequence number.
 func TestCheckpointViewAtomicCapture(t *testing.T) {
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	j := &fakeJournal{}
 	e.SetJournal(j)
 
@@ -249,4 +216,39 @@ func TestCheckpointViewAtomicCapture(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRemoveOrderedAfterBacklog: a removal is journaled and applied after
+// every sample whose write returned before it — here batches from several
+// goroutines into the service being removed. A sample applied after the
+// purge would re-create the service in the model and land behind the
+// removal record in the journal, where recovery would re-create it again.
+func TestRemoveOrderedAfterBacklog(t *testing.T) {
+	e := New(testModel(t), Config{})
+	j := &fakeJournal{}
+	e.SetJournal(j)
+	const writers, batches = 8, 16
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				e.ObserveAll([]stream.Sample{{User: w, Service: 7, Value: 1}, {User: w, Service: b, Value: 2}})
+			}
+		}(w)
+	}
+	wg.Wait()
+	e.RemoveService(7)
+	j.mu.Lock()
+	got, removals := len(j.samples), len(j.removals)
+	covered := j.cum[len(j.cum)-1]
+	j.mu.Unlock()
+	if got != 2*writers*batches || removals != 1 || covered != got {
+		t.Fatalf("journal: %d samples, %d removals, the removal record behind %d samples; want %d, 1, all of them",
+			got, removals, covered, 2*writers*batches)
+	}
+	if e.View().KnowsService(7) {
+		t.Fatal("the removed service is back in the view")
+	}
 }

@@ -3,8 +3,8 @@ package engine
 import (
 	"sync"
 	"testing"
-	"time"
 
+	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/stream"
@@ -19,115 +19,54 @@ func obsModel(t *testing.T) *core.Model {
 
 func TestEngineMetricsPopulate(t *testing.T) {
 	e := New(obsModel(t), Config{})
-	defer e.Close()
 	m := e.Metrics()
-	if m == nil || m.QueueWait == nil || m.Apply == nil || m.Publish == nil {
+	if m == nil || m.Apply == nil || m.Publish == nil {
 		t.Fatal("engine metrics not initialized")
 	}
 
-	// Async path: enqueue then flush → queue-wait and apply latency.
-	for i := 0; i < 50; i++ {
-		e.Enqueue(stream.Sample{User: i % 5, Service: i % 7, Value: 1 + float64(i%3)})
+	// An observe lands in Apply once per sample and in Publish once.
+	e.ObserveAll(seedSamples(5, 7))
+	applied := e.Stats().Applied
+	if applied == 0 || m.Apply.Count() != applied {
+		t.Errorf("apply histogram count %d for %d applied samples", m.Apply.Count(), applied)
 	}
-	e.ObserveAll(nil)
-	if m.QueueWait.Count() == 0 {
-		t.Error("queue-wait histogram empty after enqueue+flush")
-	}
-	if m.Apply.Count() < 50 {
-		t.Errorf("apply histogram count %d < 50 drained samples", m.Apply.Count())
-	}
-	if m.Publish.Count() == 0 {
-		t.Error("publish histogram empty after flush")
-	}
-	if q := m.QueueWait.Quantile(0.99); q > 10 {
-		t.Errorf("implausible queue wait p99 %gs", q)
-	}
-
-	// Sync path: ObserveAll also lands in Apply.
-	before := m.Apply.Count()
-	e.ObserveAll([]stream.Sample{{User: 1, Service: 1, Value: 2}})
-	if m.Apply.Count() != before+1 {
-		t.Errorf("sync apply not recorded: %d -> %d", before, m.Apply.Count())
+	if m.Publish.Count() != 1 {
+		t.Errorf("publish histogram count %d after one observe", m.Publish.Count())
 	}
 
 	// Replay through the control path counts as applied updates too.
-	before = m.Apply.Count()
+	before := m.Apply.Count()
 	if n := e.ReplaySteps(10); m.Apply.Count() != before+int64(n) {
 		t.Errorf("%d replay steps not recorded: %d -> %d", n, before, m.Apply.Count())
 	}
 }
 
-func TestEngineStaleness(t *testing.T) {
-	e := New(obsModel(t), Config{PublishInterval: time.Hour, PublishEvery: 1 << 30})
-	defer e.Close()
-
-	// Fresh engine: nothing pending, staleness 0.
-	if s := e.Staleness(); s != 0 {
-		t.Fatalf("fresh engine staleness = %v, want 0", s)
-	}
-
-	// Synchronous observe force-publishes → still 0 afterwards.
-	e.ObserveAll([]stream.Sample{{User: 1, Service: 1, Value: 2}})
-	if s := e.Staleness(); s != 0 {
-		t.Fatalf("staleness after sync publish = %v, want 0", s)
-	}
-
-	// Queue a sample without letting the publisher catch up (huge K and
-	// T): once the writer applies it, staleness must start growing.
-	e.Enqueue(stream.Sample{User: 2, Service: 2, Value: 3})
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if e.Staleness() > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if e.Staleness() == 0 {
-		t.Fatal("staleness never rose with updates pending and publish deferred")
-	}
-	grew := e.Staleness()
-	time.Sleep(10 * time.Millisecond)
-	if e.Staleness() <= grew {
-		t.Fatalf("staleness did not grow: %v then %v", grew, e.Staleness())
-	}
-
-	// Flushing publishes and clears it.
-	e.ObserveAll(nil)
-	if s := e.Staleness(); s != 0 {
-		t.Fatalf("staleness after flush = %v, want 0", s)
-	}
-}
-
 func TestReplayPerBatchFeedsApplyHistogram(t *testing.T) {
-	e := New(obsModel(t), Config{ReplayPerBatch: 8})
-	defer e.Close()
-	e.ObserveAll([]stream.Sample{
-		{User: 1, Service: 1, Value: 2},
-		{User: 2, Service: 1, Value: 3},
-	})
-	// Wake the writer a few times so replayLocked runs with a warm pool.
+	e := New(obsModel(t), Config{})
+	tun, _ := e.Control().Lookup("engine.replay_per_batch")
+	if err := tun.SetString("8", control.SourceOverride); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
-		e.Enqueue(stream.Sample{User: i % 3, Service: i % 2, Value: 1})
+		e.ObserveAll([]stream.Sample{{User: i % 3, Service: i % 2, Value: 1}})
 	}
-	e.ObserveAll(nil)
 	st := e.Stats()
-	if st.Replayed == 0 {
-		t.Skip("writer did not interleave replay in time") // timing-dependent; counted elsewhere
+	if st.Replayed != 20*8 {
+		t.Fatalf("20 commits with replay_per_batch 8 replayed %d updates", st.Replayed)
 	}
-	if e.Metrics().Apply.Count() < st.Applied {
-		t.Errorf("apply histogram (%d) missing replay/ingest updates (applied=%d)",
-			e.Metrics().Apply.Count(), st.Applied)
+	if got := e.Metrics().Apply.Count(); got != st.Applied+st.Replayed {
+		t.Errorf("apply histogram holds %d updates, want %d applied + %d replayed", got, st.Applied, st.Replayed)
 	}
 }
 
 // TestWriterScoresClientDoors: with a tracker attached, every sample that
-// arrives through ObserveAll or the ingest queue is handed to it exactly
-// once by the writer — scored against the model's own prior, or counted
-// as a first sighting — while producers on both doors and a scraper run
-// at once; ApplyLog trains the same model and leaves the tracker alone.
+// arrives through ObserveAll — the commit both of the server's client
+// doors end in — is handed to it exactly once — scored against the
+// model's own prior, or counted as a first sighting — while producers and
+// a scraper run at once; ApplyLog trains the same model and leaves the
+// tracker alone.
 func TestWriterScoresClientDoors(t *testing.T) {
 	e := New(obsModel(t), Config{})
-	defer e.Close()
 	acc := obs.NewAccuracyTracker(0)
 	e.SetAccuracy(acc)
 
@@ -155,27 +94,17 @@ func TestWriterScoresClientDoors(t *testing.T) {
 				for i := range ss {
 					ss[i] = stream.Sample{User: p, Service: (r + i) % 11, Value: 1 + float64((p+i)%4)}
 				}
-				if r%2 == 0 {
-					e.ObserveAll(ss)
-					continue
-				}
-				for _, s := range ss {
-					if !e.Enqueue(s) {
-						t.Error("critical-class enqueue refused on a queue that never fills")
-					}
-				}
+				e.ObserveAll(ss)
 			}
 		}(p)
 	}
 	wg.Wait()
-	e.ObserveAll(nil) // barrier: commits behind everything enqueued
 	close(stop)
 	<-scraped
 
-	st := e.Stats()
-	delivered := st.Applied
-	if st.Dropped != 0 || delivered != producers*rounds*batch {
-		t.Fatalf("applied %d (dropped %d), want %d", delivered, st.Dropped, producers*rounds*batch)
+	delivered := e.Stats().Applied
+	if delivered != producers*rounds*batch {
+		t.Fatalf("applied %d, want %d", delivered, producers*rounds*batch)
 	}
 	if got := acc.Samples() + acc.Misses(); got != delivered {
 		t.Fatalf("tracker saw %d samples (%d scored, %d first sightings) of %d applied", got, acc.Samples(), acc.Misses(), delivered)

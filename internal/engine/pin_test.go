@@ -37,7 +37,6 @@ func TestPinnedViewsNeverChange(t *testing.T) {
 func checkPinnedViewsNeverChange(t *testing.T) {
 	const users, services, readers, batches = 16, 2000, 4, 300
 	e := New(testModel(t), Config{})
-	defer e.Close()
 	rng := rand.New(rand.NewSource(1))
 	batch := func() []stream.Sample {
 		ss := make([]stream.Sample, 64)

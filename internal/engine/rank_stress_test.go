@@ -28,14 +28,8 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 		readers  = 4
 		k        = 10
 	)
-	e := New(testModel(t), Config{
-		QueueSize:       1024,
-		IngestShards:    4,
-		PublishEvery:    32,
-		PublishInterval: time.Millisecond,
-		ReplayPerBatch:  16,
-	})
-	defer e.Close()
+	e := New(testModel(t), Config{})
+	setReplayPerBatch(t, e, 16)
 
 	var seed []stream.Sample
 	for u := 0; u < users; u++ {
@@ -106,15 +100,19 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 		}(r)
 	}
 
-	// Writer: firehose + churn + snapshot/restore, forcing republishes and
-	// page copies and shard rebuilds underneath the readers.
+	// Writer: a stream of small batches + churn + snapshot/restore, forcing
+	// republishes and page copies and shard rebuilds underneath the readers.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		batch := make([]stream.Sample, 8)
 		i := 0
 		for !stop.Load() {
-			i++
-			e.Enqueue(stream.Sample{User: i % users, Service: i % services, Value: 1 + float64(i%7)})
+			for j := range batch {
+				i++
+				batch[j] = stream.Sample{User: i % users, Service: i % services, Value: 1 + float64(i%7)}
+			}
+			e.ObserveAll(batch)
 			if i%64 == 0 {
 				id := i % services
 				e.RemoveService(id)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/stream"
 )
 
@@ -20,16 +21,6 @@ import (
 //     versions, and (in the restore-free phase) non-decreasing update
 //     counts.
 func TestStressConcurrentReadWrite(t *testing.T) {
-	runStressConcurrentReadWrite(t, Config{
-		QueueSize:       256,
-		IngestShards:    4,
-		PublishEvery:    64,
-		PublishInterval: 2 * time.Millisecond,
-		ReplayPerBatch:  16,
-	})
-}
-
-func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 	const (
 		users    = 32
 		services = 64
@@ -37,8 +28,8 @@ func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 		writers  = 2
 		mutators = 2 // churn + snapshot/replay goroutines
 	)
-	e := New(testModel(t), cfg)
-	defer e.Close()
+	e := New(testModel(t), Config{})
+	setReplayPerBatch(t, e, 16)
 
 	// Seed synchronously so every (u, s) in range is predictable.
 	var seed []stream.Sample
@@ -113,22 +104,23 @@ func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 		}(r)
 	}
 
-	// Async writers: firehose Enqueue.
+	// Writers: a stream of small batches.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			batch := make([]stream.Sample, 8)
 			i := 0
 			for !stop.Load() {
-				i++
-				e.Enqueue(stream.Sample{
-					User:    (w*11 + i) % users,
-					Service: (w*17 + i) % services,
-					Value:   1 + float64(i%9),
-				})
-				if i%128 == 0 {
-					e.ObserveAll([]stream.Sample{{User: i % users, Service: i % services, Value: 2}})
+				for j := range batch {
+					i++
+					batch[j] = stream.Sample{
+						User:    (w*11 + i) % users,
+						Service: (w*17 + i) % services,
+						Value:   1 + float64(i%9),
+					}
 				}
+				e.ObserveAll(batch)
 			}
 		}(w)
 	}
@@ -188,55 +180,12 @@ func runStressConcurrentReadWrite(t *testing.T, cfg Config) {
 	t.Logf("stress stats: %+v", st)
 }
 
-// TestStressStalenessUnderLoad verifies the publish bound holds while the
-// engine is under concurrent load: a marker observation enqueued
-// mid-firehose becomes visible within a generous multiple of the publish
-// interval.
-func TestStressStalenessUnderLoad(t *testing.T) {
-	const interval = 5 * time.Millisecond
-	e := New(testModel(t), Config{
-		PublishEvery:    1 << 30, // only the interval bound may publish
-		PublishInterval: interval,
-		QueueSize:       1 << 14,
-	})
-	defer e.Close()
-
-	// Sustained-but-sustainable load: bursts with pauses, so the writer
-	// keeps up and the staleness bound (not drop-oldest overload
-	// shedding, which TestDropOldestUnderOverload covers) is what's
-	// under test.
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		i := 0
-		for !stop.Load() {
-			for b := 0; b < 64; b++ {
-				i++
-				e.Enqueue(stream.Sample{User: i % 16, Service: i % 32, Value: 1 + float64(i%5)})
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	const markerUser = 10_000
-	time.Sleep(5 * interval) // let the load establish
-	for !e.Enqueue(stream.Sample{User: markerUser, Service: 0, Value: 1}) {
-		time.Sleep(time.Millisecond)
-	}
-	deadline := time.Now().Add(100 * interval)
-	visible := false
-	for time.Now().Before(deadline) {
-		if e.View().KnowsUser(markerUser) {
-			visible = true
-			break
-		}
-		time.Sleep(interval / 5)
-	}
-	stop.Store(true)
-	wg.Wait()
-	if !visible {
-		t.Fatalf("marker not visible within 100x publish interval; stats %+v", e.Stats())
+// setReplayPerBatch overrides the engine's one tunable, so that every
+// committed batch interleaves n replay updates.
+func setReplayPerBatch(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	tun, _ := e.Control().Lookup("engine.replay_per_batch")
+	if err := tun.SetString(fmt.Sprint(n), control.SourceOverride); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -9,35 +9,50 @@
 //	<user> <service> <value> [timestampMs]
 //
 // e.g. "app-7 ws-weather 1.42 1718000000000". Responses are not sent per
-// line; a client can send "PING\n" and read "PONG\n" to checkpoint.
+// line; a client can send "PING\n" and read "PONG\n" to checkpoint: the
+// PONG is written only once every line sent before the PING has been
+// committed by the Sink — for the prediction server, the same commit an
+// HTTP observe acks.
+//
+// A connection's lines reach the Sink in batches of at most maxBatch, cut
+// wherever reading on would block (or at a PING, or at the end of the
+// stream). While a batch commits the connection is not read, so a client
+// that writes faster than the Sink commits is held back by TCP flow
+// control; nothing is queued or dropped.
 package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Sink receives parsed observations; the prediction server implements it.
-type Sink interface {
-	// Ingest handles one observation. name-based, as on the wire.
-	Ingest(user, service string, value float64, timestampMs int64) error
+// maxBatch bounds the lines one Sink call carries.
+const maxBatch = 256
+
+// Observation is one parsed line. Its names are views: valid until the
+// Sink call that carries them returns.
+type Observation struct {
+	User        []byte
+	Service     []byte
+	Value       float64
+	TimestampMs int64 // 0: stamped on arrival
 }
 
-// SinkFunc adapts a function to the Sink interface.
-type SinkFunc func(user, service string, value float64, timestampMs int64) error
-
-// Ingest implements Sink.
-func (f SinkFunc) Ingest(user, service string, value float64, timestampMs int64) error {
-	return f(user, service, value, timestampMs)
+// Sink commits parsed observations; the prediction server implements it.
+type Sink interface {
+	// ObserveBatch commits one batch, in order, and returns once it is
+	// committed. An error refuses the whole batch.
+	ObserveBatch(batch []Observation) error
 }
 
 // Listener accepts TCP connections and feeds their observation lines to a
@@ -87,9 +102,11 @@ func (l *Listener) Stats() (accepted, lines, rejected int64) {
 }
 
 // Serve accepts connections until ctx is cancelled or the listener is
-// closed. Each connection is handled on its own goroutine; Serve returns
-// after the accept loop stops (it does not wait for in-flight
-// connections, which are closed by Close/ctx).
+// closed. Each connection is handled on its own goroutine. Serve returns
+// once the accept loop has stopped and every connection's handler has
+// returned: a batch being committed when the connections are closed is
+// committed first, so a caller that waits for Serve knows no Sink call is
+// running or will start.
 func (l *Listener) Serve(ctx context.Context) error {
 	var wg sync.WaitGroup
 	done := make(chan struct{})
@@ -151,52 +168,118 @@ func (l *Listener) Close() error {
 }
 
 func (l *Listener) handle(conn net.Conn) {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 1024), l.MaxLineBytes)
-	for {
-		if l.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(l.IdleTimeout))
-		}
-		if !sc.Scan() {
+	br := bufio.NewReaderSize(conn, l.MaxLineBytes)
+	var (
+		batch []Observation
+		arena []byte // the batch's names: ReadSlice's bytes last only until the next read
+		f     [5][]byte
+	)
+	commit := func() {
+		if len(batch) == 0 {
 			return
 		}
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
+		if err := l.sink.ObserveBatch(batch); err != nil {
+			l.rejected.Add(int64(len(batch)))
+		} else {
+			l.lines.Add(int64(len(batch)))
+		}
+		batch, arena = batch[:0], arena[:0]
+	}
+	for {
+		if !lineBuffered(br) {
+			// The next read may block: commit what has been read first.
+			commit()
+			if l.IdleTimeout > 0 {
+				_ = conn.SetReadDeadline(time.Now().Add(l.IdleTimeout))
+			}
+		}
+		line, err := br.ReadSlice('\n')
+		if err != nil && !(errors.Is(err, io.EOF) && len(line) > 0) {
+			if errors.Is(err, bufio.ErrBufferFull) {
+				l.rejected.Add(1) // a line longer than MaxLineBytes ends the connection
+			}
+			return
+		}
+		switch n := fields(line, &f); {
+		case n == 0:
 			continue
-		case line == "PING":
-			if _, err := fmt.Fprintln(conn, "PONG"); err != nil {
+		case n == 1 && string(f[0]) == "PING":
+			commit()
+			if _, err := conn.Write(pong); err != nil {
 				return
 			}
 			continue
-		}
-		if err := l.ingestLine(line); err != nil {
+		case n < 3 || n > 4:
 			l.rejected.Add(1)
 			continue
+		default:
+			o, ok := parse(f[:n])
+			if !ok {
+				l.rejected.Add(1)
+				continue
+			}
+			u := len(arena)
+			arena = append(arena, f[0]...)
+			s := len(arena)
+			arena = append(arena, f[1]...)
+			// Views into the arena as it is now: an append that outgrows it
+			// copies to a new array and leaves these bytes where they are.
+			o.User, o.Service = arena[u:s:s], arena[s:len(arena):len(arena)]
+			if batch = append(batch, o); len(batch) == maxBatch {
+				commit()
+			}
 		}
-		l.lines.Add(1)
 	}
 }
 
-// ingestLine parses "<user> <service> <value> [timestampMs]".
-func (l *Listener) ingestLine(line string) error {
-	fields := strings.Fields(line)
-	if len(fields) != 3 && len(fields) != 4 {
-		return fmt.Errorf("ingest: want 3 or 4 fields, got %d", len(fields))
+var pong = []byte("PONG\n")
+
+// lineBuffered reports whether a whole line is waiting in br, so that
+// reading it will not block.
+func lineBuffered(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// fields splits line at runs of ASCII whitespace into f and returns how
+// many fields it holds, counting past len(f) so that a surplus shows.
+func fields(line []byte, f *[5][]byte) int {
+	n := 0
+	for i := 0; i < len(line); {
+		if isSpace(line[i]) {
+			i++
+			continue
+		}
+		j := i
+		for j < len(line) && !isSpace(line[j]) {
+			j++
+		}
+		if n < len(f) {
+			f[n] = line[i:j]
+		}
+		n++
+		i = j
 	}
-	value, err := strconv.ParseFloat(fields[2], 64)
-	if err != nil {
-		return fmt.Errorf("ingest: bad value: %w", err)
-	}
-	if value < 0 || math.IsNaN(value) || math.IsInf(value, 0) {
-		return fmt.Errorf("ingest: invalid QoS value %q", fields[2])
+	return n
+}
+
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+}
+
+// parse reads "<user> <service> <value> [timestampMs]" from a line's
+// fields, holding the value to what the model accepts: finite and
+// non-negative. The names are left for the caller to copy.
+func parse(f [][]byte) (Observation, bool) {
+	value, err := strconv.ParseFloat(string(f[2]), 64)
+	if err != nil || value < 0 || math.IsNaN(value) || math.IsInf(value, 0) {
+		return Observation{}, false
 	}
 	var ts int64
-	if len(fields) == 4 {
-		ts, err = strconv.ParseInt(fields[3], 10, 64)
-		if err != nil || ts < 0 {
-			return fmt.Errorf("ingest: bad timestamp %q", fields[3])
+	if len(f) == 4 {
+		if ts, err = strconv.ParseInt(string(f[3]), 10, 64); err != nil || ts < 0 {
+			return Observation{}, false
 		}
 	}
-	return l.sink.Ingest(fields[0], fields[1], value, ts)
+	return Observation{Value: value, TimestampMs: ts}, true
 }

@@ -202,27 +202,6 @@ func (v *CounterFuncVec) With(value string, fn func() int64) {
 	v.f.add(&series{labels: renderLabel(v.label, value), intFn: fn})
 }
 
-// GaugeFuncVec is a gauge family partitioned by one label whose series
-// values are computed at scrape time (e.g. the control plane's live
-// tunable values, one series per tunable name).
-type GaugeFuncVec struct {
-	f     *family
-	label string
-}
-
-// NewGaugeFuncVec registers a scrape-time gauge family distinguished by
-// the given label key. Add series with With.
-func (r *Registry) NewGaugeFuncVec(name, help, label string) *GaugeFuncVec {
-	checkName(label)
-	return &GaugeFuncVec{f: r.addFamily(name, help, KindGauge), label: label}
-}
-
-// With adds one labeled series backed by fn. Call once per label value at
-// setup — duplicate values would render duplicate series.
-func (v *GaugeFuncVec) With(value string, fn func() float64) {
-	v.f.add(&series{labels: renderLabel(v.label, value), floatFn: fn})
-}
-
 // HistogramVec is a histogram family partitioned by one label.
 type HistogramVec struct {
 	f        *family

@@ -98,10 +98,11 @@ func TestRegistryMatchesMapReference(t *testing.T) {
 					}
 				case op < 35:
 					name := pick()
-					id, created := r.RegisterBytes([]byte(name), join)
+					ids, n := r.RegisterAll([][]byte{[]byte(name)}, nil, join)
+					id, created := ids[0], n == 1
 					wantID, wantCreated := refRegister(name)
 					if id != wantID || created != wantCreated {
-						t.Fatalf("step %d: RegisterBytes(%q) = %d, %v; want %d, %v", step, name, id, created, wantID, wantCreated)
+						t.Fatalf("step %d: RegisterAll(%q) = %d, %v; want %d, %v", step, name, id, created, wantID, wantCreated)
 					}
 					var want []string
 					if created {
@@ -329,11 +330,10 @@ func TestKnownNamesAllocateNothing(t *testing.T) {
 	str := string(names[17])
 	ids := make([]int, 0, len(names))
 	for what, f := range map[string]func(){
-		"Lookup":        func() { r.Lookup(str) },
-		"LookupBytes":   func() { r.LookupBytes(names[3]) },
-		"ResolveAll":    func() { ids = r.ResolveAll(names, ids) },
-		"RegisterBytes": func() { r.RegisterBytes(names[5], nil) },
-		"RegisterAll":   func() { ids, _ = r.RegisterAll(names, ids, nil) },
+		"Lookup":      func() { r.Lookup(str) },
+		"LookupBytes": func() { r.LookupBytes(names[3]) },
+		"ResolveAll":  func() { ids = r.ResolveAll(names, ids) },
+		"RegisterAll": func() { ids, _ = r.RegisterAll(names, ids, nil) },
 	} {
 		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 			t.Errorf("%s of a known name allocates %v times", what, allocs)

@@ -75,28 +75,15 @@ func (r *Registry) Register(name string) (id int, created bool) {
 	return id, joined != nil
 }
 
-// RegisterBytes is Register for a name held as bytes (a view into a
-// request body): a known name costs one probe and no allocation, and only
-// a joining one is copied. join, when not nil, is called with a joining
-// name's binding before the registry's lock is released, so no other
-// caller can resolve the name before join has run — the server journals
-// the binding there. join runs under the lock: it must not call back into
-// the registry.
-func (r *Registry) RegisterBytes(name []byte, join func(id int, name string)) (id int, created bool) {
-	h := maphash.Bytes(r.seed, name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, joined := registerLocked(r, name, h)
-	if joined != nil && join != nil {
-		join(id, joined.Name)
-	}
-	return id, joined != nil
-}
-
-// RegisterAll is RegisterBytes for every name of a batch under one lock
-// acquisition: the IDs, in order, are appended to ids[:0], and created
-// counts the names that joined (a name repeated in the batch joins once).
-// join runs for each joining name as RegisterBytes runs it.
+// RegisterAll is Register for every name of a batch, held as bytes (views
+// into a request body), under one lock acquisition: the IDs, in order,
+// are appended to ids[:0], and created counts the names that joined (a
+// name repeated in the batch joins once). A known name costs one probe
+// and no allocation; only a joining one is copied. join, when not nil, is
+// called with each joining name's binding before the registry's lock is
+// released, so no other caller can resolve the name before join has run —
+// the server journals the binding there. join runs under the lock: it
+// must not call back into the registry.
 func (r *Registry) RegisterAll(names [][]byte, ids []int, join func(id int, name string)) (_ []int, created int) {
 	ids = ids[:0]
 	r.mu.Lock()

@@ -20,35 +20,27 @@ import (
 //
 //   - a predictive admission gate on the expensive API routes (observe,
 //     predict, rank): it parses the request's X-Amf-Slo-Class header,
-//     estimates how long the request would wait from live queue state
-//     and known per-op latency, and refuses work whose class budget the
-//     estimate blows — with a 429, a Retry-After derived from the
-//     estimate, and an X-Amf-Shed-Reason header. Critical-class
+//     estimates how long the request would wait from the requests in
+//     flight and the route's own latency, and refuses work whose class
+//     budget the estimate blows — with a 429, a Retry-After derived from
+//     the estimate, and an X-Amf-Shed-Reason header. Critical-class
 //     requests are NEVER shed, by construction (the gate admits them
 //     before any estimate is computed).
 //
 //   - GET/PUT /api/v1/config: live inspection and override of every
 //     registered tunable (the engine's and the gate's own budgets).
 //
-//   - StartAdaptation: the epoch controller wired to the server's free
-//     signals (gate + engine shed counts, queue-wait p99, in-flight,
-//     view staleness), adapting publish cadence, batch sizing, and the
-//     sheddable admission watermark within declared bounds.
-//
 // With admission disabled (the default) the gate costs one atomic
 // pointer load + nil check per gated route.
 
 // ShedReasonHeader names why a request was refused: "slo_budget"
-// (predicted wait exceeds the class budget), "queue_watermark" (ingest
-// occupancy crossed the class watermark), or — at the gateway —
-// "edge_saturation" (target shard group reported saturation).
+// (predicted wait exceeds the class budget), "follower" (a write sent to
+// a follower), or — at the gateway — "edge_saturation" (target shard
+// group reported saturation).
 const ShedReasonHeader = "X-Amf-Shed-Reason"
 
-// Shed reasons emitted by the server gate.
-const (
-	shedReasonBudget    = "slo_budget"
-	shedReasonWatermark = "queue_watermark"
-)
+// shedReasonBudget is the one reason the server gate sheds for.
+const shedReasonBudget = "slo_budget"
 
 // quantileRefresh bounds how often the gate recomputes histogram
 // quantiles for its cost model; between refreshes decisions reuse the
@@ -83,20 +75,10 @@ type admissionGate struct {
 	budgetSheddable *control.Duration
 	headroom        *control.Float
 
-	// Engine watermark tunables, for the occupancy check (standard/
-	// sheddable; critical has none).
-	wmStandard  *control.Float
-	wmSheddable *control.Float
-
-	// Cumulative gate accounting (all classes), for the controller's
-	// rejection-rate signal and the rolling ShedRate window.
+	// Cumulative gate accounting (all classes), for the rolling ShedRate
+	// window.
 	requests atomic.Int64
 	sheds    atomic.Int64
-
-	// Cached engine apply p50 for the cost model (float64 bits),
-	// refreshed at most every quantileRefresh.
-	applyP50    atomic.Uint64
-	lastRefresh atomic.Int64 // UnixNano
 
 	// estimator overrides the cost model in tests (forced-overload
 	// invariant tests); nil in production.
@@ -122,7 +104,6 @@ type routeGate struct {
 type verdict struct {
 	admit    bool
 	class    control.Class
-	reason   string
 	estimate time.Duration
 }
 
@@ -155,12 +136,6 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 	g.headroom = ctl.Float("admission.headroom",
 		"Multiplier on class budgets (admit while estimate ≤ budget×headroom).",
 		cfg.Headroom, 0.05, 16, control.SourceDefault)
-	if t, ok := ctl.Lookup("engine.admit_standard_watermark"); ok {
-		g.wmStandard, _ = t.(*control.Float)
-	}
-	if t, ok := ctl.Lookup("engine.admit_sheddable_watermark"); ok {
-		g.wmSheddable, _ = t.(*control.Float)
-	}
 	g.rateAt = time.Now()
 	s.gate.Store(g)
 	s.log.Info("slo admission enabled",
@@ -200,8 +175,8 @@ func (s *Server) gated(route string, h spanHandler) spanHandler {
 }
 
 // decide evaluates one request. The order encodes the class contract:
-// critical is admitted before any estimate or occupancy is consulted,
-// so no cost-model bug can ever shed it.
+// critical is admitted before any estimate is consulted, so no cost-model
+// bug can ever shed it.
 func (g *admissionGate) decide(rt *routeGate, r *http.Request) verdict {
 	class := control.ClassFromHeader(r.Header)
 	g.requests.Add(1)
@@ -212,54 +187,29 @@ func (g *admissionGate) decide(rt *routeGate, r *http.Request) verdict {
 
 	est := g.estimate(rt)
 	g.s.admWaitEst.ObserveDuration(est)
-
-	// Occupancy check first: it is the engine's own per-class admission
-	// surfaced at the HTTP layer, and the knob the epoch controller
-	// moves to widen shedding (lowering the sheddable watermark sheds
-	// HTTP sheddable traffic here AND queue ingest below).
-	var wm *control.Float
-	if class == control.Standard {
-		wm = g.wmStandard
-	} else {
-		wm = g.wmSheddable
-	}
-	if wm != nil {
-		st := g.s.eng.Stats()
-		if st.QueueCap > 0 && float64(st.QueueLen) >= wm.Load()*float64(st.QueueCap) {
-			return verdict{class: class, reason: shedReasonWatermark, estimate: est}
-		}
-	}
-
 	budget := g.budgetStandard
 	if class == control.Sheddable {
 		budget = g.budgetSheddable
 	}
 	if float64(est) > float64(budget.Load())*g.headroom.Load() {
-		return verdict{class: class, reason: shedReasonBudget, estimate: est}
+		return verdict{class: class, estimate: est}
 	}
 	return verdict{admit: true, class: class, estimate: est}
 }
 
-// estimate predicts how long this request would wait: queued ingest
-// backlog times the engine's per-update apply p50, plus requests
-// already in flight times this route's own p50. Quantiles are cached
-// and refreshed at most every quantileRefresh, so steady-state
-// decisions cost a few atomic loads.
+// estimate predicts how long this request would wait: the requests
+// already in flight times this route's own p50. The quantile is cached
+// and refreshed at most every quantileRefresh, so steady-state decisions
+// cost a few atomic loads.
 func (g *admissionGate) estimate(rt *routeGate) time.Duration {
 	if g.estimator != nil {
 		return g.estimator(rt)
 	}
 	now := time.Now().UnixNano()
-	if last := g.lastRefresh.Load(); now-last > int64(quantileRefresh) && g.lastRefresh.CompareAndSwap(last, now) {
-		g.applyP50.Store(math.Float64bits(g.s.eng.Metrics().Apply.Quantile(0.5)))
-	}
 	if last := rt.lastRefresh.Load(); now-last > int64(quantileRefresh) && rt.lastRefresh.CompareAndSwap(last, now) {
 		rt.p50.Store(math.Float64bits(rt.hist.Quantile(0.5)))
 	}
-	backlog := float64(g.s.eng.Stats().QueueLen)
-	inflight := float64(g.s.inflight.Value())
-	sec := backlog*math.Float64frombits(g.applyP50.Load()) +
-		inflight*math.Float64frombits(rt.p50.Load())
+	sec := float64(g.s.inflight.Value()) * math.Float64frombits(rt.p50.Load())
 	return time.Duration(sec * float64(time.Second))
 }
 
@@ -269,13 +219,11 @@ func (g *admissionGate) estimate(rt *routeGate) time.Duration {
 func (g *admissionGate) shed(w http.ResponseWriter, v verdict) {
 	g.sheds.Add(1)
 	g.s.admShed[v.class].Add(1)
-	if c, ok := g.s.admReasons[v.reason]; ok {
-		c.Inc()
-	}
+	g.s.admBudgetShed.Inc()
 	w.Header().Set("Retry-After", retryAfterSeconds(v.estimate))
-	w.Header().Set(ShedReasonHeader, v.reason)
+	w.Header().Set(ShedReasonHeader, shedReasonBudget)
 	g.s.writeError(w, http.StatusTooManyRequests,
-		"overloaded: %s-class request shed (%s); retry after the indicated delay", v.class, v.reason)
+		"overloaded: %s-class request shed (%s); retry after the indicated delay", v.class, shedReasonBudget)
 }
 
 // retryAfterSeconds renders a wait estimate as a whole-second
@@ -307,93 +255,13 @@ func (g *admissionGate) ShedRate() float64 {
 	return math.Float64frombits(g.rate.Load())
 }
 
-// ShedRate reports the server's current shed/rejection rate: the epoch
-// controller's per-epoch rate when adaptation runs (it folds engine
-// queue sheds in), else the gate's rolling window, else 0.
+// ShedRate reports the server's current shed rate: the gate's rolling
+// window, or 0 while admission is disabled.
 func (s *Server) ShedRate() float64 {
-	if c := s.ctrl.Load(); c != nil && c.Epochs() > 0 {
-		return c.RejectionRate()
-	}
 	if g := s.gate.Load(); g != nil {
 		return g.ShedRate()
 	}
 	return 0
-}
-
-// ---------------------------------------------------------------------------
-// Epoch adaptation.
-
-// AdaptationConfig configures StartAdaptation.
-type AdaptationConfig struct {
-	// Epoch is the adaptation period. Default 2s.
-	Epoch time.Duration
-	// HighThreshold / LowThreshold override the controller's rejection-
-	// rate thresholds (defaults 0.10 / 0.01).
-	HighThreshold float64
-	LowThreshold  float64
-}
-
-// StartAdaptation wires the epoch controller to the server's free
-// signals and starts it. The default rule set moves the engine's
-// publish interval and ingest batch cap up (fewer, bigger batches and
-// republishes under overload) and the sheddable admission watermark
-// down (widening shedding); all within the bounds each tunable
-// declared. Registers the amf_control_* metric families. Call once;
-// Close stops the controller.
-func (s *Server) StartAdaptation(cfg AdaptationConfig) {
-	if s.ctrl.Load() != nil {
-		return
-	}
-	ctl := s.eng.Control()
-	var rules []control.Rule
-	addRule := func(name string, widen float64) {
-		if t, ok := ctl.Lookup(name); ok {
-			rules = append(rules, control.Rule{Tunable: t, WidenFactor: widen, RelaxRate: 0.5})
-		}
-	}
-	addRule("engine.publish_interval", 1.6)
-	addRule("engine.ingest_batch_cap", 2.0)
-	addRule("engine.admit_sheddable_watermark", 0.6)
-	addRule("engine.replay_per_batch", 0.5) // replay is optional work: shed it first
-
-	eng := s.eng
-	gateReq := func() int64 {
-		if g := s.gate.Load(); g != nil {
-			return g.requests.Load()
-		}
-		return 0
-	}
-	gateShed := func() int64 {
-		if g := s.gate.Load(); g != nil {
-			return g.sheds.Load()
-		}
-		return 0
-	}
-	c := control.NewController(control.ControllerConfig{
-		Epoch:         cfg.Epoch,
-		HighThreshold: cfg.HighThreshold,
-		LowThreshold:  cfg.LowThreshold,
-		Signals: control.Signals{
-			Arrived: func() int64 {
-				st := eng.Stats()
-				return gateReq() + st.Enqueued + st.ShedStandard + st.ShedSheddable + st.DroppedNew
-			},
-			Shed: func() int64 {
-				st := eng.Stats()
-				return gateShed() + st.ShedStandard + st.ShedSheddable + st.DroppedNew + st.DroppedOldest
-			},
-			QueueWaitP99: func() float64 { return eng.Metrics().QueueWait.Quantile(0.99) },
-			InFlight:     func() float64 { return float64(s.inflight.Value()) },
-			Staleness:    eng.Staleness,
-		},
-		Rules:  rules,
-		Tracer: s.traces,
-		Logger: s.log,
-	})
-	c.Register(s.reg)
-	c.Start()
-	s.ctrl.Store(c)
-	s.log.Info("epoch adaptation started", "epoch", c.Epoch(), "rules", len(rules))
 }
 
 // ---------------------------------------------------------------------------
@@ -404,10 +272,10 @@ type TunableInfo struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"` // int | duration | float
 	Value    string `json:"value"`
-	Baseline string `json:"baseline"` // relax target (flag value or package default)
+	Baseline string `json:"baseline"` // flag value or package default
 	Min      string `json:"min"`
 	Max      string `json:"max"`
-	Source   string `json:"source"` // default | flag | adapted | override
+	Source   string `json:"source"` // default | flag | override
 	Help     string `json:"help"`
 }
 
@@ -418,7 +286,6 @@ type ConfigResponse struct {
 
 // ConfigUpdateRequest is the body of PUT /api/v1/config: tunable name →
 // new value (parsed per the tunable's kind; durations as "80ms").
-// Overrides pin the tunable — the epoch controller skips it afterwards.
 type ConfigUpdateRequest struct {
 	Set map[string]string `json:"set"`
 }

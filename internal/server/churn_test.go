@@ -12,16 +12,13 @@ import (
 )
 
 // ingestThenDelete is the ghost's reproduction, one client and no
-// concurrency: each name is observed through the async door and deleted
-// straight after, so its sample is still queued when the removal arrives.
-// A synchronous observe of what stays closes the script — under group
-// commit its ack puts every record before it on disk — and the empty
-// batch is the barrier for the queue.
+// concurrency: each name is observed through the stream door and deleted
+// straight after. An HTTP observe of what stays closes the script.
 func ingestThenDelete(t *testing.T, s *Server) {
 	t.Helper()
 	step := func(user, service, route, name string) {
-		if err := s.Ingest(user, service, 1.5, 0); err != nil {
-			t.Fatalf("Ingest(%s, %s): %v", user, service, err)
+		if err := observeStream(s, user, service, 1.5); err != nil {
+			t.Fatalf("ObserveBatch(%s, %s): %v", user, service, err)
 		}
 		if w := doReq(t, s, http.MethodDelete, route+"?name="+name, nil); w.Code != http.StatusOK {
 			t.Fatalf("DELETE %s %s: status %d: %s", route, name, w.Code, w.Body.String())
@@ -42,7 +39,6 @@ func ingestThenDelete(t *testing.T, s *Server) {
 	if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: keep}); w.Code != http.StatusOK {
 		t.Fatalf("observe status %d: %s", w.Code, w.Body.String())
 	}
-	s.Engine().ObserveAll(nil)
 }
 
 // checkNoGhosts: the view knows exactly the entities the registries do,
@@ -142,7 +138,6 @@ func TestObserveDeleteRace(t *testing.T) {
 	close(stop)
 	<-deleter
 	do(http.MethodDelete, "/api/v1/services?name=hot", "")
-	s.Engine().ObserveAll(nil)
 	if v := s.Engine().View(); s.services.Len() != 0 || v.NumServices() != 0 || v.NumUsers() != s.users.Len() {
 		t.Fatalf("after the final delete the view knows %d services and %d users, the registries %d and %d",
 			v.NumServices(), v.NumUsers(), s.services.Len(), s.users.Len())

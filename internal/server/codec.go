@@ -13,6 +13,8 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
+
+	"github.com/qoslab/amf/internal/ingest"
 )
 
 // This file is the decode half of the wire codec for the four hot
@@ -57,15 +59,6 @@ type Query struct {
 	Metric   []byte
 }
 
-// ObservationView is a decoded Observation; its names are views with
-// the same lifetime as Query's.
-type ObservationView struct {
-	User        []byte
-	Service     []byte
-	Value       float64
-	TimestampMs int64
-}
-
 // LimitError reports a list with more than Limit elements. The decoder
 // stops at element Limit+1, so the list's real length is unknown.
 type LimitError struct{ Limit int }
@@ -80,9 +73,9 @@ type Decoder struct {
 	in    []byte
 	pos   int
 	depth int
-	unq   []byte            // strings that could not be views
-	svcs  [][]byte          // services; len is the most this body listed under one key
-	obs   []ObservationView // observations, likewise
+	unq   []byte               // strings that could not be views
+	svcs  [][]byte             // services; len is the most this body listed under one key
+	obs   []ingest.Observation // observations, likewise: what both observe doors commit
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}
@@ -104,7 +97,7 @@ func (d *Decoder) Release() {
 }
 
 // oversized reports whether any scratch grew past maxPooledBytes (a
-// view is 24 bytes, an ObservationView 64).
+// view is 24 bytes, an observation 64).
 func (d *Decoder) oversized() bool {
 	return cap(d.unq) > maxPooledBytes || cap(d.svcs) > maxPooledBytes/24 || cap(d.obs) > maxPooledBytes/64
 }
@@ -122,8 +115,9 @@ func (d *Decoder) Rank(body []byte, max int) (Query, error) {
 }
 
 // Observe decodes a POST /api/v1/observe body, failing with *LimitError
-// past max observations.
-func (d *Decoder) Observe(body []byte, max int) ([]ObservationView, error) {
+// past max observations. The observations' names are views with the same
+// lifetime as Query's.
+func (d *Decoder) Observe(body []byte, max int) ([]ingest.Observation, error) {
 	d.begin(body)
 	n := 0
 	err := d.document(func(key []byte) error {
@@ -221,7 +215,7 @@ func (d *Decoder) observations(max int) (int, error) {
 			return &LimitError{Limit: max}
 		}
 		if i == len(d.obs) {
-			d.obs = append(d.obs, ObservationView{})
+			d.obs = append(d.obs, ingest.Observation{})
 		}
 		switch d.peek() {
 		case 'n':

@@ -36,8 +36,8 @@ const replayChunk = 8192
 //     metric families.
 //  4. Start the background checkpointer. Each checkpoint captures the
 //     engine's covered sequence number AND the model view from one
-//     critical section (CheckpointView: publish + journal LastSeq under
-//     the writer lock), then serializes that immutable view — so the
+//     critical section (CheckpointView: the published view and journal
+//     LastSeq under the engine lock), then serializes that immutable view — so the
 //     blob reflects exactly the records its sequence number claims.
 //
 // The returned stats describe what recovery found. On error the server

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
+	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/store"
 )
@@ -240,11 +242,11 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 	// an infinity that reached the model would poison every prediction
 	// touching its user or service.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if err := svc.Ingest("ghost", "phantom", bad, 0); err == nil {
-			t.Errorf("Ingest(%g) returned nil, want an error", bad)
+		if err := observeStream(svc, "ghost", "phantom", bad); err == nil {
+			t.Errorf("ObserveBatch(%g) returned nil, want an error", bad)
 		}
 		if after := state(); after != before {
-			t.Errorf("Ingest(%g): rejected sample left side effects:\nbefore %s\nafter  %s", bad, before, after)
+			t.Errorf("ObserveBatch(%g): rejected sample left side effects:\nbefore %s\nafter  %s", bad, before, after)
 		}
 	}
 	if w := doReq(t, svc, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil); w.Code != http.StatusOK {
@@ -304,7 +306,7 @@ func TestNameVisibleOnlyAfterJournaled(t *testing.T) {
 	}}); w.Code != http.StatusOK {
 		t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
 	}
-	if err := svc.Ingest("tcp-u", "tcp-s", 1, 0); err != nil {
+	if err := observeStream(svc, "tcp-u", "tcp-s", 1); err != nil {
 		t.Fatal(err)
 	}
 	readers.Wait()
@@ -401,9 +403,9 @@ func TestDurableMetrics(t *testing.T) {
 }
 
 // TestCrashChildHelper is not a test: it is the child half of the
-// kill-restart integration test below. Re-invoked via os.Args[0] with
-// AMF_CRASH_CHILD=1, it runs a real durable server on a real TCP socket
-// until the parent SIGKILLs it.
+// kill-restart integration tests below. Re-invoked via os.Args[0] with
+// AMF_CRASH_CHILD=1, it runs a real durable server on a real TCP socket,
+// with a stream-ingest listener on another, until the parent SIGKILLs it.
 func TestCrashChildHelper(t *testing.T) {
 	if os.Getenv("AMF_CRASH_CHILD") != "1" {
 		t.Skip("crash-test child helper; run via TestDurableKillRestart")
@@ -429,7 +431,13 @@ func TestCrashChildHelper(t *testing.T) {
 		fmt.Printf("CHILD_ERR=%v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("CHILD_ADDR=%s\n", ln.Addr().String())
+	stream, err := ingest.Listen("127.0.0.1:0", svc)
+	if err != nil {
+		fmt.Printf("CHILD_ERR=%v\n", err)
+		os.Exit(1)
+	}
+	go stream.Serve(context.Background())
+	fmt.Printf("CHILD_ADDR=%s %s\n", ln.Addr(), stream.Addr())
 	_ = http.Serve(ln, svc.Handler()) // runs until SIGKILL
 }
 
@@ -447,7 +455,7 @@ func TestDurableKillRestart(t *testing.T) {
 		t.Skip("spawns a child process")
 	}
 	dir := t.TempDir()
-	cmd, addr := startCrashChild(t, dir)
+	cmd, addr, _ := startCrashChild(t, dir)
 
 	// Drive acked observations over real HTTP. Every 200 is a durability
 	// promise under fsync=group — for a departure as much as for a
@@ -553,11 +561,12 @@ func TestDurableKillRestart(t *testing.T) {
 }
 
 // startCrashChild re-invokes the test binary as TestCrashChildHelper on
-// dir and returns the running child and the address it serves on. The
-// child is killed when the test ends if the test has not killed it.
-func startCrashChild(t *testing.T, dir string) (*exec.Cmd, string) {
+// dir and returns the running child, the address it serves HTTP on and
+// its stream-ingest address. The child is killed when the test ends if
+// the test has not killed it.
+func startCrashChild(t *testing.T, dir string) (cmd *exec.Cmd, addr, ingestAddr string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashChildHelper$", "-test.v")
+	cmd = exec.Command(os.Args[0], "-test.run", "^TestCrashChildHelper$", "-test.v")
 	cmd.Env = append(os.Environ(), "AMF_CRASH_CHILD=1", "AMF_CRASH_DIR="+dir)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -572,8 +581,7 @@ func startCrashChild(t *testing.T, dir string) (*exec.Cmd, string) {
 		_, _ = cmd.Process.Wait()
 	})
 
-	// Wait for the child to report its listen address.
-	var addr string
+	// Wait for the child to report its listen addresses.
 	scanner := bufio.NewScanner(stdout)
 	deadline := time.After(30 * time.Second)
 	addrCh := make(chan string, 1)
@@ -596,11 +604,11 @@ func startCrashChild(t *testing.T, dir string) (*exec.Cmd, string) {
 		if strings.HasPrefix(a, "ERR:") {
 			t.Fatalf("child failed: %s", a)
 		}
-		addr = a
+		addr, ingestAddr, _ = strings.Cut(a, " ")
 	case <-deadline:
 		t.Fatal("timed out waiting for child address")
 	}
-	return cmd, addr
+	return cmd, addr, ingestAddr
 }
 
 // postObserve sends one single-sample observe to the child and reports
@@ -628,7 +636,7 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		t.Skip("spawns a child process")
 	}
 	dir := t.TempDir()
-	cmd, addr := startCrashChild(t, dir)
+	cmd, addr, _ := startCrashChild(t, dir)
 
 	type pair struct{ user, service string }
 	const clients, killAfter = 4, 80
@@ -689,6 +697,68 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Errorf("acked pair (%s,%s) lost after SIGKILL: predict status %d: %s",
 				p.user, p.service, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestDurableKillRestartStream is the SIGKILL crash test for the TCP
+// stream door: under fsync=group a PONG acks every line sent before its
+// PING as an HTTP 200 acks an observe, so every pair acked that way must
+// predict after the child is killed and its directory recovered — lines
+// sent after the last PING included in the kill, not in the promise.
+func TestDurableKillRestartStream(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	dir := t.TempDir()
+	cmd, _, ingestAddr := startCrashChild(t, dir)
+	w, err := ingest.Dial(ingestAddr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+
+	type pair struct{ user, service string }
+	var acked []pair
+	send := func(round int) []pair {
+		t.Helper()
+		var sent []pair
+		for j := 0; j < 20; j++ {
+			p := pair{fmt.Sprintf("tu%d", j%5), fmt.Sprintf("ts%d-%d", round, j)}
+			if err := w.Send(p.user, p.service, 0.5+float64(j%4), 0); err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, p)
+		}
+		return sent
+	}
+	for round := 0; round < 10; round++ {
+		sent := send(round)
+		if err := w.Ping(5 * time.Second); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		acked = append(acked, sent...)
+	}
+	send(10) // unacked: may or may not survive
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatalf("kill child: %v", err)
+	}
+	_, _ = cmd.Process.Wait()
+
+	svc, _, rs := durableServer(t, dir, store.SyncGroup)
+	defer svc.Close()
+	if rs.Samples < len(acked) {
+		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
+	}
+	for _, p := range acked {
+		rec := doReq(t, svc, http.MethodGet, "/api/v1/predict?user="+p.user+"&service="+p.service, nil)
+		if rec.Code != http.StatusOK {
+			t.Errorf("pair (%s,%s) acked by PONG lost after SIGKILL: predict status %d: %s",
+				p.user, p.service, rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -69,68 +69,36 @@ func (s *Server) buildMetrics() {
 	r.GaugeFunc("amf_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return s.now().Sub(s.base).Seconds() })
 
-	// Serving-engine health: queue pressure, shed load, publish cadence,
-	// and the latency histograms the engine maintains internally.
+	// Serving-engine health: what was applied and published, and the
+	// latency histograms the engine maintains internally.
 	eng := s.eng
-	r.CounterFunc("amf_engine_enqueued_total", "Samples accepted into the ingest queue.",
-		func() int64 { return eng.Stats().Enqueued })
-	droppedVec := r.NewCounterFuncVec("amf_engine_dropped_total",
-		"Samples shed under overload, by reason: oldest = queued sample evicted to admit a fresher one, new = incoming sample shed after the eviction spin gave up.", "reason")
-	droppedVec.With("new", func() int64 { return eng.Stats().DroppedNew })
-	droppedVec.With("oldest", func() int64 { return eng.Stats().DroppedOldest })
-	r.CounterFunc("amf_engine_applied_total", "Samples applied to the model (ingest + sync batches).",
+	r.CounterFunc("amf_engine_applied_total", "Samples applied to the model.",
 		func() int64 { return eng.Stats().Applied })
 	r.CounterFunc("amf_engine_replayed_total", "Replay updates performed by or through the engine.",
 		func() int64 { return eng.Stats().Replayed })
 	r.CounterFunc("amf_engine_published_total", "Read views published (RCU pointer swings).",
 		func() int64 { return eng.Stats().Published })
-	r.GaugeFunc("amf_engine_queue_len", "Samples currently queued across all ingest shards.",
-		func() float64 { return float64(eng.Stats().QueueLen) })
-	r.GaugeFunc("amf_engine_queue_cap", "Total ingest queue capacity across all shards.",
-		func() float64 { return float64(eng.Stats().QueueCap) })
 	r.GaugeFunc("amf_engine_view_version", "Version of the currently published read view.",
 		func() float64 { return float64(eng.Stats().Version) })
-	r.GaugeFunc("amf_engine_view_staleness_seconds",
-		"Age of the published view while model updates are pending (0 when current).",
-		func() float64 { return eng.Staleness().Seconds() })
 	em := eng.Metrics()
-	r.RegisterHistogram("amf_engine_queue_wait_seconds",
-		"Time samples spent in the ingest queue before the writer drained them.", em.QueueWait)
 	r.RegisterHistogram("amf_engine_apply_seconds",
-		"Per-update model apply latency, observes and replay alike: time inside the SGD step only (no queue drain, no journal append), batch mean attributed to each update.", em.Apply)
+		"Per-update model apply latency, observes and replay alike: time inside the SGD step only (no journal append), batch mean attributed to each update.", em.Apply)
 	r.RegisterHistogram("amf_engine_publish_seconds",
 		"View refresh+publish latency (dirty-page copy plus pointer swing).", em.Publish)
 
 	// SLO admission (see admission.go). Families are registered even
 	// while the gate is disabled — they read zero — so the metrics
-	// surface does not depend on flags. amf_admission_shed_total is the
-	// unified shed accounting: the per-class series fold the server
-	// gate's refusals together with the engine's queue-level losses, so
-	// drop-oldest churn under pressure is visible as sheddable-class
-	// loss next to gate sheds instead of hiding in amf_engine_dropped_total.
+	// surface does not depend on flags.
 	admReqVec := r.NewCounterVec("amf_admission_requests_total",
 		"Requests evaluated by the SLO admission gate, by class (0 while admission is disabled).", "class")
+	shedVec := r.NewCounterFuncVec("amf_admission_shed_total",
+		"Requests the SLO admission gate refused, by class.", "class")
 	for _, c := range control.Classes() {
 		s.admReq[c] = admReqVec.With(c.String())
+		shedVec.With(c.String(), s.admShed[c].Load) // critical: 0 by construction
 	}
-	shedVec := r.NewCounterFuncVec("amf_admission_shed_total",
-		"Work refused under overload, by SLO class: gate refusals plus engine queue sheds; the sheddable series also folds in the engine's drop-oldest/drop-new losses (the async ingest queue is sheddable-class work).", "class")
-	shedVec.With(control.Critical.String(), func() int64 {
-		return s.admShed[control.Critical].Load() // 0 by construction: critical is never shed
-	})
-	shedVec.With(control.Standard.String(), func() int64 {
-		return s.admShed[control.Standard].Load() + eng.Stats().ShedStandard
-	})
-	shedVec.With(control.Sheddable.String(), func() int64 {
-		st := eng.Stats()
-		return s.admShed[control.Sheddable].Load() + st.ShedSheddable + st.Dropped
-	})
-	reasonVec := r.NewCounterVec("amf_admission_shed_reasons_total",
-		"Gate refusals by reason: slo_budget (predicted wait over budget) or queue_watermark (ingest occupancy over the class watermark).", "reason")
-	s.admReasons = map[string]*obs.Counter{
-		shedReasonBudget:    reasonVec.With(shedReasonBudget),
-		shedReasonWatermark: reasonVec.With(shedReasonWatermark),
-	}
+	s.admBudgetShed = r.NewCounterVec("amf_admission_shed_reasons_total",
+		"Gate refusals by reason: slo_budget (predicted wait over the class budget).", "reason").With(shedReasonBudget)
 	s.admWaitEst = obs.NewHistogram(1e-6, 600, 8)
 	r.RegisterHistogram("amf_admission_wait_estimate_seconds",
 		"Predicted wait computed by the admission gate for non-critical requests.", s.admWaitEst)
@@ -152,8 +120,8 @@ func (s *Server) buildMetrics() {
 	}
 
 	// Live accuracy: the paper's §V metrics as runtime gauges, fed by the
-	// engine's writer as it applies what clients observe (both write
-	// doors; a replayed WAL or replication stream is not scored).
+	// engine as it applies what clients observe (both observe doors; a
+	// replayed WAL or replication stream is not scored).
 	view := s.eng.Pin()
 	s.acc = obs.NewAccuracyTracker(view.Config().Beta)
 	s.eng.Unpin(view)

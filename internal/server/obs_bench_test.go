@@ -121,7 +121,7 @@ func TestInstrumentedPathUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = s.Ingest(fmt.Sprintf("u%d", i%4), fmt.Sprintf("s%d", i%5), 1.5, 0)
+				_ = observeStream(s, fmt.Sprintf("u%d", i%4), fmt.Sprintf("s%d", i%5), 1.5)
 			}
 		}(g)
 		wg.Add(1)

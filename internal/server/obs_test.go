@@ -65,8 +65,6 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 		"amf_http_request_duration_seconds", // per-route latency histograms
 		"amf_http_requests_in_flight",
 		"amf_http_responses_total",
-		"amf_engine_view_staleness_seconds", // engine staleness
-		"amf_engine_queue_wait_seconds",
 		"amf_engine_apply_seconds",
 		"amf_engine_publish_seconds",
 		"amf_accuracy_mre",  // live EMA/median accuracy
@@ -118,8 +116,8 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 	}
 }
 
-// TestLiveAccuracyTracksObservations: the engine's writer scores what
-// clients observe, through both write doors, against the model's own
+// TestLiveAccuracyTracksObservations: the engine scores what clients
+// observe, through both write doors, against the model's own
 // prediction from just before each sample trained it — and scores nothing
 // that is a log being replayed (WAL recovery, replication apply).
 func TestLiveAccuracyTracksObservations(t *testing.T) {
@@ -152,13 +150,10 @@ func TestLiveAccuracyTracksObservations(t *testing.T) {
 	if mre := s.acc.MRE(); mre <= 0 {
 		t.Fatalf("live MRE = %g after scored samples", mre)
 	}
-	// The TCP-ingest path is scored by the writer too, when it drains the
-	// queue; an empty synchronous batch is the barrier (it commits behind
-	// everything accepted before it).
-	if err := s.Ingest("u0", "s0", 1.0, 0); err != nil {
+	// The TCP-ingest path commits through the same observe, scored alike.
+	if err := observeStream(s, "u0", "s0", 1.0); err != nil {
 		t.Fatal(err)
 	}
-	s.Engine().ObserveAll(nil)
 	if s.acc.Samples() != 21 {
 		t.Fatalf("ingest sample not scored: %d", s.acc.Samples())
 	}

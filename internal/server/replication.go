@@ -77,8 +77,8 @@ type ClusterStatusResponse struct {
 	// claim — it no longer accepts writes regardless of role.
 	Fenced bool `json:"fenced,omitempty"`
 	// ShedRate is the fraction of admission-considered work this server
-	// refused over its last measurement window (the epoch controller's
-	// rate when adaptation runs, else the gate's rolling window). The
+	// refused over the gate's last one-second window (0 while admission
+	// is disabled). The
 	// gateway treats a group whose replicas report a high rate as
 	// saturated and sheds sheddable traffic at the edge.
 	ShedRate float64 `json:"shed_rate,omitempty"`
@@ -103,6 +103,12 @@ func (s *Server) rejectFollowerWrite(w http.ResponseWriter) bool {
 	if !s.follower.Load() {
 		return false
 	}
+	s.refuseFollowerWrite(w)
+	return true
+}
+
+// refuseFollowerWrite writes the 503 a follower answers a write with.
+func (s *Server) refuseFollowerWrite(w http.ResponseWriter) {
 	// A demoted ex-leader has no tailer; the gateway told us who won.
 	if l, _ := s.demotedTo.Load().(string); l != "" {
 		w.Header().Set("X-Amf-Leader", l)
@@ -115,8 +121,7 @@ func (s *Server) rejectFollowerWrite(w http.ResponseWriter) bool {
 	// timescales: tell well-behaved clients to back off a beat.
 	w.Header().Set("Retry-After", "1")
 	w.Header().Set(ShedReasonHeader, "follower")
-	s.writeError(w, http.StatusServiceUnavailable, "follower: writes must go to the leader")
-	return true
+	s.writeError(w, http.StatusServiceUnavailable, "%v", errFollowerWrite)
 }
 
 // handleReplicateWAL streams WAL records with seq > from to a follower.

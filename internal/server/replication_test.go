@@ -142,7 +142,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 			t.Errorf("%s %s on follower: %d, want 503", req.method, req.path, w.Code)
 		}
 	}
-	if err := f.Ingest("x", "y", 1, 0); err == nil {
+	if err := observeStream(f, "x", "y", 1); err == nil {
 		t.Error("TCP ingest accepted on a follower")
 	}
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -32,8 +31,8 @@ import (
 //
 // All model access goes through an engine.Engine: prediction endpoints
 // read a published immutable view without taking any lock, while
-// observations and control operations are serialized by the engine's
-// single writer. Call Close on shutdown to drain the ingest queue.
+// observations and control operations are serialized on the engine's
+// mutex, each on its caller's goroutine. Call Close on shutdown.
 type Server struct {
 	eng      *engine.Engine
 	users    *registry.Registry
@@ -42,9 +41,9 @@ type Server struct {
 	now      func() time.Time
 	mux      *http.ServeMux
 
-	// churn orders departures against the two write doors: handleObserve
-	// and Ingest hold it shared from resolving a name until the engine has
-	// the sample, handleDelete exclusively, so a name is never deregistered
+	// churn orders departures against observes: observe (both doors)
+	// holds it shared from resolving a name until the engine has the
+	// sample, handleDelete exclusively, so a name is never deregistered
 	// and purged between an observation's registration and its hand-off.
 	// No read route touches it.
 	churn sync.RWMutex
@@ -78,14 +77,13 @@ type Server struct {
 	traces      *trace.Recorder
 
 	// SLO admission + control plane (see admission.go): gate is nil
-	// until EnableAdmission, ctrl nil until StartAdaptation. The
-	// admission metric families are always registered (zero while
-	// disabled) so dashboards and the docs lint see a stable surface.
+	// until EnableAdmission. The admission metric families are always
+	// registered (zero while disabled) so dashboards and the docs lint see
+	// a stable surface.
 	gate          atomic.Pointer[admissionGate]
-	ctrl          atomic.Pointer[control.Controller]
 	admReq        [control.NumClasses]*obs.Counter
 	admShed       [control.NumClasses]atomic.Int64
-	admReasons    map[string]*obs.Counter
+	admBudgetShed *obs.Counter
 	admWaitEst    *obs.Histogram
 	log           *slog.Logger
 	logDebug      bool // cached log.Enabled(debug), see NewWithEngine
@@ -137,9 +135,9 @@ func New(model *core.Model, opts ...Option) *Server {
 	return NewWithEngine(engine.New(model, engine.Config{}), opts...)
 }
 
-// NewWithEngine creates a prediction service on an explicitly
-// configured serving engine (queue sizing, publish cadence). The server
-// takes ownership: Close shuts the engine down.
+// NewWithEngine creates a prediction service on a serving engine the
+// caller built. The server takes ownership: nothing else may write
+// through the engine.
 func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 	s := &Server{
 		eng:           eng,
@@ -181,22 +179,17 @@ func NewWithClock(model *core.Model, now func() time.Time) *Server {
 	return s
 }
 
-// Close drains the engine's ingest queue and stops its writer. The HTTP
-// handlers keep working afterwards (the engine falls back to inline
-// application), so shutdown sequencing with an http.Server is not
-// order-sensitive — but /readyz starts failing so load balancers stop
-// routing new traffic.
+// Close marks the server closing — /readyz starts failing so load
+// balancers stop routing new traffic — and stops a follower's tailer. The
+// HTTP handlers keep working afterwards, so shutdown sequencing with an
+// http.Server is not order-sensitive.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		s.log.Info("server closing", "component", "server")
 	}
-	if c := s.ctrl.Load(); c != nil {
-		c.Stop()
-	}
 	if rp := s.repl; rp != nil {
 		rp.Stop()
 	}
-	s.eng.Close()
 }
 
 // Engine exposes the serving engine (stats, manual flush) for embedders
@@ -398,63 +391,25 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace
 		s.countError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	// Validate the whole batch before the first registration: a rejected
-	// request must leave no names behind in the registries or the WAL.
-	for i := range obs {
-		o := &obs[i]
-		if len(o.User) == 0 || len(o.Service) == 0 {
-			s.countError(w, http.StatusBadRequest, "observation %d: user and service are required", i)
-			return
-		}
-		if !validQoS(o.Value) {
-			s.countError(w, http.StatusBadRequest, "observation %d: invalid QoS value %g", i, o.Value)
-			return
-		}
-	}
-	// A batch is usually one user's measurements: a user name is resolved
-	// once per run of observations that carry it.
-	users, services := b.users[:0], b.services[:0]
-	for i := range obs {
-		if i == 0 || !bytes.Equal(obs[i].User, obs[i-1].User) {
-			users = append(users, obs[i].User)
-		}
-		services = append(services, obs[i].Service)
-	}
-	b.users, b.services = users, services
-	var resp ObserveResponse
-	now := s.now().Sub(s.base)
-	s.churn.RLock()
-	// One write lock per registry for the whole batch; each joining name's
-	// binding is journaled under it (see joinUser), ahead of the samples.
-	b.uids, resp.NewUsers = s.users.RegisterAll(users, b.uids, s.joinUser)
-	b.ids, resp.NewServices = s.services.RegisterAll(services, b.ids, s.joinService)
-	samples := b.samples[:0]
-	u := -1
-	for i := range obs {
-		o := &obs[i]
-		if i == 0 || !bytes.Equal(o.User, obs[i-1].User) {
-			u++
-		}
-		samples = append(samples, stream.Sample{
-			Time: s.sampleTime(o.TimestampMs, now), User: b.uids[u], Service: b.ids[i], Value: o.Value,
-		})
-	}
-	b.samples = samples
 	// Synchronous apply + republish: the HTTP observe API promises
 	// read-your-writes (a client that uploads a measurement sees it
-	// reflected in the next predict call). The writer also scores each
-	// value against the model's prior prediction on its way in
-	// (engine.SetAccuracy). The engine's per-stage breakdown becomes span
-	// annotations on a traced request (a nil span takes none).
-	tm := s.eng.ObserveAllTraced(samples)
-	s.churn.RUnlock()
+	// reflected in the next predict call). The engine's per-stage
+	// breakdown becomes span annotations on a traced request (a nil span
+	// takes none).
+	resp, tm, err := s.observe(obs, b)
+	switch {
+	case errors.Is(err, errFollowerWrite): // demoted since the check above
+		s.refuseFollowerWrite(w)
+		return
+	case err != nil:
+		s.countError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	sp.Annotate("engine_queue_wait", tm.QueueWait)
 	sp.Annotate("engine_journal", tm.Journal)
 	sp.Annotate("engine_apply", tm.Apply)
 	sp.Annotate("engine_publish", tm.Publish)
 	sp.Annotate("engine_commit_wait", tm.CommitWait)
-	resp.Accepted = len(samples)
-	s.metrics.observations.Add(int64(resp.Accepted))
 	b.out = appendObserveResponse(b.out[:0], resp)
 	s.writeHot(w, b.out, nil)
 }

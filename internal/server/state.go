@@ -30,8 +30,7 @@ type persistedState struct {
 // path, and passing the view explicitly is what lets a checkpoint capture
 // the model state and its covered sequence number atomically (pair it
 // with engine.CheckpointView): the view cannot gain post-capture samples,
-// no matter how long serialization takes or what the writer drains
-// meanwhile.
+// no matter how long serialization takes or what is written meanwhile.
 func (s *Server) encodeStateView(w io.Writer, v *core.PredictView) error {
 	model, err := v.Snapshot()
 	if err != nil {

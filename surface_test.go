@@ -46,7 +46,6 @@ var keep = map[string]string{
 	"(*core.Model).KnowsService":       "observed by tests in core model_test, snapshot_test, property_test",
 	"(*core.PredictView).KnowsUser":    "observed by tests in core view_test, engine engine_test and stress_test, server durable_test",
 	"(*core.PredictView).KnowsService": "observed by tests in core view_test and topk_test, engine engine_test, server durable_test",
-	"(*engine.Engine).Enqueue":         "the critical-class spelling of EnqueueClass that 18 tests in eight engine and server test files drive the async door with",
 	"dataset.MustNew":                  "fixture constructor: 33 tests and benchmarks in eight files, root bench_test.go among them, build their generator with it",
 	"dataset.SmallConfig":              "fixture: the shared small dataset shape of dataset, stream and core tests (four files)",
 	"transform.MustNew":                "fixture constructor: every transform test and the package example build their Transformer with it",
