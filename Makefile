@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -20,7 +20,7 @@ all: build vet test
 # test-overload select (those targets stay as developer shortcuts).
 ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -90,10 +90,12 @@ bench:
 # predict_point's server share is read against), concurrent durable
 # writers under group commit (group-speedup-x), and the model apply of one
 # 64-sample observe at the served shape with the writer's scoring in it
-# (ns/sample, one P as in bench/; bench/'s core.observe_ns_per_sample
-# times a cold preload), and the publish of one in both arms: into fresh
-# pages, as bench/'s core.refresh_view_p50_us times it, and into recycled
-# ones, as the engine publishes when no reader pins the replaced view;
+# (ns/sample in the steady state of a fixed ring of batches, one P as in
+# bench/; bench/'s core.observe_ns_per_sample times a cold preload), and
+# the publish of one in both arms: into fresh pages, as bench/'s
+# core.refresh_view_p50_us times it, and into recycled ones, as the
+# engine publishes when no reader pins the replaced view — each copied
+# page's twin, written only in the rows that changed since;
 # and the full-catalog scan of a 10k-service view beside the same scan
 # pushing every row (scan-speedup-x) and the candidate path (heap-p50);
 # and a predict and a 50-candidate batch through a gateway over real
@@ -125,7 +127,7 @@ test-cluster:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab
+fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
@@ -162,6 +164,17 @@ fuzz-kernels:
 # FUZZTIME=10s.
 fuzz-idtab:
 	$(GO) test -run=NONE -fuzz='^FuzzTable$$' -fuzztime=$(FUZZTIME) ./internal/idtab/
+
+# Publishing into recycled pages (internal/core/recycle_test.go):
+# fuzzer-chosen scripts of observes (known and new pairs), removals,
+# replay, refreshes, recycles under an escape watermark and held views run
+# on a model that recycles as the engine does and on one that never
+# does; after every refresh both views snapshot and rank alike, no
+# escaped or held view has changed, and no spare page, twin or spare
+# page slice is memory such a view can reach. CI runs this leg at
+# FUZZTIME=10s.
+fuzz-recycle:
+	$(GO) test -run=NONE -fuzz='^FuzzRecycledRefresh$$' -fuzztime=$(FUZZTIME) ./internal/core/
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

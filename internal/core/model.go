@@ -23,7 +23,7 @@ type entity struct {
 	// (table.go). Guarded like the rest of the entity.
 	dirty bool
 	// unserved: created by Observe and not yet frozen into a view, so no
-	// reader has been served a prediction for it (ObservePrior).
+	// reader has been served a prediction for it (ObserveAllScored).
 	unserved bool
 }
 
@@ -46,9 +46,21 @@ type Model struct {
 	dirtyUsers    *dirtyList
 	dirtyServices *dirtyList
 
-	// spare holds view pages no reader can reach any more, for the next
-	// refresh to copy into (Recycle; see view.go).
-	spare []viewPage
+	// What Recycle hands back (view.go): spare holds view pages no reader
+	// can reach any more, for the next refresh to copy into; twins counts
+	// those held as some page's twin instead (pageMeta.twin); spareSlices
+	// holds per table (users, services) and shard a page slice for the
+	// shard's next copy; replaced and replacedSlices are emptied lists for
+	// the next refreshed view to fill.
+	spare          []viewPage
+	twins          int
+	spareSlices    [2][viewShardCount][]viewPage
+	replaced       []replacedPage
+	replacedSlices []replacedSlice
+
+	// pairs and touched are observeAll's and viewShard.refresh's scratch.
+	pairs   []entityPair
+	touched []touchedRow
 }
 
 // New constructs an empty AMF model.
@@ -105,41 +117,67 @@ func (m *Model) entity(t *entityTable, id int) *entity {
 // Observe ingests a newly observed QoS sample: it registers any new user
 // or service, stores the sample in the replay pool, and performs one
 // online SGD update (Algorithm 1 lines 3-9).
-func (m *Model) Observe(s stream.Sample) { m.observe(s) }
+func (m *Model) Observe(s stream.Sample) { m.observeAll([]stream.Sample{s}, nil) }
 
-// ObservePrior is Observe for a caller that scores the model live: it
-// also returns what the model predicted for the pair just before this
-// sample trained it, from the float64 factors the SGD step computes on —
-// every earlier sample, the same batch's included, already applied. ok is
-// false on a first sighting: the user or the service is not in any view
-// yet (this sample or one since the last BuildView/RefreshView created
-// it), so no reader could have been served a prediction to score.
-func (m *Model) ObservePrior(s stream.Sample) (prior float64, ok bool) {
-	g, ok := m.observe(s)
-	if !ok {
-		return 0, false
-	}
-	return m.tr.Backward(g), true
+// ObserveAll ingests samples in order, as that many Observe calls do.
+func (m *Model) ObserveAll(ss []stream.Sample) { m.observeAll(ss, nil) }
+
+// Scorer takes, sample by sample, what the model predicted for a pair
+// just before the sample trained it (obs.AccuracyTracker is one).
+type Scorer interface {
+	// Record takes the prediction, in QoS units, and the observed value.
+	Record(prior, observed float64)
+	// RecordMiss stands for a sample with no prediction to score.
+	RecordMiss()
 }
 
-// observe is Observe returning the sigmoid-space prediction the update
-// started from and whether both entities had been published before.
-func (m *Model) observe(s stream.Sample) (g float64, served bool) {
-	u := m.entity(m.users, s.User)
-	v := m.entity(m.services, s.Service)
-	served = !u.unserved && !v.unserved
-	m.pool.Add(s)
-	g = m.update(u, v, s.Value)
-	m.dirtyUsers.mark(s.User, u)
-	m.dirtyServices.mark(s.Service, v)
-	return g, served
-}
+// ObserveAllScored is ObserveAll for a caller that scores the model live:
+// for each sample it hands sc what the model predicted for the pair just
+// before the sample trained it, from the float64 factors the SGD step
+// computes on — every earlier sample, the same batch's included, already
+// applied. A first sighting is a miss: the user or the service is not in
+// any view yet (this batch or one since the last BuildView/RefreshView
+// created it), so no reader could have been served a prediction to score.
+func (m *Model) ObserveAllScored(ss []stream.Sample, sc Scorer) { m.observeAll(ss, sc) }
 
-// ObserveAll ingests samples in order.
-func (m *Model) ObserveAll(ss []stream.Sample) {
+// entityPair is one sample's user and service, resolved.
+type entityPair struct{ u, v *entity }
+
+// observeAll trains ss in order, in two passes. The first resolves every
+// sample's user and service, registering newcomers in sample order — so
+// newEntity draws from the rng exactly as one pass would — lists them as
+// touched and stores the sample in the replay pool. The second trains
+// each sample from the resolved pointers and scores it when sc is not
+// nil. Nothing the first pass does for a later sample changes what the
+// second reads for an earlier one, so the trained model is the same bit
+// for bit (TestGoldenTraining), while the lookups' cache misses overlap
+// instead of each waiting behind an SGD step.
+func (m *Model) observeAll(ss []stream.Sample, sc Scorer) {
+	pairs := m.pairs[:0]
 	for _, s := range ss {
-		m.Observe(s)
+		u := m.entity(m.users, s.User)
+		v := m.entity(m.services, s.Service)
+		m.dirtyUsers.mark(s.User, u)
+		m.dirtyServices.mark(s.Service, v)
+		m.pool.Add(s)
+		pairs = append(pairs, entityPair{u, v})
 	}
+	for i, s := range ss {
+		u, v := pairs[i].u, pairs[i].v
+		// An entity is unserved from its creation to the next publish, so
+		// the flags read here what one pass would have read.
+		served := !u.unserved && !v.unserved
+		g := m.update(u, v, s.Value)
+		switch {
+		case sc == nil:
+		case served:
+			sc.Record(m.tr.Backward(g), s.Value)
+		default:
+			sc.RecordMiss()
+		}
+	}
+	clear(pairs)
+	m.pairs = pairs[:0]
 }
 
 // ReplayStep performs one online update on a randomly picked existing

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -305,29 +307,44 @@ func TestReplayCountsOnlyUpdates(t *testing.T) {
 	}
 }
 
+// scoreLog is a Scorer that keeps what it was handed: the prior of each
+// scored sample, NaN for a miss.
+type scoreLog []float64
+
+func (l *scoreLog) Record(prior, _ float64) { *l = append(*l, prior) }
+func (l *scoreLog) RecordMiss()             { *l = append(*l, math.NaN()) }
+
+// observePrior observes one sample through ObserveAllScored and returns
+// its prior, ok false on a miss.
+func observePrior(m *Model, s stream.Sample) (float64, bool) {
+	var l scoreLog
+	m.ObserveAllScored([]stream.Sample{s}, &l)
+	return l[0], !math.IsNaN(l[0])
+}
+
 // TestObservePrior: the prior is the float64 model's own prediction just
 // before the sample trains it, and a pair is scorable only once both its
 // entities have been frozen into a view.
 func TestObservePrior(t *testing.T) {
 	m := MustNew(rtConfig())
 	view := m.BuildView()
-	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 2, Value: 1.5}); ok {
+	if _, ok := observePrior(m, stream.Sample{Time: time.Second, User: 1, Service: 2, Value: 1.5}); ok {
 		t.Fatal("first sighting of both entities reported a prior")
 	}
 	// Same user, same batch: the user exists in the model by now, but no
 	// reader has seen it.
-	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 3, Value: 2}); ok {
+	if _, ok := observePrior(m, stream.Sample{Time: time.Second, User: 1, Service: 3, Value: 2}); ok {
 		t.Fatal("a user created since the last publish is still a first sighting")
 	}
 	view = m.RefreshView(view)
-	if _, ok := m.ObservePrior(stream.Sample{Time: time.Second, User: 1, Service: 4, Value: 2}); ok {
+	if _, ok := observePrior(m, stream.Sample{Time: time.Second, User: 1, Service: 4, Value: 2}); ok {
 		t.Fatal("a new service under a published user reported a prior")
 	}
 	want, err := m.Predict(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := m.ObservePrior(stream.Sample{Time: 2 * time.Second, User: 1, Service: 2, Value: 1.4})
+	got, ok := observePrior(m, stream.Sample{Time: 2 * time.Second, User: 1, Service: 2, Value: 1.4})
 	if !ok || got != want {
 		t.Fatalf("prior for a published pair = %g, %v; the model predicted %g", got, ok, want)
 	}
@@ -343,8 +360,46 @@ func TestObservePrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.ObservePrior(stream.Sample{Time: 3 * time.Second, User: 1, Service: 3, Value: 2}); !ok {
+	if _, ok := observePrior(r, stream.Sample{Time: 3 * time.Second, User: 1, Service: 3, Value: 2}); !ok {
 		t.Fatal("a restored pair reported no prior")
+	}
+}
+
+// TestObserveAllScoredMatchesOneByOne: a batch is scored and trained as
+// the same samples one at a time are — each prior after every earlier
+// sample of the batch has trained, a newcomer a miss for the rest of its
+// batch — and leaves the same model.
+func TestObserveAllScoredMatchesOneByOne(t *testing.T) {
+	batched, single := MustNew(rtConfig()), MustNew(rtConfig())
+	views := [2]*PredictView{batched.BuildView(), single.BuildView()}
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 20; round++ {
+		ss := make([]stream.Sample, 64)
+		for i := range ss {
+			ss[i] = stream.Sample{Time: time.Duration(round) * time.Second, User: rng.Intn(8), Service: rng.Intn(40), Value: 0.1 + 5*rng.Float64()}
+		}
+		var got, want scoreLog
+		batched.ObserveAllScored(ss, &got)
+		for _, s := range ss {
+			single.ObserveAllScored([]stream.Sample{s}, &want)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("round %d sample %d: batched prior %v, one by one %v", round, i, got[i], want[i])
+			}
+		}
+		views[0], views[1] = batched.RefreshView(views[0]), single.RefreshView(views[1])
+	}
+	a, err := batched.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := single.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("a batch trained a different model than its samples one by one")
 	}
 }
 

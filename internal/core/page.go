@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"github.com/qoslab/amf/internal/idtab"
@@ -21,13 +22,17 @@ import (
 // matrix.DotPage32 call, so the height must stay a multiple of
 // matrix.GroupRows. At rank 10 a page is a 2.5 KB float32 block plus
 // 1 KB of meta, and a 64-sample publish over 20k services copies 65 of
-// them. Into freshly allocated pages that is 85–120 µs, 0.24 MB and 167
+// them. Into freshly allocated pages that is 85–120 µs, 0.24 MB and 162
 // allocations (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
 // allocator's — clearing and handing out 3.5 KB blocks — not the copy.
-// Into pages a Recycle handed back (the recycled arm: what the engine does
-// when no reader pins the view they came from) the same publish takes
-// 28–35 µs and allocates 16 KB in 49 objects, the view header and the
-// touched shards' page slices.
+// With the Recycle the engine makes when no reader pins the view a
+// publish replaced (the recycled arm), a page's copy goes into its twin —
+// the page it replaced, which lacks only the rows the page's own publish
+// froze (pageMeta.twin) — and the publish allocates the view header
+// alone, ≈ 5 KB in one object:
+// 13–15 µs at 20k services where whole-page copies into recycled spares
+// took 24–25 µs and 16 KB in 49 objects (alternating runs on a 2-vCPU
+// x86-64 host).
 const (
 	viewPageShift = 6
 	viewPageRows  = 1 << viewPageShift
@@ -70,8 +75,9 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // published view are not written while that view can still be read; a
 // refresh that must change a row copies both first (copy-on-write) and
 // shares every other page with the previous view by pointer. The copy
-// goes into a spare page when the model has one (Model.Recycle) and into
-// a fresh allocation otherwise.
+// goes into the page's twin when Model.Recycle gave it one, which needs
+// only the rows the page's own publish froze; into a spare page, whole,
+// when the model has one; and into a fresh allocation otherwise.
 //
 // The block is what makes candidate ranking a streaming problem instead
 // of a pointer chase, and its layout is what makes the scan cheap: rows
@@ -105,19 +111,48 @@ type viewPage struct {
 const viewGroupRows = matrix.GroupRows
 
 // pageMeta is the per-row state of a page the rank scan never reads, and
-// the version of the view that first published the page: Recycle keeps a
-// page out of the spare list while a view that escaped its caller's
-// bookkeeping could still reach it.
+// the writer's bookkeeping for reusing the page once no reader can reach
+// it (Recycle): the version of the view that first published the page, so
+// that a page a view that escaped its caller's bookkeeping could still
+// reach is never reused; the rows that publish froze; and the page's twin.
+// Readers read errs and updates only.
 type pageMeta struct {
+	born uint64
+	// frozen has bit o set for each row o the publish that made the page
+	// froze: the rows where it differs from the page it was copied from.
+	frozen uint64
+	// twin is that page, once Recycle has proved no reader can reach it.
+	// It differs from this page in the frozen rows alone, so the publish
+	// that must next copy this page brings the twin up to date row by row
+	// (copyOnWrite) instead of copying a whole page. Only the writer
+	// touches it.
+	twin    viewPage
 	errs    [viewPageRows]float64
 	updates [viewPageRows]int
-	born    uint64
+}
+
+// replacedPage is a page of the previous view that a publish took the
+// place of, and the meta of the page that took it by copy-on-write — nil
+// when a reshape did, which copies rows to new places.
+type replacedPage struct {
+	old viewPage
+	by  *pageMeta
+}
+
+// replacedSlice is a shard's page slice in the previous view that a
+// publish took the place of: slot is where Recycle hands it back to, the
+// model's spare slice for that shard, and born is a lower bound on the
+// version that made it (the newest of its pages the publish replaced).
+type replacedSlice struct {
+	pages []viewPage
+	slot  *[]viewPage
+	born  uint64
 }
 
 // publish is one BuildView or RefreshView under way: the model whose spare
-// pages it writes into first, and the view it builds, whose version stamps
-// every page handed out and whose replaced list collects the pages of the
-// previous view that a copy took the place of.
+// pages, twins and slices it writes into first, and the view it builds,
+// whose version stamps every page handed out and whose replaced lists
+// collect what of the previous view the new one took the place of.
 type publish struct {
 	m *Model
 	v *PredictView
@@ -136,19 +171,43 @@ func (pb publish) page() viewPage {
 	} else {
 		p = viewPage{vecs: make([]float32, viewPageRows*pb.m.cfg.Rank), meta: new(pageMeta)}
 	}
-	p.meta.born = pb.v.version
+	p.meta.born, p.meta.frozen = pb.v.version, 0
 	return p
 }
 
-// clone returns a private, writable copy of p for copy-on-write, and
-// records p as replaced.
-func (pb publish) clone(p viewPage) viewPage {
-	c := pb.page()
-	copy(c.vecs, p.vecs)
-	*c.meta = *p.meta
-	c.meta.born = pb.v.version
-	pb.v.replaced = append(pb.v.replaced, p)
-	return c
+// copyOnWrite returns a private, writable page holding what c, a page of
+// the previous view, holds, and records c as replaced by it. With a twin,
+// c's predecessor, only the rows c's own publish froze are copied into
+// it; without one — c's predecessor was still pinned, escaped or left a
+// reshape — all of c is copied into a spare or fresh page.
+func (pb publish) copyOnWrite(c viewPage) viewPage {
+	t := c.meta.twin
+	if t.meta != nil {
+		c.meta.twin = viewPage{}
+		pb.m.twins--
+		rank := pb.m.cfg.Rank
+		for rows := c.meta.frozen; rows != 0; rows &= rows - 1 {
+			o := bits.TrailingZeros64(rows)
+			t.copyRow(o, c, o, rank)
+		}
+		t.meta.born, t.meta.frozen = pb.v.version, 0
+	} else {
+		t = pb.page()
+		copy(t.vecs, c.vecs)
+		t.meta.errs, t.meta.updates = c.meta.errs, c.meta.updates
+	}
+	pb.v.replaced = append(pb.v.replaced, replacedPage{c, t.meta})
+	return t
+}
+
+// pageSlice returns a page slice of length n for a shard whose spare
+// slice is slot: the spare when it is long enough, a fresh one otherwise.
+func pageSlice(n int, slot *[]viewPage) []viewPage {
+	if s := *slot; cap(s) >= n {
+		*slot = nil
+		return s[:n]
+	}
+	return make([]viewPage, n)
 }
 
 // lane returns row o's factors as a strided slice of the block: factor j
@@ -160,8 +219,9 @@ func (p viewPage) lane(o, rank int) []float32 {
 }
 
 // freeze writes the live entity's state into row o, rounding its factors
-// to float32, and marks the entity clean and served: what the page now
-// holds is what the model holds, to float32, and readers can see it.
+// to float32, marks the row as frozen by this page's publish, and marks
+// the entity clean and served: what the page now holds is what the model
+// holds, to float32, and readers can see it.
 func (p viewPage) freeze(o int, e *entity) {
 	lane := p.lane(o, len(e.vec))
 	for j, x := range e.vec {
@@ -169,6 +229,7 @@ func (p viewPage) freeze(o int, e *entity) {
 	}
 	p.meta.errs[o] = e.err.Value()
 	p.meta.updates[o] = e.updates
+	p.meta.frozen |= 1 << o
 	e.dirty, e.unserved = false, false
 }
 
@@ -209,48 +270,78 @@ type viewShard struct {
 	pages []viewPage
 }
 
+// touchedRow is one touched id as refresh found it: its entity in the
+// model (nil once removed) and its row in the shard (-1 if absent).
+type touchedRow struct {
+	id int
+	r  int
+	e  *entity
+}
+
 // refresh brings the shard up to date with the live model shard given
 // the ids touched since the shard was frozen (duplicates allowed),
-// returning the change in its entity count. Only the touched entities are
-// read from the model. While membership is unchanged the index is kept
-// and only the pages holding a touched row are copied and rewritten —
-// O(touched rows), independent of the shard's size. An added or removed
-// entity shifts rows, so that shard alone is reshaped, O(shard size).
-// Building a view is the same thing from an empty shard with every id
-// touched.
-func (sh *viewShard) refresh(src *entityTable, touched []int, pb publish) int {
-	var added, removed []int
+// returning the change in its entity count. Each touched id is looked up
+// once in the model and once in the index, and nothing else is read from
+// the model. While membership is unchanged the index is kept and only
+// the pages holding a touched row are copied and rewritten — O(touched
+// rows), independent of the shard's size. An added or removed entity
+// shifts rows, so that shard alone is reshaped, O(shard size). Building a
+// view is the same thing from an empty shard with every id touched. slot
+// is the model's spare page slice for the shard.
+func (sh *viewShard) refresh(src *entityTable, touched []int, pb publish, slot *[]viewPage) int {
+	rows := pb.m.touched[:0]
+	reshape := false
 	for _, id := range touched {
-		_, inModel := src.Get(id)
-		_, inView := sh.idx.row(id)
-		switch {
-		case inModel && !inView:
-			added = append(added, id)
-		case inView && !inModel:
-			removed = append(removed, id)
+		e, _ := src.Get(id)
+		r, inView := sh.idx.row(id)
+		if !inView {
+			r = -1
 		}
+		reshape = reshape || inView != (e != nil)
+		rows = append(rows, touchedRow{id, r, e})
 	}
+	pb.m.touched = rows[:0] // the grown buffer, for the next shard
 	before := len(sh.idx.ids)
-	shared := sh.pages // pages still aliasing the previous view's
-	if len(added)+len(removed) > 0 {
-		sh.reshape(sortedSet(added), sortedSet(removed), pb)
-		shared = nil
+	if reshape {
+		sh.reshape(rows, pb, slot)
+		for _, t := range rows {
+			if t.e != nil {
+				r, _ := sh.idx.row(t.id)
+				pi, o := pageOf(r)
+				sh.pages[pi].freeze(o, t.e)
+			}
+		}
 	} else {
-		sh.pages = slices.Clone(shared)
+		sh.rewrite(rows, pb, slot)
 	}
-	for _, id := range touched {
-		e, ok := src.Get(id)
-		if !ok {
-			continue // removed
-		}
-		r, _ := sh.idx.row(id)
-		pi, o := pageOf(r)
-		if shared != nil && sh.pages[pi].meta == shared[pi].meta {
-			sh.pages[pi] = pb.clone(shared[pi])
-		}
-		sh.pages[pi].freeze(o, e)
-	}
+	clear(rows)
 	return len(sh.idx.ids) - before
+}
+
+// rewrite freezes the touched rows of a shard whose membership is
+// unchanged: the first row on a page of the previous view copies that
+// page (copyOnWrite), and the first such page copies the page slice.
+func (sh *viewShard) rewrite(rows []touchedRow, pb publish, slot *[]viewPage) {
+	shared := sh.pages // the previous view's, until a page must be copied
+	var born uint64    // the newest page of shared replaced; 0 while none is (versions start at 1)
+	for _, t := range rows {
+		if t.e == nil {
+			continue // joined and left since the last publish
+		}
+		pi, o := pageOf(t.r)
+		if c := shared[pi]; sh.pages[pi].meta == c.meta {
+			if born == 0 {
+				sh.pages = pageSlice(len(shared), slot)
+				copy(sh.pages, shared)
+			}
+			born = max(born, c.meta.born)
+			sh.pages[pi] = pb.copyOnWrite(c)
+		}
+		sh.pages[pi].freeze(o, t.e)
+	}
+	if born != 0 {
+		pb.v.replacedSlices = append(pb.v.replacedSlices, replacedSlice{shared, slot, born})
+	}
 }
 
 func sortedSet(ids []int) []int {
@@ -258,15 +349,33 @@ func sortedSet(ids []int) []int {
 	return slices.Compact(ids)
 }
 
-// reshape replaces the shard's index and pages for a changed membership;
-// added and removed are ascending and duplicate-free. Every page is new,
-// since rows shift, but the surviving rows are copied over from the old
-// pages in order without consulting the model; rows of added entities
-// are left for the caller to fill, and the pad lanes of a partial last
-// page are cleared. Every old page is recorded as replaced.
-func (sh *viewShard) reshape(added, removed []int, pb publish) {
+// reshape replaces the shard's index and pages for the membership rows
+// imply: an id with an entity and no row joins, one with a row and no
+// entity leaves. Every page is new, since rows shift, but the surviving
+// rows are copied over from the old pages in order without consulting the
+// model; rows of added entities are left for the caller to fill, and the
+// pad lanes of a partial last page are cleared. Every old page, and the
+// old page slice, is recorded as replaced.
+func (sh *viewShard) reshape(rows []touchedRow, pb publish, slot *[]viewPage) {
+	var added, removed []int
+	for _, t := range rows {
+		switch {
+		case t.e != nil && t.r < 0:
+			added = append(added, t.id)
+		case t.e == nil && t.r >= 0:
+			removed = append(removed, t.id)
+		}
+	}
+	added, removed = sortedSet(added), sortedSet(removed)
 	old := *sh
-	pb.v.replaced = append(pb.v.replaced, old.pages...)
+	var born uint64
+	for _, p := range old.pages {
+		born = max(born, p.meta.born)
+		pb.v.replaced = append(pb.v.replaced, replacedPage{old: p})
+	}
+	if len(old.pages) > 0 {
+		pb.v.replacedSlices = append(pb.v.replacedSlices, replacedSlice{old.pages, slot, born})
+	}
 	n := len(old.idx.ids) + len(added) - len(removed)
 	if n == 0 {
 		*sh = viewShard{idx: emptyIndex}
@@ -274,7 +383,7 @@ func (sh *viewShard) reshape(added, removed []int, pb publish) {
 	}
 	rank := pb.m.cfg.Rank
 	idx := &shardIndex{ids: make([]int, 0, n), rows: idtab.New[int32](n)}
-	pages := make([]viewPage, (n+viewPageRows-1)>>viewPageShift)
+	pages := pageSlice((n+viewPageRows-1)>>viewPageShift, slot)
 	for pi := range pages {
 		pages[pi] = pb.page()
 	}

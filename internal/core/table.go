@@ -38,3 +38,14 @@ func (d *dirtyList) add(id int) {
 		d.shards[shardOf(id)] = append(d.shards[shardOf(id)], id)
 	}
 }
+
+// size returns how many ids are listed, and in how many shards.
+func (d *dirtyList) size() (ids, shards int) {
+	for _, l := range d.shards {
+		if len(l) > 0 {
+			ids += len(l)
+			shards++
+		}
+	}
+	return ids, shards
+}

@@ -15,9 +15,10 @@ import (
 // its own id index, rebuilt only when an entity joins or leaves that
 // shard. Factor updates are published at a finer grain still — the
 // fixed-height pages of page.go — so a refresh copies the pages holding a
-// changed row and shares everything else with the previous view by
-// pointer: its cost follows the number of entities touched since the last
-// publish, not the size of the catalog.
+// changed row (with Model.Recycle, only the rows that changed since, into
+// the page's recycled twin) and shares everything else with the previous
+// view by pointer: its cost follows the number of entities touched since
+// the last publish, not the size of the catalog.
 const viewShardCount = 64
 
 // viewEntity is the published state of one user or service as handed to
@@ -120,9 +121,12 @@ type PredictView struct {
 	// RefreshView can detect a model swap (Restore) and fall back to a
 	// full rebuild. Readers never touch it.
 	owner *Model
-	// replaced lists the pages of the view this one was refreshed from
-	// that this one copied away from, for Recycle. Readers never touch it.
-	replaced []viewPage
+	// replaced and replacedSlices list what of the view this one was
+	// refreshed from this one took the place of — pages copied away from
+	// or reshaped, and touched shards' page slices — for Recycle. Readers
+	// never touch them.
+	replaced       []replacedPage
+	replacedSlices []replacedSlice
 }
 
 // EnableViewTracking turns on recording of entities touched by updates
@@ -151,15 +155,15 @@ func (m *Model) buildView(version uint64) *PredictView {
 		owner:   m,
 	}
 	pb := publish{m, v}
-	buildTable(&v.users, m.users, m.dirtyUsers, pb)
-	buildTable(&v.services, m.services, m.dirtyServices, pb)
+	buildTable(&v.users, m.users, m.dirtyUsers, pb, &m.spareSlices[0])
+	buildTable(&v.services, m.services, m.dirtyServices, pb, &m.spareSlices[1])
 	return v
 }
 
 // buildTable freezes every model entity into its view shard as a refresh
 // of an empty shard with every id of the shard's touched, which also
 // leaves every entity clean.
-func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) {
+func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish, slots *[viewShardCount][]viewPage) {
 	dst.rank = pb.m.cfg.Rank
 	var ids [viewShardCount][]int
 	src.Each(func(id int, _ *entity) {
@@ -167,7 +171,7 @@ func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) 
 	})
 	for si := range dst.shards {
 		dst.shards[si] = viewShard{idx: emptyIndex}
-		dst.count += dst.shards[si].refresh(src, ids[si], pb)
+		dst.count += dst.shards[si].refresh(src, ids[si], pb, &slots[si])
 		dirty.shards[si] = dirty.shards[si][:0]
 	}
 }
@@ -181,9 +185,9 @@ func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) 
 // or dirty tracking is off, it falls back to a full BuildView while
 // keeping the version sequence monotonic.
 //
-// prev is left as it was: the pages the new view copied away from stay
-// prev's until the caller hands them back with Recycle, and without that
-// call they are left to the collector.
+// prev is left as it was: the pages and page slices the new view took the
+// place of stay prev's until the caller hands them back with Recycle, and
+// without that call they are left to the collector.
 func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev == nil {
 		return m.BuildView()
@@ -201,46 +205,103 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 		updates:  m.updates,
 		version:  prev.version + 1,
 		owner:    m,
+		// The lists a Recycle emptied; without them, lists sized for what
+		// was touched, which is what a publish without a reshape fills.
+		replaced:       m.replaced,
+		replacedSlices: m.replacedSlices,
+	}
+	m.replaced, m.replacedSlices = nil, nil
+	if v.replaced == nil || v.replacedSlices == nil {
+		users, userShards := m.dirtyUsers.size()
+		services, serviceShards := m.dirtyServices.size()
+		if v.replaced == nil {
+			v.replaced = make([]replacedPage, 0, users+services)
+		}
+		if v.replacedSlices == nil {
+			v.replacedSlices = make([]replacedSlice, 0, userShards+serviceShards)
+		}
 	}
 	pb := publish{m, v}
-	refreshTable(&v.users, m.users, m.dirtyUsers, pb)
-	refreshTable(&v.services, m.services, m.dirtyServices, pb)
+	refreshTable(&v.users, m.users, m.dirtyUsers, pb, &m.spareSlices[0])
+	refreshTable(&v.services, m.services, m.dirtyServices, pb, &m.spareSlices[1])
 	return v
 }
 
 // refreshTable brings the touched shards of dst (currently aliasing the
 // previous view's) up to date with src and empties the dirty lists. Dirty
 // lists are sharded with the view's hash, so the walk is per shard.
-func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish) {
+func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish, slots *[viewShardCount][]viewPage) {
 	for si := range dirty.shards {
 		touched := dirty.shards[si]
 		if len(touched) == 0 {
 			continue
 		}
-		dst.count += dst.shards[si].refresh(src, touched, pb)
+		dst.count += dst.shards[si].refresh(src, touched, pb, &slots[si])
 		dirty.shards[si] = touched[:0]
 	}
 }
 
-// Recycle hands the model the pages v's refresh copied away from — pages
-// of the view v was refreshed from that v no longer holds — so that later
-// refreshes copy into them instead of into fresh allocations. The caller
-// promises that no reader can reach them any more: every view v came
-// after is unreachable, except views that escaped the caller's
-// bookkeeping, whose newest version is escaped; a page first published at
-// or before escaped is left to the collector. So is everything past the
-// spare list's cap, v's own page count. A view Recycle has seen has
-// nothing left to recycle.
+// Recycle hands the model what v's refresh took the place of — pages and
+// page slices of the view v was refreshed from that v no longer holds —
+// so that later refreshes write into them instead of into fresh
+// allocations. The caller promises that no reader can reach them any
+// more: every view v came after is unreachable, except views that escaped
+// the caller's bookkeeping, whose newest version is escaped; a page or
+// slice first published at or before escaped is left to the collector.
+// Views are recycled in publish order, as the engine does.
+//
+// A page v copied away from becomes the twin of its copy: the next
+// refresh that must copy that page again brings the twin up to date with
+// the rows the copy froze, not a whole page (pageMeta.twin). A page a
+// reshape replaced, and the unused twin of a page replaced since, go to
+// the spare list, which any copy or reshape draws from. Spares and twins
+// together never outnumber v's own pages; past that cap a page is left
+// to the collector, so the cap comes from the view, not from a setting.
+// A view Recycle has seen has nothing left to recycle.
 func (m *Model) Recycle(v *PredictView, escaped uint64) {
 	if v.owner == m {
 		limit := v.users.pageCount() + v.services.pageCount()
-		for _, p := range v.replaced {
-			if p.meta.born > escaped && len(m.spare) < limit {
+		keep := func(p viewPage) {
+			if len(m.spare)+m.twins < limit {
 				m.spare = append(m.spare, p)
 			}
 		}
+		for _, r := range v.replaced {
+			p := r.old
+			if t := p.meta.twin; t.meta != nil {
+				// p was replaced by a reshape, or before its twin
+				// arrived: the twin has nothing left to catch up with.
+				p.meta.twin = viewPage{}
+				m.twins--
+				keep(t)
+			}
+			switch {
+			case p.meta.born <= escaped:
+			case r.by != nil && r.by.born == v.version && len(m.spare)+m.twins < limit:
+				// by was born with v unless views are recycled out of
+				// publish order; then its meta may be another page's by
+				// now, and p is safe only as a spare.
+				r.by.twin = p
+				m.twins++
+			default:
+				keep(p)
+			}
+		}
+		for _, s := range v.replacedSlices {
+			if s.born > escaped && cap(s.pages) > cap(*s.slot) {
+				*s.slot = s.pages
+			}
+		}
+		clear(v.replaced)
+		clear(v.replacedSlices)
+		if cap(v.replaced) > cap(m.replaced) {
+			m.replaced = v.replaced[:0]
+		}
+		if cap(v.replacedSlices) > cap(m.replacedSlices) {
+			m.replacedSlices = v.replacedSlices[:0]
+		}
 	}
-	v.replaced = nil
+	v.replaced, v.replacedSlices = nil, nil
 }
 
 func (t *viewTable) pageCount() int {

@@ -23,13 +23,16 @@
 //     a replicated or recovered log (ApplyLog), a departure, a replay
 //     tick, a restore — takes mu on its own goroutine, mutates, publishes
 //     a fresh view and unlocks: the view is never behind the model once
-//     a write has returned. Republication is incremental: only the factor
-//     pages holding an entity touched since the last publish are copied
-//     (see core.Model.RefreshView). Training is strictly sequential, as
-//     in Algorithm 1: every sample reaches the model through applyLocked
-//     and every replay update through replayLocked, one at a time under
-//     mu, so the trained model is a function of the seed and the order of
-//     samples and replay calls alone (TestEngineDeterministicGivenSeed).
+//     a write has returned. Republication is incremental: only the rows
+//     of entities touched since the last publish are copied, each into
+//     its page's recycled twin, which lags the page by the rows the
+//     page's own publish froze; a page with no twin yet is copied whole
+//     (see core.Model.RefreshView and Recycle). Training is strictly
+//     sequential, as in Algorithm 1: every sample reaches the model
+//     through applyLocked and every replay update through replayLocked,
+//     one at a time under mu, so the trained model is a function of the
+//     seed and the order of samples and replay calls alone
+//     (TestEngineDeterministicGivenSeed).
 //
 // Every write has one shape: lock → journal → mutate → publish → unlock
 // (commitLocked for a batch, remove for a departure), then the caller
@@ -395,7 +398,9 @@ func (e *Engine) Stats() Stats {
 // they came through (HTTP observe, the TCP stream, a replayed log): it
 // journals the batch as one record BEFORE any of it touches the model —
 // journal-before-apply, the recovery invariant (see Journal) — applies it
-// in order, and books it. A scored batch (everything but ApplyLog) also
+// in order, and books it. The model resolves the batch's users and
+// services in one pass before it trains any sample, so their lookups'
+// cache misses overlap. A scored batch (everything but ApplyLog) also
 // feeds the live accuracy tracker, here rather than on the request's way
 // in because the SGD step starts from the very prediction the tracker
 // wants: each observed value is held against what the model predicted for
@@ -410,13 +415,7 @@ func (e *Engine) applyLocked(ss []stream.Sample, scored bool) (seq uint64, journ
 	seq = e.journalSamplesLocked(ss)
 	start := time.Now()
 	if acc := e.acc; scored && acc != nil {
-		for _, s := range ss {
-			if prior, ok := e.model.ObservePrior(s); ok {
-				acc.Record(prior, s.Value)
-			} else {
-				acc.RecordMiss()
-			}
-		}
+		e.model.ObserveAllScored(ss, acc)
 	} else {
 		e.model.ObserveAll(ss)
 	}
