@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -20,7 +20,7 @@ all: build vet test
 # test-overload select (those targets stay as developer shortcuts).
 ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -127,7 +127,7 @@ test-cluster:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle
+fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
 	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
@@ -151,8 +151,8 @@ fuzz-select:
 # The dot kernels (internal/matrix/kernels_test.go): assembly against the
 # portable loop against the naive sum, both widths, a single-row DotBatch
 # against Dot bit for bit, and the page kernel every served prediction
-# runs on against its portable loop bit for bit. CI runs this leg at
-# FUZZTIME=10s.
+# runs on against its portable loop bit for bit, with its survivor mask
+# for a fuzzed bound and direction. CI runs this leg at FUZZTIME=10s.
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 
@@ -175,6 +175,15 @@ fuzz-idtab:
 # FUZZTIME=10s.
 fuzz-recycle:
 	$(GO) test -run=NONE -fuzz='^FuzzRecycledRefresh$$' -fuzztime=$(FUZZTIME) ./internal/core/
+
+# The router both hops serve through (internal/server/mux_test.go):
+# fuzzer-chosen methods, paths and escaped paths must get from
+# server.Mux what a plain http.ServeMux holding the same registrations
+# answers — status, Allow, Location and handler — for the patterns a
+# fully attached server and a gateway register. CI runs this leg at
+# FUZZTIME=10s.
+fuzz-mux:
+	$(GO) test -run=NONE -fuzz='^FuzzMux$$' -fuzztime=$(FUZZTIME) ./internal/server/
 
 # Regenerate every table and figure at the default reduced scale.
 experiments:

@@ -131,7 +131,7 @@ type Gateway struct {
 	ring   *Ring
 	groups []*group
 	byName map[string]*group
-	mux    *http.ServeMux
+	mux    server.Mux
 	http   *http.Client
 	log    *slog.Logger
 
@@ -252,7 +252,7 @@ func (g *Gateway) Close() {
 }
 
 // Handler returns the gateway's HTTP handler.
-func (g *Gateway) Handler() http.Handler { return g.mux }
+func (g *Gateway) Handler() http.Handler { return &g.mux }
 
 func (g *Gateway) buildMetrics() {
 	r := obs.NewRegistry()
@@ -306,8 +306,9 @@ func (g *Gateway) buildMetrics() {
 		})
 }
 
+// routes registers the gateway's routes on the router the server uses
+// too (server.Mux): each one is a literal route, found by exact match.
 func (g *Gateway) routes() {
-	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("GET /healthz", g.handleHealth)
 	g.mux.HandleFunc("GET /metrics", g.handleMetrics)
 	g.mux.HandleFunc("GET /api/v1/cluster/status", g.handleStatus)
@@ -348,14 +349,16 @@ type proxyHandler func(w http.ResponseWriter, r *http.Request, c call)
 // 128-bit trace ID, echoed to the client as X-Request-Id and propagated
 // to backends via X-Amf-Trace (see stamp), so one identifier names the
 // request at the client, the gateway, and every shard it touched. The
-// header value is rendered once; X-Request-Id is its trace-ID prefix.
+// header value is rendered once; X-Request-Id is its trace-ID prefix. The
+// proxy latency runs from the root span's start stamp, so the clock is
+// read once to start both.
 func (g *Gateway) timed(route string, h proxyHandler) http.HandlerFunc {
 	counter := g.requests.With(route)
 	hist := g.proxySeconds.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		counter.Inc()
 		sp := g.traces.Start(trace.NewID(), 0, route)
+		start := sp.Start
 		hv := trace.HeaderValue(sp.Trace, sp.ID)
 		// One backing array for both headers; each slice is capped at its
 		// own element, so an append to either cannot reach the other.
@@ -600,8 +603,14 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method
 // copyBufPool recycles the buffers copyResponse relays through.
 var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
 
+// statusHeaders are what a refusal tells the client to act on: when to
+// retry and why it was refused (a shed 429, a follower's 503), and where
+// the leader is (the follower's 503). Only non-200 answers carry them.
+var statusHeaders = [...]string{"Retry-After", server.ShedReasonHeader, "X-Amf-Leader"}
+
 // copyResponse relays a backend response verbatim: status, the headers
-// a relay needs (a 3xx keeps its Location) and the body. Propagating
+// a relay needs (a 3xx keeps its Location, a refusal its statusHeaders)
+// and the body. Propagating
 // Content-Length keeps the client leg un-chunked (one frame instead of
 // chunk headers), which matters at the proxy's latency floor. The body
 // is copied by a plain read/write loop through a pooled buffer:
@@ -615,6 +624,13 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	if loc := resp.Header["Location"]; len(loc) > 0 {
 		h["Location"] = loc
+	}
+	if resp.StatusCode != http.StatusOK {
+		for _, k := range statusHeaders {
+			if v := resp.Header[k]; len(v) > 0 {
+				h[k] = v
+			}
+		}
 	}
 	if cl := resp.Header["Content-Length"]; len(cl) > 0 {
 		h["Content-Length"] = cl

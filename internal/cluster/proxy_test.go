@@ -190,6 +190,48 @@ func TestGatewayRelaysRedirect(t *testing.T) {
 	}
 }
 
+// TestGatewayRelaysShedHeaders: a backend's refusal reaches the client
+// with the headers that tell it what to do — a shed 429's Retry-After
+// and X-Amf-Shed-Reason, a follower's 503's X-Amf-Leader too — on every
+// proxied route.
+func TestGatewayRelaysShedHeaders(t *testing.T) {
+	for _, refusal := range []struct {
+		code    int
+		headers map[string]string
+	}{
+		{http.StatusTooManyRequests, map[string]string{"Retry-After": "7", server.ShedReasonHeader: "slo_budget"}},
+		{http.StatusServiceUnavailable, map[string]string{"Retry-After": "1", server.ShedReasonHeader: "follower", "X-Amf-Leader": "http://leader:8081"}},
+	} {
+		ts := statusBackend(t, func(w http.ResponseWriter, _ *http.Request) {
+			for k, v := range refusal.headers {
+				w.Header().Set(k, v)
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(refusal.code)
+			_, _ = w.Write([]byte(`{"error":"refused"}`))
+		})
+		g := newGateway(t, [][]string{{ts.URL}}, nil)
+		for _, tc := range []struct {
+			method, path string
+			body         any
+		}{
+			{http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil},
+			{http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 3}},
+			{http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{{User: "u1", Service: "s1", Value: 1}}}},
+		} {
+			w := gwReq(t, g, tc.method, tc.path, tc.body)
+			if w.Code != refusal.code || w.Body.String() != `{"error":"refused"}` {
+				t.Errorf("%s %s: HTTP %d %q, want the backend's %d verbatim", tc.method, tc.path, w.Code, w.Body, refusal.code)
+			}
+			for k, v := range refusal.headers {
+				if got := w.Header().Get(k); got != v {
+					t.Errorf("%s %s: HTTP %d %s %q, want %q", tc.method, tc.path, w.Code, k, got, v)
+				}
+			}
+		}
+	}
+}
+
 // TestGatewayHopTimeout: a Config.HTTP with a Timeout still bounds a
 // backend hop that hangs, on the pass-through path (forward) and on the
 // multi-group observe's per-bucket path (postJSON).

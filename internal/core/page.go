@@ -18,12 +18,13 @@ import (
 // 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
-// A page is eight dimension-major 8-row groups (viewPage), scored by one
-// matrix.DotPage32 call, so the height must stay a multiple of
-// matrix.GroupRows. At rank 10 a page is a 2.5 KB float32 block plus
-// 1 KB of meta, and a 64-sample publish over 20k services copies 65 of
-// them. Into freshly allocated pages that is 85–120 µs, 0.24 MB and 162
-// allocations (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
+// A page is eight dimension-major 8-row groups (viewPage), scored and
+// filtered by one matrix.DotPage32 call, so the height must stay a
+// multiple of matrix.GroupRows and at most 64, the width of its mask.
+// At rank 10 a page is a 2.5 KB float32 block plus 1 KB of meta, and a
+// 64-sample publish over 20k services copies 65 of them. Into freshly
+// allocated pages that is 85–120 µs, 0.24 MB and 162 allocations
+// (BenchmarkRefreshView's fresh arm, -cpu=1): the time is the
 // allocator's — clearing and handing out 3.5 KB blocks — not the copy.
 // With the Recycle the engine makes when no reader pins the view a
 // publish replaced (the recycled arm), a page's copy goes into its twin —
@@ -85,11 +86,13 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // j of all eight rows is one run of eight floats, so row o's factor j is
 // vecs[(o>>3)*8*rank + j*8 + (o&7)]. A full-catalog scan hands each
 // block to matrix.DotPage32, which scores eight rows per vector multiply
-// and add with no horizontal reduce and no tail. A row's factors are a strided
-// lane of the block (viewPage.lane); point reads (Predict, the candidate
-// path) walk that lane with a scalar loop in the kernel's association
-// (veDot), so they and the scan agree bit for bit. The cost is paid on
-// random access: a rank-10 row spans five cache lines instead of one.
+// and add with no horizontal reduce and no tail, and compares the scores
+// with the top-k bound before they leave the registers. A row's factors
+// are a strided lane of the block (viewPage.lane); point reads (Predict,
+// the candidate path) walk that lane with a scalar loop in the kernel's
+// association (veDot), so they and the scan agree bit for bit. The cost
+// is paid on random access: a rank-10 row spans five cache lines instead
+// of one.
 // Every block is allocated at full height, viewPageRows×rank, and the
 // lanes past the last row of a shard's partial last page hold zeros.
 // A viewPage itself is just the two references, held by value in the

@@ -33,7 +33,7 @@ func refScan(v *PredictView, user, k int, lowerIsBetter bool) []Ranked {
 	for si := range v.services.shards {
 		sh := &v.services.shards[si]
 		for pi, p := range sh.pages {
-			matrix.DotPage32(vals[:], p.vecs, q)
+			matrix.DotPage32(vals[:], p.vecs, q, nan32, lowerIsBetter)
 			for i, id := range sh.idx.pageIDs(pi) {
 				h = heapPush(h, scored{service: id, key: float64(vals[i])}, k, lowerIsBetter)
 			}

@@ -10,8 +10,12 @@ import (
 	"github.com/qoslab/amf/internal/transform"
 )
 
-// nan marks "no prediction" entries in PredictBatch output.
-var nan = math.NaN()
+// nan marks "no prediction" entries in PredictBatch output; nan32 is
+// the selection bound of a heap still filling (heapBound).
+var (
+	nan   = math.NaN()
+	nan32 = float32(nan)
+)
 
 // This file is the vectorized candidate-ranking fast path (ISSUE 3): the
 // paper's runtime-adaptation query "rank these n candidate services for
@@ -148,27 +152,43 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 
 // selectRows offers one block of scored rows — ids[i] with key keys[i],
 // at most viewPageRows of them — to the bounded heap h (cap k >= 1) and
-// returns the updated heap. It is the only caller of heapPush: every
-// selection loop (page scan, candidate list) feeds it blocks. Keys are
-// the float32 the dot kernels produce; the heap holds them widened, which
-// is exact, so its k-th key narrows back to the float32 bound Survivors
-// compares against.
-//
-// Once the heap is full its root holds the k-th best key seen so far,
-// and a row whose key is strictly worse than that can never be admitted.
-// matrix.Survivors marks those rows for the whole block in a few vector
-// compares and the loop visits only the others: better keys, ties (the
-// id tie-break is heapPush's to decide), and anything compared with a
-// NaN, which is never "strictly worse". Each push tightens the bound, so
-// a row the mask let through is compared again with the current root.
-// Both filters drop only rows heapPush would have dropped, which is why
-// the ranking is the one pushing every row would give.
+// returns the updated heap. The candidate path feeds it the blocks its
+// lane dots fill; a page scan filters in the kernel instead (scanPage).
+// Either way the block's survivors go to pushSurvivors.
 func selectRows(h []scored, ids []int, keys []float32, k int, lowerIsBetter bool) []scored {
 	keys = keys[:len(ids)]
-	m := ^uint64(0) >> (64 - len(ids)) // every row, while the heap fills
-	if len(h) == k {
-		m = matrix.Survivors(keys, float32(h[0].key), lowerIsBetter)
+	m := matrix.Survivors(keys, heapBound(h, k), lowerIsBetter)
+	return pushSurvivors(h, ids, keys, m, k, lowerIsBetter)
+}
+
+// heapBound is the key a row is compared with to enter h: once h holds k
+// rows its root, the k-th best key seen so far — the heap holds keys
+// widened from the kernels' float32, which is exact, so narrowing back
+// is too — and before that NaN, which no row is strictly worse than.
+func heapBound(h []scored, k int) float32 {
+	if len(h) < k {
+		return nan32
 	}
+	return float32(h[0].key)
+}
+
+// pushSurvivors hands heapPush the rows of one block — ids[i] with key
+// keys[i] — whose bit is set in m, the block's survivor mask against
+// heapBound(h, k), and returns the updated heap. It is the only caller
+// of heapPush: every selection loop (page scan, candidate list) ends
+// here.
+//
+// A row whose key is strictly worse than the heap's k-th best key can
+// never be admitted, so the mask (matrix.Survivors, or the one
+// matrix.DotPage32 returns for the page it scored) clears those rows for
+// the whole block in a few vector compares and the loop visits only the
+// others: better keys, ties (the id tie-break is heapPush's to decide),
+// and anything compared with a NaN, which is never "strictly worse".
+// Each push tightens the bound, so a row the mask let through is
+// compared again with the current root. Both filters drop only rows
+// heapPush would have dropped, which is why the ranking is the one
+// pushing every row would give.
+func pushSurvivors(h []scored, ids []int, keys []float32, m uint64, k int, lowerIsBetter bool) []scored {
 	for ; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
 		c := scored{service: ids[i], key: float64(keys[i])}
@@ -185,9 +205,9 @@ func selectRows(h []scored, ids []int, keys []float32, k int, lowerIsBetter bool
 	return h
 }
 
-// testHookPush, when a test sets it, is called for every row selectRows
-// hands to heapPush: how many that is, not how long it takes, is what
-// TestSelectionPushBound holds the filter to.
+// testHookPush, when a test sets it, is called for every row
+// pushSurvivors hands to heapPush: how many that is, not how long it
+// takes, is what TestSelectionPushBound holds the filter to.
 var testHookPush func()
 
 // finish converts best-first scored entries into Ranked values by
@@ -332,14 +352,15 @@ func (v *PredictView) predictBatch(user int, services []int, dst, conf []float64
 
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
-// query. It never touches the id index: the user's lane is gathered once
-// into a query, each shard's pages are scored by matrix.DotPage32 (one
-// call per 64-row dimension-major block), and only the k survivors are
-// transformed. Every caller in the product passes workers = 1; the
-// parameter is ignored — the scan is always serial, on the caller's
-// goroutine — and stays only because bench/probes.go compiles against
-// this signature (DESIGN.md "Ranking fast path" has why the fan-out
-// went). Returns nil when the user is unknown or k <= 0.
+// query. It never touches the id index: the user's lane is gathered
+// once into a query, each shard's pages are scored and filtered against
+// the heap's bound by matrix.DotPage32 (one call per 64-row
+// dimension-major block), and only the k survivors are transformed.
+// Every caller in the product passes workers = 1; the parameter is
+// ignored — the scan is always serial, on the caller's goroutine — and
+// stays only because bench/probes.go compiles against this signature
+// (DESIGN.md "Ranking fast path" has why the fan-out went). Returns nil
+// when the user is unknown or k <= 0.
 func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) []Ranked {
 	u, ok := v.users.get(user)
 	if k = min(k, v.services.count); !ok || k <= 0 {
@@ -361,10 +382,16 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 
 // scanPage scores one page — rows ids, then pad lanes — against the
 // gathered query sc.q and offers the rows to the bounded heap, returning
-// the (possibly grown) heap for pooling. The kernel sums each row in the
-// association veDot uses, so the page scan agrees exactly with the
-// candidate path and with point reads.
+// the (possibly grown) heap for pooling. One DotPage32 call scores the
+// page and returns its survivor mask against the heap's bound, so the
+// keys are compared while the kernel still holds them; the pad lanes'
+// bits are masked off here. The kernel sums each row in the association
+// veDot uses, so the page scan agrees exactly with the candidate path
+// and with point reads.
 func scanPage(p viewPage, ids []int, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	matrix.DotPage32(sc.vals[:], p.vecs, sc.q)
-	return selectRows(h, ids, sc.vals[:len(ids)], k, lowerIsBetter)
+	m := matrix.DotPage32(sc.vals[:], p.vecs, sc.q, heapBound(h, k), lowerIsBetter)
+	if m &= ^uint64(0) >> (64 - len(ids)); m == 0 {
+		return h // most pages, once the heap is full
+	}
+	return pushSurvivors(h, ids, sc.vals[:len(ids)], m, k, lowerIsBetter)
 }

@@ -28,12 +28,13 @@ func dotBatchAVX2(dst, block, q []float64)
 //go:noescape
 func dotBatch32AVX2(dst, block, q []float32)
 
-// dotPage32AVX2 is DotPage32: eight row groups per pass, one 8-wide
-// accumulator each, multiply then add. len(dst) is a multiple of 8 and
-// len(q) >= 1.
+// dotPage32AVX2 is DotPage32: a full page's eight row groups in one
+// pass, one 8-wide accumulator each, multiply then add, and the survivor
+// mask of the stored scores compared as survivors32AVX2 compares them.
+// len(dst) is a multiple of 8 and at most 64, and len(q) >= 1.
 //
 //go:noescape
-func dotPage32AVX2(dst, block, q []float32)
+func dotPage32AVX2(dst, block, q []float32, worst float32, flip uint32) uint64
 
 // survivors32AVX2 is the compare kernel behind Survivors: bit i of the
 // result is clear when keys[i]^flip > worst^flip. len(keys) must be a

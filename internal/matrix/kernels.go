@@ -14,10 +14,11 @@ import "fmt"
 //     the loop-carried dependence on a single sum so the FP adds pipeline
 //     (the naive loop serializes on one accumulator, one FMA latency per
 //     element). It is the float64 product of SGD and Model.Predict.
-//   - DotPage32 (kernels32.go) scores a dimension-major block: factor j
+//   - DotPage32 (kernels32.go) scores a dimension-major page: factor j
 //     of eight rows is one vector, so a page costs one broadcast and one
-//     multiply and add per factor per eight rows, with no reduce. It is
-//     what every full-catalog scan runs on.
+//     multiply and add per factor per eight rows, with no reduce, and it
+//     returns the page's top-k survivor mask from the scores still in
+//     registers. It is what every full-catalog scan runs on.
 //   - DotBatch (and DotBatch32 in kernels32.go) streams a contiguous
 //     row-major block past one query vector. Nothing in the product
 //     calls them any more; bench/probes.go times both.
@@ -50,10 +51,11 @@ var (
 	dotArch        func(a, b []float64) float64
 	dotBatchArch   func(dst, block, q []float64)
 	dotBatch32Arch func(dst, block, q []float32)
-	dotPage32Arch  func(dst, block, q []float32)
-	// survivors32Arch compares whole vectors of keys for Survivors:
-	// len(keys) is a multiple of 8, flip zero or the sign bit. Nil
-	// wherever the portable loop serves.
+	// dotPage32Arch scores a page and returns its survivor mask, and
+	// survivors32Arch compares whole vectors of keys for Survivors: row
+	// counts are multiples of 8, flip zero or the sign bit. Nil wherever
+	// the portable loops serve.
+	dotPage32Arch   func(dst, block, q []float32, worst float32, flip uint32) uint64
 	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
 )
 

@@ -10,7 +10,8 @@ import "fmt"
 // assumed.
 //
 // DotPage32 is the one that serves: a view stores its pages
-// dimension-major, and a page scan is one DotPage32 call. DotBatch32 is
+// dimension-major, and a page scan is one DotPage32 call, which scores
+// the page and filters it for the top-k heap at once. DotBatch32 is
 // the row-major kernel a view stored its pages for until then; nothing in
 // the product calls it, and bench/probes.go still times it.
 
@@ -65,14 +66,16 @@ func DotBatch32(dst, block, q []float32) {
 // all its rows.
 const GroupRows = 8
 
-// DotPage32 scores rows stored dimension-major in groups of GroupRows:
-// with k = len(q), row r's factor j is block[r/8*8*k + j*8 + r%8], and
-// dst[r] is that row's inner product with q. Each group is k consecutive
-// 8-float vectors, factor 0 first, so a group costs one broadcast of q[j]
-// and one multiply and one add per factor, for eight rows at once, with
-// no horizontal reduce and no tail. It panics unless len(dst) is a
-// multiple of GroupRows and len(block) == len(dst)*len(q); a zero-length q
-// zeroes dst.
+// DotPage32 scores one page of rows stored dimension-major in groups of
+// GroupRows and returns the page's survivor mask, so that a scan filters
+// the scores in the same call that produces them. With k = len(q), row
+// r's factor j is block[r/8*8*k + j*8 + r%8], and dst[r] is that row's
+// inner product with q. Each group is k consecutive 8-float vectors,
+// factor 0 first, so a group costs one broadcast of q[j] and one multiply
+// and one add per factor, for eight rows at once, with no horizontal
+// reduce and no tail. It panics unless len(dst) is a multiple of
+// GroupRows no greater than 64 and len(block) == len(dst)*len(q); a
+// zero-length q zeroes dst.
 //
 // Every row is summed in one association, in every build: s = q[0]·x₀,
 // then s = s + q[j]·xⱼ for j = 1…k−1, each product rounded to float32
@@ -80,20 +83,32 @@ const GroupRows = 8
 // multiply-add. So the AVX2 kernel, the portable loop below and a scalar
 // loop over one row written the same way (core's point reads) agree bit
 // for bit, and so do builds with and without the assembly.
-func DotPage32(dst, block, q []float32) {
+//
+// The mask is Survivors(dst, worst, lowerIsBetter), bit for bit: bit r is
+// clear only when dst[r] is strictly worse than worst, and a NaN worst
+// lets every row through. The AVX2 kernel compares each group's
+// accumulator while it is still in a register; everywhere else the
+// portable loop scores the page and survivorsGo compares it.
+func DotPage32(dst, block, q []float32, worst float32, lowerIsBetter bool) uint64 {
 	k := len(q)
-	if len(dst)%GroupRows != 0 || len(block) != len(dst)*k {
-		panic(fmt.Sprintf("matrix: DotPage32 block length %d != rows %d (a multiple of %d) x rank %d", len(block), len(dst), GroupRows, k))
+	if len(dst)%GroupRows != 0 || len(dst) > 64 || len(block) != len(dst)*k {
+		panic(fmt.Sprintf("matrix: DotPage32 block length %d != rows %d (a multiple of %d, at most 64) x rank %d", len(block), len(dst), GroupRows, k))
 	}
-	if k == 0 {
+	switch {
+	case k == 0:
 		clear(dst)
-		return
+	case dotPage32Arch != nil:
+		// The sign flip reverses the order for key and bound alike, as
+		// in Survivors.
+		var flip uint32
+		if !lowerIsBetter {
+			flip = 1 << 31
+		}
+		return dotPage32Arch(dst, block, q, worst, flip)
+	default:
+		dotPage32(dst, block, q)
 	}
-	if dotPage32Arch != nil {
-		dotPage32Arch(dst, block, q)
-		return
-	}
-	dotPage32(dst, block, q)
+	return survivorsGo(dst, worst, lowerIsBetter)
 }
 
 // dotPage32 is the portable DotPage32, and the reference the assembly is

@@ -101,10 +101,15 @@ func laneDot(row, q []float32) float32 {
 // the assembly where it is active, the portable loop under noasm), and
 // to the float64 reference within the reassociation envelope, over
 // ranks 1–17, 31 and 64 and blocks of one group up to more than two
-// 64-row passes, with the last rows zero as a view's partial last page
-// is.
+// 64-row pages, one call per page as a view's scan makes them, with the
+// last rows zero as a view's partial last page is. The mask it returns
+// must be survivorsGo's over the scores it stored, for bounds a compare
+// can get wrong — NaN (the heap still filling), ±Inf, ±0 (the pad rows
+// tie), a key of the page — and a random one, in both directions.
 func TestDotPage32(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64} {
 		for _, rows := range []int{8, 16, 56, 64, 72, 128, 136} {
 			q := randVec32(rng, k)
@@ -112,10 +117,22 @@ func TestDotPage32(t *testing.T) {
 			clear(rowMajor[(rows-3)*k:]) // pad lanes
 			block := dimensionMajor(rowMajor, rows, k)
 			dst := make([]float32, rows)
-			for i := range dst {
-				dst[i] = float32(math.NaN()) // must be overwritten
+			for lo := 0; lo < rows; lo += 64 {
+				hi := min(lo+64, rows)
+				page := dst[lo:hi]
+				key := laneDot(rowMajor[(lo+rng.Intn(hi-lo))*k:][:k], q)
+				for _, lower := range []bool{true, false} {
+					for _, worst := range []float32{nan, inf, -inf, 0, negZero, key, float32(rng.NormFloat64())} {
+						for i := range page {
+							page[i] = nan // must be overwritten
+						}
+						m := DotPage32(page, block[lo*k:hi*k], q, worst, lower)
+						if want := survivorsGo(page, worst, lower); m != want {
+							t.Fatalf("k=%d rows=%d page at %d lower=%v worst=%v:\n mask     %064b\n portable %064b", k, rows, lo, lower, worst, m, want)
+						}
+					}
+				}
 			}
-			DotPage32(dst, block, q)
 			for r := 0; r < rows; r++ {
 				row := rowMajor[r*k : (r+1)*k]
 				if want := laneDot(row, q); math.Float32bits(dst[r]) != math.Float32bits(want) {
@@ -127,14 +144,14 @@ func TestDotPage32(t *testing.T) {
 			}
 		}
 	}
-	for _, shape := range []struct{ rows, blockLen, k int }{{7, 7 * 3, 3}, {8, 8*3 - 1, 3}, {12, 12 * 2, 2}} {
+	for _, shape := range []struct{ rows, blockLen, k int }{{7, 7 * 3, 3}, {8, 8*3 - 1, 3}, {12, 12 * 2, 2}, {72, 72 * 2, 2}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("no panic on %d rows, block %d, rank %d", shape.rows, shape.blockLen, shape.k)
 				}
 			}()
-			DotPage32(make([]float32, shape.rows), make([]float32, shape.blockLen), make([]float32, shape.k))
+			DotPage32(make([]float32, shape.rows), make([]float32, shape.blockLen), make([]float32, shape.k), 0, true)
 		}()
 	}
 }
@@ -235,15 +252,24 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 		}
 	}
 	// The page kernel owes the portable loop every bit, not an envelope:
-	// both multiply, round, then add, in one order.
+	// both multiply, round, then add, in one order. It is called once per
+	// 64-row page, and its mask owes survivorsGo's over the portable
+	// scores every bit too.
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64} {
 		for _, rows := range []int{8, 24, 64, 72, 136} {
 			q := randVec32(rng, k)
 			block := randVec32(rng, rows*k)
 			clear(block[(rows-GroupRows)*k+k*GroupRows/2:]) // the last group's later factors zero
 			got, want := make([]float32, rows), make([]float32, rows)
-			DotPage32(got, block, q)
-			dotPage32(want, block, q)
+			for lo := 0; lo < rows; lo += 64 {
+				hi := min(lo+64, rows)
+				worst, lower := float32(rng.NormFloat64()), lo%128 == 0
+				m := DotPage32(got[lo:hi], block[lo*k:hi*k], q, worst, lower)
+				dotPage32(want[lo:hi], block[lo*k:hi*k], q)
+				if wantM := survivorsGo(want[lo:hi], worst, lower); m != wantM {
+					t.Fatalf("k=%d rows=%d page at %d: simd mask %064b vs portable %064b", k, rows, lo, m, wantM)
+				}
+			}
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("k=%d rows=%d row %d: simd page %v vs portable page %v", k, rows, i, got[i], want[i])
@@ -262,7 +288,11 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 // metrics. page-speedup-x is the row-major float32 kernel's time over
 // the page kernel's on the same rows, 64 rows a call.
 
-var sink32 float32
+var (
+	sink32 float32
+	// nan32 is the bound of a page the benchmark does not filter.
+	nan32 = float32(math.NaN())
+)
 
 // dotBatchPortable is the scalar reference arm: the portable loop the
 // dispatcher would run under -tags noasm, callable even when SIMD is
@@ -305,7 +335,7 @@ func BenchmarkDotBatch(b *testing.B) {
 				// One call per 64-row page, as a view's scan makes them.
 				for lo := 0; lo < rows; lo += 64 {
 					hi := min(lo+64, rows)
-					DotPage32(dst32[lo:hi], page[lo*rank:hi*rank], q32)
+					DotPage32(dst32[lo:hi], page[lo*rank:hi*rank], q32, nan32, true)
 				}
 				sl[i] = t1.Sub(t0)
 				vl[i] = t2.Sub(t1)

@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX2+FMA row-major batch inner-product kernels (see kernels.go for
-// the dispatch contract), then the dimension-major page kernel and the
-// survivor mask. Both batch kernels process four rows per iteration
+// the dispatch contract), then the dimension-major page kernel, which
+// filters what it scores, and the survivor mask. Both batch kernels process four rows per iteration
 // against one resident query chunk, with a one-row remainder loop.
 // Bit-identity rules the structure:
 //
@@ -274,29 +274,39 @@ done32:
 
 // Page kernel (DotPage32, kernels32.go): a block is groups of 8 rows
 // stored dimension-major, so one YMM load is factor j of a whole group.
-// A pass takes eight groups (64 rows) in Y0–Y7: per factor, one
-// broadcast of q[j] into Y8, then per group one VMULPS and one VADDPS —
-// no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each product
-// rounded, exactly as the portable loop computes it. Factor 0 is a bare
-// VMULPS, which starts the sum from the first product rather than from
-// +0. Leftover groups (fewer than eight) take the one-accumulator loop
-// with the same association. R10 is one group's stride in bytes; R13
-// walks groups 0–3 and R11 groups 4–7 through the factors.
+// A full page, eight groups (64 rows), is one pass in Y0–Y7: per factor,
+// one broadcast of q[j] into Y8, then per group one VMULPS and one
+// VADDPS — no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each
+// product rounded, exactly as the portable loop computes it. Factor 0 is
+// a bare VMULPS, which starts the sum from the first product rather than
+// from +0. A shorter block takes the one-accumulator loop, a group at a
+// time, with the same association. R10 is one group's stride in bytes;
+// R13 walks groups 0–3 and R11 groups 4–7 through the factors.
+//
+// The scores are then filtered while still in registers, as the
+// survivor-mask kernel below does it from memory: flip (Y14) is XORed
+// into each accumulator, which is compared with the flipped bound (Y13)
+// under NGT_UQ, and VMOVMSKPS gives the group's eight bits. The full
+// pass folds the groups last first, eight bits at a time; the group loop
+// shifts each group's bits up by its first row (CX), so it keeps the row
+// count in R12.
 
-// func dotPage32AVX2(dst, block, q []float32)
-TEXT ·dotPage32AVX2(SB), NOSPLIT, $0-72
+// func dotPage32AVX2(dst, block, q []float32, worst float32, flip uint32) uint64
+TEXT ·dotPage32AVX2(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ block_base+24(FP), SI
 	MOVQ q_base+48(FP), DX
 	MOVQ q_len+56(FP), BX
+	VBROADCASTSS flip+76(FP), Y14
+	VBROADCASTSS worst+72(FP), Y13
+	VXORPS Y14, Y13, Y13      // the bound, flipped as the keys will be
+	XORQ AX, AX               // the survivor mask
 	MOVQ BX, R10
 	SHLQ $5, R10              // group stride: rank × 8 floats × 4 bytes
-	LEAQ (R10)(R10*2), R12    // 3 × stride
-
-pass8p:
 	CMPQ CX, $64
 	JL   group1p
+	LEAQ (R10)(R10*2), R12    // 3 × stride
 	MOVQ SI, R13
 	LEAQ (SI)(R10*4), R11
 	MOVQ DX, R9
@@ -345,13 +355,52 @@ next8p:
 	VMOVUPS Y5, 160(DI)
 	VMOVUPS Y6, 192(DI)
 	VMOVUPS Y7, 224(DI)
-	ADDQ $256, DI
-	LEAQ (SI)(R10*8), SI
-	SUBQ $64, CX
-	JMP  pass8p
+	VXORPS Y7, Y14, Y9
+	VCMPPS $0x1A, Y13, Y9, Y9
+	VMOVMSKPS Y9, AX
+	VXORPS Y6, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VMOVMSKPS Y10, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y5, Y14, Y11
+	VCMPPS $0x1A, Y13, Y11, Y11
+	VMOVMSKPS Y11, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y4, Y14, Y12
+	VCMPPS $0x1A, Y13, Y12, Y12
+	VMOVMSKPS Y12, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y3, Y14, Y9
+	VCMPPS $0x1A, Y13, Y9, Y9
+	VMOVMSKPS Y9, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y2, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VMOVMSKPS Y10, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y1, Y14, Y11
+	VCMPPS $0x1A, Y13, Y11, Y11
+	VMOVMSKPS Y11, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y0, Y14, Y12
+	VCMPPS $0x1A, Y13, Y12, Y12
+	VMOVMSKPS Y12, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	JMP  donep
 
 group1p:
-	TESTQ CX, CX
+	MOVQ CX, R12              // rows left
+	XORQ CX, CX               // the group's first row: its bits' shift
+
+group1next:
+	TESTQ R12, R12
 	JE   donep
 	MOVQ SI, R13
 	MOVQ DX, R9
@@ -371,12 +420,19 @@ next1p:
 	DECQ R8
 	JNZ  dim1p
 	VMOVUPS Y0, (DI)
+	VXORPS Y0, Y14, Y9
+	VCMPPS $0x1A, Y13, Y9, Y9
+	VMOVMSKPS Y9, R11
+	SHLQ CX, R11
+	ORQ  R11, AX
+	ADDQ $8, CX
 	ADDQ $32, DI
 	ADDQ R10, SI
-	SUBQ $8, CX
-	JMP  group1p
+	SUBQ $8, R12
+	JMP  group1next
 
 donep:
+	MOVQ AX, ret+80(FP)
 	VZEROUPPER
 	RET
 

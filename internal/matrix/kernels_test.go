@@ -123,11 +123,13 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 // dot4/dot4_32/dotPage32 take the pure-Go path while Dot, DotBatch32 and
 // DotPage32 take the dispatched one. Single-row DotBatch identity is
 // checked on the same inputs, and the page kernel is held to its
-// portable loop bit for bit.
+// portable loop bit for bit, and its mask to survivorsGo's over the
+// portable scores for a fuzzed bound and direction, on one group and on
+// a full 64-row page.
 func FuzzDotKernels(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
-	f.Add(make([]byte, 160))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, float32(0.5), true)
+	f.Add(make([]byte, 160), float32(math.NaN()), false)
+	f.Fuzz(func(t *testing.T, data []byte, worst float32, lowerIsBetter bool) {
 		n := len(data) / 16 // 8 bytes per float, two vectors
 		if n == 0 {
 			return
@@ -180,20 +182,27 @@ func FuzzDotKernels(f *testing.F) {
 		if diff := math.Abs(float64(got32) - float64(dot4_32(a32, b32))); diff > ulpBound32(a32, b32) {
 			t.Fatalf("n=%d: dispatched DotBatch32=%g portable=%g diff=%g", n, got32, dot4_32(a32, b32), diff)
 		}
-		// The page kernel on one group whose row l is b32 rotated by l:
-		// dispatched against portable, every bit.
-		page := make([]float32, GroupRows*n)
-		for l := 0; l < GroupRows; l++ {
+		// The page kernel on a full page whose row r is b32 rotated by r
+		// (row 0 is b32 itself), then on its first group alone:
+		// dispatched against portable, every bit, mask included.
+		const pageRows = 64
+		page := make([]float32, pageRows*n)
+		for r := 0; r < pageRows; r++ {
 			for j := 0; j < n; j++ {
-				page[j*GroupRows+l] = b32[(j+l)%n]
+				page[r/GroupRows*GroupRows*n+j*GroupRows+r%GroupRows] = b32[(j+r)%n]
 			}
 		}
-		scores, ref := make([]float32, GroupRows), make([]float32, GroupRows)
-		DotPage32(scores, page, a32)
-		dotPage32(ref, page, a32)
-		for l := range scores {
-			if math.Float32bits(scores[l]) != math.Float32bits(ref[l]) {
-				t.Fatalf("n=%d row %d: dispatched DotPage32=%g portable=%g", n, l, scores[l], ref[l])
+		scores, ref := make([]float32, pageRows), make([]float32, pageRows)
+		for _, rows := range []int{pageRows, GroupRows} {
+			m := DotPage32(scores[:rows], page[:rows*n], a32, worst, lowerIsBetter)
+			dotPage32(ref[:rows], page[:rows*n], a32)
+			for r := 0; r < rows; r++ {
+				if math.Float32bits(scores[r]) != math.Float32bits(ref[r]) {
+					t.Fatalf("n=%d rows=%d row %d: dispatched DotPage32=%g portable=%g", n, rows, r, scores[r], ref[r])
+				}
+			}
+			if want := survivorsGo(ref[:rows], worst, lowerIsBetter); m != want {
+				t.Fatalf("n=%d rows=%d worst=%v lower=%v: mask %064b, portable %064b", n, rows, worst, lowerIsBetter, m, want)
 			}
 		}
 		if diff := math.Abs(float64(scores[0]) - want32); diff > ulpBound32(a32, b32) {

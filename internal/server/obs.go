@@ -171,7 +171,8 @@ const latencySampleMask = 7
 //     request carrying a valid X-Amf-Trace header (stamped by the
 //     gateway) opens a span under the gateway's trace ID, adopts that
 //     ID as its request ID (so gateway and shard log lines correlate),
-//     and rides the timed path for an exact duration — but does NOT
+//     and rides the timed path for an exact duration, timed from the
+//     span's own start stamp (one clock read for both) — but does NOT
 //     perturb the latency histograms: the 1-in-8 sampling counter
 //     still decides which requests are recorded, traced or not. The
 //     span reaches the route as an argument (see spanHandler), not
@@ -210,7 +211,13 @@ func (s *Server) handleSpan(pattern string, h spanHandler) {
 		timed := sampled || s.logDebug || sp != nil
 		var start time.Time
 		if timed {
-			start = time.Now()
+			// An adopted span was stamped just above: its start is the
+			// request's.
+			if sp != nil {
+				start = sp.Start
+			} else {
+				start = time.Now()
+			}
 			if vals := r.Header[requestIDHeader]; rid == "" && len(vals) > 0 {
 				rid = vals[0]
 			}

@@ -39,7 +39,7 @@ type Server struct {
 	services *registry.Registry
 	base     time.Time
 	now      func() time.Time
-	mux      *http.ServeMux
+	mux      Mux
 
 	// churn orders departures against observes: observe (both doors)
 	// holds it shared from resolving a name until the engine has the
@@ -165,7 +165,6 @@ func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 	// slow-log warning is a span worth retaining past ring churn.
 	s.traces = trace.NewRecorder(trace.Config{SlowThreshold: s.slowThreshold})
 	s.base = s.now()
-	s.mux = http.NewServeMux()
 	s.buildMetrics()
 	s.routes()
 	return s
@@ -197,7 +196,7 @@ func (s *Server) Close() {
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Handler returns the HTTP handler for the service.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return &s.mux }
 
 func (s *Server) routes() {
 	s.handle("GET /healthz", s.handleHealth)
