@@ -51,12 +51,13 @@ lint-tunables:
 	$(GO) test -run TestTunablesDocumented ./internal/cluster/
 
 # Overload-control gate: the class-contract stress tests (critical is
-# never shed while sheddable is), the tunable registry suite, and the
-# gateway edge-shed tests, all under the race detector.
+# never shed while sheddable is), the tunable registry suite, the
+# gateway edge-shed tests and the relay of a backend's shed headers
+# (what a shed client needs to back off), all under the race detector.
 test-overload:
 	$(GO) test -race ./internal/control/
 	$(GO) test -race -run 'TestAdmission|TestConfigAPI' ./internal/server/
-	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable' ./internal/cluster/
+	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable|TestGatewayRelaysShedHeaders' ./internal/cluster/
 
 # Formatting leg: the walk covers bench/ too; any printed name fails.
 fmt:

@@ -26,21 +26,48 @@ import (
 // concurrently inside it.
 const scrapeTimeout = 5 * time.Second
 
-// derivedFamily describes one gauge family the gateway computes from
-// probe state and scraped pages rather than re-exporting.
-type derivedFamily struct{ name, help string }
-
-var derivedFamilies = []derivedFamily{
+// derivedFamilies are the gauge families the gateway computes from probe
+// state and scraped pages rather than re-exporting, each with its value
+// for one replica (false: the replica has no sample in the family).
+var derivedFamilies = []struct {
+	name, help string
+	value      func(sc *scrapedReplica) (string, bool)
+}{
 	{"amf_cluster_replication_lag_seqs",
-		"WAL records a follower is behind its group leader (leader wal_seq - follower applied_seq, as of the last probe)."},
+		"WAL records a follower is behind its group leader (leader wal_seq - follower applied_seq, as of the last probe).",
+		func(sc *scrapedReplica) (string, bool) {
+			lead := sc.grp.leader.Load()
+			if lead == nil || sc.rep == lead || sc.rep.role.Load() == 1 {
+				return "", false
+			}
+			return strconv.FormatInt(max(int64(lead.walSeq.Load())-int64(sc.rep.appliedSeq.Load()), 0), 10), true
+		}},
 	{"amf_cluster_replication_lag_seconds",
-		"How long a follower has continuously been behind its leader's WAL tail (0 when caught up)."},
+		"How long a follower has continuously been behind its leader's WAL tail (0 when caught up).",
+		func(sc *scrapedReplica) (string, bool) {
+			secs := math.Float64frombits(sc.rep.lagSecs.Load())
+			return strconv.FormatFloat(secs, 'g', -1, 64), sc.rep.role.Load() != 1
+		}},
 	{"amf_cluster_checkpoint_age_seconds",
-		"Per-replica checkpoint age from the federated scrape (0 for non-durable replicas)."},
+		"Per-replica checkpoint age from the federated scrape (0 for non-durable replicas).",
+		func(sc *scrapedReplica) (string, bool) {
+			if sc.tm == nil {
+				return "", false
+			}
+			age, _ := sc.tm.Value("amf_checkpoint_age_seconds", nil) // 0 when absent
+			return strconv.FormatFloat(age, 'g', -1, 64), true
+		}},
 	{"amf_cluster_replica_epoch",
-		"Durable directory claim epoch per replica (0 = non-durable)."},
+		"Durable directory claim epoch per replica (0 = non-durable).",
+		func(sc *scrapedReplica) (string, bool) { return strconv.FormatUint(sc.rep.epoch.Load(), 10), true }},
 	{"amf_cluster_replica_fenced",
-		"1 when a replica lost its durable directory claim and no longer accepts writes."},
+		"1 when a replica lost its durable directory claim and no longer accepts writes.",
+		func(sc *scrapedReplica) (string, bool) {
+			if sc.rep.fenced.Load() {
+				return "1", true
+			}
+			return "0", true
+		}},
 }
 
 // scrapedReplica is one replica's parsed /metrics page (nil on scrape
@@ -71,7 +98,7 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(sc *scrapedReplica) {
 			defer wg.Done()
-			tm, err := g.scrapeReplica(ctx, sc.rep.url)
+			tm, err := g.scrapeReplica(ctx, sc.rep)
 			if err != nil {
 				g.scrapeErrors.Inc()
 				g.log.Warn("federation scrape failed", "replica", sc.rep.url, "err", err)
@@ -113,12 +140,8 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // scrapeReplica fetches and strictly parses one replica's /metrics.
-func (g *Gateway) scrapeReplica(ctx context.Context, url string) (*obs.TextMetrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.http.Do(req)
+func (g *Gateway) scrapeReplica(ctx context.Context, rep *replica) (*obs.TextMetrics, error) {
+	resp, err := g.send(ctx, controlCall, http.MethodGet, rep.at("/metrics"), rep.span, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,54 +168,11 @@ func (g *Gateway) selfPage() (*obs.TextMetrics, error) {
 // probe state too, so they survive scrape failures; checkpoint age is
 // lifted from the scraped pages (the probe does not carry it).
 func (g *Gateway) writeDerived(buf *bytes.Buffer, scrapes []*scrapedReplica) {
-	sampleLine := func(name string, grp *group, rep *replica, value string) {
-		fmt.Fprintf(buf, "%s{group=%q,replica=%q} %s\n", name, grp.name, rep.url, value)
-	}
 	for _, d := range derivedFamilies {
 		fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s gauge\n", d.name, d.help, d.name)
-		switch d.name {
-		case "amf_cluster_replication_lag_seqs":
-			for _, sc := range scrapes {
-				lead := sc.grp.leader.Load()
-				if lead == nil || sc.rep == lead || sc.rep.role.Load() == 1 {
-					continue
-				}
-				lag := int64(lead.walSeq.Load()) - int64(sc.rep.appliedSeq.Load())
-				if lag < 0 {
-					lag = 0
-				}
-				sampleLine(d.name, sc.grp, sc.rep, strconv.FormatInt(lag, 10))
-			}
-		case "amf_cluster_replication_lag_seconds":
-			for _, sc := range scrapes {
-				if sc.rep.role.Load() == 1 {
-					continue
-				}
-				secs := math.Float64frombits(sc.rep.lagSecs.Load())
-				sampleLine(d.name, sc.grp, sc.rep, strconv.FormatFloat(secs, 'g', -1, 64))
-			}
-		case "amf_cluster_checkpoint_age_seconds":
-			for _, sc := range scrapes {
-				if sc.tm == nil {
-					continue
-				}
-				age, ok := sc.tm.Value("amf_checkpoint_age_seconds", nil)
-				if !ok {
-					age = 0
-				}
-				sampleLine(d.name, sc.grp, sc.rep, strconv.FormatFloat(age, 'g', -1, 64))
-			}
-		case "amf_cluster_replica_epoch":
-			for _, sc := range scrapes {
-				sampleLine(d.name, sc.grp, sc.rep, strconv.FormatUint(sc.rep.epoch.Load(), 10))
-			}
-		case "amf_cluster_replica_fenced":
-			for _, sc := range scrapes {
-				v := "0"
-				if sc.rep.fenced.Load() {
-					v = "1"
-				}
-				sampleLine(d.name, sc.grp, sc.rep, v)
+		for _, sc := range scrapes {
+			if v, ok := d.value(sc); ok {
+				fmt.Fprintf(buf, "%s{group=%q,replica=%q} %s\n", d.name, sc.grp.name, sc.rep.url, v)
 			}
 		}
 	}

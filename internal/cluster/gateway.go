@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/control"
+	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
 	"github.com/qoslab/amf/internal/server"
@@ -37,10 +38,9 @@ type Config struct {
 	// so the value must be equal cluster-wide and ships as the default.
 	// The field is how tests and bench/ build their rings.
 	VNodes int
-	// ProbeInterval is the health-probe cadence (default 500ms).
+	// ProbeInterval is the health-probe cadence (default 500ms). One
+	// probe request is bounded by min(ProbeInterval, 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request (default min(interval, 1s)).
-	ProbeTimeout time.Duration
 	// Failover enables automatic leader promotion: when a group's leader
 	// stays unreachable for DownAfter consecutive probe rounds, the
 	// reachable follower with the highest applied sequence is promoted
@@ -54,9 +54,6 @@ type Config struct {
 	// measured slower than the single hop (DESIGN.md "Cluster &
 	// replication"). The field stays only because bench/ still sets it.
 	FanOutThreshold int
-	// MaxBody bounds proxied request bodies (default server.MaxBodyBytes,
-	// the bound the backends apply themselves).
-	MaxBody int64
 	// EdgeShed enables edge shedding: sheddable-class requests aimed at
 	// a shard group whose probed shed rate is at or above ShedThreshold
 	// are refused at the gateway (429 + Retry-After) without a backend
@@ -67,16 +64,19 @@ type Config struct {
 	ShedThreshold float64
 	// Logger receives lifecycle and failover events (default slog.Default()).
 	Logger *slog.Logger
-	// HTTP is the client for proxying and probing; nil builds one with a
-	// connection pool sized for concurrent proxying. Proxied requests go
-	// to its Transport directly: a backend's redirect is relayed, never
-	// followed, and a non-zero Timeout bounds each backend hop.
+	// HTTP is the client of every backend call — proxied requests, the
+	// multi-group observe's buckets, failover control calls, health probes
+	// and federation scrapes; nil builds one with a connection pool sized
+	// for concurrent proxying. Every call goes to its Transport directly,
+	// bounded by its Timeout when that is non-zero: a backend's redirect
+	// is relayed, never followed.
 	HTTP *http.Client
 }
 
 // replica is one amfserver the gateway proxies to.
 type replica struct {
-	url string
+	url  string
+	base url.URL // url, parsed
 	// The hot routes' backend URLs, parsed once: an outgoing request is
 	// built around one of these instead of re-parsing url per request.
 	observeURL, predictURL, rankURL *url.URL
@@ -97,22 +97,27 @@ func (rep *replica) Health() Health { return Health(rep.health.Load()) }
 
 func newReplica(base string) (*replica, error) {
 	rep := &replica{url: strings.TrimRight(base, "/")}
-	var err error
-	parse := func(path string) *url.URL {
-		u, perr := url.Parse(rep.url + path)
-		if perr != nil {
-			err = fmt.Errorf("replica URL: %w", perr)
-		}
-		return u
-	}
-	rep.observeURL = parse("/api/v1/observe")
-	rep.predictURL = parse("/api/v1/predict")
-	rep.rankURL = parse("/api/v1/rank")
+	u, err := url.Parse(rep.url)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("replica URL: %w", err)
 	}
-	rep.span = "backend " + rep.rankURL.Host
+	rep.base = *u
+	rep.observeURL = rep.at("/api/v1/observe")
+	rep.predictURL = rep.at("/api/v1/predict")
+	rep.rankURL = rep.at("/api/v1/rank")
+	rep.span = "backend " + u.Host
 	return rep, nil
+}
+
+// at returns the URL of the replica's route path: its base URL with path
+// appended, as url.Parse(rep.url + path) would read it.
+func (rep *replica) at(path string) *url.URL {
+	u := rep.base
+	u.Path += path
+	if u.RawPath != "" {
+		u.RawPath += path
+	}
+	return &u
 }
 
 // group is one user shard: a set of replicas over one WAL lineage.
@@ -164,14 +169,8 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = min(cfg.ProbeInterval, time.Second)
-	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = server.MaxBodyBytes
 	}
 	if cfg.ShedThreshold <= 0 {
 		cfg.ShedThreshold = 0.5
@@ -328,9 +327,9 @@ const requestIDHeader = "X-Request-Id"
 // request itself: the root span of its trace, the X-Amf-Trace value that
 // names it to backends, and its SLO class (parsed once from
 // X-Amf-Slo-Class). timed() builds it on its stack and passes it down as
-// an argument — to the route handler and from there to route, edgeShed,
-// forward and postJSON — so no leg re-parses a header and the request is
-// never copied to carry it.
+// an argument — to the route handler and from there to edgeShed, forward
+// and send — so no leg re-parses a header and the request is never copied
+// to carry it.
 type call struct {
 	span  *trace.Span
 	trace []string // X-Amf-Trace header value; nil on an untraced call
@@ -338,7 +337,8 @@ type call struct {
 }
 
 // controlCall is the call of a request the gateway makes on its own
-// (failover and demotion control calls): untraced, standard class.
+// (failover and demotion control calls, probes, scrapes): untraced,
+// standard class.
 var controlCall = call{class: control.Standard}
 
 // proxyHandler is a proxied route behind timed().
@@ -394,38 +394,7 @@ func stamp(req *http.Request, c call) {
 	req.Header[control.ClassHeader] = classValues[c.class]
 }
 
-// roundTrip sends one backend request straight through the client's
-// transport (http.DefaultTransport when it has none). http.Client.Do
-// would clone the request's headers and keep redirect bookkeeping on
-// every call for redirects a proxy never follows: a backend's 3xx is
-// relayed to the client like any other status. What the client still
-// contributes is its Timeout, which bounds the hop — body included —
-// through the request context.
-func (g *Gateway) roundTrip(req *http.Request) (*http.Response, error) {
-	rt := g.http.Transport
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	var cancel context.CancelFunc
-	if g.http.Timeout > 0 {
-		var ctx context.Context
-		ctx, cancel = context.WithTimeout(req.Context(), g.http.Timeout)
-		req = req.WithContext(ctx)
-	}
-	resp, err := rt.RoundTrip(req)
-	if err != nil {
-		if cancel != nil {
-			cancel()
-		}
-		return nil, &url.Error{Op: req.Method, URL: req.URL.Redacted(), Err: err}
-	}
-	if cancel != nil {
-		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
-	}
-	return resp, nil
-}
-
-// cancelBody ends a timed round trip's context when its body is closed.
+// cancelBody ends a timed backend call's context when its body is closed.
 type cancelBody struct {
 	io.ReadCloser
 	cancel context.CancelFunc
@@ -491,62 +460,6 @@ func (grp *group) readTarget() *replica {
 	return grp.replicas[start%n]
 }
 
-// proxyBufPool recycles the request-marshal and response-read buffers
-// under postJSON: one of each per observe bucket or control call.
-var proxyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// postJSON sends one JSON sub-request and decodes the 200 response into
-// out. Non-200 answers surface as errors carrying the backend's message.
-func (g *Gateway) postJSON(ctx context.Context, c call, url string, body, out any) error {
-	buf := proxyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer proxyBufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(body); err != nil {
-		return fmt.Errorf("cluster: marshal: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	stamp(req, c)
-	child := g.traces.StartChild(c.span, "backend "+req.URL.Host)
-	resp, err := g.roundTrip(req)
-	if err != nil {
-		child.SetError()
-		child.FinishNow()
-		g.proxyErrors.Inc()
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		child.SetError()
-	}
-	child.FinishNow()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		g.proxyErrors.Inc()
-		var apiErr server.ErrorResponse
-		msg := resp.Status
-		if decodeErr := json.NewDecoder(resp.Body).Decode(&apiErr); decodeErr == nil && apiErr.Error != "" {
-			msg = apiErr.Error
-		}
-		return &backendError{status: resp.StatusCode, msg: msg}
-	}
-	if out == nil {
-		// Drain so the keep-alive connection goes back to the pool.
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	rbuf := proxyBufPool.Get().(*bytes.Buffer)
-	rbuf.Reset()
-	defer proxyBufPool.Put(rbuf)
-	if _, err := rbuf.ReadFrom(resp.Body); err != nil {
-		g.proxyErrors.Inc()
-		return fmt.Errorf("cluster: read response: %w", err)
-	}
-	return json.Unmarshal(rbuf.Bytes(), out)
-}
-
 // bytesBody is an outgoing request body over bytes the caller keeps.
 type bytesBody struct{ bytes.Reader }
 
@@ -558,20 +471,28 @@ func newBytesBody(b []byte) *bytesBody {
 	return body
 }
 
-// forward proxies one request verbatim to one backend — body bytes
-// untouched (nil for a GET) — and streams the response straight through:
-// the path of every request but a multi-group observe. Skipping the
-// gateway-side decode/re-encode of both body and response is what keeps
-// the proxy hop within the 15% overhead budget on large ranking queries.
-// The outgoing request is assembled around the replica's parsed URL;
-// http.NewRequest would parse it again, wrap the body twice and
-// canonicalise headers that are already canonical.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body []byte) {
+// send is the gateway's one way to call a replica: proxied requests, the
+// multi-group observe's buckets, failover control calls, health probes
+// and federation scrapes. It builds the request around a parsed URL
+// (net/http's constructors would parse it again, wrap the body twice and
+// re-canonicalise canonical headers), stamps the call on it, times it as
+// a child span of the call's root, and hands it to the client's transport
+// directly: http.Client.Do would clone the headers and keep bookkeeping
+// for redirects the gateway never follows — a backend's 3xx is an answer
+// like any other. The client's Timeout still bounds the call, response
+// body included. A non-empty body goes as JSON and must stay unchanged
+// until the response is closed. A non-200 answer marks the span failed;
+// counting failures is the caller's.
+func (g *Gateway) send(ctx context.Context, c call, method string, u *url.URL, span string, body []byte) (*http.Response, error) {
+	var cancel context.CancelFunc
+	if g.http.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, g.http.Timeout)
+	}
 	req := (&http.Request{
 		Method: method, URL: u, Host: u.Host,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: make(http.Header, 3),
-	}).WithContext(r.Context())
+	}).WithContext(ctx)
 	if len(body) > 0 {
 		req.Body, req.ContentLength = newBytesBody(body), int64(len(body))
 		// The transport replays the body when it retries on a keep-alive
@@ -582,21 +503,44 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method
 	// Tracing and class propagation touch headers only: the body and the
 	// response still stream through untouched.
 	stamp(req, c)
-	child := g.traces.StartChild(c.span, rep.span)
-	resp, err := g.roundTrip(req)
-	if err != nil {
+	rt := g.http.Transport
+	if rt == nil {
+		rt = http.DefaultTransport
+	}
+	child := g.traces.StartChild(c.span, span)
+	resp, err := rt.RoundTrip(req)
+	switch {
+	case err != nil:
+		err = &url.Error{Op: method, URL: u.Redacted(), Err: err}
+		if cancel != nil {
+			cancel()
+		}
+	case cancel != nil:
+		resp.Body = &cancelBody{ReadCloser: resp.Body, cancel: cancel}
+	}
+	if err != nil || resp.StatusCode != http.StatusOK {
 		child.SetError()
-		child.FinishNow()
+	}
+	child.FinishNow()
+	return resp, err
+}
+
+// forward proxies one request verbatim to one backend — body bytes
+// untouched (nil for a GET) — and streams the response straight through:
+// the path of every request but a multi-group observe. Skipping the
+// gateway-side decode/re-encode of both body and response is what keeps
+// the proxy hop within the 15% overhead budget on large ranking queries.
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body []byte) {
+	resp, err := g.send(r.Context(), c, method, u, rep.span, body)
+	if err != nil {
 		g.proxyErrors.Inc()
 		g.writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		child.SetError()
 		g.proxyErrors.Inc()
 	}
-	child.FinishNow()
 	copyResponse(w, resp)
 }
 
@@ -654,37 +598,17 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 }
 
 // readBody reads a proxied request body whole, answering 413 past
-// MaxBody. The bytes are the request's own, not pooled: the transport
-// may still be writing them to a backend that answered early when the
-// handler returns.
+// server.MaxBodyBytes, the bound the backends apply themselves. The
+// bytes are the request's own, not pooled: the transport may still be
+// writing them to a backend that answered early when the handler
+// returns.
 func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := server.ReadBody(w, r, g.cfg.MaxBody, nil)
+	raw, err := server.ReadBody(w, r, server.MaxBodyBytes, nil)
 	if err != nil {
 		g.writeError(w, server.BodyErrorStatus(err), "read body: %v", err)
 		return nil, false
 	}
 	return raw, true
-}
-
-// backendError carries a backend's HTTP status out of postJSON so the
-// gateway can relay it instead of flattening everything to 502.
-type backendError struct {
-	status int
-	msg    string
-}
-
-func (e *backendError) Error() string { return fmt.Sprintf("%s (HTTP %d)", e.msg, e.status) }
-
-// relayStatus picks the gateway's response status for a failed backend
-// call: backend HTTP statuses pass through (404 unknown user stays 404,
-// 503 follower/drain stays 503 so clients retry), transport errors
-// become 502.
-func relayStatus(err error) int {
-	var be *backendError
-	if errors.As(err, &be) {
-		return be.status
-	}
-	return http.StatusBadGateway
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -750,13 +674,17 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleObserve splits an observation batch by user shard and forwards
-// each bucket to its group leader concurrently. Observations are SGD
-// training steps, not idempotent upserts, so the failure status is
-// chosen by what was applied: if NO bucket succeeded the backend's
-// status passes through (a 503 invites a retry, which is safe — nothing
-// trained), but once ANY bucket succeeded a retryable status would
-// double-train the successful buckets on resend, so partial failure is
-// reported as a non-retryable 500.
+// each bucket to its group leader concurrently. The batch is decoded by
+// the backends' own codec and held to their own checks first
+// (server.CheckObservations), so a batch one server would refuse is
+// refused whole, before any shard trains on part of it. Observations are
+// SGD training steps, not idempotent upserts, so the failure status is
+// chosen by what was applied: if NO bucket succeeded, a failing backend's
+// answer passes through verbatim — status, refusal headers and body; a
+// 503 invites a retry, which is safe, as nothing trained — but once ANY
+// bucket succeeded a retryable status would double-train the successful
+// buckets on resend, so partial failure is reported as a non-retryable
+// 500.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) {
 	raw, ok := g.readBody(w, r)
 	if !ok {
@@ -772,80 +700,145 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 		g.forward(w, r, c, http.MethodPost, rep, rep.observeURL, raw)
 		return
 	}
-	var req server.ObserveRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	d := server.AcquireDecoder()
+	defer d.Release()
+	// No list bound here: each backend applies its own to its bucket.
+	obs, err := d.Observe(raw, math.MaxInt)
+	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
 	}
-	if len(req.Observations) == 0 {
+	if len(obs) == 0 {
 		g.writeError(w, http.StatusBadRequest, "no observations")
 		return
 	}
-	buckets := make(map[*group][]server.Observation)
-	for _, o := range req.Observations {
-		grp := g.groupFor(o.User)
+	if err := server.CheckObservations(obs); err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	var parts []bucket // one per group the batch touches, in first-touch order
+	for _, o := range obs {
+		grp := g.groupAt(hash64(o.User))
 		if grp == nil {
 			g.unavailable(w)
 			return
 		}
-		buckets[grp] = append(buckets[grp], o)
-	}
-	// Edge shedding is all-or-nothing for a batch: refusing only the
-	// saturated groups' buckets would leave the same partial-application
-	// hazard the error path below exists for, so a sheddable batch
-	// touching ANY saturated group is refused whole (nothing trained,
-	// retry is safe).
-	targets := make([]*group, 0, len(buckets))
-	for grp := range buckets {
-		targets = append(targets, grp)
-	}
-	if g.edgeShed(w, c, targets...) {
-		return
-	}
-	var (
-		mu       sync.Mutex
-		merged   server.ObserveResponse
-		firstErr error
-		okGroups int
-		wg       sync.WaitGroup
-	)
-	for grp, obsBatch := range buckets {
-		wg.Add(1)
-		go func(grp *group, obsBatch []server.Observation, c call) {
-			defer wg.Done()
-			var resp server.ObserveResponse
-			err := g.postJSON(r.Context(), c, grp.writeTarget().url+"/api/v1/observe",
-				server.ObserveRequest{Observations: obsBatch}, &resp)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("group %s: %w", grp.name, err)
-				}
+		k := slices.IndexFunc(parts, func(b bucket) bool { return b.grp == grp })
+		if k < 0 {
+			// Edge shedding is all-or-nothing for a batch: refusing only
+			// the saturated groups' buckets would leave the same
+			// partial-application hazard the error path below exists for,
+			// so a sheddable batch touching ANY saturated group is refused
+			// whole, before anything is sent (retry is safe).
+			if g.edgeShed(w, c, grp) {
 				return
 			}
-			okGroups++
-			merged.Accepted += resp.Accepted
-			merged.NewUsers += resp.NewUsers
-			merged.NewServices += resp.NewServices
-		}(grp, obsBatch, c)
+			k = len(parts)
+			parts = append(parts, bucket{grp: grp})
+		}
+		parts[k].obs = append(parts[k].obs, o)
+	}
+	var wg sync.WaitGroup
+	for k := range parts {
+		wg.Add(1)
+		go func(b *bucket) {
+			defer wg.Done()
+			g.observeBucket(r.Context(), c, b)
+		}(&parts[k])
 	}
 	wg.Wait()
-	if firstErr != nil {
-		if okGroups == 0 {
-			// Nothing was applied anywhere: relay the backend's status
-			// verbatim — retrying the whole batch is safe.
-			g.writeError(w, relayStatus(firstErr), "observe: %v", firstErr)
-			return
+
+	var (
+		merged  server.ObserveResponse
+		applied int
+		failed  *bucket
+	)
+	for k := range parts {
+		b := &parts[k]
+		switch {
+		case b.resp != nil:
+			defer b.resp.Body.Close()
+		case b.err == nil:
+			applied++
+			merged.Accepted += b.out.Accepted
+			merged.NewUsers += b.out.NewUsers
+			merged.NewServices += b.out.NewServices
+			continue
 		}
+		// A backend's answer tells the client more than a transport error.
+		if failed == nil || failed.resp == nil && b.resp != nil {
+			failed = b
+		}
+	}
+	switch {
+	case failed == nil:
+		g.writeJSON(w, http.StatusOK, merged)
+	case applied == 0 && failed.resp != nil:
+		// Nothing was applied anywhere: relay the backend's answer
+		// verbatim — retrying the whole batch is safe.
+		copyResponse(w, failed.resp)
+	case applied == 0:
+		g.writeError(w, http.StatusBadGateway, "observe: group %s: %v", failed.grp.name, failed.err)
+	default:
 		// Partial application: some groups trained their models, some did
 		// not. Never relay a retryable status here (see handler comment).
+		why := fmt.Sprint(failed.err)
+		if failed.resp != nil {
+			why = refusal(failed.resp)
+		}
 		g.writeError(w, http.StatusInternalServerError,
-			"observe: partially applied (%d observations accepted, %d of %d groups); not retryable: %v",
-			merged.Accepted, okGroups, len(buckets), firstErr)
+			"observe: partially applied (%d observations accepted, %d of %d groups); not retryable: group %s: %s",
+			merged.Accepted, applied, len(parts), failed.grp.name, why)
+	}
+}
+
+// bucket is one shard group's part of a split observe and what became of
+// it: the backend's answer, a refusal kept open for relaying, or an error.
+type bucket struct {
+	grp  *group
+	obs  []ingest.Observation
+	out  server.ObserveResponse
+	resp *http.Response // a non-200 answer, body unread
+	err  error
+}
+
+// observeBucket encodes one bucket with the backends' codec and sends it
+// to its group's leader.
+func (g *Gateway) observeBucket(ctx context.Context, c call, b *bucket) {
+	body, err := server.AppendObserveRequest(nil, b.obs)
+	if err != nil { // CheckObservations lets no such value through
+		b.err = err
 		return
 	}
-	g.writeJSON(w, http.StatusOK, merged)
+	rep := b.grp.writeTarget()
+	resp, err := g.send(ctx, c, http.MethodPost, rep.observeURL, rep.span, body)
+	switch {
+	case err != nil:
+		b.err = err
+	case resp.StatusCode != http.StatusOK:
+		b.resp = resp
+	default:
+		defer resp.Body.Close()
+		var raw []byte
+		if raw, err = io.ReadAll(resp.Body); err != nil {
+			b.err = fmt.Errorf("read response: %w", err)
+			break
+		}
+		b.err = json.Unmarshal(raw, &b.out)
+		return
+	}
+	g.proxyErrors.Inc()
+}
+
+// refusal describes a backend's non-200 answer by the message of its
+// error body and its status, reading the body.
+func refusal(resp *http.Response) string {
+	msg := resp.Status
+	var e server.ErrorResponse
+	if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return fmt.Sprintf("%s (HTTP %d)", msg, resp.StatusCode)
 }
 
 // handlePredict proxies a single prediction to a read replica of the
@@ -951,14 +944,10 @@ func (g *Gateway) probeAll() {
 // probe fetches one replica's cluster status and updates its health,
 // role, and sequence numbers.
 func (g *Gateway) probe(rep *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(g.cfg.ProbeInterval, time.Second))
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/api/v1/cluster/status", nil)
-	if err != nil {
-		return
-	}
 	start := time.Now()
-	resp, err := g.http.Do(req)
+	resp, err := g.send(ctx, controlCall, http.MethodGet, rep.at("/api/v1/cluster/status"), rep.span, nil)
 	g.probeLatency.Observe(time.Since(start).Seconds())
 	if err == nil {
 		defer resp.Body.Close()
@@ -968,13 +957,11 @@ func (g *Gateway) probe(rep *replica) {
 	}
 	if err != nil {
 		g.probeErrors.Inc()
-		fails := rep.fails.Add(1)
-		switch {
-		case int(fails) >= g.cfg.DownAfter:
-			rep.health.Store(int32(Down))
-		default:
-			rep.health.Store(int32(Suspect))
+		health := Suspect
+		if int(rep.fails.Add(1)) >= g.cfg.DownAfter {
+			health = Down
 		}
+		rep.health.Store(int32(health))
 		return
 	}
 	var st server.ClusterStatusResponse
@@ -1061,8 +1048,7 @@ func (g *Gateway) demoteStale(grp *group, claimants []*replica, winner *replica)
 		if rep == winner || rep.epoch.Load() >= winner.epoch.Load() {
 			continue
 		}
-		if err := g.postJSON(ctx, controlCall, rep.url+"/api/v1/demote",
-			map[string]string{"leader": winner.url}, nil); err != nil {
+		if err := g.control(ctx, rep, "/api/v1/demote", winner.url); err != nil {
 			// The stale claimant stays routed-around (the winner holds the
 			// leader pointer); the next probe round retries the demotion.
 			g.log.Warn("demoting stale leader failed",
@@ -1101,7 +1087,7 @@ func (g *Gateway) failover(grp *group) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := g.postJSON(ctx, controlCall, candidate.url+"/api/v1/promote", struct{}{}, nil); err != nil {
+	if err := g.control(ctx, candidate, "/api/v1/promote", ""); err != nil {
 		g.log.Warn("promotion failed", "group", grp.name, "candidate", candidate.url, "err", err)
 		return
 	}
@@ -1114,9 +1100,30 @@ func (g *Gateway) failover(grp *group) {
 		if rep == candidate || rep.Health() == Down {
 			continue
 		}
-		if err := g.postJSON(ctx, controlCall, rep.url+"/api/v1/cluster/leader",
-			map[string]string{"leader": candidate.url}, nil); err != nil {
+		if err := g.control(ctx, rep, "/api/v1/cluster/leader", candidate.url); err != nil {
 			g.log.Warn("re-pointing follower failed", "follower", rep.url, "err", err)
 		}
 	}
+}
+
+// control posts one failover control call to a replica — promote (no
+// leader), or demote and re-point, naming the leader — and reports a
+// refusal as an error carrying the backend's message.
+func (g *Gateway) control(ctx context.Context, rep *replica, path, leader string) error {
+	var body []byte
+	if leader != "" {
+		body, _ = json.Marshal(map[string]string{"leader": leader}) // cannot fail
+	}
+	resp, err := g.send(ctx, controlCall, http.MethodPost, rep.at(path), rep.span, body)
+	if err == nil {
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			// Drain so the keep-alive connection goes back to the pool.
+			_, _ = io.Copy(io.Discard, resp.Body)
+			return nil
+		}
+		err = errors.New(refusal(resp))
+	}
+	g.proxyErrors.Inc()
+	return err
 }

@@ -287,8 +287,8 @@ func TestTraceFollowsObserveAcrossGatewayAndShard(t *testing.T) {
 }
 
 // TestTraceFollowsBucketedObserve: the multi-group observe path splits
-// the batch per shard through postJSON — every touched shard must adopt
-// the same trace ID.
+// the batch per shard, one backend call per bucket — every touched shard
+// must adopt the same trace ID.
 func TestTraceFollowsBucketedObserve(t *testing.T) {
 	_, ts0 := backend(t)
 	_, ts1 := backend(t)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
+	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/server"
 )
 
@@ -193,7 +195,7 @@ func TestGatewayRelaysRedirect(t *testing.T) {
 // TestGatewayRelaysShedHeaders: a backend's refusal reaches the client
 // with the headers that tell it what to do — a shed 429's Retry-After
 // and X-Amf-Shed-Reason, a follower's 503's X-Amf-Leader too — on every
-// proxied route.
+// proxied route, and from a split observe whose every bucket is refused.
 func TestGatewayRelaysShedHeaders(t *testing.T) {
 	for _, refusal := range []struct {
 		code    int
@@ -202,39 +204,93 @@ func TestGatewayRelaysShedHeaders(t *testing.T) {
 		{http.StatusTooManyRequests, map[string]string{"Retry-After": "7", server.ShedReasonHeader: "slo_budget"}},
 		{http.StatusServiceUnavailable, map[string]string{"Retry-After": "1", server.ShedReasonHeader: "follower", "X-Amf-Leader": "http://leader:8081"}},
 	} {
-		ts := statusBackend(t, func(w http.ResponseWriter, _ *http.Request) {
+		refuse := func(w http.ResponseWriter, _ *http.Request) {
 			for k, v := range refusal.headers {
 				w.Header().Set(k, v)
 			}
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(refusal.code)
 			_, _ = w.Write([]byte(`{"error":"refused"}`))
-		})
-		g := newGateway(t, [][]string{{ts.URL}}, nil)
-		for _, tc := range []struct {
-			method, path string
-			body         any
-		}{
-			{http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil},
-			{http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 3}},
-			{http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{{User: "u1", Service: "s1", Value: 1}}}},
-		} {
-			w := gwReq(t, g, tc.method, tc.path, tc.body)
-			if w.Code != refusal.code || w.Body.String() != `{"error":"refused"}` {
-				t.Errorf("%s %s: HTTP %d %q, want the backend's %d verbatim", tc.method, tc.path, w.Code, w.Body, refusal.code)
-			}
-			for k, v := range refusal.headers {
-				if got := w.Header().Get(k); got != v {
-					t.Errorf("%s %s: HTTP %d %s %q, want %q", tc.method, tc.path, w.Code, k, got, v)
+		}
+		ts, ts2 := statusBackend(t, refuse), statusBackend(t, refuse)
+		// With two groups, each refusing, an observe spanning both is split
+		// and every bucket fails: nothing trained, so the refusal relays.
+		split := newGateway(t, [][]string{{ts.URL}, {ts2.URL}}, nil)
+		var spanning []server.Observation
+		for _, u := range usersPerGroup(split, "u") {
+			spanning = append(spanning, server.Observation{User: u, Service: "s1", Value: 1})
+		}
+		for name, g := range map[string]*Gateway{"one group": newGateway(t, [][]string{{ts.URL}}, nil), "two groups": split} {
+			for _, tc := range []struct {
+				method, path string
+				body         any
+			}{
+				{http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil},
+				{http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 3}},
+				{http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: spanning}},
+			} {
+				w := gwReq(t, g, tc.method, tc.path, tc.body)
+				if w.Code != refusal.code || w.Body.String() != `{"error":"refused"}` {
+					t.Errorf("%s, %s %s: HTTP %d %q, want the backend's %d verbatim", name, tc.method, tc.path, w.Code, w.Body, refusal.code)
+				}
+				for k, v := range refusal.headers {
+					if got := w.Header().Get(k); got != v {
+						t.Errorf("%s, %s %s: HTTP %d %s %q, want %q", name, tc.method, tc.path, w.Code, k, got, v)
+					}
 				}
 			}
 		}
 	}
 }
 
+// TestBackendFailuresCounted: every kind of backend call goes through the
+// one send and still counts its failures where it did before, once per
+// failed call — proxied requests, observe buckets and failover control
+// calls in amf_cluster_proxy_errors_total, probes in
+// amf_cluster_probe_errors_total, scrapes in
+// amf_cluster_scrape_errors_total.
+func TestBackendFailuresCounted(t *testing.T) {
+	refuse := func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, `{"error":"refused"}`, http.StatusServiceUnavailable)
+	}
+	g := newGateway(t, [][]string{{statusBackend(t, refuse).URL}, {statusBackend(t, refuse).URL}}, nil)
+	down := httptest.NewServer(http.HandlerFunc(refuse)) // fails its probes too
+	t.Cleanup(down.Close)
+	gDown := newGateway(t, [][]string{{down.URL}}, nil)
+	var spanning []server.Observation
+	for _, u := range usersPerGroup(g, "u") {
+		spanning = append(spanning, server.Observation{User: u, Service: "s1", Value: 1})
+	}
+	for _, tc := range []struct {
+		name    string
+		counter *obs.Counter
+		want    int64
+		do      func()
+	}{
+		{"proxied predict", g.proxyErrors, 1, func() { gwReq(t, g, http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil) }},
+		{"split observe", g.proxyErrors, 2, func() {
+			gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: spanning})
+		}},
+		{"control call", g.proxyErrors, 1, func() {
+			if err := g.control(context.Background(), g.groups[0].replicas[0], "/api/v1/promote", ""); err == nil {
+				t.Error("a refused promote reported no error")
+			}
+		}},
+		{"scrape", g.scrapeErrors, 2, func() { gwReq(t, g, http.MethodGet, "/api/v1/cluster/metrics", nil) }},
+		{"probe", gDown.probeErrors, 1, func() { gDown.probe(gDown.groups[0].replicas[0]) }},
+	} {
+		before := tc.counter.Value()
+		tc.do()
+		if got := tc.counter.Value() - before; got != tc.want {
+			t.Errorf("%s: counted %d failures, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestGatewayHopTimeout: a Config.HTTP with a Timeout still bounds a
 // backend hop that hangs, on the pass-through path (forward) and on the
-// multi-group observe's per-bucket path (postJSON).
+// multi-group observe's per-bucket path (observeBucket); both send
+// through the one backend call.
 func TestGatewayHopTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	release := make(chan struct{})
@@ -263,7 +319,7 @@ func TestGatewayHopTimeout(t *testing.T) {
 	}{
 		{"forward", http.MethodGet, "/api/v1/predict?user=u1&service=s1", nil},
 		{"forward", http.MethodPost, "/api/v1/rank", server.RankRequest{User: "u1", TopK: 3}},
-		{"postJSON", http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: buckets}},
+		{"bucket", http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: buckets}},
 	} {
 		start := time.Now()
 		w := gwReq(t, g, tc.method, tc.path, tc.body)

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -85,6 +86,56 @@ func TestOneStatusOnEveryPath(t *testing.T) {
 			}
 		}
 	}
+
+	// An observe is applied whole or refused whole on every path: the
+	// multi-group gateway holds a batch to the server's checks before any
+	// shard gets its part, so one bad observation trains no other group.
+	known, fresh := usersPerGroup(multi, "known"), usersPerGroup(multi, "fresh")
+	obs := func(user, value string) string {
+		return `{"user":"` + user + `","service":"s1","value":` + value + `}`
+	}
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"well formed", `{"observations":[` + obs(known[0], "1") + `,` + obs(known[1], "2") + `]}`, 200},
+		{"one bad value spanning both groups", `{"observations":[` + obs(fresh[0], "1") + `,` + obs(fresh[1], "-1") + `]}`, 400},
+		{"empty user", `{"observations":[` + obs("", "1") + `]}`, 400},
+		{"trailing junk", `{"observations":[` + obs(known[0], "1") + `]} trailing-junk`, 400},
+		{"null document", `null`, 400},
+		{"no observations", `{"observations":[]}`, 400},
+	} {
+		const path = "/api/v1/observe"
+		direct := post(svc.Handler(), path, tc.body)
+		viaSingle := post(single.Handler(), path, tc.body)
+		viaMulti := post(multi.Handler(), path, tc.body)
+		if direct != tc.want || viaSingle != tc.want || viaMulti != tc.want {
+			t.Errorf("%s %s: server %d, gateway %d, multi-group gateway %d; want %d on all three",
+				path, tc.name, direct, viaSingle, viaMulti, tc.want)
+		}
+	}
+	for _, user := range fresh {
+		w := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/api/v1/predict?user="+user+"&service=s1", nil))
+		if w.Code != http.StatusNotFound {
+			t.Errorf("predict for %s, whose only observations were in refused batches: HTTP %d, want 404", user, w.Code)
+		}
+	}
+}
+
+// usersPerGroup returns a user name per shard group of g, in group order,
+// each routed to its group.
+func usersPerGroup(g *Gateway, prefix string) []string {
+	users := make([]string, len(g.groups))
+	for i, left := 0, len(users); left > 0; i++ {
+		u := fmt.Sprintf("%s-%d", prefix, i)
+		k := slices.Index(g.groups, g.groupFor(u))
+		if users[k] == "" {
+			users[k] = u
+			left--
+		}
+	}
+	return users
 }
 
 // TestGatewayForwardsCandidatesVerbatim: a batch or rank body reaches one
@@ -173,19 +224,32 @@ func TestGatewayForwardsCandidatesVerbatim(t *testing.T) {
 	}
 }
 
-// TestGatewayBodyBound: past MaxBody the gateway answers 413, the status
-// the server gives for its own bound.
+// TestGatewayBodyBound: past server.MaxBodyBytes, the bound the servers
+// apply, the gateway answers 413 on every proxied path, the status the
+// server gives for its own bound. The body streams without a declared
+// length, so the bound is crossed while reading, and it repeats one
+// byte, so the test holds no 64 MiB body of its own.
 func TestGatewayBodyBound(t *testing.T) {
 	_, ts := backend(t)
-	g := newGateway(t, [][]string{{ts.URL}}, func(c *Config) { c.MaxBody = 64 })
-	body := `{"user":"u1","services":["` + strings.Repeat("s", 64) + `"]}`
+	g := newGateway(t, [][]string{{ts.URL}}, nil)
 	for _, path := range []string{"/api/v1/observe", "/api/v1/predict", "/api/v1/rank"} {
 		w := httptest.NewRecorder()
-		g.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		body := io.LimitReader(repeatByte('s'), server.MaxBodyBytes+1)
+		g.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, body))
 		if w.Code != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s with a body past MaxBody: HTTP %d, want 413", path, w.Code)
+			t.Errorf("%s with a body one byte past server.MaxBodyBytes: HTTP %d, want 413", path, w.Code)
 		}
 	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // TestGatewayFullScanTopKBound: a full-scan rank asking for more results

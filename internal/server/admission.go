@@ -220,16 +220,16 @@ func (g *admissionGate) shed(w http.ResponseWriter, v verdict) {
 	g.sheds.Add(1)
 	g.s.admShed[v.class].Add(1)
 	g.s.admBudgetShed.Inc()
-	w.Header().Set("Retry-After", retryAfterSeconds(v.estimate))
+	w.Header().Set("Retry-After", RetryAfter(v.estimate))
 	w.Header().Set(ShedReasonHeader, shedReasonBudget)
 	g.s.writeError(w, http.StatusTooManyRequests,
 		"overloaded: %s-class request shed (%s); retry after the indicated delay", v.class, shedReasonBudget)
 }
 
-// retryAfterSeconds renders a wait estimate as a whole-second
-// Retry-After value, minimum 1.
-func retryAfterSeconds(est time.Duration) string {
-	secs := int64(math.Ceil(est.Seconds()))
+// RetryAfter renders a wait as a whole-second Retry-After value, rounded
+// up, minimum 1: the one spelling of the hint on both hops.
+func RetryAfter(wait time.Duration) string {
+	secs := int64(math.Ceil(wait.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}

@@ -5,16 +5,20 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"github.com/qoslab/amf/internal/ingest"
 )
 
 // This file is the encode half of the wire codec: append-style encoders
-// for the four hot responses whose output is, byte for byte, what
-// json.NewEncoder(w).Encode(resp) writes for the response struct in
-// api.go — field order, omitempty, encoding/json's float format and
-// HTML-safe string escaping, the trailing newline. Names are taken as
-// string or []byte alike, so a name decoded as a view of the request is
-// echoed without becoming a string first. The golden table and
-// FuzzAppendString / FuzzAppendFloat in codec_test.go pin the identity.
+// for the four hot responses, and for the observe request the gateway
+// sends each shard of a split batch, whose output is, byte for byte, what
+// json.NewEncoder(w).Encode(v) writes for the struct in api.go — field
+// order, omitempty, encoding/json's float format and HTML-safe string
+// escaping, the trailing newline. Names are taken as string or []byte
+// alike, so a name decoded as a view of the request is echoed without
+// becoming a string first. The golden table and FuzzAppendString /
+// FuzzAppendFloat in codec_test.go pin the identity; FuzzDecodeObserve
+// also re-encodes every body it decodes and decodes it again.
 
 // errUnsupportedFloat is the codec's json.UnsupportedValueError: NaN and
 // the infinities have no JSON spelling, so a response holding one is
@@ -38,6 +42,30 @@ func appendObserveResponse(dst []byte, r ObserveResponse) []byte {
 	dst = append(dst, `,"newServices":`...)
 	dst = strconv.AppendInt(dst, int64(r.NewServices), 10)
 	return append(dst, "}\n"...)
+}
+
+// AppendObserveRequest encodes an ObserveRequest body: what the gateway
+// sends each shard of a split observe. Like the response encoders it
+// fails on a NaN or ±Inf value, which CheckObservations refuses.
+func AppendObserveRequest(dst []byte, obs []ingest.Observation) ([]byte, error) {
+	dst = append(dst, `{"observations":[`...)
+	for i := range obs {
+		o := &obs[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendString(append(dst, `{"user":`...), o.User)
+		dst = appendString(append(dst, `,"service":`...), o.Service)
+		var ok bool
+		if dst, ok = appendFloat(append(dst, `,"value":`...), o.Value); !ok {
+			return dst, errUnsupportedFloat
+		}
+		if o.TimestampMs != 0 {
+			dst = strconv.AppendInt(append(dst, `,"timestampMs":`...), o.TimestampMs, 10)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "]}\n"...), nil
 }
 
 // appendPredictResponse encodes a PredictResponse.

@@ -12,6 +12,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"github.com/qoslab/amf/internal/ingest"
 )
 
 // ---------------------------------------------------------------------------
@@ -88,6 +90,25 @@ func diffObserve(t *testing.T, body []byte) {
 			math.Float64bits(g.Value) != math.Float64bits(w.Value) || g.TimestampMs != w.TimestampMs {
 			t.Fatalf("%q: observation %d = (%q, %q, %v, %d), encoding/json decodes %+v",
 				body, i, g.User, g.Service, g.Value, g.TimestampMs, w)
+		}
+	}
+	// Round trip: the body the gateway would send a shard for these
+	// observations decodes to them again, bit for bit.
+	enc, err := AppendObserveRequest(nil, got)
+	if err != nil {
+		t.Fatalf("%q: re-encode: %v", body, err)
+	}
+	var d2 Decoder
+	again, err := d2.Observe(enc, math.MaxInt)
+	if err != nil || len(again) != len(got) {
+		t.Fatalf("%q: re-encoded as %q, which decodes to %d observations (%v), want %d", body, enc, len(again), err, len(got))
+	}
+	for i := range got {
+		g, a := got[i], again[i]
+		if !bytes.Equal(g.User, a.User) || !bytes.Equal(g.Service, a.Service) ||
+			math.Float64bits(g.Value) != math.Float64bits(a.Value) || g.TimestampMs != a.TimestampMs {
+			t.Fatalf("%q: re-encoded as %q, observation %d decodes to (%q, %q, %v, %d), want (%q, %q, %v, %d)",
+				body, enc, i, a.User, a.Service, a.Value, a.TimestampMs, g.User, g.Service, g.Value, g.TimestampMs)
 		}
 	}
 }
@@ -417,6 +438,23 @@ func TestEncodersMatchEncodingJSON(t *testing.T) {
 		check("observe", appendObserveResponse(nil, r), nil, r)
 	}
 
+	for _, r := range []ObserveRequest{
+		{Observations: []Observation{}},
+		{Observations: []Observation{
+			{User: "u0001", Service: "s00001", Value: 1.4375},
+			{User: hostile, Service: hostile, Value: 1e-7, TimestampMs: 1700000000000},
+			{User: "u", Service: "s", Value: math.Copysign(0, -1), TimestampMs: -1},
+			{User: "", Service: "", Value: -1e21},
+		}},
+	} {
+		in := make([]ingest.Observation, len(r.Observations))
+		for i, o := range r.Observations {
+			in[i] = ingest.Observation{User: []byte(o.User), Service: []byte(o.Service), Value: o.Value, TimestampMs: o.TimestampMs}
+		}
+		got, err := AppendObserveRequest(nil, in)
+		check("observe request", got, err, r)
+	}
+
 	for _, r := range []PredictResponse{
 		{User: "u0001", Service: "s00001", Value: 1.4375, Confidence: 0.875},
 		{User: hostile, Service: hostile, Value: 0, Confidence: 0},
@@ -479,6 +517,9 @@ func TestEncodersRefuseNaN(t *testing.T) {
 		}
 		if _, err := appendRankResponse(nil, nil, "rt", []RankedService{{Value: bad}}, nil, 1, 1); err == nil {
 			t.Errorf("rank value %v encoded", bad)
+		}
+		if _, err := AppendObserveRequest(nil, []ingest.Observation{{Value: 1}, {Value: bad}}); err == nil {
+			t.Errorf("observe request value %v encoded", bad)
 		}
 	}
 }

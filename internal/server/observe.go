@@ -11,11 +11,23 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// validQoS is the one predicate every write door holds an observed value
-// to: finite and non-negative. A NaN or ±Inf that reached the model would
-// turn its user's and service's factors NaN after one SGD step, and every
-// prediction touching either into a 500.
-func validQoS(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+// CheckObservations is what every write door, and the gateway before it
+// splits a batch by shard, holds a batch to: each observation names a
+// user and a service, and its value is finite and non-negative (a NaN or
+// ±Inf would turn its user's and service's factors NaN after one SGD
+// step). The first offender refuses the whole batch.
+func CheckObservations(obs []ingest.Observation) error {
+	for i := range obs {
+		o := &obs[i]
+		if len(o.User) == 0 || len(o.Service) == 0 {
+			return fmt.Errorf("observation %d: user and service are required", i)
+		}
+		if !(o.Value >= 0) || math.IsInf(o.Value, 1) {
+			return fmt.Errorf("observation %d: invalid QoS value %g", i, o.Value)
+		}
+	}
+	return nil
+}
 
 // errFollowerWrite refuses a write on a follower: it must go to the leader.
 var errFollowerWrite = errors.New("follower: writes must go to the leader")
@@ -34,14 +46,8 @@ func (s *Server) observe(obs []ingest.Observation, b *hotBuf) (ObserveResponse, 
 	if s.follower.Load() {
 		return resp, engine.ObserveTiming{}, errFollowerWrite
 	}
-	for i := range obs {
-		o := &obs[i]
-		if len(o.User) == 0 || len(o.Service) == 0 {
-			return resp, engine.ObserveTiming{}, fmt.Errorf("observation %d: user and service are required", i)
-		}
-		if !validQoS(o.Value) {
-			return resp, engine.ObserveTiming{}, fmt.Errorf("observation %d: invalid QoS value %g", i, o.Value)
-		}
+	if err := CheckObservations(obs); err != nil {
+		return resp, engine.ObserveTiming{}, err
 	}
 	// A batch is usually one user's measurements: a user name is resolved
 	// once per run of observations that carry it.
