@@ -51,7 +51,7 @@ func run(args []string, stderr io.Writer) error {
 		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations; a PONG acks every line sent before its PING as an HTTP observe is acked")
 
 		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
-		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync), interval (bounded loss: fsync every 100ms), or off")
+		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync) or interval (bounded loss: fsync every 100ms)")
 		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
 
 		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (replicates a leader's WAL, read-only until promoted)")

@@ -46,6 +46,17 @@ func TestRunRejectsFsyncAlways(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFsyncOff: off is retired too (its commit index would
+// advance only at rotation, checkpoint or close, stalling followers), and
+// the error names the two policies that remain.
+func TestRunRejectsFsyncOff(t *testing.T) {
+	err := run([]string{"-data-dir", t.TempDir(), "-fsync", "off"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), `unknown fsync policy "off"`) ||
+		!strings.Contains(err.Error(), "group") || !strings.Contains(err.Error(), "interval") {
+		t.Fatalf("-fsync off: err = %v, want an unknown-policy error naming group and interval", err)
+	}
+}
+
 // syncBuffer collects run's log output; the logger and the test's
 // failure paths may touch it from different goroutines.
 type syncBuffer struct {

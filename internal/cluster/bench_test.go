@@ -251,7 +251,7 @@ func BenchmarkGatewayRankAll(b *testing.B) {
 func BenchmarkReplicationLag(b *testing.B) {
 	dir := b.TempDir()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               store.SyncOff, // isolate shipping latency from fsync cost
+		Sync:               store.SyncGroup, // every acked write ships at once, no flush tick
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})

@@ -38,7 +38,7 @@ func BenchmarkObserveJournal(b *testing.B) {
 		e := New(testModel(b), Config{})
 		run(b, e)
 	})
-	for _, pol := range []store.SyncPolicy{store.SyncOff, store.SyncInterval, store.SyncGroup} {
+	for _, pol := range []store.SyncPolicy{store.SyncInterval, store.SyncGroup} {
 		b.Run("journal="+pol.String(), func(b *testing.B) {
 			w, err := store.OpenWAL(b.TempDir(), store.WALOptions{Sync: pol, Logger: quiet})
 			if err != nil {

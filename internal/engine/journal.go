@@ -47,8 +47,7 @@ type Journal interface {
 // — then calls WaitDurable itself (Engine.awaitDurable) and returns only
 // once its record is as durable as the journal's policy promises. The
 // engine does not know the policy: store.WAL runs (or shares) the
-// covering fsync under fsync=group and returns at once under interval
-// and off.
+// covering fsync under fsync=group and returns at once under interval.
 type DurableJournal interface {
 	Journal
 	// WaitDurable blocks until the record with the given sequence

@@ -39,7 +39,6 @@ func durableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *s
 	t.Helper()
 	mgr, err := store.Open(dir, store.Options{
 		Sync:               sync,
-		SyncInterval:       5 * time.Millisecond,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -197,10 +196,61 @@ func TestDurableRecoveryBoundedLossInterval(t *testing.T) {
 	}
 }
 
+// TestGroupAckedWriteLeavesNothingUnsynced: under group every record the
+// server journals has a waiter — an observe's samples and the
+// registrations of the names it adds, just ahead of them; a stream
+// batch's; a removal — so once any write is acked the commit index has
+// reached the tail. That is why a group WAL runs no flusher.
+func TestGroupAckedWriteLeavesNothingUnsynced(t *testing.T) {
+	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+	defer svc.Close()
+	wal := mgr.WAL()
+	acked := func(what string, write func()) {
+		t.Helper()
+		before := wal.LastSeq()
+		write()
+		if wal.LastSeq() == before {
+			t.Fatalf("%s journaled nothing", what)
+		}
+		if d, l := wal.DurableSeq(), wal.LastSeq(); d != l {
+			t.Fatalf("after %s: DurableSeq %d, LastSeq %d; want the acked tail durable", what, d, l)
+		}
+	}
+	acked("an observe adding names", func() {
+		w := doReq(t, svc, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+			{User: "gu0", Service: "gs0", Value: 1}, {User: "gu0", Service: "gs1", Value: 2},
+		}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("observe: %d %s", w.Code, w.Body.String())
+		}
+	})
+	acked("a stream PONG", func() {
+		c, err := net.Dial("tcp", serveStream(t, svc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write([]byte("gu1 gs2 1.5\nPING\n")); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if line, err := bufio.NewReader(c).ReadString('\n'); err != nil || line != "PONG\n" {
+			t.Fatalf("read %q, %v; want PONG", line, err)
+		}
+	})
+	for _, path := range []string{"/api/v1/users?name=gu0", "/api/v1/services?name=gs2"} {
+		acked("DELETE "+path, func() {
+			if w := doReq(t, svc, http.MethodDelete, path, nil); w.Code != http.StatusOK {
+				t.Fatalf("DELETE %s: %d %s", path, w.Code, w.Body.String())
+			}
+		})
+	}
+}
+
 // TestDurableDoubleAttach pins the one-shot contract.
 func TestDurableDoubleAttach(t *testing.T) {
 	dir := t.TempDir()
-	svc, mgr, _ := durableServer(t, dir, store.SyncOff)
+	svc, mgr, _ := durableServer(t, dir, store.SyncGroup)
 	defer svc.Close()
 	if _, err := svc.AttachDurable(mgr); err == nil {
 		t.Fatal("second AttachDurable should fail")
@@ -212,7 +262,7 @@ func TestDurableDoubleAttach(t *testing.T) {
 // before it — not in the registries, not in the model, not in the WAL
 // (where a registration record would survive recovery).
 func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
-	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	defer svc.Close()
 	observeSome(t, svc)
 
@@ -260,7 +310,7 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 // sample first, and a crash in between would leave factors under an ID no
 // recovered name resolves to.
 func TestNameVisibleOnlyAfterJournaled(t *testing.T) {
-	svc, _, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	svc, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	defer svc.Close()
 	var (
 		mu      sync.Mutex

@@ -55,7 +55,8 @@ type ClusterStatusResponse struct {
 	Role string `json:"role"`
 	// Leader is the leader base URL a follower is tailing.
 	Leader string `json:"leader,omitempty"`
-	// WALSeq is the last journaled sequence number (leader, durable).
+	// WALSeq is the WAL's durable commit index (leader, durable): the
+	// newest record a follower can be shipped, as X-Amf-Wal-Seq sends.
 	WALSeq uint64 `json:"wal_seq"`
 	// AppliedSeq is the last replicated sequence number applied to the
 	// local model (follower).
@@ -131,7 +132,7 @@ func (s *Server) refuseFollowerWrite(w http.ResponseWriter) {
 // latency, not the poll tick — bounded by wait_ms (capped at 30s) with
 // the old poll tick kept as a fallback timeout. The response carries
 // X-Amf-Wal-Seq = the leader's current shippable tail (the durable
-// commit index under fsync=group), which is how followers measure lag.
+// commit index), which is how followers measure lag.
 // Streams are tracked so graceful shutdown can drain them
 // (DrainReplication); a follower disconnecting mid-stream is logged,
 // never fatal.
@@ -177,15 +178,13 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	wal := s.durable.WAL()
-	// shipTail is the newest sequence number this poll may ship: the
-	// durable commit index under fsync=group (shipping records
-	// whose covering fsync has not landed would let a follower get ahead
-	// of a crashed leader), the appended tail under the lossy policies.
-	shipTail := wal.DurableSeq
+	// The newest record this poll may ship is the durable commit index,
+	// under either fsync policy: shipping a record whose covering fsync
+	// has not landed would let a follower get ahead of a crashed leader.
 	commits, cancel := wal.SubscribeCommits()
 	defer cancel()
 	deadline := time.Now().Add(wait)
-	for shipTail() <= from && time.Now().Before(deadline) && !s.closed.Load() {
+	for wal.DurableSeq() <= from && time.Now().Before(deadline) && !s.closed.Load() {
 		select {
 		case <-r.Context().Done():
 			return
@@ -198,7 +197,7 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 			// so never trust them exclusively.
 		}
 	}
-	tail := shipTail()
+	tail := wal.DurableSeq()
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-Amf-Wal-Seq", strconv.FormatUint(tail, 10))
@@ -240,7 +239,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 		Streams: s.replActive.Load(), ShedRate: s.ShedRate(),
 	}
 	if s.durable != nil {
-		resp.WALSeq = s.durable.WAL().LastSeq()
+		resp.WALSeq = s.durable.WAL().DurableSeq()
 		resp.Epoch = s.durable.Epoch()
 		resp.Fenced = s.durable.Fenced()
 	}

@@ -72,7 +72,7 @@ func predictOn(t *testing.T, s *Server, user, service string) (float64, bool) {
 }
 
 func TestFollowerTailsLeader(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 
 	f := startFollower(t, FollowerConfig{Leader: ts.URL})
@@ -118,8 +118,59 @@ func TestFollowerTailsLeader(t *testing.T) {
 	})
 }
 
+// TestFollowerOfIntervalLeaderNeverPassesCommitIndex: an interval leader
+// ships only what its flusher has fsynced, so its follower never applies
+// a record past the leader's DurableSeq — a record a power loss could
+// erase, and whose sequence number the restarted leader would reuse — and
+// still catches up within a flush tick. The leader's cluster status
+// reports that same index, so a caught-up follower shows no lag.
+func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncInterval)
+	observeSome(t, leader)
+	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	wal := mgr.WAL()
+	status := func() uint64 {
+		t.Helper()
+		var st ClusterStatusResponse
+		if err := json.Unmarshal(doReq(t, leader, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.WALSeq
+	}
+	// Each pair is read before the commit index, which only moves forward.
+	behind := func() {
+		t.Helper()
+		if applied, durable := f.repl.AppliedSeq(), wal.DurableSeq(); applied > durable {
+			t.Fatalf("follower applied seq %d past the leader's commit index %d", applied, durable)
+		}
+		if reported, durable := status(), wal.DurableSeq(); reported > durable {
+			t.Fatalf("leader status wal_seq %d past its commit index %d", reported, durable)
+		}
+	}
+	behind()
+	for i := 0; i < 20; i++ {
+		w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+			{User: fmt.Sprintf("iv-u%d", i), Service: "s0", Value: 1},
+		}})
+		if w.Code != http.StatusOK {
+			t.Fatalf("leader observe: %d %s", w.Code, w.Body.String())
+		}
+		for k := 0; k < 5; k++ {
+			behind()
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	waitFor(t, 5*time.Second, "follower at the leader's tail", func() bool {
+		behind()
+		return f.repl.AppliedSeq() == wal.LastSeq()
+	})
+	if reported, applied := status(), f.repl.AppliedSeq(); reported != applied {
+		t.Fatalf("caught-up follower at %d, leader status wal_seq %d; want no lag", applied, reported)
+	}
+}
+
 func TestFollowerRejectsWrites(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{Leader: ts.URL})
 
@@ -154,7 +205,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 }
 
 func TestClusterStatus(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{Leader: ts.URL})
 
@@ -183,7 +234,7 @@ func TestReplicateWALEndpointValidation(t *testing.T) {
 		t.Errorf("non-durable replicate: %d, want 501", w.Code)
 	}
 
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	for _, q := range []string{"", "from=x", "from=0&wait_ms=-1", "from=0&max_bytes=z"} {
 		if w := doReq(t, leader, http.MethodGet, "/api/v1/replicate/wal?"+q, nil); w.Code != http.StatusBadRequest {
@@ -220,7 +271,7 @@ func TestReplicateWALEndpointValidation(t *testing.T) {
 // position means the leader truncated past us — the tailer must signal
 // re-bootstrap, never skip.
 func TestApplyStreamGap(t *testing.T) {
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader) // journals records 1..N
 
 	var buf bytes.Buffer
@@ -245,7 +296,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 	f := startFollower(t, FollowerConfig{
 		Leader:       ts.URL,
 		LeaderData:   dir,
-		StoreOptions: store.Options{Sync: store.SyncOff, CheckpointInterval: time.Hour, Logger: quietLogger()},
+		StoreOptions: store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
 	})
 	waitFor(t, 5*time.Second, "follower caught up", func() bool {
 		_, ok := predictOn(t, f, "u3", "s4")
@@ -304,7 +355,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 // TestPromoteWithoutLeaderData: promotion still flips the role (serving
 // the tailed state best-effort) when no shared directory was configured.
 func TestPromoteWithoutLeaderData(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{Leader: ts.URL})
 	waitFor(t, 5*time.Second, "follower caught up", func() bool {
@@ -330,7 +381,7 @@ func TestPromoteWithoutLeaderData(t *testing.T) {
 // parked as a stopped, write-rejecting follower that looks healthy and
 // can never serve a later promotion.
 func TestPromoteFailureResumesFollower(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 
 	// LeaderData pointing at a regular file: store.Open fails on it.
@@ -387,7 +438,7 @@ func TestPromoteFailureResumesFollower(t *testing.T) {
 // write-rejecting follower pointing at the winner, and fences its store
 // so nothing more lands on the diverged WAL lineage.
 func TestDemoteFencesLeader(t *testing.T) {
-	leader, mgr, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	leader, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 
 	w := doReq(t, leader, http.MethodPost, "/api/v1/demote", map[string]string{"leader": "http://winner:1"})
@@ -432,7 +483,7 @@ func TestDemoteFencesLeader(t *testing.T) {
 }
 
 func TestSetLeaderEndpoint(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{Leader: ts.URL})
 
@@ -454,7 +505,7 @@ func TestSetLeaderEndpoint(t *testing.T) {
 
 func TestStartFollowerRefusals(t *testing.T) {
 	// Durable server cannot become a follower.
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncOff)
+	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	if _, err := leader.StartFollower(FollowerConfig{Leader: "http://x"}); err == nil {
 		t.Error("durable server accepted follower mode")
 	}
@@ -472,7 +523,7 @@ func TestStartFollowerRefusals(t *testing.T) {
 // TestDrainReplication: Close flips the flag long-polls watch, so an
 // idle replication stream ends within a tick and the drain returns.
 func TestDrainReplication(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncOff)
+	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
 	seq := leader.durable.WAL().LastSeq()
 

@@ -89,8 +89,15 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 		// Seq and view come from one engine critical section
 		// (CheckpointView), so the streamed blob covers exactly the
 		// journaled records the tag names — a drain racing this handler
-		// cannot leak post-seq samples into the download.
+		// cannot leak post-seq samples into the download. The WAL is then
+		// fsynced through seq: a follower bootstrapped from the blob must
+		// hold nothing past the leader's commit index, as a tailed one
+		// does.
 		seq, v := s.eng.CheckpointView()
+		if err := s.durable.WAL().Sync(); err != nil {
+			s.countError(w, http.StatusServiceUnavailable, "snapshot: sync wal: %v", err)
+			return
+		}
 		etag = fmt.Sprintf(`"seq-%d"`, seq)
 		view = v
 	} else {

@@ -39,9 +39,9 @@ func quietLog() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, n
 // samples per record, the common HTTP batch shape) plus the caller's
 // WaitDurable under each fsync policy — the durable-ack cost of one lone
 // writer. The group row is a real fsync per op — expect disk, not CPU;
-// interval and off return from WaitDurable at once.
+// interval returns from WaitDurable at once.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, pol := range []SyncPolicy{SyncOff, SyncInterval, SyncGroup} {
+	for _, pol := range []SyncPolicy{SyncInterval, SyncGroup} {
 		b.Run(pol.String(), func(b *testing.B) {
 			w, err := OpenWAL(b.TempDir(), WALOptions{Sync: pol, Logger: quietLog()})
 			if err != nil {
@@ -152,7 +152,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	for _, records := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			w, err := OpenWAL(dir, WALOptions{Sync: SyncOff, Logger: quietLog()})
+			w, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := OpenWAL(dir, WALOptions{Sync: SyncOff, Logger: quietLog()})
+				r, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLog()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func BenchmarkWALReplay(b *testing.B) {
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, kb := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("state=%dKiB", kb), func(b *testing.B) {
-			m, err := Open(b.TempDir(), Options{Sync: SyncOff, CheckpointInterval: time.Hour, Logger: quietLog()})
+			m, err := Open(b.TempDir(), Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, records := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("tail=%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			m, err := Open(dir, Options{Sync: SyncOff, CheckpointInterval: time.Hour, Logger: quietLog()})
+			m, err := Open(dir, Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func BenchmarkRecovery(b *testing.B) {
 			want := records * len(batch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := Open(dir, Options{Sync: SyncOff, CheckpointInterval: time.Hour, Logger: quietLog()})
+				r, err := Open(dir, Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -53,26 +54,33 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindowBound: a record nobody waits on (the async ingest
-// door's) is still fsynced by the background flusher within its interval
-// under group — the flusher, not a commit window, bounds it.
-func TestGroupCommitWindowBound(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: 5 * time.Millisecond})
-	defer w.Close()
+// TestGroupWALOwnsNoGoroutine: under group every record has a waiter
+// that runs or shares its covering fsync, so the log starts no flusher —
+// opening, writing through and closing one never raises the goroutine
+// count (an earlier test's goroutine may still be exiting, so the count
+// may fall).
+func TestGroupWALOwnsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	owns := func(what string) {
+		t.Helper()
+		if got := runtime.NumGoroutine(); got > before {
+			t.Fatalf("%s took the process from %d to %d goroutines", what, before, got)
+		}
+	}
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	owns("OpenWAL(group)")
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for w.DurableSeq() < seq {
-		if time.Now().After(deadline) {
-			t.Fatalf("append not durable within 2s (flush interval 5ms); DurableSeq=%d", w.DurableSeq())
-		}
-		time.Sleep(time.Millisecond)
+	if err := w.WaitDurable(seq); err != nil {
+		t.Fatal(err)
 	}
-	if w.met.Fsync.Count() == 0 {
-		t.Fatal("durable without an fsync")
+	owns("an append and its wait")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
+	owns("Close")
 }
 
 // waitDurableWithin runs WaitDurable on its own goroutine and fails the
@@ -121,13 +129,13 @@ func TestGroupCommitWaitDurablePast(t *testing.T) {
 }
 
 // TestGroupCommitFenceDropsPendingWindow: records buffered with no waiter
-// (the flusher parked for an hour) when the fence lands are (a) rejected
+// (group runs no flusher) when the fence lands are (a) rejected
 // to every later WaitDurable with ErrFenced — their covering fsync will
 // never happen here — and (b) DROPPED: flushing them would overwrite the
 // new owner's log tail, so a reopen replays none of them.
 func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	const records = 8
 	var seqs []uint64
 	for i := 0; i < records; i++ {
@@ -166,7 +174,7 @@ func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 // waiting for that fsync — and the commit index does not move. The fsync
 // is simulated by holding the in-flight flag, so the fence always wins.
 func TestGroupCommitFenceWakesParkedWaiter(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
@@ -205,7 +213,7 @@ func TestGroupCommitFenceWakesParkedWaiter(t *testing.T) {
 // first to run the covering fsync poisons the log, the rest see it — and
 // none hangs.
 func TestGroupCommitFailRejectsWaiters(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	const waiters = 8
 	var seqs []uint64
@@ -248,7 +256,7 @@ func TestGroupCommitFailRejectsWaiters(t *testing.T) {
 // appended tail is durable, so the checkpoint's claimed seq can never
 // exceed the durable log.
 func TestGroupCommitCheckpointBarrier(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 3))
 	if err != nil {
@@ -263,9 +271,10 @@ func TestGroupCommitCheckpointBarrier(t *testing.T) {
 }
 
 // TestGroupCommitSubscribe: a commit subscriber wakes when the commit
-// index advances — here by the background flusher, nobody waiting.
+// index advances — here by a waiter's fsync — and not on the append
+// before it, whose record is not yet shippable.
 func TestGroupCommitSubscribe(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: 5 * time.Millisecond})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	ch, cancel := w.SubscribeCommits()
 	defer cancel()
@@ -275,19 +284,19 @@ func TestGroupCommitSubscribe(t *testing.T) {
 	}
 	select {
 	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("no commit notification within 2s")
+		t.Fatal("an append woke a commit subscriber before any fsync")
+	default:
 	}
-	if got := w.DurableSeq(); got < seq {
-		// Coalesced wakeups can fire before the index we care about;
-		// drain until it lands.
-		deadline := time.Now().Add(2 * time.Second)
-		for w.DurableSeq() < seq && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if w.DurableSeq() < seq {
-			t.Fatalf("DurableSeq=%d never reached %d", w.DurableSeq(), seq)
-		}
+	if err := w.WaitDurable(seq); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ch:
+	default:
+		t.Fatal("no commit notification after the covering fsync")
+	}
+	if got := w.DurableSeq(); got != seq {
+		t.Fatalf("DurableSeq = %d, want %d", got, seq)
 	}
 }
 
@@ -295,7 +304,7 @@ func TestGroupCommitSubscribe(t *testing.T) {
 // replication stream is bounded at the durable commit index — records
 // whose covering fsync has not landed are not shipped.
 func TestGroupCommitStreamSinceShipsOnlyDurable(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SyncInterval: time.Hour})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	// First batch: force durability via the barrier.
 	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
@@ -305,7 +314,7 @@ func TestGroupCommitStreamSinceShipsOnlyDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	durable := w.DurableSeq()
-	// Second batch: left buffered (flusher parked for an hour, no waiter).
+	// Second batch: left buffered (no waiter, and group runs no flusher).
 	if _, err := w.AppendSamples(sampleBatch(10, 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -13,18 +13,16 @@ import (
 
 // Options tunes a Manager. The zero value gets defaults. amfserver sets
 // only Sync, CheckpointInterval and Logger from its flags; SegmentBytes
-// and SyncInterval ship at their defaults and stay as fields because
-// tests set them to reach the rotation and background-flush edges.
+// ships at its default and stays a field because tests set it to reach
+// the rotation edges.
 type Options struct {
 	// SegmentBytes is the WAL rotation threshold (default 64 MiB).
 	SegmentBytes int64
-	// Sync is the WAL fsync policy (default SyncInterval). Under
-	// SyncGroup an acked write is durable: the engine's caller waits in
-	// WAL.WaitDurable, which runs the covering fsync itself.
+	// Sync is the WAL fsync policy (default SyncInterval, which fsyncs
+	// on a 100 ms background tick). Under SyncGroup an acked write is
+	// durable: the engine's caller waits in WAL.WaitDurable, which runs
+	// the covering fsync itself, and no flusher runs.
 	Sync SyncPolicy
-	// SyncInterval is the background flush cadence under SyncInterval
-	// and SyncGroup (default 100ms).
-	SyncInterval time.Duration
 	// CheckpointInterval is the background checkpoint cadence
 	// (default 1 minute).
 	CheckpointInterval time.Duration
@@ -135,7 +133,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	wal, err := OpenWAL(filepath.Join(dir, "wal"), WALOptions{
 		SegmentBytes: opts.SegmentBytes,
 		Sync:         opts.Sync,
-		SyncInterval: opts.SyncInterval,
 		Metrics:      met,
 		Logger:       opts.Logger,
 	})

@@ -96,7 +96,7 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 
 func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncOff, SegmentBytes: 200})
+	m := openManager(t, dir, Options{Sync: SyncGroup, SegmentBytes: 200})
 	for i := 0; i < 10; i++ {
 		if _, err := m.WAL().AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 	}
 	// Recovery after the checkpoint replays nothing.
 	m.Close()
-	m2 := openManager(t, dir, Options{Sync: SyncOff})
+	m2 := openManager(t, dir, Options{Sync: SyncGroup})
 	var blob []byte
 	rs, err := m2.Recover(func(d []byte) error { blob = d; return nil }, func(Entry) error {
 		t.Fatal("nothing should replay after a covering checkpoint")
@@ -134,7 +134,7 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 
 func TestManagerBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncOff, CheckpointInterval: 10 * time.Millisecond})
+	m := openManager(t, dir, Options{Sync: SyncGroup, CheckpointInterval: 10 * time.Millisecond})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,15 +162,15 @@ func TestManagerBackgroundCheckpointer(t *testing.T) {
 }
 
 // TestCheckpointSyncsWALBeforeWrite: the WAL's durable tail must be >=
-// any durable checkpoint's claimed sequence number. With SyncOff nothing
-// flushes on its own, so Checkpoint itself must sync the log before
-// publishing the checkpoint — otherwise a crash right after would reopen
-// the WAL below the checkpoint's seq, hand already-covered sequence
-// numbers to fresh acked appends, and the next recovery would silently
-// skip them.
+// any durable checkpoint's claimed sequence number. Under group with
+// nobody waiting nothing flushes on its own, so Checkpoint itself must
+// sync the log before publishing the checkpoint — otherwise a crash right
+// after would reopen the WAL below the checkpoint's seq, hand already-
+// covered sequence numbers to fresh acked appends, and the next recovery
+// would silently skip them.
 func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncOff})
+	m := openManager(t, dir, Options{Sync: SyncGroup})
 	for i := 0; i < 3; i++ {
 		if _, err := m.WAL().AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 	// "Crash": reopen the wal directory without Close. Only bytes that
 	// reached disk before the crash are visible; the checkpoint durably
 	// claims seq 3, so the reopened log must already hold seq 3.
-	w2 := testWAL(t, filepath.Join(dir, "wal"), WALOptions{Sync: SyncOff})
+	w2 := testWAL(t, filepath.Join(dir, "wal"), WALOptions{Sync: SyncGroup})
 	if got := w2.LastSeq(); got != 3 {
 		t.Fatalf("durable wal tail at seq %d < checkpoint seq 3 — Checkpoint did not sync the log first", got)
 	}
@@ -258,7 +258,7 @@ func TestManagerCheckpointWithoutCapture(t *testing.T) {
 
 func TestRecoverRemovalEntries(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncOff})
+	m := openManager(t, dir, Options{Sync: SyncGroup})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -18,21 +18,17 @@ import (
 // check it had on the leader's disk and a follower can never apply a
 // record under the wrong sequence number.
 
-// replayRaw walks every intact record with sequence number > from across
-// the segment files, in order, verifying sequence continuity, and hands
-// each (seq, payload) pair to fn before decoding. It is the shared
-// traversal under both Replay (decode into Entries) and StreamSince
-// (re-frame onto a wire). Must not run concurrently with appends —
-// except when bound > 0, which stops the walk at that sequence number
-// WITHOUT forcing a sync first: the caller asserts every record <= bound
-// is already flushed and durable (the group-commit durable prefix), so
-// the scan never races the appending tail.
+// replayRaw walks every intact record with sequence number in
+// (from, bound] across the segment files, in order, verifying sequence
+// continuity, and hands each (seq, payload) pair to fn before decoding.
+// It is the shared traversal under both Replay (decode into Entries) and
+// StreamSince (re-frame onto a wire). The caller passes a bound no
+// greater than the durable commit index: every record up to it is
+// already flushed, so the scan never needs a sync of its own and never
+// races the appending tail.
 func (w *WAL) replayRaw(from, bound uint64, fn func(seq uint64, payload []byte) error) error {
-	if bound == 0 {
-		// Make sure everything buffered is visible to the file reads below.
-		if err := w.Sync(); err != nil {
-			return err
-		}
+	if bound <= from {
+		return nil
 	}
 	w.mu.Lock()
 	segs := make([]walSegment, len(w.segments))
@@ -49,7 +45,7 @@ func (w *WAL) replayRaw(from, bound uint64, fn func(seq uint64, payload []byte) 
 			if seq <= from {
 				return nil
 			}
-			if bound > 0 && seq > bound {
+			if seq > bound {
 				return errPastBound
 			}
 			if seq != next {
@@ -74,31 +70,21 @@ func (w *WAL) replayRaw(from, bound uint64, fn func(seq uint64, payload []byte) 
 	return nil
 }
 
-// StreamSince writes every record with sequence number > from to dst as
-// framed wire records, oldest first, stopping early once maxBytes of
-// payload+framing have been written (0 means no bound; the cut is always
-// on a record boundary, so the stream stays decodable). It returns the
-// last sequence number written (= from when nothing qualified). The
-// leader's replication endpoint calls this against a live WAL: appends
-// may race the stream, in which case the stream simply ends at whatever
-// tail the segment scan saw — followers pick the rest up on their next
-// poll. Under the group-commit fsync policy only the DURABLE prefix is
-// shipped (bounded at DurableSeq, no forced sync): shipping records
-// whose covering fsync has not landed would let a follower apply state
-// the leader itself loses in a crash — divergence, not replication —
-// and forcing a sync per poll would defeat the batching the policy
-// exists for.
+// StreamSince writes every record with sequence number > from, up to
+// the durable commit index, to dst as framed wire records, oldest first,
+// stopping early once maxBytes of payload+framing have been written (0
+// means no bound; the cut is always on a record boundary, so the stream
+// stays decodable). It returns the last sequence number written (= from
+// when nothing qualified). The leader's replication endpoint calls this
+// against a live WAL. Only the durable prefix ships, under either policy,
+// and the stream runs no fsync of its own: a record whose covering fsync
+// has not landed may be lost in a leader crash and its sequence number
+// reused, so a follower that applied it would diverge; and an fsync per
+// poll would defeat the batching both policies exist for.
 func (w *WAL) StreamSince(from uint64, dst io.Writer, maxBytes int64) (last uint64, err error) {
 	last = from
-	var bound uint64
-	if w.opts.Sync == SyncGroup {
-		bound = w.DurableSeq()
-		if bound <= from {
-			return from, nil
-		}
-	}
 	var written int64
-	err = w.replayRaw(from, bound, func(seq uint64, payload []byte) error {
+	err = w.replayRaw(from, w.DurableSeq(), func(seq uint64, payload []byte) error {
 		rec := encodeRecord(seq, payload)
 		if maxBytes > 0 && written > 0 && written+int64(len(rec)) > maxBytes {
 			return errStreamFull

@@ -26,7 +26,7 @@ func testSamples(n, base int) []stream.Sample {
 // TestStreamSinceRoundTrip ships every record kind across the wire and
 // decodes it back, verifying seq, order, and payload fidelity.
 func TestStreamSinceRoundTrip(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncOff, Logger: quietLog()})
+	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncGroup, Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +49,9 @@ func TestStreamSinceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if err := w.Sync(); err != nil { // only durable records ship
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	got, err := w.StreamSince(0, &buf, 0)
 	if err != nil {
@@ -91,10 +94,66 @@ func TestStreamSinceRoundTrip(t *testing.T) {
 	}
 }
 
+// parkFlusher stops an interval WAL's background flusher, so no tick can
+// fsync between a test's steps; Close then skips the stopped loop.
+func parkFlusher(w *WAL) {
+	close(w.stopFlush)
+	w.flushWG.Wait()
+	w.mu.Lock()
+	w.stopFlush = nil
+	w.mu.Unlock()
+}
+
+// TestStreamSinceIntervalShipsOnlyDurable: under interval, as under
+// group, a record ships only once an fsync covers it. Before any tick the
+// stream ships nothing, runs no fsync of its own and no subscriber has
+// been woken; after Sync the record ships.
+func TestStreamSinceIntervalShipsOnlyDurable(t *testing.T) {
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncInterval})
+	defer w.Close()
+	parkFlusher(w)
+	commits, cancel := w.SubscribeCommits()
+	defer cancel()
+	seq, err := w.AppendSamples(testSamples(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := w.met.Fsync.Count()
+	var buf bytes.Buffer
+	last, err := w.StreamSince(0, &buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last != 0 || buf.Len() != 0 || w.DurableSeq() != 0 {
+		t.Fatalf("StreamSince before any fsync shipped through %d (%d bytes), DurableSeq %d; want nothing past 0",
+			last, buf.Len(), w.DurableSeq())
+	}
+	if got := w.met.Fsync.Count(); got != fsyncs {
+		t.Fatalf("StreamSince ran %d fsync(s) of its own", got-fsyncs)
+	}
+	select {
+	case <-commits:
+		t.Fatal("an append woke a commit subscriber before any fsync")
+	default:
+	}
+
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-commits:
+	default:
+		t.Fatal("no commit notification after Sync")
+	}
+	if last, err := w.StreamSince(0, &buf, 0); err != nil || last != seq {
+		t.Fatalf("StreamSince after Sync = %d, %v; want %d, nil", last, err, seq)
+	}
+}
+
 // TestStreamSinceFrom verifies the from bound is exclusive and spans
 // segment rotations.
 func TestStreamSinceFrom(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncOff, SegmentBytes: 256, Logger: quietLog()})
+	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncGroup, SegmentBytes: 256, Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +167,9 @@ func TestStreamSinceFrom(t *testing.T) {
 		t.Fatalf("want multiple segments, got %d", w.SegmentCount())
 	}
 
+	if err := w.Sync(); err != nil { // only durable records ship
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	last, err := w.StreamSince(15, &buf, 0)
 	if err != nil {
@@ -139,7 +201,7 @@ func TestStreamSinceFrom(t *testing.T) {
 // TestStreamSinceByteBudget: the stream cuts on a record boundary at the
 // budget but always ships at least one record so a poll can't starve.
 func TestStreamSinceByteBudget(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncOff, Logger: quietLog()})
+	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncGroup, Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,6 +210,9 @@ func TestStreamSinceByteBudget(t *testing.T) {
 		if _, err := w.AppendSamples(testSamples(4, i*4)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Sync(); err != nil { // only durable records ship
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	last, err := w.StreamSince(0, &buf, 1) // budget below one record
@@ -179,7 +244,7 @@ func TestStreamSinceByteBudget(t *testing.T) {
 // TestRecordReaderRejectsCorruption: flipped payload bytes and spliced
 // gaps must fail loudly, never decode.
 func TestRecordReaderRejectsCorruption(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncOff, Logger: quietLog()})
+	w, err := OpenWAL(t.TempDir(), WALOptions{Sync: SyncGroup, Logger: quietLog()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,6 +253,9 @@ func TestRecordReaderRejectsCorruption(t *testing.T) {
 		if _, err := w.AppendSamples(testSamples(1, i)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Sync(); err != nil { // only durable records ship
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if _, err := w.StreamSince(0, &buf, 0); err != nil {

@@ -10,15 +10,17 @@
 //
 //   - WAL. Observation batches (and entity removals) are appended as
 //     length-prefixed, CRC32C-protected records with contiguous sequence
-//     numbers, into size-rotated segment files. Three fsync policies
-//     trade durability for throughput: SyncGroup makes an acked write a
-//     durable write — the acking caller waits in WaitDurable, which runs
-//     the covering fsync itself unless one is already in flight, so
-//     concurrent writers share it (group commit); SyncInterval fsyncs on
-//     a background tick (loss bounded by the flush window); SyncOff
-//     leaves flushing to the OS. A torn final record — the signature of a
-//     crash mid-write — is truncated away on open; corruption anywhere
-//     else is an error, never silently skipped.
+//     numbers, into size-rotated segment files. Two fsync policies
+//     trade durability for throughput, over one durable commit index
+//     that advances only when an fsync lands: SyncGroup makes an acked
+//     write a durable write — the acking caller waits in WaitDurable,
+//     which runs the covering fsync itself unless one is already in
+//     flight, so concurrent writers share it (group commit); SyncInterval
+//     fsyncs on a 100 ms background tick (loss bounded by that window).
+//     Replication ships only records at or below the commit index. A
+//     torn final record — the signature of a crash mid-write — is
+//     truncated away on open; corruption anywhere else is an error,
+//     never silently skipped.
 //
 //   - Checkpoints. A background checkpointer periodically captures the
 //     full service state (model snapshot + registry directories) through

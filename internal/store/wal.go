@@ -18,22 +18,22 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// SyncPolicy controls when WAL appends reach stable storage.
+// SyncPolicy controls when WAL appends reach stable storage. Under
+// either policy the WAL keeps one durable commit index (DurableSeq): it
+// advances only when an fsync lands, and it is the tail replication may
+// ship.
 type SyncPolicy int
 
 const (
-	// SyncInterval (the default) flushes and fsyncs on a background
-	// tick; crash loss is bounded by the flush window.
+	// SyncInterval (the default) fsyncs on a background tick every
+	// flushInterval; crash loss is bounded by that window.
 	SyncInterval SyncPolicy = iota
-	// SyncOff never fsyncs explicitly (buffers are still flushed on
-	// rotation and close); the OS decides when data hits disk.
-	SyncOff
 	// SyncGroup makes an acked write a durable write: Append returns a
 	// sequence number at once and WaitDurable(seq) returns once an fsync
 	// covers it — running that fsync on the caller's goroutine when none
-	// is in flight, so concurrent waiters share one (group commit). A
-	// record nobody waits on is fsynced by the background flusher within
-	// SyncInterval.
+	// is in flight, so concurrent waiters share one (group commit). Every
+	// record has a waiter (an observe's samples and the registrations
+	// journaled just ahead of them, a removal), so no flusher runs.
 	SyncGroup
 )
 
@@ -42,19 +42,14 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "interval":
 		return SyncInterval, nil
-	case "off":
-		return SyncOff, nil
 	case "group":
 		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want group, interval, or off)", s)
+	return 0, fmt.Errorf("store: unknown fsync policy %q (want group or interval)", s)
 }
 
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncOff:
-		return "off"
-	case SyncGroup:
+	if p == SyncGroup {
 		return "group"
 	}
 	return "interval"
@@ -68,9 +63,9 @@ const (
 	// DefaultSegmentBytes is the rotation threshold: ~64 MiB keeps
 	// truncation granular without drowning the directory in files.
 	DefaultSegmentBytes = int64(64 << 20)
-	// DefaultSyncInterval is the background flusher's cadence under
-	// SyncInterval and SyncGroup.
-	DefaultSyncInterval = 100 * time.Millisecond
+	// flushInterval is the background flusher's cadence under
+	// SyncInterval.
+	flushInterval = 100 * time.Millisecond
 )
 
 // ErrWALFailed is returned by appends after a write error has poisoned
@@ -85,9 +80,6 @@ type WALOptions struct {
 	SegmentBytes int64
 	// Sync is the fsync policy (default SyncInterval).
 	Sync SyncPolicy
-	// SyncInterval is the background flush cadence under SyncInterval
-	// and SyncGroup.
-	SyncInterval time.Duration
 	// Metrics is an optional shared sink (fsync latency, bytes,
 	// segment gauge). NewMetrics() is used when nil.
 	Metrics *Metrics
@@ -98,9 +90,6 @@ type WALOptions struct {
 func (o WALOptions) withDefaults() WALOptions {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = DefaultSyncInterval
 	}
 	if o.Metrics == nil {
 		o.Metrics = NewMetrics()
@@ -220,7 +209,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	// Everything intact on disk at open is durable by definition.
 	w.durable = w.seq
 	w.durableAt.Store(w.seq)
-	if opts.Sync != SyncOff {
+	if opts.Sync == SyncInterval {
 		w.stopFlush = make(chan struct{})
 		w.flushWG.Add(1)
 		go w.flushLoop()
@@ -453,11 +442,6 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.dirty = true
 	w.met.Appends.Add(1)
 	w.met.Bytes.Add(recSize)
-	if w.opts.Sync != SyncGroup {
-		// Interval/off: the record is shippable (the replication tail is
-		// LastSeq under lossy policies), so wake commit subscribers now.
-		w.notifySubsLocked()
-	}
 	return w.seq, nil
 }
 
@@ -466,11 +450,11 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 // with no coordinator: when no fsync is in flight the caller runs the
 // covering one itself (commitLocked); otherwise it waits for the one in
 // flight to land and checks again, so every caller that arrived during
-// an fsync shares the next. Under SyncInterval and SyncOff durability is
-// waived by policy and this returns nil at once. ErrFenced, ErrWALFailed
-// or a closed-log error means the record may never be durable — the ack
-// MUST NOT be sent — and so does a seq past the tail, which no append
-// has assigned yet.
+// an fsync shares the next. Under SyncInterval durability is waived by
+// policy and this returns nil at once. ErrFenced, ErrWALFailed or a
+// closed-log error means the record may never be durable — the ack MUST
+// NOT be sent — and so does a seq past the tail, which no append has
+// assigned yet.
 func (w *WAL) WaitDurable(seq uint64) error {
 	if w.opts.Sync != SyncGroup || w.durableAt.Load() >= seq {
 		return nil
@@ -498,23 +482,17 @@ func (w *WAL) WaitDurable(seq uint64) error {
 }
 
 // DurableSeq returns the durable commit index: the highest sequence
-// number known to be on stable storage. Under lossy policies (interval/
-// off) durability is not tracked per record and the appended tail is
-// returned — that is the shippable tail those policies promise.
+// number known to be on stable storage, under either policy. It is the
+// newest record replication may ship.
 func (w *WAL) DurableSeq() uint64 {
-	if w.opts.Sync == SyncGroup {
-		return w.durableAt.Load()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
+	return w.durableAt.Load()
 }
 
 // SubscribeCommits registers a commit-notification channel: it receives
-// (coalesced, non-blocking) signals whenever the shippable tail advances
-// — a durable-commit-index advance under group, any append under
-// interval/off — and on fence, failure, or close. The returned cancel
-// func unregisters the channel.
+// (coalesced, non-blocking) signals whenever the durable commit index
+// advances, and on fence, failure, or close. An append alone signals
+// nothing: its record is not shippable until an fsync covers it. The
+// returned cancel func unregisters the channel.
 func (w *WAL) SubscribeCommits() (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
 	w.mu.Lock()
@@ -672,14 +650,13 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
-// flushLoop is the background flusher under SyncInterval and SyncGroup:
-// every SyncInterval it runs one covering fsync, outside the mutex like a
-// waiter's, when anything is buffered. Under SyncInterval it is the whole
-// durability story; under SyncGroup it bounds how long a record nobody
-// waits on (the async ingest door) stays off disk.
+// flushLoop is the background flusher under SyncInterval: every
+// flushInterval it runs one covering fsync, outside the mutex like a
+// waiter's, when anything is buffered. It is the policy's whole
+// durability story, and so what advances its commit index.
 func (w *WAL) flushLoop() {
 	defer w.flushWG.Done()
-	ticker := time.NewTicker(w.opts.SyncInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -763,11 +740,11 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 	return nil
 }
 
-// Replay walks every record with sequence number > from, in order,
-// decoding each into an Entry. It verifies continuity: the first
-// delivered record must be from+1 and each subsequent one must follow
-// directly — a gap means acked data was lost and recovery must not
-// pretend otherwise. Replay must not run concurrently with appends; the
+// Replay fsyncs the log once, then walks every record with sequence
+// number > from up to the durable commit index, in order, decoding each
+// into an Entry. It verifies continuity: the first delivered record must
+// be from+1 and each subsequent one must follow directly — a gap means
+// acked data was lost and recovery must not pretend otherwise. The
 // recovery path calls it before the engine starts journaling. (The
 // segment traversal itself is shared with StreamSince — see replicate.go.)
 //
@@ -777,8 +754,11 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 // wise anyway; this is what keeps a million-record replay at a handful
 // of allocations instead of one slice per record).
 func (w *WAL) Replay(from uint64, fn func(Entry) error) error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
 	var scratch []stream.Sample
-	return w.replayRaw(from, 0, func(seq uint64, payload []byte) error {
+	return w.replayRaw(from, w.DurableSeq(), func(seq uint64, payload []byte) error {
 		e, err := decodeEntryInto(scratch, seq, payload)
 		if err != nil {
 			return fmt.Errorf("store: wal seq %d: %w", seq, err)

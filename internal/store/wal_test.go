@@ -58,7 +58,7 @@ func replayAll(t *testing.T, w *WAL, from uint64) []Entry {
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	want := [][]stream.Sample{sampleBatch(0, 3), sampleBatch(100, 1), sampleBatch(200, 7)}
 	for i, b := range want {
 		seq, err := w.AppendSamples(b)
@@ -113,7 +113,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 
 func TestWALReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	for i := 0; i < 5; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i, 2)); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestWALReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	if w2.LastSeq() != 5 {
 		t.Fatalf("reopened LastSeq=%d, want 5", w2.LastSeq())
 	}
@@ -143,7 +143,7 @@ func TestWALReopenContinuesSequence(t *testing.T) {
 func TestWALRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every batch of 4 samples (~150B) rotates quickly.
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff, SegmentBytes: 256})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 256})
 	for i := 0; i < 10; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 4)); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	w.Close()
 
 	// Reopen after truncation: sequence numbering continues.
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	if w2.LastSeq() != 10 {
 		t.Fatalf("LastSeq after truncate+reopen = %d, want 10", w2.LastSeq())
 	}
@@ -190,7 +190,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 // recover exactly the intact prefix and keep appending from there.
 func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 	build := func(t *testing.T, dir string) (lastPath string, intactSize int64) {
-		w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+		w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 		for i := 0; i < 3; i++ {
 			if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 		if err := os.Truncate(path, cut); err != nil {
 			t.Fatal(err)
 		}
-		w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+		w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 		got := replayAll(t, w, 0)
 		if len(got) != 2 {
 			t.Fatalf("cut=%d: replayed %d entries, want 2", cut, len(got))
@@ -246,7 +246,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 
 func TestWALTornTailCountsMetric(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestWALTornTailCountsMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := NewMetrics()
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncOff, Metrics: met})
+	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup, Metrics: met})
 	defer w2.Close()
 	if met.TornTruncations.Load() != 1 {
 		t.Fatalf("TornTruncations=%d, want 1", met.TornTruncations.Load())
@@ -270,7 +270,7 @@ func TestWALTornTailCountsMetric(t *testing.T) {
 // must fail replay loudly rather than silently skipping records.
 func TestWALMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff, SegmentBytes: 200})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 200})
 	for i := 0; i < 8; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -302,7 +302,7 @@ func TestWALMidLogCorruptionIsFatal(t *testing.T) {
 // must refuse to paper over it.
 func TestWALGapDetection(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff, SegmentBytes: 200})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 200})
 	for i := 0; i < 8; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -316,7 +316,7 @@ func TestWALGapDetection(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segs[1].name)); err != nil {
 		t.Fatal(err)
 	}
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	defer w2.Close()
 	if err := w2.Replay(0, func(Entry) error { return nil }); err == nil {
 		t.Fatal("replay across a missing segment must error")
@@ -324,10 +324,10 @@ func TestWALGapDetection(t *testing.T) {
 }
 
 func TestWALSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncGroup, SyncInterval, SyncOff} {
+	for _, pol := range []SyncPolicy{SyncGroup, SyncInterval} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			w := testWAL(t, dir, WALOptions{Sync: pol, SyncInterval: 5 * time.Millisecond})
+			w := testWAL(t, dir, WALOptions{Sync: pol})
 			met := w.met
 			for i := 0; i < 4; i++ {
 				seq, err := w.AppendSamples(sampleBatch(i, 1))
@@ -341,24 +341,25 @@ func TestWALSyncPolicies(t *testing.T) {
 			switch pol {
 			case SyncGroup:
 				// Each wait found its record un-fsynced (a lone writer has
-				// nobody to share with) unless the flusher got there first.
-				if met.Fsync.Count() < 1 || w.DurableSeq() != 4 {
-					t.Fatalf("group: %d fsyncs, DurableSeq %d; want >=1 and 4", met.Fsync.Count(), w.DurableSeq())
+				// nobody to share with, and no flusher runs) and ran one.
+				if met.Fsync.Count() != 4 || w.DurableSeq() != 4 {
+					t.Fatalf("group: %d fsyncs, DurableSeq %d; want 4 and 4", met.Fsync.Count(), w.DurableSeq())
 				}
 			case SyncInterval:
 				deadline := time.Now().Add(2 * time.Second)
-				for met.Fsync.Count() == 0 && time.Now().Before(deadline) {
+				for w.DurableSeq() < 4 && time.Now().Before(deadline) {
 					time.Sleep(5 * time.Millisecond)
 				}
-				if met.Fsync.Count() == 0 {
-					t.Fatal("interval: background flusher never fsynced")
+				if met.Fsync.Count() == 0 || w.DurableSeq() != 4 {
+					t.Fatalf("interval: background flusher never covered the tail: %d fsyncs, DurableSeq %d",
+						met.Fsync.Count(), w.DurableSeq())
 				}
 			}
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
 			// Whatever the policy, a graceful close makes all records readable.
-			w2 := testWAL(t, dir, WALOptions{Sync: SyncOff})
+			w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 			if got := replayAll(t, w2, 0); len(got) != 4 {
 				t.Fatalf("%s: replayed %d, want 4", pol, len(got))
 			}
@@ -369,7 +370,7 @@ func TestWALSyncPolicies(t *testing.T) {
 
 func TestParseSyncPolicy(t *testing.T) {
 	for in, want := range map[string]SyncPolicy{
-		"group": SyncGroup, "Interval": SyncInterval, "off": SyncOff,
+		"group": SyncGroup, "Interval": SyncInterval,
 	} {
 		got, err := ParseSyncPolicy(in)
 		if err != nil || got != want {
@@ -379,9 +380,10 @@ func TestParseSyncPolicy(t *testing.T) {
 			t.Fatalf("%v.String() = %q, want %q", got, got.String(), strings.ToLower(in))
 		}
 	}
-	// always is retired (group gives the same receipt) and none was an
-	// undocumented alias: both are start-up errors now.
-	for _, bad := range []string{"always", "none", "sometimes"} {
+	// always is retired (group gives the same receipt), off is retired
+	// (its commit index would stall followers) and none was an
+	// undocumented alias: all are start-up errors now.
+	for _, bad := range []string{"always", "off", "none", "sometimes"} {
 		if _, err := ParseSyncPolicy(bad); err == nil {
 			t.Fatalf("ParseSyncPolicy(%q) must error", bad)
 		}
@@ -389,7 +391,7 @@ func TestParseSyncPolicy(t *testing.T) {
 }
 
 func TestWALRejectsOversizedAndEmptyPayloads(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncOff})
+	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	if _, err := w.Append(nil); err == nil {
 		t.Fatal("empty payload must error")
@@ -407,7 +409,7 @@ func TestWALRejectsOversizedAndEmptyPayloads(t *testing.T) {
 // segment, so fresh appends can never collide with a covered range.
 func TestWALAdvanceTo(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	for i := 0; i < 3; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 1)); err != nil {
 			t.Fatal(err)
@@ -440,7 +442,7 @@ func TestWALAdvanceTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen: numbering continues past the advanced range.
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	if got := w2.LastSeq(); got != 11 {
 		t.Fatalf("reopened LastSeq=%d, want 11", got)
 	}
@@ -453,7 +455,7 @@ func TestWALAdvanceTo(t *testing.T) {
 // bound so the test does not materialize a half-GiB batch.
 func TestWALAppendSamplesChunked(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncOff})
+	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
 	defer w.Close()
 	batch := sampleBatch(0, 10)
 	seq, err := w.appendSamplesChunked(batch, 3)
