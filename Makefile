@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics lint-tunables fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -44,19 +44,12 @@ build:
 lint-metrics:
 	$(GO) test -run TestMetricsDocumented ./internal/cluster/
 
-# Tunables-docs lint: registers every control-plane tunable (engine +
-# admission gate) and fails if any is missing from README.md's tunables
-# table — same pattern as lint-metrics.
-lint-tunables:
-	$(GO) test -run TestTunablesDocumented ./internal/cluster/
-
 # Overload-control gate: the class-contract stress tests (critical is
-# never shed while sheddable is), the tunable registry suite, the
-# gateway edge-shed tests and the relay of a backend's shed headers
-# (what a shed client needs to back off), all under the race detector.
+# never shed while sheddable is), the gateway edge-shed tests and the
+# relay of a backend's shed headers (what a shed client needs to back
+# off), all under the race detector.
 test-overload:
-	$(GO) test -race ./internal/control/
-	$(GO) test -race -run 'TestAdmission|TestConfigAPI' ./internal/server/
+	$(GO) test -race -run 'TestAdmission' ./internal/server/
 	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable|TestGatewayRelaysShedHeaders' ./internal/cluster/
 
 # Formatting leg: the walk covers bench/ too; any printed name fails.

@@ -69,6 +69,20 @@ func run(args []string, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A ticker cannot tick at a non-positive interval, and a budget of
+	// zero would shed every non-critical request.
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"replay-interval", *replay},
+		{"slo-budget-standard", *sloBudgetStd},
+		{"slo-budget-sheddable", *sloBudgetShd},
+	} {
+		if d.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %v", d.name, d.v)
+		}
+	}
 
 	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)
 	if err != nil {

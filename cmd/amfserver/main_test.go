@@ -37,6 +37,34 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPositiveDuration: a zero or negative replay tick or
+// admission budget fails start-up naming the flag, instead of crashing
+// the replay goroutine or being replaced by a default. run gets a
+// deadline, so a build that starts serving fails the test instead of
+// hanging it.
+func TestRunRejectsNonPositiveDuration(t *testing.T) {
+	for _, tc := range []struct{ name, value string }{
+		{"replay-interval", "0"},
+		{"replay-interval", "-1s"},
+		{"slo-budget-standard", "0"},
+		{"slo-budget-sheddable", "0"},
+		{"slo-budget-sheddable", "-250ms"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-addr", "127.0.0.1:0", "-slo-admission", "-" + tc.name, tc.value}, io.Discard)
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "-"+tc.name+" must be positive") {
+				t.Errorf("-%s %s: err = %v, want a must-be-positive error", tc.name, tc.value, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("-%s %s: run is serving, want a start-up error", tc.name, tc.value)
+		}
+	}
+}
+
 // TestRunRejectsFsyncAlways: the retired policy value fails start-up
 // instead of quietly mapping to one that remains.
 func TestRunRejectsFsyncAlways(t *testing.T) {

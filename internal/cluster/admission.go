@@ -4,11 +4,10 @@ import (
 	"math"
 	"net/http"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/server"
 )
 
-// This file is the gateway's slice of the overload control plane: the
+// This file is the gateway's slice of overload control: the
 // SLO class header rides through the proxy to the backends (call and
 // stamp in gateway.go), and — when edge shedding is enabled —
 // sheddable-class requests aimed at a shard group that reports
@@ -51,7 +50,7 @@ func (grp *group) maxShedRate() float64 {
 // backend, whose own gate makes the finer-grained call. A batch touching
 // several groups calls it once per group.
 func (g *Gateway) edgeShed(w http.ResponseWriter, c call, grp *group) bool {
-	if !g.cfg.EdgeShed || c.class != control.Sheddable {
+	if !g.cfg.EdgeShed || c.class != server.Sheddable {
 		return false
 	}
 	rate := grp.maxShedRate()

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/server"
 )
 
@@ -39,7 +38,7 @@ func newStubReplica(t *testing.T, shedRate float64) *stubReplica {
 			return
 		}
 		sb.mu.Lock()
-		sb.classes[r.URL.Path] = r.Header.Get(control.ClassHeader)
+		sb.classes[r.URL.Path] = r.Header.Get(server.ClassHeader)
 		sb.hits[r.URL.Path]++
 		sb.mu.Unlock()
 		w.Header().Set("Content-Type", "application/json")
@@ -82,7 +81,7 @@ func classedGwReq(t *testing.T, g *Gateway, method, path, class string, body any
 		req = httptest.NewRequest(method, path, nil)
 	}
 	if class != "" {
-		req.Header.Set(control.ClassHeader, class)
+		req.Header.Set(server.ClassHeader, class)
 	}
 	g.Handler().ServeHTTP(w, req)
 	return w

@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
@@ -333,13 +332,13 @@ const requestIDHeader = "X-Request-Id"
 type call struct {
 	span  *trace.Span
 	trace []string // X-Amf-Trace header value; nil on an untraced call
-	class control.Class
+	class server.Class
 }
 
 // controlCall is the call of a request the gateway makes on its own
 // (failover and demotion control calls, probes, scrapes): untraced,
 // standard class.
-var controlCall = call{class: control.Standard}
+var controlCall = call{class: server.Standard}
 
 // proxyHandler is a proxied route behind timed().
 type proxyHandler func(w http.ResponseWriter, r *http.Request, c call)
@@ -364,7 +363,7 @@ func (g *Gateway) timed(route string, h proxyHandler) http.HandlerFunc {
 		// own element, so an append to either cannot reach the other.
 		ids := []string{hv[:32], hv}
 		w.Header()[requestIDHeader] = ids[:1:1]
-		h(w, r, call{span: sp, trace: ids[1:], class: control.ClassFromHeader(r.Header)})
+		h(w, r, call{span: sp, trace: ids[1:], class: server.ClassFromHeader(r.Header)})
 		d := time.Since(start)
 		hist.Observe(d.Seconds())
 		sp.Finish(d)
@@ -373,8 +372,8 @@ func (g *Gateway) timed(route string, h proxyHandler) http.HandlerFunc {
 
 // classValues holds each class's header value ready-made; header values
 // are read, never written, once set, so every request shares them.
-var classValues = func() (v [control.NumClasses][]string) {
-	for _, c := range control.Classes() {
+var classValues = func() (v [server.NumClasses][]string) {
+	for _, c := range server.Classes() {
 		v[c] = []string{c.String()}
 	}
 	return v
@@ -391,7 +390,7 @@ func stamp(req *http.Request, c call) {
 	if c.trace != nil {
 		req.Header[trace.Header] = c.trace
 	}
-	req.Header[control.ClassHeader] = classValues[c.class]
+	req.Header[server.ClassHeader] = classValues[c.class]
 }
 
 // cancelBody ends a timed backend call's context when its body is closed.

@@ -48,16 +48,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/stream"
 )
 
 // Config is the engine's construction-time configuration. It has no
-// fields: the engine's one tunable (engine.replay_per_batch) moves at
-// runtime through its control registry. The type stays so that callers
-// spell construction the same way as before.
+// fields: replay runs only when a caller asks for it (ReplaySteps). The
+// type stays so that callers spell construction the same way as before.
 type Config struct{}
 
 // Stats is a point-in-time accounting snapshot of the engine.
@@ -144,11 +142,6 @@ type Engine struct {
 	replayed  atomic.Int64
 	published atomic.Int64
 
-	// ctl is the runtime-tunable registry the engine declares its knob on
-	// and the server hangs its admission tunables and config API off.
-	ctl               *control.Registry
-	tunReplayPerBatch *control.Int
-
 	// metrics is read by scrapers without any lock.
 	metrics *Metrics
 }
@@ -156,10 +149,7 @@ type Engine struct {
 // New wraps a model in a serving engine. The caller must not use the
 // model directly afterwards.
 func New(model *core.Model, _ Config) *Engine {
-	e := &Engine{model: model, ctl: control.NewRegistry(), metrics: newMetrics()}
-	e.tunReplayPerBatch = e.ctl.Int("engine.replay_per_batch",
-		"Replay updates (Algorithm 1's \"randomly pick an existing sample\") run after each committed observe batch, inside the same critical section; 0 leaves replay to the background tick.",
-		0, 0, 1024, control.SourceDefault)
+	e := &Engine{model: model, metrics: newMetrics()}
 	e.view.Store(&Pinned{PredictView: model.BuildView()})
 	return e
 }
@@ -174,10 +164,6 @@ func (e *Engine) SetAccuracy(t *obs.AccuracyTracker) {
 	defer e.mu.Unlock()
 	e.acc = t
 }
-
-// Control returns the engine's runtime-tunable registry. The server hangs
-// its own admission tunables and the config API off it.
-func (e *Engine) Control() *control.Registry { return e.ctl }
 
 // Pinned is a published view as Pin hands it out: the view, whose methods
 // it has, and the count of readers pinning it.
@@ -266,13 +252,12 @@ func (e *Engine) observe(ss []stream.Sample, scored bool) (t ObserveTiming) {
 }
 
 // commitLocked takes one batch through every stage of a write that runs
-// under mu — journal, apply, replay, publish — timing each into t, and
+// under mu — journal, apply, publish — timing each into t, and
 // returns what its caller needs to wait for durability after the unlock.
 // The publish is what gives callers read-your-writes.
 func (e *Engine) commitLocked(ss []stream.Sample, scored bool, t *ObserveTiming) (uint64, DurableJournal) {
 	var seq uint64
 	seq, t.Journal, t.Apply = e.applyLocked(ss, scored)
-	e.replayLocked(e.tunReplayPerBatch.Load())
 	t.Publish = e.publishLocked()
 	return seq, e.durJournal
 }

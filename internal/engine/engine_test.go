@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/stream"
 )
@@ -231,36 +230,9 @@ func TestRankFromView(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	e := New(testModel(t), Config{})
-	list := e.Control().List()
-	if len(list) != 1 || list[0].Name() != "engine.replay_per_batch" {
-		t.Fatalf("engine tunables %v, want engine.replay_per_batch alone", list)
-	}
-	if tun := list[0]; tun.Value() != "0" || tun.Source() != control.SourceDefault {
-		t.Fatalf("engine.replay_per_batch = %s (%v), want 0 (default)", tun.Value(), tun.Source())
-	}
 	e.ObserveAll(seedSamples(4, 5))
 	if st := e.Stats(); st.Replayed != 0 || st.Published != 1 {
 		t.Fatalf("one observe on a default engine: %+v, want no replay and one publish", st)
-	}
-}
-
-// TestTunablesDriveWriter: an override of engine.replay_per_batch through
-// the registry takes effect on the next committed batch, inside the same
-// critical section.
-func TestTunablesDriveWriter(t *testing.T) {
-	e := New(testModel(t), Config{})
-	e.ObserveAll(seedSamples(4, 5))
-	tun, ok := e.Control().Lookup("engine.replay_per_batch")
-	if !ok {
-		t.Fatal("engine.replay_per_batch not registered")
-	}
-	if err := tun.SetString("8", control.SourceOverride); err != nil {
-		t.Fatal(err)
-	}
-	before := e.Updates()
-	e.ObserveAll([]stream.Sample{{User: 1, Service: 1, Value: 2}})
-	if st := e.Stats(); st.Replayed != 8 || e.Updates() != before+9 {
-		t.Fatalf("after the override one observe replayed %d and published %d updates, want 8 and 9", st.Replayed, e.Updates()-before)
 	}
 }
 

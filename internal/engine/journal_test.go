@@ -184,8 +184,8 @@ func TestCheckpointSeq(t *testing.T) {
 // batches would otherwise slip between reading the sequence number and
 // snapshotting the view, training samples with seq > checkpoint-seq
 // into the captured state — which recovery would then replay again
-// (double-training). With replay_per_batch at 0 every model update is one
-// journaled sample, so the captured view's update count must equal
+// (double-training). A commit replays nothing: every model update is
+// one journaled sample, so the captured view's update count must equal
 // EXACTLY the number of samples the journal covers at the captured
 // sequence number.
 func TestCheckpointViewAtomicCapture(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/stream"
@@ -38,24 +37,6 @@ func TestEngineMetricsPopulate(t *testing.T) {
 	before := m.Apply.Count()
 	if n := e.ReplaySteps(10); m.Apply.Count() != before+int64(n) {
 		t.Errorf("%d replay steps not recorded: %d -> %d", n, before, m.Apply.Count())
-	}
-}
-
-func TestReplayPerBatchFeedsApplyHistogram(t *testing.T) {
-	e := New(obsModel(t), Config{})
-	tun, _ := e.Control().Lookup("engine.replay_per_batch")
-	if err := tun.SetString("8", control.SourceOverride); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		e.ObserveAll([]stream.Sample{{User: i % 3, Service: i % 2, Value: 1}})
-	}
-	st := e.Stats()
-	if st.Replayed != 20*8 {
-		t.Fatalf("20 commits with replay_per_batch 8 replayed %d updates", st.Replayed)
-	}
-	if got := e.Metrics().Apply.Count(); got != st.Applied+st.Replayed {
-		t.Errorf("apply histogram holds %d updates, want %d applied + %d replayed", got, st.Applied, st.Replayed)
 	}
 }
 

@@ -29,7 +29,6 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 		k        = 10
 	)
 	e := New(testModel(t), Config{})
-	setReplayPerBatch(t, e, 16)
 
 	var seed []stream.Sample
 	for u := 0; u < users; u++ {
@@ -113,6 +112,7 @@ func TestStressRankingUnderRepublish(t *testing.T) {
 				batch[j] = stream.Sample{User: i % users, Service: i % services, Value: 1 + float64(i%7)}
 			}
 			e.ObserveAll(batch)
+			e.ReplaySteps(16)
 			if i%64 == 0 {
 				id := i % services
 				e.RemoveService(id)

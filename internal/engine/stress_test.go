@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/stream"
 )
 
@@ -29,7 +28,6 @@ func TestStressConcurrentReadWrite(t *testing.T) {
 		mutators = 2 // churn + snapshot/replay goroutines
 	)
 	e := New(testModel(t), Config{})
-	setReplayPerBatch(t, e, 16)
 
 	// Seed synchronously so every (u, s) in range is predictable.
 	var seed []stream.Sample
@@ -178,14 +176,4 @@ func TestStressConcurrentReadWrite(t *testing.T) {
 		t.Fatalf("stress run did no work: %+v", st)
 	}
 	t.Logf("stress stats: %+v", st)
-}
-
-// setReplayPerBatch overrides the engine's one tunable, so that every
-// committed batch interleaves n replay updates.
-func setReplayPerBatch(t *testing.T, e *Engine, n int) {
-	t.Helper()
-	tun, _ := e.Control().Lookup("engine.replay_per_batch")
-	if err := tun.SetString(fmt.Sprint(n), control.SourceOverride); err != nil {
-		t.Fatal(err)
-	}
 }

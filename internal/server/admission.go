@@ -1,37 +1,83 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
 )
 
-// This file is the server's SLO-gated admission layer and the HTTP face
-// of the control plane:
-//
-//   - a predictive admission gate on the expensive API routes (observe,
-//     predict, rank): it parses the request's X-Amf-Slo-Class header,
-//     estimates how long the request would wait from the requests in
-//     flight and the route's own latency, and refuses work whose class
-//     budget the estimate blows — with a 429, a Retry-After derived from
-//     the estimate, and an X-Amf-Shed-Reason header. Critical-class
-//     requests are NEVER shed, by construction (the gate admits them
-//     before any estimate is computed).
-//
-//   - GET/PUT /api/v1/config: live inspection and override of every
-//     registered tunable (the engine's and the gate's own budgets).
+// This file is the server's SLO-gated admission layer: a predictive
+// admission gate on the expensive API routes (observe, predict, rank). It
+// parses the request's X-Amf-Slo-Class header, estimates how long the
+// request would wait from the requests in flight and the route's own
+// latency, and refuses work whose class budget the estimate blows — with
+// a 429, a Retry-After derived from the estimate, and an
+// X-Amf-Shed-Reason header. Critical-class requests are NEVER shed, by
+// construction (the gate admits them before any estimate is computed).
+// The file also owns the SLO class vocabulary, which the gateway reads
+// and forwards on the same header.
 //
 // With admission disabled (the default) the gate costs one atomic
 // pointer load + nil check per gated route.
+
+// Class is a request's SLO class. Classes order from most to least
+// important: admission never sheds Critical, and Standard and Sheddable
+// are shed when the predicted wait blows their class budget (Sheddable's
+// is the tighter one).
+type Class uint8
+
+const (
+	Critical Class = iota
+	Standard
+	Sheddable
+	// NumClasses sizes per-class arrays indexed by Class.
+	NumClasses = 3
+)
+
+// ClassHeader is the HTTP header carrying the SLO class end to end
+// (client → gateway → server).
+const ClassHeader = "X-Amf-Slo-Class"
+
+func (c Class) String() string {
+	switch c {
+	case Critical:
+		return "critical"
+	case Sheddable:
+		return "sheddable"
+	default:
+		return "standard"
+	}
+}
+
+// Classes lists every SLO class, most important first.
+func Classes() []Class { return []Class{Critical, Standard, Sheddable} }
+
+// parseClass maps the wire form to a Class. Unknown or empty strings
+// report ok=false; callers default to Standard.
+func parseClass(s string) (Class, bool) {
+	switch s {
+	case "critical":
+		return Critical, true
+	case "standard":
+		return Standard, true
+	case "sheddable":
+		return Sheddable, true
+	}
+	return Standard, false
+}
+
+// ClassFromHeader reads the request's SLO class, defaulting to
+// Standard when the header is absent or unrecognised.
+func ClassFromHeader(h http.Header) Class {
+	c, _ := parseClass(h.Get(ClassHeader))
+	return c
+}
 
 // ShedReasonHeader names why a request was refused: "slo_budget"
 // (predicted wait exceeds the class budget), "follower" (a write sent to
@@ -56,11 +102,6 @@ type AdmissionConfig struct {
 	// BudgetSheddable is the predicted-wait budget for sheddable-class
 	// requests. Default 250ms.
 	BudgetSheddable time.Duration
-	// Headroom scales both budgets (admit while estimate ≤
-	// budget×headroom). Default 1.0, which is what amfserver starts
-	// with: it is the baseline of the admission.headroom tunable, moved
-	// at runtime through PUT /api/v1/config; tests set the field.
-	Headroom float64
 }
 
 // admissionGate is the per-server gate state. One instance per
@@ -69,11 +110,9 @@ type AdmissionConfig struct {
 type admissionGate struct {
 	s *Server
 
-	// Gate tunables, registered on the engine's control registry so the
-	// config API and the docs lint see one namespace.
-	budgetStandard  *control.Duration
-	budgetSheddable *control.Duration
-	headroom        *control.Float
+	// Per-class predicted-wait budgets, fixed at EnableAdmission.
+	budgetStandard  time.Duration
+	budgetSheddable time.Duration
 
 	// Cumulative gate accounting (all classes), for the rolling ShedRate
 	// window.
@@ -103,15 +142,13 @@ type routeGate struct {
 // verdict is one admission decision.
 type verdict struct {
 	admit    bool
-	class    control.Class
+	class    Class
 	estimate time.Duration
 }
 
 // EnableAdmission switches the SLO admission gate on. Call once, after
-// construction and before serving traffic; the gate's budget tunables
-// are registered on the engine's control registry (visible in
-// GET /api/v1/config and adaptable like any other tunable). Subsequent
-// calls are no-ops.
+// construction and before serving traffic; the budgets are read once,
+// here. Subsequent calls are no-ops.
 func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 	if s.gate.Load() != nil {
 		return
@@ -122,26 +159,11 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 	if cfg.BudgetSheddable <= 0 {
 		cfg.BudgetSheddable = 250 * time.Millisecond
 	}
-	if cfg.Headroom <= 0 {
-		cfg.Headroom = 1.0
-	}
-	ctl := s.eng.Control()
-	g := &admissionGate{s: s}
-	g.budgetStandard = ctl.Duration("admission.budget_standard",
-		"Predicted-wait budget for standard-class requests; above budget×headroom the request is shed.",
-		cfg.BudgetStandard, cfg.BudgetStandard/64, cfg.BudgetStandard*64, control.SourceFlag)
-	g.budgetSheddable = ctl.Duration("admission.budget_sheddable",
-		"Predicted-wait budget for sheddable-class requests.",
-		cfg.BudgetSheddable, cfg.BudgetSheddable/64, cfg.BudgetSheddable*64, control.SourceFlag)
-	g.headroom = ctl.Float("admission.headroom",
-		"Multiplier on class budgets (admit while estimate ≤ budget×headroom).",
-		cfg.Headroom, 0.05, 16, control.SourceDefault)
-	g.rateAt = time.Now()
+	g := &admissionGate{s: s, budgetStandard: cfg.BudgetStandard, budgetSheddable: cfg.BudgetSheddable, rateAt: time.Now()}
 	s.gate.Store(g)
 	s.log.Info("slo admission enabled",
 		"budget_standard", cfg.BudgetStandard,
-		"budget_sheddable", cfg.BudgetSheddable,
-		"headroom", cfg.Headroom)
+		"budget_sheddable", cfg.BudgetSheddable)
 }
 
 // handleGated registers an expensive API route behind the admission
@@ -178,20 +200,20 @@ func (s *Server) gated(route string, h spanHandler) spanHandler {
 // critical is admitted before any estimate is consulted, so no cost-model
 // bug can ever shed it.
 func (g *admissionGate) decide(rt *routeGate, r *http.Request) verdict {
-	class := control.ClassFromHeader(r.Header)
+	class := ClassFromHeader(r.Header)
 	g.requests.Add(1)
 	g.s.admReq[class].Inc()
-	if class == control.Critical {
+	if class == Critical {
 		return verdict{admit: true, class: class}
 	}
 
 	est := g.estimate(rt)
 	g.s.admWaitEst.ObserveDuration(est)
 	budget := g.budgetStandard
-	if class == control.Sheddable {
+	if class == Sheddable {
 		budget = g.budgetSheddable
 	}
-	if float64(est) > float64(budget.Load())*g.headroom.Load() {
+	if est > budget {
 		return verdict{class: class, estimate: est}
 	}
 	return verdict{admit: true, class: class, estimate: est}
@@ -262,108 +284,4 @@ func (s *Server) ShedRate() float64 {
 		return g.ShedRate()
 	}
 	return 0
-}
-
-// ---------------------------------------------------------------------------
-// Config API: live inspection and override of registered tunables.
-
-// TunableInfo is one tunable in GET /api/v1/config.
-type TunableInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"` // int | duration | float
-	Value    string `json:"value"`
-	Baseline string `json:"baseline"` // flag value or package default
-	Min      string `json:"min"`
-	Max      string `json:"max"`
-	Source   string `json:"source"` // default | flag | override
-	Help     string `json:"help"`
-}
-
-// ConfigResponse is the body of GET /api/v1/config.
-type ConfigResponse struct {
-	Tunables []TunableInfo `json:"tunables"`
-}
-
-// ConfigUpdateRequest is the body of PUT /api/v1/config: tunable name →
-// new value (parsed per the tunable's kind; durations as "80ms").
-type ConfigUpdateRequest struct {
-	Set map[string]string `json:"set"`
-}
-
-// ConfigUpdateResponse reports per-name outcomes of a PUT. Updates are
-// applied independently in name order: entries in Applied took effect
-// even when Errors is non-empty (the response status is 400 then).
-type ConfigUpdateResponse struct {
-	Applied map[string]string `json:"applied,omitempty"`
-	Errors  map[string]string `json:"errors,omitempty"`
-}
-
-func (s *Server) configRoutes() {
-	s.handle("GET /api/v1/config", s.handleGetConfig)
-	s.handle("PUT /api/v1/config", s.handlePutConfig)
-}
-
-func (s *Server) handleGetConfig(w http.ResponseWriter, _ *http.Request) {
-	list := s.eng.Control().List()
-	resp := ConfigResponse{Tunables: make([]TunableInfo, 0, len(list))}
-	for _, t := range list {
-		resp.Tunables = append(resp.Tunables, TunableInfo{
-			Name:     t.Name(),
-			Kind:     t.Kind(),
-			Value:    t.Value(),
-			Baseline: t.Baseline(),
-			Min:      t.MinString(),
-			Max:      t.MaxString(),
-			Source:   t.Source().String(),
-			Help:     t.Help(),
-		})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePutConfig(w http.ResponseWriter, r *http.Request) {
-	var req ConfigUpdateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.countError(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		return
-	}
-	if len(req.Set) == 0 {
-		s.countError(w, http.StatusBadRequest, "no tunables in request (expected {\"set\": {name: value}})")
-		return
-	}
-	ctl := s.eng.Control()
-	names := make([]string, 0, len(req.Set))
-	for name := range req.Set {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	resp := ConfigUpdateResponse{}
-	for _, name := range names {
-		t, ok := ctl.Lookup(name)
-		if !ok {
-			if resp.Errors == nil {
-				resp.Errors = map[string]string{}
-			}
-			resp.Errors[name] = "unknown tunable"
-			continue
-		}
-		if err := t.SetString(req.Set[name], control.SourceOverride); err != nil {
-			if resp.Errors == nil {
-				resp.Errors = map[string]string{}
-			}
-			resp.Errors[name] = err.Error()
-			continue
-		}
-		if resp.Applied == nil {
-			resp.Applied = map[string]string{}
-		}
-		resp.Applied[name] = t.Value()
-		s.log.Info("tunable overridden", "tunable", name, "value", t.Value())
-	}
-	status := http.StatusOK
-	if len(resp.Errors) > 0 {
-		status = http.StatusBadRequest
-		s.metrics.badRequests.Add(1)
-	}
-	s.writeJSON(w, status, resp)
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
 )
@@ -40,7 +39,7 @@ func classedReq(t testing.TB, s *Server, class string, obs []Observation) *httpt
 	body := ObserveRequest{Observations: obs}
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/observe", marshalBody(t, body))
 	if class != "" {
-		req.Header.Set(control.ClassHeader, class)
+		req.Header.Set(ClassHeader, class)
 	}
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
@@ -65,6 +64,41 @@ func decodeBody(t testing.TB, w *httptest.ResponseRecorder, v any) {
 
 func oneObs(u string) []Observation {
 	return []Observation{{User: u, Service: "svc", Value: 1.5}}
+}
+
+func TestParseClass(t *testing.T) {
+	cases := []struct {
+		in   string
+		want Class
+		ok   bool
+	}{
+		{"critical", Critical, true},
+		{"standard", Standard, true},
+		{"sheddable", Sheddable, true},
+		{"", Standard, false},
+		{"CRITICAL", Standard, false},
+		{"bulk", Standard, false},
+	}
+	for _, c := range cases {
+		got, ok := parseClass(c.in)
+		if got != c.want || ok != c.ok {
+			t.Errorf("parseClass(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
+		}
+	}
+	h := http.Header{}
+	if got := ClassFromHeader(h); got != Standard {
+		t.Errorf("missing header: got %v, want standard", got)
+	}
+	h.Set(ClassHeader, "sheddable")
+	if got := ClassFromHeader(h); got != Sheddable {
+		t.Errorf("sheddable header: got %v", got)
+	}
+	for _, c := range Classes() {
+		rt, ok := parseClass(c.String())
+		if !ok || rt != c {
+			t.Errorf("round trip %v failed: %v %v", c, rt, ok)
+		}
+	}
 }
 
 // TestAdmissionShedContract pins the shed response shape (satellite:
@@ -128,7 +162,7 @@ func TestAdmissionDisabledIsInert(t *testing.T) {
 
 // TestAdmissionCriticalNeverShed is the satellite-3 stress test: under
 // forced overload, with concurrent critical and sheddable traffic plus
-// live config overrides and metrics scrapes racing the gate, every
+// metrics scrapes racing the gate, every
 // critical request succeeds and every sheddable request sheds. Run
 // under -race this also proves the gate's hot path is data-race free.
 func TestAdmissionCriticalNeverShed(t *testing.T) {
@@ -157,25 +191,8 @@ func TestAdmissionCriticalNeverShed(t *testing.T) {
 			}
 		}(w, class, want)
 	}
-	// Race live overrides and scrapes against the request storm.
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
-			hr := "1.0"
-			if i%2 == 0 {
-				hr = "2.0"
-			}
-			body := ConfigUpdateRequest{Set: map[string]string{"admission.headroom": hr}}
-			req := httptest.NewRequest(http.MethodPut, "/api/v1/config", marshalBody(t, body))
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, req)
-			if rec.Code != http.StatusOK {
-				errs <- fmt.Errorf("config PUT got %d: %s", rec.Code, rec.Body.String())
-				return
-			}
-		}
-	}()
+	// Race scrapes against the request storm.
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
@@ -194,11 +211,11 @@ func TestAdmissionCriticalNeverShed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := s.admShed[control.Critical].Load(); got != 0 {
+	if got := s.admShed[Critical].Load(); got != 0 {
 		t.Fatalf("critical sheds = %d, want 0", got)
 	}
 	wantShed := int64(workers / 2 * perWorker)
-	if got := s.admShed[control.Sheddable].Load(); got != wantShed {
+	if got := s.admShed[Sheddable].Load(); got != wantShed {
 		t.Fatalf("sheddable sheds = %d, want %d", got, wantShed)
 	}
 	tm := scrapeMetrics(t, s)
@@ -207,96 +224,6 @@ func TestAdmissionCriticalNeverShed(t *testing.T) {
 	}
 	if v := metricValue(t, tm, "amf_admission_shed_reasons_total", "reason", "slo_budget"); int64(v) != wantShed {
 		t.Fatalf("slo_budget reason count = %v, want %d", v, wantShed)
-	}
-}
-
-// TestConfigAPI covers GET/PUT /api/v1/config: listing includes engine
-// and gate tunables with bounds and source, overrides apply and pin,
-// out-of-bounds and unknown names error without blocking the valid
-// entries of the same request (partial apply, 400).
-func TestConfigAPI(t *testing.T) {
-	s := gatedServer(t, time.Millisecond)
-
-	w := doReq(t, s, http.MethodGet, "/api/v1/config", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("GET config: status %d: %s", w.Code, w.Body.String())
-	}
-	var list ConfigResponse
-	decodeBody(t, w, &list)
-	byName := map[string]TunableInfo{}
-	for _, ti := range list.Tunables {
-		byName[ti.Name] = ti
-	}
-	if len(list.Tunables) != 4 {
-		t.Fatalf("GET /api/v1/config lists %d tunables, want 4: %+v", len(list.Tunables), list.Tunables)
-	}
-	for _, name := range []string{
-		"engine.replay_per_batch",
-		"admission.budget_standard", "admission.budget_sheddable", "admission.headroom",
-	} {
-		ti, ok := byName[name]
-		if !ok {
-			t.Fatalf("tunable %s missing from GET /api/v1/config", name)
-		}
-		if ti.Min == "" || ti.Max == "" || ti.Help == "" || ti.Kind == "" {
-			t.Fatalf("tunable %s incompletely described: %+v", name, ti)
-		}
-	}
-	if src := byName["admission.budget_standard"].Source; src != "flag" {
-		t.Fatalf("budget source %q, want flag", src)
-	}
-
-	// Valid override applies and pins.
-	put := func(set map[string]string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPut, "/api/v1/config", marshalBody(t, ConfigUpdateRequest{Set: set}))
-		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, req)
-		return rec
-	}
-	rec := put(map[string]string{"admission.headroom": "2"})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("PUT: status %d: %s", rec.Code, rec.Body.String())
-	}
-	var upd ConfigUpdateResponse
-	decodeBody(t, rec, &upd)
-	if upd.Applied["admission.headroom"] != "2" {
-		t.Fatalf("applied = %v", upd.Applied)
-	}
-	if got := s.gate.Load().headroom.Load(); got != 2 {
-		t.Fatalf("headroom after PUT = %v, want 2", got)
-	}
-	w = doReq(t, s, http.MethodGet, "/api/v1/config", nil)
-	decodeBody(t, w, &list)
-	for _, ti := range list.Tunables {
-		if ti.Name == "admission.headroom" && ti.Source != "override" {
-			t.Fatalf("source after override = %q, want override", ti.Source)
-		}
-	}
-
-	// Partial apply: one valid, one out-of-bounds, one unknown → 400,
-	// valid entry still took effect.
-	rec = put(map[string]string{
-		"admission.headroom":        "4",
-		"admission.budget_standard": "1000h", // way past max
-		"no.such.tunable":           "1",
-	})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("partial PUT: status %d, want 400: %s", rec.Code, rec.Body.String())
-	}
-	decodeBody(t, rec, &upd)
-	if upd.Applied["admission.headroom"] != "4" {
-		t.Fatalf("valid entry not applied: %+v", upd)
-	}
-	if len(upd.Errors) != 2 {
-		t.Fatalf("errors = %v, want 2 entries", upd.Errors)
-	}
-	if got := s.gate.Load().headroom.Load(); got != 4 {
-		t.Fatalf("headroom after partial PUT = %v, want 4", got)
-	}
-
-	// Empty set is a 400.
-	if rec := put(nil); rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty PUT: status %d, want 400", rec.Code)
 	}
 }
 
@@ -311,7 +238,7 @@ func BenchmarkAdmissionGate(b *testing.B) {
 	g := s.gate.Load()
 	rt := &routeGate{hist: s.httpHist.With("bench")}
 	req := httptest.NewRequest(http.MethodPost, "/api/v1/observe", nil)
-	req.Header.Set(control.ClassHeader, "standard")
+	req.Header.Set(ClassHeader, "standard")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

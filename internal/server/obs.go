@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
 )
@@ -93,7 +92,7 @@ func (s *Server) buildMetrics() {
 		"Requests evaluated by the SLO admission gate, by class (0 while admission is disabled).", "class")
 	shedVec := r.NewCounterFuncVec("amf_admission_shed_total",
 		"Requests the SLO admission gate refused, by class.", "class")
-	for _, c := range control.Classes() {
+	for _, c := range Classes() {
 		s.admReq[c] = admReqVec.With(c.String())
 		shedVec.With(c.String(), s.admShed[c].Load) // critical: 0 by construction
 	}

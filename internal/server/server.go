@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/control"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/engine"
 	"github.com/qoslab/amf/internal/obs"
@@ -76,13 +75,13 @@ type Server struct {
 	acc         *obs.AccuracyTracker
 	traces      *trace.Recorder
 
-	// SLO admission + control plane (see admission.go): gate is nil
+	// SLO admission (see admission.go): gate is nil
 	// until EnableAdmission. The admission metric families are always
 	// registered (zero while disabled) so dashboards and the docs lint see
 	// a stable surface.
 	gate          atomic.Pointer[admissionGate]
-	admReq        [control.NumClasses]*obs.Counter
-	admShed       [control.NumClasses]atomic.Int64
+	admReq        [NumClasses]*obs.Counter
+	admShed       [NumClasses]atomic.Int64
 	admBudgetShed *obs.Counter
 	admWaitEst    *obs.Histogram
 	log           *slog.Logger
@@ -203,14 +202,13 @@ func (s *Server) routes() {
 	s.handle("GET /readyz", s.handleReady)
 	// The expensive API routes pass through the SLO admission gate
 	// (inert until EnableAdmission — one atomic load while disabled).
-	// Health, metrics, config, and cluster control stay ungated: an
+	// Health, metrics and cluster control stay ungated: an
 	// overloaded server must remain observable and steerable.
 	s.handleGated("POST /api/v1/observe", s.handleObserve)
 	s.handleGated("GET /api/v1/predict", s.handlePredict)
 	s.handleGated("POST /api/v1/predict", s.handleBatchPredict)
 	s.rankRoutes()
 	s.handle("GET /api/v1/stats", s.handleStats)
-	s.configRoutes()
 	s.handle("GET /api/v1/users", s.handleListUsers)
 	s.handle("GET /api/v1/services", s.handleListServices)
 	s.handle("DELETE /api/v1/users", s.handleDeleteUser)
