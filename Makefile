@@ -91,7 +91,9 @@ bench:
 # engine publishes when no reader pins the replaced view — each copied
 # page's twin, written only in the rows that changed since;
 # and the full-catalog scan of a 10k-service view beside the same scan
-# pushing every row (scan-speedup-x) and the candidate path (heap-p50);
+# pushing every row (scan-speedup-x) and the candidate path (heap-p50),
+# with how many times its kernel returned to Go (handbacks/op, a count
+# any host reproduces);
 # and a predict and a 50-candidate batch through a gateway over real
 # loopback sockets beside the same requests direct, with allocs/op
 # (bench/'s hop is in-process); and the registry resolving a rank's 200
@@ -144,9 +146,11 @@ fuzz-select:
 
 # The dot kernels (internal/matrix/kernels_test.go): assembly against the
 # portable loop against the naive sum, both widths, a single-row DotBatch
-# against Dot bit for bit, and the page kernel every served prediction
-# runs on against its portable loop bit for bit, with its survivor mask
-# for a fuzzed bound and direction. CI runs this leg at FUZZTIME=10s.
+# against Dot bit for bit, and the page-scan kernel every full-catalog
+# rank runs on against its portable loop bit for bit — the page each walk
+# stops at, its survivor mask and its scores — over fuzzed page counts,
+# ranks, last-page row counts, bounds (NaN, ±Inf, ±0, a key of the shard,
+# any value) and directions. CI runs this leg at FUZZTIME=10s.
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 

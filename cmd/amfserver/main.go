@@ -69,19 +69,26 @@ func run(args []string, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// A ticker cannot tick at a non-positive interval, and a budget of
-	// zero would shed every non-critical request.
+	// A ticker cannot tick at a non-positive interval, a checkpoint
+	// cadence of zero would be replaced by the store's default, and a
+	// budget of zero would shed every non-critical request.
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
 		{"replay-interval", *replay},
+		{"snapshot-interval", *snapIvl},
 		{"slo-budget-standard", *sloBudgetStd},
 		{"slo-budget-sheddable", *sloBudgetShd},
 	} {
 		if d.v <= 0 {
 			return fmt.Errorf("-%s must be positive, got %v", d.name, d.v)
 		}
+	}
+	// Zero replays nothing, which turns replay off; a negative count would
+	// do the same while reading as a mistake.
+	if *batch < 0 {
+		return fmt.Errorf("-replay-batch must not be negative, got %d", *batch)
 	}
 
 	logger, err := obs.NewLogger(stderr, *logLevel, *logFormat)

@@ -37,32 +37,48 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNonPositiveDuration: a zero or negative replay tick or
-// admission budget fails start-up naming the flag, instead of crashing
-// the replay goroutine or being replaced by a default. run gets a
-// deadline, so a build that starts serving fails the test instead of
-// hanging it.
+// runMustRefuse runs the server with args and fails t unless start-up
+// fails with an error containing want. run gets a deadline, so a build
+// that starts serving fails the test instead of hanging it.
+func runMustRefuse(t *testing.T, want string, args ...string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...), io.Discard)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v: err = %v, want %q", args, err, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%v: run is serving, want a start-up error", args)
+	}
+}
+
+// TestRunRejectsNonPositiveDuration: a zero or negative replay tick,
+// checkpoint cadence or admission budget fails start-up naming the flag,
+// instead of crashing the replay goroutine or being replaced by a
+// default.
 func TestRunRejectsNonPositiveDuration(t *testing.T) {
 	for _, tc := range []struct{ name, value string }{
 		{"replay-interval", "0"},
 		{"replay-interval", "-1s"},
+		{"snapshot-interval", "0"},
+		{"snapshot-interval", "-1m"},
 		{"slo-budget-standard", "0"},
 		{"slo-budget-sheddable", "0"},
 		{"slo-budget-sheddable", "-250ms"},
 	} {
-		done := make(chan error, 1)
-		go func() {
-			done <- run([]string{"-addr", "127.0.0.1:0", "-slo-admission", "-" + tc.name, tc.value}, io.Discard)
-		}()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "-"+tc.name+" must be positive") {
-				t.Errorf("-%s %s: err = %v, want a must-be-positive error", tc.name, tc.value, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("-%s %s: run is serving, want a start-up error", tc.name, tc.value)
-		}
+		runMustRefuse(t, "-"+tc.name+" must be positive", "-slo-admission", "-data-dir", t.TempDir(), "-"+tc.name, tc.value)
 	}
+}
+
+// TestRunRejectsNegativeReplayBatch: a negative replay batch fails
+// start-up instead of quietly turning replay off, as -replay-batch 0 does
+// on purpose.
+func TestRunRejectsNegativeReplayBatch(t *testing.T) {
+	runMustRefuse(t, "-replay-batch must not be negative", "-replay-batch", "-1")
 }
 
 // TestRunRejectsFsyncAlways: the retired policy value fails start-up

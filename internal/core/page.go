@@ -18,9 +18,9 @@ import (
 // 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
-// A page is eight dimension-major 8-row groups (viewPage), scored and
-// filtered by one matrix.DotPage32 call, so the height must stay a
-// multiple of matrix.GroupRows and at most 64, the width of its mask.
+// A page is eight dimension-major 8-row groups (viewPage), and
+// matrix.WalkPages32 scores and filters a shard's pages one full page at
+// a time, so the height is matrix.PageRows, the width of its mask.
 // At rank 10 a page is a 2.5 KB float32 block plus 1 KB of meta, and a
 // 64-sample publish over 20k services copies 65 of them. Into freshly
 // allocated pages that is 85–120 µs, 0.24 MB and 162 allocations
@@ -84,10 +84,11 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // of a pointer chase, and its layout is what makes the scan cheap: rows
 // are kept in groups of matrix.GroupRows = 8, and within a group factor
 // j of all eight rows is one run of eight floats, so row o's factor j is
-// vecs[(o>>3)*8*rank + j*8 + (o&7)]. A full-catalog scan hands each
-// block to matrix.DotPage32, which scores eight rows per vector multiply
-// and add with no horizontal reduce and no tail, and compares the scores
-// with the top-k bound before they leave the registers. A row's factors
+// vecs[(o>>3)*8*rank + j*8 + (o&7)]. A full-catalog scan hands a
+// shard's page slice to matrix.WalkPages32, which scores eight rows per
+// vector multiply and add with no horizontal reduce and no tail, and
+// compares the scores with the top-k bound before they leave the
+// registers, page after page, until one has a survivor. A row's factors
 // are a strided lane of the block (viewPage.lane); point reads (Predict,
 // the candidate path) walk that lane with a scalar loop in the kernel's
 // association (veDot), so they and the scan agree bit for bit. The cost
@@ -97,7 +98,8 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // lanes past the last row of a shard's partial last page hold zeros.
 // A viewPage itself is just the two references, held by value in the
 // shard's page slice so the scan finds each block without dereferencing
-// a header.
+// a header: the kernel steps from one page's vecs to the next by
+// pageStride, so vecs stays the first field (TestScanLayout).
 //
 // The block is float32, the one precision a view is served in: freeze
 // rounds the model's float64 factors once, at publish time, and every

@@ -317,7 +317,7 @@ var readPathDigest = map[string]uint64{
 
 // TestReadPathDigest pins what a view serves independently of the
 // kernels the build dispatches to: every view-side key is summed in
-// matrix.DotPage32's association — each product rounded, then added —
+// matrix.WalkPages32's association — each product rounded, then added —
 // by the assembly, by the portable loop and by the point reads' lane
 // loop alike, so a page scan's value is the batch prediction's to the
 // bit, `go test` and `make test-noasm` must print the same digest of

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"github.com/qoslab/amf/internal/matrix"
 )
@@ -32,8 +33,9 @@ func refScan(v *PredictView, user, k int, lowerIsBetter bool) []Ranked {
 	q := u.appendFactors(nil)
 	for si := range v.services.shards {
 		sh := &v.services.shards[si]
-		for pi, p := range sh.pages {
-			matrix.DotPage32(vals[:], p.vecs, q, nan32, lowerIsBetter)
+		for pi := range sh.pages {
+			// One page, under a bound no row is worse than.
+			matrix.WalkPages32(&vals, &sh.pages[pi].vecs, pageStride, 1, q, nan32, lowerIsBetter, ^uint64(0))
 			for i, id := range sh.idx.pageIDs(pi) {
 				h = heapPush(h, scored{service: id, key: float64(vals[i])}, k, lowerIsBetter)
 			}
@@ -296,6 +298,142 @@ func TestSelectionPushBound(t *testing.T) {
 	}
 	if got := countPushes(func() { v.TopKAll(0, k, true, 1) }); got != k {
 		t.Errorf("best-first: %d rows reached heapPush, want only the first %d", got, k)
+	}
+}
+
+// countHandbacks runs f and returns how many times a full-catalog scan's
+// kernel returned to Go, failing t on a return that hands back a page
+// with no survivor or ends a walk with one.
+func countHandbacks(t *testing.T, f func()) (returns int) {
+	t.Helper()
+	testHookScan = func(i, n int, m uint64) {
+		returns++
+		if (i < n) != (m != 0) {
+			t.Errorf("scan returned page %d of %d with mask %064b", i, n, m)
+		}
+	}
+	defer func() { testHookScan = nil }()
+	f()
+	return returns
+}
+
+// TestScanHandbackBound is the clock-free guard on the shard walk: on
+// TestSelectionPushBound's shuffled 20,000-service catalog with k = 10,
+// TopKAll's kernel may return to Go at most once per shard, at its end,
+// plus 3·k·(1+ln(n/k)) times with a page that has a survivor — with
+// distinct keys every page handed back makes at least one push, so the
+// pushes' bound is the pages' too — where a call per page would return
+// 320 times. When keys arrive best-last every page holds survivors, and each
+// one comes back.
+func TestScanHandbackBound(t *testing.T) {
+	const n, k = 20000, 10
+	limit := viewShardCount + int(3*k*(1+math.Log(n/k)))
+	rng := rand.New(rand.NewSource(16))
+	ids, keys := make([]int, n), make([]float64, n)
+	for i, p := range rng.Perm(n) {
+		ids[i], keys[i] = i, float64(p)
+	}
+	v := keyedView(ids, keys)
+	pages := v.services.pageCount()
+	for _, lower := range []bool{true, false} {
+		got := countHandbacks(t, func() { v.TopKAll(0, k, lower, 1) })
+		t.Logf("TopKAll lower=%v: the kernel returned %d times over %d pages in %d shards", lower, got, pages, viewShardCount)
+		if got < viewShardCount || got > limit {
+			t.Errorf("TopKAll lower=%v: the kernel returned %d times, want %d..%d", lower, got, viewShardCount, limit)
+		}
+	}
+	scanOrder(ids)
+	for i := range keys {
+		keys[i] = float64(i)
+	}
+	v = keyedView(ids, keys)
+	if got := countHandbacks(t, func() { v.TopKAll(0, k, false, 1) }); got != pages {
+		t.Errorf("best-last: the kernel returned %d times, want once per page, %d", got, pages)
+	}
+}
+
+// checkScanLayout holds v's service pages to what matrix.WalkPages32
+// reads of them: a page's block is the first field of viewPage, every
+// block is full height, and a shard holds exactly the pages its rows
+// need, so that the last page's row mask is 1 to 64 rows wide.
+func checkScanLayout(t *testing.T, v *PredictView) {
+	t.Helper()
+	if off := unsafe.Offsetof(viewPage{}.vecs); off != 0 {
+		t.Fatalf("viewPage.vecs at offset %d, want 0", off)
+	}
+	for si := range v.services.shards {
+		sh := &v.services.shards[si]
+		if want := (len(sh.idx.ids) + viewPageRows - 1) / viewPageRows; len(sh.pages) != want {
+			t.Fatalf("shard %d: %d pages for %d rows, want %d", si, len(sh.pages), len(sh.idx.ids), want)
+		}
+		for pi, p := range sh.pages {
+			if len(p.vecs) != viewPageRows*v.services.rank {
+				t.Fatalf("shard %d page %d: block of %d floats, want %d", si, pi, len(p.vecs), viewPageRows*v.services.rank)
+			}
+		}
+	}
+}
+
+// TestScanLayout checks the scan's layout facts on views built, refreshed
+// through joins and removals that reshape shards, and published into
+// recycled pages and twins.
+func TestScanLayout(t *testing.T) {
+	g := newRecycleRig(t, 37)
+	checkScanLayout(t, g.rv)
+	rng := rand.New(rand.NewSource(37))
+	for step := 0; step < 60; step++ {
+		switch rng.Intn(4) {
+		case 0:
+			g.removeService(rng.Intn(rigServices))
+		default:
+			for i := 0; i < 8; i++ {
+				g.observe(rng.Intn(rigUsers), rng.Intn(rigServices), 0.05+12*rng.Float64())
+			}
+		}
+		g.refresh()
+		checkScanLayout(t, g.rv)
+		g.recycle()
+	}
+}
+
+// TestScanShardEdges holds TopKAll to the reference on the shard shapes
+// the walk's ends meet: empty shards between full ones, a shard of
+// exactly 64·n rows (its last page's row mask all ones), a one-row shard
+// and a shard one row past a page, and a catalog that is one 64·n-row
+// shard — through checkSelection's k ∈ {1, 10, n−1, n, > n}, both
+// directions, keys random, tied and best-last in scan order.
+func TestScanShardEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var ids []int
+	for _, sr := range [][2]int{{0, 2 * viewPageRows}, {1, 1}, {2, viewPageRows}, {5, viewPageRows + 1}, {63, 3 * viewPageRows}} {
+		for r := 0; r < sr[1]; r++ {
+			ids = append(ids, r*viewShardCount+sr[0])
+		}
+	}
+	scanOrder(ids)
+	for _, c := range []struct {
+		name string
+		ids  []int
+	}{{"shards", ids}, {"one-full-shard", ids[:2*viewPageRows]}} {
+		name, catalog := c.name, c.ids
+		keys := make([]float64, len(catalog))
+		for _, order := range []string{"random", "ties", "best-last"} {
+			for i := range keys {
+				switch order {
+				case "random":
+					keys[i] = rng.NormFloat64()
+				case "ties":
+					keys[i] = float64(rng.Intn(3))
+				default:
+					keys[i] = float64(i)
+				}
+			}
+			t.Run(name+"/"+order, func(t *testing.T) {
+				v := keyedView(catalog, keys)
+				checkScanLayout(t, v)
+				checkSelection(t, v, catalog, rng)
+			})
+		}
 	}
 }
 

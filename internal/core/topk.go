@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/transform"
@@ -153,8 +154,8 @@ func heapDrain(h []scored, out []scored, lowerIsBetter bool) {
 // selectRows offers one block of scored rows — ids[i] with key keys[i],
 // at most viewPageRows of them — to the bounded heap h (cap k >= 1) and
 // returns the updated heap. The candidate path feeds it the blocks its
-// lane dots fill; a page scan filters in the kernel instead (scanPage).
-// Either way the block's survivors go to pushSurvivors.
+// lane dots fill; a full-catalog scan filters in the kernel instead
+// (TopKAll). Either way the block's survivors go to pushSurvivors.
 func selectRows(h []scored, ids []int, keys []float32, k int, lowerIsBetter bool) []scored {
 	keys = keys[:len(ids)]
 	m := matrix.Survivors(keys, heapBound(h, k), lowerIsBetter)
@@ -180,9 +181,9 @@ func heapBound(h []scored, k int) float32 {
 //
 // A row whose key is strictly worse than the heap's k-th best key can
 // never be admitted, so the mask (matrix.Survivors, or the one
-// matrix.DotPage32 returns for the page it scored) clears those rows for
-// the whole block in a few vector compares and the loop visits only the
-// others: better keys, ties (the id tie-break is heapPush's to decide),
+// matrix.WalkPages32 returns for the page it stops at) clears those rows
+// for the whole block in a few vector compares and the loop visits only
+// the others: better keys, ties (the id tie-break is heapPush's to decide),
 // and anything compared with a NaN, which is never "strictly worse".
 // Each push tightens the bound, so a row the mask let through is
 // compared again with the current root. Both filters drop only rows
@@ -353,14 +354,22 @@ func (v *PredictView) predictBatch(user int, services []int, dst, conf []float64
 // TopKAll ranks every service in the view for the user and returns the
 // best k — the "pick me the best replica out of everything we know"
 // query. It never touches the id index: the user's lane is gathered
-// once into a query, each shard's pages are scored and filtered against
-// the heap's bound by matrix.DotPage32 (one call per 64-row
-// dimension-major block), and only the k survivors are transformed.
+// once into a query, and each shard's pages are scored and filtered
+// against the heap's bound by matrix.WalkPages32, which walks the
+// shard's page slice itself and comes back only at a page with
+// survivors; those go to the heap, the bound tightens, and the walk
+// resumes at the next page. Only the k survivors are transformed.
 // Every caller in the product passes workers = 1; the parameter is
 // ignored — the scan is always serial, on the caller's goroutine — and
 // stays only because bench/probes.go compiles against this signature
 // (DESIGN.md "Ranking fast path" has why the fan-out went). Returns nil
 // when the user is unknown or k <= 0.
+//
+// The kernel sums each row in the association veDot uses, so the scan
+// agrees exactly with the candidate path and with point reads. It reads
+// each page's block through the page struct (pageStride): vecs must be
+// its first field and every block full height, which TestScanLayout
+// pins.
 func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) []Ranked {
 	u, ok := v.users.get(user)
 	if k = min(k, v.services.count); !ok || k <= 0 {
@@ -371,8 +380,22 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 	h := sc.heap[:0]
 	for si := range v.services.shards {
 		sh := &v.services.shards[si]
-		for pi, p := range sh.pages {
-			h = scanPage(p, sh.idx.pageIDs(pi), h, sc, k, lowerIsBetter)
+		n := len(sh.pages)
+		if n == 0 {
+			continue
+		}
+		// The rows of the last page; the kernel never hands back the rest.
+		last := ^uint64(0) >> (n<<viewPageShift - len(sh.idx.ids))
+		for pi := 0; pi < n; pi++ {
+			i, m := matrix.WalkPages32(&sc.vals, &sh.pages[pi].vecs, pageStride, n-pi, sc.q, heapBound(h, k), lowerIsBetter, last)
+			if testHookScan != nil {
+				testHookScan(i, n-pi, m)
+			}
+			if m == 0 {
+				break // i == n-pi: no page after pi has a survivor
+			}
+			pi += i
+			h = pushSurvivors(h, sh.idx.pageIDs(pi), sc.vals[:], m, k, lowerIsBetter)
 		}
 	}
 	out := drainInto(nil, h, lowerIsBetter, v.tr)
@@ -380,18 +403,13 @@ func (v *PredictView) TopKAll(user int, k int, lowerIsBetter bool, workers int) 
 	return out
 }
 
-// scanPage scores one page — rows ids, then pad lanes — against the
-// gathered query sc.q and offers the rows to the bounded heap, returning
-// the (possibly grown) heap for pooling. One DotPage32 call scores the
-// page and returns its survivor mask against the heap's bound, so the
-// keys are compared while the kernel still holds them; the pad lanes'
-// bits are masked off here. The kernel sums each row in the association
-// veDot uses, so the page scan agrees exactly with the candidate path
-// and with point reads.
-func scanPage(p viewPage, ids []int, h []scored, sc *rankScratch, k int, lowerIsBetter bool) []scored {
-	m := matrix.DotPage32(sc.vals[:], p.vecs, sc.q, heapBound(h, k), lowerIsBetter)
-	if m &= ^uint64(0) >> (64 - len(ids)); m == 0 {
-		return h // most pages, once the heap is full
-	}
-	return pushSurvivors(h, ids, sc.vals[:len(ids)], m, k, lowerIsBetter)
-}
+// pageStride is the distance between consecutive pages' blocks as
+// matrix.WalkPages32 walks a shard's page slice.
+const pageStride = unsafe.Sizeof(viewPage{})
+
+// testHookScan, when a test sets it, is called with what every return
+// of matrix.WalkPages32 to TopKAll brings back — the page i of the n
+// walked and its mask, or (n, 0) at the shard's end: how often the scan
+// re-enters Go, not how long it takes, is what TestScanHandbackBound
+// holds it to.
+var testHookScan func(i, n int, m uint64)

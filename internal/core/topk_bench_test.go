@@ -25,6 +25,9 @@ import (
 // "scan-ref" is the same scan with every row pushed through the heap
 // (refScan, the oracle of select_test.go — the selection TopKAll had
 // before ISSUE 16 fused it into the scan; scan-speedup-x is ref/scan).
+// handbacks/op is how many times the scan's kernel returned to Go in one
+// TopKAll: once at each shard's end and once per page with survivors.
+// It is a count, not a time, so it reads the same on any host.
 //
 //	go test -run=NONE -bench=BenchmarkTopK -benchmem ./internal/core/
 
@@ -99,7 +102,13 @@ func BenchmarkTopK(b *testing.B) {
 			u, _ := v.users.get(0)
 			var unknown []int
 			heapDst = v.appendTopK(heapDst[:0], u, candidates, k, true, &unknown) // warm pool
-			v.TopKAll(0, k, true, 1)                                              // warm pool
+			// Warms the pool, and counts the kernel's returns to Go: the
+			// same for every iteration, so the timed loop runs without
+			// the hook.
+			handbacks := 0
+			testHookScan = func(int, int, uint64) { handbacks++ }
+			v.TopKAll(0, k, true, 1)
+			testHookScan = nil
 			legacyNs := make([]time.Duration, 0, b.N)
 			heapNs := make([]time.Duration, 0, b.N)
 			scanNs := make([]time.Duration, 0, b.N)
@@ -129,6 +138,7 @@ func BenchmarkTopK(b *testing.B) {
 			b.ReportMetric(float64(legacyP50.Nanoseconds()), "legacy-p50-ns/op")
 			b.ReportMetric(float64(heapP50.Nanoseconds()), "heap-p50-ns/op")
 			b.ReportMetric(float64(scanP50.Nanoseconds()), "scan-p50-ns/op")
+			b.ReportMetric(float64(handbacks), "handbacks/op")
 			b.ReportMetric(float64(refP50.Nanoseconds()), "scan-ref-p50-ns/op")
 			if heapP50 > 0 {
 				b.ReportMetric(float64(legacyP50)/float64(heapP50), "heap-speedup-x")

@@ -50,10 +50,10 @@ func (e viewEntity) appendFactors(dst []float32) []float32 {
 
 // veDot is the inner product of two frozen entities, widened to the
 // float64 the heap and the value transform work in. It sums in
-// matrix.DotPage32's association — the first product, then each next one
-// rounded to float32 and added, never fused (the conversion forbids it)
-// — so a point read is the key a page scan stores for the row, bit for
-// bit, in every build; a float32 widens exactly.
+// matrix.WalkPages32's association — the first product, then each next
+// one rounded to float32 and added, never fused (the conversion forbids
+// it) — so a point read is the key a page scan stores for the row, bit
+// for bit, in every build; a float32 widens exactly.
 func veDot(u, s viewEntity) float64 {
 	a, b := u.lane, s.lane
 	b = b[:len(a)]

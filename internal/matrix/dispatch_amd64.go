@@ -28,13 +28,13 @@ func dotBatchAVX2(dst, block, q []float64)
 //go:noescape
 func dotBatch32AVX2(dst, block, q []float32)
 
-// dotPage32AVX2 is DotPage32: a full page's eight row groups in one
-// pass, one 8-wide accumulator each, multiply then add, and the survivor
-// mask of the stored scores compared as survivors32AVX2 compares them.
-// len(dst) is a multiple of 8 and at most 64, and len(q) >= 1.
+// walkPages32AVX2 is WalkPages32: each page's eight row groups in one
+// pass, one 8-wide accumulator each, multiply then add, compared as
+// survivors32AVX2 compares keys, and the scores stored only for the page
+// it returns at. n >= 1 and len(q) >= 1.
 //
 //go:noescape
-func dotPage32AVX2(dst, block, q []float32, worst float32, flip uint32) uint64
+func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
 
 // survivors32AVX2 is the compare kernel behind Survivors: bit i of the
 // result is clear when keys[i]^flip > worst^flip. len(keys) must be a
@@ -73,7 +73,7 @@ func init() {
 	simdName = "avx2"
 	dotBatchArch = dotBatchAVX2
 	dotBatch32Arch = dotBatch32AVX2
-	dotPage32Arch = dotPage32AVX2
+	walkPages32Arch = walkPages32AVX2
 	survivors32Arch = survivors32AVX2
 	// Dot as a one-row batch call: the bit-identity invariant in
 	// kernels.go holds by construction.

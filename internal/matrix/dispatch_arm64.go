@@ -5,9 +5,9 @@ package matrix
 // NEON dispatch for the ranking kernels. Advanced SIMD (NEON) with
 // 64-bit FP lanes is architecturally mandatory on AArch64, so there is
 // no runtime feature probe — the kernels are always eligible unless the
-// noasm tag opts out. DotPage32 runs its portable loop here: it is the
-// kernel every page scan serves from, and CI has no arm64 machine to
-// execute a NEON version of it.
+// noasm tag opts out. WalkPages32 runs its portable loop here: it is the
+// kernel every full-catalog scan serves from, and CI has no arm64 machine
+// to execute a NEON version of it.
 
 // dotBatchNEON is the float64 batch kernel in kernels_arm64.s.
 //

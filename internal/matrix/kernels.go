@@ -14,11 +14,12 @@ import "fmt"
 //     the loop-carried dependence on a single sum so the FP adds pipeline
 //     (the naive loop serializes on one accumulator, one FMA latency per
 //     element). It is the float64 product of SGD and Model.Predict.
-//   - DotPage32 (kernels32.go) scores a dimension-major page: factor j
-//     of eight rows is one vector, so a page costs one broadcast and one
-//     multiply and add per factor per eight rows, with no reduce, and it
-//     returns the page's top-k survivor mask from the scores still in
-//     registers. It is what every full-catalog scan runs on.
+//   - WalkPages32 (kernels32.go) scores a shard's dimension-major pages:
+//     factor j of eight rows is one vector, so a page costs one broadcast
+//     and one multiply and add per factor per eight rows, with no reduce.
+//     It compares the scores with the top-k bound while they are still in
+//     registers and returns only at a page with survivors. It is what
+//     every full-catalog scan runs on.
 //   - DotBatch (and DotBatch32 in kernels32.go) streams a contiguous
 //     row-major block past one query vector. Nothing in the product
 //     calls them any more; bench/probes.go times both.
@@ -32,7 +33,7 @@ import "fmt"
 // the naive loop by a few ULPs; FuzzDotKernels bounds the difference by
 // the standard n·eps condition-number envelope. The assembly kernels use
 // their own (fixed) association, bounded by the same envelope — except
-// DotPage32, whose one association every build shares exactly.
+// WalkPages32, whose one association every build shares exactly.
 //
 // Bit-identity invariant: within one build, Dot(a, b) is exactly
 // DotBatch of a single row, and a row's DotBatch/DotBatch32 result does
@@ -51,11 +52,11 @@ var (
 	dotArch        func(a, b []float64) float64
 	dotBatchArch   func(dst, block, q []float64)
 	dotBatch32Arch func(dst, block, q []float32)
-	// dotPage32Arch scores a page and returns its survivor mask, and
-	// survivors32Arch compares whole vectors of keys for Survivors: row
-	// counts are multiples of 8, flip zero or the sign bit. Nil wherever
-	// the portable loops serve.
-	dotPage32Arch   func(dst, block, q []float32, worst float32, flip uint32) uint64
+	// walkPages32Arch walks a run of pages to the first with survivors,
+	// and survivors32Arch compares whole vectors of keys for Survivors:
+	// row counts are multiples of 8, flip zero or the sign bit. Nil
+	// wherever the portable loops serve.
+	walkPages32Arch func(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (int, uint64)
 	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
 )
 

@@ -1,6 +1,9 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // The float32 kernels every PredictView read runs on: a view freezes its
 // factor pages as float32 (core/page.go), halving the bytes the
@@ -9,9 +12,10 @@ import "fmt"
 // published factors — measured by core's TestViewPrecision rather than
 // assumed.
 //
-// DotPage32 is the one that serves: a view stores its pages
-// dimension-major, and a page scan is one DotPage32 call, which scores
-// the page and filters it for the top-k heap at once. DotBatch32 is
+// WalkPages32 is the one that serves: a view stores its pages
+// dimension-major, and a full-catalog scan walks each shard's pages in
+// one WalkPages32 call, which scores every page and filters it for the
+// top-k heap, and returns only at a page with survivors. DotBatch32 is
 // the row-major kernel a view stored its pages for until then; nothing in
 // the product calls it, and bench/probes.go still times it.
 
@@ -62,20 +66,30 @@ func DotBatch32(dst, block, q []float32) {
 }
 
 // GroupRows is the height of one dimension-major row group, the layout
-// DotPage32 reads: one 8-wide vector of a group holds the same factor of
-// all its rows.
+// WalkPages32 reads: one 8-wide vector of a group holds the same factor
+// of all its rows.
 const GroupRows = 8
 
-// DotPage32 scores one page of rows stored dimension-major in groups of
-// GroupRows and returns the page's survivor mask, so that a scan filters
-// the scores in the same call that produces them. With k = len(q), row
-// r's factor j is block[r/8*8*k + j*8 + r%8], and dst[r] is that row's
-// inner product with q. Each group is k consecutive 8-float vectors,
-// factor 0 first, so a group costs one broadcast of q[j] and one multiply
-// and one add per factor, for eight rows at once, with no horizontal
-// reduce and no tail. It panics unless len(dst) is a multiple of
-// GroupRows no greater than 64 and len(block) == len(dst)*len(q); a
-// zero-length q zeroes dst.
+// PageRows is the height of one page WalkPages32 scores: eight groups,
+// the width of a survivor mask.
+const PageRows = 64
+
+// WalkPages32 scores a run of n pages against q, in order, and returns at
+// the first page with a survivor: (i, mask) for page i, with its scores
+// in dst, or (n, 0) when no page has one. A full-catalog scan calls it
+// once per shard and again after each page it hands back, so the kernel
+// returns to its caller only where the top-k heap has work to do.
+//
+// Page i's block is the []float32 at first plus i·stride bytes — core
+// passes its first page's block field and the size of its page struct,
+// so the kernel walks the page slice itself. Every block holds PageRows
+// rows stored dimension-major in groups of GroupRows: with k = len(q),
+// row r's factor j is block[r/8*8*k + j*8 + r%8]. A group is k
+// consecutive 8-float vectors, factor 0 first, so it costs one broadcast
+// of q[j] and one multiply and one add per factor for eight rows at once,
+// with no horizontal reduce and no tail. Each block's length must be
+// PageRows·k; the portable loop panics on any other, and the assembly
+// trusts it.
 //
 // Every row is summed in one association, in every build: s = q[0]·x₀,
 // then s = s + q[j]·xⱼ for j = 1…k−1, each product rounded to float32
@@ -84,40 +98,61 @@ const GroupRows = 8
 // loop over one row written the same way (core's point reads) agree bit
 // for bit, and so do builds with and without the assembly.
 //
-// The mask is Survivors(dst, worst, lowerIsBetter), bit for bit: bit r is
-// clear only when dst[r] is strictly worse than worst, and a NaN worst
-// lets every row through. The AVX2 kernel compares each group's
-// accumulator while it is still in a register; everywhere else the
-// portable loop scores the page and survivorsGo compares it.
-func DotPage32(dst, block, q []float32, worst float32, lowerIsBetter bool) uint64 {
-	k := len(q)
-	if len(dst)%GroupRows != 0 || len(dst) > 64 || len(block) != len(dst)*k {
-		panic(fmt.Sprintf("matrix: DotPage32 block length %d != rows %d (a multiple of %d, at most 64) x rank %d", len(block), len(dst), GroupRows, k))
+// A page's mask is Survivors over its scores, bit for bit: bit r is clear
+// only when row r's score is strictly worse than worst, and a NaN worst
+// lets every row through. The last page's mask is ANDed with last, the
+// rows the caller's final page really holds, so pad lanes never come
+// back. dst is written for the page returned only; at (n, 0) it is left
+// as it was. It panics when q is empty.
+func WalkPages32(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, lowerIsBetter bool, last uint64) (int, uint64) {
+	if len(q) == 0 {
+		panic("matrix: WalkPages32 needs a query of rank 1 or more")
 	}
-	switch {
-	case k == 0:
-		clear(dst)
-	case dotPage32Arch != nil:
+	if n <= 0 {
+		return n, 0
+	}
+	if walkPages32Arch != nil {
 		// The sign flip reverses the order for key and bound alike, as
 		// in Survivors.
 		var flip uint32
 		if !lowerIsBetter {
 			flip = 1 << 31
 		}
-		return dotPage32Arch(dst, block, q, worst, flip)
-	default:
-		dotPage32(dst, block, q)
+		return walkPages32Arch(dst, first, stride, n, q, worst, flip, last)
 	}
-	return survivorsGo(dst, worst, lowerIsBetter)
+	return walkPages32(dst, first, stride, n, q, worst, lowerIsBetter, last)
 }
 
-// dotPage32 is the portable DotPage32, and the reference the assembly is
-// tested against. The float32 conversion keeps the compiler from fusing
-// the multiply into the add (it may, on arm64): an explicit conversion
-// rounds.
-func dotPage32(dst, block, q []float32) {
+// walkPages32 is the portable WalkPages32, and the reference the
+// assembly is tested against: dotPage32 scores each page into a buffer
+// of its own and survivorsGo compares it, so dst changes only when a
+// page is handed back, as in the assembly.
+func walkPages32(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, lowerIsBetter bool, last uint64) (int, uint64) {
+	var page [PageRows]float32
+	for i := 0; i < n; i++ {
+		block := *(*[]float32)(unsafe.Add(unsafe.Pointer(first), uintptr(i)*stride))
+		if len(block) != PageRows*len(q) {
+			panic(fmt.Sprintf("matrix: WalkPages32 block length %d != %d rows x rank %d", len(block), PageRows, len(q)))
+		}
+		dotPage32(&page, block, q)
+		m := survivorsGo(page[:], worst, lowerIsBetter)
+		if i == n-1 {
+			m &= last
+		}
+		if m != 0 {
+			*dst = page
+			return i, m
+		}
+	}
+	return n, 0
+}
+
+// dotPage32 scores one page. The float32 conversion keeps the compiler
+// from fusing the multiply into the add (it may, on arm64): an explicit
+// conversion rounds.
+func dotPage32(dst *[PageRows]float32, block, q []float32) {
 	k := len(q)
-	for g := 0; g < len(dst); g += GroupRows {
+	for g := 0; g < PageRows; g += GroupRows {
 		d := (*[GroupRows]float32)(dst[g:])
 		x := block[g*k : (g+GroupRows)*k]
 		for l := range d {

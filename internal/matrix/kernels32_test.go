@@ -3,9 +3,11 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // dotNaive32Ref computes the float32 dot's reference value in float64
@@ -73,7 +75,7 @@ func TestDotBatch32PanicsOnShapeMismatch(t *testing.T) {
 	DotBatch32(make([]float32, 2), make([]float32, 5), make([]float32, 3))
 }
 
-// dimensionMajor lays the row-major block (rows×k) out as DotPage32
+// dimensionMajor lays the row-major block (rows×k) out as WalkPages32
 // reads it: groups of GroupRows rows, factor j of a group's rows in one
 // run of GroupRows floats. rows must be a multiple of GroupRows.
 func dimensionMajor(rowMajor []float32, rows, k int) []float32 {
@@ -86,7 +88,34 @@ func dimensionMajor(rowMajor []float32, rows, k int) []float32 {
 	return out
 }
 
-// laneDot is one row of DotPage32 as a scalar loop in its association —
+// testPage is a page as a caller's page slice holds it: the block first,
+// then whatever else the caller keeps, which the kernel steps over.
+type testPage struct {
+	vecs []float32
+	meta *int
+}
+
+const testPageStride = unsafe.Sizeof(testPage{})
+
+// testPages splits rows of a row-major block (rows×k) into full-height
+// dimension-major pages, as a view's shard holds them: the lanes past
+// the last row hold pad, which a view's partial last page holds as zeros.
+// It returns the pages and the row mask of the last one.
+func testPages(rowMajor []float32, rows, k int, pad float32) ([]testPage, uint64) {
+	n := (rows + PageRows - 1) / PageRows
+	full := make([]float32, n*PageRows*k)
+	copy(full, rowMajor[:rows*k])
+	for i := rows * k; i < len(full); i++ {
+		full[i] = pad
+	}
+	pages := make([]testPage, n)
+	for i := range pages {
+		pages[i].vecs = dimensionMajor(full[i*PageRows*k:(i+1)*PageRows*k], PageRows, k)
+	}
+	return pages, ^uint64(0) >> (n*PageRows - rows)
+}
+
+// laneDot is one row of WalkPages32 as a scalar loop in its association —
 // the loop core's point reads run — over the row-major copy of the row.
 func laneDot(row, q []float32) float32 {
 	s := q[0] * row[0]
@@ -96,62 +125,114 @@ func laneDot(row, q []float32) float32 {
 	return s
 }
 
-// TestDotPage32 holds the page kernel to the scalar loop of its stated
-// association bit for bit, in every build (the dispatched kernel here is
-// the assembly where it is active, the portable loop under noasm), and
-// to the float64 reference within the reassociation envelope, over
-// ranks 1–17, 31 and 64 and blocks of one group up to more than two
-// 64-row pages, one call per page as a view's scan makes them, with the
-// last rows zero as a view's partial last page is. The mask it returns
-// must be survivorsGo's over the scores it stored, for bounds a compare
-// can get wrong — NaN (the heap still filling), ±Inf, ±0 (the pad rows
-// tie), a key of the page — and a random one, in both directions.
-func TestDotPage32(t *testing.T) {
+// scanWant is what WalkPages32 owes a walk from page from to the end
+// over pages whose rows score scores (row-major, PageRows a page): the
+// first page with a row not strictly worse than worst, the last page's
+// rows past last not counted, and that page's mask; (n, 0) past the end.
+// It is stated with plain compares, not with survivorsGo.
+func scanWant(scores []float32, from int, worst float32, lower bool, last uint64) (int, uint64) {
+	n := len(scores) / PageRows
+	for i := from; i < n; i++ {
+		var m uint64
+		for r, key := range scores[i*PageRows : (i+1)*PageRows] {
+			if !(lower && key > worst || !lower && key < worst) {
+				m |= 1 << r
+			}
+		}
+		if i == n-1 {
+			m &= last
+		}
+		if m != 0 {
+			return i - from, m
+		}
+	}
+	return n - from, 0
+}
+
+// TestWalkPages32 holds the page-scan kernel to the scalar loop of its
+// stated association bit for bit, in every build (the dispatched kernel
+// here is the assembly where it is active, the portable loop under
+// noasm), and to the float64 reference within the reassociation
+// envelope, over ranks 1–17, 31 and 64 and shards of one row up to three
+// pages, whose last page is full, one group or one row. Every walk a scan
+// can make — from each page to the shard's end — must stop where
+// scanWant says, with its mask and with that page's scores in dst, for
+// bounds a compare can get wrong — NaN (the heap still filling), ±Inf,
+// ±0 (the pad rows tie), a key of the page, the best and worst keys —
+// and a random one, in both directions; a walk that finds nothing must
+// leave dst alone. The pad lanes hold zeros, as a view's do, and NaN,
+// which must not come back either.
+func TestWalkPages32(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	negZero := float32(math.Copysign(0, -1))
+	var dst [PageRows]float32
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64} {
-		for _, rows := range []int{8, 16, 56, 64, 72, 128, 136} {
+		for _, rows := range []int{1, 8, 56, 64, 65, 128, 136, 191, 192} {
 			q := randVec32(rng, k)
 			rowMajor := randVec32(rng, rows*k)
-			clear(rowMajor[(rows-3)*k:]) // pad lanes
-			block := dimensionMajor(rowMajor, rows, k)
-			dst := make([]float32, rows)
-			for lo := 0; lo < rows; lo += 64 {
-				hi := min(lo+64, rows)
-				page := dst[lo:hi]
-				key := laneDot(rowMajor[(lo+rng.Intn(hi-lo))*k:][:k], q)
+			// The pad lanes' scores stay zero here: last hides them.
+			scores := make([]float32, (rows+PageRows-1)/PageRows*PageRows)
+			for r := 0; r < rows; r++ {
+				scores[r] = laneDot(rowMajor[r*k:(r+1)*k], q)
+			}
+			lo, hi := slices.Min(scores[:rows]), slices.Max(scores[:rows])
+			key := scores[rng.Intn(rows)]
+			for _, pad := range []float32{0, nan} {
+				pages, last := testPages(rowMajor, rows, k, pad)
+				n := len(pages)
 				for _, lower := range []bool{true, false} {
-					for _, worst := range []float32{nan, inf, -inf, 0, negZero, key, float32(rng.NormFloat64())} {
-						for i := range page {
-							page[i] = nan // must be overwritten
-						}
-						m := DotPage32(page, block[lo*k:hi*k], q, worst, lower)
-						if want := survivorsGo(page, worst, lower); m != want {
-							t.Fatalf("k=%d rows=%d page at %d lower=%v worst=%v:\n mask     %064b\n portable %064b", k, rows, lo, lower, worst, m, want)
+					for _, worst := range []float32{nan, inf, -inf, 0, negZero, key, lo, hi, float32(rng.NormFloat64())} {
+						for from := 0; from < n; from++ {
+							for r := range dst {
+								dst[r] = nan // must be overwritten, or left alone
+							}
+							i, m := WalkPages32(&dst, &pages[from].vecs, testPageStride, n-from, q, worst, lower, last)
+							wi, wm := scanWant(scores, from, worst, lower, last)
+							if i != wi || m != wm {
+								t.Fatalf("k=%d rows=%d pad=%v from page %d lower=%v worst=%v: (%d, %064b), want (%d, %064b)", k, rows, pad, from, lower, worst, i, m, wi, wm)
+							}
+							if m == 0 {
+								for r := range dst {
+									if dst[r] == dst[r] {
+										t.Fatalf("k=%d rows=%d: a walk without survivors wrote dst[%d]", k, rows, r)
+									}
+								}
+								continue
+							}
+							for r := 0; r < PageRows; r++ {
+								if g := (from+i)*PageRows + r; g < rows && math.Float32bits(dst[r]) != math.Float32bits(scores[g]) {
+									t.Fatalf("k=%d rows=%d row %d: page %v, scalar lane loop %v", k, rows, g, dst[r], scores[g])
+								}
+							}
 						}
 					}
 				}
 			}
 			for r := 0; r < rows; r++ {
 				row := rowMajor[r*k : (r+1)*k]
-				if want := laneDot(row, q); math.Float32bits(dst[r]) != math.Float32bits(want) {
-					t.Fatalf("k=%d rows=%d row %d: page %v, scalar lane loop %v", k, rows, r, dst[r], want)
-				}
-				if diff := math.Abs(float64(dst[r]) - dotNaive32Ref(row, q)); diff > ulpBound32(row, q) {
-					t.Fatalf("k=%d rows=%d row %d: page %v, reference %v", k, rows, r, dst[r], dotNaive32Ref(row, q))
+				if diff := math.Abs(float64(scores[r]) - dotNaive32Ref(row, q)); diff > ulpBound32(row, q) {
+					t.Fatalf("k=%d rows=%d row %d: lane loop %v, reference %v", k, rows, r, scores[r], dotNaive32Ref(row, q))
 				}
 			}
 		}
 	}
-	for _, shape := range []struct{ rows, blockLen, k int }{{7, 7 * 3, 3}, {8, 8*3 - 1, 3}, {12, 12 * 2, 2}, {72, 72 * 2, 2}} {
+	if i, m := WalkPages32(&dst, nil, testPageStride, 0, []float32{1}, 0, true, 1); i != 0 || m != 0 {
+		t.Fatalf("no pages: (%d, %b), want (0, 0)", i, m)
+	}
+	pages, last := testPages(make([]float32, 2*64), 64, 2, 0)
+	for name, scan := range map[string]func(){
+		"an empty query": func() { WalkPages32(&dst, &pages[0].vecs, testPageStride, 1, nil, 0, true, last) },
+		// The assembly trusts the block length; the portable loop checks it.
+		"a block of the wrong rank": func() { walkPages32(&dst, &pages[0].vecs, testPageStride, 1, []float32{1}, 0, true, last) },
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("no panic on %d rows, block %d, rank %d", shape.rows, shape.blockLen, shape.k)
+					t.Errorf("no panic on %s", name)
 				}
 			}()
-			DotPage32(make([]float32, shape.rows), make([]float32, shape.blockLen), make([]float32, shape.k), 0, true)
+			scan()
 		}()
 	}
 }
@@ -251,29 +332,29 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 			}
 		}
 	}
-	// The page kernel owes the portable loop every bit, not an envelope:
-	// both multiply, round, then add, in one order. It is called once per
-	// 64-row page, and its mask owes survivorsGo's over the portable
-	// scores every bit too.
+	// The page-scan kernel owes the portable loop every bit, not an
+	// envelope: both multiply, round, then add, in one order. Each walk
+	// resumes after the page the last one stopped at, as TopKAll's do,
+	// and must stop at the same page with the same mask and scores.
 	for _, k := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64} {
-		for _, rows := range []int{8, 24, 64, 72, 136} {
+		for _, rows := range []int{8, 24, 64, 72, 136, 320} {
 			q := randVec32(rng, k)
-			block := randVec32(rng, rows*k)
-			clear(block[(rows-GroupRows)*k+k*GroupRows/2:]) // the last group's later factors zero
-			got, want := make([]float32, rows), make([]float32, rows)
-			for lo := 0; lo < rows; lo += 64 {
-				hi := min(lo+64, rows)
-				worst, lower := float32(rng.NormFloat64()), lo%128 == 0
-				m := DotPage32(got[lo:hi], block[lo*k:hi*k], q, worst, lower)
-				dotPage32(want[lo:hi], block[lo*k:hi*k], q)
-				if wantM := survivorsGo(want[lo:hi], worst, lower); m != wantM {
-					t.Fatalf("k=%d rows=%d page at %d: simd mask %064b vs portable %064b", k, rows, lo, m, wantM)
+			pages, last := testPages(randVec32(rng, rows*k), rows, k, 0)
+			n := len(pages)
+			worst, lower := float32(rng.NormFloat64())*3, rows%16 == 0
+			var got, want [PageRows]float32
+			for from := 0; from < n; {
+				i, m := WalkPages32(&got, &pages[from].vecs, testPageStride, n-from, q, worst, lower, last)
+				wi, wm := walkPages32(&want, &pages[from].vecs, testPageStride, n-from, q, worst, lower, last)
+				if i != wi || m != wm {
+					t.Fatalf("k=%d rows=%d from page %d: simd (%d, %064b) vs portable (%d, %064b)", k, rows, from, i, m, wi, wm)
 				}
-			}
-			for i := range got {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("k=%d rows=%d row %d: simd page %v vs portable page %v", k, rows, i, got[i], want[i])
+				for r := range got {
+					if math.Float32bits(got[r]) != math.Float32bits(want[r]) {
+						t.Fatalf("k=%d rows=%d page %d row %d: simd %v vs portable %v", k, rows, from+i, r, got[r], want[r])
+					}
 				}
+				from += i + 1
 			}
 		}
 	}
@@ -281,18 +362,16 @@ func TestSIMDAgreesWithPortable(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // Paired-interleaved kernel benchmarks (ISSUE 8 satellite): scalar,
-// SIMD float64, SIMD float32 and the page kernel are sampled in ONE
+// SIMD float64, SIMD float32 and the page-scan kernel are sampled in ONE
 // timing loop so single-core CI drift cannot fake a speedup — the same
 // discipline as PR 6's gateway benches. ns/op covers one pass of each;
 // the per-arm p50s and the headline speedups ride along as custom
 // metrics. page-speedup-x is the row-major float32 kernel's time over
-// the page kernel's on the same rows, 64 rows a call.
+// the page-scan kernel's on the same rows, all pages in one call under a
+// bound no row meets, as a full-catalog scan walks a shard once its
+// heap is full.
 
-var (
-	sink32 float32
-	// nan32 is the bound of a page the benchmark does not filter.
-	nan32 = float32(math.NaN())
-)
+var sink32 float32
 
 // dotBatchPortable is the scalar reference arm: the portable loop the
 // dispatcher would run under -tags noasm, callable even when SIMD is
@@ -314,7 +393,8 @@ func BenchmarkDotBatch(b *testing.B) {
 		q := randVec(rng, rank)
 		block32 := randVec32(rng, rows*rank)
 		q32 := randVec32(rng, rank)
-		page := dimensionMajor(block32, rows, rank) // rows is a multiple of 8
+		pages, last := testPages(block32, rows, rank, 0)
+		var page [PageRows]float32
 		dst := make([]float64, rows)
 		dst32 := make([]float32, rows)
 		b.Run("paired/rows="+itoa(rows), func(b *testing.B) {
@@ -332,11 +412,8 @@ func BenchmarkDotBatch(b *testing.B) {
 				t2 := time.Now()
 				DotBatch32(dst32, block32, q32)
 				t3 := time.Now()
-				// One call per 64-row page, as a view's scan makes them.
-				for lo := 0; lo < rows; lo += 64 {
-					hi := min(lo+64, rows)
-					DotPage32(dst32[lo:hi], page[lo*rank:hi*rank], q32, nan32, true)
-				}
+				// Every key is worse than -Inf when lower is better.
+				WalkPages32(&page, &pages[0].vecs, testPageStride, len(pages), q32, float32(math.Inf(-1)), true, last)
 				sl[i] = t1.Sub(t0)
 				vl[i] = t2.Sub(t1)
 				fl[i] = t3.Sub(t2)

@@ -3,9 +3,10 @@
 #include "textflag.h"
 
 // AVX2+FMA row-major batch inner-product kernels (see kernels.go for
-// the dispatch contract), then the dimension-major page kernel, which
-// filters what it scores, and the survivor mask. Both batch kernels process four rows per iteration
-// against one resident query chunk, with a one-row remainder loop.
+// the dispatch contract), then the dimension-major page-scan kernel,
+// which filters what it scores, and the survivor mask. Both batch kernels
+// process four rows per iteration against one resident query chunk, with
+// a one-row remainder loop.
 // Bit-identity rules the structure:
 //
 //   - every row owns a single vector accumulator, fed the same chunk
@@ -272,43 +273,44 @@ done32:
 	VZEROUPPER
 	RET
 
-// Page kernel (DotPage32, kernels32.go): a block is groups of 8 rows
-// stored dimension-major, so one YMM load is factor j of a whole group.
-// A full page, eight groups (64 rows), is one pass in Y0–Y7: per factor,
-// one broadcast of q[j] into Y8, then per group one VMULPS and one
-// VADDPS — no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each
+// Page-scan kernel (WalkPages32, kernels32.go): a block is groups of 8
+// rows stored dimension-major, so one YMM load is factor j of a whole
+// group. A page, eight groups (64 rows), is one pass in Y0–Y7: per
+// factor, one broadcast of q[j] into Y8, then per group one VMULPS and
+// one VADDPS — no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each
 // product rounded, exactly as the portable loop computes it. Factor 0 is
 // a bare VMULPS, which starts the sum from the first product rather than
-// from +0. A shorter block takes the one-accumulator loop, a group at a
-// time, with the same association. R10 is one group's stride in bytes;
-// R13 walks groups 0–3 and R11 groups 4–7 through the factors.
+// from +0. R10 is one group's stride in bytes; R13 walks groups 0–3 and
+// R11 groups 4–7 through the factors.
 //
 // The scores are then filtered while still in registers, as the
 // survivor-mask kernel below does it from memory: flip (Y14) is XORed
 // into each accumulator, which is compared with the flipped bound (Y13)
-// under NGT_UQ, and VMOVMSKPS gives the group's eight bits. The full
-// pass folds the groups last first, eight bits at a time; the group loop
-// shifts each group's bits up by its first row (CX), so it keeps the row
-// count in R12.
+// under NGT_UQ. The eight compares are ORed first, so a page without a
+// survivor — most pages, once the heap is full — costs one VMOVMSKPS and
+// moves on: SI steps to the next page's block header by the caller's
+// stride (DI) and CX counts the pages left. A page with one folds the
+// groups' bits last first, eight at a time, ANDs the last page's with
+// the caller's row mask, and stores the scores to dst only if a bit is
+// left.
 
-// func dotPage32AVX2(dst, block, q []float32, worst float32, flip uint32) uint64
-TEXT ·dotPage32AVX2(SB), NOSPLIT, $0-88
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ block_base+24(FP), SI
-	MOVQ q_base+48(FP), DX
-	MOVQ q_len+56(FP), BX
-	VBROADCASTSS flip+76(FP), Y14
-	VBROADCASTSS worst+72(FP), Y13
+// func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
+TEXT ·walkPages32AVX2(SB), NOSPLIT, $0-88
+	MOVQ first+8(FP), SI
+	MOVQ stride+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ q_base+32(FP), DX
+	MOVQ q_len+40(FP), BX
+	VBROADCASTSS flip+60(FP), Y14
+	VBROADCASTSS worst+56(FP), Y13
 	VXORPS Y14, Y13, Y13      // the bound, flipped as the keys will be
-	XORQ AX, AX               // the survivor mask
 	MOVQ BX, R10
 	SHLQ $5, R10              // group stride: rank × 8 floats × 4 bytes
-	CMPQ CX, $64
-	JL   group1p
 	LEAQ (R10)(R10*2), R12    // 3 × stride
-	MOVQ SI, R13
-	LEAQ (SI)(R10*4), R11
+
+pagep:
+	MOVQ (SI), R13            // the page's block
+	LEAQ (R13)(R10*4), R11
 	MOVQ DX, R9
 	MOVQ BX, R8
 	VBROADCASTSS (R9), Y8
@@ -320,9 +322,9 @@ TEXT ·dotPage32AVX2(SB), NOSPLIT, $0-88
 	VMULPS (R11)(R10*1), Y8, Y5
 	VMULPS (R11)(R10*2), Y8, Y6
 	VMULPS (R11)(R12*1), Y8, Y7
-	JMP  next8p
+	JMP  nextp
 
-dim8p:
+dimp:
 	VBROADCASTSS (R9), Y8
 	VMULPS (R13), Y8, Y9
 	VADDPS Y9, Y0, Y0
@@ -341,98 +343,107 @@ dim8p:
 	VMULPS (R11)(R12*1), Y8, Y12
 	VADDPS Y12, Y7, Y7
 
-next8p:
+nextp:
 	ADDQ $4, R9
 	ADDQ $32, R13
 	ADDQ $32, R11
 	DECQ R8
-	JNZ  dim8p
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
+	JNZ  dimp
+	VXORPS Y0, Y14, Y9
+	VCMPPS $0x1A, Y13, Y9, Y9
+	VXORPS Y1, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y2, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y3, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y4, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y5, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y6, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VXORPS Y7, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VORPS Y10, Y9, Y9
+	VMOVMSKPS Y9, AX
+	TESTQ AX, AX
+	JNE  maskp
+
+skipp:
+	ADDQ DI, SI
+	DECQ CX
+	JNZ  pagep
+	MOVQ n+24(FP), AX
+	MOVQ AX, i+72(FP)
+	MOVQ $0, mask+80(FP)
+	VZEROUPPER
+	RET
+
+maskp:
 	VXORPS Y7, Y14, Y9
 	VCMPPS $0x1A, Y13, Y9, Y9
 	VMOVMSKPS Y9, AX
-	VXORPS Y6, Y14, Y10
-	VCMPPS $0x1A, Y13, Y10, Y10
-	VMOVMSKPS Y10, R8
-	SHLQ $8, AX
-	ORQ  R8, AX
-	VXORPS Y5, Y14, Y11
+	VXORPS Y6, Y14, Y11
 	VCMPPS $0x1A, Y13, Y11, Y11
 	VMOVMSKPS Y11, R8
 	SHLQ $8, AX
 	ORQ  R8, AX
-	VXORPS Y4, Y14, Y12
-	VCMPPS $0x1A, Y13, Y12, Y12
-	VMOVMSKPS Y12, R8
+	VXORPS Y5, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VMOVMSKPS Y10, R8
 	SHLQ $8, AX
 	ORQ  R8, AX
-	VXORPS Y3, Y14, Y9
+	VXORPS Y4, Y14, Y9
 	VCMPPS $0x1A, Y13, Y9, Y9
 	VMOVMSKPS Y9, R8
 	SHLQ $8, AX
 	ORQ  R8, AX
-	VXORPS Y2, Y14, Y10
-	VCMPPS $0x1A, Y13, Y10, Y10
-	VMOVMSKPS Y10, R8
-	SHLQ $8, AX
-	ORQ  R8, AX
-	VXORPS Y1, Y14, Y11
-	VCMPPS $0x1A, Y13, Y11, Y11
-	VMOVMSKPS Y11, R8
-	SHLQ $8, AX
-	ORQ  R8, AX
-	VXORPS Y0, Y14, Y12
+	VXORPS Y3, Y14, Y12
 	VCMPPS $0x1A, Y13, Y12, Y12
 	VMOVMSKPS Y12, R8
 	SHLQ $8, AX
 	ORQ  R8, AX
-	JMP  donep
-
-group1p:
-	MOVQ CX, R12              // rows left
-	XORQ CX, CX               // the group's first row: its bits' shift
-
-group1next:
-	TESTQ R12, R12
-	JE   donep
-	MOVQ SI, R13
-	MOVQ DX, R9
-	MOVQ BX, R8
-	VBROADCASTSS (R9), Y8
-	VMULPS (R13), Y8, Y0
-	JMP  next1p
-
-dim1p:
-	VBROADCASTSS (R9), Y8
-	VMULPS (R13), Y8, Y9
-	VADDPS Y9, Y0, Y0
-
-next1p:
-	ADDQ $4, R9
-	ADDQ $32, R13
-	DECQ R8
-	JNZ  dim1p
-	VMOVUPS Y0, (DI)
+	VXORPS Y2, Y14, Y11
+	VCMPPS $0x1A, Y13, Y11, Y11
+	VMOVMSKPS Y11, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	VXORPS Y1, Y14, Y10
+	VCMPPS $0x1A, Y13, Y10, Y10
+	VMOVMSKPS Y10, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
 	VXORPS Y0, Y14, Y9
 	VCMPPS $0x1A, Y13, Y9, Y9
-	VMOVMSKPS Y9, R11
-	SHLQ CX, R11
-	ORQ  R11, AX
-	ADDQ $8, CX
-	ADDQ $32, DI
-	ADDQ R10, SI
-	SUBQ $8, R12
-	JMP  group1next
+	VMOVMSKPS Y9, R8
+	SHLQ $8, AX
+	ORQ  R8, AX
+	CMPQ CX, $1
+	JNE  hitp
+	ANDQ last+64(FP), AX      // the last page: its pad lanes go
+	JEQ  skipp
 
-donep:
-	MOVQ AX, ret+80(FP)
+hitp:
+	MOVQ dst+0(FP), R13
+	VMOVUPS Y0, (R13)
+	VMOVUPS Y1, 32(R13)
+	VMOVUPS Y2, 64(R13)
+	VMOVUPS Y3, 96(R13)
+	VMOVUPS Y4, 128(R13)
+	VMOVUPS Y5, 160(R13)
+	VMOVUPS Y6, 192(R13)
+	VMOVUPS Y7, 224(R13)
+	MOVQ n+24(FP), R8
+	SUBQ CX, R8
+	MOVQ R8, i+72(FP)
+	MOVQ AX, mask+80(FP)
 	VZEROUPPER
 	RET
 

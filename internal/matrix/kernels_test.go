@@ -120,16 +120,18 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 // differences by the reassociation ULP envelope (finite inputs only;
 // NaN/Inf propagate in both and are not comparable). The asm-vs-portable
 // comparison is the fuzz pin for the assembly: on SIMD-capable hardware
-// dot4/dot4_32/dotPage32 take the pure-Go path while Dot, DotBatch32 and
-// DotPage32 take the dispatched one. Single-row DotBatch identity is
-// checked on the same inputs, and the page kernel is held to its
-// portable loop bit for bit, and its mask to survivorsGo's over the
-// portable scores for a fuzzed bound and direction, on one group and on
-// a full 64-row page.
+// dot4/dot4_32/walkPages32 take the pure-Go path while Dot, DotBatch32
+// and WalkPages32 take the dispatched one. Single-row DotBatch identity
+// is checked on the same inputs, and the page-scan kernel is held to its
+// portable loop bit for bit — where each walk stops, its mask and the
+// scores it stores — over a fuzzed page count (1–9), rank and last-page
+// row count (1–64), with bound picks of the fuzzed value, NaN, ±Inf, ±0
+// and a key of the shard, in both directions.
 func FuzzDotKernels(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, float32(0.5), true)
-	f.Add(make([]byte, 160), float32(math.NaN()), false)
-	f.Fuzz(func(t *testing.T, data []byte, worst float32, lowerIsBetter bool) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, float32(0.5), true, uint8(0), uint8(63), uint8(0))
+	f.Add(make([]byte, 160), float32(math.NaN()), false, uint8(8), uint8(0), uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 9, 9, 9, 9, 9, 9, 9, 0xc0}, float32(-1), false, uint8(4), uint8(20), uint8(200))
+	f.Fuzz(func(t *testing.T, data []byte, worst float32, lowerIsBetter bool, pageCount, lastRows, bound uint8) {
 		n := len(data) / 16 // 8 bytes per float, two vectors
 		if n == 0 {
 			return
@@ -182,31 +184,56 @@ func FuzzDotKernels(f *testing.F) {
 		if diff := math.Abs(float64(got32) - float64(dot4_32(a32, b32))); diff > ulpBound32(a32, b32) {
 			t.Fatalf("n=%d: dispatched DotBatch32=%g portable=%g diff=%g", n, got32, dot4_32(a32, b32), diff)
 		}
-		// The page kernel on a full page whose row r is b32 rotated by r
-		// (row 0 is b32 itself), then on its first group alone:
-		// dispatched against portable, every bit, mask included.
-		const pageRows = 64
-		page := make([]float32, pageRows*n)
-		for r := 0; r < pageRows; r++ {
+		// The page-scan kernel over a shard of 1–9 pages whose row r is
+		// b32 rotated by r (row 0 is b32 itself), its last page holding
+		// 1–64 rows; the pad lanes hold data, which the mask must hide.
+		npages, rows := 1+int(pageCount)%9, 1+int(lastRows)%PageRows
+		rows += (npages - 1) * PageRows
+		rowMajor := make([]float32, rows*n)
+		for r := 0; r < rows; r++ {
 			for j := 0; j < n; j++ {
-				page[r/GroupRows*GroupRows*n+j*GroupRows+r%GroupRows] = b32[(j+r)%n]
+				rowMajor[r*n+j] = b32[(j+r)%n]
 			}
 		}
-		scores, ref := make([]float32, pageRows), make([]float32, pageRows)
-		for _, rows := range []int{pageRows, GroupRows} {
-			m := DotPage32(scores[:rows], page[:rows*n], a32, worst, lowerIsBetter)
-			dotPage32(ref[:rows], page[:rows*n], a32)
-			for r := 0; r < rows; r++ {
-				if math.Float32bits(scores[r]) != math.Float32bits(ref[r]) {
-					t.Fatalf("n=%d rows=%d row %d: dispatched DotPage32=%g portable=%g", n, rows, r, scores[r], ref[r])
-				}
-			}
-			if want := survivorsGo(ref[:rows], worst, lowerIsBetter); m != want {
-				t.Fatalf("n=%d rows=%d worst=%v lower=%v: mask %064b, portable %064b", n, rows, worst, lowerIsBetter, m, want)
-			}
+		pages, last := testPages(rowMajor, rows, n, b32[0])
+		var scores, ref [PageRows]float32
+		// Row 0 alone, under a bound every row meets: its score is the dot.
+		if i, m := WalkPages32(&scores, &pages[0].vecs, testPageStride, 1, a32, float32(math.NaN()), lowerIsBetter, 1); i != 0 || m != 1 {
+			t.Fatalf("n=%d: a NaN bound stopped at (%d, %b), want (0, 1)", n, i, m)
 		}
 		if diff := math.Abs(float64(scores[0]) - want32); diff > ulpBound32(a32, b32) {
-			t.Fatalf("n=%d: DotPage32=%g ref=%g diff=%g bound=%g", n, scores[0], want32, diff, ulpBound32(a32, b32))
+			t.Fatalf("n=%d: WalkPages32=%g ref=%g diff=%g bound=%g", n, scores[0], want32, diff, ulpBound32(a32, b32))
+		}
+		switch bound {
+		case 0: // the fuzzed value
+		case 1:
+			worst = float32(math.NaN())
+		case 2:
+			worst = float32(math.Inf(1))
+		case 3:
+			worst = float32(math.Inf(-1))
+		case 4:
+			worst = 0
+		case 5:
+			worst = float32(math.Copysign(0, -1))
+		default:
+			worst = laneDot(rowMajor[int(bound)%rows*n:][:n], a32)
+		}
+		for from := 0; from < npages; {
+			i, m := WalkPages32(&scores, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
+			wi, wm := walkPages32(&ref, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
+			if i != wi || m != wm {
+				t.Fatalf("n=%d pages=%d rows=%d from %d worst=%v lower=%v: (%d, %064b), portable (%d, %064b)", n, npages, rows, from, worst, lowerIsBetter, i, m, wi, wm)
+			}
+			if m == 0 {
+				break
+			}
+			for r := range scores {
+				if math.Float32bits(scores[r]) != math.Float32bits(ref[r]) {
+					t.Fatalf("n=%d pages=%d page %d row %d: dispatched WalkPages32=%g portable=%g", n, npages, from+i, r, scores[r], ref[r])
+				}
+			}
+			from += i + 1
 		}
 	})
 }
