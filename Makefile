@@ -93,7 +93,10 @@ bench:
 # and the full-catalog scan of a 10k-service view beside the same scan
 # pushing every row (scan-speedup-x) and the candidate path (heap-p50),
 # with how many times its kernel returned to Go (handbacks/op, a count
-# any host reproduces);
+# any host reproduces); and the reads that find a service by id — one
+# predict and a 200-candidate rank — on 10k-service views with dense ids,
+# 10% holes and sparse ids (ns/op, one P: a shard counts bits in its
+# rank words on the first two and searches its ids on sparse ones);
 # and a predict and a 50-candidate batch through a gateway over real
 # loopback sockets beside the same requests direct, with allocs/op
 # (bench/'s hop is in-process); and the registry resolving a rank's 200
@@ -112,6 +115,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkObserveApply -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=5k/batch=64/' -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkTopK/10k' -benchtime=300x -cpu=1 ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkViewLookup -benchmem -benchtime=0.2s -cpu=1 ./internal/core/
 
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,
@@ -139,10 +143,14 @@ fuzz-wire:
 
 # Fused top-k selection against the push-every-row reference
 # (internal/core/select_test.go): fuzzer-chosen keys — ties, ±0, ±Inf,
-# NaN — must rank identically through every selection entry point. CI
-# runs this leg at FUZZTIME=10s.
+# NaN — must rank identically through every selection entry point; and
+# the view shard's id → row lookup, rank words and search, against a
+# linear scan (internal/core/index_test.go): fuzzer-chosen id sets of
+# any ints or of small steps, and probe ids. CI runs this leg at FUZZTIME=10s per target.
 fuzz-select:
-	$(GO) test -run=NONE -fuzz='^FuzzSelect$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	for target in FuzzSelect FuzzShardRow; do \
+		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/core/ || exit 1; \
+	done
 
 # The dot kernels (internal/matrix/kernels_test.go): assembly against the
 # portable loop against the naive sum, both widths, a single-row DotBatch
@@ -154,7 +162,7 @@ fuzz-select:
 fuzz-kernels:
 	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
 
-# The id table under the replay pool, the model and the view index
+# The id table under the replay pool and the model's entity tables
 # (internal/idtab/idtab_test.go) against map[int]int32: fuzzer-chosen
 # put / overwrite / remove / get scripts over ids that include the free-slot
 # marker, ±1<<40 and runs that wrap the slot array; contents agree after

@@ -96,6 +96,18 @@ func run(args []string, stderr io.Writer) error {
 	if len(shards) == 0 {
 		return errors.New("at least one -shard group is required")
 	}
+	// cluster.New would replace a non-positive cadence, count or
+	// threshold with its default; refuse them instead, and a threshold
+	// above 1, which no shed rate reaches.
+	if *probeIvl <= 0 {
+		return fmt.Errorf("-probe-interval must be positive, got %v", *probeIvl)
+	}
+	if *downAfter <= 0 {
+		return fmt.Errorf("-down-after must be positive, got %d", *downAfter)
+	}
+	if !(*shedThr > 0 && *shedThr <= 1) {
+		return fmt.Errorf("-slo-shed-threshold must be in (0, 1], got %v", *shedThr)
+	}
 
 	gw, err := cluster.New(cluster.Config{
 		Groups:        shards,

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"github.com/qoslab/amf/internal/idtab"
 	"github.com/qoslab/amf/internal/matrix"
 )
 
@@ -44,23 +43,99 @@ const (
 func pageOf(r int) (pi, o int) { return r >> viewPageShift, r & (viewPageRows - 1) }
 
 // shardIndex is the membership of one view shard: which entities it
-// holds and which row each one occupies. It is immutable once built and
-// shared by pointer between consecutive views for as long as the shard's
-// membership is unchanged — steady-state SGD updates change factors, not
-// membership, so a refresh normally copies no index at all.
+// holds, in row order, and the rank words that find an id's row. It is
+// immutable once built and shared by pointer between consecutive views
+// for as long as the shard's membership is unchanged — steady-state SGD
+// updates change factors, not membership, so a refresh normally copies
+// no index at all.
+//
+// Every id of a shard is ≡ the shard number mod viewShardCount, so the
+// shard's ids are first + b·viewShardCount for distinct b ≥ 0. Rank word
+// b>>6 has bit b&63 set for each such b, and counts in before the rows
+// of all earlier words: an id's row is that count plus the set bits
+// below its own, one load and a popcount however many ids left the
+// shard. The words cover the shard's id range, not its rows, so they
+// are built only while they take at most four times the memory of ids,
+// 32 bytes a row (the id → row hash table they replaced took ≈ 39): while
+// the range is at most 128 times the rows. A shard sparser than that
+// (ids drawn from all of int, or a registry's after more than 99% of
+// the ids it issued have left) leaves rank nil and searches ids
+// (DESIGN.md "Rank-word lookup").
 type shardIndex struct {
-	ids  []int               // entity IDs, ascending: row r holds ids[r]
-	rows *idtab.Table[int32] // id → r
+	ids   []int // entity IDs, strictly ascending: row r holds ids[r]
+	first int   // ids[0]
+	rank  []rankWord
+}
+
+// rankWord covers 64 consecutive ids of a shard's range: bit o is set
+// when the shard holds the o-th of them, and before counts the shard's
+// rows below the first.
+type rankWord struct {
+	bits   uint64
+	before int
 }
 
 // emptyIndex is the index of every shard that holds nothing, so that no
 // reader has to test a shard's index for nil.
-var emptyIndex = &shardIndex{rows: idtab.New[int32](0)}
+var emptyIndex = new(shardIndex)
+
+// newShardIndex indexes ids, which must be non-empty, strictly ascending
+// and all in one shard.
+func newShardIndex(ids []int) *shardIndex {
+	x := &shardIndex{ids: ids, first: ids[0]}
+	// Quotients of any two ints differ by less than 2⁵⁸: no overflow.
+	span := ids[len(ids)-1]>>viewShardShift - x.first>>viewShardShift + 1
+	words := (span + 63) >> 6
+	if words > 2*len(ids) {
+		return x
+	}
+	x.rank = make([]rankWord, words)
+	for _, id := range ids {
+		b := (id - x.first) >> viewShardShift
+		x.rank[b>>6].bits |= 1 << (b & 63)
+	}
+	before := 0
+	for i := range x.rank {
+		x.rank[i].before = before
+		before += bits.OnesCount64(x.rank[i].bits)
+	}
+	return x
+}
 
 // row returns the row id occupies in the shard.
 func (x *shardIndex) row(id int) (int, bool) {
-	r, ok := x.rows.Get(id)
-	return int(r), ok
+	if x.rank == nil {
+		return x.search(id)
+	}
+	// id − first wraps to more than the range for an id below first, and
+	// is off a multiple of viewShardCount for an id of another shard.
+	d := uint(id - x.first)
+	b := d >> viewShardShift
+	if d&(viewShardCount-1) != 0 || b >= uint(len(x.rank))<<6 {
+		return 0, false
+	}
+	w := &x.rank[b>>6]
+	bit := uint64(1) << (b & 63)
+	return w.before + bits.OnesCount64(w.bits&(bit-1)), w.bits&bit != 0
+}
+
+// search finds id's row in a shard without rank words: the last row
+// whose quotient id>>viewShardShift is at most id's, found in log₂ of
+// the shard's rows by halvings that step by the sign of a quotient
+// difference, not by a branch a random lookup would mispredict one time
+// in two, then a check that the row holds id itself.
+func (x *shardIndex) search(id int) (int, bool) {
+	ids := x.ids
+	if len(ids) == 0 {
+		return 0, false
+	}
+	q, lo := id>>viewShardShift, 0
+	for n := len(ids); n > 1; {
+		half := n >> 1
+		lo += half &^ ((q - ids[lo+half]>>viewShardShift) >> 63)
+		n -= half
+	}
+	return lo, ids[lo] == id
 }
 
 // pageIDs returns the ids of the rows held by the shard's page pi.
@@ -387,7 +462,7 @@ func (sh *viewShard) reshape(rows []touchedRow, pb publish, slot *[]viewPage) {
 		return
 	}
 	rank := pb.m.cfg.Rank
-	idx := &shardIndex{ids: make([]int, 0, n), rows: idtab.New[int32](n)}
+	ids := make([]int, 0, n)
 	pages := pageSlice((n+viewPageRows-1)>>viewPageShift, slot)
 	for pi := range pages {
 		pages[pi] = pb.page()
@@ -396,9 +471,8 @@ func (sh *viewShard) reshape(rows []touchedRow, pb publish, slot *[]viewPage) {
 		pages[len(pages)-1].clearFrom(o, rank)
 	}
 	place := func(id int) (viewPage, int) {
-		pi, o := pageOf(len(idx.ids))
-		idx.rows.Put(id, int32(len(idx.ids)))
-		idx.ids = append(idx.ids, id)
+		pi, o := pageOf(len(ids))
+		ids = append(ids, id)
 		return pages[pi], o
 	}
 	for r, id := range old.idx.ids {
@@ -416,5 +490,5 @@ func (sh *viewShard) reshape(rows []touchedRow, pb publish, slot *[]viewPage) {
 	for _, id := range added {
 		place(id)
 	}
-	*sh = viewShard{idx: idx, pages: pages}
+	*sh = viewShard{idx: newShardIndex(ids), pages: pages}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"github.com/qoslab/amf/internal/stream"
 	"github.com/qoslab/amf/internal/transform"
 )
 
@@ -179,6 +181,72 @@ func BenchmarkPredictBatchView(b *testing.B) {
 		b.ReportMetric(float64(perCallP50)/float64(batchP50), "batch-speedup-x")
 	}
 }
+
+// BenchmarkViewLookup times the reads that find services by id — one
+// Predict, and a 200-candidate TopK (k = 10) as an adaptation cycle's rank
+// runs it — on 10k-service views of three id shapes: dense (0…9,999, a
+// registry nothing left), with 10% holes (10k ids drawn from 0…11,110, a
+// registry after churn) and sparse (10k ids drawn from all of int, either
+// sign). The probe ids and the candidate lists are drawn uniformly from
+// the view's ids, so each read lands on a random row; ns/op is one read.
+//
+//	go test -run=NONE -bench=BenchmarkViewLookup -cpu=1 ./internal/core/
+func BenchmarkViewLookup(b *testing.B) {
+	const nServices, nCand, k = 10000, 200, 10
+	rng := rand.New(rand.NewSource(38))
+	shapes := []struct {
+		name string
+		ids  []int
+	}{
+		{"dense", rng.Perm(nServices)},
+		{"holes10", rng.Perm(nServices * 10 / 9)[:nServices]},
+		{"sparse", nil},
+	}
+	for len(shapes[2].ids) < nServices {
+		shapes[2].ids = append(shapes[2].ids, int(rng.Uint64()))
+	}
+	for _, shape := range shapes {
+		cfg := DefaultConfig(-0.007, 0, 20)
+		cfg.Expiry = 0
+		m := MustNew(cfg)
+		for i, s := range shape.ids {
+			m.Observe(stream.Sample{Time: time.Duration(i) * time.Millisecond, User: 0, Service: s, Value: 0.5 + float64((i*7919)%17)})
+		}
+		v := m.BuildView()
+		if v.NumServices() != nServices {
+			b.Fatalf("%s: view holds %d services, want %d", shape.name, v.NumServices(), nServices)
+		}
+		probes := make([]int, 4096)
+		for i := range probes {
+			probes[i] = shape.ids[rng.Intn(nServices)]
+		}
+		lists := make([][]int, 64)
+		for i := range lists {
+			lists[i] = make([]int, nCand)
+			for j := range lists[i] {
+				lists[i][j] = shape.ids[rng.Intn(nServices)]
+			}
+		}
+		b.Run("ids="+shape.name+"/predict", func(b *testing.B) {
+			var sum float64
+			for i := 0; i < b.N; i++ {
+				x, _ := v.Predict(0, probes[i%len(probes)])
+				sum += x
+			}
+			sinkFloat = sum
+		})
+		b.Run("ids="+shape.name+"/topk200", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ranked, _ := v.TopK(0, lists[i%len(lists)], k, true)
+				sinkFloat += ranked[0].Value
+			}
+		})
+	}
+}
+
+// sinkFloat keeps the benchmarks' reads from being optimized away.
+var sinkFloat float64
 
 func sizeLabel(n int) string {
 	switch {

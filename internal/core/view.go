@@ -10,16 +10,21 @@ import (
 )
 
 // viewShardCount is the number of hash shards a PredictView's entity
-// tables are split into. It must be a power of two (IDs are mapped to
-// shards by masking). A shard is the unit of membership: each one carries
-// its own id index, rebuilt only when an entity joins or leaves that
-// shard. Factor updates are published at a finer grain still — the
-// fixed-height pages of page.go — so a refresh copies the pages holding a
-// changed row (with Model.Recycle, only the rows that changed since, into
-// the page's recycled twin) and shares everything else with the previous
-// view by pointer: its cost follows the number of entities touched since
-// the last publish, not the size of the catalog.
-const viewShardCount = 64
+// tables are split into, 1<<viewShardShift: IDs are mapped to shards by
+// masking, so a shard's IDs share their low bits and differ in
+// id>>viewShardShift alone, which is what lets a shard find a row by
+// counting bits over its id range (shardIndex.row). A shard is the unit
+// of membership: each one carries its own index, rebuilt only when an
+// entity joins or leaves that shard. Factor updates are published at a finer grain still
+// — the fixed-height pages of page.go — so a refresh copies the pages
+// holding a changed row (with Model.Recycle, only the rows that changed
+// since, into the page's recycled twin) and shares everything else with
+// the previous view by pointer: its cost follows the number of entities
+// touched since the last publish, not the size of the catalog.
+const (
+	viewShardShift = 6
+	viewShardCount = 1 << viewShardShift
+)
 
 // viewEntity is the published state of one user or service as handed to
 // the read paths: the latent factor vector (the entity's lane in its

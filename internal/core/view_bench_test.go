@@ -153,6 +153,46 @@ func TestRecycledRefreshAllocations(t *testing.T) {
 	}
 }
 
+// TestJoinReshapeAllocations pins what a join adds to a recycled publish:
+// the joined shard's reshape allocates its new index — the header, the
+// ids, 8 bytes a row, and the rank words, 16 bytes per 64 ids of the
+// shard's range — and its list of joined ids, and lays the rows out in
+// recycled pages and the shard's spare page slice; it builds no hash
+// table beside the ids. Each round joins one new service to the same
+// shard of a 10k-service catalog, which grows from 157 rows to 187 and
+// so keeps its three pages.
+func TestJoinReshapeAllocations(t *testing.T) {
+	const nServices, warm, rounds = 10000, 10, 20
+	m, _ := refreshBenchModel(t, nServices)
+	v := m.BuildView()
+	join := nServices + viewShardCount // the first join's id; each round's is one shard step on
+	var before, after runtime.MemStats
+	var bytes, objects uint64
+	for i := -warm; i < rounds; i++ {
+		m.Observe(stream.Sample{Time: time.Duration(i+warm+1) * time.Millisecond, User: 0, Service: join, Value: 1})
+		join += viewShardCount
+		runtime.ReadMemStats(&before)
+		v = m.RefreshView(v)
+		m.Recycle(v, 0)
+		runtime.ReadMemStats(&after)
+		if i >= 0 {
+			bytes += after.TotalAlloc - before.TotalAlloc
+			objects += after.Mallocs - before.Mallocs
+		}
+	}
+	idx := v.services.shards[shardOf(join)].idx
+	rows, words := len(idx.ids), len(idx.rank)
+	perBytes, perObjects := float64(bytes)/rounds, float64(objects)/rounds
+	t.Logf("a join's recycled publish at %d services (%d-row shard, %d rank words): %.0f B, %.1f objects", nServices, rows, words, perBytes, perObjects)
+	// The view header, the index header, its ids, its rank words and the
+	// one-id join list, each rounded up to its size class by at most an
+	// eighth.
+	limit := float64(unsafe.Sizeof(PredictView{})+unsafe.Sizeof(shardIndex{})+uintptr(rows+1)*8+uintptr(words)*unsafe.Sizeof(rankWord{})) * 9 / 8
+	if words == 0 || perBytes > limit || perObjects > 5.5 {
+		t.Errorf("a join's publish allocates %.0f B in %.1f objects (%d rank words), want ≤ %.0f B in 5: view, index header, ids, rank words, join list", perBytes, perObjects, words, limit)
+	}
+}
+
 // BenchmarkObserveApply is the apply cost at the served shape: a model of
 // 1,000 users × 5,000 services preloaded at 5% density takes 64-sample
 // batches of one zipf-drawn user against distinct uniformly drawn

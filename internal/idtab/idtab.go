@@ -2,10 +2,9 @@
 // open-addressed with linear probing in a power-of-two slot array kept at
 // most half full, keys and values in two parallel arrays so a narrow V
 // stays narrow (12 bytes a slot for an int32). The replay pool's
-// per-user rows, the model's entity tables and the view's id → row index
-// are all this table; a lookup is a multiply, a shift and on average
-// fewer than two key compares, against a Go map's hash call, bucket walk
-// and tophash scan.
+// per-user rows and the model's entity tables are this table; a lookup is
+// a multiply, a shift and on average fewer than two key compares, against
+// a Go map's hash call, bucket walk and tophash scan.
 //
 // Slot memory follows the entry count, never an id's magnitude: the table
 // doubles when an insert would pass half full and halves when a removal
