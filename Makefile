@@ -10,15 +10,16 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
 
 all: build vet test
 
 # The one gate list; .github/workflows/ci.yml runs exactly this. Each
 # test runs once per mode: `test` includes the docs lints, and the race
 # pass over ./internal/... includes everything test-cluster and
-# test-overload select (those targets stay as developer shortcuts).
-ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64
+# test-overload select (those targets stay as developer shortcuts); the
+# examples leg runs every program under examples/ to completion.
+ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64 examples
 	$(GO) test -race ./internal/...
 	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux FUZZTIME=10s
 
@@ -75,9 +76,6 @@ race:
 
 cover:
 	$(GO) test -cover ./...
-
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Smoke benchmarks for what the repository benchmark (bench/) has no
 # probe for: the instrumented predict handler without sockets (the row
@@ -205,8 +203,6 @@ examples:
 	$(GO) run ./examples/onlineserver
 	$(GO) run ./examples/churn
 	$(GO) run ./examples/offline
-	$(GO) run ./examples/streamingest
-	$(GO) run ./examples/operations
 
 clean:
 	$(GO) clean ./...

@@ -6,7 +6,7 @@
 //	amfbench -exp table1 -scale paper # the full 142x4500 shape (slow)
 //
 // Experiments: stats fig2 fig7 fig8 fig9 table1 fig10 fig11 fig12 fig13
-// fig14 weights params slices prequential floor adaptation.
+// fig14 weights params slices prequential floor adaptation ablation.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 
 var allExperiments = []string{
 	"stats", "fig2", "fig7", "fig8", "fig9", "table1",
-	"fig10", "fig11", "fig12", "fig13", "fig14", "weights", "params", "slices", "prequential", "floor", "adaptation",
+	"fig10", "fig11", "fig12", "fig13", "fig14", "weights", "params", "slices", "prequential", "floor", "adaptation", "ablation",
 }
 
 func run(args []string) error {
@@ -47,6 +47,12 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds must be at least 1, got %d", *rounds)
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (experiments go in -exp)", fs.Arg(0))
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -148,6 +154,8 @@ func runExperiment(exp string, ds dataset.Config, attrs []dataset.Attribute, rou
 		return runFloor(ds, attrs, seed)
 	case "adaptation":
 		return runAdaptation(ds, seed)
+	case "ablation":
+		return runAblation(ds, attrs, rounds, seed, csvDir)
 	default:
 		return fmt.Errorf("unknown experiment (known: %s)", strings.Join(allExperiments, " "))
 	}
@@ -266,6 +274,35 @@ func runFig9(ds dataset.Config) error {
 	fmt.Printf("%4s %10s %10s\n", "id", "RT", "TP")
 	for i := range rt {
 		fmt.Printf("%4d %10.4f %10.4f\n", i+1, rt[i], tp[i])
+	}
+	return nil
+}
+
+// runAblation switches off one AMF design decision per variant at
+// density 10%: the relative loss (Eq. 6), the adaptive weights (Eq.
+// 16-17) and the tuned Box-Cox α. Full AMF comes last, so the "Improve."
+// row reads as AMF against the best ablated variant.
+func runAblation(ds dataset.Config, attrs []dataset.Attribute, rounds int, seed int64, csvDir string) error {
+	fmt.Println("== Ablations: AMF with one design decision switched off (density 10%) ==")
+	off, one := false, 1.0
+	approaches := []eval.Approach{
+		eval.AMFApproach("abs-loss", eval.AMFOverrides{RelativeLoss: &off}),
+		eval.AMFApproach("fixed-w", eval.AMFOverrides{AdaptiveWeights: &off}),
+		eval.AMFApproach("AMF(a=1)", eval.AMFOverrides{Alpha: &one}),
+		eval.AMFApproach("AMF", eval.AMFOverrides{}),
+	}
+	for _, attr := range attrs {
+		res, err := eval.RunTable1(eval.Table1Options{
+			Dataset: ds, Attr: attr, Densities: []float64{0.10}, Rounds: rounds, Seed: seed, Approaches: approaches,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Print(res)
+		if err := writeCSVFile(csvDir, fmt.Sprintf("ablation_%s.csv", attr), res.WriteCSV); err != nil {
+			return err
+		}
+		fmt.Println()
 	}
 	return nil
 }

@@ -67,6 +67,20 @@ func TestRunTable1Tiny(t *testing.T) {
 	}
 }
 
+func TestRunAblationTiny(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-exp", "ablation", "-scale", "tiny", "-attr", "RT", "-rounds", "1"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nabs-loss ", "\nfixed-w ", "\nAMF(a=1) ", "\nAMF ", "\nImprove. "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("ablation output missing row %q", strings.TrimSpace(want))
+		}
+	}
+}
+
 func TestRunAdaptationTiny(t *testing.T) {
 	out, err := captureStdout(t, func() error {
 		return run([]string{"-exp", "adaptation", "-scale", "tiny"})
@@ -83,9 +97,12 @@ func TestRunAdaptationTiny(t *testing.T) {
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := map[string][]string{
-		"bad scale":      {"-scale", "galactic"},
-		"bad attr":       {"-attr", "JITTER"},
-		"bad experiment": {"-exp", "fig99", "-scale", "tiny"},
+		"bad scale":       {"-scale", "galactic"},
+		"bad attr":        {"-attr", "JITTER"},
+		"bad experiment":  {"-exp", "fig99", "-scale", "tiny"},
+		"negative rounds": {"-exp", "table1", "-rounds", "-1", "-scale", "tiny"},
+		"zero rounds":     {"-exp", "params", "-rounds", "0", "-scale", "tiny"},
+		"stray argument":  {"-exp", "fig2", "-scale", "tiny", "extra"},
 	}
 	for name, args := range cases {
 		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {

@@ -12,6 +12,6 @@
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory and
 // experiment index, and EXPERIMENTS.md for paper-versus-measured results.
-// The benchmarks in bench_test.go regenerate each experiment in miniature;
-// `go run ./cmd/amfbench -exp all` runs them at configurable scale.
+// `go run ./cmd/amfbench -exp all` regenerates every experiment, the
+// ablations included, at configurable scale.
 package amf

@@ -50,11 +50,11 @@ type Config struct {
 
 	// AdaptiveWeights enables the per-entity weights of Eq. 16-17. When
 	// false the model degenerates to plain online MF (Eq. 8-9), the
-	// ablation benchmarked in BenchmarkAblationWeights.
+	// fixed-w variant of `amfbench -exp ablation`.
 	AdaptiveWeights bool
 	// RelativeLoss selects the (r−g)/r loss of Eq. 6. When false the
-	// model minimizes the absolute loss (r−g)², the ablation of
-	// BenchmarkAblationLoss and effectively PMF's objective.
+	// model minimizes the absolute loss (r−g)², the abs-loss variant of
+	// `amfbench -exp ablation` and effectively PMF's objective.
 	RelativeLoss bool
 
 	// MaxGradNorm clips the common gradient factor (g−r)·g′/r² of each

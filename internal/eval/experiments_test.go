@@ -175,7 +175,7 @@ func TestRunFig13AMFFasterAfterWarmup(t *testing.T) {
 	}
 	// Wall-clock ratios at this tiny scale are noisy under parallel test
 	// load, so only sanity-check that they exist; the realistic-scale
-	// comparison lives in BenchmarkFig13Efficiency and cmd/amfbench.
+	// comparison lives in `amfbench -exp fig13`.
 	speedups := res.SpeedupAfterWarmup()
 	if speedups["PMF"] <= 0 || speedups["UIPCC"] <= 0 {
 		t.Errorf("speedups should be positive: %v", speedups)

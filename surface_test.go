@@ -46,10 +46,10 @@ var keep = map[string]string{
 	"(*core.Model).KnowsService":       "observed by tests in core model_test, snapshot_test, property_test",
 	"(*core.PredictView).KnowsUser":    "observed by tests in core view_test, engine engine_test and stress_test, server durable_test",
 	"(*core.PredictView).KnowsService": "observed by tests in core view_test and topk_test, engine engine_test, server durable_test",
-	"dataset.MustNew":                  "fixture constructor: 33 tests and benchmarks in eight files, root bench_test.go among them, build their generator with it",
+	"dataset.MustNew":                  "fixture constructor: tests in seven files (dataset, eval, stream, core, adapt) build their generator with it",
 	"dataset.SmallConfig":              "fixture: the shared small dataset shape of dataset, stream and core tests (four files)",
 	"transform.MustNew":                "fixture constructor: every transform test and the package example build their Transformer with it",
-	"matrix.EffectiveRank":             "Fig. 9's low-rank reading: root bench_test.go, dataset generator_test and matrix eigen_test report it",
+	"matrix.EffectiveRank":             "Fig. 9's low-rank reading: dataset generator_test and matrix eigen_test report it",
 
 	"server.NewWithClock":                "test seam: injects the server clock (server_test TestObserveCustomTimestamp)",
 	"server.WithSlowRequestThreshold":    "test seam: lowers the slow-request threshold so TestSlowRequestLogged need not sleep a second",
