@@ -102,7 +102,11 @@ cover:
 # path gains by the table's smaller footprint, which a hot loop hides);
 # and the TCP stream door over real loopback, 64-line batches each
 # acked by a PONG, timed until every sample is applied (samples/s and
-# process CPU µs per sample; bench/ has no workload on that door).
+# process CPU µs per sample; bench/ has no workload on that door);
+# and each page walk the CPU can run (AVX2, AVX-512) over the same pages
+# in one interleaved loop, with the row-major kernels beside them
+# (page-<kernel>-ns/row, page-avx512-speedup-x), since bench/ times only
+# the one the host dispatches to.
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
@@ -114,6 +118,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkRefreshView/services=5k/batch=64/' -benchmem -benchtime=2000x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench='BenchmarkTopK/10k' -benchtime=300x -cpu=1 ./internal/core/
 	$(GO) test -run=NONE -bench=BenchmarkViewLookup -benchmem -benchtime=0.2s -cpu=1 ./internal/core/
+	$(GO) test -run=NONE -bench=BenchmarkDotBatch -benchtime=0.3s -cpu=1 ./internal/matrix/
 
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,

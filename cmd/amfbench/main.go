@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -389,8 +390,14 @@ func runFig13(ds dataset.Config, attrs []dataset.Attribute, seed int64, csvDir s
 			fmt.Printf("%6d %10.3f %10.3f %10.3f %10d\n",
 				t, res.Seconds["UIPCC"][t], res.Seconds["PMF"][t], res.Seconds["AMF"][t], res.AMFEpochs[t])
 		}
-		for name, s := range res.SpeedupAfterWarmup() {
-			fmt.Printf("AMF speedup over %s after warmup: %.1fx\n", name, s)
+		speedups := res.SpeedupAfterWarmup()
+		names := make([]string, 0, len(speedups))
+		for name := range speedups {
+			names = append(names, name)
+		}
+		sort.Strings(names) // the same seed prints the same lines
+		for _, name := range names {
+			fmt.Printf("AMF speedup over %s after warmup: %.1fx\n", name, speedups[name])
 		}
 		if err := writeCSVFile(csvDir, fmt.Sprintf("fig13_%s.csv", attr), res.WriteCSV); err != nil {
 			return err

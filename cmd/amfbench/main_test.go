@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -187,5 +188,29 @@ func TestRunFig14Tiny(t *testing.T) {
 	}
 	if !strings.Contains(out, "newcomer MRE") {
 		t.Errorf("fig14 output missing summary:\n%s", out)
+	}
+}
+
+// TestRunFig13SpeedupsSorted holds Fig. 13's speedup lines to one order,
+// by baseline name, so that two runs at one seed print the same lines in
+// the same order: they come from a map.
+func TestRunFig13SpeedupsSorted(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-exp", "fig13", "-scale", "tiny", "-attr", "both"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, block := range strings.Split(out, "(seconds per slice):")[1:] {
+		var names []string
+		for _, line := range strings.Split(block, "\n") {
+			if rest, ok := strings.CutPrefix(line, "AMF speedup over "); ok {
+				name, _, _ := strings.Cut(rest, " ")
+				names = append(names, name)
+			}
+		}
+		if len(names) < 2 || !sort.StringsAreSorted(names) {
+			t.Errorf("fig13 speedup lines name %v, want two or more in sorted order:\n%s", names, out)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // 142 µs at 16 rows, 137 µs at 32 and 123 µs at 64, against 121 µs
 // contiguous; end to end the full-catalog rank is 25%, 14% and 3%
 // slower. 64 rows keeps the read path level with a contiguous layout.
-// A page is eight dimension-major 8-row groups (viewPage), and
+// A page is four dimension-major 16-row groups (viewPage), and
 // matrix.WalkPages32 scores and filters a shard's pages one full page at
 // a time, so the height is matrix.PageRows, the width of its mask.
 // At rank 10 a page is a 2.5 KB float32 block plus 1 KB of meta, and a
@@ -157,18 +157,20 @@ func (x *shardIndex) pageIDs(pi int) []int {
 //
 // The block is what makes candidate ranking a streaming problem instead
 // of a pointer chase, and its layout is what makes the scan cheap: rows
-// are kept in groups of matrix.GroupRows = 8, and within a group factor
-// j of all eight rows is one run of eight floats, so row o's factor j is
-// vecs[(o>>3)*8*rank + j*8 + (o&7)]. A full-catalog scan hands a
-// shard's page slice to matrix.WalkPages32, which scores eight rows per
-// vector multiply and add with no horizontal reduce and no tail, and
-// compares the scores with the top-k bound before they leave the
-// registers, page after page, until one has a survivor. A row's factors
-// are a strided lane of the block (viewPage.lane); point reads (Predict,
-// the candidate path) walk that lane with a scalar loop in the kernel's
-// association (veDot), so they and the scan agree bit for bit. The cost
-// is paid on random access: a rank-10 row spans five cache lines instead
-// of one.
+// are kept in groups of matrix.GroupRows = 16, and within a group factor
+// j of all sixteen rows is one run of sixteen floats, one 64-byte cache
+// line, so row o's factor j is vecs[(o>>4)*16*rank + j*16 + (o&15)]. A
+// full-catalog scan hands a shard's page slice to matrix.WalkPages32,
+// which scores sixteen rows per vector multiply and add (eight on an
+// AVX2-only host) with no horizontal reduce and no tail, and compares
+// the scores with the top-k bound before they leave the registers, page
+// after page, until one has a survivor. A row's factors are a strided
+// lane of the block (viewPage.lane); point reads (Predict, the candidate
+// path) walk that lane with a scalar loop in the kernel's association
+// (veDot), so they and the scan agree bit for bit. The cost is paid on
+// random access: a rank-10 row spans ten cache lines instead of one
+// (DESIGN.md "Sixteen-lane page walk" has what that costs, and why the
+// AVX2 kernel reads 16-row groups too rather than a layout of its own).
 // Every block is allocated at full height, viewPageRows×rank, and the
 // lanes past the last row of a shard's partial last page hold zeros.
 // A viewPage itself is just the two references, held by value in the
@@ -182,12 +184,12 @@ func (x *shardIndex) pageIDs(pi int) []int {
 // rounded values. Training never sees the rounding (core.Model stays
 // float64); DESIGN.md "Float32 pages" has the measured cost.
 type viewPage struct {
-	vecs []float32 // viewPageRows×rank, dimension-major in 8-row groups
+	vecs []float32 // viewPageRows×rank, dimension-major in 16-row groups
 	meta *pageMeta
 }
 
-// viewGroupRows is the height of a dimension-major row group: the lanes
-// of one vector of the page kernel.
+// viewGroupRows is the height of a dimension-major row group: the rows
+// one run of a factor covers, and the stride of a row's lane.
 const viewGroupRows = matrix.GroupRows
 
 // pageMeta is the per-row state of a page the rank scan never reads, and

@@ -270,11 +270,12 @@ func TestAppendTopKZeroAlloc(t *testing.T) {
 // TestPagesBackViewEntities verifies the paged-layout invariants: every
 // shard's index and pages agree in shape, every block is full height,
 // every point lookup is its row's lane of the page block (same backing
-// array, factor j at j·8 past the row's first, in the row's 8-row group)
-// holding the model's factors rounded to float32, the pad lanes of a
-// partial last page are zero, and the counts add up — on a fresh build,
-// on an incremental refresh that removes an entity, and on a refresh
-// whose reshapes write into recycled spares a test has poisoned with NaN.
+// array, factor j at j·viewGroupRows past the row's first, in the row's
+// group) holding the model's factors rounded to float32, the pad lanes of
+// a partial last page are zero, and the counts add up — on a fresh
+// build, on an incremental refresh that removes an entity, and on a
+// refresh whose reshapes write into recycled spares a test has poisoned
+// with NaN.
 func TestPagesBackViewEntities(t *testing.T) {
 	m := topkTestModel(t, 100)
 	v := m.BuildView()
@@ -309,13 +310,13 @@ func TestPagesBackViewEntities(t *testing.T) {
 				if !ok {
 					t.Fatalf("%s: indexed service %d not found by get", when, id)
 				}
-				first := o/8*8*rank + o%8
-				if &e.lane[0] != &p.vecs[first] || len(e.lane) != (rank-1)*8+1 || e.meta != p.meta || e.o != o {
+				first := o/viewGroupRows*viewGroupRows*rank + o%viewGroupRows
+				if &e.lane[0] != &p.vecs[first] || len(e.lane) != (rank-1)*viewGroupRows+1 || e.meta != p.meta || e.o != o {
 					t.Fatalf("%s: service %d is not the lane of its page row", when, id)
 				}
 				live, _ := m.services.Get(id)
 				for j, x := range live.vec {
-					if got := p.vecs[first+j*8]; got != float32(x) {
+					if got := p.vecs[first+j*viewGroupRows]; got != float32(x) {
 						t.Fatalf("%s: service %d factor %d: page holds %v, model %v", when, id, j, got, float32(x))
 					}
 				}
@@ -323,7 +324,7 @@ func TestPagesBackViewEntities(t *testing.T) {
 			last := sh.pages[len(sh.pages)-1]
 			for o := (n-1)%viewPageRows + 1; o < viewPageRows; o++ {
 				for j := 0; j < rank; j++ {
-					if x := last.vecs[o/8*8*rank+j*8+o%8]; math.Float32bits(x) != 0 {
+					if x := last.vecs[o/viewGroupRows*viewGroupRows*rank+j*viewGroupRows+o%viewGroupRows]; math.Float32bits(x) != 0 {
 						t.Fatalf("%s: shard %d pad row %d factor %d holds %v, want +0", when, si, o, j, x)
 					}
 				}

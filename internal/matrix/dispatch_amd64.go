@@ -2,13 +2,17 @@
 
 package matrix
 
-// AVX2+FMA dispatch for the ranking kernels. Feature detection is
-// written against the raw CPUID/XGETBV leaves (cpuid_amd64.s) so the
-// module keeps its zero-dependency rule — no golang.org/x/sys/cpu.
+// AVX2+FMA dispatch for the ranking kernels, with the AVX-512F page walk
+// where the CPU has it. Feature detection is written against the raw
+// CPUID/XGETBV leaves (cpuid_amd64.s) so the module keeps its
+// zero-dependency rule — no golang.org/x/sys/cpu.
 //
 // The kernels require AVX2 (256-bit integer/FP lanes), FMA3, and an OS
 // that saves YMM state on context switch (OSXSAVE + XCR0 bits 1-2).
 // Anything less falls through to the portable Go loops in kernels.go.
+// The AVX-512 page walk further requires AVX-512F and an OS that saves
+// the opmask and ZMM state too (XCR0 bits 5-7); without them the AVX2
+// walk serves, over the same page layout.
 
 // cpuid executes CPUID with the given EAX/ECX inputs (cpuid_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -28,10 +32,16 @@ func dotBatchAVX2(dst, block, q []float64)
 //go:noescape
 func dotBatch32AVX2(dst, block, q []float32)
 
-// walkPages32AVX2 is WalkPages32: each page's eight row groups in one
-// pass, one 8-wide accumulator each, multiply then add, compared as
+// walkPages32AVX512 is WalkPages32: each page's four row groups in one
+// pass, one 16-wide accumulator each, multiply then add, compared as
 // survivors32AVX2 compares keys, and the scores stored only for the page
 // it returns at. n >= 1 and len(q) >= 1.
+//
+//go:noescape
+func walkPages32AVX512(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
+
+// walkPages32AVX2 is walkPages32AVX512 in eight 8-wide accumulators, two
+// per group.
 //
 //go:noescape
 func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
@@ -43,10 +53,12 @@ func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n
 //go:noescape
 func survivors32AVX2(keys []float32, worst float32, flip uint32) uint64
 
-func hasAVX2FMA() bool {
+// missingAVX2 names what the CPU or OS lacks for the AVX2+FMA kernels,
+// or returns "" when it has everything.
+func missingAVX2() string {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return "CPUID has no leaf 7"
 	}
 	_, _, c1, _ := cpuid(1, 0)
 	const (
@@ -55,19 +67,41 @@ func hasAVX2FMA() bool {
 		avxBit     = 1 << 28
 	)
 	if c1&(fmaBit|osxsaveBit|avxBit) != fmaBit|osxsaveBit|avxBit {
-		return false
+		return "no AVX, FMA or OSXSAVE"
 	}
-	xcr0, _ := xgetbv0()
-	if xcr0&6 != 6 { // XMM and YMM state enabled by the OS
-		return false
+	if xcr0, _ := xgetbv0(); xcr0&6 != 6 {
+		return "the OS does not save XMM and YMM state"
 	}
-	_, b7, _, _ := cpuid(7, 0)
 	const avx2Bit = 1 << 5
-	return b7&avx2Bit != 0
+	if _, b7, _, _ := cpuid(7, 0); b7&avx2Bit == 0 {
+		return "no AVX2"
+	}
+	return ""
+}
+
+// missingAVX512 is missingAVX2 for the AVX-512 page walk, which also
+// needs AVX-512F and the opmask, ZMM_Hi256 and Hi16_ZMM state saved.
+func missingAVX512() string {
+	if m := missingAVX2(); m != "" {
+		return m
+	}
+	const avx512fBit = 1 << 16
+	if _, b7, _, _ := cpuid(7, 0); b7&avx512fBit == 0 {
+		return "no AVX-512F"
+	}
+	if xcr0, _ := xgetbv0(); xcr0&0xE6 != 0xE6 {
+		return "the OS does not save opmask and ZMM state"
+	}
+	return ""
 }
 
 func init() {
-	if !hasAVX2FMA() {
+	noAVX2, noAVX512 := missingAVX2(), missingAVX512()
+	pageKernels = []pageKernel{
+		{"avx2", walkPages32AVX2, noAVX2},
+		{"avx512", walkPages32AVX512, noAVX512},
+	}
+	if noAVX2 != "" {
 		return
 	}
 	simdName = "avx2"
@@ -75,6 +109,10 @@ func init() {
 	dotBatch32Arch = dotBatch32AVX2
 	walkPages32Arch = walkPages32AVX2
 	survivors32Arch = survivors32AVX2
+	if noAVX512 == "" {
+		simdName = "avx512"
+		walkPages32Arch = walkPages32AVX512
+	}
 	// Dot as a one-row batch call: the bit-identity invariant in
 	// kernels.go holds by construction.
 	dotArch = func(a, b []float64) float64 {

@@ -15,8 +15,9 @@ import "fmt"
 //     (the naive loop serializes on one accumulator, one FMA latency per
 //     element). It is the float64 product of SGD and Model.Predict.
 //   - WalkPages32 (kernels32.go) scores a shard's dimension-major pages:
-//     factor j of eight rows is one vector, so a page costs one broadcast
-//     and one multiply and add per factor per eight rows, with no reduce.
+//     factor j of sixteen rows is one run of floats, so a page costs one
+//     broadcast and one multiply and add per factor per vector of rows
+//     (sixteen on AVX-512, eight on AVX2), with no reduce.
 //     It compares the scores with the top-k bound while they are still in
 //     registers and returns only at a page with survivors. It is what
 //     every full-catalog scan runs on.
@@ -24,9 +25,10 @@ import "fmt"
 //     row-major block past one query vector. Nothing in the product
 //     calls them any more; bench/probes.go times both.
 //   - On amd64 with AVX2+FMA the kernels are hand-written assembly
-//     (kernels_amd64.s), and on arm64 the row-major batch kernels are NEON
-//     (kernels_arm64.s), selected once at init by the dispatch_*.go
-//     files. Build with `-tags noasm` to force the portable Go loops.
+//     (kernels_amd64.s), the page walk in AVX-512F where the CPU has it,
+//     and on arm64 the row-major batch kernels are NEON (kernels_arm64.s),
+//     selected once at init by the dispatch_*.go files. Build with
+//     `-tags noasm` to force the portable Go loops.
 //
 // Unrolling reassociates the summation (s0+s2)+(s1+s3) instead of
 // (((s0+s1)+s2)+s3 element order), so Dot and DotBatch can differ from
@@ -58,11 +60,26 @@ var (
 	// wherever the portable loops serve.
 	walkPages32Arch func(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (int, uint64)
 	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
+	// pageKernels is every assembly page walk the build carries,
+	// narrowest first; walkPages32Arch is the widest the CPU admits. The
+	// tests and BenchmarkDotBatch run each one that it admits, so a host
+	// that dispatches to the widest still runs the others. Empty where
+	// the portable loop is the only page walk.
+	pageKernels []pageKernel
 )
 
+// pageKernel is one assembly page walk and, when the CPU cannot run it,
+// why not ("" when it can).
+type pageKernel struct {
+	name   string
+	walk   func(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (int, uint64)
+	absent string
+}
+
 // SIMD reports the vector instruction set the kernels dispatched to at
-// init: "avx2", "neon", or "" when the portable Go loops are serving
-// (noasm build, unsupported architecture, or missing CPU features).
+// init: "avx512" (AVX2 kernels with the AVX-512F page walk), "avx2",
+// "neon", or "" when the portable Go loops are serving (noasm build,
+// unsupported architecture, or missing CPU features).
 func SIMD() string { return simdName }
 
 // Dot4 is the unrolled inner-product kernel shared by the portable Dot

@@ -66,11 +66,12 @@ func DotBatch32(dst, block, q []float32) {
 }
 
 // GroupRows is the height of one dimension-major row group, the layout
-// WalkPages32 reads: one 8-wide vector of a group holds the same factor
-// of all its rows.
-const GroupRows = 8
+// WalkPages32 reads: one 16-float run of a group holds the same factor of
+// all its rows, one ZMM vector for the AVX-512 kernel and two YMM vectors
+// for the AVX2 one.
+const GroupRows = 16
 
-// PageRows is the height of one page WalkPages32 scores: eight groups,
+// PageRows is the height of one page WalkPages32 scores: four groups,
 // the width of a survivor mask.
 const PageRows = 64
 
@@ -84,19 +85,20 @@ const PageRows = 64
 // passes its first page's block field and the size of its page struct,
 // so the kernel walks the page slice itself. Every block holds PageRows
 // rows stored dimension-major in groups of GroupRows: with k = len(q),
-// row r's factor j is block[r/8*8*k + j*8 + r%8]. A group is k
-// consecutive 8-float vectors, factor 0 first, so it costs one broadcast
-// of q[j] and one multiply and one add per factor for eight rows at once,
-// with no horizontal reduce and no tail. Each block's length must be
-// PageRows·k; the portable loop panics on any other, and the assembly
-// trusts it.
+// row r's factor j is block[r/16*16*k + j*16 + r%16]. A group is k
+// consecutive 16-float runs, factor 0 first, so it costs one broadcast
+// of q[j] and one multiply and one add per factor for sixteen rows at
+// once (two of each on AVX2), with no horizontal reduce and no tail.
+// Each block's length must be PageRows·k; the portable loop panics on
+// any other, and the assembly trusts it.
 //
 // Every row is summed in one association, in every build: s = q[0]·x₀,
 // then s = s + q[j]·xⱼ for j = 1…k−1, each product rounded to float32
 // before it is added — a multiply and an add, never a fused
-// multiply-add. So the AVX2 kernel, the portable loop below and a scalar
-// loop over one row written the same way (core's point reads) agree bit
-// for bit, and so do builds with and without the assembly.
+// multiply-add. So the AVX-512 and AVX2 kernels, the portable loop below
+// and a scalar loop over one row written the same way (core's point
+// reads) agree bit for bit, and so do builds with and without the
+// assembly.
 //
 // A page's mask is Survivors over its scores, bit for bit: bit r is clear
 // only when row r's score is strictly worse than worst, and a NaN worst

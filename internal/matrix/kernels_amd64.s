@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // AVX2+FMA row-major batch inner-product kernels (see kernels.go for
-// the dispatch contract), then the dimension-major page-scan kernel,
-// which filters what it scores, and the survivor mask. Both batch kernels
+// the dispatch contract), then the dimension-major page-scan kernels,
+// AVX2 and AVX-512F, which filter what they score, and the survivor mask. Both batch kernels
 // process four rows per iteration against one resident query chunk, with
 // a one-row remainder loop.
 // Bit-identity rules the structure:
@@ -273,26 +273,30 @@ done32:
 	VZEROUPPER
 	RET
 
-// Page-scan kernel (WalkPages32, kernels32.go): a block is groups of 8
-// rows stored dimension-major, so one YMM load is factor j of a whole
-// group. A page, eight groups (64 rows), is one pass in Y0–Y7: per
-// factor, one broadcast of q[j] into Y8, then per group one VMULPS and
-// one VADDPS — no FMA, so every row is q[0]·x0 + q[1]·x1 + … with each
-// product rounded, exactly as the portable loop computes it. Factor 0 is
-// a bare VMULPS, which starts the sum from the first product rather than
-// from +0. R10 is one group's stride in bytes; R13 walks groups 0–3 and
-// R11 groups 4–7 through the factors.
+// Page-scan kernels (WalkPages32, kernels32.go): a block is groups of 16
+// rows stored dimension-major, so factor j of a whole group is one run
+// of 16 floats, 64 bytes. A page, four groups (64 rows), is one pass in
+// the accumulators: per factor, one broadcast of q[j], then per vector
+// one VMULPS and one VADDPS — no FMA, so every row is q[0]·x0 + q[1]·x1
+// + … with each product rounded, exactly as the portable loop computes
+// it. Factor 0 is a bare VMULPS, which starts the sum from the first
+// product rather than from +0. R10 is one group's stride in bytes (rank
+// × 64), R12 three of them; R13 walks the page's block through the
+// factors, 64 bytes a step.
 //
 // The scores are then filtered while still in registers, as the
-// survivor-mask kernel below does it from memory: flip (Y14) is XORed
-// into each accumulator, which is compared with the flipped bound (Y13)
-// under NGT_UQ. The eight compares are ORed first, so a page without a
-// survivor — most pages, once the heap is full — costs one VMOVMSKPS and
-// moves on: SI steps to the next page's block header by the caller's
-// stride (DI) and CX counts the pages left. A page with one folds the
-// groups' bits last first, eight at a time, ANDs the last page's with
-// the caller's row mask, and stores the scores to dst only if a bit is
-// left.
+// survivor-mask kernel below does it from memory: flip is XORed into
+// each accumulator, which is compared with the flipped bound under
+// NGT_UQ. The compares are ORed first, so a page without a survivor —
+// most pages, once the heap is full — costs one branch and moves on: SI
+// steps to the next page's block header by the caller's stride (DI) and
+// CX counts the pages left. A page with one folds its rows' bits last
+// first, ANDs the last page's with the caller's row mask, and stores the
+// scores to dst only if a bit is left.
+//
+// The AVX2 kernel holds a page in Y0–Y7, rows 0–63 in order: group g's
+// rows 0–7 at +0 and rows 8–15 at +32 of each 64-byte run. Its compare
+// masks come out eight bits at a time (VMOVMSKPS).
 
 // func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
 TEXT ·walkPages32AVX2(SB), NOSPLIT, $0-88
@@ -305,48 +309,46 @@ TEXT ·walkPages32AVX2(SB), NOSPLIT, $0-88
 	VBROADCASTSS worst+56(FP), Y13
 	VXORPS Y14, Y13, Y13      // the bound, flipped as the keys will be
 	MOVQ BX, R10
-	SHLQ $5, R10              // group stride: rank × 8 floats × 4 bytes
+	SHLQ $6, R10              // group stride: rank × 16 floats × 4 bytes
 	LEAQ (R10)(R10*2), R12    // 3 × stride
 
 pagep:
 	MOVQ (SI), R13            // the page's block
-	LEAQ (R13)(R10*4), R11
 	MOVQ DX, R9
 	MOVQ BX, R8
 	VBROADCASTSS (R9), Y8
 	VMULPS (R13), Y8, Y0
-	VMULPS (R13)(R10*1), Y8, Y1
-	VMULPS (R13)(R10*2), Y8, Y2
-	VMULPS (R13)(R12*1), Y8, Y3
-	VMULPS (R11), Y8, Y4
-	VMULPS (R11)(R10*1), Y8, Y5
-	VMULPS (R11)(R10*2), Y8, Y6
-	VMULPS (R11)(R12*1), Y8, Y7
+	VMULPS 32(R13), Y8, Y1
+	VMULPS (R13)(R10*1), Y8, Y2
+	VMULPS 32(R13)(R10*1), Y8, Y3
+	VMULPS (R13)(R10*2), Y8, Y4
+	VMULPS 32(R13)(R10*2), Y8, Y5
+	VMULPS (R13)(R12*1), Y8, Y6
+	VMULPS 32(R13)(R12*1), Y8, Y7
 	JMP  nextp
 
 dimp:
 	VBROADCASTSS (R9), Y8
 	VMULPS (R13), Y8, Y9
 	VADDPS Y9, Y0, Y0
-	VMULPS (R13)(R10*1), Y8, Y10
+	VMULPS 32(R13), Y8, Y10
 	VADDPS Y10, Y1, Y1
-	VMULPS (R13)(R10*2), Y8, Y11
+	VMULPS (R13)(R10*1), Y8, Y11
 	VADDPS Y11, Y2, Y2
-	VMULPS (R13)(R12*1), Y8, Y12
+	VMULPS 32(R13)(R10*1), Y8, Y12
 	VADDPS Y12, Y3, Y3
-	VMULPS (R11), Y8, Y9
+	VMULPS (R13)(R10*2), Y8, Y9
 	VADDPS Y9, Y4, Y4
-	VMULPS (R11)(R10*1), Y8, Y10
+	VMULPS 32(R13)(R10*2), Y8, Y10
 	VADDPS Y10, Y5, Y5
-	VMULPS (R11)(R10*2), Y8, Y11
+	VMULPS (R13)(R12*1), Y8, Y11
 	VADDPS Y11, Y6, Y6
-	VMULPS (R11)(R12*1), Y8, Y12
+	VMULPS 32(R13)(R12*1), Y8, Y12
 	VADDPS Y12, Y7, Y7
 
 nextp:
 	ADDQ $4, R9
-	ADDQ $32, R13
-	ADDQ $32, R11
+	ADDQ $64, R13
 	DECQ R8
 	JNZ  dimp
 	VXORPS Y0, Y14, Y9
@@ -440,6 +442,105 @@ hitp:
 	VMOVUPS Y5, 160(R13)
 	VMOVUPS Y6, 192(R13)
 	VMOVUPS Y7, 224(R13)
+	MOVQ n+24(FP), R8
+	SUBQ CX, R8
+	MOVQ R8, i+72(FP)
+	MOVQ AX, mask+80(FP)
+	VZEROUPPER
+	RET
+
+// The AVX-512 kernel holds a page in Z0–Z3, one group each, and compares
+// each into K1–K4, sixteen bits apiece: KORW and KORTESTW are the one
+// branch of a page without a survivor, and a page with one shifts the
+// four KMOVW words into the mask, group 3 first. The flip is VPXORD (an
+// AVX-512F instruction; the ZMM form of VXORPS needs AVX512DQ).
+
+// func walkPages32AVX512(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (i int, mask uint64)
+TEXT ·walkPages32AVX512(SB), NOSPLIT, $0-88
+	MOVQ first+8(FP), SI
+	MOVQ stride+16(FP), DI
+	MOVQ n+24(FP), CX
+	MOVQ q_base+32(FP), DX
+	MOVQ q_len+40(FP), BX
+	VBROADCASTSS flip+60(FP), Z14
+	VBROADCASTSS worst+56(FP), Z13
+	VPXORD Z14, Z13, Z13      // the bound, flipped as the keys will be
+	MOVQ BX, R10
+	SHLQ $6, R10              // group stride: rank × 16 floats × 4 bytes
+	LEAQ (R10)(R10*2), R12    // 3 × stride
+
+pagez:
+	MOVQ (SI), R13            // the page's block
+	MOVQ DX, R9
+	MOVQ BX, R8
+	VBROADCASTSS (R9), Z8
+	VMULPS (R13), Z8, Z0
+	VMULPS (R13)(R10*1), Z8, Z1
+	VMULPS (R13)(R10*2), Z8, Z2
+	VMULPS (R13)(R12*1), Z8, Z3
+	JMP  nextz
+
+dimz:
+	VBROADCASTSS (R9), Z8
+	VMULPS (R13), Z8, Z9
+	VADDPS Z9, Z0, Z0
+	VMULPS (R13)(R10*1), Z8, Z10
+	VADDPS Z10, Z1, Z1
+	VMULPS (R13)(R10*2), Z8, Z11
+	VADDPS Z11, Z2, Z2
+	VMULPS (R13)(R12*1), Z8, Z12
+	VADDPS Z12, Z3, Z3
+
+nextz:
+	ADDQ $4, R9
+	ADDQ $64, R13
+	DECQ R8
+	JNZ  dimz
+	VPXORD Z0, Z14, Z9
+	VCMPPS $0x1A, Z13, Z9, K1
+	VPXORD Z1, Z14, Z10
+	VCMPPS $0x1A, Z13, Z10, K2
+	VPXORD Z2, Z14, Z11
+	VCMPPS $0x1A, Z13, Z11, K3
+	VPXORD Z3, Z14, Z12
+	VCMPPS $0x1A, Z13, Z12, K4
+	KORW K2, K1, K5
+	KORW K4, K3, K6
+	KORTESTW K6, K5
+	JNE  maskz
+
+skipz:
+	ADDQ DI, SI
+	DECQ CX
+	JNZ  pagez
+	MOVQ n+24(FP), AX
+	MOVQ AX, i+72(FP)
+	MOVQ $0, mask+80(FP)
+	VZEROUPPER
+	RET
+
+maskz:
+	KMOVW K4, AX
+	KMOVW K3, R8
+	SHLQ $16, AX
+	ORQ  R8, AX
+	KMOVW K2, R8
+	SHLQ $16, AX
+	ORQ  R8, AX
+	KMOVW K1, R8
+	SHLQ $16, AX
+	ORQ  R8, AX
+	CMPQ CX, $1
+	JNE  hitz
+	ANDQ last+64(FP), AX      // the last page: its pad lanes go
+	JEQ  skipz
+
+hitz:
+	MOVQ dst+0(FP), R13
+	VMOVUPS Z0, (R13)
+	VMOVUPS Z1, 64(R13)
+	VMOVUPS Z2, 128(R13)
+	VMOVUPS Z3, 192(R13)
 	MOVQ n+24(FP), R8
 	SUBQ CX, R8
 	MOVQ R8, i+72(FP)

@@ -122,12 +122,17 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 // comparison is the fuzz pin for the assembly: on SIMD-capable hardware
 // dot4/dot4_32/walkPages32 take the pure-Go path while Dot, DotBatch32
 // and WalkPages32 take the dispatched one. Single-row DotBatch identity
-// is checked on the same inputs, and the page-scan kernel is held to its
-// portable loop bit for bit — where each walk stops, its mask and the
-// scores it stores — over a fuzzed page count (1–9), rank and last-page
-// row count (1–64), with bound picks of the fuzzed value, NaN, ±Inf, ±0
-// and a key of the shard, in both directions.
+// is checked on the same inputs, and the dispatched page walk and every
+// assembly one the CPU can run are held to the portable loop bit for bit
+// — where each walk stops, its mask and the scores it stores — over a
+// fuzzed page count (1–9), rank and last-page row count (1–64), with
+// bound picks of the fuzzed value, NaN, ±Inf, ±0 and a key of the shard,
+// in both directions.
 func FuzzDotKernels(f *testing.F) {
+	walks := []namedWalk{{"WalkPages32", WalkPages32}}
+	for _, k := range runnablePageKernels(f) {
+		walks = append(walks, namedWalk{k.name, k.walkPages})
+	}
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, float32(0.5), true, uint8(0), uint8(63), uint8(0))
 	f.Add(make([]byte, 160), float32(math.NaN()), false, uint8(8), uint8(0), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 9, 9, 9, 9, 9, 9, 9, 0xc0}, float32(-1), false, uint8(4), uint8(20), uint8(200))
@@ -219,21 +224,23 @@ func FuzzDotKernels(f *testing.F) {
 		default:
 			worst = laneDot(rowMajor[int(bound)%rows*n:][:n], a32)
 		}
-		for from := 0; from < npages; {
-			i, m := WalkPages32(&scores, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
-			wi, wm := walkPages32(&ref, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
-			if i != wi || m != wm {
-				t.Fatalf("n=%d pages=%d rows=%d from %d worst=%v lower=%v: (%d, %064b), portable (%d, %064b)", n, npages, rows, from, worst, lowerIsBetter, i, m, wi, wm)
-			}
-			if m == 0 {
-				break
-			}
-			for r := range scores {
-				if math.Float32bits(scores[r]) != math.Float32bits(ref[r]) {
-					t.Fatalf("n=%d pages=%d page %d row %d: dispatched WalkPages32=%g portable=%g", n, npages, from+i, r, scores[r], ref[r])
+		for _, w := range walks {
+			for from := 0; from < npages; {
+				i, m := w.walk(&scores, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
+				wi, wm := walkPages32(&ref, &pages[from].vecs, testPageStride, npages-from, a32, worst, lowerIsBetter, last)
+				if i != wi || m != wm {
+					t.Fatalf("%s: n=%d pages=%d rows=%d from %d worst=%v lower=%v: (%d, %064b), portable (%d, %064b)", w.name, n, npages, rows, from, worst, lowerIsBetter, i, m, wi, wm)
 				}
+				if m == 0 {
+					break
+				}
+				for r := range scores {
+					if math.Float32bits(scores[r]) != math.Float32bits(ref[r]) {
+						t.Fatalf("%s: n=%d pages=%d page %d row %d: %g, portable %g", w.name, n, npages, from+i, r, scores[r], ref[r])
+					}
+				}
+				from += i + 1
 			}
-			from += i + 1
 		}
 	})
 }
