@@ -56,7 +56,7 @@ func run(args []string, stderr io.Writer) error {
 
 		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (replicates a leader's WAL, read-only until promoted)")
 		leaderURL  = fs.String("leader", "", "leader base URL to replicate from (follower role, required)")
-		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage; lets promotion recover to the exact durable tail (follower role, optional)")
+		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage; promotion requires it and recovers to the exact durable tail (follower role; without it the follower is a read replica)")
 
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")

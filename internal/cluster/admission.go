@@ -70,10 +70,11 @@ func (g *Gateway) edgeShed(w http.ResponseWriter, c call, grp *group) bool {
 	return true
 }
 
-// unavailable writes the gateway's 503 for a request with no routable
-// shard group. Retry-After is part of the shed/unavailable contract:
-// one probe interval is when routing state can next change.
-func (g *Gateway) unavailable(w http.ResponseWriter) {
+// unavailable writes the gateway's 503 for a request with nowhere to
+// go: no routable shard group, or a write to a group with no live
+// leader. Retry-After is part of the shed/unavailable contract: one
+// probe interval is when routing state can next change.
+func (g *Gateway) unavailable(w http.ResponseWriter, why string) {
 	w.Header().Set("Retry-After", server.RetryAfter(g.cfg.ProbeInterval))
-	g.writeError(w, http.StatusServiceUnavailable, "no shard groups available")
+	g.writeError(w, http.StatusServiceUnavailable, "%s", why)
 }

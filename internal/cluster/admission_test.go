@@ -202,7 +202,7 @@ func TestGatewayUnavailableRetryAfter(t *testing.T) {
 	sb := newStubReplica(t, 0)
 	g := newGateway(t, [][]string{{sb.ts.URL}}, nil)
 	rec := httptest.NewRecorder()
-	g.unavailable(rec)
+	g.unavailable(rec, "no shard groups available")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", rec.Code)
 	}

@@ -52,15 +52,18 @@ func TestFailoverChildHelper(t *testing.T) {
 	_ = http.Serve(ln, svc.Handler()) // runs until SIGKILL
 }
 
-// TestClusterFailoverKillLeader is the issue's acceptance scenario: a
-// gateway fronts one shard group of three replicas — a leader child
-// process on shared storage with fsync=group and two in-process
-// followers tailing its WAL. The leader is SIGKILLed under an active
-// observe stream; the gateway's probe loop must promote the most
-// caught-up follower (which recovers the leader's durable directory to
-// its exact tail), re-point the survivor, and resume serving — with
-// every observation the dead leader acked still predictable. Zero acked
-// loss is the fsync=group contract; failover must not weaken it.
+// TestClusterFailoverKillLeader is the acceptance scenario, and the first
+// executable "acked ⇒ recoverable" check: a gateway fronts one shard
+// group of three replicas — a leader child process on shared storage
+// with fsync=group and two in-process followers tailing its WAL, a read
+// replica (no leader data) listed first so it would win an applied-seq
+// tie, and a follower with the leader's data directory. The leader is
+// SIGKILLed under an active observe stream; the gateway's probe loop
+// must promote the follower that can recover the leader's durable
+// directory to its exact tail, re-point the read replica, and resume
+// serving — with every observation the dead leader acked still
+// predictable. Zero acked loss is the fsync=group contract; failover
+// must not weaken it.
 func TestClusterFailoverKillLeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
@@ -82,9 +85,9 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 	}()
 	leaderURL := "http://" + waitChildAddr(t, stdout)
 
-	// Two in-process followers over the same shared storage.
+	// A read replica first, then a follower over the shared storage.
 	followerURLs := make([]string, 2)
-	for i := range followerURLs {
+	for i, leaderData := range []string{"", dir} {
 		cfg := core.DefaultConfig(-0.007, 0, 20)
 		cfg.Expiry = 0
 		fol := server.New(core.MustNew(cfg), server.WithLogger(quietLogger()))
@@ -93,7 +96,7 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 		t.Cleanup(func() { fol.Close() })
 		if _, err := fol.StartFollower(server.FollowerConfig{
 			Leader:     leaderURL,
-			LeaderData: dir,
+			LeaderData: leaderData,
 			StoreOptions: store.Options{
 				Sync:               store.SyncGroup,
 				CheckpointInterval: time.Hour,
@@ -106,6 +109,7 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 		}
 		followerURLs[i] = ts.URL
 	}
+	readReplica, sharer := followerURLs[0], followerURLs[1]
 
 	gw, err := New(Config{
 		Groups:        [][]string{{leaderURL, followerURLs[0], followerURLs[1]}},
@@ -170,54 +174,45 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 	}
 	t.Logf("writes recovered after %d failed attempts; %d acked total", recoveredAt-30, len(acked))
 
-	// The gateway must have promoted exactly one follower.
+	// The gateway must have promoted exactly one follower: the one that
+	// could recover the leader's log.
 	if v := metricValue(t, gw, "amf_cluster_failovers_total"); v != 1 {
 		t.Errorf("amf_cluster_failovers_total = %g, want 1", v)
 	}
-	promoted := ""
-	for _, u := range followerURLs {
-		if clusterRole(t, u) == "leader" {
-			if promoted != "" {
-				t.Fatal("both followers claim leadership")
-			}
-			promoted = u
-		}
+	if role := clusterRole(t, readReplica); role != "follower" {
+		t.Fatalf("read replica role %q, want follower", role)
 	}
-	if promoted == "" {
-		t.Fatal("no follower was promoted")
+	if role := clusterRole(t, sharer); role != "leader" {
+		t.Fatalf("follower with leader data has role %q, want leader", role)
 	}
 
 	// Zero acked loss: every pair acked — including those acked by the
 	// dead leader — is predictable on the promoted leader.
 	for _, p := range acked {
-		if _, ok := followerHas(t, promoted, p.user, p.service); !ok {
+		if _, ok := followerHas(t, sharer, p.user, p.service); !ok {
 			t.Errorf("acked pair (%s,%s) lost across failover", p.user, p.service)
 		}
 	}
 
-	// The surviving follower was re-pointed at the promoted leader and
-	// keeps replicating from the same WAL lineage.
-	survivor := followerURLs[0]
-	if survivor == promoted {
-		survivor = followerURLs[1]
-	}
+	// The read replica was re-pointed at the promoted leader and keeps
+	// replicating from the same WAL lineage and serving reads.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if clusterLeader(t, survivor) == promoted {
+		if clusterLeader(t, readReplica) == sharer {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("survivor still points at %q, want %q", clusterLeader(t, survivor), promoted)
+			t.Fatalf("read replica still points at %q, want %q", clusterLeader(t, readReplica), sharer)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	last := acked[len(acked)-1]
 	for {
-		if _, ok := followerHas(t, survivor, last.user, last.service); ok {
+		if _, ok := followerHas(t, readReplica, last.user, last.service); ok {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("survivor never replicated the post-failover stream")
+			t.Fatal("read replica never replicated the post-failover stream")
 		}
 		time.Sleep(25 * time.Millisecond)
 	}

@@ -18,17 +18,16 @@ import (
 // observability: GET /api/v1/cluster/metrics scrapes every replica's
 // /metrics with the strict parser, re-exports the union with
 // group/replica origin labels (obs.WriteFederated), and appends derived
-// cluster gauges — replication lag in sequences and seconds, checkpoint
-// age, epoch and fenced state per replica — so one scrape sees the
-// whole cluster.
+// cluster gauges — replication lag in sequences and seconds, epoch and
+// fenced state per replica — so one scrape sees the whole cluster.
 
 // scrapeTimeout bounds one federation pass; replica scrapes run
 // concurrently inside it.
 const scrapeTimeout = 5 * time.Second
 
 // derivedFamilies are the gauge families the gateway computes from probe
-// state and scraped pages rather than re-exporting, each with its value
-// for one replica (false: the replica has no sample in the family).
+// state rather than re-exporting, each with its value for one replica
+// (false: the replica has no sample in the family).
 var derivedFamilies = []struct {
 	name, help string
 	value      func(sc *scrapedReplica) (string, bool)
@@ -47,15 +46,6 @@ var derivedFamilies = []struct {
 		func(sc *scrapedReplica) (string, bool) {
 			secs := math.Float64frombits(sc.rep.lagSecs.Load())
 			return strconv.FormatFloat(secs, 'g', -1, 64), sc.rep.role.Load() != 1
-		}},
-	{"amf_cluster_checkpoint_age_seconds",
-		"Per-replica checkpoint age from the federated scrape (0 for non-durable replicas).",
-		func(sc *scrapedReplica) (string, bool) {
-			if sc.tm == nil {
-				return "", false
-			}
-			age, _ := sc.tm.Value("amf_checkpoint_age_seconds", nil) // 0 when absent
-			return strconv.FormatFloat(age, 'g', -1, 64), true
 		}},
 	{"amf_cluster_replica_epoch",
 		"Durable directory claim epoch per replica (0 = non-durable).",

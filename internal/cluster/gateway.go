@@ -41,9 +41,9 @@ type Config struct {
 	// probe request is bounded by min(ProbeInterval, 1s).
 	ProbeInterval time.Duration
 	// Failover enables automatic leader promotion: when a group's leader
-	// stays unreachable for DownAfter consecutive probe rounds, the
-	// reachable follower with the highest applied sequence is promoted
-	// and the survivors re-pointed at it.
+	// stays unreachable for DownAfter consecutive probe rounds, a
+	// reachable follower that reports itself promotable is promoted and
+	// the survivors re-pointed at it. A group with none stays leaderless.
 	Failover bool
 	// DownAfter is how many consecutive probe failures mark a replica
 	// Down (default 3; the first failure marks it Suspect).
@@ -87,7 +87,8 @@ type replica struct {
 	appliedSeq atomic.Uint64
 	walSeq     atomic.Uint64
 	epoch      atomic.Uint64 // durable directory claim epoch (0 = non-durable)
-	fenced     atomic.Bool   // lost its directory claim; never promotable
+	fenced     atomic.Bool   // lost its directory claim
+	promotable atomic.Bool   // follower that can recover its leader's log
 	lagSecs    atomic.Uint64 // follower time-lag, Float64bits (federation gauge)
 	shedRate   atomic.Uint64 // last-probed shed/rejection rate, Float64bits
 }
@@ -140,7 +141,6 @@ type Gateway struct {
 	log    *slog.Logger
 
 	reg          *obs.Registry
-	requests     *obs.CounterVec
 	proxySeconds *obs.HistogramVec
 	proxyErrors  *obs.Counter
 	edgeSheds    *obs.Counter
@@ -256,12 +256,9 @@ func (g *Gateway) buildMetrics() {
 	r := obs.NewRegistry()
 	g.reg = r
 	obs.RegisterBuildInfo(r)
-	g.requests = r.NewCounterVec("amf_cluster_requests_total",
-		"Requests routed through the gateway, by route.", "route")
 	g.proxySeconds = r.NewHistogramVec("amf_cluster_proxy_seconds",
 		"End-to-end gateway latency (routing + backend round trips), by route.", "route", 1e-6, 60, 8)
 	for _, route := range []string{"observe", "predict", "batch", "rank"} {
-		g.requests.With(route)
 		g.proxySeconds.With(route)
 	}
 	g.proxyErrors = r.NewCounter("amf_cluster_proxy_errors_total",
@@ -352,10 +349,8 @@ type proxyHandler func(w http.ResponseWriter, r *http.Request, c call)
 // proxy latency runs from the root span's start stamp, so the clock is
 // read once to start both.
 func (g *Gateway) timed(route string, h proxyHandler) http.HandlerFunc {
-	counter := g.requests.With(route)
 	hist := g.proxySeconds.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
-		counter.Inc()
 		sp := g.traces.Start(trace.NewID(), 0, route)
 		start := sp.Start
 		hv := trace.HeaderValue(sp.Trace, sp.ID)
@@ -428,20 +423,20 @@ func (g *Gateway) groupAt(h uint64) *group {
 	return g.byName[m.Name()]
 }
 
-// writeTarget returns where a group's writes go: the probed leader, or
-// any replica claiming leadership, or the first replica (whose 503 will
-// tell the client to retry — by then a probe round has usually caught
-// up).
+// writeTarget returns where a group's writes go, as of the last probe:
+// the leader, or any live replica claiming leadership; nil while the
+// group has no live leader, which the gateway answers with its own 503.
 func (grp *group) writeTarget() *replica {
-	if lead := grp.leader.Load(); lead != nil && lead.Health() != Down {
+	live := func(rep *replica) bool { return rep.role.Load() == 1 && rep.Health() != Down }
+	if lead := grp.leader.Load(); lead != nil && live(lead) {
 		return lead
 	}
 	for _, rep := range grp.replicas {
-		if rep.role.Load() == 1 && rep.Health() != Down {
+		if live(rep) {
 			return rep
 		}
 	}
-	return grp.replicas[0]
+	return nil
 }
 
 // readTarget returns the next read replica: round-robin across replicas
@@ -696,6 +691,10 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 			return
 		}
 		rep := g.groups[0].writeTarget()
+		if rep == nil {
+			g.unavailable(w, "group "+g.groups[0].name+" has no live leader")
+			return
+		}
 		g.forward(w, r, c, http.MethodPost, rep, rep.observeURL, raw)
 		return
 	}
@@ -719,7 +718,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 	for _, o := range obs {
 		grp := g.groupAt(hash64(o.User))
 		if grp == nil {
-			g.unavailable(w)
+			g.unavailable(w, "no shard groups available")
 			return
 		}
 		k := slices.IndexFunc(parts, func(b bucket) bool { return b.grp == grp })
@@ -732,8 +731,15 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 			if g.edgeShed(w, c, grp) {
 				return
 			}
+			// Likewise a batch touching a leaderless group is refused
+			// whole.
+			rep := grp.writeTarget()
+			if rep == nil {
+				g.unavailable(w, "group "+grp.name+" has no live leader")
+				return
+			}
 			k = len(parts)
-			parts = append(parts, bucket{grp: grp})
+			parts = append(parts, bucket{grp: grp, rep: rep})
 		}
 		parts[k].obs = append(parts[k].obs, o)
 	}
@@ -795,6 +801,7 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 // it: the backend's answer, a refusal kept open for relaying, or an error.
 type bucket struct {
 	grp  *group
+	rep  *replica // the group's write target when the batch was split
 	obs  []ingest.Observation
 	out  server.ObserveResponse
 	resp *http.Response // a non-200 answer, body unread
@@ -809,8 +816,7 @@ func (g *Gateway) observeBucket(ctx context.Context, c call, b *bucket) {
 		b.err = err
 		return
 	}
-	rep := b.grp.writeTarget()
-	resp, err := g.send(ctx, c, http.MethodPost, rep.observeURL, rep.span, body)
+	resp, err := g.send(ctx, c, http.MethodPost, b.rep.observeURL, b.rep.span, body)
 	switch {
 	case err != nil:
 		b.err = err
@@ -850,7 +856,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request, c call) 
 	}
 	grp := g.groupFor(user)
 	if grp == nil {
-		g.unavailable(w)
+		g.unavailable(w, "no shard groups available")
 		return
 	}
 	if g.edgeShed(w, c, grp) {
@@ -916,7 +922,7 @@ func (g *Gateway) route(w http.ResponseWriter, raw []byte, rank bool) *group {
 	}
 	grp := g.groupAt(hash64(q.User))
 	if grp == nil {
-		g.unavailable(w)
+		g.unavailable(w, "no shard groups available")
 	}
 	return grp
 }
@@ -972,6 +978,7 @@ func (g *Gateway) probe(rep *replica) {
 	rep.health.Store(int32(Healthy))
 	rep.epoch.Store(st.Epoch)
 	rep.fenced.Store(st.Fenced)
+	rep.promotable.Store(st.Promotable)
 	rep.shedRate.Store(math.Float64bits(st.ShedRate))
 	// A fenced server lost its durable-directory claim: whatever role it
 	// reports, it cannot accept writes, so never treat it as a leader.
@@ -1062,19 +1069,18 @@ func (g *Gateway) demoteStale(grp *group, claimants []*replica, winner *replica)
 	}
 }
 
-// failover promotes the healthiest follower — the one with the highest
-// applied sequence, so the least replicated work is lost — and points
-// the surviving followers at it.
+// failover promotes a healthy follower that reports itself promotable —
+// one that recovers the leader's log from the shared directory — and
+// points the surviving followers at it. A read replica and a fenced
+// ex-leader report false, so a group with no promotable follower stays
+// leaderless: writes get 503, reads are still served. Promotion resets
+// the model and recovers from the shared log, so the applied sequence
+// does not decide what is kept; it only breaks the tie, toward the
+// replica whose reads lagged least.
 func (g *Gateway) failover(grp *group) {
 	var candidate *replica
 	for _, rep := range grp.replicas {
-		if rep.Health() != Healthy || rep.role.Load() == 1 {
-			continue
-		}
-		// A fenced replica is a demoted ex-leader that lost the durable
-		// directory to a newer claimant; promoting it would re-grab the
-		// lock over the legitimate owner's head, round after round.
-		if rep.fenced.Load() {
+		if rep.Health() != Healthy || rep.role.Load() == 1 || !rep.promotable.Load() {
 			continue
 		}
 		if candidate == nil || rep.appliedSeq.Load() > candidate.appliedSeq.Load() {

@@ -333,6 +333,68 @@ func TestGatewayAutoFailover(t *testing.T) {
 	}
 }
 
+// TestGatewayNeverPromotesReadReplica: a follower started without the
+// leader's data directory cannot recover the leader's log, so when the
+// leader dies the gateway leaves the group leaderless rather than
+// promote it: writes get 503 (nothing is acked into memory), reads are
+// still served by the read replica.
+func TestGatewayNeverPromotesReadReplica(t *testing.T) {
+	leader, mgr, _ := durableBackend(t, t.TempDir())
+	tsLeader := httptest.NewServer(leader.Handler())
+
+	folCfg := core.DefaultConfig(-0.007, 0, 20)
+	folCfg.Expiry = 0
+	follower := server.New(core.MustNew(folCfg), server.WithLogger(quietLogger()))
+	tsFollower := httptest.NewServer(follower.Handler())
+	t.Cleanup(tsFollower.Close)
+	t.Cleanup(func() { follower.Close() })
+	if _, err := follower.StartFollower(server.FollowerConfig{
+		Leader:        tsLeader.URL,
+		WaitMS:        100,
+		RetryInterval: 20 * time.Millisecond,
+	}); err != nil {
+		t.Fatalf("StartFollower: %v", err)
+	}
+
+	g := newGateway(t, [][]string{{tsLeader.URL, tsFollower.URL}}, func(c *Config) {
+		c.Failover = true
+		c.DownAfter = 2
+	})
+	if w := gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{
+		Observations: []server.Observation{{User: "u", Service: "s", Value: 2}},
+	}); w.Code != http.StatusOK {
+		t.Fatalf("seed via gateway: HTTP %d %s", w.Code, w.Body.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := followerHas(t, tsFollower.URL, "u", "s"); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never replicated the seed sample")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	tsLeader.Close()
+	leader.Close()
+	mgr.Close()
+
+	for i := 0; i < 6; i++ {
+		g.probeAll()
+	}
+	if v := metricValue(t, g, "amf_cluster_failovers_total"); v != 0 {
+		t.Errorf("amf_cluster_failovers_total = %g, want 0 (read replica promoted)", v)
+	}
+	if w := gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{
+		Observations: []server.Observation{{User: "u", Service: "s", Value: 2.5}},
+	}); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("write to a leaderless group: HTTP %d %s, want 503", w.Code, w.Body.String())
+	}
+	if w := gwReq(t, g, http.MethodGet, "/api/v1/predict?user=u&service=s", nil); w.Code != http.StatusOK {
+		t.Errorf("read from the read replica: HTTP %d %s, want 200", w.Code, w.Body.String())
+	}
+}
+
 func durableBackend(t *testing.T, dir string) (*server.Server, *store.Manager, store.RecoveryStats) {
 	t.Helper()
 	mgr, err := store.Open(dir, store.Options{
@@ -378,8 +440,11 @@ func followerHas(t *testing.T, url, user, service string) (float64, bool) {
 func TestGatewayObservePartialFailure(t *testing.T) {
 	_, tsOK := backend(t)
 	svcBad, tsBad := backend(t)
-	svcBad.Demote("") // every write on this shard now 503s
 	g := newGateway(t, [][]string{{tsOK.URL}, {tsBad.URL}}, nil)
+	// Every write on this shard now 503s at the backend. Demoted after
+	// the gateway's seeding probe, so the gateway still routes writes to
+	// it: a group it knows has no leader is refused whole, unsent.
+	svcBad.Demote("")
 
 	// Find one user routed to each shard.
 	var uOK, uBad string
@@ -412,6 +477,17 @@ func TestGatewayObservePartialFailure(t *testing.T) {
 	}})
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("total observe failure: HTTP %d, want 503", w.Code)
+	}
+
+	// Once a probe has seen the shard lose its leader, a batch touching
+	// it is refused whole at the gateway, before any group trains.
+	g.probeAll()
+	w = gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{Observations: []server.Observation{
+		{User: uOK, Service: "s", Value: 1},
+		{User: uBad, Service: "s", Value: 1},
+	}})
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+		t.Fatalf("observe touching a leaderless group: HTTP %d %s, want 503 + Retry-After", w.Code, w.Body.String())
 	}
 }
 

@@ -132,15 +132,17 @@ func TestClusterMetricsFederation(t *testing.T) {
 		if _, ok := tm.Value("amf_cluster_replica_fenced", labels); !ok {
 			t.Errorf("no amf_cluster_replica_fenced for %v", labels)
 		}
-		if _, ok := tm.Value("amf_cluster_checkpoint_age_seconds", labels); !ok {
-			t.Errorf("no amf_cluster_checkpoint_age_seconds for %v", labels)
-		}
 	}
 	// The durable leaders hold a real directory claim.
 	for i, lead := range []string{lead0, lead1} {
 		labels := map[string]string{"group": fmt.Sprintf("shard-%d", i), "replica": lead}
 		if epoch, _ := tm.Value("amf_cluster_replica_epoch", labels); epoch < 1 {
 			t.Errorf("leader %s epoch = %g, want >= 1", lead, epoch)
+		}
+		// Each durable replica's checkpoint age, re-exported with its
+		// origin labels.
+		if _, ok := tm.Value("amf_checkpoint_age_seconds", labels); !ok {
+			t.Errorf("no amf_checkpoint_age_seconds for %v", labels)
 		}
 	}
 }

@@ -114,6 +114,14 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 	DotBatch(make([]float64, 2), make([]float64, 5), make([]float64, 3))
 }
 
+// maxFuzzRank caps the rank FuzzDotKernels builds. Sixteen is past the
+// rank AMF serves (10) and runs every kernel's loop body twice and each
+// tail length (bodies are 4 float64s and 8 float32s wide; the page walks
+// step one factor at a time). Past it an input only grows: the fuzzer
+// minimizes each new input in time quadratic in its length, and a rank
+// of 64 left it minimizing, not fuzzing, for much of a 10 s window.
+const maxFuzzRank = 16
+
 // FuzzDotKernels drives the dispatched kernels (SIMD assembly where the
 // CPU qualifies, portable loops otherwise) against the naive loop AND
 // against the portable loops with arbitrary bit patterns, bounding both
@@ -125,7 +133,8 @@ func TestDotBatchPanicsOnShapeMismatch(t *testing.T) {
 // is checked on the same inputs, and the dispatched page walk and every
 // assembly one the CPU can run are held to the portable loop bit for bit
 // — where each walk stops, its mask and the scores it stores — over a
-// fuzzed page count (1–9), rank and last-page row count (1–64), with
+// fuzzed page count (1–9), rank (1–maxFuzzRank) and last-page row count
+// (1–64), with
 // bound picks of the fuzzed value, NaN, ±Inf, ±0 and a key of the shard,
 // in both directions.
 func FuzzDotKernels(f *testing.F) {
@@ -137,7 +146,7 @@ func FuzzDotKernels(f *testing.F) {
 	f.Add(make([]byte, 160), float32(math.NaN()), false, uint8(8), uint8(0), uint8(1))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 9, 9, 9, 9, 9, 9, 9, 0xc0}, float32(-1), false, uint8(4), uint8(20), uint8(200))
 	f.Fuzz(func(t *testing.T, data []byte, worst float32, lowerIsBetter bool, pageCount, lastRows, bound uint8) {
-		n := len(data) / 16 // 8 bytes per float, two vectors
+		n := min(len(data)/16, maxFuzzRank) // 8 bytes per float, two vectors
 		if n == 0 {
 			return
 		}

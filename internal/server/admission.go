@@ -241,7 +241,6 @@ func (g *admissionGate) estimate(rt *routeGate) time.Duration {
 func (g *admissionGate) shed(w http.ResponseWriter, v verdict) {
 	g.sheds.Add(1)
 	g.s.admShed[v.class].Add(1)
-	g.s.admBudgetShed.Inc()
 	w.Header().Set("Retry-After", RetryAfter(v.estimate))
 	w.Header().Set(ShedReasonHeader, shedReasonBudget)
 	g.s.writeError(w, http.StatusTooManyRequests,

@@ -222,8 +222,13 @@ func TestAdmissionCriticalNeverShed(t *testing.T) {
 	if v := metricValue(t, tm, "amf_admission_shed_total", "class", "critical"); v != 0 {
 		t.Fatalf("amf_admission_shed_total{class=critical} = %v, want 0", v)
 	}
-	if v := metricValue(t, tm, "amf_admission_shed_reasons_total", "reason", "slo_budget"); int64(v) != wantShed {
-		t.Fatalf("slo_budget reason count = %v, want %d", v, wantShed)
+	// Every refusal is an slo_budget one: the sum over class counts them.
+	var shed float64
+	for _, c := range Classes() {
+		shed += metricValue(t, tm, "amf_admission_shed_total", "class", c.String())
+	}
+	if int64(shed) != wantShed {
+		t.Fatalf("amf_admission_shed_total over class = %v, want %d", shed, wantShed)
 	}
 }
 

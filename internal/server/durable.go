@@ -178,8 +178,6 @@ func (s *Server) registerDurableMetrics(m *store.Manager) {
 		met.GroupBatch)
 	r.RegisterHistogram("amf_checkpoint_seconds",
 		"End-to-end checkpoint latency (capture + atomic write + WAL truncation).", met.Checkpoint)
-	r.CounterFunc("amf_checkpoints_total", "Checkpoints successfully written.",
-		met.Checkpoints.Load)
 	r.GaugeFunc("amf_checkpoint_age_seconds",
 		"Seconds since the last successful checkpoint (the WAL-replay exposure window).",
 		met.CheckpointAge)

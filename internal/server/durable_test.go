@@ -434,7 +434,6 @@ func TestDurableMetrics(t *testing.T) {
 		"amf_wal_segments",
 		"amf_wal_group_commit_records",
 		"amf_checkpoint_seconds",
-		"amf_checkpoints_total",
 		"amf_checkpoint_age_seconds",
 		"amf_recovery_replayed_total",
 		"amf_journal_errors_total",
@@ -444,8 +443,8 @@ func TestDurableMetrics(t *testing.T) {
 	if v := value("amf_recovery_replayed_total"); v < float64(rs.Samples) {
 		t.Errorf("amf_recovery_replayed_total = %v, want >= %d", v, rs.Samples)
 	}
-	if v := value("amf_checkpoints_total"); v < 1 {
-		t.Errorf("amf_checkpoints_total = %v, want >= 1", v)
+	if v, _ := tm.Value("amf_checkpoint_seconds_count", nil); v < 1 {
+		t.Errorf("amf_checkpoint_seconds_count = %v, want >= 1", v)
 	}
 	if v := value("amf_wal_appends_total"); v < 1 {
 		t.Errorf("amf_wal_appends_total = %v, want >= 1", v)

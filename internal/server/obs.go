@@ -24,7 +24,6 @@ type counters struct {
 	notFound         *obs.Counter // 404 responses (unknown users/services)
 	badRequests      *obs.Counter // 400-level rejections
 	churnRemovals    *obs.Counter // users/services deregistered
-	rankRequests     *obs.Counter // candidate rankings served
 	rankCandidates   *obs.Counter // candidates scanned across all rankings
 }
 
@@ -42,7 +41,6 @@ func (s *Server) buildMetrics() {
 		notFound:         r.NewCounter("amf_not_found_total", "404 responses (unknown users/services)."),
 		badRequests:      r.NewCounter("amf_bad_requests_total", "400-level request rejections."),
 		churnRemovals:    r.NewCounter("amf_churn_removals_total", "Users/services deregistered (churn departures)."),
-		rankRequests:     r.NewCounter("amf_rank_requests_total", "Candidate rankings served."),
 		rankCandidates:   r.NewCounter("amf_rank_candidates_total", "Candidates scanned across all ranking requests."),
 	}
 
@@ -75,8 +73,6 @@ func (s *Server) buildMetrics() {
 		func() int64 { return eng.Stats().Applied })
 	r.CounterFunc("amf_engine_replayed_total", "Replay updates performed by or through the engine.",
 		func() int64 { return eng.Stats().Replayed })
-	r.CounterFunc("amf_engine_published_total", "Read views published (RCU pointer swings).",
-		func() int64 { return eng.Stats().Published })
 	r.GaugeFunc("amf_engine_view_version", "Version of the currently published read view.",
 		func() float64 { return float64(eng.Stats().Version) })
 	em := eng.Metrics()
@@ -96,8 +92,6 @@ func (s *Server) buildMetrics() {
 		s.admReq[c] = admReqVec.With(c.String())
 		shedVec.With(c.String(), s.admShed[c].Load) // critical: 0 by construction
 	}
-	s.admBudgetShed = r.NewCounterVec("amf_admission_shed_reasons_total",
-		"Gate refusals by reason: slo_budget (predicted wait over the class budget).", "reason").With(shedReasonBudget)
 	s.admWaitEst = obs.NewHistogram(1e-6, 600, 8)
 	r.RegisterHistogram("amf_admission_wait_estimate_seconds",
 		"Predicted wait computed by the admission gate for non-critical requests.", s.admWaitEst)

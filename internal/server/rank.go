@@ -117,7 +117,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Spa
 	b.ranked = s.appendRankedNames(b.ranked[:0], ranked)
 
 	s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
-	s.metrics.rankRequests.Inc()
 	s.metrics.rankCandidates.Add(int64(candidates))
 	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, version)
 	s.writeHot(w, b.out, err)

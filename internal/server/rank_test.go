@@ -190,9 +190,6 @@ func TestRankMetricsExposition(t *testing.T) {
 	if err := tm.Validate(); err != nil {
 		t.Fatalf("/metrics does not validate: %v", err)
 	}
-	if v, ok := tm.Value("amf_rank_requests_total", nil); !ok || v != 4 {
-		t.Fatalf("amf_rank_requests_total = %g, %v; want 4", v, ok)
-	}
 	// 3 requests × 3 candidates + 1 full scan × 5 services.
 	if v, ok := tm.Value("amf_rank_candidates_total", nil); !ok || v != 14 {
 		t.Fatalf("amf_rank_candidates_total = %g, %v; want 14", v, ok)
@@ -212,5 +209,9 @@ func TestRankMetricsExposition(t *testing.T) {
 	}
 	if modes["full_scan"] != 1 {
 		t.Fatalf("full_scan latency count = %g, want 1 (modes %v)", modes["full_scan"], modes)
+	}
+	// The latency counts over mode are the rankings served.
+	if n := modes["serial"] + modes["full_scan"]; n != 4 || len(modes) != 2 {
+		t.Fatalf("rankings counted over mode = %g (modes %v), want 4", n, modes)
 	}
 }

@@ -29,13 +29,15 @@ import (
 // from the follower's own published view and may lag the leader by the
 // shipping delay (amf_replication_lag_seconds).
 //
-// Failover follows the shared-storage model: a follower started with a
-// LeaderData directory is promoted (POST /api/v1/promote) by opening the
-// dead leader's durable directory and running the full recovery protocol
-// — checkpoint restore plus WAL replay to tail. Every sample the old
-// leader acked under -fsync group is in that log, so promotion loses
-// nothing acked. Without LeaderData promotion still works but serves the
-// tailed in-memory state (the shipping delay becomes a loss window).
+// Failover follows the shared-storage model, and promotion has one path:
+// a follower started with a LeaderData directory is promoted (POST
+// /api/v1/promote) by opening the dead leader's durable directory and
+// running the full recovery protocol — checkpoint restore plus WAL replay
+// to tail. Every sample the old leader acked under -fsync group is in
+// that log, so promotion loses nothing acked. A follower without
+// LeaderData is a read replica: it refuses promotion and keeps tailing,
+// and its cluster status says so (promotable), so the gateway never
+// picks it.
 
 // replPollTick is how often long-polling replication handlers re-check
 // the WAL tail and the server's closed flag; it bounds how long a
@@ -43,9 +45,10 @@ import (
 const replPollTick = 25 * time.Millisecond
 
 const (
-	defaultReplWait     = 5 * time.Second
-	maxReplWait         = 30 * time.Second
-	defaultReplMaxBytes = 4 << 20
+	defaultReplWait = 5 * time.Second
+	maxReplWait     = 30 * time.Second
+	// replMaxBytes bounds one replication response.
+	replMaxBytes = 4 << 20
 )
 
 // ClusterStatusResponse is the GET /api/v1/cluster/status body.
@@ -77,6 +80,12 @@ type ClusterStatusResponse struct {
 	// Fenced reports that this server's durable store lost the directory
 	// claim — it no longer accepts writes regardless of role.
 	Fenced bool `json:"fenced,omitempty"`
+	// Promotable reports that POST /api/v1/promote would recover the
+	// leader's durable directory: a follower started with LeaderData and
+	// no durable store attached. A read replica (no LeaderData) and a
+	// demoted ex-leader (store attached) report false, and the gateway
+	// never promotes them.
+	Promotable bool `json:"promotable,omitempty"`
 	// ShedRate is the fraction of admission-considered work this server
 	// refused over the gate's last one-second window (0 while admission
 	// is disabled). The
@@ -160,15 +169,6 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = min(time.Duration(n)*time.Millisecond, maxReplWait)
 	}
-	maxBytes := int64(defaultReplMaxBytes)
-	if mb := q.Get("max_bytes"); mb != "" {
-		n, err := strconv.ParseInt(mb, 10, 64)
-		if err != nil || n < 0 {
-			s.countError(w, http.StatusBadRequest, "invalid max_bytes %q", mb)
-			return
-		}
-		maxBytes = n
-	}
 
 	s.replStreams.Add(1)
 	s.replActive.Add(1)
@@ -202,7 +202,7 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-Amf-Wal-Seq", strconv.FormatUint(tail, 10))
 	s.countStatus(http.StatusOK)
-	last, err := wal.StreamSince(from, w, maxBytes)
+	last, err := wal.StreamSince(from, w, replMaxBytes)
 	if err != nil {
 		// Most commonly the follower hung up mid-stream; it will re-poll
 		// from its last applied sequence, so nothing is lost.
@@ -250,6 +250,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 			resp.AppliedSeq = rp.AppliedSeq()
 			resp.LagSeconds = rp.Lag().Seconds()
 		}
+		resp.Promotable = s.promotable()
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -261,13 +262,12 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 		s.countError(w, http.StatusConflict, "promote: %v", err)
 		return
 	}
-	resp := map[string]any{"status": "promoted"}
-	if s.durable != nil {
-		resp["wal_seq"] = s.durable.WAL().LastSeq()
-		resp["checkpoint_seq"] = rs.CheckpointSeq
-		resp["replayed_entries"] = rs.Entries
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, map[string]any{
+		"status":           "promoted",
+		"wal_seq":          s.durable.WAL().LastSeq(),
+		"checkpoint_seq":   rs.CheckpointSeq,
+		"replayed_entries": rs.Entries,
+	})
 }
 
 // handleSetLeader re-points a follower's tailer at a new leader after a
@@ -295,18 +295,17 @@ type FollowerConfig struct {
 	// Leader is the leader's base URL (required).
 	Leader string
 	// LeaderData is the leader's durable data directory, reachable from
-	// this process (shared or replicated storage). When set, promotion
-	// recovers from it — checkpoint restore + WAL replay to tail — so no
-	// sample the leader acked durably is lost. When empty, promotion
-	// serves the tailed in-memory state (best effort).
+	// this process (shared or replicated storage), and what makes the
+	// follower promotable: promotion recovers from it — checkpoint
+	// restore + WAL replay to tail — so no sample the leader acked
+	// durably is lost. When empty, the follower is a read replica and
+	// refuses promotion.
 	LeaderData string
 	// StoreOptions tunes the store opened from LeaderData at promotion.
 	StoreOptions store.Options
 	// WaitMS is the long-poll window the follower requests (default
 	// 5000, which is what amfserver runs with; tests shorten it).
 	WaitMS int
-	// MaxBytes bounds one replication response (default 4 MiB).
-	MaxBytes int64
 	// RetryInterval is the pause after a failed poll (default 200ms).
 	RetryInterval time.Duration
 	// HTTP is the client used for snapshot and WAL fetches; nil gets a
@@ -360,9 +359,6 @@ func (s *Server) StartFollower(cfg FollowerConfig) (*Replicator, error) {
 	}
 	if cfg.WaitMS <= 0 {
 		cfg.WaitMS = int(defaultReplWait / time.Millisecond)
-	}
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = defaultReplMaxBytes
 	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 200 * time.Millisecond
@@ -550,8 +546,8 @@ var errReplGap = errors.New("server: replication gap")
 
 func (rp *Replicator) pollOnce() error {
 	from := rp.seq.Load()
-	url := fmt.Sprintf("%s/api/v1/replicate/wal?from=%d&wait_ms=%d&max_bytes=%d",
-		rp.Leader(), from, rp.cfg.WaitMS, rp.cfg.MaxBytes)
+	url := fmt.Sprintf("%s/api/v1/replicate/wal?from=%d&wait_ms=%d",
+		rp.Leader(), from, rp.cfg.WaitMS)
 	ctx, cancel := context.WithTimeout(context.Background(),
 		time.Duration(rp.cfg.WaitMS)*time.Millisecond+10*time.Second)
 	defer cancel()
@@ -642,15 +638,14 @@ func (rp *Replicator) applyStream(from uint64, body io.Reader) (uint64, error) {
 	return applied, nil
 }
 
-// Promote turns a follower into a leader. The tailer stops first; then,
-// when the follower was configured with the (dead) leader's data
-// directory, the full recovery protocol runs against it — newest
-// checkpoint restore plus WAL replay to tail — and the server attaches
-// it as its own durable store, continuing the same WAL sequence
-// numbering (which is why surviving followers can keep their positions
-// and just re-point at us). Only then does the server start accepting
-// writes. Without a data directory the tailed in-memory state is served
-// as-is.
+// Promote turns a follower into a leader by recovering its leader's log:
+// the tailer stops, the full recovery protocol runs against the (dead)
+// leader's data directory — newest checkpoint restore plus WAL replay to
+// tail — and the server attaches it as its own durable store, continuing
+// the same WAL sequence numbering (which is why surviving followers can
+// keep their positions and just re-point at us). Only then does the
+// server start accepting writes. A follower without LeaderData is a read
+// replica and is refused before its tailer pauses.
 func (s *Server) Promote() (store.RecoveryStats, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -671,52 +666,58 @@ func (s *Server) Promote() (store.RecoveryStats, error) {
 		}
 		return rs, errors.New("durable store already attached")
 	}
-	rp := s.repl
-	if rp != nil {
-		rp.Stop()
+	if !s.promotable() {
+		return rs, errors.New("read replica: promotion needs the leader's data directory (-leader-data)")
 	}
-	if rp != nil && rp.cfg.LeaderData != "" {
-		m, err := store.Open(rp.cfg.LeaderData, rp.cfg.StoreOptions)
-		if err != nil {
-			// Local state is untouched — resume tailing so the replica
-			// keeps replicating instead of sitting as a stopped,
-			// write-rejecting follower that looks healthy.
-			s.resumeFollower(rp, false)
-			return rs, fmt.Errorf("open leader data: %w", err)
-		}
-		// Start recovery from a clean slate. A checkpoint restore replaces
-		// the state wholesale anyway, but a log young enough to have no
-		// checkpoint replays from record 1 — on top of a model the tailer
-		// already trained with those very samples. Resetting first makes
-		// promotion exact in both cases: the served state IS the leader's
-		// durable state, nothing more.
-		view := s.eng.Pin()
-		blank, err := core.MustNew(view.Config()).Snapshot()
-		s.eng.Unpin(view)
-		if err != nil {
-			m.Close()
-			s.resumeFollower(rp, false)
-			return rs, fmt.Errorf("reset state: %w", err)
-		}
-		if err := s.eng.Restore(blank); err != nil {
-			m.Close()
-			s.resumeFollower(rp, true)
-			return rs, fmt.Errorf("reset state: %w", err)
-		}
-		s.users = registry.New()
-		s.services = registry.New()
-		rs, err = s.AttachDurable(m)
-		if err != nil {
-			m.Close()
-			s.resumeFollower(rp, true)
-			return rs, fmt.Errorf("recover leader data: %w", err)
-		}
+	rp := s.repl
+	rp.Stop()
+	m, err := store.Open(rp.cfg.LeaderData, rp.cfg.StoreOptions)
+	if err != nil {
+		// Local state is untouched — resume tailing so the replica
+		// keeps replicating instead of sitting as a stopped,
+		// write-rejecting follower that looks healthy.
+		s.resumeFollower(rp, false)
+		return rs, fmt.Errorf("open leader data: %w", err)
+	}
+	// Start recovery from a clean slate. A checkpoint restore replaces
+	// the state wholesale anyway, but a log young enough to have no
+	// checkpoint replays from record 1 — on top of a model the tailer
+	// already trained with those very samples. Resetting first makes
+	// promotion exact in both cases: the served state IS the leader's
+	// durable state, nothing more.
+	view := s.eng.Pin()
+	blank, err := core.MustNew(view.Config()).Snapshot()
+	s.eng.Unpin(view)
+	if err != nil {
+		m.Close()
+		s.resumeFollower(rp, false)
+		return rs, fmt.Errorf("reset state: %w", err)
+	}
+	if err := s.eng.Restore(blank); err != nil {
+		m.Close()
+		s.resumeFollower(rp, true)
+		return rs, fmt.Errorf("reset state: %w", err)
+	}
+	s.users = registry.New()
+	s.services = registry.New()
+	rs, err = s.AttachDurable(m)
+	if err != nil {
+		m.Close()
+		s.resumeFollower(rp, true)
+		return rs, fmt.Errorf("recover leader data: %w", err)
 	}
 	s.follower.Store(false)
 	s.log.Info("promoted to leader",
-		"durable", s.durable != nil,
 		"checkpoint_seq", rs.CheckpointSeq, "replayed_entries", rs.Entries)
 	return rs, nil
+}
+
+// promotable reports whether Promote would get as far as opening the
+// leader's data directory: a follower whose tailer has LeaderData and
+// no durable store attached.
+func (s *Server) promotable() bool {
+	rp := s.repl
+	return s.follower.Load() && s.durable == nil && rp != nil && rp.cfg.LeaderData != ""
 }
 
 // resumeFollower restarts the tail loop after a failed promotion so the

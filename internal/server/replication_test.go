@@ -236,7 +236,7 @@ func TestReplicateWALEndpointValidation(t *testing.T) {
 
 	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-	for _, q := range []string{"", "from=x", "from=0&wait_ms=-1", "from=0&max_bytes=z"} {
+	for _, q := range []string{"", "from=x", "from=0&wait_ms=-1"} {
 		if w := doReq(t, leader, http.MethodGet, "/api/v1/replicate/wal?"+q, nil); w.Code != http.StatusBadRequest {
 			t.Errorf("replicate?%s: %d, want 400", q, w.Code)
 		}
@@ -302,6 +302,11 @@ func TestPromoteSharedStorage(t *testing.T) {
 		_, ok := predictOn(t, f, "u3", "s4")
 		return ok
 	})
+	var before ClusterStatusResponse
+	_ = json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &before)
+	if !before.Promotable {
+		t.Errorf("follower with leader data reports %+v, want promotable", before)
+	}
 
 	// One more acked write, then the leader dies without any checkpoint.
 	w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
@@ -342,7 +347,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 	}
 	var st ClusterStatusResponse
 	_ = json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st)
-	if st.Role != "leader" || !st.Durable || st.WALSeq <= wantSeq {
+	if st.Role != "leader" || !st.Durable || st.WALSeq <= wantSeq || st.Promotable {
 		t.Errorf("promoted status = %+v", st)
 	}
 
@@ -352,8 +357,11 @@ func TestPromoteSharedStorage(t *testing.T) {
 	}
 }
 
-// TestPromoteWithoutLeaderData: promotion still flips the role (serving
-// the tailed state best-effort) when no shared directory was configured.
+// TestPromoteWithoutLeaderData: a follower without the leader's data
+// directory is a read replica. It refuses promotion with 409 — flipping
+// it would serve tailed memory as the leader's state and ack later
+// writes into memory only — says so in its cluster status, and keeps
+// tailing: the refusal must not pause replication.
 func TestPromoteWithoutLeaderData(t *testing.T) {
 	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
@@ -362,18 +370,34 @@ func TestPromoteWithoutLeaderData(t *testing.T) {
 		_, ok := predictOn(t, f, "u0", "s0")
 		return ok
 	})
-	if w := doReq(t, f, http.MethodPost, "/api/v1/promote", nil); w.Code != http.StatusOK {
-		t.Fatalf("promote: %d %s", w.Code, w.Body.String())
+	w := doReq(t, f, http.MethodPost, "/api/v1/promote", nil)
+	if w.Code != http.StatusConflict {
+		t.Fatalf("promote without leader data: %d %s, want 409", w.Code, w.Body.String())
 	}
 	if f.Durable() != nil {
-		t.Error("promotion without leader data attached a durable store")
+		t.Error("refused promotion attached a durable store")
 	}
-	w := doReq(t, f, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+	var st ClusterStatusResponse
+	_ = json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st)
+	if st.Role != "follower" || st.Promotable {
+		t.Errorf("status after refused promotion = %+v, want a follower that is not promotable", st)
+	}
+	if w := doReq(t, f, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
 		{User: "nx", Service: "ny", Value: 1},
-	}})
-	if w.Code != http.StatusOK {
-		t.Errorf("post-promote observe: %d", w.Code)
+	}}); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("observe on a refused follower: %d, want 503", w.Code)
 	}
+	// The tailer never paused: a leader write made after the refusal
+	// still replicates.
+	if w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: "after-refusal", Service: "s0", Value: 1.5},
+	}}); w.Code != http.StatusOK {
+		t.Fatalf("leader observe: %d", w.Code)
+	}
+	waitFor(t, 5*time.Second, "replication after refused promotion", func() bool {
+		_, ok := predictOn(t, f, "after-refusal", "s0")
+		return ok
+	})
 }
 
 // TestPromoteFailureResumesFollower: a promotion that cannot open the
@@ -462,8 +486,8 @@ func TestDemoteFencesLeader(t *testing.T) {
 	}
 	var st ClusterStatusResponse
 	_ = json.Unmarshal(doReq(t, leader, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st)
-	if st.Role != "follower" || !st.Fenced {
-		t.Errorf("status after demote = %+v, want follower+fenced", st)
+	if st.Role != "follower" || !st.Fenced || st.Promotable {
+		t.Errorf("status after demote = %+v, want follower+fenced, not promotable", st)
 	}
 	// Idempotent.
 	if w := doReq(t, leader, http.MethodPost, "/api/v1/demote", nil); w.Code != http.StatusOK {

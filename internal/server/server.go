@@ -82,7 +82,6 @@ type Server struct {
 	gate          atomic.Pointer[admissionGate]
 	admReq        [NumClasses]*obs.Counter
 	admShed       [NumClasses]atomic.Int64
-	admBudgetShed *obs.Counter
 	admWaitEst    *obs.Histogram
 	log           *slog.Logger
 	logDebug      bool // cached log.Enabled(debug), see NewWithEngine

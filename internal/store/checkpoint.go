@@ -27,9 +27,9 @@ const (
 	ckptPrefix = "checkpoint-"
 	ckptSuffix = ".ckpt"
 
-	// defaultRetain is how many checkpoints pruneCheckpoints keeps by
-	// default: the newest plus two fallbacks against corruption.
-	defaultRetain = 3
+	// retainCheckpoints is how many checkpoints pruneCheckpoints keeps:
+	// the newest plus two fallbacks against corruption.
+	retainCheckpoints = 3
 
 	// MaxCheckpointBytes bounds a checkpoint blob (1 GiB): enough for
 	// millions of rank-64 user/service vectors, small enough to reject
@@ -113,19 +113,16 @@ func listCheckpoints(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// pruneCheckpoints removes all but the newest retain checkpoints.
-func pruneCheckpoints(dir string, retain int) error {
-	if retain < 1 {
-		retain = 1
-	}
+// pruneCheckpoints removes all but the newest retainCheckpoints.
+func pruneCheckpoints(dir string) error {
 	seqs, err := listCheckpoints(dir)
 	if err != nil {
 		return err
 	}
-	if len(seqs) <= retain {
+	if len(seqs) <= retainCheckpoints {
 		return nil
 	}
-	for _, seq := range seqs[:len(seqs)-retain] {
+	for _, seq := range seqs[:len(seqs)-retainCheckpoints] {
 		if err := os.Remove(filepath.Join(dir, checkpointName(seq))); err != nil {
 			return fmt.Errorf("store: prune checkpoint: %w", err)
 		}

@@ -83,7 +83,7 @@ func TestCheckpointRetention(t *testing.T) {
 		if err := writeCheckpoint(dir, seq*10, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := pruneCheckpoints(dir, 3); err != nil {
+		if err := pruneCheckpoints(dir); err != nil {
 			t.Fatal(err)
 		}
 	}

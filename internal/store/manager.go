@@ -26,8 +26,6 @@ type Options struct {
 	// CheckpointInterval is the background checkpoint cadence
 	// (default 1 minute).
 	CheckpointInterval time.Duration
-	// Retain is how many checkpoints to keep (default 3).
-	Retain int
 	// FenceCheckInterval is how often the manager re-reads the LOCK
 	// file to detect that another process claimed the directory
 	// (default DefaultFenceCheckInterval; see fence.go).
@@ -42,9 +40,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FenceCheckInterval <= 0 {
 		o.FenceCheckInterval = DefaultFenceCheckInterval
-	}
-	if o.Retain <= 0 {
-		o.Retain = defaultRetain
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -300,7 +295,7 @@ func (m *Manager) Checkpoint() error {
 	if err := writeCheckpoint(m.ckptDir, seq, data); err != nil {
 		return err
 	}
-	if err := pruneCheckpoints(m.ckptDir, m.opts.Retain); err != nil {
+	if err := pruneCheckpoints(m.ckptDir); err != nil {
 		return err
 	}
 	if err := m.wal.TruncateThrough(seq); err != nil {

@@ -26,7 +26,7 @@
 //     full service state (model snapshot + registry directories) through
 //     a caller-supplied capture function, writes it via the
 //     temp-file → fsync → rename → dir-fsync dance so a crash can never
-//     leave a half-written checkpoint in place, retains the last N, and
+//     leave a half-written checkpoint in place, retains the last three, and
 //     truncates WAL segments wholly covered by the checkpoint's sequence
 //     number. Recovery therefore replays only the WAL tail.
 //
