@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -21,7 +21,7 @@ all: build vet test
 # examples leg runs every program under examples/ to completion.
 ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64 examples
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -123,17 +123,27 @@ bench-smoke:
 # Cluster integration gate: the ring/gateway suites (including the
 # SIGKILL-the-leader failover test — 1 gateway + 3 replicas in-process,
 # promoted follower must serve with zero acked-sample loss) and the
-# WAL-shipping replication suite, all under the race detector.
+# server's follower, promotion and cluster-status suite, all under the
+# race detector.
 test-cluster:
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestFollower|TestPromote|TestReplicate|TestApplyStream|TestClusterStatus|TestSetLeader|TestStartFollower|TestDrainReplication' ./internal/server/
+	$(GO) test -race -run 'TestFollower|TestPromote|TestClusterStatus|TestSetLeader|TestStartFollower|TestDemote' ./internal/server/
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux
+fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
-	$(GO) test -run=NONE -fuzz='^FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run=NONE -fuzz='^FuzzSegmentScan$$' -fuzztime=$(FUZZTIME) ./internal/store/
+
+# The WAL's readers (internal/store/fuzz_test.go): the record decoder
+# over arbitrary payloads (what it accepts re-encodes to the same bytes)
+# and the segment scanner over arbitrary segment files (an open that
+# succeeds replays cleanly). A follower scans segment files a live leader
+# is appending to, so these are the bytes it reads. CI runs this leg at
+# FUZZTIME=10s per target.
+fuzz-store:
+	for target in FuzzDecodeEntry FuzzSegmentScan; do \
+		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/store/ || exit 1; \
+	done
 
 # The wire codec against encoding/json (internal/server/codec_test.go):
 # decoders agree with json.Unmarshal on accept/reject and on every

@@ -54,9 +54,9 @@ func run(args []string, stderr io.Writer) error {
 		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync) or interval (bounded loss: fsync every 100ms)")
 		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
 
-		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (replicates a leader's WAL, read-only until promoted)")
-		leaderURL  = fs.String("leader", "", "leader base URL to replicate from (follower role, required)")
-		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage; promotion requires it and recovers to the exact durable tail (follower role; without it the follower is a read replica)")
+		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (tails a leader's log from -leader-data, read-only until promoted)")
+		leaderURL  = fs.String("leader", "", "leader base URL the follower long-polls for the commit index (follower role, required)")
+		leaderData = fs.String("leader-data", "", "leader's durable data directory on shared storage: the follower reads its checkpoints and log from it, and promotion recovers it to the exact durable tail (follower role, required)")
 
 		sloAdmit     = fs.Bool("slo-admission", false, "enable the SLO admission gate on observe/predict/rank (class header X-Amf-Slo-Class; critical is never shed)")
 		sloBudgetStd = fs.Duration("slo-budget-standard", 2*time.Second, "predicted-wait budget for standard-class requests (with -slo-admission)")
@@ -136,8 +136,11 @@ func run(args []string, stderr io.Writer) error {
 		if *leaderURL == "" {
 			return errors.New("-role follower requires -leader")
 		}
+		if *leaderData == "" {
+			return errors.New("-role follower requires -leader-data (the leader's durable directory, which the follower reads)")
+		}
 		if *dataDir != "" {
-			return errors.New("-role follower is incompatible with -data-dir (durability lives on the leader; use -leader-data for shared-storage promotion)")
+			return errors.New("-role follower is incompatible with -data-dir (durability lives on the leader; the follower reads it from -leader-data)")
 		}
 	default:
 		return fmt.Errorf("unknown role %q (want leader or follower)", *role)
@@ -169,9 +172,9 @@ func run(args []string, stderr io.Writer) error {
 			"recovered_samples", rs.Samples, "checkpoint_seq", rs.CheckpointSeq)
 	}
 	if follower {
-		// Bootstrap from the leader's snapshot, then tail its WAL. The
-		// store options only matter at promotion time, when the follower
-		// re-opens the leader's durable directory as its own.
+		// Load the newest checkpoint in the leader's directory, then tail
+		// its log. The store options only matter at promotion time, when
+		// the follower re-opens the leader's durable directory as its own.
 		if _, err := svc.StartFollower(server.FollowerConfig{
 			Leader:     *leaderURL,
 			LeaderData: *leaderData,
@@ -252,12 +255,6 @@ func run(args []string, stderr io.Writer) error {
 	// are idempotent; the deferred calls become no-ops).
 	stopIngest()
 	svc.Close()
-	// Let in-flight replication streams finish shipping before the final
-	// checkpoint truncates the WAL out from under them: followers see a
-	// clean end-of-stream instead of a mid-record disconnect.
-	if !svc.DrainReplication(5 * time.Second) {
-		logger.Warn("replication streams did not drain before shutdown deadline")
-	}
 	// svc.Durable(), not the local mgr: a follower promoted at runtime
 	// attached the dead leader's durable directory inside the server,
 	// which the -data-dir flag path never saw.

@@ -81,6 +81,15 @@ func TestRunRejectsNegativeReplayBatch(t *testing.T) {
 	runMustRefuse(t, "-replay-batch must not be negative", "-replay-batch", "-1")
 }
 
+// TestRunRejectsFollowerWithoutLeaderData: a follower reads its
+// leader's checkpoints and log from the leader's directory, so
+// -role follower without -leader-data fails start-up naming the flag,
+// and so does a -leader-data that holds no log.
+func TestRunRejectsFollowerWithoutLeaderData(t *testing.T) {
+	runMustRefuse(t, "-leader-data", "-role", "follower", "-leader", "http://127.0.0.1:1")
+	runMustRefuse(t, "not a durable directory", "-role", "follower", "-leader", "http://127.0.0.1:1", "-leader-data", t.TempDir())
+}
+
 // TestRunRejectsFsyncAlways: the retired policy value fails start-up
 // instead of quietly mapping to one that remains.
 func TestRunRejectsFsyncAlways(t *testing.T) {

@@ -244,14 +244,15 @@ func BenchmarkGatewayRankAll(b *testing.B) {
 	b.ReportMetric(100*(float64(g50)-float64(d50))/float64(d50), "overhead-pct")
 }
 
-// BenchmarkReplicationLag measures steady-state WAL-shipping latency:
+// BenchmarkReplicationLag measures steady-state replication latency:
 // each op appends one observation on the leader and spins until the
-// follower has applied it, so ns/op IS the observe-to-replicated lag
-// (dominated by the leader's long-poll wakeup tick).
+// follower has applied it, so ns/op IS the observe-to-replicated lag:
+// the leader's commit wakes the follower's status long-poll, and the
+// follower reads the record from the leader's directory.
 func BenchmarkReplicationLag(b *testing.B) {
 	dir := b.TempDir()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               store.SyncGroup, // every acked write ships at once, no flush tick
+		Sync:               store.SyncGroup, // every acked write commits at once, no flush tick
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -274,6 +275,7 @@ func BenchmarkReplicationLag(b *testing.B) {
 	b.Cleanup(func() { follower.Close() })
 	rp, err := follower.StartFollower(server.FollowerConfig{
 		Leader:        ts.URL,
+		LeaderData:    dir,
 		WaitMS:        1000,
 		RetryInterval: 5 * time.Millisecond,
 	})

@@ -55,15 +55,15 @@ func TestFailoverChildHelper(t *testing.T) {
 // TestClusterFailoverKillLeader is the acceptance scenario, and the first
 // executable "acked ⇒ recoverable" check: a gateway fronts one shard
 // group of three replicas — a leader child process on shared storage
-// with fsync=group and two in-process followers tailing its WAL, a read
-// replica (no leader data) listed first so it would win an applied-seq
-// tie, and a follower with the leader's data directory. The leader is
-// SIGKILLed under an active observe stream; the gateway's probe loop
-// must promote the follower that can recover the leader's durable
-// directory to its exact tail, re-point the read replica, and resume
+// with fsync=group and two in-process followers tailing its directory.
+// The leader is SIGKILLed under an active observe stream; the gateway's
+// probe loop must promote one follower, which recovers the leader's
+// durable directory to its exact tail, re-point the other, and resume
 // serving — with every observation the dead leader acked still
 // predictable. Zero acked loss is the fsync=group contract; failover
-// must not weaken it.
+// must not weaken it. The follower left as a follower keeps tailing the
+// same directory under the new leader, with no gap and no sequence
+// applied twice.
 func TestClusterFailoverKillLeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a child process")
@@ -85,9 +85,8 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 	}()
 	leaderURL := "http://" + waitChildAddr(t, stdout)
 
-	// A read replica first, then a follower over the shared storage.
 	followerURLs := make([]string, 2)
-	for i, leaderData := range []string{"", dir} {
+	for i := range followerURLs {
 		cfg := core.DefaultConfig(-0.007, 0, 20)
 		cfg.Expiry = 0
 		fol := server.New(core.MustNew(cfg), server.WithLogger(quietLogger()))
@@ -96,7 +95,7 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 		t.Cleanup(func() { fol.Close() })
 		if _, err := fol.StartFollower(server.FollowerConfig{
 			Leader:     leaderURL,
-			LeaderData: leaderData,
+			LeaderData: dir,
 			StoreOptions: store.Options{
 				Sync:               store.SyncGroup,
 				CheckpointInterval: time.Hour,
@@ -109,7 +108,6 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 		}
 		followerURLs[i] = ts.URL
 	}
-	readReplica, sharer := followerURLs[0], followerURLs[1]
 
 	gw, err := New(Config{
 		Groups:        [][]string{{leaderURL, followerURLs[0], followerURLs[1]}},
@@ -174,48 +172,81 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 	}
 	t.Logf("writes recovered after %d failed attempts; %d acked total", recoveredAt-30, len(acked))
 
-	// The gateway must have promoted exactly one follower: the one that
-	// could recover the leader's log.
+	// The gateway must have promoted exactly one follower.
 	if v := metricValue(t, gw, "amf_cluster_failovers_total"); v != 1 {
 		t.Errorf("amf_cluster_failovers_total = %g, want 1", v)
 	}
-	if role := clusterRole(t, readReplica); role != "follower" {
-		t.Fatalf("read replica role %q, want follower", role)
+	promoted, other := followerURLs[0], followerURLs[1]
+	if clusterRole(t, promoted) != "leader" {
+		promoted, other = other, promoted
 	}
-	if role := clusterRole(t, sharer); role != "leader" {
-		t.Fatalf("follower with leader data has role %q, want leader", role)
+	if role := clusterRole(t, promoted); role != "leader" {
+		t.Fatalf("no follower was promoted (roles %q, %q)", clusterRole(t, followerURLs[0]), role)
+	}
+	if role := clusterRole(t, other); role != "follower" {
+		t.Fatalf("second follower role %q, want follower", role)
 	}
 
 	// Zero acked loss: every pair acked — including those acked by the
 	// dead leader — is predictable on the promoted leader.
 	for _, p := range acked {
-		if _, ok := followerHas(t, sharer, p.user, p.service); !ok {
+		if _, ok := followerHas(t, promoted, p.user, p.service); !ok {
 			t.Errorf("acked pair (%s,%s) lost across failover", p.user, p.service)
 		}
 	}
 
-	// The read replica was re-pointed at the promoted leader and keeps
-	// replicating from the same WAL lineage and serving reads.
+	// The other follower was re-pointed at the promoted leader and reads
+	// on from the same directory: it reaches the new leader's commit
+	// index having applied every record exactly once — as many records
+	// as its applied sequence (it started from an empty log), and no
+	// checkpoint load, which is how it would have crossed a gap.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if clusterLeader(t, readReplica) == sharer {
-			break
-		}
+	for clusterLeader(t, other) != promoted {
 		if time.Now().After(deadline) {
-			t.Fatalf("read replica still points at %q, want %q", clusterLeader(t, readReplica), sharer)
+			t.Fatalf("follower still points at %q, want %q", clusterLeader(t, other), promoted)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
 	last := acked[len(acked)-1]
 	for {
-		if _, ok := followerHas(t, readReplica, last.user, last.service); ok {
+		_, has := followerHas(t, other, last.user, last.service)
+		st := clusterStatus(t, other)
+		if has && st.AppliedSeq == clusterStatus(t, promoted).WALSeq {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("read replica never replicated the post-failover stream")
+			t.Fatalf("follower at seq %d never reached the promoted leader's tail", st.AppliedSeq)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
+	applied := clusterStatus(t, other).AppliedSeq
+	if n := serverMetric(t, other, "amf_replication_records_total"); n != float64(applied) {
+		t.Errorf("follower applied %g records to reach seq %d, want exactly one per sequence", n, applied)
+	}
+	if n := serverMetric(t, other, "amf_replication_bootstraps_total"); n != 0 {
+		t.Errorf("follower loaded %g checkpoint(s), want none (no gap to cross)", n)
+	}
+}
+
+// serverMetric reads one unlabelled series from a server's /metrics.
+func serverMetric(t *testing.T, url, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			var f float64
+			if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
+				return f
+			}
+		}
+	}
+	t.Fatalf("metric %s not found on %s", name, url)
+	return 0
 }
 
 // waitChildAddr scans the child's stdout for its listen address.

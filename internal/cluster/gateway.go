@@ -1071,9 +1071,9 @@ func (g *Gateway) demoteStale(grp *group, claimants []*replica, winner *replica)
 
 // failover promotes a healthy follower that reports itself promotable —
 // one that recovers the leader's log from the shared directory — and
-// points the surviving followers at it. A read replica and a fenced
-// ex-leader report false, so a group with no promotable follower stays
-// leaderless: writes get 503, reads are still served. Promotion resets
+// points the surviving followers at it. A demoted ex-leader reports
+// false, so a group with no promotable follower stays leaderless: writes
+// get 503, reads are still served. Promotion resets
 // the model and recovers from the shared log, so the applied sequence
 // does not decide what is kept; it only breaks the tie, toward the
 // replica whose reads lagged least.

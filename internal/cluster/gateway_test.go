@@ -52,6 +52,12 @@ func newGateway(t *testing.T, groups [][]string, mod func(*Config)) *Gateway {
 
 func gwReq(t *testing.T, g *Gateway, method, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
+	return do(t, g.Handler(), method, path, body)
+}
+
+// do serves one JSON request through h in-process.
+func do(t *testing.T, h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+	t.Helper()
 	var reader io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
@@ -65,7 +71,7 @@ func gwReq(t *testing.T, g *Gateway, method, path string, body any) *httptest.Re
 		req.Header.Set("Content-Type", "application/json")
 	}
 	w := httptest.NewRecorder()
-	g.Handler().ServeHTTP(w, req)
+	h.ServeHTTP(w, req)
 	return w
 }
 
@@ -333,30 +339,35 @@ func TestGatewayAutoFailover(t *testing.T) {
 	}
 }
 
-// TestGatewayNeverPromotesReadReplica: a follower started without the
-// leader's data directory cannot recover the leader's log, so when the
-// leader dies the gateway leaves the group leaderless rather than
-// promote it: writes get 503 (nothing is acked into memory), reads are
-// still served by the read replica.
-func TestGatewayNeverPromotesReadReplica(t *testing.T) {
+// TestGatewayNeverPromotesDemotedLeader: a group whose only follower is
+// a demoted ex-leader (promotable: false — its model may hold writes from
+// a diverged lineage, and promoting it would re-claim a directory it
+// lost) has no replica that can recover the leader's log. When the leader
+// dies the gateway leaves the group leaderless rather than promote it:
+// writes get 503 (nothing is acked into memory), reads are still served
+// by the ex-leader.
+func TestGatewayNeverPromotesDemotedLeader(t *testing.T) {
 	leader, mgr, _ := durableBackend(t, t.TempDir())
 	tsLeader := httptest.NewServer(leader.Handler())
 
-	folCfg := core.DefaultConfig(-0.007, 0, 20)
-	folCfg.Expiry = 0
-	follower := server.New(core.MustNew(folCfg), server.WithLogger(quietLogger()))
-	tsFollower := httptest.NewServer(follower.Handler())
-	t.Cleanup(tsFollower.Close)
-	t.Cleanup(func() { follower.Close() })
-	if _, err := follower.StartFollower(server.FollowerConfig{
-		Leader:        tsLeader.URL,
-		WaitMS:        100,
-		RetryInterval: 20 * time.Millisecond,
-	}); err != nil {
-		t.Fatalf("StartFollower: %v", err)
+	exLeader, exMgr, _ := durableBackend(t, t.TempDir())
+	t.Cleanup(func() { exMgr.Close() })
+	t.Cleanup(exLeader.Close)
+	tsEx := httptest.NewServer(exLeader.Handler())
+	t.Cleanup(tsEx.Close)
+	if w := do(t, exLeader.Handler(), http.MethodPost, "/api/v1/observe", server.ObserveRequest{
+		Observations: []server.Observation{{User: "u", Service: "s", Value: 2}},
+	}); w.Code != http.StatusOK {
+		t.Fatalf("seed the ex-leader: HTTP %d %s", w.Code, w.Body.String())
+	}
+	if w := do(t, exLeader.Handler(), http.MethodPost, "/api/v1/demote", map[string]string{"leader": tsLeader.URL}); w.Code != http.StatusOK {
+		t.Fatalf("demote: HTTP %d %s", w.Code, w.Body.String())
+	}
+	if st := clusterStatus(t, tsEx.URL); st.Role != "follower" || st.Promotable {
+		t.Fatalf("demoted ex-leader reports %+v, want a follower that is not promotable", st)
 	}
 
-	g := newGateway(t, [][]string{{tsLeader.URL, tsFollower.URL}}, func(c *Config) {
+	g := newGateway(t, [][]string{{tsLeader.URL, tsEx.URL}}, func(c *Config) {
 		c.Failover = true
 		c.DownAfter = 2
 	})
@@ -364,16 +375,6 @@ func TestGatewayNeverPromotesReadReplica(t *testing.T) {
 		Observations: []server.Observation{{User: "u", Service: "s", Value: 2}},
 	}); w.Code != http.StatusOK {
 		t.Fatalf("seed via gateway: HTTP %d %s", w.Code, w.Body.String())
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := followerHas(t, tsFollower.URL, "u", "s"); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never replicated the seed sample")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	tsLeader.Close()
 	leader.Close()
@@ -383,7 +384,7 @@ func TestGatewayNeverPromotesReadReplica(t *testing.T) {
 		g.probeAll()
 	}
 	if v := metricValue(t, g, "amf_cluster_failovers_total"); v != 0 {
-		t.Errorf("amf_cluster_failovers_total = %g, want 0 (read replica promoted)", v)
+		t.Errorf("amf_cluster_failovers_total = %g, want 0 (demoted ex-leader promoted)", v)
 	}
 	if w := gwReq(t, g, http.MethodPost, "/api/v1/observe", server.ObserveRequest{
 		Observations: []server.Observation{{User: "u", Service: "s", Value: 2.5}},
@@ -391,7 +392,7 @@ func TestGatewayNeverPromotesReadReplica(t *testing.T) {
 		t.Errorf("write to a leaderless group: HTTP %d %s, want 503", w.Code, w.Body.String())
 	}
 	if w := gwReq(t, g, http.MethodGet, "/api/v1/predict?user=u&service=s", nil); w.Code != http.StatusOK {
-		t.Errorf("read from the read replica: HTTP %d %s, want 200", w.Code, w.Body.String())
+		t.Errorf("read from the demoted ex-leader: HTTP %d %s, want 200", w.Code, w.Body.String())
 	}
 }
 

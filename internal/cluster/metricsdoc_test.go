@@ -67,8 +67,9 @@ func TestMetricsDocumented(t *testing.T) {
 	collect(svc.Handler())
 
 	// A follower adds the replication families (amf_replication_*); it
-	// needs a durable leader to bootstrap from.
-	leader, leaderMgr, _ := durableBackend(t, t.TempDir())
+	// reads a durable leader's directory.
+	leaderDir := t.TempDir()
+	leader, leaderMgr, _ := durableBackend(t, leaderDir)
 	tsLeader := httptest.NewServer(leader.Handler())
 	t.Cleanup(func() { leaderMgr.Close() })
 	t.Cleanup(leader.Close)
@@ -79,6 +80,7 @@ func TestMetricsDocumented(t *testing.T) {
 	defer follower.Close()
 	if _, err := follower.StartFollower(server.FollowerConfig{
 		Leader:        tsLeader.URL,
+		LeaderData:    leaderDir,
 		WaitMS:        100,
 		RetryInterval: 20 * time.Millisecond,
 	}); err != nil {

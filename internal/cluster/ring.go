@@ -3,7 +3,7 @@
 // HTTP gateway (amfgateway) that routes the prediction API by user
 // shard, fans large ranking queries out across a group's replicas, and
 // drives leader failover. Within one group every replica holds the full
-// group state via WAL-shipping replication (internal/server), so reads
+// group state by tailing the leader's log (internal/server), so reads
 // scale with replica count while writes funnel through the group leader.
 package cluster
 

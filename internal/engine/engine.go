@@ -233,7 +233,7 @@ func (e *Engine) ObserveAllTraced(ss []stream.Sample) ObserveTiming {
 }
 
 // ApplyLog is ObserveAllTraced for samples that are someone's log being
-// replayed into this engine — WAL recovery, a leader's replication stream
+// replayed into this engine — WAL recovery, a follower tailing its leader
 // — rather than measurements a client just made: the same commit, except
 // that the live accuracy tracker does not score them (the process that
 // first accepted them did).

@@ -44,7 +44,7 @@ const replayChunk = 8192
 // is left not journaling; the caller should treat the data directory as
 // unusable rather than serve with silent non-durability.
 func (s *Server) AttachDurable(m *store.Manager) (store.RecoveryStats, error) {
-	if s.durable != nil {
+	if s.durable.Load() != nil {
 		return store.RecoveryStats{}, errors.New("server: durable store already attached")
 	}
 	apply, flush := s.walApplier()
@@ -54,7 +54,7 @@ func (s *Server) AttachDurable(m *store.Manager) (store.RecoveryStats, error) {
 	}
 	flush()
 
-	s.durable = m
+	s.durable.Store(m)
 	s.eng.SetJournal(m.WAL())
 	// If another process claims the data directory out from under us (a
 	// failover promoted a replica while we were partitioned, see store
@@ -76,8 +76,8 @@ func (s *Server) AttachDurable(m *store.Manager) (store.RecoveryStats, error) {
 // stays flat on long tails while amortizing the engine's
 // publish-per-ApplyLog), removals purge churned entities. It is the
 // shared apply path under crash recovery (AttachDurable) and follower
-// replication (Replicator.tail) — both are "replay someone's log into
-// this server", they just differ in where the records come from.
+// replication (Replicator.apply) — both are "replay a log into this
+// server", and both read it through the same traversal (store.ReplayDir).
 // Callers must invoke flush after the final entry; apply itself flushes
 // before removals so samples for a purged ID train first.
 func (s *Server) walApplier() (apply func(store.Entry) error, flush func()) {
@@ -120,7 +120,7 @@ func (s *Server) walApplier() (apply func(store.Entry) error, flush func()) {
 }
 
 // Durable returns the attached store manager, or nil.
-func (s *Server) Durable() *store.Manager { return s.durable }
+func (s *Server) Durable() *store.Manager { return s.durable.Load() }
 
 // captureState is the checkpointer's capture hook. The covered sequence
 // number and the model view are taken from ONE engine critical section
@@ -148,10 +148,11 @@ func (s *Server) captureState() (uint64, []byte, error) {
 // journal (and once the WAL has poisoned itself, the batch append right
 // after this will surface the failure too).
 func (s *Server) journalRegistration(appendFn func(*store.WAL, int, string) (uint64, error), id int, name string) {
-	if s.durable == nil {
+	m := s.durable.Load()
+	if m == nil {
 		return
 	}
-	if _, err := appendFn(s.durable.WAL(), id, name); err != nil {
+	if _, err := appendFn(m.WAL(), id, name); err != nil {
 		s.log.Warn("journal registration failed", "name", name, "id", id, "err", err)
 	}
 }
@@ -200,18 +201,18 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if s.rejectFollowerWrite(w) {
 		return
 	}
-	if s.durable == nil {
+	m := s.durable.Load()
+	if m == nil {
 		s.countError(w, http.StatusNotImplemented, "no durable store attached")
 		return
 	}
-	if err := s.durable.Checkpoint(); err != nil {
+	if err := m.Checkpoint(); err != nil {
 		s.countError(w, http.StatusInternalServerError, "checkpoint: %v", err)
 		return
 	}
-	m := s.durable.Metrics()
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":      "checkpointed",
-		"checkpoints": m.Checkpoints.Load(),
-		"wal_seq":     s.durable.WAL().LastSeq(),
+		"checkpoints": m.Metrics().Checkpoints.Load(),
+		"wal_seq":     m.WAL().LastSeq(),
 	})
 }

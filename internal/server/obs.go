@@ -114,7 +114,7 @@ func (s *Server) buildMetrics() {
 
 	// Live accuracy: the paper's §V metrics as runtime gauges, fed by the
 	// engine as it applies what clients observe (both observe doors; a
-	// replayed WAL or replication stream is not scored).
+	// WAL replayed by recovery or by a follower is not scored).
 	view := s.eng.Pin()
 	s.acc = obs.NewAccuracyTracker(view.Config().Beta)
 	s.eng.Unpin(view)

@@ -160,7 +160,7 @@ func TestLiveAccuracyTracksObservations(t *testing.T) {
 
 	// Replication apply: the follower trains on the leader's stream, pairs
 	// it has published included, and scores none of it.
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := startFollower(t, FollowerConfig{Leader: ts.URL, LeaderData: dir})
 	waitFor(t, 5*time.Second, "bootstrap state", func() bool {
 		return f.Engine().View().Updates() == s.Engine().View().Updates()
 	})

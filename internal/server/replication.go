@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,53 +12,47 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/qoslab/amf/internal/core"
-	"github.com/qoslab/amf/internal/registry"
 	"github.com/qoslab/amf/internal/store"
 )
 
-// This file is the control plane of WAL-shipping replication. A leader
-// (any server with a durable store attached) serves its log over
-// GET /api/v1/replicate/wal as framed records — the on-disk framing
-// verbatim, so every shipped record carries the CRC it had on the
-// leader's disk. A follower (StartFollower) bootstraps from the leader's
-// ETag'd snapshot, tails that endpoint, and applies entries through the
-// same pipeline crash recovery uses (walApplier). Followers reject
-// direct writes with 503 + an X-Amf-Leader pointer; reads are served
-// from the follower's own published view and may lag the leader by the
-// shipping delay (amf_replication_lag_seconds).
+// This file is the control plane of replication. A follower
+// (StartFollower) is a continuous recovery of its leader's durable
+// directory, which it mounts read-only (LeaderData): it loads the newest
+// checkpoint there, then applies the log through the same pipeline crash
+// recovery uses (walApplier, store.ReplayDir). Only the leader's commit
+// index crosses the network: the follower long-polls
+// GET /api/v1/cluster/status?after=<applied> and reads the records up to
+// the wal_seq it answers, never past it. Followers reject direct writes
+// with 503 + an X-Amf-Leader pointer; reads are served from the
+// follower's own published view and may lag the leader by one commit
+// (amf_replication_lag_seconds).
 //
 // Failover follows the shared-storage model, and promotion has one path:
-// a follower started with a LeaderData directory is promoted (POST
-// /api/v1/promote) by opening the dead leader's durable directory and
-// running the full recovery protocol — checkpoint restore plus WAL replay
-// to tail. Every sample the old leader acked under -fsync group is in
-// that log, so promotion loses nothing acked. A follower without
-// LeaderData is a read replica: it refuses promotion and keeps tailing,
-// and its cluster status says so (promotable), so the gateway never
-// picks it.
+// a follower is promoted (POST /api/v1/promote) by opening the dead
+// leader's durable directory and running the full recovery protocol —
+// checkpoint restore plus WAL replay to tail. Every sample the old leader
+// acked under -fsync group is in that log, so promotion loses nothing
+// acked.
 
-// replPollTick is how often long-polling replication handlers re-check
-// the WAL tail and the server's closed flag; it bounds how long a
-// graceful shutdown waits on an idle stream.
+// replPollTick is how often a parked status long-poll re-checks the
+// commit index and the server's closed flag; it bounds how long a
+// graceful shutdown waits on an idle poll.
 const replPollTick = 25 * time.Millisecond
 
 const (
 	defaultReplWait = 5 * time.Second
 	maxReplWait     = 30 * time.Second
-	// replMaxBytes bounds one replication response.
-	replMaxBytes = 4 << 20
 )
 
 // ClusterStatusResponse is the GET /api/v1/cluster/status body.
 type ClusterStatusResponse struct {
-	// Role is "leader" (accepts writes; serves the replication stream
-	// when durable) or "follower" (read-only replica tailing a leader).
+	// Role is "leader" (accepts writes) or "follower" (read-only replica
+	// tailing a leader's directory).
 	Role string `json:"role"`
 	// Leader is the leader base URL a follower is tailing.
 	Leader string `json:"leader,omitempty"`
 	// WALSeq is the WAL's durable commit index (leader, durable): the
-	// newest record a follower can be shipped, as X-Amf-Wal-Seq sends.
+	// newest record a follower may apply.
 	WALSeq uint64 `json:"wal_seq"`
 	// AppliedSeq is the last replicated sequence number applied to the
 	// local model (follower).
@@ -67,9 +60,6 @@ type ClusterStatusResponse struct {
 	// LagSeconds is how long this follower has continuously been behind
 	// the leader's WAL tail (0 when caught up).
 	LagSeconds float64 `json:"lag_seconds"`
-	// Streams is the number of replication streams currently being
-	// served to followers.
-	Streams int64 `json:"replication_streams"`
 	// Durable reports whether a durable store is attached.
 	Durable bool `json:"durable"`
 	// Epoch is the durable directory's claim epoch (see store fencing):
@@ -81,10 +71,9 @@ type ClusterStatusResponse struct {
 	// claim — it no longer accepts writes regardless of role.
 	Fenced bool `json:"fenced,omitempty"`
 	// Promotable reports that POST /api/v1/promote would recover the
-	// leader's durable directory: a follower started with LeaderData and
-	// no durable store attached. A read replica (no LeaderData) and a
-	// demoted ex-leader (store attached) report false, and the gateway
-	// never promotes them.
+	// leader's durable directory: a follower with no durable store
+	// attached. A demoted ex-leader (store attached, or never started as
+	// a follower) reports false, and the gateway never promotes it.
 	Promotable bool `json:"promotable,omitempty"`
 	// ShedRate is the fraction of admission-considered work this server
 	// refused over the gate's last one-second window (0 while admission
@@ -97,7 +86,6 @@ type ClusterStatusResponse struct {
 // replicationRoutes registers the cluster control plane; called from
 // routes().
 func (s *Server) replicationRoutes() {
-	s.handle("GET /api/v1/replicate/wal", s.handleReplicateWAL)
 	s.handle("GET /api/v1/cluster/status", s.handleClusterStatus)
 	s.handle("POST /api/v1/promote", s.handlePromote)
 	s.handle("POST /api/v1/demote", s.handleDemote)
@@ -134,32 +122,15 @@ func (s *Server) refuseFollowerWrite(w http.ResponseWriter) {
 	s.writeError(w, http.StatusServiceUnavailable, "%v", errFollowerWrite)
 }
 
-// handleReplicateWAL streams WAL records with seq > from to a follower.
-// Long-poll: when the log has nothing shippable past from, the handler
-// subscribes to the WAL's commit notifications and wakes the moment the
-// commit index advances — a follower sees new records within the fsync
-// latency, not the poll tick — bounded by wait_ms (capped at 30s) with
-// the old poll tick kept as a fallback timeout. The response carries
-// X-Amf-Wal-Seq = the leader's current shippable tail (the durable
-// commit index), which is how followers measure lag.
-// Streams are tracked so graceful shutdown can drain them
-// (DrainReplication); a follower disconnecting mid-stream is logged,
-// never fatal.
-func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
-	if s.durable == nil {
-		s.countError(w, http.StatusNotImplemented, "replication requires a durable store (-data-dir)")
-		return
-	}
-	if s.follower.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "follower: replicate from the leader")
-		return
-	}
+// handleClusterStatus answers the server's role and positions. With no
+// query it answers at once (the gateway's probe). With ?after=N it is a
+// follower's long-poll for the commit index: it answers once wal_seq > N,
+// or after wait_ms (default 5 s, capped at 30 s). The wait subscribes to
+// the WAL's commit notifications, so it wakes the moment an fsync lands,
+// with the poll tick kept as a fallback. A server with no durable store
+// has no commit index to wait on and answers at once.
+func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
-	if err != nil {
-		s.countError(w, http.StatusBadRequest, "invalid from: %v", err)
-		return
-	}
 	wait := defaultReplWait
 	if ms := q.Get("wait_ms"); ms != "" {
 		n, err := strconv.Atoi(ms)
@@ -169,79 +140,20 @@ func (s *Server) handleReplicateWAL(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = min(time.Duration(n)*time.Millisecond, maxReplWait)
 	}
-
-	s.replStreams.Add(1)
-	s.replActive.Add(1)
-	defer func() {
-		s.replActive.Add(-1)
-		s.replStreams.Done()
-	}()
-
-	wal := s.durable.WAL()
-	// The newest record this poll may ship is the durable commit index,
-	// under either fsync policy: shipping a record whose covering fsync
-	// has not landed would let a follower get ahead of a crashed leader.
-	commits, cancel := wal.SubscribeCommits()
-	defer cancel()
-	deadline := time.Now().Add(wait)
-	for wal.DurableSeq() <= from && time.Now().Before(deadline) && !s.closed.Load() {
-		select {
-		case <-r.Context().Done():
+	if q.Has("after") {
+		after, err := strconv.ParseUint(q.Get("after"), 10, 64)
+		if err != nil {
+			s.countError(w, http.StatusBadRequest, "invalid after: %v", err)
 			return
-		case <-commits:
-			// The commit index advanced (or the WAL hit a terminal state,
-			// which the loop condition re-checks): answer now instead of
-			// sleeping out the poll tick.
-		case <-time.After(replPollTick):
-			// Fallback timeout: notifications are coalesced best-effort,
-			// so never trust them exclusively.
 		}
+		s.awaitCommit(r.Context(), after, wait)
 	}
-	tail := wal.DurableSeq()
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("X-Amf-Wal-Seq", strconv.FormatUint(tail, 10))
-	s.countStatus(http.StatusOK)
-	last, err := wal.StreamSince(from, w, replMaxBytes)
-	if err != nil {
-		// Most commonly the follower hung up mid-stream; it will re-poll
-		// from its last applied sequence, so nothing is lost.
-		s.replErrors.Add(1)
-		s.log.Warn("replication stream interrupted",
-			"from", from, "last_shipped", last, "err", err)
-	}
-}
-
-// DrainReplication waits for in-flight replication streams to finish,
-// up to timeout. Call Close first: it flips the closed flag the
-// long-poll loops watch, so idle streams exit within one poll tick.
-// Returns false if streams were still active at the deadline (logged;
-// the shutdown proceeds regardless — followers recover by re-polling).
-func (s *Server) DrainReplication(timeout time.Duration) bool {
-	done := make(chan struct{})
-	go func() {
-		s.replStreams.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-time.After(timeout):
-		s.log.Warn("replication streams still active at shutdown deadline",
-			"active", s.replActive.Load(), "timeout", timeout)
-		return false
-	}
-}
-
-func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	resp := ClusterStatusResponse{
-		Role: "leader", Durable: s.durable != nil,
-		Streams: s.replActive.Load(), ShedRate: s.ShedRate(),
-	}
-	if s.durable != nil {
-		resp.WALSeq = s.durable.WAL().DurableSeq()
-		resp.Epoch = s.durable.Epoch()
-		resp.Fenced = s.durable.Fenced()
+	m := s.durable.Load()
+	resp := ClusterStatusResponse{Role: "leader", Durable: m != nil, ShedRate: s.ShedRate()}
+	if m != nil {
+		resp.WALSeq = m.WAL().DurableSeq()
+		resp.Epoch = m.Epoch()
+		resp.Fenced = m.Fenced()
 	}
 	if s.follower.Load() {
 		resp.Role = "follower"
@@ -255,6 +167,32 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
+// awaitCommit parks a status long-poll until the WAL's commit index
+// passes after, the wait elapses, the client hangs up or the server
+// closes.
+func (s *Server) awaitCommit(ctx context.Context, after uint64, wait time.Duration) {
+	m := s.durable.Load()
+	if m == nil {
+		return
+	}
+	wal := m.WAL()
+	commits, cancel := wal.SubscribeCommits()
+	defer cancel()
+	deadline := time.Now().Add(wait)
+	for wal.DurableSeq() <= after && time.Now().Before(deadline) && !s.closed.Load() {
+		select {
+		case <-ctx.Done():
+			return
+		case <-commits:
+			// The commit index advanced (or the WAL hit a terminal state,
+			// which the loop condition re-checks).
+		case <-time.After(replPollTick):
+			// Fallback timeout: notifications are coalesced best-effort,
+			// so never trust them exclusively.
+		}
+	}
+}
+
 // handlePromote flips a follower into a leader (see Promote).
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	rs, err := s.Promote()
@@ -264,7 +202,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status":           "promoted",
-		"wal_seq":          s.durable.WAL().LastSeq(),
+		"wal_seq":          s.durable.Load().WAL().LastSeq(),
 		"checkpoint_seq":   rs.CheckpointSeq,
 		"replayed_entries": rs.Entries,
 	})
@@ -272,7 +210,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 
 // handleSetLeader re-points a follower's tailer at a new leader after a
 // failover. The follower keeps its applied sequence: the new leader was
-// promoted from the same WAL lineage, so sequence numbers stay valid.
+// promoted from the same directory, so sequence numbers stay valid.
 func (s *Server) handleSetLeader(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Leader string `json:"leader"`
@@ -292,14 +230,14 @@ func (s *Server) handleSetLeader(w http.ResponseWriter, r *http.Request) {
 
 // FollowerConfig configures StartFollower.
 type FollowerConfig struct {
-	// Leader is the leader's base URL (required).
+	// Leader is the leader's base URL (required): where the follower
+	// long-polls for the commit index.
 	Leader string
 	// LeaderData is the leader's durable data directory, reachable from
-	// this process (shared or replicated storage), and what makes the
-	// follower promotable: promotion recovers from it — checkpoint
-	// restore + WAL replay to tail — so no sample the leader acked
-	// durably is lost. When empty, the follower is a read replica and
-	// refuses promotion.
+	// this process on shared storage (required). The follower reads the
+	// leader's checkpoints and log from it, and promotion recovers from
+	// it — checkpoint restore + WAL replay to tail — so no sample the
+	// leader acked durably is lost.
 	LeaderData string
 	// StoreOptions tunes the store opened from LeaderData at promotion.
 	StoreOptions store.Options
@@ -308,13 +246,13 @@ type FollowerConfig struct {
 	WaitMS int
 	// RetryInterval is the pause after a failed poll (default 200ms).
 	RetryInterval time.Duration
-	// HTTP is the client used for snapshot and WAL fetches; nil gets a
+	// HTTP is the client used for the commit-index polls; nil gets a
 	// default with no overall timeout (long-polls hold connections open).
 	HTTP *http.Client
 }
 
-// Replicator tails a leader's WAL into the local server. Construct via
-// StartFollower.
+// Replicator tails a leader's directory into the local server.
+// Construct via StartFollower.
 type Replicator struct {
 	s   *Server
 	cfg FollowerConfig
@@ -323,39 +261,37 @@ type Replicator struct {
 	http   *http.Client
 
 	seq        atomic.Uint64 // last sequence applied locally
-	leaderSeq  atomic.Uint64 // leader tail from the last poll
+	leaderSeq  atomic.Uint64 // leader commit index from the last poll
 	behindNano atomic.Int64  // when we first fell behind; 0 = caught up
 
 	records    atomic.Int64
 	bootstraps atomic.Int64
 	errs       atomic.Int64
 
-	etag string // snapshot validator from the last bootstrap (tail goroutine only)
-
-	// Lifecycle: lifeMu guards stop/stopped so the tail loop can be
-	// relaunched after Stop — the failed-promotion recovery path. Each
-	// relaunch gets a fresh stop channel.
-	lifeMu  sync.Mutex
-	stop    chan struct{}
-	stopped bool
-	wg      sync.WaitGroup
+	// Lifecycle: lifeMu guards stop so the tail loop can be relaunched
+	// after Stop — the failed-promotion recovery path. stop cancels the
+	// running loop; nil once stopped.
+	lifeMu sync.Mutex
+	stop   context.CancelFunc
+	wg     sync.WaitGroup
 }
 
-// StartFollower puts the server in follower mode: it bootstraps state
-// from the leader's snapshot, then tails the leader's WAL continuously.
-// Must be called before serving traffic, at most once, and is mutually
-// exclusive with AttachDurable — a follower's durability IS the leader's
-// log (replicated records are already durable there; journaling them
-// again would double them on promotion).
+// StartFollower puts the server in follower mode: it loads the newest
+// checkpoint in the leader's directory, then tails the leader's log
+// continuously. Must be called before serving traffic, at most once, and
+// is mutually exclusive with AttachDurable — a follower's durability IS
+// the leader's log (journaling its records again would double them on
+// promotion).
 func (s *Server) StartFollower(cfg FollowerConfig) (*Replicator, error) {
-	if s.durable != nil {
+	switch {
+	case s.durable.Load() != nil:
 		return nil, errors.New("server: follower mode is incompatible with a local durable store")
-	}
-	if s.repl != nil {
+	case s.repl != nil:
 		return nil, errors.New("server: follower already started")
-	}
-	if cfg.Leader == "" {
+	case cfg.Leader == "":
 		return nil, errors.New("server: follower needs a leader URL")
+	case cfg.LeaderData == "":
+		return nil, errors.New("server: follower needs the leader's data directory (LeaderData)")
 	}
 	if cfg.WaitMS <= 0 {
 		cfg.WaitMS = int(defaultReplWait / time.Millisecond)
@@ -363,22 +299,21 @@ func (s *Server) StartFollower(cfg FollowerConfig) (*Replicator, error) {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 200 * time.Millisecond
 	}
-	rp := &Replicator{s: s, cfg: cfg, http: cfg.HTTP, stop: make(chan struct{})}
+	rp := &Replicator{s: s, cfg: cfg, http: cfg.HTTP}
 	if rp.http == nil {
 		rp.http = &http.Client{}
 	}
 	rp.leader.Store(strings.TrimRight(cfg.Leader, "/"))
 
-	if err := rp.bootstrap(context.Background()); err != nil {
-		return nil, err
+	if err := rp.reload(0, nil); err != nil {
+		return nil, fmt.Errorf("server: follower bootstrap from %s: %w", cfg.LeaderData, err)
 	}
 	s.repl = rp
 	s.follower.Store(true)
 	rp.registerMetrics()
-	rp.wg.Add(1)
-	go rp.tail(rp.stop)
+	rp.restart()
 	s.log.Info("follower started",
-		"leader", rp.Leader(), "bootstrap_seq", rp.seq.Load())
+		"leader", rp.Leader(), "leader_data", cfg.LeaderData, "bootstrap_seq", rp.seq.Load())
 	return rp, nil
 }
 
@@ -386,7 +321,7 @@ func (s *Server) StartFollower(cfg FollowerConfig) (*Replicator, error) {
 func (rp *Replicator) Leader() string { return rp.leader.Load().(string) }
 
 // SetLeader re-points the tailer (used after a failover promotes a new
-// leader from the same WAL lineage).
+// leader over the same directory).
 func (rp *Replicator) SetLeader(addr string) {
 	rp.leader.Store(strings.TrimRight(addr, "/"))
 }
@@ -395,7 +330,7 @@ func (rp *Replicator) SetLeader(addr string) {
 func (rp *Replicator) AppliedSeq() uint64 { return rp.seq.Load() }
 
 // Lag returns how long the follower has continuously been behind the
-// leader's WAL tail (0 when caught up as of the last poll).
+// leader's commit index (0 when caught up as of the last poll).
 func (rp *Replicator) Lag() time.Duration {
 	since := rp.behindNano.Load()
 	if since == 0 {
@@ -404,186 +339,119 @@ func (rp *Replicator) Lag() time.Duration {
 	return time.Duration(time.Now().UnixNano() - since)
 }
 
-// Stop halts the tail loop and waits for it to exit. Idempotent; called
-// by Promote and by Server.Close.
+// Stop halts the tail loop — cancelling a parked poll — and waits for it
+// to exit. Idempotent; called by Promote and by Server.Close.
 func (rp *Replicator) Stop() {
 	rp.lifeMu.Lock()
-	if !rp.stopped {
-		rp.stopped = true
-		close(rp.stop)
+	if rp.stop != nil {
+		rp.stop()
+		rp.stop = nil
 	}
 	rp.lifeMu.Unlock()
 	rp.wg.Wait()
 }
 
-// restart relaunches the tail loop after Stop — the failed-promotion
-// recovery path. No-op while the tailer is still running, or once the
-// server itself is closing.
+// restart launches the tail loop: at start, and after Stop on the
+// failed-promotion recovery path. No-op while the loop is running, or
+// once the server itself is closing.
 func (rp *Replicator) restart() {
 	rp.lifeMu.Lock()
 	defer rp.lifeMu.Unlock()
-	if !rp.stopped || rp.s.closed.Load() {
+	if rp.stop != nil || rp.s.closed.Load() {
 		return
 	}
-	rp.stopped = false
-	rp.stop = make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	rp.stop = cancel
 	rp.wg.Add(1)
-	go rp.tail(rp.stop)
+	go rp.tail(ctx)
 }
 
 func (rp *Replicator) registerMetrics() {
 	r := rp.s.reg
 	r.GaugeFunc("amf_replication_lag_seconds",
-		"How long this follower has continuously been behind the leader's WAL tail (0 = caught up).",
+		"How long this follower has continuously been behind the leader's commit index (0 = caught up).",
 		func() float64 { return rp.Lag().Seconds() })
 	r.GaugeFunc("amf_replication_applied_seq",
 		"Last WAL sequence number replicated and applied locally.",
 		func() float64 { return float64(rp.seq.Load()) })
 	r.GaugeFunc("amf_replication_leader_seq",
-		"Leader WAL tail observed on the last replication poll.",
+		"Leader commit index observed on the last replication poll.",
 		func() float64 { return float64(rp.leaderSeq.Load()) })
 	r.CounterFunc("amf_replication_records_total",
-		"WAL records received from the leader and applied.", rp.records.Load)
+		"WAL records read from the leader's directory and applied.", rp.records.Load)
 	r.CounterFunc("amf_replication_bootstraps_total",
-		"Full snapshot bootstraps from the leader (1 at start; more mean the leader truncated past us).",
+		"Checkpoints loaded from the leader's directory (one at start when it has one; more mean the leader truncated past this follower).",
 		rp.bootstraps.Load)
 	r.CounterFunc("amf_replication_errors_total",
-		"Failed replication polls (leader unreachable, stream corrupt).", rp.errs.Load)
+		"Failed replication polls (leader unreachable, log unreadable).", rp.errs.Load)
 }
 
-// parseSnapshotETag extracts the covered WAL sequence from a snapshot
-// ETag of the form `"seq-N"`. Returns ok=false for the non-durable
-// `"view-N"` form — such a snapshot has no WAL position, so it cannot
-// anchor replication.
-func parseSnapshotETag(etag string) (uint64, bool) {
-	etag = strings.Trim(etag, `"`)
-	num, found := strings.CutPrefix(etag, "seq-")
-	if !found {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(num, 10, 64)
+// reload loads the newest checkpoint in the leader's directory when it
+// covers more than applied, replacing the local state wholesale and
+// moving the applied position to the sequence it covers. It is the
+// follower's bootstrap (applied 0) and its answer to a gap: a leader that
+// checkpointed and truncated its log past applied leaves a checkpoint
+// past applied behind. When no such checkpoint exists, cause — the
+// error that prompted the reload, nil at bootstrap — stands.
+func (rp *Replicator) reload(applied uint64, cause error) error {
+	seq, data, ok, err := store.LoadCheckpoint(rp.cfg.LeaderData, rp.s.log)
 	if err != nil {
-		return 0, false
+		return err
 	}
-	return n, true
-}
-
-// bootstrap replaces the local state with the leader's snapshot and
-// anchors the tail position at the sequence number its ETag names. The
-// previous bootstrap's validator rides If-None-Match: a 304 means the
-// leader's checkpoint is the one we already restored, so only the tail
-// position resets.
-func (rp *Replicator) bootstrap(ctx context.Context) error {
-	url := rp.Leader() + "/api/v1/snapshot"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return fmt.Errorf("server: bootstrap request: %w", err)
-	}
-	if rp.etag != "" {
-		req.Header.Set("If-None-Match", rp.etag)
-	}
-	resp, err := rp.http.Do(req)
-	if err != nil {
-		return fmt.Errorf("server: bootstrap from %s: %w", url, err)
-	}
-	defer resp.Body.Close()
-	etag := resp.Header.Get("ETag")
-	seq, durable := parseSnapshotETag(etag)
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		if !durable {
-			return fmt.Errorf("server: bootstrap: leader returned 304 with ETag %q", etag)
-		}
-		rp.seq.Store(seq)
-		return nil
-	case http.StatusOK:
-	default:
-		return fmt.Errorf("server: bootstrap from %s: HTTP %d", url, resp.StatusCode)
-	}
-	if !durable {
-		return fmt.Errorf("server: leader snapshot has no WAL position (ETag %q) — the leader must run with a durable store", etag)
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return fmt.Errorf("server: bootstrap download: %w", err)
+	if !ok || seq <= applied {
+		return cause
 	}
 	if err := rp.s.LoadState(data); err != nil {
-		return fmt.Errorf("server: bootstrap restore: %w", err)
+		return fmt.Errorf("load checkpoint seq %d: %w", seq, err)
 	}
-	rp.etag = etag
 	rp.seq.Store(seq)
 	rp.bootstraps.Add(1)
+	if cause != nil {
+		rp.s.log.Warn("leader log no longer reaches our position; loaded its newest checkpoint",
+			"applied", applied, "checkpoint_seq", seq, "cause", cause)
+	}
 	return nil
 }
 
-// tail is the follower's poll loop: fetch records past the applied
-// sequence, verify and apply them, update lag. On a sequence gap at the
-// stream head (the leader checkpointed and truncated past our position)
-// it re-bootstraps from the snapshot.
-func (rp *Replicator) tail(stop <-chan struct{}) {
+// tail is the follower's poll loop: wait for the leader's commit index to
+// pass the applied sequence, apply the records up to it from disk,
+// update lag.
+func (rp *Replicator) tail(ctx context.Context) {
 	defer rp.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
+	for ctx.Err() == nil {
+		err := rp.pollOnce(ctx)
+		if err == nil || ctx.Err() != nil {
+			continue
 		}
-		if err := rp.pollOnce(); err != nil {
-			rp.errs.Add(1)
-			rp.s.log.Warn("replication poll failed", "leader", rp.Leader(), "from", rp.seq.Load(), "err", err)
-			select {
-			case <-stop:
-				return
-			case <-time.After(rp.cfg.RetryInterval):
-			}
+		rp.errs.Add(1)
+		rp.s.log.Warn("replication poll failed", "leader", rp.Leader(), "from", rp.seq.Load(), "err", err)
+		select {
+		case <-ctx.Done():
+		case <-time.After(rp.cfg.RetryInterval):
 		}
 	}
 }
 
-// errReplGap signals that the leader's log no longer reaches back to our
-// applied sequence; the only recovery is a fresh snapshot bootstrap.
-var errReplGap = errors.New("server: replication gap")
-
-func (rp *Replicator) pollOnce() error {
+func (rp *Replicator) pollOnce(ctx context.Context) error {
 	from := rp.seq.Load()
-	url := fmt.Sprintf("%s/api/v1/replicate/wal?from=%d&wait_ms=%d",
-		rp.Leader(), from, rp.cfg.WaitMS)
-	ctx, cancel := context.WithTimeout(context.Background(),
-		time.Duration(rp.cfg.WaitMS)*time.Millisecond+10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	commit, err := rp.commitIndex(ctx, from)
 	if err != nil {
 		return err
 	}
-	resp, err := rp.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("leader %s: HTTP %d", rp.Leader(), resp.StatusCode)
-	}
-	if hdr := resp.Header.Get("X-Amf-Wal-Seq"); hdr != "" {
-		if n, err := strconv.ParseUint(hdr, 10, 64); err == nil {
-			rp.leaderSeq.Store(n)
+	rp.leaderSeq.Store(commit)
+	if err := rp.apply(ctx, from, commit); err != nil {
+		if ctx.Err() != nil {
+			return err
+		}
+		if err := rp.reload(rp.seq.Load(), err); err != nil {
+			return err
 		}
 	}
-
-	applied, err := rp.applyStream(from, resp.Body)
-	if errors.Is(err, errReplGap) {
-		rp.s.log.Warn("leader truncated past our position; re-bootstrapping",
-			"applied", applied, "leader", rp.Leader())
-		return rp.bootstrap(context.Background())
-	}
-	if err != nil {
-		return err
-	}
-	// Lag accounting: behind means the leader's tail (as of this poll)
-	// is past what we've applied. The gauge reports how long that has
-	// been continuously true, so a follower keeping up under constant
+	// Lag accounting: behind means the leader's commit index (as of this
+	// poll) is past what we've applied. The gauge reports how long that
+	// has been continuously true, so a follower keeping up under constant
 	// load reads ~0 while a stalled one reads its outage age.
-	if rp.leaderSeq.Load() > rp.seq.Load() {
+	if commit > rp.seq.Load() {
 		rp.behindNano.CompareAndSwap(0, time.Now().UnixNano())
 	} else {
 		rp.behindNano.Store(0)
@@ -591,51 +459,62 @@ func (rp *Replicator) pollOnce() error {
 	return nil
 }
 
-// applyStream decodes framed records from body and applies them through
-// the shared recovery pipeline, advancing the applied sequence only for
-// entries whose samples have actually been flushed into the engine.
-func (rp *Replicator) applyStream(from uint64, body io.Reader) (uint64, error) {
-	rr := store.NewRecordReader(body)
+// commitIndex long-polls the leader's cluster status for a commit index
+// past after and returns it.
+func (rp *Replicator) commitIndex(ctx context.Context, after uint64) (uint64, error) {
+	url := fmt.Sprintf("%s/api/v1/cluster/status?after=%d&wait_ms=%d", rp.Leader(), after, rp.cfg.WaitMS)
+	ctx, cancel := context.WithTimeout(ctx, time.Duration(rp.cfg.WaitMS)*time.Millisecond+10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := rp.http.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var st ClusterStatusResponse
+	if resp.StatusCode != http.StatusOK {
+		return 0, fmt.Errorf("leader %s: HTTP %d", rp.Leader(), resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return 0, fmt.Errorf("leader %s: status: %w", rp.Leader(), err)
+	}
+	if st.Role != "leader" || !st.Durable {
+		return 0, fmt.Errorf("%s is not a durable leader (role %s, durable %v)", rp.Leader(), st.Role, st.Durable)
+	}
+	return st.WALSeq, nil
+}
+
+// apply reads the records (from, commit] from the leader's directory and
+// applies them through the shared recovery pipeline, advancing the
+// applied sequence only for entries whose samples have actually been
+// flushed into the engine. It never reads past commit: a record beyond
+// the commit index may be in the file before its fsync lands.
+func (rp *Replicator) apply(ctx context.Context, from, commit uint64) error {
 	apply, flush := rp.s.walApplier()
 	applied := from
-	n := 0
-	var streamErr error
-	for {
-		e, err := rr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			streamErr = err
-			break
-		}
-		if n == 0 && e.Seq != from+1 {
-			if e.Seq > from+1 {
-				return applied, errReplGap
-			}
-			// Records at or below our position (leader replayed from an
-			// older segment boundary): already applied, skip.
-			if e.Seq <= from {
-				continue
-			}
+	err := store.ReplayDir(rp.cfg.LeaderData, from, commit, func(e store.Entry) error {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := apply(e); err != nil {
-			streamErr = err
-			break
+			return err
 		}
 		applied = e.Seq
-		n++
-	}
+		return nil
+	})
 	// Flush before publishing the new position: an entry counts as
 	// applied only once its samples are in the engine — otherwise a
 	// mid-batch error would skip buffered samples forever.
 	flush()
 	rp.seq.Store(applied)
-	rp.records.Add(int64(n))
-	if streamErr != nil {
-		return applied, fmt.Errorf("apply replication stream: %w", streamErr)
+	rp.records.Add(int64(applied - from))
+	if err == nil && applied < commit {
+		err = fmt.Errorf("log in %s ends at seq %d, before the leader's commit index %d", rp.cfg.LeaderData, applied, commit)
 	}
-	return applied, nil
+	return err
 }
 
 // Promote turns a follower into a leader by recovering its leader's log:
@@ -644,8 +523,7 @@ func (rp *Replicator) applyStream(from uint64, body io.Reader) (uint64, error) {
 // tail — and the server attaches it as its own durable store, continuing
 // the same WAL sequence numbering (which is why surviving followers can
 // keep their positions and just re-point at us). Only then does the
-// server start accepting writes. A follower without LeaderData is a read
-// replica and is refused before its tailer pauses.
+// server start accepting writes.
 func (s *Server) Promote() (store.RecoveryStats, error) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
@@ -653,23 +531,23 @@ func (s *Server) Promote() (store.RecoveryStats, error) {
 	if !s.follower.Load() {
 		return rs, errors.New("not a follower")
 	}
-	// A follower that still holds a durable store is a demoted ex-leader
-	// (StartFollower forbids the combination). It can NEVER be promoted
-	// in place: its in-memory model carries acked writes from the
-	// diverged lineage, and re-opening the shared directory here would
-	// bump the claim epoch and fence the legitimate owner — a gateway
-	// retrying failover against it would grab the lock in a loop. The
-	// only way back is a restart with -role follower.
-	if m := s.durable; m != nil {
+	// A follower that still holds a durable store, or never had a tailer,
+	// is a demoted ex-leader (StartFollower forbids the combination). It
+	// can NEVER be promoted in place: its in-memory model carries acked
+	// writes from the diverged lineage, and re-opening the shared
+	// directory here would bump the claim epoch and fence the legitimate
+	// owner — a gateway retrying failover against it would grab the lock
+	// in a loop. The only way back is a restart with -role follower.
+	if m := s.durable.Load(); m != nil {
 		if m.Fenced() {
 			return rs, errors.New("demoted ex-leader (durable store fenced): restart with -role follower to rejoin")
 		}
 		return rs, errors.New("durable store already attached")
 	}
-	if !s.promotable() {
-		return rs, errors.New("read replica: promotion needs the leader's data directory (-leader-data)")
-	}
 	rp := s.repl
+	if rp == nil {
+		return rs, errors.New("demoted ex-leader: restart with -role follower to rejoin")
+	}
 	rp.Stop()
 	m, err := store.Open(rp.cfg.LeaderData, rp.cfg.StoreOptions)
 	if err != nil {
@@ -685,21 +563,11 @@ func (s *Server) Promote() (store.RecoveryStats, error) {
 	// already trained with those very samples. Resetting first makes
 	// promotion exact in both cases: the served state IS the leader's
 	// durable state, nothing more.
-	view := s.eng.Pin()
-	blank, err := core.MustNew(view.Config()).Snapshot()
-	s.eng.Unpin(view)
-	if err != nil {
-		m.Close()
-		s.resumeFollower(rp, false)
-		return rs, fmt.Errorf("reset state: %w", err)
-	}
-	if err := s.eng.Restore(blank); err != nil {
+	if err := s.resetState(); err != nil {
 		m.Close()
 		s.resumeFollower(rp, true)
 		return rs, fmt.Errorf("reset state: %w", err)
 	}
-	s.users = registry.New()
-	s.services = registry.New()
 	rs, err = s.AttachDurable(m)
 	if err != nil {
 		m.Close()
@@ -713,26 +581,26 @@ func (s *Server) Promote() (store.RecoveryStats, error) {
 }
 
 // promotable reports whether Promote would get as far as opening the
-// leader's data directory: a follower whose tailer has LeaderData and
-// no durable store attached.
+// leader's data directory: a follower with a tailer and no durable store
+// attached.
 func (s *Server) promotable() bool {
-	rp := s.repl
-	return s.follower.Load() && s.durable == nil && rp != nil && rp.cfg.LeaderData != ""
+	return s.follower.Load() && s.durable.Load() == nil && s.repl != nil
 }
 
 // resumeFollower restarts the tail loop after a failed promotion so the
 // replica keeps replicating (and keeps its shot at a later promotion)
 // instead of being left dead-but-green: still reporting role=follower
 // and healthy, but never applying another record. When the failed
-// attempt already wiped local state (wiped=true), the applied position
-// and snapshot validator reset too — the next successful poll then sees
-// a sequence gap and re-bootstraps wholesale from the leader's
-// snapshot, which rebuilds consistent state from scratch. (rp.etag is
-// safe to touch here: the tail goroutine is stopped.)
+// attempt already touched local state (wiped=true), the state resets to
+// empty and the applied position to 0, so the tailer rebuilds it from
+// the leader's directory: from record 1, or from the newest checkpoint
+// once the log no longer reaches back that far.
 func (s *Server) resumeFollower(rp *Replicator, wiped bool) {
 	if wiped {
+		if err := s.resetState(); err != nil {
+			s.log.Error("reset state after failed promotion", "err", err)
+		}
 		rp.seq.Store(0)
-		rp.etag = ""
 	}
 	rp.restart()
 	s.log.Warn("promotion failed; resumed follower tailing",
@@ -765,7 +633,7 @@ func (s *Server) Demote(leader string) {
 		return
 	}
 	s.follower.Store(true)
-	if m := s.durable; m != nil {
+	if m := s.durable.Load(); m != nil {
 		m.Fence("demoted, new leader: " + leader)
 	}
 	s.log.Warn("demoted to follower; restart with -role follower to rejoin the group",

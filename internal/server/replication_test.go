@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,14 +17,42 @@ import (
 	"github.com/qoslab/amf/internal/store"
 )
 
-// leaderServer is durableServer plus an HTTP listener, since replication
-// runs over a real connection (long-polls, chunked streams).
+// leaderServer is durableServer plus an HTTP listener, since a follower
+// long-polls the leader's commit index over a real connection.
 func leaderServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *store.Manager, *httptest.Server) {
 	t.Helper()
 	svc, mgr, _ := durableServer(t, dir, sync)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	return svc, mgr, ts
+}
+
+// smallSegmentLeader is leaderServer with 1 KiB WAL segments, so a few
+// observes rotate and a checkpoint can truncate the log past a follower.
+func smallSegmentLeader(t *testing.T) (*Server, *store.Manager, *httptest.Server) {
+	t.Helper()
+	mgr, err := store.Open(t.TempDir(), store.Options{
+		Sync: store.SyncGroup, SegmentBytes: 1 << 10, CheckpointInterval: time.Hour, Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(-0.007, 0, 20)
+	cfg.Expiry = 0
+	svc := New(core.MustNew(cfg), WithLogger(quietLogger()))
+	if _, err := svc.AttachDurable(mgr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.Close() })
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+	return svc, mgr, ts
+}
+
+// followerOf starts a follower of a leaderServer.
+func followerOf(t *testing.T, ts *httptest.Server, mgr *store.Manager) *Server {
+	t.Helper()
+	return startFollower(t, FollowerConfig{Leader: ts.URL, LeaderData: mgr.Dir()})
 }
 
 func startFollower(t *testing.T, cfg FollowerConfig) *Server {
@@ -72,19 +100,24 @@ func predictOn(t *testing.T, s *Server, user, service string) (float64, bool) {
 }
 
 func TestFollowerTailsLeader(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
+	if w := doReq(t, leader, http.MethodPost, "/api/v1/checkpoint", nil); w.Code != http.StatusOK {
+		t.Fatalf("leader checkpoint: %d %s", w.Code, w.Body.String())
+	}
 
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := followerOf(t, ts, mgr)
 
-	// Bootstrap carries the pre-existing observations (they were
-	// journaled before the snapshot was cut, or ride the first tail poll).
-	waitFor(t, 5*time.Second, "bootstrap state", func() bool {
-		_, ok := predictOn(t, f, "u0", "s0")
-		return ok
-	})
+	// The follower starts from the leader's checkpoint.
+	if _, ok := predictOn(t, f, "u0", "s0"); !ok {
+		t.Fatal("follower did not load the leader's checkpoint")
+	}
+	if n := f.repl.bootstraps.Load(); n != 1 {
+		t.Errorf("bootstraps = %d, want 1 (the checkpoint at start)", n)
+	}
 
-	// New writes on the leader show up on the follower via WAL shipping.
+	// New writes on the leader show up on the follower, read from the
+	// leader's log.
 	w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
 		{User: "tail-user", Service: "tail-svc", Value: 1.25},
 	}})
@@ -96,9 +129,9 @@ func TestFollowerTailsLeader(t *testing.T) {
 		return ok
 	})
 
-	// Factors that traveled in the snapshot are bitwise identical on
+	// Factors that traveled in the checkpoint are bitwise identical on
 	// both sides (tail-user is only asserted present above: entities
-	// created after the bootstrap draw their random initial vectors from
+	// created after the checkpoint draw their random initial vectors from
 	// each model's own RNG position, so their factors converge with
 	// training rather than matching exactly).
 	lv, _ := predictOn(t, leader, "u0", "s0")
@@ -118,16 +151,19 @@ func TestFollowerTailsLeader(t *testing.T) {
 	})
 }
 
-// TestFollowerOfIntervalLeaderNeverPassesCommitIndex: an interval leader
-// ships only what its flusher has fsynced, so its follower never applies
-// a record past the leader's DurableSeq — a record a power loss could
-// erase, and whose sequence number the restarted leader would reuse — and
+// TestFollowerOfIntervalLeaderNeverPassesCommitIndex: the follower reads
+// the leader's segment files, and under fsync=interval those hold records
+// the flusher has not fsynced yet — an observe larger than the WAL's
+// write buffer lands in the file at once. A power loss could erase such a
+// record and the restarted leader would reuse its sequence number, so the
+// follower never applies past the leader's DurableSeq, however often it
+// reads the files (a short long-poll makes it read every few ms), and it
 // still catches up within a flush tick. The leader's cluster status
 // reports that same index, so a caught-up follower shows no lag.
 func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
 	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncInterval)
 	observeSome(t, leader)
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := startFollower(t, FollowerConfig{Leader: ts.URL, LeaderData: mgr.Dir(), WaitMS: 5})
 	wal := mgr.WAL()
 	status := func() uint64 {
 		t.Helper()
@@ -147,15 +183,21 @@ func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
 			t.Fatalf("leader status wal_seq %d past its commit index %d", reported, durable)
 		}
 	}
-	behind()
-	for i := 0; i < 20; i++ {
-		w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
-			{User: fmt.Sprintf("iv-u%d", i), Service: "s0", Value: 1},
-		}})
-		if w.Code != http.StatusOK {
+	// 5000 samples of 32 bytes: one record over twice the 64 KiB write
+	// buffer, so all of it reaches the segment file before any fsync.
+	var big []Observation
+	for i := 0; i < 5000; i++ {
+		big = append(big, Observation{User: fmt.Sprintf("u%d", i%4), Service: fmt.Sprintf("s%d", i%5), Value: 1})
+	}
+	for round := 0; round < 5; round++ {
+		waitFor(t, 5*time.Second, "a flush tick and a caught-up follower", func() bool {
+			behind()
+			return wal.DurableSeq() == wal.LastSeq() && f.repl.AppliedSeq() == wal.LastSeq()
+		})
+		if w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: big}); w.Code != http.StatusOK {
 			t.Fatalf("leader observe: %d %s", w.Code, w.Body.String())
 		}
-		for k := 0; k < 5; k++ {
+		for k := 0; k < 60; k++ {
 			behind()
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -170,9 +212,9 @@ func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
 }
 
 func TestFollowerRejectsWrites(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := followerOf(t, ts, mgr)
 
 	w := doReq(t, f, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
 		{User: "x", Service: "y", Value: 1},
@@ -205,9 +247,9 @@ func TestFollowerRejectsWrites(t *testing.T) {
 }
 
 func TestClusterStatus(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := followerOf(t, ts, mgr)
 
 	w := doReq(t, leader, http.MethodGet, "/api/v1/cluster/status", nil)
 	var ls ClusterStatusResponse
@@ -224,64 +266,215 @@ func TestClusterStatus(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &fs); err != nil {
 			t.Fatal(err)
 		}
-		return fs.Role == "follower" && fs.Leader == ts.URL && fs.AppliedSeq >= ls.WALSeq
+		return fs.Role == "follower" && fs.Leader == ts.URL && fs.AppliedSeq >= ls.WALSeq && fs.Promotable
 	})
 }
 
-func TestReplicateWALEndpointValidation(t *testing.T) {
-	nondurable := testServer(t)
-	if w := doReq(t, nondurable, http.MethodGet, "/api/v1/replicate/wal?from=0", nil); w.Code != http.StatusNotImplemented {
-		t.Errorf("non-durable replicate: %d, want 501", w.Code)
-	}
-
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+// TestClusterStatusLongPoll: with ?after=N the status is a follower's
+// long-poll for the commit index. It answers once wal_seq > N — woken by
+// the commit, not a tick — or after wait_ms; with no query, or on a
+// server with no store, it answers at once; a bad parameter is 400; and
+// closing the server ends a parked poll within a tick, so shutdown never
+// waits on one.
+func TestClusterStatusLongPoll(t *testing.T) {
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-	for _, q := range []string{"", "from=x", "from=0&wait_ms=-1"} {
-		if w := doReq(t, leader, http.MethodGet, "/api/v1/replicate/wal?"+q, nil); w.Code != http.StatusBadRequest {
-			t.Errorf("replicate?%s: %d, want 400", q, w.Code)
+	for _, q := range []string{"after=x", "after=-1", "after=0&wait_ms=-1", "wait_ms=x"} {
+		if w := doReq(t, leader, http.MethodGet, "/api/v1/cluster/status?"+q, nil); w.Code != http.StatusBadRequest {
+			t.Errorf("status?%s: %d, want 400", q, w.Code)
 		}
+	}
+	tail := mgr.WAL().DurableSeq()
+	poll := func(base, q string) (ClusterStatusResponse, time.Duration) {
+		t.Helper()
+		start := time.Now()
+		resp, err := http.Get(base + "/api/v1/cluster/status" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st ClusterStatusResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status%s: HTTP %d", q, resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st, time.Since(start)
+	}
+	for _, q := range []string{"", fmt.Sprintf("?after=%d&wait_ms=0", tail), "?after=0&wait_ms=5000"} {
+		if st, took := poll(ts.URL, q); st.WALSeq != tail || took > time.Second {
+			t.Errorf("status%s: wal_seq %d after %v, want %d at once", q, st.WALSeq, took, tail)
+		}
+	}
+	if st, took := poll(ts.URL, fmt.Sprintf("?after=%d&wait_ms=60", tail)); st.WALSeq != tail || took < 60*time.Millisecond {
+		t.Errorf("idle long-poll: wal_seq %d after %v, want %d after the 60 ms wait", st.WALSeq, took, tail)
+	}
+	plain := httptest.NewServer(testServer(t).Handler())
+	defer plain.Close()
+	if st, took := poll(plain.URL, "?after=0&wait_ms=5000"); st.Durable || took > time.Second {
+		t.Errorf("non-durable status: %+v after %v, want an answer at once", st, took)
 	}
 
-	// A valid fetch ships decodable records and advertises the tail.
-	w := doReq(t, leader, http.MethodGet, "/api/v1/replicate/wal?from=0&wait_ms=0", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("replicate: %d", w.Code)
+	// A parked poll answers when a commit lands.
+	type result struct {
+		st   ClusterStatusResponse
+		took time.Duration
 	}
-	tail := w.Header().Get("X-Amf-Wal-Seq")
-	if tail == "" || tail == "0" {
-		t.Fatalf("X-Amf-Wal-Seq = %q", tail)
-	}
-	rr := store.NewRecordReader(bytes.NewReader(w.Body.Bytes()))
-	n := 0
-	for {
-		if _, err := rr.Next(); err != nil {
-			break
+	parked := make(chan result, 1)
+	go func() {
+		st, took := poll(ts.URL, fmt.Sprintf("?after=%d&wait_ms=10000", tail))
+		parked <- result{st, took}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	observeSome(t, leader)
+	select {
+	case r := <-parked:
+		if r.st.WALSeq <= tail || r.took > 5*time.Second {
+			t.Errorf("parked poll: wal_seq %d after %v, want past %d on the commit", r.st.WALSeq, r.took, tail)
 		}
-		n++
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked poll never answered the commit")
 	}
-	if n == 0 {
-		t.Fatal("no records decoded from replication response")
-	}
-	if got := fmt.Sprint(n); got != tail {
-		t.Errorf("decoded %d records, header says tail %s", n, tail)
+
+	// Close ends a parked poll.
+	tail = mgr.WAL().DurableSeq()
+	go func() {
+		st, took := poll(ts.URL, fmt.Sprintf("?after=%d&wait_ms=30000", tail))
+		parked <- result{st, took}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	leader.Close()
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a parked poll outlived Close")
 	}
 }
 
-// TestApplyStreamGap: a stream whose first record is beyond our applied
-// position means the leader truncated past us — the tailer must signal
-// re-bootstrap, never skip.
-func TestApplyStreamGap(t *testing.T) {
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
-	observeSome(t, leader) // journals records 1..N
+// TestFollowerReloadsCheckpointPastTruncation: while a follower is
+// stopped, its leader checkpoints and truncates its log past the
+// follower's position. The follower finds the gap, loads the newest
+// checkpoint (whose seq is past its position), and reads on from there
+// to the leader's tail.
+func TestFollowerReloadsCheckpointPastTruncation(t *testing.T) {
+	leader, mgr, ts := smallSegmentLeader(t)
+	observeSome(t, leader)
+	f := followerOf(t, ts, mgr)
+	waitFor(t, 5*time.Second, "follower caught up", func() bool {
+		return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
+	})
+	f.repl.Stop()
+	applied := f.repl.AppliedSeq()
 
-	var buf bytes.Buffer
-	if _, err := leader.durable.WAL().StreamSince(2, &buf, 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 10; i++ {
+		observeSome(t, leader)
 	}
-	rp := &Replicator{s: testServer(t)}
-	if _, err := rp.applyStream(0, &buf); err == nil || !strings.Contains(err.Error(), "gap") {
-		t.Fatalf("applyStream with gap: %v, want gap error", err)
+	if w := doReq(t, leader, http.MethodPost, "/api/v1/checkpoint", nil); w.Code != http.StatusOK {
+		t.Fatalf("leader checkpoint: %d %s", w.Code, w.Body.String())
 	}
+	if err := store.ReplayDir(mgr.Dir(), applied, mgr.WAL().DurableSeq(), func(store.Entry) error { return nil }); err == nil {
+		t.Fatalf("the leader's log still reaches back to seq %d; the test needs a truncation past it", applied+1)
+	}
+	w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: "after-ckpt", Service: "s0", Value: 1.5},
+	}})
+	if w.Code != http.StatusOK {
+		t.Fatalf("leader observe: %d", w.Code)
+	}
+
+	f.repl.restart()
+	waitFor(t, 5*time.Second, "follower at the leader's tail", func() bool {
+		return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
+	})
+	if n := f.repl.bootstraps.Load(); n != 1 {
+		t.Errorf("checkpoint loads = %d, want 1 (the reload past the truncation)", n)
+	}
+	if _, ok := predictOn(t, f, "after-ckpt", "s0"); !ok {
+		t.Error("a record after the checkpoint did not replicate")
+	}
+	lv, _ := predictOn(t, leader, "u1", "s2")
+	fv, _ := predictOn(t, f, "u1", "s2")
+	if lv != fv {
+		t.Errorf("leader predicts %g for (u1,s2), follower %g after the reload", lv, fv)
+	}
+}
+
+// TestFollowerServesReadsWhileStateChanges: a follower keeps answering
+// predicts and cluster status while promotion swaps in the leader's
+// durable state and while it loads a checkpoint past a truncation. Under
+// -race any unsynchronized write of the registries or the durable store
+// that those reads see is reported.
+func TestFollowerServesReadsWhileStateChanges(t *testing.T) {
+	hammer := func(f *Server, during func()) {
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, path := range []string{"/api/v1/predict?user=u0&service=s0", "/api/v1/cluster/status"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					f.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+				}
+			}()
+		}
+		during()
+		close(stop)
+		wg.Wait()
+	}
+
+	t.Run("promote", func(t *testing.T) {
+		leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+		observeSome(t, leader)
+		f := startFollower(t, FollowerConfig{
+			Leader:       ts.URL,
+			LeaderData:   mgr.Dir(),
+			StoreOptions: store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
+		})
+		waitFor(t, 5*time.Second, "follower caught up", func() bool {
+			return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
+		})
+		ts.Close()
+		leader.Close()
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hammer(f, func() {
+			if w := doReq(t, f, http.MethodPost, "/api/v1/promote", nil); w.Code != http.StatusOK {
+				t.Errorf("promote: %d %s", w.Code, w.Body.String())
+			}
+		})
+		if m := f.Durable(); m != nil {
+			m.Close()
+		}
+	})
+
+	t.Run("reload", func(t *testing.T) {
+		leader, mgr, ts := smallSegmentLeader(t)
+		observeSome(t, leader)
+		f := followerOf(t, ts, mgr)
+		waitFor(t, 5*time.Second, "follower caught up", func() bool {
+			return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
+		})
+		f.repl.Stop()
+		for i := 0; i < 10; i++ {
+			observeSome(t, leader)
+		}
+		if w := doReq(t, leader, http.MethodPost, "/api/v1/checkpoint", nil); w.Code != http.StatusOK {
+			t.Fatalf("leader checkpoint: %d %s", w.Code, w.Body.String())
+		}
+		hammer(f, func() {
+			f.repl.restart()
+			waitFor(t, 5*time.Second, "follower reloaded and caught up", func() bool {
+				return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
+			})
+		})
+	})
 }
 
 // TestPromoteSharedStorage is the in-process promotion protocol test:
@@ -305,7 +498,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 	var before ClusterStatusResponse
 	_ = json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &before)
 	if !before.Promotable {
-		t.Errorf("follower with leader data reports %+v, want promotable", before)
+		t.Errorf("follower reports %+v, want promotable", before)
 	}
 
 	// One more acked write, then the leader dies without any checkpoint.
@@ -315,7 +508,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatal("final observe failed")
 	}
-	wantSeq := leader.durable.WAL().LastSeq()
+	wantSeq := mgr.WAL().LastSeq()
 	ts.Close()
 	leader.Close()
 	if err := mgr.Close(); err != nil {
@@ -357,47 +550,30 @@ func TestPromoteSharedStorage(t *testing.T) {
 	}
 }
 
-// TestPromoteWithoutLeaderData: a follower without the leader's data
-// directory is a read replica. It refuses promotion with 409 — flipping
-// it would serve tailed memory as the leader's state and ack later
-// writes into memory only — says so in its cluster status, and keeps
-// tailing: the refusal must not pause replication.
+// TestPromoteWithoutLeaderData: no follower runs without its leader's
+// data directory — it reads the leader's log from there — so there is no
+// read replica left for promotion to refuse. StartFollower refuses the
+// configuration and names the field; the server stays a leader-role
+// server with nothing to promote (409), and serves writes.
 func TestPromoteWithoutLeaderData(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
-	observeSome(t, leader)
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
-	waitFor(t, 5*time.Second, "follower caught up", func() bool {
-		_, ok := predictOn(t, f, "u0", "s0")
-		return ok
-	})
-	w := doReq(t, f, http.MethodPost, "/api/v1/promote", nil)
-	if w.Code != http.StatusConflict {
-		t.Fatalf("promote without leader data: %d %s, want 409", w.Code, w.Body.String())
+	_, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	s := testServer(t)
+	if _, err := s.StartFollower(FollowerConfig{Leader: ts.URL}); err == nil || !strings.Contains(err.Error(), "LeaderData") {
+		t.Fatalf("StartFollower without LeaderData: %v, want an error naming LeaderData", err)
 	}
-	if f.Durable() != nil {
-		t.Error("refused promotion attached a durable store")
+	if w := doReq(t, s, http.MethodPost, "/api/v1/promote", nil); w.Code != http.StatusConflict {
+		t.Fatalf("promote on a refused follower: %d %s, want 409", w.Code, w.Body.String())
 	}
 	var st ClusterStatusResponse
-	_ = json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st)
-	if st.Role != "follower" || st.Promotable {
-		t.Errorf("status after refused promotion = %+v, want a follower that is not promotable", st)
+	_ = json.Unmarshal(doReq(t, s, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st)
+	if st.Role != "leader" || st.Promotable {
+		t.Errorf("status after a refused StartFollower = %+v, want a leader that is not promotable", st)
 	}
-	if w := doReq(t, f, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+	if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
 		{User: "nx", Service: "ny", Value: 1},
-	}}); w.Code != http.StatusServiceUnavailable {
-		t.Errorf("observe on a refused follower: %d, want 503", w.Code)
-	}
-	// The tailer never paused: a leader write made after the refusal
-	// still replicates.
-	if w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
-		{User: "after-refusal", Service: "s0", Value: 1.5},
 	}}); w.Code != http.StatusOK {
-		t.Fatalf("leader observe: %d", w.Code)
+		t.Errorf("observe after a refused StartFollower: %d, want 200", w.Code)
 	}
-	waitFor(t, 5*time.Second, "replication after refused promotion", func() bool {
-		_, ok := predictOn(t, f, "after-refusal", "s0")
-		return ok
-	})
 }
 
 // TestPromoteFailureResumesFollower: a promotion that cannot open the
@@ -405,26 +581,26 @@ func TestPromoteWithoutLeaderData(t *testing.T) {
 // parked as a stopped, write-rejecting follower that looks healthy and
 // can never serve a later promotion.
 func TestPromoteFailureResumesFollower(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-
-	// LeaderData pointing at a regular file: store.Open fails on it.
-	bad := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(bad, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	f := startFollower(t, FollowerConfig{
 		Leader:       ts.URL,
-		LeaderData:   bad,
+		LeaderData:   mgr.Dir(),
 		StoreOptions: store.Options{Logger: quietLogger()},
 	})
 	waitFor(t, 5*time.Second, "follower caught up", func() bool {
 		_, ok := predictOn(t, f, "u0", "s0")
 		return ok
 	})
+	// A directory where the claim writes its temp LOCK file: store.Open
+	// fails on it, while the leader and the follower's reads never touch
+	// that path.
+	if err := os.Mkdir(filepath.Join(mgr.Dir(), "LOCK.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 
 	if w := doReq(t, f, http.MethodPost, "/api/v1/promote", nil); w.Code != http.StatusConflict {
-		t.Fatalf("promote with bad leader data: %d, want 409", w.Code)
+		t.Fatalf("promote with an unclaimable leader directory: %d, want 409", w.Code)
 	}
 	if !f.follower.Load() {
 		t.Fatal("failed promotion left the server claiming leadership")
@@ -507,9 +683,9 @@ func TestDemoteFencesLeader(t *testing.T) {
 }
 
 func TestSetLeaderEndpoint(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
 	observeSome(t, leader)
-	f := startFollower(t, FollowerConfig{Leader: ts.URL})
+	f := followerOf(t, ts, mgr)
 
 	w := doReq(t, f, http.MethodPost, "/api/v1/cluster/leader", map[string]string{"leader": "http://new-leader:9"})
 	if w.Code != http.StatusOK {
@@ -528,45 +704,23 @@ func TestSetLeaderEndpoint(t *testing.T) {
 }
 
 func TestStartFollowerRefusals(t *testing.T) {
+	dir := t.TempDir()
 	// Durable server cannot become a follower.
-	leader, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
-	if _, err := leader.StartFollower(FollowerConfig{Leader: "http://x"}); err == nil {
+	leader, _, _ := durableServer(t, dir, store.SyncGroup)
+	if _, err := leader.StartFollower(FollowerConfig{Leader: "http://x", LeaderData: dir}); err == nil {
 		t.Error("durable server accepted follower mode")
 	}
-	// A non-durable leader has no WAL position to anchor replication.
-	plain := httptest.NewServer(testServer(t).Handler())
-	defer plain.Close()
-	mcfg := core.DefaultConfig(-0.007, 0, 20)
-	mcfg.Expiry = 0
-	f := New(core.MustNew(mcfg), WithLogger(quietLogger()))
-	if _, err := f.StartFollower(FollowerConfig{Leader: plain.URL}); err == nil || !strings.Contains(err.Error(), "durable") {
-		t.Errorf("bootstrap from non-durable leader: %v, want durable error", err)
-	}
-}
-
-// TestDrainReplication: Close flips the flag long-polls watch, so an
-// idle replication stream ends within a tick and the drain returns.
-func TestDrainReplication(t *testing.T) {
-	leader, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
-	observeSome(t, leader)
-	seq := leader.durable.WAL().LastSeq()
-
-	// Park a long-poll at the WAL tail (nothing past seq ⇒ it waits).
-	errc := make(chan error, 1)
-	go func() {
-		resp, err := http.Get(fmt.Sprintf("%s/api/v1/replicate/wal?from=%d&wait_ms=30000", ts.URL, seq))
-		if err == nil {
-			resp.Body.Close()
+	for _, c := range []struct {
+		cfg  FollowerConfig
+		want string
+	}{
+		{FollowerConfig{LeaderData: dir}, "leader URL"},
+		{FollowerConfig{Leader: "http://x"}, "LeaderData"},
+		// A directory holding no log is not a leader's directory.
+		{FollowerConfig{Leader: "http://x", LeaderData: t.TempDir()}, "not a durable directory"},
+	} {
+		if _, err := testServer(t).StartFollower(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("StartFollower(%+v): %v, want an error naming %q", c.cfg, err, c.want)
 		}
-		errc <- err
-	}()
-	waitFor(t, 2*time.Second, "stream in flight", func() bool { return leader.replActive.Load() == 1 })
-
-	leader.Close()
-	if !leader.DrainReplication(2 * time.Second) {
-		t.Fatal("drain timed out; long-poll did not observe shutdown")
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("parked poll errored: %v", err)
 	}
 }

@@ -60,8 +60,9 @@ type Server struct {
 	MaxBatch int
 
 	// durable is the optional durable-state manager (see AttachDurable):
-	// WAL journaling, background checkpoints, crash recovery.
-	durable *store.Manager
+	// WAL journaling, background checkpoints, crash recovery. Promotion
+	// attaches it while reads are served, hence the atomic.
+	durable atomic.Pointer[store.Manager]
 
 	// Observability (see obs.go): the metric registry behind /metrics,
 	// request middleware state, the live accuracy tracker, and the
@@ -90,18 +91,13 @@ type Server struct {
 	closed        atomic.Bool
 
 	// Cluster role (see replication.go): follower marks a replica that
-	// tails a leader's WAL and rejects direct writes; repl is its tailer.
-	// Both are set by StartFollower before serving traffic and flipped by
-	// Promote on failover. replStreams tracks in-flight leader-side
-	// replication streams so shutdown can drain them before the final
-	// checkpoint.
-	follower    atomic.Bool
-	repl        *Replicator
-	demotedTo   atomic.Value // string: leader URL learned at demotion
-	promoteMu   sync.Mutex
-	replStreams sync.WaitGroup
-	replActive  atomic.Int64
-	replErrors  atomic.Int64
+	// tails a leader's directory and rejects direct writes; repl is its
+	// tailer. Both are set by StartFollower before serving traffic;
+	// follower flips on Promote and Demote.
+	follower  atomic.Bool
+	repl      *Replicator
+	demotedTo atomic.Value // string: leader URL learned at demotion
+	promoteMu sync.Mutex
 }
 
 // Option customizes a Server at construction time.

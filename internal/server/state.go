@@ -48,27 +48,49 @@ func (s *Server) encodeStateView(w io.Writer, v *core.PredictView) error {
 }
 
 // LoadState replaces the service's model and registries with a state
-// produced by encodeStateView (a checkpoint, or GET /api/v1/snapshot). On error the service is left unchanged (the
-// registries are restored only after the model decodes).
+// produced by encodeStateView (a checkpoint, or GET /api/v1/snapshot).
+// On error the service is left unchanged: both directories are validated
+// into throwaway registries first, and restored only after the model
+// is. The registries are restored in place — New assigns them once — so
+// requests resolving names while a follower loads a checkpoint never
+// race a field write.
 func (s *Server) LoadState(data []byte) error {
 	var st persistedState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("server: decode state: %w", err)
 	}
-	users := registry.New()
-	if err := users.Restore(st.Users); err != nil {
+	if err := registry.New().Restore(st.Users); err != nil {
 		return err
 	}
-	services := registry.New()
-	if err := services.Restore(st.Services); err != nil {
+	if err := registry.New().Restore(st.Services); err != nil {
 		return err
 	}
 	if err := s.eng.Restore(st.Model); err != nil {
 		return err
 	}
-	s.users = users
-	s.services = services
-	return nil
+	if err := s.users.Restore(st.Users); err != nil {
+		return err
+	}
+	return s.services.Restore(st.Services)
+}
+
+// resetState empties the model and both registries, in place: the
+// starting point of a recovery that may replay a log from its first
+// record.
+func (s *Server) resetState() error {
+	view := s.eng.Pin()
+	blank, err := core.MustNew(view.Config()).Snapshot()
+	s.eng.Unpin(view)
+	if err != nil {
+		return err
+	}
+	if err := s.eng.Restore(blank); err != nil {
+		return err
+	}
+	if err := s.users.Restore(nil); err != nil {
+		return err
+	}
+	return s.services.Restore(nil)
 }
 
 // stateRoutes registers the snapshot endpoints; called from routes().
@@ -85,19 +107,12 @@ func (s *Server) stateRoutes() {
 func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	var etag string
 	var view *core.PredictView
-	if s.durable != nil {
+	if s.durable.Load() != nil {
 		// Seq and view come from one engine critical section
 		// (CheckpointView), so the streamed blob covers exactly the
 		// journaled records the tag names — a drain racing this handler
-		// cannot leak post-seq samples into the download. The WAL is then
-		// fsynced through seq: a follower bootstrapped from the blob must
-		// hold nothing past the leader's commit index, as a tailed one
-		// does.
+		// cannot leak post-seq samples into the download.
 		seq, v := s.eng.CheckpointView()
-		if err := s.durable.WAL().Sync(); err != nil {
-			s.countError(w, http.StatusServiceUnavailable, "snapshot: sync wal: %v", err)
-			return
-		}
 		etag = fmt.Sprintf(`"seq-%d"`, seq)
 		view = v
 	} else {

@@ -300,42 +300,6 @@ func TestGroupCommitSubscribe(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStreamSinceShipsOnlyDurable: under fsync=group the
-// replication stream is bounded at the durable commit index — records
-// whose covering fsync has not landed are not shipped.
-func TestGroupCommitStreamSinceShipsOnlyDurable(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
-	defer w.Close()
-	// First batch: force durability via the barrier.
-	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	durable := w.DurableSeq()
-	// Second batch: left buffered (no waiter, and group runs no flusher).
-	if _, err := w.AppendSamples(sampleBatch(10, 2)); err != nil {
-		t.Fatal(err)
-	}
-	var sink countWriter
-	last, err := w.StreamSince(0, &sink, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != durable {
-		t.Fatalf("StreamSince shipped through %d, want durable bound %d (tail %d)", last, durable, w.LastSeq())
-	}
-	// Nothing shippable: an empty answer, not a forced fsync.
-	if last2, err := w.StreamSince(durable, &sink, 0); err != nil || last2 != durable {
-		t.Fatalf("StreamSince(durable) = %d, %v; want %d, nil", last2, err, durable)
-	}
-}
-
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
-
 // TestGroupCommitConcurrentWithRotation: tiny segments force rotations
 // while concurrent writers append+wait — the rotation's inline sync must
 // wait out a caller-run fsync instead of closing the file under it.

@@ -104,6 +104,12 @@ type Manager struct {
 	closed  bool
 }
 
+// The two halves of a durable directory, under its root.
+const (
+	walDirName  = "wal"
+	ckptDirName = "checkpoints"
+)
+
 // Open creates or reopens a durable-state directory. Opening claims the
 // directory: the LOCK file's epoch is bumped and a previous owner still
 // running (a partitioned ex-leader on shared storage) fences itself
@@ -120,12 +126,12 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err != nil {
 		return nil, err
 	}
-	ckptDir := filepath.Join(dir, "checkpoints")
+	ckptDir := filepath.Join(dir, ckptDirName)
 	if err := os.MkdirAll(ckptDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create checkpoint dir: %w", err)
 	}
 	met := NewMetrics()
-	wal, err := OpenWAL(filepath.Join(dir, "wal"), WALOptions{
+	wal, err := OpenWAL(filepath.Join(dir, walDirName), WALOptions{
 		SegmentBytes: opts.SegmentBytes,
 		Sync:         opts.Sync,
 		Metrics:      met,
@@ -159,6 +165,18 @@ func (m *Manager) Metrics() *Metrics { return m.met }
 
 // Dir returns the data directory.
 func (m *Manager) Dir() string { return m.dir }
+
+// LoadCheckpoint returns the newest valid checkpoint of the durable
+// directory dir, which another process owns (see ReplayDir): it takes no
+// claim and writes nothing. ok is false while the directory holds no
+// checkpoint yet; a directory with no log at all is an error, so a
+// mistyped path fails at once instead of reading as an empty leader.
+func LoadCheckpoint(dir string, log *slog.Logger) (seq uint64, data []byte, ok bool, err error) {
+	if _, err := os.Stat(filepath.Join(dir, walDirName)); err != nil {
+		return 0, nil, false, fmt.Errorf("store: %s is not a durable directory: %w", dir, err)
+	}
+	return loadNewestCheckpoint(filepath.Join(dir, ckptDirName), log)
+}
 
 // Recover rebuilds service state: it loads the newest valid checkpoint
 // (calling restore with its blob), then replays every WAL record past

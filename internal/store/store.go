@@ -17,7 +17,7 @@
 //     which runs the covering fsync itself unless one is already in
 //     flight, so concurrent writers share it (group commit); SyncInterval
 //     fsyncs on a 100 ms background tick (loss bounded by that window).
-//     Replication ships only records at or below the commit index. A
+//     A follower reads only records at or below the commit index. A
 //     torn final record — the signature of a crash mid-write — is
 //     truncated away on open; corruption anywhere else is an error,
 //     never silently skipped.
@@ -43,7 +43,9 @@
 // acked records that vanished.
 //
 // The engine journals through this package (engine.Config/SetJournal);
-// the server's state endpoints and the checkpoint loop ride Manager.
+// the server's state endpoints and the checkpoint loop ride Manager. A
+// follower reads another process's directory read-only: LoadCheckpoint,
+// then ReplayDir — the same walk recovery's Replay runs.
 package store
 
 import (

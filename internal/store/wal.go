@@ -20,8 +20,8 @@ import (
 
 // SyncPolicy controls when WAL appends reach stable storage. Under
 // either policy the WAL keeps one durable commit index (DurableSeq): it
-// advances only when an fsync lands, and it is the tail replication may
-// ship.
+// advances only when an fsync lands, and it is the tail a follower may
+// read to.
 type SyncPolicy int
 
 const (
@@ -127,8 +127,8 @@ type WAL struct {
 
 	// Commit state (see WaitDurable). durable is the commit index: every
 	// record with seq <= durable is on stable storage. subs are
-	// commit-notification subscribers (replication long-poll, see
-	// SubscribeCommits). syncing marks an fsync in flight outside the
+	// commit-notification subscribers (a follower's status long-poll,
+	// see SubscribeCommits). syncing marks an fsync in flight outside the
 	// mutex; syncDone is broadcast when it lands (and on fence).
 	durable   uint64
 	durableAt atomic.Uint64 // mirror of durable for lock-free reads
@@ -483,7 +483,7 @@ func (w *WAL) WaitDurable(seq uint64) error {
 
 // DurableSeq returns the durable commit index: the highest sequence
 // number known to be on stable storage, under either policy. It is the
-// newest record replication may ship.
+// newest record a follower may apply.
 func (w *WAL) DurableSeq() uint64 {
 	return w.durableAt.Load()
 }
@@ -491,7 +491,7 @@ func (w *WAL) DurableSeq() uint64 {
 // SubscribeCommits registers a commit-notification channel: it receives
 // (coalesced, non-blocking) signals whenever the durable commit index
 // advances, and on fence, failure, or close. An append alone signals
-// nothing: its record is not shippable until an fsync covers it. The
+// nothing: no follower may read its record until an fsync covers it. The
 // returned cancel func unregisters the channel.
 func (w *WAL) SubscribeCommits() (<-chan struct{}, func()) {
 	ch := make(chan struct{}, 1)
@@ -741,33 +741,102 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 }
 
 // Replay fsyncs the log once, then walks every record with sequence
-// number > from up to the durable commit index, in order, decoding each
-// into an Entry. It verifies continuity: the first delivered record must
-// be from+1 and each subsequent one must follow directly — a gap means
-// acked data was lost and recovery must not pretend otherwise. The
-// recovery path calls it before the engine starts journaling. (The
-// segment traversal itself is shared with StreamSince — see replicate.go.)
+// number > from up to the durable commit index (replayDir). The
+// recovery path calls it before the engine starts journaling.
+func (w *WAL) Replay(from uint64, fn func(Entry) error) error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
+	return replayDir(w.dir, from, w.DurableSeq(), fn)
+}
+
+// ReplayDir is Replay over the log of a durable directory that another
+// process owns and keeps appending to: a follower tailing its leader's
+// directory. It takes no claim and writes nothing. bound must be a
+// commit index the owner has published — bytes past it may sit in a
+// segment file before their fsync lands, and a crash of the owner could
+// erase them and reuse their sequence numbers. A log that no longer
+// reaches back to from+1 (the owner checkpointed and truncated past it)
+// is an error, as is a segment removed while the walk reads the log.
+func ReplayDir(dir string, from, bound uint64, fn func(Entry) error) error {
+	return replayDir(filepath.Join(dir, walDirName), from, bound, fn)
+}
+
+// errPastBound is the internal sentinel replayDir uses to stop the
+// segment walk at the caller's bound.
+var errPastBound = errors.New("store: replay bound reached")
+
+// replayDir is the one traversal of a log: recovery (Replay) and a
+// follower (ReplayDir) both read through it. It lists the segment files
+// in walDir and hands every intact record with sequence number in
+// (from, bound] to fn, in order, decoded into an Entry. It verifies
+// continuity: the first delivered record must be from+1 and each
+// subsequent one must follow directly — a gap means acked data was lost
+// (or truncated away) and the caller must not pretend otherwise. Every
+// record up to bound is already flushed, so the walk never needs a sync
+// of its own and never races the appending tail: a torn tail is
+// tolerated in the last segment only.
 //
 // The Entry handed to fn reuses one decode buffer across records:
 // e.Samples is only valid during the callback, so a callback that
 // retains samples must copy them out (recovery appliers copy element-
 // wise anyway; this is what keeps a million-record replay at a handful
 // of allocations instead of one slice per record).
-func (w *WAL) Replay(from uint64, fn func(Entry) error) error {
-	if err := w.Sync(); err != nil {
+func replayDir(walDir string, from, bound uint64, fn func(Entry) error) error {
+	if bound <= from {
+		return nil
+	}
+	segs, err := listSegments(walDir)
+	if err != nil {
 		return err
 	}
 	var scratch []stream.Sample
-	return w.replayRaw(from, w.DurableSeq(), func(seq uint64, payload []byte) error {
-		e, err := decodeEntryInto(scratch, seq, payload)
+	next := from + 1
+	for i, seg := range segs {
+		if next > bound {
+			return nil
+		}
+		if i+1 < len(segs) && segs[i+1].first <= next {
+			continue // wholly below the replay point
+		}
+		if seg.first > next {
+			return fmt.Errorf("store: wal gap: expected seq %d, %s starts at %d", next, seg.name, seg.first)
+		}
+		last := i == len(segs)-1
+		_, _, torn, err := scanSegmentFile(filepath.Join(walDir, seg.name), seg.first, func(seq uint64, payload []byte) error {
+			if seq <= from {
+				return nil
+			}
+			if seq > bound {
+				return errPastBound
+			}
+			if seq != next {
+				return fmt.Errorf("store: wal gap: expected seq %d, found %d in %s", next, seq, seg.name)
+			}
+			e, err := decodeEntryInto(scratch, seq, payload)
+			if err != nil {
+				return fmt.Errorf("store: wal seq %d: %w", seq, err)
+			}
+			if cap(e.Samples) > cap(scratch) {
+				scratch = e.Samples[:cap(e.Samples)]
+			}
+			if err := fn(e); err != nil {
+				return err
+			}
+			next = seq + 1
+			return nil
+		})
+		if errors.Is(err, errPastBound) {
+			return nil
+		}
 		if err != nil {
-			return fmt.Errorf("store: wal seq %d: %w", seq, err)
+			return err
 		}
-		if cap(e.Samples) > cap(scratch) {
-			scratch = e.Samples[:cap(e.Samples)]
+		if torn > 0 && !last {
+			return fmt.Errorf("store: wal corruption inside %s (%d bytes unreadable mid-log)", seg.name, torn)
 		}
-		return fn(e)
-	})
+	}
+	return nil
 }
 
 // LastSeq returns the sequence number of the most recent append.

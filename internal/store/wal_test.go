@@ -497,3 +497,230 @@ func TestMaxSamplesPerRecordBound(t *testing.T) {
 		t.Fatal("maxSamplesPerRecord is not maximal")
 	}
 }
+
+// parkFlusher stops an interval WAL's background flusher, so no tick can
+// fsync between a test's steps; Close then skips the stopped loop.
+func parkFlusher(w *WAL) {
+	close(w.stopFlush)
+	w.flushWG.Wait()
+	w.mu.Lock()
+	w.stopFlush = nil
+	w.mu.Unlock()
+}
+
+// TestGroupCommitReplayDirStopsAtCommitIndex: a follower reads its
+// leader's segment files while the leader appends, and under group
+// commit a file can hold a record before the fsync covering it lands.
+// Bounded at the commit index, ReplayDir hands over only what an fsync
+// covered — even with the next record's bytes already in the file — and
+// runs no fsync of its own.
+func TestGroupCommitReplayDirStopsAtCommitIndex(t *testing.T) {
+	testReplayDirStopsAtCommitIndex(t, SyncGroup)
+}
+
+// TestReplayDirIntervalStopsAtCommitIndex: the same bound under the
+// interval policy, with the flusher parked so no tick fsyncs between the
+// steps.
+func TestReplayDirIntervalStopsAtCommitIndex(t *testing.T) {
+	testReplayDirStopsAtCommitIndex(t, SyncInterval)
+}
+
+func testReplayDirStopsAtCommitIndex(t *testing.T, pol SyncPolicy) {
+	dir := t.TempDir()
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: pol})
+	defer w.Close()
+	if pol == SyncInterval {
+		parkFlusher(w)
+	}
+	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	commit := w.DurableSeq()
+	// A record larger than the write buffer goes to the file at
+	// once, fsync or no fsync.
+	big, err := w.AppendSamples(sampleBatch(10, 8000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var onDisk uint64
+	if _, _, _, err := scanSegmentFile(filepath.Join(dir, walDirName, segmentName(1)), 1, func(seq uint64, _ []byte) error {
+		onDisk = seq
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if onDisk != big || w.DurableSeq() != commit {
+		t.Fatalf("segment file holds through seq %d, commit index %d; want %d past commit %d",
+			onDisk, w.DurableSeq(), big, commit)
+	}
+	fsyncs := w.met.Fsync.Count()
+	var got []uint64
+	collect := func(e Entry) error { got = append(got, e.Seq); return nil }
+	if err := ReplayDir(dir, 0, w.DurableSeq(), collect); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != commit {
+		t.Fatalf("ReplayDir to the commit index read seqs %v, want [%d]", got, commit)
+	}
+	if n := w.met.Fsync.Count() - fsyncs; n != 0 {
+		t.Fatalf("ReplayDir ran %d fsync(s)", n)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got = nil
+	if err := ReplayDir(dir, commit, w.DurableSeq(), collect); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != big {
+		t.Fatalf("ReplayDir after the fsync read seqs %v, want [%d]", got, big)
+	}
+}
+
+// replayDirLog writes 20 records of every kind — a user registration, a
+// service removal and 18 sample batches — across several 256-byte
+// segments and fsyncs them; it returns the data directory and the WAL.
+func replayDirLog(t *testing.T) (string, *WAL) {
+	t.Helper()
+	dir := t.TempDir()
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: SyncGroup, SegmentBytes: 256})
+	t.Cleanup(func() { w.Close() })
+	if _, err := w.AppendRegisterUser(0, "u0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendRemoveService(9); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 18; i++ {
+		if _, err := w.AppendSamples(sampleBatch(i*2, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if w.SegmentCount() < 2 {
+		t.Fatalf("want multiple segments, got %d", w.SegmentCount())
+	}
+	return dir, w
+}
+
+// TestReplayDirRoundTrip: every record kind reads back from another
+// process's directory with its sequence number and payload.
+func TestReplayDirRoundTrip(t *testing.T) {
+	dir, w := replayDirLog(t)
+	var all []Entry
+	if err := ReplayDir(dir, 0, w.DurableSeq(), func(e Entry) error {
+		e.Samples = append([]stream.Sample(nil), e.Samples...)
+		all = append(all, e)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 20 || all[0].Kind != EntryRegisterUser || all[0].Name != "u0" ||
+		all[1].Kind != EntryRemoveService || all[1].ID != 9 {
+		t.Fatalf("read %d entries, head %+v %+v", len(all), all[0], all[1])
+	}
+	for i, e := range all {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("entry %d has seq %d", i, e.Seq)
+		}
+	}
+	if s := all[19].Samples; len(s) != 2 || s[0] != sampleBatch(34, 2)[0] {
+		t.Fatalf("last samples %+v", s)
+	}
+}
+
+// TestReplayDirFrom: the lower bound is exclusive, and a read from the
+// middle of the log carries on across segment rotations to the bound.
+func TestReplayDirFrom(t *testing.T) {
+	dir, w := replayDirLog(t)
+	next := uint64(16)
+	if err := ReplayDir(dir, 15, w.DurableSeq(), func(e Entry) error {
+		if e.Seq != next {
+			t.Fatalf("seq %d, want %d", e.Seq, next)
+		}
+		next++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if next != 21 {
+		t.Fatalf("read ended at %d, want 21", next)
+	}
+}
+
+// TestReplayDirGapAfterTruncate: once the owner truncates past a
+// reader's position — before the walk starts, or by removing a segment
+// the walk has listed but not yet opened — ReplayDir fails rather than
+// skip the records in between.
+func TestReplayDirGapAfterTruncate(t *testing.T) {
+	dir := t.TempDir()
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: SyncGroup, SegmentBytes: 200})
+	defer w.Close()
+	for i := 0; i < 12; i++ {
+		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if w.SegmentCount() < 4 {
+		t.Fatalf("need >=4 segments, got %d", w.SegmentCount())
+	}
+	nop := func(Entry) error { return nil }
+
+	// Mid-read: the first callback truncates through the record being
+	// read, removing segments the walk listed before it began.
+	err := ReplayDir(dir, 0, w.DurableSeq(), func(e Entry) error {
+		if e.Seq == 1 {
+			return w.TruncateThrough(w.DurableSeq())
+		}
+		return nil
+	})
+	if err == nil {
+		t.Fatal("a walk across removed segments succeeded")
+	}
+	// Before the walk: the log now starts past the reader's position.
+	if err := ReplayDir(dir, 0, w.DurableSeq(), nop); err == nil || !strings.Contains(err.Error(), "gap") {
+		t.Fatalf("walk from before the log's first record: %v, want a gap error", err)
+	}
+	// From inside what is left, it reads on.
+	segs, _ := listSegments(filepath.Join(dir, walDirName))
+	if err := ReplayDir(dir, segs[0].first-1, w.DurableSeq(), nop); err != nil {
+		t.Fatalf("walk from the first kept record: %v", err)
+	}
+}
+
+// TestLoadCheckpointTakesNoClaim: a reader loads the owner's newest
+// checkpoint without bumping the claim epoch (which would fence the
+// owner), and a path with no log is an error, not an empty directory.
+func TestLoadCheckpointTakesNoClaim(t *testing.T) {
+	dir := t.TempDir()
+	m := openManager(t, dir, Options{})
+	defer m.Close()
+	if _, _, ok, err := LoadCheckpoint(dir, quietLogger()); ok || err != nil {
+		t.Fatalf("fresh directory: ok=%v err=%v, want no checkpoint", ok, err)
+	}
+	if err := writeCheckpoint(filepath.Join(dir, ckptDirName), 7, []byte("state@7")); err != nil {
+		t.Fatal(err)
+	}
+	lockBefore, _ := os.ReadFile(filepath.Join(dir, lockFileName))
+	seq, data, ok, err := LoadCheckpoint(dir, quietLogger())
+	if err != nil || !ok || seq != 7 || string(data) != "state@7" {
+		t.Fatalf("LoadCheckpoint = %d %q %v %v", seq, data, ok, err)
+	}
+	if lockAfter, _ := os.ReadFile(filepath.Join(dir, lockFileName)); string(lockAfter) != string(lockBefore) {
+		t.Fatal("LoadCheckpoint rewrote the LOCK file")
+	}
+	if m.Fenced() {
+		t.Fatal("a reader fenced the owner")
+	}
+	if _, _, _, err := LoadCheckpoint(t.TempDir(), quietLogger()); err == nil {
+		t.Fatal("a directory with no log loaded as an empty leader")
+	}
+}
