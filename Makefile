@@ -25,10 +25,11 @@ ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64 examples
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
-# (and everything ranking on top of it) still passes, which is what
-# non-amd64/arm64 targets actually run.
+# (and everything ranking or transforming on top of it: core, and the
+# batch power in transform) still passes, which is what non-amd64/arm64
+# targets actually run.
 test-noasm:
-	$(GO) test -tags noasm ./internal/matrix/ ./internal/core/
+	$(GO) test -tags noasm ./internal/matrix/ ./internal/transform/ ./internal/core/
 
 # Cross-compile leg for the NEON kernels: arm64 has no execution
 # environment in CI, but the assembly must at least assemble and link.
@@ -171,9 +172,14 @@ fuzz-select:
 # rank runs on against its portable loop bit for bit — the page each walk
 # stops at, its survivor mask and its scores — over fuzzed page counts,
 # ranks, last-page row counts, bounds (NaN, ±Inf, ±0, a key of the shard,
-# any value) and directions. CI runs this leg at FUZZTIME=10s.
+# any value) and directions; and the batch power kernel against math.Pow
+# bit for bit over fuzzer-chosen bit patterns and exponents (each lane it
+# writes is Pow's, each it leaves untouched). CI runs this leg at
+# FUZZTIME=10s per target.
 fuzz-kernels:
-	$(GO) test -run=NONE -fuzz='^FuzzDotKernels$$' -fuzztime=$(FUZZTIME) ./internal/matrix/
+	for target in FuzzDotKernels FuzzPowKernel; do \
+		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/matrix/ || exit 1; \
+	done
 
 # The id table under the replay pool and the model's entity tables
 # (internal/idtab/idtab_test.go) against map[int]int32: fuzzer-chosen

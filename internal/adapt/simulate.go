@@ -226,11 +226,7 @@ func runPass(opts SimulationOptions, gen *dataset.Generator, wf Workflow, ticks 
 				sr.Invocations += len(wf.Tasks)
 				tickSeq++
 				if model != nil {
-					for k := 0; k < opts.ReplayPerTick; k++ {
-						if !model.ReplayStep() {
-							break
-						}
-					}
+					model.ReplaySteps(opts.ReplayPerTick)
 				}
 			}
 		}

@@ -56,12 +56,7 @@ func (m *Model) Fit(opts FitOptions) FitResult {
 		if n == 0 {
 			break
 		}
-		for i := 0; i < n; i++ {
-			if !m.ReplayStep() {
-				break
-			}
-			res.Steps++
-		}
+		res.Steps += m.ReplaySteps(n)
 		res.Epochs++
 		cur := m.TrainingError()
 		if epoch+1 >= opts.MinEpochs && prev < math.Inf(1) {

@@ -9,7 +9,7 @@ import (
 
 // TestFitPoolExpiresMidRun covers the pool-empties-mid-epoch path: the
 // epoch starts with a nonzero (uncompacted) pool length, but every
-// sample has expired, so the first ReplayStep fails and the loop winds
+// sample has expired, so the first replay pick fails and the loop winds
 // down without steps instead of spinning or declaring convergence.
 func TestFitPoolExpiresMidRun(t *testing.T) {
 	cfg := rtConfig()

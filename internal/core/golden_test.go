@@ -82,7 +82,7 @@ func TestGoldenTraining(t *testing.T) {
 			})
 		}
 		for i := 0; i < 25; i++ {
-			m.ReplayStep()
+			m.ReplaySteps(1)
 		}
 		view = m.RefreshView(view)
 		switch batch {

@@ -58,8 +58,11 @@ type Model struct {
 	replaced       []replacedPage
 	replacedSlices []replacedSlice
 
-	// pairs and touched are observeAll's and viewShard.refresh's scratch.
+	// pairs and vals are observeAll's and ReplaySteps' scratch: a batch's
+	// resolved entities and its values, normalised in place; touched is
+	// viewShard.refresh's.
 	pairs   []entityPair
+	vals    []float64
 	touched []touchedRow
 }
 
@@ -146,14 +149,16 @@ type entityPair struct{ u, v *entity }
 // observeAll trains ss in order, in two passes. The first resolves every
 // sample's user and service, registering newcomers in sample order — so
 // newEntity draws from the rng exactly as one pass would — lists them as
-// touched and stores the sample in the replay pool. The second trains
-// each sample from the resolved pointers and scores it when sc is not
-// nil. Nothing the first pass does for a later sample changes what the
-// second reads for an earlier one, so the trained model is the same bit
-// for bit (TestGoldenTraining), while the lookups' cache misses overlap
-// instead of each waiting behind an SGD step.
+// touched and stores the sample in the replay pool; then the batch's
+// targets are normalised together (Transformer.ForwardAll). The second
+// trains each sample from the resolved pointers. Nothing the first pass
+// does for a later sample changes what the second reads for an earlier
+// one, so the trained model is the same bit for bit (TestGoldenTraining),
+// while the lookups' cache misses overlap instead of each waiting behind
+// an SGD step. When sc is not nil, the priors the second pass kept are
+// mapped back together (BackwardAll) and scored in sample order.
 func (m *Model) observeAll(ss []stream.Sample, sc Scorer) {
-	pairs := m.pairs[:0]
+	pairs, vals := m.pairs[:0], m.vals[:0]
 	for _, s := range ss {
 		u := m.entity(m.users, s.User)
 		v := m.entity(m.services, s.Service)
@@ -161,48 +166,88 @@ func (m *Model) observeAll(ss []stream.Sample, sc Scorer) {
 		m.dirtyServices.mark(s.Service, v)
 		m.pool.Add(s)
 		pairs = append(pairs, entityPair{u, v})
+		vals = append(vals, s.Value)
 	}
-	for i, s := range ss {
-		u, v := pairs[i].u, pairs[i].v
-		// An entity is unserved from its creation to the next publish, so
-		// the flags read here what one pass would have read.
-		served := !u.unserved && !v.unserved
-		g := m.update(u, v, s.Value)
-		switch {
-		case sc == nil:
-		case served:
-			sc.Record(m.tr.Backward(g), s.Value)
-		default:
-			sc.RecordMiss()
+	m.tr.ForwardAll(vals, vals)
+	for i, p := range pairs {
+		vals[i] = m.update(p.u, p.v, vals[i]) // the target in, the prior out
+	}
+	if sc != nil {
+		m.tr.BackwardAll(vals, vals)
+		for i, p := range pairs {
+			// An entity is unserved from its creation to the next publish,
+			// so the flags read here what one pass would have read.
+			if !p.u.unserved && !p.v.unserved {
+				sc.Record(vals[i], ss[i].Value)
+			} else {
+				sc.RecordMiss()
+			}
 		}
 	}
 	clear(pairs)
-	m.pairs = pairs[:0]
+	m.pairs, m.vals = pairs[:0], vals[:0]
 }
 
-// ReplayStep performs one online update on a randomly picked existing
-// sample (Algorithm 1 lines 11-15). It reports false when no live sample
-// remains, i.e. the model should wait for new data; true means exactly
-// one update ran.
-func (m *Model) ReplayStep() bool {
+// replayChunk is how many picks ReplaySteps normalises together.
+const replayChunk = 64
+
+// ReplaySteps performs up to n online updates, each on a randomly picked
+// existing sample (Algorithm 1 lines 11-15), and returns how many ran:
+// fewer than n only when no live sample remains, i.e. the model should
+// wait for new data. It picks a chunk of samples first, normalises their
+// values together (Transformer.ForwardAll) and then trains them in pick
+// order. The picks are the ones n calls of ReplaySteps(1) — pick one,
+// train it — would make, since the pool's rng, expiry and the removal of
+// a departed entity's samples do not depend on training; so the model is
+// the same bit for bit (TestReplayStepsMatchesOneByOne).
+func (m *Model) ReplaySteps(n int) int {
+	done := 0
+	for done < n {
+		want := min(n-done, replayChunk)
+		pairs, vals := m.pairs[:0], m.vals[:0]
+		for len(pairs) < want {
+			u, v, value, ok := m.replayPick()
+			if !ok {
+				break
+			}
+			pairs = append(pairs, entityPair{u, v})
+			vals = append(vals, value)
+		}
+		m.tr.ForwardAll(vals, vals)
+		for i, p := range pairs {
+			m.update(p.u, p.v, vals[i])
+		}
+		done += len(pairs)
+		dry := len(pairs) < want
+		clear(pairs)
+		m.pairs, m.vals = pairs[:0], vals[:0]
+		if dry {
+			break
+		}
+	}
+	return done
+}
+
+// replayPick picks a live sample whose user and service are both still
+// registered and lists them as touched. A replayed sample must not
+// resurrect a departed user or service; only Observe (new data) registers
+// entities. A departed service's samples are found here, one pick at a
+// time (a departed user's went with RemoveUser): it drops each and picks
+// again, each round leaving the pool one shorter. ok is false when no
+// live sample remains.
+func (m *Model) replayPick() (u, v *entity, value float64, ok bool) {
 	for {
 		s, ok := m.pool.Pick()
 		if !ok {
-			return false
+			return nil, nil, 0, false
 		}
 		u, okU := m.users.Get(s.User)
 		v, okV := m.services.Get(s.Service)
 		if okU && okV {
-			m.update(u, v, s.Value)
 			m.dirtyUsers.mark(s.User, u)
 			m.dirtyServices.mark(s.Service, v)
-			return true
+			return u, v, s.Value, true
 		}
-		// A replayed sample must not resurrect a departed user or
-		// service; only Observe (new data) registers entities. A departed
-		// service's samples are found here, one pick at a time (a
-		// departed user's went with RemoveUser): drop it and pick again,
-		// each round leaving the pool one shorter.
 		m.pool.Remove(s.User, s.Service)
 	}
 }
@@ -211,14 +256,14 @@ func (m *Model) ReplayStep() bool {
 // than the configured expiry.
 func (m *Model) AdvanceTo(t time.Duration) { m.pool.AdvanceTo(t) }
 
-// update is OnlineUpdate(tij, ui, sj, Rij) from Algorithm 1:
-// normalize, compute weights from current errors, measure the relative
-// error, fold it into both error trackers, and take simultaneous weighted
-// gradient steps on the two factor vectors (Eq. 16-17). It returns g, the
-// sigmoid-space prediction the step started from.
-func (m *Model) update(u, v *entity, value float64) float64 {
+// update is OnlineUpdate(tij, ui, sj, Rij) from Algorithm 1, given the
+// sample's normalised target r = Forward(Rij): compute weights from
+// current errors, measure the relative error, fold it into both error
+// trackers, and take simultaneous weighted gradient steps on the two
+// factor vectors (Eq. 16-17). It returns g, the sigmoid-space prediction
+// the step started from.
+func (m *Model) update(u, v *entity, r float64) float64 {
 	cfg := &m.cfg
-	r := m.tr.Forward(value)
 
 	x := matrix.Dot(u.vec, v.vec)
 	g := transform.Sigmoid(x)
@@ -345,7 +390,7 @@ func (m *Model) RemoveUser(id int) {
 }
 
 // RemoveService forgets a service entirely. Its replay samples are spread
-// over every user's row, so they go lazily: ReplayStep drops each one the
+// over every user's row, so they go lazily: ReplaySteps drops each one the
 // first time it is picked, and expiry takes the rest.
 func (m *Model) RemoveService(id int) {
 	m.services.Remove(id)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,7 +115,7 @@ func TestConvergesOnSinglePair(t *testing.T) {
 	target := 2.5
 	m.Observe(stream.Sample{Time: time.Second, User: 0, Service: 0, Value: target})
 	for i := 0; i < 500; i++ {
-		if !m.ReplayStep() {
+		if m.ReplaySteps(1) == 0 {
 			t.Fatal("replay pool should stay live")
 		}
 	}
@@ -213,7 +214,7 @@ func TestErrorTrackerDecreasesWithTraining(t *testing.T) {
 	u, _ := m.users.Get(0)
 	before := u.err.Value()
 	for i := 0; i < 300; i++ {
-		m.ReplayStep()
+		m.ReplaySteps(1)
 	}
 	after := u.err.Value()
 	if after >= before {
@@ -227,7 +228,7 @@ func TestExpiryStopsReplay(t *testing.T) {
 	m := MustNew(cfg)
 	m.Observe(stream.Sample{Time: 0, User: 0, Service: 0, Value: 1})
 	m.AdvanceTo(16 * time.Minute)
-	if m.ReplayStep() {
+	if m.ReplaySteps(1) == 1 {
 		t.Fatal("expired sample must not be replayed (Algorithm 1 line 15)")
 	}
 }
@@ -244,7 +245,7 @@ func TestRemoveUserAndService(t *testing.T) {
 	}
 	// Replay must not resurrect the removed user.
 	for i := 0; i < 20; i++ {
-		m.ReplayStep()
+		m.ReplaySteps(1)
 	}
 	if m.KnowsUser(1) {
 		t.Fatal("replay resurrected a removed user")
@@ -256,7 +257,7 @@ func TestRemoveUserAndService(t *testing.T) {
 		t.Fatal("service should be gone")
 	}
 	for i := 0; i < 20; i++ {
-		m.ReplayStep()
+		m.ReplaySteps(1)
 	}
 	if m.KnowsService(2) {
 		t.Fatal("replay resurrected a removed service")
@@ -264,7 +265,7 @@ func TestRemoveUserAndService(t *testing.T) {
 }
 
 // TestReplayCountsOnlyUpdates: after a user and a service depart, every
-// ReplayStep that reports a step ran exactly one update, the departed
+// ReplaySteps(1) that reports a step ran exactly one update, the departed
 // user's samples are gone from the pool at once, and the departed
 // service's leave it as picks meet them — none is picked twice.
 func TestReplayCountsOnlyUpdates(t *testing.T) {
@@ -282,7 +283,7 @@ func TestReplayCountsOnlyUpdates(t *testing.T) {
 	m.RemoveService(7)
 	before, steps := m.Updates(), 0
 	for i := 0; i < 2000; i++ {
-		if m.ReplayStep() {
+		if m.ReplaySteps(1) == 1 {
 			steps++
 		}
 	}
@@ -302,8 +303,70 @@ func TestReplayCountsOnlyUpdates(t *testing.T) {
 	for s := 0; s < services; s++ {
 		m.RemoveService(s)
 	}
-	if m.ReplayStep() || m.pool.Len() != 0 {
+	if m.ReplaySteps(1) != 0 || m.pool.Len() != 0 {
 		t.Fatalf("replay over departed pairs only: pool still holds %d", m.pool.Len())
+	}
+}
+
+// TestReplayStepsMatchesOneByOne: ReplaySteps(n) is n ReplaySteps(1)
+// calls, each of which picks one sample and trains it — the same count
+// returned and, after each call, the same model bytes —
+// over chunks shorter than, equal to and past the 64 it normalises
+// together, through the picks of a departed service (dropped, not
+// trained), expiry, and a pool that only departed pairs are left in.
+func TestReplayStepsMatchesOneByOne(t *testing.T) {
+	cfg := rtConfig()
+	cfg.Expiry = 30 * time.Second
+	batched, single := MustNew(cfg), MustNew(cfg)
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 400; i++ {
+		s := stream.Sample{Time: time.Duration(i/10) * time.Second, User: rng.Intn(10), Service: rng.Intn(30), Value: 0.1 + 8*rng.Float64()}
+		batched.Observe(s)
+		single.Observe(s)
+	}
+	for _, m := range []*Model{batched, single} {
+		m.RemoveService(4)
+		m.RemoveService(17)
+		m.RemoveUser(2)
+		m.AdvanceTo(50 * time.Second)
+	}
+	same := func(what string) {
+		t.Helper()
+		a, err := batched.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := single.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%s: a chunk trained a different model than its picks one by one", what)
+		}
+	}
+	replay := func(n int) {
+		t.Helper()
+		want := 0
+		for i := 0; i < n; i++ {
+			if single.ReplaySteps(1) == 1 {
+				want++
+			}
+		}
+		if got := batched.ReplaySteps(n); got != want {
+			t.Fatalf("ReplaySteps(%d) = %d, %d ReplaySteps(1) calls ran %d", n, got, n, want)
+		}
+		same(fmt.Sprintf("ReplaySteps(%d)", n))
+	}
+	for _, n := range []int{0, 1, 7, 63, 64, 65, 300} {
+		replay(n)
+	}
+	for s := 0; s < 30; s++ {
+		batched.RemoveService(s)
+		single.RemoveService(s)
+	}
+	replay(100)
+	if batched.pool.Len() != 0 {
+		t.Fatalf("pool holds %d samples of departed services", batched.pool.Len())
 	}
 }
 
@@ -468,7 +531,7 @@ func TestPredictWithConfidence(t *testing.T) {
 	}
 	// Training the pair should raise the confidence.
 	for i := 0; i < 300; i++ {
-		m.ReplayStep()
+		m.ReplaySteps(1)
 	}
 	_, confTrained, err := m.PredictWithConfidence(0, 0)
 	if err != nil {

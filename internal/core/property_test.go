@@ -35,7 +35,7 @@ func TestModelInvariantsUnderRandomStreams(t *testing.T) {
 			})
 		}
 		for i := 0; i < 20; i++ {
-			m.ReplayStep()
+			m.ReplaySteps(1)
 		}
 		for u := 0; u < users; u++ {
 			for s := 0; s < services; s++ {
@@ -136,7 +136,7 @@ func TestAdaptiveErrorTrackersConvergeProperty(t *testing.T) {
 		value := 0.2 + rng.Float64()*10
 		m.Observe(stream.Sample{Time: 1, User: 0, Service: 0, Value: value})
 		for i := 0; i < 200; i++ {
-			m.ReplayStep()
+			m.ReplaySteps(1)
 		}
 		u, okU := m.users.Get(0)
 		s, okS := m.services.Get(0)

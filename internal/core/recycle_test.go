@@ -78,7 +78,7 @@ func (g *recycleRig) removeService(s int) {
 	g.both(func(m *Model) { m.RemoveService(rigServiceID(s)) })
 }
 
-func (g *recycleRig) replay() { g.both(func(m *Model) { m.ReplayStep() }) }
+func (g *recycleRig) replay() { g.both(func(m *Model) { m.ReplaySteps(1) }) }
 
 // refresh publishes on both models, queues the recycling model's publish
 // for recycle, and checks the contract.

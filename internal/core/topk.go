@@ -211,12 +211,22 @@ func pushSurvivors(h []scored, ids []int, keys []float32, m uint64, k int, lower
 // takes, is what TestSelectionPushBound holds the filter to.
 var testHookPush func()
 
-// finish converts best-first scored entries into Ranked values by
+// finishRanked converts best-first scored entries into Ranked values by
 // applying the monotone Sigmoid+Backward transform — paid only for the
-// k survivors, never for the full candidate set.
+// k survivors, never for the full candidate set, and mapped back 64 at a
+// time (Transformer.BackwardAll) through a buffer on the stack.
 func finishRanked(dst []Ranked, sc []scored, tr *transform.Transformer) []Ranked {
-	for _, s := range sc {
-		dst = append(dst, Ranked{Service: s.service, Value: tr.Backward(transform.Sigmoid(s.key))})
+	var vals [64]float64
+	for len(sc) > 0 {
+		n := min(len(sc), len(vals))
+		for i, s := range sc[:n] {
+			vals[i] = transform.Sigmoid(s.key)
+		}
+		tr.BackwardAll(vals[:n], vals[:n])
+		for i, s := range sc[:n] {
+			dst = append(dst, Ranked{Service: s.service, Value: vals[i]})
+		}
+		sc = sc[n:]
 	}
 	return dst
 }
@@ -340,11 +350,13 @@ func (v *PredictView) predictBatch(user int, services []int, dst, conf []float64
 			}
 			continue
 		}
-		dst[i] = v.tr.Backward(transform.Sigmoid(veDot(u, s)))
+		dst[i] = transform.Sigmoid(veDot(u, s))
 		if conf != nil {
 			conf[i] = 1 / (1 + ue + s.err())
 		}
 	}
+	// Map every g back at once; an unknown service's NaN maps to NaN.
+	v.tr.BackwardAll(dst, dst)
 	return nil
 }
 

@@ -186,11 +186,14 @@ func TestTopKAllMatchesExplicitCandidates(t *testing.T) {
 
 // TestPredictBatch: every value PredictBatch writes, and every value and
 // confidence PredictBatchWithConfidence writes, is bit for bit the
-// point read's; unknown services and users read NaN.
+// point read's; unknown services and users read NaN. Its 20 services
+// fill two whole vectors of the batch power and a tail, with unknown
+// services in lanes 0, 7 and 8, so both the kernel (where the CPU has
+// it) and the lanes it leaves are held to the point read.
 func TestPredictBatch(t *testing.T) {
 	m := topkTestModel(t, 20)
 	v := m.BuildView()
-	services := []int{0, 5, 999, 12, -1, 19}
+	services := []int{999, 0, 5, 12, 19, 3, 4, -1, 555, 6, 7, 8, 9, 10, 11, 13, 14, 15, 16, 17}
 	dst := make([]float64, len(services))
 	if err := v.PredictBatch(0, services, dst); err != nil {
 		t.Fatal(err)

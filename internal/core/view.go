@@ -135,7 +135,7 @@ type PredictView struct {
 }
 
 // EnableViewTracking turns on recording of entities touched by updates
-// (Observe, ReplayStep, RemoveUser/RemoveService) so that RefreshView can
+// (Observe, ReplaySteps, RemoveUser/RemoveService) so that RefreshView can
 // republish views incrementally. BuildView enables it implicitly.
 func (m *Model) EnableViewTracking() {
 	if m.dirtyUsers == nil {

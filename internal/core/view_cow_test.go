@@ -83,7 +83,7 @@ func checkRefreshEqualsBuild(t *testing.T, seed int64, restart bool) {
 		case k == 7:
 			m.RemoveService(serviceID(services[rng.Intn(len(services))]))
 		default:
-			m.ReplayStep()
+			m.ReplaySteps(1)
 		}
 		if rng.Intn(5) != 0 {
 			continue
@@ -175,7 +175,7 @@ func TestRecycledRefreshMatchesFresh(t *testing.T) {
 			id := serviceID(rng.Intn(maxServices))
 			both(func(m *Model) { m.RemoveService(id) })
 		default:
-			both(func(m *Model) { m.ReplayStep() })
+			both(func(m *Model) { m.ReplaySteps(1) })
 		}
 		if op%3 != 2 {
 			continue
@@ -291,7 +291,7 @@ func TestHeldViewsNeverChange(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		m.Observe(sample(3*nServices + i))
 		if i%5 == 0 {
-			m.ReplayStep()
+			m.ReplaySteps(1)
 		}
 		if i%50 == 49 {
 			v = m.RefreshView(v)

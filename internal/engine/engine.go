@@ -411,16 +411,13 @@ func (e *Engine) applyLocked(ss []stream.Sample, scored bool) (seq uint64, journ
 
 // replayLocked performs up to n replay updates (Algorithm 1's "randomly
 // pick an existing sample") and returns how many it did; it is the one
-// caller of Model.ReplayStep.
+// caller of Model.ReplaySteps.
 func (e *Engine) replayLocked(n int) int {
 	if n <= 0 {
 		return 0
 	}
 	start := time.Now()
-	done := 0
-	for done < n && e.model.ReplayStep() {
-		done++
-	}
+	done := e.model.ReplaySteps(n)
 	if done > 0 {
 		e.bookLocked(&e.replayed, done, time.Since(start))
 	}

@@ -132,7 +132,6 @@ func SkewReduction(g *dataset.Generator, attr dataset.Attribute, sampleCells int
 		n = cfg.Users * cfg.Services
 	}
 	raw := make([]float64, 0, n)
-	cooked := make([]float64, 0, n)
 	for c := 0; c < n; c++ {
 		var i, j int
 		if sampleCells <= 0 {
@@ -141,9 +140,9 @@ func SkewReduction(g *dataset.Generator, attr dataset.Attribute, sampleCells int
 			i = (c * 7907) % cfg.Users
 			j = (c * 104729) % cfg.Services
 		}
-		v := g.Value(attr, i, j, 0)
-		raw = append(raw, v)
-		cooked = append(cooked, tr.Forward(v))
+		raw = append(raw, g.Value(attr, i, j, 0))
 	}
+	cooked := make([]float64, n)
+	tr.ForwardAll(cooked, raw)
 	return math.Abs(stats.Skewness(raw)), math.Abs(stats.Skewness(cooked)), nil
 }

@@ -138,12 +138,7 @@ func runFig14Variant(opts Fig14Options, adaptiveWeights bool) (*Fig14Result, err
 	model.ObserveAll(existing.Train)
 	steps += len(existing.Train)
 	for i := 0; i < opts.PointsBefore; i++ {
-		for k := 0; k < opts.StepsPerPoint; k++ {
-			if !model.ReplayStep() {
-				break
-			}
-			steps++
-		}
+		steps += model.ReplaySteps(opts.StepsPerPoint)
 		measure(false)
 	}
 
@@ -155,12 +150,7 @@ func runFig14Variant(opts Fig14Options, adaptiveWeights bool) (*Fig14Result, err
 	res.JoinStep = steps
 	measure(true)
 	for i := 0; i < opts.PointsAfter; i++ {
-		for k := 0; k < opts.StepsPerPoint; k++ {
-			if !model.ReplayStep() {
-				break
-			}
-			steps++
-		}
+		steps += model.ReplaySteps(opts.StepsPerPoint)
 		measure(true)
 	}
 	return res, nil

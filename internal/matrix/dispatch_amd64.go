@@ -3,16 +3,17 @@
 package matrix
 
 // AVX2+FMA dispatch for the ranking kernels, with the AVX-512F page walk
-// where the CPU has it. Feature detection is written against the raw
+// and batch power where the CPU has them. Feature detection is written against the raw
 // CPUID/XGETBV leaves (cpuid_amd64.s) so the module keeps its
 // zero-dependency rule — no golang.org/x/sys/cpu.
 //
 // The kernels require AVX2 (256-bit integer/FP lanes), FMA3, and an OS
 // that saves YMM state on context switch (OSXSAVE + XCR0 bits 1-2).
 // Anything less falls through to the portable Go loops in kernels.go.
-// The AVX-512 page walk further requires AVX-512F and an OS that saves
-// the opmask and ZMM state too (XCR0 bits 5-7); without them the AVX2
-// walk serves, over the same page layout.
+// The AVX-512 page walk and batch power further require AVX-512F and an
+// OS that saves the opmask and ZMM state too (XCR0 bits 5-7); without
+// them the AVX2 walk serves, over the same page layout, and PowSplit
+// leaves every lane to its caller.
 
 // cpuid executes CPUID with the given EAX/ECX inputs (cpuid_amd64.s).
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -53,6 +54,12 @@ func walkPages32AVX2(dst *[PageRows]float32, first *[]float32, stride uintptr, n
 //go:noescape
 func survivors32AVX2(keys []float32, worst float32, flip uint32) uint64
 
+// powSplitAVX512 is PowSplit over len(xs) lanes, a multiple of eight and
+// at least eight (pow_amd64.s).
+//
+//go:noescape
+func powSplitAVX512(dst, xs []float64, yi int64, yf float64, neg bool) (rest uint64)
+
 // missingAVX2 names what the CPU or OS lacks for the AVX2+FMA kernels,
 // or returns "" when it has everything.
 func missingAVX2() string {
@@ -79,7 +86,7 @@ func missingAVX2() string {
 	return ""
 }
 
-// missingAVX512 is missingAVX2 for the AVX-512 page walk, which also
+// missingAVX512 is missingAVX2 for the AVX-512 kernels, which also
 // needs AVX-512F and the opmask, ZMM_Hi256 and Hi16_ZMM state saved.
 func missingAVX512() string {
 	if m := missingAVX2(); m != "" {
@@ -112,6 +119,7 @@ func init() {
 	if noAVX512 == "" {
 		simdName = "avx512"
 		walkPages32Arch = walkPages32AVX512
+		powSplitServes = true
 	}
 	// Dot as a one-row batch call: the bit-identity invariant in
 	// kernels.go holds by construction.

@@ -60,6 +60,11 @@ var (
 	// wherever the portable loops serve.
 	walkPages32Arch func(dst *[PageRows]float32, first *[]float32, stride uintptr, n int, q []float32, worst float32, flip uint32, last uint64) (int, uint64)
 	survivors32Arch func(keys []float32, worst float32, flip uint32) uint64
+	// powSplitServes is set where PowSplit's AVX-512F kernel serves. The
+	// kernel is called directly, not through a func value, so that
+	// PowSplit's slices do not escape: a caller's stack buffer stays on
+	// the stack.
+	powSplitServes bool
 	// pageKernels is every assembly page walk the build carries,
 	// narrowest first; walkPages32Arch is the widest the CPU admits. The
 	// tests and BenchmarkDotBatch run each one that it admits, so a host
@@ -77,9 +82,9 @@ type pageKernel struct {
 }
 
 // SIMD reports the vector instruction set the kernels dispatched to at
-// init: "avx512" (AVX2 kernels with the AVX-512F page walk), "avx2",
-// "neon", or "" when the portable Go loops are serving (noasm build,
-// unsupported architecture, or missing CPU features).
+// init: "avx512" (AVX2 kernels with the AVX-512F page walk and batch
+// power), "avx2", "neon", or "" when the portable Go loops are serving
+// (noasm build, unsupported architecture, or missing CPU features).
 func SIMD() string { return simdName }
 
 // Dot4 is the unrolled inner-product kernel shared by the portable Dot

@@ -94,12 +94,35 @@ func (t *Transformer) Clamp(x float64) float64 {
 // clamp at Eps keeps the relative-error division r̂/r well defined.
 func (t *Transformer) Forward(x float64) float64 {
 	x = t.Clamp(x)
-	var y float64
 	if t.Alpha == 0 {
-		y = math.Log(x)
-	} else {
-		y = (t.fwd.pow(x) - 1) / t.Alpha // BoxCox, with α split once
+		return t.normalize(math.Log(x))
 	}
+	return t.normalize((t.fwd.pow(x) - 1) / t.Alpha) // BoxCox, with α split once
+}
+
+// ForwardAll sets dst[i] = Forward(xs[i]) for every i, bit for bit, with
+// the batch's powers raised together (exponent.powAll). dst must be at
+// least as long as xs and may alias it.
+func (t *Transformer) ForwardAll(dst, xs []float64) {
+	dst = dst[:len(xs)]
+	for i, x := range xs {
+		dst[i] = t.Clamp(x)
+	}
+	if t.Alpha == 0 {
+		for i, x := range dst {
+			dst[i] = t.normalize(math.Log(x))
+		}
+		return
+	}
+	t.fwd.powAll(dst, dst)
+	for i, p := range dst {
+		dst[i] = t.normalize((p - 1) / t.Alpha)
+	}
+}
+
+// normalize is Eq. 4: a Box-Cox value y mapped linearly onto [0, 1] and
+// clamped to [Eps, 1].
+func (t *Transformer) normalize(y float64) float64 {
 	r := (y - t.lo) / (t.hi - t.lo)
 	if r < Eps {
 		r = Eps
@@ -113,28 +136,59 @@ func (t *Transformer) Forward(x float64) float64 {
 // Backward maps a normalized model output in [0, 1] back to a QoS value,
 // inverting Eq. 4 then Eq. 3.
 func (t *Transformer) Backward(r float64) float64 {
+	return t.Clamp(t.boxCoxInverse(t.denormalize(r)))
+}
+
+// BackwardAll sets dst[i] = Backward(rs[i]) for every i, bit for bit, with
+// the batch's powers raised together (exponent.powAll). dst must be at
+// least as long as rs and may alias it.
+func (t *Transformer) BackwardAll(dst, rs []float64) {
+	dst = dst[:len(rs)]
+	if t.Alpha == 0 {
+		for i, r := range rs {
+			dst[i] = t.Clamp(math.Exp(t.denormalize(r)))
+		}
+		return
+	}
+	for i, r := range rs {
+		dst[i] = t.inverseBase(t.denormalize(r))
+	}
+	t.inv.powAll(dst, dst)
+	for i, x := range dst {
+		dst[i] = t.Clamp(x)
+	}
+}
+
+// denormalize inverts Eq. 4: r, clamped to [0, 1], back to a Box-Cox
+// value.
+func (t *Transformer) denormalize(r float64) float64 {
 	if r < 0 {
 		r = 0
 	}
 	if r > 1 {
 		r = 1
 	}
-	return t.Clamp(t.boxCoxInverse(t.lo + r*(t.hi-t.lo)))
+	return t.lo + r*(t.hi-t.lo)
 }
 
 // boxCoxInverse inverts BoxCox at the transformer's α. For α ≠ 0 the
-// inverse is (α·y + 1)^(1/α); arguments that would take the base negative
-// are clamped to Eps so the inverse stays within the transform's valid
-// domain.
+// inverse is (α·y + 1)^(1/α), over inverseBase.
 func (t *Transformer) boxCoxInverse(y float64) float64 {
 	if t.Alpha == 0 {
 		return math.Exp(y)
 	}
+	return t.inv.pow(t.inverseBase(y))
+}
+
+// inverseBase is the base α·y + 1 that 1/α raises; bases that would be
+// negative are clamped to Eps so the inverse stays within the
+// transform's valid domain.
+func (t *Transformer) inverseBase(y float64) float64 {
 	base := t.Alpha*y + 1
 	if base < Eps {
 		base = Eps
 	}
-	return t.inv.pow(base)
+	return base
 }
 
 // Sigmoid is the logistic link g(x) = 1/(1+e^{-x}) mapping latent inner

@@ -1,6 +1,11 @@
 package transform
 
-import "math"
+import (
+	"math"
+	"math/bits"
+
+	"github.com/qoslab/amf/internal/matrix"
+)
 
 // exponent raises numbers to one fixed power y. pow runs math.Pow's own
 // operations in its own order, so every result is bit for bit
@@ -68,4 +73,27 @@ func (e *exponent) pow(x float64) float64 {
 		ae = -ae
 	}
 	return math.Ldexp(a1, ae)
+}
+
+// powAll sets dst[i] = e.pow(xs[i]) for every i, bit for bit; dst may
+// alias xs. Sixty-four values at a time go to matrix.PowSplit, which
+// raises whole vectors of eight in one AVX-512F kernel where the CPU has
+// it; pow computes every value the kernel leaves — the tail of each 64,
+// the lanes it cannot vouch for, or all of them without the kernel.
+func (e *exponent) powAll(dst, xs []float64) {
+	dst = dst[:len(xs)]
+	if e.general {
+		for i, x := range xs {
+			dst[i] = math.Pow(x, e.y)
+		}
+		return
+	}
+	for len(xs) > 0 {
+		n := min(len(xs), 64)
+		for rest := matrix.PowSplit(dst[:n], xs[:n], e.yi, e.yf, e.y < 0); rest != 0; rest &= rest - 1 {
+			i := bits.TrailingZeros64(rest)
+			dst[i] = e.pow(xs[i])
+		}
+		dst, xs = dst[n:], xs[n:]
+	}
 }
