@@ -50,9 +50,8 @@ func run(args []string, stderr io.Writer) error {
 		seed     = fs.Int64("seed", 1, "model seed")
 		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations; a PONG acks every line sent before its PING as an HTTP observe is acked")
 
-		dataDir     = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery")
-		fsyncPolicy = fs.String("fsync", "interval", "WAL fsync policy: group (acked = durable; the acking request runs or shares the covering fsync) or interval (bounded loss: fsync every 100ms)")
-		snapIvl     = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
+		dataDir = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery; a write is acked only once an fsync covers it")
+		snapIvl = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
 
 		role       = fs.String("role", "leader", "cluster role: leader (serves writes) or follower (tails a leader's log from -leader-data, read-only until promoted)")
 		leaderURL  = fs.String("leader", "", "leader base URL the follower long-polls for the commit index (follower role, required)")
@@ -145,14 +144,9 @@ func run(args []string, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown role %q (want leader or follower)", *role)
 	}
-	sync, err := store.ParseSyncPolicy(*fsyncPolicy)
-	if err != nil {
-		return err
-	}
 	var mgr *store.Manager
 	if *dataDir != "" {
 		mgr, err = store.Open(*dataDir, store.Options{
-			Sync:               sync,
 			CheckpointInterval: *snapIvl,
 			Logger:             logger,
 		})
@@ -168,7 +162,7 @@ func run(args []string, stderr io.Writer) error {
 			return fmt.Errorf("recover %s: %w", *dataDir, err)
 		}
 		logger.Info("durable state ready", "dir", *dataDir,
-			"fsync", sync.String(), "snapshot_interval", *snapIvl,
+			"snapshot_interval", *snapIvl,
 			"recovered_samples", rs.Samples, "checkpoint_seq", rs.CheckpointSeq)
 	}
 	if follower {
@@ -179,7 +173,6 @@ func run(args []string, stderr io.Writer) error {
 			Leader:     *leaderURL,
 			LeaderData: *leaderData,
 			StoreOptions: store.Options{
-				Sync:               sync,
 				CheckpointInterval: *snapIvl,
 				Logger:             logger,
 			},
@@ -244,8 +237,7 @@ func run(args []string, stderr io.Writer) error {
 		"slo_admission", *sloAdmit, "slo_budget_standard", *sloBudgetStd,
 		"slo_budget_sheddable", *sloBudgetShd,
 		"role", *role, "leader", *leaderURL, "leader_data", *leaderData,
-		"data_dir", *dataDir, "fsync", sync.String(),
-		"snapshot_interval", *snapIvl,
+		"data_dir", *dataDir, "snapshot_interval", *snapIvl,
 		"pprof", *pprofFlag, "log_level", *logLevel, "log_format", *logFormat)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err

@@ -28,7 +28,7 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	for _, name := range []string{
 		"definitely-not-a-flag",
 		"queue", "publish-interval", "publish-every", "slo-headroom",
-		"wal-segment-bytes", "fsync-group-window", "fsync-group-bytes", "repl-wait",
+		"wal-segment-bytes", "fsync", "fsync-group-window", "fsync-group-bytes", "repl-wait",
 	} {
 		err := run([]string{"-" + name, "1"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -90,26 +90,6 @@ func TestRunRejectsFollowerWithoutLeaderData(t *testing.T) {
 	runMustRefuse(t, "not a durable directory", "-role", "follower", "-leader", "http://127.0.0.1:1", "-leader-data", t.TempDir())
 }
 
-// TestRunRejectsFsyncAlways: the retired policy value fails start-up
-// instead of quietly mapping to one that remains.
-func TestRunRejectsFsyncAlways(t *testing.T) {
-	err := run([]string{"-data-dir", t.TempDir(), "-fsync", "always"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown fsync policy "always"`) {
-		t.Fatalf("-fsync always: err = %v, want an unknown-policy error", err)
-	}
-}
-
-// TestRunRejectsFsyncOff: off is retired too (its commit index would
-// advance only at rotation, checkpoint or close, stalling followers), and
-// the error names the two policies that remain.
-func TestRunRejectsFsyncOff(t *testing.T) {
-	err := run([]string{"-data-dir", t.TempDir(), "-fsync", "off"}, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), `unknown fsync policy "off"`) ||
-		!strings.Contains(err.Error(), "group") || !strings.Contains(err.Error(), "interval") {
-		t.Fatalf("-fsync off: err = %v, want an unknown-policy error naming group and interval", err)
-	}
-}
-
 // syncBuffer collects run's log output; the logger and the test's
 // failure paths may touch it from different goroutines.
 type syncBuffer struct {
@@ -146,7 +126,7 @@ func serve(t *testing.T, dir string) (c *client.Client, stop func() string) {
 	var logs syncBuffer
 	done := make(chan error, 1)
 	go func() {
-		done <- run([]string{"-addr", addr, "-data-dir", dir, "-fsync", "group", "-replay-interval", "1h"}, &logs)
+		done <- run([]string{"-addr", addr, "-data-dir", dir, "-replay-interval", "1h"}, &logs)
 	}()
 	c = client.New("http://"+addr, nil)
 	for deadline := time.Now().Add(10 * time.Second); c.Health(context.Background()) != nil; {

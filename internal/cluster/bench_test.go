@@ -252,7 +252,6 @@ func BenchmarkGatewayRankAll(b *testing.B) {
 func BenchmarkReplicationLag(b *testing.B) {
 	dir := b.TempDir()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               store.SyncGroup, // every acked write commits at once, no flush tick
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})

@@ -21,14 +21,13 @@ import (
 
 // TestFailoverChildHelper is not a test: it is the leader half of the
 // SIGKILL failover test below. Re-invoked via os.Args[0] with
-// AMF_FAILOVER_CHILD=1, it runs a durable fsync=group amfserver on a
+// AMF_FAILOVER_CHILD=1, it runs a durable amfserver on a
 // real TCP socket until the parent kills it.
 func TestFailoverChildHelper(t *testing.T) {
 	if os.Getenv("AMF_FAILOVER_CHILD") != "1" {
 		t.Skip("failover-test child helper; run via TestClusterFailoverKillLeader")
 	}
 	mgr, err := store.Open(os.Getenv("AMF_FAILOVER_DIR"), store.Options{
-		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -55,12 +54,12 @@ func TestFailoverChildHelper(t *testing.T) {
 // TestClusterFailoverKillLeader is the acceptance scenario, and the first
 // executable "acked ⇒ recoverable" check: a gateway fronts one shard
 // group of three replicas — a leader child process on shared storage
-// with fsync=group and two in-process followers tailing its directory.
+// and two in-process followers tailing its directory.
 // The leader is SIGKILLed under an active observe stream; the gateway's
 // probe loop must promote one follower, which recovers the leader's
 // durable directory to its exact tail, re-point the other, and resume
 // serving — with every observation the dead leader acked still
-// predictable. Zero acked loss is the fsync=group contract; failover
+// predictable. Zero acked loss is the durability contract; failover
 // must not weaken it. The follower left as a follower keeps tailing the
 // same directory under the new leader, with no gap and no sequence
 // applied twice.
@@ -97,7 +96,6 @@ func TestClusterFailoverKillLeader(t *testing.T) {
 			Leader:     leaderURL,
 			LeaderData: dir,
 			StoreOptions: store.Options{
-				Sync:               store.SyncGroup,
 				CheckpointInterval: time.Hour,
 				Logger:             quietLogger(),
 			},

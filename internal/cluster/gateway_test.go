@@ -275,7 +275,7 @@ func TestGatewayAutoFailover(t *testing.T) {
 	if _, err := follower.StartFollower(server.FollowerConfig{
 		Leader:        tsLeader.URL,
 		LeaderData:    dir,
-		StoreOptions:  store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
+		StoreOptions:  store.Options{CheckpointInterval: time.Hour, Logger: quietLogger()},
 		WaitMS:        100,
 		RetryInterval: 20 * time.Millisecond,
 	}); err != nil {
@@ -399,7 +399,6 @@ func TestGatewayNeverPromotesDemotedLeader(t *testing.T) {
 func durableBackend(t *testing.T, dir string) (*server.Server, *store.Manager, store.RecoveryStats) {
 	t.Helper()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})

@@ -45,7 +45,6 @@ func TestMetricsDocumented(t *testing.T) {
 	// amf_journal_errors_total).
 	dir := t.TempDir()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})

@@ -11,11 +11,9 @@ import (
 
 // BenchmarkObserveJournal measures the durability tax on the synchronous
 // observe path: the same 64-sample ObserveAll with no journal attached
-// (the seed's write path) versus journaling into a real segmented WAL
-// under each fsync policy. The acceptance budget is <=10% regression for
-// fsync=interval; fsync=group pays a real fsync per batch (one closed-loop
-// caller has nobody to share it with) and is reported for operators
-// choosing the zero-loss policy.
+// (the seed's write path) versus journaling into a real segmented WAL,
+// where every batch pays a real fsync (one closed-loop caller has nobody
+// to share it with).
 //
 //	go test -bench=BenchmarkObserveJournal -benchmem ./internal/engine/
 func BenchmarkObserveJournal(b *testing.B) {
@@ -38,16 +36,14 @@ func BenchmarkObserveJournal(b *testing.B) {
 		e := New(testModel(b), Config{})
 		run(b, e)
 	})
-	for _, pol := range []store.SyncPolicy{store.SyncInterval, store.SyncGroup} {
-		b.Run("journal="+pol.String(), func(b *testing.B) {
-			w, err := store.OpenWAL(b.TempDir(), store.WALOptions{Sync: pol, Logger: quiet})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			e := New(testModel(b), Config{})
-			e.SetJournal(w)
-			run(b, e)
-		})
-	}
+	b.Run("journal=group", func(b *testing.B) {
+		w, err := store.OpenWAL(b.TempDir(), store.WALOptions{Logger: quiet})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		e := New(testModel(b), Config{})
+		e.SetJournal(w)
+		run(b, e)
+	})
 }

@@ -75,7 +75,7 @@ type ObserveTiming struct {
 	Journal    time.Duration // WAL append (zero without a journal)
 	Apply      time.Duration // model update
 	Publish    time.Duration // view rebuild + RCU publish
-	CommitWait time.Duration // caller's wait for the covering fsync (zero unless fsync=group)
+	CommitWait time.Duration // caller's wait for the covering fsync (zero without a durable journal)
 }
 
 // Metrics is the engine's latency instrumentation: two lock-free
@@ -262,15 +262,14 @@ func (e *Engine) commitLocked(ss []stream.Sample, scored bool, t *ObserveTiming)
 	return seq, e.durJournal
 }
 
-// awaitDurable returns once record seq is as durable as the journal's
-// policy promises (dj nil without a durable journal; seq 0 when nothing
-// was journaled). It is the one place the engine waits for an fsync, and
-// it is called without mu by whoever asked for the write — an observer, a
-// remover — so no other write is stalled behind the disk, and under
-// fsync=group the caller runs (or shares) the covering fsync itself, on
-// its own goroutine. A rejection (fence, WAL failure, close) is counted,
-// not returned: the engine keeps serving and the store's fail-fast makes
-// the gap visible.
+// awaitDurable returns once record seq is durable (dj nil without a
+// durable journal; seq 0 when nothing was journaled). It is the one place
+// the engine waits for an fsync, and it is called without mu by whoever
+// asked for the write — an observer, a remover — so no other write is
+// stalled behind the disk, and the caller runs (or shares) the covering
+// fsync itself, on its own goroutine. A rejection (fence, WAL failure,
+// close) is counted, not returned: the engine keeps serving and the
+// store's fail-fast makes the gap visible.
 func (e *Engine) awaitDurable(dj DurableJournal, seq uint64) {
 	if dj != nil && seq > 0 {
 		if err := dj.WaitDurable(seq); err != nil {
@@ -304,8 +303,8 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 
 // RemoveUser forgets a user (churn departure) and republishes so the
 // departure is immediately visible to readers. Like ObserveAllTraced it
-// returns only once the removal is as durable as the journal's policy
-// promises: acked ⇒ durable holds for departures too.
+// returns only once the removal is durable: acked ⇒ durable holds for
+// departures too.
 func (e *Engine) RemoveUser(id int) {
 	e.remove(id, Journal.AppendRemoveUser, (*core.Model).RemoveUser)
 }

@@ -14,8 +14,7 @@ import (
 // number while the model is quiescent covers exactly the records it
 // claims to (see CheckpointView).
 //
-// With a DurableJournal whose policy promises durability (store.WAL
-// under fsync=group), an ack — an observe's or a removal's — additionally
+// With a DurableJournal (store.WAL), an ack — an observe's or a removal's — additionally
 // implies the record is on stable storage: read-your-writes becomes
 // durable-your-writes. The caller waits for the covering fsync after it
 // has let go of the engine's lock (see DurableJournal).
@@ -45,13 +44,12 @@ type Journal interface {
 // are pipelined: a write journals its batch, applies it, publishes and
 // unlocks, so the next write can start; each caller — observer or remover
 // — then calls WaitDurable itself (Engine.awaitDurable) and returns only
-// once its record is as durable as the journal's policy promises. The
-// engine does not know the policy: store.WAL runs (or shares) the
-// covering fsync under fsync=group and returns at once under interval.
+// once its record is durable: store.WAL runs (or shares) the covering
+// fsync.
 type DurableJournal interface {
 	Journal
 	// WaitDurable blocks until the record with the given sequence
-	// number is durable by the journal's policy (or the log is
+	// number is durable (or the log is
 	// fenced/failed/closed, in which case it returns the rejection).
 	WaitDurable(seq uint64) error
 }

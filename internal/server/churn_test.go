@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/qoslab/amf/internal/store"
 )
 
 // ingestThenDelete is the ghost's reproduction, one client and no
@@ -80,13 +78,13 @@ func TestDeleteOrderedAfterIngest(t *testing.T) {
 	})
 	t.Run("data-dir", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _, _ := durableServer(t, dir, store.SyncGroup)
+		s, _, _ := durableServer(t, dir)
 		defer s.Close()
 		ingestThenDelete(t, s)
 		checkNoGhosts(t, s, "before the restart")
 		// Crash without shutdown, so recovery replays the WAL rather than
 		// loading a final checkpoint.
-		s2, _, rs := durableServer(t, dir, store.SyncGroup)
+		s2, _, rs := durableServer(t, dir)
 		defer s2.Close()
 		if rs.Removals != 2200 {
 			t.Fatalf("recovery replayed %d removal records, want 2200", rs.Removals)

@@ -32,13 +32,12 @@ func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// durableServer builds a Server attached to a fresh store.Manager on dir
-// with the given fsync policy. The background checkpointer is effectively
-// disabled (1h cadence) so tests control checkpoint timing explicitly.
-func durableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *store.Manager, store.RecoveryStats) {
+// durableServer builds a Server attached to a fresh store.Manager on dir.
+// The background checkpointer is effectively disabled (1h cadence) so
+// tests control checkpoint timing explicitly.
+func durableServer(t *testing.T, dir string) (*Server, *store.Manager, store.RecoveryStats) {
 	t.Helper()
 	mgr, err := store.Open(dir, store.Options{
-		Sync:               sync,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -62,14 +61,14 @@ func durableServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *s
 // directory with a fresh server, and assert that every acked observation
 // is reflected — each surviving (user, service) pair predicts, each
 // deleted entity stays deleted, and the recovered registries match the
-// pre-crash directories exactly. Under -fsync=group every acked write is
-// on stable storage, so nothing may be lost.
+// pre-crash directories exactly. Every acked write is on stable storage,
+// so nothing may be lost.
 func TestDurableCrashRecoveryProperty(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			svc, _, _ := durableServer(t, dir, store.SyncGroup)
+			svc, _, _ := durableServer(t, dir)
 
 			rng := rand.New(rand.NewSource(seed))
 			type pair struct{ user, service string }
@@ -125,8 +124,8 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 			wantServices := svc.services.List()
 
 			// Crash: no engine close, no final checkpoint, no manager
-			// close. SyncGroup means everything acked is already on disk.
-			svc2, _, rs := durableServer(t, dir, store.SyncGroup)
+			// close. Everything acked is already on disk.
+			svc2, _, rs := durableServer(t, dir)
 			defer svc2.Close()
 
 			gotUsers := svc2.users.List()
@@ -170,39 +169,22 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
-// TestDurableRecoveryBoundedLossInterval exercises the fsync=interval
-// contract: after the flush window has elapsed, previously acked writes
-// are durable; a crash loses at most the unflushed tail. The test forces
-// a Sync (standing in for the background flush tick having fired) and
-// asserts zero loss for everything acked before it.
-func TestDurableRecoveryBoundedLossInterval(t *testing.T) {
-	dir := t.TempDir()
-	svc, mgr, _ := durableServer(t, dir, store.SyncInterval)
-
-	observeSome(t, svc)
-	if err := mgr.WAL().Sync(); err != nil { // the flush window closes
-		t.Fatalf("sync: %v", err)
-	}
-
-	// Crash without shutdown; reopen and verify the synced prefix.
-	svc2, _, rs := durableServer(t, dir, store.SyncInterval)
-	defer svc2.Close()
-	if rs.Samples < 20 {
-		t.Fatalf("recovered %d samples, want >= 20 (all acked before the flush)", rs.Samples)
-	}
-	w := doReq(t, svc2, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("predict after interval recovery: status %d: %s", w.Code, w.Body.String())
-	}
-}
-
-// TestGroupAckedWriteLeavesNothingUnsynced: under group every record the
-// server journals has a waiter — an observe's samples and the
-// registrations of the names it adds, just ahead of them; a stream
-// batch's; a removal — so once any write is acked the commit index has
-// reached the tail. That is why a group WAL runs no flusher.
+// TestGroupAckedWriteLeavesNothingUnsynced: on a store opened with
+// zero-value options, every record the server journals has a waiter — an
+// observe's samples and the registrations of the names it adds, just
+// ahead of them; a stream batch's; a removal — so once any write is acked
+// the commit index has reached the tail. That is why the WAL runs no
+// flusher.
 func TestGroupAckedWriteLeavesNothingUnsynced(t *testing.T) {
-	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+	mgr, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	svc := New(core.MustNew(core.DefaultConfig(-0.007, 0, 20)), WithLogger(quietLogger()))
+	if _, err := svc.AttachDurable(mgr); err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close()
 	wal := mgr.WAL()
 	acked := func(what string, write func()) {
@@ -250,7 +232,7 @@ func TestGroupAckedWriteLeavesNothingUnsynced(t *testing.T) {
 // TestDurableDoubleAttach pins the one-shot contract.
 func TestDurableDoubleAttach(t *testing.T) {
 	dir := t.TempDir()
-	svc, mgr, _ := durableServer(t, dir, store.SyncGroup)
+	svc, mgr, _ := durableServer(t, dir)
 	defer svc.Close()
 	if _, err := svc.AttachDurable(mgr); err == nil {
 		t.Fatal("second AttachDurable should fail")
@@ -262,7 +244,7 @@ func TestDurableDoubleAttach(t *testing.T) {
 // before it — not in the registries, not in the model, not in the WAL
 // (where a registration record would survive recovery).
 func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
-	svc, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+	svc, mgr, _ := durableServer(t, t.TempDir())
 	defer svc.Close()
 	observeSome(t, svc)
 
@@ -310,7 +292,7 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 // sample first, and a crash in between would leave factors under an ID no
 // recovered name resolves to.
 func TestNameVisibleOnlyAfterJournaled(t *testing.T) {
-	svc, _, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+	svc, _, _ := durableServer(t, t.TempDir())
 	defer svc.Close()
 	var (
 		mu      sync.Mutex
@@ -389,10 +371,10 @@ func TestCheckpointEndpointWithoutStore(t *testing.T) {
 // amf_recovery_* families through the strict in-repo parser.
 func TestDurableMetrics(t *testing.T) {
 	dir := t.TempDir()
-	svc, _, _ := durableServer(t, dir, store.SyncGroup)
+	svc, _, _ := durableServer(t, dir)
 	observeSome(t, svc)
 	// Crash (abandon) and recover so amf_recovery_replayed_total > 0.
-	svc2, _, rs := durableServer(t, dir, store.SyncGroup)
+	svc2, _, rs := durableServer(t, dir)
 	defer svc2.Close()
 	if rs.Samples == 0 {
 		t.Fatal("recovery replayed no samples")
@@ -460,7 +442,6 @@ func TestCrashChildHelper(t *testing.T) {
 		t.Skip("crash-test child helper; run via TestDurableKillRestart")
 	}
 	mgr, err := store.Open(os.Getenv("AMF_CRASH_DIR"), store.Options{
-		Sync:               store.SyncGroup,
 		CheckpointInterval: time.Hour,
 		Logger:             quietLogger(),
 	})
@@ -491,8 +472,8 @@ func TestCrashChildHelper(t *testing.T) {
 }
 
 // TestDurableKillRestart is the end-to-end crash test from the issue: a
-// real child process serving HTTP on a durable data directory with
-// fsync=group is killed with SIGKILL (no shutdown protocol of any kind),
+// real child process serving HTTP on a durable data directory is killed
+// with SIGKILL (no shutdown protocol of any kind),
 // and the parent then recovers the directory in-process and verifies that
 // every observation and delete the child acked with a 200 is reflected in
 // the recovered model. An ack is sent only after the caller's covering
@@ -507,7 +488,7 @@ func TestDurableKillRestart(t *testing.T) {
 	cmd, addr, _ := startCrashChild(t, dir)
 
 	// Drive acked observations over real HTTP. Every 200 is a durability
-	// promise under fsync=group — for a departure as much as for a
+	// promise — for a departure as much as for a
 	// sample: a user and a service are observed, then deleted between
 	// other observes, and both acked deletes must survive the kill.
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -582,7 +563,7 @@ func TestDurableKillRestart(t *testing.T) {
 	_, _ = cmd.Process.Wait()
 
 	// Recover the directory in-process and verify zero acked loss.
-	svc, _, rs := durableServer(t, dir, store.SyncGroup)
+	svc, _, rs := durableServer(t, dir)
 	defer svc.Close()
 	if rs.Samples < len(acked) {
 		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
@@ -735,7 +716,7 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		t.Fatal("no observations were acked")
 	}
 
-	svc, _, rs := durableServer(t, dir, store.SyncGroup)
+	svc, _, rs := durableServer(t, dir)
 	defer svc.Close()
 	if rs.Samples < len(acked) {
 		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
@@ -751,7 +732,7 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 }
 
 // TestDurableKillRestartStream is the SIGKILL crash test for the TCP
-// stream door: under fsync=group a PONG acks every line sent before its
+// stream door: a PONG acks every line sent before its
 // PING as an HTTP 200 acks an observe, so every pair acked that way must
 // predict after the child is killed and its directory recovered — lines
 // sent after the last PING included in the kill, not in the promise.
@@ -798,7 +779,7 @@ func TestDurableKillRestartStream(t *testing.T) {
 	}
 	_, _ = cmd.Process.Wait()
 
-	svc, _, rs := durableServer(t, dir, store.SyncGroup)
+	svc, _, rs := durableServer(t, dir)
 	defer svc.Close()
 	if rs.Samples < len(acked) {
 		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))

@@ -31,7 +31,7 @@ func hopPatterns(t testing.TB) (srv, gw []string) {
 	t.Helper()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	mgr, err := store.Open(t.TempDir(), store.Options{
-		Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quiet,
+		CheckpointInterval: time.Hour, Logger: quiet,
 	})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)

@@ -15,7 +15,6 @@ import (
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/obs/trace"
-	"github.com/qoslab/amf/internal/store"
 )
 
 func testConfig() core.Config {
@@ -122,7 +121,7 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 // that is a log being replayed (WAL recovery, replication apply).
 func TestLiveAccuracyTracksObservations(t *testing.T) {
 	dir := t.TempDir()
-	s, _, ts := leaderServer(t, dir, store.SyncGroup)
+	s, _, ts := leaderServer(t, dir)
 	observeSome(t, s) // first sightings: all unscored
 	if s.acc.Samples() != 0 {
 		t.Fatalf("first sightings were scored: %d", s.acc.Samples())
@@ -177,7 +176,7 @@ func TestLiveAccuracyTracksObservations(t *testing.T) {
 
 	// WAL recovery: a second server on the same directory (the first
 	// abandoned as a crash would) replays every sample and scores none.
-	s2, _, rs := durableServer(t, dir, store.SyncGroup)
+	s2, _, rs := durableServer(t, dir)
 	defer s2.Close()
 	if rs.Samples != 66 {
 		t.Fatalf("recovery replayed %d samples, want 66", rs.Samples)

@@ -39,8 +39,8 @@ var errFollowerWrite = errors.New("follower: writes must go to the leader")
 // registries or the WAL), registers its names — each joining name's
 // binding journaled under the registry's lock, ahead of the samples (see
 // joinUser) — and commits the samples through the engine, on the
-// caller's goroutine: it returns once they are applied, published and as
-// durable as the journal's policy promises. b is the caller's scratch.
+// caller's goroutine: it returns once they are applied, published and,
+// with a durable journal, on stable storage. b is the caller's scratch.
 func (s *Server) observe(obs []ingest.Observation, b *hotBuf) (ObserveResponse, engine.ObserveTiming, error) {
 	var resp ObserveResponse
 	if s.follower.Load() {

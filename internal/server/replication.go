@@ -31,8 +31,7 @@ import (
 // a follower is promoted (POST /api/v1/promote) by opening the dead
 // leader's durable directory and running the full recovery protocol —
 // checkpoint restore plus WAL replay to tail. Every sample the old leader
-// acked under -fsync group is in that log, so promotion loses nothing
-// acked.
+// acked is in that log, so promotion loses nothing acked.
 
 // replPollTick is how often a parked status long-poll re-checks the
 // commit index and the server's closed flag; it bounds how long a

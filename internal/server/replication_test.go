@@ -15,13 +15,14 @@ import (
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/store"
+	"github.com/qoslab/amf/internal/stream"
 )
 
 // leaderServer is durableServer plus an HTTP listener, since a follower
 // long-polls the leader's commit index over a real connection.
-func leaderServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *store.Manager, *httptest.Server) {
+func leaderServer(t *testing.T, dir string) (*Server, *store.Manager, *httptest.Server) {
 	t.Helper()
-	svc, mgr, _ := durableServer(t, dir, sync)
+	svc, mgr, _ := durableServer(t, dir)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
 	return svc, mgr, ts
@@ -32,7 +33,7 @@ func leaderServer(t *testing.T, dir string, sync store.SyncPolicy) (*Server, *st
 func smallSegmentLeader(t *testing.T) (*Server, *store.Manager, *httptest.Server) {
 	t.Helper()
 	mgr, err := store.Open(t.TempDir(), store.Options{
-		Sync: store.SyncGroup, SegmentBytes: 1 << 10, CheckpointInterval: time.Hour, Logger: quietLogger(),
+		SegmentBytes: 1 << 10, CheckpointInterval: time.Hour, Logger: quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +101,7 @@ func predictOn(t *testing.T, s *Server, user, service string) (float64, bool) {
 }
 
 func TestFollowerTailsLeader(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	if w := doReq(t, leader, http.MethodPost, "/api/v1/checkpoint", nil); w.Code != http.StatusOK {
 		t.Fatalf("leader checkpoint: %d %s", w.Code, w.Body.String())
@@ -151,17 +152,17 @@ func TestFollowerTailsLeader(t *testing.T) {
 	})
 }
 
-// TestFollowerOfIntervalLeaderNeverPassesCommitIndex: the follower reads
-// the leader's segment files, and under fsync=interval those hold records
-// the flusher has not fsynced yet — an observe larger than the WAL's
-// write buffer lands in the file at once. A power loss could erase such a
-// record and the restarted leader would reuse its sequence number, so the
-// follower never applies past the leader's DurableSeq, however often it
-// reads the files (a short long-poll makes it read every few ms), and it
-// still catches up within a flush tick. The leader's cluster status
-// reports that same index, so a caught-up follower shows no lag.
-func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncInterval)
+// TestFollowerNeverPassesCommitIndex: the follower reads the leader's
+// segment files, and those can hold a record before the fsync covering
+// it lands — a record larger than the WAL's write buffer reaches the file
+// at once. A power loss could erase such a record and the restarted
+// leader would reuse its sequence number, so the follower never applies
+// past the leader's DurableSeq, however often it reads the files (a short
+// long-poll makes it read every few ms), and it catches up once an fsync
+// covers the record. The leader's cluster status reports that same
+// index, so a caught-up follower shows no lag.
+func TestFollowerNeverPassesCommitIndex(t *testing.T) {
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{Leader: ts.URL, LeaderData: mgr.Dir(), WaitMS: 5})
 	wal := mgr.WAL()
@@ -183,28 +184,37 @@ func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
 			t.Fatalf("leader status wal_seq %d past its commit index %d", reported, durable)
 		}
 	}
-	// 5000 samples of 32 bytes: one record over twice the 64 KiB write
-	// buffer, so all of it reaches the segment file before any fsync.
-	var big []Observation
+	waitFor(t, 5*time.Second, "a caught-up follower", func() bool {
+		behind()
+		return f.repl.AppliedSeq() == wal.LastSeq()
+	})
+	// 5000 samples of 32 bytes, over pairs observeSome registered, appended
+	// straight to the leader's WAL with no waiter: one record over twice
+	// the 64 KiB write buffer, so all of it reaches the segment file and
+	// no fsync covers it.
+	var big []stream.Sample
 	for i := 0; i < 5000; i++ {
-		big = append(big, Observation{User: fmt.Sprintf("u%d", i%4), Service: fmt.Sprintf("s%d", i%5), Value: 1})
+		u, _ := leader.users.Lookup(fmt.Sprintf("u%d", i%4))
+		sv, _ := leader.services.Lookup(fmt.Sprintf("s%d", i%5))
+		big = append(big, stream.Sample{User: u, Service: sv, Value: 1})
 	}
-	for round := 0; round < 5; round++ {
-		waitFor(t, 5*time.Second, "a flush tick and a caught-up follower", func() bool {
-			behind()
-			return wal.DurableSeq() == wal.LastSeq() && f.repl.AppliedSeq() == wal.LastSeq()
-		})
-		if w := doReq(t, leader, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: big}); w.Code != http.StatusOK {
-			t.Fatalf("leader observe: %d %s", w.Code, w.Body.String())
-		}
-		for k := 0; k < 60; k++ {
-			behind()
-			time.Sleep(2 * time.Millisecond)
-		}
+	seq, err := wal.AppendSamples(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wal.DurableSeq() >= seq {
+		t.Fatalf("commit index %d already covers the unwaited record %d", wal.DurableSeq(), seq)
+	}
+	for k := 0; k < 60; k++ {
+		behind()
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err := wal.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "follower at the leader's tail", func() bool {
 		behind()
-		return f.repl.AppliedSeq() == wal.LastSeq()
+		return f.repl.AppliedSeq() == seq
 	})
 	if reported, applied := status(), f.repl.AppliedSeq(); reported != applied {
 		t.Fatalf("caught-up follower at %d, leader status wal_seq %d; want no lag", applied, reported)
@@ -212,7 +222,7 @@ func TestFollowerOfIntervalLeaderNeverPassesCommitIndex(t *testing.T) {
 }
 
 func TestFollowerRejectsWrites(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	f := followerOf(t, ts, mgr)
 
@@ -247,7 +257,7 @@ func TestFollowerRejectsWrites(t *testing.T) {
 }
 
 func TestClusterStatus(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	f := followerOf(t, ts, mgr)
 
@@ -277,7 +287,7 @@ func TestClusterStatus(t *testing.T) {
 // closing the server ends a parked poll within a tick, so shutdown never
 // waits on one.
 func TestClusterStatusLongPoll(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	for _, q := range []string{"after=x", "after=-1", "after=0&wait_ms=-1", "wait_ms=x"} {
 		if w := doReq(t, leader, http.MethodGet, "/api/v1/cluster/status?"+q, nil); w.Code != http.StatusBadRequest {
@@ -429,12 +439,12 @@ func TestFollowerServesReadsWhileStateChanges(t *testing.T) {
 	}
 
 	t.Run("promote", func(t *testing.T) {
-		leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+		leader, mgr, ts := leaderServer(t, t.TempDir())
 		observeSome(t, leader)
 		f := startFollower(t, FollowerConfig{
 			Leader:       ts.URL,
 			LeaderData:   mgr.Dir(),
-			StoreOptions: store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
+			StoreOptions: store.Options{CheckpointInterval: time.Hour, Logger: quietLogger()},
 		})
 		waitFor(t, 5*time.Second, "follower caught up", func() bool {
 			return f.repl.AppliedSeq() == mgr.WAL().DurableSeq()
@@ -483,13 +493,13 @@ func TestFollowerServesReadsWhileStateChanges(t *testing.T) {
 // SIGKILL-under-load variant lives in the cluster failover suite.
 func TestPromoteSharedStorage(t *testing.T) {
 	dir := t.TempDir()
-	leader, mgr, ts := leaderServer(t, dir, store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, dir)
 	observeSome(t, leader)
 
 	f := startFollower(t, FollowerConfig{
 		Leader:       ts.URL,
 		LeaderData:   dir,
-		StoreOptions: store.Options{Sync: store.SyncGroup, CheckpointInterval: time.Hour, Logger: quietLogger()},
+		StoreOptions: store.Options{CheckpointInterval: time.Hour, Logger: quietLogger()},
 	})
 	waitFor(t, 5*time.Second, "follower caught up", func() bool {
 		_, ok := predictOn(t, f, "u3", "s4")
@@ -556,7 +566,7 @@ func TestPromoteSharedStorage(t *testing.T) {
 // configuration and names the field; the server stays a leader-role
 // server with nothing to promote (409), and serves writes.
 func TestPromoteWithoutLeaderData(t *testing.T) {
-	_, _, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	_, _, ts := leaderServer(t, t.TempDir())
 	s := testServer(t)
 	if _, err := s.StartFollower(FollowerConfig{Leader: ts.URL}); err == nil || !strings.Contains(err.Error(), "LeaderData") {
 		t.Fatalf("StartFollower without LeaderData: %v, want an error naming LeaderData", err)
@@ -581,7 +591,7 @@ func TestPromoteWithoutLeaderData(t *testing.T) {
 // parked as a stopped, write-rejecting follower that looks healthy and
 // can never serve a later promotion.
 func TestPromoteFailureResumesFollower(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	f := startFollower(t, FollowerConfig{
 		Leader:       ts.URL,
@@ -638,7 +648,7 @@ func TestPromoteFailureResumesFollower(t *testing.T) {
 // write-rejecting follower pointing at the winner, and fences its store
 // so nothing more lands on the diverged WAL lineage.
 func TestDemoteFencesLeader(t *testing.T) {
-	leader, mgr, _ := durableServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, _ := durableServer(t, t.TempDir())
 	observeSome(t, leader)
 
 	w := doReq(t, leader, http.MethodPost, "/api/v1/demote", map[string]string{"leader": "http://winner:1"})
@@ -683,7 +693,7 @@ func TestDemoteFencesLeader(t *testing.T) {
 }
 
 func TestSetLeaderEndpoint(t *testing.T) {
-	leader, mgr, ts := leaderServer(t, t.TempDir(), store.SyncGroup)
+	leader, mgr, ts := leaderServer(t, t.TempDir())
 	observeSome(t, leader)
 	f := followerOf(t, ts, mgr)
 
@@ -706,7 +716,7 @@ func TestSetLeaderEndpoint(t *testing.T) {
 func TestStartFollowerRefusals(t *testing.T) {
 	dir := t.TempDir()
 	// Durable server cannot become a follower.
-	leader, _, _ := durableServer(t, dir, store.SyncGroup)
+	leader, _, _ := durableServer(t, dir)
 	if _, err := leader.StartFollower(FollowerConfig{Leader: "http://x", LeaderData: dir}); err == nil {
 		t.Error("durable server accepted follower mode")
 	}

@@ -13,10 +13,9 @@ import (
 )
 
 // Benchmarks for the durable-state layer: the WAL append + WaitDurable
-// cost under each fsync policy is the per-observe durability tax, the
-// replay and recovery rows are the restart-time budget (the paper's
-// online setting has no offline retraining window, so recovery time is
-// serving downtime). The
+// cost is the per-observe durability tax, the replay and recovery rows
+// are the restart-time budget (the paper's online setting has no offline
+// retraining window, so recovery time is serving downtime). The
 // repository benchmark tracks the same costs as store.append_p50_us,
 // store.recovery_s and store.checkpoint_s.
 
@@ -37,36 +36,27 @@ func quietLog() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, n
 
 // BenchmarkWALAppend measures one batched observe journal append (16
 // samples per record, the common HTTP batch shape) plus the caller's
-// WaitDurable under each fsync policy — the durable-ack cost of one lone
-// writer. The group row is a real fsync per op — expect disk, not CPU;
-// interval returns from WaitDurable at once.
+// WaitDurable — the durable-ack cost of one lone writer. Each op is a
+// real fsync — expect disk, not CPU.
 func BenchmarkWALAppend(b *testing.B) {
-	for _, pol := range []SyncPolicy{SyncInterval, SyncGroup} {
-		b.Run(pol.String(), func(b *testing.B) {
-			w, err := OpenWAL(b.TempDir(), WALOptions{Sync: pol, Logger: quietLog()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer w.Close()
-			batch := benchSamples(16)
-			b.SetBytes(int64(len(encodeSamples(batch))))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seq, err := w.AppendSamples(batch)
-				if err == nil {
-					err = w.WaitDurable(seq)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	w := openBenchWAL(b)
+	batch := benchSamples(16)
+	b.SetBytes(int64(len(encodeSamples(batch))))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seq, err := w.AppendSamples(batch)
+		if err == nil {
+			err = w.WaitDurable(seq)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-func openBenchWAL(b *testing.B, pol SyncPolicy) *WAL {
+func openBenchWAL(b *testing.B) *WAL {
 	b.Helper()
-	w, err := OpenWAL(b.TempDir(), WALOptions{Sync: pol, Logger: quietLog()})
+	w, err := OpenWAL(b.TempDir(), WALOptions{Logger: quietLog()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -88,9 +78,8 @@ func medianNs(ds []time.Duration) float64 {
 //     waiters share the fsync whichever of them runs it.
 //   - serial: the same P·4 append + WaitDurable pairs from one writer —
 //     one fsync per record, nobody to share it with.
-//   - interval: P writers, AppendSamples alone — the bounded-loss
-//     baseline (no fsync on the append path at all), the floor group
-//     commit chases.
+//   - nowait: P writers, AppendSamples alone — no fsync on the append
+//     path at all, the floor group commit chases.
 //
 // Writers each issue a few back-to-back appends so the commit sees
 // sustained concurrency rather than a single synchronized burst. The
@@ -101,10 +90,10 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 	batch := benchSamples(16)
 	for _, p := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			wGroup := openBenchWAL(b, SyncGroup)
-			wSerial := openBenchWAL(b, SyncGroup)
-			wInterval := openBenchWAL(b, SyncInterval)
-			arm := func(w *WAL, writers, ops int) time.Duration {
+			wGroup := openBenchWAL(b)
+			wSerial := openBenchWAL(b)
+			wNoWait := openBenchWAL(b)
+			arm := func(w *WAL, writers, ops int, wait bool) time.Duration {
 				var wg sync.WaitGroup
 				start := time.Now()
 				for g := 0; g < writers; g++ {
@@ -113,7 +102,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 						defer wg.Done()
 						for k := 0; k < ops; k++ {
 							seq, err := w.AppendSamples(batch)
-							if err == nil {
+							if err == nil && wait {
 								err = w.WaitDurable(seq)
 							}
 							if err != nil {
@@ -128,19 +117,19 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 			}
 			gl := make([]time.Duration, b.N)
 			sl := make([]time.Duration, b.N)
-			il := make([]time.Duration, b.N)
+			nl := make([]time.Duration, b.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gl[i] = arm(wGroup, p, opsPerWriter)
-				sl[i] = arm(wSerial, 1, p*opsPerWriter)
-				il[i] = arm(wInterval, p, opsPerWriter)
+				gl[i] = arm(wGroup, p, opsPerWriter, true)
+				sl[i] = arm(wSerial, 1, p*opsPerWriter, true)
+				nl[i] = arm(wNoWait, p, opsPerWriter, false)
 			}
 			b.StopTimer()
 			ops := float64(p * opsPerWriter)
-			g50, s50, i50 := medianNs(gl), medianNs(sl), medianNs(il)
+			g50, s50, n50 := medianNs(gl), medianNs(sl), medianNs(nl)
 			b.ReportMetric(g50/ops, "group-p50-ns/append")
 			b.ReportMetric(s50/ops, "serial-p50-ns/append")
-			b.ReportMetric(i50/ops, "interval-p50-ns/append")
+			b.ReportMetric(n50/ops, "nowait-p50-ns/append")
 			b.ReportMetric(s50/g50, "group-speedup-x")
 		})
 	}
@@ -152,7 +141,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	for _, records := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			w, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLog()})
+			w, err := OpenWAL(dir, WALOptions{Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -167,7 +156,7 @@ func BenchmarkWALReplay(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLog()})
+				r, err := OpenWAL(dir, WALOptions{Logger: quietLog()})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -190,7 +179,7 @@ func BenchmarkWALReplay(b *testing.B) {
 func BenchmarkCheckpoint(b *testing.B) {
 	for _, kb := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("state=%dKiB", kb), func(b *testing.B) {
-			m, err := Open(b.TempDir(), Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
+			m, err := Open(b.TempDir(), Options{CheckpointInterval: time.Hour, Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,7 +211,7 @@ func BenchmarkRecovery(b *testing.B) {
 	for _, records := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("tail=%d", records), func(b *testing.B) {
 			dir := b.TempDir()
-			m, err := Open(dir, Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
+			m, err := Open(dir, Options{CheckpointInterval: time.Hour, Logger: quietLog()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,7 +238,7 @@ func BenchmarkRecovery(b *testing.B) {
 			want := records * len(batch)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := Open(dir, Options{Sync: SyncGroup, CheckpointInterval: time.Hour, Logger: quietLog()})
+				r, err := Open(dir, Options{CheckpointInterval: time.Hour, Logger: quietLog()})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -12,7 +12,6 @@ import (
 func openForFenceTest(t *testing.T, dir string, check time.Duration) *Manager {
 	t.Helper()
 	m, err := Open(dir, Options{
-		Sync:               SyncGroup,
 		CheckpointInterval: time.Hour,
 		FenceCheckInterval: check,
 		Logger:             quietLogger(),

@@ -73,7 +73,7 @@ func FuzzSegmentScan(f *testing.F) {
 			f.Fatal(err)
 		}
 		defer os.RemoveAll(dir)
-		w, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLogger()})
+		w, err := OpenWAL(dir, WALOptions{Logger: quietLogger()})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func FuzzSegmentScan(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWAL(dir, WALOptions{Sync: SyncGroup, Logger: quietLogger()})
+		w, err := OpenWAL(dir, WALOptions{Logger: quietLogger()})
 		if err != nil {
 			return // structurally unopenable is fine; panics are not
 		}

@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// TestGroupCommitRoundTrip: appends under fsync=group become durable
+// TestGroupCommitRoundTrip: appends become durable
 // (WaitDurable returns nil), survive a reopen, and the commit metrics
 // record at least one batched fsync.
 func TestGroupCommitRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -47,18 +47,18 @@ func TestGroupCommitRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	defer w2.Close()
 	if got := len(replayAll(t, w2, 0)); got != 16 {
 		t.Fatalf("replayed %d records after reopen, want 16", got)
 	}
 }
 
-// TestGroupWALOwnsNoGoroutine: under group every record has a waiter
-// that runs or shares its covering fsync, so the log starts no flusher —
-// opening, writing through and closing one never raises the goroutine
-// count (an earlier test's goroutine may still be exiting, so the count
-// may fall).
+// TestGroupWALOwnsNoGoroutine: every record has a waiter that runs or shares
+// its covering fsync, so the log starts no flusher — opening a WAL with
+// zero-value options, writing through it and closing it never raises the
+// goroutine count (an earlier test's goroutine may still be exiting, so
+// the count may fall).
 func TestGroupWALOwnsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	owns := func(what string) {
@@ -67,8 +67,8 @@ func TestGroupWALOwnsNoGoroutine(t *testing.T) {
 			t.Fatalf("%s took the process from %d to %d goroutines", what, before, got)
 		}
 	}
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
-	owns("OpenWAL(group)")
+	w := testWAL(t, t.TempDir(), WALOptions{})
+	owns("OpenWAL")
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func waitDurableWithin(t *testing.T, w *WAL, seq uint64) error {
 // one past the tail — no append has assigned it — is an error, not a spin
 // or a park that nothing will ever release.
 func TestGroupCommitWaitDurablePast(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	if err := w.WaitDurable(0); err != nil {
 		t.Fatalf("WaitDurable(0): %v", err)
@@ -129,13 +129,13 @@ func TestGroupCommitWaitDurablePast(t *testing.T) {
 }
 
 // TestGroupCommitFenceDropsPendingWindow: records buffered with no waiter
-// (group runs no flusher) when the fence lands are (a) rejected
+// (no flusher runs) when the fence lands are (a) rejected
 // to every later WaitDurable with ErrFenced — their covering fsync will
 // never happen here — and (b) DROPPED: flushing them would overwrite the
 // new owner's log tail, so a reopen replays none of them.
 func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	const records = 8
 	var seqs []uint64
 	for i := 0; i < records; i++ {
@@ -161,7 +161,7 @@ func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	defer w2.Close()
 	if got := replayAll(t, w2, 0); len(got) != 0 || w2.LastSeq() != 0 {
 		t.Fatalf("reopen after fence: %d replayable records, LastSeq %d; want none of the dropped %d",
@@ -174,7 +174,7 @@ func TestGroupCommitFenceDropsPendingWindow(t *testing.T) {
 // waiting for that fsync — and the commit index does not move. The fsync
 // is simulated by holding the in-flight flag, so the fence always wins.
 func TestGroupCommitFenceWakesParkedWaiter(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 2))
 	if err != nil {
@@ -213,7 +213,7 @@ func TestGroupCommitFenceWakesParkedWaiter(t *testing.T) {
 // first to run the covering fsync poisons the log, the rest see it — and
 // none hangs.
 func TestGroupCommitFailRejectsWaiters(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	const waiters = 8
 	var seqs []uint64
@@ -256,7 +256,7 @@ func TestGroupCommitFailRejectsWaiters(t *testing.T) {
 // appended tail is durable, so the checkpoint's claimed seq can never
 // exceed the durable log.
 func TestGroupCommitCheckpointBarrier(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	seq, err := w.AppendSamples(sampleBatch(0, 3))
 	if err != nil {
@@ -274,7 +274,7 @@ func TestGroupCommitCheckpointBarrier(t *testing.T) {
 // index advances — here by a waiter's fsync — and not on the append
 // before it, whose record is not yet shippable.
 func TestGroupCommitSubscribe(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	ch, cancel := w.SubscribeCommits()
 	defer cancel()
@@ -304,7 +304,7 @@ func TestGroupCommitSubscribe(t *testing.T) {
 // while concurrent writers append+wait — the rotation's inline sync must
 // wait out a caller-run fsync instead of closing the file under it.
 func TestGroupCommitConcurrentWithRotation(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup, SegmentBytes: 512})
+	w := testWAL(t, t.TempDir(), WALOptions{SegmentBytes: 512})
 	defer w.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)

@@ -12,16 +12,13 @@ import (
 )
 
 // Options tunes a Manager. The zero value gets defaults. amfserver sets
-// only Sync, CheckpointInterval and Logger from its flags; SegmentBytes
+// only CheckpointInterval and Logger from its flags; SegmentBytes
 // ships at its default and stays a field because tests set it to reach
 // the rotation edges.
 type Options struct {
 	// SegmentBytes is the WAL rotation threshold (default 64 MiB).
 	SegmentBytes int64
-	// Sync is the WAL fsync policy (default SyncInterval, which fsyncs
-	// on a 100 ms background tick). Under SyncGroup an acked write is
-	// durable: the engine's caller waits in WAL.WaitDurable, which runs
-	// the covering fsync itself, and no flusher runs.
+	// Sync is unread (see SyncPolicy).
 	Sync SyncPolicy
 	// CheckpointInterval is the background checkpoint cadence
 	// (default 1 minute).
@@ -133,7 +130,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 	met := NewMetrics()
 	wal, err := OpenWAL(filepath.Join(dir, walDirName), WALOptions{
 		SegmentBytes: opts.SegmentBytes,
-		Sync:         opts.Sync,
 		Metrics:      met,
 		Logger:       opts.Logger,
 	})
@@ -293,12 +289,13 @@ func (m *Manager) Checkpoint() error {
 	}
 	// Fsync the WAL before durably publishing the checkpoint. The blob
 	// reflects every record with seq <= the captured sequence number, but
-	// records no caller waited on may still sit in the WAL's buffer:
-	// without this barrier a crash could reopen the WAL below
-	// seq, hand the SAME sequence numbers to fresh acked appends, and the
-	// next recovery (this checkpoint still sorting newest) would silently
-	// skip them in Replay. The invariant is: the WAL's durable tail is
-	// always >= any durable checkpoint's claimed sequence.
+	// a record is applied before its waiter's fsync lands, so the capture
+	// can hold records still sitting in the WAL's buffer: without this
+	// barrier a crash could reopen the WAL below seq, hand the SAME
+	// sequence numbers to fresh acked appends, and the next recovery (this
+	// checkpoint still sorting newest) would silently skip them in Replay.
+	// The invariant is: the WAL's durable tail is always >= any durable
+	// checkpoint's claimed sequence.
 	if err := m.wal.Sync(); err != nil {
 		return fmt.Errorf("store: sync wal before checkpoint: %w", err)
 	}

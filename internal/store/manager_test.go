@@ -27,7 +27,7 @@ func openManager(t *testing.T, dir string, opts Options) *Manager {
 // recover = restore + tail replay only.
 func TestManagerCheckpointAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup})
+	m := openManager(t, dir, Options{})
 
 	// "Apply" = collect samples into state; capture serializes it.
 	var state []stream.Sample
@@ -54,9 +54,9 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 	if err := m.WAL().WaitDurable(seq); err != nil {
 		t.Fatal(err)
 	}
-	// Crash: abandon without Close (SyncGroup ⇒ everything acked is on disk).
+	// Crash: abandon without Close (everything acked is on disk).
 
-	m2 := openManager(t, dir, Options{Sync: SyncGroup})
+	m2 := openManager(t, dir, Options{})
 	var restored []stream.Sample
 	var tail []stream.Sample
 	rs, err := m2.Recover(
@@ -96,7 +96,7 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 
 func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup, SegmentBytes: 200})
+	m := openManager(t, dir, Options{SegmentBytes: 200})
 	for i := 0; i < 10; i++ {
 		if _, err := m.WAL().AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -117,7 +117,7 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 	}
 	// Recovery after the checkpoint replays nothing.
 	m.Close()
-	m2 := openManager(t, dir, Options{Sync: SyncGroup})
+	m2 := openManager(t, dir, Options{})
 	var blob []byte
 	rs, err := m2.Recover(func(d []byte) error { blob = d; return nil }, func(Entry) error {
 		t.Fatal("nothing should replay after a covering checkpoint")
@@ -134,7 +134,7 @@ func TestManagerCheckpointTruncatesWAL(t *testing.T) {
 
 func TestManagerBackgroundCheckpointer(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup, CheckpointInterval: 10 * time.Millisecond})
+	m := openManager(t, dir, Options{CheckpointInterval: 10 * time.Millisecond})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestManagerBackgroundCheckpointer(t *testing.T) {
 // would silently skip them.
 func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup})
+	m := openManager(t, dir, Options{})
 	for i := 0; i < 3; i++ {
 		if _, err := m.WAL().AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 	// "Crash": reopen the wal directory without Close. Only bytes that
 	// reached disk before the crash are visible; the checkpoint durably
 	// claims seq 3, so the reopened log must already hold seq 3.
-	w2 := testWAL(t, filepath.Join(dir, "wal"), WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, filepath.Join(dir, "wal"), WALOptions{})
 	if got := w2.LastSeq(); got != 3 {
 		t.Fatalf("durable wal tail at seq %d < checkpoint seq 3 — Checkpoint did not sync the log first", got)
 	}
@@ -200,7 +200,7 @@ func TestCheckpointSyncsWALBeforeWrite(t *testing.T) {
 // NEXT recovery would silently skip them.
 func TestRecoverCheckpointBeyondWALTail(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup})
+	m := openManager(t, dir, Options{})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 2)); err != nil { // seq 1
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRecoverCheckpointBeyondWALTail(t *testing.T) {
 
 	// The point of the bump: a second recovery replays the post-restart
 	// append instead of skipping it as already-checkpointed.
-	m2 := openManager(t, dir, Options{Sync: SyncGroup})
+	m2 := openManager(t, dir, Options{})
 	var tail []stream.Sample
 	rs2, err := m2.Recover(func([]byte) error { return nil }, func(e Entry) error {
 		tail = append(tail, e.Samples...)
@@ -258,7 +258,7 @@ func TestManagerCheckpointWithoutCapture(t *testing.T) {
 
 func TestRecoverRemovalEntries(t *testing.T) {
 	dir := t.TempDir()
-	m := openManager(t, dir, Options{Sync: SyncGroup})
+	m := openManager(t, dir, Options{})
 	if _, err := m.WAL().AppendSamples(sampleBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ const sampleWire = 32 // i64 time, i64 user, i64 service, f64 value
 // sampleWire per sample). WAL.AppendSamples splits bigger batches across
 // several records, so a legitimate batch of any size can be journaled —
 // an oversized batch must never be acked-but-rejected (a silent
-// durability hole even under fsync=group).
+// durability hole).
 const maxSamplesPerRecord = (MaxRecordBytes - 5) / sampleWire
 
 // encodeSamples renders a batch of observations as an EntrySamples

@@ -10,14 +10,11 @@
 //
 //   - WAL. Observation batches (and entity removals) are appended as
 //     length-prefixed, CRC32C-protected records with contiguous sequence
-//     numbers, into size-rotated segment files. Two fsync policies
-//     trade durability for throughput, over one durable commit index
-//     that advances only when an fsync lands: SyncGroup makes an acked
-//     write a durable write — the acking caller waits in WaitDurable,
-//     which runs the covering fsync itself unless one is already in
-//     flight, so concurrent writers share it (group commit); SyncInterval
-//     fsyncs on a 100 ms background tick (loss bounded by that window).
-//     A follower reads only records at or below the commit index. A
+//     numbers, into size-rotated segment files. An acked write is a
+//     durable write: the acking caller waits in WaitDurable, which runs
+//     the covering fsync itself unless one is already in flight, so
+//     concurrent writers share it (group commit). One durable commit
+//     index advances only when an fsync lands. A follower reads only records at or below the commit index. A
 //     torn final record — the signature of a crash mid-write — is
 //     truncated away on open; corruption anywhere else is an error,
 //     never silently skipped.

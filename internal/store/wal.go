@@ -18,42 +18,14 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// SyncPolicy controls when WAL appends reach stable storage. Under
-// either policy the WAL keeps one durable commit index (DurableSeq): it
-// advances only when an fsync lands, and it is the tail a follower may
-// read to.
+// SyncPolicy is unread: group commit is the WAL's one fsync policy, so
+// an acked write is a durable write (see WaitDurable). The type, its one
+// constant and the Sync fields of WALOptions and Options remain only
+// because the repository benchmark still names them (ROADMAP item 1 (a)).
 type SyncPolicy int
 
-const (
-	// SyncInterval (the default) fsyncs on a background tick every
-	// flushInterval; crash loss is bounded by that window.
-	SyncInterval SyncPolicy = iota
-	// SyncGroup makes an acked write a durable write: Append returns a
-	// sequence number at once and WaitDurable(seq) returns once an fsync
-	// covers it — running that fsync on the caller's goroutine when none
-	// is in flight, so concurrent waiters share one (group commit). Every
-	// record has a waiter (an observe's samples and the registrations
-	// journaled just ahead of them, a removal), so no flusher runs.
-	SyncGroup
-)
-
-// ParseSyncPolicy maps the -fsync flag values to a policy.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch strings.ToLower(s) {
-	case "interval":
-		return SyncInterval, nil
-	case "group":
-		return SyncGroup, nil
-	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want group or interval)", s)
-}
-
-func (p SyncPolicy) String() string {
-	if p == SyncGroup {
-		return "group"
-	}
-	return "interval"
-}
+// SyncGroup is the one fsync policy, which is also the zero value.
+const SyncGroup SyncPolicy = 0
 
 const (
 	segMagic  = "AMFWAL1\n"
@@ -63,9 +35,6 @@ const (
 	// DefaultSegmentBytes is the rotation threshold: ~64 MiB keeps
 	// truncation granular without drowning the directory in files.
 	DefaultSegmentBytes = int64(64 << 20)
-	// flushInterval is the background flusher's cadence under
-	// SyncInterval.
-	flushInterval = 100 * time.Millisecond
 )
 
 // ErrWALFailed is returned by appends after a write error has poisoned
@@ -78,7 +47,7 @@ type WALOptions struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// exceeds this size. Default DefaultSegmentBytes.
 	SegmentBytes int64
-	// Sync is the fsync policy (default SyncInterval).
+	// Sync is unread (see SyncPolicy).
 	Sync SyncPolicy
 	// Metrics is an optional shared sink (fsync latency, bytes,
 	// segment gauge). NewMetrics() is used when nil.
@@ -135,9 +104,6 @@ type WAL struct {
 	subs      []chan struct{}
 	syncing   bool
 	syncDone  *sync.Cond // on mu
-
-	stopFlush chan struct{}
-	flushWG   sync.WaitGroup
 }
 
 // OpenWAL opens (or creates) a segmented log in dir. The final segment's
@@ -209,11 +175,6 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, error) {
 	// Everything intact on disk at open is durable by definition.
 	w.durable = w.seq
 	w.durableAt.Store(w.seq)
-	if opts.Sync == SyncInterval {
-		w.stopFlush = make(chan struct{})
-		w.flushWG.Add(1)
-		go w.flushLoop()
-	}
 	return w, nil
 }
 
@@ -350,8 +311,8 @@ func (w *WAL) createSegmentLocked(first uint64) error {
 // batches are split into maximal chunks so NO batch size is ever
 // rejected — an acked batch must always reach the log. A crash between
 // chunks durably keeps a prefix of the batch, which recovery replays;
-// under SyncGroup the caller waits on the returned (last) sequence
-// number, so an ack still covers every chunk.
+// the caller waits on the returned (last) sequence number, so an ack
+// still covers every chunk.
 func (w *WAL) AppendSamples(ss []stream.Sample) (uint64, error) {
 	return w.appendSamplesChunked(ss, maxSamplesPerRecord)
 }
@@ -446,17 +407,15 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 }
 
 // WaitDurable blocks until the record with the given sequence number is
-// on stable storage under SyncGroup. It is leader/follower group commit
-// with no coordinator: when no fsync is in flight the caller runs the
-// covering one itself (commitLocked); otherwise it waits for the one in
-// flight to land and checks again, so every caller that arrived during
-// an fsync shares the next. Under SyncInterval durability is waived by
-// policy and this returns nil at once. ErrFenced, ErrWALFailed or a
-// closed-log error means the record may never be durable — the ack MUST
-// NOT be sent — and so does a seq past the tail, which no append has
-// assigned yet.
+// on stable storage. It is leader/follower group commit with no
+// coordinator: when no fsync is in flight the caller runs the covering
+// one itself (commitLocked); otherwise it waits for the one in flight to
+// land and checks again, so every caller that arrived during an fsync
+// shares the next. ErrFenced, ErrWALFailed or a closed-log error means
+// the record may never be durable — the ack MUST NOT be sent — and so
+// does a seq past the tail, which no append has assigned yet.
 func (w *WAL) WaitDurable(seq uint64) error {
-	if w.opts.Sync != SyncGroup || w.durableAt.Load() >= seq {
+	if w.durableAt.Load() >= seq {
 		return nil
 	}
 	w.mu.Lock()
@@ -482,7 +441,7 @@ func (w *WAL) WaitDurable(seq uint64) error {
 }
 
 // DurableSeq returns the durable commit index: the highest sequence
-// number known to be on stable storage, under either policy. It is the
+// number known to be on stable storage. It is the
 // newest record a follower may apply.
 func (w *WAL) DurableSeq() uint64 {
 	return w.durableAt.Load()
@@ -648,29 +607,6 @@ func (w *WAL) syncLocked() error {
 	w.dirty = false
 	w.advanceDurableLocked(w.seq)
 	return nil
-}
-
-// flushLoop is the background flusher under SyncInterval: every
-// flushInterval it runs one covering fsync, outside the mutex like a
-// waiter's, when anything is buffered. It is the policy's whole
-// durability story, and so what advances its commit index.
-func (w *WAL) flushLoop() {
-	defer w.flushWG.Done()
-	ticker := time.NewTicker(flushInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stopFlush:
-			return
-		case <-ticker.C:
-			w.mu.Lock()
-			w.awaitSyncLocked()
-			if w.dirty && !w.closed && !w.fenced && !w.failed {
-				w.commitLocked()
-			}
-			w.mu.Unlock()
-		}
-	}
 }
 
 func (w *WAL) rotateLocked() error {
@@ -856,19 +792,11 @@ func (w *WAL) SegmentCount() int {
 // Close flushes, fsyncs, and closes the log. Idempotent.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
-	stop := w.stopFlush
-	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		w.flushWG.Wait()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.awaitSyncLocked()
 	var err error
 	if w.f != nil {

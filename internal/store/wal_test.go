@@ -58,7 +58,7 @@ func replayAll(t *testing.T, w *WAL, from uint64) []Entry {
 
 func TestWALAppendReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	want := [][]stream.Sample{sampleBatch(0, 3), sampleBatch(100, 1), sampleBatch(200, 7)}
 	for i, b := range want {
 		seq, err := w.AppendSamples(b)
@@ -113,7 +113,7 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 
 func TestWALReopenContinuesSequence(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	for i := 0; i < 5; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i, 2)); err != nil {
 			t.Fatal(err)
@@ -123,7 +123,7 @@ func TestWALReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	if w2.LastSeq() != 5 {
 		t.Fatalf("reopened LastSeq=%d, want 5", w2.LastSeq())
 	}
@@ -143,7 +143,7 @@ func TestWALReopenContinuesSequence(t *testing.T) {
 func TestWALRotationAndTruncate(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments: every batch of 4 samples (~150B) rotates quickly.
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 256})
+	w := testWAL(t, dir, WALOptions{SegmentBytes: 256})
 	for i := 0; i < 10; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 4)); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	w.Close()
 
 	// Reopen after truncation: sequence numbering continues.
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	if w2.LastSeq() != 10 {
 		t.Fatalf("LastSeq after truncate+reopen = %d, want 10", w2.LastSeq())
 	}
@@ -190,7 +190,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 // recover exactly the intact prefix and keep appending from there.
 func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 	build := func(t *testing.T, dir string) (lastPath string, intactSize int64) {
-		w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+		w := testWAL(t, dir, WALOptions{})
 		for i := 0; i < 3; i++ {
 			if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 		if err := os.Truncate(path, cut); err != nil {
 			t.Fatal(err)
 		}
-		w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+		w := testWAL(t, dir, WALOptions{})
 		got := replayAll(t, w, 0)
 		if len(got) != 2 {
 			t.Fatalf("cut=%d: replayed %d entries, want 2", cut, len(got))
@@ -246,7 +246,7 @@ func TestWALTornTailTruncatedAtEveryOffset(t *testing.T) {
 
 func TestWALTornTailCountsMetric(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestWALTornTailCountsMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	met := NewMetrics()
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup, Metrics: met})
+	w2 := testWAL(t, dir, WALOptions{Metrics: met})
 	defer w2.Close()
 	if met.TornTruncations.Load() != 1 {
 		t.Fatalf("TornTruncations=%d, want 1", met.TornTruncations.Load())
@@ -270,7 +270,7 @@ func TestWALTornTailCountsMetric(t *testing.T) {
 // must fail replay loudly rather than silently skipping records.
 func TestWALMidLogCorruptionIsFatal(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 200})
+	w := testWAL(t, dir, WALOptions{SegmentBytes: 200})
 	for i := 0; i < 8; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -302,7 +302,7 @@ func TestWALMidLogCorruptionIsFatal(t *testing.T) {
 // must refuse to paper over it.
 func TestWALGapDetection(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup, SegmentBytes: 200})
+	w := testWAL(t, dir, WALOptions{SegmentBytes: 200})
 	for i := 0; i < 8; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
 			t.Fatal(err)
@@ -316,82 +316,47 @@ func TestWALGapDetection(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, segs[1].name)); err != nil {
 		t.Fatal(err)
 	}
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	defer w2.Close()
 	if err := w2.Replay(0, func(Entry) error { return nil }); err == nil {
 		t.Fatal("replay across a missing segment must error")
 	}
 }
 
+// TestWALSyncPolicies runs the WAL's one fsync policy, group commit (the
+// zero-value WALOptions): a lone writer has nobody to share an fsync with
+// and no flusher runs, so each wait finds its record un-fsynced and runs
+// one; a graceful close leaves every record readable.
 func TestWALSyncPolicies(t *testing.T) {
-	for _, pol := range []SyncPolicy{SyncGroup, SyncInterval} {
-		t.Run(pol.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			w := testWAL(t, dir, WALOptions{Sync: pol})
-			met := w.met
-			for i := 0; i < 4; i++ {
-				seq, err := w.AppendSamples(sampleBatch(i, 1))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.WaitDurable(seq); err != nil {
-					t.Fatal(err)
-				}
-			}
-			switch pol {
-			case SyncGroup:
-				// Each wait found its record un-fsynced (a lone writer has
-				// nobody to share with, and no flusher runs) and ran one.
-				if met.Fsync.Count() != 4 || w.DurableSeq() != 4 {
-					t.Fatalf("group: %d fsyncs, DurableSeq %d; want 4 and 4", met.Fsync.Count(), w.DurableSeq())
-				}
-			case SyncInterval:
-				deadline := time.Now().Add(2 * time.Second)
-				for w.DurableSeq() < 4 && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-				}
-				if met.Fsync.Count() == 0 || w.DurableSeq() != 4 {
-					t.Fatalf("interval: background flusher never covered the tail: %d fsyncs, DurableSeq %d",
-						met.Fsync.Count(), w.DurableSeq())
-				}
-			}
-			if err := w.Close(); err != nil {
+	t.Run("group", func(t *testing.T) {
+		dir := t.TempDir()
+		w := testWAL(t, dir, WALOptions{})
+		met := w.met
+		for i := 0; i < 4; i++ {
+			seq, err := w.AppendSamples(sampleBatch(i, 1))
+			if err != nil {
 				t.Fatal(err)
 			}
-			// Whatever the policy, a graceful close makes all records readable.
-			w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
-			if got := replayAll(t, w2, 0); len(got) != 4 {
-				t.Fatalf("%s: replayed %d, want 4", pol, len(got))
+			if err := w.WaitDurable(seq); err != nil {
+				t.Fatal(err)
 			}
-			w2.Close()
-		})
-	}
-}
-
-func TestParseSyncPolicy(t *testing.T) {
-	for in, want := range map[string]SyncPolicy{
-		"group": SyncGroup, "Interval": SyncInterval,
-	} {
-		got, err := ParseSyncPolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", in, got, err)
 		}
-		if got.String() != strings.ToLower(in) {
-			t.Fatalf("%v.String() = %q, want %q", got, got.String(), strings.ToLower(in))
+		if met.Fsync.Count() != 4 || w.DurableSeq() != 4 {
+			t.Fatalf("%d fsyncs, DurableSeq %d; want 4 and 4", met.Fsync.Count(), w.DurableSeq())
 		}
-	}
-	// always is retired (group gives the same receipt), off is retired
-	// (its commit index would stall followers) and none was an
-	// undocumented alias: all are start-up errors now.
-	for _, bad := range []string{"always", "off", "none", "sometimes"} {
-		if _, err := ParseSyncPolicy(bad); err == nil {
-			t.Fatalf("ParseSyncPolicy(%q) must error", bad)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
+		w2 := testWAL(t, dir, WALOptions{})
+		if got := replayAll(t, w2, 0); len(got) != 4 {
+			t.Fatalf("replayed %d, want 4", len(got))
+		}
+		w2.Close()
+	})
 }
 
 func TestWALRejectsOversizedAndEmptyPayloads(t *testing.T) {
-	w := testWAL(t, t.TempDir(), WALOptions{Sync: SyncGroup})
+	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
 	if _, err := w.Append(nil); err == nil {
 		t.Fatal("empty payload must error")
@@ -409,7 +374,7 @@ func TestWALRejectsOversizedAndEmptyPayloads(t *testing.T) {
 // segment, so fresh appends can never collide with a covered range.
 func TestWALAdvanceTo(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	for i := 0; i < 3; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 1)); err != nil {
 			t.Fatal(err)
@@ -442,7 +407,7 @@ func TestWALAdvanceTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reopen: numbering continues past the advanced range.
-	w2 := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w2 := testWAL(t, dir, WALOptions{})
 	if got := w2.LastSeq(); got != 11 {
 		t.Fatalf("reopened LastSeq=%d, want 11", got)
 	}
@@ -455,7 +420,7 @@ func TestWALAdvanceTo(t *testing.T) {
 // bound so the test does not materialize a half-GiB batch.
 func TestWALAppendSamplesChunked(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, dir, WALOptions{Sync: SyncGroup})
+	w := testWAL(t, dir, WALOptions{})
 	defer w.Close()
 	batch := sampleBatch(0, 10)
 	seq, err := w.appendSamplesChunked(batch, 3)
@@ -498,40 +463,15 @@ func TestMaxSamplesPerRecordBound(t *testing.T) {
 	}
 }
 
-// parkFlusher stops an interval WAL's background flusher, so no tick can
-// fsync between a test's steps; Close then skips the stopped loop.
-func parkFlusher(w *WAL) {
-	close(w.stopFlush)
-	w.flushWG.Wait()
-	w.mu.Lock()
-	w.stopFlush = nil
-	w.mu.Unlock()
-}
-
 // TestGroupCommitReplayDirStopsAtCommitIndex: a follower reads its
-// leader's segment files while the leader appends, and under group
-// commit a file can hold a record before the fsync covering it lands.
-// Bounded at the commit index, ReplayDir hands over only what an fsync
-// covered — even with the next record's bytes already in the file — and
-// runs no fsync of its own.
+// leader's segment files while the leader appends, and a file can hold a
+// record before the fsync covering it lands. Bounded at the commit index,
+// ReplayDir hands over only what an fsync covered — even with the next
+// record's bytes already in the file — and runs no fsync of its own.
 func TestGroupCommitReplayDirStopsAtCommitIndex(t *testing.T) {
-	testReplayDirStopsAtCommitIndex(t, SyncGroup)
-}
-
-// TestReplayDirIntervalStopsAtCommitIndex: the same bound under the
-// interval policy, with the flusher parked so no tick fsyncs between the
-// steps.
-func TestReplayDirIntervalStopsAtCommitIndex(t *testing.T) {
-	testReplayDirStopsAtCommitIndex(t, SyncInterval)
-}
-
-func testReplayDirStopsAtCommitIndex(t *testing.T, pol SyncPolicy) {
 	dir := t.TempDir()
-	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: pol})
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{})
 	defer w.Close()
-	if pol == SyncInterval {
-		parkFlusher(w)
-	}
 	if _, err := w.AppendSamples(sampleBatch(0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +526,7 @@ func testReplayDirStopsAtCommitIndex(t *testing.T, pol SyncPolicy) {
 func replayDirLog(t *testing.T) (string, *WAL) {
 	t.Helper()
 	dir := t.TempDir()
-	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: SyncGroup, SegmentBytes: 256})
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{SegmentBytes: 256})
 	t.Cleanup(func() { w.Close() })
 	if _, err := w.AppendRegisterUser(0, "u0"); err != nil {
 		t.Fatal(err)
@@ -659,7 +599,7 @@ func TestReplayDirFrom(t *testing.T) {
 // skip the records in between.
 func TestReplayDirGapAfterTruncate(t *testing.T) {
 	dir := t.TempDir()
-	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{Sync: SyncGroup, SegmentBytes: 200})
+	w := testWAL(t, filepath.Join(dir, walDirName), WALOptions{SegmentBytes: 200})
 	defer w.Close()
 	for i := 0; i < 12; i++ {
 		if _, err := w.AppendSamples(sampleBatch(i*10, 2)); err != nil {
