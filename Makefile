@@ -195,9 +195,9 @@ fuzz-idtab:
 # replay, refreshes, recycles under an escape watermark and held views run
 # on a model that recycles as the engine does and on one that never
 # does; after every refresh both views snapshot and rank alike, no
-# escaped or held view has changed, and no spare page, twin or spare
-# page slice is memory such a view can reach. CI runs this leg at
-# FUZZTIME=10s.
+# escaped or held view has changed (its header included), and no spare
+# page, twin, spare page slice or spare view header is memory such a
+# view can reach. CI runs this leg at FUZZTIME=10s.
 fuzz-recycle:
 	$(GO) test -run=NONE -fuzz='^FuzzRecycledRefresh$$' -fuzztime=$(FUZZTIME) ./internal/core/
 

@@ -454,15 +454,88 @@ func (grp *group) readTarget() *replica {
 	return grp.replicas[start%n]
 }
 
-// bytesBody is an outgoing request body over bytes the caller keeps.
-type bytesBody struct{ bytes.Reader }
+// reqBody is the body of a request the gateway sends a backend — a
+// proxied request's, a split observe's bucket, a control call's — in a
+// pooled buffer. The buffer goes back to the pool only once nothing can
+// read it: its holder has released it, and every reader of it handed to
+// a transport has been closed or has read to its end. The readers are
+// what make reuse safe, not the response: a transport may still be
+// writing a body after its response has arrived and been closed (the
+// backend answered before reading it — a shed 429, a follower's 503 —
+// and net/http gives the write up to 50 ms more before dropping the
+// connection), and one whose RoundTrip failed may keep reading a body it
+// was handed until it closes it, which the http.RoundTripper contract
+// lets it do on another goroutine. A reader never closed is left to the
+// collector, and its buffer with it.
+type reqBody struct {
+	buf  []byte
+	refs atomic.Int32 // the holder's, and one per reader not yet done
+	// getBody is b.reader, bound once per pooled body: a transport that
+	// retries on a fresh connection takes a second reader through it.
+	getBody func() (io.ReadCloser, error)
+}
 
-func (*bytesBody) Close() error { return nil }
+// maxPooledBody is the largest body buffer the pool keeps.
+const maxPooledBody = 1 << 20
 
-func newBytesBody(b []byte) *bytesBody {
-	body := new(bytesBody)
-	body.Reset(b)
-	return body
+var bodyPool = sync.Pool{New: func() any {
+	b := new(reqBody)
+	b.getBody = b.reader
+	return b
+}}
+
+// acquireBody returns an empty pooled body held by the caller, who
+// releases it once done with it.
+func acquireBody() *reqBody {
+	b := bodyPool.Get().(*reqBody)
+	b.buf = b.buf[:0]
+	b.refs.Store(1)
+	return b
+}
+
+// release drops one hold on b; the last returns it to the pool.
+func (b *reqBody) release() {
+	if b.refs.Add(-1) == 0 && cap(b.buf) <= maxPooledBody {
+		bodyPool.Put(b)
+	}
+}
+
+// reader returns a new reader of b's bytes, which holds b until it is
+// done.
+func (b *reqBody) reader() (io.ReadCloser, error) {
+	b.refs.Add(1)
+	r := &bodyReader{body: b}
+	r.rd.Reset(b.buf)
+	return r, nil
+}
+
+// bodyReader is one read of a reqBody by a transport. It lets go of the
+// body when it is closed or returns io.EOF, whichever comes first; a
+// Read past the end touches no byte of the buffer. It has no method but
+// Read and Close, so nothing can seek it back into a buffer it let go of.
+type bodyReader struct {
+	body *reqBody
+	rd   bytes.Reader
+	done atomic.Bool
+}
+
+func (r *bodyReader) Read(p []byte) (int, error) {
+	n, err := r.rd.Read(p)
+	if err == io.EOF {
+		r.finish()
+	}
+	return n, err
+}
+
+func (r *bodyReader) Close() error {
+	r.finish()
+	return nil
+}
+
+func (r *bodyReader) finish() {
+	if r.done.CompareAndSwap(false, true) {
+		r.body.release()
+	}
 }
 
 // send is the gateway's one way to call a replica: proxied requests, the
@@ -474,10 +547,12 @@ func newBytesBody(b []byte) *bytesBody {
 // directly: http.Client.Do would clone the headers and keep bookkeeping
 // for redirects the gateway never follows — a backend's 3xx is an answer
 // like any other. The client's Timeout still bounds the call, response
-// body included. A non-empty body goes as JSON and must stay unchanged
-// until the response is closed. A non-200 answer marks the span failed;
-// counting failures is the caller's.
-func (g *Gateway) send(ctx context.Context, c call, method string, u *url.URL, span string, body []byte) (*http.Response, error) {
+// body included. A non-empty body goes as JSON; the transport reads it
+// through readers that hold it (reqBody), so the caller may release it
+// whenever it is done with it, and must not change its bytes before. A
+// non-200 answer marks the span failed; counting failures is the
+// caller's.
+func (g *Gateway) send(ctx context.Context, c call, method string, u *url.URL, span string, body *reqBody) (*http.Response, error) {
 	var cancel context.CancelFunc
 	if g.http.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, g.http.Timeout)
@@ -487,11 +562,12 @@ func (g *Gateway) send(ctx context.Context, c call, method string, u *url.URL, s
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 		Header: make(http.Header, 3),
 	}).WithContext(ctx)
-	if len(body) > 0 {
-		req.Body, req.ContentLength = newBytesBody(body), int64(len(body))
+	if body != nil && len(body.buf) > 0 {
+		req.Body, _ = body.reader()
+		req.ContentLength = int64(len(body.buf))
 		// The transport replays the body when it retries on a keep-alive
 		// connection the backend had already closed.
-		req.GetBody = func() (io.ReadCloser, error) { return newBytesBody(body), nil }
+		req.GetBody = body.getBody
 		req.Header["Content-Type"] = jsonContentType
 	}
 	// Tracing and class propagation touch headers only: the body and the
@@ -524,7 +600,7 @@ func (g *Gateway) send(ctx context.Context, c call, method string, u *url.URL, s
 // the path of every request but a multi-group observe. Skipping the
 // gateway-side decode/re-encode of both body and response is what keeps
 // the proxy hop within the 15% overhead budget on large ranking queries.
-func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body []byte) {
+func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, c call, method string, rep *replica, u *url.URL, body *reqBody) {
 	resp, err := g.send(r.Context(), c, method, u, rep.span, body)
 	if err != nil {
 		g.proxyErrors.Inc()
@@ -591,18 +667,18 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	copyBufPool.Put(buf)
 }
 
-// readBody reads a proxied request body whole, answering 413 past
-// server.MaxBodyBytes, the bound the backends apply themselves. The
-// bytes are the request's own, not pooled: the transport may still be
-// writing them to a backend that answered early when the handler
-// returns.
-func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	raw, err := server.ReadBody(w, r, server.MaxBodyBytes, nil)
-	if err != nil {
+// readBody reads a proxied request body whole into a pooled body, which
+// the caller releases once done with it (its response closed), answering
+// 413 past server.MaxBodyBytes, the bound the backends apply themselves.
+func (g *Gateway) readBody(w http.ResponseWriter, r *http.Request) (*reqBody, bool) {
+	b := acquireBody()
+	var err error
+	if b.buf, err = server.ReadBody(w, r, server.MaxBodyBytes, b.buf); err != nil {
+		b.release()
 		g.writeError(w, server.BodyErrorStatus(err), "read body: %v", err)
 		return nil, false
 	}
-	return raw, true
+	return b, true
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, _ *http.Request) {
@@ -680,10 +756,11 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // buckets on resend, so partial failure is reported as a non-retryable
 // 500.
 func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) {
-	raw, ok := g.readBody(w, r)
+	body, ok := g.readBody(w, r)
 	if !ok {
 		return
 	}
+	defer body.release()
 	// Single-group deployments need no bucketing: the whole batch goes to
 	// the one leader verbatim (the backend still validates it).
 	if len(g.groups) == 1 {
@@ -695,13 +772,13 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 			g.unavailable(w, "group "+g.groups[0].name+" has no live leader")
 			return
 		}
-		g.forward(w, r, c, http.MethodPost, rep, rep.observeURL, raw)
+		g.forward(w, r, c, http.MethodPost, rep, rep.observeURL, body)
 		return
 	}
 	d := server.AcquireDecoder()
 	defer d.Release()
 	// No list bound here: each backend applies its own to its bucket.
-	obs, err := d.Observe(raw, math.MaxInt)
+	obs, err := d.Observe(body.buf, math.MaxInt)
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "invalid JSON: %v", err)
 		return
@@ -811,8 +888,10 @@ type bucket struct {
 // observeBucket encodes one bucket with the backends' codec and sends it
 // to its group's leader.
 func (g *Gateway) observeBucket(ctx context.Context, c call, b *bucket) {
-	body, err := server.AppendObserveRequest(nil, b.obs)
-	if err != nil { // CheckObservations lets no such value through
+	body := acquireBody()
+	defer body.release()
+	var err error
+	if body.buf, err = server.AppendObserveRequest(body.buf, b.obs); err != nil { // CheckObservations lets no such value through
 		b.err = err
 		return
 	}
@@ -877,13 +956,14 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request, c call) 
 // with more, route decodes it once to find the user.
 func (g *Gateway) handleCandidates(rank bool) proxyHandler {
 	return func(w http.ResponseWriter, r *http.Request, c call) {
-		raw, ok := g.readBody(w, r)
+		body, ok := g.readBody(w, r)
 		if !ok {
 			return
 		}
+		defer body.release()
 		grp := g.groups[0]
 		if len(g.groups) > 1 {
-			if grp = g.route(w, raw, rank); grp == nil {
+			if grp = g.route(w, body.buf, rank); grp == nil {
 				return
 			}
 		}
@@ -895,7 +975,7 @@ func (g *Gateway) handleCandidates(rank bool) proxyHandler {
 		if rank {
 			u = rep.rankURL
 		}
-		g.forward(w, r, c, http.MethodPost, rep, u, raw)
+		g.forward(w, r, c, http.MethodPost, rep, u, body)
 	}
 }
 
@@ -1115,9 +1195,11 @@ func (g *Gateway) failover(grp *group) {
 // leader), or demote and re-point, naming the leader — and reports a
 // refusal as an error carrying the backend's message.
 func (g *Gateway) control(ctx context.Context, rep *replica, path, leader string) error {
-	var body []byte
+	body := acquireBody()
+	defer body.release()
 	if leader != "" {
-		body, _ = json.Marshal(map[string]string{"leader": leader}) // cannot fail
+		js, _ := json.Marshal(map[string]string{"leader": leader}) // cannot fail
+		body.buf = append(body.buf, js...)
 	}
 	resp, err := g.send(ctx, controlCall, http.MethodPost, rep.at(path), rep.span, body)
 	if err == nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,18 +66,21 @@ func (l *loopback) RoundTrip(req *http.Request) (*http.Response, error) {
 // proxiedRequestBudget is what one traced request through a gateway and
 // a real server allocates in total, per route, with the loopback
 // transport above: the gateway's root and backend spans, the server's
-// adopted span, the header values each hop stamps, and each handler's
-// response. A change that adds a per-request allocation on either hop
-// fails here first.
+// adopted span, the header values each hop stamps, the reader the
+// gateway hands the transport over its pooled copy of a request body,
+// and each handler's response; an observe adds the published view's
+// pinned wrapper (its header is the one the publish recycled). A change
+// that adds a per-request allocation on either hop fails here first.
 var proxiedRequestBudget = map[string]float64{
 	"predict": 8,
-	"batch":   11,
-	"rank":    12,
+	"batch":   9,
+	"rank":    10,
+	"observe": 10,
 }
 
 // TestProxiedRequestAllocations sends traced requests from a gateway to
 // a real server.Handler() through an in-process transport and holds the
-// allocations of each hot read route to its budget.
+// allocations of each hot route to its budget.
 func TestProxiedRequestAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
@@ -118,6 +123,7 @@ func TestProxiedRequestAllocations(t *testing.T) {
 		{"predict", http.MethodGet, "/api/v1/predict?user=u1&service=s3", nil},
 		{"batch", http.MethodPost, "/api/v1/predict", batch},
 		{"rank", http.MethodPost, "/api/v1/rank", rank},
+		{"observe", http.MethodPost, "/api/v1/observe", seed},
 	} {
 		rd := bytes.NewReader(route.body)
 		req := httptest.NewRequest(route.method, route.path, rd)
@@ -329,6 +335,101 @@ func TestGatewayHopTimeout(t *testing.T) {
 		}
 		if took < timeout || took > 10*timeout {
 			t.Errorf("%s: answered after %v, want about the %v timeout", tc.name, took, timeout)
+		}
+	}
+}
+
+// strandingTransport keeps the body of every round trip whose body
+// starts with {"user":"fail" or {"user":"shed" and reads it to its end on
+// another goroutine once let go, only then closing it. A "fail" trip
+// returns an error, as a transport whose connection broke may: the
+// http.RoundTripper contract lets a transport hold a body past a failed
+// RoundTrip until it closes it. A "shed" trip answers 429 at once, as a
+// backend that refuses a request before reading its body does, while
+// net/http's writer goes on sending the body. Every other round trip
+// reads its body whole, closes it and answers 200; the probe's status
+// request answers as a leader.
+type strandingTransport struct {
+	status   []byte
+	letGo    chan struct{}
+	stranded chan []byte // what each kept body read
+}
+
+const strandPrefix = len(`{"user":"fail"`)
+
+func (st *strandingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	answer := func(code int, body []byte) *http.Response {
+		return &http.Response{
+			StatusCode: code, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+			Header: http.Header{"Content-Type": {"application/json"}},
+			Body:   io.NopCloser(bytes.NewReader(body)), ContentLength: int64(len(body)), Request: req,
+		}
+	}
+	if req.Body == nil {
+		return answer(http.StatusOK, st.status), nil
+	}
+	head := make([]byte, strandPrefix)
+	if _, err := io.ReadFull(req.Body, head); err != nil {
+		return nil, err
+	}
+	switch string(head) {
+	case `{"user":"fail"`:
+		st.keep(head, req.Body)
+		return nil, errors.New("connection reset by peer")
+	case `{"user":"shed"`:
+		st.keep(head, req.Body)
+		return answer(http.StatusTooManyRequests, []byte(`{"error":"shed"}`)), nil
+	}
+	_, _ = io.Copy(io.Discard, req.Body)
+	req.Body.Close()
+	return answer(http.StatusOK, []byte("{}\n")), nil
+}
+
+// keep reads the rest of body once let go, closes it and hands on all
+// it read.
+func (st *strandingTransport) keep(head []byte, body io.ReadCloser) {
+	go func() {
+		<-st.letGo
+		rest, _ := io.ReadAll(body)
+		body.Close()
+		st.stranded <- append(head, rest...)
+	}()
+}
+
+// TestGatewayKeptBodyIsNotReused: the gateway must not hand a request
+// body's buffer to the next request while a transport may still read it —
+// after a round trip that failed, and after one whose response came back
+// (and was closed) before the body was sent. Each round sends such a
+// rank, then a rank of the same length that succeeds, and then lets the
+// transport read the kept body: it must read the first request's bytes,
+// not the next one's.
+func TestGatewayKeptBodyIsNotReused(t *testing.T) {
+	status, err := json.Marshal(server.ClusterStatusResponse{Role: "leader"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &strandingTransport{status: status, stranded: make(chan []byte, 1)}
+	g := newGateway(t, [][]string{{"http://leader"}}, func(c *Config) {
+		c.ProbeInterval = time.Hour
+		c.HTTP = &http.Client{Transport: st}
+	})
+	for round := 0; round < 40; round++ {
+		user, code := "fail", http.StatusBadGateway
+		if round%2 == 1 {
+			user, code = "shed", http.StatusTooManyRequests
+		}
+		st.letGo = make(chan struct{})
+		kept := []byte(fmt.Sprintf(`{"user":"%s","services":["a%04d","b"],"topk":1}`, user, round))
+		next := []byte(fmt.Sprintf(`{"user":"next","services":["c%04d","d"],"topk":1}`, round))
+		if w := gwReq(t, g, http.MethodPost, "/api/v1/rank", json.RawMessage(kept)); w.Code != code {
+			t.Fatalf("round %d: %s send answered %d, want %d", round, user, w.Code, code)
+		}
+		if w := gwReq(t, g, http.MethodPost, "/api/v1/rank", json.RawMessage(next)); w.Code != http.StatusOK {
+			t.Fatalf("round %d: next send answered %d, want 200", round, w.Code)
+		}
+		close(st.letGo)
+		if got := <-st.stranded; !bytes.Equal(got, kept) {
+			t.Fatalf("round %d: the transport read %q from the %s request's body, which held %q", round, got, user, kept)
 		}
 	}
 }

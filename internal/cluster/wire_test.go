@@ -335,10 +335,14 @@ func TestRoutingScanAllocatesNothing(t *testing.T) {
 
 // cannedBackend is a backend transport that answers every request with
 // the same small body, so that what a run allocates is the gateway's
-// doing and not a function of the response.
+// doing and not a function of the response. Like every RoundTripper it
+// closes the request body it was handed.
 type cannedBackend struct{ status []byte }
 
 func (c cannedBackend) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		req.Body.Close()
+	}
 	body := []byte("{}\n")
 	if req.URL.Path == "/api/v1/cluster/status" {
 		body = c.status

@@ -177,7 +177,7 @@ func TestShardRowMatchesMap(t *testing.T) {
 	v = m.RefreshView(v)
 	checkView(v, "RefreshView with joins and leaves")
 	for round := range 5 {
-		m.Recycle(v, 0)
+		m.Recycle(nil, v, 0)
 		observe(17+7*round, 6000+round, 1+round)
 		m.RemoveService(200 + round)
 		v = m.RefreshView(v)

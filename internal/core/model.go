@@ -51,12 +51,14 @@ type Model struct {
 	// those held as some page's twin instead (pageMeta.twin); spareSlices
 	// holds per table (users, services) and shard a page slice for the
 	// shard's next copy; replaced and replacedSlices are emptied lists for
-	// the next refreshed view to fill.
+	// the next refreshed view to fill; spareView is the header of a view
+	// no reader can reach any more, for the next refresh to write into.
 	spare          []viewPage
 	twins          int
 	spareSlices    [2][viewShardCount][]viewPage
 	replaced       []replacedPage
 	replacedSlices []replacedSlice
+	spareView      *PredictView
 
 	// pairs and vals are observeAll's and ReplaySteps' scratch: a batch's
 	// resolved entities and its values, normalised in place; touched is

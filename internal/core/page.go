@@ -28,8 +28,8 @@ import (
 // With the Recycle the engine makes when no reader pins the view a
 // publish replaced (the recycled arm), a page's copy goes into its twin —
 // the page it replaced, which lacks only the rows the page's own publish
-// froze (pageMeta.twin) — and the publish allocates the view header
-// alone, ≈ 5 KB in one object:
+// froze (pageMeta.twin) — and the view itself goes into the header of
+// the view it replaced, so the publish allocates nothing:
 // 13–15 µs at 20k services where whole-page copies into recycled spares
 // took 24–25 µs and 16 KB in 49 objects (alternating runs on a 2-vCPU
 // x86-64 host).

@@ -17,8 +17,9 @@ import (
 // at or before the escape watermark — and the other never recycles. Its
 // checks are the copy-on-write contract under recycling: after every
 // refresh the two current views answer alike and snapshot to the same
-// bytes, a view that escaped or is held never changes, and no spare page,
-// twin or spare page slice is memory such a view can reach.
+// bytes, a view that escaped or is held never changes — its header
+// included: no refresh writes its view there — and no spare page, twin,
+// spare page slice or spare view header is memory such a view can reach.
 type recycleRig struct {
 	t          testing.TB
 	rec, fresh *Model
@@ -31,13 +32,15 @@ type recycleRig struct {
 	services   []int
 	at         time.Duration
 	twinsUsed  int // twins the recycling model's refreshes wrote into
+	headers    int // recycled view headers they wrote into
 }
 
 type retiredPair struct{ prev, next *PredictView }
 
 type keptView struct {
-	v    *PredictView
-	snap []byte
+	v       *PredictView
+	snap    []byte
+	version uint64
 }
 
 // The rig's ids, as in checkRefreshEqualsBuild: one user shard and two
@@ -85,7 +88,14 @@ func (g *recycleRig) replay() { g.both(func(m *Model) { m.ReplaySteps(1) }) }
 func (g *recycleRig) refresh() {
 	g.t.Helper()
 	prev, twins := g.rv, g.rec.twins
-	g.rv, g.fv = g.rec.RefreshView(g.rv), g.fresh.RefreshView(g.fv)
+	if g.rec.spareView != nil {
+		g.headers++
+	}
+	v := g.rec.RefreshView(g.rv)
+	if g.reachable(v) {
+		g.t.Fatalf("view %d was written into the header of a view a reader can still reach", v.version)
+	}
+	g.rv, g.fv = v, g.fresh.RefreshView(g.fv)
 	g.twinsUsed += max(0, twins-g.rec.twins)
 	g.retired = append(g.retired, retiredPair{prev, g.rv})
 	g.check()
@@ -117,7 +127,17 @@ func (g *recycleRig) release() {
 }
 
 func (g *recycleRig) keep(v *PredictView) {
-	g.kept = append(g.kept, keptView{v, g.snapshot(v)})
+	g.kept = append(g.kept, keptView{v, g.snapshot(v), v.version})
+}
+
+// reachable reports whether a reader may still read v: it is kept (held
+// or escaped), current, or one of the views of a publish not recycled
+// yet — the engine's unrecycled views, any of which a reader may pin.
+func (g *recycleRig) reachable(v *PredictView) bool {
+	if v == g.rv || slices.ContainsFunc(g.kept, func(k keptView) bool { return k.v == v }) {
+		return true
+	}
+	return slices.ContainsFunc(g.retired, func(r retiredPair) bool { return r.prev == v || r.next == v })
 }
 
 // recycle walks the retired publishes as the engine's recycleLocked does.
@@ -130,7 +150,7 @@ func (g *recycleRig) recycle() {
 		}
 		before := len(g.rec.spare) + g.rec.twins
 		limit := r.next.users.pageCount() + r.next.services.pageCount()
-		g.rec.Recycle(r.next, g.escaped)
+		g.rec.Recycle(r.prev, r.next, g.escaped)
 		if after := len(g.rec.spare) + g.rec.twins; after > max(before, limit) {
 			g.t.Fatalf("Recycle of view %d raised spares + twins %d → %d, past its %d pages", r.next.version, before, after, limit)
 		}
@@ -161,8 +181,8 @@ func (g *recycleRig) check() {
 		}
 	}
 	for _, k := range g.kept {
-		if !bytes.Equal(g.snapshot(k.v), k.snap) {
-			g.t.Fatalf("view %d changed while escaped or held (now at view %d)", k.v.version, g.rv.version)
+		if k.v.version != k.version || !bytes.Equal(g.snapshot(k.v), k.snap) {
+			g.t.Fatalf("view %d changed while escaped or held (now at view %d, it reads version %d)", k.version, g.rv.version, k.v.version)
 		}
 	}
 	g.checkReach()
@@ -179,12 +199,16 @@ func eachPage(v *PredictView, f func(p viewPage)) {
 	}
 }
 
-// checkReach holds the recycling model's spares, twins and spare page
-// slices apart from everything a kept view can reach, and its twin count
+// checkReach holds the recycling model's spare view header apart from
+// every view a reader can reach, its spares, twins and spare page slices
+// apart from everything a kept view can reach, and its twin count
 // to the twins the pages that can still hold one do hold: those of the
 // current view and of the views whose publish is not recycled yet.
 func (g *recycleRig) checkReach() {
 	g.t.Helper()
+	if v := g.rec.spareView; v != nil && g.reachable(v) {
+		g.t.Fatalf("view %d: the spare view header is view %d, which a reader can still reach", g.rv.version, v.version)
+	}
 	metas, blocks, arrays := map[*pageMeta]bool{}, map[*float32]bool{}, map[*viewPage]bool{}
 	for _, k := range g.kept {
 		eachPage(k.v, func(p viewPage) { metas[p.meta], blocks[&p.vecs[0]] = true, true })
@@ -272,10 +296,10 @@ func TestRecycledRefreshKeepsHeldViews(t *testing.T) {
 			}
 		}
 	}
-	if g.twinsUsed < 30 {
-		t.Fatalf("only %d copies went into a twin", g.twinsUsed)
+	if g.twinsUsed < 30 || g.headers < 30 {
+		t.Fatalf("only %d copies went into a twin and %d views into a recycled header", g.twinsUsed, g.headers)
 	}
-	t.Logf("%d refreshes, %d copies into a twin, %d views kept at the end", refreshes, g.twinsUsed, len(g.kept))
+	t.Logf("%d refreshes, %d copies into a twin, %d views into a recycled header, %d views kept at the end", refreshes, g.twinsUsed, g.headers, len(g.kept))
 }
 
 // FuzzRecycledRefresh runs fuzzer-chosen scripts through recycleRig: each

@@ -361,7 +361,7 @@ func TestPagesBackViewEntities(t *testing.T) {
 	// Recycle what v2 replaced, poison every spare lane, and reshape two
 	// shards into the spares: a newcomer joins shard 5 (rows 5 and 69) and
 	// service 10 leaves shard 10 (rows 10 and 74).
-	m.Recycle(v2, 0)
+	m.Recycle(v, v2, 0)
 	spares := len(m.spare)
 	if spares == 0 {
 		t.Fatal("Recycle left no spare page")

@@ -192,7 +192,9 @@ func buildTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish, 
 //
 // prev is left as it was: the pages and page slices the new view took the
 // place of stay prev's until the caller hands them back with Recycle, and
-// without that call they are left to the collector.
+// without that call they are left to the collector. The new view's header
+// is the one the last Recycle handed back, if it did, and a fresh
+// allocation otherwise.
 func (m *Model) RefreshView(prev *PredictView) *PredictView {
 	if prev == nil {
 		return m.BuildView()
@@ -202,7 +204,11 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 		// either, so rebuild from scratch.
 		return m.buildView(prev.version + 1)
 	}
-	v := &PredictView{
+	v := m.spareView
+	if v == nil {
+		v = new(PredictView)
+	}
+	*v = PredictView{
 		cfg:      m.cfg,
 		tr:       m.tr,
 		users:    prev.users,    // shares indexes and pages; touched ones replaced below
@@ -215,7 +221,7 @@ func (m *Model) RefreshView(prev *PredictView) *PredictView {
 		replaced:       m.replaced,
 		replacedSlices: m.replacedSlices,
 	}
-	m.replaced, m.replacedSlices = nil, nil
+	m.spareView, m.replaced, m.replacedSlices = nil, nil, nil
 	if v.replaced == nil || v.replacedSlices == nil {
 		users, userShards := m.dirtyUsers.size()
 		services, serviceShards := m.dirtyServices.size()
@@ -247,13 +253,19 @@ func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish
 }
 
 // Recycle hands the model what v's refresh took the place of — pages and
-// page slices of the view v was refreshed from that v no longer holds —
-// so that later refreshes write into them instead of into fresh
+// page slices of prev, the view v was refreshed from, that v no longer
+// holds — so that later refreshes write into them instead of into fresh
 // allocations. The caller promises that no reader can reach them any
 // more: every view v came after is unreachable, except views that escaped
 // the caller's bookkeeping, whose newest version is escaped; a page or
 // slice first published at or before escaped is left to the collector.
 // Views are recycled in publish order, as the engine does.
+//
+// prev itself is non-nil only when no reader can reach it either — the
+// engine passes nil while a reader pins it. Then its header, unless it
+// too is at or before escaped, is what the next refresh writes its view
+// into. Only the header is taken: a view never points to the view it was
+// refreshed from, so a caller that never recycles keeps no chain alive.
 //
 // A page v copied away from becomes the twin of its copy: the next
 // refresh that must copy that page again brings the twin up to date with
@@ -263,7 +275,10 @@ func refreshTable(dst *viewTable, src *entityTable, dirty *dirtyList, pb publish
 // together never outnumber v's own pages; past that cap a page is left
 // to the collector, so the cap comes from the view, not from a setting.
 // A view Recycle has seen has nothing left to recycle.
-func (m *Model) Recycle(v *PredictView, escaped uint64) {
+func (m *Model) Recycle(prev, v *PredictView, escaped uint64) {
+	if prev != nil && prev.owner == m && prev.version > escaped {
+		m.spareView = prev
+	}
 	if v.owner == m {
 		limit := v.users.pageCount() + v.services.pageCount()
 		keep := func(p viewPage) {

@@ -183,8 +183,9 @@ func TestRecycledRefreshMatchesFresh(t *testing.T) {
 		if len(recycled.spare)+recycled.twins > 0 {
 			reused++
 		}
+		prev := rv
 		rv, fv = recycled.RefreshView(rv), fresh.RefreshView(fv)
-		recycled.Recycle(rv, 0)
+		recycled.Recycle(prev, rv, 0)
 		got, err := rv.Snapshot()
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,8 @@
 //     atomic add each way); a reader that keeps the view lets it escape
 //     (View). Once a replaced view is unpinned, the pages its successor
 //     copied away from are recycled into the next publish instead of left
-//     to the collector; pages an escaped view can reach never are.
+//     to the collector, and so is its header; pages an escaped view can
+//     reach, and its header, never are.
 //
 //   - One mutex for every mutation. Whoever writes — an observe batch
 //     from either of the server's doors (HTTP observe, the TCP stream),
@@ -352,11 +353,16 @@ func (e *Engine) Restore(data []byte) error {
 // ---------------------------------------------------------------------------
 // Read side: everything is served from Pin() or View(); what follows is
 // accounting. It reads the current view's header fields, never its pages,
-// so it neither pins nor escapes: a scraper polling it leaves recycling
+// under a pin — a publish writes its view into the header of one nobody
+// pins — and never escapes it: a scraper polling it leaves recycling
 // alone.
 
 // Updates returns the published view's model update count.
-func (e *Engine) Updates() int64 { return e.view.Load().Updates() }
+func (e *Engine) Updates() int64 {
+	p := e.Pin()
+	defer e.Unpin(p)
+	return p.Updates()
+}
 
 // Metrics returns the engine's latency histograms (always maintained;
 // see Metrics). The server registers them on its /metrics registry.
@@ -364,7 +370,8 @@ func (e *Engine) Metrics() *Metrics { return e.metrics }
 
 // Stats returns the engine's accounting counters.
 func (e *Engine) Stats() Stats {
-	v := e.view.Load()
+	v := e.Pin()
+	defer e.Unpin(v)
 	return Stats{
 		Applied:       e.applied.Load(),
 		Replayed:      e.replayed.Load(),
@@ -462,8 +469,9 @@ type retiredView struct {
 
 // recycleLocked walks the retired publishes in publish order and recycles
 // each whose replaced view no reader pins: core.Model.Recycle takes the
-// pages it copied away from, less those an escaped view can reach, for the
-// next publish to write into. It runs at the start of a publish, so the
+// pages it copied away from, less those an escaped view can reach, and the
+// replaced view's header, unless that view escaped, for the next publish
+// to write into. It runs at the start of a publish, so the
 // readers of the view the last publish replaced have had a whole publish
 // interval to unpin it. A pinned view stops the walk, since pages the
 // publishes after it replaced can be ones it holds too. Once more than
@@ -473,13 +481,15 @@ type retiredView struct {
 func (e *Engine) recycleLocked() {
 	n := 0
 	for _, r := range e.retired {
+		prev := r.prev.PredictView
 		if r.prev.pins.Load() != 0 {
 			if len(e.retired)-n <= retireBound {
 				break
 			}
 			e.escape(r.prev.Version())
+			prev = nil // its reader still reads the header
 		}
-		e.model.Recycle(r.next, e.escaped.Load())
+		e.model.Recycle(prev, r.next, e.escaped.Load())
 		n++
 	}
 	rest := copy(e.retired, e.retired[n:])

@@ -129,3 +129,127 @@ func checkPinnedViewsNeverChange(t *testing.T) {
 	}
 	e.Unpin(held)
 }
+
+// TestViewHeadersNeverChange is the recycling safety contract for view
+// headers: a publish writes its view into the header of a view it
+// recycled, so a header a reader can still reach must never be one. While
+// the writer publishes 64-sample batches, readers pin the current view
+// and read its version and a sampled prediction with confidence twice
+// across a yield; another takes views with View() and checks every one it
+// still holds after each take; a poller reads Stats and Updates. Every
+// read must repeat for as long as its view is pinned or held, and under
+// -race a refresh writing into a header a reader holds is reported as a
+// race. Run at one P and at two.
+func TestViewHeadersNeverChange(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cpu=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			checkViewHeadersNeverChange(t)
+		})
+	}
+}
+
+func checkViewHeadersNeverChange(t *testing.T) {
+	const users, services, readers, batches = 16, 500, 3, 400
+	e := New(testModel(t), Config{})
+	rng := rand.New(rand.NewSource(2))
+	var seed []stream.Sample
+	for s := 0; s < services; s++ {
+		seed = append(seed, stream.Sample{User: s % users, Service: s, Value: 0.05 + 12*rng.Float64()})
+	}
+	e.ObserveAll(seed)
+
+	// read is what a reader reads of a view's header and pages: its
+	// version and one prediction with its confidence, bit for bit.
+	type read struct {
+		version     uint64
+		value, conf uint64
+	}
+	at := func(v *core.PredictView, u, s int) read {
+		val, conf, err := v.PredictWithConfidence(u, s)
+		if err != nil {
+			t.Errorf("view %d: predict (%d, %d): %v", v.Version(), u, s, err)
+		}
+		return read{v.Version(), math.Float64bits(val), math.Float64bits(conf)}
+	}
+
+	var (
+		stop    atomic.Bool
+		changed atomic.Int64
+		reads   atomic.Int64
+		wg      sync.WaitGroup
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				p := e.Pin()
+				u, s := (r+i)%users, (7*i+r)%services
+				first := at(p.PredictView, u, s)
+				runtime.Gosched()
+				if at(p.PredictView, u, s) != first {
+					changed.Add(1)
+				}
+				e.Unpin(p)
+				reads.Add(1)
+			}
+		}(r)
+	}
+	wg.Add(2)
+	go func() { // keeps the last few views View() returned
+		defer wg.Done()
+		type held struct {
+			v    *core.PredictView
+			u, s int
+			was  read
+		}
+		var kept []held
+		for i := 0; !stop.Load(); i++ {
+			v := e.View()
+			u, s := i%users, (11*i)%services
+			kept = append(kept, held{v, u, s, at(v, u, s)})
+			if len(kept) > 8 {
+				kept = kept[1:]
+			}
+			for _, h := range kept {
+				if at(h.v, h.u, h.s) != h.was {
+					changed.Add(1)
+				}
+			}
+			reads.Add(1)
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	go func() { // polls like a scraper
+		defer wg.Done()
+		var last uint64
+		for !stop.Load() {
+			st := e.Stats()
+			if st.Version < last || e.Updates() < st.Updates {
+				changed.Add(1)
+			}
+			last = st.Version
+			runtime.Gosched()
+		}
+	}()
+	for i := 0; i < batches; i++ {
+		ss := make([]stream.Sample, 64)
+		user := rng.Intn(users)
+		for j := range ss {
+			ss[j] = stream.Sample{User: user, Service: rng.Intn(services), Value: 0.05 + 12*rng.Float64()}
+		}
+		e.ObserveAll(ss)
+		if i%4 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := changed.Load(); n > 0 {
+		t.Errorf("%d of %d reads of a pinned or held view saw its header or pages change", n, reads.Load())
+	}
+	if reads.Load() == 0 {
+		t.Error("no reader finished a read")
+	}
+}

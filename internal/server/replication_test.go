@@ -667,7 +667,7 @@ func TestDemoteFencesLeader(t *testing.T) {
 	if !mgr.Fenced() {
 		t.Fatal("demotion did not fence the durable store")
 	}
-	if _, err := mgr.WAL().Append([]byte("p")); !errors.Is(err, store.ErrFenced) {
+	if _, err := mgr.WAL().AppendRemoveUser(1); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("append after demote: %v, want ErrFenced", err)
 	}
 	var st ClusterStatusResponse

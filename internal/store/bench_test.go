@@ -41,7 +41,8 @@ func quietLog() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, n
 func BenchmarkWALAppend(b *testing.B) {
 	w := openBenchWAL(b)
 	batch := benchSamples(16)
-	b.SetBytes(int64(len(encodeSamples(batch))))
+	b.SetBytes(int64(len(encodeSamples(nil, batch))))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		seq, err := w.AppendSamples(batch)
@@ -118,6 +119,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 			gl := make([]time.Duration, b.N)
 			sl := make([]time.Duration, b.N)
 			nl := make([]time.Duration, b.N)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gl[i] = arm(wGroup, p, opsPerWriter, true)

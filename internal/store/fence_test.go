@@ -115,7 +115,7 @@ func TestFenceManualAndCallback(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("onFence fired %d times, want 1", n)
 	}
-	if _, err := m.WAL().Append([]byte("p")); !errors.Is(err, ErrFenced) {
+	if _, err := m.WAL().appendPayload([]byte("p")); !errors.Is(err, ErrFenced) {
 		t.Fatalf("append after manual fence: err = %v, want ErrFenced", err)
 	}
 }

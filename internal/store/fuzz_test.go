@@ -12,12 +12,12 @@ import (
 // decode back to the same entry (the decoder is the first thing touching
 // attacker-controllable on-disk bytes during recovery).
 func FuzzDecodeEntry(f *testing.F) {
-	f.Add(encodeSamples(sampleBatch(0, 3)))
-	f.Add(encodeSamples(nil))
-	f.Add(encodeRemove(EntryRemoveUser, 42))
-	f.Add(encodeRemove(EntryRemoveService, -1))
-	f.Add(encodeRegister(EntryRegisterUser, 7, "alice"))
-	f.Add(encodeRegister(EntryRegisterService, 9, "svc/eu-west/1"))
+	f.Add(encodeSamples(nil, sampleBatch(0, 3)))
+	f.Add(encodeSamples(nil, nil))
+	f.Add(encodeRemove(nil, EntryRemoveUser, 42))
+	f.Add(encodeRemove(nil, EntryRemoveService, -1))
+	f.Add(encodeRegister(nil, EntryRegisterUser, 7, "alice"))
+	f.Add(encodeRegister(nil, EntryRegisterService, 9, "svc/eu-west/1"))
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 0, 0})
 	f.Add([]byte{9, 9, 9})
@@ -30,11 +30,11 @@ func FuzzDecodeEntry(f *testing.F) {
 		var again []byte
 		switch e.Kind {
 		case EntrySamples:
-			again = encodeSamples(e.Samples)
+			again = encodeSamples(nil, e.Samples)
 		case EntryRemoveUser, EntryRemoveService:
-			again = encodeRemove(e.Kind, e.ID)
+			again = encodeRemove(nil, e.Kind, e.ID)
 		case EntryRegisterUser, EntryRegisterService:
-			again = encodeRegister(e.Kind, e.ID, e.Name)
+			again = encodeRegister(nil, e.Kind, e.ID, e.Name)
 		default:
 			t.Fatalf("decoder accepted unknown kind %d", e.Kind)
 		}

@@ -38,7 +38,7 @@ func TestManagerCheckpointAndRecover(t *testing.T) {
 		state = append(state, sampleBatch(i*10, 2)...)
 	}
 	m.SetCaptureForTest(func() (uint64, []byte, error) {
-		return m.WAL().LastSeq(), encodeSamples(state), nil
+		return m.WAL().LastSeq(), encodeSamples(nil, state), nil
 	})
 	if err := m.Checkpoint(); err != nil {
 		t.Fatal(err)

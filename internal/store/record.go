@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/qoslab/amf/internal/stream"
@@ -77,10 +78,13 @@ const sampleWire = 32 // i64 time, i64 user, i64 service, f64 value
 // durability hole).
 const maxSamplesPerRecord = (MaxRecordBytes - 5) / sampleWire
 
-// encodeSamples renders a batch of observations as an EntrySamples
-// payload: kind byte, u32 count, then 32 fixed bytes per sample.
-func encodeSamples(ss []stream.Sample) []byte {
-	buf := make([]byte, 5+sampleWire*len(ss))
+// encodeSamples appends an EntrySamples payload for a batch of
+// observations to dst: kind byte, u32 count, then 32 fixed bytes per
+// sample.
+func encodeSamples(dst []byte, ss []stream.Sample) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 5+sampleWire*len(ss))[:n+5+sampleWire*len(ss)]
+	buf := dst[n:]
 	buf[0] = byte(EntrySamples)
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(ss)))
 	off := 5
@@ -91,7 +95,7 @@ func encodeSamples(ss []stream.Sample) []byte {
 		binary.LittleEndian.PutUint64(buf[off+24:], math.Float64bits(s.Value))
 		off += sampleWire
 	}
-	return buf
+	return dst
 }
 
 // decodeSamplesInto decodes an EntrySamples payload. It is strict: the
@@ -132,22 +136,16 @@ func decodeSamplesInto(scratch []stream.Sample, p []byte) ([]stream.Sample, erro
 	return out, nil
 }
 
-// encodeRemove renders an EntryRemoveUser / EntryRemoveService payload.
-func encodeRemove(kind EntryKind, id int) []byte {
-	buf := make([]byte, 9)
-	buf[0] = byte(kind)
-	binary.LittleEndian.PutUint64(buf[1:], uint64(int64(id)))
-	return buf
+// encodeRemove appends an EntryRemoveUser / EntryRemoveService payload
+// to dst.
+func encodeRemove(dst []byte, kind EntryKind, id int) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, byte(kind)), uint64(int64(id)))
 }
 
-// encodeRegister renders an EntryRegisterUser / EntryRegisterService
-// payload: kind byte, i64 ID, then the raw name bytes.
-func encodeRegister(kind EntryKind, id int, name string) []byte {
-	buf := make([]byte, 9+len(name))
-	buf[0] = byte(kind)
-	binary.LittleEndian.PutUint64(buf[1:], uint64(int64(id)))
-	copy(buf[9:], name)
-	return buf
+// encodeRegister appends an EntryRegisterUser / EntryRegisterService
+// payload to dst: kind byte, i64 ID, then the raw name bytes.
+func encodeRegister(dst []byte, kind EntryKind, id int, name string) []byte {
+	return append(encodeRemove(dst, kind, id), name...)
 }
 
 // decodeEntryInto decodes a record payload into a typed Entry, with a
@@ -185,14 +183,12 @@ func decodeEntryInto(scratch []stream.Sample, seq uint64, p []byte) (Entry, erro
 	}
 }
 
-// encodeRecord frames a payload as an on-disk record.
-func encodeRecord(seq uint64, payload []byte) []byte {
-	rec := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(rec[8:16], seq)
-	copy(rec[recHeaderSize:], payload)
-	binary.LittleEndian.PutUint32(rec[4:8], recordCRC(seq, payload))
-	return rec
+// encodeRecordHeader writes the header that frames payload as record seq
+// on disk into h.
+func encodeRecordHeader(h *[recHeaderSize]byte, seq uint64, payload []byte) {
+	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(h[4:8], recordCRC(seq, payload))
+	binary.LittleEndian.PutUint64(h[8:16], seq)
 }
 
 // decodeRecordHeader parses a record header, returning the payload

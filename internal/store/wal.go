@@ -94,6 +94,11 @@ type WAL struct {
 	fenced   bool // another process claimed the directory; see fence.go
 	closed   bool
 
+	// scratch is the payload buffer the typed appends encode into and
+	// hdr the record header appendLocked frames with; both under mu.
+	scratch []byte
+	hdr     [recHeaderSize]byte
+
 	// Commit state (see WaitDurable). durable is the commit index: every
 	// record with seq <= durable is on stable storage. subs are
 	// commit-notification subscribers (a follower's status long-poll,
@@ -319,60 +324,80 @@ func (w *WAL) AppendSamples(ss []stream.Sample) (uint64, error) {
 
 // appendSamplesChunked is AppendSamples with an explicit chunk bound,
 // separated so tests can exercise the multi-record path without
-// materializing half-gigabyte batches.
+// materializing half-gigabyte batches. The chunks are consecutive
+// records: no other append lands between them.
 func (w *WAL) appendSamplesChunked(ss []stream.Sample, maxPerRecord int) (uint64, error) {
-	if len(ss) <= maxPerRecord {
-		return w.Append(encodeSamples(ss))
-	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var seq uint64
-	for len(ss) > 0 {
-		n := len(ss)
-		if n > maxPerRecord {
-			n = maxPerRecord
-		}
-		s, err := w.Append(encodeSamples(ss[:n]))
+	for {
+		n := min(len(ss), maxPerRecord)
+		s, err := w.appendScratchLocked(encodeSamples(w.scratch[:0], ss[:n]))
 		if err != nil {
 			return seq, err
 		}
-		seq = s
-		ss = ss[n:]
+		if seq, ss = s, ss[n:]; len(ss) == 0 {
+			return seq, nil
+		}
 	}
-	return seq, nil
 }
 
 // AppendRemoveUser journals a user churn departure.
 func (w *WAL) AppendRemoveUser(id int) (uint64, error) {
-	return w.Append(encodeRemove(EntryRemoveUser, id))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendScratchLocked(encodeRemove(w.scratch[:0], EntryRemoveUser, id))
 }
 
 // AppendRemoveService journals a service churn departure.
 func (w *WAL) AppendRemoveService(id int) (uint64, error) {
-	return w.Append(encodeRemove(EntryRemoveService, id))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendScratchLocked(encodeRemove(w.scratch[:0], EntryRemoveService, id))
 }
 
 // AppendRegisterUser journals a user name⇄ID registration.
 func (w *WAL) AppendRegisterUser(id int, name string) (uint64, error) {
-	if len(name) == 0 || len(name) > MaxNameBytes {
-		return 0, fmt.Errorf("store: register: name of %d bytes out of range", len(name))
-	}
-	return w.Append(encodeRegister(EntryRegisterUser, id, name))
+	return w.appendRegister(EntryRegisterUser, id, name)
 }
 
 // AppendRegisterService journals a service name⇄ID registration.
 func (w *WAL) AppendRegisterService(id int, name string) (uint64, error) {
+	return w.appendRegister(EntryRegisterService, id, name)
+}
+
+func (w *WAL) appendRegister(kind EntryKind, id int, name string) (uint64, error) {
 	if len(name) == 0 || len(name) > MaxNameBytes {
 		return 0, fmt.Errorf("store: register: name of %d bytes out of range", len(name))
 	}
-	return w.Append(encodeRegister(EntryRegisterService, id, name))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendScratchLocked(encodeRegister(w.scratch[:0], kind, id, name))
 }
 
-// Append journals one opaque payload and returns its sequence number.
-func (w *WAL) Append(payload []byte) (uint64, error) {
+// maxScratchBytes is the largest payload buffer the log keeps between
+// appends; a bigger one, grown for a batch far past the served shape,
+// is left to the collector.
+const maxScratchBytes = 1 << 20
+
+// appendScratchLocked appends a payload encoded into w.scratch and keeps
+// the buffer, grown as it may be, for the next one.
+func (w *WAL) appendScratchLocked(payload []byte) (uint64, error) {
+	w.scratch = payload[:0]
+	if cap(payload) > maxScratchBytes {
+		w.scratch = nil
+	}
+	return w.appendLocked(payload)
+}
+
+// appendLocked frames payload as the next record — its header built in
+// w.hdr — and writes both into the segment's buffer, which copies them:
+// the payload is the caller's again on return. A payload the scanner
+// would refuse (empty, or past MaxRecordBytes) is refused here first.
+func (w *WAL) appendLocked(payload []byte) (uint64, error) {
 	if len(payload) == 0 || len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("store: append: payload of %d bytes out of range", len(payload))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
 		return 0, errors.New("store: append on closed wal")
 	}
@@ -392,8 +417,12 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	rec := encodeRecord(w.seq+1, payload)
-	if _, err := w.bw.Write(rec); err != nil {
+	encodeRecordHeader(&w.hdr, w.seq+1, payload)
+	_, err := w.bw.Write(w.hdr[:])
+	if err == nil {
+		_, err = w.bw.Write(payload)
+	}
+	if err != nil {
 		w.failed = true
 		w.met.Errors.Add(1)
 		return 0, fmt.Errorf("store: append: %w", err)

@@ -41,6 +41,13 @@ func sampleBatch(base, n int) []stream.Sample {
 	return out
 }
 
+// appendPayload journals one opaque payload as the next record.
+func (w *WAL) appendPayload(payload []byte) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(payload)
+}
+
 func replayAll(t *testing.T, w *WAL, from uint64) []Entry {
 	t.Helper()
 	var out []Entry
@@ -358,10 +365,10 @@ func TestWALSyncPolicies(t *testing.T) {
 func TestWALRejectsOversizedAndEmptyPayloads(t *testing.T) {
 	w := testWAL(t, t.TempDir(), WALOptions{})
 	defer w.Close()
-	if _, err := w.Append(nil); err == nil {
+	if _, err := w.appendPayload(nil); err == nil {
 		t.Fatal("empty payload must error")
 	}
-	if _, err := w.Append(make([]byte, MaxRecordBytes+1)); err == nil {
+	if _, err := w.appendPayload(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Fatal("oversized payload must error")
 	}
 	if w.LastSeq() != 0 {
@@ -662,5 +669,24 @@ func TestLoadCheckpointTakesNoClaim(t *testing.T) {
 	}
 	if _, _, _, err := LoadCheckpoint(t.TempDir(), quietLogger()); err == nil {
 		t.Fatal("a directory with no log loaded as an empty leader")
+	}
+}
+
+// TestAppendSamplesAllocations: once the log's payload buffer has grown
+// to the batch, journaling a 64-sample observe — the served shape —
+// allocates nothing. The payload is encoded into the log's own buffer
+// and framed by a header the log keeps, and both are copied into the
+// segment's write buffer.
+func TestAppendSamplesAllocations(t *testing.T) {
+	w := testWAL(t, t.TempDir(), WALOptions{})
+	defer w.Close()
+	batch := sampleBatch(0, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := w.AppendSamples(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a 64-sample AppendSamples allocates %v objects, want 0", allocs)
 	}
 }

@@ -62,7 +62,7 @@ const maxKeep = 60
 // (fmt, sort, container/heap, io, net/http, flag) rather than by name.
 var conventionalMethods = map[string]bool{
 	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
-	"Push": true, "Pop": true, "Close": true, "Write": true,
+	"Push": true, "Pop": true, "Close": true, "Read": true, "Write": true,
 	"ServeHTTP": true, "RoundTrip": true, "Set": true,
 }
 
