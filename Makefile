@@ -47,12 +47,12 @@ lint-metrics:
 	$(GO) test -run TestMetricsDocumented ./internal/cluster/
 
 # Overload-control gate: the class-contract stress tests (critical is
-# never shed while sheddable is), the gateway edge-shed tests and the
-# relay of a backend's shed headers (what a shed client needs to back
-# off), all under the race detector.
+# never shed while sheddable is), the gateway's own 503 and its relay
+# of a backend's shed headers (what a shed client needs to back off),
+# all under the race detector.
 test-overload:
 	$(GO) test -race -run 'TestAdmission' ./internal/server/
-	$(GO) test -race -run 'TestGatewayEdgeShed|TestGatewayUnavailable|TestGatewayRelaysShedHeaders' ./internal/cluster/
+	$(GO) test -race -run 'TestGatewayUnavailable|TestGatewayRelaysShedHeaders' ./internal/cluster/
 
 # Formatting leg: the walk covers bench/ too; any printed name fails.
 fmt:

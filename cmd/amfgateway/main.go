@@ -81,8 +81,6 @@ func run(args []string, stderr io.Writer) error {
 		probeIvl  = fs.Duration("probe-interval", 500*time.Millisecond, "replica health-probe cadence")
 		downAfter = fs.Int("down-after", 3, "consecutive probe failures before a replica is marked down")
 		failover  = fs.Bool("failover", false, "promote the most caught-up follower when a group's leader stays down")
-		edgeShed  = fs.Bool("slo-edge-shed", false, "refuse sheddable-class requests at the gateway when the target shard group reports saturation (429 + Retry-After)")
-		shedThr   = fs.Float64("slo-shed-threshold", 0.5, "group shed rate (max over healthy replicas, probed) at which edge shedding kicks in")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn, or error")
 		logFormat = fs.String("log-format", "text", "log format: text or json")
 	)
@@ -96,17 +94,13 @@ func run(args []string, stderr io.Writer) error {
 	if len(shards) == 0 {
 		return errors.New("at least one -shard group is required")
 	}
-	// cluster.New would replace a non-positive cadence, count or
-	// threshold with its default; refuse them instead, and a threshold
-	// above 1, which no shed rate reaches.
+	// cluster.New would replace a non-positive cadence or count with its
+	// default; refuse them instead.
 	if *probeIvl <= 0 {
 		return fmt.Errorf("-probe-interval must be positive, got %v", *probeIvl)
 	}
 	if *downAfter <= 0 {
 		return fmt.Errorf("-down-after must be positive, got %d", *downAfter)
-	}
-	if !(*shedThr > 0 && *shedThr <= 1) {
-		return fmt.Errorf("-slo-shed-threshold must be in (0, 1], got %v", *shedThr)
 	}
 
 	gw, err := cluster.New(cluster.Config{
@@ -114,8 +108,6 @@ func run(args []string, stderr io.Writer) error {
 		ProbeInterval: *probeIvl,
 		DownAfter:     *downAfter,
 		Failover:      *failover,
-		EdgeShed:      *edgeShed,
-		ShedThreshold: *shedThr,
 		Logger:        logger,
 	})
 	if err != nil {
@@ -145,8 +137,7 @@ func run(args []string, stderr io.Writer) error {
 		"version", obs.BuildVersion(), "commit", obs.BuildCommit(),
 		"addr", *addr, "groups", len(shards),
 		"probe_interval", *probeIvl, "down_after", *downAfter,
-		"failover", *failover,
-		"slo_edge_shed", *edgeShed, "slo_shed_threshold", *shedThr)
+		"failover", *failover)
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}

@@ -8,11 +8,12 @@ import (
 )
 
 // TestRunRejectsBadFlag: -vnodes became a constant (every gateway of a
-// cluster must hash alike) and -fanout-threshold went with rank/batch
-// fan-out; a command line still carrying either is an error, as any
+// cluster must hash alike), -fanout-threshold went with rank/batch
+// fan-out, and -slo-edge-shed and -slo-shed-threshold with the edge
+// shed; a command line still carrying any of them is an error, as any
 // unknown flag is.
 func TestRunRejectsBadFlag(t *testing.T) {
-	for _, name := range []string{"definitely-not-a-flag", "vnodes", "fanout-threshold"} {
+	for _, name := range []string{"definitely-not-a-flag", "vnodes", "fanout-threshold", "slo-edge-shed", "slo-shed-threshold"} {
 		err := run([]string{"-shard", "http://127.0.0.1:1", "-" + name, "1"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Errorf("-%s: err = %v, want a flag-not-defined error", name, err)
@@ -40,19 +41,14 @@ func runMustRefuse(t *testing.T, want string, args ...string) {
 }
 
 // TestRunRejectsOutOfRangeFlags: a non-positive probe cadence or failure
-// count, and a shed threshold outside (0, 1], fail start-up naming the
-// flag instead of being replaced by a default or never letting edge
-// shedding trigger.
+// count fails start-up naming the flag instead of being replaced by a
+// default.
 func TestRunRejectsOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct{ name, value, want string }{
 		{"probe-interval", "0", "must be positive"},
 		{"probe-interval", "-1s", "must be positive"},
 		{"down-after", "0", "must be positive"},
 		{"down-after", "-2", "must be positive"},
-		{"slo-shed-threshold", "0", "must be in (0, 1]"},
-		{"slo-shed-threshold", "-0.5", "must be in (0, 1]"},
-		{"slo-shed-threshold", "1.5", "must be in (0, 1]"},
-		{"slo-shed-threshold", "NaN", "must be in (0, 1]"},
 	} {
 		runMustRefuse(t, "-"+tc.name+" "+tc.want, "-"+tc.name, tc.value)
 	}

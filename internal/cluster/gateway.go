@@ -53,14 +53,6 @@ type Config struct {
 	// measured slower than the single hop (DESIGN.md "Cluster &
 	// replication"). The field stays only because bench/ still sets it.
 	FanOutThreshold int
-	// EdgeShed enables edge shedding: sheddable-class requests aimed at
-	// a shard group whose probed shed rate is at or above ShedThreshold
-	// are refused at the gateway (429 + Retry-After) without a backend
-	// round trip. Standard and critical traffic always passes through.
-	EdgeShed bool
-	// ShedThreshold is the group shed rate (max over healthy replicas,
-	// from the probe loop) at which edge shedding kicks in (default 0.5).
-	ShedThreshold float64
 	// Logger receives lifecycle and failover events (default slog.Default()).
 	Logger *slog.Logger
 	// HTTP is the client of every backend call — proxied requests, the
@@ -90,7 +82,6 @@ type replica struct {
 	fenced     atomic.Bool   // lost its directory claim
 	promotable atomic.Bool   // follower that can recover its leader's log
 	lagSecs    atomic.Uint64 // follower time-lag, Float64bits (federation gauge)
-	shedRate   atomic.Uint64 // last-probed shed/rejection rate, Float64bits
 }
 
 func (rep *replica) Health() Health { return Health(rep.health.Load()) }
@@ -143,7 +134,6 @@ type Gateway struct {
 	reg          *obs.Registry
 	proxySeconds *obs.HistogramVec
 	proxyErrors  *obs.Counter
-	edgeSheds    *obs.Counter
 	failovers    *obs.Counter
 	demotions    *obs.Counter
 	probeErrors  *obs.Counter
@@ -170,9 +160,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 3
-	}
-	if cfg.ShedThreshold <= 0 {
-		cfg.ShedThreshold = 0.5
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -263,8 +250,6 @@ func (g *Gateway) buildMetrics() {
 	}
 	g.proxyErrors = r.NewCounter("amf_cluster_proxy_errors_total",
 		"Backend requests that failed (connection errors or non-2xx).")
-	g.edgeSheds = r.NewCounter("amf_admission_edge_shed_total",
-		"Sheddable-class requests refused at the gateway because the target shard group reported saturation.")
 	g.failovers = r.NewCounter("amf_cluster_failovers_total",
 		"Leader promotions driven by the gateway.")
 	g.demotions = r.NewCounter("amf_cluster_demotions_total",
@@ -277,16 +262,6 @@ func (g *Gateway) buildMetrics() {
 		g.probeLatency)
 	g.scrapeErrors = r.NewCounter("amf_cluster_scrape_errors_total",
 		"Replica /metrics scrapes that failed during federation.")
-	r.GaugeFunc("amf_cluster_groups", "Configured shard groups.",
-		func() float64 { return float64(len(g.groups)) })
-	r.GaugeFunc("amf_cluster_replicas", "Configured replicas across all groups.",
-		func() float64 {
-			n := 0
-			for _, grp := range g.groups {
-				n += len(grp.replicas)
-			}
-			return float64(n)
-		})
 	r.GaugeFunc("amf_cluster_replicas_down", "Replicas currently marked down.",
 		func() float64 {
 			n := 0
@@ -323,8 +298,8 @@ const requestIDHeader = "X-Request-Id"
 // request itself: the root span of its trace, the X-Amf-Trace value that
 // names it to backends, and its SLO class (parsed once from
 // X-Amf-Slo-Class). timed() builds it on its stack and passes it down as
-// an argument — to the route handler and from there to edgeShed, forward
-// and send — so no leg re-parses a header and the request is never copied
+// an argument — to the route handler and from there to forward and
+// send — so no leg re-parses a header and the request is never copied
 // to carry it.
 type call struct {
 	span  *trace.Span
@@ -408,6 +383,15 @@ func (g *Gateway) writeJSON(w http.ResponseWriter, status int, v any) {
 
 func (g *Gateway) writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	g.writeJSON(w, status, server.ErrorResponse{Error: fmt.Sprintf(format, args...)})
+}
+
+// unavailable writes the gateway's 503 for a request with nowhere to
+// go: no routable shard group, or a write to a group with no live
+// leader. Retry-After is part of the shed/unavailable contract: one
+// probe interval is when routing state can next change.
+func (g *Gateway) unavailable(w http.ResponseWriter, why string) {
+	w.Header().Set("Retry-After", server.RetryAfter(g.cfg.ProbeInterval))
+	g.writeError(w, http.StatusServiceUnavailable, "%s", why)
 }
 
 // groupFor routes a user key through the ring.
@@ -706,14 +690,13 @@ type GroupStatus struct {
 
 // ReplicaStatus describes one replica as of the last probe.
 type ReplicaStatus struct {
-	URL        string  `json:"url"`
-	Health     string  `json:"health"`
-	Role       string  `json:"role"`
-	WALSeq     uint64  `json:"wal_seq,omitempty"`
-	AppliedSeq uint64  `json:"applied_seq,omitempty"`
-	Epoch      uint64  `json:"epoch,omitempty"`
-	Fenced     bool    `json:"fenced,omitempty"`
-	ShedRate   float64 `json:"shed_rate,omitempty"`
+	URL        string `json:"url"`
+	Health     string `json:"health"`
+	Role       string `json:"role"`
+	WALSeq     uint64 `json:"wal_seq,omitempty"`
+	AppliedSeq uint64 `json:"applied_seq,omitempty"`
+	Epoch      uint64 `json:"epoch,omitempty"`
+	Fenced     bool   `json:"fenced,omitempty"`
 }
 
 func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
@@ -735,7 +718,6 @@ func (g *Gateway) handleStatus(w http.ResponseWriter, _ *http.Request) {
 				URL: rep.url, Health: rep.Health().String(), Role: role,
 				WALSeq: rep.walSeq.Load(), AppliedSeq: rep.appliedSeq.Load(),
 				Epoch: rep.epoch.Load(), Fenced: rep.fenced.Load(),
-				ShedRate: rep.shedRateValue(),
 			})
 		}
 		out.Groups = append(out.Groups, gs)
@@ -764,9 +746,6 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 	// Single-group deployments need no bucketing: the whole batch goes to
 	// the one leader verbatim (the backend still validates it).
 	if len(g.groups) == 1 {
-		if g.edgeShed(w, c, g.groups[0]) {
-			return
-		}
 		rep := g.groups[0].writeTarget()
 		if rep == nil {
 			g.unavailable(w, "group "+g.groups[0].name+" has no live leader")
@@ -800,16 +779,10 @@ func (g *Gateway) handleObserve(w http.ResponseWriter, r *http.Request, c call) 
 		}
 		k := slices.IndexFunc(parts, func(b bucket) bool { return b.grp == grp })
 		if k < 0 {
-			// Edge shedding is all-or-nothing for a batch: refusing only
-			// the saturated groups' buckets would leave the same
-			// partial-application hazard the error path below exists for,
-			// so a sheddable batch touching ANY saturated group is refused
-			// whole, before anything is sent (retry is safe).
-			if g.edgeShed(w, c, grp) {
-				return
-			}
-			// Likewise a batch touching a leaderless group is refused
-			// whole.
+			// A batch touching a leaderless group is refused whole,
+			// before anything is sent: refusing only that group's bucket
+			// would leave the partial-application hazard the error path
+			// below exists for (retry is safe).
 			rep := grp.writeTarget()
 			if rep == nil {
 				g.unavailable(w, "group "+grp.name+" has no live leader")
@@ -938,9 +911,6 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request, c call) 
 		g.unavailable(w, "no shard groups available")
 		return
 	}
-	if g.edgeShed(w, c, grp) {
-		return
-	}
 	rep := grp.readTarget()
 	u := *rep.predictURL
 	u.RawQuery = r.URL.RawQuery
@@ -966,9 +936,6 @@ func (g *Gateway) handleCandidates(rank bool) proxyHandler {
 			if grp = g.route(w, body.buf, rank); grp == nil {
 				return
 			}
-		}
-		if g.edgeShed(w, c, grp) {
-			return
 		}
 		rep := grp.readTarget()
 		u := rep.predictURL
@@ -1059,7 +1026,6 @@ func (g *Gateway) probe(rep *replica) {
 	rep.epoch.Store(st.Epoch)
 	rep.fenced.Store(st.Fenced)
 	rep.promotable.Store(st.Promotable)
-	rep.shedRate.Store(math.Float64bits(st.ShedRate))
 	// A fenced server lost its durable-directory claim: whatever role it
 	// reports, it cannot accept writes, so never treat it as a leader.
 	if st.Role == "leader" && !st.Fenced {

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -24,7 +27,8 @@ import (
 // federation-derived gauges, and fails if any amf_* family name is
 // missing from README.md's metrics tables, or if a table row names a
 // family none of them exports. Adding a metric without documenting it,
-// or deleting one and leaving its row, breaks `make ci`.
+// or deleting one and leaving its row, breaks `make ci`. It also holds
+// every family to a reader (checkReaders).
 func TestMetricsDocumented(t *testing.T) {
 	runtime := map[string]bool{}
 	collect := func(h http.Handler) {
@@ -126,6 +130,107 @@ func TestMetricsDocumented(t *testing.T) {
 		t.Errorf("README.md table rows name metric families no registry exports (delete or fix the row):\n  %s",
 			strings.Join(stale, "\n  "))
 	}
+	checkReaders(t, string(readme), runtime)
+}
+
+// checkReaders holds README.md's metric tables (those whose first column
+// is "Family") to their "Read by" column: every row fills it; a row read
+// by the runbook has each of its families named in the "Runbook"
+// subsection; every test a cell names exists; and the runbook names no
+// family that nothing exports.
+func checkReaders(t *testing.T, readme string, runtime map[string]bool) {
+	t.Helper()
+	nameRE := regexp.MustCompile(`amf_[a-z0-9_]+`)
+	lines := strings.Split(readme, "\n")
+	runbook := map[string]bool{}
+	for i, line := range lines {
+		if line != "#### Runbook" {
+			continue
+		}
+		for _, l := range lines[i+1:] {
+			if strings.HasPrefix(l, "#") {
+				break
+			}
+			for _, name := range nameRE.FindAllString(l, -1) {
+				runbook[name] = true
+			}
+		}
+	}
+	if len(runbook) == 0 {
+		t.Fatal(`README.md has no "#### Runbook" subsection naming amf_* families`)
+	}
+	if stale := namesNotIn(runbook, runtime); len(stale) > 0 {
+		t.Errorf("README.md's runbook names metric families no registry exports:\n  %s", strings.Join(stale, "\n  "))
+	}
+
+	tests := definedTests(t)
+	testRE := regexp.MustCompile(`\bTest[A-Z]\w*`)
+	readBy := -1 // the current table's "Read by" column; -1 outside a metric table
+	for i, line := range lines {
+		cells := strings.Split(line, "|")
+		if !strings.HasPrefix(line, "|") || len(cells) < 3 {
+			readBy = -1
+			continue
+		}
+		if i > 0 && !strings.HasPrefix(lines[i-1], "|") { // a header row
+			readBy = -1
+			if strings.TrimSpace(cells[1]) == "Family" {
+				readBy = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == "Read by" })
+				if readBy < 0 {
+					t.Errorf("README.md line %d: metric table without a \"Read by\" column", i+1)
+				}
+			}
+			continue
+		}
+		if readBy < 0 || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		families := nameRE.FindAllString(cells[1], -1)
+		cell := ""
+		if readBy < len(cells) {
+			cell = strings.TrimSpace(cells[readBy])
+		}
+		if cell == "" {
+			t.Errorf("README.md line %d: %v has no reader (fill its \"Read by\" cell or delete the family)", i+1, families)
+			continue
+		}
+		if strings.Contains(cell, "Runbook") {
+			for _, name := range families {
+				if !runbook[name] {
+					t.Errorf("README.md line %d: %s is read by the runbook, which does not name it", i+1, name)
+				}
+			}
+		}
+		for _, name := range testRE.FindAllString(cell, -1) {
+			if !tests[name] {
+				t.Errorf("README.md line %d: %v is read by %s, which no test file defines", i+1, families, name)
+			}
+		}
+	}
+}
+
+// definedTests returns the name of every test function in the module.
+func definedTests(t *testing.T) map[string]bool {
+	t.Helper()
+	funcRE := regexp.MustCompile(`(?m)^func (Test\w+)\(`)
+	names := map[string]bool{}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcRE.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // namesNotIn returns, sorted, the names that in lacks.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,9 +79,8 @@ func ClassFromHeader(h http.Header) Class {
 }
 
 // ShedReasonHeader names why a request was refused: "slo_budget"
-// (predicted wait exceeds the class budget), "follower" (a write sent to
-// a follower), or — at the gateway — "edge_saturation" (target shard
-// group reported saturation).
+// (predicted wait exceeds the class budget) or "follower" (a write sent
+// to a follower). The gateway relays it verbatim and sets none itself.
 const ShedReasonHeader = "X-Amf-Shed-Reason"
 
 // shedReasonBudget is the one reason the server gate sheds for.
@@ -114,21 +112,9 @@ type admissionGate struct {
 	budgetStandard  time.Duration
 	budgetSheddable time.Duration
 
-	// Cumulative gate accounting (all classes), for the rolling ShedRate
-	// window.
-	requests atomic.Int64
-	sheds    atomic.Int64
-
 	// estimator overrides the cost model in tests (forced-overload
 	// invariant tests); nil in production.
 	estimator func(rt *routeGate) time.Duration
-
-	// Rolling shed-rate window (see ShedRate).
-	rateMu   sync.Mutex
-	rateAt   time.Time
-	rateReq  int64
-	rateShed int64
-	rate     atomic.Uint64 // float64 bits
 }
 
 // routeGate is the per-route slice of gate state: the route's latency
@@ -159,7 +145,7 @@ func (s *Server) EnableAdmission(cfg AdmissionConfig) {
 	if cfg.BudgetSheddable <= 0 {
 		cfg.BudgetSheddable = 250 * time.Millisecond
 	}
-	g := &admissionGate{s: s, budgetStandard: cfg.BudgetStandard, budgetSheddable: cfg.BudgetSheddable, rateAt: time.Now()}
+	g := &admissionGate{s: s, budgetStandard: cfg.BudgetStandard, budgetSheddable: cfg.BudgetSheddable}
 	s.gate.Store(g)
 	s.log.Info("slo admission enabled",
 		"budget_standard", cfg.BudgetStandard,
@@ -201,7 +187,6 @@ func (s *Server) gated(route string, h spanHandler) spanHandler {
 // bug can ever shed it.
 func (g *admissionGate) decide(rt *routeGate, r *http.Request) verdict {
 	class := ClassFromHeader(r.Header)
-	g.requests.Add(1)
 	g.s.admReq[class].Inc()
 	if class == Critical {
 		return verdict{admit: true, class: class}
@@ -239,7 +224,6 @@ func (g *admissionGate) estimate(rt *routeGate) time.Duration {
 // (floor 1s — the client should at least let one publish interval
 // pass), the shed reason header, and per-class/per-reason accounting.
 func (g *admissionGate) shed(w http.ResponseWriter, v verdict) {
-	g.sheds.Add(1)
 	g.s.admShed[v.class].Add(1)
 	w.Header().Set("Retry-After", RetryAfter(v.estimate))
 	w.Header().Set(ShedReasonHeader, shedReasonBudget)
@@ -255,32 +239,4 @@ func RetryAfter(wait time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
-}
-
-// ShedRate reports the fraction of gate-evaluated requests shed over
-// the most recent ~1s window. The gateway's probe loop reads it (via
-// /api/v1/cluster/status) to decide edge shedding.
-func (g *admissionGate) ShedRate() float64 {
-	g.rateMu.Lock()
-	now := time.Now()
-	if now.Sub(g.rateAt) >= time.Second {
-		req, shed := g.requests.Load(), g.sheds.Load()
-		r := 0.0
-		if d := req - g.rateReq; d > 0 {
-			r = float64(shed-g.rateShed) / float64(d)
-		}
-		g.rate.Store(math.Float64bits(r))
-		g.rateAt, g.rateReq, g.rateShed = now, req, shed
-	}
-	g.rateMu.Unlock()
-	return math.Float64frombits(g.rate.Load())
-}
-
-// ShedRate reports the server's current shed rate: the gate's rolling
-// window, or 0 while admission is disabled.
-func (s *Server) ShedRate() float64 {
-	if g := s.gate.Load(); g != nil {
-		return g.ShedRate()
-	}
-	return 0
 }

@@ -152,11 +152,10 @@ func TestAdmissionDisabledIsInert(t *testing.T) {
 		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
 	}
 	tm := scrapeMetrics(t, s)
-	if v := metricValue(t, tm, "amf_admission_enabled", "", ""); v != 0 {
-		t.Fatalf("amf_admission_enabled = %v, want 0", v)
-	}
-	if v := metricValue(t, tm, "amf_admission_requests_total", "class", "sheddable"); v != 0 {
-		t.Fatalf("requests counted while disabled: %v", v)
+	for _, c := range Classes() {
+		if v := metricValue(t, tm, "amf_admission_requests_total", "class", c.String()); v != 0 {
+			t.Fatalf("%s requests counted while disabled: %v", c, v)
+		}
 	}
 }
 

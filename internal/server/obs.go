@@ -18,13 +18,11 @@ import (
 // counters holds the service's operational counters, registered on the
 // obs registry at construction.
 type counters struct {
-	observations     *obs.Counter // accepted QoS observations
-	predictions      *obs.Counter // single predictions served
-	batchPredictions *obs.Counter // batch prediction entries served
-	notFound         *obs.Counter // 404 responses (unknown users/services)
-	badRequests      *obs.Counter // 400-level rejections
-	churnRemovals    *obs.Counter // users/services deregistered
-	rankCandidates   *obs.Counter // candidates scanned across all rankings
+	observations  *obs.Counter // accepted QoS observations
+	predictions   *obs.Counter // single predictions served
+	notFound      *obs.Counter // 404 responses (unknown users/services)
+	badRequests   *obs.Counter // 400-level rejections
+	churnRemovals *obs.Counter // users/services deregistered
 }
 
 // buildMetrics constructs the registry and every metric family the server
@@ -35,25 +33,11 @@ func (s *Server) buildMetrics() {
 
 	// Service counters.
 	s.metrics = counters{
-		observations:     r.NewCounter("amf_observations_total", "QoS observations accepted (HTTP observe + TCP ingest)."),
-		predictions:      r.NewCounter("amf_predictions_total", "Single predictions served."),
-		batchPredictions: r.NewCounter("amf_batch_predictions_total", "Batch prediction entries served."),
-		notFound:         r.NewCounter("amf_not_found_total", "404 responses (unknown users/services)."),
-		badRequests:      r.NewCounter("amf_bad_requests_total", "400-level request rejections."),
-		churnRemovals:    r.NewCounter("amf_churn_removals_total", "Users/services deregistered (churn departures)."),
-		rankCandidates:   r.NewCounter("amf_rank_candidates_total", "Candidates scanned across all ranking requests."),
-	}
-
-	// Ranking fast path: latency by execution mode (serial = a candidate
-	// list, full_scan = the whole catalog). Unsampled — rankings are
-	// orders of magnitude rarer than predicts and each one is worth
-	// timing. The mode children are materialized up front so /metrics
-	// always exposes the full family (and so the exposition validates
-	// before the first ranking arrives).
-	s.rankLatency = r.NewHistogramVec("amf_rank_latency_seconds",
-		"Candidate-ranking latency by execution mode.", "mode", 1e-6, 60, 8)
-	for _, mode := range []string{"serial", "full_scan"} {
-		s.rankLatency.With(mode)
+		observations:  r.NewCounter("amf_observations_total", "QoS observations accepted (HTTP observe + TCP ingest)."),
+		predictions:   r.NewCounter("amf_predictions_total", "Single predictions served."),
+		notFound:      r.NewCounter("amf_not_found_total", "404 responses (unknown users/services)."),
+		badRequests:   r.NewCounter("amf_bad_requests_total", "400-level request rejections."),
+		churnRemovals: r.NewCounter("amf_churn_removals_total", "Users/services deregistered (churn departures)."),
 	}
 
 	// Build identification (ldflags-stamped).
@@ -62,7 +46,6 @@ func (s *Server) buildMetrics() {
 	// Model gauges.
 	r.GaugeFunc("amf_model_users", "Users currently registered.", func() float64 { return float64(s.users.Len()) })
 	r.GaugeFunc("amf_model_services", "Services currently registered.", func() float64 { return float64(s.services.Len()) })
-	r.CounterFunc("amf_model_updates_total", "SGD updates applied to the model.", s.eng.Updates)
 	r.GaugeFunc("amf_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return s.now().Sub(s.base).Seconds() })
 
@@ -73,8 +56,6 @@ func (s *Server) buildMetrics() {
 		func() int64 { return eng.Stats().Applied })
 	r.CounterFunc("amf_engine_replayed_total", "Replay updates performed by or through the engine.",
 		func() int64 { return eng.Stats().Replayed })
-	r.GaugeFunc("amf_engine_view_version", "Version of the currently published read view.",
-		func() float64 { return float64(eng.Stats().Version) })
 	em := eng.Metrics()
 	r.RegisterHistogram("amf_engine_apply_seconds",
 		"Per-update model apply latency, observes and replay alike: time inside the SGD step only (no journal append), batch mean attributed to each update.", em.Apply)
@@ -95,13 +76,6 @@ func (s *Server) buildMetrics() {
 	s.admWaitEst = obs.NewHistogram(1e-6, 600, 8)
 	r.RegisterHistogram("amf_admission_wait_estimate_seconds",
 		"Predicted wait computed by the admission gate for non-critical requests.", s.admWaitEst)
-	r.GaugeFunc("amf_admission_enabled", "1 while the SLO admission gate is active.",
-		func() float64 {
-			if s.gate.Load() != nil {
-				return 1
-			}
-			return 0
-		})
 
 	// HTTP middleware metrics.
 	s.httpHist = r.NewHistogramVec("amf_http_request_duration_seconds",

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"time"
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/obs/trace"
@@ -66,17 +65,14 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Spa
 		return
 	}
 
-	start := time.Now()
 	view := s.eng.Pin() // one consistent snapshot for the whole ranking
 	var (
-		mode       string
 		candidates int
 		ranked     []core.Ranked
 		unknown    = b.unknown[:0]
 	)
 	if len(q.Services) == 0 {
 		// Rank everything the view knows: pure arena scan, no map walks.
-		mode = "full_scan"
 		ranked = view.TopKAll(uid, q.TopK, lowerIsBetter, 1)
 		candidates = view.NumServices()
 	} else {
@@ -97,7 +93,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Spa
 		if k <= 0 || k > len(cands) {
 			k = len(cands)
 		}
-		mode = "serial"
 		var unknownIDs []int
 		ranked, unknownIDs = view.TopK(uid, cands, k, lowerIsBetter)
 		// Candidates registered but absent from the view (e.g. purged by
@@ -116,8 +111,6 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request, _ *trace.Spa
 	b.unknown = unknown
 	b.ranked = s.appendRankedNames(b.ranked[:0], ranked)
 
-	s.rankLatency.With(mode).Observe(time.Since(start).Seconds())
-	s.metrics.rankCandidates.Add(int64(candidates))
 	b.out, err = appendRankResponse(b.out[:0], q.User, metric, b.ranked, unknown, candidates, version)
 	s.writeHot(w, b.out, err)
 }

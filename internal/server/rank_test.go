@@ -170,9 +170,12 @@ func TestRankErrors(t *testing.T) {
 	}
 }
 
-// TestRankMetricsExposition checks the amf_rank_* families land on
-// /metrics, survive the strict parser+validator round-trip, and count the
-// requests this test just made.
+// TestRankMetricsExposition checks that rankings are timed by the one
+// family that times every route, amf_http_request_duration_seconds
+// (there is no rank-only family), and that the page survives the strict
+// parser+validator round-trip. The middleware times the first request
+// on a route and every 8th after it, each with weight 8, so the four
+// rankings below book one timed sample of weight 8.
 func TestRankMetricsExposition(t *testing.T) {
 	s := testServer(t)
 	observeSome(t, s)
@@ -190,28 +193,13 @@ func TestRankMetricsExposition(t *testing.T) {
 	if err := tm.Validate(); err != nil {
 		t.Fatalf("/metrics does not validate: %v", err)
 	}
-	// 3 requests × 3 candidates + 1 full scan × 5 services.
-	if v, ok := tm.Value("amf_rank_candidates_total", nil); !ok || v != 14 {
-		t.Fatalf("amf_rank_candidates_total = %g, %v; want 14", v, ok)
-	}
-	f, ok := tm.Families["amf_rank_latency_seconds"]
-	if !ok {
-		t.Fatal("amf_rank_latency_seconds family missing")
-	}
-	modes := map[string]float64{}
-	for _, smp := range f.Samples {
-		if strings.HasSuffix(smp.Name, "_count") {
-			modes[smp.Labels["mode"]] = smp.Value
+	for _, gone := range []string{"amf_rank_latency_seconds", "amf_rank_candidates_total"} {
+		if _, ok := tm.Families[gone]; ok {
+			t.Errorf("%s is exported; the route histogram times rankings", gone)
 		}
 	}
-	if modes["serial"] != 3 {
-		t.Fatalf("serial latency count = %g, want 3 (modes %v)", modes["serial"], modes)
-	}
-	if modes["full_scan"] != 1 {
-		t.Fatalf("full_scan latency count = %g, want 1 (modes %v)", modes["full_scan"], modes)
-	}
-	// The latency counts over mode are the rankings served.
-	if n := modes["serial"] + modes["full_scan"]; n != 4 || len(modes) != 2 {
-		t.Fatalf("rankings counted over mode = %g (modes %v), want 4", n, modes)
+	v, ok := tm.Value("amf_http_request_duration_seconds_count", map[string]string{"route": "POST /api/v1/rank"})
+	if want := float64(latencySampleMask + 1); !ok || v != want {
+		t.Fatalf(`amf_http_request_duration_seconds_count{route="POST /api/v1/rank"} = %g, %v; want %g`, v, ok, want)
 	}
 }

@@ -74,12 +74,6 @@ type ClusterStatusResponse struct {
 	// attached. A demoted ex-leader (store attached, or never started as
 	// a follower) reports false, and the gateway never promotes it.
 	Promotable bool `json:"promotable,omitempty"`
-	// ShedRate is the fraction of admission-considered work this server
-	// refused over the gate's last one-second window (0 while admission
-	// is disabled). The
-	// gateway treats a group whose replicas report a high rate as
-	// saturated and sheds sheddable traffic at the edge.
-	ShedRate float64 `json:"shed_rate,omitempty"`
 }
 
 // replicationRoutes registers the cluster control plane; called from
@@ -148,7 +142,7 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		s.awaitCommit(r.Context(), after, wait)
 	}
 	m := s.durable.Load()
-	resp := ClusterStatusResponse{Role: "leader", Durable: m != nil, ShedRate: s.ShedRate()}
+	resp := ClusterStatusResponse{Role: "leader", Durable: m != nil}
 	if m != nil {
 		resp.WALSeq = m.WAL().DurableSeq()
 		resp.Epoch = m.Epoch()
@@ -422,6 +416,9 @@ func (rp *Replicator) tail(ctx context.Context) {
 		if err == nil || ctx.Err() != nil {
 			continue
 		}
+		// A follower that cannot reach its leader cannot know it is
+		// caught up: it is behind from its first failed poll on.
+		rp.behindNano.CompareAndSwap(0, time.Now().UnixNano())
 		rp.errs.Add(1)
 		rp.s.log.Warn("replication poll failed", "leader", rp.Leader(), "from", rp.seq.Load(), "err", err)
 		select {

@@ -152,6 +152,43 @@ func TestFollowerTailsLeader(t *testing.T) {
 	})
 }
 
+// TestFollowerLagGrowsWhenCutOff: a caught-up follower whose leader
+// stops answering is behind from its first failed poll, and every place
+// that reports its lag says so — Lag, the status body's lag_seconds and
+// amf_replication_lag_seconds — instead of holding the 0 it read while
+// it could still see the leader.
+func TestFollowerLagGrowsWhenCutOff(t *testing.T) {
+	leader, mgr, ts := leaderServer(t, t.TempDir())
+	observeSome(t, leader)
+	f := followerOf(t, ts, mgr)
+	tail := mgr.WAL().DurableSeq()
+	waitFor(t, 5*time.Second, "follower caught up", func() bool {
+		return f.repl.seq.Load() == tail && f.repl.Lag() == 0
+	})
+
+	ts.Close() // the leader's listener and connections go; its directory stays
+	errs := f.repl.errs.Load()
+	waitFor(t, 5*time.Second, "failed polls", func() bool { return f.repl.errs.Load() >= errs+2 })
+	lag := f.repl.Lag()
+	if lag <= 0 {
+		t.Fatalf("Lag() = %v after %d failed polls, want > 0", lag, f.repl.errs.Load()-errs)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if later := f.repl.Lag(); later <= lag {
+		t.Errorf("Lag() = %v, then %v: a cut-off follower's lag must keep growing", lag, later)
+	}
+	var st ClusterStatusResponse
+	if err := json.Unmarshal(doReq(t, f, http.MethodGet, "/api/v1/cluster/status", nil).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.LagSeconds <= 0 {
+		t.Errorf("status lag_seconds = %v, want > 0", st.LagSeconds)
+	}
+	if v := metricValue(t, scrapeMetrics(t, f), "amf_replication_lag_seconds", "", ""); v <= 0 {
+		t.Errorf("amf_replication_lag_seconds = %v, want > 0", v)
+	}
+}
+
 // TestFollowerNeverPassesCommitIndex: the follower reads the leader's
 // segment files, and those can hold a record before the fsync covering
 // it lands — a record larger than the WAL's write buffer reaches the file

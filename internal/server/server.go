@@ -70,7 +70,6 @@ type Server struct {
 	reg         *obs.Registry
 	metrics     counters
 	httpHist    *obs.HistogramVec
-	rankLatency *obs.HistogramVec
 	inflight    *obs.Gauge
 	statusClass [6]*obs.Counter // 0 unused; 1..5 = 1xx..5xx
 	acc         *obs.AccuracyTracker
@@ -496,7 +495,6 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, _ *t
 		rows = append(rows, row)
 	}
 	b.rows = rows
-	s.metrics.batchPredictions.Add(int64(len(rows)))
 	b.out, err = appendBatchResponse(b.out[:0], q.User, rows)
 	s.writeHot(w, b.out, err)
 }

@@ -323,7 +323,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"amf_not_found_total 1",
 		"amf_churn_removals_total 1",
 		"amf_model_users 3",
-		"amf_model_updates_total",
+		"amf_engine_applied_total 20",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q in:\n%s", want, body)

@@ -138,9 +138,17 @@ func (s *Server) handleGetSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handlePostSnapshot restores the service from an uploaded state.
+// handlePostSnapshot restores the service from an uploaded state. A
+// durable server refuses with 409: a restore is not journaled, so its
+// data directory would recover without it and followers tailing the log
+// would never see it. A durable server's state moves as its directory.
 func (s *Server) handlePostSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.rejectFollowerWrite(w) {
+		return
+	}
+	if s.durable.Load() != nil {
+		s.countError(w, http.StatusConflict,
+			"restore: this server keeps its state in a data directory and a restore is not journaled; move the directory instead, or restore into a server without one")
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))

@@ -103,6 +103,39 @@ func TestSnapshotHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreRefusedWhenDurable: a durable server answers an
+// upload with 409 and keeps serving what it had, because a restore is
+// not journaled — its directory would recover without it, and a follower
+// tailing the log would never see it.
+func TestSnapshotRestoreRefusedWhenDurable(t *testing.T) {
+	src := testServer(t)
+	observeSome(t, src)
+	blob := getSnapshot(t, src)
+
+	dir := t.TempDir()
+	s, mgr, _ := durableServer(t, dir)
+	const predict = "/api/v1/predict?user=u1&service=s1"
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/snapshot", bytes.NewReader(blob))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusConflict || !strings.Contains(w.Body.String(), "not journaled") {
+		t.Fatalf("restore into a durable server: %d %s, want 409", w.Code, w.Body.String())
+	}
+	if got := doReq(t, s, http.MethodGet, predict, nil); got.Code != http.StatusNotFound {
+		t.Fatalf("predict after refused restore: %d %s, want 404", got.Code, got.Body.String())
+	}
+	s.Close()
+	mgr.Close()
+
+	// What the directory recovers is what the server served.
+	s2, mgr2, _ := durableServer(t, dir)
+	defer mgr2.Close()
+	defer s2.Close()
+	if got := doReq(t, s2, http.MethodGet, predict, nil); got.Code != http.StatusNotFound {
+		t.Fatalf("predict after reopen: %d %s, want 404", got.Code, got.Body.String())
+	}
+}
+
 // TestSnapshotETagRevalidates: the snapshot's ETag lets a backup client
 // skip the download while the state is unchanged, and a write
 // invalidates it.
