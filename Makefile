@@ -107,10 +107,13 @@ cover:
 # and each page walk the CPU can run (AVX2, AVX-512) over the same pages
 # in one interleaved loop, with the row-major kernels beside them
 # (page-<kernel>-ns/row, page-avx512-speedup-x), since bench/ times only
-# the one the host dispatches to.
+# the one the host dispatches to; and the decode of one 64-sample observe
+# body of the served shape (ns/op, MB/s, 0 allocs/op), which bench/'s
+# per-layer probes are too noisy to resolve.
 # Every other hot row is a bench/ metric under its own name.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
+	$(GO) test -run=NONE -bench=BenchmarkDecodeObserve -benchmem -benchtime=2000x -cpu=1 ./internal/server/
 	$(GO) test -run=NONE -bench=BenchmarkIngestTCP -benchtime=2000x ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkGateway(Predict|Batch)$$' -benchmem -benchtime=0.3s ./internal/cluster/
 	$(GO) test -run=NONE -bench=BenchmarkRegistryResolveAll -benchmem -benchtime=0.3s ./internal/registry/
@@ -148,12 +151,17 @@ fuzz-store:
 
 # The wire codec against encoding/json (internal/server/codec_test.go):
 # decoders agree with json.Unmarshal on accept/reject and on every
-# field, encoders with json.Marshal on every byte. CI runs this leg at
-# FUZZTIME=10s; the seed corpora alone run under plain `go test`.
+# field, encoders with json.Marshal on every byte; and the number
+# converter both write doors share against strconv
+# (internal/ingest/number_test.go): over any text it claims the number
+# encoding/json reads and converts it to strconv.ParseFloat's bits, or
+# hands it to strconv. CI runs this leg at FUZZTIME=10s per target; the
+# seed corpora alone run under plain `go test`.
 fuzz-wire:
 	for target in FuzzDecodeBatch FuzzDecodeRank FuzzDecodeObserve FuzzAppendString FuzzAppendFloat; do \
 		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/server/ || exit 1; \
 	done
+	$(GO) test -run=NONE -fuzz='^FuzzParseNumber$$' -fuzztime=$(FUZZTIME) ./internal/ingest/
 
 # Fused top-k selection against the push-every-row reference
 # (internal/core/select_test.go): fuzzer-chosen keys — ties, ±0, ±Inf,

@@ -126,6 +126,7 @@ func TestRefreshBytesIndependentOfCatalog(t *testing.T) {
 // page once, as a served catalog's traffic soon does.
 func TestRecycledRefreshAllocations(t *testing.T) {
 	const nServices, batch, rounds = 20000, 64, 50
+	settle := quietRuntime(t)
 	m, next := refreshBenchModel(t, nServices)
 	v := m.BuildView()
 	warm := make([]stream.Sample, nServices)
@@ -140,6 +141,7 @@ func TestRecycledRefreshAllocations(t *testing.T) {
 	var bytes, objects uint64
 	for i := -10; i < rounds; i++ { // ten rounds to fill the slice slots and lists
 		m.ObserveAll(next(batch))
+		settle()
 		runtime.ReadMemStats(&before)
 		prev := v
 		v = m.RefreshView(v)
@@ -157,6 +159,22 @@ func TestRecycledRefreshAllocations(t *testing.T) {
 	}
 }
 
+// quietRuntime keeps the runtime's own allocations out of a test's
+// MemStats rounds, which count every object the process allocates. For
+// the rest of the test it runs on one P, as testing.AllocsPerRun does:
+// with a P idle, the
+// start-the-world that ends each ReadMemStats wakes a thread to look for
+// work, and when no parked thread is left the runtime makes one — its m,
+// g0, signal g and two profiling stacks, 5 objects and 5,248 B in that
+// round. And each round starts after a collection (settle), so that no
+// cycle starts inside one: a cycle's mark workers take sudogs (96 B
+// each) afresh, since every cycle empties that cache.
+func quietRuntime(t *testing.T) (settle func()) {
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	return runtime.GC
+}
+
 // TestJoinReshapeAllocations pins what a join adds to a recycled publish,
 // whose view header is the recycled one: the joined shard's reshape
 // allocates its new index — the header, the ids, 8 bytes a row, and the
@@ -167,6 +185,7 @@ func TestRecycledRefreshAllocations(t *testing.T) {
 // so keeps its three pages.
 func TestJoinReshapeAllocations(t *testing.T) {
 	const nServices, warm, rounds = 10000, 10, 20
+	settle := quietRuntime(t)
 	m, _ := refreshBenchModel(t, nServices)
 	v := m.BuildView()
 	join := nServices + viewShardCount // the first join's id; each round's is one shard step on
@@ -175,6 +194,7 @@ func TestJoinReshapeAllocations(t *testing.T) {
 	for i := -warm; i < rounds; i++ {
 		m.Observe(stream.Sample{Time: time.Duration(i+warm+1) * time.Millisecond, User: 0, Service: join, Value: 1})
 		join += viewShardCount
+		settle()
 		runtime.ReadMemStats(&before)
 		prev := v
 		v = m.RefreshView(v)

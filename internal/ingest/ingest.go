@@ -271,7 +271,7 @@ func isSpace(c byte) bool {
 // fields, holding the value to what the model accepts: finite and
 // non-negative. The names are left for the caller to copy.
 func parse(f [][]byte) (Observation, bool) {
-	value, err := strconv.ParseFloat(string(f[2]), 64)
+	value, err := parseFloat(f[2])
 	if err != nil || value < 0 || math.IsNaN(value) || math.IsInf(value, 0) {
 		return Observation{}, false
 	}

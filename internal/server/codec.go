@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -277,14 +279,11 @@ func (d *Decoder) peek() byte {
 }
 
 func (d *Decoder) space() {
-	for d.pos < len(d.in) {
-		switch d.in[d.pos] {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return
-		}
+	in, i := d.in, d.pos
+	for i < len(in) && in[i] <= ' ' && (in[i] == ' ' || in[i] == '\t' || in[i] == '\r' || in[i] == '\n') {
+		i++
 	}
+	d.pos = i
 }
 
 // document decodes the body's one top-level value: an object whose
@@ -469,18 +468,25 @@ func (d *Decoder) intValue(old int64, bits int, field string) (int64, error) {
 	return v, nil
 }
 
-// floatInto decodes a number into *dst; null leaves *dst as it was.
+// floatInto decodes a number into *dst; null leaves *dst as it was. The
+// number is converted in the scan that checks it (ingest.ScanNumber);
+// strconv converts only what that hands back.
 func (d *Decoder) floatInto(dst *float64, field string) error {
 	if d.peek() == 'n' {
 		return d.literal("null")
 	}
-	raw, err := d.num()
-	if err != nil {
+	v, n, ok := ingest.ScanNumber(d.in[d.pos:])
+	if n == 0 {
+		d.num() // leaves d.pos where the grammar broke, for the offset
 		return d.mismatch(field, "number")
 	}
-	v, err := strconv.ParseFloat(string(raw), 64)
-	if err != nil {
-		return d.errorf("field %q: %q is out of range", field, raw)
+	raw := d.in[d.pos : d.pos+n]
+	d.pos += n
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(string(raw), 64); err != nil {
+			return d.errorf("field %q: %q is out of range", field, raw)
+		}
 	}
 	*dst = v
 	return nil
@@ -488,48 +494,69 @@ func (d *Decoder) floatInto(dst *float64, field string) error {
 
 // num scans one number by JSON's grammar and returns its text.
 func (d *Decoder) num() ([]byte, error) {
-	start := d.pos
-	digits := func() bool {
-		from := d.pos
-		for c := d.peek(); '0' <= c && c <= '9'; c = d.peek() {
-			d.pos++
-		}
-		return d.pos > from
+	in, start := d.in, d.pos
+	i := start
+	if i < len(in) && in[i] == '-' {
+		i++
 	}
-	if d.peek() == '-' {
-		d.pos++
-	}
-	if d.peek() == '0' {
-		d.pos++
-	} else if !digits() {
+	if i < len(in) && in[i] == '0' {
+		i++
+	} else if j := digits(in, i); j > i {
+		i = j
+	} else {
+		d.pos = i
 		return nil, d.unexpected("in numeric literal")
 	}
-	if d.peek() == '.' {
-		if d.pos++; !digits() {
+	if i < len(in) && in[i] == '.' {
+		j := digits(in, i+1)
+		if d.pos = j; j == i+1 {
 			return nil, d.unexpected("after decimal point in numeric literal")
 		}
+		i = j
 	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.pos++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.pos++
+	if i < len(in) && (in[i] == 'e' || in[i] == 'E') {
+		i++
+		if i < len(in) && (in[i] == '+' || in[i] == '-') {
+			i++
 		}
-		if !digits() {
+		j := digits(in, i)
+		if d.pos = j; j == i {
 			return nil, d.unexpected("in exponent of numeric literal")
 		}
+		i = j
 	}
-	return d.in[start:d.pos], nil
+	d.pos = i
+	return in[start:i], nil
+}
+
+// digits returns the end of the run of ASCII digits at in[i:].
+func digits(in []byte, i int) int {
+	for i < len(in) && in[i]-'0' <= 9 {
+		i++
+	}
+	return i
 }
 
 // str scans the string at d.pos. A string of plain valid UTF-8 comes
 // back as a view of the body; any other takes the slow path.
 func (d *Decoder) str() ([]byte, error) {
+	in := d.in
 	start := d.pos + 1
-	for i := start; i < len(d.in); {
-		switch c := d.in[i]; {
+	for i := start; i < len(in); {
+		// Eight bytes at a time up to the first that is not printable
+		// ASCII, or is a quote or a backslash.
+		if i+8 <= len(in) {
+			m := special(binary.LittleEndian.Uint64(in[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) >> 3
+		}
+		switch c := in[i]; {
 		case c == '"':
 			d.pos = i + 1
-			return d.in[start:i], nil
+			return in[start:i], nil
 		case c == '\\':
 			return d.unquote(start, i)
 		case c < ' ':
@@ -538,15 +565,25 @@ func (d *Decoder) str() ([]byte, error) {
 		case c < utf8.RuneSelf:
 			i++
 		default:
-			r, n := utf8.DecodeRune(d.in[i:])
+			r, n := utf8.DecodeRune(in[i:])
 			if r == utf8.RuneError && n == 1 {
 				return d.unquote(start, i)
 			}
 			i += n
 		}
 	}
-	d.pos = len(d.in)
+	d.pos = len(in)
 	return nil, d.unexpected("in string literal")
+}
+
+// special sets the top bit of each byte of w, loaded little-endian, that
+// a string scan must stop at — a quote, a backslash, a control byte or a
+// byte past ASCII — and of none below the first such: a borrow runs only
+// upward from a byte that is flagged.
+func special(w uint64) uint64 {
+	const ones = 0x0101010101010101
+	q, b := w^(ones*'"'), w^(ones*'\\')
+	return ((q-ones)&^q | (b-ones)&^b | (w-ones*' ')&^w | w) & (ones * 0x80)
 }
 
 // unquote finishes str for a string that needs rewriting from byte i

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -296,6 +298,24 @@ var observeSeeds = []string{
 	`{"observations":[{"value":1.7976931348623159e308}]}`,
 	`{"observations":[{"value":2.2250738585072011e-308}]}`,
 	`{"observations":[{"value":-5}]}`,
+	// Numbers the converter must hand to strconv or settle exactly: 19 and
+	// 20 significant digits, ties and near-ties, the table's edges.
+	`{"observations":[{"value":1234567890123456789},{"value":12345678901234567890},{"value":0.12345678901234567891}]}`,
+	`{"observations":[{"value":1.00000000000000011102230246251565404236316680908203125}]}`,
+	`{"observations":[{"value":1.00000000000000011102230246251565404236316680908203124}]}`,
+	`{"observations":[{"value":9007199254740993},{"value":9007199254740993.0},{"value":18014398509481985}]}`,
+	`{"observations":[{"value":-0.0e5},{"value":0e999999999},{"value":-0.0e-999999999}]}`,
+	`{"observations":[{"value":2.2250738585072012e-308},{"value":2.4703282292062328e-324}]}`,
+	`{"observations":[{"value":1e-348},{"value":1e-349},{"value":1e347},{"value":1e348},{"value":9.999999999999999999e-349}]}`,
+	`{"observations":[{"value":1e22},{"value":1e23},{"value":123456789e-22},{"value":123456789e-23}]}`,
+	`{"observations":[{"user":"u0042","service":"s00017","value":0.0012345678901234567},{"user":"u0042","service":"s00018","value":19.999999999999996}]}`,
+	`{"observations":[{"value":1.0000000 }]}`,
+	`{"observations":[{"value":1.00000000}]}`,
+	`{"observations":[{"value":1.0000000x}]}`,
+	`{"observations":[{"value":1.5e}]}`,
+	`{"observations":[{"value":1.5e+}]}`,
+	`{"observations":[{"value":-}]}`,
+	`{"observations":[{"value":+1}]}`,
 	`{"observations":[{"value":01}]}`,
 	`{"observations":[{"value":1.}]}`,
 	`{"observations":[{"value":Infinity}]}`,
@@ -725,6 +745,42 @@ func TestDecodeAllocations(t *testing.T) {
 				t.Errorf("decoding a %s body of %d allocates %v times, want 0", name, n, allocs)
 			}
 		}
+	}
+}
+
+// BenchmarkDecodeObserve prices the decode of one observe body of the
+// served shape — 64 samples for one user against distinct services,
+// names as bench/ spells them, values in shortest round-trip form
+// between 0.001 and 20 — which decodes without allocating:
+//
+//	go test -run=NONE -bench=BenchmarkDecodeObserve -benchmem -cpu=1 ./internal/server/
+func BenchmarkDecodeObserve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	body := []byte(`{"observations":[`)
+	for i := 0; i < 64; i++ {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = fmt.Appendf(body, `{"user":"u%04d","service":"s%05d","value":`, 42, rng.Intn(20000))
+		body = strconv.AppendFloat(body, 0.001+19.999*rng.Float64(), 'g', -1, 64)
+		body = append(body, '}')
+	}
+	body = append(body, "]}"...)
+	var d Decoder
+	decode := func() {
+		if obs, err := d.Observe(body, math.MaxInt); err != nil || len(obs) != 64 {
+			b.Fatalf("decoded %d observations: %v", len(obs), err)
+		}
+	}
+	decode() // grows the scratch
+	if allocs := testing.AllocsPerRun(10, decode); allocs != 0 && !raceEnabled {
+		b.Fatalf("decoding allocates %v times, want 0", allocs)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
 	}
 }
 

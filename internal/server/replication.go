@@ -43,6 +43,12 @@ const (
 	maxReplWait     = 30 * time.Second
 )
 
+// pollGrace is how long past its wait_ms a commit-index poll may go
+// unanswered before the follower counts itself behind. A live leader
+// answers by wait_ms, so a poll still out after that is held by a hung
+// leader or a stuck path, and the follower cannot know it is caught up.
+const pollGrace = time.Second
+
 // ClusterStatusResponse is the GET /api/v1/cluster/status body.
 type ClusterStatusResponse struct {
 	// Role is "leader" (accepts writes) or "follower" (read-only replica
@@ -256,6 +262,7 @@ type Replicator struct {
 	seq        atomic.Uint64 // last sequence applied locally
 	leaderSeq  atomic.Uint64 // leader commit index from the last poll
 	behindNano atomic.Int64  // when we first fell behind; 0 = caught up
+	pollNano   atomic.Int64  // when the outstanding commit-index poll was sent; 0 = none
 
 	records    atomic.Int64
 	bootstraps atomic.Int64
@@ -323,13 +330,25 @@ func (rp *Replicator) SetLeader(addr string) {
 func (rp *Replicator) AppliedSeq() uint64 { return rp.seq.Load() }
 
 // Lag returns how long the follower has continuously been behind the
-// leader's commit index (0 when caught up as of the last poll).
+// leader's commit index (0 when caught up as of the last poll). A poll
+// unanswered past its wait_ms and pollGrace counts as behind from the
+// moment it was sent.
 func (rp *Replicator) Lag() time.Duration {
+	now := time.Now().UnixNano()
 	since := rp.behindNano.Load()
+	if sent := rp.pollNano.Load(); sent != 0 && rp.overdue(sent, now) && (since == 0 || sent < since) {
+		since = sent
+	}
 	if since == 0 {
 		return 0
 	}
-	return time.Duration(time.Now().UnixNano() - since)
+	return time.Duration(now - since)
+}
+
+// overdue reports whether a poll sent at sent is, at now, past the time
+// a live leader answers it by.
+func (rp *Replicator) overdue(sent, now int64) bool {
+	return time.Duration(now-sent) > time.Duration(rp.cfg.WaitMS)*time.Millisecond+pollGrace
 }
 
 // Stop halts the tail loop — cancelling a parked poll — and waits for it
@@ -430,7 +449,13 @@ func (rp *Replicator) tail(ctx context.Context) {
 
 func (rp *Replicator) pollOnce(ctx context.Context) error {
 	from := rp.seq.Load()
+	sent := time.Now().UnixNano()
+	rp.pollNano.Store(sent)
 	commit, err := rp.commitIndex(ctx, from)
+	if err != nil && rp.overdue(sent, time.Now().UnixNano()) {
+		rp.behindNano.CompareAndSwap(0, sent) // Lag has counted from sent already
+	}
+	rp.pollNano.Store(0)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +187,50 @@ func TestFollowerLagGrowsWhenCutOff(t *testing.T) {
 	}
 	if v := metricValue(t, scrapeMetrics(t, f), "amf_replication_lag_seconds", "", ""); v <= 0 {
 		t.Errorf("amf_replication_lag_seconds = %v, want > 0", v)
+	}
+}
+
+// TestFollowerLagGrowsWhenLeaderHangs: a leader that takes the
+// follower's commit-index poll and never answers — hung, stopped, behind
+// a stuck proxy — leaves no failed poll to count from for wait_ms + 10 s.
+// The follower reports itself behind once the poll is past the leader's
+// wait_ms and pollGrace, not when the request finally times out.
+func TestFollowerLagGrowsWhenLeaderHangs(t *testing.T) {
+	leader, mgr, _ := leaderServer(t, t.TempDir())
+	observeSome(t, leader)
+	var hang atomic.Bool
+	release := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hang.Load() {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+			}
+			return
+		}
+		leader.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { close(release) })
+	const waitMS = 100
+	f := startFollower(t, FollowerConfig{Leader: ts.URL, LeaderData: mgr.Dir(), WaitMS: waitMS})
+	tail := mgr.WAL().DurableSeq()
+	waitFor(t, 5*time.Second, "follower caught up", func() bool {
+		return f.repl.seq.Load() == tail && f.repl.Lag() == 0
+	})
+
+	hang.Store(true)
+	errs := f.repl.errs.Load()
+	// The poll parked when the leader hung is answered within wait_ms; the
+	// next one hangs, and is overdue wait_ms + pollGrace after it is sent.
+	waitFor(t, 2*waitMS*time.Millisecond+pollGrace+500*time.Millisecond, "lag on a hung leader", func() bool { return f.repl.Lag() > 0 })
+	if got := f.repl.errs.Load(); got != errs {
+		t.Fatalf("%d polls failed; the hung poll must be reported while it is still out", got-errs)
+	}
+	lag := f.repl.Lag()
+	time.Sleep(20 * time.Millisecond)
+	if later := f.repl.Lag(); later <= lag {
+		t.Errorf("Lag() = %v, then %v: a follower whose leader hangs must fall further behind", lag, later)
 	}
 }
 
