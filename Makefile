@@ -101,9 +101,6 @@ cover:
 # (bench/'s hop is in-process); and the registry resolving a rank's 200
 # candidates among 10k names (ns/name, a hot-cache figure: the served
 # path gains by the table's smaller footprint, which a hot loop hides);
-# and the TCP stream door over real loopback, 64-line batches each
-# acked by a PONG, timed until every sample is applied (samples/s and
-# process CPU µs per sample; bench/ has no workload on that door);
 # and each page walk the CPU can run (AVX2, AVX-512) over the same pages
 # in one interleaved loop, with the row-major kernels beside them
 # (page-<kernel>-ns/row, page-avx512-speedup-x), since bench/ times only
@@ -114,7 +111,6 @@ cover:
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkPredictPath -benchtime=0.3s ./internal/server/
 	$(GO) test -run=NONE -bench=BenchmarkDecodeObserve -benchmem -benchtime=2000x -cpu=1 ./internal/server/
-	$(GO) test -run=NONE -bench=BenchmarkIngestTCP -benchtime=2000x ./internal/server/
 	$(GO) test -run=NONE -bench='BenchmarkGateway(Predict|Batch)$$' -benchmem -benchtime=0.3s ./internal/cluster/
 	$(GO) test -run=NONE -bench=BenchmarkRegistryResolveAll -benchmem -benchtime=0.3s ./internal/registry/
 	$(GO) test -run=NONE -bench='BenchmarkWALGroupCommit/P=8$$' -benchtime=0.2s ./internal/store/
@@ -151,11 +147,10 @@ fuzz-store:
 
 # The wire codec against encoding/json (internal/server/codec_test.go):
 # decoders agree with json.Unmarshal on accept/reject and on every
-# field, encoders with json.Marshal on every byte; and the number
-# converter both write doors share against strconv
-# (internal/ingest/number_test.go): over any text it claims the number
-# encoding/json reads and converts it to strconv.ParseFloat's bits, or
-# hands it to strconv. CI runs this leg at FUZZTIME=10s per target; the
+# field, encoders with json.Marshal on every byte; and the codec's
+# number converter against strconv (internal/ingest/number_test.go):
+# over any text it claims the number encoding/json reads and converts it
+# to strconv.ParseFloat's bits, or hands it to strconv. CI runs this leg at FUZZTIME=10s per target; the
 # seed corpora alone run under plain `go test`.
 fuzz-wire:
 	for target in FuzzDecodeBatch FuzzDecodeRank FuzzDecodeObserve FuzzAppendString FuzzAppendFloat; do \

@@ -23,7 +23,6 @@ import (
 
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
-	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/matrix"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/server"
@@ -48,7 +47,6 @@ func run(args []string, stderr io.Writer) error {
 		replay   = fs.Duration("replay-interval", 100*time.Millisecond, "background replay tick")
 		batch    = fs.Int("replay-batch", 500, "replay updates per tick")
 		seed     = fs.Int64("seed", 1, "model seed")
-		ingestAt = fs.String("ingest", "", "optional TCP stream-ingest address (e.g. :9090) for line-format observations; a PONG acks every line sent before its PING as an HTTP observe is acked")
 
 		dataDir = fs.String("data-dir", "", "durable-state directory: WAL journaling, periodic checkpoints, crash recovery; a write is acked only once an fsync covers it")
 		snapIvl = fs.Duration("snapshot-interval", time.Minute, "background checkpoint cadence for -data-dir")
@@ -196,30 +194,12 @@ func run(args []string, stderr io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	// stopIngest closes the ingest listener and its connections and waits
-	// until Serve has returned, and with it every batch being committed.
-	stopIngest := func() {}
-	if *ingestAt != "" {
-		ln, err := ingest.Listen(*ingestAt, svc)
-		if err != nil {
-			return err
-		}
-		served := make(chan struct{})
-		go func() {
-			defer close(served)
-			if err := ln.Serve(ctx); err != nil {
-				logger.Error("ingest listener failed", "err", err)
-			}
-		}()
-		stopIngest = func() {
-			ln.Close()
-			<-served
-		}
-		defer stopIngest() // before the deferred svc.Close and mgr.Close
-		logger.Info("stream ingest listening", "addr", ln.Addr().String())
-	}
 	go svc.RunReplay(ctx, *replay, *batch)
+	// shutDown is closed once Shutdown has returned: every handler has
+	// finished, or the grace period ran out.
+	shutDown := make(chan struct{})
 	go func() {
+		defer close(shutDown)
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -242,10 +222,11 @@ func run(args []string, stderr io.Writer) error {
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// No stream batch may commit after the final checkpoint, or into a
-	// closed manager: join the ingest listener first (stopIngest and Close
-	// are idempotent; the deferred calls become no-ops).
-	stopIngest()
+	// ListenAndServe returns as soon as Shutdown starts. No observe may
+	// commit after the final checkpoint, or into a closed manager: wait
+	// for the handlers still running (Close is idempotent; the deferred
+	// call becomes a no-op).
+	<-shutDown
 	svc.Close()
 	// svc.Durable(), not the local mgr: a follower promoted at runtime
 	// attached the dead leader's durable directory inside the server,

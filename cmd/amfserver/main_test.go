@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -22,13 +26,15 @@ func TestRunRejectsBadAttr(t *testing.T) {
 }
 
 // TestRunRejectsBadFlag: an unknown flag fails start-up, and so does
-// every flag that became a constant — a unit file still carrying one
-// must not start a server that silently ignores it.
+// every flag that became a constant or went with what it configured —
+// a unit file still carrying one must not start a server that silently
+// ignores it.
 func TestRunRejectsBadFlag(t *testing.T) {
 	for _, name := range []string{
 		"definitely-not-a-flag",
 		"queue", "publish-interval", "publish-every", "slo-headroom",
 		"wal-segment-bytes", "fsync", "fsync-group-window", "fsync-group-bytes", "repl-wait",
+		"ingest",
 	} {
 		err := run([]string{"-" + name, "1"}, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
@@ -109,18 +115,18 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// serve starts run with -data-dir on dir and returns a client once the
-// server answers. Background replay is parked (1h tick) so the model
+// serve starts run with -data-dir on dir and returns a client and the
+// address it serves on once the server answers. Background replay is parked (1h tick) so the model
 // changes only when the test observes. stop takes run's own shutdown
 // path — SIGTERM to this process, which run's signal context catches —
 // and returns its log.
-func serve(t *testing.T, dir string) (c *client.Client, stop func() string) {
+func serve(t *testing.T, dir string) (c *client.Client, addr string, stop func() string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr = ln.Addr().String()
 	ln.Close()
 
 	var logs syncBuffer
@@ -140,7 +146,7 @@ func serve(t *testing.T, dir string) (c *client.Client, stop func() string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	return c, func() string {
+	return c, addr, func() string {
 		t.Helper()
 		if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 			t.Fatal(err)
@@ -171,7 +177,7 @@ func TestRestartThroughDataDir(t *testing.T) {
 		{User: "u2", Service: "s1", Value: 0.4},
 	}
 
-	c, stop := serve(t, dir)
+	c, _, stop := serve(t, dir)
 	if _, err := c.Observe(ctx, obs); err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +193,7 @@ func TestRestartThroughDataDir(t *testing.T) {
 		t.Fatalf("graceful stop logged no final checkpoint:\n%s", log)
 	}
 
-	c, stop = serve(t, dir)
+	c, _, stop = serve(t, dir)
 	after, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -207,4 +213,81 @@ func TestRestartThroughDataDir(t *testing.T) {
 	if log := stop(); !strings.Contains(log, "recovered_samples=0") {
 		t.Fatalf("restart after a graceful stop replayed WAL samples:\n%s", log)
 	}
+}
+
+// TestShutdownWaitsForObserveInFlight: an observe whose body is still
+// arriving when SIGTERM lands is acked only once it is durable, and the
+// final checkpoint holds it. run must wait for the HTTP server's
+// handlers before it checkpoints and closes the data directory; if it
+// did not, the observe would be journaled into a closed log, answered
+// 200 all the same, and gone after a restart.
+func TestShutdownWaitsForObserveInFlight(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	_, addr, stop := serve(t, dir)
+	body := `{"observations":[{"user":"late-u","service":"late-s","value":1.4}]}`
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	half := len(body) / 2
+	if _, err := fmt.Fprintf(conn, "POST /api/v1/observe HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		addr, len(body), body[:half]); err != nil {
+		t.Fatal(err)
+	}
+	// The observe is in its handler once /metrics, which counts itself,
+	// reports two requests in flight.
+	for deadline := time.Now().Add(10 * time.Second); inFlight(t, addr) < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the observe never reached its handler")
+		}
+	}
+	rest := make(chan error, 1)
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		_, err := conn.Write([]byte(body[half:]))
+		rest <- err
+	}()
+	stop()
+	if err := <-rest; err != nil {
+		t.Fatalf("sending the rest of the body: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("reading the observe's answer: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("observe in flight at shutdown: status %d", resp.StatusCode)
+	}
+
+	c, _, stop := serve(t, dir)
+	defer stop()
+	if st, err := c.Stats(ctx); err != nil || st.Users != 1 || st.Services != 1 {
+		t.Fatalf("after restart: %+v, %v; want the acked observe's user and service", st, err)
+	}
+}
+
+// inFlight reads amf_http_requests_in_flight from the server at addr.
+func inFlight(t *testing.T, addr string) int {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), "amf_http_requests_in_flight "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("amf_http_requests_in_flight %q: %v", v, err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no amf_http_requests_in_flight in /metrics")
+	return 0
 }

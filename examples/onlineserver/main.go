@@ -1,12 +1,12 @@
 // Onlineserver: the QoS prediction service of the paper's framework
-// (Fig. 3), run end to end in one process. One server opens both doors:
-// QoS monitors stream what they measure over the TCP stream-ingest
-// protocol (the paper's "formatted stream data"), and applications upload
-// observations and ask for predictions over HTTP — the two share one AMF
-// model, which the background replay keeps refining. The program ends
-// with the day-2 surfaces an operator reads: /flagged (who the model is
-// unsure about), a /metrics scrape parsed into a p50/p95/p99 and
-// live-accuracy dashboard line, and a state snapshot for restarts.
+// (Fig. 3), run end to end in one process. QoS monitors post what they
+// measure as it comes in (the paper's "formatted stream data"), and
+// applications upload observations and ask for predictions — all through
+// the one HTTP API, onto one AMF model, which the background replay keeps
+// refining. The program ends with the day-2 surfaces an operator reads:
+// /flagged (who the model is unsure about), a /metrics scrape parsed into
+// a p50/p95/p99 and live-accuracy dashboard line, and a state snapshot
+// for restarts.
 package main
 
 import (
@@ -18,12 +18,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/qoslab/amf/internal/client"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
-	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/server"
 	"github.com/qoslab/amf/internal/workload"
@@ -55,47 +55,42 @@ func main() {
 	defer svc.Close()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	listener, err := ingest.Listen("127.0.0.1:0", svc)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go func() {
-		if err := listener.Serve(ctx); err != nil {
-			log.Print(err)
-		}
-	}()
 	go svc.RunReplay(ctx, 5*time.Millisecond, 2000)
 
 	c := client.New(ts.URL, nil)
 	if err := c.Health(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("HTTP API at %s, stream ingest at %s\n", ts.URL, listener.Addr())
+	fmt.Printf("HTTP API at %s\n", ts.URL)
 
 	// Phase 1 - monitoring: each user's QoS monitor invokes services on a
-	// Poisson schedule and streams what it measures. A monitor's services
+	// Poisson schedule and posts what it measures. A monitor's services
 	// are those ≡ 1 (mod 3).
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		sent atomic.Int64
+	)
 	for u := 0; u < dsCfg.Users; u++ {
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			if err := monitor(listener.Addr().String(), gen, u); err != nil {
+			n, err := monitor(ctx, c, gen, u)
+			if err != nil {
 				log.Print(err)
 			}
+			sent.Add(int64(n))
 		}(u)
 	}
 	wg.Wait()
-	accepted, lines, rejected := listener.Stats()
-	fmt.Printf("stream ingest: %d connections, %d observations, %d rejected\n", accepted, lines, rejected)
+	fmt.Printf("monitors posted %d observations\n", sent.Load())
 
 	// Phase 2 - input handling over HTTP: each app uploads the QoS it
 	// observed on another third of the services (nobody has seen
 	// everything; that is the point of collaborative prediction). The
-	// streamed data already predicts these pairs, so the live accuracy
+	// monitored data already predicts these pairs, so the live accuracy
 	// tracker scores each uploaded value against its prediction (the
 	// paper's MRE/NPRE, computed online instead of in a batch study).
 	var uploaded int
@@ -121,7 +116,7 @@ func main() {
 	if _, err := c.Observe(ctx, []server.Observation{{User: "app-new", Service: "ws-00", Value: 5}}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("apps uploaded %d observations over HTTP\n", uploaded+1)
+	fmt.Printf("apps uploaded %d observations\n", uploaded+1)
 
 	// Who the model is unsure about: fresh joiners and shifted QoS
 	// regimes, so operators and adaptation policies can treat their
@@ -145,7 +140,7 @@ func main() {
 
 	// Phase 3 - QoS prediction: app-07 wants to replace a degraded
 	// working service and asks the service to rank candidates it has
-	// NEVER invoked itself, through either door.
+	// NEVER invoked itself.
 	user := "app-07"
 	candidates := []string{"ws-06", "ws-15", "ws-27", "ws-42", "ws-57"}
 	preds, err := c.PredictBatch(ctx, user, candidates)
@@ -216,31 +211,40 @@ func main() {
 		st.Applied, st.Replayed, st.Published, st.Version)
 }
 
-// monitor streams one hour of user u's measurements over the TCP door and
-// waits for the server's PONG, which follows the application of every
-// line sent before it.
-func monitor(addr string, gen *dataset.Generator, u int) error {
-	w, err := ingest.Dial(addr, time.Second)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
+// monitor posts one hour of user u's measurements, a batch of at most
+// monitorBatch at a time, and returns how many it sent. Each observe
+// returns once its samples are applied.
+func monitor(ctx context.Context, c *client.Client, gen *dataset.Generator, u int) (int, error) {
 	events, err := workload.Trace(workload.TraceOptions{
 		Users: 1, Horizon: time.Hour, MeanRate: 120, Seed: int64(u + 1),
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	ds := gen.Config()
+	sent := 0
+	batch := make([]server.Observation, 0, monitorBatch)
 	for i, e := range events {
 		s := (3*(u+i) + 1) % ds.Services
-		rt := gen.Value(dataset.ResponseTime, u, s, int(e.Time/ds.Interval)%ds.Slices)
-		if err := w.Send(fmt.Sprintf("app-%02d", u), fmt.Sprintf("ws-%02d", s), rt, 0); err != nil {
-			return err
+		batch = append(batch, server.Observation{
+			User:    fmt.Sprintf("app-%02d", u),
+			Service: fmt.Sprintf("ws-%02d", s),
+			Value:   gen.Value(dataset.ResponseTime, u, s, int(e.Time/ds.Interval)%ds.Slices),
+		})
+		if len(batch) == monitorBatch || i == len(events)-1 {
+			resp, err := c.Observe(ctx, batch)
+			if err != nil {
+				return sent, err
+			}
+			sent += resp.Accepted
+			batch = batch[:0]
 		}
 	}
-	return w.Ping(2 * time.Second)
+	return sent, nil
 }
+
+// monitorBatch is how many measurements a monitor holds before it posts.
+const monitorBatch = 16
 
 // get reads one GET response body whole.
 func get(url string) ([]byte, error) {

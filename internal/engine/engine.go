@@ -20,15 +20,15 @@
 //     reach, and its header, never are.
 //
 //   - One mutex for every mutation. Whoever writes — an observe batch
-//     from either of the server's doors (HTTP observe, the TCP stream),
-//     a replicated or recovered log (ApplyLog), a departure, a replay
-//     tick, a restore — takes mu on its own goroutine, mutates, publishes
-//     a fresh view and unlocks: the view is never behind the model once
-//     a write has returned. Republication is incremental: only the rows
-//     of entities touched since the last publish are copied, each into
-//     its page's recycled twin, which lags the page by the rows the
-//     page's own publish froze; a page with no twin yet is copied whole
-//     (see core.Model.RefreshView and Recycle). Training is strictly
+//     (the server's POST /api/v1/observe), a replicated or recovered
+//     log (ApplyLog), a departure, a replay tick, a restore — takes mu
+//     on its own goroutine, mutates, publishes a fresh view and
+//     unlocks: the view is never behind the model once a write has
+//     returned. Republication is incremental: only the rows of entities
+//     touched since the last publish are copied, each into its page's
+//     recycled twin, which lags the page by the rows the page's own
+//     publish froze; a page with no twin yet is copied whole (see
+//     core.Model.RefreshView and Recycle). Training is strictly
 //     sequential, as in Algorithm 1: every sample reaches the model
 //     through applyLocked and every replay update through replayLocked,
 //     one at a time under mu, so the trained model is a function of the
@@ -385,8 +385,8 @@ func (e *Engine) Stats() Stats {
 // ---------------------------------------------------------------------------
 // Under mu: the stages of a write.
 
-// applyLocked is the one place samples reach the model, whichever door
-// they came through (HTTP observe, the TCP stream, a replayed log): it
+// applyLocked is the one place samples reach the model, whichever way
+// they came (an observe or a replayed log): it
 // journals the batch as one record BEFORE any of it touches the model —
 // journal-before-apply, the recovery invariant (see Journal) — applies it
 // in order, and books it. The model resolves the batch's users and

@@ -5,19 +5,17 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
-	"strconv"
 )
 
 // This file converts decimal text to float64 in the pass that scans it,
-// for both write doors: the HTTP codec's observe values and the TCP
-// door's value field. A value's bits are always strconv.ParseFloat's:
-// the text is read into at most 19 significant digits and a decimal
-// exponent, which is converted exactly by one float multiply or divide
-// where both operands are exact, and otherwise by Eisel–Lemire (Lemire,
-// "Number parsing at a gigabyte per second", 2021), the algorithm
-// strconv itself runs first. What those cannot decide — more digits,
-// an exponent past the table, a case Eisel–Lemire leaves open — is
-// handed back for strconv to convert from the text.
+// for the observe codec's values. A value's bits are always
+// strconv.ParseFloat's: the text is read into at most 19 significant
+// digits and a decimal exponent, which is converted exactly by one float
+// multiply or divide where both operands are exact, and otherwise by
+// Eisel–Lemire (Lemire, "Number parsing at a gigabyte per second", 2021),
+// the algorithm strconv itself runs first. What those cannot decide —
+// more digits, an exponent past the table, a case Eisel–Lemire leaves
+// open — is handed back for strconv to convert from the text.
 
 // ScanNumber reads the JSON number (RFC 8259) at the start of b,
 // converting it as it scans, and returns its length n. n is 0 when b does
@@ -272,15 +270,4 @@ func eiselLemire(man uint64, exp10 int, neg bool) (f float64, ok bool) {
 		retBits |= 1 << 63
 	}
 	return math.Float64frombits(retBits), true
-}
-
-// parseFloat is strconv.ParseFloat(string(b), 64), value and error
-// alike, without the copy or the second scan when b is a JSON number
-// ScanNumber converts; anything else — a leading '+', "inf", hex, a
-// malformed field — is strconv's.
-func parseFloat(b []byte) (float64, error) {
-	if v, n, ok := ScanNumber(b); ok && n == len(b) {
-		return v, nil
-	}
-	return strconv.ParseFloat(string(b), 64)
 }

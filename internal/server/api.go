@@ -8,7 +8,8 @@ package server
 
 // Observation is one reported QoS measurement: user invoked service and
 // measured Value (e.g. response time in seconds). TimestampMs is the
-// observation time in Unix milliseconds; zero means "now".
+// observation time in Unix milliseconds; zero means "now", and so does a
+// time ahead of the server's clock.
 type Observation struct {
 	User        string  `json:"user"`
 	Service     string  `json:"service"`

@@ -10,13 +10,13 @@ import (
 )
 
 // ingestThenDelete is the ghost's reproduction, one client and no
-// concurrency: each name is observed through the stream door and deleted
-// straight after. An HTTP observe of what stays closes the script.
+// concurrency: each name is observed in a one-sample observe and deleted
+// straight after. An observe of what stays closes the script.
 func ingestThenDelete(t *testing.T, s *Server) {
 	t.Helper()
 	step := func(user, service, route, name string) {
-		if err := observeStream(s, user, service, 1.5); err != nil {
-			t.Fatalf("ObserveBatch(%s, %s): %v", user, service, err)
+		if w := observeOne(t, s, user, service, 1.5); w.Code != http.StatusOK {
+			t.Fatalf("observe (%s, %s): status %d: %s", user, service, w.Code, w.Body.String())
 		}
 		if w := doReq(t, s, http.MethodDelete, route+"?name="+name, nil); w.Code != http.StatusOK {
 			t.Fatalf("DELETE %s %s: status %d: %s", route, name, w.Code, w.Body.String())

@@ -77,7 +77,7 @@ type Decoder struct {
 	depth int
 	unq   []byte               // strings that could not be views
 	svcs  [][]byte             // services; len is the most this body listed under one key
-	obs   []ingest.Observation // observations, likewise: what both observe doors commit
+	obs   []ingest.Observation // observations, likewise: what an observe commits
 }
 
 var decoderPool = sync.Pool{New: func() any { return new(Decoder) }}

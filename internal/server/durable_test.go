@@ -3,12 +3,10 @@ package server
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -21,7 +19,6 @@ import (
 	"time"
 
 	"github.com/qoslab/amf/internal/core"
-	"github.com/qoslab/amf/internal/ingest"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/store"
 )
@@ -172,7 +169,7 @@ func TestDurableCrashRecoveryProperty(t *testing.T) {
 // TestGroupAckedWriteLeavesNothingUnsynced: on a store opened with
 // zero-value options, every record the server journals has a waiter — an
 // observe's samples and the registrations of the names it adds, just
-// ahead of them; a stream batch's; a removal — so once any write is acked
+// ahead of them; a removal — so once any write is acked
 // the commit index has reached the tail. That is why the WAL runs no
 // flusher.
 func TestGroupAckedWriteLeavesNothingUnsynced(t *testing.T) {
@@ -206,18 +203,9 @@ func TestGroupAckedWriteLeavesNothingUnsynced(t *testing.T) {
 			t.Fatalf("observe: %d %s", w.Code, w.Body.String())
 		}
 	})
-	acked("a stream PONG", func() {
-		c, err := net.Dial("tcp", serveStream(t, svc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if _, err := c.Write([]byte("gu1 gs2 1.5\nPING\n")); err != nil {
-			t.Fatal(err)
-		}
-		_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if line, err := bufio.NewReader(c).ReadString('\n'); err != nil || line != "PONG\n" {
-			t.Fatalf("read %q, %v; want PONG", line, err)
+	acked("a one-sample observe", func() {
+		if w := observeOne(t, svc, "gu1", "gs2", 1.5); w.Code != http.StatusOK {
+			t.Fatalf("observe: %d %s", w.Code, w.Body.String())
 		}
 	})
 	for _, path := range []string{"/api/v1/users?name=gu0", "/api/v1/services?name=gs2"} {
@@ -270,15 +258,16 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 			t.Errorf("%s: rejected batch left side effects:\nbefore %s\nafter  %s", name, before, after)
 		}
 	}
-	// The ingest.Sink door holds values to the same predicate: a NaN or
-	// an infinity that reached the model would poison every prediction
-	// touching its user or service.
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
-		if err := observeStream(svc, "ghost", "phantom", bad); err == nil {
-			t.Errorf("ObserveBatch(%g) returned nil, want an error", bad)
+	// An infinity that reached the model would poison every prediction
+	// touching its user or service: a value past float64's range is
+	// refused as a whole batch too. (JSON cannot spell a NaN.)
+	for _, bad := range []string{"1e400", "-1e400", "-1"} {
+		body := `{"observations":[{"user":"ghost","service":"phantom","value":` + bad + `}]}`
+		if w := doReq(t, svc, http.MethodPost, "/api/v1/observe", json.RawMessage(body)); w.Code != http.StatusBadRequest {
+			t.Errorf("value %s: status %d, want 400", bad, w.Code)
 		}
 		if after := state(); after != before {
-			t.Errorf("ObserveBatch(%g): rejected sample left side effects:\nbefore %s\nafter  %s", bad, before, after)
+			t.Errorf("value %s: rejected sample left side effects:\nbefore %s\nafter  %s", bad, before, after)
 		}
 	}
 	if w := doReq(t, svc, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil); w.Code != http.StatusOK {
@@ -286,8 +275,7 @@ func TestObserveRejectedBatchLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestNameVisibleOnlyAfterJournaled: on both write doors, another request
-// can resolve a joining name only once its binding is in the WAL. If it
+// TestNameVisibleOnlyAfterJournaled: another request can resolve a joining name only once its binding is in the WAL. If it
 // could resolve it earlier, the engine could journal that request's
 // sample first, and a crash in between would leave factors under an ID no
 // recovered name resolves to.
@@ -338,15 +326,15 @@ func TestNameVisibleOnlyAfterJournaled(t *testing.T) {
 	}}); w.Code != http.StatusOK {
 		t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
 	}
-	if err := observeStream(svc, "tcp-u", "tcp-s", 1); err != nil {
-		t.Fatal(err)
+	if w := observeOne(t, svc, "one-u", "one-s", 1); w.Code != http.StatusOK {
+		t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
 	}
 	readers.Wait()
 	at := map[string]int{}
 	for i, e := range events {
 		at[e] = i
 	}
-	for _, name := range []string{"http-u", "http-s1", "http-s2", "tcp-u", "tcp-s"} {
+	for _, name := range []string{"http-u", "http-s1", "http-s2", "one-u", "one-s"} {
 		appended, ok1 := at["appended "+name]
 		resolved, ok2 := at["resolved "+name]
 		if !ok1 || !ok2 || resolved < appended {
@@ -435,8 +423,8 @@ func TestDurableMetrics(t *testing.T) {
 
 // TestCrashChildHelper is not a test: it is the child half of the
 // kill-restart integration tests below. Re-invoked via os.Args[0] with
-// AMF_CRASH_CHILD=1, it runs a real durable server on a real TCP socket,
-// with a stream-ingest listener on another, until the parent SIGKILLs it.
+// AMF_CRASH_CHILD=1, it runs a real durable server on a real TCP socket
+// until the parent SIGKILLs it.
 func TestCrashChildHelper(t *testing.T) {
 	if os.Getenv("AMF_CRASH_CHILD") != "1" {
 		t.Skip("crash-test child helper; run via TestDurableKillRestart")
@@ -461,13 +449,7 @@ func TestCrashChildHelper(t *testing.T) {
 		fmt.Printf("CHILD_ERR=%v\n", err)
 		os.Exit(1)
 	}
-	stream, err := ingest.Listen("127.0.0.1:0", svc)
-	if err != nil {
-		fmt.Printf("CHILD_ERR=%v\n", err)
-		os.Exit(1)
-	}
-	go stream.Serve(context.Background())
-	fmt.Printf("CHILD_ADDR=%s %s\n", ln.Addr(), stream.Addr())
+	fmt.Printf("CHILD_ADDR=%s\n", ln.Addr())
 	_ = http.Serve(ln, svc.Handler()) // runs until SIGKILL
 }
 
@@ -485,7 +467,7 @@ func TestDurableKillRestart(t *testing.T) {
 		t.Skip("spawns a child process")
 	}
 	dir := t.TempDir()
-	cmd, addr, _ := startCrashChild(t, dir)
+	cmd, addr := startCrashChild(t, dir)
 
 	// Drive acked observations over real HTTP. Every 200 is a durability
 	// promise — for a departure as much as for a
@@ -591,10 +573,9 @@ func TestDurableKillRestart(t *testing.T) {
 }
 
 // startCrashChild re-invokes the test binary as TestCrashChildHelper on
-// dir and returns the running child, the address it serves HTTP on and
-// its stream-ingest address. The child is killed when the test ends if
-// the test has not killed it.
-func startCrashChild(t *testing.T, dir string) (cmd *exec.Cmd, addr, ingestAddr string) {
+// dir and returns the running child and the address it serves HTTP on.
+// The child is killed when the test ends if the test has not killed it.
+func startCrashChild(t *testing.T, dir string) (cmd *exec.Cmd, addr string) {
 	t.Helper()
 	cmd = exec.Command(os.Args[0], "-test.run", "^TestCrashChildHelper$", "-test.v")
 	cmd.Env = append(os.Environ(), "AMF_CRASH_CHILD=1", "AMF_CRASH_DIR="+dir)
@@ -611,7 +592,7 @@ func startCrashChild(t *testing.T, dir string) (cmd *exec.Cmd, addr, ingestAddr 
 		_, _ = cmd.Process.Wait()
 	})
 
-	// Wait for the child to report its listen addresses.
+	// Wait for the child to report its listen address.
 	scanner := bufio.NewScanner(stdout)
 	deadline := time.After(30 * time.Second)
 	addrCh := make(chan string, 1)
@@ -634,11 +615,11 @@ func startCrashChild(t *testing.T, dir string) (cmd *exec.Cmd, addr, ingestAddr 
 		if strings.HasPrefix(a, "ERR:") {
 			t.Fatalf("child failed: %s", a)
 		}
-		addr, ingestAddr, _ = strings.Cut(a, " ")
+		addr = a
 	case <-deadline:
 		t.Fatal("timed out waiting for child address")
 	}
-	return cmd, addr, ingestAddr
+	return cmd, addr
 }
 
 // postObserve sends one single-sample observe to the child and reports
@@ -666,7 +647,7 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		t.Skip("spawns a child process")
 	}
 	dir := t.TempDir()
-	cmd, addr, _ := startCrashChild(t, dir)
+	cmd, addr := startCrashChild(t, dir)
 
 	type pair struct{ user, service string }
 	const clients, killAfter = 4, 80
@@ -727,68 +708,6 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Errorf("acked pair (%s,%s) lost after SIGKILL: predict status %d: %s",
 				p.user, p.service, w.Code, w.Body.String())
-		}
-	}
-}
-
-// TestDurableKillRestartStream is the SIGKILL crash test for the TCP
-// stream door: a PONG acks every line sent before its
-// PING as an HTTP 200 acks an observe, so every pair acked that way must
-// predict after the child is killed and its directory recovered — lines
-// sent after the last PING included in the kill, not in the promise.
-func TestDurableKillRestartStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a child process")
-	}
-	dir := t.TempDir()
-	cmd, _, ingestAddr := startCrashChild(t, dir)
-	w, err := ingest.Dial(ingestAddr, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	type pair struct{ user, service string }
-	var acked []pair
-	send := func(round int) []pair {
-		t.Helper()
-		var sent []pair
-		for j := 0; j < 20; j++ {
-			p := pair{fmt.Sprintf("tu%d", j%5), fmt.Sprintf("ts%d-%d", round, j)}
-			if err := w.Send(p.user, p.service, 0.5+float64(j%4), 0); err != nil {
-				t.Fatal(err)
-			}
-			sent = append(sent, p)
-		}
-		return sent
-	}
-	for round := 0; round < 10; round++ {
-		sent := send(round)
-		if err := w.Ping(5 * time.Second); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		acked = append(acked, sent...)
-	}
-	send(10) // unacked: may or may not survive
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatalf("kill child: %v", err)
-	}
-	_, _ = cmd.Process.Wait()
-
-	svc, _, rs := durableServer(t, dir)
-	defer svc.Close()
-	if rs.Samples < len(acked) {
-		t.Errorf("recovered %d samples, want >= %d acked", rs.Samples, len(acked))
-	}
-	for _, p := range acked {
-		rec := doReq(t, svc, http.MethodGet, "/api/v1/predict?user="+p.user+"&service="+p.service, nil)
-		if rec.Code != http.StatusOK {
-			t.Errorf("pair (%s,%s) acked by PONG lost after SIGKILL: predict status %d: %s",
-				p.user, p.service, rec.Code, rec.Body.String())
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (s *Server) buildMetrics() {
 
 	// Service counters.
 	s.metrics = counters{
-		observations:  r.NewCounter("amf_observations_total", "QoS observations accepted (HTTP observe + TCP ingest)."),
+		observations:  r.NewCounter("amf_observations_total", "QoS observations accepted (POST /api/v1/observe)."),
 		predictions:   r.NewCounter("amf_predictions_total", "Single predictions served."),
 		notFound:      r.NewCounter("amf_not_found_total", "404 responses (unknown users/services)."),
 		badRequests:   r.NewCounter("amf_bad_requests_total", "400-level request rejections."),

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -121,7 +122,8 @@ func TestInstrumentedPathUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = observeStream(s, fmt.Sprintf("u%d", i%4), fmt.Sprintf("s%d", i%5), 1.5)
+				body := fmt.Sprintf(`{"observations":[{"user":"u%d","service":"s%d","value":1.5}]}`, i%4, i%5)
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/api/v1/observe", strings.NewReader(body)))
 			}
 		}(g)
 		wg.Add(1)

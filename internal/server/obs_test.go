@@ -116,7 +116,7 @@ func TestMetricsPrometheusGrammar(t *testing.T) {
 }
 
 // TestLiveAccuracyTracksObservations: the engine scores what clients
-// observe, through both write doors, against the model's own
+// observe against the model's own
 // prediction from just before each sample trained it — and scores nothing
 // that is a log being replayed (WAL recovery, replication apply).
 func TestLiveAccuracyTracksObservations(t *testing.T) {
@@ -149,12 +149,12 @@ func TestLiveAccuracyTracksObservations(t *testing.T) {
 	if mre := s.acc.MRE(); mre <= 0 {
 		t.Fatalf("live MRE = %g after scored samples", mre)
 	}
-	// The TCP-ingest path commits through the same observe, scored alike.
-	if err := observeStream(s, "u0", "s0", 1.0); err != nil {
-		t.Fatal(err)
+	// A one-sample observe is scored like a batch's samples.
+	if w := observeOne(t, s, "u0", "s0", 1.0); w.Code != http.StatusOK {
+		t.Fatalf("observe status %d: %s", w.Code, w.Body.String())
 	}
 	if s.acc.Samples() != 21 {
-		t.Fatalf("ingest sample not scored: %d", s.acc.Samples())
+		t.Fatalf("one-sample observe not scored: %d", s.acc.Samples())
 	}
 
 	// Replication apply: the follower trains on the leader's stream, pairs

@@ -11,8 +11,8 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// CheckObservations is what every write door, and the gateway before it
-// splits a batch by shard, holds a batch to: each observation names a
+// CheckObservations is what an observe, and the gateway before it splits
+// a batch by shard, holds a batch to: each observation names a
 // user and a service, and its value is finite and non-negative (a NaN or
 // ±Inf would turn its user's and service's factors NaN after one SGD
 // step). The first offender refuses the whole batch.
@@ -32,8 +32,7 @@ func CheckObservations(obs []ingest.Observation) error {
 // errFollowerWrite refuses a write on a follower: it must go to the leader.
 var errFollowerWrite = errors.New("follower: writes must go to the leader")
 
-// observe is the one write path for observations, whichever door they
-// came through — POST /api/v1/observe or the TCP stream (ObserveBatch).
+// observe is the one write path for observations, POST /api/v1/observe's.
 // It refuses the batch on a follower, validates all of it before the
 // first registration (a refused batch leaves no names behind, in the
 // registries or the WAL), registers its names — each joining name's
@@ -83,15 +82,4 @@ func (s *Server) observe(obs []ingest.Observation, b *hotBuf) (ObserveResponse, 
 	resp.Accepted = len(samples)
 	s.metrics.observations.Add(int64(resp.Accepted))
 	return resp, tm, nil
-}
-
-// ObserveBatch implements ingest.Sink: the TCP stream commits each batch
-// it reads through the same path as POST /api/v1/observe, so when it
-// returns the batch is as visible and as durable as an HTTP ack makes an
-// observe — which is what the stream's PONG then promises.
-func (s *Server) ObserveBatch(batch []ingest.Observation) error {
-	b := hotBufPool.Get().(*hotBuf)
-	defer b.release()
-	_, _, err := s.observe(batch, b)
-	return err
 }

@@ -40,11 +40,11 @@ type Server struct {
 	now      func() time.Time
 	mux      Mux
 
-	// churn orders departures against observes: observe (both doors)
-	// holds it shared from resolving a name until the engine has the
-	// sample, handleDelete exclusively, so a name is never deregistered
-	// and purged between an observation's registration and its hand-off.
-	// No read route touches it.
+	// churn orders departures against observes: observe holds it shared
+	// from resolving a name until the engine has the sample, handleDelete
+	// exclusively, so a name is never deregistered and purged between an
+	// observation's registration and its hand-off. No read route touches
+	// it.
 	churn sync.RWMutex
 
 	// joinUser and joinService journal a joining name's binding (see
@@ -173,8 +173,10 @@ func NewWithClock(model *core.Model, now func() time.Time) *Server {
 
 // Close marks the server closing — /readyz starts failing so load
 // balancers stop routing new traffic — and stops a follower's tailer. The
-// HTTP handlers keep working afterwards, so shutdown sequencing with an
-// http.Server is not order-sensitive.
+// HTTP handlers keep working afterwards, but a write still in a handler
+// journals into whatever durable state is attached: a caller that then
+// checkpoints and closes that state must first wait for
+// http.Server.Shutdown to return, which waits for every handler.
 func (s *Server) Close() {
 	if s.closed.CompareAndSwap(false, true) {
 		s.log.Info("server closing", "component", "server")
@@ -405,14 +407,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace
 	s.writeHot(w, b.out, nil)
 }
 
-// sampleTime is an observation's model time on both write doors: its
-// timestamp relative to the server's epoch, clamped at the epoch, or now
-// when it carries none.
+// sampleTime is an observation's model time: its timestamp relative to
+// the server's epoch, clamped to [epoch, now], or now when it carries
+// none. A client clock ahead of the server's is stamped now: a sample
+// from the future would move the replay pool's clock past every sample
+// it holds and every one still to come, and replay would stop.
 func (s *Server) sampleTime(timestampMs int64, now time.Duration) time.Duration {
 	if timestampMs <= 0 {
 		return now
 	}
-	return max(time.UnixMilli(timestampMs).Sub(s.base), 0)
+	return min(max(time.UnixMilli(timestampMs).Sub(s.base), 0), now)
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.
@@ -544,7 +548,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request, reg *regis
 		s.countError(w, http.StatusBadRequest, "name query parameter is required")
 		return
 	}
-	// Exclusive against the write doors: an observation that resolved the
+	// Exclusive against observe: an observation that resolved the
 	// name before this point is already in the engine, whose removal runs
 	// after everything it accepted earlier; one that resolves it after
 	// registers a new ID.

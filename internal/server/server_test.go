@@ -39,6 +39,14 @@ func doReq(t *testing.T, s *Server, method, path string, body any) *httptest.Res
 	return w
 }
 
+// observeOne posts a one-sample observe.
+func observeOne(t *testing.T, s *Server, user, service string, v float64) *httptest.ResponseRecorder {
+	t.Helper()
+	return doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: user, Service: service, Value: v},
+	}})
+}
+
 func observeSome(t *testing.T, s *Server) {
 	t.Helper()
 	var obs []Observation
@@ -106,7 +114,7 @@ func TestObserveValidation(t *testing.T) {
 	}
 }
 
-func TestObserveBatchLimit(t *testing.T) {
+func TestObserveMaxBatch(t *testing.T) {
 	s := testServer(t)
 	s.MaxBatch = 2
 	obs := []Observation{
@@ -262,6 +270,82 @@ func TestObserveCustomTimestamp(t *testing.T) {
 	}})
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// TestFutureTimestampKeepsReplay: one observe stamped centuries ahead of
+// the server's clock is stamped now, so the replay pool's clock stays
+// where it was and the samples observed after it are still replayed —
+// here, the replay that follows moves a fresh pair's prediction.
+func TestFutureTimestampKeepsReplay(t *testing.T) {
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	cfg := core.DefaultConfig(-0.007, 0, 20)
+	cfg.Expiry = 15 * time.Minute
+	s := NewWithClock(core.MustNew(cfg), func() time.Time { return base })
+	defer s.Close()
+	future := time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: []Observation{
+		{User: "skewed", Service: "far", Value: 1, TimestampMs: future},
+	}}); w.Code != http.StatusOK {
+		t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
+	}
+	observeSome(t, s)
+	predict := func() string {
+		t.Helper()
+		w := doReq(t, s, http.MethodGet, "/api/v1/predict?user=u1&service=s2", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("predict: status %d: %s", w.Code, w.Body.String())
+		}
+		return w.Body.String()
+	}
+	before := predict()
+	if n := s.Engine().ReplaySteps(500); n != 500 {
+		t.Fatalf("replayed %d of 500 steps", n)
+	}
+	if after := predict(); after == before {
+		t.Fatalf("replay left a fresh pair untouched (%s): samples observed after a future-stamped one expired on arrival", after)
+	}
+}
+
+// TestStreamTrainsDeterministically: the model a stream of observations
+// trains does not depend on how its client batches it. Two servers on
+// one seed and one clock get the same timestamped samples — one in a
+// single observe, the other seven at a time — and must serve
+// byte-identical snapshots.
+func TestStreamTrainsDeterministically(t *testing.T) {
+	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var obs []Observation
+	for i := 0; i < 300; i++ {
+		obs = append(obs, Observation{
+			User: fmt.Sprintf("app-%d", i%6), Service: fmt.Sprintf("ws-%d", (i*7)%40),
+			Value: 0.25 + float64(i%9)/3, TimestampMs: epoch.Add(time.Duration(i) * 10 * time.Millisecond).UnixMilli(),
+		})
+	}
+	run := func(per int) []byte {
+		t.Helper()
+		cfg := core.DefaultConfig(-0.007, 0, 20)
+		cfg.Expiry = 0
+		cfg.Seed = 11
+		s := NewWithClock(core.MustNew(cfg), func() time.Time { return epoch.Add(time.Hour) })
+		defer s.Close()
+		for i := 0; i < len(obs); i += per {
+			batch := obs[i:min(i+per, len(obs))]
+			if w := doReq(t, s, http.MethodPost, "/api/v1/observe", ObserveRequest{Observations: batch}); w.Code != http.StatusOK {
+				t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
+			}
+		}
+		snap, err := s.Engine().View().Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Engine().Stats().Applied; got != int64(len(obs)) {
+			t.Fatalf("applied %d of %d samples", got, len(obs))
+		}
+		return snap
+	}
+	whole, chunked := run(len(obs)), run(7)
+	if !bytes.Equal(whole, chunked) {
+		t.Fatal("the same stream, batched differently, trained different models")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // A merged invocation trace for ten users with heterogeneous rates and a
 // flash crowd between minutes 20 and 30 — the kind of arrival process the
-// adaptation simulator and the stream-ingest example replay.
+// adaptation simulator and the online-server example's monitors replay.
 func ExampleTrace() {
 	events, err := workload.Trace(workload.TraceOptions{
 		Users:       10,
