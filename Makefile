@@ -10,7 +10,7 @@ COMMIT  ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS  = -X github.com/qoslab/amf/internal/obs.buildVersion=$(VERSION) \
            -X github.com/qoslab/amf/internal/obs.buildCommit=$(COMMIT)
 
-.PHONY: all build fmt vet test test-bench race cover bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store ci experiments experiments-paper examples clean
+.PHONY: all build fmt vet test test-bench race cover bench-smoke test-cluster test-overload test-noasm build-arm64 lint-metrics fuzz fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-pool fuzz-recycle fuzz-mux fuzz-store ci experiments experiments-paper examples clean
 
 all: build vet test
 
@@ -21,7 +21,7 @@ all: build vet test
 # examples leg runs every program under examples/ to completion.
 ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64 examples
 	$(GO) test -race ./internal/...
-	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store FUZZTIME=10s
+	$(MAKE) fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-pool fuzz-recycle fuzz-mux fuzz-store FUZZTIME=10s
 
 # Portable-kernel leg: the SIMD assembly (internal/matrix) ships with a
 # pure-Go fallback behind the noasm build tag; this proves the fallback
@@ -131,7 +131,7 @@ test-cluster:
 
 FUZZTIME ?= 30s
 
-fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-recycle fuzz-mux fuzz-store
+fuzz: fuzz-wire fuzz-select fuzz-kernels fuzz-idtab fuzz-pool fuzz-recycle fuzz-mux fuzz-store
 	$(GO) test -run=NONE -fuzz='^FuzzReadTriplets$$' -fuzztime=$(FUZZTIME) ./internal/dataset/
 
 # The WAL's readers (internal/store/fuzz_test.go): the record decoder
@@ -150,13 +150,18 @@ fuzz-store:
 # field, encoders with json.Marshal on every byte; and the codec's
 # number converter against strconv (internal/ingest/number_test.go):
 # over any text it claims the number encoding/json reads and converts it
-# to strconv.ParseFloat's bits, or hands it to strconv. CI runs this leg at FUZZTIME=10s per target; the
-# seed corpora alone run under plain `go test`.
+# to strconv.ParseFloat's bits, or hands it to strconv; and the
+# X-Amf-Trace header's parser (internal/obs/trace/trace_test.go): it
+# never panics, and what it accepts is what HeaderValue writes for the
+# parsed IDs, up to the case of the hex digits. CI runs this leg at
+# FUZZTIME=10s per target; the seed corpora alone run under plain
+# `go test`.
 fuzz-wire:
 	for target in FuzzDecodeBatch FuzzDecodeRank FuzzDecodeObserve FuzzAppendString FuzzAppendFloat; do \
 		$(GO) test -run=NONE -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./internal/server/ || exit 1; \
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzParseNumber$$' -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run=NONE -fuzz='^FuzzParseHeader$$' -fuzztime=$(FUZZTIME) ./internal/obs/trace/
 
 # Fused top-k selection against the push-every-row reference
 # (internal/core/select_test.go): fuzzer-chosen keys — ties, ±0, ±Inf,
@@ -192,6 +197,17 @@ fuzz-kernels:
 # FUZZTIME=10s.
 fuzz-idtab:
 	$(GO) test -run=NONE -fuzz='^FuzzTable$$' -fuzztime=$(FUZZTIME) ./internal/idtab/
+
+# The replay pool (internal/stream/replay_test.go) against the map-backed
+# reference that takes one sample at a time: fuzzer-chosen scripts of
+# batches over a few users and services — runs of several users in one
+# batch, a pair repeated inside a batch whether new or already pooled, an
+# older arrival of a pooled pair — and of picks, removals of a pair or a
+# user, compactions and clock advances; after every step both pools hold
+# the same samples at the same positions, and every pick agrees. CI runs
+# this leg at FUZZTIME=10s.
+fuzz-pool:
+	$(GO) test -run=NONE -fuzz='^FuzzPoolBatches$$' -fuzztime=$(FUZZTIME) ./internal/stream/
 
 # Publishing into recycled pages (internal/core/recycle_test.go):
 # fuzzer-chosen scripts of observes (known and new pairs), removals,

@@ -61,11 +61,13 @@ type Model struct {
 	spareView      *PredictView
 
 	// pairs and vals are observeAll's and ReplaySteps' scratch: a batch's
-	// resolved entities and its values, normalised in place; touched is
+	// resolved entities and its values, normalised in place; observed is
+	// what observeAll hands a Scorer beside the priors; touched is
 	// viewShard.refresh's.
-	pairs   []entityPair
-	vals    []float64
-	touched []touchedRow
+	pairs    []entityPair
+	vals     []float64
+	observed []float64
+	touched  []touchedRow
 }
 
 // New constructs an empty AMF model.
@@ -127,13 +129,13 @@ func (m *Model) Observe(s stream.Sample) { m.observeAll([]stream.Sample{s}, nil)
 // ObserveAll ingests samples in order, as that many Observe calls do.
 func (m *Model) ObserveAll(ss []stream.Sample) { m.observeAll(ss, nil) }
 
-// Scorer takes, sample by sample, what the model predicted for a pair
+// Scorer takes, a batch at a time, what the model predicted for each pair
 // just before the sample trained it (obs.AccuracyTracker is one).
 type Scorer interface {
-	// Record takes the prediction, in QoS units, and the observed value.
-	Record(prior, observed float64)
-	// RecordMiss stands for a sample with no prediction to score.
-	RecordMiss()
+	// RecordAll takes a batch's priors, in QoS units, beside the observed
+	// values, in sample order. prior[i] is NaN for a sample no reader
+	// could have been served a prediction for.
+	RecordAll(prior, observed []float64)
 }
 
 // ObserveAllScored is ObserveAll for a caller that scores the model live:
@@ -148,43 +150,47 @@ func (m *Model) ObserveAllScored(ss []stream.Sample, sc Scorer) { m.observeAll(s
 // entityPair is one sample's user and service, resolved.
 type entityPair struct{ u, v *entity }
 
-// observeAll trains ss in order, in two passes. The first resolves every
-// sample's user and service, registering newcomers in sample order — so
-// newEntity draws from the rng exactly as one pass would — lists them as
-// touched and stores the sample in the replay pool; then the batch's
-// targets are normalised together (Transformer.ForwardAll). The second
-// trains each sample from the resolved pointers. Nothing the first pass
-// does for a later sample changes what the second reads for an earlier
-// one, so the trained model is the same bit for bit (TestGoldenTraining),
-// while the lookups' cache misses overlap instead of each waiting behind
-// an SGD step. When sc is not nil, the priors the second pass kept are
-// mapped back together (BackwardAll) and scored in sample order.
+// observeAll trains ss in order. It touches memory in short passes whose
+// cache misses overlap (DESIGN.md "Apply in passes"), instead of one long
+// loop body in which each sample's misses wait behind the last one's.
+// The first pass resolves every sample's user and service, registering
+// newcomers in sample order — so newEntity draws from the rng exactly as
+// one pass would; the second lists them as touched; the third stores the
+// batch in the replay pool (Pool.AddAll); then the batch's targets are
+// normalised together (Transformer.ForwardAll). The last pass trains each
+// sample from the resolved pointers. Nothing an earlier pass does for a
+// later sample changes what the SGD pass reads for an earlier one, so the
+// trained model is the same bit for bit (TestGoldenTraining). When sc is
+// not nil, the priors the SGD pass kept are mapped back together
+// (BackwardAll) and handed to sc in one call.
 func (m *Model) observeAll(ss []stream.Sample, sc Scorer) {
 	pairs, vals := m.pairs[:0], m.vals[:0]
 	for _, s := range ss {
-		u := m.entity(m.users, s.User)
-		v := m.entity(m.services, s.Service)
-		m.dirtyUsers.mark(s.User, u)
-		m.dirtyServices.mark(s.Service, v)
-		m.pool.Add(s)
-		pairs = append(pairs, entityPair{u, v})
+		pairs = append(pairs, entityPair{m.entity(m.users, s.User), m.entity(m.services, s.Service)})
 		vals = append(vals, s.Value)
 	}
+	for i, s := range ss {
+		m.dirtyUsers.mark(s.User, pairs[i].u)
+		m.dirtyServices.mark(s.Service, pairs[i].v)
+	}
+	m.pool.AddAll(ss)
 	m.tr.ForwardAll(vals, vals)
 	for i, p := range pairs {
 		vals[i] = m.update(p.u, p.v, vals[i]) // the target in, the prior out
 	}
 	if sc != nil {
 		m.tr.BackwardAll(vals, vals)
+		observed := m.observed[:0]
 		for i, p := range pairs {
 			// An entity is unserved from its creation to the next publish,
 			// so the flags read here what one pass would have read.
-			if !p.u.unserved && !p.v.unserved {
-				sc.Record(vals[i], ss[i].Value)
-			} else {
-				sc.RecordMiss()
+			if p.u.unserved || p.v.unserved {
+				vals[i] = math.NaN()
 			}
+			observed = append(observed, ss[i].Value)
 		}
+		sc.RecordAll(vals, observed)
+		m.observed = observed[:0]
 	}
 	clear(pairs)
 	m.pairs, m.vals = pairs[:0], vals[:0]

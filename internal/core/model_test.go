@@ -371,11 +371,10 @@ func TestReplayStepsMatchesOneByOne(t *testing.T) {
 }
 
 // scoreLog is a Scorer that keeps what it was handed: the prior of each
-// scored sample, NaN for a miss.
+// sample, NaN for a miss.
 type scoreLog []float64
 
-func (l *scoreLog) Record(prior, _ float64) { *l = append(*l, prior) }
-func (l *scoreLog) RecordMiss()             { *l = append(*l, math.NaN()) }
+func (l *scoreLog) RecordAll(prior, _ []float64) { *l = append(*l, prior...) }
 
 // observePrior observes one sample through ObserveAllScored and returns
 // its prior, ok false on a miss.

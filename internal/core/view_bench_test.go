@@ -8,6 +8,7 @@ import (
 	"time"
 	"unsafe"
 
+	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/stream"
 )
 
@@ -221,7 +222,8 @@ func TestJoinReshapeAllocations(t *testing.T) {
 // 1,000 users × 5,000 services preloaded at 5% density takes 64-sample
 // batches of one zipf-drawn user against distinct uniformly drawn
 // services — what the engine's applyLocked does for one HTTP observe,
-// scoring included (ObserveAllScored), publishing excluded. The batches
+// scoring into the engine's obs.AccuracyTracker included
+// (ObserveAllScored), publishing excluded. The batches
 // come from a fixed ring of 4,096, as bench/'s observe_durable ring does,
 // and one untimed pass over the ring precedes the timed ones, so every
 // pair is in the replay pool by then: a timed batch neither grows the
@@ -257,7 +259,7 @@ func BenchmarkObserveApply(b *testing.B) {
 		}
 	}
 	view := m.BuildView()
-	var scores priorSum
+	scores := obs.NewAccuracyTracker(0) // the engine's scorer (engine.SetAccuracy)
 	// prepare stamps the i-th batch with a newer time, so that it
 	// supersedes its pairs' samples in the pool, and publishes as the
 	// engine does after every observe, so that every entity starts clean.
@@ -272,7 +274,7 @@ func BenchmarkObserveApply(b *testing.B) {
 	}
 	for i := 0; i < ring; i++ { // the warm pass
 		prepare(i)
-		m.ObserveAllScored(batches[i], &scores)
+		m.ObserveAllScored(batches[i], scores)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -280,13 +282,7 @@ func BenchmarkObserveApply(b *testing.B) {
 		b.StopTimer()
 		prepare(ring + i)
 		b.StartTimer()
-		m.ObserveAllScored(batches[i%ring], &scores)
+		m.ObserveAllScored(batches[i%ring], scores)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
 }
-
-// priorSum is a Scorer that folds every prior into one number.
-type priorSum float64
-
-func (p *priorSum) Record(prior, _ float64) { *p += priorSum(prior) }
-func (p *priorSum) RecordMiss()             {}

@@ -45,33 +45,61 @@ func NewAccuracyTracker(beta float64) *AccuracyTracker {
 	return t
 }
 
-// Record folds one (prior prediction, observed value) pair in. Pairs with
-// a non-positive observed value are skipped for the relative metrics,
-// matching eval.Compute.
-func (t *AccuracyTracker) Record(predicted, observed float64) {
-	if !(observed > 0) || math.IsNaN(predicted) {
-		t.misses.Add(1)
+// RecordAll folds a batch of (prior prediction, observed value) pairs in,
+// in order. A pair with a NaN prediction (no prior: the first sighting
+// of a user or a service) or a non-positive observed value (skipped for
+// the relative metrics, matching eval.Compute) is counted as a miss. Each
+// scored pair adds one to its histogram bucket; the histogram's count and
+// sum, the sample and miss counters and the EMA are each written once per
+// batch. The EMA folds the batch's errors in order under one CAS, so it
+// ends bit for bit where pair-at-a-time folds would; the histogram sum
+// adds the batch's errors first, so it may differ from a running sum in
+// the last bits.
+func (t *AccuracyTracker) RecordAll(prior, observed []float64) {
+	var scored int64
+	var sum float64
+	for i, p := range prior {
+		if rel, ok := relError(p, observed[i]); ok {
+			t.relErr.bucket(rel)
+			sum += rel
+			scored++
+		}
+	}
+	if missed := int64(len(prior)) - scored; missed > 0 {
+		t.misses.Add(missed)
+	}
+	if scored == 0 {
 		return
 	}
-	rel := math.Abs(predicted-observed) / observed
-	t.relErr.Observe(rel)
-	t.samples.Add(1)
+	t.relErr.count.Add(scored)
+	t.relErr.sum.Add(sum)
+	t.samples.Add(scored)
 	for {
 		old := t.ema.Load()
-		ov := math.Float64frombits(old)
-		nv := rel
-		if !math.IsNaN(ov) {
-			nv = t.beta*rel + (1-t.beta)*ov
+		ema := math.Float64frombits(old)
+		for i, p := range prior {
+			if rel, ok := relError(p, observed[i]); ok {
+				if math.IsNaN(ema) {
+					ema = rel
+				} else {
+					ema = t.beta*rel + (1-t.beta)*ema
+				}
+			}
 		}
-		if t.ema.CompareAndSwap(old, math.Float64bits(nv)) {
+		if t.ema.CompareAndSwap(old, math.Float64bits(ema)) {
 			return
 		}
 	}
 }
 
-// RecordMiss counts an observation for which no prior prediction existed
-// (first sighting of a user or service).
-func (t *AccuracyTracker) RecordMiss() { t.misses.Add(1) }
+// relError is |predicted−observed|/observed, ok false for a pair that
+// cannot be scored: no prediction (NaN) or a non-positive observed value.
+func relError(predicted, observed float64) (float64, bool) {
+	if !(observed > 0) || math.IsNaN(predicted) {
+		return 0, false
+	}
+	return math.Abs(predicted-observed) / observed, true
+}
 
 // EMA returns the exponential moving average of the relative error
 // (0 before any sample).

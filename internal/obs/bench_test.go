@@ -47,12 +47,18 @@ func BenchmarkHistogramObserveDuration(b *testing.B) {
 	}
 }
 
-func BenchmarkAccuracyRecord(b *testing.B) {
+// BenchmarkAccuracyRecordAll scores a 64-sample batch, one observe's.
+func BenchmarkAccuracyRecordAll(b *testing.B) {
 	tr := NewAccuracyTracker(0.3)
+	prior, observed := make([]float64, 64), make([]float64, 64)
+	for i := range prior {
+		prior[i], observed[i] = 10+float64(i)/8, 10
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Record(10.5, 10)
+		tr.RecordAll(prior, observed)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(prior)), "ns/sample")
 }
 
 func BenchmarkQuantile(b *testing.B) {

@@ -104,13 +104,18 @@ func (h *Histogram) lowerBound(i int) float64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	h.bucket(v)
+	h.count.Add(1)
+	h.sum.Add(v)
+}
+
+// bucket adds one to v's bucket and leaves count and sum to the caller.
+func (h *Histogram) bucket(v float64) {
 	if i := h.index(v); i >= 0 {
 		h.buckets[i].Add(1)
 	} else {
 		h.overflow.Add(1)
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
 }
 
 // ObserveN records a value n times with one pass — the engine uses it to

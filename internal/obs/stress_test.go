@@ -30,6 +30,7 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
+			prior, observed := []float64{0}, []float64{10}
 			for i := 0; i < perWriter; i++ {
 				v := float64(seed*perWriter+i%977+1) * 1e-6
 				c.Inc()
@@ -38,7 +39,8 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 				h.ObserveN(v, 3)
 				routes[i%len(routes)].Observe(v)
 				codes[i%len(codes)].Inc()
-				tr.Record(10+v, 10)
+				prior[0] = 10 + v
+				tr.RecordAll(prior, observed)
 				g.Add(-1)
 			}
 		}(w)

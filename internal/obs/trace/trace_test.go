@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -44,6 +45,32 @@ func TestParseHeaderRejectsMalformed(t *testing.T) {
 			t.Errorf("ParseHeader(%q) = ok, want reject", v)
 		}
 	}
+}
+
+// FuzzParseHeader: X-Amf-Trace is a header any client can send, so its
+// parser must never panic, and whatever it accepts must be the header
+// HeaderValue writes for what it parsed, up to the case of the hex digits:
+// a value that parses is one the gateway could have sent.
+func FuzzParseHeader(f *testing.F) {
+	f.Add(HeaderValue(ID{Hi: 1, Lo: 2}, 3))
+	f.Add("0123456789ABCDEF0123456789abcdef-FEDCBA9876543210")
+	f.Add("00000000000000000000000000000000-0000000000000001")
+	f.Add("+123456789abcdef0123456789abcdef-0123456789abcdef")
+	f.Add("0x23456789abcdef0123456789abcdef-0123456789abcdef")
+	f.Add("0123456789abcdef_123456789abcdef-0123456789abcdef")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		id, parent, ok := ParseHeader(v)
+		if !ok {
+			return
+		}
+		if id.IsZero() {
+			t.Fatalf("ParseHeader(%q) accepted the zero trace ID", v)
+		}
+		if got := HeaderValue(id, parent); got != strings.ToLower(v) {
+			t.Fatalf("ParseHeader(%q) = %v, %v; HeaderValue of that is %q", v, id, parent, got)
+		}
+	})
 }
 
 func TestIDUniqueness(t *testing.T) {

@@ -78,6 +78,8 @@ func (s *Server) AttachDurable(m *store.Manager) (store.RecoveryStats, error) {
 // shared apply path under crash recovery (AttachDurable) and follower
 // replication (Replicator.apply) — both are "replay a log into this
 // server", and both read it through the same traversal (store.ReplayDir).
+// A journaled time is on the model clock (Server.clock), so it means the
+// same moment here as in the process that wrote it.
 // Callers must invoke flush after the final entry; apply itself flushes
 // before removals so samples for a purged ID train first.
 func (s *Server) walApplier() (apply func(store.Entry) error, flush func()) {
@@ -91,7 +93,15 @@ func (s *Server) walApplier() (apply func(store.Entry) error, flush func()) {
 	apply = func(e store.Entry) error {
 		switch e.Kind {
 		case store.EntrySamples:
-			buf = append(buf, e.Samples...)
+			// A journaled time later than this server's now (the writer's
+			// clock ran ahead) is clamped to now, as sampleTime clamps one
+			// at the write door: otherwise it would carry the replay pool's
+			// clock past every sample still to come.
+			now := s.clock()
+			for _, sm := range e.Samples {
+				sm.Time = min(sm.Time, now)
+				buf = append(buf, sm)
+			}
 			if len(buf) >= replayChunk {
 				flush()
 			}

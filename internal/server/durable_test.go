@@ -711,3 +711,75 @@ func TestDurableKillRestartGroupCommit(t *testing.T) {
 		}
 	}
 }
+
+// TestRestartKeepsReplay: model time is on the Unix epoch, not an offset
+// from a server's start, so a restarted server reads the samples its
+// predecessor journaled at their real age. A server whose clock stands
+// 10 h past its start journals 20 samples and stops without a checkpoint;
+// a fresh server on the same directory recovers them from the WAL,
+// observes one fresh pair, and replay must move that pair's prediction.
+// It would not if a recovered time put the replay pool's clock hours past
+// the fresh sample, which would then expire on arrival: whether because
+// the time was read as an offset from the new server's start, or because
+// the old server's clock ran ahead of the new one's and recovery did not
+// clamp it to now.
+func TestRestartKeepsReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		restart time.Duration // the second server's clock against the first's
+	}{
+		{"a minute later", time.Minute},
+		{"on a clock 10 h behind", -10 * time.Hour},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			now := start
+			open := func() (*Server, *store.Manager) {
+				t.Helper()
+				mgr, err := store.Open(dir, store.Options{CheckpointInterval: time.Hour, Logger: quietLogger()})
+				if err != nil {
+					t.Fatalf("store.Open: %v", err)
+				}
+				cfg := core.DefaultConfig(-0.007, 0, 20)
+				cfg.Expiry = 15 * time.Minute
+				svc := NewWithClock(core.MustNew(cfg), func() time.Time { return now })
+				svc.log = quietLogger()
+				if _, err := svc.AttachDurable(mgr); err != nil {
+					t.Fatalf("AttachDurable: %v", err)
+				}
+				return svc, mgr
+			}
+			first, mgr := open()
+			now = start.Add(10 * time.Hour)
+			observeSome(t, first)
+			first.Close()
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			now = now.Add(tc.restart)
+			second, mgr := open()
+			defer mgr.Close()
+			defer second.Close()
+			if w := observeOne(t, second, "fresh-user", "fresh-service", 1.2); w.Code != http.StatusOK {
+				t.Fatalf("observe: status %d: %s", w.Code, w.Body.String())
+			}
+			predict := func() string {
+				t.Helper()
+				w := doReq(t, second, http.MethodGet, "/api/v1/predict?user=fresh-user&service=fresh-service", nil)
+				if w.Code != http.StatusOK {
+					t.Fatalf("predict: status %d: %s", w.Code, w.Body.String())
+				}
+				return w.Body.String()
+			}
+			before := predict()
+			if n := second.Engine().ReplaySteps(500); n != 500 {
+				t.Fatalf("replayed %d of 500 steps", n)
+			}
+			if after := predict(); after == before {
+				t.Fatalf("replay left a fresh pair untouched (%s): a recovered sample's time put the pool clock past it", after)
+			}
+		})
+	}
+}

@@ -47,7 +47,7 @@ func (s *Server) buildMetrics() {
 	r.GaugeFunc("amf_model_users", "Users currently registered.", func() float64 { return float64(s.users.Len()) })
 	r.GaugeFunc("amf_model_services", "Services currently registered.", func() float64 { return float64(s.services.Len()) })
 	r.GaugeFunc("amf_uptime_seconds", "Seconds since the server started.",
-		func() float64 { return s.now().Sub(s.base).Seconds() })
+		func() float64 { return s.now().Sub(s.start).Seconds() })
 
 	// Serving-engine health: what was applied and published, and the
 	// latency histograms the engine maintains internally.

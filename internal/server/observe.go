@@ -58,7 +58,7 @@ func (s *Server) observe(obs []ingest.Observation, b *hotBuf) (ObserveResponse, 
 		services = append(services, obs[i].Service)
 	}
 	b.users, b.services = users, services
-	now := s.now().Sub(s.base)
+	now := s.clock()
 	s.churn.RLock()
 	// One write lock per registry for the whole batch.
 	b.uids, resp.NewUsers = s.users.RegisterAll(users, b.uids, s.joinUser)

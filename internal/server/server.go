@@ -36,9 +36,11 @@ type Server struct {
 	eng      *engine.Engine
 	users    *registry.Registry
 	services *registry.Registry
-	base     time.Time
-	now      func() time.Time
-	mux      Mux
+	// start is when the server was built, for uptime alone: model time
+	// is on the Unix epoch (clock).
+	start time.Time
+	now   func() time.Time
+	mux   Mux
 
 	// churn orders departures against observes: observe holds it shared
 	// from resolving a name until the engine has the sample, handleDelete
@@ -157,7 +159,7 @@ func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 	// The trace recorder shares the slow-request threshold: a span worth a
 	// slow-log warning is a span worth retaining past ring churn.
 	s.traces = trace.NewRecorder(trace.Config{SlowThreshold: s.slowThreshold})
-	s.base = s.now()
+	s.start = s.now()
 	s.buildMetrics()
 	s.routes()
 	return s
@@ -167,7 +169,7 @@ func NewWithEngine(eng *engine.Engine, opts ...Option) *Server {
 func NewWithClock(model *core.Model, now func() time.Time) *Server {
 	s := New(model)
 	s.now = now
-	s.base = now()
+	s.start = now()
 	return s
 }
 
@@ -231,7 +233,7 @@ func (s *Server) RunReplay(ctx context.Context, interval time.Duration, batch in
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
-			s.eng.AdvanceTo(s.now().Sub(s.base))
+			s.eng.AdvanceTo(s.clock())
 			s.eng.ReplaySteps(batch)
 		}
 	}
@@ -407,16 +409,24 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request, sp *trace
 	s.writeHot(w, b.out, nil)
 }
 
-// sampleTime is an observation's model time: its timestamp relative to
-// the server's epoch, clamped to [epoch, now], or now when it carries
-// none. A client clock ahead of the server's is stamped now: a sample
-// from the future would move the replay pool's clock past every sample
-// it holds and every one still to come, and replay would stop.
+// clock is the server's model time now: nanoseconds since the Unix epoch
+// (an int64 holds them until 2262). Every sample's time, the replay pool's
+// clock and the WAL's journaled times are on this one scale, so a
+// restarted server or a follower reads a journaled time as the moment it
+// was, not as an offset from some other process's start.
+func (s *Server) clock() time.Duration { return time.Duration(s.now().UnixNano()) }
+
+// sampleTime is an observation's model time: its timestamp on the model
+// clock, or now when it carries none or one later than now. A client
+// clock ahead of the server's is stamped now: a sample from the future
+// would move the replay pool's clock past every sample it holds and every
+// one still to come, and replay would stop. A past timestamp is kept, so
+// a sample older than the pool's expiry trains once and is not replayed.
 func (s *Server) sampleTime(timestampMs int64, now time.Duration) time.Duration {
-	if timestampMs <= 0 {
+	if timestampMs <= 0 || timestampMs > now.Milliseconds() {
 		return now
 	}
-	return min(max(time.UnixMilli(timestampMs).Sub(s.base), 0), now)
+	return time.Duration(timestampMs) * time.Millisecond
 }
 
 // resolve maps names to model IDs, distinguishing which side is unknown.
@@ -508,7 +518,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Users:    s.users.Len(),
 		Services: s.services.Len(),
 		Updates:  s.eng.Updates(),
-		UptimeMs: s.now().Sub(s.base).Milliseconds(),
+		UptimeMs: s.now().Sub(s.start).Milliseconds(),
 	})
 }
 

@@ -25,15 +25,23 @@ import (
 // scan. The index is 32 bits wide, which keeps a slot at 12 bytes and
 // bounds the pool at 2³¹−1 samples; a pair arriving beyond that trains
 // the model but is not retained for replay.
+//
+// Samples arrive a batch at a time (AddAll), and a batch is applied in
+// passes: every slot is looked up before any is written, so the lookups'
+// cache misses overlap. Replay picks by position, so AddAll leaves every
+// sample exactly where one-by-one inserts would
+// (TestPoolMatchesMapReference, FuzzPoolBatches).
 type Pool struct {
 	expiry  time.Duration
 	rng     *rand.Rand
 	samples []Sample
 	rows    *idtab.Table[*idtab.Table[int32]]
-	// lastUser/lastRow remember the row Add used last (nil: none).
+	// lastUser/lastRow remember the row AddAll used last (nil: none).
 	lastUser int
 	lastRow  *idtab.Table[int32]
 	now      time.Duration
+	// at is AddAll's scratch: a run's slots, -1 for a pair not yet held.
+	at []int32
 }
 
 // NewPool creates a replay pool. expiry <= 0 disables expiration.
@@ -45,30 +53,67 @@ func NewPool(expiry time.Duration, seed int64) *Pool {
 	}
 }
 
-// Add inserts a newly observed sample, superseding any older sample of
-// the same pair (an arrival older than what the pool holds is dropped),
-// and advances the pool clock to the sample's time if it is newer.
-func (p *Pool) Add(s Sample) {
+// AddAll inserts newly observed samples in order, as that many
+// one-sample inserts would: each supersedes any older sample of its pair
+// (an arrival older than what the pool holds is dropped), a pair new to
+// the pool takes the next position, and the pool clock advances to the
+// newest sample's time. It works one run of one user's samples at a time
+// and touches memory in two short passes, so that the cache misses of a
+// run's samples overlap instead of each waiting behind the last one's
+// (DESIGN.md "Apply in passes"): first it looks up every pair's slot in
+// the user's row, then it writes the samples in order. A pair the first
+// pass did not find is looked up again when its turn comes, since an
+// earlier sample of the same run may have inserted it; a slot found is
+// final, because inserting moves no sample.
+func (p *Pool) AddAll(ss []Sample) {
+	for len(ss) > 0 {
+		n := 1
+		for n < len(ss) && ss[n].User == ss[0].User {
+			n++
+		}
+		p.addRun(ss[:n])
+		ss = ss[n:]
+	}
+}
+
+// addRun is AddAll for samples of one user.
+func (p *Pool) addRun(run []Sample) {
+	user := run[0].User
 	row := p.lastRow
-	if row == nil || p.lastUser != s.User {
+	if row == nil || p.lastUser != user {
 		var ok bool
-		if row, ok = p.rows.Get(s.User); !ok {
+		if row, ok = p.rows.Get(user); !ok {
 			row = idtab.New[int32](0)
-			p.rows.Put(s.User, row)
+			p.rows.Put(user, row)
 		}
-		p.lastUser, p.lastRow = s.User, row
+		p.lastUser, p.lastRow = user, row
 	}
-	if i, ok := row.Get(s.Service); !ok {
-		if len(p.samples) < math.MaxInt32 {
-			row.Put(s.Service, int32(len(p.samples)))
-			p.samples = append(p.samples, s)
+	at := p.at[:0]
+	for _, s := range run {
+		i, ok := row.Get(s.Service)
+		if !ok {
+			i = -1
 		}
-	} else if s.Time >= p.samples[i].Time {
-		p.samples[i] = s
+		at = append(at, i)
+		p.now = max(p.now, s.Time)
 	}
-	if s.Time > p.now {
-		p.now = s.Time
+	for k, s := range run {
+		i := at[k]
+		if i < 0 {
+			var ok bool
+			if i, ok = row.Get(s.Service); !ok {
+				if len(p.samples) < math.MaxInt32 {
+					row.Put(s.Service, int32(len(p.samples)))
+					p.samples = append(p.samples, s)
+				}
+				continue
+			}
+		}
+		if s.Time >= p.samples[i].Time {
+			p.samples[i] = s
+		}
 	}
+	p.at = at[:0]
 }
 
 // AdvanceTo moves the pool clock forward (it never moves backward).

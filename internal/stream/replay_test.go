@@ -8,7 +8,7 @@ import (
 
 func TestPoolAddAndPick(t *testing.T) {
 	p := NewPool(0, 1)
-	p.Add(Sample{Time: 1, User: 1, Service: 2, Value: 3})
+	p.AddAll([]Sample{{Time: 1, User: 1, Service: 2, Value: 3}})
 	s, ok := p.Pick()
 	if !ok || s.User != 1 || s.Service != 2 {
 		t.Fatalf("pick = %+v, %v", s, ok)
@@ -27,7 +27,7 @@ func TestPoolEmptyPick(t *testing.T) {
 
 func TestPoolExpiry(t *testing.T) {
 	p := NewPool(15*time.Minute, 1)
-	p.Add(Sample{Time: 0, User: 0, Service: 0, Value: 1})
+	p.AddAll([]Sample{{Time: 0, User: 0, Service: 0, Value: 1}})
 	if _, ok := p.Pick(); !ok {
 		t.Fatal("fresh sample should be live")
 	}
@@ -42,7 +42,7 @@ func TestPoolExpiry(t *testing.T) {
 
 func TestPoolNoExpiryWhenDisabled(t *testing.T) {
 	p := NewPool(0, 1)
-	p.Add(Sample{Time: 0, User: 0, Service: 0})
+	p.AddAll([]Sample{{Time: 0, User: 0, Service: 0}})
 	p.AdvanceTo(time.Hour * 1000)
 	if _, ok := p.Pick(); !ok {
 		t.Fatal("expiry disabled: sample must stay live")
@@ -51,9 +51,9 @@ func TestPoolNoExpiryWhenDisabled(t *testing.T) {
 
 func TestPoolSupersededSampleDies(t *testing.T) {
 	p := NewPool(0, 1)
-	p.Add(Sample{Time: 1, User: 3, Service: 4, Value: 10})
-	p.Add(Sample{Time: 2, User: 3, Service: 4, Value: 20})
-	p.Add(Sample{Time: 1, User: 3, Service: 4, Value: 30}) // late arrival of an older observation
+	p.AddAll([]Sample{{Time: 1, User: 3, Service: 4, Value: 10}})
+	p.AddAll([]Sample{{Time: 2, User: 3, Service: 4, Value: 20}})
+	p.AddAll([]Sample{{Time: 1, User: 3, Service: 4, Value: 30}}) // late arrival of an older observation
 	// A re-observed pair takes no second slot: the pool is bounded by the
 	// pairs alive, however often they are observed.
 	if p.Len() != 1 {
@@ -73,12 +73,12 @@ func TestPoolSupersededSampleDies(t *testing.T) {
 
 func TestPoolClockMonotone(t *testing.T) {
 	p := NewPool(time.Minute, 1)
-	p.Add(Sample{Time: 10 * time.Second})
+	p.AddAll([]Sample{{Time: 10 * time.Second}})
 	p.AdvanceTo(5 * time.Second) // must not move backward
 	if p.now != 10*time.Second {
 		t.Fatalf("clock = %v, want 10s", p.now)
 	}
-	p.Add(Sample{Time: 2 * time.Second, User: 1}) // old sample must not rewind
+	p.AddAll([]Sample{{Time: 2 * time.Second, User: 1}}) // old sample must not rewind
 	if p.now != 10*time.Second {
 		t.Fatalf("clock = %v after old add", p.now)
 	}
@@ -87,9 +87,9 @@ func TestPoolClockMonotone(t *testing.T) {
 func TestPoolCompact(t *testing.T) {
 	p := NewPool(time.Minute, 1)
 	for i := 0; i < 10; i++ {
-		p.Add(Sample{Time: time.Duration(i) * time.Second, User: i, Service: 0})
+		p.AddAll([]Sample{{Time: time.Duration(i) * time.Second, User: i, Service: 0}})
 	}
-	p.Add(Sample{Time: 5 * time.Minute, User: 99, Service: 0})
+	p.AddAll([]Sample{{Time: 5 * time.Minute, User: 99, Service: 0}})
 	p.Compact()
 	if p.Len() != 1 {
 		t.Fatalf("compact kept %d samples, want 1", p.Len())
@@ -99,7 +99,7 @@ func TestPoolCompact(t *testing.T) {
 		t.Fatalf("survivor = %+v, %v", s, ok)
 	}
 	// Eviction moved the survivor; re-observing it must still find its slot.
-	p.Add(Sample{Time: 6 * time.Minute, User: 99, Service: 0, Value: 7})
+	p.AddAll([]Sample{{Time: 6 * time.Minute, User: 99, Service: 0, Value: 7}})
 	if s, _ := p.Pick(); p.Len() != 1 || s.Value != 7 {
 		t.Fatalf("after re-observe: len=%d pick=%+v", p.Len(), s)
 	}
@@ -108,7 +108,7 @@ func TestPoolCompact(t *testing.T) {
 func TestPoolPickEventuallyCoversAllLive(t *testing.T) {
 	p := NewPool(0, 3)
 	for i := 0; i < 5; i++ {
-		p.Add(Sample{Time: 1, User: i, Service: 0})
+		p.AddAll([]Sample{{Time: 1, User: i, Service: 0}})
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 500; i++ {
@@ -123,8 +123,9 @@ func TestPoolPickEventuallyCoversAllLive(t *testing.T) {
 	}
 }
 
-// refPool is the pool as it was when one Go map indexed every pair: the
-// reference TestPoolMatchesMapReference holds the row-indexed Pool to.
+// refPool is the pool as it was when one Go map indexed every pair and
+// took one sample at a time: the reference TestPoolMatchesMapReference and
+// FuzzPoolBatches hold the row-indexed, batch-applying Pool to.
 // Remove and RemoveUser, which it never had, are spelled the slow way.
 type refPool struct {
 	expiry  time.Duration
@@ -228,12 +229,17 @@ func TestPoolMatchesMapReference(t *testing.T) {
 		}
 		for step := 0; step < 4000; step++ {
 			switch op := script.Intn(100); {
-			case op < 55: // one user's batch, pairs repeating
-				u := script.Intn(40)
-				for i := 0; i < 16; i++ {
-					now += time.Duration(script.Intn(200)) * time.Millisecond
-					s := Sample{Time: now - time.Duration(script.Intn(2))*time.Second, User: u, Service: script.Intn(120), Value: script.Float64()}
-					p.Add(s)
+			case op < 55: // one batch of up to three users' runs, pairs repeating in it
+				var batch []Sample
+				for r := script.Intn(3); r >= 0; r-- {
+					u := script.Intn(40)
+					for i := script.Intn(16); i >= 0; i-- {
+						now += time.Duration(script.Intn(200)) * time.Millisecond
+						batch = append(batch, Sample{Time: now - time.Duration(script.Intn(2))*time.Second, User: u, Service: script.Intn(120), Value: script.Float64()})
+					}
+				}
+				p.AddAll(batch)
+				for _, s := range batch {
 					ref.Add(s)
 				}
 				same(step, "add")
@@ -269,14 +275,94 @@ func TestPoolMatchesMapReference(t *testing.T) {
 		// The index must still find every retained pair: re-observing
 		// each one grows neither pool.
 		n := p.Len()
-		for _, s := range append([]Sample(nil), ref.samples...) {
-			s.Time = now + time.Second
-			p.Add(s)
-			ref.Add(s)
+		again := append([]Sample(nil), ref.samples...)
+		for i := range again {
+			again[i].Time = now + time.Second
+			ref.Add(again[i])
 		}
+		p.AddAll(again)
 		if p.Len() != n || len(ref.samples) != n {
 			t.Fatalf("seed %d: re-observing %d retained pairs grew the pool to %d (reference %d)", seed, n, p.Len(), len(ref.samples))
 		}
 		same(4000, "re-observe")
 	}
+}
+
+// FuzzPoolBatches is TestPoolMatchesMapReference with fuzzer-chosen
+// scripts over a few users and services, so that a batch repeats pairs —
+// some new to the pool, some held by it, some at an older time than the
+// sample held — and runs of one user alternate inside a batch. Each
+// script byte picks an operation: a batch (AddAll), picks, a removal of a
+// pair or a user, a compaction or a clock advance. After every step both
+// pools must hold the same samples at the same positions, and every pick
+// must be the same.
+func FuzzPoolBatches(f *testing.F) {
+	f.Add(int64(1), []byte{0, 5, 1, 2, 5, 2, 1, 2, 3, 4, 0, 3, 0x10, 0x21, 0x10, 0x21, 0x14, 0x03})
+	f.Add(int64(2), []byte{0, 7, 0, 0, 0, 0, 4, 0, 1, 0x31, 0, 0, 3, 8, 0x20, 5, 0, 0, 6, 7, 2})
+	f.Add(int64(3), []byte{0, 15, 0xff, 0xf0, 0x04, 0x01, 0x08, 0x02, 2, 3, 1, 0x40, 0, 9, 0x03, 0x11, 0x07, 0x42, 5, 3})
+	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
+		const expiry = 2 * time.Second
+		p := NewPool(expiry, seed)
+		ref := &refPool{expiry: expiry, rng: rand.New(rand.NewSource(seed)), slot: map[[2]int]int{}}
+		next := func() byte {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return b
+		}
+		now := time.Duration(0)
+		for step := 0; len(script) > 0; step++ {
+			switch op := next(); op % 8 {
+			case 0, 1, 2: // a batch of 1–16 samples; each takes two bytes
+				batch := make([]Sample, 1+int(next())%16)
+				for i := range batch {
+					who, when := next(), next()
+					now += time.Duration(when>>4) * 100 * time.Millisecond
+					at := now
+					if who&0x80 != 0 { // an older observation of the pair
+						at -= time.Second
+					}
+					batch[i] = Sample{Time: at, User: int(who & 3), Service: int(when & 15), Value: float64(step*16 + i)}
+				}
+				p.AddAll(batch)
+				for _, s := range batch {
+					ref.Add(s)
+				}
+			case 3:
+				for i := 1 + int(op>>3)%8; i > 0; i-- {
+					got, ok := p.Pick()
+					want, wok := ref.Pick()
+					if got != want || ok != wok {
+						t.Fatalf("step %d: Pick %+v, %v; reference %+v, %v", step, got, ok, want, wok)
+					}
+				}
+			case 4:
+				b := next()
+				p.Remove(int(b&3), int(b>>4))
+				ref.Remove(int(b&3), int(b>>4))
+			case 5:
+				p.RemoveUser(int(op>>3) & 3)
+				ref.RemoveUser(int(op>>3) & 3)
+			case 6:
+				p.Compact()
+				ref.Compact()
+			case 7:
+				now += time.Duration(op>>3) * 200 * time.Millisecond
+				p.AdvanceTo(now)
+				ref.AdvanceTo(now)
+			}
+			if p.Len() != len(ref.samples) {
+				t.Fatalf("step %d: Len %d, reference %d", step, p.Len(), len(ref.samples))
+			}
+			i := 0
+			p.Each(func(s Sample) {
+				if s != ref.samples[i] {
+					t.Fatalf("step %d: position %d holds %+v, reference %+v", step, i, s, ref.samples[i])
+				}
+				i++
+			})
+		}
+	})
 }

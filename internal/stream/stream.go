@@ -16,7 +16,7 @@ import (
 // Sample is one observed QoS data sample (t_ij, u_i, s_j, R_ij) as in
 // Algorithm 1 of the paper.
 type Sample struct {
-	Time    time.Duration // observation time, offset from dataset start
+	Time    time.Duration // observation time: from the dataset's start, or in the server from the Unix epoch
 	User    int
 	Service int
 	Value   float64

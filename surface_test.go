@@ -51,7 +51,7 @@ var keep = map[string]string{
 	"transform.MustNew":                "fixture constructor: every transform test and the package example build their Transformer with it",
 	"matrix.EffectiveRank":             "Fig. 9's low-rank reading: dataset generator_test and matrix eigen_test report it",
 
-	"server.NewWithClock":                "test seam: injects the server clock (server_test TestObserveCustomTimestamp, TestFutureTimestampKeepsReplay)",
+	"server.NewWithClock":                "test seam: injects the server clock (server_test TestObserveCustomTimestamp, TestFutureTimestampKeepsReplay; durable_test TestRestartKeepsReplay)",
 	"server.WithSlowRequestThreshold":    "test seam: lowers the slow-request threshold so TestSlowRequestLogged need not sleep a second",
 	"(*store.Manager).SetCaptureForTest": "test seam: installs a checkpoint capture without the background loop (store manager_test, fence_test, bench_test)",
 }
