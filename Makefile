@@ -153,7 +153,13 @@ fuzz-store:
 # to strconv.ParseFloat's bits, or hands it to strconv; and the
 # X-Amf-Trace header's parser (internal/obs/trace/trace_test.go): it
 # never panics, and what it accepts is what HeaderValue writes for the
-# parsed IDs, up to the case of the hex digits. CI runs this leg at
+# parsed IDs, up to the case of the hex digits; and the strict /metrics
+# parser the gateway runs on every replica's page
+# (internal/obs/fuzz_test.go): it never panics, nor do Validate and
+# HistogramQuantile on what it accepts, and an accepted page federates
+# back to one with the same families, types and sample counts (its seeds
+# are whole 3-20 KB pages, so minimizing is capped at 200 runs an input:
+# the default 60 s would spend the whole FUZZTIME on it). CI runs this leg at
 # FUZZTIME=10s per target; the seed corpora alone run under plain
 # `go test`.
 fuzz-wire:
@@ -162,6 +168,7 @@ fuzz-wire:
 	done
 	$(GO) test -run=NONE -fuzz='^FuzzParseNumber$$' -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run=NONE -fuzz='^FuzzParseHeader$$' -fuzztime=$(FUZZTIME) ./internal/obs/trace/
+	$(GO) test -run=NONE -fuzz='^FuzzParseMetrics$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=200x ./internal/obs/
 
 # Fused top-k selection against the push-every-row reference
 # (internal/core/select_test.go): fuzzer-chosen keys — ties, ±0, ±Inf,

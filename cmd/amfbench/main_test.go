@@ -2,7 +2,6 @@ package main
 
 import (
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -56,14 +55,23 @@ func TestRunStatsAndFigures(t *testing.T) {
 
 func TestRunTable1Tiny(t *testing.T) {
 	out, err := captureStdout(t, func() error {
-		return run([]string{"-exp", "table1", "-scale", "tiny", "-attr", "RT", "-rounds", "1"})
+		return run([]string{"-exp", "table1,fig7,fig8,fig10,fig11,fig12,params", "-scale", "tiny", "-attr", "RT", "-rounds", "1"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"UPCC", "AMF", "Improve."} {
+	for _, want := range []string{
+		"UPCC", "AMF", "Improve.", // table1
+		"Throughput (cut at 150 kbps):",                // fig7
+		"RT |skewness|",                                // fig8
+		"RT: share of errors within +/-0.5:\n  UIPCC ", // fig10
+		"\nAMF(a=1) ",                                  // fig11
+		"density=5%", "density=50%",                    // fig12
+		"RT parameter sweeps", "\nrank ", "\nbeta ", // params
+		"[params completed in",
+	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("table output missing %q", want)
+			t.Errorf("output missing %q", want)
 		}
 	}
 }
@@ -96,18 +104,25 @@ func TestRunAdaptationTiny(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags also holds every refusal to come before any
+// experiment runs: a bad name late in -exp must not cost the ones before.
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := map[string][]string{
-		"bad scale":       {"-scale", "galactic"},
-		"bad attr":        {"-attr", "JITTER"},
-		"bad experiment":  {"-exp", "fig99", "-scale", "tiny"},
-		"negative rounds": {"-exp", "table1", "-rounds", "-1", "-scale", "tiny"},
-		"zero rounds":     {"-exp", "params", "-rounds", "0", "-scale", "tiny"},
-		"stray argument":  {"-exp", "fig2", "-scale", "tiny", "extra"},
+		"bad scale":                 {"-scale", "galactic"},
+		"bad attr":                  {"-attr", "JITTER"},
+		"bad experiment":            {"-exp", "fig99", "-scale", "tiny"},
+		"bad experiment after good": {"-exp", "table1,fig99", "-scale", "tiny", "-attr", "RT", "-rounds", "1"},
+		"negative rounds":           {"-exp", "table1", "-rounds", "-1", "-scale", "tiny"},
+		"zero rounds":               {"-exp", "params", "-rounds", "0", "-scale", "tiny"},
+		"stray argument":            {"-exp", "fig2", "-scale", "tiny", "extra"},
 	}
 	for name, args := range cases {
-		if _, err := captureStdout(t, func() error { return run(args) }); err == nil {
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+		if strings.Contains(out, "==") {
+			t.Errorf("%s: an experiment ran before the refusal:\n%s", name, out)
 		}
 	}
 }
@@ -140,23 +155,6 @@ func TestParseAttrs(t *testing.T) {
 	}
 	if _, err := parseAttrs("xx"); err == nil {
 		t.Fatal("bad attr should error")
-	}
-}
-
-func TestRunWritesCSV(t *testing.T) {
-	dir := t.TempDir()
-	_, err := captureStdout(t, func() error {
-		return run([]string{"-exp", "table1", "-scale", "tiny", "-attr", "RT", "-rounds", "1", "-csv", dir})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "table1_RT.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "attr,approach,density") {
-		t.Fatalf("csv content: %s", data)
 	}
 }
 

@@ -10,29 +10,19 @@ import (
 
 // Fig10Options configures the prediction-error-distribution experiment
 // (paper Fig. 10): UIPCC, PMF, and AMF at a fixed density, with signed
-// errors histogrammed over [-Range, Range].
+// errors histogrammed over [-fig10Range, fig10Range].
 type Fig10Options struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
 	Density float64 // paper plots density 10%
-	Slice   int
 	Seed    int64
-	Range   float64 // histogram half-width; paper uses 3
-	Bins    int
 }
 
-func (o Fig10Options) withDefaults() Fig10Options {
-	if o.Density == 0 {
-		o.Density = 0.10
-	}
-	if o.Range == 0 {
-		o.Range = 3
-	}
-	if o.Bins == 0 {
-		o.Bins = 60
-	}
-	return o
-}
+// The paper's Fig. 10 histogram: 60 bins over errors in [-3, 3].
+const (
+	fig10Range = 3
+	fig10Bins  = 60
+)
 
 // Fig10Result holds one error histogram per approach.
 type Fig10Result struct {
@@ -44,12 +34,14 @@ type Fig10Result struct {
 // RunFig10 trains UIPCC, PMF, and AMF on one split and histograms their
 // signed prediction errors on the test set.
 func RunFig10(opts Fig10Options) (*Fig10Result, error) {
-	opts = opts.withDefaults()
+	if opts.Density == 0 {
+		opts.Density = 0.10
+	}
 	gen, err := dataset.New(opts.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := stream.SliceSplit(gen, opts.Attr, opts.Slice, opts.Density, opts.Seed)
+	sp, err := stream.SliceSplit(gen, opts.Attr, paperSlice, opts.Density, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +55,7 @@ func RunFig10(opts Fig10Options) (*Fig10Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: fig10 train %s: %w", a.Name, err)
 		}
-		h := stats.NewHistogram(-opts.Range, opts.Range, opts.Bins)
+		h := stats.NewHistogram(-fig10Range, fig10Range, fig10Bins)
 		h.ObserveAll(SignedErrors(pred, sp.Test))
 		res.Histograms[a.Name] = h
 		res.Order = append(res.Order, a.Name)
@@ -87,80 +79,4 @@ func (r *Fig10Result) CenterMass(approach string, w float64) float64 {
 		}
 	}
 	return float64(inside) / float64(h.Total())
-}
-
-// Fig11Options configures the data-transformation-impact experiment
-// (paper Fig. 11): MRE of PMF, AMF(α=1), and AMF across densities.
-type Fig11Options struct {
-	Dataset   dataset.Config
-	Attr      dataset.Attribute
-	Densities []float64
-	Rounds    int
-	Slice     int
-	Seed      int64
-}
-
-func (o Fig11Options) withDefaults() Fig11Options {
-	if len(o.Densities) == 0 {
-		o.Densities = []float64{0.10, 0.20, 0.30, 0.40, 0.50}
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 5
-	}
-	return o
-}
-
-// RunFig11 reuses the Table-I runner with the transformation-ablation
-// approach set.
-func RunFig11(opts Fig11Options) (*Table1Result, error) {
-	opts = opts.withDefaults()
-	one := 1.0
-	return RunTable1(Table1Options{
-		Dataset:   opts.Dataset,
-		Attr:      opts.Attr,
-		Densities: opts.Densities,
-		Rounds:    opts.Rounds,
-		Slice:     opts.Slice,
-		Seed:      opts.Seed,
-		Approaches: []Approach{
-			PMFApproach(),
-			AMFApproach("AMF(a=1)", AMFOverrides{Alpha: &one}),
-			AMFApproach("AMF", AMFOverrides{}),
-		},
-	})
-}
-
-// Fig12Options configures the matrix-density sweep (paper Fig. 12):
-// AMF alone, densities 5%..50% step 5%, all three metrics.
-type Fig12Options struct {
-	Dataset   dataset.Config
-	Attr      dataset.Attribute
-	Densities []float64
-	Rounds    int
-	Slice     int
-	Seed      int64
-}
-
-func (o Fig12Options) withDefaults() Fig12Options {
-	if len(o.Densities) == 0 {
-		o.Densities = []float64{0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50}
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 5
-	}
-	return o
-}
-
-// RunFig12 runs the density sweep for AMF.
-func RunFig12(opts Fig12Options) (*Table1Result, error) {
-	opts = opts.withDefaults()
-	return RunTable1(Table1Options{
-		Dataset:    opts.Dataset,
-		Attr:       opts.Attr,
-		Densities:  opts.Densities,
-		Rounds:     opts.Rounds,
-		Slice:      opts.Slice,
-		Seed:       opts.Seed,
-		Approaches: []Approach{AMFApproach("AMF", AMFOverrides{})},
-	})
 }

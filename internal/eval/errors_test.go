@@ -18,12 +18,6 @@ func TestRunnersRejectInvalidDataset(t *testing.T) {
 	if _, err := RunFig10(Fig10Options{Dataset: bad, Attr: dataset.ResponseTime}); err == nil {
 		t.Error("fig10 should reject invalid dataset")
 	}
-	if _, err := RunFig11(Fig11Options{Dataset: bad, Attr: dataset.ResponseTime}); err == nil {
-		t.Error("fig11 should reject invalid dataset")
-	}
-	if _, err := RunFig12(Fig12Options{Dataset: bad, Attr: dataset.ResponseTime}); err == nil {
-		t.Error("fig12 should reject invalid dataset")
-	}
 	if _, err := RunFig13(Fig13Options{Dataset: bad, Attr: dataset.ResponseTime}); err == nil {
 		t.Error("fig13 should reject invalid dataset")
 	}

@@ -71,12 +71,13 @@ func TestRunTable1RejectsBadDataset(t *testing.T) {
 
 func TestAccuracyImprovesWithDensity(t *testing.T) {
 	// Fig. 12's shape: AMF error decreases as the matrix densifies.
-	res, err := RunFig12(Fig12Options{
-		Dataset:   tinyDataset(),
-		Attr:      dataset.ResponseTime,
-		Densities: []float64{0.05, 0.5},
-		Rounds:    3,
-		Seed:      3,
+	res, err := RunTable1(Table1Options{
+		Dataset:    tinyDataset(),
+		Attr:       dataset.ResponseTime,
+		Densities:  []float64{0.05, 0.5},
+		Rounds:     3,
+		Seed:       3,
+		Approaches: []Approach{AMFApproach("AMF", AMFOverrides{})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -95,12 +96,18 @@ func TestAccuracyImprovesWithDensity(t *testing.T) {
 func TestRunFig11TransformationHelps(t *testing.T) {
 	// Fig. 11's shape: AMF <= AMF(α=1) <= PMF on MRE (allowing slack on
 	// the middle inequality at tiny scale, but the ends must hold).
-	res, err := RunFig11(Fig11Options{
+	one := 1.0
+	res, err := RunTable1(Table1Options{
 		Dataset:   tinyDataset(),
 		Attr:      dataset.ResponseTime,
 		Densities: []float64{0.3},
 		Rounds:    3,
 		Seed:      5,
+		Approaches: []Approach{
+			PMFApproach(),
+			AMFApproach("AMF(a=1)", AMFOverrides{Alpha: &one}),
+			AMFApproach("AMF", AMFOverrides{}),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +194,6 @@ func TestRunFig14NewcomersConvergeIncumbentsStable(t *testing.T) {
 		Dataset:       tinyDataset(),
 		Attr:          dataset.ResponseTime,
 		Density:       0.4,
-		Slice:         0,
 		Seed:          13,
 		PointsBefore:  4,
 		PointsAfter:   6,
@@ -211,14 +217,16 @@ func TestRunFig14NewcomersConvergeIncumbentsStable(t *testing.T) {
 }
 
 func TestRunFig14RejectsDegeneratePartition(t *testing.T) {
+	// One user: its 80% share rounds down to no incumbent at all.
+	one := tinyDataset()
+	one.Users = 1
 	opts := Fig14Options{
-		Dataset:      tinyDataset(),
-		Attr:         dataset.ResponseTime,
-		ExistingFrac: 0.001,
-		Seed:         1,
+		Dataset: one,
+		Attr:    dataset.ResponseTime,
+		Seed:    1,
 	}
-	if _, err := RunFig14(opts); err == nil {
-		t.Fatal("expected partition error")
+	if _, err := RunFig14(opts); err == nil || !strings.Contains(err.Error(), "empty partition") {
+		t.Fatalf("err = %v, want the empty-partition error", err)
 	}
 }
 

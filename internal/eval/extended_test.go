@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"github.com/qoslab/amf/internal/dataset"
@@ -68,47 +66,22 @@ func TestExtendedApproachesComplete(t *testing.T) {
 	}
 }
 
-func TestTable1CSV(t *testing.T) {
-	res, err := RunTable1(Table1Options{
-		Dataset:    tinyDataset(),
-		Attr:       dataset.ResponseTime,
-		Densities:  []float64{0.3},
-		Rounds:     1,
-		Seed:       1,
-		Approaches: []Approach{UMEANApproach(), AMFApproach("AMF", AMFOverrides{})},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 approaches
-		t.Fatalf("csv lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "attr,approach,density") {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	if !strings.Contains(out, "UMEAN") || !strings.Contains(out, "AMF") {
-		t.Fatalf("csv missing approaches:\n%s", out)
-	}
-}
-
-func TestFig13And14AndParamsCSV(t *testing.T) {
+// TestFig13And14AndParamsShape holds each runner's result to the shape
+// its options ask for: one Fig. 13 time per slice, Fig. 14's points before,
+// at and after the join, and one sweep point per swept value.
+func TestFig13And14AndParamsShape(t *testing.T) {
 	ds := tinyDataset()
 	f13, err := RunFig13(Fig13Options{Dataset: ds, Attr: dataset.ResponseTime, Slices: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f13.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	if f13.Slices != 2 || len(f13.AMFEpochs) != 2 {
+		t.Fatalf("fig13 slices = %d, AMF epochs %v", f13.Slices, f13.AMFEpochs)
 	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 3 {
-		t.Fatalf("fig13 csv lines = %d", got)
+	for _, name := range f13.Order {
+		if got := len(f13.Seconds[name]); got != 2 {
+			t.Fatalf("fig13 %s times = %d, want 2", name, got)
+		}
 	}
 
 	f14, err := RunFig14(Fig14Options{
@@ -118,17 +91,11 @@ func TestFig13And14AndParamsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := f14.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	if len(f14.Points) != 2+1+2 { // before + immediate + after
+		t.Fatalf("fig14 points = %d", len(f14.Points))
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+2+1+2 { // header + before + immediate + after
-		t.Fatalf("fig14 csv lines = %d:\n%s", len(lines), buf.String())
-	}
-	// Pre-join rows must have an empty newMRE column.
-	if !strings.HasSuffix(lines[1], ",") {
-		t.Fatalf("pre-join row should end with empty newMRE: %q", lines[1])
+	if f14.Points[1].AfterJoin || !f14.Points[2].AfterJoin {
+		t.Fatalf("fig14 join lands after point 2: %+v", f14.Points)
 	}
 
 	sweep, err := RunParamSweep(ParamSweepOptions{
@@ -138,12 +105,8 @@ func TestFig13And14AndParamsCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if err := sweep.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(strings.Split(strings.TrimSpace(buf.String()), "\n")); got != 5 {
-		t.Fatalf("sweep csv lines = %d", got)
+	if len(sweep.Points) != 4 {
+		t.Fatalf("sweep points = %d", len(sweep.Points))
 	}
 }
 

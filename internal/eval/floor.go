@@ -17,7 +17,6 @@ type FloorOptions struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
 	Density float64 // split density; only the test half is evaluated
-	Slice   int
 	Seed    int64
 }
 
@@ -37,7 +36,7 @@ func RunFloor(opts FloorOptions) (*FloorResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, err := stream.SliceSplit(gen, opts.Attr, opts.Slice, opts.Density, opts.Seed)
+	sp, err := stream.SliceSplit(gen, opts.Attr, paperSlice, opts.Density, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

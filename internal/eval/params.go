@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"github.com/qoslab/amf/internal/dataset"
-	"github.com/qoslab/amf/internal/stream"
 )
 
 // ParamSweepOptions configures the one-at-a-time hyperparameter sweeps of
@@ -17,7 +16,6 @@ type ParamSweepOptions struct {
 	Attr    dataset.Attribute
 	Density float64
 	Rounds  int
-	Slice   int
 	Seed    int64
 
 	Ranks      []int
@@ -61,57 +59,41 @@ type ParamSweepResult struct {
 	Points []ParamPoint
 }
 
-// RunParamSweep evaluates AMF's accuracy as each hyperparameter varies.
+// RunParamSweep evaluates AMF's accuracy as each hyperparameter varies:
+// one RunTable1 call at the sweep density, one AMF override per point.
 func RunParamSweep(opts ParamSweepOptions) (*ParamSweepResult, error) {
 	opts = opts.withDefaults()
-	gen, err := dataset.New(opts.Dataset)
+	res := &ParamSweepResult{Attr: opts.Attr}
+	var approaches []Approach
+	point := func(name string, value float64, ov AMFOverrides) {
+		res.Points = append(res.Points, ParamPoint{Param: name, Value: value})
+		approaches = append(approaches, AMFApproach(fmt.Sprintf("AMF(%s=%g)", name, value), ov))
+	}
+	for _, d := range opts.Ranks {
+		point("rank", float64(d), AMFOverrides{Rank: &d})
+	}
+	for _, reg := range opts.Regs {
+		point("lambda", reg, AMFOverrides{Reg: &reg})
+	}
+	for _, eta := range opts.LearnRates {
+		point("eta", eta, AMFOverrides{LearnRate: &eta})
+	}
+	for _, beta := range opts.Betas {
+		point("beta", beta, AMFOverrides{Beta: &beta})
+	}
+	table, err := RunTable1(Table1Options{
+		Dataset:    opts.Dataset,
+		Attr:       opts.Attr,
+		Densities:  []float64{opts.Density},
+		Rounds:     opts.Rounds,
+		Seed:       opts.Seed,
+		Approaches: approaches,
+	})
 	if err != nil {
 		return nil, err
 	}
-	res := &ParamSweepResult{Attr: opts.Attr}
-
-	evalOverride := func(name string, value float64, ov AMFOverrides) error {
-		var ms []Metrics
-		for round := 0; round < opts.Rounds; round++ {
-			seed := opts.Seed + int64(round)*7919
-			sp, err := stream.SliceSplit(gen, opts.Attr, opts.Slice, opts.Density, seed)
-			if err != nil {
-				return err
-			}
-			ctx := NewTrainContext(opts.Attr, opts.Dataset.Users, opts.Dataset.Services, sp, seed)
-			pred, err := AMFApproach("AMF", ov).Train(ctx)
-			if err != nil {
-				return fmt.Errorf("eval: sweep %s=%g: %w", name, value, err)
-			}
-			ms = append(ms, Compute(pred, sp.Test))
-		}
-		res.Points = append(res.Points, ParamPoint{Param: name, Value: value, Metrics: Average(ms)})
-		return nil
-	}
-
-	for _, d := range opts.Ranks {
-		d := d
-		if err := evalOverride("rank", float64(d), AMFOverrides{Rank: &d}); err != nil {
-			return nil, err
-		}
-	}
-	for _, reg := range opts.Regs {
-		reg := reg
-		if err := evalOverride("lambda", reg, AMFOverrides{Reg: &reg}); err != nil {
-			return nil, err
-		}
-	}
-	for _, eta := range opts.LearnRates {
-		eta := eta
-		if err := evalOverride("eta", eta, AMFOverrides{LearnRate: &eta}); err != nil {
-			return nil, err
-		}
-	}
-	for _, beta := range opts.Betas {
-		beta := beta
-		if err := evalOverride("beta", beta, AMFOverrides{Beta: &beta}); err != nil {
-			return nil, err
-		}
+	for i := range res.Points {
+		res.Points[i].Metrics = table.Cells[i].Metrics
 	}
 	return res, nil
 }

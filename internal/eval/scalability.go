@@ -20,11 +20,7 @@ type Fig14Options struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
 	Density float64 // observation density for both phases
-	// ExistingFrac is the fraction of users/services present initially.
-	// Zero means the paper's 0.8.
-	ExistingFrac float64
-	Slice        int
-	Seed         int64
+	Seed    int64
 	// PointsBefore/PointsAfter are the number of measurement points in
 	// each phase; StepsPerPoint replay updates run between measurements.
 	PointsBefore  int
@@ -35,9 +31,6 @@ type Fig14Options struct {
 func (o Fig14Options) withDefaults() Fig14Options {
 	if o.Density == 0 {
 		o.Density = 0.30
-	}
-	if o.ExistingFrac == 0 {
-		o.ExistingFrac = 0.8
 	}
 	if o.PointsBefore == 0 {
 		o.PointsBefore = 10
@@ -50,6 +43,10 @@ func (o Fig14Options) withDefaults() Fig14Options {
 	}
 	return o
 }
+
+// existingFrac is the share of users and services present before the
+// join: the paper's 80%.
+const existingFrac = 0.8
 
 // Fig14Point is one measurement of the churn experiment.
 type Fig14Point struct {
@@ -88,15 +85,15 @@ func runFig14Variant(opts Fig14Options, adaptiveWeights bool) (*Fig14Result, err
 	rng := rand.New(rand.NewSource(opts.Seed))
 	users := rng.Perm(cfg.Users)
 	services := rng.Perm(cfg.Services)
-	ucut := int(float64(cfg.Users) * opts.ExistingFrac)
-	scut := int(float64(cfg.Services) * opts.ExistingFrac)
+	ucut := int(float64(cfg.Users) * existingFrac)
+	scut := int(float64(cfg.Services) * existingFrac)
 	if ucut < 1 || ucut >= cfg.Users || scut < 1 || scut >= cfg.Services {
-		return nil, fmt.Errorf("eval: fig14: ExistingFrac %g leaves an empty partition", opts.ExistingFrac)
+		return nil, fmt.Errorf("eval: fig14: %d users x %d services leave an empty partition", cfg.Users, cfg.Services)
 	}
 	exUsers, newUsers := users[:ucut], users[ucut:]
 	exSvcs, newSvcs := services[:scut], services[scut:]
 
-	existing, err := stream.SubsetSplit(gen, opts.Attr, opts.Slice, exUsers, exSvcs, opts.Density, opts.Seed+1)
+	existing, err := stream.SubsetSplit(gen, opts.Attr, paperSlice, exUsers, exSvcs, opts.Density, opts.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +158,11 @@ func runFig14Variant(opts Fig14Options, adaptiveWeights bool) (*Fig14Result, err
 // experiment density.
 func newcomerSplit(gen *dataset.Generator, opts Fig14Options, exUsers, newUsers, exSvcs, newSvcs []int) (stream.Split, error) {
 	allSvcs := append(append([]int{}, exSvcs...), newSvcs...)
-	a, err := stream.SubsetSplit(gen, opts.Attr, opts.Slice, newUsers, allSvcs, opts.Density, opts.Seed+2)
+	a, err := stream.SubsetSplit(gen, opts.Attr, paperSlice, newUsers, allSvcs, opts.Density, opts.Seed+2)
 	if err != nil {
 		return stream.Split{}, err
 	}
-	b, err := stream.SubsetSplit(gen, opts.Attr, opts.Slice, exUsers, newSvcs, opts.Density, opts.Seed+3)
+	b, err := stream.SubsetSplit(gen, opts.Attr, paperSlice, exUsers, newSvcs, opts.Density, opts.Seed+3)
 	if err != nil {
 		return stream.Split{}, err
 	}

@@ -11,14 +11,14 @@ import (
 // SliceSeriesOptions configures the supplementary all-slices experiment:
 // the paper reports Table I on time slice 1 and defers the full 64-slice
 // results to its supplementary report; this runner produces that series,
-// evaluating each approach independently on every slice.
+// evaluating UIPCC, PMF and AMF (the Fig. 10 trio) independently on every
+// slice.
 type SliceSeriesOptions struct {
-	Dataset    dataset.Config
-	Attr       dataset.Attribute
-	Density    float64 // default 0.10, the paper's headline sparsity
-	Slices     int     // number of consecutive slices (0 = all)
-	Seed       int64
-	Approaches []Approach // nil means UIPCC, PMF, AMF (the Fig. 10 trio)
+	Dataset dataset.Config
+	Attr    dataset.Attribute
+	Density float64 // default 0.10, the paper's headline sparsity
+	Slices  int     // number of consecutive slices (0 = all)
+	Seed    int64
 }
 
 func (o SliceSeriesOptions) withDefaults() SliceSeriesOptions {
@@ -27,9 +27,6 @@ func (o SliceSeriesOptions) withDefaults() SliceSeriesOptions {
 	}
 	if o.Slices <= 0 || o.Slices > o.Dataset.Slices {
 		o.Slices = o.Dataset.Slices
-	}
-	if o.Approaches == nil {
-		o.Approaches = []Approach{UIPCCApproach(), PMFApproach(), AMFApproach("AMF", AMFOverrides{})}
 	}
 	return o
 }
@@ -57,7 +54,8 @@ func RunSliceSeries(opts SliceSeriesOptions) (*SliceSeriesResult, error) {
 		Slices:  opts.Slices,
 		Series:  map[string][]Metrics{},
 	}
-	for _, a := range opts.Approaches {
+	approaches := []Approach{UIPCCApproach(), PMFApproach(), AMFApproach("AMF", AMFOverrides{})}
+	for _, a := range approaches {
 		res.Order = append(res.Order, a.Name)
 	}
 	for t := 0; t < opts.Slices; t++ {
@@ -67,7 +65,7 @@ func RunSliceSeries(opts SliceSeriesOptions) (*SliceSeriesResult, error) {
 			return nil, err
 		}
 		ctx := NewTrainContext(opts.Attr, opts.Dataset.Users, opts.Dataset.Services, sp, seed)
-		for _, a := range opts.Approaches {
+		for _, a := range approaches {
 			pred, err := a.Train(ctx)
 			if err != nil {
 				return nil, fmt.Errorf("eval: slice %d train %s: %w", t, a.Name, err)

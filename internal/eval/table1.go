@@ -16,10 +16,13 @@ type Table1Options struct {
 	Attr       dataset.Attribute
 	Densities  []float64 // paper: 0.10 … 0.50 step 0.10
 	Rounds     int       // paper: 20
-	Slice      int       // paper reports slice 1 (index 0)
 	Seed       int64
 	Approaches []Approach // nil means StandardApproaches()
 }
+
+// paperSlice is the time slice the paper's single-slice experiments
+// report: slice 1, index 0.
+const paperSlice = 0
 
 func (o Table1Options) withDefaults() Table1Options {
 	if len(o.Densities) == 0 {
@@ -49,7 +52,10 @@ type Table1Result struct {
 
 // RunTable1 executes the accuracy comparison. The final approach in the
 // list is treated as "ours" when computing improvement rows (as the paper
-// computes AMF's improvement over the most competitive baseline).
+// computes AMF's improvement over the most competitive baseline). It is
+// the one density × round × approach loop of the package: Figs. 11 and
+// 12, the ablations and the parameter sweeps are approach and density
+// lists handed to it.
 func RunTable1(opts Table1Options) (*Table1Result, error) {
 	opts = opts.withDefaults()
 	gen, err := dataset.New(opts.Dataset)
@@ -61,7 +67,7 @@ func RunTable1(opts Table1Options) (*Table1Result, error) {
 		perApproach := make([][]Metrics, len(opts.Approaches))
 		for round := 0; round < opts.Rounds; round++ {
 			seed := opts.Seed + int64(round)*7919
-			sp, err := stream.SliceSplit(gen, opts.Attr, opts.Slice, density, seed)
+			sp, err := stream.SliceSplit(gen, opts.Attr, paperSlice, density, seed)
 			if err != nil {
 				return nil, err
 			}

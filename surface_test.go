@@ -4,8 +4,10 @@ package amf
 // examples/ and bench/ call. An exported function or method under
 // internal/ or cmd/ that none of their non-test files reaches exists only
 // for its own tests, and every such signature is something the next
-// refactor has to carry. TestNoUncalledExports fails on each one that is
-// not in the keep table below, and — like the README lints in
+// refactor has to carry. An unexported package-level function that no
+// non-test file calls is a helper whose last caller was deleted.
+// TestNoUncalledExports fails on each of either that is not in the keep
+// table below, and — like the README lints in
 // internal/cluster — in the other direction too: a keep entry that is
 // called by now, or gone, must be deleted.
 
@@ -239,8 +241,11 @@ func TestNoUncalledExports(t *testing.T) {
 	var problems []string
 	for name, fn := range sf.uncalled(keep) {
 		pkg := strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/")
-		if fn.Exported() && (strings.HasPrefix(pkg, "internal/") || strings.HasPrefix(pkg, "cmd/")) {
+		switch {
+		case fn.Exported() && (strings.HasPrefix(pkg, "internal/") || strings.HasPrefix(pkg, "cmd/")):
 			problems = append(problems, name+": exported, but no non-test file of cmd/, examples/, internal/ or bench/ calls it: delete it, or add it to keep with the reason it stays")
+		case !fn.Exported() && fn.Type().(*types.Signature).Recv() == nil:
+			problems = append(problems, name+": unexported function that no non-test file calls (left behind by a deleted caller?): delete it, or add it to keep with the reason it stays")
 		}
 	}
 	// The other direction: an entry earns its line only if the function
