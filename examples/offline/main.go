@@ -1,8 +1,10 @@
 // Offline: evaluate every prediction approach on a QoS dataset loaded
 // from disk. This is the workflow for users who bring their own
 // measurements: serialize them in the triplet format (cmd/qosgen emits
-// it; any tool can), then compare UMEAN/IMEAN/UPCC/IPCC/UIPCC/PMF and AMF
-// on a held-out split.
+// it; any tool can), then compare all ten approaches of
+// eval.ExtendedApproaches on a held-out split: the UMEAN/IMEAN floors,
+// UPCC/IPCC/UIPCC/PMF, the BiasedMF and NIMF extension baselines,
+// AMF(auto) and AMF.
 package main
 
 import (

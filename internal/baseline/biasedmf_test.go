@@ -10,7 +10,7 @@ import (
 func TestBiasedMFRecoversStructure(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {6, 1}: true, {0, 5}: true}
 	m, truth := structuredMatrix(10, 8, hold)
-	b, err := TrainBiasedMF(m, BiasedMFConfig{Rank: 4, RMax: 10, Seed: 3, MaxEpochs: 2000, Tol: 1e-7})
+	b, err := trainFactorizer(m, biasedMF, 10, 3, schedule{rank: 4, epochs: 2000, tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,9 +23,6 @@ func TestBiasedMFRecoversStructure(t *testing.T) {
 		if math.Abs(got-want)/want > 0.3 {
 			t.Errorf("BiasedMF(%v) = %.3f, truth %.3f", cell, got, want)
 		}
-	}
-	if b.Name() != "BiasedMF" {
-		t.Fatal("name")
 	}
 	if b.rmse <= 0 {
 		t.Fatalf("training rmse %g", b.rmse)
@@ -53,11 +50,11 @@ func TestBiasedMFBeatsPlainPMFOnBiasedData(t *testing.T) {
 	}
 	m.Freeze()
 
-	biased, err := TrainBiasedMF(m, BiasedMFConfig{Rank: 2, RMax: 15, Seed: 1, MaxEpochs: 1500, Tol: 1e-8})
+	biased, err := trainFactorizer(m, biasedMF, 15, 1, schedule{rank: 2, epochs: 1500, tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := TrainPMF(m, PMFConfig{Rank: 2, RMax: 15, Seed: 1, MaxEpochs: 1500, Tol: 1e-8})
+	plain, err := trainFactorizer(m, pmf, 15, 1, schedule{rank: 2, epochs: 1500, tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,15 +73,9 @@ func TestBiasedMFBeatsPlainPMFOnBiasedData(t *testing.T) {
 
 func TestBiasedMFValidation(t *testing.T) {
 	m, _ := structuredMatrix(3, 3, nil)
-	cases := map[string]BiasedMFConfig{
-		"rmax":  {},
-		"rank":  {RMax: 10, Rank: -1},
-		"reg":   {RMax: 10, Reg: -1},
-		"lrate": {RMax: 10, LearnRate: -1},
-	}
-	for name, cfg := range cases {
-		if _, err := TrainBiasedMF(m, cfg); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, rmax := range []float64{0, -1} {
+		if _, err := TrainBiasedMF(m, rmax, 0); err == nil {
+			t.Errorf("RMax=%g should error", rmax)
 		}
 	}
 }
@@ -92,19 +83,17 @@ func TestBiasedMFValidation(t *testing.T) {
 func TestBiasedMFEmptyAndBounds(t *testing.T) {
 	m := matrix.NewSparse(3, 3)
 	m.Freeze()
-	b, err := TrainBiasedMF(m, BiasedMFConfig{RMax: 10})
+	b, err := TrainBiasedMF(m, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := b.Predict(0, 0); !ok || v > 10 {
+	if v, ok := b(0, 0); !ok || v > 10 {
 		t.Fatalf("untrained prediction = %g, %v", v, ok)
 	}
-	if _, ok := b.Predict(-1, 0); ok {
+	if _, ok := b(-1, 0); ok {
 		t.Fatal("out of range user")
 	}
-	if _, ok := b.Predict(0, 3); ok {
+	if _, ok := b(0, 3); ok {
 		t.Fatal("out of range service")
 	}
 }
-
-var _ Predictor = (*BiasedMF)(nil)

@@ -34,9 +34,9 @@ func structuredMatrix(rows, cols int, holdOut map[[2]int]bool) (*matrix.Sparse, 
 func TestUPCCPredictsHeldOut(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {5, 1}: true}
 	m, truth := structuredMatrix(8, 6, hold)
-	u := TrainUPCC(m, PCCConfig{TopK: -1})
+	u := TrainUPCC(m)
 	for cell := range hold {
-		got, ok := u.Predict(cell[0], cell[1])
+		got, ok := u(cell[0], cell[1])
 		if !ok {
 			t.Fatalf("no prediction for %v", cell)
 		}
@@ -45,17 +45,14 @@ func TestUPCCPredictsHeldOut(t *testing.T) {
 			t.Errorf("UPCC(%v) = %.3f, truth %.3f", cell, got, want)
 		}
 	}
-	if u.Name() != "UPCC" {
-		t.Fatal("name")
-	}
 }
 
 func TestIPCCPredictsHeldOut(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {5, 1}: true}
 	m, truth := structuredMatrix(8, 6, hold)
-	p := TrainIPCC(m, PCCConfig{TopK: -1})
+	p := TrainIPCC(m)
 	for cell := range hold {
-		got, ok := p.Predict(cell[0], cell[1])
+		got, ok := p(cell[0], cell[1])
 		if !ok {
 			t.Fatalf("no prediction for %v", cell)
 		}
@@ -63,9 +60,6 @@ func TestIPCCPredictsHeldOut(t *testing.T) {
 		if math.Abs(got-want)/want > 0.5 {
 			t.Errorf("IPCC(%v) = %.3f, truth %.3f", cell, got, want)
 		}
-	}
-	if p.Name() != "IPCC" {
-		t.Fatal("name")
 	}
 }
 
@@ -79,8 +73,8 @@ func TestUPCCFallbacks(t *testing.T) {
 	m.Append(1, 1, 5.5)
 	m.Append(2, 2, 9)
 	m.Freeze()
-	u := TrainUPCC(m, PCCConfig{})
-	got, ok := u.Predict(2, 3)
+	u := TrainUPCC(m)
+	got, ok := u(2, 3)
 	if !ok || got != 9 {
 		t.Fatalf("fallback to user mean: got %g, %v; want 9", got, ok)
 	}
@@ -91,9 +85,9 @@ func TestUPCCGlobalFallbackForColdUser(t *testing.T) {
 	m.Append(0, 0, 2)
 	m.Append(1, 0, 4)
 	m.Freeze()
-	u := TrainUPCC(m, PCCConfig{})
+	u := TrainUPCC(m)
 	// User 2 never invoked anything: global mean of user means = 3.
-	got, ok := u.Predict(2, 1)
+	got, ok := u(2, 1)
 	if !ok || got != 3 {
 		t.Fatalf("global fallback: got %g, %v; want 3", got, ok)
 	}
@@ -102,8 +96,8 @@ func TestUPCCGlobalFallbackForColdUser(t *testing.T) {
 func TestUPCCEmptyMatrixNoPrediction(t *testing.T) {
 	m := matrix.NewSparse(2, 2)
 	m.Freeze()
-	u := TrainUPCC(m, PCCConfig{})
-	if _, ok := u.Predict(0, 0); ok {
+	u := TrainUPCC(m)
+	if _, ok := u(0, 0); ok {
 		t.Fatal("empty training data must yield no prediction")
 	}
 }
@@ -112,13 +106,13 @@ func TestPredictOutOfRangeIndices(t *testing.T) {
 	m := matrix.NewSparse(2, 2)
 	m.Append(0, 0, 1)
 	m.Freeze()
-	u := TrainUPCC(m, PCCConfig{})
-	p := TrainIPCC(m, PCCConfig{})
+	u := TrainUPCC(m)
+	p := TrainIPCC(m)
 	for _, cell := range [][2]int{{-1, 0}, {0, -1}, {2, 0}, {0, 2}} {
-		if _, ok := u.Predict(cell[0], cell[1]); ok {
+		if _, ok := u(cell[0], cell[1]); ok {
 			t.Errorf("UPCC accepted out-of-range %v", cell)
 		}
-		if _, ok := p.Predict(cell[0], cell[1]); ok {
+		if _, ok := p(cell[0], cell[1]); ok {
 			t.Errorf("IPCC accepted out-of-range %v", cell)
 		}
 	}
@@ -130,22 +124,22 @@ func TestIPCCFallbackToServiceMean(t *testing.T) {
 	m.Append(1, 0, 4)
 	m.Append(0, 1, 7)
 	m.Freeze()
-	p := TrainIPCC(m, PCCConfig{})
+	p := trainNeighborhood(m, false, true)
 	// User 2 invoked nothing; service 0's mean is 3.
 	got, ok := p.Predict(2, 0)
 	if !ok || got != 3 {
 		t.Fatalf("service-mean fallback: got %g, %v; want 3", got, ok)
 	}
-	if !p.hasMean[1] || p.svcMeans[1] != 7 {
-		t.Fatalf("service 1 mean = %g, %v", p.svcMeans[1], p.hasMean[1])
+	if len(p.keys[1]) != 1 || p.means[1] != 7 {
+		t.Fatalf("service 1 mean = %g over %d values", p.means[1], len(p.keys[1]))
 	}
 }
 
 func TestUIPCCBlendsBothViews(t *testing.T) {
 	hold := map[[2]int]bool{{3, 2}: true}
 	m, truth := structuredMatrix(8, 6, hold)
-	h := TrainUIPCC(m, UIPCCConfig{Lambda: 0.5, User: PCCConfig{TopK: -1}, Item: PCCConfig{TopK: -1}})
-	got, ok := h.Predict(3, 2)
+	h := TrainUIPCC(m)
+	got, ok := h(3, 2)
 	if !ok {
 		t.Fatal("no hybrid prediction")
 	}
@@ -153,36 +147,14 @@ func TestUIPCCBlendsBothViews(t *testing.T) {
 	if math.Abs(got-want)/want > 0.5 {
 		t.Errorf("UIPCC = %.3f, truth %.3f", got, want)
 	}
-	if h.Name() != "UIPCC" {
-		t.Fatal("name")
-	}
-}
-
-func TestUIPCCLambdaExtremes(t *testing.T) {
-	hold := map[[2]int]bool{{3, 2}: true}
-	m, _ := structuredMatrix(8, 6, hold)
-	onlyU := TrainUIPCC(m, UIPCCConfig{Lambda: 5, User: PCCConfig{TopK: -1}, Item: PCCConfig{TopK: -1}})  // clamps to 1
-	onlyI := TrainUIPCC(m, UIPCCConfig{Lambda: -1, User: PCCConfig{TopK: -1}, Item: PCCConfig{TopK: -1}}) // clamps to 0
-	u := onlyU.u
-	i2 := TrainIPCC(m, PCCConfig{TopK: -1})
-	uv, _, _ := u.PredictWithConfidence(3, 2)
-	iv, _, _ := i2.PredictWithConfidence(3, 2)
-	gu, _ := onlyU.Predict(3, 2)
-	gi, _ := onlyI.Predict(3, 2)
-	if math.Abs(gu-uv) > 1e-9 {
-		t.Errorf("lambda=1 should equal UPCC: %g vs %g", gu, uv)
-	}
-	if math.Abs(gi-iv) > 1e-9 {
-		t.Errorf("lambda=0 should equal IPCC: %g vs %g", gi, iv)
-	}
 }
 
 func TestUIPCCFallsBackWhenNoNeighbors(t *testing.T) {
 	m := matrix.NewSparse(2, 2)
 	m.Append(0, 0, 3)
 	m.Freeze()
-	h := TrainUIPCC(m, UIPCCConfig{Lambda: 0.1})
-	got, ok := h.Predict(1, 1)
+	h := TrainUIPCC(m)
+	got, ok := h(1, 1)
 	if !ok || got != 3 {
 		t.Fatalf("UIPCC fallback: got %g, %v; want 3 (global mean)", got, ok)
 	}
@@ -191,7 +163,7 @@ func TestUIPCCFallsBackWhenNoNeighbors(t *testing.T) {
 func TestPMFRecoversStructure(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {6, 1}: true, {0, 5}: true}
 	m, truth := structuredMatrix(10, 8, hold)
-	p, err := TrainPMF(m, PMFConfig{Rank: 4, RMax: 10, Seed: 3, MaxEpochs: 2000, Tol: 1e-7})
+	p, err := trainFactorizer(m, pmf, 10, 3, schedule{rank: 4, epochs: 2000, tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +177,6 @@ func TestPMFRecoversStructure(t *testing.T) {
 			t.Errorf("PMF(%v) = %.3f, truth %.3f", cell, got, want)
 		}
 	}
-	if p.Name() != "PMF" {
-		t.Fatal("name")
-	}
 	if p.rmse <= 0 {
 		t.Fatalf("training rmse %g", p.rmse)
 	}
@@ -215,11 +184,11 @@ func TestPMFRecoversStructure(t *testing.T) {
 
 func TestPMFTrainingErrorDecreases(t *testing.T) {
 	m, _ := structuredMatrix(10, 8, nil)
-	short, err := TrainPMF(m, PMFConfig{Rank: 4, RMax: 10, Seed: 3, MaxEpochs: 3, Tol: 1e-12})
+	short, err := trainFactorizer(m, pmf, 10, 3, schedule{rank: 4, epochs: 3, tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := TrainPMF(m, PMFConfig{Rank: 4, RMax: 10, Seed: 3, MaxEpochs: 500, Tol: 1e-12})
+	long, err := trainFactorizer(m, pmf, 10, 3, schedule{rank: 4, epochs: 500, tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,58 +199,43 @@ func TestPMFTrainingErrorDecreases(t *testing.T) {
 
 func TestPMFValidation(t *testing.T) {
 	m, _ := structuredMatrix(3, 3, nil)
-	if _, err := TrainPMF(m, PMFConfig{RMax: 0}); err == nil {
-		t.Error("RMax=0 should error")
-	}
-	if _, err := TrainPMF(m, PMFConfig{RMax: 10, Rank: -1}); err == nil {
-		t.Error("negative rank should error")
-	}
-	if _, err := TrainPMF(m, PMFConfig{RMax: 10, Reg: -0.1}); err == nil {
-		t.Error("negative reg should error")
-	}
-	if _, err := TrainPMF(m, PMFConfig{RMax: 10, LearnRate: -1}); err == nil {
-		t.Error("negative learn rate should error")
+	for _, rmax := range []float64{0, -1} {
+		if _, err := TrainPMF(m, rmax, 0); err == nil {
+			t.Errorf("RMax=%g should error", rmax)
+		}
 	}
 }
 
 func TestPMFEmptyMatrix(t *testing.T) {
 	m := matrix.NewSparse(3, 3)
 	m.Freeze()
-	p, err := TrainPMF(m, PMFConfig{RMax: 10})
+	p, err := TrainPMF(m, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := p.Predict(0, 0); !ok || v < 0 || v > 10 {
+	if v, ok := p(0, 0); !ok || v < 0 || v > 10 {
 		t.Fatalf("untrained prediction = %g, %v", v, ok)
 	}
 }
 
 func TestPMFPredictionClamped(t *testing.T) {
 	m, _ := structuredMatrix(6, 6, nil)
-	p, err := TrainPMF(m, PMFConfig{Rank: 3, RMax: 10, Seed: 1})
+	p, err := TrainPMF(m, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
 		for j := 0; j < 6; j++ {
-			v, ok := p.Predict(i, j)
+			v, ok := p(i, j)
 			if !ok || v < 0 || v > 10 {
 				t.Fatalf("PMF prediction %g out of [0,10]", v)
 			}
 		}
 	}
-	if _, ok := p.Predict(-1, 0); ok {
+	if _, ok := p(-1, 0); ok {
 		t.Fatal("out-of-range index must not predict")
 	}
-	if _, ok := p.Predict(0, 99); ok {
+	if _, ok := p(0, 99); ok {
 		t.Fatal("out-of-range service must not predict")
 	}
 }
-
-// All baselines satisfy the Predictor interface.
-var (
-	_ Predictor = (*UPCC)(nil)
-	_ Predictor = (*IPCC)(nil)
-	_ Predictor = (*UIPCC)(nil)
-	_ Predictor = (*PMF)(nil)
-)

@@ -21,20 +21,21 @@ func ExampleTrainUPCC() {
 	// (1, 2) is unobserved.
 	m.Freeze()
 
-	upcc := baseline.TrainUPCC(m, baseline.PCCConfig{TopK: -1})
-	v, ok := upcc.Predict(1, 2)
+	upcc := baseline.TrainUPCC(m)
+	v, ok := upcc(1, 2)
 	fmt.Printf("predicted=%v value=%.0f\n", ok, v)
 	// Output:
 	// predicted=true value=4
 }
 
 // PMF factorizes the observed matrix and reconstructs a held-out cell of
-// a rank-1 matrix almost exactly.
+// a rank-1 matrix closely.
 func ExampleTrainPMF() {
-	m := matrix.NewSparse(3, 3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if i == 2 && j == 2 {
+	const n = 8
+	m := matrix.NewSparse(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == 4 && j == 4 {
 				continue // held out
 			}
 			m.Append(i, j, float64((i+1)*(j+1)))
@@ -42,15 +43,13 @@ func ExampleTrainPMF() {
 	}
 	m.Freeze()
 
-	pmf, err := baseline.TrainPMF(m, baseline.PMFConfig{
-		Rank: 2, RMax: 10, Seed: 1, MaxEpochs: 3000, Tol: 1e-9,
-	})
+	pmf, err := baseline.TrainPMF(m, n*n+1, 1)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	v, _ := pmf.Predict(2, 2)
-	fmt.Printf("truth 9, predicted within 1.5: %v\n", v > 7.5 && v < 10.5)
+	v, _ := pmf(4, 4)
+	fmt.Printf("truth 25, predicted within 15%%: %v\n", v > 21.25 && v < 28.75)
 	// Output:
-	// truth 9, predicted within 1.5: true
+	// truth 25, predicted within 15%: true
 }

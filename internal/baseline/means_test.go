@@ -18,43 +18,37 @@ func meansMatrix(t *testing.T) *matrix.Sparse {
 
 func TestUMEANPredict(t *testing.T) {
 	u := TrainUMEAN(meansMatrix(t))
-	if u.Name() != "UMEAN" {
-		t.Fatal("name")
-	}
-	if got, ok := u.Predict(0, 2); !ok || got != 3 {
+	if got, ok := u(0, 2); !ok || got != 3 {
 		t.Fatalf("user 0 mean = %g, %v; want 3", got, ok)
 	}
-	if got, ok := u.Predict(1, 2); !ok || got != 6 {
+	if got, ok := u(1, 2); !ok || got != 6 {
 		t.Fatalf("user 1 mean = %g, %v; want 6", got, ok)
 	}
 	// User 2 has no observations: global mean of user means = 4.5.
-	if got, ok := u.Predict(2, 0); !ok || got != 4.5 {
+	if got, ok := u(2, 0); !ok || got != 4.5 {
 		t.Fatalf("global fallback = %g, %v; want 4.5", got, ok)
 	}
-	if _, ok := u.Predict(-1, 0); ok {
+	if _, ok := u(-1, 0); ok {
 		t.Fatal("out-of-range user")
 	}
-	if _, ok := u.Predict(0, 5); ok {
+	if _, ok := u(0, 5); ok {
 		t.Fatal("out-of-range service")
 	}
 }
 
 func TestIMEANPredict(t *testing.T) {
 	p := TrainIMEAN(meansMatrix(t))
-	if p.Name() != "IMEAN" {
-		t.Fatal("name")
-	}
-	if got, ok := p.Predict(2, 0); !ok || got != 4 {
+	if got, ok := p(2, 0); !ok || got != 4 {
 		t.Fatalf("service 0 mean = %g, %v; want 4", got, ok)
 	}
-	if got, ok := p.Predict(2, 1); !ok || got != 4 {
+	if got, ok := p(2, 1); !ok || got != 4 {
 		t.Fatalf("service 1 mean = %g, %v; want 4", got, ok)
 	}
 	// Service 2 unobserved: global mean of service means = 4.
-	if got, ok := p.Predict(0, 2); !ok || got != 4 {
+	if got, ok := p(0, 2); !ok || got != 4 {
 		t.Fatalf("global fallback = %g, %v; want 4", got, ok)
 	}
-	if _, ok := p.Predict(5, 0); ok {
+	if _, ok := p(5, 0); ok {
 		t.Fatal("out-of-range user")
 	}
 }
@@ -62,10 +56,10 @@ func TestIMEANPredict(t *testing.T) {
 func TestMeansEmptyMatrix(t *testing.T) {
 	m := matrix.NewSparse(2, 2)
 	m.Freeze()
-	if _, ok := TrainUMEAN(m).Predict(0, 0); ok {
+	if _, ok := TrainUMEAN(m)(0, 0); ok {
 		t.Fatal("empty UMEAN should not predict")
 	}
-	if _, ok := TrainIMEAN(m).Predict(0, 0); ok {
+	if _, ok := TrainIMEAN(m)(0, 0); ok {
 		t.Fatal("empty IMEAN should not predict")
 	}
 }
@@ -76,14 +70,14 @@ func TestCFBeatsMeansOnStructuredData(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {5, 1}: true, {7, 4}: true}
 	m, truth := structuredMatrix(10, 8, hold)
 	umean := TrainUMEAN(m)
-	upcc := TrainUPCC(m, PCCConfig{TopK: -1})
+	upcc := TrainUPCC(m)
 	var umeanErr, upccErr float64
 	for cell := range hold {
 		want := truth(cell[0], cell[1])
-		if v, ok := umean.Predict(cell[0], cell[1]); ok {
+		if v, ok := umean(cell[0], cell[1]); ok {
 			umeanErr += abs(v-want) / want
 		}
-		if v, ok := upcc.Predict(cell[0], cell[1]); ok {
+		if v, ok := upcc(cell[0], cell[1]); ok {
 			upccErr += abs(v-want) / want
 		}
 	}
@@ -98,8 +92,3 @@ func abs(x float64) float64 {
 	}
 	return x
 }
-
-var (
-	_ Predictor = (*UMEAN)(nil)
-	_ Predictor = (*IMEAN)(nil)
-)

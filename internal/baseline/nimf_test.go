@@ -10,7 +10,7 @@ import (
 func TestNIMFRecoversStructure(t *testing.T) {
 	hold := map[[2]int]bool{{2, 3}: true, {6, 1}: true, {0, 5}: true}
 	m, truth := structuredMatrix(10, 8, hold)
-	p, err := TrainNIMF(m, NIMFConfig{Rank: 4, RMax: 10, Seed: 3, MaxEpochs: 2000, Tol: 1e-7})
+	p, err := trainFactorizer(m, nimf, 10, 3, schedule{rank: 4, epochs: 2000, tol: 1e-7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,34 +24,8 @@ func TestNIMFRecoversStructure(t *testing.T) {
 			t.Errorf("NIMF(%v) = %.3f, truth %.3f", cell, got, want)
 		}
 	}
-	if p.Name() != "NIMF" {
-		t.Fatal("name")
-	}
 	if p.rmse <= 0 {
 		t.Fatalf("training rmse %g", p.rmse)
-	}
-}
-
-func TestNIMFAlphaOneEquivalentToPMFShape(t *testing.T) {
-	// With alpha forced to 1 the neighborhood term vanishes; the model
-	// should behave like plain MF and still fit the data.
-	m, truth := structuredMatrix(8, 6, nil)
-	p, err := TrainNIMF(m, NIMFConfig{Rank: 3, RMax: 10, Seed: 1, Alpha: 1, MaxEpochs: 1000, Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var worst float64
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 6; j++ {
-			got, _ := p.Predict(i, j)
-			rel := math.Abs(got-truth(i, j)) / truth(i, j)
-			if rel > worst {
-				worst = rel
-			}
-		}
-	}
-	if worst > 0.25 {
-		t.Fatalf("alpha=1 NIMF fits training data poorly: worst rel err %.3f", worst)
 	}
 }
 
@@ -71,7 +45,7 @@ func TestNIMFNeighborhoodHelpsSparseUsers(t *testing.T) {
 		}
 	}
 	m.Freeze()
-	p, err := TrainNIMF(m, NIMFConfig{Rank: 3, RMax: 10, Seed: 2, MaxEpochs: 1500, Tol: 1e-8})
+	p, err := trainFactorizer(m, nimf, 10, 2, schedule{rank: 3, epochs: 1500, tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +63,9 @@ func TestNIMFNeighborhoodHelpsSparseUsers(t *testing.T) {
 
 func TestNIMFValidation(t *testing.T) {
 	m, _ := structuredMatrix(3, 3, nil)
-	cases := map[string]NIMFConfig{
-		"rmax":     {},
-		"rank":     {RMax: 10, Rank: -1},
-		"reg":      {RMax: 10, Reg: -1},
-		"lrate":    {RMax: 10, LearnRate: -1},
-		"alpha hi": {RMax: 10, Alpha: 1.5},
-	}
-	for name, cfg := range cases {
-		if _, err := TrainNIMF(m, cfg); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, rmax := range []float64{0, -1} {
+		if _, err := TrainNIMF(m, rmax, 0); err == nil {
+			t.Errorf("RMax=%g should error", rmax)
 		}
 	}
 }
@@ -106,19 +73,17 @@ func TestNIMFValidation(t *testing.T) {
 func TestNIMFEmptyAndBounds(t *testing.T) {
 	m := matrix.NewSparse(3, 3)
 	m.Freeze()
-	p, err := TrainNIMF(m, NIMFConfig{RMax: 10})
+	p, err := TrainNIMF(m, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := p.Predict(0, 0); !ok || v > 10 {
+	if v, ok := p(0, 0); !ok || v > 10 {
 		t.Fatalf("untrained prediction = %g, %v", v, ok)
 	}
-	if _, ok := p.Predict(-1, 0); ok {
+	if _, ok := p(-1, 0); ok {
 		t.Fatal("out of range user")
 	}
-	if _, ok := p.Predict(0, 9); ok {
+	if _, ok := p(0, 9); ok {
 		t.Fatal("out of range service")
 	}
 }
-
-var _ Predictor = (*NIMF)(nil)

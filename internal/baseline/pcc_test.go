@@ -88,8 +88,8 @@ func TestTopNeighborsOrderingAndK(t *testing.T) {
 		{1, 0}: 2, {1, 1}: 4, {1, 2}: 6, {1, 3}: 8,
 		{2, 0}: 4, {2, 1}: 3, {2, 2}: 2, {2, 3}: 1,
 	})
-	keys, vals := rowVectors(m)
-	nbs := topNeighbors(keys, vals, PCCConfig{TopK: 5, MinCommon: 2})
+	keys, vals := axisVectors(m, true)
+	nbs := topNeighbors(keys, vals)
 	if len(nbs[0]) != 1 || nbs[0][0].id != 1 {
 		t.Fatalf("user 0 neighbors = %+v, want just user 1", nbs[0])
 	}
@@ -99,19 +99,20 @@ func TestTopNeighborsOrderingAndK(t *testing.T) {
 }
 
 func TestTopNeighborsTopKTruncation(t *testing.T) {
-	// Four mutually correlated users; TopK=2 must keep only two each.
+	// pccTopK+3 mutually correlated users: each must keep only pccTopK.
+	const users = pccTopK + 3
 	cells := map[[2]int]float64{}
-	for u := 0; u < 4; u++ {
+	for u := 0; u < users; u++ {
 		for j := 0; j < 4; j++ {
 			cells[[2]int{u, j}] = float64(j+1) * (1 + 0.1*float64(u))
 		}
 	}
-	m := buildMatrix(t, 4, 4, cells)
-	keys, vals := rowVectors(m)
-	nbs := topNeighbors(keys, vals, PCCConfig{TopK: 2, MinCommon: 2})
+	m := buildMatrix(t, users, 4, cells)
+	keys, vals := axisVectors(m, true)
+	nbs := topNeighbors(keys, vals)
 	for u, ns := range nbs {
-		if len(ns) > 2 {
-			t.Fatalf("user %d has %d neighbors, want <= 2", u, len(ns))
+		if len(ns) != pccTopK {
+			t.Fatalf("user %d has %d neighbors, want %d", u, len(ns), pccTopK)
 		}
 		for i := 1; i < len(ns); i++ {
 			if ns[i].sim > ns[i-1].sim {
@@ -131,18 +132,18 @@ func TestSignificanceWeightingShrinks(t *testing.T) {
 	cells[[2]int{1, 0}] = 2
 	cells[[2]int{1, 1}] = 4
 	m := buildMatrix(t, 2, 10, cells)
-	keys, vals := rowVectors(m)
+	keys, vals := axisVectors(m, true)
 
-	raw := topNeighbors(keys, vals, PCCConfig{TopK: -1, MinCommon: 2})
-	weighted := topNeighbors(keys, vals, PCCConfig{TopK: -1, MinCommon: 2, Significance: true})
-	if len(raw[0]) != 1 || len(weighted[0]) != 1 {
-		t.Fatalf("expected one neighbor: raw=%v weighted=%v", raw[0], weighted[0])
+	raw, _ := pcc(keys[0], vals[0], keys[1], vals[1], pccMinCommon)
+	weighted := topNeighbors(keys, vals)
+	if len(weighted[0]) != 1 {
+		t.Fatalf("expected one neighbor, got %v", weighted[0])
 	}
-	if weighted[0][0].sim >= raw[0][0].sim {
-		t.Fatalf("significance weighting should shrink: %g >= %g", weighted[0][0].sim, raw[0][0].sim)
+	if weighted[0][0].sim >= raw {
+		t.Fatalf("significance weighting should shrink: %g >= %g", weighted[0][0].sim, raw)
 	}
 	// 2 common of (10+2) observations: factor 2·2/12 = 1/3.
-	if want := raw[0][0].sim / 3; math.Abs(weighted[0][0].sim-want) > 1e-12 {
+	if want := raw / 3; math.Abs(weighted[0][0].sim-want) > 1e-12 {
 		t.Fatalf("weighted sim = %g, want %g", weighted[0][0].sim, want)
 	}
 }
@@ -151,7 +152,7 @@ func TestColVectorsSorted(t *testing.T) {
 	m := buildMatrix(t, 4, 3, map[[2]int]float64{
 		{3, 1}: 1, {0, 1}: 2, {2, 1}: 3, {1, 0}: 4,
 	})
-	keys, vals := colVectors(m)
+	keys, vals := axisVectors(m, false)
 	if len(keys[1]) != 3 {
 		t.Fatalf("col 1 has %d entries", len(keys[1]))
 	}

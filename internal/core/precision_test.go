@@ -158,7 +158,7 @@ func TestViewPrecision(t *testing.T) {
 			if err != nil {
 				t.Fatalf("model predict(%d,%d): %v", u, s, err)
 			}
-			pv, err := v.Predict(u, s)
+			pv, err := viewPredict(v, u, s)
 			if err != nil {
 				t.Fatalf("view predict(%d,%d): %v", u, s, err)
 			}
@@ -207,8 +207,8 @@ func TestSnapshotRoundTripIdempotent(t *testing.T) {
 		}
 		for user := 0; user < 2; user++ {
 			for s := 0; s < n; s++ {
-				got, gerr := rv.Predict(user, s)
-				want, werr := v.Predict(user, s)
+				got, gerr := viewPredict(rv, user, s)
+				want, werr := viewPredict(v, user, s)
 				if gerr != werr || math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("trip %d: Predict(%d,%d) = %v (%v), want %v (%v)", trip, user, s, got, gerr, want, werr)
 				}
@@ -264,7 +264,7 @@ func TestFloat32ViewSnapshotRoundTrip(t *testing.T) {
 			r.NumUsers(), r.NumServices(), r.Updates(), m.NumUsers(), m.NumServices(), m.Updates())
 	}
 	for svc := 0; svc < 200; svc++ {
-		served, err := v.Predict(0, svc)
+		served, err := viewPredict(v, 0, svc)
 		if err != nil {
 			t.Fatalf("view predict: %v", err)
 		}

@@ -153,7 +153,7 @@ func TestRestoreValidatesEntities(t *testing.T) {
 				if err != nil {
 					t.Fatalf("valid snapshot refused: %v", err)
 				}
-				if p, err := m.BuildView().Predict(0, 10); err != nil || math.IsNaN(p) || math.IsInf(p, 0) {
+				if p, err := viewPredict(m.BuildView(), 0, 10); err != nil || math.IsNaN(p) || math.IsInf(p, 0) {
 					t.Fatalf("restored model serves %v (%v)", p, err)
 				}
 				return

@@ -153,7 +153,8 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkPredictBatchView measures the batched point-prediction path
-// against per-call Predict on the same view, paired in one loop.
+// against per-call PredictWithConfidence on the same view, paired in one
+// loop.
 func BenchmarkPredictBatchView(b *testing.B) {
 	v, services := benchView(b, 10000)
 	dst := make([]float64, len(services))
@@ -166,7 +167,7 @@ func BenchmarkPredictBatchView(b *testing.B) {
 		_ = v.PredictBatch(0, services, dst)
 		t1 := time.Now()
 		for _, s := range services {
-			dst[0], _ = v.Predict(0, s)
+			dst[0], _ = viewPredict(v, 0, s)
 		}
 		t2 := time.Now()
 		batchNs = append(batchNs, t1.Sub(t0))
@@ -230,7 +231,7 @@ func BenchmarkViewLookup(b *testing.B) {
 		b.Run("ids="+shape.name+"/predict", func(b *testing.B) {
 			var sum float64
 			for i := 0; i < b.N; i++ {
-				x, _ := v.Predict(0, probes[i%len(probes)])
+				x, _ := viewPredict(v, 0, probes[i%len(probes)])
 				sum += x
 			}
 			sinkFloat = sum

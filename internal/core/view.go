@@ -355,24 +355,11 @@ func (v *PredictView) KnowsUser(id int) bool { _, ok := v.users.get(id); return 
 // KnowsService reports whether the service is present in the view.
 func (v *PredictView) KnowsService(id int) bool { _, ok := v.services.get(id); return ok }
 
-// Predict estimates the QoS value between a user and a service as
-// Model.Predict does, but wait-free and from the frozen float32 factors:
-// the two agree to ~6e-7 relative (TestViewPrecision), not to the bit.
-func (v *PredictView) Predict(user, service int) (float64, error) {
-	u, ok := v.users.get(user)
-	if !ok {
-		return 0, ErrUnknownUser
-	}
-	s, ok := v.services.get(service)
-	if !ok {
-		return 0, ErrUnknownService
-	}
-	g := transform.Sigmoid(veDot(u, s))
-	return v.tr.Backward(g), nil
-}
-
-// PredictWithConfidence returns Predict's estimate with the confidence
-// score 1/(1 + e_ui + e_sj) derived from the frozen error trackers (see
+// PredictWithConfidence estimates the QoS value between a user and a
+// service as Model.Predict does, but wait-free and from the frozen
+// float32 factors: the two agree to ~6e-7 relative (TestViewPrecision),
+// not to the bit. It returns the estimate with the confidence score
+// 1/(1 + e_ui + e_sj) derived from the frozen error trackers (see
 // Model.PredictWithConfidence).
 func (v *PredictView) PredictWithConfidence(user, service int) (value, confidence float64, err error) {
 	u, ok := v.users.get(user)

@@ -102,8 +102,8 @@ func checkRefreshEqualsBuild(t *testing.T, seed int64, restart bool) {
 			uid := userID(u)
 			for s := 0; s < maxServices; s++ {
 				sid := serviceID(s)
-				gv, gerr := v.Predict(uid, sid)
-				wv, werr := fresh.Predict(uid, sid)
+				gv, gerr := viewPredict(v, uid, sid)
+				wv, werr := viewPredict(fresh, uid, sid)
 				if gerr != werr || math.Float64bits(gv) != math.Float64bits(wv) {
 					t.Fatalf("seed %d op %d: Predict(%d,%d) refreshed %v (%v), fresh %v (%v)", seed, op, uid, sid, gv, gerr, wv, werr)
 				}
@@ -241,7 +241,7 @@ func TestHeldViewsNeverChange(t *testing.T) {
 				put(math.Float64bits(r.Value))
 			}
 			for s := 0; s < nServices; s++ {
-				p, _ := v.Predict(u, serviceID(s))
+				p, _ := viewPredict(v, u, serviceID(s))
 				put(math.Float64bits(p))
 			}
 		}

@@ -7,6 +7,13 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
+// viewPredict is the view's point estimate alone, as the served predict
+// reads it.
+func viewPredict(v *PredictView, user, service int) (float64, error) {
+	p, _, err := v.PredictWithConfidence(user, service)
+	return p, err
+}
+
 func viewTestModel(t *testing.T) *Model {
 	t.Helper()
 	cfg := DefaultConfig(-0.007, 0, 20)
@@ -34,7 +41,7 @@ func TestBuildViewMatchesModel(t *testing.T) {
 	for u := 0; u < 10; u++ {
 		for s := 0; s < 20; s++ {
 			mv, merr := m.Predict(u, s)
-			vv, verr := v.Predict(u, s)
+			vv, verr := viewPredict(v, u, s)
 			if (merr == nil) != (verr == nil) {
 				t.Fatalf("(%d,%d): model err %v, view err %v", u, s, merr, verr)
 			}
@@ -55,7 +62,7 @@ func TestBuildViewMatchesModel(t *testing.T) {
 func TestViewIsImmutableUnderUpdates(t *testing.T) {
 	m := viewTestModel(t)
 	v := m.BuildView()
-	before, err := v.Predict(0, 0)
+	before, err := viewPredict(v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func TestViewIsImmutableUnderUpdates(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		m.Observe(stream.Sample{User: 0, Service: 0, Value: 9.5})
 	}
-	after, err := v.Predict(0, 0)
+	after, err := viewPredict(v, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +90,10 @@ func TestRefreshViewIncremental(t *testing.T) {
 	}
 	// The refreshed view reflects the new state.
 	want, _ := m.Predict(1, 2)
-	got, _ := v2.Predict(1, 2)
+	got, _ := viewPredict(v2, 1, 2)
 	valueNear(t, "refreshed view", got, want)
 	// And the old view still serves the old state.
-	old, _ := v1.Predict(1, 2)
+	old, _ := viewPredict(v1, 1, 2)
 	if old == got {
 		t.Fatalf("previous view mutated by refresh")
 	}
@@ -181,7 +188,7 @@ func TestRefreshViewAfterModelSwapRebuilds(t *testing.T) {
 		t.Fatalf("version not continued across model swap: %d after %d", v2.Version(), v1.Version())
 	}
 	want, _ := m2.Predict(1, 2)
-	got, _ := v2.Predict(1, 2)
+	got, _ := viewPredict(v2, 1, 2)
 	valueNear(t, "rebuilt view", got, want)
 }
 

@@ -73,7 +73,7 @@ func BenchmarkEnginePredictUnderWrites(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			i++
-			if _, err := e.View().Predict(i%users, (i*7)%services); err != nil {
+			if _, _, err := e.View().PredictWithConfidence(i%users, (i*7)%services); err != nil {
 				b.Fatal(err)
 			}
 		}

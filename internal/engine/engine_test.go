@@ -114,7 +114,7 @@ func TestObserveAllTracedTimings(t *testing.T) {
 				}
 			}
 			check("first", seedSamples(4, 5))
-			if _, err := e.View().Predict(0, 0); err != nil {
+			if _, _, err := e.View().PredictWithConfidence(0, 0); err != nil {
 				t.Fatalf("traced observe lost read-your-writes: %v", err)
 			}
 			check("second", seedSamples(5, 6))

@@ -154,7 +154,7 @@ func TestJournalFailureKeepsServing(t *testing.T) {
 	if st.Applied != int64(len(ss)) {
 		t.Fatalf("applied %d, want %d — journal failure must not block learning", st.Applied, len(ss))
 	}
-	if _, err := e.View().Predict(0, 0); err != nil {
+	if _, _, err := e.View().PredictWithConfidence(0, 0); err != nil {
 		t.Fatalf("predict after journal failure: %v", err)
 	}
 }

@@ -141,19 +141,12 @@ func AMFApproach(name string, ov AMFOverrides) Approach {
 	}
 }
 
-// pccConfig is the neighborhood setting used for the PCC family. TopK=10
-// with significance weighting follows the WSRec evaluation.
-func pccConfig() baseline.PCCConfig {
-	return baseline.PCCConfig{TopK: 10, MinCommon: 2, Significance: true}
-}
-
 // UPCCApproach returns the user-based CF entry of Table I.
 func UPCCApproach() Approach {
 	return Approach{
 		Name: "UPCC",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
-			p := baseline.TrainUPCC(ctx.Matrix, pccConfig())
-			return p.Predict, nil
+			return baseline.TrainUPCC(ctx.Matrix), nil
 		},
 	}
 }
@@ -163,8 +156,7 @@ func IPCCApproach() Approach {
 	return Approach{
 		Name: "IPCC",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
-			p := baseline.TrainIPCC(ctx.Matrix, pccConfig())
-			return p.Predict, nil
+			return baseline.TrainIPCC(ctx.Matrix), nil
 		},
 	}
 }
@@ -174,12 +166,7 @@ func UIPCCApproach() Approach {
 	return Approach{
 		Name: "UIPCC",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
-			p := baseline.TrainUIPCC(ctx.Matrix, baseline.UIPCCConfig{
-				User:   pccConfig(),
-				Item:   pccConfig(),
-				Lambda: 0.1,
-			})
-			return p.Predict, nil
+			return baseline.TrainUIPCC(ctx.Matrix), nil
 		},
 	}
 }
@@ -190,15 +177,11 @@ func PMFApproach() Approach {
 		Name: "PMF",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
 			_, rmax := ctx.Attr.Range()
-			p, err := baseline.TrainPMF(ctx.Matrix, baseline.PMFConfig{
-				Rank: 10,
-				RMax: rmax,
-				Seed: ctx.Seed,
-			})
+			p, err := baseline.TrainPMF(ctx.Matrix, rmax, ctx.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("eval: PMF: %w", err)
 			}
-			return p.Predict, nil
+			return p, nil
 		},
 	}
 }

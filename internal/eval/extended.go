@@ -13,8 +13,7 @@ func UMEANApproach() Approach {
 	return Approach{
 		Name: "UMEAN",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
-			p := baseline.TrainUMEAN(ctx.Matrix)
-			return p.Predict, nil
+			return baseline.TrainUMEAN(ctx.Matrix), nil
 		},
 	}
 }
@@ -24,8 +23,7 @@ func IMEANApproach() Approach {
 	return Approach{
 		Name: "IMEAN",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
-			p := baseline.TrainIMEAN(ctx.Matrix)
-			return p.Predict, nil
+			return baseline.TrainIMEAN(ctx.Matrix), nil
 		},
 	}
 }
@@ -38,15 +36,11 @@ func BiasedMFApproach() Approach {
 		Name: "BiasedMF",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
 			_, rmax := ctx.Attr.Range()
-			p, err := baseline.TrainBiasedMF(ctx.Matrix, baseline.BiasedMFConfig{
-				Rank: 10,
-				RMax: rmax,
-				Seed: ctx.Seed,
-			})
+			p, err := baseline.TrainBiasedMF(ctx.Matrix, rmax, ctx.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("eval: BiasedMF: %w", err)
 			}
-			return p.Predict, nil
+			return p, nil
 		},
 	}
 }
@@ -59,15 +53,11 @@ func NIMFApproach() Approach {
 		Name: "NIMF",
 		Train: func(ctx TrainContext) (PredictFunc, error) {
 			_, rmax := ctx.Attr.Range()
-			p, err := baseline.TrainNIMF(ctx.Matrix, baseline.NIMFConfig{
-				Rank: 10,
-				RMax: rmax,
-				Seed: ctx.Seed,
-			})
+			p, err := baseline.TrainNIMF(ctx.Matrix, rmax, ctx.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("eval: NIMF: %w", err)
 			}
-			return p.Predict, nil
+			return p, nil
 		},
 	}
 }
@@ -106,7 +96,8 @@ func AMFAutoAlphaApproach() Approach {
 }
 
 // ExtendedApproaches returns the full comparison set: the two mean
-// floors, the paper's four baselines, AMF, and the auto-alpha extension.
+// floors, the paper's four baselines, the BiasedMF and NIMF extension
+// baselines, the auto-alpha extension, and AMF.
 func ExtendedApproaches() []Approach {
 	return []Approach{
 		UMEANApproach(),

@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -29,16 +28,6 @@ func TestSparseBasics(t *testing.T) {
 	}
 }
 
-func TestSparseAt(t *testing.T) {
-	s := buildSparse(t)
-	if v, ok := s.At(0, 2); !ok || v != 1.1 {
-		t.Fatalf("At(0,2) = %g,%v; want 1.1,true", v, ok)
-	}
-	if _, ok := s.At(0, 1); ok {
-		t.Fatal("At(0,1) should be unobserved")
-	}
-}
-
 func TestSparseAppendOutOfRangePanics(t *testing.T) {
 	s := NewSparse(2, 2)
 	defer func() {
@@ -57,7 +46,7 @@ func TestSparseUnfrozenAccessPanics(t *testing.T) {
 			t.Fatal("expected panic for unfrozen access")
 		}
 	}()
-	s.At(0, 0)
+	s.Entries()
 }
 
 func TestSparseDuplicateLastWins(t *testing.T) {
@@ -69,47 +58,8 @@ func TestSparseDuplicateLastWins(t *testing.T) {
 	if len(s.Entries()) != 1 {
 		t.Fatalf("nnz %d, want 1 after dedup", len(s.Entries()))
 	}
-	if v, _ := s.At(0, 0); v != 3 {
+	if v := s.Entries()[0].Val; v != 3 {
 		t.Fatalf("got %g, want last write 3", v)
-	}
-}
-
-func TestSparseRowColIteration(t *testing.T) {
-	s := buildSparse(t)
-	var cols []int
-	var vals []float64
-	s.RowEntries(1, func(c int, v float64) {
-		cols = append(cols, c)
-		vals = append(vals, v)
-	})
-	if len(cols) != 2 || cols[0] != 1 || cols[1] != 3 {
-		t.Fatalf("row 1 cols = %v, want [1 3]", cols)
-	}
-	var rows []int
-	s.ColEntries(0, func(r int, v float64) { rows = append(rows, r) })
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Fatalf("col 0 rows = %v, want [0 2]", rows)
-	}
-	if s.RowNNZ(0) != 2 || s.ColNNZ(3) != 1 || s.ColNNZ(2) != 1 {
-		t.Fatal("row/col nnz mismatch")
-	}
-}
-
-func TestSparseMeans(t *testing.T) {
-	s := buildSparse(t)
-	if m, ok := s.RowMean(0); !ok || m != (1.4+1.1)/2 {
-		t.Fatalf("row 0 mean = %g,%v", m, ok)
-	}
-	if m, ok := s.ColMean(0); !ok || math.Abs(m-0.9) > 1e-12 {
-		t.Fatalf("col 0 mean = %g,%v", m, ok)
-	}
-	empty := NewSparse(2, 2)
-	empty.Freeze()
-	if _, ok := empty.RowMean(0); ok {
-		t.Fatal("empty row must report no mean")
-	}
-	if _, ok := empty.ColMean(1); ok {
-		t.Fatal("empty col must report no mean")
 	}
 }
 
@@ -126,13 +76,14 @@ func TestSparseAppendAfterFreezeUnfreezes(t *testing.T) {
 	s := buildSparse(t)
 	s.Append(2, 3, 9)
 	s.Freeze()
-	if v, ok := s.At(2, 3); !ok || v != 9 {
-		t.Fatalf("At(2,3) = %g,%v after refreeze", v, ok)
+	es := s.Entries()
+	if e := es[len(es)-1]; e != (Entry{Row: 2, Col: 3, Val: 9}) {
+		t.Fatalf("last entry %+v after refreeze, want (2,3)=9", e)
 	}
 }
 
-// Property: every appended (unique) entry is retrievable after Freeze, and
-// row iteration yields columns in ascending order.
+// Property: after Freeze the entries are exactly the last value appended
+// at each cell, in ascending (row, col) order.
 func TestSparseRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -146,25 +97,15 @@ func TestSparseRoundTripProperty(t *testing.T) {
 			want[[2]int{i, j}] = v
 		}
 		s.Freeze()
-		if len(s.Entries()) != len(want) {
+		es := s.Entries()
+		if len(es) != len(want) {
 			return false
 		}
-		for key, v := range want {
-			got, ok := s.At(key[0], key[1])
-			if !ok || got != v {
+		for k, e := range es {
+			if v, ok := want[[2]int{e.Row, e.Col}]; !ok || v != e.Val {
 				return false
 			}
-		}
-		for i := 0; i < rows; i++ {
-			prev := -1
-			ok := true
-			s.RowEntries(i, func(c int, _ float64) {
-				if c <= prev {
-					ok = false
-				}
-				prev = c
-			})
-			if !ok {
+			if k > 0 && (es[k-1].Row > e.Row || es[k-1].Row == e.Row && es[k-1].Col >= e.Col) {
 				return false
 			}
 		}

@@ -229,8 +229,11 @@ func parseLabels(s string) (int, map[string]string, error) {
 			return 0, nil, fmt.Errorf("duplicate label %q", key)
 		}
 		labels[key] = val.String()
-		if i < len(s) && s[i] == ',' {
+		switch {
+		case i < len(s) && s[i] == ',':
 			i++
+		case i < len(s) && s[i] != '}':
+			return 0, nil, fmt.Errorf("expected ',' or '}' after label %q in %q", key, s)
 		}
 	}
 }

@@ -40,6 +40,7 @@ func TestParserRejectsMalformedPages(t *testing.T) {
 		"bad value":                "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total banana\n",
 		"unterminated labels":      "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"b\" 1\n",
 		"duplicate label":          "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total{a=\"1\",a=\"2\"} 1\n",
+		"labels without a comma":   "# HELP a_total h\n# TYPE a_total counter\na_total{x=\"1\"y=\"2\"} 1\n",
 		"counter not _total":       "# HELP amf_x h\n# TYPE amf_x counter\namf_x 1\n",
 		"negative counter":         "# HELP amf_x_total h\n# TYPE amf_x_total counter\namf_x_total -1\n",
 		"histogram missing +Inf":   "# HELP amf_l_seconds h\n# TYPE amf_l_seconds histogram\namf_l_seconds_bucket{le=\"1\"} 1\namf_l_seconds_sum 1\namf_l_seconds_count 1\n",

@@ -116,12 +116,17 @@ func (si *surfaceImporter) Import(ipath string) (*types.Package, error) {
 // surface is what the scan needs of the type-checked tree: the functions
 // declared in non-test files outside bench/, every reference to a
 // function from a non-test file of either module with the declaration it
-// sits in (nil at package level), and the method names some interface in
-// the tree declares.
+// sits in (nil at package level), and the interfaces a call can reach a
+// method through. A named interface counts only if a non-test file names
+// it outside its own declaration (one only tests assert against reaches
+// nothing), and then only for the types that implement it; an interface
+// literal, and the standard library's conventional methods, count by
+// method name.
 type surface struct {
 	declared map[*types.Func]bool
 	uses     []funcUse
 	viaIface map[string]bool
+	ifaces   []*types.Interface
 }
 
 type funcUse struct{ from, to *types.Func }
@@ -157,6 +162,15 @@ func loadSurface(t *testing.T) *surface {
 	for name := range conventionalMethods {
 		sf.viaIface[name] = true
 	}
+	// Each named interface's declaration, and every place a non-test file
+	// names a type.
+	ifaceSpecs := map[*types.TypeName]*ast.TypeSpec{}
+	specOf := map[*ast.InterfaceType]bool{}
+	type typeUse struct {
+		at token.Pos
+		tn *types.TypeName
+	}
+	var typeUses []typeUse
 	benchPath := modulePath + "/bench"
 	for ipath, files := range si.files {
 		inBench := ipath == benchPath || strings.HasPrefix(ipath, benchPath+"/")
@@ -171,21 +185,41 @@ func loadSurface(t *testing.T) *surface {
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
 					switch n := n.(type) {
+					case *ast.TypeSpec:
+						if it, ok := n.Type.(*ast.InterfaceType); ok {
+							ifaceSpecs[si.info.Defs[n.Name].(*types.TypeName)] = n
+							specOf[it] = true
+						}
 					case *ast.InterfaceType:
+						if specOf[n] {
+							break
+						}
 						for _, m := range n.Methods.List {
 							for _, id := range m.Names {
-								sf.viaIface[id.Name] = true
+								sf.viaIface[id.Name] = true // a literal is in use where it stands
 							}
 						}
 					case *ast.Ident:
-						if fn, ok := si.info.Uses[n].(*types.Func); ok {
-							sf.uses = append(sf.uses, funcUse{from, fn.Origin()})
+						switch obj := si.info.Uses[n].(type) {
+						case *types.Func:
+							sf.uses = append(sf.uses, funcUse{from, obj.Origin()})
+						case *types.TypeName:
+							typeUses = append(typeUses, typeUse{n.Pos(), obj})
 						}
 					}
 					return true
 				})
 			}
 		}
+	}
+	inUse := map[*types.TypeName]bool{}
+	for _, u := range typeUses {
+		spec := ifaceSpecs[u.tn]
+		if spec == nil || inUse[u.tn] || (u.at >= spec.Pos() && u.at < spec.End()) {
+			continue
+		}
+		inUse[u.tn] = true
+		sf.ifaces = append(sf.ifaces, u.tn.Type().Underlying().(*types.Interface))
 	}
 	return sf
 }
@@ -197,9 +231,37 @@ func shortName(fn *types.Func) string {
 	return strings.ReplaceAll(name, modulePath+"/", "")
 }
 
+// reachedViaIface reports whether a call through an interface can reach
+// method fn: its name is conventional or an interface literal's, or its
+// receiver type (or a pointer to it) implements an interface in use that
+// declares it. A generic receiver is matched by name.
+func (sf *surface) reachedViaIface(fn *types.Func) bool {
+	if sf.viaIface[fn.Name()] {
+		return true
+	}
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	ptr, isPtr := recv.(*types.Pointer)
+	base := recv
+	if isPtr {
+		base = ptr.Elem()
+	}
+	named, _ := base.(*types.Named)
+	generic := named != nil && named.TypeParams().Len() > 0
+	for _, it := range sf.ifaces {
+		declares := false
+		for i := 0; i < it.NumMethods(); i++ {
+			declares = declares || it.Method(i).Name() == fn.Name()
+		}
+		if declares && (generic || types.Implements(base, it) || types.Implements(types.NewPointer(base), it)) {
+			return true
+		}
+	}
+	return false
+}
+
 // uncalled returns, keyed by shortName, every declared function that
-// nothing reaches. Methods whose name an interface
-// declares are taken as reachable through it. A reference from inside a
+// nothing reaches. Methods whose name an interface in use declares are
+// taken as reachable through it. A reference from inside a
 // function that is itself uncalled and not in live does not count, to a
 // fixpoint, so a dead chain is reported whole while whatever a kept
 // function calls stays.
@@ -208,7 +270,7 @@ func (sf *surface) uncalled(live map[string]string) map[string]*types.Func {
 	for fn := range sf.declared {
 		switch name := fn.Name(); {
 		case name == "main" || name == "init" || name == "_":
-		case fn.Type().(*types.Signature).Recv() != nil && sf.viaIface[name]:
+		case fn.Type().(*types.Signature).Recv() != nil && sf.reachedViaIface(fn):
 		case live[shortName(fn)] != "":
 		default:
 			dead[fn] = true
