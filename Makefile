@@ -27,11 +27,13 @@ ci: build fmt vet test test-bench bench-smoke test-noasm build-arm64 examples
 # pure-Go fallback behind the noasm build tag; this proves the fallback
 # (and everything ranking or transforming on top of it: core, and the
 # batch power in transform) still passes, which is what non-amd64/arm64
-# targets actually run. The baselines' golden predictions are recorded
-# for the portable kernel too, so their digest is checked here.
+# targets actually run. The baselines' golden predictions and the
+# adaptation simulation's results are recorded for the portable kernel
+# too, so their digests are checked here.
 test-noasm:
 	$(GO) test -tags noasm ./internal/matrix/ ./internal/transform/ ./internal/core/
 	$(GO) test -tags noasm -run TestBaselinesGolden ./internal/eval/
+	$(GO) test -tags noasm -run TestSimulationGolden ./internal/adapt/
 
 # Cross-compile leg for the NEON kernels: arm64 has no execution
 # environment in CI, but the assembly must at least assemble and link.

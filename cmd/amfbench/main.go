@@ -391,12 +391,12 @@ func runFloor(s setup, attr dataset.Attribute) error {
 }
 
 func runAdaptation(s setup) error {
-	res, err := adapt.RunSimulation(adapt.SimulationOptions{Dataset: s.ds, Seed: s.seed})
+	res, err := adapt.RunSimulation(s.ds, s.seed)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("workflow: %d tasks x %d candidates, SLA %.1f s/task\n",
-		len(res.Workflow.Tasks), len(res.Workflow.Tasks[0].Candidates), res.Workflow.Tasks[0].SLA)
+		len(res.Workflow), len(res.Workflow[0]), adapt.SLA)
 	fmt.Printf("%-10s %12s %14s %12s\n", "strategy", "meanLatency", "violationRate", "adaptations")
 	for _, st := range res.Strategies {
 		fmt.Printf("%-10s %11.3fs %14.3f %12d\n", st.Name, st.MeanLatency, st.ViolationRate, st.Adaptations)

@@ -20,20 +20,12 @@ func main() {
 		Interval: dataset.DefaultConfig().Interval,
 		Rank:     6, Seed: 7,
 	}
-	opts := adapt.SimulationOptions{
-		Dataset:           cfg,
-		Tasks:             3,
-		CandidatesPerTask: 10,
-		SLA:               2.0, // seconds per task
-		Seed:              7,
-	}
-	fmt.Printf("simulating %d users x %d slices; workflow of %d tasks, %d candidates each, SLA %.1f s\n\n",
-		cfg.Users, cfg.Slices, opts.Tasks, opts.CandidatesPerTask, opts.SLA)
-
-	res, err := adapt.RunSimulation(opts)
+	res, err := adapt.RunSimulation(cfg, 7)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("simulating %d users x %d slices; workflow of %d tasks, %d candidates each, SLA %.1f s\n\n",
+		cfg.Users, cfg.Slices, len(res.Workflow), len(res.Workflow[0]), adapt.SLA)
 
 	fmt.Printf("%-10s %14s %15s %13s\n", "strategy", "mean latency", "violation rate", "adaptations")
 	var static, predicted adapt.StrategyResult

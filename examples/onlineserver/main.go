@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -26,7 +27,6 @@ import (
 	"github.com/qoslab/amf/internal/dataset"
 	"github.com/qoslab/amf/internal/obs"
 	"github.com/qoslab/amf/internal/server"
-	"github.com/qoslab/amf/internal/workload"
 )
 
 func main() {
@@ -211,27 +211,23 @@ func main() {
 		st.Applied, st.Replayed, st.Published, st.Version)
 }
 
-// monitor posts one hour of user u's measurements, a batch of at most
-// monitorBatch at a time, and returns how many it sent. Each observe
-// returns once its samples are applied.
+// monitor posts one hour of user u's measurements, taken at the arrivals
+// of a Poisson process of 120 an hour, a batch of at most monitorBatch at
+// a time, and returns how many it sent. Each observe returns once its
+// samples are applied.
 func monitor(ctx context.Context, c *client.Client, gen *dataset.Generator, u int) (int, error) {
-	events, err := workload.Trace(workload.TraceOptions{
-		Users: 1, Horizon: time.Hour, MeanRate: 120, Seed: int64(u + 1),
-	})
-	if err != nil {
-		return 0, err
-	}
+	times := arrivals(rand.New(rand.NewSource(int64(u+1))), 120, time.Hour)
 	ds := gen.Config()
 	sent := 0
 	batch := make([]server.Observation, 0, monitorBatch)
-	for i, e := range events {
+	for i, at := range times {
 		s := (3*(u+i) + 1) % ds.Services
 		batch = append(batch, server.Observation{
 			User:    fmt.Sprintf("app-%02d", u),
 			Service: fmt.Sprintf("ws-%02d", s),
-			Value:   gen.Value(dataset.ResponseTime, u, s, int(e.Time/ds.Interval)%ds.Slices),
+			Value:   gen.Value(dataset.ResponseTime, u, s, int(at/ds.Interval)%ds.Slices),
 		})
-		if len(batch) == monitorBatch || i == len(events)-1 {
+		if len(batch) == monitorBatch || i == len(times)-1 {
 			resp, err := c.Observe(ctx, batch)
 			if err != nil {
 				return sent, err
@@ -245,6 +241,29 @@ func monitor(ctx context.Context, c *client.Client, gen *dataset.Generator, u in
 
 // monitorBatch is how many measurements a monitor holds before it posts.
 const monitorBatch = 16
+
+// arrivals returns the event times of a homogeneous Poisson process with
+// the given rate (events per horizon) over [0, horizon), via exponential
+// inter-arrival gaps. A non-positive rate yields no events.
+func arrivals(rng *rand.Rand, rate float64, horizon time.Duration) []time.Duration {
+	if rate <= 0 || horizon <= 0 {
+		return nil
+	}
+	var out []time.Duration
+	t := time.Duration(0)
+	for {
+		gap := time.Duration(rng.ExpFloat64() / rate * float64(horizon))
+		// Guard against zero-duration gaps from extreme draws.
+		if gap <= 0 {
+			gap = 1
+		}
+		t += gap
+		if t >= horizon {
+			return out
+		}
+		out = append(out, t)
+	}
+}
 
 // get reads one GET response body whole.
 func get(url string) ([]byte, error) {

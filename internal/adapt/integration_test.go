@@ -1,4 +1,4 @@
-package adapt_test
+package adapt
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/qoslab/amf/internal/adapt"
 	"github.com/qoslab/amf/internal/client"
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
@@ -15,33 +14,18 @@ import (
 	"github.com/qoslab/amf/internal/stream"
 )
 
-// servicePredictor adapts the HTTP prediction client to the middleware's
-// QoSPredictor interface — the full paper architecture: execution
-// middleware on one side of the wire, the shared prediction service on
-// the other.
-type servicePredictor struct {
-	t *testing.T
-	c *client.Client
-}
-
-func (p servicePredictor) PredictRT(user, service int) (float64, bool) {
-	v, err := p.c.Predict(context.Background(),
-		fmt.Sprintf("app-%02d", user), fmt.Sprintf("ws-%02d", service))
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
 // TestAdaptationThroughPredictionService drives the complete loop of the
-// paper's framework (Fig. 3) across a real HTTP boundary: middlewares
-// observe QoS, upload it to the prediction service, and when an SLA is
-// violated, pick the replacement candidate by querying the service.
+// paper's framework (Fig. 3) across a real HTTP boundary: every
+// invocation is uploaded to the prediction service, and when an SLA is
+// violated the predicted strategy picks the replacement candidate by
+// querying the service — the execution side on one end of the wire, the
+// shared prediction service on the other.
 func TestAdaptationThroughPredictionService(t *testing.T) {
-	gen := dataset.MustNew(dataset.Config{
+	ds := dataset.Config{
 		Users: 10, Services: 30, Slices: 6,
 		Interval: 15 * time.Minute, Rank: 5, Seed: 77,
-	})
+	}
+	gen := dataset.MustNew(ds)
 
 	rmin, rmax := dataset.ResponseTime.Range()
 	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
@@ -52,8 +36,11 @@ func TestAdaptationThroughPredictionService(t *testing.T) {
 	c := client.New(ts.URL, nil)
 	ctx := context.Background()
 
-	// The QoS manager side: every observation goes to the service.
-	observer := func(s stream.Sample) {
+	// The QoS manager side: every observation goes to the service; the
+	// fleet's latency is summed per slice on the way.
+	sliceLatency := make([]float64, ds.Slices)
+	observe := func(s stream.Sample) {
+		sliceLatency[int(s.Time/ds.Interval)] += s.Value
 		_, err := c.Observe(ctx, []server.Observation{{
 			User:    fmt.Sprintf("app-%02d", s.User),
 			Service: fmt.Sprintf("ws-%02d", s.Service),
@@ -63,74 +50,28 @@ func TestAdaptationThroughPredictionService(t *testing.T) {
 			t.Errorf("observe: %v", err)
 		}
 	}
-
-	wf := adapt.Workflow{
-		Name: "integration",
-		Tasks: []adapt.Task{
-			{Name: "A", Candidates: []int{0, 1, 2, 3, 4}, SLA: 1.2},
-			{Name: "B", Candidates: []int{5, 6, 7, 8, 9}, SLA: 1.2},
-		},
-	}
-	selector := adapt.NewPredictedSelector(servicePredictor{t: t, c: c})
-
-	env := genEnv{gen}
-	mws := make([]*adapt.Middleware, 10)
-	for u := range mws {
-		mw, err := adapt.NewMiddleware(wf, u, selector, observer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Spread users across candidates so the collaborative model has
-		// coverage to predict from.
-		b := mw.Bindings()
-		b[0] = wf.Tasks[0].Candidates[u%5]
-		b[1] = wf.Tasks[1].Candidates[u%5]
-		if err := mw.Rebind(b); err != nil {
-			t.Fatal(err)
-		}
-		mws[u] = mw
+	predict := func(user, service int) (float64, error) {
+		return c.Predict(ctx, fmt.Sprintf("app-%02d", user), fmt.Sprintf("ws-%02d", service))
 	}
 
-	var firstSlice, lastSlice adapt.TickResult
-	var adaptations int
-	for slice := 0; slice < gen.Config().Slices; slice++ {
-		for u, mw := range mws {
-			res := mw.Tick(env, slice, gen.SliceTime(slice)+time.Duration(u))
-			if slice == 0 {
-				firstSlice.Violations += res.Violations
-				firstSlice.Latency += res.Latency
-			}
-			if slice == gen.Config().Slices-1 {
-				lastSlice.Violations += res.Violations
-				lastSlice.Latency += res.Latency
-			}
-		}
-	}
-	for _, mw := range mws {
-		adaptations += mw.Adaptations()
-	}
+	sr := play(gen, workflow(ds.Services, 77), 77, predictedPick(predict), observe, nil)
+
+	t.Logf("%d invocations, %d adaptations, fleet latency slice 0 %.2f s, slice %d %.2f s",
+		sr.Invocations, sr.Adaptations, sliceLatency[0], ds.Slices-1, sliceLatency[ds.Slices-1])
 
 	stats, err := c.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every invocation of every tick must have been uploaded.
-	wantObs := int64(10 * 2 * gen.Config().Slices)
-	if stats.Updates < wantObs {
-		t.Fatalf("service saw %d updates, want >= %d", stats.Updates, wantObs)
+	// Every invocation of every execution must have been uploaded.
+	if want := int64(sr.Invocations); want < 120 || stats.Updates < want {
+		t.Fatalf("service saw %d updates of %d invocations, want >= 120", stats.Updates, want)
 	}
-	if adaptations == 0 {
+	if sr.Adaptations == 0 {
 		t.Fatal("no adaptation actions happened over six slices")
 	}
 	// The fleet should not get worse as the model learns; allow noise.
-	if lastSlice.Latency > firstSlice.Latency*1.5 {
-		t.Fatalf("fleet latency worsened: slice0=%.2f last=%.2f", firstSlice.Latency, lastSlice.Latency)
+	if first, last := sliceLatency[0], sliceLatency[ds.Slices-1]; last > first*1.5 {
+		t.Fatalf("fleet latency worsened: slice0=%.2f last=%.2f", first, last)
 	}
-}
-
-// genEnv adapts the generator for the external test package.
-type genEnv struct{ g *dataset.Generator }
-
-func (e genEnv) InvokeRT(user, service, slice int) float64 {
-	return e.g.Value(dataset.ResponseTime, user, service, slice)
 }

@@ -1,3 +1,10 @@
+// Package adapt simulates the runtime service adaptation of the paper's
+// framework (Sec. III, Fig. 1 and Fig. 3): every user runs a workflow of
+// abstract tasks, each bound to one of several functionally equivalent
+// candidate services; each invocation is observed, and one over its SLA
+// triggers an adaptation, which binds the candidate a strategy picks.
+// RunSimulation scores four strategies against the synthetic cloud of
+// internal/dataset.
 package adapt
 
 import (
@@ -8,57 +15,22 @@ import (
 	"github.com/qoslab/amf/internal/core"
 	"github.com/qoslab/amf/internal/dataset"
 	"github.com/qoslab/amf/internal/stream"
-	"github.com/qoslab/amf/internal/workload"
 )
 
-// SimulationOptions configures the end-to-end adaptation experiment: many
-// users run the same abstract workflow against the synthetic cloud, each
-// adaptation strategy in its own pass over identical QoS conditions (the
-// generator is deterministic, so every strategy faces the same world).
-type SimulationOptions struct {
-	Dataset dataset.Config
-	// Users participating (must be <= Dataset.Users). Zero means all.
-	Users int
-	// Tasks and CandidatesPerTask shape the workflow. Zero means 3 tasks
-	// with 8 candidates each.
-	Tasks             int
-	CandidatesPerTask int
-	// SLA is the per-task response-time budget in seconds. Zero means 2.
-	SLA float64
-	// Slices to simulate (must be <= Dataset.Slices). Zero means all.
-	Slices int
-	// ReplayPerTick is how many AMF replay updates run after each user
-	// tick in the predicted strategy. Zero means 20.
-	ReplayPerTick int
-	// MeanInvocationsPerSlice, when positive, draws each user's workflow
-	// executions per slice from a Poisson arrival process with this mean
-	// (see internal/workload) instead of exactly one execution. All
-	// strategies see identical arrival counts.
-	MeanInvocationsPerSlice float64
-	Seed                    int64
-}
+// The simulated workflow: tasks abstract tasks executed in sequence, each
+// implemented by any one of its own candidates services.
+const (
+	tasks      = 3
+	candidates = 8
+)
 
-func (o SimulationOptions) withDefaults() SimulationOptions {
-	if o.Users <= 0 || o.Users > o.Dataset.Users {
-		o.Users = o.Dataset.Users
-	}
-	if o.Tasks == 0 {
-		o.Tasks = 3
-	}
-	if o.CandidatesPerTask == 0 {
-		o.CandidatesPerTask = 8
-	}
-	if o.SLA == 0 {
-		o.SLA = 2
-	}
-	if o.Slices <= 0 || o.Slices > o.Dataset.Slices {
-		o.Slices = o.Dataset.Slices
-	}
-	if o.ReplayPerTick == 0 {
-		o.ReplayPerTick = 20
-	}
-	return o
-}
+// SLA is each task's response-time budget in seconds: an invocation above
+// it is a violation and triggers an adaptation.
+const SLA = 2.0
+
+// replayPerTick is how many replay updates the predicted strategy's model
+// runs after each workflow execution.
+const replayPerTick = 20
 
 // StrategyResult aggregates one strategy's pass.
 type StrategyResult struct {
@@ -69,176 +41,189 @@ type StrategyResult struct {
 	Invocations   int
 }
 
-// SimulationResult holds all strategies' results, in run order.
+// SimulationResult holds the workflow and all strategies' results, in run
+// order.
 type SimulationResult struct {
-	Workflow   Workflow
+	Workflow   [][]int // Workflow[t] lists task t's candidate services
 	Strategies []StrategyResult
 }
 
-// generatorEnv adapts the dataset generator to the Environment and
-// ThroughputEnvironment interfaces.
-type generatorEnv struct{ g *dataset.Generator }
+// pick is an adaptation strategy: the service user binds, among a task's
+// candidates, once its current binding has violated the SLA. Returning
+// current means "do not adapt".
+type pick func(user int, candidates []int, current int) int
 
-func (e generatorEnv) InvokeRT(user, service, slice int) float64 {
-	return e.g.Value(dataset.ResponseTime, user, service, slice)
-}
-
-func (e generatorEnv) InvokeTP(user, service, slice int) float64 {
-	return e.g.Value(dataset.Throughput, user, service, slice)
-}
-
-// RunSimulation executes the adaptation experiment with four strategies:
+// RunSimulation executes the adaptation experiment: every user of ds runs
+// the workflow once per slice under each of four strategies in turn —
 // static (never adapt), random (adapt blindly), predicted (adapt to AMF's
-// best candidate — the paper's proposal), and oracle (adapt to the true
-// best candidate — the upper bound).
-func RunSimulation(opts SimulationOptions) (*SimulationResult, error) {
-	opts = opts.withDefaults()
-	gen, err := dataset.New(opts.Dataset)
+// best candidate, the paper's proposal) and oracle (adapt to the true best
+// candidate, the upper bound). The generator is deterministic, so every
+// strategy faces the same world.
+func RunSimulation(ds dataset.Config, seed int64) (*SimulationResult, error) {
+	gen, err := dataset.New(ds)
 	if err != nil {
 		return nil, err
 	}
-	wf, err := buildWorkflow(opts, gen.Config())
+	if need := tasks * candidates; need > ds.Services {
+		return nil, fmt.Errorf("adapt: workflow needs %d candidate services, dataset has %d", need, ds.Services)
+	}
+	wf := workflow(ds.Services, seed)
+	rmin, rmax := dataset.ResponseTime.Range()
+	cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
+	cfg.Seed = seed
+	cfg.Expiry = 4 * ds.Interval
+	model, err := core.New(cfg)
 	if err != nil {
 		return nil, err
+	}
+	strategies := []struct {
+		name  string
+		pick  pick
+		model *core.Model // learns from every invocation; nil for none
+	}{
+		{"static", staticPick, nil},
+		{"random", randomPick(rand.New(rand.NewSource(seed + 11))), nil},
+		{"predicted", predictedPick(model.Predict), model},
+		{"oracle", oraclePick(func(user, service int) float64 {
+			return gen.PairMean(dataset.ResponseTime, user, service)
+		}), nil},
 	}
 	res := &SimulationResult{Workflow: wf}
-
-	// Pre-draw per-(slice, user) execution counts so every strategy runs
-	// against the exact same workload.
-	ticks := make([][]int, opts.Slices)
-	tickRng := rand.New(rand.NewSource(opts.Seed + 23))
-	for s := range ticks {
-		ticks[s] = make([]int, opts.Users)
-		for u := range ticks[s] {
-			if opts.MeanInvocationsPerSlice > 0 {
-				ticks[s][u] = workload.PoissonCount(tickRng, opts.MeanInvocationsPerSlice)
-			} else {
-				ticks[s][u] = 1
-			}
+	for _, s := range strategies {
+		var observe func(stream.Sample)
+		if s.model != nil {
+			observe = s.model.Observe
 		}
-	}
-
-	type pass struct {
-		name     string
-		selector func(model *core.Model) Selector
-		useModel bool
-	}
-	passes := []pass{
-		{name: "static", selector: func(*core.Model) Selector { return StaticSelector{} }},
-		{name: "random", selector: func(*core.Model) Selector { return NewRandomSelector(opts.Seed + 11) }},
-		{name: "predicted", useModel: true, selector: func(m *core.Model) Selector {
-			return NewPredictedSelector(modelPredictor{m})
-		}},
-		{name: "oracle", selector: func(*core.Model) Selector {
-			return NewOracleSelector(func(u, s int) float64 {
-				return gen.PairMean(dataset.ResponseTime, u, s)
-			})
-		}},
-	}
-
-	for _, p := range passes {
-		sr, err := runPass(opts, gen, wf, ticks, p.name, p.selector, p.useModel)
-		if err != nil {
-			return nil, err
-		}
+		sr := play(gen, wf, seed, s.pick, observe, s.model)
+		sr.Name = s.name
 		res.Strategies = append(res.Strategies, sr)
 	}
 	return res, nil
 }
 
-// modelPredictor adapts core.Model to QoSPredictor.
-type modelPredictor struct{ m *core.Model }
-
-func (p modelPredictor) PredictRT(user, service int) (float64, bool) {
-	v, err := p.m.Predict(user, service)
-	return v, err == nil
+// workflow draws each task's candidates: a permutation of the services
+// seeded with seed, taken candidates at a time.
+func workflow(services int, seed int64) [][]int {
+	perm := rand.New(rand.NewSource(seed)).Perm(services)
+	wf := make([][]int, tasks)
+	for t := range wf {
+		wf[t] = perm[t*candidates : (t+1)*candidates : (t+1)*candidates]
+	}
+	return wf
 }
 
-func buildWorkflow(opts SimulationOptions, cfg dataset.Config) (Workflow, error) {
-	need := opts.Tasks * opts.CandidatesPerTask
-	if need > cfg.Services {
-		return Workflow{}, fmt.Errorf("adapt: workflow needs %d candidate services, dataset has %d", need, cfg.Services)
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	perm := rng.Perm(cfg.Services)
-	wf := Workflow{Name: "simulated-app"}
-	for t := 0; t < opts.Tasks; t++ {
-		task := Task{Name: fmt.Sprintf("task-%d", t), SLA: opts.SLA}
-		task.Candidates = append(task.Candidates, perm[t*opts.CandidatesPerTask:(t+1)*opts.CandidatesPerTask]...)
-		wf.Tasks = append(wf.Tasks, task)
-	}
-	return wf, wf.Validate()
-}
-
-func runPass(opts SimulationOptions, gen *dataset.Generator, wf Workflow, ticks [][]int, name string,
-	mkSelector func(*core.Model) Selector, useModel bool) (StrategyResult, error) {
-
-	env := generatorEnv{gen}
-	var model *core.Model
-	var observer Observer
-	if useModel {
-		rmin, rmax := dataset.ResponseTime.Range()
-		cfg := core.DefaultConfig(dataset.ResponseTime.DefaultAlpha(), rmin, rmax)
-		cfg.Seed = opts.Seed
-		cfg.Expiry = 4 * opts.Dataset.Interval
-		m, err := core.New(cfg)
-		if err != nil {
-			return StrategyResult{}, err
+// play runs one strategy over every slice of gen. Each user starts from
+// bindings drawn with seed+7, the same for every strategy (users spread
+// across candidates, which also gives a collaborative model coverage of
+// the candidate space), and executes the workflow once per slice; a task
+// whose invocation exceeds the SLA rebinds to what pick returns. observe,
+// when non-nil, receives every invocation; model, when non-nil, is
+// advanced to each slice's start and runs replayPerTick updates after
+// each execution.
+func play(gen *dataset.Generator, wf [][]int, seed int64, pick pick, observe func(stream.Sample), model *core.Model) StrategyResult {
+	ds := gen.Config()
+	rng := rand.New(rand.NewSource(seed + 7))
+	bound := make([][]int, ds.Users) // bound[u][t]: user u's service for task t
+	for u := range bound {
+		bound[u] = make([]int, len(wf))
+		for t, cands := range wf {
+			bound[u][t] = cands[rng.Intn(len(cands))]
 		}
-		model = m
-		observer = func(s stream.Sample) { m.Observe(s) }
-	}
-	selector := mkSelector(model)
-
-	// Every strategy starts from the same randomized initial bindings:
-	// users are spread across candidates, which is also what seeds the
-	// collaborative model with coverage of the candidate space.
-	rng := rand.New(rand.NewSource(opts.Seed + 7))
-	mws := make([]*Middleware, opts.Users)
-	for u := range mws {
-		mw, err := NewMiddleware(wf, u, selector, observer)
-		if err != nil {
-			return StrategyResult{}, err
-		}
-		b := mw.Bindings()
-		for i, task := range wf.Tasks {
-			b[i] = task.Candidates[rng.Intn(len(task.Candidates))]
-		}
-		if err := mw.Rebind(b); err != nil {
-			return StrategyResult{}, err
-		}
-		mws[u] = mw
 	}
 
-	sr := StrategyResult{Name: name}
+	var sr StrategyResult
 	var totalLatency float64
-	var tickSeq, violations int
-	for slice := 0; slice < opts.Slices; slice++ {
+	var execs, violations int
+	for slice := 0; slice < ds.Slices; slice++ {
 		now := gen.SliceTime(slice)
 		if model != nil {
 			model.AdvanceTo(now)
 		}
-		for u, mw := range mws {
-			for rep := 0; rep < ticks[slice][u]; rep++ {
-				tr := mw.Tick(env, slice, now+time.Duration(tickSeq)) // unique, increasing stamps
-				totalLatency += tr.Latency
-				violations += tr.Violations
-				sr.Invocations += len(wf.Tasks)
-				tickSeq++
-				if model != nil {
-					model.ReplaySteps(opts.ReplayPerTick)
+		for u, b := range bound {
+			stamp := now + time.Duration(execs) // unique, increasing stamps
+			var latency float64
+			for t, svc := range b {
+				rt := gen.Value(dataset.ResponseTime, u, svc, slice)
+				latency += rt
+				if observe != nil {
+					observe(stream.Sample{Time: stamp, User: u, Service: svc, Value: rt})
 				}
+				if rt > SLA {
+					violations++
+					if next := pick(u, wf[t], svc); next != svc {
+						b[t] = next
+						sr.Adaptations++
+					}
+				}
+			}
+			totalLatency += latency
+			sr.Invocations += len(b)
+			execs++
+			if model != nil {
+				model.ReplaySteps(replayPerTick)
 			}
 		}
 	}
-	for _, mw := range mws {
-		sr.Adaptations += mw.Adaptations()
+	sr.MeanLatency = totalLatency / float64(execs)
+	sr.ViolationRate = float64(violations) / float64(sr.Invocations)
+	return sr
+}
+
+// staticPick never adapts: the design-time binding stays forever, the
+// no-adaptation baseline.
+func staticPick(_ int, _ []int, current int) int { return current }
+
+// randomPick replaces a degraded service with a uniformly random other
+// candidate: adaptation without QoS prediction, the strawman for why
+// candidate-side prediction matters.
+func randomPick(rng *rand.Rand) pick {
+	return func(_ int, candidates []int, current int) int {
+		if len(candidates) == 1 {
+			return candidates[0]
+		}
+		for {
+			if c := candidates[rng.Intn(len(candidates))]; c != current {
+				return c
+			}
+		}
 	}
-	if tickSeq > 0 {
-		sr.MeanLatency = totalLatency / float64(tickSeq)
+}
+
+// predictedPick binds the candidate with the lowest predicted response
+// time, the paper's use case for AMF. The current binding wins ties and
+// candidates without a prediction are skipped, so a cold model keeps the
+// current binding rather than thrashing.
+func predictedPick(predict func(user, service int) (float64, error)) pick {
+	return func(user int, candidates []int, current int) int {
+		best := current
+		bestRT, err := predict(user, current)
+		haveBest := err == nil
+		for _, c := range candidates {
+			if c == current {
+				continue
+			}
+			rt, err := predict(user, c)
+			if err != nil {
+				continue
+			}
+			if !haveBest || rt < bestRT {
+				best, bestRT, haveBest = c, rt, true
+			}
+		}
+		return best
 	}
-	if sr.Invocations > 0 {
-		sr.ViolationRate = float64(violations) / float64(sr.Invocations)
+}
+
+// oraclePick binds the candidate with the smallest true mean response
+// time: an upper bound no predictor can beat.
+func oraclePick(truth func(user, service int) float64) pick {
+	return func(user int, candidates []int, current int) int {
+		best, bestRT := current, truth(user, current)
+		for _, c := range candidates {
+			if rt := truth(user, c); rt < bestRT {
+				best, bestRT = c, rt
+			}
+		}
+		return best
 	}
-	return sr, nil
 }

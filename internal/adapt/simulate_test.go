@@ -12,14 +12,7 @@ func simDataset() dataset.Config {
 }
 
 func TestRunSimulationStrategyOrdering(t *testing.T) {
-	res, err := RunSimulation(SimulationOptions{
-		Dataset:           simDataset(),
-		Users:             20,
-		Tasks:             3,
-		CandidatesPerTask: 8,
-		SLA:               2,
-		Seed:              5,
-	})
+	res, err := RunSimulation(simDataset(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,26 +55,25 @@ func TestRunSimulationStrategyOrdering(t *testing.T) {
 func TestRunSimulationValidation(t *testing.T) {
 	bad := simDataset()
 	bad.Users = 0
-	if _, err := RunSimulation(SimulationOptions{Dataset: bad}); err == nil {
+	if _, err := RunSimulation(bad, 5); err == nil {
 		t.Error("invalid dataset should error")
 	}
-	// Workflow needing more candidates than services exist.
-	if _, err := RunSimulation(SimulationOptions{
-		Dataset:           simDataset(),
-		Tasks:             10,
-		CandidatesPerTask: 10,
-	}); err == nil {
+	// A workflow needing more candidates than services exist.
+	small := simDataset()
+	small.Services = tasks*candidates - 1
+	if _, err := RunSimulation(small, 5); err == nil {
 		t.Error("oversized workflow should error")
 	}
 }
 
 func TestRunSimulationDeterministic(t *testing.T) {
-	opts := SimulationOptions{Dataset: simDataset(), Slices: 2, Seed: 5}
-	a, err := RunSimulation(opts)
+	ds := simDataset()
+	ds.Slices = 2
+	a, err := RunSimulation(ds, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunSimulation(opts)
+	b, err := RunSimulation(ds, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,32 +81,5 @@ func TestRunSimulationDeterministic(t *testing.T) {
 		if a.Strategies[i] != b.Strategies[i] {
 			t.Fatalf("non-deterministic simulation: %+v vs %+v", a.Strategies[i], b.Strategies[i])
 		}
-	}
-}
-
-func TestRunSimulationPoissonWorkload(t *testing.T) {
-	res, err := RunSimulation(SimulationOptions{
-		Dataset:                 simDataset(),
-		Slices:                  3,
-		MeanInvocationsPerSlice: 2.5,
-		Seed:                    5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All strategies must face the identical workload.
-	base := res.Strategies[0].Invocations
-	if base == 0 {
-		t.Fatal("no invocations under Poisson workload")
-	}
-	for _, s := range res.Strategies[1:] {
-		if s.Invocations != base {
-			t.Fatalf("unequal workloads across strategies: %d vs %d", s.Invocations, base)
-		}
-	}
-	// Expected volume ≈ users * slices * mean * tasks.
-	expect := float64(20*3) * 2.5 * 3
-	if float64(base) < expect*0.6 || float64(base) > expect*1.4 {
-		t.Fatalf("invocations = %d, want ≈ %.0f", base, expect)
 	}
 }

@@ -214,18 +214,20 @@ func (f *factorizer) estimate(i, j int, ui, sj []float64) float64 {
 func (f *factorizer) step(i, j int, ui, sj []float64, diff float64) {
 	reg := f.reg
 	if f.model == nimf {
-		// Own factors and item factors, then the neighbors' factors.
-		for k := range ui {
-			uk, sk, bk := ui[k], sj[k], f.blend[k]
-			ui[k] = uk - mfLearnRate*(nimfAlpha*diff*sk+reg*uk)
-			sj[k] = sk - mfLearnRate*(diff*bk+reg*sk)
-		}
+		// The neighbors' factors first, along the item vector the
+		// estimate used (a user is never their own neighbor, so ui is
+		// not among them); then own factors and item factors.
 		for _, nb := range f.neighbors[i] {
 			uk := f.users.Row(nb.id)
 			w := (1 - nimfAlpha) * nb.sim
 			for k := range uk {
 				uk[k] -= mfLearnRate * w * diff * sj[k]
 			}
+		}
+		for k := range ui {
+			uk, sk, bk := ui[k], sj[k], f.blend[k]
+			ui[k] = uk - mfLearnRate*(nimfAlpha*diff*sk+reg*uk)
+			sj[k] = sk - mfLearnRate*(diff*bk+reg*sk)
 		}
 		return
 	}

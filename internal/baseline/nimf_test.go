@@ -87,3 +87,47 @@ func TestNIMFEmptyAndBounds(t *testing.T) {
 		t.Fatal("out of range service")
 	}
 }
+
+// TestNIMFNeighborStepUsesPreStepItem takes one SGD step on one sample
+// and checks every neighbour moved along the item vector the estimate
+// used, not the one the same step has just updated.
+func TestNIMFNeighborStepUsesPreStepItem(t *testing.T) {
+	const rank = 3
+	f := &factorizer{
+		model:     nimf,
+		reg:       mfParams[nimf].reg,
+		users:     matrix.NewDense(3, rank),
+		items:     matrix.NewDense(2, rank),
+		neighbors: [][]neighbor{{{id: 1, sim: 0.75}, {id: 2, sim: 0.25}}, nil, nil},
+		blend:     make([]float64, rank),
+	}
+	for i, v := range []float64{0.3, -0.2, 0.5, 0.1, 0.4, -0.3, -0.6, 0.2, 0.7} {
+		f.users.Data()[i] = v
+	}
+	for i, v := range []float64{0.8, -0.5, 0.2, 0.1, 0.1, 0.1} {
+		f.items.Data()[i] = v
+	}
+	ui, sj := f.users.Row(0), f.items.Row(1)
+	diff := f.estimate(0, 1, ui, sj) - 0.9
+	sjBefore := append([]float64(nil), sj...)
+	var want [][]float64
+	for _, nb := range f.neighbors[0] {
+		uk := append([]float64(nil), f.users.Row(nb.id)...)
+		w := (1 - nimfAlpha) * nb.sim
+		for k := range uk {
+			uk[k] -= mfLearnRate * w * diff * sjBefore[k]
+		}
+		want = append(want, uk)
+	}
+	f.step(0, 1, ui, sj, diff)
+	for n, nb := range f.neighbors[0] {
+		for k, got := range f.users.Row(nb.id) {
+			if got != want[n][k] {
+				t.Errorf("neighbour %d factor %d = %v, want %v (uk − η·w·diff·sj before the step)", nb.id, k, got, want[n][k])
+			}
+		}
+	}
+	if sj[0] == sjBefore[0] {
+		t.Fatal("the step left the item vector where it was; the test shows nothing")
+	}
+}

@@ -194,7 +194,7 @@ func TestApproximateLowRank(t *testing.T) {
 	g := MustNew(Config{Users: 40, Services: 200, Slices: 2, Interval: time.Minute, Rank: 6, Seed: 5})
 	// As in the paper, the SVD is taken on the raw QoS matrix.
 	m := g.SliceMatrix(ResponseTime, 0)
-	sv, err := matrix.SingularValues(m, matrix.JacobiOptions{})
+	sv, err := matrix.SingularValues(m)
 	if err != nil {
 		t.Fatal(err)
 	}

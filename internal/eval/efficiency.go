@@ -15,15 +15,15 @@ import (
 type Fig13Options struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
-	Density float64 // paper: 30%
-	Slices  int     // number of consecutive slices to replay (0 = all)
+	Slices  int // number of consecutive slices to replay (0 = all)
 	Seed    int64
 }
 
+// fig13Density is the observation density of every replayed slice, the
+// paper's 30%.
+const fig13Density = 0.30
+
 func (o Fig13Options) withDefaults(ds dataset.Config) Fig13Options {
-	if o.Density == 0 {
-		o.Density = 0.30
-	}
 	if o.Slices <= 0 || o.Slices > ds.Slices {
 		o.Slices = ds.Slices
 	}
@@ -74,7 +74,7 @@ func RunFig13(opts Fig13Options) (*Fig13Result, error) {
 	pmf := PMFApproach()
 	for t := 0; t < opts.Slices; t++ {
 		seed := opts.Seed + int64(t)*104729
-		sp, err := stream.SliceSplit(gen, opts.Attr, t, opts.Density, seed)
+		sp, err := stream.SliceSplit(gen, opts.Attr, t, fig13Density, seed)
 		if err != nil {
 			return nil, err
 		}

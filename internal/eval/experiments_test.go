@@ -154,7 +154,6 @@ func TestRunFig13AMFFasterAfterWarmup(t *testing.T) {
 	res, err := RunFig13(Fig13Options{
 		Dataset: tinyDataset(),
 		Attr:    dataset.ResponseTime,
-		Density: 0.3,
 		Slices:  3,
 		Seed:    11,
 	})
@@ -302,7 +301,6 @@ func TestRunParamSweep(t *testing.T) {
 	res, err := RunParamSweep(ParamSweepOptions{
 		Dataset:    tinyDataset(),
 		Attr:       dataset.ResponseTime,
-		Density:    0.3,
 		Rounds:     1,
 		Seed:       17,
 		Ranks:      []int{2, 10},

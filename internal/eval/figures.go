@@ -98,7 +98,7 @@ func Fig8(g *dataset.Generator, bins, sampleSlices, sampleCells int) (rt, tp *st
 func Fig9(g *dataset.Generator, topN int) (rt, tp []float64, err error) {
 	compute := func(attr dataset.Attribute) ([]float64, error) {
 		m := g.SliceMatrix(attr, 0)
-		sv, err := matrix.SingularValues(m, matrix.JacobiOptions{})
+		sv, err := matrix.SingularValues(m)
 		if err != nil {
 			return nil, err
 		}

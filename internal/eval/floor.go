@@ -16,9 +16,11 @@ import (
 type FloorOptions struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
-	Density float64 // split density; only the test half is evaluated
 	Seed    int64
 }
+
+// floorDensity is the split's density; only its test half is evaluated.
+const floorDensity = 0.30
 
 // FloorResult pairs the oracle's metrics with AMF's on the same split.
 type FloorResult struct {
@@ -29,14 +31,11 @@ type FloorResult struct {
 
 // RunFloor measures the oracle and AMF on an identical split.
 func RunFloor(opts FloorOptions) (*FloorResult, error) {
-	if opts.Density == 0 {
-		opts.Density = 0.30
-	}
 	gen, err := dataset.New(opts.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := stream.SliceSplit(gen, opts.Attr, paperSlice, opts.Density, opts.Seed)
+	sp, err := stream.SliceSplit(gen, opts.Attr, paperSlice, floorDensity, opts.Seed)
 	if err != nil {
 		return nil, err
 	}

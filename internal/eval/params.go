@@ -14,7 +14,6 @@ import (
 type ParamSweepOptions struct {
 	Dataset dataset.Config
 	Attr    dataset.Attribute
-	Density float64
 	Rounds  int
 	Seed    int64
 
@@ -24,10 +23,10 @@ type ParamSweepOptions struct {
 	Betas      []float64
 }
 
+// sweepDensity is the density every sweep point is measured at.
+const sweepDensity = 0.30
+
 func (o ParamSweepOptions) withDefaults() ParamSweepOptions {
-	if o.Density == 0 {
-		o.Density = 0.30
-	}
 	if o.Rounds == 0 {
 		o.Rounds = 3
 	}
@@ -84,7 +83,7 @@ func RunParamSweep(opts ParamSweepOptions) (*ParamSweepResult, error) {
 	table, err := RunTable1(Table1Options{
 		Dataset:    opts.Dataset,
 		Attr:       opts.Attr,
-		Densities:  []float64{opts.Density},
+		Densities:  []float64{sweepDensity},
 		Rounds:     opts.Rounds,
 		Seed:       opts.Seed,
 		Approaches: approaches,

@@ -48,17 +48,32 @@ func (m *Dense) Set(i, j int, v float64) {
 }
 
 func (m *Dense) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("matrix: index (%d,%d) out of range for %dx%d", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		m.indexOutOfRange(i, j)
 	}
 }
 
 // Row returns a view (not a copy) of row i as a slice.
 func (m *Dense) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("matrix: row %d out of range for %dx%d", i, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) {
+		m.rowOutOfRange(i)
 	}
-	return m.data[i*m.cols : (i+1)*m.cols : (i+1)*m.cols]
+	return m.data[i*m.cols:][:m.cols:m.cols]
+}
+
+// indexOutOfRange and rowOutOfRange build the accessors' panics out of
+// line: formatting inside check or Row would put them over the inlining
+// budget, and Row, which the offline baselines call per sample, has room
+// for a call of one argument only.
+//
+//go:noinline
+func (m *Dense) indexOutOfRange(i, j int) {
+	panic(fmt.Sprintf("matrix: index (%d,%d) out of range for %dx%d", i, j, m.rows, m.cols))
+}
+
+//go:noinline
+func (m *Dense) rowOutOfRange(i int) {
+	panic(fmt.Sprintf("matrix: row %d out of range for %dx%d", i, m.rows, m.cols))
 }
 
 // Data returns the backing slice in row-major order. Mutating it mutates

@@ -49,6 +49,30 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 	m.At(2, 0)
 }
 
+// TestOutOfRangePanicText pins the accessors' panic messages, which are
+// built out of line.
+func TestOutOfRangePanicText(t *testing.T) {
+	m := NewDense(2, 3)
+	for _, c := range []struct {
+		call func()
+		want string
+	}{
+		{func() { m.At(2, 0) }, "matrix: index (2,0) out of range for 2x3"},
+		{func() { m.Set(0, -1, 1) }, "matrix: index (0,-1) out of range for 2x3"},
+		{func() { m.Row(-1) }, "matrix: row -1 out of range for 2x3"},
+		{func() { m.Row(2) }, "matrix: row 2 out of range for 2x3"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.call()
+		}()
+	}
+}
+
 func TestRowIsView(t *testing.T) {
 	m := NewDense(2, 3)
 	r := m.Row(1)

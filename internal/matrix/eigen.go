@@ -6,32 +6,19 @@ import (
 	"sort"
 )
 
-// JacobiOptions tunes the cyclic Jacobi eigensolver.
-type JacobiOptions struct {
-	// MaxSweeps bounds the number of full cyclic sweeps. Zero means the
-	// default of 64, which is far more than typical convergence (~10).
-	MaxSweeps int
-	// Tol is the convergence threshold on the off-diagonal Frobenius norm
-	// relative to the matrix Frobenius norm. Zero means 1e-12.
-	Tol float64
-}
-
-func (o JacobiOptions) withDefaults() JacobiOptions {
-	if o.MaxSweeps == 0 {
-		o.MaxSweeps = 64
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-12
-	}
-	return o
-}
+// The cyclic Jacobi eigensolver's budget: at most jacobiMaxSweeps full
+// sweeps (typical convergence takes ~10), stopping once the off-diagonal
+// Frobenius norm falls to jacobiTol of the matrix's.
+const (
+	jacobiMaxSweeps = 64
+	jacobiTol       = 1e-12
+)
 
 // SymEigen computes the eigenvalues of a symmetric matrix using the cyclic
 // Jacobi rotation method. The input is not modified. Eigenvalues are
 // returned in descending order. An error is returned if the matrix is not
 // square or not symmetric (within 1e-8 of its transpose, scaled).
-func SymEigen(m *Dense, opts JacobiOptions) ([]float64, error) {
-	opts = opts.withDefaults()
+func SymEigen(m *Dense) ([]float64, error) {
 	n := m.Rows()
 	if n != m.Cols() {
 		return nil, fmt.Errorf("matrix: SymEigen requires square input, got %dx%d", n, m.Cols())
@@ -51,7 +38,7 @@ func SymEigen(m *Dense, opts JacobiOptions) ([]float64, error) {
 
 	a := m.Clone()
 	ad := a.Data()
-	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
+	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
 		var off float64
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -59,7 +46,7 @@ func SymEigen(m *Dense, opts JacobiOptions) ([]float64, error) {
 				off += 2 * v * v
 			}
 		}
-		if math.Sqrt(off) <= opts.Tol*scale {
+		if math.Sqrt(off) <= jacobiTol*scale {
 			break
 		}
 		for p := 0; p < n-1; p++ {
@@ -110,10 +97,10 @@ func SymEigen(m *Dense, opts JacobiOptions) ([]float64, error) {
 // (A·Aᵀ or Aᵀ·A, whichever is smaller). This is exactly what the paper's
 // Fig. 9 needs: the 142x4500 QoS matrix reduces to a 142x142 symmetric
 // eigenproblem. Tiny negative eigenvalues from round-off are clamped to 0.
-func SingularValues(m *Dense, opts JacobiOptions) ([]float64, error) {
+func SingularValues(m *Dense) ([]float64, error) {
 	byCols := m.Cols() < m.Rows()
 	g := Gram(m, byCols)
-	eig, err := SymEigen(g, opts)
+	eig, err := SymEigen(g)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 func TestSymEigenDiagonal(t *testing.T) {
 	m := NewDense(3, 3)
 	copy(m.Data(), []float64{3, 0, 0, 0, 1, 0, 0, 0, 2})
-	eig, err := SymEigen(m, JacobiOptions{})
+	eig, err := SymEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestSymEigenKnown2x2(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 3 and 1.
 	m := NewDense(2, 2)
 	copy(m.Data(), []float64{2, 1, 1, 2})
-	eig, err := SymEigen(m, JacobiOptions{})
+	eig, err := SymEigen(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSymEigenKnown2x2(t *testing.T) {
 }
 
 func TestSymEigenRejectsNonSquare(t *testing.T) {
-	if _, err := SymEigen(NewDense(2, 3), JacobiOptions{}); err == nil {
+	if _, err := SymEigen(NewDense(2, 3)); err == nil {
 		t.Fatal("expected error for non-square input")
 	}
 }
@@ -44,13 +44,13 @@ func TestSymEigenRejectsNonSquare(t *testing.T) {
 func TestSymEigenRejectsAsymmetric(t *testing.T) {
 	m := NewDense(2, 2)
 	copy(m.Data(), []float64{1, 2, 3, 4})
-	if _, err := SymEigen(m, JacobiOptions{}); err == nil {
+	if _, err := SymEigen(m); err == nil {
 		t.Fatal("expected error for asymmetric input")
 	}
 }
 
 func TestSymEigenZeroMatrix(t *testing.T) {
-	eig, err := SymEigen(NewDense(3, 3), JacobiOptions{})
+	eig, err := SymEigen(NewDense(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSymEigenInvariantsProperty(t *testing.T) {
 				m.Set(j, i, v)
 			}
 		}
-		eig, err := SymEigen(m, JacobiOptions{})
+		eig, err := SymEigen(m)
 		if err != nil {
 			return false
 		}
@@ -99,7 +99,7 @@ func TestSingularValuesKnown(t *testing.T) {
 	// diag(3, 2) embedded in a 2x3 matrix has singular values {3, 2}.
 	m := NewDense(2, 3)
 	copy(m.Data(), []float64{3, 0, 0, 0, 2, 0})
-	sv, err := SingularValues(m, JacobiOptions{})
+	sv, err := SingularValues(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestSingularValuesLowRank(t *testing.T) {
 			a.Set(i, j, u1[i]*v1[j]+u2[i]*v2[j])
 		}
 	}
-	sv, err := SingularValues(a, JacobiOptions{})
+	sv, err := SingularValues(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSingularValuesProperty(t *testing.T) {
 		r, c := 1+rng.Intn(8), 1+rng.Intn(8)
 		m := NewDense(r, c)
 		m.Apply(func(float64) float64 { return rng.NormFloat64() })
-		sv, err := SingularValues(m, JacobiOptions{})
+		sv, err := SingularValues(m)
 		if err != nil {
 			return false
 		}

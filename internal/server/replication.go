@@ -245,9 +245,6 @@ type FollowerConfig struct {
 	WaitMS int
 	// RetryInterval is the pause after a failed poll (default 200ms).
 	RetryInterval time.Duration
-	// HTTP is the client used for the commit-index polls; nil gets a
-	// default with no overall timeout (long-polls hold connections open).
-	HTTP *http.Client
 }
 
 // Replicator tails a leader's directory into the local server.
@@ -299,10 +296,9 @@ func (s *Server) StartFollower(cfg FollowerConfig) (*Replicator, error) {
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 200 * time.Millisecond
 	}
-	rp := &Replicator{s: s, cfg: cfg, http: cfg.HTTP}
-	if rp.http == nil {
-		rp.http = &http.Client{}
-	}
+	// The commit-index polls' client has no overall timeout: a long-poll
+	// holds its connection open for up to WaitMS.
+	rp := &Replicator{s: s, cfg: cfg, http: &http.Client{}}
 	rp.leader.Store(strings.TrimRight(cfg.Leader, "/"))
 
 	if err := rp.reload(0, nil); err != nil {

@@ -34,8 +34,10 @@ const modulePath = "github.com/qoslab/amf"
 // prefix dropped: a reference implementation tests compare a fast path
 // against (oracle), a small accessor or fixture constructor that tests in
 // several files observe or build state through, and a seam a test
-// substitutes through. Every entry carries its reason; maxKeep bounds the
-// table so it stays an exception list.
+// substitutes through. Option fields that only tests set join it under
+// their optionName ("store.Options.SegmentBytes") for
+// TestNoUnsetOptionFields. Every entry carries its reason; maxKeep bounds
+// the table so it stays an exception list.
 var keep = map[string]string{
 	"(*core.Model).RankServices":          "oracle: the float64 full sort every view ranking is held against (core rank/topk/select/precision/view tests)",
 	"(*core.Model).PredictWithConfidence": "oracle: float64 reference for PredictView.PredictWithConfidence (core model_test, view_test)",
@@ -56,6 +58,23 @@ var keep = map[string]string{
 	"server.NewWithClock":                "test seam: injects the server clock (server_test TestObserveCustomTimestamp, TestFutureTimestampKeepsReplay; durable_test TestRestartKeepsReplay)",
 	"server.WithSlowRequestThreshold":    "test seam: lowers the slow-request threshold so TestSlowRequestLogged need not sleep a second",
 	"(*store.Manager).SetCaptureForTest": "test seam: installs a checkpoint capture without the background loop (store manager_test, fence_test, bench_test)",
+
+	// Option fields (TestNoUnsetOptionFields): every other caller takes
+	// the default.
+	"core.Config.MaxGradNorm":             "gob-encoded in every snapshot and checkpoint, so dropping it changes their bytes; core property_test TestConfigWithDefaults sets it to check the clamp's default",
+	"eval.Fig10Options.Density":           "test seam: TestRunFig10AMFDensestAroundZero runs at 20% on the tiny dataset",
+	"eval.SliceSeriesOptions.Density":     "test seam: TestRunSliceSeriesAMFWinsEverySlice runs at 20% on the tiny dataset",
+	"eval.PrequentialOptions.Density":     "test seam: TestRunPrequentialOnlineAccuracy runs at 30% on the tiny dataset",
+	"eval.ParamSweepOptions.Ranks":        "test seam: TestRunParamSweep and TestFig13And14AndParamsShape sweep two ranks or one instead of five",
+	"eval.ParamSweepOptions.Regs":         "test seam: TestRunParamSweep and TestFig13And14AndParamsShape sweep one λ instead of five",
+	"eval.ParamSweepOptions.LearnRates":   "test seam: TestRunParamSweep and TestFig13And14AndParamsShape sweep one η instead of five",
+	"eval.ParamSweepOptions.Betas":        "test seam: TestRunParamSweep and TestFig13And14AndParamsShape sweep one β instead of five",
+	"obs/trace.Config.Capacity":           "test seam: trace_test's recorders keep 4 to 16 spans so a test can fill the ring",
+	"obs/trace.Config.RetainedCapacity":   "test seam: trace_test TestRecorderRetainsSlowAndErrored and TestRecycledSpansStayConsistent bound the retained ring at 8",
+	"server.FollowerConfig.WaitMS":        "test seam: server replication_test and cluster failover_test, gateway_test poll every 5 to 200 ms instead of 5 s",
+	"server.FollowerConfig.RetryInterval": "test seam: server replication_test and cluster failover_test, gateway_test retry after 20 ms instead of 200 ms",
+	"store.Options.FenceCheckInterval":    "test seam: store fence_test re-reads the LOCK file on its own schedule",
+	"store.Options.SegmentBytes":          "test seam: store manager_test TestManagerCheckpointTruncatesWAL rotates 200-byte segments",
 }
 
 const maxKeep = 60
@@ -127,6 +146,11 @@ type surface struct {
 	uses     []funcUse
 	viaIface map[string]bool
 	ifaces   []*types.Interface
+	// options maps each field of an exported *Config or *Options struct
+	// under internal/ to its optionName; set holds the fields a non-test
+	// file of either module sets.
+	options map[*types.Var]string
+	set     map[*types.Var]bool
 }
 
 type funcUse struct{ from, to *types.Func }
@@ -158,7 +182,29 @@ func loadSurface(t *testing.T) *surface {
 		t.Fatalf("type-check: %v", err)
 	}
 
-	sf := &surface{declared: map[*types.Func]bool{}, viaIface: map[string]bool{}}
+	sf := &surface{
+		declared: map[*types.Func]bool{},
+		viaIface: map[string]bool{},
+		options:  map[*types.Var]string{},
+		set:      map[*types.Var]bool{},
+	}
+	setField := func(id *ast.Ident) {
+		if v, ok := si.info.Uses[id].(*types.Var); ok && v.IsField() {
+			sf.set[v.Origin()] = true
+		}
+	}
+	// An assignment to a field of the enclosing function's own receiver
+	// or parameter fills in a default on the value a caller passed
+	// (withDefaults, a constructor's zero check): it sets nothing the
+	// caller chose, so it does not count.
+	var own map[types.Object]bool
+	assigned := func(lhs ast.Expr) {
+		if sel, ok := lhs.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); !ok || !own[si.info.Uses[x]] {
+				setField(sel.Sel)
+			}
+		}
+	}
 	for name := range conventionalMethods {
 		sf.viaIface[name] = true
 	}
@@ -177,10 +223,21 @@ func loadSurface(t *testing.T) *surface {
 		for _, f := range files {
 			for _, decl := range f.Decls {
 				var from *types.Func
+				own = map[types.Object]bool{}
 				if fd, ok := decl.(*ast.FuncDecl); ok {
 					from = si.info.Defs[fd.Name].(*types.Func)
 					if !inBench {
 						sf.declared[from] = true
+					}
+					for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+						if fl == nil {
+							continue
+						}
+						for _, field := range fl.List {
+							for _, id := range field.Names {
+								own[si.info.Defs[id]] = true
+							}
+						}
 					}
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
@@ -190,6 +247,26 @@ func loadSurface(t *testing.T) *surface {
 							ifaceSpecs[si.info.Defs[n.Name].(*types.TypeName)] = n
 							specOf[it] = true
 						}
+						if tn := si.info.Defs[n.Name].(*types.TypeName); isOptionType(tn) {
+							st := tn.Type().Underlying().(*types.Struct)
+							for i := 0; i < st.NumFields(); i++ {
+								sf.options[st.Field(i)] = optionName(tn, st.Field(i))
+							}
+						}
+					case *ast.CompositeLit:
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									setField(id)
+								}
+							}
+						}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							assigned(lhs)
+						}
+					case *ast.IncDecStmt:
+						assigned(n.X)
 					case *ast.InterfaceType:
 						if specOf[n] {
 							break
@@ -222,6 +299,25 @@ func loadSurface(t *testing.T) *surface {
 		sf.ifaces = append(sf.ifaces, u.tn.Type().Underlying().(*types.Interface))
 	}
 	return sf
+}
+
+// isOptionType reports whether tn is a package-level exported struct
+// type under internal/ whose name ends in Config or Options: the option
+// structs TestNoUnsetOptionFields audits.
+func isOptionType(tn *types.TypeName) bool {
+	if !tn.Exported() || tn.Parent() != tn.Pkg().Scope() ||
+		!strings.HasPrefix(tn.Pkg().Path(), modulePath+"/internal/") ||
+		!(strings.HasSuffix(tn.Name(), "Config") || strings.HasSuffix(tn.Name(), "Options")) {
+		return false
+	}
+	_, ok := tn.Type().Underlying().(*types.Struct)
+	return ok
+}
+
+// optionName names field f of option type tn as a keep key:
+// "core.Config.MaxGradNorm", "obs/trace.Config.Capacity".
+func optionName(tn *types.TypeName, f *types.Var) string {
+	return strings.TrimPrefix(tn.Pkg().Path(), modulePath+"/internal/") + "." + tn.Name() + "." + f.Name()
 }
 
 // shortName is fn.FullName() without the module path (and without
@@ -311,8 +407,16 @@ func TestNoUncalledExports(t *testing.T) {
 		}
 	}
 	// The other direction: an entry earns its line only if the function
-	// would be reported without it.
+	// would be reported without it. Option fields are
+	// TestNoUnsetOptionFields' entries.
+	fields := map[string]bool{}
+	for _, name := range sf.options {
+		fields[name] = true
+	}
 	for name := range keep {
+		if fields[name] {
+			continue
+		}
 		without := map[string]string{}
 		for k, v := range keep {
 			if k != name {
@@ -321,6 +425,35 @@ func TestNoUncalledExports(t *testing.T) {
 		}
 		if _, ok := sf.uncalled(without)[name]; !ok {
 			problems = append(problems, name+": in keep, but it is called from non-test code by now, or gone: delete the entry")
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestNoUnsetOptionFields holds option structs to the rule
+// TestNoUncalledExports holds functions to: a field of an exported
+// *Config or *Options struct under internal/ that no non-test file of
+// the root module or bench/ sets — as a composite-literal key or an
+// assignment target — is a knob nothing turns, and must go or be listed
+// in keep with the reason it stays. An unkeyed literal does not count
+// (vet's composites check refuses them for imported types). In the other
+// direction, a listed field that non-test code sets by now must leave
+// keep.
+func TestNoUnsetOptionFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules and the standard library from source")
+	}
+	sf := loadSurface(t)
+	var problems []string
+	for v, name := range sf.options {
+		switch _, kept := keep[name]; {
+		case !sf.set[v] && !kept:
+			problems = append(problems, name+": option field that no non-test file of the root module or bench/ sets: delete it, or add it to keep with the reason it stays")
+		case sf.set[v] && kept:
+			problems = append(problems, name+": in keep, but non-test code sets it by now: delete the entry")
 		}
 	}
 	sort.Strings(problems)
